@@ -78,6 +78,19 @@ fn triangle_db(seed: u64, nodes: u64, edges: usize) -> Database {
     db
 }
 
+/// A Theorem 1 structure's space cell: the total and its base-index /
+/// tree / dictionary split (`Theorem1Stats`).
+fn fmt_space(s: &Theorem1Structure) -> String {
+    let st = s.stats();
+    format!(
+        "{} (base {} + tree {} + dict {})",
+        fmt_bytes(st.heap_bytes),
+        fmt_bytes(st.base_index_bytes),
+        fmt_bytes(st.tree_bytes),
+        fmt_bytes(st.dict_bytes)
+    )
+}
+
 /// EXP-1: the intro/Prop-3 triangle tradeoff `S = O(N^{3/2}/τ)`, `δ = Õ(τ)`.
 fn exp1_triangle(scale: Scale) {
     println!("## EXP-1 — triangle V^bfb tradeoff (Example 1, Prop. 3)\n");
@@ -140,7 +153,7 @@ fn exp1_triangle(scale: Scale) {
         delays.push(bs.max_delay_ns as f64);
         rows.push(vec![
             format!("theorem 1, τ = N^{:.2}", tau.ln() / n.ln()),
-            fmt_bytes(s.heap_bytes()),
+            fmt_space(&s),
             format!("{build:.1?}"),
             fmt_ns(bs.max_delay_ns),
             fmt_ns(bs.total_ns / bs.requests as u64),
@@ -310,7 +323,7 @@ fn exp4_loomis_whitney(scale: Scale) {
         let bs = b.finish();
         rows.push(vec![
             label.into(),
-            fmt_bytes(s.heap_bytes()),
+            fmt_space(&s),
             s.stats().dict_entries.to_string(),
             fmt_ns(bs.max_delay_ns),
             fmt_ns(bs.total_ns / bs.requests as u64),
@@ -372,7 +385,7 @@ fn exp5_star_slack(scale: Scale) {
                 format!("α = {}", s.alpha()),
                 s.stats().dict_entries.to_string(),
                 s.stats().tree_nodes.to_string(),
-                fmt_bytes(s.heap_bytes()),
+                fmt_space(&s),
             ]);
         }
         println!(
@@ -448,7 +461,7 @@ fn exp6_set_intersection(scale: Scale) {
         let probe_ns = t0.elapsed().as_nanos() as u64 / requests.len() as u64;
         rows.push(vec![
             format!("τ = {tau}"),
-            fmt_bytes(s.heap_bytes()),
+            fmt_space(&s),
             s.stats().dict_entries.to_string(),
             fmt_ns(bs.max_delay_ns),
             fmt_ns(probe_ns),
@@ -517,7 +530,7 @@ fn exp7_path(scale: Scale) {
         anchor = Some(bs.tuples);
         rows.push(vec![
             format!("theorem 1, τ = {tau}"),
-            fmt_bytes(s.heap_bytes()),
+            fmt_space(&s),
             format!("{build:.1?}"),
             fmt_ns(bs.max_delay_ns),
             fmt_ns(bs.total_ns / bs.requests as u64),
@@ -610,16 +623,15 @@ fn exp8_running_example() {
     let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], 4.0).unwrap();
     let tree = s.tree().unwrap();
     let mut rows = Vec::new();
-    for (i, node) in tree.nodes.iter().enumerate() {
+    for (i, node) in tree.nodes().enumerate() {
         rows.push(vec![
             format!("node {i} (level {})", node.level),
             format!(
                 "[{:?}, {:?}]",
-                s.estimator().ranks_to_values(&node.interval.lo),
-                s.estimator().ranks_to_values(&node.interval.hi)
+                s.estimator().ranks_to_values(node.lo),
+                s.estimator().ranks_to_values(node.hi)
             ),
             node.beta
-                .as_ref()
                 .map(|b| format!("{:?}", s.estimator().ranks_to_values(b)))
                 .unwrap_or_else(|| "—".into()),
             format!("{:.3}", node.t_value),
@@ -634,7 +646,7 @@ fn exp8_running_example() {
         "dictionary entries: {} — D(r, (1,1,1)) = {:?}, D(r_r, (1,1,1)) = {:?}",
         s.dictionary().num_entries(),
         s.dictionary().get(0, &[1, 1, 1]),
-        s.dictionary().get(tree.nodes[0].right.unwrap(), &[1, 1, 1]),
+        s.dictionary().get(tree.node(0).right.unwrap(), &[1, 1, 1]),
     );
     let out: Vec<Vec<u64>> = s.answer(&[1, 1, 1]).unwrap().collect();
     println!("Q[(1,1,1)] = {out:?} (paper: lexicographic enumeration)\n");

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES_ALLOCATED: AtomicU64 = AtomicU64::new(0);
+static BYTES_FREED: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator that counts every allocation event.
 ///
@@ -56,12 +57,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         DEALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES_FREED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES_ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        BYTES_FREED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -81,6 +84,18 @@ pub fn deallocations() -> u64 {
 /// Total bytes requested across all allocation events (not live bytes).
 pub fn bytes_allocated() -> u64 {
     BYTES_ALLOCATED.load(Ordering::Relaxed)
+}
+
+/// Bytes currently allocated and not yet freed (requested sizes, so
+/// allocator rounding and metadata are excluded). The difference of two
+/// reads around a build is what the built value really keeps.
+pub fn live_bytes() -> u64 {
+    // Read freed first: a concurrent free between the two loads can then
+    // only make the result larger, never wrap it below zero.
+    let freed = BYTES_FREED.load(Ordering::Relaxed);
+    BYTES_ALLOCATED
+        .load(Ordering::Relaxed)
+        .saturating_sub(freed)
 }
 
 /// A snapshot of the allocation counters, for delta measurements around a

@@ -315,8 +315,12 @@ impl CompressedView {
             ),
             CompressedView::Tradeoff(s) => {
                 let st = s.stats();
+                let per = |bytes: usize, n: usize| bytes as f64 / n.max(1) as f64;
                 format!(
-                    "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; tree {} nodes                      (depth {}), dictionary {} heavy pairs, {} heap bytes",
+                    "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
+                     tree {} nodes (depth {}, {} B = {:.1} B/node), \
+                     dictionary {} heavy pairs ({} B = {:.1} B/entry), \
+                     base indexes {} B; {} heap bytes",
                     s.tau(),
                     s.weights()
                         .iter()
@@ -325,7 +329,12 @@ impl CompressedView {
                     s.alpha(),
                     st.tree_nodes,
                     st.tree_depth,
+                    st.tree_bytes,
+                    per(st.tree_bytes, st.tree_nodes),
                     st.dict_entries,
+                    st.dict_bytes,
+                    per(st.dict_bytes, st.dict_entries),
+                    st.base_index_bytes,
                     st.heap_bytes
                 )
             }

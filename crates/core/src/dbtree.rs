@@ -19,13 +19,20 @@ use std::cmp::Ordering;
 /// invariant (Prop. 8), not a legitimate instance.
 const MAX_LEVEL: u16 = 512;
 
-/// One node of the delay-balanced tree.
-#[derive(Debug, Clone)]
-pub struct TreeNode {
-    /// The node's f-interval (closed, rank space).
-    pub interval: FInterval,
+/// "No child" in the `left`/`right` columns.
+const NO_CHILD: u32 = u32::MAX;
+/// Fills a leaf's `β` slot in the rank arena (no rank reaches it).
+const NO_BETA: usize = usize::MAX;
+
+/// One node of the delay-balanced tree, borrowed from the flat columns.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeRef<'a> {
+    /// Inclusive lower endpoint of the node's f-interval (ranks).
+    pub lo: &'a [usize],
+    /// Inclusive upper endpoint of the node's f-interval (ranks).
+    pub hi: &'a [usize],
     /// Algorithm 1 split point; `None` for leaves.
-    pub beta: Option<Vec<usize>>,
+    pub beta: Option<&'a [usize]>,
     /// Left child (covers `[lo, pred(β)]`).
     pub left: Option<u32>,
     /// Right child (covers `[succ(β), hi]`).
@@ -37,11 +44,30 @@ pub struct TreeNode {
     pub t_value: f64,
 }
 
-/// The delay-balanced tree.
-#[derive(Debug, Clone)]
+impl NodeRef<'_> {
+    /// The node's f-interval as an owned value (off the serve path).
+    pub fn interval(&self) -> FInterval {
+        FInterval {
+            lo: self.lo.to_vec(),
+            hi: self.hi.to_vec(),
+        }
+    }
+}
+
+/// The delay-balanced tree, immutable after build.
+///
+/// Nodes live in parallel columns indexed by node id (0 is the root; ids
+/// follow the left-first pre-order of construction). The rank arena holds
+/// `lo | hi | β` per node at stride `3µ`; read nodes through
+/// [`DelayBalancedTree::node`].
+#[derive(Debug)]
 pub struct DelayBalancedTree {
-    /// Nodes; index 0 is the root.
-    pub nodes: Vec<TreeNode>,
+    ranks: Vec<usize>,
+    left: Vec<u32>,
+    right: Vec<u32>,
+    level: Vec<u16>,
+    t_value: Vec<f64>,
+    mu: usize,
     /// The delay knob τ.
     pub tau: f64,
     /// The slack α of the cover.
@@ -93,7 +119,16 @@ impl DelayBalancedTree {
         let sizes = est.sizes();
         let root_interval = FInterval::full(&sizes)?;
 
-        let mut nodes: Vec<TreeNode> = Vec::new();
+        let mut tree = DelayBalancedTree {
+            ranks: Vec::new(),
+            left: Vec::new(),
+            right: Vec::new(),
+            level: Vec::new(),
+            t_value: Vec::new(),
+            mu: sizes.len(),
+            tau,
+            alpha,
+        };
         // Work stack entries: (interval, level, parent slot), where the
         // slot is `(parent node, is_left_child)`.
         type Slot = Option<(u32, bool)>;
@@ -102,27 +137,23 @@ impl DelayBalancedTree {
         while let Some((interval, level, slot)) = stack.pop() {
             assert!(level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
             let t = est.t_interval(&interval, &sizes);
-            let idx = nodes.len() as u32;
+            let idx = u32::try_from(tree.len())
+                .ok()
+                .filter(|&i| i != NO_CHILD)
+                .expect("node ids fit in u32");
             if let Some((parent, is_left)) = slot {
-                let p = &mut nodes[parent as usize];
-                if is_left {
-                    p.left = Some(idx);
+                let side = if is_left {
+                    &mut tree.left
                 } else {
-                    p.right = Some(idx);
-                }
+                    &mut tree.right
+                };
+                side[parent as usize] = idx;
             }
             let threshold = tau_level(tau, alpha, level);
             // Leaf when T(I(w)) < τ_ℓ (zero-cost intervals are always
             // leaves; they cannot be split).
             if t <= 0.0 || !approx_ge(t, threshold) {
-                nodes.push(TreeNode {
-                    interval,
-                    beta: None,
-                    left: None,
-                    right: None,
-                    level,
-                    t_value: t,
-                });
+                tree.push(&interval, None, level, t);
                 continue;
             }
             let beta = match splitter {
@@ -133,17 +164,11 @@ impl DelayBalancedTree {
                 pred(&beta, &sizes).filter(|p| lex_cmp_ranks(&interval.lo, p) != Ordering::Greater);
             let right =
                 succ(&beta, &sizes).filter(|s| lex_cmp_ranks(s, &interval.hi) != Ordering::Greater);
-            nodes.push(TreeNode {
-                interval: interval.clone(),
-                beta: Some(beta),
-                left: None,
-                right: None,
-                level,
-                t_value: t,
-            });
+            tree.push(&interval, Some(&beta[..]), level, t);
             // Push right first so the left child is processed (and thus
-            // numbered) first — purely cosmetic, but it makes node ids
-            // follow the in-order layout of Figure 3.
+            // numbered) first: node ids follow the left-first pre-order,
+            // which the dictionary build relies on to emit its per-node
+            // runs in id order.
             if let Some(hi_lo) = right {
                 let child = FInterval {
                     lo: hi_lo,
@@ -153,24 +178,66 @@ impl DelayBalancedTree {
             }
             if let Some(lo_hi) = left {
                 let child = FInterval {
-                    lo: interval.lo.clone(),
+                    lo: interval.lo,
                     hi: lo_hi,
                 };
                 stack.push((child, level + 1, Some((idx, true))));
             }
         }
 
-        Some(DelayBalancedTree { nodes, tau, alpha })
+        tree.ranks.shrink_to_fit();
+        tree.left.shrink_to_fit();
+        tree.right.shrink_to_fit();
+        tree.level.shrink_to_fit();
+        tree.t_value.shrink_to_fit();
+        Some(tree)
+    }
+
+    /// Appends a childless node (build only; children are linked when they
+    /// are numbered).
+    fn push(&mut self, interval: &FInterval, beta: Option<&[usize]>, level: u16, t: f64) {
+        self.ranks.extend_from_slice(&interval.lo);
+        self.ranks.extend_from_slice(&interval.hi);
+        match beta {
+            Some(b) => self.ranks.extend_from_slice(b),
+            None => self.ranks.extend(std::iter::repeat(NO_BETA).take(self.mu)),
+        }
+        self.left.push(NO_CHILD);
+        self.right.push(NO_CHILD);
+        self.level.push(level);
+        self.t_value.push(t);
+    }
+
+    /// Node `w`.
+    pub fn node(&self, w: u32) -> NodeRef<'_> {
+        let (i, mu) = (w as usize, self.mu);
+        let (lo, rest) = self.ranks[i * 3 * mu..(i + 1) * 3 * mu].split_at(mu);
+        let (hi, beta) = rest.split_at(mu);
+        let child = |c: u32| (c != NO_CHILD).then_some(c);
+        NodeRef {
+            lo,
+            hi,
+            beta: (beta[0] != NO_BETA).then_some(beta),
+            left: child(self.left[i]),
+            right: child(self.right[i]),
+            level: self.level[i],
+            t_value: self.t_value[i],
+        }
+    }
+
+    /// All nodes in id order (node `w` is the `w`-th item).
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeRef<'_>> {
+        (0..self.len() as u32).map(|w| self.node(w))
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.level.len()
     }
 
     /// `true` when the tree has no nodes (never produced by `build`).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.level.is_empty()
     }
 
     /// The root node id.
@@ -180,26 +247,22 @@ impl DelayBalancedTree {
 
     /// The level threshold for a node.
     pub fn threshold_of(&self, node: u32) -> f64 {
-        tau_level(self.tau, self.alpha, self.nodes[node as usize].level)
+        tau_level(self.tau, self.alpha, self.level[node as usize])
     }
 
     /// Maximum node level.
     pub fn depth(&self) -> u16 {
-        self.nodes.iter().map(|n| n.level).max().unwrap_or(0)
+        self.level.iter().copied().max().unwrap_or(0)
     }
 }
 
 impl HeapSize for DelayBalancedTree {
     fn heap_bytes(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| {
-                n.interval.lo.heap_bytes()
-                    + n.interval.hi.heap_bytes()
-                    + n.beta.as_ref().map_or(0, |b| b.heap_bytes())
-                    + std::mem::size_of::<TreeNode>()
-            })
-            .sum()
+        self.ranks.heap_bytes()
+            + self.left.heap_bytes()
+            + self.right.heap_bytes()
+            + self.level.heap_bytes()
+            + self.t_value.heap_bytes()
     }
 }
 
@@ -216,40 +279,34 @@ mod tests {
         let tree = DelayBalancedTree::build(&est, 4.0).unwrap();
         assert_eq!(tree.len(), 5);
 
-        let root = &tree.nodes[0];
-        assert_eq!(est.ranks_to_values(&root.interval.lo), vec![1, 1, 1]);
-        assert_eq!(est.ranks_to_values(&root.interval.hi), vec![2, 2, 2]);
-        assert_eq!(
-            est.ranks_to_values(root.beta.as_ref().unwrap()),
-            vec![1, 1, 2]
-        );
+        let root = tree.node(0);
+        assert_eq!(est.ranks_to_values(root.lo), vec![1, 1, 1]);
+        assert_eq!(est.ranks_to_values(root.hi), vec![2, 2, 2]);
+        assert_eq!(est.ranks_to_values(root.beta.unwrap()), vec![1, 1, 2]);
         assert!((root.t_value - 10.5605).abs() < 1e-3);
 
         // Left child r_l = [⟨1,1,1⟩, ⟨1,1,1⟩], a leaf.
-        let rl = &tree.nodes[root.left.unwrap() as usize];
-        assert_eq!(est.ranks_to_values(&rl.interval.lo), vec![1, 1, 1]);
-        assert_eq!(est.ranks_to_values(&rl.interval.hi), vec![1, 1, 1]);
+        let rl = tree.node(root.left.unwrap());
+        assert_eq!(est.ranks_to_values(rl.lo), vec![1, 1, 1]);
+        assert_eq!(est.ranks_to_values(rl.hi), vec![1, 1, 1]);
         assert!(rl.beta.is_none());
         assert!((rl.t_value - 6.0f64.sqrt()).abs() < 1e-9);
 
         // Right child r_r = [⟨1,2,1⟩, ⟨2,2,2⟩] with β = (1,2,2).
-        let rr = &tree.nodes[root.right.unwrap() as usize];
-        assert_eq!(est.ranks_to_values(&rr.interval.lo), vec![1, 2, 1]);
-        assert_eq!(est.ranks_to_values(&rr.interval.hi), vec![2, 2, 2]);
-        assert_eq!(
-            est.ranks_to_values(rr.beta.as_ref().unwrap()),
-            vec![1, 2, 2]
-        );
+        let rr = tree.node(root.right.unwrap());
+        assert_eq!(est.ranks_to_values(rr.lo), vec![1, 2, 1]);
+        assert_eq!(est.ranks_to_values(rr.hi), vec![2, 2, 2]);
+        assert_eq!(est.ranks_to_values(rr.beta.unwrap()), vec![1, 2, 2]);
 
         // Its children r_rl = [⟨1,2,1⟩,⟨1,2,1⟩] and r_rr = [⟨2,1,1⟩,⟨2,2,2⟩]
         // are leaves (T < τ_2 = 2).
-        let rrl = &tree.nodes[rr.left.unwrap() as usize];
-        assert_eq!(est.ranks_to_values(&rrl.interval.lo), vec![1, 2, 1]);
-        assert_eq!(est.ranks_to_values(&rrl.interval.hi), vec![1, 2, 1]);
+        let rrl = tree.node(rr.left.unwrap());
+        assert_eq!(est.ranks_to_values(rrl.lo), vec![1, 2, 1]);
+        assert_eq!(est.ranks_to_values(rrl.hi), vec![1, 2, 1]);
         assert!(rrl.beta.is_none());
-        let rrr = &tree.nodes[rr.right.unwrap() as usize];
-        assert_eq!(est.ranks_to_values(&rrr.interval.lo), vec![2, 1, 1]);
-        assert_eq!(est.ranks_to_values(&rrr.interval.hi), vec![2, 2, 2]);
+        let rrr = tree.node(rr.right.unwrap());
+        assert_eq!(est.ranks_to_values(rrr.lo), vec![2, 1, 1]);
+        assert_eq!(est.ranks_to_values(rrr.hi), vec![2, 2, 2]);
         assert!(rrr.beta.is_none());
     }
 
@@ -260,9 +317,9 @@ mod tests {
         let est = running_estimator();
         for tau in [1.0, 2.0, 4.0, 8.0] {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
-            for node in &tree.nodes {
+            for node in tree.nodes() {
                 for child in [node.left, node.right].into_iter().flatten() {
-                    let ct = tree.nodes[child as usize].t_value;
+                    let ct = tree.node(child).t_value;
                     assert!(
                         ct <= node.t_value / 2.0 + 1e-9,
                         "child T {ct} > parent T {} / 2 (tau {tau})",
@@ -279,7 +336,7 @@ mod tests {
     fn threshold_invariants() {
         let est = running_estimator();
         let tree = DelayBalancedTree::build(&est, 4.0).unwrap();
-        for (i, node) in tree.nodes.iter().enumerate() {
+        for (i, node) in tree.nodes().enumerate() {
             let thr = tree.threshold_of(i as u32);
             if node.beta.is_some() {
                 assert!(node.t_value >= thr - 1e-9);
@@ -308,7 +365,7 @@ mod tests {
         let est = running_estimator();
         let tree = DelayBalancedTree::build(&est, 1e6).unwrap();
         assert_eq!(tree.len(), 1);
-        assert!(tree.nodes[0].beta.is_none());
+        assert!(tree.node(0).beta.is_none());
     }
 
     /// τ = 1 with α = 2: thresholds decay, the tree splits down to points.
@@ -319,7 +376,7 @@ mod tests {
         assert!(tree.len() >= 5);
         assert!(tree.depth() >= 2);
         // Every leaf has T < its threshold.
-        for (i, n) in tree.nodes.iter().enumerate() {
+        for (i, n) in tree.nodes().enumerate() {
             if n.beta.is_none() {
                 assert!(n.t_value < tree.threshold_of(i as u32));
             }

@@ -16,8 +16,7 @@
 
 use crate::cost::CostEstimator;
 use crate::dbtree::{tau_level, DelayBalancedTree};
-use crate::fbox::{box_decomposition, CanonicalBox};
-use cqc_common::hash::{fast_set, FastMap, FastSet};
+use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
 use cqc_common::util::approx_gt;
@@ -25,13 +24,48 @@ use cqc_common::value::Value;
 use cqc_join::leapfrog::LevelConstraint;
 use cqc_join::plan::ViewPlan;
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// The dictionary: one map per tree node, keyed by the bound valuation in
-/// bound-head order.
-#[derive(Debug, Clone, Default)]
+/// *Which* pairs are heavy: fixed at build time, because maintenance and
+/// the Theorem 2 fixup only ever flip the bits of existing entries. Shared
+/// by `Arc` between a structure and its delta-maintained successors.
+#[derive(Debug)]
+struct DictKeys {
+    /// `|V_b|`: values per candidate.
+    nb: usize,
+    /// Number of candidates (kept explicitly: `nb` may be 0).
+    num_cands: usize,
+    /// The root candidate valuations (Prop. 13) in bound-head order,
+    /// sorted and distinct, `nb` values each; a candidate's id is its
+    /// position.
+    cand_values: Vec<Value>,
+    /// CSR row starts: node `w`'s entries are `ids[offsets[w]..offsets[w + 1]]`.
+    offsets: Vec<u32>,
+    /// Candidate ids of the heavy pairs, ascending within each node's run.
+    ids: Vec<u32>,
+}
+
+impl DictKeys {
+    fn cand(&self, id: u32) -> &[Value] {
+        &self.cand_values[id as usize * self.nb..][..self.nb]
+    }
+
+    fn run(&self, node: u32) -> std::ops::Range<usize> {
+        self.offsets[node as usize] as usize..self.offsets[node as usize + 1] as usize
+    }
+}
+
+/// The id [`HeavyDictionary::candidate`] gives a valuation that is not a
+/// root candidate. No run stores it, so `D(w, ·) = ⊥` at every node.
+pub const NO_CANDIDATE: u32 = u32::MAX;
+
+/// The dictionary: CSR over tree nodes of candidate ids, one bit per entry.
+#[derive(Debug, Clone)]
 pub struct HeavyDictionary {
-    maps: Vec<FastMap<Box<[Value]>, bool>>,
+    keys: Arc<DictKeys>,
+    /// Bit `e` belongs to entry `keys.ids[e]`.
+    bits: Vec<u64>,
 }
 
 impl HeavyDictionary {
@@ -57,9 +91,6 @@ impl HeavyDictionary {
             }
         }
 
-        let mut maps: Vec<FastMap<Box<[Value]>, bool>> =
-            (0..tree.nodes.len()).map(|_| FastMap::default()).collect();
-
         // 1. Candidate bound valuations at the root (Prop. 13): the
         //    distinct V_b-prefixes of the E_{V_b} join over the full grid.
         //
@@ -71,15 +102,18 @@ impl HeavyDictionary {
         //    worst-case-join per level). One join is constructed and
         //    re-seeded per box via `LeapfrogJoin::reset`, mirroring the
         //    serve-side reuse.
-        let root_boxes = box_decomposition(&tree.nodes[0].interval, &sizes);
-        let mut root_candidates: Vec<Vec<Value>> = Vec::new();
-        if nb == 0 {
-            root_candidates.push(Vec::new());
+        let root = tree.node(tree.root());
+        let mut boxes = BoxList::new();
+        box_decomposition_ranks(root.lo, root.hi, &sizes, &mut boxes);
+        let (num_cands, cand_values) = if nb == 0 {
+            (1, Vec::new())
         } else {
-            let mut seen: FastSet<Box<[Value]>> = fast_set();
+            // Prefixes arrive sorted and distinct within a box but repeat
+            // across boxes.
+            let mut raw: Vec<Value> = Vec::new();
             let mut join = plan.join_subset(&bound_atoms, vec![LevelConstraint::Fixed(0); levels]);
             let mut cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
-            for b in &root_boxes {
+            for b in boxes.as_slice() {
                 cons.clear();
                 cons.resize(nb, LevelConstraint::Free);
                 free_constraints_into(est, b, levels - nb, &mut cons);
@@ -93,13 +127,31 @@ impl HeavyDictionary {
                 }
                 join.reset(&cons);
                 while let Some(t) = join.next() {
-                    if seen.insert(Box::from(&t[..nb])) {
-                        root_candidates.push(t[..nb].to_vec());
-                    }
+                    raw.extend_from_slice(&t[..nb]);
                     join.skip_to_level(nb - 1);
                 }
             }
-        }
+            let mut order: Vec<usize> = (0..raw.len() / nb).collect();
+            order.sort_unstable_by_key(|&i| &raw[i * nb..][..nb]);
+            order.dedup_by_key(|i| &raw[*i * nb..][..nb]);
+            let mut sorted: Vec<Value> = Vec::with_capacity(order.len() * nb);
+            for &i in &order {
+                sorted.extend_from_slice(&raw[i * nb..][..nb]);
+            }
+            (order.len(), sorted)
+        };
+        assert!(
+            num_cands < NO_CANDIDATE as usize,
+            "candidate ids fit below the u32 sentinel"
+        );
+        let mut keys = DictKeys {
+            nb,
+            num_cands,
+            cand_values,
+            offsets: Vec::with_capacity(tree.len() + 1),
+            ids: Vec::new(),
+        };
+        let mut bits: Vec<u64> = Vec::new();
 
         // The atoms that actually enter `T(v_b, B)` (û_F > 0), in atom
         // order so products multiply exactly as `t_box_bound` would.
@@ -111,71 +163,66 @@ impl HeavyDictionary {
         let weighted: Vec<usize> = (0..plan.num_atoms())
             .filter(|&ai| est.u_hat(ai) > 1e-12)
             .collect();
-        let cand_ranges: Vec<Vec<(usize, usize)>> = root_candidates
-            .iter()
-            .map(|cand| {
-                weighted
-                    .iter()
-                    .map(|&ai| {
-                        if est.has_bound_cols(ai) {
-                            est.bound_range(ai, cand)
-                        } else {
-                            est.full_range(ai)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let nw = weighted.len();
+        // Candidate `c`'s ranges are `cand_ranges[c * nw..][..nw]`.
+        let mut cand_ranges: Vec<(usize, usize)> = Vec::with_capacity(num_cands * nw);
+        for c in 0..num_cands as u32 {
+            cand_ranges.extend(weighted.iter().map(|&ai| {
+                if est.has_bound_cols(ai) {
+                    est.bound_range(ai, keys.cand(c))
+                } else {
+                    est.full_range(ai)
+                }
+            }));
+        }
 
         // 2. DFS: at each node, evaluate T(v_b, I(w)) for the surviving
         //    candidates; store heavy pairs (with an emptiness-probe bit) and
         //    pass the non-zero ones to the children.
         //
-        //    The candidate valuations themselves are stored exactly once
-        //    (in `root_candidates`); the per-node survivor sets are index
-        //    lists shared between siblings through an `Rc`. The earlier
-        //    version deep-cloned the whole `Vec<Vec<Value>>` survivor list
-        //    for every binary node, making build cost quadratic in tree
-        //    depth × candidates.
+        //    The per-node survivor sets are ascending candidate-id lists
+        //    shared between siblings through an `Rc`. Nodes are visited in
+        //    id order (left-first pre-order, exactly how the tree numbered
+        //    them), so every node's run of heavy ids is appended to the
+        //    CSR buffers in place — already in its final position and
+        //    already ascending.
         let mut probe_join = plan.join_subset(&all_atoms, vec![LevelConstraint::Fixed(0); levels]);
         let mut probe_cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
-        // Per box: `Some(count)` for candidate-independent atoms, `None`
-        // for the per-candidate ones; `box_dead` marks boxes that are
-        // empty or killed by a zero candidate-independent count (their
-        // `T(v_b, B)` is exactly 0 for every candidate).
-        let mut free_counts: Vec<Vec<Option<f64>>> = Vec::new();
+        // Per box (stride `nw`): `Some(count)` for candidate-independent
+        // atoms, `None` for the per-candidate ones; `box_dead` marks boxes
+        // that are empty or killed by a zero candidate-independent count
+        // (their `T(v_b, B)` is exactly 0 for every candidate).
+        let mut free_counts: Vec<Option<f64>> = Vec::new();
         let mut box_dead: Vec<bool> = Vec::new();
-        let all_indices: Rc<Vec<u32>> = Rc::new((0..root_candidates.len() as u32).collect());
-        let mut stack: Vec<(u32, Rc<Vec<u32>>)> = vec![(0, all_indices)];
+        let all_indices: Rc<Vec<u32>> = Rc::new((0..num_cands as u32).collect());
+        let mut stack: Vec<(u32, Rc<Vec<u32>>)> = vec![(tree.root(), all_indices)];
         while let Some((w, cands)) = stack.pop() {
-            let node = &tree.nodes[w as usize];
+            assert_eq!(w as usize, keys.offsets.len(), "nodes visited in id order");
+            keys.offsets.push(entry_offset(keys.ids.len()));
+            let node = tree.node(w);
             let threshold = tau_level(tree.tau, tree.alpha, node.level);
-            let boxes = box_decomposition(&node.interval, &sizes);
+            box_decomposition_ranks(node.lo, node.hi, &sizes, &mut boxes);
+            let boxes = boxes.as_slice();
             free_counts.clear();
             box_dead.clear();
-            for b in &boxes {
+            for b in boxes {
                 let mut dead = b.is_empty();
-                let per: Vec<Option<f64>> = weighted
-                    .iter()
-                    .map(|&ai| {
-                        if dead || est.has_bound_cols(ai) {
-                            None
-                        } else {
-                            let c = est.count_box_bound_in(ai, est.full_range(ai), b) as f64;
-                            if c == 0.0 {
-                                dead = true;
-                            }
-                            Some(c)
+                free_counts.extend(weighted.iter().map(|&ai| {
+                    if dead || est.has_bound_cols(ai) {
+                        None
+                    } else {
+                        let c = est.count_box_bound_in(ai, est.full_range(ai), b) as f64;
+                        if c == 0.0 {
+                            dead = true;
                         }
-                    })
-                    .collect();
-                free_counts.push(per);
+                        Some(c)
+                    }
+                }));
                 box_dead.push(dead);
             }
             let mut survivors: Vec<u32> = Vec::with_capacity(cands.len());
             for &ci in cands.iter() {
-                let cand = &root_candidates[ci as usize];
-                let ranges = &cand_ranges[ci as usize];
+                let ranges = &cand_ranges[ci as usize * nw..][..nw];
                 // T(v_b, I(w)) = Σ_B T(v_b, B), summed until it provably
                 // exceeds the threshold (the partial sum is monotone, so
                 // the heaviness verdict is exact).
@@ -187,7 +234,7 @@ impl HeavyDictionary {
                     }
                     let mut tb = 1.0f64;
                     for (wi, &ai) in weighted.iter().enumerate() {
-                        let c = match free_counts[bi][wi] {
+                        let c = match free_counts[bi * nw + wi] {
                             Some(c) => c,
                             None => est.count_box_bound_in(ai, ranges[wi], b) as f64,
                         };
@@ -213,7 +260,7 @@ impl HeavyDictionary {
                             continue; // some atom has no matching row
                         }
                         probe_cons.clear();
-                        probe_cons.extend(cand.iter().map(|&v| LevelConstraint::Fixed(v)));
+                        probe_cons.extend(keys.cand(ci).iter().map(|&v| LevelConstraint::Fixed(v)));
                         free_constraints_into(est, b, levels - nb, &mut probe_cons);
                         probe_join.reset(&probe_cons);
                         if probe_join.is_non_empty() {
@@ -221,79 +268,153 @@ impl HeavyDictionary {
                             break;
                         }
                     }
-                    maps[w as usize].insert(Box::from(&cand[..]), bit);
+                    let e = keys.ids.len();
+                    keys.ids.push(ci);
+                    if e % 64 == 0 {
+                        bits.push(0);
+                    }
+                    bits[e / 64] |= u64::from(bit) << (e % 64);
                 }
                 survivors.push(ci);
             }
             let survivors = Rc::new(survivors);
             match (node.left, node.right) {
                 (Some(l), Some(r)) => {
-                    stack.push((l, Rc::clone(&survivors)));
-                    stack.push((r, survivors));
+                    stack.push((r, Rc::clone(&survivors)));
+                    stack.push((l, survivors));
                 }
-                (Some(l), None) => stack.push((l, survivors)),
-                (None, Some(r)) => stack.push((r, survivors)),
+                (Some(c), None) | (None, Some(c)) => stack.push((c, survivors)),
                 (None, None) => {}
             }
         }
+        keys.offsets.push(entry_offset(keys.ids.len()));
+        keys.ids.shrink_to_fit();
+        bits.shrink_to_fit();
 
         metrics::record_build_phase(BuildPhase::Dictionary, t_build.elapsed().as_nanos() as u64);
-        HeavyDictionary { maps }
+        HeavyDictionary {
+            keys: Arc::new(keys),
+            bits,
+        }
     }
 
     /// An empty dictionary sized for `n` nodes (empty-view case).
     pub fn empty(n: usize) -> HeavyDictionary {
         HeavyDictionary {
-            maps: (0..n).map(|_| FastMap::default()).collect(),
+            keys: Arc::new(DictKeys {
+                nb: 0,
+                num_cands: 0,
+                cand_values: Vec::new(),
+                offsets: vec![0; n + 1],
+                ids: Vec::new(),
+            }),
+            bits: Vec::new(),
         }
+    }
+
+    /// Resolves a bound valuation to its candidate id ([`NO_CANDIDATE`]
+    /// when `v_b` is not a root candidate); the enumerator calls this once
+    /// per request.
+    pub fn candidate(&self, vb: &[Value]) -> u32 {
+        let k = &*self.keys;
+        let (mut lo, mut hi) = (0, k.num_cands);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match k.cand(mid as u32).cmp(vb) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return mid as u32,
+            }
+        }
+        NO_CANDIDATE
+    }
+
+    /// Position of the `(node, candidate)` entry in `ids`/`bits`.
+    fn entry(&self, node: u32, cand: u32) -> Option<usize> {
+        let run = self.keys.run(node);
+        let i = self.keys.ids[run.clone()].binary_search(&cand).ok()?;
+        Some(run.start + i)
+    }
+
+    fn bit(&self, e: usize) -> bool {
+        self.bits[e / 64] >> (e % 64) & 1 == 1
+    }
+
+    /// Looks up `D(w, v_b)` for a valuation already resolved by
+    /// [`HeavyDictionary::candidate`]: `Some(bit)` for heavy pairs, `None`
+    /// (⊥) for light ones.
+    pub fn lookup(&self, node: u32, cand: u32) -> Option<bool> {
+        metrics::record_dict_lookup();
+        self.entry(node, cand).map(|e| self.bit(e))
     }
 
     /// Looks up `D(w, v_b)`: `Some(bit)` for heavy pairs, `None` (⊥) for
     /// light ones.
     pub fn get(&self, node: u32, vb: &[Value]) -> Option<bool> {
-        metrics::record_dict_lookup();
-        self.maps[node as usize].get(vb).copied()
+        self.lookup(node, self.candidate(vb))
     }
 
-    /// Overwrites an entry (used by the Theorem 2 semijoin fixup, which
-    /// only ever flips 1 → 0).
-    pub fn set(&mut self, node: u32, vb: &[Value], bit: bool) {
-        self.maps[node as usize].insert(Box::from(vb), bit);
+    /// Overwrites the bit of an existing entry and reports whether the
+    /// entry existed. An absent key is a light pair (Def. 3) and stays `⊥`:
+    /// storing it would break the Lemma 5 entry bound. Callers flip only
+    /// keys they read from [`HeavyDictionary::entries_of`] and assert the
+    /// returned `true`.
+    pub fn flip(&mut self, node: u32, vb: &[Value], bit: bool) -> bool {
+        let Some(e) = self.entry(node, self.candidate(vb)) else {
+            return false;
+        };
+        let mask = 1u64 << (e % 64);
+        if bit {
+            self.bits[e / 64] |= mask;
+        } else {
+            self.bits[e / 64] &= !mask;
+        }
+        true
     }
 
     /// Total number of stored pairs (the non-linear space term of Lemma 5).
     pub fn num_entries(&self) -> usize {
-        self.maps.iter().map(FastMap::len).sum()
+        self.keys.ids.len()
     }
 
-    /// Iterates over all entries as `(node, v_b, bit)`.
+    /// Number of root candidate valuations (distinct `v_b` that can be
+    /// heavy anywhere).
+    pub fn num_candidates(&self) -> usize {
+        self.keys.num_cands
+    }
+
+    /// `true` when both dictionaries share one key buffer (the bits may
+    /// differ): the maintained-from relationship.
+    pub fn shares_keys_with(&self, other: &HeavyDictionary) -> bool {
+        Arc::ptr_eq(&self.keys, &other.keys)
+    }
+
+    /// Iterates over all entries as `(node, v_b, bit)`, in node order.
     pub fn entries(&self) -> impl Iterator<Item = (u32, &[Value], bool)> + '_ {
-        self.maps
-            .iter()
-            .enumerate()
-            .flat_map(|(w, m)| m.iter().map(move |(k, &v)| (w as u32, k.as_ref(), v)))
+        (0..self.keys.offsets.len() as u32 - 1)
+            .flat_map(move |w| self.entries_of(w).map(move |(vb, bit)| (w, vb, bit)))
     }
 
-    /// The entries of one node.
+    /// The entries of one node, in ascending `v_b` order.
     pub fn entries_of(&self, node: u32) -> impl Iterator<Item = (&[Value], bool)> + '_ {
-        self.maps[node as usize]
-            .iter()
-            .map(|(k, &v)| (k.as_ref(), v))
+        self.keys
+            .run(node)
+            .map(move |e| (self.keys.cand(self.keys.ids[e]), self.bit(e)))
     }
+}
+
+/// CSR offsets are `u32`: 4 G entries is far beyond any structure that
+/// fits in memory at one bit plus four id bytes each.
+fn entry_offset(entries: usize) -> u32 {
+    u32::try_from(entries).expect("dictionary entries fit in u32")
 }
 
 impl HeapSize for HeavyDictionary {
     fn heap_bytes(&self) -> usize {
-        self.maps
-            .iter()
-            .map(|m| {
-                m.keys()
-                    .map(|k| k.len() * std::mem::size_of::<Value>())
-                    .sum::<usize>()
-                    + m.capacity() * (std::mem::size_of::<(Box<[Value]>, bool)>() + 8)
-            })
-            .sum::<usize>()
-            + self.maps.capacity() * std::mem::size_of::<FastMap<Box<[Value]>, bool>>()
+        self.keys.cand_values.heap_bytes()
+            + self.keys.offsets.heap_bytes()
+            + self.keys.ids.heap_bytes()
+            + self.bits.heap_bytes()
     }
 }
 
@@ -346,12 +467,12 @@ mod tests {
         let dict = HeavyDictionary::build(&plan, &est, &tree);
 
         // Node ids from the Figure 3 test: 0 = r, 2 = r_r (left child is 1).
-        let rr = tree.nodes[0].right.unwrap();
+        let rr = tree.node(0).right.unwrap();
         assert_eq!(dict.get(0, &[1, 1, 1]), Some(true));
         assert_eq!(dict.get(rr, &[1, 1, 1]), Some(true));
 
         // Leaves carry no entries at all (they have no heavy pairs).
-        for (w, n) in tree.nodes.iter().enumerate() {
+        for (w, n) in tree.nodes().enumerate() {
             if n.beta.is_none() {
                 assert_eq!(dict.entries_of(w as u32).count(), 0, "leaf {w}");
             }
@@ -363,8 +484,8 @@ mod tests {
             for w2 in 1..=2u64 {
                 for w3 in 1..=2u64 {
                     let vb = [w1, w2, w3];
-                    for (w, node) in tree.nodes.iter().enumerate() {
-                        let t = est.t_interval_bound(&vb, &node.interval, &sizes);
+                    for (w, node) in tree.nodes().enumerate() {
+                        let t = est.t_interval_bound(&vb, &node.interval(), &sizes);
                         let thr = tau_level(tree.tau, tree.alpha, node.level);
                         let entry = dict.get(w as u32, &vb);
                         if t > thr + 1e-9 {
@@ -394,7 +515,7 @@ mod tests {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
             let dict = HeavyDictionary::build(&plan, &est, &tree);
             for (w, vb, bit) in dict.entries() {
-                let node = &tree.nodes[w as usize];
+                let interval = tree.node(w).interval();
                 // Naive emptiness: enumerate the full join of the view for
                 // this v_b and check membership in the interval.
                 let res = cqc_join::naive::evaluate_view(&view, &db, vb).unwrap();
@@ -405,11 +526,49 @@ mod tests {
                         .zip(doms)
                         .map(|(v, d)| d.rank(*v).expect("output value in domain"))
                         .collect();
-                    node.interval.contains(&ranks)
+                    interval.contains(&ranks)
                 });
                 assert_eq!(bit, nonempty, "bit mismatch at node {w}, vb {vb:?}");
             }
         }
+    }
+
+    /// Def. 3: only heavy pairs are stored. `flip` on a light pair (absent
+    /// key, or a valuation that is no candidate at all) must refuse instead
+    /// of inventing an entry; on a stored pair it overwrites exactly that
+    /// bit.
+    #[test]
+    fn flip_never_invents_heavy_pairs() {
+        fn snapshot(d: &HeavyDictionary) -> Vec<(u32, Vec<Value>, bool)> {
+            d.entries()
+                .map(|(w, vb, bit)| (w, vb.to_vec(), bit))
+                .collect()
+        }
+        let (view, db) = running_example();
+        let est = running_estimator();
+        let plan = ViewPlan::build(&view, &db).unwrap();
+        let tree = DelayBalancedTree::build(&est, 4.0).unwrap();
+        let mut dict = HeavyDictionary::build(&plan, &est, &tree);
+        let before = snapshot(&dict);
+        assert!(!before.is_empty());
+
+        // A candidate that is light at the left leaf, and a non-candidate.
+        let leaf = tree.node(0).left.unwrap();
+        assert_eq!(dict.get(leaf, &[1, 1, 1]), None);
+        assert!(!dict.flip(leaf, &[1, 1, 1], true));
+        assert_eq!(dict.candidate(&[9, 9, 9]), NO_CANDIDATE);
+        assert!(!dict.flip(0, &[9, 9, 9], true));
+        assert_eq!(dict.num_entries(), before.len());
+        assert_eq!(dict.get(leaf, &[1, 1, 1]), None, "still ⊥");
+        assert_eq!(snapshot(&dict), before, "no entry added, no bit disturbed");
+
+        // A stored pair flips both ways and nothing else moves.
+        assert_eq!(dict.get(0, &[1, 1, 1]), Some(true));
+        assert!(dict.flip(0, &[1, 1, 1], false));
+        assert_eq!(dict.get(0, &[1, 1, 1]), Some(false));
+        assert_eq!(dict.num_entries(), before.len());
+        assert!(dict.flip(0, &[1, 1, 1], true));
+        assert_eq!(snapshot(&dict), before);
     }
 
     /// Lemma 5 sanity: the number of entries stays within the

@@ -63,7 +63,7 @@
 use crate::compressed::CompressedView;
 use crate::cost::CostEstimator;
 use crate::dictionary::free_constraints;
-use crate::fbox::{box_decomposition, CanonicalBox};
+use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox};
 use crate::theorem1::Theorem1Structure;
 use cqc_common::error::Result;
 use cqc_common::value::Value;
@@ -72,6 +72,7 @@ use cqc_join::plan::ViewPlan;
 use cqc_query::rewrite::rewrite_view;
 use cqc_query::AdornedView;
 use cqc_storage::{Database, Delta};
+use std::sync::Arc;
 
 /// What happened during a maintenance attempt.
 #[derive(Debug)]
@@ -410,13 +411,17 @@ fn maintain_theorem1(
     // slab (the restricted join may have become non-empty — leaving the
     // bit would suppress answers) and `1` bits hit by a remove slab (the
     // join may have drained — leaving the bit erodes the delay bound).
-    // Locality makes this the only repair needed (see module docs).
+    // Locality makes this the only repair needed (see module docs). The
+    // set of stored pairs is untouched, so the successor shares the tree
+    // and the dictionary's key buffers and owns only a copy of the bits.
     let mut dict = s.dict.clone();
     let all_atoms: Vec<usize> = (0..plan.num_atoms()).collect();
     let nb = plan.num_bound;
     let mu = plan.num_levels() - nb;
-    for (w, node) in tree.nodes.iter().enumerate() {
-        let boxes = box_decomposition(&node.interval, &s.sizes);
+    let mut box_list = BoxList::new();
+    for (w, node) in tree.nodes().enumerate() {
+        box_decomposition_ranks(node.lo, node.hi, &s.sizes, &mut box_list);
+        let boxes = box_list.as_slice();
         let hit_ins: Vec<&Slab> = ins_slabs
             .iter()
             .filter(|slab| boxes.iter().any(|b| slab.hits_box(b)))
@@ -445,12 +450,14 @@ fn maintain_theorem1(
                 cons.extend(free_constraints(&est, b, mu));
                 plan.join_subset(&all_atoms, cons).is_non_empty()
             });
-            if nonempty && !bit {
-                dict.set(w as u32, &vb, true);
-                report.flipped_bits += 1;
-            } else if !nonempty && bit {
-                dict.set(w as u32, &vb, false);
-                report.cleared_bits += 1;
+            if nonempty != bit {
+                let stored = dict.flip(w as u32, &vb, nonempty);
+                debug_assert!(stored, "re-probed keys come from the dictionary");
+                if nonempty {
+                    report.flipped_bits += 1;
+                } else {
+                    report.cleared_bits += 1;
+                }
             }
         }
     }
@@ -460,7 +467,7 @@ fn maintain_theorem1(
             view: s.view.clone(),
             plan,
             est,
-            tree: Some(tree.clone()),
+            tree: Some(Arc::clone(tree)),
             dict,
             sizes: s.sizes.clone(),
             weights: s.weights.clone(),

@@ -17,7 +17,7 @@
 
 use crate::cost::CostEstimator;
 use crate::dbtree::DelayBalancedTree;
-use crate::dictionary::{free_constraints, free_constraints_into, HeavyDictionary};
+use crate::dictionary::{free_constraints, free_constraints_into, HeavyDictionary, NO_CANDIDATE};
 use crate::fbox::{box_decomposition, box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
@@ -28,6 +28,7 @@ use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
 use cqc_query::AdornedView;
 use cqc_storage::{Database, IndexPool};
+use std::sync::Arc;
 
 /// The Theorem 1 data structure.
 ///
@@ -39,8 +40,9 @@ pub struct Theorem1Structure {
     pub(crate) plan: ViewPlan,
     pub(crate) est: CostEstimator,
     /// `None` when some free variable's active domain is empty — every
-    /// access request then has an empty answer.
-    pub(crate) tree: Option<DelayBalancedTree>,
+    /// access request then has an empty answer. Immutable after build and
+    /// shared with every delta-maintained successor of this structure.
+    pub(crate) tree: Option<Arc<DelayBalancedTree>>,
     pub(crate) dict: HeavyDictionary,
     pub(crate) sizes: Vec<usize>,
     pub(crate) weights: Vec<f64>,
@@ -121,7 +123,7 @@ impl Theorem1Structure {
         let est = CostEstimator::build_pooled(view, db, weights, alpha, pool)?;
         let plan = ViewPlan::build_pooled(view, db, pool)?;
         let sizes = est.sizes();
-        let tree = DelayBalancedTree::build(&est, tau);
+        let tree = DelayBalancedTree::build(&est, tau).map(Arc::new);
         let dict = match &tree {
             Some(t) => HeavyDictionary::build(&plan, &est, t),
             None => HeavyDictionary::empty(0),
@@ -161,7 +163,7 @@ impl Theorem1Structure {
 
     /// The delay-balanced tree (if the view is non-degenerate).
     pub fn tree(&self) -> Option<&DelayBalancedTree> {
-        self.tree.as_ref()
+        self.tree.as_deref()
     }
 
     /// The heavy-pair dictionary.
@@ -169,7 +171,8 @@ impl Theorem1Structure {
         &self.dict
     }
 
-    /// Mutable dictionary access (Theorem 2's semijoin fixup flips 1 → 0).
+    /// Mutable dictionary access (Theorem 2's semijoin fixup flips 1 → 0;
+    /// the set of stored pairs cannot change).
     pub fn dictionary_mut(&mut self) -> &mut HeavyDictionary {
         &mut self.dict
     }
@@ -298,14 +301,29 @@ impl Theorem1Structure {
 
     /// Statistics for the benchmark harness.
     pub fn stats(&self) -> Theorem1Stats {
+        let space = self.space_breakdown();
         Theorem1Stats {
-            tree_nodes: self.tree.as_ref().map_or(0, DelayBalancedTree::len),
-            tree_depth: self.tree.as_ref().map_or(0, DelayBalancedTree::depth),
+            tree_nodes: self.tree().map_or(0, DelayBalancedTree::len),
+            tree_depth: self.tree().map_or(0, DelayBalancedTree::depth),
             dict_entries: self.dict.num_entries(),
             heap_bytes: self.heap_bytes(),
+            tree_bytes: space.tree_bytes,
+            dict_bytes: space.dict_bytes,
+            base_index_bytes: space.base_index_bytes,
             alpha: self.alpha,
             tau: self.tau,
         }
+    }
+
+    /// `true` when `self` and `other` share one tree and one dictionary
+    /// key buffer — what delta maintenance preserves (only bits differ).
+    pub fn shares_layout_with(&self, other: &Theorem1Structure) -> bool {
+        let same_tree = match (&self.tree, &other.tree) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        same_tree && self.dict.shares_keys_with(&other.dict)
     }
 
     /// Per-component space accounting: the linear base indexes versus the
@@ -315,7 +333,7 @@ impl Theorem1Structure {
     pub fn space_breakdown(&self) -> SpaceBreakdown {
         SpaceBreakdown {
             base_index_bytes: self.plan.heap_bytes() + self.est.heap_bytes(),
-            tree_bytes: self.tree.as_ref().map_or(0, HeapSize::heap_bytes),
+            tree_bytes: self.tree().map_or(0, HeapSize::heap_bytes),
             dict_bytes: self.dict.heap_bytes(),
         }
     }
@@ -355,6 +373,12 @@ pub struct Theorem1Stats {
     pub dict_entries: usize,
     /// Total owned heap bytes (tree + dictionary + base indexes).
     pub heap_bytes: usize,
+    /// Delay-balanced tree bytes (see [`SpaceBreakdown`]).
+    pub tree_bytes: usize,
+    /// Heavy-pair dictionary bytes.
+    pub dict_bytes: usize,
+    /// Linear-size base index bytes (the `Õ(|D|)` term).
+    pub base_index_bytes: usize,
     /// Slack α.
     pub alpha: f64,
     /// Threshold τ.
@@ -365,7 +389,7 @@ impl HeapSize for Theorem1Structure {
     fn heap_bytes(&self) -> usize {
         self.plan.heap_bytes()
             + self.est.heap_bytes()
-            + self.tree.as_ref().map_or(0, HeapSize::heap_bytes)
+            + self.tree().map_or(0, HeapSize::heap_bytes)
             + self.dict.heap_bytes()
             + self.sizes.heap_bytes()
             + self.weights.heap_bytes()
@@ -445,6 +469,9 @@ enum Frame {
 pub struct Theorem1Iter<'a> {
     s: &'a Theorem1Structure,
     vb: Vec<Value>,
+    /// `vb`'s dictionary candidate id, resolved once per request
+    /// (`NO_CANDIDATE`: every node is `⊥` for this valuation).
+    cand: u32,
     stack: Vec<Frame>,
     /// Optional lexicographic output clip (rank space).
     clip: Option<FInterval>,
@@ -473,6 +500,7 @@ impl<'a> Theorem1Iter<'a> {
         Theorem1Iter {
             s,
             vb: Vec::new(),
+            cand: NO_CANDIDATE,
             stack: Vec::new(),
             clip: None,
             join: None,
@@ -494,6 +522,7 @@ impl<'a> Theorem1Iter<'a> {
     fn start(&mut self, bound_values: &[Value], clip: Option<FInterval>, enabled: bool) {
         self.vb.clear();
         self.vb.extend_from_slice(bound_values);
+        self.cand = self.s.dict.candidate(bound_values);
         self.clip = clip;
         self.stack.clear();
         self.join_active = false;
@@ -571,30 +600,29 @@ impl<'a> Theorem1Iter<'a> {
                 self.boxes_active = false;
             }
             // 3. Pop the next traversal frame.
-            let Some(tree) = s.tree.as_ref() else {
+            let Some(tree) = s.tree() else {
                 return false;
             };
             match self.stack.pop() {
                 None => return false,
                 Some(Frame::Enter(w)) => {
-                    let node = &tree.nodes[w as usize];
+                    let node = tree.node(w);
                     // Clip the node's interval to the requested range. The
                     // clipped endpoints are whole-tuple lexicographic
                     // max/min, so they are *borrowed* from either side —
                     // no `FInterval` is materialized.
                     let (lo, hi): (&[usize], &[usize]) = match &self.clip {
-                        None => (&node.interval.lo, &node.interval.hi),
+                        None => (node.lo, node.hi),
                         Some(c) => {
-                            let lo = if lex_cmp_ranks(&node.interval.lo, &c.lo) == Ordering::Less {
+                            let lo = if lex_cmp_ranks(node.lo, &c.lo) == Ordering::Less {
                                 &c.lo[..]
                             } else {
-                                &node.interval.lo[..]
+                                node.lo
                             };
-                            let hi = if lex_cmp_ranks(&node.interval.hi, &c.hi) == Ordering::Greater
-                            {
+                            let hi = if lex_cmp_ranks(node.hi, &c.hi) == Ordering::Greater {
                                 &c.hi[..]
                             } else {
-                                &node.interval.hi[..]
+                                node.hi
                             };
                             if lex_cmp_ranks(lo, hi) == Ordering::Greater {
                                 continue; // disjoint from the range
@@ -602,7 +630,7 @@ impl<'a> Theorem1Iter<'a> {
                             (lo, hi)
                         }
                     };
-                    match s.dict.get(w, &self.vb) {
+                    match s.dict.lookup(w, self.cand) {
                         // ⊥: evaluate the (clipped) interval directly; cost
                         // bounded by τ_ℓ since the pair is light and
                         // T(v_b, ·) is monotone under clipping.
@@ -627,8 +655,7 @@ impl<'a> Theorem1Iter<'a> {
                     }
                 }
                 Some(Frame::Point(w)) => {
-                    let node = &tree.nodes[w as usize];
-                    let beta = node.beta.as_ref().expect("Point frames come from 1-nodes");
+                    let beta = tree.node(w).beta.expect("Point frames come from 1-nodes");
                     if let Some(c) = &self.clip {
                         if !c.contains(beta) {
                             continue;

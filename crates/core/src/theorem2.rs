@@ -250,13 +250,15 @@ impl Theorem2Structure {
                     // Collect entries to flip, then apply.
                     let mut flips: Vec<(u32, Vec<Value>)> = Vec::new();
                     if let Some(tree) = t1.tree() {
-                        for (w, node) in tree.nodes.iter().enumerate() {
+                        for (w, node) in tree.nodes().enumerate() {
+                            let mut interval = None;
                             for (key, bit) in t1.dictionary().entries_of(w as u32) {
                                 if !bit {
                                     continue;
                                 }
+                                let interval = interval.get_or_insert_with(|| node.interval());
                                 let mut extends = false;
-                                for free in t1.enumerate_interval(key, &node.interval) {
+                                for free in t1.enumerate_interval(key, interval) {
                                     let mut row: Vec<Value> = key.to_vec();
                                     row.extend(free);
                                     if extractors.iter().all(|(ci, pos)| {
@@ -275,7 +277,8 @@ impl Theorem2Structure {
                     }
                     if let BagKind::Tradeoff(t1) = &mut self.bags[bi].kind {
                         for (w, key) in flips {
-                            t1.dictionary_mut().set(w, &key, false);
+                            let stored = t1.dictionary_mut().flip(w, &key, false);
+                            debug_assert!(stored, "flipped keys come from the dictionary");
                         }
                     }
                 }

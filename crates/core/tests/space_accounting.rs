@@ -1,0 +1,97 @@
+//! Reported bytes are real bytes.
+//!
+//! `rep_bytes_per_tuple` is gated on `HeapSize::heap_bytes`, so that
+//! number must be what the allocator actually hands out for the Theorem 1
+//! pair `(T, D)` — neither a structure that silently re-fattens nor an
+//! accounting that under-reports may pass. Two gates on one fixed triangle
+//! database:
+//!
+//! * the counting allocator's live-byte growth across building the tree
+//!   and the dictionary is within ±10 % of what they report;
+//! * a layout pin: the reported bytes stay under per-node / per-entry /
+//!   per-candidate ceilings derived from the flat layout.
+//!
+//! Everything is in one `#[test]` so no other test thread allocates while
+//! live bytes are being compared.
+
+use cqc_common::alloc::{live_bytes, CountingAlloc};
+use cqc_common::heap::HeapSize;
+use cqc_core::cost::CostEstimator;
+use cqc_core::dbtree::DelayBalancedTree;
+use cqc_core::dictionary::HeavyDictionary;
+use cqc_core::theorem1::Theorem1Structure;
+use cqc_join::plan::ViewPlan;
+use cqc_lp::covers::slack;
+use cqc_query::parser::parse_adorned;
+use cqc_storage::{Database, Relation};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// A skewed triangle database: one friendship graph under three names.
+fn triangle_db() -> Database {
+    let edges = cqc_workload::graphs::friendship_graph(&mut cqc_workload::rng(7), 400, 3000, 0.8);
+    let rows: Vec<Vec<u64>> = edges.iter().map(<[u64]>::to_vec).collect();
+    let mut db = Database::new();
+    for name in ["R", "S", "T"] {
+        db.add(Relation::new(name, 2, rows.clone())).unwrap();
+    }
+    db
+}
+
+#[test]
+fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
+    let db = triangle_db();
+    let weights = [0.5, 0.5, 0.5];
+    for (pattern, tau) in [("bff", 2.0), ("bfb", 1.0), ("bbf", 1.0), ("fff", 4.0)] {
+        let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", pattern).unwrap();
+        let alpha = slack(&view.query().hypergraph(), &weights, view.free_vars()).max(1.0);
+        let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
+        let plan = ViewPlan::build(&view, &db).unwrap();
+
+        let before = live_bytes();
+        let tree = DelayBalancedTree::build(&est, tau).unwrap();
+        let dict = HeavyDictionary::build(&plan, &est, &tree);
+        let live = (live_bytes() - before) as f64;
+
+        let (tree_bytes, dict_bytes) = (tree.heap_bytes(), dict.heap_bytes());
+        let reported = (tree_bytes + dict_bytes) as f64;
+        assert!(
+            dict.num_entries() > 100 && tree.len() > 100,
+            "{pattern}: the instance must exercise the structure ({} nodes, {} entries)",
+            tree.len(),
+            dict.num_entries()
+        );
+        assert!(
+            (live - reported).abs() <= 0.10 * reported,
+            "{pattern}: allocator says {live} live bytes, heap_bytes says {reported}"
+        );
+
+        // The same inputs through the public builder report the same split.
+        let s = Theorem1Structure::build(&view, &db, &weights, tau).unwrap();
+        let space = s.space_breakdown();
+        assert_eq!(space.tree_bytes, tree_bytes, "{pattern}");
+        assert_eq!(space.dict_bytes, dict_bytes, "{pattern}");
+        assert_eq!(space.nonlinear_bytes(), tree_bytes + dict_bytes);
+        let stats = s.stats();
+        assert_eq!(
+            (stats.tree_bytes, stats.dict_bytes, stats.base_index_bytes),
+            (space.tree_bytes, space.dict_bytes, space.base_index_bytes)
+        );
+
+        // Layout pin. Tree: three rank tuples (8 B ranks) plus ≤ 24 B of
+        // scalar columns per node. Dictionary: a 4 B id and one bit per
+        // entry, a 4 B offset per node, 8 B per candidate value — with
+        // headroom below 2× so a second per-entry word cannot hide.
+        let (nodes, entries, cands) = (tree.len(), dict.num_entries(), dict.num_candidates());
+        let (mu, nb) = (view.mu(), view.bound_head().len());
+        assert!(
+            tree_bytes <= (24 * mu + 24) * nodes,
+            "{pattern}: tree {tree_bytes} B for {nodes} nodes"
+        );
+        assert!(
+            dict_bytes <= 8 * entries + 8 * nodes + (8 * nb + 8) * cands,
+            "{pattern}: dictionary {dict_bytes} B for {entries} entries, {nodes} nodes, {cands} candidates"
+        );
+    }
+}

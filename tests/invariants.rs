@@ -46,9 +46,9 @@ fn check_tree_partitions(tree: &DelayBalancedTree) {
     while let Some(f) = stack.pop() {
         match f {
             Frame::Enter(w) => {
-                let n = &tree.nodes[w as usize];
-                match &n.beta {
-                    None => pieces.push(Piece::Leaf(n.interval.clone())),
+                let n = tree.node(w);
+                match n.beta {
+                    None => pieces.push(Piece::Leaf(n.interval())),
                     Some(_) => {
                         if let Some(r) = n.right {
                             stack.push(Frame::Enter(r));
@@ -61,14 +61,13 @@ fn check_tree_partitions(tree: &DelayBalancedTree) {
                 }
             }
             Frame::Emit(w) => {
-                let n = &tree.nodes[w as usize];
-                pieces.push(Piece::Point(n.beta.clone().unwrap()));
+                pieces.push(Piece::Point(tree.node(w).beta.unwrap().to_vec()));
             }
         }
     }
     // The pieces must tile the root interval exactly: strictly increasing,
     // gap-free coverage.
-    let root = &tree.nodes[0].interval;
+    let root = &tree.node(0).interval();
     let mut last_hi: Option<Vec<usize>> = None;
     for p in &pieces {
         let (lo, hi) = match p {
@@ -184,7 +183,7 @@ fn random_instance_tree_invariants() {
                 continue;
             };
             check_tree_partitions(&tree);
-            for (i, node) in tree.nodes.iter().enumerate() {
+            for (i, node) in tree.nodes().enumerate() {
                 let thr = tau_level(tree.tau, tree.alpha, node.level);
                 if node.beta.is_some() {
                     assert!(node.t_value >= thr - 1e-9, "trial {trial}");
@@ -193,7 +192,7 @@ fn random_instance_tree_invariants() {
                 }
                 for c in [node.left, node.right].into_iter().flatten() {
                     assert!(
-                        tree.nodes[c as usize].t_value <= node.t_value / 2.0 + 1e-6,
+                        tree.node(c).t_value <= node.t_value / 2.0 + 1e-6,
                         "halving, trial {trial}, node {i}"
                     );
                 }

@@ -90,7 +90,7 @@ fn running_example_end_to_end() {
 
     // Example 15: exactly two dictionary entries for v_b = (1,1,1).
     let tree = s.tree().unwrap();
-    let rr = tree.nodes[0].right.unwrap();
+    let rr = tree.node(0).right.unwrap();
     assert_eq!(s.dictionary().get(0, &[1, 1, 1]), Some(true));
     assert_eq!(s.dictionary().get(rr, &[1, 1, 1]), Some(true));
 

@@ -5,6 +5,7 @@
 
 use cqc_common::value::Tuple;
 use cqc_core::dbtree::tau_level;
+use cqc_core::dictionary::NO_CANDIDATE;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
 use cqc_join::naive::evaluate_view;
@@ -60,7 +61,7 @@ fn check_theorem1(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, 
     }
     // Structural invariants (Lemma 4 / threshold rules).
     if let Some(tree) = s.tree() {
-        for (i, node) in tree.nodes.iter().enumerate() {
+        for (i, node) in tree.nodes().enumerate() {
             let thr = tau_level(tree.tau, tree.alpha, node.level);
             if node.beta.is_some() {
                 assert!(node.t_value >= thr - 1e-9, "internal below threshold");
@@ -68,13 +69,151 @@ fn check_theorem1(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, 
                 assert!(node.t_value < thr, "leaf above threshold");
             }
             for child in [node.left, node.right].into_iter().flatten() {
-                let ct = tree.nodes[child as usize].t_value;
+                let ct = tree.node(child).t_value;
                 assert!(
                     ct <= node.t_value / 2.0 + 1e-6,
                     "Prop 8 halving violated at node {i}"
                 );
             }
         }
+    }
+}
+
+/// The sub-view `E_{V_b}` of Prop. 13: the atoms touching a bound
+/// variable, with the bound variables first in the head. A valuation `v_b`
+/// is a dictionary *candidate* iff this view has an answer for it.
+fn bound_touching_view(view: &AdornedView) -> AdornedView {
+    let q = view.query();
+    let bound = view.bound_head();
+    let touching: Vec<_> = q
+        .atoms
+        .iter()
+        .filter(|a| a.vars().any(|v| bound.contains(&v)))
+        .collect();
+    let mut head = bound.clone();
+    for v in touching.iter().flat_map(|a| a.vars()) {
+        if !head.contains(&v) {
+            head.push(v);
+        }
+    }
+    let names = |vars: Vec<cqc_query::Var>| -> String {
+        let names: Vec<&str> = vars.iter().map(|&v| q.var_name(v)).collect();
+        names.join(",")
+    };
+    let body: Vec<String> = touching
+        .iter()
+        .map(|a| format!("{}({})", a.relation, names(a.vars().collect())))
+        .collect();
+    let text = format!("E({}) :- {}", names(head.clone()), body.join(", "));
+    let pattern = "b".repeat(bound.len()) + &"f".repeat(head.len() - bound.len());
+    parse_adorned(&text, &pattern).unwrap()
+}
+
+/// The brute-force heavy-pair oracle of `example_15_dictionary_entries`,
+/// over the whole bound grid: `(w, v_b)` is stored iff `v_b` is a
+/// candidate and `T(v_b, I(w)) > τ_ℓ`; its bit says whether the naive join
+/// has an answer inside `I(w)`. Also pins the point lookups against it.
+fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, dom: u64) {
+    use cqc_common::util::approx_gt;
+    use std::collections::BTreeSet;
+    let s = Theorem1Structure::build(view, db, weights, tau).unwrap();
+    let dict = s.dictionary();
+    let Some(tree) = s.tree() else {
+        assert_eq!(dict.num_entries(), 0);
+        return;
+    };
+    let est = s.estimator();
+    let sizes = est.sizes();
+    let candidates = bound_touching_view(view);
+    let mut expect: BTreeSet<(u32, Vec<u64>, bool)> = BTreeSet::new();
+    for vb in all_requests(view.bound_head().len(), dom) {
+        let is_candidate = !evaluate_view(&candidates, db, &vb).unwrap().is_empty();
+        assert_eq!(
+            dict.candidate(&vb) != NO_CANDIDATE,
+            is_candidate,
+            "v_b={vb:?}"
+        );
+        let answers: Vec<Vec<usize>> = evaluate_view(view, db, &vb)
+            .unwrap()
+            .iter()
+            .map(|t| {
+                let ranks = t.iter().zip(est.domains()).map(|(v, d)| d.rank(*v));
+                ranks
+                    .collect::<Option<_>>()
+                    .expect("answers lie on the grid")
+            })
+            .collect();
+        for (w, node) in tree.nodes().enumerate() {
+            let interval = node.interval();
+            let heavy = is_candidate
+                && approx_gt(
+                    est.t_interval_bound(&vb, &interval, &sizes),
+                    tau_level(tree.tau, tree.alpha, node.level),
+                );
+            let bit = answers.iter().any(|a| interval.contains(a));
+            assert_eq!(
+                dict.get(w as u32, &vb),
+                heavy.then_some(bit),
+                "τ={tau} node {w} v_b={vb:?}"
+            );
+            if heavy {
+                expect.insert((w as u32, vb.clone(), bit));
+            }
+        }
+    }
+    let got: Vec<(u32, Vec<u64>, bool)> = dict
+        .entries()
+        .map(|(w, vb, bit)| (w, vb.to_vec(), bit))
+        .collect();
+    assert!(
+        got.windows(2).all(|p| p[0] < p[1]),
+        "entries() runs in (node, v_b) order without repeats"
+    );
+    assert_eq!(got.len(), dict.num_entries());
+    assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), expect, "τ={tau}");
+}
+
+/// Maintained ≡ rebuilt, and the maintained structure shares its tree and
+/// dictionary keys with its predecessor (only the bits are its own).
+fn check_maintained_shares_layout(
+    view: &AdornedView,
+    db: &Database,
+    names: &[&str],
+    weights: &[f64],
+    tau: f64,
+    dom: u64,
+    seed: u64,
+) {
+    use cqc_core::{CompressedView, MaintainOutcome, Strategy};
+    let strategy = Strategy::Tradeoff {
+        tau,
+        weights: Some(weights.to_vec()),
+    };
+    let built = CompressedView::build(view, db, strategy.clone()).unwrap();
+    let delta = cqc_workload::mixed_delta(&mut cqc_workload::rng(seed), db, names, 2, 1);
+    let mut db = db.clone();
+    db.apply(&delta).unwrap();
+    // Active-domain changes legitimately ask for a rebuild.
+    let Ok(MaintainOutcome::Maintained { view: kept, .. }) = built.maintain(view, &db, &delta)
+    else {
+        return;
+    };
+    let (CompressedView::Tradeoff(old), CompressedView::Tradeoff(new)) = (&built, &*kept) else {
+        panic!("tradeoff structures expected");
+    };
+    assert!(new.shares_layout_with(old), "tree and keys are Arc-shared");
+    let keys = |t: &Theorem1Structure| -> Vec<(u32, Vec<u64>)> {
+        let entries = t.dictionary().entries();
+        entries.map(|(w, vb, _)| (w, vb.to_vec())).collect()
+    };
+    assert_eq!(keys(new), keys(old), "maintenance only flips bits");
+    let rebuilt = CompressedView::build(view, &db, strategy).unwrap();
+    for req in all_requests(view.bound_head().len(), dom) {
+        let expect = evaluate_view(view, &db, &req).unwrap();
+        let got: Vec<Tuple> = kept.answer(&req).unwrap().collect();
+        let re: Vec<Tuple> = rebuilt.answer(&req).unwrap().collect();
+        assert_eq!(got, expect, "maintained, τ={tau} req={req:?}");
+        assert_eq!(re, expect, "rebuilt, τ={tau} req={req:?}");
     }
 }
 
@@ -98,6 +237,32 @@ proptest! {
         let db = db_from(&[("R", r), ("S", s), ("T", t)]);
         let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", pattern).unwrap();
         check_theorem1(&view, &db, &[0.5, 0.5, 0.5], tau, 6);
+    }
+
+    /// Layout equivalence: the flat CSR dictionary holds exactly the
+    /// brute-force heavy pairs with the naive bits, over triangle and path
+    /// databases, adornments and τ ∈ {1, 2, 8, 64}; maintenance shares the
+    /// static buffers.
+    #[test]
+    fn flat_dictionary_equals_heavy_pair_oracle(
+        r in rel_strategy(60, 8),
+        s in rel_strategy(60, 8),
+        t in rel_strategy(60, 8),
+        tri_pattern in prop::sample::select(vec!["bff", "fbf", "bbf", "bfb", "fbb"]),
+        path_pattern in prop::sample::select(vec!["bff", "fbf", "bfb", "ffb"]),
+        seed in 0u64..1000,
+    ) {
+        let db = db_from(&[("R", r), ("S", s), ("T", t)]);
+        let tri = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", tri_pattern).unwrap();
+        let path = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", path_pattern).unwrap();
+        for tau in [1.0, 2.0, 8.0, 64.0] {
+            check_dictionary_layout(&tri, &db, &[0.5, 0.5, 0.5], tau, 8);
+            check_dictionary_layout(&path, &db, &[1.0, 1.0], tau, 8);
+            check_maintained_shares_layout(
+                &tri, &db, &["R", "S", "T"], &[0.5, 0.5, 0.5], tau, 8, seed,
+            );
+            check_maintained_shares_layout(&path, &db, &["R", "S"], &[1.0, 1.0], tau, 8, seed);
+        }
     }
 
     /// Two-path (the paper's P_2^{ff} example of a non-factorizable-to-
@@ -194,7 +359,7 @@ proptest! {
         let st = Theorem1Structure::build(&view, &db, &[1.0, 1.0], tau).unwrap();
         if let Some(tree) = st.tree() {
             let alpha = st.alpha();
-            for (w, node) in tree.nodes.iter().enumerate() {
+            for (w, node) in tree.nodes().enumerate() {
                 let thr = tau_level(tree.tau, tree.alpha, node.level);
                 let count = st.dictionary().entries_of(w as u32).count() as f64;
                 let bound = (node.t_value / thr).powf(alpha) + 1e-9;
