@@ -320,7 +320,9 @@ impl CompressedView {
                     "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
                      tree {} nodes (depth {}, {} B = {:.1} B/node), \
                      dictionary {} heavy pairs ({} B = {:.1} B/entry), \
-                     base indexes {} B; {} heap bytes",
+                     base indexes {} B; {} heap bytes; \
+                     build work: {} tree count probes, {} dictionary evaluations \
+                     of {} candidates ({} at leaves), {} probe joins",
                     s.tau(),
                     s.weights()
                         .iter()
@@ -335,7 +337,12 @@ impl CompressedView {
                     st.dict_bytes,
                     per(st.dict_bytes, st.dict_entries),
                     st.base_index_bytes,
-                    st.heap_bytes
+                    st.heap_bytes,
+                    st.tree_count_probes,
+                    st.dict_evaluations,
+                    st.dict_candidates,
+                    st.dict_leaf_evaluations,
+                    st.dict_probes
                 )
             }
             CompressedView::Decomposed(s) => {

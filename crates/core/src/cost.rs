@@ -492,6 +492,124 @@ impl CostEstimator {
     }
 }
 
+/// One weighted atom of a [`PrefixCost`]: its build-index rows matching
+/// the fixed prefix.
+#[derive(Debug, Clone, Copy)]
+struct PrefixAtom {
+    ai: usize,
+    lo: usize,
+    hi: usize,
+    /// Build-index depth of the atom's first free column at or after the
+    /// ranged position (= how many of its columns the prefix fixed).
+    depth: usize,
+    /// `|R_F(prefix)|^{û_F}` when the atom does not contain the ranged
+    /// position — it is the same for every range.
+    constant: Option<f64>,
+}
+
+/// `T(⟨prefix, [r_lo, r_hi], □…⟩)` as a function of the range, for a
+/// prefix that grows one rank at a time — the search space of Lemma 3.
+///
+/// Each atom is narrowed by the prefix once (on [`PrefixCost::reset`] /
+/// [`PrefixCost::push`]); a range then costs one binary-searched
+/// `narrow_range` per atom that contains the ranged position and nothing
+/// for the others. Factors multiply in atom order over exactly the counts
+/// [`CostEstimator::t_box`] would see, so [`PrefixCost::t`] is
+/// bit-identical to `t_box` of the same box.
+#[derive(Debug)]
+pub struct PrefixCost<'a> {
+    est: &'a CostEstimator,
+    /// The atoms with `û_F > 0`, in atom order.
+    atoms: Vec<PrefixAtom>,
+    /// Length of the fixed prefix = the ranged position.
+    p: usize,
+}
+
+impl<'a> PrefixCost<'a> {
+    /// An oracle over the empty prefix.
+    pub fn new(est: &'a CostEstimator) -> PrefixCost<'a> {
+        let mut pc = PrefixCost {
+            est,
+            atoms: Vec::with_capacity(est.atoms.len()),
+            p: 0,
+        };
+        pc.reset(&[]);
+        pc
+    }
+
+    /// Replaces the prefix, keeping the buffer.
+    pub fn reset(&mut self, prefix: &[usize]) {
+        self.atoms.clear();
+        for (ai, atom) in self.est.atoms.iter().enumerate() {
+            if atom.u_hat > 1e-12 {
+                self.atoms.push(PrefixAtom {
+                    ai,
+                    lo: 0,
+                    hi: atom.build_index.len(),
+                    depth: 0,
+                    constant: None,
+                });
+            }
+        }
+        self.p = 0;
+        self.fix_constants();
+        for &rank in prefix {
+            self.push(rank);
+        }
+    }
+
+    /// Extends the prefix by `rank` at the current ranged position.
+    pub fn push(&mut self, rank: usize) {
+        let v = self.est.domains[self.p].value(rank);
+        // The atoms that contain the ranged position are the non-constant
+        // ones.
+        for a in self.atoms.iter_mut().filter(|a| a.constant.is_none()) {
+            if a.lo < a.hi {
+                metrics::record_count_probe();
+                let index = &self.est.atoms[a.ai].build_index;
+                (a.lo, a.hi) = index.narrow_eq(a.lo, a.hi, a.depth, v);
+            }
+            a.depth += 1;
+        }
+        self.p += 1;
+        self.fix_constants();
+    }
+
+    fn fix_constants(&mut self) {
+        for a in &mut self.atoms {
+            let atom = &self.est.atoms[a.ai];
+            a.constant = (atom.free_enum.get(a.depth) != Some(&self.p))
+                .then(|| ((a.hi - a.lo) as f64).powf(atom.u_hat));
+        }
+    }
+
+    /// `T(⟨prefix, [r_lo, r_hi]⟩)`; 0 for an empty range.
+    pub fn t(&self, r_lo: usize, r_hi: usize) -> f64 {
+        if r_lo > r_hi {
+            return 0.0;
+        }
+        let dom = &self.est.domains[self.p];
+        let (vlo, vhi) = (dom.value(r_lo), dom.value(r_hi));
+        let mut t = 1.0f64;
+        for a in &self.atoms {
+            let factor = match a.constant {
+                Some(f) => f,
+                None => {
+                    metrics::record_count_probe();
+                    let atom = &self.est.atoms[a.ai];
+                    let (l, h) = atom.build_index.narrow_range(a.lo, a.hi, a.depth, vlo, vhi);
+                    ((h - l) as f64).powf(atom.u_hat)
+                }
+            };
+            if factor == 0.0 {
+                return 0.0;
+            }
+            t *= factor;
+        }
+        t
+    }
+}
+
 impl HeapSize for CostEstimator {
     fn heap_bytes(&self) -> usize {
         self.atoms

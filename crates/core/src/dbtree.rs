@@ -8,12 +8,14 @@
 //! bounds the depth by `O(log T)` because `T` halves at every level while
 //! the threshold decays strictly slower.
 
-use crate::cost::CostEstimator;
-use crate::fbox::{lex_cmp_ranks, pred, succ, FInterval};
+use crate::cost::{CostEstimator, PrefixCost};
+use crate::fbox::{box_decomposition_ranks, lex_cmp_ranks, pred, succ, BoxList, FInterval};
 use crate::split::{split_interval, split_interval_midpoint};
 use cqc_common::heap::HeapSize;
+use cqc_common::metrics::{self, BuildPhase};
 use cqc_common::util::approx_ge;
 use std::cmp::Ordering;
+use std::time::Instant;
 
 /// Hard cap on tree depth; reaching it indicates a bug in the halving
 /// invariant (Prop. 8), not a legitimate instance.
@@ -68,6 +70,14 @@ pub struct DelayBalancedTree {
     level: Vec<u16>,
     t_value: Vec<f64>,
     mu: usize,
+    /// Maximum node level.
+    depth: u16,
+    /// Maximum level of a node with a split point (`None`: the root is a
+    /// leaf). Heavy pairs exist at internal nodes only, so the threshold
+    /// of this level is the smallest one any pair is ever held against.
+    deepest_internal: Option<u16>,
+    /// Count-index probes the build spent (deterministic work count).
+    count_probes: u64,
     /// The delay knob τ.
     pub tau: f64,
     /// The slack α of the cover.
@@ -115,6 +125,8 @@ impl DelayBalancedTree {
         splitter: Splitter,
     ) -> Option<DelayBalancedTree> {
         assert!(tau >= 1.0, "τ must be at least 1");
+        let t_build = Instant::now();
+        let probes_before = metrics::snapshot().count_probes;
         let alpha = est.alpha();
         let sizes = est.sizes();
         let root_interval = FInterval::full(&sizes)?;
@@ -126,9 +138,19 @@ impl DelayBalancedTree {
             level: Vec::new(),
             t_value: Vec::new(),
             mu: sizes.len(),
+            depth: 0,
+            deepest_internal: None,
+            count_probes: 0,
             tau,
             alpha,
         };
+        // Scratch shared by every node: the interval's boxes, their `T`s
+        // (summed for the leaf test, then handed to Algorithm 1), the
+        // Lemma 3 prefix oracle and the split point.
+        let mut boxes = BoxList::new();
+        let mut t_of: Vec<f64> = Vec::new();
+        let mut prefix_cost = PrefixCost::new(est);
+        let mut beta: Vec<usize> = Vec::with_capacity(sizes.len());
         // Work stack entries: (interval, level, parent slot), where the
         // slot is `(parent node, is_left_child)`.
         type Slot = Option<(u32, bool)>;
@@ -136,7 +158,10 @@ impl DelayBalancedTree {
 
         while let Some((interval, level, slot)) = stack.pop() {
             assert!(level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
-            let t = est.t_interval(&interval, &sizes);
+            box_decomposition_ranks(&interval.lo, &interval.hi, &sizes, &mut boxes);
+            t_of.clear();
+            t_of.extend(boxes.as_slice().iter().map(|b| est.t_box(b)));
+            let t: f64 = t_of.iter().sum();
             let idx = u32::try_from(tree.len())
                 .ok()
                 .filter(|&i| i != NO_CHILD)
@@ -156,10 +181,16 @@ impl DelayBalancedTree {
                 tree.push(&interval, None, level, t);
                 continue;
             }
-            let beta = match splitter {
-                Splitter::Balanced => split_interval(est, &sizes, &interval),
-                Splitter::Midpoint => split_interval_midpoint(est, &sizes, &interval),
-            };
+            match splitter {
+                Splitter::Balanced => {
+                    split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
+                }
+                Splitter::Midpoint => beta = split_interval_midpoint(est, &sizes, &interval),
+            }
+            debug_assert!(
+                interval.contains(&beta),
+                "split point must lie in the interval"
+            );
             let left =
                 pred(&beta, &sizes).filter(|p| lex_cmp_ranks(&interval.lo, p) != Ordering::Greater);
             let right =
@@ -190,6 +221,8 @@ impl DelayBalancedTree {
         tree.right.shrink_to_fit();
         tree.level.shrink_to_fit();
         tree.t_value.shrink_to_fit();
+        tree.count_probes = metrics::snapshot().count_probes - probes_before;
+        metrics::record_build_phase(BuildPhase::Tree, t_build.elapsed().as_nanos() as u64);
         Some(tree)
     }
 
@@ -206,6 +239,10 @@ impl DelayBalancedTree {
         self.right.push(NO_CHILD);
         self.level.push(level);
         self.t_value.push(t);
+        self.depth = self.depth.max(level);
+        if beta.is_some() {
+            self.deepest_internal = self.deepest_internal.max(Some(level));
+        }
     }
 
     /// Node `w`.
@@ -252,7 +289,19 @@ impl DelayBalancedTree {
 
     /// Maximum node level.
     pub fn depth(&self) -> u16 {
-        self.level.iter().copied().max().unwrap_or(0)
+        self.depth
+    }
+
+    /// Maximum level of an internal node (one with a split point); `None`
+    /// when the root is a leaf.
+    pub fn deepest_internal_level(&self) -> Option<u16> {
+        self.deepest_internal
+    }
+
+    /// Count-index probes spent building the tree: a deterministic work
+    /// count (the same instance always reports the same number).
+    pub fn build_count_probes(&self) -> u64 {
+        self.count_probes
     }
 }
 

@@ -44,6 +44,70 @@ struct DictKeys {
     offsets: Vec<u32>,
     /// Candidate ids of the heavy pairs, ascending within each node's run.
     ids: Vec<u32>,
+    /// What the build spent finding them.
+    work: DictBuildWork,
+}
+
+/// Deterministic work counts of one [`HeavyDictionary::build`]: the same
+/// instance always reports the same numbers, on any host.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DictBuildWork {
+    /// `(candidate, node)` pairs whose `T(v_b, I(w))` was evaluated.
+    pub evaluations: u64,
+    /// Those of them at leaves. A leaf has no heavy pair, so the build
+    /// skips it: always 0.
+    pub leaf_evaluations: u64,
+    /// First-answer leapfrog joins run to decide emptiness bits (one per
+    /// canonical box probed).
+    pub probes: u64,
+}
+
+/// What a node knows about `(⋈ R_F(v_b)) ⋉ I(w)` for one surviving
+/// candidate before it probes anything.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Witness {
+    /// No probe has covered `I(w)` yet.
+    Unknown,
+    /// The restricted join has no answer in `I(w)`.
+    Empty,
+    /// The survivor's `first` slot holds the lexicographically first
+    /// answer in `I(w)` (free values, enumeration order).
+    First,
+}
+
+/// Which child of its parent a node is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Left,
+    Right,
+}
+
+impl Witness {
+    /// The child's knowledge, given its parent's (`first` is the parent's
+    /// first answer, `lo`/`hi` the child's endpoints in value space). The
+    /// children split the parent's interval around `β`, so: an empty parent
+    /// has empty children; a first answer inside the child is also the
+    /// child's first; one beyond the left child's upper end leaves the left
+    /// child empty (every answer is at least the first); only a right child
+    /// whose parent's first answer lies at or before `β` knows nothing.
+    fn inherit(self, side: Side, first: &[Value], lo: &[Value], hi: &[Value]) -> Witness {
+        match (self, side) {
+            (Witness::First, Side::Left) if first > hi => Witness::Empty,
+            (Witness::First, Side::Right) if first < lo => Witness::Unknown,
+            (known, _) => known,
+        }
+    }
+}
+
+/// The candidates a node passes to its children: ascending ids, and per
+/// candidate what the node knows about its restricted join.
+#[derive(Debug, Default)]
+struct Survivors {
+    ids: Vec<u32>,
+    witness: Vec<Witness>,
+    /// `µ` values per candidate; meaningful where the witness is
+    /// [`Witness::First`].
+    first: Vec<Value>,
 }
 
 impl DictKeys {
@@ -75,11 +139,23 @@ impl HeavyDictionary {
         est: &CostEstimator,
         tree: &DelayBalancedTree,
     ) -> HeavyDictionary {
+        HeavyDictionary::build_observed(plan, est, tree, |_, _, _| {})
+    }
+
+    /// [`HeavyDictionary::build`], reporting each pair as it is stored:
+    /// `stored(w, v_b, first)`, where `first` is the witness the bit was
+    /// decided from — the first answer of `(⋈ R_F(v_b)) ⋉ I(w)`, `None`
+    /// for a `0` bit.
+    fn build_observed(
+        plan: &ViewPlan,
+        est: &CostEstimator,
+        tree: &DelayBalancedTree,
+        mut stored: impl FnMut(u32, &[Value], Option<&[Value]>),
+    ) -> HeavyDictionary {
         let t_build = Instant::now();
         let sizes = est.sizes();
         let nb = plan.num_bound;
         let levels = plan.num_levels();
-        let all_atoms: Vec<usize> = (0..plan.num_atoms()).collect();
         let bound_atoms: Vec<usize> = (0..plan.num_atoms())
             .filter(|&i| plan.atom_levels(i).iter().any(|&l| l < nb))
             .collect();
@@ -150,6 +226,7 @@ impl HeavyDictionary {
             cand_values,
             offsets: Vec::with_capacity(tree.len() + 1),
             ids: Vec::new(),
+            work: DictBuildWork::default(),
         };
         let mut bits: Vec<u64> = Vec::new();
 
@@ -176,17 +253,35 @@ impl HeavyDictionary {
             }));
         }
 
-        // 2. DFS: at each node, evaluate T(v_b, I(w)) for the surviving
-        //    candidates; store heavy pairs (with an emptiness-probe bit) and
-        //    pass the non-zero ones to the children.
+        // 2. DFS in node-id order (left-first pre-order, exactly how the
+        //    tree numbered the nodes), so every node's run of heavy ids is
+        //    appended to the CSR buffers in place — already in its final
+        //    position and already ascending. An internal node evaluates
+        //    `T(v_b, I(w))` for the candidates its parent passed down,
+        //    stores the heavy ones with their emptiness bit, and passes on
+        //    those that can still be heavy further down. Three exact
+        //    prunings keep that cheap (docs/ARCHITECTURE.md, "Theorem 1
+        //    build"):
         //
-        //    The per-node survivor sets are ascending candidate-id lists
-        //    shared between siblings through an `Rc`. Nodes are visited in
-        //    id order (left-first pre-order, exactly how the tree numbered
-        //    them), so every node's run of heavy ids is appended to the
-        //    CSR buffers in place — already in its final position and
-        //    already ascending.
-        let mut probe_join = plan.join_subset(&all_atoms, vec![LevelConstraint::Fixed(0); levels]);
+        //    * light forever — `T(v_b, ·)` is monotone in the interval and
+        //      `τ_ℓ` non-increasing in `ℓ`, so a candidate not above
+        //      `tau_min` (the threshold of the deepest internal level) is
+        //      light here and at every descendant, and is dropped;
+        //    * leaves evaluate nothing — `T(v_b, I(w)) ≤ T(I(w)) < τ_ℓ`
+        //      there, so a leaf only gets its CSR offset;
+        //    * witness inheritance — each survivor carries the
+        //      lexicographically first answer of `(⋈ R_F(v_b)) ⋉ I(w)`
+        //      once a probe has found it (or that there is none), and a
+        //      child derives its own from it: see `Witness::inherit`.
+        let tau_min = tau_level(
+            tree.tau,
+            tree.alpha,
+            tree.deepest_internal_level().unwrap_or(0),
+        );
+        let mu = levels - nb;
+        let doms = est.domains();
+        let mut work = DictBuildWork::default();
+        let mut probe_join = plan.join(vec![LevelConstraint::Fixed(0); levels]);
         let mut probe_cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
         // Per box (stride `nw`): `Some(count)` for candidate-independent
         // atoms, `None` for the per-candidate ones; `box_dead` marks boxes
@@ -194,12 +289,31 @@ impl HeavyDictionary {
         // (their `T(v_b, B)` is exactly 0 for every candidate).
         let mut free_counts: Vec<Option<f64>> = Vec::new();
         let mut box_dead: Vec<bool> = Vec::new();
-        let all_indices: Rc<Vec<u32>> = Rc::new((0..num_cands as u32).collect());
-        let mut stack: Vec<(u32, Rc<Vec<u32>>)> = vec![(tree.root(), all_indices)];
-        while let Some((w, cands)) = stack.pop() {
+        // The node's endpoints in value space, to place witnesses.
+        let mut lo_vals: Vec<Value> = Vec::with_capacity(mu);
+        let mut hi_vals: Vec<Value> = Vec::with_capacity(mu);
+        let mut first: Vec<Value> = Vec::with_capacity(mu);
+        let none: Rc<Survivors> = Rc::new(Survivors::default());
+        let all = Rc::new(Survivors {
+            ids: (0..num_cands as u32).collect(),
+            witness: vec![Witness::Unknown; num_cands],
+            first: vec![0; num_cands * mu],
+        });
+        // (The root's side is never read: its witnesses are all unknown.)
+        let mut stack: Vec<(u32, Side, Rc<Survivors>)> = vec![(tree.root(), Side::Left, all)];
+        while let Some((w, side, cands)) = stack.pop() {
             assert_eq!(w as usize, keys.offsets.len(), "nodes visited in id order");
             keys.offsets.push(entry_offset(keys.ids.len()));
             let node = tree.node(w);
+            let children = [(node.right, Side::Right), (node.left, Side::Left)];
+            if node.beta.is_none() || cands.ids.is_empty() {
+                // Nothing can be heavy in this subtree; its nodes still
+                // take their offsets, in order.
+                for (child, side) in children {
+                    stack.extend(child.map(|c| (c, side, Rc::clone(&none))));
+                }
+                continue;
+            }
             let threshold = tau_level(tree.tau, tree.alpha, node.level);
             box_decomposition_ranks(node.lo, node.hi, &sizes, &mut boxes);
             let boxes = boxes.as_slice();
@@ -220,8 +334,20 @@ impl HeavyDictionary {
                 }));
                 box_dead.push(dead);
             }
-            let mut survivors: Vec<u32> = Vec::with_capacity(cands.len());
-            for &ci in cands.iter() {
+            lo_vals.clear();
+            lo_vals.extend(node.lo.iter().zip(doms).map(|(&r, d)| d.value(r)));
+            hi_vals.clear();
+            hi_vals.extend(node.hi.iter().zip(doms).map(|(&r, d)| d.value(r)));
+            // Only internal children read the survivor list.
+            let pass_down = children
+                .iter()
+                .any(|(c, _)| c.is_some_and(|c| tree.node(c).beta.is_some()));
+            let mut survivors = Survivors::default();
+            work.evaluations += cands.ids.len() as u64;
+            // A tripwire, not a tally: 0 for as long as the leaf skip above
+            // stands (CI gates it).
+            work.leaf_evaluations += u64::from(node.beta.is_none()) * cands.ids.len() as u64;
+            for (k, &ci) in cands.ids.iter().enumerate() {
                 let ranges = &cand_ranges[ci as usize * nw..][..nw];
                 // T(v_b, I(w)) = Σ_B T(v_b, B), summed until it provably
                 // exceeds the threshold (the partial sum is monotone, so
@@ -250,24 +376,39 @@ impl HeavyDictionary {
                         break;
                     }
                 }
-                if t <= 0.0 {
-                    continue; // dead everywhere below this node too
+                let may_be_heavy_below = pass_down && approx_gt(t, tau_min);
+                if !heavy && !may_be_heavy_below {
+                    continue;
                 }
-                if heavy || approx_gt(t, threshold) {
-                    let mut bit = false;
-                    for (bi, b) in boxes.iter().enumerate() {
-                        if box_dead[bi] {
-                            continue; // some atom has no matching row
-                        }
-                        probe_cons.clear();
-                        probe_cons.extend(keys.cand(ci).iter().map(|&v| LevelConstraint::Fixed(v)));
-                        free_constraints_into(est, b, levels - nb, &mut probe_cons);
-                        probe_join.reset(&probe_cons);
-                        if probe_join.is_non_empty() {
-                            bit = true;
-                            break;
+                first.clear();
+                first.extend_from_slice(&cands.first[k * mu..][..mu]);
+                let mut witness = cands.witness[k].inherit(side, &first, &lo_vals, &hi_vals);
+                if heavy {
+                    if witness == Witness::Unknown {
+                        // First-answer probe: the boxes are in lexicographic
+                        // order and each join emits in lexicographic order,
+                        // so the first hit is the minimum of the restricted
+                        // join in I(w).
+                        witness = Witness::Empty;
+                        for (bi, b) in boxes.iter().enumerate() {
+                            if box_dead[bi] {
+                                continue; // some atom has no matching row
+                            }
+                            probe_cons.clear();
+                            probe_cons
+                                .extend(keys.cand(ci).iter().map(|&v| LevelConstraint::Fixed(v)));
+                            free_constraints_into(est, b, mu, &mut probe_cons);
+                            probe_join.reset(&probe_cons);
+                            work.probes += 1;
+                            if let Some(answer) = probe_join.next() {
+                                first.copy_from_slice(&answer[nb..]);
+                                witness = Witness::First;
+                                break;
+                            }
                         }
                     }
+                    let bit = witness == Witness::First;
+                    stored(w, keys.cand(ci), bit.then_some(&first));
                     let e = keys.ids.len();
                     keys.ids.push(ci);
                     if e % 64 == 0 {
@@ -275,21 +416,25 @@ impl HeavyDictionary {
                     }
                     bits[e / 64] |= u64::from(bit) << (e % 64);
                 }
-                survivors.push(ci);
-            }
-            let survivors = Rc::new(survivors);
-            match (node.left, node.right) {
-                (Some(l), Some(r)) => {
-                    stack.push((r, Rc::clone(&survivors)));
-                    stack.push((l, survivors));
+                if pass_down {
+                    survivors.ids.push(ci);
+                    survivors.witness.push(witness);
+                    survivors.first.extend_from_slice(&first);
                 }
-                (Some(c), None) | (None, Some(c)) => stack.push((c, survivors)),
-                (None, None) => {}
+            }
+            let survivors = if pass_down {
+                Rc::new(survivors)
+            } else {
+                Rc::clone(&none)
+            };
+            for (child, side) in children {
+                stack.extend(child.map(|c| (c, side, Rc::clone(&survivors))));
             }
         }
         keys.offsets.push(entry_offset(keys.ids.len()));
         keys.ids.shrink_to_fit();
         bits.shrink_to_fit();
+        keys.work = work;
 
         metrics::record_build_phase(BuildPhase::Dictionary, t_build.elapsed().as_nanos() as u64);
         HeavyDictionary {
@@ -307,6 +452,7 @@ impl HeavyDictionary {
                 cand_values: Vec::new(),
                 offsets: vec![0; n + 1],
                 ids: Vec::new(),
+                work: DictBuildWork::default(),
             }),
             bits: Vec::new(),
         }
@@ -372,9 +518,33 @@ impl HeavyDictionary {
         true
     }
 
+    /// Visits `node`'s entries in ascending `v_b` order and stores the bit
+    /// `redecide(v_b, bit)` returns for each — delta maintenance's
+    /// re-probe, without materializing the keys it walks.
+    pub(crate) fn redecide_bits_of(
+        &mut self,
+        node: u32,
+        mut redecide: impl FnMut(&[Value], bool) -> bool,
+    ) {
+        let HeavyDictionary { keys, bits } = self;
+        for e in keys.run(node) {
+            let mask = 1u64 << (e % 64);
+            let bit = bits[e / 64] & mask != 0;
+            if redecide(keys.cand(keys.ids[e]), bit) != bit {
+                bits[e / 64] ^= mask;
+            }
+        }
+    }
+
     /// Total number of stored pairs (the non-linear space term of Lemma 5).
     pub fn num_entries(&self) -> usize {
         self.keys.ids.len()
+    }
+
+    /// Work counts of the build that produced this dictionary's keys
+    /// (shared, like the keys, with every maintained successor).
+    pub fn build_work(&self) -> DictBuildWork {
+        self.keys.work
     }
 
     /// Number of root candidate valuations (distinct `v_b` that can be
@@ -530,6 +700,106 @@ mod tests {
                 });
                 assert_eq!(bit, nonempty, "bit mismatch at node {w}, vb {vb:?}");
             }
+        }
+    }
+
+    /// A skewed triangle `Q^{bff}`: three Zipf relations over 40 values.
+    fn skewed_triangle(seed: u64) -> (cqc_query::AdornedView, cqc_storage::Database) {
+        let mut rng = cqc_workload::rng(seed);
+        let zipf = cqc_workload::Zipf::new(40, 1.1);
+        let mut db = cqc_storage::Database::new();
+        for name in ["R", "S", "T"] {
+            db.add(cqc_workload::gen::zipf_pairs(
+                &mut rng, name, 500, 40, &zipf,
+            ))
+            .unwrap();
+        }
+        let view =
+            cqc_query::parser::parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
+        (view, db)
+    }
+
+    /// Witness inheritance decides most bits without a probe, so every
+    /// stored bit is checked against the naive join, and the witness a `1`
+    /// bit was decided from must be the lexicographic minimum of the
+    /// restricted join inside `I(w)` — inherited or freshly probed. The
+    /// instance is skewed enough that empty intervals are common.
+    #[test]
+    fn bits_and_witnesses_match_the_naive_join_on_a_skewed_graph() {
+        let (view, db) = skewed_triangle(5);
+        let plan = ViewPlan::build(&view, &db).unwrap();
+        for (weights, alpha, tau) in [([0.5; 3], 1.0, 2.0), ([1.0; 3], 2.0, 4.0)] {
+            let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
+            let tree = DelayBalancedTree::build(&est, tau).unwrap();
+            let mut seen: Vec<(u32, Vec<Value>, Option<Vec<Value>>)> = Vec::new();
+            let dict = HeavyDictionary::build_observed(&plan, &est, &tree, |w, vb, first| {
+                seen.push((w, vb.to_vec(), first.map(<[Value]>::to_vec)));
+            });
+            assert_eq!(seen.len(), dict.num_entries());
+            let mut zeros = 0;
+            for ((w, vb, first), (ew, evb, bit)) in seen.iter().zip(dict.entries()) {
+                assert_eq!((*w, &vb[..]), (ew, evb), "reported in storage order");
+                let interval = tree.node(*w).interval();
+                // The oracle emits in lexicographic order.
+                let expect = cqc_join::naive::evaluate_view(&view, &db, vb)
+                    .unwrap()
+                    .into_iter()
+                    .find(|t| {
+                        let ranks: Vec<usize> = t
+                            .iter()
+                            .zip(est.domains())
+                            .map(|(v, d)| d.rank(*v).expect("answers lie on the grid"))
+                            .collect();
+                        interval.contains(&ranks)
+                    });
+                assert_eq!(first, &expect, "α={alpha} node {w} v_b={vb:?}");
+                assert_eq!(bit, expect.is_some(), "α={alpha} node {w} v_b={vb:?}");
+                zeros += usize::from(!bit);
+            }
+            assert!(
+                zeros > 100 && dict.num_entries() > 2 * zeros,
+                "α={alpha}: {zeros} zero bits of {} must exercise both verdicts",
+                dict.num_entries()
+            );
+            assert!(
+                dict.build_work().probes < dict.num_entries() as u64,
+                "most bits are inherited, not probed"
+            );
+        }
+    }
+
+    /// Host-independent work bound at α = 1, where every threshold is τ and
+    /// a node passes down exactly its heavy pairs: the root evaluates the
+    /// candidates, every other internal node at most its parent's entries,
+    /// a leaf nothing; and with most bits inherited the probe joins stay
+    /// below the entries.
+    #[test]
+    fn build_work_is_bounded_by_candidates_and_entries() {
+        let (view, db) = skewed_triangle(9);
+        let plan = ViewPlan::build(&view, &db).unwrap();
+        let est = CostEstimator::build(&view, &db, &[0.5; 3], 1.0).unwrap();
+        for tau in [1.0, 2.0, 8.0] {
+            let tree = DelayBalancedTree::build(&est, tau).unwrap();
+            let dict = HeavyDictionary::build(&plan, &est, &tree);
+            let work = dict.build_work();
+            let (cands, entries) = (dict.num_candidates() as u64, dict.num_entries() as u64);
+            assert!(entries > 500, "τ={tau}: {entries} entries");
+            assert_eq!(work.leaf_evaluations, 0, "τ={tau}");
+            assert!(
+                work.evaluations <= cands + 2 * entries,
+                "τ={tau}: {} evaluations for {cands} candidates, {entries} entries",
+                work.evaluations
+            );
+            assert!(
+                work.probes <= entries,
+                "τ={tau}: {} probe joins for {entries} entries",
+                work.probes
+            );
+            // The counts are a function of the instance alone.
+            assert_eq!(
+                HeavyDictionary::build(&plan, &est, &tree).build_work(),
+                work
+            );
         }
     }
 

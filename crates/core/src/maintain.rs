@@ -62,7 +62,7 @@
 
 use crate::compressed::CompressedView;
 use crate::cost::CostEstimator;
-use crate::dictionary::free_constraints;
+use crate::dictionary::free_constraints_into;
 use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox};
 use crate::theorem1::Theorem1Structure;
 use cqc_common::error::Result;
@@ -414,52 +414,56 @@ fn maintain_theorem1(
     // Locality makes this the only repair needed (see module docs). The
     // set of stored pairs is untouched, so the successor shares the tree
     // and the dictionary's key buffers and owns only a copy of the bits.
+    //
+    // The walk is top-down: intervals nest, so a node no slab hits roots a
+    // subtree no slab hits, and only the affected root-to-leaf paths (plus
+    // their immediate children) are ever decomposed.
     let mut dict = s.dict.clone();
-    let all_atoms: Vec<usize> = (0..plan.num_atoms()).collect();
     let nb = plan.num_bound;
-    let mu = plan.num_levels() - nb;
+    let levels = plan.num_levels();
     let mut box_list = BoxList::new();
-    for (w, node) in tree.nodes().enumerate() {
+    let mut probe_join = plan.join(vec![LevelConstraint::Fixed(0); levels]);
+    let mut cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
+    let mut hit_ins: Vec<&Slab> = Vec::new();
+    let mut hit_rem: Vec<&Slab> = Vec::new();
+    let mut stack: Vec<u32> = vec![tree.root()];
+    while let Some(w) = stack.pop() {
+        let node = tree.node(w);
         box_decomposition_ranks(node.lo, node.hi, &s.sizes, &mut box_list);
         let boxes = box_list.as_slice();
-        let hit_ins: Vec<&Slab> = ins_slabs
-            .iter()
-            .filter(|slab| boxes.iter().any(|b| slab.hits_box(b)))
-            .collect();
-        let hit_rem: Vec<&Slab> = rem_slabs
-            .iter()
-            .filter(|slab| boxes.iter().any(|b| slab.hits_box(b)))
-            .collect();
+        for (slabs, hit) in [(&ins_slabs, &mut hit_ins), (&rem_slabs, &mut hit_rem)] {
+            hit.clear();
+            hit.extend(
+                slabs
+                    .iter()
+                    .filter(|slab| boxes.iter().any(|b| slab.hits_box(b))),
+            );
+        }
         if hit_ins.is_empty() && hit_rem.is_empty() {
             continue;
         }
         report.affected_nodes += 1;
-        let stale: Vec<(Vec<Value>, bool)> = dict
-            .entries_of(w as u32)
-            .filter(|(vb, bit)| {
-                let hits = if *bit { &hit_rem } else { &hit_ins };
-                hits.iter().any(|s| s.matches_valuation(vb))
-            })
-            .map(|(vb, bit)| (vb.to_vec(), bit))
-            .collect();
-        for (vb, bit) in stale {
+        stack.extend([node.right, node.left].into_iter().flatten());
+        dict.redecide_bits_of(w, |vb, bit| {
+            let hits = if bit { &hit_rem } else { &hit_ins };
+            if !hits.iter().any(|slab| slab.matches_valuation(vb)) {
+                return bit;
+            }
             report.reprobed_entries += 1;
             let nonempty = boxes.iter().any(|b| {
-                let mut cons: Vec<LevelConstraint> =
-                    vb.iter().map(|&v| LevelConstraint::Fixed(v)).collect();
-                cons.extend(free_constraints(&est, b, mu));
-                plan.join_subset(&all_atoms, cons).is_non_empty()
+                cons.clear();
+                cons.extend(vb.iter().map(|&v| LevelConstraint::Fixed(v)));
+                free_constraints_into(&est, b, levels - nb, &mut cons);
+                probe_join.reset(&cons);
+                probe_join.is_non_empty()
             });
-            if nonempty != bit {
-                let stored = dict.flip(w as u32, &vb, nonempty);
-                debug_assert!(stored, "re-probed keys come from the dictionary");
-                if nonempty {
-                    report.flipped_bits += 1;
-                } else {
-                    report.cleared_bits += 1;
-                }
+            match (bit, nonempty) {
+                (false, true) => report.flipped_bits += 1,
+                (true, false) => report.cleared_bits += 1,
+                _ => {}
             }
-        }
+            nonempty
+        });
     }
 
     Ok(MaintainOutcome::Maintained {

@@ -7,66 +7,29 @@
 //! `B_s`, each step a binary search over the variable's active domain
 //! (Lemma 3) — Õ(1) total, thanks to the count oracle.
 
-use crate::cost::CostEstimator;
-use crate::fbox::{box_decomposition, CanonicalBox, FInterval};
+use crate::cost::{CostEstimator, PrefixCost};
+use crate::fbox::{CanonicalBox, FInterval};
 use cqc_common::util::{approx_ge, approx_gt, partition_point};
 
-/// `T` of the canonical box `⟨prefix, range, □…⟩`; `range = None` means the
-/// full domain at position `prefix.len()`. A prefix of length µ denotes the
-/// unit box.
-fn t_prefix_box(
-    est: &CostEstimator,
-    sizes: &[usize],
-    prefix: &[usize],
-    range: Option<(usize, usize)>,
-) -> f64 {
-    let mu = sizes.len();
-    let b = if prefix.len() == mu {
-        debug_assert!(range.is_none());
-        CanonicalBox::unit(prefix)
-    } else {
-        let p = prefix.len();
-        CanonicalBox {
-            prefix: prefix.to_vec(),
-            range: range.unwrap_or((0, sizes[p] - 1)),
-        }
-    };
-    est.t_box(&b)
-}
-
-/// Lemma 3: the smallest rank `β ∈ [r_lo, r_hi]` such that
-/// `T(⟨prefix, [r_lo, β]⟩) ≥ min(T(⟨prefix, [r_lo, r_hi]⟩), target)`.
+/// Algorithm 1: a split point `c` of an interval such that
+/// `T([lo, c)) ≤ T/2` and `T((c, hi]) ≤ T/2`, written into `c`.
 ///
-/// Such a `β` always exists because the prefix-T is non-decreasing in `β`
-/// and reaches the full-box value at `r_hi`.
-fn find_beta(
-    est: &CostEstimator,
-    sizes: &[usize],
-    prefix: &[usize],
-    r_lo: usize,
-    r_hi: usize,
-    target: f64,
-) -> usize {
-    debug_assert!(r_lo <= r_hi);
-    let full = t_prefix_box(est, sizes, prefix, Some((r_lo, r_hi)));
-    let goal = full.min(target);
-    let idx = partition_point(r_lo, r_hi + 1, |r| {
-        approx_ge(t_prefix_box(est, sizes, prefix, Some((r_lo, r))), goal)
-    });
-    idx.min(r_hi)
-}
-
-/// Algorithm 1: a split point `c` of `interval` such that
-/// `T([lo, c)) ≤ T/2` and `T((c, hi]) ≤ T/2`.
+/// The caller hands over the interval's box decomposition and the `T` of
+/// each box (`t_of`), which it needed for its own leaf test anyway; `cost`
+/// is reused scratch whose prefix this call overwrites.
 ///
 /// # Panics
 ///
 /// Panics if `T(interval) = 0` (the caller never splits zero-cost
-/// intervals) or the interval is malformed.
-pub fn split_interval(est: &CostEstimator, sizes: &[usize], interval: &FInterval) -> Vec<usize> {
+/// intervals).
+pub fn split_interval(
+    cost: &mut PrefixCost<'_>,
+    sizes: &[usize],
+    boxes: &[CanonicalBox],
+    t_of: &[f64],
+    c: &mut Vec<usize>,
+) {
     let mu = sizes.len();
-    let boxes = box_decomposition(interval, sizes);
-    let t_of: Vec<f64> = boxes.iter().map(|b| est.t_box(b)).collect();
     let total: f64 = t_of.iter().sum();
     assert!(total > 0.0, "cannot split a zero-cost interval");
 
@@ -80,36 +43,34 @@ pub fn split_interval(est: &CostEstimator, sizes: &[usize], interval: &FInterval
             break;
         }
     }
-    let gamma0: f64 = t_of[..s].iter().sum();
     let bs = &boxes[s];
 
     // Refine inside B_s coordinate by coordinate (line 5–9 of Algorithm 1).
-    let mut c: Vec<usize> = bs.prefix.clone();
+    // γ_j = T of the part of the interval before ⟨c_1..c_j⟩, Δ_j = T(⟨c_1..c_j⟩)
+    // with the rest unconstrained.
+    c.clear();
+    c.extend_from_slice(&bs.prefix);
+    cost.reset(c);
     let k = c.len();
-    let mut gamma = gamma0;
-    let mut delta = t_of[s];
+    let mut gamma: f64 = t_of[..s].iter().sum();
     for j in k..mu {
-        let (r_lo, r_hi) = if j == k { bs.range } else { (0, sizes[j] - 1) };
-        let target = delta.min(total / 2.0 - gamma);
-        let cj = find_beta(est, sizes, &c, r_lo, r_hi, target);
-        // γ_j = γ_{j-1} + T(⟨c, I_j ∩ [⊥, c_j)⟩).
+        let (r_lo, r_hi, delta) = if j == k {
+            (bs.range.0, bs.range.1, t_of[s])
+        } else {
+            cost.push(c[j - 1]);
+            (0, sizes[j] - 1, cost.t(0, sizes[j] - 1))
+        };
+        // Lemma 3: the smallest rank β ∈ [r_lo, r_hi] with
+        // T(⟨c, [r_lo, β]⟩) ≥ min(Δ, T/2 − γ). It exists because the
+        // prefix-T is non-decreasing in β and reaches Δ at r_hi.
+        let goal = delta.min(total / 2.0 - gamma);
+        let cj = partition_point(r_lo, r_hi + 1, |r| approx_ge(cost.t(r_lo, r), goal)).min(r_hi);
         if cj > r_lo {
-            gamma += t_prefix_box(est, sizes, &c, Some((r_lo, cj - 1)));
+            gamma += cost.t(r_lo, cj - 1);
         }
         c.push(cj);
-        // Δ_j = T(⟨c_1..c_j⟩) with the rest unconstrained.
-        delta = if c.len() == mu {
-            t_prefix_box(est, sizes, &c, None)
-        } else {
-            t_prefix_box(est, sizes, &c, Some((0, sizes[c.len()] - 1)))
-        };
     }
     debug_assert_eq!(c.len(), mu);
-    debug_assert!(
-        interval.contains(&c),
-        "split point must lie in the interval"
-    );
-    c
 }
 
 /// Ablation baseline: split at the *grid midpoint* of the interval,
@@ -143,7 +104,113 @@ pub fn split_interval_midpoint(
 mod tests {
     use super::*;
     use crate::cost::tests::running_estimator;
-    use crate::fbox::{pred, succ};
+    use crate::fbox::{box_decomposition, pred, succ};
+    use rand::Rng;
+
+    /// Decomposes and costs `interval`, then runs Algorithm 1 on it.
+    fn split(est: &CostEstimator, sizes: &[usize], interval: &FInterval) -> Vec<usize> {
+        let boxes = box_decomposition(interval, sizes);
+        let t_of: Vec<f64> = boxes.iter().map(|b| est.t_box(b)).collect();
+        let mut c = Vec::new();
+        split_interval(&mut PrefixCost::new(est), sizes, &boxes, &t_of, &mut c);
+        assert!(
+            interval.contains(&c),
+            "split point must lie in the interval"
+        );
+        c
+    }
+
+    /// The definition the hoisted search must agree with: `T` of the
+    /// canonical box `⟨prefix, range, □…⟩` through [`CostEstimator::t_box`],
+    /// every atom narrowed from scratch.
+    fn t_prefix_box(est: &CostEstimator, prefix: &[usize], range: (usize, usize)) -> f64 {
+        est.t_box(&CanonicalBox {
+            prefix: prefix.to_vec(),
+            range,
+        })
+    }
+
+    /// Lemma 3 by the definition: the smallest `β ∈ [r_lo, r_hi]` with
+    /// `T(⟨prefix, [r_lo, β]⟩) ≥ min(T(⟨prefix, [r_lo, r_hi]⟩), target)`.
+    fn find_beta_by_definition(
+        est: &CostEstimator,
+        prefix: &[usize],
+        (r_lo, r_hi): (usize, usize),
+        target: f64,
+    ) -> usize {
+        let goal = t_prefix_box(est, prefix, (r_lo, r_hi)).min(target);
+        (r_lo..=r_hi)
+            .find(|&r| approx_ge(t_prefix_box(est, prefix, (r_lo, r)), goal))
+            .unwrap_or(r_hi)
+    }
+
+    /// Random prefixes and ranges over a skewed triangle (`fff`, so every
+    /// position is searched and every atom is a constant at one of them):
+    /// the prefix oracle equals `t_box` bit for bit — grown by `push` or
+    /// set by `reset` — and the binary search over it finds the β of the
+    /// definition's linear scan.
+    #[test]
+    fn hoisted_find_beta_matches_the_definition() {
+        use cqc_query::parser::parse_adorned;
+        use cqc_storage::Database;
+        let mut rng = cqc_workload::rng(11);
+        let zipf = cqc_workload::Zipf::new(30, 1.1);
+        let mut db = Database::new();
+        for name in ["R", "S", "T"] {
+            db.add(cqc_workload::gen::zipf_pairs(
+                &mut rng, name, 300, 30, &zipf,
+            ))
+            .unwrap();
+        }
+        let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "fff").unwrap();
+        for (weights, alpha) in [
+            ([0.5, 0.5, 0.5], 1.0),
+            ([1.0, 1.0, 0.0], 1.0),
+            ([1.0; 3], 2.0),
+        ] {
+            let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
+            let sizes = est.sizes();
+            let mut cost = PrefixCost::new(&est);
+            let mut grown = PrefixCost::new(&est);
+            for _ in 0..300 {
+                let p = rng.gen_range(0..sizes.len());
+                let prefix: Vec<usize> = sizes[..p].iter().map(|&n| rng.gen_range(0..n)).collect();
+                let r_lo = rng.gen_range(0..sizes[p]);
+                let r_hi = rng.gen_range(r_lo..sizes[p]);
+                cost.reset(&prefix);
+                grown.reset(&[]);
+                prefix.iter().for_each(|&r| grown.push(r));
+                for r in r_lo..=r_hi {
+                    let expect = t_prefix_box(&est, &prefix, (r_lo, r));
+                    assert_eq!(
+                        cost.t(r_lo, r).to_bits(),
+                        expect.to_bits(),
+                        "{prefix:?} {r}"
+                    );
+                    assert_eq!(
+                        grown.t(r_lo, r).to_bits(),
+                        expect.to_bits(),
+                        "{prefix:?} {r}"
+                    );
+                }
+                if r_lo < r_hi {
+                    assert_eq!(cost.t(r_hi, r_lo), 0.0, "empty range");
+                }
+                let full = cost.t(r_lo, r_hi);
+                for target in [0.0, full / 3.0, full / 2.0, full, 2.0 * full + 1.0] {
+                    let goal = full.min(target);
+                    let beta =
+                        partition_point(r_lo, r_hi + 1, |r| approx_ge(cost.t(r_lo, r), goal))
+                            .min(r_hi);
+                    assert_eq!(
+                        beta,
+                        find_beta_by_definition(&est, &prefix, (r_lo, r_hi), target),
+                        "{prefix:?} [{r_lo}, {r_hi}] target {target}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn midpoint_splitter_stays_inside() {
@@ -167,7 +234,7 @@ mod tests {
         let est = running_estimator();
         let sizes = est.sizes();
         let root = FInterval::full(&sizes).unwrap();
-        let c = split_interval(&est, &sizes, &root);
+        let c = split(&est, &sizes, &root);
         // β(r) = (1,1,2) in values = ranks (0,0,1).
         assert_eq!(c, vec![0, 0, 1]);
         assert_eq!(est.ranks_to_values(&c), vec![1, 1, 2]);
@@ -182,7 +249,7 @@ mod tests {
             lo: vec![0, 1, 0],
             hi: vec![1, 1, 1],
         };
-        let c = split_interval(&est, &sizes, &rr);
+        let c = split(&est, &sizes, &rr);
         assert_eq!(est.ranks_to_values(&c), vec![1, 2, 2]);
     }
 
@@ -215,8 +282,7 @@ mod tests {
                 if total <= 0.0 {
                     continue;
                 }
-                let c = split_interval(&est, &sizes, &iv);
-                assert!(iv.contains(&c));
+                let c = split(&est, &sizes, &iv);
                 let half = total / 2.0 + 1e-9;
                 if let Some(p) = pred(&c, &sizes) {
                     if iv.contains(&p) {
@@ -254,6 +320,6 @@ mod tests {
             lo: vec![1, 1, 1],
             hi: vec![1, 1, 1],
         };
-        split_interval(&est, &sizes, &iv);
+        split(&est, &sizes, &iv);
     }
 }

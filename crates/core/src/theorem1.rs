@@ -302,10 +302,16 @@ impl Theorem1Structure {
     /// Statistics for the benchmark harness.
     pub fn stats(&self) -> Theorem1Stats {
         let space = self.space_breakdown();
+        let dict_work = self.dict.build_work();
         Theorem1Stats {
             tree_nodes: self.tree().map_or(0, DelayBalancedTree::len),
             tree_depth: self.tree().map_or(0, DelayBalancedTree::depth),
             dict_entries: self.dict.num_entries(),
+            dict_candidates: self.dict.num_candidates(),
+            tree_count_probes: self.tree().map_or(0, DelayBalancedTree::build_count_probes),
+            dict_evaluations: dict_work.evaluations,
+            dict_leaf_evaluations: dict_work.leaf_evaluations,
+            dict_probes: dict_work.probes,
             heap_bytes: self.heap_bytes(),
             tree_bytes: space.tree_bytes,
             dict_bytes: space.dict_bytes,
@@ -371,6 +377,20 @@ pub struct Theorem1Stats {
     pub tree_depth: u16,
     /// Heavy pairs stored in the dictionary.
     pub dict_entries: usize,
+    /// Root candidate valuations (Prop. 13) the dictionary build started
+    /// from.
+    pub dict_candidates: usize,
+    /// Build work, tree: count-index probes (deterministic, like the three
+    /// dictionary counts below; a maintained structure reports the build
+    /// its layout came from).
+    pub tree_count_probes: u64,
+    /// Build work, dictionary: `(candidate, node)` pairs whose
+    /// `T(v_b, I(w))` was evaluated.
+    pub dict_evaluations: u64,
+    /// Those of them at leaves (the build skips leaves: 0).
+    pub dict_leaf_evaluations: u64,
+    /// Build work, dictionary: first-answer probe joins.
+    pub dict_probes: u64,
     /// Total owned heap bytes (tree + dictionary + base indexes).
     pub heap_bytes: usize,
     /// Delay-balanced tree bytes (see [`SpaceBreakdown`]).

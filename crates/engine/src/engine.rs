@@ -1100,6 +1100,21 @@ impl Engine {
         ))
     }
 
+    /// The Theorem 1 structure statistics of a registered view — sizes and
+    /// the deterministic build work counts [`Engine::explain`] prints — or
+    /// `None` when the view is served by another strategy.
+    ///
+    /// # Errors
+    ///
+    /// Unknown view, or a tagged rebuild failure.
+    pub fn theorem1_stats(&self, view: &str) -> Result<Option<cqc_core::Theorem1Stats>> {
+        let rv = self.view(view)?;
+        Ok(match &*self.representation(&rv)? {
+            CompressedView::Tradeoff(s) => Some(s.stats()),
+            _ => None,
+        })
+    }
+
     /// Resolves a textual request value: an interned string if the text was
     /// ever interned (CSV data), otherwise a numeric literal.
     ///

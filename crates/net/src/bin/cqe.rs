@@ -1427,6 +1427,7 @@ fn bench_build(
         .map_err(|e| e.to_string())?;
     let single_register_ns = t0.elapsed().as_nanos() as u64;
     let phases = metrics::build_phases().delta_since(&before);
+    let theorem1 = fresh.theorem1_stats(&rv.name).map_err(|e| e.to_string())?;
 
     // 2. Headline one-shard sharded register (the BENCH_shard methodology).
     let sharded_config = |shards: usize| ShardedEngineConfig {
@@ -1446,15 +1447,28 @@ fn bench_build(
 
     println!(
         "bench `{}` [profile build]: single-engine register {} \
-         (sort {}, index {}, dict {}, lp {}, other {})",
+         (sort {}, index {}, tree {}, dict {}, lp {}, other {})",
         rv.name,
         fmt_ns(single_register_ns),
         fmt_ns(phases.sort_ns),
         fmt_ns(phases.index_ns),
+        fmt_ns(phases.tree_ns),
         fmt_ns(phases.dict_ns),
         fmt_ns(phases.lp_ns),
         fmt_ns(single_register_ns.saturating_sub(phases.total_ns())),
     );
+    if let Some(st) = &theorem1 {
+        println!(
+            "  theorem 1 build work: {} tree count probes; dictionary {} evaluations \
+             of {} candidates ({} at leaves), {} probe joins for {} entries",
+            st.tree_count_probes,
+            st.dict_evaluations,
+            st.dict_candidates,
+            st.dict_leaf_evaluations,
+            st.dict_probes,
+            st.dict_entries
+        );
+    }
     println!(
         "  1-shard sharded register (best of 3): {}",
         fmt_ns(one_shard_register_ns)
@@ -1574,10 +1588,28 @@ fn bench_build(
             format!("\"register_ns\": {single_register_ns}"),
             format!("\"sort_ns\": {}", phases.sort_ns),
             format!("\"index_ns\": {}", phases.index_ns),
+            format!("\"tree_ns\": {}", phases.tree_ns),
             format!("\"dict_ns\": {}", phases.dict_ns),
             format!("\"lp_ns\": {}", phases.lp_ns),
             format!("\"one_shard_register_ns\": {one_shard_register_ns}"),
         ];
+        if let Some(st) = &theorem1 {
+            // Work counts, not timings: the same on every host.
+            fields.push(format!("\"tree_nodes\": {}", st.tree_nodes));
+            fields.push(format!("\"tree_count_probes\": {}", st.tree_count_probes));
+            fields.push(format!("\"dict_candidates\": {}", st.dict_candidates));
+            fields.push(format!("\"dict_entries\": {}", st.dict_entries));
+            fields.push(format!("\"dict_evaluations\": {}", st.dict_evaluations));
+            fields.push(format!(
+                "\"leaf_evaluations\": {}",
+                st.dict_leaf_evaluations
+            ));
+            fields.push(format!("\"dict_probes\": {}", st.dict_probes));
+            fields.push(format!(
+                "\"dict_probes_le_entries_ok\": {}",
+                st.dict_probes <= st.dict_entries as u64
+            ));
+        }
         if let (Some(base), Some(s)) = (baseline_register_ns, speedup) {
             fields.push(format!("\"baseline_register_ns\": {base}"));
             fields.push(format!("\"register_speedup_vs_baseline\": {s:.3}"));

@@ -240,9 +240,12 @@ proptest! {
     }
 
     /// Layout equivalence: the flat CSR dictionary holds exactly the
-    /// brute-force heavy pairs with the naive bits, over triangle and path
-    /// databases, adornments and τ ∈ {1, 2, 8, 64}; maintenance shares the
-    /// static buffers.
+    /// brute-force heavy pairs with the naive bits, over triangle, path and
+    /// star databases, adornments and τ ∈ {1, 2, 8, 64}; maintenance shares
+    /// the static buffers. The all-ones triangle cover (α = 2) and the
+    /// centre-free star (α = 3) make the thresholds τ_ℓ decay with depth,
+    /// so a pair can be light at a node and heavy below it — the case the
+    /// build's light-forever rule must keep alive.
     #[test]
     fn flat_dictionary_equals_heavy_pair_oracle(
         r in rel_strategy(60, 8),
@@ -255,9 +258,18 @@ proptest! {
         let db = db_from(&[("R", r), ("S", s), ("T", t)]);
         let tri = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", tri_pattern).unwrap();
         let path = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", path_pattern).unwrap();
+        let star = parse_adorned("Q(x,a,b,c) :- R(x,a), S(x,b), T(x,c)", "fbbb").unwrap();
         for tau in [1.0, 2.0, 8.0, 64.0] {
             check_dictionary_layout(&tri, &db, &[0.5, 0.5, 0.5], tau, 8);
+            check_dictionary_layout(&tri, &db, &[1.0, 1.0, 1.0], tau, 8);
             check_dictionary_layout(&path, &db, &[1.0, 1.0], tau, 8);
+            check_dictionary_layout(&star, &db, &[1.0, 1.0, 1.0], tau, 8);
+            check_maintained_shares_layout(
+                &tri, &db, &["R", "S", "T"], &[1.0, 1.0, 1.0], tau, 8, seed,
+            );
+            check_maintained_shares_layout(
+                &star, &db, &["R", "S", "T"], &[1.0, 1.0, 1.0], tau, 8, seed,
+            );
             check_maintained_shares_layout(
                 &tri, &db, &["R", "S", "T"], &[0.5, 0.5, 0.5], tau, 8, seed,
             );
