@@ -623,19 +623,22 @@ fn exp8_running_example() {
     let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], 4.0).unwrap();
     let tree = s.tree().unwrap();
     let mut rows = Vec::new();
-    for (i, node) in tree.nodes().enumerate() {
+    let est = s.estimator();
+    for c in tree.cursors() {
+        let interval = tree.interval(c);
         rows.push(vec![
-            format!("node {i} (level {})", node.level),
+            format!("node {} (level {})", c.node, c.level),
             format!(
                 "[{:?}, {:?}]",
-                s.estimator().ranks_to_values(node.lo),
-                s.estimator().ranks_to_values(node.hi)
+                est.ranks_to_values(&interval.lo),
+                est.ranks_to_values(&interval.hi)
             ),
-            node.beta
-                .map(|b| format!("{:?}", s.estimator().ranks_to_values(b)))
+            tree.beta(c.node)
+                .map(|b| format!("{:?}", est.ranks_to_values(&b)))
                 .unwrap_or_else(|| "—".into()),
-            format!("{:.3}", node.t_value),
-            format!("{:.3}", tree.threshold_of(i as u32)),
+            // The tree stores split points only; T(I) is the oracle's.
+            format!("{:.3}", est.t_interval(&interval, &est.sizes())),
+            format!("{:.3}", tree.threshold_of(c.level)),
         ]);
     }
     println!(
@@ -646,7 +649,8 @@ fn exp8_running_example() {
         "dictionary entries: {} — D(r, (1,1,1)) = {:?}, D(r_r, (1,1,1)) = {:?}",
         s.dictionary().num_entries(),
         s.dictionary().get(0, &[1, 1, 1]),
-        s.dictionary().get(tree.node(0).right.unwrap(), &[1, 1, 1]),
+        // r_r is node 2: the left child r_l is node 1, a leaf.
+        s.dictionary().get(2, &[1, 1, 1]),
     );
     let out: Vec<Vec<u64>> = s.answer(&[1, 1, 1]).unwrap().collect();
     println!("Q[(1,1,1)] = {out:?} (paper: lexicographic enumeration)\n");

@@ -320,7 +320,7 @@ impl CompressedView {
                     "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
                      tree {} nodes (depth {}, {} B = {:.1} B/node), \
                      dictionary {} heavy pairs ({} B = {:.1} B/entry), \
-                     base indexes {} B; {} heap bytes; \
+                     base indexes {} B ({} B distinct); {} heap bytes; \
                      build work: {} tree count probes, {} dictionary evaluations \
                      of {} candidates ({} at leaves), {} probe joins",
                     s.tau(),
@@ -337,6 +337,7 @@ impl CompressedView {
                     st.dict_bytes,
                     per(st.dict_bytes, st.dict_entries),
                     st.base_index_bytes,
+                    st.base_index_distinct_bytes,
                     st.heap_bytes,
                     st.tree_count_probes,
                     st.dict_evaluations,

@@ -610,13 +610,24 @@ impl<'a> PrefixCost<'a> {
     }
 }
 
-impl HeapSize for CostEstimator {
-    fn heap_bytes(&self) -> usize {
+impl CostEstimator {
+    /// [`HeapSize::heap_bytes`] over the count indexes `count_index`
+    /// accepts (it sees every holder's `Arc`: per atom, build index then
+    /// access index). The access indexes are `Arc`-shared with the join
+    /// plan's tries; a caller that accepts each allocation once measures
+    /// resident bytes.
+    pub fn heap_bytes_counting(
+        &self,
+        mut count_index: impl FnMut(&Arc<SortedIndex>) -> bool,
+    ) -> usize {
         self.atoms
             .iter()
             .map(|a| {
-                a.build_index.heap_bytes()
-                    + a.access_index.heap_bytes()
+                [&a.build_index, &a.access_index]
+                    .into_iter()
+                    .filter(|i| count_index(i))
+                    .map(|i| i.heap_bytes())
+                    .sum::<usize>()
                     + a.free_enum.heap_bytes()
                     + a.bound_pos.heap_bytes()
                     + std::mem::size_of::<AtomCost>()
@@ -627,6 +638,13 @@ impl HeapSize for CostEstimator {
                 .iter()
                 .map(|d| d.heap_bytes() + std::mem::size_of::<Domain>())
                 .sum::<usize>()
+    }
+}
+
+impl HeapSize for CostEstimator {
+    /// Every holder counts its indexes, shared or not.
+    fn heap_bytes(&self) -> usize {
+        self.heap_bytes_counting(|_| true)
     }
 }
 

@@ -7,69 +7,77 @@
 //! Algorithm 2 line 11); nodes below the threshold are leaves. Lemma 4
 //! bounds the depth by `O(log T)` because `T` halves at every level while
 //! the threshold decays strictly slower.
+//!
+//! Only the split points are stored. Every reader walks top-down, and a
+//! descent re-derives the rest: a left child keeps its parent's lower
+//! endpoint and ends at `pred(β(parent))`, a right child starts at
+//! `succ(β(parent))` and keeps the upper endpoint, so a [`Cursor`] that
+//! remembers *which ancestors* its two endpoints come from recovers
+//! `I(w)` from two `β` rows (docs/ARCHITECTURE.md, "Theorem 1 memory
+//! layout").
 
 use crate::cost::{CostEstimator, PrefixCost};
-use crate::fbox::{box_decomposition_ranks, lex_cmp_ranks, pred, succ, BoxList, FInterval};
+use crate::fbox::{box_decomposition_ranks, BoxList, FInterval};
 use crate::split::{split_interval, split_interval_midpoint};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
 use cqc_common::util::approx_ge;
-use std::cmp::Ordering;
+use cqc_storage::domain::{rank_tuple_pred, rank_tuple_succ};
 use std::time::Instant;
 
 /// Hard cap on tree depth; reaching it indicates a bug in the halving
 /// invariant (Prop. 8), not a legitimate instance.
 const MAX_LEVEL: u16 = 512;
 
-/// "No child" in the `left`/`right` columns.
-const NO_CHILD: u32 = u32::MAX;
-/// Fills a leaf's `β` slot in the rank arena (no rank reaches it).
-const NO_BETA: usize = usize::MAX;
+/// "No node": an absent right child in the `right` column, and an endpoint
+/// a [`Cursor`] inherited from the grid rather than from an ancestor.
+const NO_NODE: u32 = u32::MAX;
+/// Fills a leaf's `β` row (no rank reaches it).
+const NO_BETA: u32 = u32::MAX;
 
-/// One node of the delay-balanced tree, borrowed from the flat columns.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeRef<'a> {
-    /// Inclusive lower endpoint of the node's f-interval (ranks).
-    pub lo: &'a [usize],
-    /// Inclusive upper endpoint of the node's f-interval (ranks).
-    pub hi: &'a [usize],
-    /// Algorithm 1 split point; `None` for leaves.
-    pub beta: Option<&'a [usize]>,
-    /// Left child (covers `[lo, pred(β)]`).
-    pub left: Option<u32>,
-    /// Right child (covers `[succ(β), hi]`).
-    pub right: Option<u32>,
+/// A position in a top-down walk: the node, and where its interval comes
+/// from. `I(w) = [succ(β(lo_from)), pred(β(hi_from))]`, with the grid
+/// minimum / maximum standing in for an endpoint no ancestor cut.
+///
+/// Obtained from [`DelayBalancedTree::root`] and [`DelayBalancedTree::node`]
+/// only, so the two ancestors are always the right ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cursor {
+    /// The node id.
+    pub node: u32,
     /// Depth (root = 0).
     pub level: u16,
-    /// `T(I(w))` at construction time (kept for invariant checks and
-    /// statistics).
-    pub t_value: f64,
+    /// The nearest ancestor this node lies to the right of.
+    lo_from: u32,
+    /// The nearest ancestor this node lies to the left of.
+    hi_from: u32,
 }
 
-impl NodeRef<'_> {
-    /// The node's f-interval as an owned value (off the serve path).
-    pub fn interval(&self) -> FInterval {
-        FInterval {
-            lo: self.lo.to_vec(),
-            hi: self.hi.to_vec(),
-        }
-    }
+/// What [`DelayBalancedTree::node`] finds at a cursor besides the interval.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Node {
+    /// `true` when the node has no split point.
+    pub leaf: bool,
+    /// Left child (covers `[lo, pred(β)]`).
+    pub left: Option<Cursor>,
+    /// Right child (covers `[succ(β), hi]`).
+    pub right: Option<Cursor>,
 }
 
 /// The delay-balanced tree, immutable after build.
 ///
-/// Nodes live in parallel columns indexed by node id (0 is the root; ids
-/// follow the left-first pre-order of construction). The rank arena holds
-/// `lo | hi | β` per node at stride `3µ`; read nodes through
-/// [`DelayBalancedTree::node`].
+/// Node ids follow the left-first pre-order of construction (0 is the
+/// root), so a left child is always `w + 1` and only the right child's id
+/// is stored. Per node: one `β` row of `µ` `u32` ranks (`u32::MAX` in a
+/// leaf's) and one `right` id — `4µ + 4` bytes. Intervals, levels and
+/// left children are derived by the walk; see [`Cursor`].
 #[derive(Debug)]
 pub struct DelayBalancedTree {
-    ranks: Vec<usize>,
-    left: Vec<u32>,
+    /// Split points at stride `µ`.
+    beta: Vec<u32>,
     right: Vec<u32>,
-    level: Vec<u16>,
-    t_value: Vec<f64>,
-    mu: usize,
+    /// The grid `D_f` the root spans (`µ` domain sizes).
+    sizes: Vec<usize>,
     /// Maximum node level.
     depth: u16,
     /// Maximum level of a node with a split point (`None`: the root is a
@@ -99,6 +107,43 @@ pub enum Splitter {
     Midpoint,
 }
 
+impl Cursor {
+    /// The left child's cursor: node `w + 1` by the left-first pre-order,
+    /// same lower endpoint, upper endpoint `pred(β(w))`.
+    fn left_child(self) -> Cursor {
+        Cursor {
+            node: self.node + 1,
+            level: self.level + 1,
+            lo_from: self.lo_from,
+            hi_from: self.node,
+        }
+    }
+
+    /// The right child's cursor: lower endpoint `succ(β(w))`, same upper
+    /// endpoint.
+    fn right_child(self, node: u32) -> Cursor {
+        Cursor {
+            node,
+            level: self.level + 1,
+            lo_from: self.node,
+            hi_from: self.hi_from,
+        }
+    }
+}
+
+/// Narrows a rank for the `β` column.
+fn rank_u32(rank: usize) -> u32 {
+    u32::try_from(rank)
+        .ok()
+        .filter(|&r| r != NO_BETA)
+        .expect("ranks fit below the u32 sentinel")
+}
+
+/// `β ≠ endpoint`, across the column's `u32` and the walk's `usize`.
+fn differs(beta: &[u32], endpoint: &[usize]) -> bool {
+    beta.iter().zip(endpoint).any(|(&b, &e)| b as usize != e)
+}
+
 impl DelayBalancedTree {
     /// Builds the tree for the given cost oracle and threshold `τ ≥ 1`.
     ///
@@ -124,25 +169,34 @@ impl DelayBalancedTree {
         tau: f64,
         splitter: Splitter,
     ) -> Option<DelayBalancedTree> {
+        DelayBalancedTree::build_observed(est, tau, splitter, |_, _, _| {})
+    }
+
+    /// [`DelayBalancedTree::build_with_splitter`], reporting each node as
+    /// it is numbered: `observe(cursor, I(w), T(I(w)))` — what the build
+    /// knew and the stored tree no longer holds.
+    fn build_observed(
+        est: &CostEstimator,
+        tau: f64,
+        splitter: Splitter,
+        mut observe: impl FnMut(Cursor, &FInterval, f64),
+    ) -> Option<DelayBalancedTree> {
         assert!(tau >= 1.0, "τ must be at least 1");
         let t_build = Instant::now();
         let probes_before = metrics::snapshot().count_probes;
-        let alpha = est.alpha();
         let sizes = est.sizes();
-        let root_interval = FInterval::full(&sizes)?;
+        // The one endpoint pair every node's interval is derived into.
+        let mut interval = FInterval::full(&sizes)?;
 
         let mut tree = DelayBalancedTree {
-            ranks: Vec::new(),
-            left: Vec::new(),
+            beta: Vec::new(),
             right: Vec::new(),
-            level: Vec::new(),
-            t_value: Vec::new(),
-            mu: sizes.len(),
+            sizes,
             depth: 0,
             deepest_internal: None,
             count_probes: 0,
             tau,
-            alpha,
+            alpha: est.alpha(),
         };
         // Scratch shared by every node: the interval's boxes, their `T`s
         // (summed for the leaf test, then handed to Algorithm 1), the
@@ -150,141 +204,210 @@ impl DelayBalancedTree {
         let mut boxes = BoxList::new();
         let mut t_of: Vec<f64> = Vec::new();
         let mut prefix_cost = PrefixCost::new(est);
-        let mut beta: Vec<usize> = Vec::with_capacity(sizes.len());
-        // Work stack entries: (interval, level, parent slot), where the
-        // slot is `(parent node, is_left_child)`.
-        type Slot = Option<(u32, bool)>;
-        let mut stack: Vec<(FInterval, u16, Slot)> = vec![(root_interval, 0, None)];
+        let mut beta: Vec<usize> = Vec::with_capacity(tree.sizes.len());
+        // Pending nodes. A left child is numbered right after its parent,
+        // so its cursor is complete; a right child's id is only known when
+        // it is popped (`NO_NODE` until then).
+        let mut stack: Vec<Cursor> = vec![tree.root()];
 
-        while let Some((interval, level, slot)) = stack.pop() {
-            assert!(level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
-            box_decomposition_ranks(&interval.lo, &interval.hi, &sizes, &mut boxes);
+        while let Some(mut c) = stack.pop() {
+            assert!(c.level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
+            let idx = u32::try_from(tree.len())
+                .ok()
+                .filter(|&i| i != NO_NODE)
+                .expect("node ids fit in u32");
+            if c.node == NO_NODE {
+                c.node = idx;
+                tree.right[c.lo_from as usize] = idx;
+            }
+            debug_assert_eq!(c.node, idx, "left children follow their parent");
+            tree.endpoints(c, &mut interval.lo, &mut interval.hi);
+            box_decomposition_ranks(&interval.lo, &interval.hi, &tree.sizes, &mut boxes);
             t_of.clear();
             t_of.extend(boxes.as_slice().iter().map(|b| est.t_box(b)));
             let t: f64 = t_of.iter().sum();
-            let idx = u32::try_from(tree.len())
-                .ok()
-                .filter(|&i| i != NO_CHILD)
-                .expect("node ids fit in u32");
-            if let Some((parent, is_left)) = slot {
-                let side = if is_left {
-                    &mut tree.left
-                } else {
-                    &mut tree.right
-                };
-                side[parent as usize] = idx;
-            }
-            let threshold = tau_level(tau, alpha, level);
+            observe(c, &interval, t);
             // Leaf when T(I(w)) < τ_ℓ (zero-cost intervals are always
             // leaves; they cannot be split).
-            if t <= 0.0 || !approx_ge(t, threshold) {
-                tree.push(&interval, None, level, t);
+            if t <= 0.0 || !approx_ge(t, tree.threshold_of(c.level)) {
+                tree.push(None, c.level);
                 continue;
             }
             match splitter {
                 Splitter::Balanced => {
-                    split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
+                    split_interval(
+                        &mut prefix_cost,
+                        &tree.sizes,
+                        boxes.as_slice(),
+                        &t_of,
+                        &mut beta,
+                    );
                 }
-                Splitter::Midpoint => beta = split_interval_midpoint(est, &sizes, &interval),
+                Splitter::Midpoint => beta = split_interval_midpoint(est, &tree.sizes, &interval),
             }
             debug_assert!(
                 interval.contains(&beta),
                 "split point must lie in the interval"
             );
-            let left =
-                pred(&beta, &sizes).filter(|p| lex_cmp_ranks(&interval.lo, p) != Ordering::Greater);
-            let right =
-                succ(&beta, &sizes).filter(|s| lex_cmp_ranks(s, &interval.hi) != Ordering::Greater);
-            tree.push(&interval, Some(&beta[..]), level, t);
-            // Push right first so the left child is processed (and thus
-            // numbered) first: node ids follow the left-first pre-order,
-            // which the dictionary build relies on to emit its per-node
-            // runs in id order.
-            if let Some(hi_lo) = right {
-                let child = FInterval {
-                    lo: hi_lo,
-                    hi: interval.hi.clone(),
-                };
-                stack.push((child, level + 1, Some((idx, false))));
+            tree.push(Some(&beta), c.level);
+            // `[lo, pred(β)]` and `[succ(β), hi]` are non-empty iff β is
+            // not that endpoint. Push right first so the left child is
+            // processed (and thus numbered) first: node ids follow the
+            // left-first pre-order, which the cursor relies on for `w + 1`
+            // and the dictionary build to emit its per-node runs in id
+            // order.
+            if beta != interval.hi {
+                stack.push(c.right_child(NO_NODE));
             }
-            if let Some(lo_hi) = left {
-                let child = FInterval {
-                    lo: interval.lo,
-                    hi: lo_hi,
-                };
-                stack.push((child, level + 1, Some((idx, true))));
+            if beta != interval.lo {
+                stack.push(c.left_child());
             }
         }
 
-        tree.ranks.shrink_to_fit();
-        tree.left.shrink_to_fit();
+        tree.beta.shrink_to_fit();
         tree.right.shrink_to_fit();
-        tree.level.shrink_to_fit();
-        tree.t_value.shrink_to_fit();
         tree.count_probes = metrics::snapshot().count_probes - probes_before;
         metrics::record_build_phase(BuildPhase::Tree, t_build.elapsed().as_nanos() as u64);
         Some(tree)
     }
 
-    /// Appends a childless node (build only; children are linked when they
-    /// are numbered).
-    fn push(&mut self, interval: &FInterval, beta: Option<&[usize]>, level: u16, t: f64) {
-        self.ranks.extend_from_slice(&interval.lo);
-        self.ranks.extend_from_slice(&interval.hi);
+    /// Appends a node without a right child (build only; the right child
+    /// is linked when it is numbered).
+    fn push(&mut self, beta: Option<&[usize]>, level: u16) {
         match beta {
-            Some(b) => self.ranks.extend_from_slice(b),
-            None => self.ranks.extend(std::iter::repeat(NO_BETA).take(self.mu)),
+            Some(b) => self.beta.extend(b.iter().map(|&r| rank_u32(r))),
+            None => self
+                .beta
+                .extend(std::iter::repeat(NO_BETA).take(self.sizes.len())),
         }
-        self.left.push(NO_CHILD);
-        self.right.push(NO_CHILD);
-        self.level.push(level);
-        self.t_value.push(t);
+        self.right.push(NO_NODE);
         self.depth = self.depth.max(level);
         if beta.is_some() {
             self.deepest_internal = self.deepest_internal.max(Some(level));
         }
     }
 
-    /// Node `w`.
-    pub fn node(&self, w: u32) -> NodeRef<'_> {
-        let (i, mu) = (w as usize, self.mu);
-        let (lo, rest) = self.ranks[i * 3 * mu..(i + 1) * 3 * mu].split_at(mu);
-        let (hi, beta) = rest.split_at(mu);
-        let child = |c: u32| (c != NO_CHILD).then_some(c);
-        NodeRef {
-            lo,
-            hi,
-            beta: (beta[0] != NO_BETA).then_some(beta),
-            left: child(self.left[i]),
-            right: child(self.right[i]),
-            level: self.level[i],
-            t_value: self.t_value[i],
+    /// The `β` row of node `w`.
+    fn beta_row(&self, w: u32) -> &[u32] {
+        let mu = self.sizes.len();
+        &self.beta[w as usize * mu..][..mu]
+    }
+
+    /// Writes `I(w)`'s endpoints into the caller's scratch (`µ` ranks
+    /// each): `succ` / `pred` of the two ancestors' split points, or the
+    /// grid's own ends.
+    fn endpoints(&self, c: Cursor, lo: &mut [usize], hi: &mut [usize]) {
+        if c.lo_from == NO_NODE {
+            lo.fill(0);
+        } else {
+            self.beta_into(c.lo_from, lo);
+            let inside = rank_tuple_succ(lo, &self.sizes);
+            debug_assert!(
+                inside,
+                "a right child's parent splits below the grid maximum"
+            );
+        }
+        if c.hi_from == NO_NODE {
+            for (h, &n) in hi.iter_mut().zip(&self.sizes) {
+                *h = n - 1;
+            }
+        } else {
+            self.beta_into(c.hi_from, hi);
+            let inside = rank_tuple_pred(hi, &self.sizes);
+            debug_assert!(
+                inside,
+                "a left child's parent splits above the grid minimum"
+            );
         }
     }
 
-    /// All nodes in id order (node `w` is the `w`-th item).
-    pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeRef<'_>> {
-        (0..self.len() as u32).map(|w| self.node(w))
+    /// The root's cursor.
+    pub fn root(&self) -> Cursor {
+        Cursor {
+            node: 0,
+            level: 0,
+            lo_from: NO_NODE,
+            hi_from: NO_NODE,
+        }
+    }
+
+    /// Visits the node under `c`: writes `I(w)`'s inclusive endpoints into
+    /// the caller's scratch (`µ` ranks each) and returns the cursors of
+    /// its children. No allocation.
+    pub fn node(&self, c: Cursor, lo: &mut [usize], hi: &mut [usize]) -> Node {
+        self.endpoints(c, lo, hi);
+        let leaf = self.is_leaf(c.node);
+        let beta = self.beta_row(c.node);
+        let right = self.right[c.node as usize];
+        Node {
+            leaf,
+            left: (!leaf && differs(beta, lo)).then(|| c.left_child()),
+            right: (right != NO_NODE).then(|| c.right_child(right)),
+        }
+    }
+
+    /// `true` when node `w` has no split point.
+    pub fn is_leaf(&self, w: u32) -> bool {
+        self.beta_row(w)[0] == NO_BETA
+    }
+
+    /// Writes node `w`'s Algorithm 1 split point into `out` (`µ` ranks);
+    /// `false`, leaving `out` alone, for a leaf.
+    pub fn beta_into(&self, w: u32, out: &mut [usize]) -> bool {
+        if self.is_leaf(w) {
+            return false;
+        }
+        let beta = self.beta_row(w);
+        debug_assert_eq!(out.len(), beta.len());
+        for (o, &b) in out.iter_mut().zip(beta) {
+            *o = b as usize;
+        }
+        true
+    }
+
+    /// Node `w`'s split point as an owned value; `None` for a leaf (off
+    /// the serve path).
+    pub fn beta(&self, w: u32) -> Option<Vec<usize>> {
+        let mut beta = vec![0; self.sizes.len()];
+        self.beta_into(w, &mut beta).then_some(beta)
+    }
+
+    /// `I(w)` as an owned value (off the serve path).
+    pub fn interval(&self, c: Cursor) -> FInterval {
+        let mut interval = FInterval {
+            lo: vec![0; self.sizes.len()],
+            hi: vec![0; self.sizes.len()],
+        };
+        self.endpoints(c, &mut interval.lo, &mut interval.hi);
+        interval
+    }
+
+    /// Every node's cursor in id order (the `w`-th item is node `w`): a
+    /// left-first pre-order walk from the root.
+    pub fn cursors(&self) -> impl Iterator<Item = Cursor> + '_ {
+        let mut stack = vec![self.root()];
+        let FInterval { mut lo, mut hi } = self.interval(self.root());
+        std::iter::from_fn(move || {
+            let c = stack.pop()?;
+            let node = self.node(c, &mut lo, &mut hi);
+            stack.extend([node.right, node.left].into_iter().flatten());
+            Some(c)
+        })
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.level.len()
+        self.right.len()
     }
 
     /// `true` when the tree has no nodes (never produced by `build`).
     pub fn is_empty(&self) -> bool {
-        self.level.is_empty()
+        self.right.is_empty()
     }
 
-    /// The root node id.
-    pub fn root(&self) -> u32 {
-        0
-    }
-
-    /// The level threshold for a node.
-    pub fn threshold_of(&self, node: u32) -> f64 {
-        tau_level(self.tau, self.alpha, self.level[node as usize])
+    /// The threshold `τ_ℓ` nodes at `level` are held against.
+    pub fn threshold_of(&self, level: u16) -> f64 {
+        tau_level(self.tau, self.alpha, level)
     }
 
     /// Maximum node level.
@@ -307,11 +430,7 @@ impl DelayBalancedTree {
 
 impl HeapSize for DelayBalancedTree {
     fn heap_bytes(&self) -> usize {
-        self.ranks.heap_bytes()
-            + self.left.heap_bytes()
-            + self.right.heap_bytes()
-            + self.level.heap_bytes()
-            + self.t_value.heap_bytes()
+        self.beta.heap_bytes() + self.right.heap_bytes() + self.sizes.heap_bytes()
     }
 }
 
@@ -320,6 +439,17 @@ mod tests {
     use super::*;
     use crate::cost::tests::running_estimator;
 
+    /// `T(I(w))`, recomputed: the tree no longer stores it.
+    fn t_at(est: &CostEstimator, tree: &DelayBalancedTree, c: Cursor) -> f64 {
+        est.t_interval(&tree.interval(c), &est.sizes())
+    }
+
+    /// The children of the node under `c`.
+    fn children(tree: &DelayBalancedTree, c: Cursor) -> Node {
+        let FInterval { mut lo, mut hi } = tree.interval(c);
+        tree.node(c, &mut lo, &mut hi)
+    }
+
     /// Figure 3: the delay-balanced tree of the running example at τ = 4
     /// has exactly five nodes with the depicted intervals and split points.
     #[test]
@@ -327,36 +457,44 @@ mod tests {
         let est = running_estimator();
         let tree = DelayBalancedTree::build(&est, 4.0).unwrap();
         assert_eq!(tree.len(), 5);
+        let values = |ranks: &[usize]| est.ranks_to_values(ranks);
+        let beta = |c: Cursor| tree.beta(c.node).map(|b| values(&b));
 
-        let root = tree.node(0);
-        assert_eq!(est.ranks_to_values(root.lo), vec![1, 1, 1]);
-        assert_eq!(est.ranks_to_values(root.hi), vec![2, 2, 2]);
-        assert_eq!(est.ranks_to_values(root.beta.unwrap()), vec![1, 1, 2]);
-        assert!((root.t_value - 10.5605).abs() < 1e-3);
+        let r = tree.root();
+        let root = tree.interval(r);
+        assert_eq!(values(&root.lo), vec![1, 1, 1]);
+        assert_eq!(values(&root.hi), vec![2, 2, 2]);
+        assert_eq!(beta(r), Some(vec![1, 1, 2]));
+        assert!((t_at(&est, &tree, r) - 10.5605).abs() < 1e-3);
 
         // Left child r_l = [⟨1,1,1⟩, ⟨1,1,1⟩], a leaf.
-        let rl = tree.node(root.left.unwrap());
-        assert_eq!(est.ranks_to_values(rl.lo), vec![1, 1, 1]);
-        assert_eq!(est.ranks_to_values(rl.hi), vec![1, 1, 1]);
-        assert!(rl.beta.is_none());
-        assert!((rl.t_value - 6.0f64.sqrt()).abs() < 1e-9);
+        let rl = children(&tree, r).left.unwrap();
+        let i = tree.interval(rl);
+        assert_eq!(values(&i.lo), vec![1, 1, 1]);
+        assert_eq!(values(&i.hi), vec![1, 1, 1]);
+        assert_eq!((rl.node, rl.level, beta(rl)), (1, 1, None));
+        assert!(children(&tree, rl).leaf);
+        assert!((t_at(&est, &tree, rl) - 6.0f64.sqrt()).abs() < 1e-9);
 
         // Right child r_r = [⟨1,2,1⟩, ⟨2,2,2⟩] with β = (1,2,2).
-        let rr = tree.node(root.right.unwrap());
-        assert_eq!(est.ranks_to_values(rr.lo), vec![1, 2, 1]);
-        assert_eq!(est.ranks_to_values(rr.hi), vec![2, 2, 2]);
-        assert_eq!(est.ranks_to_values(rr.beta.unwrap()), vec![1, 2, 2]);
+        let rr = children(&tree, r).right.unwrap();
+        let i = tree.interval(rr);
+        assert_eq!(values(&i.lo), vec![1, 2, 1]);
+        assert_eq!(values(&i.hi), vec![2, 2, 2]);
+        assert_eq!((rr.node, rr.level, beta(rr)), (2, 1, Some(vec![1, 2, 2])));
 
         // Its children r_rl = [⟨1,2,1⟩,⟨1,2,1⟩] and r_rr = [⟨2,1,1⟩,⟨2,2,2⟩]
         // are leaves (T < τ_2 = 2).
-        let rrl = tree.node(rr.left.unwrap());
-        assert_eq!(est.ranks_to_values(rrl.lo), vec![1, 2, 1]);
-        assert_eq!(est.ranks_to_values(rrl.hi), vec![1, 2, 1]);
-        assert!(rrl.beta.is_none());
-        let rrr = tree.node(rr.right.unwrap());
-        assert_eq!(est.ranks_to_values(rrr.lo), vec![2, 1, 1]);
-        assert_eq!(est.ranks_to_values(rrr.hi), vec![2, 2, 2]);
-        assert!(rrr.beta.is_none());
+        let rrl = children(&tree, rr).left.unwrap();
+        let i = tree.interval(rrl);
+        assert_eq!(values(&i.lo), vec![1, 2, 1]);
+        assert_eq!(values(&i.hi), vec![1, 2, 1]);
+        assert_eq!((rrl.node, rrl.level, beta(rrl)), (3, 2, None));
+        let rrr = children(&tree, rr).right.unwrap();
+        let i = tree.interval(rrr);
+        assert_eq!(values(&i.lo), vec![2, 1, 1]);
+        assert_eq!(values(&i.hi), vec![2, 2, 2]);
+        assert_eq!((rrr.node, rrr.level, beta(rrr)), (4, 2, None));
     }
 
     /// Lemma 4 item 1 on the running example: every child's T is at most
@@ -366,13 +504,14 @@ mod tests {
         let est = running_estimator();
         for tau in [1.0, 2.0, 4.0, 8.0] {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
-            for node in tree.nodes() {
+            for c in tree.cursors() {
+                let t = t_at(&est, &tree, c);
+                let node = children(&tree, c);
                 for child in [node.left, node.right].into_iter().flatten() {
-                    let ct = tree.node(child).t_value;
+                    let ct = t_at(&est, &tree, child);
                     assert!(
-                        ct <= node.t_value / 2.0 + 1e-9,
-                        "child T {ct} > parent T {} / 2 (tau {tau})",
-                        node.t_value
+                        ct <= t / 2.0 + 1e-9,
+                        "child T {ct} > parent T {t} / 2 (tau {tau})"
                     );
                 }
             }
@@ -385,12 +524,14 @@ mod tests {
     fn threshold_invariants() {
         let est = running_estimator();
         let tree = DelayBalancedTree::build(&est, 4.0).unwrap();
-        for (i, node) in tree.nodes().enumerate() {
-            let thr = tree.threshold_of(i as u32);
-            if node.beta.is_some() {
-                assert!(node.t_value >= thr - 1e-9);
+        for c in tree.cursors() {
+            let (t, thr) = (t_at(&est, &tree, c), tree.threshold_of(c.level));
+            if tree.is_leaf(c.node) {
+                assert!(t < thr);
+                let n = children(&tree, c);
+                assert!(n.leaf && n.left.is_none() && n.right.is_none());
             } else {
-                assert!(node.t_value < thr);
+                assert!(t >= thr - 1e-9);
             }
         }
     }
@@ -414,7 +555,8 @@ mod tests {
         let est = running_estimator();
         let tree = DelayBalancedTree::build(&est, 1e6).unwrap();
         assert_eq!(tree.len(), 1);
-        assert!(tree.node(0).beta.is_none());
+        assert!(tree.is_leaf(0));
+        assert_eq!(tree.beta(0), None);
     }
 
     /// τ = 1 with α = 2: thresholds decay, the tree splits down to points.
@@ -425,10 +567,118 @@ mod tests {
         assert!(tree.len() >= 5);
         assert!(tree.depth() >= 2);
         // Every leaf has T < its threshold.
-        for (i, n) in tree.nodes().enumerate() {
-            if n.beta.is_none() {
-                assert!(n.t_value < tree.threshold_of(i as u32));
+        for c in tree.cursors() {
+            if tree.is_leaf(c.node) {
+                assert!(t_at(&est, &tree, c) < tree.threshold_of(c.level));
             }
         }
+    }
+
+    /// The stored tree is `β` and `right` only; the walk must give back
+    /// everything the build knew. Over random triangle / star / path
+    /// instances (µ = 1, 2, 3), both split rules and three τ, the cursor
+    /// reproduces each node's id, level, interval and `T` exactly as the
+    /// build observed them — through every child shape: both children,
+    /// only a left one (`β = hi`), only a right one (`β = lo`), an
+    /// internal node with neither, and a tree that is one leaf.
+    #[test]
+    fn cursor_reproduces_every_node_the_build_saw() {
+        use cqc_query::parser::parse_adorned;
+        let queries: [(&str, &[&str], &[&str]); 3] = [
+            (
+                "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)",
+                &["R", "S", "T"],
+                &["bbf", "bff", "fff"],
+            ),
+            (
+                "Q(x,a,b,c) :- R(x,a), S(x,b), T(x,c)",
+                &["R", "S", "T"],
+                &["fbbb", "bbff", "bfff"],
+            ),
+            (
+                "Q(x,y,z) :- R(x,y), S(y,z)",
+                &["R", "S"],
+                &["bfb", "fbf", "fff"],
+            ),
+        ];
+        // Shapes seen: [both, left only, right only, internal with
+        // neither, single-leaf trees].
+        let mut shapes = [0usize; 5];
+        for (qi, (query, relations, patterns)) in queries.iter().enumerate() {
+            for seed in 0..4u64 {
+                let mut rng = cqc_workload::rng(seed * 17 + qi as u64);
+                let domain = 5 + seed * 4;
+                let zipf = cqc_workload::Zipf::new(domain as usize, 1.0);
+                let mut db = cqc_storage::Database::new();
+                for (ri, name) in relations.iter().enumerate() {
+                    db.add(if (ri as u64 + seed) % 2 == 0 {
+                        cqc_workload::uniform_relation(&mut rng, name, 2, 40, domain)
+                    } else {
+                        cqc_workload::gen::zipf_pairs(&mut rng, name, 40, domain, &zipf)
+                    })
+                    .unwrap();
+                }
+                for (mu, pattern) in patterns.iter().enumerate() {
+                    let view = parse_adorned(query, pattern).unwrap();
+                    assert_eq!(view.mu(), mu + 1);
+                    let weights = vec![1.0; relations.len()];
+                    let alpha = cqc_lp::covers::slack(
+                        &view.query().hypergraph(),
+                        &weights,
+                        view.free_vars(),
+                    )
+                    .max(1.0);
+                    let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
+                    for splitter in [Splitter::Balanced, Splitter::Midpoint] {
+                        for tau in [1.0, 8.0, 1024.0] {
+                            let mut seen: Vec<(Cursor, FInterval, f64)> = Vec::new();
+                            let tree = DelayBalancedTree::build_observed(
+                                &est,
+                                tau,
+                                splitter,
+                                |c, interval, t| seen.push((c, interval.clone(), t)),
+                            )
+                            .unwrap();
+                            let ctx = format!("{query} {pattern} seed {seed} {splitter:?} τ={tau}");
+                            assert_eq!(seen.len(), tree.len(), "{ctx}");
+                            let mut walked = 0;
+                            for (c, (built, interval, t)) in tree.cursors().zip(&seen) {
+                                assert_eq!(c.node as usize, walked, "{ctx}: id order");
+                                assert_eq!(c, *built, "{ctx}");
+                                assert_eq!(tree.interval(c), *interval, "{ctx} node {walked}");
+                                assert_eq!(t_at(&est, &tree, c), *t, "{ctx} node {walked}");
+                                let node = children(&tree, c);
+                                assert_eq!(node.leaf, tree.is_leaf(c.node));
+                                if let Some(beta) = tree.beta(c.node) {
+                                    assert!(interval.contains(&beta), "{ctx} node {walked}");
+                                    assert_eq!(node.left.is_some(), beta != interval.lo);
+                                    assert_eq!(node.right.is_some(), beta != interval.hi);
+                                    let shape = match (node.left, node.right) {
+                                        (Some(_), Some(_)) => 0,
+                                        (Some(_), None) => 1,
+                                        (None, Some(_)) => 2,
+                                        (None, None) => 3,
+                                    };
+                                    shapes[shape] += 1;
+                                } else {
+                                    assert_eq!((node.left, node.right), (None, None));
+                                }
+                                walked += 1;
+                            }
+                            assert_eq!(walked, tree.len(), "{ctx}: the walk reaches every node");
+                            shapes[4] += usize::from(tree.len() == 1);
+                            assert_eq!(
+                                tree.depth(),
+                                seen.iter().map(|(c, _, _)| c.level).max().unwrap()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            shapes.iter().all(|&n| n > 0),
+            "every child shape must occur: {shapes:?}"
+        );
     }
 }

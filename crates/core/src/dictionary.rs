@@ -15,8 +15,8 @@
 //! that bounds Algorithm 3's per-valuation work (see DESIGN.md §4).
 
 use crate::cost::CostEstimator;
-use crate::dbtree::{tau_level, DelayBalancedTree};
-use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox};
+use crate::dbtree::{Cursor, DelayBalancedTree};
+use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
 use cqc_common::util::approx_gt;
@@ -178,9 +178,11 @@ impl HeavyDictionary {
         //    worst-case-join per level). One join is constructed and
         //    re-seeded per box via `LeapfrogJoin::reset`, mirroring the
         //    serve-side reuse.
-        let root = tree.node(tree.root());
+        // The endpoints of the node under the walk, re-derived per visit
+        // (here: the root's, the full grid).
+        let FInterval { mut lo, mut hi } = tree.interval(tree.root());
         let mut boxes = BoxList::new();
-        box_decomposition_ranks(root.lo, root.hi, &sizes, &mut boxes);
+        box_decomposition_ranks(&lo, &hi, &sizes, &mut boxes);
         let (num_cands, cand_values) = if nb == 0 {
             (1, Vec::new())
         } else {
@@ -273,11 +275,7 @@ impl HeavyDictionary {
         //      lexicographically first answer of `(⋈ R_F(v_b)) ⋉ I(w)`
         //      once a probe has found it (or that there is none), and a
         //      child derives its own from it: see `Witness::inherit`.
-        let tau_min = tau_level(
-            tree.tau,
-            tree.alpha,
-            tree.deepest_internal_level().unwrap_or(0),
-        );
+        let tau_min = tree.threshold_of(tree.deepest_internal_level().unwrap_or(0));
         let mu = levels - nb;
         let doms = est.domains();
         let mut work = DictBuildWork::default();
@@ -300,13 +298,14 @@ impl HeavyDictionary {
             first: vec![0; num_cands * mu],
         });
         // (The root's side is never read: its witnesses are all unknown.)
-        let mut stack: Vec<(u32, Side, Rc<Survivors>)> = vec![(tree.root(), Side::Left, all)];
-        while let Some((w, side, cands)) = stack.pop() {
+        let mut stack: Vec<(Cursor, Side, Rc<Survivors>)> = vec![(tree.root(), Side::Left, all)];
+        while let Some((c, side, cands)) = stack.pop() {
+            let w = c.node;
             assert_eq!(w as usize, keys.offsets.len(), "nodes visited in id order");
             keys.offsets.push(entry_offset(keys.ids.len()));
-            let node = tree.node(w);
+            let node = tree.node(c, &mut lo, &mut hi);
             let children = [(node.right, Side::Right), (node.left, Side::Left)];
-            if node.beta.is_none() || cands.ids.is_empty() {
+            if node.leaf || cands.ids.is_empty() {
                 // Nothing can be heavy in this subtree; its nodes still
                 // take their offsets, in order.
                 for (child, side) in children {
@@ -314,8 +313,8 @@ impl HeavyDictionary {
                 }
                 continue;
             }
-            let threshold = tau_level(tree.tau, tree.alpha, node.level);
-            box_decomposition_ranks(node.lo, node.hi, &sizes, &mut boxes);
+            let threshold = tree.threshold_of(c.level);
+            box_decomposition_ranks(&lo, &hi, &sizes, &mut boxes);
             let boxes = boxes.as_slice();
             free_counts.clear();
             box_dead.clear();
@@ -335,18 +334,18 @@ impl HeavyDictionary {
                 box_dead.push(dead);
             }
             lo_vals.clear();
-            lo_vals.extend(node.lo.iter().zip(doms).map(|(&r, d)| d.value(r)));
+            lo_vals.extend(lo.iter().zip(doms).map(|(&r, d)| d.value(r)));
             hi_vals.clear();
-            hi_vals.extend(node.hi.iter().zip(doms).map(|(&r, d)| d.value(r)));
+            hi_vals.extend(hi.iter().zip(doms).map(|(&r, d)| d.value(r)));
             // Only internal children read the survivor list.
             let pass_down = children
                 .iter()
-                .any(|(c, _)| c.is_some_and(|c| tree.node(c).beta.is_some()));
+                .any(|(c, _)| c.is_some_and(|c| !tree.is_leaf(c.node)));
             let mut survivors = Survivors::default();
             work.evaluations += cands.ids.len() as u64;
             // A tripwire, not a tally: 0 for as long as the leaf skip above
             // stands (CI gates it).
-            work.leaf_evaluations += u64::from(node.beta.is_none()) * cands.ids.len() as u64;
+            work.leaf_evaluations += u64::from(node.leaf) * cands.ids.len() as u64;
             for (k, &ci) in cands.ids.iter().enumerate() {
                 let ranges = &cand_ranges[ci as usize * nw..][..nw];
                 // T(v_b, I(w)) = Σ_B T(v_b, B), summed until it provably
@@ -637,14 +636,13 @@ mod tests {
         let dict = HeavyDictionary::build(&plan, &est, &tree);
 
         // Node ids from the Figure 3 test: 0 = r, 2 = r_r (left child is 1).
-        let rr = tree.node(0).right.unwrap();
         assert_eq!(dict.get(0, &[1, 1, 1]), Some(true));
-        assert_eq!(dict.get(rr, &[1, 1, 1]), Some(true));
+        assert_eq!(dict.get(2, &[1, 1, 1]), Some(true));
 
         // Leaves carry no entries at all (they have no heavy pairs).
-        for (w, n) in tree.nodes().enumerate() {
-            if n.beta.is_none() {
-                assert_eq!(dict.entries_of(w as u32).count(), 0, "leaf {w}");
+        for w in 0..tree.len() as u32 {
+            if tree.is_leaf(w) {
+                assert_eq!(dict.entries_of(w).count(), 0, "leaf {w}");
             }
         }
 
@@ -654,10 +652,11 @@ mod tests {
             for w2 in 1..=2u64 {
                 for w3 in 1..=2u64 {
                     let vb = [w1, w2, w3];
-                    for (w, node) in tree.nodes().enumerate() {
-                        let t = est.t_interval_bound(&vb, &node.interval(), &sizes);
-                        let thr = tau_level(tree.tau, tree.alpha, node.level);
-                        let entry = dict.get(w as u32, &vb);
+                    for c in tree.cursors() {
+                        let w = c.node;
+                        let t = est.t_interval_bound(&vb, &tree.interval(c), &sizes);
+                        let thr = tree.threshold_of(c.level);
+                        let entry = dict.get(w, &vb);
                         if t > thr + 1e-9 {
                             assert!(
                                 entry.is_some(),
@@ -684,8 +683,9 @@ mod tests {
         for tau in [1.0, 2.0, 4.0] {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
             let dict = HeavyDictionary::build(&plan, &est, &tree);
+            let cursors: Vec<Cursor> = tree.cursors().collect();
             for (w, vb, bit) in dict.entries() {
-                let interval = tree.node(w).interval();
+                let interval = tree.interval(cursors[w as usize]);
                 // Naive emptiness: enumerate the full join of the view for
                 // this v_b and check membership in the interval.
                 let res = cqc_join::naive::evaluate_view(&view, &db, vb).unwrap();
@@ -736,10 +736,11 @@ mod tests {
                 seen.push((w, vb.to_vec(), first.map(<[Value]>::to_vec)));
             });
             assert_eq!(seen.len(), dict.num_entries());
+            let cursors: Vec<Cursor> = tree.cursors().collect();
             let mut zeros = 0;
             for ((w, vb, first), (ew, evb, bit)) in seen.iter().zip(dict.entries()) {
                 assert_eq!((*w, &vb[..]), (ew, evb), "reported in storage order");
-                let interval = tree.node(*w).interval();
+                let interval = tree.interval(cursors[*w as usize]);
                 // The oracle emits in lexicographic order.
                 let expect = cqc_join::naive::evaluate_view(&view, &db, vb)
                     .unwrap()
@@ -822,8 +823,10 @@ mod tests {
         let before = snapshot(&dict);
         assert!(!before.is_empty());
 
-        // A candidate that is light at the left leaf, and a non-candidate.
-        let leaf = tree.node(0).left.unwrap();
+        // A candidate that is light at the left leaf (node 1 of Figure 3),
+        // and a non-candidate.
+        let leaf = 1;
+        assert!(tree.is_leaf(leaf));
         assert_eq!(dict.get(leaf, &[1, 1, 1]), None);
         assert!(!dict.flip(leaf, &[1, 1, 1], true));
         assert_eq!(dict.candidate(&[9, 9, 9]), NO_CANDIDATE);

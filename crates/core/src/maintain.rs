@@ -63,7 +63,7 @@
 use crate::compressed::CompressedView;
 use crate::cost::CostEstimator;
 use crate::dictionary::free_constraints_into;
-use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox};
+use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
 use crate::theorem1::Theorem1Structure;
 use cqc_common::error::Result;
 use cqc_common::value::Value;
@@ -426,10 +426,11 @@ fn maintain_theorem1(
     let mut cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
     let mut hit_ins: Vec<&Slab> = Vec::new();
     let mut hit_rem: Vec<&Slab> = Vec::new();
-    let mut stack: Vec<u32> = vec![tree.root()];
-    while let Some(w) = stack.pop() {
-        let node = tree.node(w);
-        box_decomposition_ranks(node.lo, node.hi, &s.sizes, &mut box_list);
+    let FInterval { mut lo, mut hi } = tree.interval(tree.root());
+    let mut stack = vec![tree.root()];
+    while let Some(c) = stack.pop() {
+        let node = tree.node(c, &mut lo, &mut hi);
+        box_decomposition_ranks(&lo, &hi, &s.sizes, &mut box_list);
         let boxes = box_list.as_slice();
         for (slabs, hit) in [(&ins_slabs, &mut hit_ins), (&rem_slabs, &mut hit_rem)] {
             hit.clear();
@@ -444,7 +445,7 @@ fn maintain_theorem1(
         }
         report.affected_nodes += 1;
         stack.extend([node.right, node.left].into_iter().flatten());
-        dict.redecide_bits_of(w, |vb, bit| {
+        dict.redecide_bits_of(c.node, |vb, bit| {
             let hits = if bit { &hit_rem } else { &hit_ins };
             if !hits.iter().any(|slab| slab.matches_valuation(vb)) {
                 return bit;

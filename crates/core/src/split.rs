@@ -86,8 +86,7 @@ pub fn split_interval_midpoint(
     interval: &FInterval,
 ) -> Vec<usize> {
     // Midpoint in mixed-radix coordinates: average the endpoints digit by
-    // digit with carry propagation (an approximation of the true rank
-    // midpoint that stays inside the interval).
+    // digit, handing the odd unit of a sum down to the next digit.
     let mu = sizes.len();
     let mut c = Vec::with_capacity(mu);
     let mut carry = 0usize; // 0 or 1 unit of the current digit.
@@ -95,6 +94,15 @@ pub fn split_interval_midpoint(
         let sum = interval.lo[i] + interval.hi[i] + carry * size;
         c.push(sum / 2);
         carry = sum % 2;
+    }
+    // A handed-down unit can push a digit past its radix (by less than
+    // one radix); carry those back up. The digits spell ⌊(lo + hi) / 2⌋,
+    // which is at most `hi`, so the top digit stays in range.
+    for i in (1..mu).rev() {
+        if c[i] >= sizes[i] {
+            c[i] -= sizes[i];
+            c[i - 1] += 1;
+        }
     }
     debug_assert!(interval.contains(&c), "midpoint stays inside");
     c
@@ -227,6 +235,13 @@ mod tests {
             hi: vec![1, 0, 1],
         };
         assert_eq!(split_interval_midpoint(&est, &sizes, &unit), vec![1, 0, 1]);
+        // An odd leading sum hands half a radix down: ⌊(9 + 14) / 2⌋ = 11
+        // over radices (3, 5) is ⟨2, 1⟩, not the out-of-grid ⟨1, 6⟩.
+        let carried = FInterval {
+            lo: vec![1, 4],
+            hi: vec![2, 4],
+        };
+        assert_eq!(split_interval_midpoint(&est, &[3, 5], &carried), vec![2, 1]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! working memory, as the paper's model requires.
 
 use crate::cost::CostEstimator;
-use crate::dbtree::DelayBalancedTree;
+use crate::dbtree::{Cursor, DelayBalancedTree};
 use crate::dictionary::{free_constraints, free_constraints_into, HeavyDictionary, NO_CANDIDATE};
 use crate::fbox::{box_decomposition, box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
 use cqc_common::error::{CqcError, Result};
@@ -27,7 +27,7 @@ use cqc_join::leapfrog::{LeapfrogJoin, LevelConstraint};
 use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
 use cqc_query::AdornedView;
-use cqc_storage::{Database, IndexPool};
+use cqc_storage::{Database, IndexPool, SortedIndex};
 use std::sync::Arc;
 
 /// The Theorem 1 data structure.
@@ -316,6 +316,7 @@ impl Theorem1Structure {
             tree_bytes: space.tree_bytes,
             dict_bytes: space.dict_bytes,
             base_index_bytes: space.base_index_bytes,
+            base_index_distinct_bytes: space.base_index_distinct_bytes,
             alpha: self.alpha,
             tau: self.tau,
         }
@@ -337,8 +338,22 @@ impl Theorem1Structure {
     /// Theorem 1's `Õ(|D| + Π|R_F|^{u_F}/τ^α)` bound, separated so that
     /// scaling experiments can fit the non-linear term in isolation.
     pub fn space_breakdown(&self) -> SpaceBreakdown {
+        // The plan's tries and the oracle's count indexes share `Arc`s (one
+        // `IndexPool` builds both); each allocation counts at its first
+        // holder.
+        let mut seen: Vec<*const SortedIndex> = Vec::new();
+        let mut first_holder = |index: &Arc<SortedIndex>| {
+            let allocation = Arc::as_ptr(index);
+            let first = !seen.contains(&allocation);
+            if first {
+                seen.push(allocation);
+            }
+            first
+        };
         SpaceBreakdown {
             base_index_bytes: self.plan.heap_bytes() + self.est.heap_bytes(),
+            base_index_distinct_bytes: self.plan.heap_bytes_counting(&mut first_holder)
+                + self.est.heap_bytes_counting(&mut first_holder),
             tree_bytes: self.tree().map_or(0, HeapSize::heap_bytes),
             dict_bytes: self.dict.heap_bytes(),
         }
@@ -348,8 +363,12 @@ impl Theorem1Structure {
 /// The two space terms of Theorem 1, reported separately.
 #[derive(Debug, Clone, Copy)]
 pub struct SpaceBreakdown {
-    /// Linear-size base indexes (tries + count indexes): the `Õ(|D|)` term.
+    /// Linear-size base indexes (tries + count indexes): the `Õ(|D|)` term,
+    /// as `heap_bytes` counts it — an `Arc`-shared index once per holder.
     pub base_index_bytes: usize,
+    /// The same term with every shared index allocation counted once: what
+    /// is resident.
+    pub base_index_distinct_bytes: usize,
     /// Delay-balanced tree bytes (part of the `/τ^α` term).
     pub tree_bytes: usize,
     /// Heavy-pair dictionary bytes (the dominant `/τ^α` term).
@@ -397,8 +416,11 @@ pub struct Theorem1Stats {
     pub tree_bytes: usize,
     /// Heavy-pair dictionary bytes.
     pub dict_bytes: usize,
-    /// Linear-size base index bytes (the `Õ(|D|)` term).
+    /// Linear-size base index bytes (the `Õ(|D|)` term), an `Arc`-shared
+    /// index counted once per holder — the share of `heap_bytes`.
     pub base_index_bytes: usize,
+    /// The same with every shared index allocation counted once.
+    pub base_index_distinct_bytes: usize,
     /// Slack α.
     pub alpha: f64,
     /// Threshold τ.
@@ -467,11 +489,32 @@ impl Iterator for IntervalJoinIter<'_> {
     }
 }
 
+/// Free variables whose rank scratch [`Theorem1Iter::advance`] keeps on
+/// the stack. (Zeroing a buffer wide enough for any view — 64 variables —
+/// at every visited node cost 10 % of `core.enum.ns_per_answer`.)
+const INLINE_MU: usize = 8;
+
+/// `n` ranks of scratch for one visited node: on the stack when they fit,
+/// else spilled — a view with more than [`INLINE_MU`] free variables pays
+/// one allocation per visited node.
+fn rank_scratch<'a>(
+    inline: &'a mut [usize; 2 * INLINE_MU],
+    spill: &'a mut Vec<usize>,
+    n: usize,
+) -> &'a mut [usize] {
+    if n <= inline.len() {
+        &mut inline[..n]
+    } else {
+        spill.resize(n, 0);
+        spill
+    }
+}
+
 /// Stack frames of the in-order traversal.
 #[derive(Debug, Clone, Copy)]
 enum Frame {
     /// Visit a node (dictionary lookup decides how).
-    Enter(u32),
+    Enter(Cursor),
     /// Emit the node's split point if it is in the join (after the left
     /// subtree).
     Point(u32),
@@ -623,26 +666,33 @@ impl<'a> Theorem1Iter<'a> {
             let Some(tree) = s.tree() else {
                 return false;
             };
+            let mu = s.sizes.len();
             match self.stack.pop() {
                 None => return false,
-                Some(Frame::Enter(w)) => {
-                    let node = tree.node(w);
+                Some(Frame::Enter(c)) => {
+                    // The tree stores split points only: the node's
+                    // endpoints are re-derived into stack scratch.
+                    let (mut inline, mut spill) = ([0; 2 * INLINE_MU], Vec::new());
+                    let ranks = rank_scratch(&mut inline, &mut spill, 2 * mu);
+                    let (node_lo, node_hi) = ranks.split_at_mut(mu);
+                    let node = tree.node(c, node_lo, node_hi);
+                    let (node_lo, node_hi): (&[usize], &[usize]) = (node_lo, node_hi);
                     // Clip the node's interval to the requested range. The
                     // clipped endpoints are whole-tuple lexicographic
                     // max/min, so they are *borrowed* from either side —
                     // no `FInterval` is materialized.
-                    let (lo, hi): (&[usize], &[usize]) = match &self.clip {
-                        None => (node.lo, node.hi),
-                        Some(c) => {
-                            let lo = if lex_cmp_ranks(node.lo, &c.lo) == Ordering::Less {
-                                &c.lo[..]
+                    let (lo, hi) = match &self.clip {
+                        None => (node_lo, node_hi),
+                        Some(clip) => {
+                            let lo = if lex_cmp_ranks(node_lo, &clip.lo) == Ordering::Less {
+                                &clip.lo[..]
                             } else {
-                                node.lo
+                                node_lo
                             };
-                            let hi = if lex_cmp_ranks(node.hi, &c.hi) == Ordering::Greater {
-                                &c.hi[..]
+                            let hi = if lex_cmp_ranks(node_hi, &clip.hi) == Ordering::Greater {
+                                &clip.hi[..]
                             } else {
-                                node.hi
+                                node_hi
                             };
                             if lex_cmp_ranks(lo, hi) == Ordering::Greater {
                                 continue; // disjoint from the range
@@ -650,7 +700,7 @@ impl<'a> Theorem1Iter<'a> {
                             (lo, hi)
                         }
                     };
-                    match s.dict.lookup(w, self.cand) {
+                    match s.dict.lookup(c.node, self.cand) {
                         // ⊥: evaluate the (clipped) interval directly; cost
                         // bounded by τ_ℓ since the pair is light and
                         // T(v_b, ·) is monotone under clipping.
@@ -663,11 +713,11 @@ impl<'a> Theorem1Iter<'a> {
                         Some(false) => {}
                         // 1: in-order recursion.
                         Some(true) => {
-                            debug_assert!(node.beta.is_some(), "leaves cannot hold heavy pairs");
+                            debug_assert!(!node.leaf, "leaves cannot hold heavy pairs");
                             if let Some(r) = node.right {
                                 self.stack.push(Frame::Enter(r));
                             }
-                            self.stack.push(Frame::Point(w));
+                            self.stack.push(Frame::Point(c.node));
                             if let Some(l) = node.left {
                                 self.stack.push(Frame::Enter(l));
                             }
@@ -675,9 +725,12 @@ impl<'a> Theorem1Iter<'a> {
                     }
                 }
                 Some(Frame::Point(w)) => {
-                    let beta = tree.node(w).beta.expect("Point frames come from 1-nodes");
-                    if let Some(c) = &self.clip {
-                        if !c.contains(beta) {
+                    let (mut inline, mut spill) = ([0; 2 * INLINE_MU], Vec::new());
+                    let beta = rank_scratch(&mut inline, &mut spill, mu);
+                    let internal = tree.beta_into(w, beta);
+                    debug_assert!(internal, "Point frames come from 1-nodes");
+                    if let Some(clip) = &self.clip {
+                        if !clip.contains(beta) {
                             continue;
                         }
                     }
@@ -1002,6 +1055,47 @@ mod tests {
                         .collect();
                     assert_eq!(got, expect, "τ={tau} vb={vb:?} range=[{lo:?},{hi:?}]");
                 }
+            }
+        }
+    }
+
+    /// Nine free variables: more than the on-stack rank scratch holds, so
+    /// every visited node spills. Answers and range clips still match the
+    /// oracle.
+    #[test]
+    fn wide_view_spills_rank_scratch_and_matches_oracle() {
+        let leaves = INLINE_MU + 1;
+        let mut db = Database::new();
+        let mut rng = cqc_workload::rng(3);
+        for i in 1..=leaves {
+            db.add(cqc_workload::uniform_relation(
+                &mut rng,
+                &format!("R{i}"),
+                2,
+                5,
+                2,
+            ))
+            .unwrap();
+        }
+        let head: Vec<String> = (1..=leaves).map(|i| format!("a{i}")).collect();
+        let body: Vec<String> = (1..=leaves).map(|i| format!("R{i}(x,a{i})")).collect();
+        let query = format!("Q(x,{}) :- {}", head.join(","), body.join(", "));
+        let view = parse_adorned(&query, &format!("b{}", "f".repeat(leaves))).unwrap();
+        assert!(view.mu() > INLINE_MU);
+        for tau in [1.0, 4.0] {
+            let s = Theorem1Structure::build(&view, &db, &vec![1.0; leaves], tau).unwrap();
+            assert!(
+                s.stats().dict_entries > 0,
+                "τ={tau}: 1-nodes must be walked"
+            );
+            for x in 0..2u64 {
+                let expect = evaluate_view(&view, &db, &[x]).unwrap();
+                assert!(expect.len() > 1, "x={x}");
+                let got: Vec<Tuple> = s.answer(&[x]).unwrap().collect();
+                assert_eq!(got, expect, "τ={tau} x={x}");
+                let (lo, hi) = (&expect[1], &expect[expect.len() / 2]);
+                let got: Vec<Tuple> = s.answer_range(&[x], lo, hi).unwrap().collect();
+                assert_eq!(got, expect[1..=expect.len() / 2], "τ={tau} x={x} clipped");
             }
         }
     }

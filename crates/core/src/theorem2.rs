@@ -250,15 +250,19 @@ impl Theorem2Structure {
                     // Collect entries to flip, then apply.
                     let mut flips: Vec<(u32, Vec<Value>)> = Vec::new();
                     if let Some(tree) = t1.tree() {
-                        for (w, node) in tree.nodes().enumerate() {
-                            let mut interval = None;
-                            for (key, bit) in t1.dictionary().entries_of(w as u32) {
+                        // One endpoint pair, re-derived per node by the
+                        // top-down walk.
+                        let mut interval = tree.interval(tree.root());
+                        let mut stack = vec![tree.root()];
+                        while let Some(c) = stack.pop() {
+                            let node = tree.node(c, &mut interval.lo, &mut interval.hi);
+                            stack.extend([node.right, node.left].into_iter().flatten());
+                            for (key, bit) in t1.dictionary().entries_of(c.node) {
                                 if !bit {
                                     continue;
                                 }
-                                let interval = interval.get_or_insert_with(|| node.interval());
                                 let mut extends = false;
-                                for free in t1.enumerate_interval(key, interval) {
+                                for free in t1.enumerate_interval(key, &interval) {
                                     let mut row: Vec<Value> = key.to_vec();
                                     row.extend(free);
                                     if extractors.iter().all(|(ci, pos)| {
@@ -270,7 +274,7 @@ impl Theorem2Structure {
                                     }
                                 }
                                 if !extends {
-                                    flips.push((w as u32, key.to_vec()));
+                                    flips.push((c.node, key.to_vec()));
                                 }
                             }
                         }

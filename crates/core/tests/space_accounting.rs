@@ -3,11 +3,14 @@
 //! `rep_bytes_per_tuple` is gated on `HeapSize::heap_bytes`, so that
 //! number must be what the allocator actually hands out for the Theorem 1
 //! pair `(T, D)` — neither a structure that silently re-fattens nor an
-//! accounting that under-reports may pass. Two gates on one fixed triangle
-//! database:
+//! accounting that under-reports may pass. Three gates on one fixed
+//! triangle database:
 //!
 //! * the counting allocator's live-byte growth across building the tree
 //!   and the dictionary is within ±10 % of what they report;
+//! * the same across a whole `Theorem1Structure::build`, against tree +
+//!   dictionary + the base indexes with every `Arc`-shared index counted
+//!   once (`base_index_bytes`, the gated counter, counts it per holder);
 //! * a layout pin: the reported bytes stay under per-node / per-entry /
 //!   per-candidate ceilings derived from the flat layout.
 //!
@@ -67,26 +70,48 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
             "{pattern}: allocator says {live} live bytes, heap_bytes says {reported}"
         );
 
-        // The same inputs through the public builder report the same split.
+        // The same inputs through the public builder report the same
+        // split, and the whole structure is what the allocator holds once
+        // shared base indexes are counted once.
+        let before = live_bytes();
         let s = Theorem1Structure::build(&view, &db, &weights, tau).unwrap();
+        let live = (live_bytes() - before) as f64;
         let space = s.space_breakdown();
+        let resident = (space.base_index_distinct_bytes + space.nonlinear_bytes()) as f64;
+        assert!(
+            (live - resident).abs() <= 0.10 * resident,
+            "{pattern}: allocator says {live} live bytes, distinct + tree + dict is {resident}"
+        );
+        assert!(
+            space.base_index_distinct_bytes < space.base_index_bytes,
+            "{pattern}: plan and oracle share indexes ({} distinct of {} B)",
+            space.base_index_distinct_bytes,
+            space.base_index_bytes
+        );
         assert_eq!(space.tree_bytes, tree_bytes, "{pattern}");
         assert_eq!(space.dict_bytes, dict_bytes, "{pattern}");
         assert_eq!(space.nonlinear_bytes(), tree_bytes + dict_bytes);
         let stats = s.stats();
         assert_eq!(
-            (stats.tree_bytes, stats.dict_bytes, stats.base_index_bytes),
-            (space.tree_bytes, space.dict_bytes, space.base_index_bytes)
+            (stats.tree_bytes, stats.dict_bytes),
+            (space.tree_bytes, space.dict_bytes)
         );
+        assert_eq!(
+            (stats.base_index_bytes, stats.base_index_distinct_bytes),
+            (space.base_index_bytes, space.base_index_distinct_bytes)
+        );
+        assert_eq!(stats.heap_bytes, s.heap_bytes());
 
-        // Layout pin. Tree: three rank tuples (8 B ranks) plus ≤ 24 B of
-        // scalar columns per node. Dictionary: a 4 B id and one bit per
+        // Layout pin. Tree: one split point (4 B ranks) and one 4 B right
+        // child id per node, with 4 B/node of headroom — a `left` column
+        // would fill it, a `usize` rank or any interval endpoint cannot
+        // hide in it. Dictionary: a 4 B id and one bit per
         // entry, a 4 B offset per node, 8 B per candidate value — with
         // headroom below 2× so a second per-entry word cannot hide.
         let (nodes, entries, cands) = (tree.len(), dict.num_entries(), dict.num_candidates());
         let (mu, nb) = (view.mu(), view.bound_head().len());
         assert!(
-            tree_bytes <= (24 * mu + 24) * nodes,
+            tree_bytes <= (4 * mu + 8) * nodes,
             "{pattern}: tree {tree_bytes} B for {nodes} nodes"
         );
         assert!(

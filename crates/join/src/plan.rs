@@ -210,13 +210,21 @@ impl ViewPlan {
     }
 }
 
-impl HeapSize for ViewPlan {
-    fn heap_bytes(&self) -> usize {
+impl ViewPlan {
+    /// [`HeapSize::heap_bytes`] over the trie indexes `count_index`
+    /// accepts (it sees every holder's `Arc`, in atom order). Indexes are
+    /// `Arc`-shared with the cost oracle and between atoms; a caller that
+    /// accepts each allocation once measures resident bytes.
+    pub fn heap_bytes_counting(
+        &self,
+        mut count_index: impl FnMut(&Arc<SortedIndex>) -> bool,
+    ) -> usize {
         self.order.heap_bytes()
             + self.level_of.heap_bytes()
             + self
                 .indexes
                 .iter()
+                .filter(|i| count_index(i))
                 .map(|i| i.heap_bytes() + std::mem::size_of::<SortedIndex>())
                 .sum::<usize>()
             + self
@@ -224,6 +232,13 @@ impl HeapSize for ViewPlan {
                 .iter()
                 .map(|l| l.heap_bytes() + std::mem::size_of::<Vec<usize>>())
                 .sum::<usize>()
+    }
+}
+
+impl HeapSize for ViewPlan {
+    /// Every holder counts its indexes, shared or not.
+    fn heap_bytes(&self) -> usize {
+        self.heap_bytes_counting(|_| true)
     }
 }
 

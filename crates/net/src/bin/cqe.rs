@@ -1596,6 +1596,16 @@ fn bench_build(
         if let Some(st) = &theorem1 {
             // Work counts, not timings: the same on every host.
             fields.push(format!("\"tree_nodes\": {}", st.tree_nodes));
+            // The tree's layout: one µ-rank split point and one child id
+            // per node, 4 B each (docs/ARCHITECTURE.md, "Theorem 1 memory
+            // layout"), with 4 B/node of headroom.
+            let mu = rv.view.mu();
+            fields.push(format!("\"mu\": {mu}"));
+            fields.push(format!("\"tree_bytes\": {}", st.tree_bytes));
+            fields.push(format!(
+                "\"tree_layout_ok\": {}",
+                st.tree_bytes <= (4 * mu + 8) * st.tree_nodes
+            ));
             fields.push(format!("\"tree_count_probes\": {}", st.tree_count_probes));
             fields.push(format!("\"dict_candidates\": {}", st.dict_candidates));
             fields.push(format!("\"dict_entries\": {}", st.dict_entries));

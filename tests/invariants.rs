@@ -5,7 +5,7 @@
 
 use cqc_common::value::Tuple;
 use cqc_core::cost::CostEstimator;
-use cqc_core::dbtree::{tau_level, DelayBalancedTree, Splitter};
+use cqc_core::dbtree::{tau_level, Cursor, DelayBalancedTree, Splitter};
 use cqc_core::fbox::{lex_cmp_ranks, FInterval};
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
@@ -37,37 +37,38 @@ fn check_tree_partitions(tree: &DelayBalancedTree) {
         Point(Vec<usize>),
     }
     let mut pieces: Vec<Piece> = Vec::new();
-    // In-order traversal with an explicit stack.
+    // In-order traversal with an explicit stack of cursors; the endpoints
+    // of the node under the walk land in one reused scratch interval.
     enum Frame {
-        Enter(u32),
+        Enter(Cursor),
         Emit(u32),
     }
-    let mut stack = vec![Frame::Enter(0)];
+    let root = tree.interval(tree.root());
+    let mut scratch = root.clone();
+    let mut stack = vec![Frame::Enter(tree.root())];
     while let Some(f) = stack.pop() {
         match f {
-            Frame::Enter(w) => {
-                let n = tree.node(w);
-                match n.beta {
-                    None => pieces.push(Piece::Leaf(n.interval())),
-                    Some(_) => {
-                        if let Some(r) = n.right {
-                            stack.push(Frame::Enter(r));
-                        }
-                        stack.push(Frame::Emit(w));
-                        if let Some(l) = n.left {
-                            stack.push(Frame::Enter(l));
-                        }
+            Frame::Enter(c) => {
+                let n = tree.node(c, &mut scratch.lo, &mut scratch.hi);
+                if n.leaf {
+                    pieces.push(Piece::Leaf(scratch.clone()));
+                } else {
+                    if let Some(r) = n.right {
+                        stack.push(Frame::Enter(r));
+                    }
+                    stack.push(Frame::Emit(c.node));
+                    if let Some(l) = n.left {
+                        stack.push(Frame::Enter(l));
                     }
                 }
             }
             Frame::Emit(w) => {
-                pieces.push(Piece::Point(tree.node(w).beta.unwrap().to_vec()));
+                pieces.push(Piece::Point(tree.beta(w).unwrap()));
             }
         }
     }
     // The pieces must tile the root interval exactly: strictly increasing,
     // gap-free coverage.
-    let root = &tree.node(0).interval();
     let mut last_hi: Option<Vec<usize>> = None;
     for p in &pieces {
         let (lo, hi) = match p {
@@ -183,17 +184,23 @@ fn random_instance_tree_invariants() {
                 continue;
             };
             check_tree_partitions(&tree);
-            for (i, node) in tree.nodes().enumerate() {
-                let thr = tau_level(tree.tau, tree.alpha, node.level);
-                if node.beta.is_some() {
-                    assert!(node.t_value >= thr - 1e-9, "trial {trial}");
+            // The tree stores split points only: T(I(w)) is the oracle's.
+            let sizes = est.sizes();
+            let t_at = |c: Cursor| est.t_interval(&tree.interval(c), &sizes);
+            let mut scratch = tree.interval(tree.root());
+            for c in tree.cursors() {
+                let (t, thr) = (t_at(c), tau_level(tree.tau, tree.alpha, c.level));
+                let node = tree.node(c, &mut scratch.lo, &mut scratch.hi);
+                if node.leaf {
+                    assert!(t < thr, "trial {trial}");
                 } else {
-                    assert!(node.t_value < thr, "trial {trial}");
+                    assert!(t >= thr - 1e-9, "trial {trial}");
                 }
-                for c in [node.left, node.right].into_iter().flatten() {
+                for child in [node.left, node.right].into_iter().flatten() {
                     assert!(
-                        tree.node(c).t_value <= node.t_value / 2.0 + 1e-6,
-                        "halving, trial {trial}, node {i}"
+                        t_at(child) <= t / 2.0 + 1e-6,
+                        "halving, trial {trial}, node {}",
+                        c.node
                     );
                 }
             }

@@ -89,10 +89,17 @@ fn running_example_end_to_end() {
     assert_eq!(stats.tree_depth, 2);
 
     // Example 15: exactly two dictionary entries for v_b = (1,1,1).
+    // r_r is the root's right child: I(r_r) = [⟨1,2,1⟩, ⟨2,2,2⟩], derived by
+    // the cursor as [succ(β(r)), grid maximum].
     let tree = s.tree().unwrap();
-    let rr = tree.node(0).right.unwrap();
+    let (mut lo, mut hi) = (vec![0; 3], vec![0; 3]);
+    let rr = tree.node(tree.root(), &mut lo, &mut hi).right.unwrap();
+    assert_eq!((rr.node, rr.level), (2, 1), "Figure 3: r_l is node 1");
+    tree.node(rr, &mut lo, &mut hi);
+    assert_eq!(s.estimator().ranks_to_values(&lo), vec![1, 2, 1]);
+    assert_eq!(s.estimator().ranks_to_values(&hi), vec![2, 2, 2]);
     assert_eq!(s.dictionary().get(0, &[1, 1, 1]), Some(true));
-    assert_eq!(s.dictionary().get(rr, &[1, 1, 1]), Some(true));
+    assert_eq!(s.dictionary().get(rr.node, &[1, 1, 1]), Some(true));
 
     // Query answering: lexicographic output, matching the oracle.
     let got: Vec<Tuple> = s.answer(&[1, 1, 1]).unwrap().collect();

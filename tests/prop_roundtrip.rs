@@ -4,7 +4,7 @@
 //! hold on the constructed trees.
 
 use cqc_common::value::Tuple;
-use cqc_core::dbtree::tau_level;
+use cqc_core::dbtree::{tau_level, Cursor};
 use cqc_core::dictionary::NO_CANDIDATE;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
@@ -60,19 +60,24 @@ fn check_theorem1(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, 
         assert_eq!(got, expect, "τ={tau} req={req:?}");
     }
     // Structural invariants (Lemma 4 / threshold rules).
+    // The tree stores split points only: T(I(w)) is the oracle's.
     if let Some(tree) = s.tree() {
-        for (i, node) in tree.nodes().enumerate() {
-            let thr = tau_level(tree.tau, tree.alpha, node.level);
-            if node.beta.is_some() {
-                assert!(node.t_value >= thr - 1e-9, "internal below threshold");
+        let (est, sizes) = (s.estimator(), s.estimator().sizes());
+        let t_at = |c: Cursor| est.t_interval(&tree.interval(c), &sizes);
+        let mut scratch = tree.interval(tree.root());
+        for c in tree.cursors() {
+            let (t, thr) = (t_at(c), tau_level(tree.tau, tree.alpha, c.level));
+            let node = tree.node(c, &mut scratch.lo, &mut scratch.hi);
+            if node.leaf {
+                assert!(t < thr, "leaf above threshold");
             } else {
-                assert!(node.t_value < thr, "leaf above threshold");
+                assert!(t >= thr - 1e-9, "internal below threshold");
             }
             for child in [node.left, node.right].into_iter().flatten() {
-                let ct = tree.node(child).t_value;
                 assert!(
-                    ct <= node.t_value / 2.0 + 1e-6,
-                    "Prop 8 halving violated at node {i}"
+                    t_at(child) <= t / 2.0 + 1e-6,
+                    "Prop 8 halving violated at node {}",
+                    c.node
                 );
             }
         }
@@ -143,21 +148,21 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
                     .expect("answers lie on the grid")
             })
             .collect();
-        for (w, node) in tree.nodes().enumerate() {
-            let interval = node.interval();
+        for c in tree.cursors() {
+            let (w, interval) = (c.node, tree.interval(c));
             let heavy = is_candidate
                 && approx_gt(
                     est.t_interval_bound(&vb, &interval, &sizes),
-                    tau_level(tree.tau, tree.alpha, node.level),
+                    tau_level(tree.tau, tree.alpha, c.level),
                 );
             let bit = answers.iter().any(|a| interval.contains(a));
             assert_eq!(
-                dict.get(w as u32, &vb),
+                dict.get(w, &vb),
                 heavy.then_some(bit),
                 "τ={tau} node {w} v_b={vb:?}"
             );
             if heavy {
-                expect.insert((w as u32, vb.clone(), bit));
+                expect.insert((w, vb.clone(), bit));
             }
         }
     }
@@ -371,13 +376,15 @@ proptest! {
         let st = Theorem1Structure::build(&view, &db, &[1.0, 1.0], tau).unwrap();
         if let Some(tree) = st.tree() {
             let alpha = st.alpha();
-            for (w, node) in tree.nodes().enumerate() {
-                let thr = tau_level(tree.tau, tree.alpha, node.level);
-                let count = st.dictionary().entries_of(w as u32).count() as f64;
-                let bound = (node.t_value / thr).powf(alpha) + 1e-9;
+            let (est, sizes) = (st.estimator(), st.estimator().sizes());
+            for c in tree.cursors() {
+                let thr = tau_level(tree.tau, tree.alpha, c.level);
+                let count = st.dictionary().entries_of(c.node).count() as f64;
+                let t = est.t_interval(&tree.interval(c), &sizes);
+                let bound = (t / thr).powf(alpha) + 1e-9;
                 prop_assert!(
                     count <= bound,
-                    "node {} holds {} heavy pairs > bound {}", w, count, bound
+                    "node {} holds {} heavy pairs > bound {}", c.node, count, bound
                 );
             }
         }
