@@ -9,10 +9,9 @@
 //! Each experiment corresponds to a row of the DESIGN.md experiment index;
 //! the printed tables are pasted into EXPERIMENTS.md.
 
-use cqc_bench::{
-    fit_loglog_slope, fmt_bytes, fmt_ns, markdown_table, measure_delays, BatchStats, Scale,
-};
+use cqc_bench::{fit_loglog_slope, markdown_table, measure_delays, Scale};
 use cqc_common::heap::HeapSize;
+use cqc_common::measure::{fmt_bytes, fmt_ns, BatchStats};
 use cqc_core::bound_only::BoundOnlyView;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;

@@ -1,115 +1,29 @@
-//! Measurement harness shared by the criterion benches and the
-//! `paper_eval` table generator.
+//! Measurement helpers shared by the `paper_eval` table generator and the
+//! verdict harnesses (`chaos`, `mix`, `recovery`).
 //!
 //! The paper's claims are about *shapes* — how space, delay and answer time
-//! scale with `|D|` and τ — so the harness measures:
+//! scale with `|D|` and τ — so `paper_eval` measures:
 //!
 //! * per-tuple **delay percentiles** (max/p99/p50 inter-arrival gaps and
-//!   time-to-first), not just totals;
+//!   time-to-first, [`cqc_common::measure`]), not just totals;
 //! * deterministic **space** via `HeapSize`;
 //! * machine-independent **work counters** from `cqc_common::metrics`;
 //! * log-log **slope fits** for scaling exponents.
+//!
+//! The three harness binaries are tests, not measurements: each stands up
+//! a loopback fleet (or a child `cqe serve` process) over one fixed
+//! [`Fixture`], drives a scripted schedule against it, compares every
+//! answer stream with an in-process oracle, and exits nonzero unless every
+//! gated boolean in its `--json=<path>` summary is `true`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cqc_common::metrics::{self, MetricsSnapshot};
-use cqc_common::value::Tuple;
-use std::time::Instant;
-
-/// Delay statistics of one enumeration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DelayStats {
-    /// Nanoseconds to the first tuple (or to exhaustion when empty).
-    pub first_ns: u64,
-    /// Maximum inter-tuple gap (includes the first tuple and the final
-    /// exhaustion step, per the paper's delay definition).
-    pub max_ns: u64,
-    /// Median gap.
-    pub p50_ns: u64,
-    /// 99th-percentile gap.
-    pub p99_ns: u64,
-    /// Total answer time.
-    pub total_ns: u64,
-    /// Number of tuples produced.
-    pub tuples: usize,
-    /// Work counters consumed during the enumeration.
-    pub work: MetricsSnapshot,
-}
-
-/// Incremental delay measurement for push-style enumeration: call
-/// [`DelayProbe::tick`] once per answer (e.g. from an
-/// [`cqc_common::AnswerSink`]) and [`DelayProbe::finish`] after the
-/// enumeration exhausts. Gap semantics match [`measure_delays`], including
-/// the final "done" step of the §2.3 delay definition.
-#[derive(Debug)]
-pub struct DelayProbe {
-    before: MetricsSnapshot,
-    start: Instant,
-    last: Instant,
-    gaps: Vec<u64>,
-    first_ns: u64,
-    tuples: usize,
-}
-
-impl Default for DelayProbe {
-    fn default() -> DelayProbe {
-        DelayProbe::start()
-    }
-}
-
-impl DelayProbe {
-    /// Starts the clock.
-    pub fn start() -> DelayProbe {
-        let now = Instant::now();
-        DelayProbe {
-            before: metrics::snapshot(),
-            start: now,
-            last: now,
-            gaps: Vec::new(),
-            first_ns: 0,
-            tuples: 0,
-        }
-    }
-
-    /// Records the arrival of one answer.
-    #[inline]
-    pub fn tick(&mut self) {
-        let now = Instant::now();
-        let gap = now.duration_since(self.last).as_nanos() as u64;
-        if self.tuples == 0 {
-            self.first_ns = gap;
-        }
-        self.gaps.push(gap);
-        self.last = now;
-        self.tuples += 1;
-    }
-
-    /// Ends the enumeration and folds the gaps into [`DelayStats`].
-    pub fn finish(mut self) -> DelayStats {
-        let end = Instant::now();
-        // The "done" notification also counts as a delay step (§2.3).
-        self.gaps
-            .push(end.duration_since(self.last).as_nanos() as u64);
-        if self.tuples == 0 {
-            self.first_ns = self.gaps[0];
-        }
-        self.gaps.sort_unstable();
-        let q = |p: f64| -> u64 {
-            let idx = ((self.gaps.len() as f64 - 1.0) * p).round() as usize;
-            self.gaps[idx]
-        };
-        DelayStats {
-            first_ns: self.first_ns,
-            max_ns: *self.gaps.last().expect("at least the done gap"),
-            p50_ns: q(0.5),
-            p99_ns: q(0.99),
-            total_ns: end.duration_since(self.start).as_nanos() as u64,
-            tuples: self.tuples,
-            work: metrics::snapshot().delta_since(&self.before),
-        }
-    }
-}
+use cqc_common::measure::{DelayProbe, DelayStats};
+use cqc_common::value::{Tuple, Value};
+use cqc_query::parser::parse_adorned;
+use cqc_query::AdornedView;
+use cqc_storage::Database;
 
 /// Drains `iter`, recording inter-arrival gaps.
 pub fn measure_delays(iter: impl Iterator<Item = Tuple>) -> DelayStats {
@@ -120,40 +34,82 @@ pub fn measure_delays(iter: impl Iterator<Item = Tuple>) -> DelayStats {
     probe.finish()
 }
 
-/// Aggregates delay stats across a batch of enumerations.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchStats {
-    /// Worst observed inter-tuple gap across the batch.
-    pub max_delay_ns: u64,
-    /// Mean p99 gap.
-    pub mean_p99_ns: u64,
-    /// Total time across the batch.
-    pub total_ns: u64,
-    /// Total tuples across the batch.
-    pub tuples: usize,
-    /// Requests measured.
-    pub requests: usize,
-    /// Total trie seeks (machine-independent work).
-    pub trie_seeks: u64,
+/// The `q`-th of `scale` quantile of a latency sample (ns), e.g.
+/// `(99, 100)` for p99 or `(999, 1000)` for p99.9: the element of rank
+/// `⌊(n − 1)·q / scale⌋` after sorting `lat` in place; 0 when empty.
+pub fn quantile_ns(lat: &mut [u64], q: u64, scale: u64) -> u64 {
+    if lat.is_empty() {
+        return 0;
+    }
+    lat.sort_unstable();
+    lat[((lat.len() as u64 - 1) * q / scale) as usize]
 }
 
-impl BatchStats {
-    /// Folds one enumeration into the batch.
-    pub fn add(&mut self, d: &DelayStats) {
-        self.max_delay_ns = self.max_delay_ns.max(d.max_ns);
-        self.mean_p99_ns += d.p99_ns;
-        self.total_ns += d.total_ns;
-        self.tuples += d.tuples;
-        self.requests += 1;
-        self.trie_seeks += d.work.trie_seeks;
-    }
+/// The seed CI has always given both `gen` and `bench` for the harnesses.
+const FIXTURE_SEED: u64 = 7;
 
-    /// Finishes aggregation (divides the mean fields).
-    pub fn finish(mut self) -> BatchStats {
-        if self.requests > 0 {
-            self.mean_p99_ns /= self.requests as u64;
+/// What one verdict harness runs against: a triangle dataset, one adorned
+/// view over it, and a fixed list of witness access requests.
+#[derive(Debug)]
+pub struct Fixture {
+    /// The arguments of the `cqe gen` command that builds [`Fixture::db`]:
+    /// a child `cqe` given it holds the same relations at the same epoch.
+    pub gen: String,
+    /// The dataset.
+    pub db: Database,
+    /// The view every request asks.
+    pub view: AdornedView,
+    /// The bound valuations `cqe bench <view> <requests> 1 7 witness`
+    /// would serve.
+    pub bounds: Vec<Vec<Value>>,
+}
+
+impl Fixture {
+    /// Builds the fixture.
+    ///
+    /// # Errors
+    ///
+    /// A query that does not parse under `pattern`.
+    pub fn triangle(
+        rows: usize,
+        query: &str,
+        pattern: &str,
+        requests: usize,
+    ) -> Result<Fixture, String> {
+        let mut db = Database::new();
+        for relation in cqc_workload::triangle_relations(FIXTURE_SEED, rows).0 {
+            db.add(relation).map_err(|e| e.to_string())?;
         }
-        self
+        let view = parse_adorned(query, pattern).map_err(|e| e.to_string())?;
+        let mut rng = cqc_workload::rng(FIXTURE_SEED);
+        let bounds = cqc_workload::witness_requests(&mut rng, &view, &db, requests);
+        let gen = format!("triangle {rows} {FIXTURE_SEED}");
+        Ok(Fixture {
+            gen,
+            db,
+            view,
+            bounds,
+        })
+    }
+}
+
+/// `main` of a verdict-harness binary: the only argument accepted is
+/// `--json=<path>`; exits 2 on anything else and 1, after printing
+/// `error: …`, when `run` reports a failed gate.
+pub fn harness_main(run: impl FnOnce(Option<&str>) -> Result<(), String>) {
+    let mut json_path = None;
+    for arg in std::env::args().skip(1) {
+        match arg.strip_prefix("--json=") {
+            Some(path) if !path.is_empty() => json_path = Some(path.to_string()),
+            _ => {
+                eprintln!("unexpected argument `{arg}` (usage: [--json=<path>])");
+                std::process::exit(2);
+            }
+        }
+    }
+    if let Err(msg) = run(json_path.as_deref()) {
+        eprintln!("error: {msg}");
+        std::process::exit(1);
     }
 }
 
@@ -188,28 +144,6 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push_str(" |\n");
     }
     out
-}
-
-/// Human-readable byte counts.
-pub fn fmt_bytes(b: usize) -> String {
-    if b >= 10 * 1024 * 1024 {
-        format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0))
-    } else if b >= 10 * 1024 {
-        format!("{:.1} KiB", b as f64 / 1024.0)
-    } else {
-        format!("{b} B")
-    }
-}
-
-/// Human-readable nanoseconds.
-pub fn fmt_ns(ns: u64) -> String {
-    if ns >= 10_000_000 {
-        format!("{:.1} ms", ns as f64 / 1e6)
-    } else if ns >= 10_000 {
-        format!("{:.1} µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
-    }
 }
 
 /// The benchmark scale, read from `CQC_SCALE` (`small` default, `full` for
@@ -261,17 +195,19 @@ mod tests {
     }
 
     #[test]
-    fn probe_counts_ticks_and_orders_percentiles() {
-        let mut p = DelayProbe::start();
-        for _ in 0..5 {
-            p.tick();
+    fn quantiles_of_empty_single_and_hundred_element_samples() {
+        assert_eq!(quantile_ns(&mut [], 99, 100), 0);
+        assert_eq!(quantile_ns(&mut [], 999, 1000), 0);
+        for (q, scale) in [(0, 100), (50, 100), (99, 100), (999, 1000), (100, 100)] {
+            assert_eq!(quantile_ns(&mut [42], q, scale), 42);
         }
-        let d = p.finish();
-        assert_eq!(d.tuples, 5);
-        assert!(d.max_ns >= d.p99_ns && d.p99_ns >= d.p50_ns);
-        let empty = DelayProbe::start().finish();
-        assert_eq!(empty.tuples, 0);
-        assert_eq!(empty.first_ns, empty.max_ns);
+        // 100 down to 1, so the sort is exercised: rank r holds r + 1.
+        let mut lat: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(quantile_ns(&mut lat, 0, 100), 1);
+        assert_eq!(quantile_ns(&mut lat, 50, 100), 50); // ⌊99·50/100⌋ = 49
+        assert_eq!(quantile_ns(&mut lat, 99, 100), 99); // ⌊99·99/100⌋ = 98
+        assert_eq!(quantile_ns(&mut lat, 999, 1000), 99); // ⌊99·999/1000⌋ = 98
+        assert_eq!(quantile_ns(&mut lat, 100, 100), 100);
     }
 
     #[test]
@@ -293,22 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn formatting() {
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert!(fmt_bytes(50_000).contains("KiB"));
-        assert!(fmt_ns(50_000).contains("µs"));
+    fn scale_picks() {
         assert_eq!(Scale::Small.pick(1, 2), 1);
         assert_eq!(Scale::Full.pick(1, 2), 2);
-    }
-
-    #[test]
-    fn batch_aggregation() {
-        let mut b = BatchStats::default();
-        let d = measure_delays((0..5).map(|i| vec![i]).collect::<Vec<_>>().into_iter());
-        b.add(&d);
-        b.add(&d);
-        let b = b.finish();
-        assert_eq!(b.requests, 2);
-        assert_eq!(b.tuples, 10);
     }
 }

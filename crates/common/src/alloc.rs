@@ -2,8 +2,8 @@
 //!
 //! The flat-block enumeration pipeline claims *zero* heap allocations per
 //! answer in steady state. Wall-clock speedups are machine-dependent, so
-//! the claim is enforced directly: a binary (the `cqe` CLI, the regression
-//! tests) installs [`CountingAlloc`] as its `#[global_allocator]`, warms
+//! the claim is enforced directly: a binary (the regression tests, the
+//! benchmark) installs [`CountingAlloc`] as its `#[global_allocator]`, warms
 //! the scratch buffers with one pass, snapshots [`allocations`], runs the
 //! measured pass, and asserts the delta is zero.
 //!

@@ -265,7 +265,7 @@ impl FrameReader {
     }
 
     /// Total payload-bearing bytes consumed so far (frame headers
-    /// included) — the wire-traffic counter the bench profile reports.
+    /// included) — the wire-traffic counter behind `wire_bytes()`.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
     }

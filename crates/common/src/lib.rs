@@ -14,6 +14,9 @@
 //! * [`error`] — the workspace-wide error type;
 //! * [`metrics`] — cheap thread-local operation counters used by the
 //!   benchmark harness to report machine-independent work measures;
+//! * [`measure`] — per-answer delay probes and statistics, batch
+//!   aggregates and the human-readable/JSON reporting helpers the serving
+//!   stack and every binary share;
 //! * [`block`] — the flat [`AnswerBlock`] answer representation and the
 //!   push-style [`AnswerSink`] trait every enumerator drives, the
 //!   foundation of the allocation-free serve path;
@@ -39,6 +42,7 @@ pub mod error;
 pub mod frame;
 pub mod hash;
 pub mod heap;
+pub mod measure;
 pub mod metrics;
 pub mod util;
 pub mod value;

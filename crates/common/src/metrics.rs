@@ -109,9 +109,10 @@ fn tuples_output() -> u64 {
 }
 
 /// One phase of representation construction, for the build-time breakdown
-/// reported by `cqe bench --profile build`. Phases are coarse on purpose:
-/// they answer "where does a register go" (the preprocessing cost the
-/// paper's §4.3 analysis budgets), not per-call microtimings.
+/// the benchmark reports as `core.build.*_ms` and `lp.solve_ms`. Phases are
+/// coarse on purpose: they answer "where does a register go" (the
+/// preprocessing cost the paper's §4.3 analysis budgets), not per-call
+/// microtimings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildPhase {
     /// Row-permutation sorting inside index/relation construction.

@@ -21,8 +21,8 @@
 
 use crate::catalog::{Catalog, CatalogKey, CatalogStats};
 use crate::policy::{select_pooled, Policy, Selection};
-use cqc_bench::{DelayProbe, DelayStats};
 use cqc_common::error::{CqcError, Result};
+use cqc_common::measure::{DelayProbe, DelayStats};
 use cqc_common::value::{Tuple, Value};
 use cqc_common::{AnswerBlock, AnswerSink, FastMap, FastSet};
 use cqc_core::maintain::MaintainOutcome;
@@ -841,8 +841,7 @@ impl Engine {
     /// measurements.
     ///
     /// This is the legacy pull-iterator path (one heap allocation per
-    /// answer), kept as the compatibility/oracle interface and as the
-    /// before-side of the `cqe bench --profile=enum` comparison; the serve
+    /// answer), kept as the compatibility/oracle interface; the serve
     /// path proper ([`Engine::serve`], [`Engine::serve_stream`]) goes
     /// through the flat-block pipeline.
     ///

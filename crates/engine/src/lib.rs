@@ -21,7 +21,7 @@
 //! * [`Policy`] / [`policy::select`] — auto strategy selection consulting
 //!   the width machinery, the §6 LP optimizers and the `T(·)` cost oracle;
 //! * [`Engine::serve_batch`] — batched request serving across OS threads,
-//!   returning per-request [`cqc_bench::DelayStats`];
+//!   returning per-request [`cqc_common::measure::DelayStats`];
 //! * [`Engine::serve_stream`] — the steady-state serve loop: one reusable
 //!   enumerator and one reusable flat [`cqc_common::AnswerBlock`] per
 //!   view, zero heap allocations per answer once warm (gated in CI by the
@@ -34,9 +34,9 @@
 //!   the per-shard flat blocks back into lexicographic order
 //!   ([`cqc_common::BlockMerger`]), and updates split into per-shard
 //!   deltas so shard epochs (the vector version,
-//!   [`ShardedEngine::version`]) advance independently;
-//! * the `cqe` binary — `load` / `gen` / `register` / `ask` / `bench` from
-//!   the command line.
+//!   [`ShardedEngine::version`]) advance independently.
+//!
+//! The `cqe` command-line front door lives one crate up, in `cqc-net`.
 //!
 //! Every serve path is push-style: representations drive their answers
 //! into a [`cqc_common::AnswerSink`] as borrowed slices, and a [`Served`]

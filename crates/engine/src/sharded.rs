@@ -36,8 +36,8 @@
 
 use crate::engine::{Engine, EngineConfig, RecoveryStats, Request, Served, UpdateReport};
 use crate::policy::{select, Policy};
-use cqc_bench::DelayStats;
 use cqc_common::error::{CqcError, Result};
+use cqc_common::measure::DelayStats;
 use cqc_common::value::{Tuple, Value};
 use cqc_common::{AnswerBlock, BlockMerger, FastMap};
 use cqc_durable::DurableStore;
@@ -355,10 +355,7 @@ impl ShardedEngine {
     /// explicit decomposition and δ assignment — ships to all `S` shards.
     /// Each shard then only builds its shard-local indexes and
     /// dictionaries; the LP cover, width search and τ calibration are
-    /// never re-run per shard. (The previous behavior, each shard solving
-    /// its own selection, survives as
-    /// [`ShardedEngine::register_planning_per_shard`] — the benchmark and
-    /// equivalence-test baseline.)
+    /// never re-run per shard.
     ///
     /// # Errors
     ///
@@ -369,7 +366,7 @@ impl ShardedEngine {
     pub fn register(&self, name: &str, view: AdornedView, policy: Policy) -> Result<()> {
         // Fail duplicates before paying for the selection solve (a racing
         // register slipping past this pre-check is still caught by the
-        // name reservation in `register_shards`).
+        // name reservation below).
         if self
             .fanout
             .read()
@@ -382,42 +379,6 @@ impl ShardedEngine {
         }
         let selection = select(&view, &self.planning_db(), &policy)
             .map_err(|e| e.for_view(name, "auto-selection"))?;
-        self.register_shards(name, view, &|engine, view| {
-            engine
-                .register_selected(name, view, selection.clone())
-                .map(|_| ())
-        })
-    }
-
-    /// [`ShardedEngine::register`] with strategy selection re-solved **on
-    /// every shard** against that shard's sub-database — the pre-plan-once
-    /// behavior, kept as the comparison baseline for `cqe bench --profile
-    /// build` and the shared-plan ≡ per-shard-plan equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ShardedEngine::register`].
-    pub fn register_planning_per_shard(
-        &self,
-        name: &str,
-        view: AdornedView,
-        policy: Policy,
-    ) -> Result<()> {
-        self.register_shards(name, view, &|engine, view| {
-            engine.register(name, view, policy.clone()).map(|_| ())
-        })
-    }
-
-    /// Shared fan-out/rollback skeleton of the two register flavors:
-    /// validates routing, reserves the name, runs `register_one` on every
-    /// participating shard in parallel, and rolls everything back on any
-    /// failure.
-    fn register_shards(
-        &self,
-        name: &str,
-        view: AdornedView,
-        register_one: &(dyn Fn(&Engine, AdornedView) -> Result<()> + Sync),
-    ) -> Result<()> {
         let fans_out = routing_for(self.partitioning.spec(), &view)?;
         {
             // Reserve the name first: a duplicate must fail *here*, before
@@ -437,8 +398,10 @@ impl ShardedEngine {
                     .engines
                     .iter()
                     .map(|engine| {
-                        let view = view.clone();
-                        scope.spawn(move || register_one(engine, view))
+                        let (view, selection) = (view.clone(), selection.clone());
+                        scope.spawn(move || {
+                            engine.register_selected(name, view, selection).map(|_| ())
+                        })
                     })
                     .collect();
                 handles
@@ -448,7 +411,9 @@ impl ShardedEngine {
             });
             outcomes.into_iter().collect()
         } else {
-            register_one(&self.engines[0], view)
+            self.engines[0]
+                .register_selected(name, view, selection)
+                .map(|_| ())
         };
         if let Err(e) = result {
             for engine in &self.engines {
@@ -623,9 +588,8 @@ impl ShardedEngine {
     /// [`cqc_common::alloc`] counters, meaningful when the counting
     /// allocator is installed) cover only the warm per-shard serve loops,
     /// not thread spawns or scratch growth. This is the instrument behind
-    /// `cqe bench --profile shard` and the sharded allocation-discipline
-    /// test: in steady state the loops perform **zero** heap allocations
-    /// per answer on every shard.
+    /// the sharded allocation-discipline test: in steady state the loops
+    /// perform **zero** heap allocations per answer on every shard.
     ///
     /// # Errors
     ///

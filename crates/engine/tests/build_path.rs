@@ -1,15 +1,14 @@
 //! Build-path acceptance: plan-once sharded registration.
 //!
-//! PR 5 makes [`ShardedEngine::register`] solve strategy selection exactly
-//! once (against the planning snapshot) and ship the resolved plan to all
-//! shards; [`ShardedEngine::register_planning_per_shard`] keeps the old
-//! one-selection-per-shard behavior as a baseline. These tests pin
+//! [`ShardedEngine::register`] solves strategy selection exactly once
+//! (against the planning snapshot) and ships the resolved plan to all
+//! shards. These tests pin
 //!
 //! 1. the **count**: one sharded register with an auto policy performs
 //!    exactly one selection solve, however many shards build from it;
 //! 2. the **equivalence**: shared-plan registration answers tuple-for-tuple
-//!    like per-shard-planning registration and like an unsharded engine,
-//!    across shard counts, policies, and access patterns.
+//!    like an unsharded engine (which plans against the same global
+//!    statistics), across shard counts, policies, and access patterns.
 //!
 //! The selection-solve counter is process-global, so every test here
 //! serializes on one mutex — the counts must not see another test's
@@ -71,28 +70,7 @@ fn sharded_register_solves_selection_exactly_once() {
     }
 }
 
-/// The per-shard baseline really does re-solve on every shard (the
-/// counter tells the two register flavors apart).
-#[test]
-fn per_shard_baseline_solves_once_per_shard() {
-    let _guard = counter_lock();
-    let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", "bff").unwrap();
-    for shards in [2usize, 4] {
-        let sharded = ShardedEngine::for_view(path_db(11), &view, config(shards)).unwrap();
-        let before = policy::selection_solves();
-        sharded
-            .register_planning_per_shard("v", view.clone(), Policy::default())
-            .unwrap();
-        assert_eq!(
-            policy::selection_solves() - before,
-            shards as u64,
-            "per-shard planning must solve once per shard"
-        );
-    }
-}
-
-/// A fixed policy never solves: the passthrough must stay free on both
-/// register flavors.
+/// A fixed policy never solves: the passthrough must stay free.
 #[test]
 fn fixed_policies_never_solve_selection() {
     let _guard = counter_lock();
@@ -135,8 +113,8 @@ fn duplicate_register_fails_before_selection() {
     assert!(sharded.answer("v", &[1]).is_ok());
 }
 
-/// Shared-plan registration ≡ per-shard-planning registration ≡ unsharded
-/// engine, tuple for tuple, across shard counts, policies, and patterns.
+/// Shared-plan registration ≡ unsharded engine, tuple for tuple, across
+/// shard counts, policies, and patterns.
 #[test]
 fn shared_plan_register_matches_per_shard_register() {
     let _guard = counter_lock();
@@ -180,20 +158,12 @@ fn shared_plan_register_matches_per_shard_register() {
             for shards in [1usize, 3, 4] {
                 let shared = ShardedEngine::for_view(db.clone(), &view, config(shards)).unwrap();
                 shared.register("v", view.clone(), policy.clone()).unwrap();
-                let per = ShardedEngine::for_view(db.clone(), &view, config(shards)).unwrap();
-                per.register_planning_per_shard("v", view.clone(), policy.clone())
-                    .unwrap();
                 for bound in &requests {
                     let expect = sorted(oracle.answer("v", bound).unwrap());
                     let got_shared = sorted(shared.answer("v", bound).unwrap());
-                    let got_per = sorted(per.answer("v", bound).unwrap());
                     assert_eq!(
                         got_shared, expect,
                         "shared-plan {tag} {pattern} {shards} shards {bound:?}"
-                    );
-                    assert_eq!(
-                        got_per, expect,
-                        "per-shard {tag} {pattern} {shards} shards {bound:?}"
                     );
                 }
             }

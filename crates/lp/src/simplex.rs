@@ -96,8 +96,8 @@ impl Lp {
     /// Every solve is attributed to the `Lp` build phase of
     /// [`cqc_common::metrics`] — this is the single funnel all §6 programs
     /// (MinDelayCover, MinSpaceCover, the ρ⁺ solves of the width search)
-    /// pass through, so `cqe bench --profile build` can report total
-    /// LP time without instrumenting each optimizer.
+    /// pass through, so the benchmark can report total LP time
+    /// (`lp.solve_ms`) without instrumenting each optimizer.
     ///
     /// # Errors
     ///

@@ -3,8 +3,8 @@
 //! [`ChaosService`] wraps any [`BlockService`] and misbehaves on
 //! command: stall before answering, refuse with typed backpressure, lie
 //! about the epoch vector, or die mid-stream after N answers. Faults are
-//! switched at runtime (the chaos schedule in `cqe bench --profile
-//! chaos` flips them between requests), deterministic, and strictly
+//! switched at runtime (the schedule of `cqc-bench`'s `chaos` binary
+//! flips them between requests), deterministic, and strictly
 //! additive — [`Fault::None`] is bit-for-bit the wrapped service.
 //!
 //! Process-level kills are *not* simulated here: the harness really

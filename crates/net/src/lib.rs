@@ -29,9 +29,8 @@
 //!   known version, and k-way merging the per-shard streams back into
 //!   exact lexicographic order with [`cqc_common::BlockMerger`].
 //!
-//! The `cqe` binary gains `serve --addr` (shard server), `route`
-//! (front-door router) and `bench --profile net` (loopback fleet vs
-//! in-process serve) on top of the existing subcommands.
+//! The `cqe` binary (`src/bin/cqe.rs`) adds `serve` (shard server) and
+//! `route` (front-door router) to the engine's command-line front door.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

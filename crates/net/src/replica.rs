@@ -461,8 +461,10 @@ impl ReplicaGroup {
     }
 
     /// Serves one request into `out` (appending), failing over across
-    /// replicas under the group's [`RetryPolicy`]. Returns the number of
-    /// answers appended.
+    /// replicas under the group's [`RetryPolicy`]; the priority class is
+    /// threaded (with the remaining deadline) onto the wire for the
+    /// primary attempt, every failover, and every hedge. Returns the
+    /// number of answers appended.
     ///
     /// # Errors
     ///
@@ -471,31 +473,6 @@ impl ReplicaGroup {
     /// [`code::REFUSED`] when the retry budget cannot fund another
     /// failover, or a typed "no replica available" failure when every
     /// breaker is open.
-    pub fn serve_into_block(
-        self: &Arc<Self>,
-        view: &str,
-        bound: &[Value],
-        expected: &[Epoch],
-        deadline: Deadline,
-        out: &mut AnswerBlock,
-    ) -> Result<usize> {
-        self.serve_into_block_prioritized(
-            view,
-            bound,
-            expected,
-            ServePriority::Interactive,
-            deadline,
-            out,
-        )
-    }
-
-    /// [`ReplicaGroup::serve_into_block`] with an explicit priority
-    /// class, threaded (with the remaining deadline) onto the wire for
-    /// the primary attempt, every failover, and every hedge.
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicaGroup::serve_into_block`].
     pub fn serve_into_block_prioritized(
         self: &Arc<Self>,
         view: &str,

@@ -1,6 +1,7 @@
 //! Base samplers.
 
 use cqc_common::value::Value;
+use cqc_query::AdornedView;
 use cqc_storage::{Database, Delta, Relation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,6 +25,35 @@ pub fn uniform_relation(
         flat.extend((0..arity).map(|_| rng.gen_range(0..domain)));
     }
     Relation::from_flat(name, arity, flat)
+}
+
+/// The triangle dataset `cqe gen triangle <rows> <seed>` loads, and the one
+/// the verdict harnesses of `cqc-bench` rebuild to agree with a child `cqe`:
+/// `R`, `S` and `T`, each (up to) `rows` uniform pairs over `0..domain`
+/// with `domain = max(4, 2⌊√rows⌋)`. Returns the relations and `domain`.
+pub fn triangle_relations(seed: u64, rows: usize) -> (Vec<Relation>, u64) {
+    let mut rng = rng(seed);
+    let domain = ((rows as f64).sqrt() as u64 * 2).max(4);
+    let relations = ["R", "S", "T"]
+        .iter()
+        .map(|name| uniform_relation(&mut rng, name, 2, rows, domain))
+        .collect();
+    (relations, domain)
+}
+
+/// The names of the relations `view` reads, sorted and deduplicated — the
+/// `relations` argument [`mixed_delta`] and [`recombination_delta`] take
+/// when the deltas should touch exactly one view.
+pub fn view_relations(view: &AdornedView) -> Vec<&str> {
+    let mut names: Vec<&str> = view
+        .query()
+        .atoms
+        .iter()
+        .map(|a| a.relation.as_str())
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
 }
 
 /// An insertion [`Delta`] of `per_relation` tuples for each named relation,

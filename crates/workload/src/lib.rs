@@ -25,4 +25,7 @@ pub mod graphs;
 pub mod queries;
 
 pub use access::{random_requests, witness_requests};
-pub use gen::{mixed_delta, recombination_delta, rng, uniform_relation, Zipf};
+pub use gen::{
+    mixed_delta, recombination_delta, rng, triangle_relations, uniform_relation, view_relations,
+    Zipf,
+};

@@ -11,7 +11,7 @@
 //! large batch of access requests served across threads — with the catalog
 //! proving that the request path performs zero rebuilds.
 
-use cqc_bench::{fmt_bytes, fmt_ns, BatchStats};
+use cqc_common::measure::{fmt_bytes, fmt_ns, BatchStats};
 use cqc_engine::{Engine, Policy, Request};
 use cqc_workload::{graphs, queries, witness_requests};
 use std::time::Instant;

@@ -1,0 +1,107 @@
+#!/usr/bin/env bash
+# Everything CI runs after build / test / fmt / clippy / doc, in minutes:
+# the dependency-direction guard, the cqe smokes, the three verdict
+# harnesses with their gated booleans, the metrics-feature tests, and the
+# benchmark package's tests and quick suite. Exits nonzero at the first
+# failed check.
+#
+# Leaves BENCH_{ci,chaos,mix,recovery}.json in the repository root (CI
+# uploads them as artifacts; none is committed) and the commands' standard
+# output under target/kick-tires/.
+set -euo pipefail
+
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+OUT=target/kick-tires
+mkdir -p "$OUT"
+
+step() { printf '\n== %s\n' "$*"; }
+
+step "build (release): recovery spawns the cqe built next to it"
+cargo build --release
+cqe() { cargo run --release -q -p cqc-net --bin cqe -- "$@"; }
+# Runs one harness binary; removing its JSON first and grepping it
+# afterwards also catches a stale or truncated file (the binary itself
+# exits nonzero on any failed gate).
+harness() {
+    rm -f "BENCH_$1.json"
+    cargo run --release -q -p cqc-bench --bin "$1" -- "--json=BENCH_$1.json" | tee "$OUT/$1.out"
+}
+
+step "dependency direction: nothing that is measured depends on cqc-bench"
+for crate in cqc-engine cqc-net; do
+    tree="$(cargo tree --offline -e normal -p "$crate")"
+    if grep -q 'cqc-bench' <<<"$tree"; then
+        echo "$crate depends on cqc-bench: the measurement crate must sit above what it measures" >&2
+        exit 1
+    fi
+done
+
+step "cqe smoke (zero-rebuild serving)"
+cqe -e demo | tee "$OUT/demo.out"
+grep -q ": 0 representation rebuilds during serving" "$OUT/demo.out"
+
+step "cqe update-smoke (mixed insert/delete maintenance, no stale serves)"
+rm -f BENCH_ci.json
+cqe \
+    -e 'gen triangle 400 7' \
+    -e 'register tri bfb tau:2 "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
+    -e 'bench tri 400 4 7 witness --with-updates --json=BENCH_ci.json' |
+    tee "$OUT/update.out"
+# --with-updates interleaves MIXED insert/delete deltas (3 recombined
+# inserts + up to 2 domain-safe deletions per relation per round). Small
+# in-domain mixed deltas must take the maintain path (nonzero count) and
+# serving must never diverge from the naive oracle, in either direction.
+grep -Eq "delta-maintained: [1-9]" "$OUT/update.out"
+grep -q "stale-serve violations: 0" "$OUT/update.out"
+test -s BENCH_ci.json
+# Deletes through the CLI path (exit status covers consistency; the grep
+# pins the wording).
+cqe \
+    -e 'gen triangle 400 7' \
+    -e 'register tri bfb tau:2 "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
+    -e 'update --rm R 1 2' |
+    tee "$OUT/delete.out"
+grep -q "applied remove delta" "$OUT/delete.out"
+
+step "chaos (replicated fleet under scripted faults)"
+harness chaos
+# Every serve exact while each shard keeps one live replica, no request
+# past the deadline accounting, and a slow-but-alive replica (inside the
+# socket timeout, so no breaker opens) routed around by budget-funded
+# hedges.
+grep -q '"availability_ok": true' BENCH_chaos.json
+grep -q '"no_hung_requests": true' BENCH_chaos.json
+grep -q '"slow_replica_ok": true' BENCH_chaos.json
+
+step "mix (overload SLOs under an open-loop Zipf mixed workload)"
+harness mix
+# At 2x measured capacity: nothing hangs and every shed is typed,
+# accepted Interactive p99 meets its SLO, goodput holds (no congestion
+# collapse), retry amplification stays budget-bounded, and Update/Health
+# control traffic never fails behind queued serves.
+grep -q '"no_hung_requests": true' BENCH_mix.json
+grep -q '"interactive_p99_ok": true' BENCH_mix.json
+grep -q '"goodput_ok": true' BENCH_mix.json
+grep -q '"amplification_ok": true' BENCH_mix.json
+grep -q '"liveness_ok": true' BENCH_mix.json
+
+step "recovery (kill -9 a durable cqe serve child, recover, compare with the oracle)"
+harness recovery
+# recovery_ok is the conjunction of all eleven gates; the two subtlest are
+# pinned by name: the durable-but-unacknowledged delta must survive, and
+# torn bytes must be physically truncated.
+grep -q '"recovery_ok": true' BENCH_recovery.json
+grep -q '"mid_apply_delta_survives": true' BENCH_recovery.json
+grep -q '"torn_tail_truncated": true' BENCH_recovery.json
+
+step "tests with the metrics feature (output-tuple counter compiled in)"
+cargo test -q -p cqc-common --features metrics
+
+step "benchmark package (its own workspace): tests, then the quick suite"
+# Nothing above builds benchmark/: a cqc-core API change that breaks it, or
+# a wrong answer under a new representation layout, must fail here.
+cargo test --manifest-path benchmark/Cargo.toml --offline
+QUICK=1 benchmark/run.sh | tee "$OUT/benchmark-quick.out"
+tail -n 1 "$OUT/benchmark-quick.out" | grep -qx "== suite ok"
+
+printf '\n== kick-tires ok\n'
