@@ -99,24 +99,25 @@ impl CompressedView {
     ///
     /// Propagates parse/schema/LP errors and invalid configurations.
     pub fn build(view: &AdornedView, db: &Database, strategy: Strategy) -> Result<CompressedView> {
-        CompressedView::build_pooled(view, db, strategy, &mut cqc_storage::IndexPool::new())
+        CompressedView::build_pooled(view, db, strategy, &cqc_storage::IndexPool::new())
     }
 
     /// [`CompressedView::build`] drawing sorted indexes from a
-    /// caller-supplied [`cqc_storage::IndexPool`]. The engine passes the
-    /// pool it already used for strategy selection, so the veto cost
-    /// oracle's indexes are reused by the actual build (the Example 3
-    /// rewrite shares untouched relations by `Arc`, which is what makes
-    /// the pool recognize them across the two phases).
+    /// caller-supplied [`cqc_storage::IndexPool`]. The engine passes its
+    /// one store, so every `(relation, order)` index the view needs that
+    /// strategy selection or another view already sorted is shared, not
+    /// re-sorted (the Example 3 rewrite shares untouched relations by
+    /// `Arc`, which is what makes the store recognize them).
     ///
     /// The pool serves the strategies that index the base relations
-    /// directly (Theorem 1 in all its forms). The Theorem 2 and
-    /// factorized paths build over **bag-local databases** — fresh
-    /// per-bag projections with per-node allocations — which the
-    /// identity-keyed pool can never share across bags; each bag's inner
-    /// Theorem 1 build still pools its own cost-oracle and trie indexes
-    /// internally. (A content-keyed projection cache across bags is a
-    /// separate, future optimization.)
+    /// directly: Theorem 1 in all its forms and the materialize / direct
+    /// baselines. The Theorem 2 and factorized paths stay out of it: they
+    /// build over **bag-local databases** — fresh per-bag projections
+    /// with per-node allocations — which an identity-keyed store can
+    /// never share across bags or views; each bag's inner Theorem 1 build
+    /// still pools its own cost-oracle and trie indexes privately. (A
+    /// content-keyed projection cache across bags is a separate, future
+    /// optimization.)
     ///
     /// # Errors
     ///
@@ -125,7 +126,7 @@ impl CompressedView {
         view: &AdornedView,
         db: &Database,
         strategy: Strategy,
-        pool: &mut cqc_storage::IndexPool,
+        pool: &cqc_storage::IndexPool,
     ) -> Result<CompressedView> {
         // Example 3 preprocessing.
         let rewritten = rewrite_view(view, db)?;
@@ -142,12 +143,14 @@ impl CompressedView {
         if view.mu() == 0 {
             match strategy {
                 Strategy::Materialize => {
-                    return Ok(CompressedView::Materialized(MaterializedView::build(
-                        view, db,
-                    )?));
+                    return Ok(CompressedView::Materialized(
+                        MaterializedView::build_pooled(view, db, pool)?,
+                    ));
                 }
                 Strategy::Direct => {
-                    return Ok(CompressedView::Direct(DirectView::build(view, db)?));
+                    return Ok(CompressedView::Direct(DirectView::build_pooled(
+                        view, db, pool,
+                    )?));
                 }
                 _ => return Ok(CompressedView::BoundOnly(BoundOnlyView::build(view, db)?)),
             }
@@ -162,10 +165,12 @@ impl CompressedView {
                     Theorem2Structure::build_with_budget(view, db, budget)?,
                 )),
             },
-            Strategy::Materialize => Ok(CompressedView::Materialized(MaterializedView::build(
-                view, db,
+            Strategy::Materialize => Ok(CompressedView::Materialized(
+                MaterializedView::build_pooled(view, db, pool)?,
+            )),
+            Strategy::Direct => Ok(CompressedView::Direct(DirectView::build_pooled(
+                view, db, pool,
             )?)),
-            Strategy::Direct => Ok(CompressedView::Direct(DirectView::build(view, db)?)),
             Strategy::Tradeoff { tau, weights } => {
                 if tau < 1.0 {
                     return Err(CqcError::Config(format!("τ = {tau} must be ≥ 1")));
@@ -366,6 +371,18 @@ impl CompressedView {
             CompressedView::AlwaysEmpty(_) => {
                 "always-empty: a ground atom failed during the Example 3 rewrite".into()
             }
+        }
+    }
+
+    /// The shared handles of the base-relation indexes this
+    /// representation holds (a handle per holder: Theorem 1 lists an index
+    /// its plan and its cost oracle share twice). Empty for the strategies
+    /// that keep none or index bag-local projections instead.
+    pub fn base_indexes(&self) -> Vec<&std::sync::Arc<cqc_storage::SortedIndex>> {
+        match self {
+            CompressedView::Tradeoff(s) => s.base_indexes().collect(),
+            CompressedView::Direct(s) => s.plan().indexes().iter().collect(),
+            _ => Vec::new(),
         }
     }
 

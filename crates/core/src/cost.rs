@@ -33,7 +33,8 @@ use std::sync::Arc;
 /// Indexes are `Arc`-shared: the access index's column order coincides
 /// with the trie order of `cqc_join::plan::ViewPlan`, so a cost oracle
 /// built through the same [`IndexPool`] as the plan shares that index
-/// instead of re-sorting it.
+/// instead of re-sorting it — and shares both with every other view the
+/// pool has served over the same relation and orders.
 #[derive(Debug, Clone)]
 struct AtomCost {
     /// Sorted `[free cols (enum order) | bound cols]`.
@@ -74,13 +75,13 @@ impl CostEstimator {
         weights: &[f64],
         alpha: f64,
     ) -> Result<CostEstimator> {
-        CostEstimator::build_pooled(view, db, weights, alpha, &mut IndexPool::new())
+        CostEstimator::build_pooled(view, db, weights, alpha, &IndexPool::new())
     }
 
     /// [`CostEstimator::build`] drawing both per-atom indexes from `pool`:
-    /// within one registration the access index (`[bound | free]`) has the
-    /// same column order as the join plan's trie index, so the two
-    /// structures build it once between them.
+    /// the access index (`[bound | free]`) has the same column order as
+    /// the join plan's trie index, so the two structures build it once
+    /// between them.
     ///
     /// # Errors
     ///
@@ -90,40 +91,17 @@ impl CostEstimator {
         db: &Database,
         weights: &[f64],
         alpha: f64,
-        pool: &mut IndexPool,
+        pool: &IndexPool,
     ) -> Result<CostEstimator> {
         let all_domains = view.query().active_domains(db)?;
         CostEstimator::build_with_domains_pooled(view, db, weights, alpha, &all_domains, pool)
     }
 
-    /// [`CostEstimator::build`] with the per-variable active domains
-    /// already computed (indexed by variable, as
+    /// [`CostEstimator::build_pooled`] with the per-variable active
+    /// domains already computed (indexed by variable, as
     /// [`cqc_query::ConjunctiveQuery::active_domains`] returns them) —
     /// callers that just scanned the domains anyway (delta maintenance)
     /// skip the second O(|D|) column-union pass.
-    ///
-    /// # Errors
-    ///
-    /// Fails on schema mismatches.
-    pub fn build_with_domains(
-        view: &AdornedView,
-        db: &Database,
-        weights: &[f64],
-        alpha: f64,
-        all_domains: &[Domain],
-    ) -> Result<CostEstimator> {
-        CostEstimator::build_with_domains_pooled(
-            view,
-            db,
-            weights,
-            alpha,
-            all_domains,
-            &mut IndexPool::new(),
-        )
-    }
-
-    /// [`CostEstimator::build_with_domains`] over a caller-supplied
-    /// [`IndexPool`] (the fully explicit form the others delegate to).
     ///
     /// # Errors
     ///
@@ -134,7 +112,7 @@ impl CostEstimator {
         weights: &[f64],
         alpha: f64,
         all_domains: &[Domain],
-        pool: &mut IndexPool,
+        pool: &IndexPool,
     ) -> Result<CostEstimator> {
         let query = view.query();
         query.require_natural_join()?;
@@ -207,18 +185,18 @@ impl CostEstimator {
         })
     }
 
-    /// Rebuilds this estimator for the post-delta database by **merging**
-    /// the delta's genuinely new rows into clones of each sorted index
-    /// (two-pointer splice with galloping search,
-    /// [`SortedIndex::merge_insert`]) and compacting its removals out
-    /// ([`SortedIndex::merge_remove`]) instead of re-sorting every linear
-    /// index from scratch — the incremental base-index maintenance path.
-    /// The caller has already verified the free-variable grid is unchanged
-    /// and passes the freshly scanned `all_domains`.
+    /// This estimator for the post-delta database `db`: both indexes of
+    /// every atom are traded in at `pool` for their post-delta successors
+    /// ([`IndexPool::maintained`] — merged once for all holders, never
+    /// re-sorted), so a maintained oracle shares its access indexes with
+    /// the maintained plan exactly as a rebuilt pair would. The caller
+    /// has already verified the free-variable grid is unchanged and
+    /// passes the freshly scanned `all_domains`.
     ///
-    /// Returns `Ok(None)` when the merged indexes cannot be reconciled with
-    /// the post-delta relations (size disagreement, arity mismatch, atom
-    /// count drift) — the caller should fall back to a full rebuild.
+    /// Returns `Ok(None)` when an index cannot be reconciled with the
+    /// post-delta relations (size disagreement, arity mismatch, atom
+    /// count drift) — the caller should fall back to
+    /// [`CostEstimator::build_with_domains_pooled`].
     ///
     /// # Errors
     ///
@@ -229,51 +207,29 @@ impl CostEstimator {
         db: &Database,
         delta: &cqc_storage::Delta,
         all_domains: &[Domain],
+        pool: &IndexPool,
     ) -> Result<Option<CostEstimator>> {
         let query = view.query();
         if query.atoms.len() != self.atoms.len() {
             return Ok(None);
         }
-        let free_head = view.free_head();
-        let domains: Vec<Domain> = free_head
+        let domains: Vec<Domain> = view
+            .free_head()
             .iter()
             .map(|v| all_domains[v.index()].clone())
             .collect();
         let mut atoms = Vec::with_capacity(self.atoms.len());
         for (atom, old) in query.atoms.iter().zip(&self.atoms) {
-            let rel = db.require(&atom.relation)?;
-            let (build_index, access_index) = if delta.touches(&atom.relation) {
-                let mut build_index = (*old.build_index).clone();
-                let mut access_index = (*old.access_index).clone();
-                if let Some(tuples) = delta.tuples_for(&atom.relation) {
-                    let Some(fresh) = old.build_index.fresh_from(tuples) else {
-                        return Ok(None);
-                    };
-                    build_index.merge_insert(&fresh);
-                    access_index.merge_insert(&fresh);
-                }
-                if let Some(tuples) = delta.removes_for(&atom.relation) {
-                    let Some(stale) = old.build_index.stale_from(tuples) else {
-                        return Ok(None);
-                    };
-                    build_index.merge_remove(&stale);
-                    access_index.merge_remove(&stale);
-                }
-                (Arc::new(build_index), Arc::new(access_index))
-            } else {
-                // Untouched atom: share the old indexes outright.
-                (Arc::clone(&old.build_index), Arc::clone(&old.access_index))
-            };
-            if build_index.len() != rel.len() {
-                // The relation changed beyond this delta: merge is unsound.
+            let successor = |index| pool.maintained(db, &atom.relation, index, delta);
+            let (Some(build_index), Some(access_index)) =
+                (successor(&old.build_index)?, successor(&old.access_index)?)
+            else {
                 return Ok(None);
-            }
+            };
             atoms.push(AtomCost {
                 build_index,
                 access_index,
-                free_enum: old.free_enum.clone(),
-                bound_pos: old.bound_pos.clone(),
-                u_hat: old.u_hat,
+                ..old.clone()
             });
         }
         Ok(Some(CostEstimator {
@@ -611,6 +567,14 @@ impl<'a> PrefixCost<'a> {
 }
 
 impl CostEstimator {
+    /// The shared handles of every count index (build and access, per
+    /// atom).
+    pub fn indexes(&self) -> impl Iterator<Item = &Arc<SortedIndex>> + '_ {
+        self.atoms
+            .iter()
+            .flat_map(|a| [&a.build_index, &a.access_index])
+    }
+
     /// [`HeapSize::heap_bytes`] over the count indexes `count_index`
     /// accepts (it sees every holder's `Arc`: per atom, build index then
     /// access index). The access indexes are `Arc`-shared with the join
@@ -811,21 +775,23 @@ pub(crate) mod tests {
         // every identical (relation, order) index — and answer every count
         // exactly like unpooled builds.
         let (view, db) = running_example();
-        let mut pool = IndexPool::new();
-        let est =
-            CostEstimator::build_pooled(&view, &db, &[1.0, 1.0, 1.0], 2.0, &mut pool).unwrap();
-        let first_builds = pool.builds();
-        assert_eq!(pool.hits(), 0);
-        let again =
-            CostEstimator::build_pooled(&view, &db, &[1.0, 1.0, 1.0], 2.0, &mut pool).unwrap();
-        assert_eq!(pool.builds(), first_builds, "second estimator is all hits");
-        assert_eq!(pool.hits(), first_builds);
+        let pool = IndexPool::new();
+        let est = CostEstimator::build_pooled(&view, &db, &[1.0, 1.0, 1.0], 2.0, &pool).unwrap();
+        let first_builds = pool.stats().builds;
+        assert_eq!(pool.stats().hits, 0);
+        let again = CostEstimator::build_pooled(&view, &db, &[1.0, 1.0, 1.0], 2.0, &pool).unwrap();
+        assert_eq!(
+            pool.stats().builds,
+            first_builds,
+            "second estimator is all hits"
+        );
+        assert_eq!(pool.stats().hits, first_builds);
         // The trie orders of the join plan coincide with the access
         // indexes: building the plan through the same pool adds no new
         // sorts.
-        let plan = cqc_join::plan::ViewPlan::build_pooled(&view, &db, &mut pool).unwrap();
+        let plan = cqc_join::plan::ViewPlan::build_pooled(&view, &db, &pool).unwrap();
         assert_eq!(
-            pool.builds(),
+            pool.stats().builds,
             first_builds,
             "plan trie indexes reuse the access indexes"
         );

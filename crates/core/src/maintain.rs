@@ -29,9 +29,11 @@
 //!   value vanish entirely shifts the rank-space grid and forces a rebuild
 //!   (caught by the grid equality check, exactly like domain growth).
 //!
-//! Maintenance therefore (1) refreshes the linear-size base indexes by
-//! two-pointer merge (`merge_insert`/`merge_remove` — the `Õ(|D|)` term,
-//! unavoidable because answers are enumerated from them), (2) keeps the
+//! Maintenance therefore (1) trades the linear-size base indexes in at the
+//! [`IndexPool`] for their post-delta successors — merged by two-pointer
+//! splice (`merge_insert`/`merge_remove`), the `Õ(|D|)` term, unavoidable
+//! because answers are enumerated from them, but paid once per delta by
+//! the engine's store and not once per view — (2) keeps the
 //! delay-balanced tree's shape, and (3) re-probes exactly the dictionary
 //! bits on tree nodes whose f-interval intersects a delta tuple's slab —
 //! the affected root-to-leaf paths. Everything else is untouched, so the
@@ -41,8 +43,8 @@
 //! **Every other strategy** has a cheaper-than-rebuild maintain path of its
 //! own:
 //!
-//! * materialized and direct baselines patch their trie indexes by merge
-//!   and (for the materialized result) repair losses by projection
+//! * materialized and direct baselines take their trie indexes from the
+//!   same pool and (for the materialized result) repair losses by projection
 //!   membership and gains by slab-restricted joins
 //!   ([`cqc_join::baselines::MaterializedView::maintained`],
 //!   [`cqc_join::baselines::DirectView::maintained`]);
@@ -71,7 +73,7 @@ use cqc_join::leapfrog::LevelConstraint;
 use cqc_join::plan::ViewPlan;
 use cqc_query::rewrite::rewrite_view;
 use cqc_query::AdornedView;
-use cqc_storage::{Database, Delta};
+use cqc_storage::{Database, Delta, IndexPool};
 use std::sync::Arc;
 
 /// What happened during a maintenance attempt.
@@ -159,6 +161,11 @@ impl CompressedView {
     /// does not touch the view's relations is
     /// [`MaintainOutcome::Unaffected`] for *every* strategy.
     ///
+    /// Base indexes come from a private [`IndexPool`], which merges this
+    /// representation's own pre-delta indexes rather than re-sorting; an
+    /// engine passes its store to [`CompressedView::maintain_pooled`]
+    /// instead, where the merge has already happened once for all views.
+    ///
     /// # Errors
     ///
     /// Propagates schema errors from rebuilding the base indexes.
@@ -167,6 +174,23 @@ impl CompressedView {
         original: &AdornedView,
         db: &Database,
         delta: &Delta,
+    ) -> Result<MaintainOutcome> {
+        self.maintain_pooled(original, db, delta, &IndexPool::new())
+    }
+
+    /// [`CompressedView::maintain`] drawing every post-delta base index
+    /// from `pool`: the maintained representation then shares each one
+    /// with every other holder of the pool, exactly as a rebuilt one would.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`CompressedView::maintain`].
+    pub fn maintain_pooled(
+        &self,
+        original: &AdornedView,
+        db: &Database,
+        delta: &Delta,
+        pool: &IndexPool,
     ) -> Result<MaintainOutcome> {
         let query = original.query();
         if !query.atoms.iter().any(|a| delta.touches(&a.relation)) {
@@ -198,13 +222,13 @@ impl CompressedView {
                 if needs_rewrite {
                     return rewrite_rebuild();
                 }
-                maintain_theorem1(s, db, delta)
+                maintain_theorem1(s, db, delta, pool)
             }
             CompressedView::Materialized(s) => {
                 if needs_rewrite {
                     return rewrite_rebuild();
                 }
-                match s.maintained(db, delta)? {
+                match s.maintained(db, delta, pool)? {
                     Some(v) => Ok(MaintainOutcome::Maintained {
                         view: Box::new(CompressedView::Materialized(v)),
                         report: base_report(),
@@ -216,7 +240,7 @@ impl CompressedView {
                 if needs_rewrite {
                     return rewrite_rebuild();
                 }
-                match s.maintained(db, delta)? {
+                match s.maintained(db, delta, pool)? {
                     Some(v) => Ok(MaintainOutcome::Maintained {
                         view: Box::new(CompressedView::Direct(v)),
                         report: base_report(),
@@ -305,6 +329,7 @@ fn maintain_theorem1(
     s: &Theorem1Structure,
     db: &Database,
     delta: &Delta,
+    pool: &IndexPool,
 ) -> Result<MaintainOutcome> {
     let query = s.view.query();
     let free_head = s.view.free_head();
@@ -323,20 +348,27 @@ fn maintain_theorem1(
         });
     }
 
-    // Base-index refresh over the post-delta database: the sorted delta
-    // run is *merged* into each linear index (two-pointer splice with
-    // galloping search) instead of re-sorting every index from scratch, so
-    // the refresh costs O(|D| + |δ| log |δ|) copying rather than
-    // O(|D| log |D|) comparison sorting. The domains scanned for the grid
-    // check above are reused, not recomputed; if a merge cannot be
-    // reconciled with the post-delta relations, fall back to the rebuild.
-    let est = match s.est.maintained(&s.view, db, delta, &all_domains)? {
+    // Base-index refresh over the post-delta database: each index is
+    // traded in at the pool for its successor — the delta *merged* into it
+    // (two-pointer splice with galloping search, O(|D| + |δ| log |δ|)
+    // copying), once for every holder, instead of re-sorted per holder.
+    // The domains scanned for the grid check above are reused, not
+    // recomputed; an index that cannot be reconciled with the post-delta
+    // relations is sorted afresh, through the same pool.
+    let est = match s.est.maintained(&s.view, db, delta, &all_domains, pool)? {
         Some(est) => est,
-        None => CostEstimator::build_with_domains(&s.view, db, &s.weights, s.alpha, &all_domains)?,
+        None => CostEstimator::build_with_domains_pooled(
+            &s.view,
+            db,
+            &s.weights,
+            s.alpha,
+            &all_domains,
+            pool,
+        )?,
     };
-    let plan = match s.plan.maintained(&s.view, db, delta)? {
+    let plan = match s.plan.maintained(&s.view, db, delta, pool)? {
         Some(plan) => plan,
-        None => ViewPlan::build(&s.view, db)?,
+        None => ViewPlan::build_pooled(&s.view, db, pool)?,
     };
 
     let mut report = MaintainReport {
@@ -513,6 +545,13 @@ mod tests {
 
     fn answers(cv: &CompressedView, vb: &[Value]) -> Vec<Tuple> {
         cv.answer(vb).unwrap().collect()
+    }
+
+    /// How many distinct base-index allocations `cv` holds.
+    fn distinct_indexes(cv: &CompressedView) -> usize {
+        let allocations: std::collections::HashSet<_> =
+            cv.base_indexes().into_iter().map(Arc::as_ptr).collect();
+        allocations.len()
     }
 
     #[test]
@@ -792,6 +831,27 @@ mod tests {
                 maintained_runs += 1;
                 assert_eq!(maintained.strategy_name(), built.strategy_name());
                 let rebuilt = CompressedView::build(&view, &db, strat.clone()).unwrap();
+                // Maintenance must not un-share: plan and cost oracle hold
+                // one merged allocation per (relation, order), as after a
+                // build — not a private merged copy each.
+                assert_eq!(
+                    distinct_indexes(&maintained),
+                    distinct_indexes(&rebuilt),
+                    "{} seed {seed}",
+                    built.strategy_name()
+                );
+                if let (CompressedView::Tradeoff(m), CompressedView::Tradeoff(r)) =
+                    (&*maintained, &rebuilt)
+                {
+                    // The reported figure adds the oracle's domains and
+                    // position vectors, whose capacities may differ by a
+                    // word between a clone and a collect.
+                    let (m, r) = (
+                        m.space_breakdown().base_index_distinct_bytes,
+                        r.space_breakdown().base_index_distinct_bytes,
+                    );
+                    assert!(m.abs_diff(r) * 100 <= r, "seed {seed}: {m} vs {r}");
+                }
                 for x in 0..12u64 {
                     for z in 0..12u64 {
                         let vb = [x, z];

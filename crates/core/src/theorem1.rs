@@ -65,14 +65,15 @@ impl Theorem1Structure {
         weights: &[f64],
         tau: f64,
     ) -> Result<Theorem1Structure> {
-        Theorem1Structure::build_pooled(view, db, weights, tau, &mut IndexPool::new())
+        Theorem1Structure::build_pooled(view, db, weights, tau, &IndexPool::new())
     }
 
     /// [`Theorem1Structure::build`] drawing every sorted index from `pool`:
     /// the cost oracle's access indexes and the join plan's trie indexes
     /// share the same column orders, so between them each distinct
-    /// `(relation, order)` index is sorted exactly once — and a pool shared
-    /// with strategy selection reuses the veto oracle's indexes too.
+    /// `(relation, order)` index is sorted exactly once — and a pool that
+    /// has served strategy selection or another view over the same
+    /// relations (the engine's store) has most of them already.
     ///
     /// # Errors
     ///
@@ -82,7 +83,7 @@ impl Theorem1Structure {
         db: &Database,
         weights: &[f64],
         tau: f64,
-        pool: &mut IndexPool,
+        pool: &IndexPool,
     ) -> Result<Theorem1Structure> {
         let query = view.query();
         query.require_natural_join()?;
@@ -180,6 +181,12 @@ impl Theorem1Structure {
     /// The cost oracle.
     pub fn estimator(&self) -> &CostEstimator {
         &self.est
+    }
+
+    /// The shared handles of every base index, the plan's tries first and
+    /// then the cost oracle's count indexes.
+    pub fn base_indexes(&self) -> impl Iterator<Item = &Arc<SortedIndex>> + '_ {
+        self.plan.indexes().iter().chain(self.est.indexes())
     }
 
     /// Answers an access request: lexicographic, duplicate-free enumeration

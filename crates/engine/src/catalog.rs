@@ -72,6 +72,19 @@ pub struct CatalogStats {
     pub resident_bytes: usize,
     /// The configured budget.
     pub budget_bytes: usize,
+    /// Live allocations in the engine's index store (0 from a bare
+    /// [`Catalog`]; [`crate::Engine::catalog_stats`] fills the five store
+    /// fields in).
+    pub index_store_indexes: usize,
+    /// Their bytes, each allocation once — `resident_bytes` counts an
+    /// `Arc`-shared index once per holding view and structure.
+    pub index_store_bytes: usize,
+    /// Index requests the store answered with a resident index.
+    pub index_store_hits: u64,
+    /// Indexes the store sorted from a relation.
+    pub index_store_builds: u64,
+    /// Indexes the store produced by merging a delta into a resident one.
+    pub index_store_merges: u64,
 }
 
 /// Floor applied to measured rebuild times when scoring eviction victims:
@@ -379,6 +392,7 @@ impl Catalog {
             entries: inner.map.len(),
             resident_bytes: inner.resident_bytes,
             budget_bytes: self.budget_bytes,
+            ..CatalogStats::default()
         }
     }
 }

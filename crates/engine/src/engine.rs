@@ -31,7 +31,7 @@ use cqc_durable::DurableStore;
 use cqc_query::parser::parse_adorned;
 use cqc_query::AdornedView;
 use cqc_storage::csv::{relation_from_csv, CsvOptions};
-use cqc_storage::{Database, Delta, Epoch, Interner, Relation, RelationId};
+use cqc_storage::{Database, Delta, Epoch, IndexPool, Interner, Relation, RelationId};
 use std::io::BufRead;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -237,10 +237,21 @@ pub struct Engine {
     db: RwLock<Arc<Database>>,
     interner: Interner,
     catalog: Catalog,
+    /// The index store: the one place this engine's sorted base indexes
+    /// are built or merged, shared by strategy selection and every view
+    /// (`docs/ARCHITECTURE.md`, "Index store").
+    indexes: IndexPool,
     views: RwLock<FastMap<String, Arc<RegisteredView>>>,
     config: EngineConfig,
     /// Serializes writers: updates see a quiescent catalog-reconciliation
     /// phase while readers keep serving from their snapshots.
+    ///
+    /// Lock order: `update_lock` → a catalog key's build lock → the leaf
+    /// locks (`db`, `views`, the catalog's map, `maintain_paused`, the
+    /// index store's map). A leaf lock is held for one lookup or insert
+    /// and never while another lock is taken — the index store in
+    /// particular is unlocked during every sort, merge and build — so no
+    /// two of them can be acquired in opposite orders.
     update_lock: Mutex<()>,
     /// Keys whose maintenance was measured decisively slower than their
     /// own rebuild, mapped to the delta count at which they lost. The
@@ -282,6 +293,7 @@ impl Engine {
             db: RwLock::new(Arc::new(db)),
             interner: Interner::new(),
             catalog: Catalog::with_admission(config.catalog_budget_bytes, admit_max_bytes),
+            indexes: IndexPool::default(),
             views: RwLock::new(FastMap::default()),
             config,
             update_lock: Mutex::new(()),
@@ -472,6 +484,11 @@ impl Engine {
         let new_db = Arc::new(new_db);
         self.upd_deltas.fetch_add(1, Ordering::Relaxed);
 
+        // Merge the delta into every live base index once, before any view
+        // is reconciled: maintained and rebuilt entries alike then adopt
+        // the same post-delta allocations from the store.
+        self.indexes.refresh(&old, &new_db, delta);
+
         // Reconcile the catalog *before* publishing the new epoch: readers
         // keep hitting the old-epoch entries (still valid for the snapshot
         // they serve) instead of lazily invalidating entries this very
@@ -494,6 +511,7 @@ impl Engine {
             }
         }
         *self.db.write().expect("db lock poisoned") = new_db;
+        self.indexes.release();
         self.upd_maintained
             .fetch_add(report.maintained as u64, Ordering::Relaxed);
         self.upd_rebuilt
@@ -578,7 +596,7 @@ impl Engine {
         };
         if entry_epoch == pre_epoch && !too_large && !paused {
             let t0 = Instant::now();
-            match cv.maintain(&rv.view, db, delta)? {
+            match cv.maintain_pooled(&rv.view, db, delta, &self.indexes)? {
                 MaintainOutcome::Maintained { view, .. } => {
                     // Calibrate against the rebuild time measured when the
                     // entry was built: a key whose maintenance decisively
@@ -614,8 +632,13 @@ impl Engine {
             }
         }
         let t0 = Instant::now();
-        let built = CompressedView::build(&rv.view, db, rv.selection.strategy.clone())
-            .map_err(|e| e.for_view(&rv.name, &rv.selection.tag))?;
+        let built = CompressedView::build_pooled(
+            &rv.view,
+            db,
+            rv.selection.strategy.clone(),
+            &self.indexes,
+        )
+        .map_err(|e| e.for_view(&rv.name, &rv.selection.tag))?;
         self.catalog.insert(
             rv.key.clone(),
             Arc::new(built),
@@ -659,11 +682,12 @@ impl Engine {
     /// concrete strategy and building its representation into the catalog
     /// immediately (so the first request is already a cache hit).
     ///
-    /// Selection and build share one [`cqc_storage::IndexPool`]: the veto
-    /// cost oracle's sorted indexes are reused by the actual structure
+    /// Selection and build both draw from the engine's index store: the
+    /// veto cost oracle's sorted indexes are reused by the actual structure
     /// build instead of being re-sorted (the Example 3 rewrite shares
-    /// untouched relations by `Arc`, which is what lets the pool recognize
-    /// them across the two phases).
+    /// untouched relations by `Arc`, which is what lets the store recognize
+    /// them across the two phases), and every index another resident view
+    /// already holds is shared with it.
     ///
     /// # Errors
     ///
@@ -675,10 +699,13 @@ impl Engine {
         view: AdornedView,
         policy: Policy,
     ) -> Result<Arc<RegisteredView>> {
-        let mut pool = cqc_storage::IndexPool::new();
-        let selection = select_pooled(&view, &self.db(), &policy, &mut pool)
-            .map_err(|e| e.for_view(name, "auto-selection"))?;
-        self.register_with_pool(name, view, selection, &mut pool)
+        let registered = select_pooled(&view, &self.db(), &policy, &self.indexes)
+            .map_err(|e| e.for_view(name, "auto-selection"))
+            .and_then(|selection| self.register_selected(name, view, selection));
+        // The build releases the store's pins itself; a failed selection
+        // or a catalog hit (an alias of a resident view) never reaches it.
+        self.indexes.release();
+        registered
     }
 
     /// Registers a view whose strategy selection has **already been
@@ -695,16 +722,6 @@ impl Engine {
         name: &str,
         view: AdornedView,
         selection: Selection,
-    ) -> Result<Arc<RegisteredView>> {
-        self.register_with_pool(name, view, selection, &mut cqc_storage::IndexPool::new())
-    }
-
-    fn register_with_pool(
-        &self,
-        name: &str,
-        view: AdornedView,
-        selection: Selection,
-        pool: &mut cqc_storage::IndexPool,
     ) -> Result<Arc<RegisteredView>> {
         let key = CatalogKey {
             normalized_query: view.query().normalized_text(),
@@ -729,7 +746,7 @@ impl Engine {
         // Build eagerly; distinct names sharing a catalog key share the
         // build (the catalog hit skips it). A failed build must unregister
         // the name, or the caller could never retry with a fixed strategy.
-        if let Err(e) = self.representation_pooled(&registered, pool) {
+        if let Err(e) = self.representation(&registered) {
             self.views
                 .write()
                 .expect("views lock poisoned")
@@ -801,18 +818,11 @@ impl Engine {
     /// The lookup carries the epoch of the database snapshot being served:
     /// an entry stamped older — built before a delta this snapshot already
     /// reflects — is invalidated and rebuilt instead of served stale.
+    ///
+    /// A miss builds through the engine's index store — at registration,
+    /// after an eviction and after an invalidation alike — and releases
+    /// the store's pins once the entry is in the catalog.
     fn representation(&self, rv: &RegisteredView) -> Result<Arc<CompressedView>> {
-        self.representation_pooled(rv, &mut cqc_storage::IndexPool::new())
-    }
-
-    /// [`Engine::representation`] building any catalog miss through the
-    /// caller's index pool (registration passes the pool its strategy
-    /// selection already filled).
-    fn representation_pooled(
-        &self,
-        rv: &RegisteredView,
-        pool: &mut cqc_storage::IndexPool,
-    ) -> Result<Arc<CompressedView>> {
         let db = self.db();
         if let Some(cv) = self.catalog.get(&rv.key, db.epoch()) {
             return Ok(cv);
@@ -824,17 +834,26 @@ impl Engine {
             return Ok(cv);
         }
         let t0 = Instant::now();
-        let built =
-            CompressedView::build_pooled(&rv.view, &db, rv.selection.strategy.clone(), pool)
-                .map_err(|e| e.for_view(&rv.name, &rv.selection.tag))?;
-        let cv = Arc::new(built);
-        self.catalog.insert(
-            rv.key.clone(),
-            Arc::clone(&cv),
-            db.epoch(),
-            t0.elapsed().as_nanos() as u64,
+        let built = CompressedView::build_pooled(
+            &rv.view,
+            &db,
+            rv.selection.strategy.clone(),
+            &self.indexes,
         );
-        Ok(cv)
+        let cv = built
+            .map_err(|e| e.for_view(&rv.name, &rv.selection.tag))
+            .map(|built| {
+                let cv = Arc::new(built);
+                self.catalog.insert(
+                    rv.key.clone(),
+                    Arc::clone(&cv),
+                    db.epoch(),
+                    t0.elapsed().as_nanos() as u64,
+                );
+                cv
+            });
+        self.indexes.release();
+        cv
     }
 
     /// Answers one request into owned per-tuple `Vec`s, discarding delay
@@ -1074,9 +1093,19 @@ impl Engine {
         self.run_batch(requests, threads, |r| self.measure(r))
     }
 
-    /// Catalog effectiveness counters.
+    /// Catalog effectiveness counters, with the index store's contents
+    /// (each live allocation once — `resident_bytes` counts an index once
+    /// per holder) and cumulative counters beside them.
     pub fn catalog_stats(&self) -> CatalogStats {
-        self.catalog.stats()
+        let store = self.indexes.stats();
+        CatalogStats {
+            index_store_indexes: store.indexes,
+            index_store_bytes: store.bytes,
+            index_store_hits: store.hits,
+            index_store_builds: store.builds,
+            index_store_merges: store.merges,
+            ..self.catalog.stats()
+        }
     }
 
     /// The "EXPLAIN" of a registered view: selection reasoning plus the
@@ -1089,14 +1118,59 @@ impl Engine {
         let rv = self.view(view)?;
         let cv = self.representation(&rv)?;
         Ok(format!(
-            "view `{}` = {}\n  pattern:  {}\n  strategy: {} ({})\n  repr:     {}",
+            "view `{}` = {}\n  pattern:  {}\n  strategy: {} ({})\n  repr:     {}\n  indexes:  {}",
             rv.name,
             rv.view.query(),
             rv.view.pattern(),
             rv.selection.tag,
             rv.selection.reason,
-            cv.describe()
+            cv.describe(),
+            self.describe_index_sharing(&rv, &cv)
         ))
+    }
+
+    /// The shared handles of the base-relation indexes a registered view's
+    /// representation holds ([`CompressedView::base_indexes`]): two views
+    /// share an index exactly when both lists contain the same allocation.
+    ///
+    /// # Errors
+    ///
+    /// Unknown view, or a tagged rebuild failure.
+    pub fn base_indexes(&self, view: &str) -> Result<Vec<Arc<cqc_storage::SortedIndex>>> {
+        let rv = self.view(view)?;
+        let cv = self.representation(&rv)?;
+        Ok(cv.base_indexes().into_iter().cloned().collect())
+    }
+
+    /// How many distinct base indexes `cv` holds, how many of those some
+    /// other resident view holds too, and how many such views there are.
+    fn describe_index_sharing(&self, rv: &RegisteredView, cv: &CompressedView) -> String {
+        let mine: FastSet<_> = cv.base_indexes().into_iter().map(Arc::as_ptr).collect();
+        let mut shared = FastSet::default();
+        let mut sharers = 0usize;
+        let mut seen = FastSet::default(); // aliases share one entry
+        for other in self.views() {
+            if other.key == rv.key || !seen.insert(other.key.clone()) {
+                continue;
+            }
+            let Some((theirs, _, _)) = self.catalog.peek(&other.key) else {
+                continue;
+            };
+            let common: Vec<_> = theirs
+                .base_indexes()
+                .into_iter()
+                .map(Arc::as_ptr)
+                .filter(|index| mine.contains(index))
+                .collect();
+            sharers += usize::from(!common.is_empty());
+            shared.extend(common);
+        }
+        format!(
+            "{} base indexes, {} shared with {} other views",
+            mine.len(),
+            shared.len(),
+            sharers
+        )
     }
 
     /// The Theorem 1 structure statistics of a registered view — sizes and

@@ -167,13 +167,13 @@ const EPS: f64 = 1e-6;
 ///
 /// Propagates schema/LP/decomposition failures from the consulted oracles.
 pub fn select(view: &AdornedView, db: &Database, policy: &Policy) -> Result<Selection> {
-    select_pooled(view, db, policy, &mut IndexPool::new())
+    select_pooled(view, db, policy, &IndexPool::new())
 }
 
 /// [`select`] drawing the veto cost oracle's indexes from `pool`. The
-/// engine passes the same pool to the subsequent build, which — because the
-/// Example 3 rewrite shares untouched relations by `Arc` — reuses those
-/// indexes instead of re-sorting them.
+/// engine passes its index store, the same one the subsequent build draws
+/// from, which — because the Example 3 rewrite shares untouched relations
+/// by `Arc` — reuses those indexes instead of re-sorting them.
 ///
 /// # Errors
 ///
@@ -182,7 +182,7 @@ pub fn select_pooled(
     view: &AdornedView,
     db: &Database,
     policy: &Policy,
-    pool: &mut IndexPool,
+    pool: &IndexPool,
 ) -> Result<Selection> {
     let budget = match policy {
         Policy::Fixed(s) => {

@@ -377,6 +377,9 @@ impl ShardedEngine {
                 "view `{name}` is already registered"
             )));
         }
+        // `select` sorts the veto oracle's indexes in a throwaway pool on
+        // purpose: a persistent store over the unsplit planning snapshot
+        // would pin a second full-|D| set of indexes no shard serves from.
         let selection = select(&view, &self.planning_db(), &policy)
             .map_err(|e| e.for_view(name, "auto-selection"))?;
         let fans_out = routing_for(self.partitioning.spec(), &view)?;
@@ -838,6 +841,11 @@ impl ShardedEngine {
             total.entries += s.entries;
             total.resident_bytes += s.resident_bytes;
             total.budget_bytes += s.budget_bytes;
+            total.index_store_indexes += s.index_store_indexes;
+            total.index_store_bytes += s.index_store_bytes;
+            total.index_store_hits += s.index_store_hits;
+            total.index_store_builds += s.index_store_builds;
+            total.index_store_merges += s.index_store_merges;
         }
         total
     }

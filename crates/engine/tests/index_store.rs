@@ -1,0 +1,362 @@
+//! One index store per engine: every `(relation, column order)` sorted
+//! index is resident once, shared by all views, merged once per delta, and
+//! gone with its last view.
+//!
+//! The counting allocator is the witness, so the tests in this binary take
+//! turns (one mutex): nothing else may allocate while live bytes are being
+//! compared.
+//!
+//! Sabotage: restoring a throwaway `IndexPool::new()` in the build that
+//! `Engine::register_selected` runs (`Engine::representation`) turns all
+//! three tests red — in
+//! `views_share_every_common_index_and_leave_nothing_behind` the τ-twin's
+//! registration then grows live bytes by a full set of base indexes and
+//! the store never sees them.
+
+use cqc_common::alloc::{live_bytes, CountingAlloc};
+use cqc_common::value::Tuple;
+use cqc_engine::{Engine, EngineConfig, Policy};
+use cqc_join::naive::evaluate_view;
+use cqc_query::parser::parse_adorned;
+use cqc_storage::{Database, Delta, Relation, SortedIndex};
+use cqc_workload::mixed_delta;
+use std::collections::HashSet;
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const TRIANGLE: &str = "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)";
+const RELATIONS: [&str; 3] = ["R", "S", "T"];
+
+fn take_turns() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Three different skewed graphs: the `space_accounting.rs` shape, but no
+/// two relations alike, so an index of one can never pass for another's.
+fn triangle_db(nodes: u64, edges: usize) -> Database {
+    let mut db = Database::new();
+    for (seed, name) in RELATIONS.iter().enumerate() {
+        let graph = cqc_workload::graphs::friendship_graph(
+            &mut cqc_workload::rng(7 + seed as u64),
+            nodes,
+            edges,
+            0.8,
+        );
+        let rows: Vec<Tuple> = graph.iter().map(<[u64]>::to_vec).collect();
+        db.add(Relation::new(*name, 2, rows)).unwrap();
+    }
+    db
+}
+
+fn engine_over(db: Database) -> Engine {
+    // Calibration off: whether a delta is maintained or rebuilt must not
+    // depend on wall clocks here.
+    Engine::with_config(
+        db,
+        EngineConfig {
+            maintain_calibration: false,
+            ..EngineConfig::default()
+        },
+    )
+}
+
+fn allocations<'a>(
+    indexes: impl IntoIterator<Item = &'a Arc<SortedIndex>>,
+) -> HashSet<*const SortedIndex> {
+    indexes.into_iter().map(Arc::as_ptr).collect()
+}
+
+fn index_bytes(index: &SortedIndex) -> u64 {
+    use cqc_common::heap::HeapSize;
+    (index.heap_bytes() + std::mem::size_of::<SortedIndex>()) as u64
+}
+
+/// The delta that undoes `forward` on `db` (the pre-delta database):
+/// recombined inserts may already be present, and those must stay.
+fn inverse_of(forward: &Delta, db: &Database) -> Delta {
+    let mut inverse = Delta::new();
+    for (name, tuples) in forward.groups() {
+        let relation = db.get(name).unwrap();
+        inverse.remove_all(
+            name,
+            tuples.iter().filter(|t| !relation.contains(t)).cloned(),
+        );
+    }
+    for (name, tuples) in forward.remove_groups() {
+        let relation = db.get(name).unwrap();
+        inverse.insert_all(
+            name,
+            tuples.iter().filter(|t| relation.contains(t)).cloned(),
+        );
+    }
+    inverse
+}
+
+/// Every named view (all of one adornment) answers every bound exactly as
+/// the naive join over the published snapshot does.
+fn assert_serve_the_naive_join(
+    engine: &Engine,
+    names: &[&str],
+    pattern: &str,
+    bounds: &[Vec<u64>],
+) {
+    let view = parse_adorned(TRIANGLE, pattern).unwrap();
+    let db = engine.db();
+    for bound in bounds {
+        let expect = evaluate_view(&view, &db, bound).unwrap();
+        for name in names {
+            assert_eq!(
+                engine.answer(name, bound).unwrap(),
+                expect,
+                "`{name}` at epoch {} bound {bound:?}",
+                db.epoch()
+            );
+        }
+    }
+}
+
+#[test]
+fn views_share_every_common_index_and_leave_nothing_behind() {
+    let _turn = take_turns();
+    let engine = engine_over(triangle_db(600, 6000));
+    // The teardown below ages the catalog with a delta and its inverse;
+    // apply the pair once up front so the baseline already has whatever
+    // capacity a relation keeps from being rewritten.
+    let mut forward = Delta::new();
+    forward.insert("R", vec![0, 0]);
+    let inverse = inverse_of(&forward, &engine.db());
+    engine.update(&forward).unwrap();
+    engine.update(&inverse).unwrap();
+    let before_any = live_bytes();
+
+    // Over three binary relations `bff` needs R01 R10 S01 T01 T10 and `bbf`
+    // needs R01 S01 S10 T01 T10: five distinct (relation, order) pairs
+    // each, four in common, six in all — two per relation.
+    engine
+        .register_text("lo", TRIANGLE, "bff", Policy::parse("tau:8").unwrap())
+        .unwrap();
+    let lo = engine.base_indexes("lo").unwrap();
+    assert_eq!(allocations(&lo).len(), 5);
+    let lo_stats = engine.theorem1_stats("lo").unwrap().unwrap();
+
+    // The τ-twin: tree + dictionary + ε, and not one base-index byte.
+    let before = live_bytes();
+    engine
+        .register_text("hi", TRIANGLE, "bff", Policy::parse("tau:1024").unwrap())
+        .unwrap();
+    let grew = live_bytes() - before;
+    let hi = engine.base_indexes("hi").unwrap();
+    let hi_stats = engine.theorem1_stats("hi").unwrap().unwrap();
+    assert_eq!(allocations(&hi), allocations(&lo), "τ-twins share all five");
+    let slack = lo_stats.base_index_distinct_bytes as u64 / 10;
+    assert!(
+        grew <= (hi_stats.tree_bytes + hi_stats.dict_bytes) as u64 + slack,
+        "the τ-twin grew live bytes by {grew}: tree {} + dictionary {} + ε expected, \
+         a private copy of the base indexes is {} more",
+        hi_stats.tree_bytes,
+        hi_stats.dict_bytes,
+        lo_stats.base_index_distinct_bytes
+    );
+
+    // Another adornment: only the one pair nobody holds yet is sorted.
+    let before = live_bytes();
+    engine
+        .register_text("pt", TRIANGLE, "bbf", Policy::default())
+        .unwrap();
+    let grew = live_bytes() - before;
+    let pt = engine.base_indexes("pt").unwrap();
+    let pt_stats = engine
+        .theorem1_stats("pt")
+        .unwrap()
+        .expect("auto resolves `bbf` over this graph to a base-index strategy");
+    assert_eq!(allocations(&pt).len(), 5);
+    let (common, new): (Vec<_>, Vec<_>) = pt
+        .iter()
+        .partition(|ix| allocations(&lo).contains(&Arc::as_ptr(ix)));
+    assert_eq!(allocations(common).len(), 4, "four of its five are `lo`'s");
+    assert_eq!(
+        allocations(new.iter().copied()).len(),
+        1,
+        "the fifth is S under (z, y)"
+    );
+    let new_bytes = index_bytes(new[0]);
+    assert!(
+        grew <= (pt_stats.tree_bytes + pt_stats.dict_bytes) as u64 + new_bytes + slack,
+        "`pt` grew live bytes by {grew}: tree {} + dictionary {} + one index {new_bytes} + ε",
+        pt_stats.tree_bytes,
+        pt_stats.dict_bytes
+    );
+
+    let stats = engine.catalog_stats();
+    assert_eq!(stats.index_store_indexes, 6, "two per binary relation");
+    assert_eq!(stats.index_store_builds, 6, "each sorted once: {stats:?}");
+    assert_eq!(
+        stats.index_store_bytes as u64,
+        lo.iter()
+            .chain(&pt)
+            .map(|ix| (Arc::as_ptr(ix), index_bytes(ix)))
+            .collect::<std::collections::HashMap<_, _>>()
+            .values()
+            .sum::<u64>(),
+        "each live allocation once"
+    );
+    assert!(
+        stats.resident_bytes > 2 * stats.index_store_bytes,
+        "resident_bytes keeps its per-holder definition: {stats:?}"
+    );
+    let explained = engine.explain("lo").unwrap();
+    assert!(
+        explained.contains("indexes:  5 base indexes, 5 shared with 2 other views"),
+        "{explained}"
+    );
+
+    // Unregister all three and evict their entries (two no-op-in-sum
+    // deltas age them; nothing registered means nothing is reconciled):
+    // the store must be empty and the memory back.
+    drop((lo, hi, pt));
+    for name in ["lo", "hi", "pt"] {
+        assert!(engine.unregister(name));
+    }
+    engine.update(&forward).unwrap();
+    engine.update(&inverse).unwrap();
+    assert_eq!(engine.invalidate_stale(), 3);
+    let stats = engine.catalog_stats();
+    assert_eq!((stats.entries, stats.index_store_indexes), (0, 0));
+    assert_eq!(stats.index_store_bytes, 0);
+    let after_all = live_bytes();
+    assert!(
+        after_all.abs_diff(before_any) * 100 <= before_any,
+        "live bytes {before_any} before any registration, {after_all} after evicting all"
+    );
+}
+
+#[test]
+fn maintenance_shares_like_a_rebuild_and_pins_no_generation() {
+    let _turn = take_turns();
+    let engine = engine_over(triangle_db(40, 250));
+    for (name, strategy) in [("lo", "tau:2"), ("hi", "tau:64")] {
+        engine
+            .register_text(name, TRIANGLE, "bfb", Policy::parse(strategy).unwrap())
+            .unwrap();
+    }
+    let bounds: Vec<Vec<u64>> = (0..40u64).step_by(9).map(|x| vec![x, x / 2]).collect();
+    let mut rng = cqc_workload::rng(41);
+    let churn = |engine: &Engine, rng: &mut _| {
+        let forward = mixed_delta(rng, &engine.db(), &RELATIONS, 2, 2);
+        let inverse = inverse_of(&forward, &engine.db());
+        for delta in [forward, inverse] {
+            let report = engine.update(&delta).unwrap();
+            assert_eq!(report.rebuilt, 0, "domain-safe deltas maintain: {report:?}");
+            assert_serve_the_naive_join(engine, &["lo", "hi"], "bfb", &bounds);
+            // Maintained views share what rebuilt ones would: the twins
+            // hold the same five allocations, the store holds no others.
+            let (lo, hi) = (
+                engine.base_indexes("lo").unwrap(),
+                engine.base_indexes("hi").unwrap(),
+            );
+            assert_eq!(allocations(&lo), allocations(&hi));
+            assert_eq!(allocations(&lo).len(), 5);
+            assert_eq!(engine.catalog_stats().index_store_indexes, 5);
+        }
+    };
+    // Warm-up: lazily sized maps and scratch reach their working size.
+    for _ in 0..5 {
+        churn(&engine, &mut rng);
+    }
+    let start = live_bytes();
+    let merges = engine.catalog_stats().index_store_merges;
+    for _ in 0..200 {
+        churn(&engine, &mut rng);
+    }
+    let end = live_bytes();
+    assert!(
+        end.abs_diff(start) * 100 <= start,
+        "400 deltas moved live bytes {start} → {end}: a generation is pinned"
+    );
+    let stats = engine.catalog_stats();
+    assert!(
+        stats.index_store_merges - merges <= 400 * 5,
+        "at most one merge per live index per delta, whatever the holder count: {stats:?}"
+    );
+    assert_eq!(stats.index_store_builds, 5, "nothing was ever re-sorted");
+}
+
+#[test]
+fn racing_registrations_and_updates_keep_one_allocation_per_pair() {
+    let _turn = take_turns();
+    let bounds: Vec<Vec<u64>> = (0..60u64).step_by(13).map(|x| vec![x]).collect();
+
+    // Two registrations over the same relations start together: both may
+    // sort a pair, one allocation survives.
+    for round in 0..8u64 {
+        let engine = engine_over(triangle_db(60, 400));
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (name, strategy) in [("lo", "tau:2"), ("hi", "tau:64")] {
+                let (engine, start) = (&engine, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    engine
+                        .register_text(name, TRIANGLE, "bff", Policy::parse(strategy).unwrap())
+                        .unwrap();
+                });
+            }
+        });
+        let (lo, hi) = (
+            engine.base_indexes("lo").unwrap(),
+            engine.base_indexes("hi").unwrap(),
+        );
+        assert_eq!(allocations(&lo), allocations(&hi), "round {round}");
+        assert_eq!(
+            engine.catalog_stats().index_store_indexes,
+            5,
+            "round {round}"
+        );
+    }
+
+    // A registration racing an update may build over the superseded
+    // snapshot, but what is served afterwards is the published epoch's
+    // join over the published epoch's indexes, held once.
+    let mut rng = cqc_workload::rng(5);
+    for round in 0..8u64 {
+        let engine = engine_over(triangle_db(60, 400));
+        engine
+            .register_text("lo", TRIANGLE, "bff", Policy::parse("tau:2").unwrap())
+            .unwrap();
+        let delta = mixed_delta(&mut rng, &engine.db(), &RELATIONS, 2, 2);
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let (engine, start, delta) = (&engine, &start, &delta);
+            scope.spawn(move || {
+                start.wait();
+                engine
+                    .register_text("hi", TRIANGLE, "bff", Policy::parse("tau:64").unwrap())
+                    .unwrap();
+            });
+            scope.spawn(move || {
+                start.wait();
+                engine.update(delta).unwrap();
+            });
+        });
+        assert_serve_the_naive_join(&engine, &["lo", "hi"], "bff", &bounds);
+        let db = engine.db();
+        let (lo, hi) = (
+            engine.base_indexes("lo").unwrap(),
+            engine.base_indexes("hi").unwrap(),
+        );
+        assert_eq!(allocations(&lo), allocations(&hi), "round {round}");
+        // Plan tries first, in atom order: each is exactly as long as the
+        // current relation it indexes.
+        for (index, name) in lo.iter().zip(RELATIONS) {
+            assert_eq!(index.len(), db.get(name).unwrap().len(), "round {round}");
+        }
+        assert_eq!(
+            engine.catalog_stats().index_store_indexes,
+            5,
+            "round {round}: no index of the superseded snapshot is left"
+        );
+    }
+}

@@ -165,6 +165,10 @@ fn small_deltas_take_the_maintain_path_and_stay_exact() {
 /// every answer matches the naive oracle on the post-delta snapshot. This
 /// also pins the maintain threshold counting removed tuples — a
 /// remove-only delta must register as touching the view.
+///
+/// A τ-twin rides along: maintenance must leave the two views holding the
+/// same post-delta index allocations (the store merges each index once),
+/// exactly as two fresh builds would share them.
 #[test]
 fn mixed_deltas_maintain_and_stay_exact() {
     for seed in [0u64, 3, 8] {
@@ -178,6 +182,13 @@ fn mixed_deltas_maintain_and_stay_exact() {
         engine
             .register_text("tri", TRIANGLE, "bfb", theorem1_policy())
             .unwrap();
+        engine
+            .register_text("twin", TRIANGLE, "bfb", Policy::parse("tau:64").unwrap())
+            .unwrap();
+        let allocations = |name: &str| -> std::collections::BTreeSet<_> {
+            let indexes = engine.base_indexes(name).unwrap();
+            indexes.iter().map(std::sync::Arc::as_ptr).collect()
+        };
         let view = parse_adorned(TRIANGLE, "bfb").unwrap();
         let mut rng = cqc_workload::rng(seed + 40);
         let mut removed_total = 0usize;
@@ -189,6 +200,9 @@ fn mixed_deltas_maintain_and_stay_exact() {
                 report.rebuilt, 0,
                 "domain-safe mixed deltas must not rebuild (seed {seed}): {report:?}"
             );
+            let held = allocations("tri");
+            assert_eq!(held, allocations("twin"), "seed {seed}: twins un-shared");
+            assert_eq!(held.len(), 5, "seed {seed}: plan and oracle un-shared");
             for x in 0..12u64 {
                 for z in 0..12u64 {
                     assert_eq!(

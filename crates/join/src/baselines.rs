@@ -16,7 +16,7 @@ use cqc_common::heap::HeapSize;
 use cqc_common::metrics;
 use cqc_common::value::{lex_cmp, Tuple, Value};
 use cqc_query::AdornedView;
-use cqc_storage::{Database, Delta};
+use cqc_storage::{Database, Delta, IndexPool};
 
 /// Fully materialized view with a lexicographic index on the bound prefix.
 #[derive(Debug)]
@@ -35,7 +35,21 @@ impl MaterializedView {
     ///
     /// Fails on non-natural-join views or schema mismatches.
     pub fn build(view: &AdornedView, db: &Database) -> Result<MaterializedView> {
-        let plan = ViewPlan::build(view, db)?;
+        MaterializedView::build_pooled(view, db, &IndexPool::new())
+    }
+
+    /// [`MaterializedView::build`] drawing the trie indexes the join runs
+    /// over from `pool` (they are not kept: only the result is).
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`MaterializedView::build`].
+    pub fn build_pooled(
+        view: &AdornedView,
+        db: &Database,
+        pool: &IndexPool,
+    ) -> Result<MaterializedView> {
+        let plan = ViewPlan::build_pooled(view, db, pool)?;
         let width = plan.num_levels();
         let mut join = plan.join(vec![crate::leapfrog::LevelConstraint::Free; width]);
         let mut rows = Vec::new();
@@ -144,19 +158,25 @@ impl MaterializedView {
     /// affected result rows, never the full `|D|^{ρ*}` re-join.
     ///
     /// Returns `Ok(None)` when the layout cannot be reconciled — fall back
-    /// to [`MaterializedView::build`].
+    /// to [`MaterializedView::build_pooled`].
     ///
     /// # Errors
     ///
     /// Propagates schema errors (a view relation missing from `db`).
-    pub fn maintained(&self, db: &Database, delta: &Delta) -> Result<Option<MaterializedView>> {
+    pub fn maintained(
+        &self,
+        db: &Database,
+        delta: &Delta,
+        pool: &IndexPool,
+    ) -> Result<Option<MaterializedView>> {
         let query = self.view.query();
         if query.require_natural_join().is_err() {
             return Ok(None);
         }
-        // Base trie indexes over the post-delta database (linear-ish; the
-        // full result re-join is what maintenance avoids).
-        let plan = ViewPlan::build(&self.view, db)?;
+        // Base trie indexes over the post-delta database, from `pool` (the
+        // engine's store holds them already merged if any other view uses
+        // them; the full result re-join is what maintenance avoids).
+        let plan = ViewPlan::build_pooled(&self.view, db, pool)?;
         if plan.num_levels() != self.width || plan.num_bound != self.num_bound {
             return Ok(None);
         }
@@ -311,9 +331,20 @@ impl DirectView {
     ///
     /// Fails on non-natural-join views or schema mismatches.
     pub fn build(view: &AdornedView, db: &Database) -> Result<DirectView> {
+        DirectView::build_pooled(view, db, &IndexPool::new())
+    }
+
+    /// [`DirectView::build`] drawing the trie indexes from `pool`, so a
+    /// direct view shares them with every other view over the same
+    /// relations and column orders.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`DirectView::build`].
+    pub fn build_pooled(view: &AdornedView, db: &Database, pool: &IndexPool) -> Result<DirectView> {
         Ok(DirectView {
             view: view.clone(),
-            plan: ViewPlan::build(view, db)?,
+            plan: ViewPlan::build_pooled(view, db, pool)?,
         })
     }
 
@@ -367,15 +398,20 @@ impl DirectView {
     /// Incrementally maintains the base trie indexes under a mixed
     /// insert/delete delta via [`ViewPlan::maintained`]. Returns `Ok(None)`
     /// when the plan cannot be reconciled — fall back to
-    /// [`DirectView::build`].
+    /// [`DirectView::build_pooled`].
     ///
     /// # Errors
     ///
     /// Propagates schema errors (a view relation missing from `db`).
-    pub fn maintained(&self, db: &Database, delta: &Delta) -> Result<Option<DirectView>> {
+    pub fn maintained(
+        &self,
+        db: &Database,
+        delta: &Delta,
+        pool: &IndexPool,
+    ) -> Result<Option<DirectView>> {
         Ok(self
             .plan
-            .maintained(&self.view, db, delta)?
+            .maintained(&self.view, db, delta, pool)?
             .map(|plan| DirectView {
                 view: self.view.clone(),
                 plan,
@@ -573,8 +609,14 @@ mod tests {
             }
             db.apply(&delta).unwrap();
             let v = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
-            let mat = mat0.maintained(&db, &delta).unwrap().unwrap();
-            let dir = dir0.maintained(&db, &delta).unwrap().unwrap();
+            let mat = mat0
+                .maintained(&db, &delta, &IndexPool::new())
+                .unwrap()
+                .unwrap();
+            let dir = dir0
+                .maintained(&db, &delta, &IndexPool::new())
+                .unwrap()
+                .unwrap();
             let mat_rebuilt = MaterializedView::build(&v, &db).unwrap();
             for x in 0..6u64 {
                 let expect = evaluate_view(&v, &db, &[x]).unwrap();
@@ -604,7 +646,10 @@ mod tests {
         delta.insert("R", vec![7, 2]);
         delta.remove("S", vec![4, 6]);
         db.apply(&delta).unwrap();
-        let mat = mat0.maintained(&db, &delta).unwrap().unwrap();
+        let mat = mat0
+            .maintained(&db, &delta, &IndexPool::new())
+            .unwrap()
+            .unwrap();
         let expect = evaluate_view(&v, &db, &[]).unwrap();
         let got: Vec<Tuple> = mat.answer(&[]).unwrap().collect();
         assert_eq!(got, expect);

@@ -10,7 +10,7 @@
 use crate::leapfrog::{trie_order_for_atom, AtomInput, LeapfrogJoin, LevelConstraint};
 use cqc_common::error::Result;
 use cqc_common::heap::HeapSize;
-use cqc_common::value::{Tuple, Value};
+use cqc_common::value::Value;
 use cqc_query::{AdornedView, Var};
 use cqc_storage::{Database, Delta, IndexPool, SortedIndex};
 use std::sync::Arc;
@@ -19,9 +19,9 @@ use std::sync::Arc;
 /// trie indexes.
 ///
 /// Indexes are `Arc`-shared: a plan built through an [`IndexPool`] reuses
-/// any identical `(relation, column-order)` index already built by the cost
-/// oracle or another atom of the same registration instead of re-sorting
-/// it.
+/// any identical `(relation, column-order)` index already resident there —
+/// the cost oracle's, another atom's, another view's — instead of
+/// re-sorting it.
 #[derive(Debug, Clone)]
 pub struct ViewPlan {
     /// Global variable order: bound head variables, then free head variables.
@@ -43,22 +43,18 @@ impl ViewPlan {
     ///
     /// Fails on non-natural-join views and schema mismatches.
     pub fn build(view: &AdornedView, db: &Database) -> Result<ViewPlan> {
-        ViewPlan::build_pooled(view, db, &mut IndexPool::new())
+        ViewPlan::build_pooled(view, db, &IndexPool::new())
     }
 
     /// [`ViewPlan::build`] drawing every trie index from `pool`, so
-    /// indexes shared with other consumers of the same registration (the
-    /// cost oracle's access indexes use the identical column order) are
-    /// built exactly once.
+    /// indexes shared with its other consumers (the cost oracle's access
+    /// indexes use the identical column order; so does any other view with
+    /// the same adornment of the atom) are built exactly once.
     ///
     /// # Errors
     ///
     /// Fails on non-natural-join views and schema mismatches.
-    pub fn build_pooled(
-        view: &AdornedView,
-        db: &Database,
-        pool: &mut IndexPool,
-    ) -> Result<ViewPlan> {
+    pub fn build_pooled(view: &AdornedView, db: &Database, pool: &IndexPool) -> Result<ViewPlan> {
         let query = view.query();
         query.require_natural_join()?;
         query.check_schema(db)?;
@@ -90,17 +86,16 @@ impl ViewPlan {
         })
     }
 
-    /// Rebuilds the plan for the post-delta database by merging the delta's
-    /// genuinely new rows into clones of the trie indexes
-    /// ([`SortedIndex::merge_insert`]) and compacting its genuinely present
-    /// removals out ([`SortedIndex::merge_remove`]) instead of re-sorting
-    /// each one — the incremental maintenance path mirroring
-    /// `cqc_core::cost::CostEstimator::maintained`. [`Delta`] keeps insert
-    /// and remove sets disjoint, so the two merges commute.
+    /// The plan for the post-delta database `db`: every trie index is
+    /// traded in at `pool` for its post-delta successor
+    /// ([`IndexPool::maintained`] — the engine's store already holds it,
+    /// merged once for all holders; a private pool merges this plan's own
+    /// index), so nothing is re-sorted and a maintained plan shares
+    /// exactly what a rebuilt one would.
     ///
-    /// Returns `Ok(None)` when a merged index cannot be reconciled with the
+    /// Returns `Ok(None)` when an index cannot be reconciled with the
     /// post-delta relation (size or arity disagreement) — fall back to
-    /// [`ViewPlan::build`].
+    /// [`ViewPlan::build_pooled`].
     ///
     /// # Errors
     ///
@@ -110,6 +105,7 @@ impl ViewPlan {
         view: &AdornedView,
         db: &Database,
         delta: &Delta,
+        pool: &IndexPool,
     ) -> Result<Option<ViewPlan>> {
         let query = view.query();
         if query.atoms.len() != self.indexes.len() {
@@ -117,32 +113,10 @@ impl ViewPlan {
         }
         let mut indexes = Vec::with_capacity(self.indexes.len());
         for (atom, old) in query.atoms.iter().zip(&self.indexes) {
-            let rel = db.require(&atom.relation)?;
-            let ix = if delta.touches(&atom.relation) {
-                let mut merged = (**old).clone();
-                if let Some(tuples) = delta.tuples_for(&atom.relation) {
-                    let Some(fresh) = merged.fresh_from(tuples) else {
-                        return Ok(None);
-                    };
-                    let fresh: Vec<Tuple> = fresh.into_iter().cloned().collect();
-                    merged.merge_insert(&fresh);
-                }
-                if let Some(tuples) = delta.removes_for(&atom.relation) {
-                    let Some(stale) = merged.stale_from(tuples) else {
-                        return Ok(None);
-                    };
-                    let stale: Vec<Tuple> = stale.into_iter().cloned().collect();
-                    merged.merge_remove(&stale);
-                }
-                Arc::new(merged)
-            } else {
-                // Untouched atom: share the old index outright.
-                Arc::clone(old)
-            };
-            if ix.len() != rel.len() {
+            let Some(index) = pool.maintained(db, &atom.relation, old, delta)? else {
                 return Ok(None);
-            }
-            indexes.push(ix);
+            };
+            indexes.push(index);
         }
         Ok(Some(ViewPlan {
             order: self.order.clone(),
@@ -167,6 +141,11 @@ impl ViewPlan {
     #[allow(clippy::should_implement_trait)]
     pub fn index(&self, i: usize) -> &SortedIndex {
         &self.indexes[i]
+    }
+
+    /// The shared handles of all trie indexes, in atom order.
+    pub fn indexes(&self) -> &[Arc<SortedIndex>] {
+        &self.indexes
     }
 
     /// The global levels of atom `i`'s trie depths.

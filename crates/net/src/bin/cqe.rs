@@ -343,6 +343,15 @@ fn execute(engine: &mut Engine, line: &str) -> Result<bool, String> {
                 s.invalidations
             );
             println!(
+                "index store: {} indexes, {} resident (each once), {} hits, {} builds, \
+                 {} merges",
+                s.index_store_indexes,
+                fmt_bytes(s.index_store_bytes),
+                s.index_store_hits,
+                s.index_store_builds,
+                s.index_store_merges
+            );
+            println!(
                 "updates: {} deltas (epoch {}), {} maintained, {} rebuilt, {} restamped",
                 u.deltas,
                 engine.epoch(),

@@ -46,7 +46,7 @@ pub use csv::{relation_from_csv, CsvOptions};
 pub use database::{Database, Epoch, RelationId};
 pub use delta::Delta;
 pub use domain::Domain;
-pub use index_pool::IndexPool;
+pub use index_pool::{IndexPool, IndexPoolStats};
 pub use interner::Interner;
 pub use partition::{shard_of_value, PartitionSpec, Partitioning, ShardAssignment};
 pub use relation::Relation;

@@ -45,7 +45,9 @@ rm -f BENCH_ci.json
 cqe \
     -e 'gen triangle 400 7' \
     -e 'register tri bfb tau:2 "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
-    -e 'bench tri 400 4 7 witness --with-updates --json=BENCH_ci.json' |
+    -e 'register twin bfb tau:64 "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
+    -e 'bench tri 400 4 7 witness --with-updates --json=BENCH_ci.json' \
+    -e 'explain tri' |
     tee "$OUT/update.out"
 # --with-updates interleaves MIXED insert/delete deltas (3 recombined
 # inserts + up to 2 domain-safe deletions per relation per round). Small
@@ -54,6 +56,11 @@ cqe \
 grep -Eq "delta-maintained: [1-9]" "$OUT/update.out"
 grep -q "stale-serve violations: 0" "$OUT/update.out"
 test -s BENCH_ci.json
+# One index store per engine: after the deltas `tri` still holds its five
+# distinct (relation, order) indexes in common with its τ-twin — a
+# regression to per-view copies (or to maintenance un-sharing them) prints
+# "0 shared with 0 other views".
+grep -q "indexes:  5 base indexes, 5 shared with 1 other views" "$OUT/update.out"
 # Deletes through the CLI path (exit status covers consistency; the grep
 # pins the wording).
 cqe \
