@@ -43,7 +43,7 @@ use cqc_common::{AnswerBlock, CqcError};
 use cqc_engine::{BlockService, Engine};
 use cqc_net::{
     BreakerConfig, ChaosService, ClientConfig, Fault, NetServer, NetServerConfig,
-    RetryBudgetConfig, RetryPolicy, Router, ServeMode, ServerHandle,
+    RetryBudgetConfig, RetryPolicy, Router, ServeMode, ServeOpts, ServerHandle,
 };
 use cqc_storage::Partitioning;
 use cqc_workload::{mixed_delta, view_relations};
@@ -106,7 +106,7 @@ fn chaos_exact_phase(
             .map_err(|e| format!("chaos oracle serve: {e}"))?;
         got.reset();
         let t0 = Instant::now();
-        let outcome = router.serve_merged(view, bound, &mut got);
+        let outcome = router.serve_into(view, bound, &mut got);
         phase.lat_ns.push(t0.elapsed().as_nanos() as u64);
         phase.attempted += 1;
         match outcome {
@@ -331,11 +331,15 @@ fn chaos(fixture: &Fixture, json_path: Option<&str>) -> Result<(), String> {
     let mut strict_block = AnswerBlock::new();
     let strict_bound = &bounds[cursor % bounds.len()];
     let t0 = Instant::now();
-    let strict_outcome = router.serve_merged(VIEW, strict_bound, &mut strict_block);
+    let strict_outcome = router.serve_into(VIEW, strict_bound, &mut strict_block);
     all_lat.push(t0.elapsed().as_nanos() as u64);
     let strict_typed = match strict_outcome {
         Err(CqcError::Protocol { .. }) => true,
         Err(_) | Ok(_) => false,
+    };
+    let degraded_ok = ServeOpts {
+        mode: ServeMode::DegradedOk,
+        ..ServeOpts::default()
     };
     let mut degraded_attempted = 0u64;
     let mut degraded_exact = 0u64;
@@ -351,7 +355,7 @@ fn chaos(fixture: &Fixture, json_path: Option<&str>) -> Result<(), String> {
         got.reset();
         let t0 = Instant::now();
         let report = router
-            .serve_with_mode(VIEW, bound, &mut got, ServeMode::DegradedOk)
+            .serve(VIEW, bound, &mut got, &degraded_ok)
             .map_err(|e| e.to_string())?;
         all_lat.push(t0.elapsed().as_nanos() as u64);
         degraded_attempted += 1;

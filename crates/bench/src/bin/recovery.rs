@@ -141,7 +141,7 @@ fn recovery_serve_check(
             .map_err(|e| format!("recovery oracle serve: {e}"))?;
         got.reset();
         attempted += 1;
-        match client.serve_block(view, bound, &mut got) {
+        match client.serve_with_sink(view, bound, &mut got) {
             Ok((_, epochs)) if epochs != vec![oracle.epoch()] => {
                 last_miss = Some(format!(
                     "serve observed epoch vector {epochs:?}, oracle at {}",

@@ -3,9 +3,9 @@
 //!
 //! The paper's delay guarantee is about *gaps* — the time between
 //! consecutive answers, including the first and the final "done" step
-//! (§2.3) — so a served request carries [`DelayStats`] (gap percentiles
+//! (§2.3) — so one request's delay is a [`DelayStats`] (gap percentiles
 //! plus the work counters of [`crate::metrics`]) rather than one total.
-//! [`DelayProbe`] collects the gaps from a push-style enumeration,
+//! [`DelayProbe`] collects the gaps at the sink of a push-style serve,
 //! [`BatchStats`] folds many requests into one line, and
 //! [`fmt_ns`]/[`fmt_bytes`]/[`write_json_summary`] are how every binary
 //! reports them.
@@ -34,10 +34,10 @@ pub struct DelayStats {
 }
 
 /// Incremental delay measurement for push-style enumeration: call
-/// [`DelayProbe::tick`] once per answer (e.g. from an
-/// [`crate::AnswerSink`]) and [`DelayProbe::finish`] after the
-/// enumeration exhausts. The final "done" step counts as a gap, per the
-/// §2.3 delay definition.
+/// [`DelayProbe::tick`] once per answer (a probe is itself an
+/// [`crate::AnswerSink`] that does exactly that) and
+/// [`DelayProbe::finish`] after the enumeration exhausts. The final
+/// "done" step counts as a gap, per the §2.3 delay definition.
 #[derive(Debug)]
 pub struct DelayProbe {
     before: MetricsSnapshot,
@@ -104,6 +104,17 @@ impl DelayProbe {
             tuples: self.tuples,
             work: metrics::snapshot().delta_since(&self.before),
         }
+    }
+}
+
+/// Measurement-only sink: each pushed answer is one tick, nothing is
+/// retained — so the gaps are the delay the serving layer itself delivers
+/// at its sink, the same instrument at every layer.
+impl crate::AnswerSink for DelayProbe {
+    #[inline]
+    fn push(&mut self, _tuple: &[crate::Value]) -> bool {
+        self.tick();
+        true
     }
 }
 

@@ -22,9 +22,8 @@
 use crate::catalog::{Catalog, CatalogKey, CatalogStats};
 use crate::policy::{select_pooled, Policy, Selection};
 use cqc_common::error::{CqcError, Result};
-use cqc_common::measure::{DelayProbe, DelayStats};
 use cqc_common::value::{Tuple, Value};
-use cqc_common::{AnswerBlock, AnswerSink, FastMap, FastSet};
+use cqc_common::{FastMap, FastSet};
 use cqc_core::maintain::MaintainOutcome;
 use cqc_core::CompressedView;
 use cqc_durable::DurableStore;
@@ -93,103 +92,6 @@ pub struct RegisteredView {
     pub selection: crate::policy::Selection,
     /// Catalog key (normalized query text + adornment + strategy tag).
     pub key: CatalogKey,
-}
-
-/// One access request `Q^η[v]` addressed to a registered view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
-    /// Name of the registered view.
-    pub view: String,
-    /// One value per bound variable, in head order.
-    pub bound: Vec<Value>,
-}
-
-/// The answer to one request, with its measured enumeration delays.
-///
-/// The answers live in one flat, arity-strided [`AnswerBlock`] — a single
-/// allocation that grows amortized, instead of the one-`Vec`-per-tuple
-/// representation served previously. [`Served::tuples`] and
-/// [`Served::to_tuples`] are the thin compatibility views.
-#[derive(Debug, Clone)]
-pub struct Served {
-    /// The enumerated answers, flat, in the structure's order.
-    pub block: AnswerBlock,
-    /// Delay statistics of the enumeration (paper §2.3 definition).
-    pub delay: DelayStats,
-}
-
-impl Served {
-    /// Number of answers.
-    pub fn len(&self) -> usize {
-        self.block.len()
-    }
-
-    /// `true` when the request had no answers.
-    pub fn is_empty(&self) -> bool {
-        self.block.is_empty()
-    }
-
-    /// The answers as borrowed value slices, in enumeration order.
-    pub fn tuples(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
-        self.block.iter()
-    }
-
-    /// Copies the answers out into owned tuples (compatibility; allocates
-    /// one `Vec` per tuple by construction).
-    pub fn to_tuples(&self) -> Vec<Tuple> {
-        self.block.to_tuples()
-    }
-}
-
-/// A per-view steady-state server: one reusable enumerator and one
-/// reusable flat answer block (see [`Engine::with_view_server`]).
-pub struct ViewServer<'a> {
-    enumerator: cqc_core::ViewEnumerator<'a>,
-    block: AnswerBlock,
-}
-
-impl ViewServer<'_> {
-    /// Serves one request, returning the filled block (valid until the
-    /// next call). All scratch — the enumerator's and the block's — is
-    /// reused, so steady-state calls allocate nothing.
-    ///
-    /// # Errors
-    ///
-    /// Bound-arity mismatches.
-    pub fn serve(&mut self, bound: &[Value]) -> Result<&AnswerBlock> {
-        self.block.clear();
-        self.enumerator.answer_into(bound, &mut self.block)?;
-        Ok(&self.block)
-    }
-}
-
-/// Sink wiring one [`AnswerBlock`] to a [`DelayProbe`]: each push copies
-/// the answer into the block and stamps an arrival tick.
-struct TimedBlockSink {
-    block: AnswerBlock,
-    probe: DelayProbe,
-}
-
-impl AnswerSink for TimedBlockSink {
-    #[inline]
-    fn push(&mut self, tuple: &[Value]) -> bool {
-        let keep_going = self.block.push(tuple);
-        self.probe.tick();
-        keep_going
-    }
-}
-
-/// Measurement-only sink: ticks the probe, retains nothing.
-struct ProbeSink {
-    probe: DelayProbe,
-}
-
-impl AnswerSink for ProbeSink {
-    #[inline]
-    fn push(&mut self, _tuple: &[Value]) -> bool {
-        self.probe.tick();
-        true
-    }
 }
 
 /// What one [`Engine::update`] call did to the catalog.
@@ -861,8 +763,8 @@ impl Engine {
     ///
     /// This is the legacy pull-iterator path (one heap allocation per
     /// answer), kept as the compatibility/oracle interface; the serve
-    /// path proper ([`Engine::serve`], [`Engine::serve_stream`]) goes
-    /// through the flat-block pipeline.
+    /// path proper ([`crate::BlockService::serve_into`]) pushes borrowed
+    /// slices into the caller's sink.
     ///
     /// # Errors
     ///
@@ -883,32 +785,6 @@ impl Engine {
         let rv = self.view(view)?;
         let cv = self.representation(&rv)?;
         cv.exists(bound)
-    }
-
-    /// Serves one request, measuring enumeration delays.
-    ///
-    /// Answers are pushed straight into the returned [`Served`]'s flat
-    /// block (no per-answer allocation; the block itself grows amortized).
-    /// The measured gaps include the block copy; use [`Engine::measure`]
-    /// for the pure §2.3 enumeration delay of the representation itself.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::answer`].
-    pub fn serve(&self, request: &Request) -> Result<Served> {
-        let rv = self.view(&request.view)?;
-        let cv = self.representation(&rv)?;
-        let mut sink = TimedBlockSink {
-            block: AnswerBlock::new(),
-            probe: DelayProbe::start(),
-        };
-        cv.answer_into(&request.bound, &mut sink)?;
-        let delay = sink.probe.finish();
-        self.record_serve_cost(&request.view, delay.total_ns);
-        Ok(Served {
-            block: sink.block,
-            delay,
-        })
     }
 
     /// Folds one measured serve wall time into the view's cost estimate:
@@ -939,59 +815,21 @@ impl Engine {
             .copied()
     }
 
-    /// Measures one request's enumeration delays without retaining the
-    /// tuples — nothing is copied or allocated per answer, so the gaps are
-    /// the representation's own delay (the benchmark path).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::answer`].
-    pub fn measure(&self, request: &Request) -> Result<DelayStats> {
-        let rv = self.view(&request.view)?;
-        let cv = self.representation(&rv)?;
-        let mut sink = ProbeSink {
-            probe: DelayProbe::start(),
-        };
-        cv.answer_into(&request.bound, &mut sink)?;
-        Ok(sink.probe.finish())
-    }
-
-    /// Runs `f` with a [`ViewServer`] for `view`: one reusable enumerator
-    /// plus one reusable flat [`AnswerBlock`], the steady-state serve
-    /// primitive. After the server's scratch has warmed to its high-water
-    /// mark, each [`ViewServer::serve`] call performs **zero** heap
+    /// Runs `f` with the reusable enumerator for `view` — the stream
+    /// primitive under [`crate::BlockService::serve_into`], for callers
+    /// that own their output blocks (the sharded engine drives one
+    /// enumerator per shard into per-request blocks it manages itself).
+    /// Once the enumerator's scratch and the caller's blocks have warmed to
+    /// their high-water marks, each `answer_into` performs **zero** heap
     /// allocations — the property the counting allocator gates in CI. The
     /// scoped-closure shape exists because the enumerator borrows the
     /// catalog's representation for the duration.
     ///
     /// **Snapshot semantics:** the representation is resolved once, so the
     /// whole stream answers from one consistent epoch. A concurrent
-    /// [`Engine::update`] is *not* observed mid-stream (unlike
-    /// [`Engine::serve`], which revalidates per request) — finish the
-    /// closure and re-enter to pick up a newer epoch.
-    ///
-    /// # Errors
-    ///
-    /// Unknown view, or a tagged rebuild failure.
-    pub fn with_view_server<R>(
-        &self,
-        view: &str,
-        f: impl FnOnce(&mut ViewServer<'_>) -> R,
-    ) -> Result<R> {
-        let rv = self.view(view)?;
-        let cv = self.representation(&rv)?;
-        let mut server = ViewServer {
-            enumerator: cv.enumerator(),
-            block: AnswerBlock::new(),
-        };
-        Ok(f(&mut server))
-    }
-
-    /// Runs `f` with the raw reusable enumerator for `view` — the
-    /// lower-level sibling of [`Engine::with_view_server`] for callers that
-    /// own their output blocks (the sharded engine drives one enumerator
-    /// per shard into per-request blocks it manages itself). The same
-    /// snapshot semantics apply: the representation is resolved once.
+    /// [`Engine::update`] is *not* observed mid-stream (unlike `serve_into`,
+    /// which revalidates per request) — finish the closure and re-enter to
+    /// pick up a newer epoch.
     ///
     /// # Errors
     ///
@@ -1005,92 +843,6 @@ impl Engine {
         let cv = self.representation(&rv)?;
         let mut enumerator = cv.enumerator();
         Ok(f(&mut enumerator))
-    }
-
-    /// The steady-state serve loop: answers a stream of requests against
-    /// one view through a single [`ViewServer`]. `on_block` is invoked
-    /// once per request with the request index and the filled block
-    /// (cleared before the next request). Returns the total number of
-    /// answers. The whole stream serves from one database epoch (see the
-    /// snapshot note on [`Engine::with_view_server`]).
-    ///
-    /// # Errors
-    ///
-    /// Unknown view, bound-arity mismatch, or a tagged rebuild failure.
-    pub fn serve_stream(
-        &self,
-        view: &str,
-        bounds: &[Vec<Value>],
-        mut on_block: impl FnMut(usize, &AnswerBlock),
-    ) -> Result<usize> {
-        self.with_view_server(view, |server| {
-            let mut total = 0usize;
-            for (i, bound) in bounds.iter().enumerate() {
-                let block = server.serve(bound)?;
-                total += block.len();
-                on_block(i, block);
-            }
-            Ok(total)
-        })?
-    }
-
-    /// Runs `f` over the requests striped round-robin across `threads` OS
-    /// threads (`std::thread::scope`), preserving request order.
-    fn run_batch<T: Send>(
-        &self,
-        requests: &[Request],
-        threads: usize,
-        f: impl Fn(&Request) -> Result<T> + Sync,
-    ) -> Result<Vec<T>> {
-        let threads = threads.clamp(1, requests.len().max(1));
-        if threads == 1 {
-            return requests.iter().map(f).collect();
-        }
-        let f = &f;
-        let mut slots: Vec<Result<T>> = Vec::with_capacity(requests.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        requests
-                            .iter()
-                            .enumerate()
-                            .skip(worker)
-                            .step_by(threads)
-                            .map(|(i, r)| (i, f(r)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut indexed: Vec<(usize, Result<T>)> = handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("serve worker panicked"))
-                .collect();
-            indexed.sort_by_key(|(i, _)| *i);
-            slots.extend(indexed.into_iter().map(|(_, r)| r));
-        });
-        slots.into_iter().collect()
-    }
-
-    /// Serves a batch of requests across `threads` OS threads, preserving
-    /// request order in the result. Every worker shares the catalog, so a
-    /// view built once serves all threads.
-    ///
-    /// # Errors
-    ///
-    /// The first failing request's error (by request order), if any.
-    pub fn serve_batch(&self, requests: &[Request], threads: usize) -> Result<Vec<Served>> {
-        self.run_batch(requests, threads, |r| self.serve(r))
-    }
-
-    /// [`Engine::measure`] over a batch: delay statistics only, no tuple
-    /// retention, same striping and ordering as [`Engine::serve_batch`].
-    ///
-    /// # Errors
-    ///
-    /// The first failing request's error (by request order), if any.
-    pub fn measure_batch(&self, requests: &[Request], threads: usize) -> Result<Vec<DelayStats>> {
-        self.run_batch(requests, threads, |r| self.measure(r))
     }
 
     /// Catalog effectiveness counters, with the index store's contents

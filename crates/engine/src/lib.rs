@@ -20,12 +20,15 @@
 //!   on lookup or by an explicit sweep — rather than ever served stale;
 //! * [`Policy`] / [`policy::select`] — auto strategy selection consulting
 //!   the width machinery, the §6 LP optimizers and the `T(·)` cost oracle;
-//! * [`Engine::serve_batch`] — batched request serving across OS threads,
-//!   returning per-request [`cqc_common::measure::DelayStats`];
-//! * [`Engine::serve_stream`] — the steady-state serve loop: one reusable
-//!   enumerator and one reusable flat [`cqc_common::AnswerBlock`] per
-//!   view, zero heap allocations per answer once warm (gated in CI by the
-//!   counting allocator);
+//! * [`BlockService::serve_into`] — the one way answers leave an engine:
+//!   one request's answers pushed into the caller's
+//!   [`cqc_common::AnswerSink`] (an [`cqc_common::AnswerBlock`] to keep
+//!   them, a [`cqc_common::measure::DelayProbe`] to time them);
+//!   [`stripe_requests`] spreads a request list over OS threads;
+//! * [`Engine::with_view_enumerator`] — the epoch-consistent stream
+//!   primitive underneath: one reusable enumerator per view, zero heap
+//!   allocations per answer once warm (gated in CI by the counting
+//!   allocator);
 //! * [`ShardedEngine`] — one engine spanning cores: relations are
 //!   hash-partitioned into `S` disjoint sub-databases
 //!   ([`cqc_storage::Partitioning`]), each owned by a full [`Engine`] with
@@ -38,12 +41,14 @@
 //!
 //! The `cqe` command-line front door lives one crate up, in `cqc-net`.
 //!
-//! Every serve path is push-style: representations drive their answers
-//! into a [`cqc_common::AnswerSink`] as borrowed slices, and a [`Served`]
-//! holds one flat block rather than a `Vec` per tuple.
+//! The serve path is push-style: representations drive their answers
+//! into a [`cqc_common::AnswerSink`] as borrowed slices, and an
+//! [`cqc_common::AnswerBlock`] holds them flat rather than as a `Vec` per
+//! tuple.
 //!
 //! ```
-//! use cqc_engine::{Engine, Policy, Request};
+//! use cqc_common::AnswerBlock;
+//! use cqc_engine::{stripe_requests, BlockService, Engine, Policy};
 //! use cqc_storage::{Database, Relation};
 //!
 //! let mut db = Database::new();
@@ -53,10 +58,12 @@
 //!     .register_text("mutual", "V(x,y,z) :- R(x,y), R(y,z), R(z,x)", "bfb", Policy::default())
 //!     .unwrap();
 //! // Serve many: the representation is built exactly once.
-//! let reqs: Vec<Request> = (0..4)
-//!     .map(|v| Request { view: "mutual".into(), bound: vec![1, v] })
-//!     .collect();
-//! let served = engine.serve_batch(&reqs, 2).unwrap();
+//! let served = stripe_requests(4, 2, |v| {
+//!     let mut block = AnswerBlock::new();
+//!     engine.serve_into("mutual", &[1, v as u64], &mut block)?;
+//!     Ok(block)
+//! })
+//! .unwrap();
 //! assert_eq!(served[3].to_tuples(), vec![vec![2]]); // V(1, y, 3): y = 2
 //! assert_eq!(engine.catalog_stats().builds, 1);
 //! ```
@@ -71,13 +78,10 @@ pub mod service;
 pub mod sharded;
 
 pub use catalog::{Catalog, CatalogKey, CatalogStats};
-pub use engine::{
-    Engine, EngineConfig, RecoveryStats, RegisteredView, Request, Served, UpdateReport,
-    UpdateStats, ViewServer,
-};
+pub use engine::{Engine, EngineConfig, RecoveryStats, RegisteredView, UpdateReport, UpdateStats};
 pub use policy::{Policy, Selection};
-pub use service::BlockService;
+pub use service::{stripe_requests, BlockService};
 pub use sharded::{
     spec_for_view, view_fans_out, ShardedBlocks, ShardedEngine, ShardedEngineConfig,
-    ShardedUpdateReport, SteadyMeasurement,
+    ShardedUpdateReport,
 };

@@ -126,6 +126,44 @@ pub trait BlockService: Send + Sync {
     }
 }
 
+/// Runs `f(0)`, …, `f(requests - 1)` striped round-robin across `threads`
+/// OS threads and returns the results in request order — how one shared
+/// service answers a request list from several readers at once (every
+/// worker hits the same catalog, so a view built once serves all threads).
+///
+/// # Errors
+///
+/// The first failing request's error (by request order), if any.
+pub fn stripe_requests<T: Send>(
+    requests: usize,
+    threads: usize,
+    f: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let threads = threads.clamp(1, requests.max(1));
+    if threads == 1 {
+        return (0..requests).map(f).collect();
+    }
+    let f = &f;
+    let mut indexed: Vec<(usize, Result<T>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|worker| {
+                scope.spawn(move || {
+                    (worker..requests)
+                        .step_by(threads)
+                        .map(|i| (i, f(i)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("serve worker panicked"))
+            .collect()
+    });
+    indexed.sort_by_key(|(i, _)| *i);
+    indexed.into_iter().map(|(_, r)| r).collect()
+}
+
 impl BlockService for Engine {
     fn register_view(
         &self,

@@ -14,12 +14,12 @@
 //! * **Parallel build** — [`ShardedEngine::register`] builds the `S`
 //!   per-shard representations concurrently under `std::thread::scope`;
 //!   each shard's build is over `~|D|/S` rows.
-//! * **Multicore serve** — [`ShardedEngine::serve`] /
-//!   [`ShardedEngine::serve_batch`] / [`ShardedEngine::serve_stream`] fan a
-//!   request out across shards; every shard pushes into its own flat
+//! * **Multicore serve** — [`ShardedEngine::serve_blocks_into`] fans a
+//!   request list out across shards; every shard pushes into its own flat
 //!   [`AnswerBlock`] (the PR 3 sink machinery, still zero allocations per
-//!   answer per shard once warm) and a final `k`-way [`BlockMerger`]
-//!   restores the paper's lexicographic enumeration order.
+//!   answer per shard once warm), and [`BlockService::serve_into`] runs a
+//!   final `k`-way [`cqc_common::BlockMerger`] over one request's blocks
+//!   to restore the paper's lexicographic enumeration order.
 //! * **Per-shard epochs** — a [`Delta`] splits into per-shard deltas that
 //!   touch only the shards owning their rows; untouched shards keep their
 //!   epoch, so their catalog entries stay valid independently. The global
@@ -34,12 +34,12 @@
 //! none of whose relations are hash-partitioned would be answered in full
 //! by *every* shard; such views are routed to shard 0 alone instead.
 
-use crate::engine::{Engine, EngineConfig, RecoveryStats, Request, Served, UpdateReport};
+use crate::engine::{Engine, EngineConfig, RecoveryStats, UpdateReport};
 use crate::policy::{select, Policy};
+use crate::service::BlockService;
 use cqc_common::error::{CqcError, Result};
-use cqc_common::measure::DelayStats;
 use cqc_common::value::{Tuple, Value};
-use cqc_common::{AnswerBlock, BlockMerger, FastMap};
+use cqc_common::{AnswerBlock, FastMap};
 use cqc_durable::DurableStore;
 use cqc_query::parser::parse_adorned;
 use cqc_query::{AdornedView, Var};
@@ -108,19 +108,6 @@ impl ShardedBlocks {
             }
         }
     }
-}
-
-/// One steady-state measurement of the shard-major serve loop (see
-/// [`ShardedEngine::measure_steady_state`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SteadyMeasurement {
-    /// Total answers across shards and requests in the measured pass.
-    pub answers: usize,
-    /// Wall time of the measured pass (barrier release to last shard done).
-    pub wall_ns: u64,
-    /// Heap allocation events observed during the measured pass (0 in
-    /// steady state; only meaningful under the counting global allocator).
-    pub alloc_events: u64,
 }
 
 /// What one [`ShardedEngine::update`] did, per shard and in aggregate.
@@ -458,86 +445,9 @@ impl ShardedEngine {
             .ok_or_else(|| CqcError::UnknownView(name.to_string()))
     }
 
-    /// Serves one request: fans it out across shards, merges the per-shard
-    /// blocks back into the lexicographic enumeration order, and folds the
-    /// delay measurements (totals are the slowest shard's — the fan-out is
-    /// parallel; gap percentiles are per-shard worst cases).
-    ///
-    /// # Errors
-    ///
-    /// Unknown view, bound-arity mismatch, or a tagged rebuild failure.
-    pub fn serve(&self, request: &Request) -> Result<Served> {
-        if !self.routing(&request.view)? {
-            return self.engines[0].serve(request);
-        }
-        let outcomes: Vec<Result<Served>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .engines
-                .iter()
-                .map(|engine| scope.spawn(move || engine.serve(request)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard serve panicked"))
-                .collect()
-        });
-        let parts = outcomes.into_iter().collect::<Result<Vec<Served>>>()?;
-        Ok(merge_served(&parts))
-    }
-
-    /// Serves a batch shard-major: one OS thread per shard serves the whole
-    /// request list against its sub-database, then the per-request blocks
-    /// are `k`-way merged. Request order is preserved. Requests addressed
-    /// to shard-0-routed views are answered by shard 0's thread only.
-    ///
-    /// # Errors
-    ///
-    /// The first failing request's error (by request order), if any.
-    pub fn serve_batch(&self, requests: &[Request]) -> Result<Vec<Served>> {
-        // Resolve routing up front so worker threads share one snapshot
-        // (and unknown views fail before any thread spawns).
-        let fans_out: Vec<bool> = requests
-            .iter()
-            .map(|r| self.routing(&r.view))
-            .collect::<Result<_>>()?;
-        let mut per_shard: Vec<Vec<Option<Result<Served>>>> = std::thread::scope(|scope| {
-            let fans_out = &fans_out;
-            let handles: Vec<_> = self
-                .engines
-                .iter()
-                .enumerate()
-                .map(|(si, engine)| {
-                    scope.spawn(move || {
-                        requests
-                            .iter()
-                            .zip(fans_out)
-                            .map(|(r, &fan)| (fan || si == 0).then(|| engine.serve(r)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard serve panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(requests.len());
-        let mut parts: Vec<Served> = Vec::with_capacity(self.engines.len());
-        for i in 0..requests.len() {
-            parts.clear();
-            for shard in &mut per_shard {
-                if let Some(res) = shard[i].take() {
-                    parts.push(res?);
-                }
-            }
-            out.push(merge_served(&parts));
-        }
-        Ok(out)
-    }
-
-    /// Shard-major block serving into reusable scratch — the zero-alloc
-    /// steady-state primitive behind [`ShardedEngine::serve_stream`] and
-    /// the shard benchmark. Every shard thread resolves its representation
+    /// Shard-major block serving into reusable scratch — the one per-shard
+    /// serve fan-out, under [`BlockService::serve_into`] and the shard
+    /// benchmark alike. Every shard thread resolves its representation
     /// once, then drives its reusable enumerator into
     /// `out.blocks[shard][request]`; once the scratch has warmed to its
     /// high-water mark a repeat call performs **zero** heap allocations per
@@ -583,169 +493,17 @@ impl ShardedEngine {
         Ok(out.total_answers())
     }
 
-    /// Measures one steady-state pass of the shard-major serve loop: every
-    /// shard thread resolves its enumerator, runs a warm pass (scratch and
-    /// blocks reach their high-water marks), then all threads rendezvous on
-    /// a barrier so the measured pass is bracketed exactly — the returned
-    /// wall time and allocation-event count (from the process's
-    /// [`cqc_common::alloc`] counters, meaningful when the counting
-    /// allocator is installed) cover only the warm per-shard serve loops,
-    /// not thread spawns or scratch growth. This is the instrument behind
-    /// the sharded allocation-discipline test: in steady state the loops
-    /// perform **zero** heap allocations per answer on every shard.
-    ///
-    /// # Errors
-    ///
-    /// Unknown view, bound-arity mismatch, or a tagged rebuild failure.
-    pub fn measure_steady_state(
-        &self,
-        view: &str,
-        bounds: &[Vec<Value>],
-        out: &mut ShardedBlocks,
-    ) -> Result<SteadyMeasurement> {
-        let fans_out = self.routing(view)?;
-        out.ensure_shape(self.engines.len(), bounds.len());
-        let active = if fans_out { self.engines.len() } else { 1 };
-        // Three rendezvous points: warm passes complete → main snapshots
-        // the allocation counters while every shard is parked → measured
-        // passes run → all shards done. With a single barrier the snapshot
-        // would race the tail of the warm passes (arrival is release) and
-        // count their scratch growth.
-        let warm_done = std::sync::Barrier::new(active + 1);
-        let start_measured = std::sync::Barrier::new(active + 1);
-        let measured_done = std::sync::Barrier::new(active + 1);
-        let mut wall_ns = 0u64;
-        let mut alloc_events = 0u64;
-        let outcomes: Vec<Result<()>> = std::thread::scope(|scope| {
-            let (warm_done, start_measured, measured_done) =
-                (&warm_done, &start_measured, &measured_done);
-            let handles: Vec<_> = self
-                .engines
-                .iter()
-                .zip(out.blocks.iter_mut())
-                .take(active)
-                .map(|(engine, blocks)| {
-                    scope.spawn(move || -> Result<()> {
-                        let outcome = engine.with_view_enumerator(view, |enumerator| {
-                            let mut err: Option<CqcError> = None;
-                            let mut pass =
-                                |err: &mut Option<CqcError>, blocks: &mut [AnswerBlock]| {
-                                    for (b, block) in bounds.iter().zip(blocks.iter_mut()) {
-                                        block.clear();
-                                        if let Err(e) = enumerator.answer_into(b, block) {
-                                            err.get_or_insert(e);
-                                            return;
-                                        }
-                                    }
-                                };
-                            pass(&mut err, blocks); // warm
-                            warm_done.wait();
-                            start_measured.wait();
-                            pass(&mut err, blocks); // measured
-                            measured_done.wait();
-                            match err {
-                                Some(e) => Err(e),
-                                None => Ok(()),
-                            }
-                        });
-                        match outcome {
-                            Ok(inner) => inner,
-                            Err(e) => {
-                                // The closure never ran: keep the barrier
-                                // counts aligned so the main thread and the
-                                // other shards are not deadlocked.
-                                warm_done.wait();
-                                start_measured.wait();
-                                measured_done.wait();
-                                Err(e)
-                            }
-                        }
-                    })
-                })
-                .collect();
-            warm_done.wait(); // every shard warmed and parked
-            let before = cqc_common::alloc::snapshot();
-            let t0 = std::time::Instant::now();
-            start_measured.wait(); // release the measured pass
-            measured_done.wait(); // all shards done
-            wall_ns = t0.elapsed().as_nanos() as u64;
-            alloc_events = cqc_common::alloc::snapshot().allocations_since(&before);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard measure panicked"))
-                .collect()
-        });
-        outcomes.into_iter().collect::<Result<()>>()?;
-        Ok(SteadyMeasurement {
-            answers: out.total_answers(),
-            wall_ns,
-            alloc_events,
-        })
-    }
-
-    /// The sharded steady-state serve loop: serves `bounds` shard-major via
-    /// [`ShardedEngine::serve_blocks_into`], then invokes `on_block` once
-    /// per request with the `k`-way-merged block (lexicographic enumeration
-    /// order, cleared before the next request). Returns the total number of
-    /// answers. Scratch is allocated per call; a caller serving many
-    /// streams should hold a [`ShardedBlocks`] and use
-    /// [`ShardedEngine::serve_stream_with`], which reuses it and reaches
-    /// the zero-allocations-per-answer steady state across calls.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ShardedEngine::serve_blocks_into`].
-    pub fn serve_stream(
-        &self,
-        view: &str,
-        bounds: &[Vec<Value>],
-        on_block: impl FnMut(usize, &AnswerBlock),
-    ) -> Result<usize> {
-        self.serve_stream_with(view, bounds, &mut ShardedBlocks::new(), on_block)
-    }
-
-    /// [`ShardedEngine::serve_stream`] over caller-owned scratch: the
-    /// per-shard blocks (and their capacities) survive between calls, so a
-    /// stream served repeatedly through the same [`ShardedBlocks`] settles
-    /// into the warm, allocation-free per-shard loops.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ShardedEngine::serve_blocks_into`].
-    pub fn serve_stream_with(
-        &self,
-        view: &str,
-        bounds: &[Vec<Value>],
-        scratch: &mut ShardedBlocks,
-        mut on_block: impl FnMut(usize, &AnswerBlock),
-    ) -> Result<usize> {
-        let total = self.serve_blocks_into(view, bounds, scratch)?;
-        let mut merged = AnswerBlock::new();
-        let mut merger = BlockMerger::new();
-        let mut refs: Vec<&AnswerBlock> = Vec::with_capacity(self.engines.len());
-        for i in 0..bounds.len() {
-            merged.reset();
-            refs.clear();
-            refs.extend(scratch.request_blocks(i));
-            merger.merge_into(&refs, &mut merged);
-            on_block(i, &merged);
-        }
-        Ok(total)
-    }
-
     /// Answers one request into owned tuples, in lexicographic enumeration
     /// order (compatibility/oracle interface, mirroring
     /// [`Engine::answer`]).
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`ShardedEngine::serve`].
+    /// Same failure modes as [`ShardedEngine::serve_blocks_into`].
     pub fn answer(&self, view: &str, bound: &[Value]) -> Result<Vec<Tuple>> {
-        let served = self.serve(&Request {
-            view: view.to_string(),
-            bound: bound.to_vec(),
-        })?;
-        Ok(served.to_tuples())
+        let mut block = AnswerBlock::new();
+        self.serve_into(view, bound, &mut block)?;
+        Ok(block.to_tuples())
     }
 
     /// `true` iff the request has at least one answer. Probes shards
@@ -754,7 +512,7 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`ShardedEngine::serve`].
+    /// Same failure modes as [`ShardedEngine::serve_blocks_into`].
     pub fn exists(&self, view: &str, bound: &[Value]) -> Result<bool> {
         let fans_out = self.routing(view)?;
         let shards = if fans_out { self.engines.len() } else { 1 };
@@ -859,34 +617,6 @@ impl std::fmt::Debug for ShardedEngine {
             .field("hashed_relations", &self.partitioning.spec().num_hashed())
             .finish()
     }
-}
-
-/// Folds per-shard [`Served`]s into one: blocks are `k`-way merged back
-/// into lexicographic order; totals take the slowest shard (the fan-out is
-/// parallel) and gap statistics the per-shard worst case.
-fn merge_served(parts: &[Served]) -> Served {
-    let refs: Vec<&AnswerBlock> = parts.iter().map(|s| &s.block).collect();
-    let mut block = AnswerBlock::new();
-    BlockMerger::new().merge_into(&refs, &mut block);
-    let mut delay = DelayStats::default();
-    for p in parts {
-        let d = &p.delay;
-        delay.tuples += d.tuples;
-        delay.total_ns = delay.total_ns.max(d.total_ns);
-        delay.max_ns = delay.max_ns.max(d.max_ns);
-        delay.p50_ns = delay.p50_ns.max(d.p50_ns);
-        delay.p99_ns = delay.p99_ns.max(d.p99_ns);
-        delay.first_ns = if delay.first_ns == 0 {
-            d.first_ns
-        } else {
-            delay.first_ns.min(d.first_ns)
-        };
-        delay.work.trie_seeks += d.work.trie_seeks;
-        delay.work.count_probes += d.work.count_probes;
-        delay.work.dict_lookups += d.work.dict_lookups;
-        delay.work.tuples_output += d.work.tuples_output;
-    }
-    Served { block, delay }
 }
 
 /// Derives the partitioning for `view`: every head variable is scored by

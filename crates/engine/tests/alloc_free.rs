@@ -2,13 +2,18 @@
 //! heap allocations per answer.
 //!
 //! This test binary installs the vendored counting allocator from
-//! `cqc_common::alloc` as its global allocator, warms a view server's
-//! scratch with one pass over a request stream, and asserts the second
-//! pass allocates nothing at all. The file intentionally contains a single
-//! `#[test]`: the counters are process-wide, and a concurrently running
-//! test would pollute the measured window.
+//! `cqc_common::alloc` as its global allocator, warms a view enumerator's
+//! scratch and the test's own answer block with one pass over a request
+//! stream, and asserts the second pass allocates nothing at all. The file
+//! intentionally contains a single `#[test]`: the counters are
+//! process-wide, and a concurrently running test would pollute the
+//! measured window.
+//!
+//! Sabotage check: a `to_vec()` of the answer in
+//! `Theorem1Iter::drain_into` turns this test and `sharded_alloc.rs` red.
 
 use cqc_common::alloc::{self as cqalloc, CountingAlloc};
+use cqc_common::AnswerBlock;
 use cqc_engine::{Engine, Policy};
 use cqc_storage::Database;
 
@@ -50,17 +55,20 @@ fn steady_state_serve_is_allocation_free() {
         "workload too sparse to be meaningful: {total}"
     );
 
+    let mut block = AnswerBlock::new();
     let (served, allocs) = engine
-        .with_view_server("p2", |server| {
+        .with_view_enumerator("p2", |enumerator| {
             // Warm pass: grows every scratch buffer to its high-water mark.
             for b in &bounds {
-                server.serve(b).unwrap();
+                block.clear();
+                enumerator.answer_into(b, &mut block).unwrap();
             }
             // Measured pass: steady state must not touch the allocator.
             let before = cqalloc::snapshot();
             let mut served = 0usize;
             for (b, expect) in bounds.iter().zip(&expected) {
-                let block = server.serve(b).unwrap();
+                block.clear();
+                enumerator.answer_into(b, &mut block).unwrap();
                 served += block.len();
                 assert_eq!(block.len(), expect.len(), "cardinality for {b:?}");
             }
@@ -78,9 +86,10 @@ fn steady_state_serve_is_allocation_free() {
     // Correctness of the measured pass (content, not just counts): replay
     // once more and compare tuples outside the measured window.
     engine
-        .with_view_server("p2", |server| {
+        .with_view_enumerator("p2", |enumerator| {
             for (b, expect) in bounds.iter().zip(&expected) {
-                let block = server.serve(b).unwrap();
+                block.clear();
+                enumerator.answer_into(b, &mut block).unwrap();
                 assert_eq!(&block.to_tuples(), expect, "answers for {b:?}");
             }
         })

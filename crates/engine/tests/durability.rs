@@ -3,7 +3,8 @@
 //! the single engine and the sharded engine. The byte-format robustness
 //! tests live in `cqc-durable`; these cover the wiring above it.
 
-use cqc_engine::{Engine, Policy, Request, ShardedEngine, ShardedEngineConfig};
+use cqc_common::AnswerBlock;
+use cqc_engine::{BlockService, Engine, Policy, ShardedEngine, ShardedEngineConfig};
 use cqc_storage::{Database, Delta, Epoch, PartitionSpec, Relation};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -32,17 +33,11 @@ fn register_and_serve(engine: &Engine) -> Vec<Vec<u64>> {
             Policy::default(),
         )
         .unwrap();
-    let mut out = Vec::new();
+    let mut out = AnswerBlock::new();
     for x in 1..=4u64 {
-        let served = engine
-            .serve(&Request {
-                view: "V".into(),
-                bound: vec![x],
-            })
-            .unwrap();
-        out.extend(served.to_tuples());
+        engine.serve_into("V", &[x], &mut out).unwrap();
     }
-    out
+    out.to_tuples()
 }
 
 #[test]
@@ -169,12 +164,8 @@ fn sharded_engine_recovers_its_exact_epoch_vector() {
             Policy::default(),
         )
         .unwrap();
-    let served = recovered
-        .serve(&Request {
-            view: "V".into(),
-            bound: vec![5],
-        })
-        .unwrap();
+    let mut served = AnswerBlock::new();
+    recovered.serve_into("V", &[5], &mut served).unwrap();
     assert_eq!(served.to_tuples(), vec![vec![6, 106]]);
     std::fs::remove_dir_all(&dir).unwrap();
 }

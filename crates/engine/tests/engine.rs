@@ -3,8 +3,9 @@
 
 use cqc_common::error::CqcError;
 use cqc_common::value::Tuple;
+use cqc_common::AnswerBlock;
 use cqc_core::Strategy;
-use cqc_engine::{Engine, EngineConfig, Policy, Request};
+use cqc_engine::{stripe_requests, BlockService, Engine, EngineConfig, Policy};
 use cqc_join::naive::evaluate_view;
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Database, Relation};
@@ -221,40 +222,6 @@ fn eviction_prefers_high_bytes_per_rebuild_nanosecond() {
 }
 
 #[test]
-fn serve_stream_agrees_with_serve_batch() {
-    let db = triangle_db(150, 41);
-    let view = queries::triangle("bfb").unwrap();
-    let engine = Engine::new(db);
-    engine
-        .register("tri", view.clone(), Policy::default())
-        .unwrap();
-    let mut rng = cqc_workload::rng(43);
-    let bounds = random_requests(&mut rng, &view, &engine.db(), 120);
-    let requests: Vec<Request> = bounds
-        .iter()
-        .map(|b| Request {
-            view: "tri".into(),
-            bound: b.clone(),
-        })
-        .collect();
-    let batch = engine.serve_batch(&requests, 4).unwrap();
-    let mut streamed: Vec<Vec<Tuple>> = Vec::new();
-    let total = engine
-        .serve_stream("tri", &bounds, |i, block| {
-            assert_eq!(i, streamed.len());
-            streamed.push(block.to_tuples());
-        })
-        .unwrap();
-    assert_eq!(
-        total,
-        batch.iter().map(cqc_engine::Served::len).sum::<usize>()
-    );
-    for (s, b) in streamed.iter().zip(&batch) {
-        assert_eq!(s, &b.to_tuples());
-    }
-}
-
-#[test]
 fn generous_budget_never_evicts() {
     let db = triangle_db(100, 21);
     let engine = Engine::new(db);
@@ -279,8 +246,25 @@ fn generous_budget_never_evicts() {
     assert_eq!(s.builds, 3);
 }
 
+/// Serves `bounds` against `view` from `threads` concurrent readers of one
+/// engine, keeping each request's answers.
+fn serve_striped(
+    engine: &Engine,
+    view: &str,
+    bounds: &[Vec<u64>],
+    threads: usize,
+) -> Vec<Vec<Tuple>> {
+    stripe_requests(bounds.len(), threads, |i| {
+        let mut block = AnswerBlock::new();
+        let pushed = engine.serve_into(view, &bounds[i], &mut block)?;
+        assert_eq!(pushed, block.len(), "returned count equals the pushes");
+        Ok(block.to_tuples())
+    })
+    .unwrap()
+}
+
 #[test]
-fn serve_batch_matches_sequential_across_threads() {
+fn striped_readers_match_sequential_across_threads() {
     let db = triangle_db(200, 17);
     let view = queries::triangle("bfb").unwrap();
     let engine = Engine::new(db);
@@ -289,47 +273,30 @@ fn serve_batch_matches_sequential_across_threads() {
         .unwrap();
 
     let mut rng = cqc_workload::rng(99);
-    let requests: Vec<Request> = random_requests(&mut rng, &view, &engine.db(), 300)
-        .into_iter()
-        .map(|bound| Request {
-            view: "tri".into(),
-            bound,
-        })
-        .collect();
+    let requests = random_requests(&mut rng, &view, &engine.db(), 300);
 
     let sequential: Vec<Vec<Tuple>> = requests
         .iter()
-        .map(|r| engine.answer("tri", &r.bound).unwrap())
+        .map(|bound| engine.answer("tri", bound).unwrap())
         .collect();
     let builds_before = engine.catalog_stats().builds;
 
     for threads in [2, 4, 8] {
-        let served = engine.serve_batch(&requests, threads).unwrap();
+        let served = serve_striped(&engine, "tri", &requests, threads);
         assert_eq!(served.len(), requests.len());
         for (i, (s, expect)) in served.iter().zip(&sequential).enumerate() {
-            assert_eq!(
-                &s.to_tuples(),
-                expect,
-                "request {i} differs on {threads} threads"
-            );
-            assert_eq!(s.delay.tuples, expect.len());
+            assert_eq!(s, expect, "request {i} differs on {threads} threads");
         }
-    }
-    // The measure-only path agrees on cardinalities and also never
-    // rebuilds.
-    let measured = engine.measure_batch(&requests, 4).unwrap();
-    for (d, expect) in measured.iter().zip(&sequential) {
-        assert_eq!(d.tuples, expect.len());
     }
     assert_eq!(
         engine.catalog_stats().builds,
         builds_before,
-        "batched serving must not rebuild"
+        "concurrent readers must not rebuild"
     );
 }
 
 #[test]
-fn serve_batch_on_star_workload() {
+fn striped_serving_on_star_workload() {
     // The other acceptance workload: a star join, all-bound-but-one.
     let mut db = Database::new();
     let mut rng = cqc_workload::rng(31);
@@ -349,18 +316,10 @@ fn serve_batch_on_star_workload() {
         .register("star", view.clone(), Policy::default())
         .unwrap();
     let mut rng = cqc_workload::rng(32);
-    let requests: Vec<Request> = random_requests(&mut rng, &view, &engine.db(), 200)
-        .into_iter()
-        .map(|bound| Request {
-            view: "star".into(),
-            bound,
-        })
-        .collect();
-    let sequential = engine.serve_batch(&requests, 1).unwrap();
-    let parallel = engine.serve_batch(&requests, 4).unwrap();
-    for (s, p) in sequential.iter().zip(&parallel) {
-        assert_eq!(s.to_tuples(), p.to_tuples());
-    }
+    let requests = random_requests(&mut rng, &view, &engine.db(), 200);
+    let sequential = serve_striped(&engine, "star", &requests, 1);
+    let parallel = serve_striped(&engine, "star", &requests, 4);
+    assert_eq!(sequential, parallel);
     let s = engine.catalog_stats();
     assert_eq!(s.builds, 1, "one build serves every thread: {s:?}");
 }

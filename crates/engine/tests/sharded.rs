@@ -3,9 +3,10 @@
 //! strategies, shard counts, and interleaved updates — while routing work
 //! and epochs only to the shards owning the touched rows.
 
+use cqc_common::AnswerBlock;
 use cqc_core::Strategy;
 use cqc_engine::{
-    spec_for_view, Engine, Policy, Request, ShardedBlocks, ShardedEngine, ShardedEngineConfig,
+    spec_for_view, BlockService, Engine, Policy, ShardedBlocks, ShardedEngine, ShardedEngineConfig,
 };
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{shard_of_value, Database, Delta, PartitionSpec, Relation};
@@ -197,42 +198,26 @@ fn merged_stream_preserves_lexicographic_order() {
     sharded.register("p2", view.clone(), policy).unwrap();
 
     let bounds: Vec<Vec<u64>> = (0..20u64).map(|x| vec![x]).collect();
-    let mut unsharded_blocks: Vec<Vec<Vec<u64>>> = Vec::new();
-    engine
-        .serve_stream("p2", &bounds, |_, block| {
-            unsharded_blocks.push(block.iter().map(<[u64]>::to_vec).collect());
-        })
-        .unwrap();
-    let mut merged_blocks: Vec<Vec<Vec<u64>>> = Vec::new();
-    let total = sharded
-        .serve_stream("p2", &bounds, |_, block| {
-            merged_blocks.push(block.iter().map(<[u64]>::to_vec).collect());
-        })
-        .unwrap();
+    let serve_all = |service: &dyn BlockService| -> Vec<Vec<Vec<u64>>> {
+        bounds
+            .iter()
+            .map(|b| {
+                let mut block = AnswerBlock::new();
+                service.serve_into("p2", b, &mut block).unwrap();
+                block.to_tuples()
+            })
+            .collect()
+    };
+    let unsharded_blocks = serve_all(&engine);
+    let merged_blocks = serve_all(&sharded);
+    let total: usize = merged_blocks.iter().map(Vec::len).sum();
     assert_eq!(merged_blocks, unsharded_blocks, "order must match exactly");
-    assert_eq!(total, unsharded_blocks.iter().map(Vec::len).sum::<usize>());
     assert!(total > 500, "workload too sparse to be meaningful: {total}");
     for block in &merged_blocks {
         assert!(
             block.windows(2).all(|w| w[0] < w[1]),
             "merged block must be strictly lexicographically increasing"
         );
-    }
-
-    // serve() and serve_batch() agree with the stream too.
-    let requests: Vec<Request> = bounds
-        .iter()
-        .map(|b| Request {
-            view: "p2".into(),
-            bound: b.clone(),
-        })
-        .collect();
-    let batch = sharded.serve_batch(&requests).unwrap();
-    for (i, served) in batch.iter().enumerate() {
-        let tuples: Vec<Vec<u64>> = served.tuples().map(<[u64]>::to_vec).collect();
-        assert_eq!(tuples, merged_blocks[i], "request {i}");
-        let single = sharded.serve(&requests[i]).unwrap();
-        assert_eq!(single.to_tuples(), tuples, "request {i}");
     }
 }
 

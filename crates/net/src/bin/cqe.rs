@@ -53,8 +53,11 @@
 //! harnesses are the `chaos`, `mix` and `recovery` binaries of `cqc-bench`
 //! (the last one drives this binary as its `serve --data-dir` child).
 
-use cqc_common::measure::{fmt_bytes, fmt_ns, json_string, write_json_summary, BatchStats};
-use cqc_engine::{BlockService, Engine, Policy, Request, UpdateReport};
+use cqc_common::measure::{
+    fmt_bytes, fmt_ns, json_string, write_json_summary, BatchStats, DelayProbe,
+};
+use cqc_common::{FnSink, Value};
+use cqc_engine::{stripe_requests, BlockService, Engine, Policy, UpdateReport};
 use cqc_join::naive::evaluate_view;
 use cqc_net::{ClientConfig, NetServer, NetServerConfig, Router};
 use cqc_query::parser::parse_adorned;
@@ -269,21 +272,22 @@ fn execute(engine: &mut Engine, line: &str) -> Result<bool, String> {
                 let yes = engine.exists(name, &bound).map_err(|e| e.to_string())?;
                 println!("{yes}");
             } else {
-                let served = engine
-                    .serve(&Request {
-                        view: name.clone(),
-                        bound,
-                    })
-                    .map_err(|e| e.to_string())?;
-                for t in served.tuples() {
+                let mut probe = DelayProbe::start();
+                let mut rows = FnSink(|t: &[Value]| {
                     let row: Vec<String> = t.iter().map(|&v| engine.display_value(v)).collect();
                     println!("{}", row.join(", "));
-                }
+                    probe.tick();
+                    true
+                });
+                engine
+                    .serve_into(name, &bound, &mut rows)
+                    .map_err(|e| e.to_string())?;
+                let delay = probe.finish();
                 println!(
                     "-- {} tuples in {} (max delay {})",
-                    served.len(),
-                    fmt_ns(served.delay.total_ns),
-                    fmt_ns(served.delay.max_ns)
+                    delay.tuples,
+                    fmt_ns(delay.total_ns),
+                    fmt_ns(delay.max_ns)
                 );
             }
         }
@@ -727,15 +731,13 @@ fn parse_bench_opts(opts: &[String]) -> Result<BenchOpts, String> {
 fn stale_serve_violations(
     engine: &Engine,
     rv: &cqc_engine::RegisteredView,
-    probes: &[Request],
+    probes: &[Vec<Value>],
 ) -> Result<usize, String> {
     let db = engine.db();
     let mut violations = 0;
-    for req in probes {
-        let expect = evaluate_view(&rv.view, &db, &req.bound).map_err(|e| e.to_string())?;
-        let mut got = engine
-            .answer(&rv.name, &req.bound)
-            .map_err(|e| e.to_string())?;
+    for bound in probes {
+        let expect = evaluate_view(&rv.view, &db, bound).map_err(|e| e.to_string())?;
+        let mut got = engine.answer(&rv.name, bound).map_err(|e| e.to_string())?;
         got.sort_unstable();
         got.dedup();
         if got != expect {
@@ -759,18 +761,11 @@ fn bench(engine: &mut Engine, rest: &[String]) -> Result<(), String> {
 
     let rv = engine.view(name).map_err(|e| e.to_string())?;
     let mut rng = cqc_workload::rng(opts.seed);
-    let bounds = if opts.witness {
+    let requests = if opts.witness {
         witness_requests(&mut rng, &rv.view, &engine.db(), n_req)
     } else {
         random_requests(&mut rng, &rv.view, &engine.db(), n_req)
     };
-    let requests: Vec<Request> = bounds
-        .into_iter()
-        .map(|bound| Request {
-            view: name.clone(),
-            bound,
-        })
-        .collect();
 
     let view_relations = view_relations(&rv.view);
 
@@ -784,14 +779,16 @@ fn bench(engine: &mut Engine, rest: &[String]) -> Result<(), String> {
     let mut serve_ns = 0u64;
     let mut batch = BatchStats::default();
     let mut served = 0usize;
-    let mut measure = |engine: &Engine, reqs: &[Request]| -> Result<(), String> {
-        // measure_batch drains without retaining tuples, so the reported
-        // gaps are the representation's §2.3 enumeration delay, not Vec
-        // reallocs.
+    let mut measure = |engine: &Engine, reqs: &[Vec<Value>]| -> Result<(), String> {
+        // A probe at the sink retains no tuples, so the reported gaps are
+        // the §2.3 delay between answers as served, not Vec reallocs.
         let t0 = std::time::Instant::now();
-        let measured = engine
-            .measure_batch(reqs, threads)
-            .map_err(|e| e.to_string())?;
+        let measured = stripe_requests(reqs.len(), threads, |i| {
+            let mut probe = DelayProbe::start();
+            engine.serve_into(name, &reqs[i], &mut probe)?;
+            Ok(probe.finish())
+        })
+        .map_err(|e| e.to_string())?;
         serve_ns += t0.elapsed().as_nanos() as u64;
         served += measured.len();
         for d in &measured {
@@ -815,9 +812,8 @@ fn bench(engine: &mut Engine, rest: &[String]) -> Result<(), String> {
                     updates.maintained += report.maintained;
                     updates.rebuilt += report.rebuilt;
                     updates.restamped += report.restamped;
-                    let probes: Vec<Request> =
-                        chunks.peek().unwrap().iter().take(3).cloned().collect();
-                    violations += stale_serve_violations(engine, &rv, &probes)?;
+                    let next = chunks.peek().unwrap();
+                    violations += stale_serve_violations(engine, &rv, &next[..next.len().min(3)])?;
                 }
             }
         }

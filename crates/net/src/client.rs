@@ -9,20 +9,22 @@
 //!   reachable again within a few attempts);
 //! * **client-side deadlines** via socket read/write timeouts, so a
 //!   stalled or dead server bounds the caller's wait;
-//! * **poison on I/O failure**: a connection that errored is dropped and
-//!   lazily re-established on the next request — never reused in an
-//!   unknown framing state;
+//! * **poison on failure**: a connection that errored — I/O, or a serve
+//!   stream that ended in anything but a fully parsed `ServeDone`/`Error`
+//!   frame — is dropped and lazily re-established on the next request,
+//!   never reused in an unknown framing state;
 //! * **refusal handling**: a [`code::REFUSED`] backpressure reply is
 //!   retried after a backoff, up to a small bound, before surfacing —
 //!   each retry capped by the caller's [`Deadline`] and charged against
 //!   the optional per-destination [`RetryBudget`], so a browning-out
 //!   server is never hammered with free retries;
-//! * **deadline propagation**: [`ShardClient::serve_with_sink_opts`]
-//!   puts the caller's remaining budget and priority class on the wire
-//!   as the optional serve tail, so the server can shed doomed work
-//!   before enumeration. The tail is omitted entirely for the default
-//!   (Interactive, unbounded) case — those requests stay byte-identical
-//!   to the v1 wire format.
+//! * **deadline propagation**: [`ShardClient::serve_with_sink_opts`] —
+//!   the one serve call — puts the caller's remaining budget and
+//!   priority class on the wire as the optional serve tail, so the server
+//!   can shed doomed work before enumeration. The tail is omitted
+//!   entirely for the default (Interactive, unbounded) case, which
+//!   [`ShardClient::serve_with_sink`] spells — those requests stay
+//!   byte-identical to the v1 wire format.
 //!
 //! [`RemoteShard`] wraps a client in a mutex to implement
 //! [`BlockService`], which makes a remote server interchangeable with a
@@ -279,36 +281,14 @@ impl ShardClient {
         self.expect_epochs(FrameKind::Update, FrameKind::UpdateOk)
     }
 
-    /// Serves one request, streaming every chunk into `block` (appended).
-    /// Returns `(total answers, epoch vector observed at serve time)`.
-    /// A [`code::REFUSED`] backpressure reply is retried with backoff.
+    /// Serves one request, streaming every chunk into `sink`:
+    /// [`ShardClient::serve_with_sink_opts`] at Interactive priority with
+    /// no deadline — tail-less on the wire, byte-identical to the v1 serve
+    /// frame.
     ///
     /// # Errors
     ///
-    /// Transport failures and remote serve errors, typed; a connection
-    /// that fails mid-stream is poisoned and the error surfaces as
-    /// [`CqcError::Io`].
-    pub fn serve_block(
-        &mut self,
-        view: &str,
-        bound: &[Value],
-        block: &mut AnswerBlock,
-    ) -> Result<(u64, Vec<Epoch>)> {
-        let mut sink = BlockAppend(block);
-        self.serve_with_sink(view, bound, &mut sink)
-    }
-
-    /// [`ShardClient::serve_block`] with a caller-chosen sink. If the sink
-    /// stops the stream early, the client hangs the connection up — the
-    /// server's next chunk write fails and its enumeration stops
-    /// cooperatively mid-block — and returns what was pushed.
-    ///
-    /// Tail-less on the wire (Interactive priority, unbounded budget):
-    /// byte-identical to the v1 serve frame.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ShardClient::serve_block`].
+    /// Same failure modes as [`ShardClient::serve_with_sink_opts`].
     pub fn serve_with_sink(
         &mut self,
         view: &str,
@@ -324,17 +304,27 @@ impl ShardClient {
         )
     }
 
-    /// [`ShardClient::serve_with_sink`] with an explicit priority class
-    /// and deadline. A bounded deadline (or non-Interactive priority)
-    /// travels as the serve frame's optional tail, re-measured at each
-    /// attempt so the server always sees the budget that actually
-    /// remains. REFUSED-backpressure retries are capped by the deadline
-    /// and gated on the attached [`RetryBudget`] (if any); a drained
-    /// budget surfaces the server's refusal instead of retrying.
+    /// Serves one request under an explicit priority class and deadline,
+    /// streaming every chunk into `sink` (an [`AnswerBlock`] appends).
+    /// Returns `(answers pushed, epoch vector observed at serve time)`. If
+    /// the sink stops the stream early, the client hangs the connection up
+    /// — the server's next chunk write fails and its enumeration stops
+    /// cooperatively mid-block — and returns what was pushed, with an
+    /// empty epoch vector.
+    ///
+    /// A bounded deadline (or non-Interactive priority) travels as the
+    /// serve frame's optional tail, re-measured at each attempt so the
+    /// server always sees the budget that actually remains. A
+    /// [`code::REFUSED`] backpressure reply is retried with backoff,
+    /// capped by the deadline and gated on the attached [`RetryBudget`]
+    /// (if any); a drained budget surfaces the server's refusal instead
+    /// of retrying.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`ShardClient::serve_block`], plus a typed
+    /// Transport failures and remote serve errors, typed; a connection
+    /// that fails mid-stream — I/O error, malformed frame — is poisoned,
+    /// so the next request starts on a fresh one. A typed
     /// [`code::DEADLINE`] when the budget expires between retries.
     pub fn serve_with_sink_opts(
         &mut self,
@@ -403,57 +393,44 @@ impl ShardClient {
         }
         let mut scratch = AnswerBlock::new();
         let mut pushed = 0u64;
-        let mut stopped = false;
+        // Every exit below that is not a fully parsed `ServeDone` or
+        // `Error` frame leaves the server mid-stream: poison, or the next
+        // request on this connection reads this one's remaining frames as
+        // its own reply.
         loop {
             let stream = self.stream.as_mut().expect("connected");
-            let (kind, body) = match self.frames.read_frame(stream) {
-                Ok(f) => f,
+            // `Ok(None)`: a chunk landed in `scratch`; `Ok(Some(_))`: the
+            // stream ended cleanly with the server's verdict.
+            let frame = match self.frames.read_frame(stream) {
+                Ok((FrameKind::Chunk, body)) => {
+                    scratch.reset();
+                    cqc_common::frame::decode_chunk_into(body, &mut scratch).map(|_| None)
+                }
+                Ok((FrameKind::ServeDone, body)) => {
+                    protocol::parse_serve_done(body).map(|(_total, epochs)| Some(Ok(epochs)))
+                }
+                Ok((FrameKind::Error, body)) => protocol::parse_error(body).map(|e| Some(Err(e))),
+                Ok((other, _)) => Err(protocol::unexpected_frame("in a serve stream", other)),
+                Err(e) => Err(e),
+            };
+            match frame {
                 Err(e) => {
                     self.poison();
                     return Err(e);
                 }
-            };
-            match kind {
-                FrameKind::Chunk => {
-                    if stopped {
-                        continue; // draining a stream the sink abandoned
-                    }
-                    scratch.reset();
-                    cqc_common::frame::decode_chunk_into(body, &mut scratch)?;
-                    for t in scratch.iter() {
-                        pushed += 1;
-                        if !sink.push(t) {
-                            stopped = true;
-                            break;
-                        }
-                    }
-                    if stopped {
-                        // Cooperative cancellation: hang up so the server's
-                        // next flush fails and its enumeration early-stops.
-                        self.poison();
-                        return Ok((pushed, Vec::new()));
-                    }
-                }
-                FrameKind::ServeDone => {
-                    let (_total, epochs) = protocol::parse_serve_done(body)?;
-                    return Ok((pushed, epochs));
-                }
-                FrameKind::Error => return Err(protocol::parse_error(body)?),
-                other => {
+                Ok(Some(verdict)) => return verdict.map(|epochs| (pushed, epochs)),
+                Ok(None) => {}
+            }
+            for t in scratch.iter() {
+                pushed += 1;
+                if !sink.push(t) {
+                    // Cooperative cancellation: hang up so the server's
+                    // next flush fails and its enumeration early-stops.
                     self.poison();
-                    return Err(protocol::unexpected_frame("in a serve stream", other));
+                    return Ok((pushed, Vec::new()));
                 }
             }
         }
-    }
-}
-
-/// Appends to an [`AnswerBlock`] without early stop.
-struct BlockAppend<'b>(&'b mut AnswerBlock);
-
-impl AnswerSink for BlockAppend<'_> {
-    fn push(&mut self, tuple: &[Value]) -> bool {
-        self.0.push(tuple)
     }
 }
 

@@ -29,6 +29,16 @@
 //!   known version, and k-way merging the per-shard streams back into
 //!   exact lexicographic order with [`cqc_common::BlockMerger`].
 //!
+//! Answers leave every layer through one call,
+//! [`cqc_engine::BlockService::serve_into`]: [`client::RemoteShard`] and
+//! [`router::Router`] implement it beside the local engines, so a socket
+//! or a fleet is interchangeable with an in-process engine. Each layer
+//! keeps exactly one richer spelling for what the trait cannot carry —
+//! [`client::ShardClient::serve_with_sink_opts`] (priority, deadline, the
+//! observed epoch vector), [`replica::ReplicaGroup::serve`] (failover
+//! against an expected version) and [`router::Router::serve`]
+//! ([`router::ServeOpts`] in, a coverage report out).
+//!
 //! The `cqe` binary (`src/bin/cqe.rs`) adds `serve` (shard server) and
 //! `route` (front-door router) to the engine's command-line front door.
 
@@ -53,5 +63,5 @@ pub use budget::{RetryBudget, RetryBudgetConfig};
 pub use chaos::{ChaosService, Fault};
 pub use client::{ClientConfig, RemoteShard, ShardClient};
 pub use replica::{Deadline, GroupStats, ReplicaGroup, RetryPolicy};
-pub use router::{FleetStats, Router, ServeMode, ServeReport};
+pub use router::{FleetStats, Router, ServeMode, ServeOpts, ServeReport};
 pub use server::{NetServer, NetServerConfig, ServerHandle};

@@ -473,7 +473,7 @@ impl ReplicaGroup {
     /// [`code::REFUSED`] when the retry budget cannot fund another
     /// failover, or a typed "no replica available" failure when every
     /// breaker is open.
-    pub fn serve_into_block_prioritized(
+    pub fn serve(
         self: &Arc<Self>,
         view: &str,
         bound: &[Value],

@@ -30,10 +30,11 @@
 //! * **typed partial failure and graceful degradation** — in the default
 //!   [`ServeMode::Strict`] a shard whose whole replica group is down
 //!   fails the request with [`code::SHARD_FAILED`] naming the shard;
-//!   opting into [`ServeMode::DegradedOk`] returns the surviving shards'
-//!   merged answers instead, with an explicit per-shard
-//!   [`Coverage`] bitmap and a typed [`code::DEGRADED`] indication — a
-//!   partial result can never impersonate a complete one.
+//!   opting into [`ServeMode::DegradedOk`] (through [`Router::serve`]'s
+//!   [`ServeOpts`]) returns the surviving shards' merged answers instead,
+//!   with an explicit per-shard [`Coverage`] bitmap and a typed
+//!   [`code::DEGRADED`] indication — a partial result can never
+//!   impersonate a complete one.
 //!
 //! Updates split per shard with [`cqc_storage::Partitioning::split_delta`]
 //! and fan out to every replica of each touched shard, preconditioned on
@@ -65,6 +66,19 @@ pub enum ServeMode {
     /// Answer from the shards that survive, with an explicit coverage
     /// bitmap and a typed [`code::DEGRADED`] indication on the report.
     DegradedOk,
+}
+
+/// How [`Router::serve`] runs one request; the default is what
+/// [`BlockService::serve_into`] uses.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ServeOpts {
+    /// What a shard with no serving replica does to the request.
+    pub mode: ServeMode,
+    /// The priority class every shard server admits the request under.
+    pub priority: ServePriority,
+    /// The caller's deadline; `None` falls back to the router's
+    /// [`RetryPolicy::request_deadline`].
+    pub deadline: Option<Deadline>,
 }
 
 /// The outcome of one fan-out serve: what was merged, which shards
@@ -321,29 +335,15 @@ impl Router {
             .ok_or_else(|| CqcError::UnknownView(view.to_string()))
     }
 
-    /// Serves one request across the fleet in [`ServeMode::Strict`]:
-    /// shard-major fan-out with per-shard replica failover, epoch check
-    /// per reply, k-way merge into `sink` in exact lexicographic order.
-    /// Returns the merged answer count (early stop respected).
+    /// Serves one request across the fleet: shard-major fan-out with
+    /// per-shard replica failover, epoch check per reply, k-way merge into
+    /// `sink` in exact lexicographic order (early stop respected). The
+    /// *remaining* deadline budget and the priority class travel on the
+    /// wire with every per-shard attempt, failover, and hedge, so each
+    /// shard server can shed doomed or low-priority work before
+    /// enumerating.
     ///
-    /// # Errors
-    ///
-    /// Unknown view, [`code::EPOCH_MISMATCH`] when no replica of a shard
-    /// serves at the expected version, [`code::SHARD_FAILED`] (or the
-    /// shard's own typed error) when a whole replica group is down, and
-    /// [`code::DEADLINE`] when the request budget runs out.
-    pub fn serve_merged(
-        &self,
-        view: &str,
-        bound: &[Value],
-        sink: &mut dyn AnswerSink,
-    ) -> Result<usize> {
-        let report = self.serve_with_mode(view, bound, sink, ServeMode::Strict)?;
-        Ok(report.answers)
-    }
-
-    /// [`Router::serve_merged`] with an explicit [`ServeMode`]. In
-    /// [`ServeMode::DegradedOk`] a shard whose replica group cannot
+    /// In [`ServeMode::DegradedOk`] a shard whose replica group cannot
     /// serve is *dropped from the merge* instead of failing the request:
     /// the report's coverage bitmap says exactly which shards
     /// contributed, [`ServeReport::degraded_error`] carries the typed
@@ -352,37 +352,18 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// In strict mode, any shard failure (see [`Router::serve_merged`]).
-    /// In degraded mode, only request-level failures (unknown view) —
-    /// shard failures land in the report.
-    pub fn serve_with_mode(
-        &self,
-        view: &str,
-        bound: &[Value],
-        sink: &mut dyn AnswerSink,
-        mode: ServeMode,
-    ) -> Result<ServeReport> {
-        self.serve_with_opts(view, bound, sink, mode, ServePriority::Interactive, None)
-    }
-
-    /// [`Router::serve_with_mode`] with an explicit priority class and
-    /// an optional caller deadline. The *remaining* budget and the class
-    /// travel on the wire with every per-shard attempt, failover, and
-    /// hedge, so each shard server can shed doomed or low-priority work
-    /// before enumerating (a `None` deadline falls back to the router's
-    /// [`RetryPolicy::request_deadline`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Router::serve_with_mode`].
-    pub fn serve_with_opts(
+    /// Unknown view always. In strict mode also any shard failure:
+    /// [`code::EPOCH_MISMATCH`] when no replica of a shard serves at the
+    /// expected version, [`code::SHARD_FAILED`] (or the shard's own typed
+    /// error) when a whole replica group is down, and [`code::DEADLINE`]
+    /// when the request budget runs out. In degraded mode shard failures
+    /// land in the report.
+    pub fn serve(
         &self,
         view: &str,
         bound: &[Value],
         mut sink: &mut dyn AnswerSink,
-        mode: ServeMode,
-        priority: ServePriority,
-        deadline: Option<Deadline>,
+        opts: &ServeOpts,
     ) -> Result<ServeReport> {
         let fans_out = self.routing(view)?;
         let shards = if fans_out { self.groups.len() } else { 1 };
@@ -391,7 +372,9 @@ impl Router {
             .read()
             .expect("expected lock poisoned")
             .clone();
-        let deadline = deadline.unwrap_or_else(|| Deadline::within(self.policy.request_deadline));
+        let deadline = opts
+            .deadline
+            .unwrap_or_else(|| Deadline::within(self.policy.request_deadline));
         // Shard-major fan-out: each thread drives its shard's replica
         // group (failover and all) into a local block.
         let results: Vec<Result<AnswerBlock>> = std::thread::scope(|scope| {
@@ -402,11 +385,11 @@ impl Router {
                     scope.spawn(move || -> Result<AnswerBlock> {
                         let mut block = AnswerBlock::new();
                         group
-                            .serve_into_block_prioritized(
+                            .serve(
                                 view,
                                 bound,
                                 &expected[i],
-                                priority,
+                                opts.priority,
                                 deadline,
                                 &mut block,
                             )
@@ -429,7 +412,7 @@ impl Router {
                     coverage.mark(i);
                     blocks.push(block);
                 }
-                Err(e) => match mode {
+                Err(e) => match opts.mode {
                     ServeMode::Strict => return Err(e),
                     ServeMode::DegradedOk => failures.push((i, e)),
                 },
@@ -531,7 +514,9 @@ impl BlockService for Router {
     }
 
     fn serve_into(&self, view: &str, bound: &[Value], sink: &mut dyn AnswerSink) -> Result<usize> {
-        self.serve_merged(view, bound, sink)
+        Ok(self
+            .serve(view, bound, sink, &ServeOpts::default())?
+            .answers)
     }
 
     fn apply_update(&self, delta: &Delta) -> Result<Vec<Epoch>> {

@@ -2,8 +2,9 @@
 //! *typed* error in bounded time — never a hang, never a silent partial
 //! answer. Scripted fake shards (raw TCP speaking the frame codec) make
 //! the failures deterministic: death mid-stream, a stalled server, an
-//! overloaded server, a wrong protocol version, and a server-side
-//! deadline are each provoked on purpose and asserted on by error code.
+//! overloaded server, a wrong protocol version, a malformed chunk, and a
+//! server-side deadline are each provoked on purpose and asserted on by
+//! error code.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -105,7 +106,7 @@ fn shard_death_mid_stream_is_typed_not_hung() {
 
     let t0 = Instant::now();
     let mut block = AnswerBlock::new();
-    let err = router.serve_merged("v", &[], &mut block).unwrap_err();
+    let err = router.serve_into("v", &[], &mut block).unwrap_err();
     assert!(
         t0.elapsed() < Duration::from_secs(10),
         "partial failure took {:?} — that is a hang, not a typed error",
@@ -143,13 +144,13 @@ fn killed_shard_server_fails_fast() {
         .register_view("v", "Q(x,y) :- R(x,y)", "ff", "direct")
         .unwrap();
     router
-        .serve_merged("v", &[], &mut AnswerBlock::new())
+        .serve_into("v", &[], &mut AnswerBlock::new())
         .unwrap();
 
     servers[0].shutdown();
     let t0 = Instant::now();
     let err = router
-        .serve_merged("v", &[], &mut AnswerBlock::new())
+        .serve_into("v", &[], &mut AnswerBlock::new())
         .unwrap_err();
     assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
     match err {
@@ -206,7 +207,7 @@ fn server_deadline_fires_as_a_typed_error() {
         })
         .unwrap();
     let err = client
-        .serve_block("v", &[], &mut AnswerBlock::new())
+        .serve_with_sink("v", &[], &mut AnswerBlock::new())
         .unwrap_err();
     match err {
         CqcError::Protocol { code: c, detail } => {
@@ -243,7 +244,7 @@ fn overloaded_server_refuses_with_typed_backpressure() {
         })
         .unwrap();
     let err = client
-        .serve_block("v", &[], &mut AnswerBlock::new())
+        .serve_with_sink("v", &[], &mut AnswerBlock::new())
         .unwrap_err();
     match err {
         CqcError::Protocol { code: c, detail } => {
@@ -251,6 +252,58 @@ fn overloaded_server_refuses_with_typed_backpressure() {
         }
         other => panic!("expected REFUSED, got {other}"),
     }
+}
+
+/// A malformed chunk mid-stream fails its own request with a typed
+/// [`code::BAD_FRAME`] — and only its own: the server keeps streaming the
+/// rest of that reply, so the client must drop the connection rather than
+/// let the next request read those leftover frames as its answer.
+#[test]
+fn malformed_chunk_does_not_leak_into_the_next_request() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        let mut serves = 0u32;
+        let chunk = |w: &mut PayloadWriter, tuple: &[u64]| {
+            let mut block = AnswerBlock::new();
+            block.push(tuple);
+            frame::encode_chunk(w, &block, 0, 1);
+        };
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            let mut frames = FrameReader::new();
+            let mut w = PayloadWriter::new();
+            while let Ok((FrameKind::Serve, _)) = frames.read_frame(&mut stream) {
+                serves += 1;
+                if serves == 1 {
+                    // Claims one answer of arity 2, carries one value.
+                    w.start().put_u16(2).put_u32(1).put_u64(9);
+                    send(&mut stream, FrameKind::Chunk, &w);
+                    chunk(&mut w, &[111, 222]);
+                } else {
+                    chunk(&mut w, &[5, 6]);
+                }
+                send(&mut stream, FrameKind::Chunk, &w);
+                protocol::encode_serve_done(&mut w, 1, &[7]);
+                send(&mut stream, FrameKind::ServeDone, &w);
+            }
+        }
+    });
+
+    let mut client = ShardClient::new(addr, fast_client());
+    let err = client
+        .serve_with_sink("v", &[], &mut AnswerBlock::new())
+        .unwrap_err();
+    match err {
+        CqcError::Protocol { code: c, detail } => {
+            assert_eq!(c, code::BAD_FRAME, "wrong code: {detail}");
+        }
+        other => panic!("expected BAD_FRAME, got {other}"),
+    }
+    let mut block = AnswerBlock::new();
+    let (pushed, epochs) = client.serve_with_sink("v", &[], &mut block).unwrap();
+    assert_eq!(block.to_tuples(), vec![vec![5, 6]], "previous reply leaked");
+    assert_eq!((pushed, epochs), (1, vec![7]));
 }
 
 /// A frame with the wrong protocol version is answered with a typed

@@ -9,12 +9,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cqc_common::frame::{code, ServePriority};
-use cqc_common::{AnswerBlock, CqcError};
-use cqc_engine::{
-    spec_for_view, BlockService, Engine, Policy, ShardedBlocks, ShardedEngine, ShardedEngineConfig,
-};
+use cqc_common::{AnswerBlock, CqcError, ExistsSink};
+use cqc_engine::{spec_for_view, BlockService, Engine, Policy, ShardedEngine, ShardedEngineConfig};
+use cqc_join::naive::evaluate_view;
 use cqc_net::server::ServerHandle;
-use cqc_net::{ClientConfig, Deadline, NetServer, NetServerConfig, Router, ServeMode, ShardClient};
+use cqc_net::{
+    ClientConfig, Deadline, NetServer, NetServerConfig, RemoteShard, Router, ServeOpts, ShardClient,
+};
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Database, Delta, PartitionSpec, Partitioning};
 
@@ -59,17 +60,18 @@ fn spawn_fleet(db: &Database, spec: &PartitionSpec) -> (Vec<ServerHandle>, Vec<S
     (servers, addrs)
 }
 
+/// An unregistered in-process sharded engine over `db` under `spec`.
+fn sharded_engine(db: &Database, spec: &PartitionSpec, shards: usize) -> ShardedEngine {
+    let config = ShardedEngineConfig {
+        shards,
+        ..ShardedEngineConfig::default()
+    };
+    ShardedEngine::new(db.clone(), spec.clone(), config).unwrap()
+}
+
 /// The in-process reference under the identical spec and shard count.
 fn local_sharded(db: &Database, spec: &PartitionSpec, pattern: &str, token: &str) -> ShardedEngine {
-    let sharded = ShardedEngine::new(
-        db.clone(),
-        spec.clone(),
-        ShardedEngineConfig {
-            shards: SHARDS,
-            ..ShardedEngineConfig::default()
-        },
-    )
-    .unwrap();
+    let sharded = sharded_engine(db, spec, SHARDS);
     let view = parse_adorned(QUERY, pattern).unwrap();
     sharded
         .register("v", view, Policy::parse(token).unwrap())
@@ -77,25 +79,15 @@ fn local_sharded(db: &Database, spec: &PartitionSpec, pattern: &str, token: &str
     sharded
 }
 
-/// The local merged streams, one flat tuple vector per request.
-fn local_streams(sharded: &ShardedEngine, bounds: &[Vec<u64>]) -> Vec<Vec<u64>> {
-    let mut streams: Vec<Vec<u64>> = vec![Vec::new(); bounds.len()];
-    sharded
-        .serve_stream_with("v", bounds, &mut ShardedBlocks::new(), |i, block| {
-            streams[i].extend_from_slice(block.values());
-        })
-        .unwrap();
-    streams
-}
-
-/// The remote merged streams through the router, same shape.
-fn remote_streams(router: &Router, bounds: &[Vec<u64>]) -> Vec<Vec<u64>> {
+/// The merged streams of view `v`, one flat tuple vector per request —
+/// the local sharded engine and the router answer through the same call.
+fn streams(service: &dyn BlockService, bounds: &[Vec<u64>]) -> Vec<Vec<u64>> {
     let mut block = AnswerBlock::new();
     bounds
         .iter()
         .map(|bound| {
             block.reset();
-            router.serve_merged("v", bound, &mut block).unwrap();
+            service.serve_into("v", bound, &mut block).unwrap();
             block.values().to_vec()
         })
         .collect()
@@ -120,6 +112,82 @@ fn bound_grid(nb: usize) -> Vec<Vec<u64>> {
     grid
 }
 
+/// One [`BlockService`] contract, four implementors: a local engine, a
+/// sharded engine, a remote shard behind a socket, and a router over a
+/// fleet must be indistinguishable through `serve_into` — exact answers in
+/// lexicographic order, an honest count, an early stop that leaves the
+/// service usable, and typed request errors.
+#[test]
+fn block_service_contract_holds_for_every_implementor() {
+    let db = triangle_db(53);
+    let view = parse_adorned(QUERY, "bff").unwrap();
+    let spec = spec_for_view(&view, &db);
+
+    let engine = Engine::new(db.clone());
+    let sharded = sharded_engine(&db, &spec, 3);
+    let server = NetServer::spawn(
+        Arc::new(Engine::new(db.clone())),
+        "127.0.0.1:0",
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let remote = RemoteShard::connect(server.addr().to_string(), client_config());
+    let (_servers, addrs) = spawn_fleet(&db, &spec);
+    let router = Router::connect(&addrs, spec.clone(), client_config()).unwrap();
+
+    let implementors: [(&str, &dyn BlockService); 4] = [
+        ("Engine", &engine),
+        ("ShardedEngine", &sharded),
+        ("RemoteShard", &remote),
+        ("Router", &router),
+    ];
+    // The naive join's answers for x = 0..12, and the x with the most.
+    let wants: Vec<_> = (0..12u64)
+        .map(|x| evaluate_view(&view, &db, &[x]).unwrap())
+        .collect();
+    let busiest = (0..12u64).max_by_key(|&x| wants[x as usize].len()).unwrap();
+    assert!(
+        wants[busiest as usize].len() > 1,
+        "workload too sparse to stop early"
+    );
+    for (who, service) in implementors {
+        service.register_view("v", QUERY, "bff", "tau:2").unwrap();
+        let serve_all = || {
+            for (x, want) in (0..12u64).zip(&wants) {
+                let mut block = AnswerBlock::new();
+                let pushed = service.serve_into("v", &[x], &mut block).unwrap();
+                assert_eq!(&block.to_tuples(), want, "{who}: answers for x = {x}");
+                assert_eq!(pushed, want.len(), "{who}: count for x = {x}");
+            }
+        };
+        serve_all();
+
+        // A sink that hangs up after the first answer is told so — and the
+        // service it hung up on serves the next full requests correctly.
+        let mut probe = ExistsSink::default();
+        let pushed = service.serve_into("v", &[busiest], &mut probe).unwrap();
+        assert!(probe.found, "{who}: early stop saw no answer");
+        assert_eq!(pushed, 1, "{who}: early stop must report what was pushed");
+        serve_all();
+
+        // Request errors keep their type. Checked last: a router's replica
+        // groups count a shard's typed refusal of a malformed request as a
+        // replica fault, so its breakers may be open afterwards (ROADMAP).
+        let mut block = AnswerBlock::new();
+        let err = service.serve_into("nope", &[0], &mut block).unwrap_err();
+        assert!(
+            matches!(err, CqcError::UnknownView(ref v) if v.contains("nope")),
+            "{who}: expected UnknownView, got {err}"
+        );
+        let err = service.serve_into("v", &[0, 1], &mut block).unwrap_err();
+        assert!(
+            matches!(err, CqcError::InvalidAccess(_)),
+            "{who}: expected InvalidAccess, got {err}"
+        );
+        assert!(block.is_empty(), "{who}: a failed request pushed answers");
+    }
+}
+
 /// The acceptance property: the remote merged stream is tuple-for-tuple
 /// identical — exact lexicographic order included — to the local sharded
 /// stream, for every strategy token and adornment pattern.
@@ -136,8 +204,8 @@ fn remote_stream_matches_local_sharded_across_strategies() {
             let router = Router::connect(&addrs, spec.clone(), client_config()).unwrap();
             router.register_view("v", QUERY, pattern, token).unwrap();
 
-            let local = local_streams(&sharded, &bounds);
-            let remote = remote_streams(&router, &bounds);
+            let local = streams(&sharded, &bounds);
+            let remote = streams(&router, &bounds);
             assert_eq!(
                 remote, local,
                 "{token} pattern {pattern}: remote stream diverged"
@@ -175,8 +243,8 @@ fn interleaved_updates_keep_remote_and_local_aligned() {
         let epochs = router.apply_update(&delta).unwrap();
         assert_eq!(epochs, sharded.version(), "round {round}: epochs diverged");
 
-        let local = local_streams(&sharded, &bounds);
-        let remote = remote_streams(&router, &bounds);
+        let local = streams(&sharded, &bounds);
+        let remote = streams(&router, &bounds);
         assert_eq!(remote, local, "round {round}: stream diverged after delta");
     }
     assert!(saw_removal, "no round carried a removal — test is vacuous");
@@ -198,8 +266,8 @@ fn remote_deletes_match_local_and_advance_epochs() {
     let router = Router::connect(&addrs, spec.clone(), client_config()).unwrap();
     router.register_view("v", QUERY, "fff", "tau:2").unwrap();
 
-    let before = local_streams(&sharded, &bounds);
-    assert_eq!(remote_streams(&router, &bounds), before);
+    let before = streams(&sharded, &bounds);
+    assert_eq!(streams(&router, &bounds), before);
     let answers_before = before[0].len() / 3;
     assert!(
         answers_before > 0,
@@ -220,8 +288,8 @@ fn remote_deletes_match_local_and_advance_epochs() {
         "delete must advance the epoch vector monotonically: {pre_version:?} -> {epochs:?}"
     );
 
-    let local = local_streams(&sharded, &bounds);
-    let remote = remote_streams(&router, &bounds);
+    let local = streams(&sharded, &bounds);
+    let remote = streams(&router, &bounds);
     assert_eq!(remote, local, "stream diverged after delete");
     assert!(
         local[0].len() / 3 < answers_before,
@@ -235,7 +303,7 @@ fn remote_deletes_match_local_and_advance_epochs() {
     sharded.update(&noop).unwrap();
     let epochs_after = router.apply_update(&noop).unwrap();
     assert_eq!(epochs_after, epochs, "no-op delete must not bump epochs");
-    assert_eq!(remote_streams(&router, &bounds), local);
+    assert_eq!(streams(&router, &bounds), local);
 }
 
 /// The deadline-tail compatibility pin: a serve carrying a priority
@@ -257,7 +325,7 @@ fn deadline_tailed_serves_match_tailless_and_local() {
     let router = Router::connect(&addrs, spec.clone(), client_config()).unwrap();
     router.register_view("v", QUERY, "bff", "tau:2").unwrap();
 
-    let local = local_streams(&sharded, &bounds);
+    let local = streams(&sharded, &bounds);
     assert!(
         local.iter().map(Vec::len).sum::<usize>() > 0,
         "workload served nothing — test is vacuous"
@@ -271,16 +339,12 @@ fn deadline_tailed_serves_match_tailless_and_local() {
             .iter()
             .map(|bound| {
                 let mut block = AnswerBlock::new();
-                router
-                    .serve_with_opts(
-                        "v",
-                        bound,
-                        &mut block,
-                        ServeMode::Strict,
-                        priority,
-                        Some(Deadline::within(Some(Duration::from_secs(30)))),
-                    )
-                    .unwrap();
+                let opts = ServeOpts {
+                    priority,
+                    deadline: Some(Deadline::within(Some(Duration::from_secs(30)))),
+                    ..ServeOpts::default()
+                };
+                router.serve("v", bound, &mut block, &opts).unwrap();
                 block.values().to_vec()
             })
             .collect();
@@ -351,7 +415,7 @@ fn out_of_band_update_raises_epoch_mismatch_until_resync() {
     sneak.update(&delta).unwrap();
 
     let mut block = AnswerBlock::new();
-    let err = router.serve_merged("v", &[0], &mut block).unwrap_err();
+    let err = router.serve_into("v", &[0], &mut block).unwrap_err();
     match err {
         CqcError::Protocol { code: c, detail } => {
             assert_eq!(c, code::EPOCH_MISMATCH, "wrong code: {detail}");
@@ -366,7 +430,7 @@ fn out_of_band_update_raises_epoch_mismatch_until_resync() {
     // Re-sync, then the fleet serves again.
     router.health_check().unwrap();
     block.reset();
-    router.serve_merged("v", &[0], &mut block).unwrap();
+    router.serve_into("v", &[0], &mut block).unwrap();
 }
 
 /// Remote failures keep their types across the wire: an unknown view, a
@@ -382,7 +446,7 @@ fn remote_errors_stay_typed() {
     // Unknown view, straight at a shard server.
     let mut client = ShardClient::new(addrs[0].clone(), client_config());
     let mut block = AnswerBlock::new();
-    let err = client.serve_block("nope", &[], &mut block).unwrap_err();
+    let err = client.serve_with_sink("nope", &[], &mut block).unwrap_err();
     // The variant survives the wire; the detail string is the remote
     // display text (lossy by design), so match on variant + substring.
     assert!(
@@ -392,7 +456,7 @@ fn remote_errors_stay_typed() {
 
     // Unknown view through the router (rejected before any wire traffic).
     let router = Router::connect(&addrs, spec.clone(), client_config()).unwrap();
-    let err = router.serve_merged("nope", &[], &mut block).unwrap_err();
+    let err = router.serve_into("nope", &[], &mut block).unwrap_err();
     assert!(matches!(err, CqcError::UnknownView(_)), "got {err}");
 
     // A bad strategy token fails remotely as the same Config error the
@@ -424,20 +488,18 @@ fn fully_bound_probes_serve_remotely() {
     let router = Router::connect(&addrs, spec.clone(), client_config()).unwrap();
     router.register_view("v", QUERY, "bbb", "tau:2").unwrap();
 
-    let mut local_counts = Vec::with_capacity(bounds.len());
-    sharded
-        .serve_stream_with("v", &bounds, &mut ShardedBlocks::new(), |_, block| {
-            local_counts.push(block.len());
-        })
-        .unwrap();
-    let mut block = AnswerBlock::new();
-    let remote_counts: Vec<usize> = bounds
-        .iter()
-        .map(|bound| {
-            block.reset();
-            router.serve_merged("v", bound, &mut block).unwrap()
-        })
-        .collect();
+    let counts = |service: &dyn BlockService| -> Vec<usize> {
+        let mut block = AnswerBlock::new();
+        bounds
+            .iter()
+            .map(|bound| {
+                block.reset();
+                service.serve_into("v", bound, &mut block).unwrap()
+            })
+            .collect()
+    };
+    let local_counts = counts(&sharded);
+    let remote_counts = counts(&router);
     assert_eq!(remote_counts, local_counts);
     assert!(
         local_counts.iter().sum::<usize>() > 0,

@@ -22,7 +22,7 @@ use cqc_common::{AnswerBlock, CqcError};
 use cqc_engine::{spec_for_view, BlockService, Engine};
 use cqc_net::{
     protocol, BreakerConfig, ClientConfig, NetServer, NetServerConfig, ReplicaGroup, RetryPolicy,
-    Router, ServeMode,
+    Router, ServeMode, ServeOpts,
 };
 use cqc_storage::{Database, Delta, Partitioning};
 
@@ -112,7 +112,7 @@ fn replicated_fleet_survives_kills_and_degrades_typed() {
 
     let serve = |router: &Router| -> (usize, Vec<u64>) {
         let mut block = AnswerBlock::new();
-        let n = router.serve_merged("v", &[], &mut block).unwrap();
+        let n = router.serve_into("v", &[], &mut block).unwrap();
         (n, block.values().to_vec())
     };
     let mut want = AnswerBlock::new();
@@ -142,7 +142,7 @@ fn replicated_fleet_survives_kills_and_degrades_typed() {
         h.shutdown();
     }
     let err = router
-        .serve_merged("v", &[], &mut AnswerBlock::new())
+        .serve_into("v", &[], &mut AnswerBlock::new())
         .unwrap_err();
     match err {
         CqcError::Protocol { code: c, detail } => {
@@ -158,9 +158,11 @@ fn replicated_fleet_survives_kills_and_degrades_typed() {
     // …and degraded mode answers exactly shard 0's slice, with the
     // missing shard in the coverage bitmap and a typed DEGRADED marker.
     let mut got = AnswerBlock::new();
-    let report = router
-        .serve_with_mode("v", &[], &mut got, ServeMode::DegradedOk)
-        .unwrap();
+    let degraded_ok = ServeOpts {
+        mode: ServeMode::DegradedOk,
+        ..ServeOpts::default()
+    };
+    let report = router.serve("v", &[], &mut got, &degraded_ok).unwrap();
     assert!(report.is_degraded());
     assert_eq!(report.coverage.missing(), vec![1]);
     assert_eq!(report.failures.len(), 1);

@@ -11,8 +11,8 @@
 //! large batch of access requests served across threads — with the catalog
 //! proving that the request path performs zero rebuilds.
 
-use cqc_common::measure::{fmt_bytes, fmt_ns, BatchStats};
-use cqc_engine::{Engine, Policy, Request};
+use cqc_common::measure::{fmt_bytes, fmt_ns, BatchStats, DelayProbe};
+use cqc_engine::{stripe_requests, BlockService, Engine, Policy};
 use cqc_workload::{graphs, queries, witness_requests};
 use std::time::Instant;
 
@@ -42,21 +42,20 @@ fn main() {
     println!("{}\n", engine.explain("mutual").unwrap());
 
     // Serve many: a stream of mutual-friend requests over actual edges.
-    let requests: Vec<Request> = witness_requests(&mut rng, &view, &engine.db(), 5000)
-        .into_iter()
-        .map(|bound| Request {
-            view: "mutual".into(),
-            bound,
-        })
-        .collect();
+    let requests = witness_requests(&mut rng, &view, &engine.db(), 5000);
 
     for threads in [1, 4] {
         let t0 = Instant::now();
-        let served = engine.serve_batch(&requests, threads).unwrap();
+        let served = stripe_requests(requests.len(), threads, |i| {
+            let mut probe = DelayProbe::start();
+            engine.serve_into("mutual", &requests[i], &mut probe)?;
+            Ok(probe.finish())
+        })
+        .unwrap();
         let wall = t0.elapsed();
         let mut batch = BatchStats::default();
-        for s in &served {
-            batch.add(&s.delay);
+        for delay in &served {
+            batch.add(delay);
         }
         let batch = batch.finish();
         println!(

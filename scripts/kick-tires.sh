@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Everything CI runs after build / test / fmt / clippy / doc, in minutes:
-# the dependency-direction guard, the cqe smokes, the three verdict
-# harnesses with their gated booleans, the metrics-feature tests, and the
-# benchmark package's tests and quick suite. Exits nonzero at the first
-# failed check.
+# the dependency-direction guard, a compile check of the benchmark
+# package, the cqe smokes, the three verdict harnesses with their gated
+# booleans, the metrics-feature tests, and the benchmark package's tests
+# and quick suite. Exits nonzero at the first failed check.
 #
 # Leaves BENCH_{ci,chaos,mix,recovery}.json in the repository root (CI
 # uploads them as artifacts; none is committed) and the commands' standard
@@ -35,6 +35,12 @@ for crate in cqc-engine cqc-net; do
         exit 1
     fi
 done
+
+step "benchmark package compiles against this tree"
+# benchmark/ is its own workspace and frozen between benchmark PRs: an API
+# it calls going missing must fail here, in seconds, not after the
+# harnesses below have run.
+cargo build --release --manifest-path benchmark/Cargo.toml --offline
 
 step "cqe smoke (zero-rebuild serving)"
 cqe -e demo | tee "$OUT/demo.out"
@@ -105,8 +111,8 @@ step "tests with the metrics feature (output-tuple counter compiled in)"
 cargo test -q -p cqc-common --features metrics
 
 step "benchmark package (its own workspace): tests, then the quick suite"
-# Nothing above builds benchmark/: a cqc-core API change that breaks it, or
-# a wrong answer under a new representation layout, must fail here.
+# It compiled above; a wrong answer under a new representation layout must
+# fail here.
 cargo test --manifest-path benchmark/Cargo.toml --offline
 QUICK=1 benchmark/run.sh | tee "$OUT/benchmark-quick.out"
 tail -n 1 "$OUT/benchmark-quick.out" | grep -qx "== suite ok"
