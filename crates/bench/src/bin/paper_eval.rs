@@ -6,8 +6,9 @@
 //! cargo run --release -p cqc-bench --bin paper_eval exp1 exp5  # subset
 //! ```
 //!
-//! Each experiment corresponds to a row of the DESIGN.md experiment index;
-//! the printed tables are pasted into EXPERIMENTS.md.
+//! Each experiment reproduces one of the paper's examples, figures or
+//! bounds; the structures they exercise are described in
+//! docs/ARCHITECTURE.md ("Theorem 1 memory layout", "Theorem 1 build").
 
 use cqc_bench::{fit_loglog_slope, markdown_table, measure_delays, Scale};
 use cqc_common::heap::HeapSize;
@@ -622,7 +623,8 @@ fn exp8_running_example() {
     let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], 4.0).unwrap();
     let tree = s.tree().unwrap();
     let mut rows = Vec::new();
-    let est = s.estimator();
+    // The structure keeps no oracle; T(I) is recomputed from a fresh one.
+    let est = cqc_core::cost::CostEstimator::build(&view, &db, s.weights(), s.alpha()).unwrap();
     for c in tree.cursors() {
         let interval = tree.interval(c);
         rows.push(vec![
@@ -716,9 +718,9 @@ fn exp9_lp_tables() {
 }
 
 /// EXP-11 (ablation): Algorithm 1's cost-balanced splits vs naive grid
-/// midpoints — the design choice DESIGN.md calls out. Midpoint splitting
-/// loses the Prop. 8 halving guarantee, so skewed instances yield deeper
-/// trees and fatter dictionaries at the same τ.
+/// midpoints — the split rule of docs/ARCHITECTURE.md, "Theorem 1 build".
+/// Midpoint splitting loses the Prop. 8 halving guarantee, so skewed
+/// instances yield deeper trees and fatter dictionaries at the same τ.
 fn exp11_splitter_ablation(scale: Scale) {
     use cqc_core::cost::CostEstimator;
     use cqc_core::dbtree::{DelayBalancedTree, Splitter};

@@ -178,6 +178,20 @@ pub mod code {
     pub const DEGRADED: u16 = 106;
 }
 
+/// `true` for the codes whose cause is the request itself — an
+/// unparsable or unknown view, a bound tuple of the wrong arity. The
+/// server that returns one answered correctly and every other replica
+/// would say the same, so a caller must hand the error back at once:
+/// retrying, failing over or penalizing the server is wrong. Every other
+/// code is about the server or the path to it (its state, its load, its
+/// version, the transport) and another replica may well succeed.
+pub fn is_request_error(e: &CqcError) -> bool {
+    matches!(
+        error_code(e),
+        code::PARSE | code::INVALID_QUERY | code::INVALID_ACCESS | code::UNKNOWN_VIEW
+    )
+}
+
 /// The wire code for an error (the inverse of [`decode_error`]).
 pub fn error_code(e: &CqcError) -> u16 {
     match e {

@@ -375,9 +375,9 @@ impl CompressedView {
     }
 
     /// The shared handles of the base-relation indexes this
-    /// representation holds (a handle per holder: Theorem 1 lists an index
-    /// its plan and its cost oracle share twice). Empty for the strategies
-    /// that keep none or index bag-local projections instead.
+    /// representation holds: its join plan's tries, a handle per atom.
+    /// Empty for the strategies that keep none or index bag-local
+    /// projections instead.
     pub fn base_indexes(&self) -> Vec<&std::sync::Arc<cqc_storage::SortedIndex>> {
         match self {
             CompressedView::Tradeoff(s) => s.base_indexes().collect(),

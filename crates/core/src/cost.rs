@@ -13,15 +13,21 @@
 //! (Def. 3) and as the per-level stopping rule of the delay-balanced tree.
 //!
 //! Every count is two binary searches on one of two sorted indexes per
-//! relation (DESIGN.md §4): `[free columns in enumeration order | bound
-//! columns]` for `T(B)` during construction, and `[bound columns | free
-//! columns]` for `T(v_b, B)` at query time. A canonical box constrains a
-//! *prefix* of the free columns plus at most one range, so both layouts
-//! make every count a contiguous row range.
+//! relation (docs/ARCHITECTURE.md, "Theorem 1 build"): `[free columns in
+//! enumeration order | bound columns]` for `T(B)`, which picks the tree's
+//! split points, and `[bound columns | free columns]` for `T(v_b, B)`,
+//! which decides heaviness. A canonical box constrains a *prefix* of the
+//! free columns plus at most one range, so both layouts make every count a
+//! contiguous row range.
+//!
+//! The oracle is a compression-time tool: Algorithm 2 answers from the
+//! tree, the dictionary and the join's own tries, so nothing resident
+//! holds a [`CostEstimator`]. A build creates one, costs the tree and the
+//! dictionary against it and keeps only its grid
+//! ([`CostEstimator::into_domains`]).
 
 use crate::fbox::{box_decomposition, CanonicalBox, FInterval};
 use cqc_common::error::{CqcError, Result};
-use cqc_common::heap::HeapSize;
 use cqc_common::metrics;
 use cqc_common::value::Value;
 use cqc_query::AdornedView;
@@ -35,10 +41,11 @@ use std::sync::Arc;
 /// built through the same [`IndexPool`] as the plan shares that index
 /// instead of re-sorting it — and shares both with every other view the
 /// pool has served over the same relation and orders.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct AtomCost {
-    /// Sorted `[free cols (enum order) | bound cols]`.
-    build_index: Arc<SortedIndex>,
+    /// Sorted `[free cols (enum order) | bound cols]`: the tree side.
+    /// `None` once [`CostEstimator::release_tree_side`] has let it go.
+    build_index: Option<Arc<SortedIndex>>,
     /// Sorted `[bound cols (bound-head order) | free cols (enum order)]`.
     access_index: Arc<SortedIndex>,
     /// Enumeration positions of this atom's free variables, ascending.
@@ -50,7 +57,7 @@ struct AtomCost {
 }
 
 /// The cost oracle for one adorned view under a fixed cover.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CostEstimator {
     atoms: Vec<AtomCost>,
     /// Active domains of the free variables, in enumeration order.
@@ -93,27 +100,6 @@ impl CostEstimator {
         alpha: f64,
         pool: &IndexPool,
     ) -> Result<CostEstimator> {
-        let all_domains = view.query().active_domains(db)?;
-        CostEstimator::build_with_domains_pooled(view, db, weights, alpha, &all_domains, pool)
-    }
-
-    /// [`CostEstimator::build_pooled`] with the per-variable active
-    /// domains already computed (indexed by variable, as
-    /// [`cqc_query::ConjunctiveQuery::active_domains`] returns them) —
-    /// callers that just scanned the domains anyway (delta maintenance)
-    /// skip the second O(|D|) column-union pass.
-    ///
-    /// # Errors
-    ///
-    /// Fails on schema mismatches.
-    pub fn build_with_domains_pooled(
-        view: &AdornedView,
-        db: &Database,
-        weights: &[f64],
-        alpha: f64,
-        all_domains: &[Domain],
-        pool: &IndexPool,
-    ) -> Result<CostEstimator> {
         let query = view.query();
         query.require_natural_join()?;
         query.check_schema(db)?;
@@ -130,6 +116,7 @@ impl CostEstimator {
 
         let free_head = view.free_head();
         let bound_head = view.bound_head();
+        let all_domains = query.active_domains(db)?;
         let domains: Vec<Domain> = free_head
             .iter()
             .map(|v| all_domains[v.index()].clone())
@@ -170,7 +157,7 @@ impl CostEstimator {
                 .collect();
 
             atoms.push(AtomCost {
-                build_index: pool.get_or_build(db, &atom.relation, &build_order)?,
+                build_index: Some(pool.get_or_build(db, &atom.relation, &build_order)?),
                 access_index: pool.get_or_build(db, &atom.relation, &access_order)?,
                 free_enum: free_cols.iter().map(|&(p, _)| p).collect(),
                 bound_pos: bound_cols.iter().map(|&(p, _)| p).collect(),
@@ -185,58 +172,23 @@ impl CostEstimator {
         })
     }
 
-    /// This estimator for the post-delta database `db`: both indexes of
-    /// every atom are traded in at `pool` for their post-delta successors
-    /// ([`IndexPool::maintained`] — merged once for all holders, never
-    /// re-sorted), so a maintained oracle shares its access indexes with
-    /// the maintained plan exactly as a rebuilt pair would. The caller
-    /// has already verified the free-variable grid is unchanged and
-    /// passes the freshly scanned `all_domains`.
+    /// Drops the `[free | bound]` handles once the tree is built: the
+    /// dictionary reads only the `[bound | free]` side. An index this
+    /// oracle alone held dies here; one its pool still pins dies at the
+    /// pool's next [`IndexPool::release`].
     ///
-    /// Returns `Ok(None)` when an index cannot be reconciled with the
-    /// post-delta relations (size disagreement, arity mismatch, atom
-    /// count drift) — the caller should fall back to
-    /// [`CostEstimator::build_with_domains_pooled`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates schema errors (a view relation missing from `db`).
-    pub fn maintained(
-        &self,
-        view: &AdornedView,
-        db: &Database,
-        delta: &cqc_storage::Delta,
-        all_domains: &[Domain],
-        pool: &IndexPool,
-    ) -> Result<Option<CostEstimator>> {
-        let query = view.query();
-        if query.atoms.len() != self.atoms.len() {
-            return Ok(None);
+    /// `T(B)` ([`CostEstimator::count_box`], [`PrefixCost`]) must not be
+    /// asked afterwards.
+    pub fn release_tree_side(&mut self) {
+        for atom in &mut self.atoms {
+            atom.build_index = None;
         }
-        let domains: Vec<Domain> = view
-            .free_head()
-            .iter()
-            .map(|v| all_domains[v.index()].clone())
-            .collect();
-        let mut atoms = Vec::with_capacity(self.atoms.len());
-        for (atom, old) in query.atoms.iter().zip(&self.atoms) {
-            let successor = |index| pool.maintained(db, &atom.relation, index, delta);
-            let (Some(build_index), Some(access_index)) =
-                (successor(&old.build_index)?, successor(&old.access_index)?)
-            else {
-                return Ok(None);
-            };
-            atoms.push(AtomCost {
-                build_index,
-                access_index,
-                ..old.clone()
-            });
-        }
-        Ok(Some(CostEstimator {
-            atoms,
-            domains,
-            alpha: self.alpha,
-        }))
+    }
+
+    /// Ends the oracle, keeping the rank-space grid — the only part of it
+    /// anything reads after the build.
+    pub fn into_domains(self) -> Vec<Domain> {
+        self.domains
     }
 
     /// The slack α used for the `û` exponents.
@@ -257,15 +209,16 @@ impl CostEstimator {
     /// Translates a rank tuple of free variables to values.
     pub fn ranks_to_values(&self, ranks: &[usize]) -> Vec<Value> {
         let mut out = Vec::with_capacity(ranks.len());
-        self.ranks_to_values_into(ranks, &mut out);
+        ranks_to_values_into(&self.domains, ranks, &mut out);
         out
     }
 
-    /// [`CostEstimator::ranks_to_values`] into a reused buffer (cleared
-    /// first) — the per-answer form used by the enumerators.
-    pub fn ranks_to_values_into(&self, ranks: &[usize], out: &mut Vec<Value>) {
-        out.clear();
-        out.extend(ranks.iter().zip(&self.domains).map(|(&r, d)| d.value(r)));
+    /// Atom `ai`'s tree-side index.
+    fn build_index(&self, ai: usize) -> &SortedIndex {
+        self.atoms[ai]
+            .build_index
+            .as_deref()
+            .expect("T(B) asked after release_tree_side")
     }
 
     /// `|R_F(B)|` for atom `ai` — the build-time count (no valuation).
@@ -281,7 +234,7 @@ impl CostEstimator {
         }
         metrics::record_count_probe();
         let atom = &self.atoms[ai];
-        let ix = &atom.build_index;
+        let ix = self.build_index(ai);
         let (mut lo, mut hi) = (0usize, ix.len());
         let p = b.range_pos();
         for (d, &ep) in atom.free_enum.iter().enumerate() {
@@ -501,7 +454,7 @@ impl<'a> PrefixCost<'a> {
                 self.atoms.push(PrefixAtom {
                     ai,
                     lo: 0,
-                    hi: atom.build_index.len(),
+                    hi: self.est.build_index(ai).len(),
                     depth: 0,
                     constant: None,
                 });
@@ -522,7 +475,7 @@ impl<'a> PrefixCost<'a> {
         for a in self.atoms.iter_mut().filter(|a| a.constant.is_none()) {
             if a.lo < a.hi {
                 metrics::record_count_probe();
-                let index = &self.est.atoms[a.ai].build_index;
+                let index = self.est.build_index(a.ai);
                 (a.lo, a.hi) = index.narrow_eq(a.lo, a.hi, a.depth, v);
             }
             a.depth += 1;
@@ -553,7 +506,8 @@ impl<'a> PrefixCost<'a> {
                 None => {
                     metrics::record_count_probe();
                     let atom = &self.est.atoms[a.ai];
-                    let (l, h) = atom.build_index.narrow_range(a.lo, a.hi, a.depth, vlo, vhi);
+                    let index = self.est.build_index(a.ai);
+                    let (l, h) = index.narrow_range(a.lo, a.hi, a.depth, vlo, vhi);
                     ((h - l) as f64).powf(atom.u_hat)
                 }
             };
@@ -566,50 +520,11 @@ impl<'a> PrefixCost<'a> {
     }
 }
 
-impl CostEstimator {
-    /// The shared handles of every count index (build and access, per
-    /// atom).
-    pub fn indexes(&self) -> impl Iterator<Item = &Arc<SortedIndex>> + '_ {
-        self.atoms
-            .iter()
-            .flat_map(|a| [&a.build_index, &a.access_index])
-    }
-
-    /// [`HeapSize::heap_bytes`] over the count indexes `count_index`
-    /// accepts (it sees every holder's `Arc`: per atom, build index then
-    /// access index). The access indexes are `Arc`-shared with the join
-    /// plan's tries; a caller that accepts each allocation once measures
-    /// resident bytes.
-    pub fn heap_bytes_counting(
-        &self,
-        mut count_index: impl FnMut(&Arc<SortedIndex>) -> bool,
-    ) -> usize {
-        self.atoms
-            .iter()
-            .map(|a| {
-                [&a.build_index, &a.access_index]
-                    .into_iter()
-                    .filter(|i| count_index(i))
-                    .map(|i| i.heap_bytes())
-                    .sum::<usize>()
-                    + a.free_enum.heap_bytes()
-                    + a.bound_pos.heap_bytes()
-                    + std::mem::size_of::<AtomCost>()
-            })
-            .sum::<usize>()
-            + self
-                .domains
-                .iter()
-                .map(|d| d.heap_bytes() + std::mem::size_of::<Domain>())
-                .sum::<usize>()
-    }
-}
-
-impl HeapSize for CostEstimator {
-    /// Every holder counts its indexes, shared or not.
-    fn heap_bytes(&self) -> usize {
-        self.heap_bytes_counting(|_| true)
-    }
+/// Translates a rank tuple over the grid `domains` to values, into a
+/// reused buffer (cleared first) — the per-answer form the enumerators use.
+pub fn ranks_to_values_into(domains: &[Domain], ranks: &[usize], out: &mut Vec<Value>) {
+    out.clear();
+    out.extend(ranks.iter().zip(domains).map(|(&r, d)| d.value(r)));
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! we use a first-answer probe of the fully restricted join instead of
 //! streaming the complete join output (Algorithm 3): the result is
 //! identical and each probe is bounded by the same `T(v_b, I(w))` quantity
-//! that bounds Algorithm 3's per-valuation work (see DESIGN.md §4).
+//! that bounds Algorithm 3's per-valuation work (docs/ARCHITECTURE.md,
+//! "Theorem 1 build").
 
 use crate::cost::CostEstimator;
 use crate::dbtree::{Cursor, DelayBalancedTree};
@@ -23,6 +24,7 @@ use cqc_common::util::approx_gt;
 use cqc_common::value::Value;
 use cqc_join::leapfrog::LevelConstraint;
 use cqc_join::plan::ViewPlan;
+use cqc_storage::Domain;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -154,6 +156,7 @@ impl HeavyDictionary {
     ) -> HeavyDictionary {
         let t_build = Instant::now();
         let sizes = est.sizes();
+        let doms = est.domains();
         let nb = plan.num_bound;
         let levels = plan.num_levels();
         let bound_atoms: Vec<usize> = (0..plan.num_atoms())
@@ -194,7 +197,7 @@ impl HeavyDictionary {
             for b in boxes.as_slice() {
                 cons.clear();
                 cons.resize(nb, LevelConstraint::Free);
-                free_constraints_into(est, b, levels - nb, &mut cons);
+                free_constraints_into(doms, b, levels - nb, &mut cons);
                 // Free levels untouched by E_{V_b} cannot be joined over;
                 // fixing them to an arbitrary value drops their (vacuous)
                 // constraint and only enlarges the candidate set.
@@ -277,7 +280,6 @@ impl HeavyDictionary {
         //      child derives its own from it: see `Witness::inherit`.
         let tau_min = tree.threshold_of(tree.deepest_internal_level().unwrap_or(0));
         let mu = levels - nb;
-        let doms = est.domains();
         let mut work = DictBuildWork::default();
         let mut probe_join = plan.join(vec![LevelConstraint::Fixed(0); levels]);
         let mut probe_cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
@@ -396,7 +398,7 @@ impl HeavyDictionary {
                             probe_cons.clear();
                             probe_cons
                                 .extend(keys.cand(ci).iter().map(|&v| LevelConstraint::Fixed(v)));
-                            free_constraints_into(est, b, mu, &mut probe_cons);
+                            free_constraints_into(doms, b, mu, &mut probe_cons);
                             probe_join.reset(&probe_cons);
                             work.probes += 1;
                             if let Some(answer) = probe_join.next() {
@@ -589,21 +591,20 @@ impl HeapSize for HeavyDictionary {
 
 /// Per-free-level constraints induced by a canonical box, in enumeration
 /// order (length `mu`).
-pub fn free_constraints(est: &CostEstimator, b: &CanonicalBox, mu: usize) -> Vec<LevelConstraint> {
+pub fn free_constraints(doms: &[Domain], b: &CanonicalBox, mu: usize) -> Vec<LevelConstraint> {
     let mut cons = Vec::with_capacity(mu);
-    free_constraints_into(est, b, mu, &mut cons);
+    free_constraints_into(doms, b, mu, &mut cons);
     cons
 }
 
 /// [`free_constraints`] appended to a reused buffer — the allocation-free
 /// form the enumerators drive per canonical box.
 pub fn free_constraints_into(
-    est: &CostEstimator,
+    doms: &[Domain],
     b: &CanonicalBox,
     mu: usize,
     cons: &mut Vec<LevelConstraint>,
 ) {
-    let doms = est.domains();
     let p = b.range_pos();
     for (ep, dom) in doms.iter().enumerate().take(mu) {
         if ep < p {

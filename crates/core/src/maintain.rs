@@ -63,7 +63,6 @@
 //! maintenance to pay off.
 
 use crate::compressed::CompressedView;
-use crate::cost::CostEstimator;
 use crate::dictionary::free_constraints_into;
 use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
 use crate::theorem1::Theorem1Structure;
@@ -340,7 +339,7 @@ fn maintain_theorem1(
     let all_domains = query.active_domains(db)?;
     let same_grid = free_head
         .iter()
-        .zip(s.est.domains())
+        .zip(&s.domains)
         .all(|(v, old)| all_domains[v.index()] == *old);
     if !same_grid {
         return Ok(MaintainOutcome::NeedsRebuild {
@@ -348,24 +347,14 @@ fn maintain_theorem1(
         });
     }
 
-    // Base-index refresh over the post-delta database: each index is
-    // traded in at the pool for its successor — the delta *merged* into it
-    // (two-pointer splice with galloping search, O(|D| + |δ| log |δ|)
-    // copying), once for every holder, instead of re-sorted per holder.
-    // The domains scanned for the grid check above are reused, not
-    // recomputed; an index that cannot be reconciled with the post-delta
-    // relations is sorted afresh, through the same pool.
-    let est = match s.est.maintained(&s.view, db, delta, &all_domains, pool)? {
-        Some(est) => est,
-        None => CostEstimator::build_with_domains_pooled(
-            &s.view,
-            db,
-            &s.weights,
-            s.alpha,
-            &all_domains,
-            pool,
-        )?,
-    };
+    // Base-index refresh over the post-delta database: each of the plan's
+    // tries is traded in at the pool for its successor — the delta *merged*
+    // into it (two-pointer splice with galloping search, O(|D| + |δ| log
+    // |δ|) copying), once for every holder, instead of re-sorted per
+    // holder. A trie that cannot be reconciled with the post-delta
+    // relations is sorted afresh, through the same pool. No cost oracle is
+    // involved: the tree and the set of heavy pairs are kept, and a bit is
+    // re-decided by a probe join, not a count.
     let plan = match s.plan.maintained(&s.view, db, delta, pool)? {
         Some(plan) => plan,
         None => ViewPlan::build_pooled(&s.view, db, pool)?,
@@ -382,7 +371,7 @@ fn maintain_theorem1(
             view: Box::new(CompressedView::Tradeoff(Theorem1Structure {
                 view: s.view.clone(),
                 plan,
-                est,
+                domains: s.domains.clone(),
                 tree: None,
                 dict: s.dict.clone(),
                 sizes: s.sizes.clone(),
@@ -409,7 +398,7 @@ fn maintain_theorem1(
             if let Some(p) = enum_pos_of(v) {
                 // `None` is unreachable after the grid check; bail soundly
                 // rather than trusting the invariant.
-                free_fix.push((p, s.est.domains()[p].rank(t[col])?));
+                free_fix.push((p, s.domains[p].rank(t[col])?));
             } else if let Some(p) = bound_pos_of(v) {
                 bound_fix.push((p, t[col]));
             }
@@ -486,7 +475,7 @@ fn maintain_theorem1(
             let nonempty = boxes.iter().any(|b| {
                 cons.clear();
                 cons.extend(vb.iter().map(|&v| LevelConstraint::Fixed(v)));
-                free_constraints_into(&est, b, levels - nb, &mut cons);
+                free_constraints_into(&s.domains, b, levels - nb, &mut cons);
                 probe_join.reset(&cons);
                 probe_join.is_non_empty()
             });
@@ -503,7 +492,7 @@ fn maintain_theorem1(
         view: Box::new(CompressedView::Tradeoff(Theorem1Structure {
             view: s.view.clone(),
             plan,
-            est,
+            domains: s.domains.clone(),
             tree: Some(Arc::clone(tree)),
             dict,
             sizes: s.sizes.clone(),
@@ -831,9 +820,8 @@ mod tests {
                 maintained_runs += 1;
                 assert_eq!(maintained.strategy_name(), built.strategy_name());
                 let rebuilt = CompressedView::build(&view, &db, strat.clone()).unwrap();
-                // Maintenance must not un-share: plan and cost oracle hold
-                // one merged allocation per (relation, order), as after a
-                // build — not a private merged copy each.
+                // Maintenance must not un-share: the plan holds one merged
+                // allocation per (relation, order), as after a build.
                 assert_eq!(
                     distinct_indexes(&maintained),
                     distinct_indexes(&rebuilt),
@@ -843,9 +831,8 @@ mod tests {
                 if let (CompressedView::Tradeoff(m), CompressedView::Tradeoff(r)) =
                     (&*maintained, &rebuilt)
                 {
-                    // The reported figure adds the oracle's domains and
-                    // position vectors, whose capacities may differ by a
-                    // word between a clone and a collect.
+                    // The reported figure adds the grid, whose capacities
+                    // may differ by a word between a clone and a collect.
                     let (m, r) = (
                         m.space_breakdown().base_index_distinct_bytes,
                         r.space_breakdown().base_index_distinct_bytes,

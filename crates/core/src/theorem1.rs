@@ -1,8 +1,9 @@
 //! The Theorem 1 compressed representation and its Algorithm 2 enumerator.
 //!
 //! The structure is the pair `(T, D)` of §4.3 — delay-balanced tree plus
-//! heavy-pair dictionary — together with the linear-size base indexes
-//! (tries for evaluation, sorted count indexes inside the cost oracle).
+//! heavy-pair dictionary — together with the linear-size base indexes (the
+//! join plan's tries) and the rank-space grid. The cost oracle `T(·)` that
+//! shapes the pair lives for the build only: Algorithm 2 never counts.
 //! For a cover `u` with slack `α` on the free variables and knob `τ`:
 //!
 //! * space: `Õ(|D| + Π_F |R_F|^{u_F} / τ^α)`;
@@ -15,7 +16,7 @@
 //! `0` nodes are skipped. The explicit stack keeps O(depth) = O(log)
 //! working memory, as the paper's model requires.
 
-use crate::cost::CostEstimator;
+use crate::cost::{ranks_to_values_into, CostEstimator};
 use crate::dbtree::{Cursor, DelayBalancedTree};
 use crate::dictionary::{free_constraints, free_constraints_into, HeavyDictionary, NO_CANDIDATE};
 use crate::fbox::{box_decomposition, box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
@@ -27,7 +28,7 @@ use cqc_join::leapfrog::{LeapfrogJoin, LevelConstraint};
 use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
 use cqc_query::AdornedView;
-use cqc_storage::{Database, IndexPool, SortedIndex};
+use cqc_storage::{Database, Domain, IndexPool, SortedIndex};
 use std::sync::Arc;
 
 /// The Theorem 1 data structure.
@@ -38,7 +39,9 @@ use std::sync::Arc;
 pub struct Theorem1Structure {
     pub(crate) view: AdornedView,
     pub(crate) plan: ViewPlan,
-    pub(crate) est: CostEstimator,
+    /// Active domains of the free variables, in enumeration order: the
+    /// rank-space grid every interval of the tree is expressed in.
+    pub(crate) domains: Vec<Domain>,
     /// `None` when some free variable's active domain is empty — every
     /// access request then has an empty answer. Immutable after build and
     /// shared with every delta-maintained successor of this structure.
@@ -74,6 +77,10 @@ impl Theorem1Structure {
     /// `(relation, order)` index is sorted exactly once — and a pool that
     /// has served strategy selection or another view over the same
     /// relations (the engine's store) has most of them already.
+    ///
+    /// The oracle does not outlive this call: it costs the tree, lets its
+    /// `[free | bound]` indexes go, decides the dictionary from the
+    /// `[bound | free]` ones (the plan's tries) and leaves only its grid.
     ///
     /// # Errors
     ///
@@ -121,10 +128,11 @@ impl Theorem1Structure {
         }
         let alpha = slack(&h, weights, view.free_vars()).max(1.0);
 
-        let est = CostEstimator::build_pooled(view, db, weights, alpha, pool)?;
+        let mut est = CostEstimator::build_pooled(view, db, weights, alpha, pool)?;
         let plan = ViewPlan::build_pooled(view, db, pool)?;
         let sizes = est.sizes();
         let tree = DelayBalancedTree::build(&est, tau).map(Arc::new);
+        est.release_tree_side();
         let dict = match &tree {
             Some(t) => HeavyDictionary::build(&plan, &est, t),
             None => HeavyDictionary::empty(0),
@@ -132,7 +140,7 @@ impl Theorem1Structure {
         Ok(Theorem1Structure {
             view: view.clone(),
             plan,
-            est,
+            domains: est.into_domains(),
             tree,
             dict,
             sizes,
@@ -178,15 +186,15 @@ impl Theorem1Structure {
         &mut self.dict
     }
 
-    /// The cost oracle.
-    pub fn estimator(&self) -> &CostEstimator {
-        &self.est
+    /// Active domains of the free variables, in enumeration order (the
+    /// grid that turns the tree's ranks back into values).
+    pub fn domains(&self) -> &[Domain] {
+        &self.domains
     }
 
-    /// The shared handles of every base index, the plan's tries first and
-    /// then the cost oracle's count indexes.
+    /// The shared handles of every base index: the plan's tries.
     pub fn base_indexes(&self) -> impl Iterator<Item = &Arc<SortedIndex>> + '_ {
-        self.plan.indexes().iter().chain(self.est.indexes())
+        self.plan.indexes().iter()
     }
 
     /// Answers an access request: lexicographic, duplicate-free enumeration
@@ -247,7 +255,7 @@ impl Theorem1Structure {
                 "range endpoints must have {mu} values (one per free variable)"
             )));
         }
-        let domains = self.est.domains();
+        let domains = &self.domains;
         let clip = grid_ceil(domains, lo)
             .zip(grid_floor(domains, hi))
             .and_then(|(lo_r, hi_r)| {
@@ -277,7 +285,7 @@ impl Theorem1Structure {
     ) -> IntervalJoinIter<'_> {
         IntervalJoinIter {
             plan: &self.plan,
-            est: &self.est,
+            domains: &self.domains,
             vb: bound_values.to_vec(),
             boxes: box_decomposition(interval, &self.sizes),
             next_box: 0,
@@ -345,9 +353,8 @@ impl Theorem1Structure {
     /// Theorem 1's `Õ(|D| + Π|R_F|^{u_F}/τ^α)` bound, separated so that
     /// scaling experiments can fit the non-linear term in isolation.
     pub fn space_breakdown(&self) -> SpaceBreakdown {
-        // The plan's tries and the oracle's count indexes share `Arc`s (one
-        // `IndexPool` builds both); each allocation counts at its first
-        // holder.
+        // Atoms over one relation in one column order share a trie; each
+        // allocation counts at its first holder.
         let mut seen: Vec<*const SortedIndex> = Vec::new();
         let mut first_holder = |index: &Arc<SortedIndex>| {
             let allocation = Arc::as_ptr(index);
@@ -357,10 +364,11 @@ impl Theorem1Structure {
             }
             first
         };
+        let grid_bytes = domains_heap_bytes(&self.domains);
         SpaceBreakdown {
-            base_index_bytes: self.plan.heap_bytes() + self.est.heap_bytes(),
+            base_index_bytes: self.plan.heap_bytes() + grid_bytes,
             base_index_distinct_bytes: self.plan.heap_bytes_counting(&mut first_holder)
-                + self.est.heap_bytes_counting(&mut first_holder),
+                + grid_bytes,
             tree_bytes: self.tree().map_or(0, HeapSize::heap_bytes),
             dict_bytes: self.dict.heap_bytes(),
         }
@@ -370,8 +378,9 @@ impl Theorem1Structure {
 /// The two space terms of Theorem 1, reported separately.
 #[derive(Debug, Clone, Copy)]
 pub struct SpaceBreakdown {
-    /// Linear-size base indexes (tries + count indexes): the `Õ(|D|)` term,
-    /// as `heap_bytes` counts it — an `Arc`-shared index once per holder.
+    /// Linear-size base indexes (the plan's tries) and the grid: the
+    /// `Õ(|D|)` term, as `heap_bytes` counts it — an `Arc`-shared index
+    /// once per holder.
     pub base_index_bytes: usize,
     /// The same term with every shared index allocation counted once: what
     /// is resident.
@@ -434,10 +443,18 @@ pub struct Theorem1Stats {
     pub tau: f64,
 }
 
+/// Heap bytes of a grid, `Domain` headers included.
+fn domains_heap_bytes(domains: &[Domain]) -> usize {
+    domains
+        .iter()
+        .map(|d| d.heap_bytes() + std::mem::size_of::<Domain>())
+        .sum()
+}
+
 impl HeapSize for Theorem1Structure {
     fn heap_bytes(&self) -> usize {
         self.plan.heap_bytes()
-            + self.est.heap_bytes()
+            + domains_heap_bytes(&self.domains)
             + self.tree().map_or(0, HeapSize::heap_bytes)
             + self.dict.heap_bytes()
             + self.sizes.heap_bytes()
@@ -449,7 +466,7 @@ impl HeapSize for Theorem1Structure {
 /// in lexicographic order.
 pub struct IntervalJoinIter<'a> {
     plan: &'a ViewPlan,
-    est: &'a CostEstimator,
+    domains: &'a [Domain],
     vb: Vec<Value>,
     boxes: Vec<CanonicalBox>,
     next_box: usize,
@@ -461,7 +478,7 @@ impl IntervalJoinIter<'_> {
         let mut cons: Vec<LevelConstraint> =
             self.vb.iter().map(|&v| LevelConstraint::Fixed(v)).collect();
         cons.extend(free_constraints(
-            self.est,
+            self.domains,
             b,
             self.plan.num_levels() - self.plan.num_bound,
         ));
@@ -655,7 +672,7 @@ impl<'a> Theorem1Iter<'a> {
                     let b = boxes.get(i);
                     cons.clear();
                     cons.extend(vb.iter().map(|&v| LevelConstraint::Fixed(v)));
-                    free_constraints_into(&s.est, b, s.plan.num_free(), cons);
+                    free_constraints_into(&s.domains, b, s.plan.num_free(), cons);
                     match join {
                         Some(j) => j.reset(cons),
                         None => *join = Some(s.plan.join(cons.clone())),
@@ -741,7 +758,7 @@ impl<'a> Theorem1Iter<'a> {
                             continue;
                         }
                     }
-                    s.est.ranks_to_values_into(beta, &mut self.point);
+                    ranks_to_values_into(&s.domains, beta, &mut self.point);
                     if s.point_in_join(&self.vb, &self.point, &mut self.probe) {
                         metrics::record_tuple_output();
                         self.emit_from_join = false;
@@ -806,7 +823,7 @@ impl Iterator for Theorem1Iter<'_> {
 
 /// The smallest grid rank-tuple whose value tuple is lexicographically
 /// `>= vals`, or `None` when every grid tuple is smaller.
-fn grid_ceil(domains: &[cqc_storage::Domain], vals: &[Value]) -> Option<Vec<usize>> {
+fn grid_ceil(domains: &[Domain], vals: &[Value]) -> Option<Vec<usize>> {
     let mu = domains.len();
     let mut ranks = Vec::with_capacity(mu);
     for i in 0..mu {
@@ -832,7 +849,7 @@ fn grid_ceil(domains: &[cqc_storage::Domain], vals: &[Value]) -> Option<Vec<usiz
 
 /// The largest grid rank-tuple whose value tuple is lexicographically
 /// `<= vals`, or `None` when every grid tuple is larger.
-fn grid_floor(domains: &[cqc_storage::Domain], vals: &[Value]) -> Option<Vec<usize>> {
+fn grid_floor(domains: &[Domain], vals: &[Value]) -> Option<Vec<usize>> {
     let mu = domains.len();
     let mut ranks = Vec::with_capacity(mu);
     for i in 0..mu {
@@ -863,7 +880,7 @@ fn grid_floor(domains: &[cqc_storage::Domain], vals: &[Value]) -> Option<Vec<usi
 }
 
 /// Increments the rank prefix (with carry); `false` on overflow.
-fn bump_up(prefix: &mut Vec<usize>, domains: &[cqc_storage::Domain]) -> bool {
+fn bump_up(prefix: &mut Vec<usize>, domains: &[Domain]) -> bool {
     while let Some(last) = prefix.pop() {
         let pos = prefix.len();
         if last + 1 < domains[pos].len() {
@@ -875,7 +892,7 @@ fn bump_up(prefix: &mut Vec<usize>, domains: &[cqc_storage::Domain]) -> bool {
 }
 
 /// Decrements the rank prefix (with borrow); `false` on underflow.
-fn bump_down(prefix: &mut Vec<usize>, _domains: &[cqc_storage::Domain]) -> bool {
+fn bump_down(prefix: &mut Vec<usize>, _domains: &[Domain]) -> bool {
     while let Some(last) = prefix.pop() {
         if last > 0 {
             prefix.push(last - 1);

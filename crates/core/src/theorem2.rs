@@ -906,6 +906,8 @@ mod tests {
     use cqc_join::naive::evaluate_view;
     use cqc_query::parser::parse_adorned;
     use cqc_query::VarSet;
+    use cqc_storage::SortedIndex;
+    use std::sync::Arc;
 
     fn vs(vars: &[u32]) -> VarSet {
         vars.iter().map(|&v| Var(v)).collect()
@@ -1101,5 +1103,86 @@ mod tests {
         )
         .unwrap();
         assert!(Theorem2Structure::build(&view, &db, &bad, &[0.0; 3]).is_err());
+    }
+
+    /// Theorem 2 inherits Theorem 1's build-time oracle: a tradeoff bag is
+    /// a boxed `Theorem1Structure` over bag-local projections, so its
+    /// `[free | bound]` count indexes — private to the bag, never shared —
+    /// are freed memory, not dropped handles. On the 3-path with both ends
+    /// bound and a `decomposed:1.5` budget the searched decomposition has
+    /// a tradeoff bag; the structure is smaller than the parent commit's by
+    /// those bags' oracles, still answers the naive join for every bound
+    /// valuation, and maintains to what a rebuild builds over a mixed
+    /// insert/delete history.
+    #[test]
+    fn tradeoff_bags_keep_no_oracle_and_stay_exact_across_deltas() {
+        // `heap_bytes()` of this instance at 9234dc4, where every tradeoff
+        // bag kept its `CostEstimator` (measured by this test's own build
+        // line in a checkout of that commit).
+        const PARENT_HEAP_BYTES: usize = 14_484;
+
+        let view = cqc_workload::queries::path(3, "bffb").unwrap();
+        let names = ["R1", "R2", "R3"];
+        let mut rng = cqc_workload::rng(21);
+        let mut db = Database::new();
+        for name in names {
+            db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 90, 10))
+                .unwrap();
+        }
+        let build = |db: &Database| Theorem2Structure::build_with_budget(&view, db, 1.5).unwrap();
+        let assert_answers_the_naive_join = |s: &Theorem2Structure, db: &Database, what: &str| {
+            for a in 0..10u64 {
+                for b in 0..10u64 {
+                    let got: Vec<Tuple> = s.answer(&[a, b]).unwrap().collect();
+                    let expect = evaluate_view(&view, db, &[a, b]).unwrap();
+                    assert_eq!(sorted(got.clone()), expect, "{what}: ({a}, {b})");
+                    assert_eq!(got.len(), expect.len(), "{what}: duplicates at ({a}, {b})");
+                }
+            }
+        };
+
+        let mut s = build(&db);
+        assert!(s.stats().tradeoff_bags >= 1, "{:?}", s.bag_reports());
+        // What the bags' oracles held at the parent: per atom two count
+        // indexes over the relation its trie sorts (the same rows under
+        // other column orders) and under 128 B of positions and header.
+        let tries: Vec<&Arc<SortedIndex>> = s
+            .bags
+            .iter()
+            .filter_map(|b| match &b.kind {
+                BagKind::Tradeoff(t1) => Some(t1.base_indexes()),
+                BagKind::Materialized(_) => None,
+            })
+            .flatten()
+            .collect();
+        let oracle_indexes: usize = tries.iter().map(|ix| 2 * ix.heap_bytes()).sum();
+        let now = s.heap_bytes();
+        println!(
+            "3-path decomposed:1.5 heap_bytes: {PARENT_HEAP_BYTES} at the parent, {now} now \
+             ({oracle_indexes} B of bag-oracle indexes)"
+        );
+        let saved = PARENT_HEAP_BYTES - now;
+        assert!(
+            (oracle_indexes..=oracle_indexes + 128 * tries.len()).contains(&saved),
+            "saved {saved} B, the bag oracles' indexes were {oracle_indexes} B"
+        );
+        assert_answers_the_naive_join(&s, &db, "built");
+
+        let mut removed = 0;
+        for _ in 0..6 {
+            let delta = cqc_workload::mixed_delta(&mut rng, &db, &names, 3, 2);
+            removed += delta.remove_groups().map(|(_, t)| t.len()).sum::<usize>();
+            db.apply(&delta).unwrap();
+            let (maintained, _) = s.maintained(&db, &delta).unwrap().expect("natural atoms");
+            let rebuilt = build(&db);
+            assert_eq!(
+                maintained.stats().tradeoff_bags,
+                rebuilt.stats().tradeoff_bags
+            );
+            assert_answers_the_naive_join(&maintained, &db, "maintained");
+            assert_answers_the_naive_join(&rebuilt, &db, "rebuilt");
+            s = maintained;
+        }
+        assert!(removed > 0, "the history must delete something");
     }
 }

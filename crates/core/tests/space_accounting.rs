@@ -3,16 +3,27 @@
 //! `rep_bytes_per_tuple` is gated on `HeapSize::heap_bytes`, so that
 //! number must be what the allocator actually hands out for the Theorem 1
 //! pair `(T, D)` — neither a structure that silently re-fattens nor an
-//! accounting that under-reports may pass. Three gates on one fixed
+//! accounting that under-reports may pass. Four gates on one fixed
 //! triangle database:
 //!
 //! * the counting allocator's live-byte growth across building the tree
 //!   and the dictionary is within ±10 % of what they report;
-//! * the same across a whole `Theorem1Structure::build`, against tree +
-//!   dictionary + the base indexes with every `Arc`-shared index counted
-//!   once (`base_index_bytes`, the gated counter, counts it per holder);
+//! * the cost oracle is a build-time object: once the tree is costed,
+//!   `release_tree_side` frees every `[free | bound]` index the plan does
+//!   not also use;
+//! * across a whole `Theorem1Structure::build_pooled` on a private pool
+//!   that is then dropped, live bytes are the plan's tries (each
+//!   allocation once) + the grid + tree + dictionary, within 2 KiB (the
+//!   view definition, the cover and the grid sizes); `base_indexes()` is
+//!   exactly those tries and `heap_bytes()` is that figure too;
 //! * a layout pin: the reported bytes stay under per-node / per-entry /
 //!   per-candidate ceilings derived from the flat layout.
+//!
+//! Sabotage, checked once when the third gate was written: a structure
+//! that keeps its `CostEstimator` in a field, or one `Arc` to a
+//! `[free | bound]` index leaked out of `build_pooled`, leaves 77 KB or
+//! more live that nothing reports, and the 2 KiB bound turns red on the
+//! first pattern.
 //!
 //! Everything is in one `#[test]` so no other test thread allocates while
 //! live bytes are being compared.
@@ -26,7 +37,8 @@ use cqc_core::theorem1::Theorem1Structure;
 use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
 use cqc_query::parser::parse_adorned;
-use cqc_storage::{Database, Relation};
+use cqc_storage::{Database, IndexPool, Relation};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -70,23 +82,62 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
             "{pattern}: allocator says {live} live bytes, heap_bytes says {reported}"
         );
 
-        // The same inputs through the public builder report the same
-        // split, and the whole structure is what the allocator holds once
-        // shared base indexes are counted once.
-        let before = live_bytes();
-        let s = Theorem1Structure::build(&view, &db, &weights, tau).unwrap();
-        let live = (live_bytes() - before) as f64;
-        let space = s.space_breakdown();
-        let resident = (space.base_index_distinct_bytes + space.nonlinear_bytes()) as f64;
-        assert!(
-            (live - resident).abs() <= 0.10 * resident,
-            "{pattern}: allocator says {live} live bytes, distinct + tree + dict is {resident}"
+        // Tree built: the oracle lets its `[free | bound]` side go. With
+        // the pool's pin released, every index the plan does not hold
+        // under the same order dies on the spot.
+        let pool = IndexPool::new();
+        let mut oracle = CostEstimator::build_pooled(&view, &db, &weights, alpha, &pool).unwrap();
+        let tries = ViewPlan::build_pooled(&view, &db, &pool).unwrap();
+        pool.release();
+        let (before, held) = (live_bytes(), pool.stats());
+        oracle.release_tree_side();
+        let left = pool.stats();
+        assert_eq!(left.indexes, tries.indexes().len(), "{pattern}");
+        // (With no bound variable the two sides are one order.)
+        assert_eq!(
+            held.indexes > left.indexes,
+            pattern.contains('b'),
+            "{pattern}: {held:?}"
         );
+        // (The store's figure leaves out each allocation's `Arc` header
+        // and column-order vector.)
+        let (freed, reported) = ((before - live_bytes()) as usize, held.bytes - left.bytes);
+        let headers = 64 * (held.indexes - left.indexes);
         assert!(
-            space.base_index_distinct_bytes < space.base_index_bytes,
-            "{pattern}: plan and oracle share indexes ({} distinct of {} B)",
-            space.base_index_distinct_bytes,
-            space.base_index_bytes
+            (reported..=reported + headers).contains(&freed),
+            "{pattern}: {freed} B freed, the store reports {reported}"
+        );
+        drop((oracle, tries, pool));
+
+        // The same inputs through the public builder report the same
+        // split, and the whole structure is what the allocator holds: the
+        // oracle is gone when the build returns.
+        let before = live_bytes();
+        let pool = IndexPool::new();
+        let s = Theorem1Structure::build_pooled(&view, &db, &weights, tau, &pool).unwrap();
+        let tries = ViewPlan::build_pooled(&view, &db, &pool).unwrap();
+        assert!(
+            s.base_indexes()
+                .map(Arc::as_ptr)
+                .eq(tries.indexes().iter().map(Arc::as_ptr)),
+            "{pattern}: the structure holds the plan's tries and nothing else"
+        );
+        drop((tries, pool));
+        let live = (live_bytes() - before) as usize;
+        let space = s.space_breakdown();
+        let resident = space.base_index_distinct_bytes + space.nonlinear_bytes();
+        assert!(
+            (resident..resident + 2048).contains(&live),
+            "{pattern}: allocator says {live} live bytes, tries + grid + tree + dict is {resident}"
+        );
+        // The three relations are three allocations, so no trie is shared
+        // and the per-holder figure is the resident one: the grid sizes and
+        // the cover are all `heap_bytes` adds.
+        assert_eq!(space.base_index_bytes, space.base_index_distinct_bytes);
+        assert_eq!(
+            s.heap_bytes(),
+            resident + 8 * (view.mu() + weights.len()),
+            "{pattern}"
         );
         assert_eq!(space.tree_bytes, tree_bytes, "{pattern}");
         assert_eq!(space.dict_bytes, dict_bytes, "{pattern}");

@@ -202,7 +202,7 @@ fn mixed_deltas_maintain_and_stay_exact() {
             );
             let held = allocations("tri");
             assert_eq!(held, allocations("twin"), "seed {seed}: twins un-shared");
-            assert_eq!(held.len(), 5, "seed {seed}: plan and oracle un-shared");
+            assert_eq!(held.len(), 3, "seed {seed}: one trie per atom");
             for x in 0..12u64 {
                 for z in 0..12u64 {
                     assert_eq!(

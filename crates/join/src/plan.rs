@@ -192,7 +192,7 @@ impl ViewPlan {
 impl ViewPlan {
     /// [`HeapSize::heap_bytes`] over the trie indexes `count_index`
     /// accepts (it sees every holder's `Arc`, in atom order). Indexes are
-    /// `Arc`-shared with the cost oracle and between atoms; a caller that
+    /// `Arc`-shared between atoms (and with other views); a caller that
     /// accepts each allocation once measures resident bytes.
     pub fn heap_bytes_counting(
         &self,

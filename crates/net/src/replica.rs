@@ -32,7 +32,7 @@
 //!   cooldown.
 
 use cqc_common::error::Result;
-use cqc_common::frame::{code, ServePriority};
+use cqc_common::frame::{code, is_request_error, ServePriority};
 use cqc_common::{AnswerBlock, AnswerSink, CqcError, Value};
 use cqc_storage::{Delta, Epoch};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -202,6 +202,11 @@ impl Replica {
 /// How one serve attempt on one replica ended (internal taxonomy — the
 /// breaker only ever hears about `Fault`s).
 enum AttemptFail {
+    /// The replica refused the request for what it asks
+    /// ([`is_request_error`]): it answered correctly and so would any
+    /// other. The request ends here — no breaker penalty, no failover, no
+    /// retry budget.
+    Request(CqcError),
     /// Transport or typed remote failure: penalize the breaker, fail
     /// over.
     Fault(CqcError),
@@ -413,6 +418,7 @@ impl ReplicaGroup {
             diverged: false,
         };
         match client.serve_with_sink_opts(view, bound, &mut sink, priority, deadline) {
+            Err(e) if is_request_error(&e) => Err(AttemptFail::Request(e)),
             Err(e) => {
                 // The prefix (possibly extended by this attempt's chunks)
                 // is kept: the next attempt re-verifies the whole overlap.
@@ -513,6 +519,7 @@ impl ReplicaGroup {
                     self.budget.record_success();
                     return Ok(out.len() - base);
                 }
+                Err(AttemptFail::Request(e)) => return Err(e),
                 Err(AttemptFail::Fault(e)) | Err(AttemptFail::Stale(e)) => last_err = Some(e),
                 Err(AttemptFail::Diverged) => {
                     last_err = Some(CqcError::Protocol {
@@ -570,6 +577,7 @@ impl ReplicaGroup {
                 adopt(out, &block);
                 Some(Ok(out.len() - base))
             }
+            Ok((Err(AttemptFail::Request(e)), _)) => Some(Err(e)),
             Ok((Err(_), block)) => {
                 // Primary failed fast. If it died mid-stream, its flushed
                 // prefix is worth keeping: the failover loop will verify
@@ -594,6 +602,7 @@ impl ReplicaGroup {
                             adopt(out, &block);
                             Some(Ok(out.len() - base))
                         }
+                        Some((Err(AttemptFail::Request(e)), _)) => Some(Err(e)),
                         Some((Err(_), block)) => {
                             adopt(out, &block);
                             None
@@ -629,6 +638,7 @@ impl ReplicaGroup {
                         adopt(out, &hedge_block);
                         Some(Ok(out.len() - base))
                     }
+                    Err(AttemptFail::Request(e)) => Some(Err(e)),
                     Err(_) => {
                         // Both racers failed (so far): give the primary
                         // until the deadline, then fall back to the loop.

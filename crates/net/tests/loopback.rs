@@ -14,7 +14,8 @@ use cqc_engine::{spec_for_view, BlockService, Engine, Policy, ShardedEngine, Sha
 use cqc_join::naive::evaluate_view;
 use cqc_net::server::ServerHandle;
 use cqc_net::{
-    ClientConfig, Deadline, NetServer, NetServerConfig, RemoteShard, Router, ServeOpts, ShardClient,
+    BreakerConfig, BreakerTransitions, ClientConfig, Deadline, NetServer, NetServerConfig,
+    RemoteShard, RetryPolicy, Router, ServeOpts, ShardClient,
 };
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Database, Delta, PartitionSpec, Partitioning};
@@ -132,8 +133,23 @@ fn block_service_contract_holds_for_every_implementor() {
     )
     .unwrap();
     let remote = RemoteShard::connect(server.addr().to_string(), client_config());
-    let (_servers, addrs) = spawn_fleet(&db, &spec);
-    let router = Router::connect(&addrs, spec.clone(), client_config()).unwrap();
+    // Two replicas per shard, so that a failover has somewhere to go: the
+    // spares must never see a serve.
+    let (_primaries, addrs) = spawn_fleet(&db, &spec);
+    let (spares, spare_addrs) = spawn_fleet(&db, &spec);
+    let groups: Vec<Vec<String>> = addrs
+        .into_iter()
+        .zip(spare_addrs)
+        .map(|(primary, spare)| vec![primary, spare])
+        .collect();
+    let router = Router::connect_replicated(
+        &groups,
+        spec.clone(),
+        client_config(),
+        BreakerConfig::default(),
+        RetryPolicy::default(),
+    )
+    .unwrap();
 
     let implementors: [(&str, &dyn BlockService); 4] = [
         ("Engine", &engine),
@@ -152,6 +168,26 @@ fn block_service_contract_holds_for_every_implementor() {
     );
     for (who, service) in implementors {
         service.register_view("v", QUERY, "bff", "tau:2").unwrap();
+
+        // Request errors keep their type. Checked first, and a few times
+        // over: a layer that took a typed refusal of a malformed request
+        // for a fault of whoever refused it (a replica group once did, and
+        // opened the breaker on a healthy replica) fails the rows below.
+        let mut block = AnswerBlock::new();
+        for _ in 0..4 {
+            let err = service.serve_into("nope", &[0], &mut block).unwrap_err();
+            assert!(
+                matches!(err, CqcError::UnknownView(ref v) if v.contains("nope")),
+                "{who}: expected UnknownView, got {err}"
+            );
+            let err = service.serve_into("v", &[0, 1], &mut block).unwrap_err();
+            assert!(
+                matches!(err, CqcError::InvalidAccess(_)),
+                "{who}: expected InvalidAccess, got {err}"
+            );
+        }
+        assert!(block.is_empty(), "{who}: a failed request pushed answers");
+
         let serve_all = || {
             for (x, want) in (0..12u64).zip(&wants) {
                 let mut block = AnswerBlock::new();
@@ -169,22 +205,21 @@ fn block_service_contract_holds_for_every_implementor() {
         assert!(probe.found, "{who}: early stop saw no answer");
         assert_eq!(pushed, 1, "{who}: early stop must report what was pushed");
         serve_all();
+    }
 
-        // Request errors keep their type. Checked last: a router's replica
-        // groups count a shard's typed refusal of a malformed request as a
-        // replica fault, so its breakers may be open afterwards (ROADMAP).
-        let mut block = AnswerBlock::new();
-        let err = service.serve_into("nope", &[0], &mut block).unwrap_err();
-        assert!(
-            matches!(err, CqcError::UnknownView(ref v) if v.contains("nope")),
-            "{who}: expected UnknownView, got {err}"
-        );
-        let err = service.serve_into("v", &[0, 1], &mut block).unwrap_err();
-        assert!(
-            matches!(err, CqcError::InvalidAccess(_)),
-            "{who}: expected InvalidAccess, got {err}"
-        );
-        assert!(block.is_empty(), "{who}: a failed request pushed answers");
+    // The router's replica groups took those refusals for what they were:
+    // nothing failed over, no retry was funded, no breaker moved — and so
+    // every well-formed request after them went to the replica that had
+    // refused, not to its spare.
+    let fleet = router.fleet_stats();
+    assert_eq!(
+        (fleet.groups.failovers, fleet.groups.budget_spent),
+        (0, 0),
+        "{fleet:?}"
+    );
+    assert_eq!(fleet.breakers, BreakerTransitions::default(), "{fleet:?}");
+    for spare in &spares {
+        assert_eq!(spare.admission_stats().admitted, 0, "a spare served");
     }
 }
 

@@ -96,8 +96,12 @@ fn running_example_end_to_end() {
     let rr = tree.node(tree.root(), &mut lo, &mut hi).right.unwrap();
     assert_eq!((rr.node, rr.level), (2, 1), "Figure 3: r_l is node 1");
     tree.node(rr, &mut lo, &mut hi);
-    assert_eq!(s.estimator().ranks_to_values(&lo), vec![1, 2, 1]);
-    assert_eq!(s.estimator().ranks_to_values(&hi), vec![2, 2, 2]);
+    let values = |ranks: &[usize]| -> Vec<u64> {
+        let grid = ranks.iter().zip(s.domains());
+        grid.map(|(&r, d)| d.value(r)).collect()
+    };
+    assert_eq!(values(&lo), vec![1, 2, 1]);
+    assert_eq!(values(&hi), vec![2, 2, 2]);
     assert_eq!(s.dictionary().get(0, &[1, 1, 1]), Some(true));
     assert_eq!(s.dictionary().get(rr.node, &[1, 1, 1]), Some(true));
 

@@ -4,6 +4,7 @@
 //! hold on the constructed trees.
 
 use cqc_common::value::Tuple;
+use cqc_core::cost::CostEstimator;
 use cqc_core::dbtree::{tau_level, Cursor};
 use cqc_core::dictionary::NO_CANDIDATE;
 use cqc_core::theorem1::Theorem1Structure;
@@ -60,9 +61,11 @@ fn check_theorem1(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, 
         assert_eq!(got, expect, "τ={tau} req={req:?}");
     }
     // Structural invariants (Lemma 4 / threshold rules).
-    // The tree stores split points only: T(I(w)) is the oracle's.
+    // The tree stores split points only and the structure keeps no oracle:
+    // T(I(w)) is recomputed from a fresh one.
     if let Some(tree) = s.tree() {
-        let (est, sizes) = (s.estimator(), s.estimator().sizes());
+        let est = CostEstimator::build(view, db, s.weights(), s.alpha()).unwrap();
+        let sizes = est.sizes();
         let t_at = |c: Cursor| est.t_interval(&tree.interval(c), &sizes);
         let mut scratch = tree.interval(tree.root());
         for c in tree.cursors() {
@@ -127,7 +130,7 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
         assert_eq!(dict.num_entries(), 0);
         return;
     };
-    let est = s.estimator();
+    let est = CostEstimator::build(view, db, s.weights(), s.alpha()).unwrap();
     let sizes = est.sizes();
     let candidates = bound_touching_view(view);
     let mut expect: BTreeSet<(u32, Vec<u64>, bool)> = BTreeSet::new();
@@ -376,7 +379,8 @@ proptest! {
         let st = Theorem1Structure::build(&view, &db, &[1.0, 1.0], tau).unwrap();
         if let Some(tree) = st.tree() {
             let alpha = st.alpha();
-            let (est, sizes) = (st.estimator(), st.estimator().sizes());
+            let est = CostEstimator::build(&view, &db, st.weights(), alpha).unwrap();
+            let sizes = est.sizes();
             for c in tree.cursors() {
                 let thr = tau_level(tree.tau, tree.alpha, c.level);
                 let count = st.dictionary().entries_of(c.node).count() as f64;
