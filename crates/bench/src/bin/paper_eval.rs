@@ -17,7 +17,6 @@ use cqc_core::bound_only::BoundOnlyView;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
 use cqc_decomp::TreeDecomposition;
-use cqc_factorized::FactorizedRepresentation;
 use cqc_join::baselines::{DirectView, MaterializedView};
 use cqc_lp::fractional::{min_delay_cover, min_space_cover};
 use cqc_query::{Var, VarSet};
@@ -243,7 +242,7 @@ fn exp3_factorized(scale: Scale) {
     }
     let mut rows = Vec::new();
     let t0 = Instant::now();
-    let f = FactorizedRepresentation::build_with_search(&view, &db).unwrap();
+    let f = Theorem2Structure::build_constant_delay(&view, &db).unwrap();
     let f_build = t0.elapsed();
     let d = measure_delays(f.answer(&[]).unwrap());
     rows.push(vec![
@@ -283,7 +282,7 @@ fn exp3_factorized(scale: Scale) {
     );
     println!(
         "factorized stores {} bag tuples for {} result tuples (|D| = {})\n",
-        f.materialized_tuples(),
+        f.stats().materialized_tuples,
         d.tuples,
         db.size()
     );

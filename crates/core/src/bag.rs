@@ -18,16 +18,13 @@ use std::cmp::Ordering;
 ///
 /// Variable orders inside a bag are canonical: bound variables sorted by
 /// variable index, then free variables sorted by variable index. Key
-/// extraction at enumeration time uses the same canonical order.
+/// extraction at enumeration time uses the same canonical order; the
+/// variables themselves belong to the owning structure's bag.
 #[derive(Debug, Clone)]
-pub struct MaterializedBag {
-    /// Bag node id in the owning decomposition.
-    pub node: usize,
-    /// Bound variables (canonical order) — the lookup key.
-    pub bound_vars: Vec<Var>,
-    /// Free variables (canonical order) — the enumerated part.
-    pub free_vars: Vec<Var>,
+pub(crate) struct MaterializedBag {
     rows: Vec<Value>,
+    /// Columns of the bound prefix — the lookup key.
+    bound_width: usize,
     width: usize,
 }
 
@@ -42,7 +39,7 @@ pub struct MaterializedBag {
 /// # Errors
 ///
 /// Propagates schema errors.
-pub fn bag_local_components(
+pub(crate) fn bag_local_components(
     node: usize,
     bound: VarSet,
     free: VarSet,
@@ -101,19 +98,17 @@ impl MaterializedBag {
     /// # Errors
     ///
     /// Propagates schema errors from the projection join.
-    pub fn build(
+    pub(crate) fn build(
         node: usize,
         bound: VarSet,
         free: VarSet,
         atoms: &[(String, Vec<Var>)],
         db: &Database,
     ) -> Result<MaterializedBag> {
-        let bound_vars: Vec<Var> = bound.iter().collect();
-        let free_vars: Vec<Var> = free.iter().collect();
         let (view, local_db, _) = bag_local_components(node, bound, free, atoms, db)?;
         let plan = ViewPlan::build(&view, &local_db)?;
 
-        let width = bound_vars.len() + free_vars.len();
+        let width = bound.len() + free.len();
         let mut join = plan.join(vec![LevelConstraint::Free; width]);
         let mut rows = Vec::new();
         while let Some(t) = join.next() {
@@ -121,38 +116,31 @@ impl MaterializedBag {
         }
         // LFTJ emits in lexicographic order of [bound | free] already.
         Ok(MaterializedBag {
-            node,
-            bound_vars,
-            free_vars,
             rows,
+            bound_width: bound.len(),
             width,
         })
     }
 
     /// Number of materialized rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len().checked_div(self.width).unwrap_or(0)
     }
 
-    /// `true` when no rows survive.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Row `i` (bound prefix then free suffix, canonical orders).
-    pub fn row(&self, i: usize) -> &[Value] {
+    pub(crate) fn row(&self, i: usize) -> &[Value] {
         &self.rows[i * self.width..(i + 1) * self.width]
     }
 
     /// The free suffix of row `i`.
-    pub fn free_part(&self, i: usize) -> &[Value] {
-        &self.row(i)[self.bound_vars.len()..]
+    pub(crate) fn free_part(&self, i: usize) -> &[Value] {
+        &self.row(i)[self.bound_width..]
     }
 
     /// The contiguous row range whose bound prefix equals `key`
     /// (binary search: O(log n)).
-    pub fn range_for(&self, key: &[Value]) -> (usize, usize) {
-        debug_assert_eq!(key.len(), self.bound_vars.len());
+    pub(crate) fn range_for(&self, key: &[Value]) -> (usize, usize) {
+        debug_assert_eq!(key.len(), self.bound_width);
         let n = self.len();
         let prefix_cmp = |i: usize| lex_cmp(&self.row(i)[..key.len()], key);
         let mut lo = 0usize;
@@ -179,14 +167,14 @@ impl MaterializedBag {
     }
 
     /// `true` iff some row has the given bound prefix.
-    pub fn contains_key(&self, key: &[Value]) -> bool {
+    pub(crate) fn contains_key(&self, key: &[Value]) -> bool {
         let (lo, hi) = self.range_for(key);
         lo < hi
     }
 
     /// Retains only the rows for which `keep` returns `true` (the semijoin
     /// reduction step).
-    pub fn retain<F: FnMut(&[Value]) -> bool>(&mut self, mut keep: F) {
+    pub(crate) fn retain<F: FnMut(&[Value]) -> bool>(&mut self, mut keep: F) {
         let width = self.width;
         let n = self.len();
         let mut out: Vec<Value> = Vec::with_capacity(self.rows.len());
@@ -199,14 +187,9 @@ impl MaterializedBag {
         self.rows = out;
     }
 
-    /// Creates a bag directly from rows (testing helper).
-    pub fn from_rows(
-        node: usize,
-        bound_vars: Vec<Var>,
-        free_vars: Vec<Var>,
-        mut tuples: Vec<Vec<Value>>,
-    ) -> MaterializedBag {
-        let width = bound_vars.len() + free_vars.len();
+    /// Creates a bag directly from rows.
+    #[cfg(test)]
+    fn from_rows(bound_width: usize, width: usize, mut tuples: Vec<Vec<Value>>) -> MaterializedBag {
         tuples.sort_unstable_by(|a, b| lex_cmp(a, b));
         tuples.dedup();
         let mut rows = Vec::with_capacity(tuples.len() * width);
@@ -215,10 +198,8 @@ impl MaterializedBag {
             rows.extend_from_slice(t);
         }
         MaterializedBag {
-            node,
-            bound_vars,
-            free_vars,
             rows,
+            bound_width,
             width,
         }
     }
@@ -226,7 +207,7 @@ impl MaterializedBag {
 
 impl HeapSize for MaterializedBag {
     fn heap_bytes(&self) -> usize {
-        self.rows.heap_bytes() + self.bound_vars.heap_bytes() + self.free_vars.heap_bytes()
+        self.rows.heap_bytes()
     }
 }
 
@@ -268,12 +249,7 @@ mod tests {
 
     #[test]
     fn retain_filters_rows() {
-        let mut bag = MaterializedBag::from_rows(
-            1,
-            vec![Var(0)],
-            vec![Var(1)],
-            vec![vec![1, 10], vec![2, 20], vec![3, 30]],
-        );
+        let mut bag = MaterializedBag::from_rows(1, 2, vec![vec![1, 10], vec![2, 20], vec![3, 30]]);
         bag.retain(|row| row[1] >= 20);
         assert_eq!(bag.len(), 2);
         assert!(!bag.contains_key(&[1]));
@@ -283,9 +259,8 @@ mod tests {
     #[test]
     fn range_for_handles_duplicate_keys() {
         let bag = MaterializedBag::from_rows(
-            0,
-            vec![Var(0)],
-            vec![Var(1)],
+            1,
+            2,
             vec![vec![1, 10], vec![1, 11], vec![1, 12], vec![2, 5]],
         );
         let (lo, hi) = bag.range_for(&[1]);
@@ -297,12 +272,7 @@ mod tests {
     #[test]
     fn empty_key_spans_everything() {
         // A root-child bag with no bound vars: the key is empty.
-        let bag = MaterializedBag::from_rows(
-            0,
-            vec![],
-            vec![Var(0), Var(1)],
-            vec![vec![1, 2], vec![3, 4]],
-        );
+        let bag = MaterializedBag::from_rows(0, 2, vec![vec![1, 2], vec![3, 4]]);
         let (lo, hi) = bag.range_for(&[]);
         assert_eq!((lo, hi), (0, 2));
     }

@@ -2,9 +2,10 @@
 //! interface.
 //!
 //! `CompressedView` wraps every representation in the workspace — the two
-//! extremal baselines of §2.3, Proposition 1's all-bound structure, the
-//! factorized representation of Propositions 2/4, and the Theorem 1/2
-//! structures — behind one `answer`/`exists`/space-accounting API, after
+//! extremal baselines of §2.3, Proposition 1's all-bound structure and
+//! the Theorem 1/2 structures (the factorized representation of
+//! Propositions 2/4 is Theorem 2 at δ ≡ 0) — behind one
+//! `answer`/`exists`/space-accounting API, after
 //! applying the Example 3 rewrite so that constants and repeated variables
 //! are always accepted.
 
@@ -15,7 +16,6 @@ use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
 use cqc_common::value::{Tuple, Value};
 use cqc_decomp::TreeDecomposition;
-use cqc_factorized::FactorizedRepresentation;
 use cqc_join::baselines::{DirectView, MaterializedView};
 use cqc_lp::fractional::{min_delay_cover, min_space_cover};
 use cqc_query::rewrite::rewrite_view;
@@ -25,10 +25,10 @@ use cqc_storage::Database;
 /// How to compress a view.
 #[derive(Debug, Clone)]
 pub enum Strategy {
-    /// Pick automatically: all-bound patterns get Prop. 1; otherwise the
-    /// factorized representation (constant delay at `fhw(H|V_b)` space)
-    /// when no budget is given, or Theorem 2 under the given space budget
-    /// exponent.
+    /// Pick automatically: all-bound patterns get Prop. 1; otherwise
+    /// [`Strategy::Factorized`] (constant delay at `fhw(H|V_b)` space)
+    /// when no budget is given, or [`Strategy::Decomposed`] under the
+    /// given space budget exponent.
     Auto {
         /// Optional space budget as an exponent of `|D|`.
         space_budget_exp: Option<f64>,
@@ -64,8 +64,8 @@ pub enum Strategy {
         /// Per-node delay exponents (0 at the root).
         delta: Vec<f64>,
     },
-    /// Propositions 2/4: constant delay over a width-minimal connex
-    /// decomposition.
+    /// Propositions 2/4: Theorem 2 over a width-minimal connex
+    /// decomposition with `δ ≡ 0` — every bag materialized, constant delay.
     Factorized,
 }
 
@@ -83,8 +83,6 @@ pub enum CompressedView {
     Tradeoff(Theorem1Structure),
     /// Theorem 2 structure.
     Decomposed(Theorem2Structure),
-    /// Factorized representation (Props. 2/4).
-    Factorized(FactorizedRepresentation),
     /// A view proven empty during rewriting (a ground atom failed).
     AlwaysEmpty(AdornedView),
 }
@@ -111,8 +109,8 @@ impl CompressedView {
     ///
     /// The pool serves the strategies that index the base relations
     /// directly: Theorem 1 in all its forms and the materialize / direct
-    /// baselines. The Theorem 2 and factorized paths stay out of it: they
-    /// build over **bag-local databases** — fresh per-bag projections
+    /// baselines. Theorem 2 stays out of it: its bags are built over
+    /// **bag-local databases** — fresh per-bag projections
     /// with per-node allocations — which an identity-keyed store can
     /// never share across bags or views; each bag's inner Theorem 1 build
     /// still pools its own cost-oracle and trie indexes privately. (A
@@ -157,14 +155,12 @@ impl CompressedView {
         }
 
         match strategy {
-            Strategy::Auto { space_budget_exp } => match space_budget_exp {
-                None => Ok(CompressedView::Factorized(
-                    FactorizedRepresentation::build_with_search(view, db)?,
-                )),
-                Some(budget) => Ok(CompressedView::Decomposed(
-                    Theorem2Structure::build_with_budget(view, db, budget)?,
-                )),
-            },
+            Strategy::Factorized
+            | Strategy::Auto {
+                space_budget_exp: None,
+            } => Ok(CompressedView::Decomposed(
+                Theorem2Structure::build_constant_delay(view, db)?,
+            )),
             Strategy::Materialize => Ok(CompressedView::Materialized(
                 MaterializedView::build_pooled(view, db, pool)?,
             )),
@@ -219,14 +215,14 @@ impl CompressedView {
                     pool,
                 )?))
             }
-            Strategy::Decomposed { space_budget_exp } => Ok(CompressedView::Decomposed(
+            Strategy::Decomposed { space_budget_exp }
+            | Strategy::Auto {
+                space_budget_exp: Some(space_budget_exp),
+            } => Ok(CompressedView::Decomposed(
                 Theorem2Structure::build_with_budget(view, db, space_budget_exp)?,
             )),
             Strategy::DecomposedExplicit { td, delta } => Ok(CompressedView::Decomposed(
                 Theorem2Structure::build(view, db, &td, &delta)?,
-            )),
-            Strategy::Factorized => Ok(CompressedView::Factorized(
-                FactorizedRepresentation::build_with_search(view, db)?,
             )),
         }
     }
@@ -249,7 +245,6 @@ impl CompressedView {
             CompressedView::Decomposed(s) => {
                 AnswerIter::Decomposed(Box::new(s.answer(bound_values)?))
             }
-            CompressedView::Factorized(s) => AnswerIter::Factorized(s.answer(bound_values)?),
             CompressedView::AlwaysEmpty(v) => {
                 v.check_access(bound_values)?;
                 AnswerIter::Eager(Vec::new().into_iter())
@@ -269,7 +264,6 @@ impl CompressedView {
             CompressedView::Direct(s) => ViewEnumerator::Direct(s.enumerator()),
             CompressedView::Tradeoff(s) => ViewEnumerator::Tradeoff { s, iter: None },
             CompressedView::Decomposed(s) => ViewEnumerator::Decomposed { s, iter: None },
-            CompressedView::Factorized(s) => ViewEnumerator::Factorized { s, iter: None },
             CompressedView::AlwaysEmpty(v) => ViewEnumerator::AlwaysEmpty(v),
         }
     }
@@ -354,20 +348,21 @@ impl CompressedView {
             CompressedView::Decomposed(s) => {
                 let st = s.stats();
                 format!(
-                    "theorem 2: {} bags ({} delay-tuned, max δ = {:.3}); {} materialized                      bag tuples, {} dictionary entries, {} heap bytes",
+                    "theorem 2: {} bags ({} delay-tuned, max δ = {:.3}); {} materialized \
+                     bag tuples, {} dictionary entries, {} heap bytes{}",
                     st.bags,
                     st.tradeoff_bags,
                     st.max_delta,
                     st.materialized_tuples,
                     st.dict_entries,
-                    st.heap_bytes
+                    st.heap_bytes,
+                    if st.tradeoff_bags == 0 {
+                        ", constant delay"
+                    } else {
+                        ""
+                    }
                 )
             }
-            CompressedView::Factorized(s) => format!(
-                "factorized (Props 2/4): {} bag tuples, {} heap bytes, constant delay",
-                s.materialized_tuples(),
-                s.heap_bytes()
-            ),
             CompressedView::AlwaysEmpty(_) => {
                 "always-empty: a ground atom failed during the Example 3 rewrite".into()
             }
@@ -394,7 +389,6 @@ impl CompressedView {
             CompressedView::Direct(_) => "direct",
             CompressedView::Tradeoff(_) => "theorem-1",
             CompressedView::Decomposed(_) => "theorem-2",
-            CompressedView::Factorized(_) => "factorized (Props 2/4)",
             CompressedView::AlwaysEmpty(_) => "always-empty",
         }
     }
@@ -408,7 +402,6 @@ impl HeapSize for CompressedView {
             CompressedView::Direct(s) => s.heap_bytes(),
             CompressedView::Tradeoff(s) => s.heap_bytes(),
             CompressedView::Decomposed(s) => s.heap_bytes(),
-            CompressedView::Factorized(s) => s.heap_bytes(),
             CompressedView::AlwaysEmpty(_) => 0,
         }
     }
@@ -441,13 +434,6 @@ pub enum ViewEnumerator<'a> {
         s: &'a Theorem2Structure,
         /// Lazily created, reset-reused iterator.
         iter: Option<crate::theorem2::Theorem2Iter<'a>>,
-    },
-    /// Factorized pre-order enumeration with reusable scratch.
-    Factorized {
-        /// The representation.
-        s: &'a FactorizedRepresentation,
-        /// Lazily created, reset-reused iterator.
-        iter: Option<cqc_factorized::FactorizedIter<'a>>,
     },
     /// A view proven empty during rewriting (validates access arity only).
     AlwaysEmpty(&'a AdornedView),
@@ -492,17 +478,6 @@ impl ViewEnumerator<'_> {
                 it.drain_into(sink);
                 Ok(())
             }
-            ViewEnumerator::Factorized { s, iter } => {
-                let it = match iter {
-                    Some(it) => {
-                        it.reset(bound_values)?;
-                        it
-                    }
-                    None => iter.insert(s.answer(bound_values)?),
-                };
-                it.drain_into(sink);
-                Ok(())
-            }
             ViewEnumerator::AlwaysEmpty(v) => {
                 v.check_access(bound_values)?;
                 Ok(())
@@ -523,8 +498,6 @@ pub enum AnswerIter<'a> {
     Tradeoff(Box<crate::theorem1::Theorem1Iter<'a>>),
     /// Algorithm 5 (boxed: the iterator carries its reusable scratch).
     Decomposed(Box<crate::theorem2::Theorem2Iter<'a>>),
-    /// Factorized pre-order enumeration.
-    Factorized(cqc_factorized::FactorizedIter<'a>),
 }
 
 impl Iterator for AnswerIter<'_> {
@@ -537,7 +510,6 @@ impl Iterator for AnswerIter<'_> {
             AnswerIter::Direct(i) => i.next(),
             AnswerIter::Tradeoff(i) => i.next(),
             AnswerIter::Decomposed(i) => i.next(),
-            AnswerIter::Factorized(i) => i.next(),
         }
     }
 }

@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bag;
 pub mod bound_only;
 pub mod compressed;
 pub mod cost;

@@ -48,11 +48,10 @@
 //!   membership and gains by slab-restricted joins
 //!   ([`cqc_join::baselines::MaterializedView::maintained`],
 //!   [`cqc_join::baselines::DirectView::maintained`]);
-//! * the Theorem 2 structure and the factorized d-tree re-derive only the
-//!   bags touched by the delta plus their ancestors and re-run the
-//!   semijoin fixup restricted to that set
-//!   ([`crate::theorem2::Theorem2Structure::maintained`],
-//!   [`cqc_factorized::FactorizedRepresentation::maintained`]);
+//! * the Theorem 2 structure (the factorized d-tree is its δ ≡ 0 case)
+//!   re-derives only the bags touched by the delta plus their ancestors
+//!   and re-runs the semijoin fixup restricted to that set
+//!   ([`crate::theorem2::Theorem2Structure::maintained`]);
 //! * the Prop. 1 bound-only structure re-snapshots touched relations;
 //! * always-empty views re-derive their ground guards.
 //!
@@ -102,8 +101,7 @@ pub struct MaintainReport {
     /// relations.
     pub delta_tuples: usize,
     /// Theorem 1: tree nodes whose interval intersects a delta tuple's
-    /// slab. Theorem 2 / factorized: bags re-derived from the base
-    /// relations.
+    /// slab. Theorem 2: bags re-derived from the base relations.
     pub affected_nodes: usize,
     /// Dictionary bits re-probed on affected nodes (`0` bits against
     /// inserts, `1` bits against removes).
@@ -254,21 +252,6 @@ impl CompressedView {
                 match s.maintained(db, delta)? {
                     Some((v, rebuilt_bags)) => Ok(MaintainOutcome::Maintained {
                         view: Box::new(CompressedView::Decomposed(v)),
-                        report: MaintainReport {
-                            affected_nodes: rebuilt_bags,
-                            ..base_report()
-                        },
-                    }),
-                    None => irreconcilable(),
-                }
-            }
-            CompressedView::Factorized(s) => {
-                if needs_rewrite {
-                    return rewrite_rebuild();
-                }
-                match s.maintained(db, delta)? {
-                    Some((v, rebuilt_bags)) => Ok(MaintainOutcome::Maintained {
-                        view: Box::new(CompressedView::Factorized(v)),
                         report: MaintainReport {
                             affected_nodes: rebuilt_bags,
                             ..base_report()
@@ -819,6 +802,15 @@ mod tests {
                 };
                 maintained_runs += 1;
                 assert_eq!(maintained.strategy_name(), built.strategy_name());
+                if matches!(strat, Strategy::Factorized) {
+                    for cv in [&built, &*maintained] {
+                        assert!(
+                            matches!(cv, CompressedView::Decomposed(s) if s.stats().tradeoff_bags == 0),
+                            "seed {seed}: {}",
+                            cv.describe()
+                        );
+                    }
+                }
                 let rebuilt = CompressedView::build(&view, &db, strat.clone()).unwrap();
                 // Maintenance must not un-share: the plan holds one merged
                 // allocation per (relation, order), as after a build.

@@ -484,23 +484,20 @@ impl IntervalJoinIter<'_> {
         ));
         cons
     }
-}
 
-impl Iterator for IntervalJoinIter<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        let nb = self.plan.num_bound;
+    /// Steps to the next answer; `true` when one is available via
+    /// [`IntervalJoinIter::current`].
+    pub fn advance(&mut self) -> bool {
         loop {
             if let Some(j) = &mut self.join {
-                if let Some(t) = j.next() {
+                if j.next().is_some() {
                     metrics::record_tuple_output();
-                    return Some(t[nb..].to_vec());
+                    return true;
                 }
                 self.join = None;
             }
             if self.next_box >= self.boxes.len() {
-                return None;
+                return false;
             }
             let b = self.boxes[self.next_box].clone();
             self.next_box += 1;
@@ -510,6 +507,13 @@ impl Iterator for IntervalJoinIter<'_> {
             let cons = self.constraints_for(&b);
             self.join = Some(self.plan.join(cons));
         }
+    }
+
+    /// The free-variable values of the answer produced by the last
+    /// successful [`IntervalJoinIter::advance`], borrowed from the join.
+    pub fn current(&self) -> &[Value] {
+        let join = self.join.as_ref().expect("advance returned true");
+        &join.current()[self.plan.num_bound..]
     }
 }
 

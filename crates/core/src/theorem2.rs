@@ -22,16 +22,17 @@
 //! bag that exhausts after producing backtracks to its pre-order
 //! predecessor, enumerating the cartesian product across branches.
 
-use crate::theorem1::Theorem1Structure;
+use crate::bag::{bag_local_components, MaterializedBag};
+use crate::theorem1::{Theorem1Iter, Theorem1Structure};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics;
 use cqc_common::value::{Tuple, Value};
 use cqc_decomp::{search_connex, Objective, TreeDecomposition};
-use cqc_factorized::bag::{bag_local_components, MaterializedBag};
 use cqc_lp::covers::rho_plus;
-use cqc_query::{AdornedView, Var, VarSet};
+use cqc_query::{AdornedView, ConjunctiveQuery, Hypergraph, Var, VarSet};
 use cqc_storage::{Database, Delta, Relation};
+use std::sync::Arc;
 
 /// One bag of the structure.
 #[derive(Debug, Clone)]
@@ -51,6 +52,84 @@ enum BagKind {
     Tradeoff(Box<Theorem1Structure>),
 }
 
+impl HeapSize for Bag {
+    fn heap_bytes(&self) -> usize {
+        self.bound_vars.heap_bytes()
+            + self.free_vars.heap_bytes()
+            + match &self.kind {
+                BagKind::Materialized(m) => m.heap_bytes(),
+                BagKind::Tradeoff(t) => t.heap_bytes(),
+            }
+    }
+}
+
+/// What bags are derived from: the query's atoms over one database.
+struct BagSource<'a> {
+    h: Hypergraph,
+    atoms: Vec<(String, Vec<Var>)>,
+    db: &'a Database,
+}
+
+impl<'a> BagSource<'a> {
+    fn new(query: &ConjunctiveQuery, db: &'a Database) -> BagSource<'a> {
+        BagSource {
+            h: query.hypergraph(),
+            atoms: query
+                .atoms
+                .iter()
+                .map(|a| (a.relation.clone(), a.vars().collect()))
+                .collect(),
+            db,
+        }
+    }
+
+    /// Derives bag `node` (split into `bound`/`free` by the decomposition)
+    /// from the base relations: materialized when `delta = 0` or nothing is
+    /// free, else Theorem 1 over the bag-local projections with
+    /// `τ_t = |D|^δ(t)` and the cover minimizing `ρ⁺_t`.
+    fn derive(&self, node: usize, bound: VarSet, free: VarSet, delta: f64) -> Result<BagKind> {
+        if delta <= 1e-9 || free.is_empty() {
+            return Ok(BagKind::Materialized(MaterializedBag::build(
+                node,
+                bound,
+                free,
+                &self.atoms,
+                self.db,
+            )?));
+        }
+        let (bag_view, bag_db, origins) =
+            bag_local_components(node, bound, free, &self.atoms, self.db)?;
+        let rp = rho_plus(&self.h, bound.union(free), free, delta)?;
+        let weights: Vec<f64> = origins.iter().map(|&i| rp.weights[i]).collect();
+        let tau = (self.db.size() as f64).max(2.0).powf(delta).max(1.0);
+        Ok(BagKind::Tradeoff(Box::new(Theorem1Structure::build(
+            &bag_view, &bag_db, &weights, tau,
+        )?)))
+    }
+}
+
+/// The relations fully contained in `V_b`, checked per access request
+/// (§5.1: "a hash index that tests membership for every hyperedge of H
+/// contained in V_b"; sorted-relation membership is the same Õ(1)). The
+/// handles share the database's allocations.
+fn root_checks(view: &AdornedView, db: &Database) -> Result<Vec<(Arc<Relation>, Vec<Var>)>> {
+    let vb = view.bound_vars();
+    let mut checks = Vec::new();
+    for atom in &view.query().atoms {
+        let vars: Vec<Var> = atom.vars().collect();
+        if vars.iter().all(|v| vb.contains(*v)) {
+            let rel = db.get_arc(&atom.relation).ok_or_else(|| {
+                CqcError::Schema(format!(
+                    "relation `{}` not found in database",
+                    atom.relation
+                ))
+            })?;
+            checks.push((rel, vars));
+        }
+    }
+    Ok(checks)
+}
+
 /// The Theorem 2 compressed representation.
 #[derive(Debug)]
 pub struct Theorem2Structure {
@@ -61,7 +140,7 @@ pub struct Theorem2Structure {
     parent_of: Vec<Option<usize>>,
     /// Children in `bags` indexes.
     children_of: Vec<Vec<usize>>,
-    root_checks: Vec<(Relation, Vec<Var>)>,
+    root_checks: Vec<(Arc<Relation>, Vec<Var>)>,
     num_vars: usize,
     delta: Vec<f64>,
 }
@@ -83,8 +162,8 @@ impl Theorem2Structure {
         let query = view.query();
         query.require_natural_join()?;
         query.check_schema(db)?;
-        let h = query.hypergraph();
-        td.validate_connex(&h, view.bound_vars())?;
+        let source = BagSource::new(query, db);
+        td.validate_connex(&source.h, view.bound_vars())?;
         if delta.len() != td.len() {
             return Err(CqcError::Config(format!(
                 "expected {} delay entries, got {}",
@@ -92,40 +171,19 @@ impl Theorem2Structure {
                 delta.len()
             )));
         }
-        let db_size = (db.size() as f64).max(2.0);
-
-        let atoms: Vec<(String, Vec<Var>)> = query
-            .atoms
-            .iter()
-            .map(|a| (a.relation.clone(), a.vars().collect()))
-            .collect();
 
         // Build bags in pre-order.
         let pre = td.preorder();
         let mut bags: Vec<Bag> = Vec::with_capacity(pre.len() - 1);
         let mut bag_index_of_node = vec![usize::MAX; td.len()];
         for &t in &pre[1..] {
-            let bound = td.bag_bound(t);
-            let free = td.bag_free(t);
-            let bound_vars: Vec<Var> = bound.iter().collect();
-            let free_vars: Vec<Var> = free.iter().collect();
-            let kind = if delta[t] <= 1e-9 || free_vars.is_empty() {
-                BagKind::Materialized(MaterializedBag::build(t, bound, free, &atoms, db)?)
-            } else {
-                let (bag_view, bag_db, origins) = bag_local_components(t, bound, free, &atoms, db)?;
-                let rp = rho_plus(&h, td.bag(t), free, delta[t])?;
-                let weights: Vec<f64> = origins.iter().map(|&i| rp.weights[i]).collect();
-                let tau = db_size.powf(delta[t]).max(1.0);
-                BagKind::Tradeoff(Box::new(Theorem1Structure::build(
-                    &bag_view, &bag_db, &weights, tau,
-                )?))
-            };
+            let (bound, free) = (td.bag_bound(t), td.bag_free(t));
             bag_index_of_node[t] = bags.len();
             bags.push(Bag {
                 node: t,
-                bound_vars,
-                free_vars,
-                kind,
+                bound_vars: bound.iter().collect(),
+                free_vars: free.iter().collect(),
+                kind: source.derive(t, bound, free, delta[t])?,
             });
         }
         let parent_of: Vec<Option<usize>> = bags
@@ -146,25 +204,17 @@ impl Theorem2Structure {
             }
         }
 
-        let vb = view.bound_vars();
-        let mut root_checks = Vec::new();
-        for atom in &query.atoms {
-            let vars: Vec<Var> = atom.vars().collect();
-            if vars.iter().all(|v| vb.contains(*v)) {
-                root_checks.push((db.require(&atom.relation)?.clone(), vars));
-            }
-        }
-
         let mut s = Theorem2Structure {
             view: view.clone(),
             bags,
             parent_of,
             children_of,
-            root_checks,
+            root_checks: root_checks(view, db)?,
             num_vars: query.num_vars(),
             delta: delta.to_vec(),
         };
-        s.semijoin_fixup(td);
+        let all = vec![true; s.bags.len()];
+        s.semijoin_fixup(&all);
         Ok(s)
     }
 
@@ -176,30 +226,61 @@ impl Theorem2Structure {
         db: &Database,
         budget_exp: f64,
     ) -> Result<Theorem2Structure> {
+        Self::build_searched(
+            view,
+            db,
+            Objective::MinimizeHeightUnderBudget { budget_exp },
+        )
+    }
+
+    /// Propositions 2/4 end to end — the factorized (d-representation)
+    /// recipe: a width-minimal connex decomposition with `δ ≡ 0`, so every
+    /// bag is materialized and semijoin-reduced. Constant delay in
+    /// `O(|D|^{fhw(H | V_b)})` space; linear for acyclic full enumeration.
+    pub fn build_constant_delay(view: &AdornedView, db: &Database) -> Result<Theorem2Structure> {
+        Self::build_searched(view, db, Objective::MinimizeWidth)
+    }
+
+    fn build_searched(
+        view: &AdornedView,
+        db: &Database,
+        objective: Objective,
+    ) -> Result<Theorem2Structure> {
         let query = view.query();
         query.require_natural_join()?;
-        let h = query.hypergraph();
-        let found = search_connex(
-            &h,
-            view.bound_vars(),
-            Objective::MinimizeHeightUnderBudget { budget_exp },
-        )?;
+        let found = search_connex(&query.hypergraph(), view.bound_vars(), objective)?;
         Theorem2Structure::build(view, db, &found.td, &found.delta)
     }
 
-    /// The Algorithm 4 bottom-up pass: every materialized row / dictionary
-    /// 1-entry must extend into all child subtrees.
-    fn semijoin_fixup(&mut self, td: &TreeDecomposition) {
-        let _ = td;
-        let all = vec![true; self.bags.len()];
-        self.semijoin_fixup_subset(&all);
-    }
-
-    /// [`Theorem2Structure::semijoin_fixup`] restricted to the bags flagged
-    /// in `dirty`. Sound whenever `dirty` is closed under ancestors of
+    /// The Algorithm 4 bottom-up pass over the bags flagged in `dirty`:
+    /// every materialized row / dictionary 1-entry must extend into all
+    /// child subtrees. Sound whenever `dirty` is closed under ancestors of
     /// changed bags: untouched bags were reduced against children whose
     /// state has not changed since, so re-reducing them is a no-op.
-    fn semijoin_fixup_subset(&mut self, dirty: &[bool]) {
+    fn semijoin_fixup(&mut self, dirty: &[bool]) {
+        // Per bag: where its bound variables sit inside its tree parent's
+        // row (bound prefix then free suffix).
+        let key_pos: Vec<Vec<usize>> = (0..self.bags.len())
+            .map(|ci| {
+                let Some(p) = self.parent_of[ci] else {
+                    return Vec::new();
+                };
+                let parent = &self.bags[p];
+                self.bags[ci]
+                    .bound_vars
+                    .iter()
+                    .map(|bv| {
+                        parent
+                            .bound_vars
+                            .iter()
+                            .chain(&parent.free_vars)
+                            .position(|rv| rv == bv)
+                            .expect("child bound var must appear in the parent bag")
+                    })
+                    .collect()
+            })
+            .collect();
+
         // Process deepest-first so children are already truthful.
         // Pre-order indexes: children always have larger indexes, so
         // reversing the bag order is a valid bottom-up sweep.
@@ -207,49 +288,17 @@ impl Theorem2Structure {
             if !dirty[bi] || self.children_of[bi].is_empty() {
                 continue;
             }
-            // Positions of each child's bound vars inside this bag's row
-            // (bound prefix then free suffix).
-            let row_vars: Vec<Var> = {
-                let b = &self.bags[bi];
-                b.bound_vars.iter().chain(&b.free_vars).copied().collect()
-            };
-            let extractors: Vec<(usize, Vec<usize>)> = self.children_of[bi]
-                .iter()
-                .map(|&ci| {
-                    let pos = self.bags[ci]
-                        .bound_vars
-                        .iter()
-                        .map(|bv| {
-                            row_vars
-                                .iter()
-                                .position(|rv| rv == bv)
-                                .expect("child bound var must appear in the parent bag")
-                        })
-                        .collect();
-                    (ci, pos)
-                })
-                .collect();
-
+            // Decide with the structure borrowed, then apply.
+            let mut keep: Vec<bool> = Vec::new();
+            let mut flips: Vec<(u32, Vec<Value>)> = Vec::new();
+            let mut probe = SubtreeProbe::new(self, &key_pos);
             match &self.bags[bi].kind {
                 BagKind::Materialized(mb) => {
-                    let n = mb.len();
-                    let mut keep = vec![true; n];
-                    for (i, flag) in keep.iter_mut().enumerate() {
-                        let row = mb.row(i).to_vec();
-                        *flag = extractors.iter().all(|(ci, pos)| {
-                            let key: Vec<Value> = pos.iter().map(|&p| row[p]).collect();
-                            self.probe_subtree(*ci, &key)
-                        });
-                    }
-                    if let BagKind::Materialized(mb) = &mut self.bags[bi].kind {
-                        let mut it = keep.into_iter();
-                        mb.retain(|_| it.next().unwrap());
-                    }
+                    keep.extend((0..mb.len()).map(|i| probe.extends_below(bi, mb.row(i))));
                 }
                 BagKind::Tradeoff(t1) => {
-                    // Collect entries to flip, then apply.
-                    let mut flips: Vec<(u32, Vec<Value>)> = Vec::new();
                     if let Some(tree) = t1.tree() {
+                        let mut row: Vec<Value> = Vec::new();
                         // One endpoint pair, re-derived per node by the
                         // top-down walk.
                         let mut interval = tree.interval(tree.root());
@@ -261,17 +310,13 @@ impl Theorem2Structure {
                                 if !bit {
                                     continue;
                                 }
+                                let mut answers = t1.enumerate_interval(key, &interval);
                                 let mut extends = false;
-                                for free in t1.enumerate_interval(key, &interval) {
-                                    let mut row: Vec<Value> = key.to_vec();
-                                    row.extend(free);
-                                    if extractors.iter().all(|(ci, pos)| {
-                                        let k: Vec<Value> = pos.iter().map(|&p| row[p]).collect();
-                                        self.probe_subtree(*ci, &k)
-                                    }) {
-                                        extends = true;
-                                        break;
-                                    }
+                                while !extends && answers.advance() {
+                                    row.clear();
+                                    row.extend_from_slice(key);
+                                    row.extend_from_slice(answers.current());
+                                    extends = probe.extends_below(bi, &row);
                                 }
                                 if !extends {
                                     flips.push((c.node, key.to_vec()));
@@ -279,61 +324,19 @@ impl Theorem2Structure {
                             }
                         }
                     }
-                    if let BagKind::Tradeoff(t1) = &mut self.bags[bi].kind {
-                        for (w, key) in flips {
-                            let stored = t1.dictionary_mut().flip(w, &key, false);
-                            debug_assert!(stored, "flipped keys come from the dictionary");
-                        }
-                    }
                 }
             }
-        }
-    }
-
-    /// First-answer probe of the subtree rooted at bag `bi` for the bound
-    /// key of that bag: does any bag answer extend through all descendants?
-    fn probe_subtree(&self, bi: usize, key: &[Value]) -> bool {
-        let bag = &self.bags[bi];
-        let children = &self.children_of[bi];
-        let nb = bag.bound_vars.len();
-        let check_children = |row: &[Value]| -> bool {
-            children.iter().all(|&ci| {
-                let child_key: Vec<Value> = self.bags[ci]
-                    .bound_vars
-                    .iter()
-                    .map(|bv| {
-                        let pos = bag
-                            .bound_vars
-                            .iter()
-                            .chain(&bag.free_vars)
-                            .position(|rv| rv == bv)
-                            .expect("child bound var in parent bag");
-                        row[pos]
-                    })
-                    .collect();
-                self.probe_subtree(ci, &child_key)
-            })
-        };
-        match &bag.kind {
-            BagKind::Materialized(mb) => {
-                let (lo, hi) = mb.range_for(key);
-                (lo..hi).any(|i| {
-                    let mut row: Vec<Value> = key.to_vec();
-                    row.extend(mb.free_part(i));
-                    debug_assert_eq!(row.len(), nb + bag.free_vars.len());
-                    check_children(&row)
-                })
-            }
-            BagKind::Tradeoff(t1) => {
-                let iter = t1.answer(key).expect("bag key arity is internal");
-                for free in iter {
-                    let mut row: Vec<Value> = key.to_vec();
-                    row.extend(free);
-                    if check_children(&row) {
-                        return true;
+            match &mut self.bags[bi].kind {
+                BagKind::Materialized(mb) => {
+                    let mut flags = keep.into_iter();
+                    mb.retain(|_| flags.next().expect("one flag per row"));
+                }
+                BagKind::Tradeoff(t1) => {
+                    for (w, key) in flips {
+                        let stored = t1.dictionary_mut().flip(w, &key, false);
+                        debug_assert!(stored, "flipped keys come from the dictionary");
                     }
                 }
-                false
             }
         }
     }
@@ -367,13 +370,7 @@ impl Theorem2Structure {
             return Ok(None);
         }
         query.check_schema(db)?;
-        let h = query.hypergraph();
-        let atoms: Vec<(String, Vec<Var>)> = query
-            .atoms
-            .iter()
-            .map(|a| (a.relation.clone(), a.vars().collect()))
-            .collect();
-        let db_size = (db.size() as f64).max(2.0);
+        let source = BagSource::new(query, db);
 
         // A bag is stale iff some atom over a touched relation shares a
         // variable with it: its local database projects every incident
@@ -381,7 +378,8 @@ impl Theorem2Structure {
         let mut dirty = vec![false; self.bags.len()];
         for (bi, b) in self.bags.iter().enumerate() {
             let bag_set: VarSet = b.bound_vars.iter().chain(&b.free_vars).copied().collect();
-            dirty[bi] = atoms
+            dirty[bi] = source
+                .atoms
                 .iter()
                 .any(|(rel, vars)| delta.touches(rel) && vars.iter().any(|v| bag_set.contains(*v)));
         }
@@ -402,22 +400,11 @@ impl Theorem2Structure {
         let rebuilt = dirty.iter().filter(|&&d| d).count();
 
         let mut bags = Vec::with_capacity(self.bags.len());
-        for (bi, b) in self.bags.iter().enumerate() {
-            let kind = if dirty[bi] {
-                let bound: VarSet = b.bound_vars.iter().copied().collect();
-                let free: VarSet = b.free_vars.iter().copied().collect();
-                if self.delta[b.node] <= 1e-9 || b.free_vars.is_empty() {
-                    BagKind::Materialized(MaterializedBag::build(b.node, bound, free, &atoms, db)?)
-                } else {
-                    let (bag_view, bag_db, origins) =
-                        bag_local_components(b.node, bound, free, &atoms, db)?;
-                    let rp = rho_plus(&h, bound.union(free), free, self.delta[b.node])?;
-                    let weights: Vec<f64> = origins.iter().map(|&i| rp.weights[i]).collect();
-                    let tau = db_size.powf(self.delta[b.node]).max(1.0);
-                    BagKind::Tradeoff(Box::new(Theorem1Structure::build(
-                        &bag_view, &bag_db, &weights, tau,
-                    )?))
-                }
+        for (b, &stale) in self.bags.iter().zip(&dirty) {
+            let kind = if stale {
+                let bound = b.bound_vars.iter().copied().collect();
+                let free = b.free_vars.iter().copied().collect();
+                source.derive(b.node, bound, free, self.delta[b.node])?
             } else {
                 b.kind.clone()
             };
@@ -429,27 +416,18 @@ impl Theorem2Structure {
             });
         }
 
-        // Refresh the root-check snapshots of touched relations from the
-        // post-delta database; untouched ones are still current.
-        let mut root_checks = Vec::with_capacity(self.root_checks.len());
-        for (rel, vars) in &self.root_checks {
-            if delta.touches(rel.name()) {
-                root_checks.push((db.require(rel.name())?.clone(), vars.clone()));
-            } else {
-                root_checks.push((rel.clone(), vars.clone()));
-            }
-        }
-
         let mut s = Theorem2Structure {
             view: self.view.clone(),
             bags,
             parent_of: self.parent_of.clone(),
             children_of: self.children_of.clone(),
-            root_checks,
+            // Re-taken from the post-delta database: an untouched
+            // relation is still the allocation held before.
+            root_checks: root_checks(&self.view, db)?,
             num_vars: self.num_vars,
             delta: self.delta.clone(),
         };
-        s.semijoin_fixup_subset(&dirty);
+        s.semijoin_fixup(&dirty);
         Ok(Some((s, rebuilt)))
     }
 
@@ -501,25 +479,20 @@ impl Theorem2Structure {
     pub fn bag_reports(&self) -> Vec<BagReport> {
         self.bags
             .iter()
-            .map(|b| match &b.kind {
-                BagKind::Materialized(m) => BagReport {
+            .map(|b| {
+                let (kind, tuples_or_entries) = match &b.kind {
+                    BagKind::Materialized(m) => ("materialized", m.len()),
+                    BagKind::Tradeoff(t) => ("theorem-1", t.dictionary().num_entries()),
+                };
+                BagReport {
                     node: b.node,
                     bound_vars: b.bound_vars.len(),
                     free_vars: b.free_vars.len(),
                     delta: self.delta[b.node],
-                    kind: "materialized",
-                    tuples_or_entries: m.len(),
-                    heap_bytes: m.heap_bytes(),
-                },
-                BagKind::Tradeoff(t) => BagReport {
-                    node: b.node,
-                    bound_vars: b.bound_vars.len(),
-                    free_vars: b.free_vars.len(),
-                    delta: self.delta[b.node],
-                    kind: "theorem-1",
-                    tuples_or_entries: t.dictionary().num_entries(),
-                    heap_bytes: t.heap_bytes(),
-                },
+                    kind,
+                    tuples_or_entries,
+                    heap_bytes: b.heap_bytes(),
+                }
             })
             .collect()
     }
@@ -546,6 +519,80 @@ impl Theorem2Structure {
             heap_bytes: self.heap_bytes(),
             max_delta: self.delta.iter().copied().fold(0.0, f64::max),
         }
+    }
+}
+
+/// First-answer probes below one bag during the fixup, with the scratch
+/// they reuse across that bag's rows.
+struct SubtreeProbe<'a> {
+    s: &'a Theorem2Structure,
+    /// Per bag: positions of its bound variables in its tree parent's row.
+    key_pos: &'a [Vec<usize>],
+    scratch: Vec<ProbeScratch<'a>>,
+}
+
+/// One bag's probe scratch: its bound key and, for a delay-tuned bag, the
+/// `[bound | free]` row under test and the enumerator producing it.
+#[derive(Default)]
+struct ProbeScratch<'a> {
+    key: Vec<Value>,
+    row: Vec<Value>,
+    answers: Option<Theorem1Iter<'a>>,
+}
+
+impl<'a> SubtreeProbe<'a> {
+    fn new(s: &'a Theorem2Structure, key_pos: &'a [Vec<usize>]) -> SubtreeProbe<'a> {
+        SubtreeProbe {
+            s,
+            key_pos,
+            scratch: s.bags.iter().map(|_| ProbeScratch::default()).collect(),
+        }
+    }
+
+    /// Does `row` of bag `bi` extend into every child subtree?
+    fn extends_below(&mut self, bi: usize, row: &[Value]) -> bool {
+        let s = self.s;
+        s.children_of[bi]
+            .iter()
+            .all(|&ci| self.subtree_has_answer(ci, row))
+    }
+
+    /// Does the subtree rooted at bag `ci` hold an answer under
+    /// `parent_row` of its tree parent?
+    fn subtree_has_answer(&mut self, ci: usize, parent_row: &[Value]) -> bool {
+        let s = self.s;
+        let key = &mut self.scratch[ci].key;
+        key.clear();
+        key.extend(self.key_pos[ci].iter().map(|&p| parent_row[p]));
+        let t1 = match &s.bags[ci].kind {
+            // Already reduced when its parent is processed (bottom-up
+            // order; `dirty` is ancestor-closed): a row with this key
+            // extends through the whole subtree.
+            BagKind::Materialized(mb) => return mb.contains_key(key),
+            BagKind::Tradeoff(t1) => t1,
+        };
+        // A 1-bit promises progress somewhere in its interval, not below
+        // every answer: enumerate and look below each, with this bag's
+        // scratch lifted out across the recursion.
+        let mut sc = std::mem::take(&mut self.scratch[ci]);
+        let answers = match &mut sc.answers {
+            Some(it) => {
+                it.reset(&sc.key).expect("bag key arity is internal");
+                it
+            }
+            None => sc
+                .answers
+                .insert(t1.answer(&sc.key).expect("bag key arity is internal")),
+        };
+        let mut found = false;
+        while !found && answers.advance() {
+            sc.row.clear();
+            sc.row.extend_from_slice(&sc.key);
+            sc.row.extend_from_slice(answers.current());
+            found = self.extends_below(ci, &sc.row);
+        }
+        self.scratch[ci] = sc;
+        found
     }
 }
 
@@ -586,22 +633,20 @@ pub struct Theorem2Stats {
 }
 
 impl HeapSize for Theorem2Structure {
+    /// A root-check relation is the database's allocation: each structure
+    /// holding its handle counts its content (what a private copy would
+    /// occupy, not the owner's spare capacity), as shared sorted indexes
+    /// are counted once per holder.
     fn heap_bytes(&self) -> usize {
-        self.bags
-            .iter()
-            .map(|b| {
-                b.bound_vars.heap_bytes()
-                    + b.free_vars.heap_bytes()
-                    + match &b.kind {
-                        BagKind::Materialized(m) => m.heap_bytes(),
-                        BagKind::Tradeoff(t) => t.heap_bytes(),
-                    }
-            })
-            .sum::<usize>()
+        self.bags.iter().map(HeapSize::heap_bytes).sum::<usize>()
             + self
                 .root_checks
                 .iter()
-                .map(|(r, v)| r.heap_bytes() + v.heap_bytes())
+                .map(|(r, v)| {
+                    r.name().len()
+                        + r.len() * r.arity() * std::mem::size_of::<Value>()
+                        + v.heap_bytes()
+                })
                 .sum::<usize>()
     }
 }
@@ -618,12 +663,12 @@ struct BagCursor<'a> {
     /// `(current row, end row)` for materialized bags.
     mat: (usize, usize),
     /// Cached enumerator for Theorem 1 bags.
-    trade: Option<Box<crate::theorem1::Theorem1Iter<'a>>>,
+    trade: Option<Box<Theorem1Iter<'a>>>,
 }
 
 /// The Algorithm 5 enumerator.
 ///
-/// Like [`Theorem1Iter`](crate::theorem1::Theorem1Iter), the core is the
+/// Like [`Theorem1Iter`], the core is the
 /// pair [`Theorem2Iter::advance`] / [`Theorem2Iter::current`]: answers are
 /// borrowed from an internal emit buffer and every per-bag binding copies
 /// directly from the bag's storage into the valuation — no per-row tuple
@@ -1053,21 +1098,187 @@ mod tests {
         }
     }
 
-    /// Theorem 2 with all-zero delays must agree with the factorized
-    /// representation (Prop. 4 ≡ the δ = 0 special case).
-    #[test]
-    fn zero_delay_agrees_with_factorized() {
-        let (view, db) = path4();
-        let td = path4_paper_td();
-        let t2 = Theorem2Structure::build(&view, &db, &td, &[0.0; 3]).unwrap();
-        let fr = cqc_factorized::FactorizedRepresentation::build(&view, &db, &td).unwrap();
-        for a in 0..6u64 {
-            for b in 0..6u64 {
-                let x: Vec<Tuple> = t2.answer(&[a, b]).unwrap().collect();
-                let y: Vec<Tuple> = fr.answer(&[a, b]).unwrap().collect();
-                assert_eq!(sorted(x), sorted(y));
-            }
+    // The δ ≡ 0 rows below are the d-representation's (Props. 2/4): every
+    // bag materialized and reduced, answers in pre-order of the bags. The
+    // oracle of each is the naive join, order included: bags hold
+    // lexicographically sorted rows, so wherever the pre-order binds the
+    // free variables in head order the stream is the naive join's.
+
+    /// Asserts `s` streams exactly the naive join's answers, in its
+    /// order, for every key in `keys`, with `exists` agreeing.
+    fn assert_streams_naive(
+        s: &Theorem2Structure,
+        view: &AdornedView,
+        db: &Database,
+        keys: impl IntoIterator<Item = Vec<Value>>,
+    ) {
+        assert_eq!(s.stats().tradeoff_bags, 0);
+        for key in keys {
+            let expect = evaluate_view(view, db, &key).unwrap();
+            let got: Vec<Tuple> = s.answer(&key).unwrap().collect();
+            assert_eq!(got, expect, "key {key:?}");
+            assert_eq!(s.exists(&key).unwrap(), !expect.is_empty(), "key {key:?}");
         }
+    }
+
+    fn star_db() -> Database {
+        let mut db = Database::new();
+        db.add(Relation::from_pairs(
+            "R1",
+            vec![(1, 10), (1, 20), (2, 10), (3, 30)],
+        ))
+        .unwrap();
+        db.add(Relation::from_pairs(
+            "R2",
+            vec![(5, 10), (5, 20), (6, 30), (7, 40)],
+        ))
+        .unwrap();
+        db
+    }
+
+    #[test]
+    fn star_bbf_matches_oracle() {
+        // S_2^{bbf}(x1, x2, z) = R1(x1, z), R2(x2, z) — the set-intersection
+        // view of Example 7 / §3.1.
+        let v = parse_adorned("Q(x1, x2, z) :- R1(x1, z), R2(x2, z)", "bbf").unwrap();
+        let db = star_db();
+        let s = Theorem2Structure::build_constant_delay(&v, &db).unwrap();
+        let keys = (0..5u64).flat_map(|x1| (4..9u64).map(move |x2| vec![x1, x2]));
+        assert_streams_naive(&s, &v, &db, keys);
+    }
+
+    #[test]
+    fn full_enumeration_prop2() {
+        // Acyclic path query, full enumeration: linear-space d-rep.
+        let mut db = Database::new();
+        db.add(Relation::from_pairs("R", vec![(1, 2), (2, 3), (4, 5)]))
+            .unwrap();
+        db.add(Relation::from_pairs("S", vec![(2, 7), (3, 8), (5, 9)]))
+            .unwrap();
+        let v = parse_adorned("Q(x, y, z) :- R(x, y), S(y, z)", "fff").unwrap();
+        let s = Theorem2Structure::build_constant_delay(&v, &db).unwrap();
+        assert_streams_naive(&s, &v, &db, [vec![]]);
+        assert!(s.stats().materialized_tuples <= db.size());
+    }
+
+    #[test]
+    fn semijoin_removes_dangling_tuples() {
+        // R(x,y) tuples whose y never joins S must be filtered by the
+        // bottom-up pass; delay stays constant because no bag row is dead.
+        let mut db = Database::new();
+        db.add(Relation::from_pairs("R", vec![(1, 2), (1, 99), (2, 3)]))
+            .unwrap();
+        db.add(Relation::from_pairs("S", vec![(2, 7), (3, 8)]))
+            .unwrap();
+        let v = parse_adorned("Q(x, y, z) :- R(x, y), S(y, z)", "bff").unwrap();
+        // Manual decomposition: root {x} → {x,y} → {y,z}.
+        let td = TreeDecomposition::new(
+            vec![vs(&[0]), vs(&[0, 1]), vs(&[1, 2])],
+            vec![None, Some(0), Some(1)],
+        )
+        .unwrap();
+        let s = Theorem2Structure::build(&v, &db, &td, &[0.0; 3]).unwrap();
+        // y = 99 must not survive in the {x,y} bag.
+        assert_eq!(s.bag_reports()[0].tuples_or_entries, 2);
+        assert_streams_naive(&s, &v, &db, (0..4u64).map(|x| vec![x]));
+    }
+
+    #[test]
+    fn boolean_view_checks_root_relations() {
+        let mut db = Database::new();
+        db.add(Relation::from_pairs("R", vec![(1, 2)])).unwrap();
+        let v = parse_adorned("Q(x, y) :- R(x, y)", "bb").unwrap();
+        let td = TreeDecomposition::new(vec![vs(&[0, 1])], vec![None]).unwrap();
+        let s = Theorem2Structure::build(&v, &db, &td, &[0.0]).unwrap();
+        assert_streams_naive(&s, &v, &db, [vec![1, 2], vec![2, 1]]);
+        let got: Vec<Tuple> = s.answer(&[1, 2]).unwrap().collect();
+        assert_eq!(got, vec![Vec::<Value>::new()]);
+        // The check shares the database's relation; it is not a copy.
+        assert!(Arc::ptr_eq(&s.root_checks[0].0, &db.get_arc("R").unwrap()));
+    }
+
+    #[test]
+    fn triangle_with_one_bag() {
+        let mut db = Database::new();
+        db.add(Relation::from_pairs("R", vec![(1, 2), (2, 3), (1, 3)]))
+            .unwrap();
+        db.add(Relation::from_pairs("S", vec![(2, 3), (3, 1)]))
+            .unwrap();
+        db.add(Relation::from_pairs("T", vec![(3, 1), (1, 2)]))
+            .unwrap();
+        let v = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "fff").unwrap();
+        let s = Theorem2Structure::build_constant_delay(&v, &db).unwrap();
+        assert_eq!(s.stats().bags, 1);
+        assert_streams_naive(&s, &v, &db, [vec![]]);
+    }
+
+    #[test]
+    fn multi_branch_cartesian_enumeration() {
+        // Root {x} with two independent children {x,y} and {x,z}: the
+        // answer is a cartesian product across branches.
+        let mut db = Database::new();
+        db.add(Relation::from_pairs("R", vec![(1, 10), (1, 11), (2, 20)]))
+            .unwrap();
+        db.add(Relation::from_pairs("S", vec![(1, 77), (1, 78), (2, 99)]))
+            .unwrap();
+        let v = parse_adorned("Q(x, y, z) :- R(x, y), S(x, z)", "bff").unwrap();
+        let td = TreeDecomposition::new(
+            vec![vs(&[0]), vs(&[0, 1]), vs(&[0, 2])],
+            vec![None, Some(0), Some(0)],
+        )
+        .unwrap();
+        let s = Theorem2Structure::build(&v, &db, &td, &[0.0; 3]).unwrap();
+        let got: Vec<Tuple> = s.answer(&[1]).unwrap().collect();
+        assert_eq!(
+            got,
+            vec![vec![10, 77], vec![10, 78], vec![11, 77], vec![11, 78]]
+        );
+        assert_streams_naive(&s, &v, &db, (1..4u64).map(|x| vec![x]));
+    }
+
+    /// A star with the centre bound where a *later* root child is empty
+    /// for the key: Algorithm 5 backtracks from that bag's first open to
+    /// its tree parent — the root — and the request ends there, however
+    /// many rows the earlier branch holds (a predecessor backtrack would
+    /// re-open the empty bag once per such row; same answers, more work).
+    /// A bag joins the projections of every *incident* relation, so the
+    /// emptiness has to come from one the earlier bag does not touch: the
+    /// second ray carries a tail `R3(z, w)` that `z = 7` never joins.
+    #[test]
+    fn star_with_an_empty_later_branch_ends_at_its_first_open() {
+        let mut db = Database::new();
+        let r1 = (0..50).map(|y| (1, y)).chain([(2, 5)]);
+        db.add(Relation::from_pairs("R1", r1)).unwrap();
+        db.add(Relation::from_pairs("R2", vec![(1, 7), (2, 8)]))
+            .unwrap();
+        db.add(Relation::from_pairs("R3", vec![(8, 3)])).unwrap();
+        let v = parse_adorned("Q(x, y, z, w) :- R1(x, y), R2(x, z), R3(z, w)", "bfff").unwrap();
+        let td = TreeDecomposition::new(
+            vec![vs(&[0]), vs(&[0, 1]), vs(&[0, 2]), vs(&[2, 3])],
+            vec![None, Some(0), Some(0), Some(2)],
+        )
+        .unwrap();
+        let s = Theorem2Structure::build(&v, &db, &td, &[0.0; 4]).unwrap();
+        // Root children are not reduced against each other: the first
+        // branch keeps its 50 rows for x = 1, the second has none.
+        let kept: Vec<usize> = s
+            .bag_reports()
+            .iter()
+            .map(|r| r.tuples_or_entries)
+            .collect();
+        assert_eq!(kept, [51, 1, 1]);
+        let mut it = s.answer(&[1]).unwrap();
+        assert!(!it.advance());
+        assert_eq!(it.cursors[0].mat, (0, 50), "the first branch opened once");
+        assert!(it.done && !it.cursors[1].live);
+        assert_streams_naive(&s, &v, &db, (0..4u64).map(|x| vec![x]));
+
+        let cv = crate::CompressedView::build(&v, &db, crate::Strategy::Factorized).unwrap();
+        assert!(matches!(cv, crate::CompressedView::Decomposed(_)));
+        assert!(!cv.exists(&[1]).unwrap());
+        let mut block = cqc_common::AnswerBlock::new();
+        cv.answer_into(&[1], &mut block).unwrap();
+        assert!(block.is_empty());
     }
 
     #[test]

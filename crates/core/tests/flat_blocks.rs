@@ -9,6 +9,7 @@ use cqc_common::value::{Tuple, Value};
 use cqc_common::{AnswerBlock, CountingSink, ExistsSink};
 use cqc_core::{CompressedView, Strategy};
 use cqc_query::parser::parse_adorned;
+use cqc_query::AdornedView;
 use cqc_storage::Database;
 
 /// The strategy grid exercised against every random instance.
@@ -36,6 +37,26 @@ fn strategies() -> Vec<Strategy> {
             space_budget_exp: None,
         },
     ]
+}
+
+/// Builds `strat`'s representation of a view with a free variable; both
+/// spellings of the factorized recipe must come out as Theorem 2 at δ ≡ 0.
+fn build(view: &AdornedView, db: &Database, strat: &Strategy) -> CompressedView {
+    let cv = CompressedView::build(view, db, strat.clone()).unwrap();
+    if matches!(
+        strat,
+        Strategy::Factorized
+            | Strategy::Auto {
+                space_budget_exp: None
+            }
+    ) {
+        assert!(
+            matches!(&cv, CompressedView::Decomposed(s) if s.stats().tradeoff_bags == 0),
+            "{strat:?}: {}",
+            cv.describe()
+        );
+    }
+    cv
 }
 
 /// All bound assignments over a small grid (cross product of `0..grid`).
@@ -114,7 +135,7 @@ fn triangle_views_flat_equals_legacy_across_seeds() {
             let nb = pattern.matches('b').count();
             let reqs = requests(nb, 6);
             for strat in strategies() {
-                let cv = CompressedView::build(&view, &db, strat.clone()).unwrap();
+                let cv = build(&view, &db, &strat);
                 check_equivalence(
                     &cv,
                     &reqs,
@@ -135,7 +156,7 @@ fn path_views_flat_equals_legacy() {
             let nb = pattern.matches('b').count();
             let reqs = requests(nb, 5);
             for strat in strategies() {
-                let cv = CompressedView::build(&view, &db, strat.clone()).unwrap();
+                let cv = build(&view, &db, &strat);
                 check_equivalence(&cv, &reqs, &format!("path seed={seed} {pattern} {strat:?}"));
             }
         }
@@ -150,7 +171,7 @@ fn star_views_flat_equals_legacy() {
         let nb = pattern.matches('b').count();
         let reqs = requests(nb, 6);
         for strat in strategies() {
-            let cv = CompressedView::build(&view, &db, strat.clone()).unwrap();
+            let cv = build(&view, &db, &strat);
             check_equivalence(&cv, &reqs, &format!("star {pattern} {strat:?}"));
         }
     }

@@ -2,9 +2,9 @@
 //!
 //! `rep_bytes_per_tuple` is gated on `HeapSize::heap_bytes`, so that
 //! number must be what the allocator actually hands out for the Theorem 1
-//! pair `(T, D)` — neither a structure that silently re-fattens nor an
-//! accounting that under-reports may pass. Four gates on one fixed
-//! triangle database:
+//! pair `(T, D)` and for Theorem 2's bags — neither a structure that
+//! silently re-fattens nor an accounting that under-reports may pass. Four
+//! gates on one fixed triangle database and a fifth on a path database:
 //!
 //! * the counting allocator's live-byte growth across building the tree
 //!   and the dictionary is within ±10 % of what they report;
@@ -17,13 +17,25 @@
 //!   view definition, the cover and the grid sizes); `base_indexes()` is
 //!   exactly those tries and `heap_bytes()` is that figure too;
 //! * a layout pin: the reported bytes stay under per-node / per-entry /
-//!   per-candidate ceilings derived from the flat layout.
+//!   per-candidate ceilings derived from the flat layout;
+//! * Theorem 2, the largest resident part once the d-representation is its
+//!   δ ≡ 0 case: across a whole build, live bytes are `heap_bytes()` plus
+//!   the headers it leaves out, **to the byte** for δ ≡ 0 structures on the
+//!   2- and 3-path and within Theorem 1's own 2 KiB window per delay-tuned
+//!   bag for a mixed one on the 4-path. A root-check relation is shared
+//!   with the database, so `heap_bytes()` (which counts its name and rows
+//!   per holder) exceeds the allocator's figure by exactly that content:
+//!   the 3-path `bbbf` row, where `R1` and `R2` are inside `V_b`, shows it.
 //!
 //! Sabotage, checked once when the third gate was written: a structure
 //! that keeps its `CostEstimator` in a field, or one `Arc` to a
 //! `[free | bound]` index leaked out of `build_pooled`, leaves 77 KB or
 //! more live that nothing reports, and the 2 KiB bound turns red on the
-//! first pattern.
+//! first pattern. For the fifth gate: a `MaterializedBag` that keeps its
+//! own copy of the two variable lists beside its bag's (32 B a bag, the
+//! layout before the d-representation became Theorem 2 at δ ≡ 0) fails
+//! the `bff` row; a root check that deep-copies its relation
+//! (`Arc::new((*rel).clone())`) fails the `bbbf` row by 11.6 KB.
 //!
 //! Everything is in one `#[test]` so no other test thread allocates while
 //! live bytes are being compared.
@@ -34,14 +46,22 @@ use cqc_core::cost::CostEstimator;
 use cqc_core::dbtree::DelayBalancedTree;
 use cqc_core::dictionary::HeavyDictionary;
 use cqc_core::theorem1::Theorem1Structure;
+use cqc_core::theorem2::Theorem2Structure;
+use cqc_decomp::TreeDecomposition;
 use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
 use cqc_query::parser::parse_adorned;
+use cqc_query::{AdornedView, Var, VarSet};
 use cqc_storage::{Database, IndexPool, Relation};
 use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// What a delay-tuned bag adds to a Theorem 2 structure's unreported
+/// bytes: Theorem 1's own (its view, cover and grid sizes — the third
+/// gate's 2 KiB) and the box it lives in.
+const UNREPORTED_PER_TRADEOFF_BAG: usize = 2048 + 512;
 
 /// A skewed triangle database: one friendship graph under three names.
 fn triangle_db() -> Database {
@@ -168,6 +188,73 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         assert!(
             dict_bytes <= 8 * entries + 8 * nodes + (8 * nb + 8) * cands,
             "{pattern}: dictionary {dict_bytes} B for {entries} entries, {nodes} nodes, {cands} candidates"
+        );
+    }
+    theorem2_reports_what_it_holds();
+}
+
+/// The fifth gate (called from the one test: see the header).
+fn theorem2_reports_what_it_holds() {
+    let names = ["R1", "R2", "R3", "R4"];
+    let mut rng = cqc_workload::rng(21);
+    let mut db = Database::new();
+    for name in names {
+        db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 400, 40))
+            .unwrap();
+    }
+    let constant_delay = |v: &AdornedView| Theorem2Structure::build_constant_delay(v, &db).unwrap();
+    // Example 10's decomposition of the 4-path, its middle bag delay-tuned:
+    // root {x1,x5} → {x2,x4 | x1,x5} (δ = 0.3) → {x3 | x2,x4} (δ = 0).
+    let bag = |vars: &[u32]| vars.iter().map(|&v| Var(v)).collect::<VarSet>();
+    let td = TreeDecomposition::new(
+        vec![bag(&[0, 4]), bag(&[0, 1, 3, 4]), bag(&[1, 2, 3])],
+        vec![None, Some(0), Some(1)],
+    )
+    .unwrap();
+    let mixed = |v: &AdornedView| Theorem2Structure::build(v, &db, &td, &[0.0, 0.3, 0.0]).unwrap();
+    type Build<'a> = &'a dyn Fn(&AdornedView) -> Theorem2Structure;
+    // (atoms, pattern, builder, tradeoff bags expected, root-check relations)
+    let cases: [(usize, &str, Build, bool, &[&str]); 4] = [
+        (2, "bff", &constant_delay, false, &[]),
+        (3, "bfff", &constant_delay, false, &[]),
+        (4, "bfffb", &mixed, true, &[]),
+        (3, "bbbf", &constant_delay, false, &["R1", "R2"]),
+    ];
+    for (atoms, pattern, build, tradeoff, inside_vb) in cases {
+        let view = cqc_workload::queries::path(atoms, pattern).unwrap();
+        let before = live_bytes();
+        let copy = view.clone();
+        let view_bytes = (live_bytes() - before) as usize;
+        drop(copy);
+
+        let before = live_bytes();
+        let s = build(&view);
+        let live = (live_bytes() - before) as usize;
+        let stats = s.stats();
+        assert_eq!(stats.tradeoff_bags > 0, tradeoff, "{pattern}: {stats:?}");
+        assert!(stats.materialized_tuples > 100, "{pattern}: {stats:?}");
+        let shared: usize = inside_vb
+            .iter()
+            .map(|name| name.len() + 8 * 2 * db.require(name).unwrap().len())
+            .sum();
+        assert_eq!(shared > 0, !inside_vb.is_empty());
+        // What the structure holds and `heap_bytes` leaves out, term by
+        // term (every decomposition here is a chain): per bag its header,
+        // parent slot and child-list header; per inner bag a child list at
+        // its first growth; a delay per decomposition node; the root-check
+        // list at its first growth; the view definition.
+        let bags = stats.bags;
+        let unreported = (96 + 16 + 24) * bags
+            + 32 * (bags - 1)
+            + 8 * (bags + 1)
+            + if inside_vb.is_empty() { 0 } else { 4 * 32 }
+            + view_bytes;
+        let held = s.heap_bytes() - shared + unreported;
+        let window = UNREPORTED_PER_TRADEOFF_BAG * stats.tradeoff_bags;
+        assert!(
+            (held..=held + window).contains(&live),
+            "{atoms}-path {pattern}: the allocator says {live} live bytes; heap_bytes() less \
+             the {shared} B shared with the database plus {unreported} B of headers is {held}"
         );
     }
 }

@@ -128,6 +128,13 @@ fn distinct_strategies_get_distinct_entries() {
         .unwrap();
     assert_eq!(engine.catalog_stats().entries, 2);
     assert_eq!(engine.catalog_stats().builds, 2);
+    // The `factorized` tag names a recipe; what it builds is Theorem 2.
+    let explained = engine.explain("fac").unwrap();
+    assert!(explained.contains("strategy: factorized"), "{explained}");
+    assert!(
+        explained.contains("theorem 2") && explained.contains("(0 delay-tuned"),
+        "{explained}"
+    );
 }
 
 #[test]

@@ -74,6 +74,13 @@ fn sharded_matches_unsharded_across_strategies_and_shard_counts() {
             let db = triangle_db(41);
             let engine = Engine::new(db.clone());
             engine.register("v", view.clone(), policy.clone()).unwrap();
+            if tag == "factorized" {
+                let explained = engine.explain("v").unwrap();
+                assert!(
+                    explained.contains("theorem 2") && explained.contains("(0 delay-tuned"),
+                    "{explained}"
+                );
+            }
             for shards in [1usize, 2, 4, 7] {
                 let sharded = ShardedEngine::for_view(db.clone(), &view, config(shards)).unwrap();
                 sharded.register("v", view.clone(), policy.clone()).unwrap();

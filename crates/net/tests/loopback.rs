@@ -235,6 +235,13 @@ fn remote_stream_matches_local_sharded_across_strategies() {
         let bounds = bound_grid(pattern.matches('b').count());
         for token in ["tau:2", "materialize", "direct", "factorized", "auto"] {
             let sharded = local_sharded(&db, &spec, pattern, token);
+            if token == "factorized" {
+                let explained = sharded.shard(0).explain("v").unwrap();
+                assert!(
+                    explained.contains("theorem 2") && explained.contains("(0 delay-tuned"),
+                    "{explained}"
+                );
+            }
             let (_servers, addrs) = spawn_fleet(&db, &spec);
             let router = Router::connect(&addrs, spec.clone(), client_config()).unwrap();
             router.register_view("v", QUERY, pattern, token).unwrap();

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Everything CI runs after build / test / fmt / clippy / doc, in minutes:
-# the dependency-direction guard, a compile check of the benchmark
+# the dependency guards, a compile check of the benchmark
 # package, the cqe smokes, the three verdict harnesses with their gated
 # booleans, the metrics-feature tests, and the benchmark package's tests
 # and quick suite. Exits nonzero at the first failed check.
@@ -35,6 +35,12 @@ for crate in cqc-engine cqc-net; do
         exit 1
     fi
 done
+# One structure over a connex decomposition: the d-representation is
+# Theorem 2 at δ ≡ 0 inside cqc-core, not a crate beside it.
+if [ -e crates/factorized ] || cargo tree --offline -e normal -p cqc-core | grep -q 'cqc-factorized'; then
+    echo "cqc-factorized is back: the factorized recipe builds a Theorem2Structure" >&2
+    exit 1
+fi
 
 step "benchmark package compiles against this tree"
 # benchmark/ is its own workspace and frozen between benchmark PRs: an API
@@ -76,6 +82,19 @@ cqe \
     -e 'update --rm R 1 2' |
     tee "$OUT/delete.out"
 grep -q "applied remove delta" "$OUT/delete.out"
+
+# The `factorized` tag names a recipe (width-minimal decomposition, δ ≡ 0);
+# what it builds is the Theorem 2 structure with no delay-tuned bag. An
+# `Auto`/`Factorized` arm of `CompressedView::build_pooled` that builds
+# anything else loses the second line: `build_with_budget(view, db, 1.0)`
+# there delay-tunes the triangle's one bag (checked once).
+cqe \
+    -e 'gen triangle 400 7' \
+    -e 'register fac bff factorized "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
+    -e 'explain fac' |
+    tee "$OUT/factorized.out"
+grep -q "strategy: factorized" "$OUT/factorized.out"
+grep -Eq "repr: +theorem 2: [0-9]+ bags \(0 delay-tuned.*constant delay" "$OUT/factorized.out"
 
 step "chaos (replicated fleet under scripted faults)"
 harness chaos

@@ -214,6 +214,14 @@ fn every_strategy_agrees_with_the_oracle_everywhere() {
         for (sname, strat) in strategies() {
             let cv = CompressedView::build(&sc.view, &sc.db, strat.clone())
                 .unwrap_or_else(|e| panic!("{} / {sname}: build failed: {e}", sc.name));
+            if sname == "factorized" && sc.view.mu() > 0 {
+                assert!(
+                    matches!(&cv, CompressedView::Decomposed(s) if s.stats().tradeoff_bags == 0),
+                    "{}: the factorized recipe is theorem 2 at δ ≡ 0, got {}",
+                    sc.name,
+                    cv.describe()
+                );
+            }
             for (req, expect) in requests.iter().zip(&expected) {
                 let got: Vec<Tuple> = cv.answer(req).unwrap().collect();
                 assert_eq!(

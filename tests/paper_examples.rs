@@ -393,9 +393,9 @@ fn figure_2_left_decomposition() {
         ))
         .unwrap();
     }
-    let rep = cqc_factorized::FactorizedRepresentation::build(&view, &db, &td).unwrap();
+    let rep = Theorem2Structure::build(&view, &db, &td, &vec![0.0; td.len()]).unwrap();
     assert!(
-        rep.materialized_tuples() <= db.size(),
+        rep.stats().materialized_tuples <= db.size(),
         "semijoin-reduced ≤ |D|"
     );
     let expect = evaluate_view(&view, &db, &[]).unwrap();
@@ -446,12 +446,14 @@ fn propositions_2_and_4_factorized() {
         .unwrap();
     }
     let cv = CompressedView::build(&view, &db, Strategy::Factorized).unwrap();
-    if let CompressedView::Factorized(f) = &cv {
+    if let CompressedView::Decomposed(f) = &cv {
         // Linear-ish: bag tuples bounded by Σ|R_F| after semijoins (acyclic
         // bags are single edges up to subsumption).
-        assert!(f.materialized_tuples() <= 2 * db.size());
+        let stats = f.stats();
+        assert_eq!(stats.tradeoff_bags, 0, "the factorized recipe is δ ≡ 0");
+        assert!(stats.materialized_tuples <= 2 * db.size());
     } else {
-        panic!("expected factorized");
+        panic!("expected theorem 2 at δ ≡ 0");
     }
     let expect = evaluate_view(&view, &db, &[]).unwrap();
     let got: Vec<Tuple> = cv.answer(&[]).unwrap().collect();
