@@ -109,7 +109,7 @@ fn exp1_triangle(scale: Scale) {
     let mat_build = t0.elapsed();
     let mut b = BatchStats::default();
     for r in &requests {
-        b.add(&measure_delays(mat.answer(r).unwrap()));
+        b.add(&measure_delays(|probe| mat.answer_into(r, probe)));
     }
     let bm = b.finish();
     rows.push(vec![
@@ -123,7 +123,7 @@ fn exp1_triangle(scale: Scale) {
     let dir = DirectView::build(&view, &db).unwrap();
     let mut b = BatchStats::default();
     for r in &requests {
-        b.add(&measure_delays(dir.answer(r).unwrap()));
+        b.add(&measure_delays(|probe| dir.answer_into(r, probe)));
     }
     let bd = b.finish();
     rows.push(vec![
@@ -144,7 +144,7 @@ fn exp1_triangle(scale: Scale) {
         let build = t0.elapsed();
         let mut b = BatchStats::default();
         for r in &requests {
-            b.add(&measure_delays(s.answer(r).unwrap()));
+            b.add(&measure_delays(|probe| s.answer_into(r, probe)));
         }
         let bs = b.finish();
         assert_eq!(bs.tuples, bm.tuples, "correctness anchor");
@@ -197,8 +197,9 @@ fn exp2_bound_only(scale: Scale) {
         let reqs = witness_requests(&mut rng, &view, &db, 2000);
         let t0 = Instant::now();
         let mut hits = 0usize;
+        let mut key = Vec::new();
         for r in &reqs {
-            hits += usize::from(s.exists(r).unwrap());
+            hits += usize::from(s.exists(r, &mut key).unwrap());
         }
         let probe = t0.elapsed().as_nanos() as u64 / reqs.len() as u64;
         sizes.push(db.size() as f64);
@@ -244,7 +245,7 @@ fn exp3_factorized(scale: Scale) {
     let t0 = Instant::now();
     let f = Theorem2Structure::build_constant_delay(&view, &db).unwrap();
     let f_build = t0.elapsed();
-    let d = measure_delays(f.answer(&[]).unwrap());
+    let d = measure_delays(|probe| f.answer_into(&[], probe));
     rows.push(vec![
         "factorized (Prop 2)".into(),
         fmt_bytes(f.heap_bytes()),
@@ -256,7 +257,7 @@ fn exp3_factorized(scale: Scale) {
     let t0 = Instant::now();
     let m = MaterializedView::build(&view, &db).unwrap();
     let m_build = t0.elapsed();
-    let dm = measure_delays(m.answer(&[]).unwrap());
+    let dm = measure_delays(|probe| m.answer_into(&[], probe));
     rows.push(vec![
         "materialized".into(),
         fmt_bytes(m.heap_bytes()),
@@ -317,7 +318,7 @@ fn exp4_loomis_whitney(scale: Scale) {
         let s = Theorem1Structure::build(&view, &db, &[0.5, 0.5, 0.5], tau).unwrap();
         let mut b = BatchStats::default();
         for r in &requests {
-            b.add(&measure_delays(s.answer(r).unwrap()));
+            b.add(&measure_delays(|probe| s.answer_into(r, probe)));
         }
         let bs = b.finish();
         rows.push(vec![
@@ -449,7 +450,7 @@ fn exp6_set_intersection(scale: Scale) {
         let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0], tau).unwrap();
         let mut b = BatchStats::default();
         for r in &requests {
-            b.add(&measure_delays(s.answer(r).unwrap()));
+            b.add(&measure_delays(|probe| s.answer_into(r, probe)));
         }
         let bs = b.finish();
         let t0 = Instant::now();
@@ -520,7 +521,7 @@ fn exp7_path(scale: Scale) {
         let build = t0.elapsed();
         let mut b = BatchStats::default();
         for r in &requests {
-            b.add(&measure_delays(s.answer(r).unwrap()));
+            b.add(&measure_delays(|probe| s.answer_into(r, probe)));
         }
         let bs = b.finish();
         if let Some(a) = anchor {
@@ -547,7 +548,7 @@ fn exp7_path(scale: Scale) {
         let build = t0.elapsed();
         let mut b = BatchStats::default();
         for r in &requests {
-            b.add(&measure_delays(s.answer(r).unwrap()));
+            b.add(&measure_delays(|probe| s.answer_into(r, probe)));
         }
         let bs = b.finish();
         assert_eq!(anchor.unwrap(), bs.tuples, "correctness anchor");
@@ -652,8 +653,12 @@ fn exp8_running_example() {
         // r_r is node 2: the left child r_l is node 1, a leaf.
         s.dictionary().get(2, &[1, 1, 1]),
     );
-    let out: Vec<Vec<u64>> = s.answer(&[1, 1, 1]).unwrap().collect();
-    println!("Q[(1,1,1)] = {out:?} (paper: lexicographic enumeration)\n");
+    let mut out = cqc_common::AnswerBlock::new();
+    s.answer_into(&[1, 1, 1], &mut out).unwrap();
+    println!(
+        "Q[(1,1,1)] = {:?} (paper: lexicographic enumeration)\n",
+        out.to_tuples()
+    );
 }
 
 /// EXP-9: the §6 optimizers across queries and budgets.
@@ -807,12 +812,12 @@ fn exp12_community_locality(scale: Scale) {
         let requests = witness_requests(&mut rng, &view, &db, scale.pick(150, 300));
         let mut bs = BatchStats::default();
         for r in &requests {
-            bs.add(&measure_delays(s.answer(r).unwrap()));
+            bs.add(&measure_delays(|probe| s.answer_into(r, probe)));
         }
         let bs = bs.finish();
         let mut bd = BatchStats::default();
         for r in &requests {
-            bd.add(&measure_delays(dir.answer(r).unwrap()));
+            bd.add(&measure_delays(|probe| dir.answer_into(r, probe)));
         }
         let bd = bd.finish();
         assert_eq!(bs.tuples, bd.tuples);

@@ -20,17 +20,21 @@
 #![warn(missing_docs)]
 
 use cqc_common::measure::{DelayProbe, DelayStats};
-use cqc_common::value::{Tuple, Value};
+use cqc_common::value::Value;
 use cqc_query::parser::parse_adorned;
 use cqc_query::AdornedView;
 use cqc_storage::Database;
 
-/// Drains `iter`, recording inter-arrival gaps.
-pub fn measure_delays(iter: impl Iterator<Item = Tuple>) -> DelayStats {
+/// The delay of one access request as the served path delivers it:
+/// `answer_into` drives a representation's answers into the probe — the
+/// sink — which records the gap before each one and before the final
+/// "done". The clock starts at the request, so the first gap includes the
+/// cursor's own set-up.
+pub fn measure_delays(
+    answer_into: impl FnOnce(&mut DelayProbe) -> cqc_common::Result<()>,
+) -> DelayStats {
     let mut probe = DelayProbe::start();
-    for _ in iter {
-        probe.tick();
-    }
+    answer_into(&mut probe).expect("a generated request matches its view's pattern");
     probe.finish()
 }
 
@@ -180,8 +184,11 @@ mod tests {
 
     #[test]
     fn measure_counts_tuples_and_gaps() {
-        let tuples: Vec<Tuple> = (0..10).map(|i| vec![i]).collect();
-        let d = measure_delays(tuples.into_iter());
+        use cqc_common::AnswerSink;
+        let d = measure_delays(|probe| {
+            (0..10).for_each(|i| assert!(probe.push(&[i])));
+            Ok(())
+        });
         assert_eq!(d.tuples, 10);
         assert!(d.max_ns >= d.p99_ns && d.p99_ns >= d.p50_ns);
         assert!(d.total_ns > 0);
@@ -189,7 +196,7 @@ mod tests {
 
     #[test]
     fn measure_empty_iterator() {
-        let d = measure_delays(std::iter::empty());
+        let d = measure_delays(|_| Ok(()));
         assert_eq!(d.tuples, 0);
         assert!(d.first_ns > 0 || d.max_ns >= d.first_ns);
     }

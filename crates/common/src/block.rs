@@ -1,30 +1,29 @@
-//! Flat answer blocks and push-style enumeration sinks.
+//! Flat answer blocks and enumeration sinks.
 //!
-//! The enumeration pipeline used to be pull-style: every structure exposed
-//! an `Iterator<Item = Tuple>` and every `next()` allocated a fresh
-//! `Vec<Value>` per answer. The paper's delay guarantees are about work per
-//! answer, not allocations per answer — and in practice allocator traffic,
-//! not the data structures, dominated the measured delay. This module is
-//! the push-style replacement:
+//! Answers leave a representation one way: the structure calls
+//! [`AnswerSink::push`] with a **borrowed** value slice per answer, and the
+//! sink decides whether to copy (into a flat block), count, time, or stop.
+//! The paper's delay guarantees are about work per answer, not allocations
+//! per answer — and when every answer was handed out as a fresh
+//! `Vec<Value>`, allocator traffic, not the data structures, dominated the
+//! measured delay. So nothing on the answer path allocates per answer:
 //!
-//! * [`AnswerSink`] — the receiver side. Enumerators call
-//!   [`AnswerSink::push`] with a **borrowed** value slice per answer; the
-//!   sink decides whether to copy (into a flat block), count, or stop.
+//! * [`AnswerSink`] — the receiver side.
 //! * [`AnswerBlock`] — the standard sink: one arity-strided `Vec<Value>`
 //!   holding every answer of an enumeration back to back. Clearing a block
 //!   keeps its capacity, so a block reused across requests reaches a
 //!   steady state with **zero** heap allocations per answer.
 //! * [`ExistsSink`] / [`CountingSink`] / [`FnSink`] — existence probes,
-//!   cardinality counts, and ad-hoc closures over the same push interface.
+//!   cardinality counts, and ad-hoc closures over the same interface;
+//!   [`crate::measure::DelayProbe`] is the sink that measures the delay.
 //!
-//! The pull-style iterators are retained as thin compatibility shims built
-//! on the same cores; new code (and every hot serve path) goes through
-//! sinks.
+//! [`AnswerBlock::to_tuples`] is the one place owned tuples are made, for
+//! comparing a served stream with the naive oracle's `Vec<Tuple>`.
 
 use crate::heap::HeapSize;
 use crate::value::{lex_cmp, Tuple, Value};
 
-/// The receiving end of a push-style enumeration.
+/// The receiving end of an enumeration.
 ///
 /// Enumerators hand each answer to [`AnswerSink::push`] as a borrowed
 /// slice valid only for the duration of the call; the sink copies what it
@@ -122,8 +121,8 @@ impl AnswerBlock {
         })
     }
 
-    /// Copies the block out into the legacy owned-tuple representation
-    /// (compatibility; one allocation per tuple by construction).
+    /// Copies the block out into owned tuples, the naive oracle's return
+    /// type (one allocation per tuple by construction).
     pub fn to_tuples(&self) -> Vec<Tuple> {
         self.iter().map(<[Value]>::to_vec).collect()
     }

@@ -2,7 +2,8 @@
 
 use cqc_common::error::Result;
 use cqc_common::heap::HeapSize;
-use cqc_common::value::{lex_cmp, Value};
+use cqc_common::util::prefix_range;
+use cqc_common::value::Value;
 use cqc_join::leapfrog::LevelConstraint;
 use cqc_join::plan::ViewPlan;
 use cqc_query::adorned::AdornedView;
@@ -10,7 +11,6 @@ use cqc_query::atom::Atom;
 use cqc_query::cq::ConjunctiveQuery;
 use cqc_query::{Var, VarSet};
 use cqc_storage::Database;
-use std::cmp::Ordering;
 
 /// A materialized bag: the join of the bag-projected relations, stored as
 /// sorted rows `[bound vars | free vars]` and indexed by binary search on
@@ -141,29 +141,7 @@ impl MaterializedBag {
     /// (binary search: O(log n)).
     pub(crate) fn range_for(&self, key: &[Value]) -> (usize, usize) {
         debug_assert_eq!(key.len(), self.bound_width);
-        let n = self.len();
-        let prefix_cmp = |i: usize| lex_cmp(&self.row(i)[..key.len()], key);
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if prefix_cmp(mid) == Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let start = lo;
-        let mut hi = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if prefix_cmp(mid) != Ordering::Greater {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        (start, lo)
+        prefix_range(&self.rows, self.width, key)
     }
 
     /// `true` iff some row has the given bound prefix.
@@ -190,7 +168,7 @@ impl MaterializedBag {
     /// Creates a bag directly from rows.
     #[cfg(test)]
     fn from_rows(bound_width: usize, width: usize, mut tuples: Vec<Vec<Value>>) -> MaterializedBag {
-        tuples.sort_unstable_by(|a, b| lex_cmp(a, b));
+        tuples.sort_unstable();
         tuples.dedup();
         let mut rows = Vec::with_capacity(tuples.len() * width);
         for t in &tuples {

@@ -8,23 +8,25 @@
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics;
-use cqc_common::value::{Tuple, Value};
+use cqc_common::value::Value;
 use cqc_query::{AdornedView, Var};
-use cqc_storage::{Database, Delta, Relation};
+use cqc_storage::{Database, Relation};
+use std::sync::Arc;
 
 /// The Proposition 1 structure: per-atom relations plus head-position
 /// extraction tables.
 #[derive(Debug)]
 pub struct BoundOnlyView {
     view: AdornedView,
-    /// Per atom: the relation and, per schema column, the bound-head
-    /// position supplying its value.
-    checks: Vec<(Relation, Vec<usize>)>,
+    /// Per atom: the relation — the database's own allocation, never a
+    /// copy — and, per schema column, the bound-head position supplying
+    /// its value.
+    checks: Vec<(Arc<Relation>, Vec<usize>)>,
 }
 
 impl BoundOnlyView {
-    /// Builds the structure (clones the referenced relations; linear space
-    /// and time).
+    /// Builds the structure: a handle on each referenced relation and a
+    /// position table per atom.
     ///
     /// # Errors
     ///
@@ -46,75 +48,60 @@ impl BoundOnlyView {
                 .position(|w| *w == v)
                 .expect("full view: every variable is in the head")
         };
-        let mut checks = Vec::with_capacity(query.atoms.len());
-        for atom in &query.atoms {
-            let rel = db.require(&atom.relation)?.clone();
-            let positions: Vec<usize> = atom.vars().map(pos_of).collect();
-            checks.push((rel, positions));
-        }
+        let checks = query
+            .atoms
+            .iter()
+            .map(|atom| {
+                let rel = db.get_arc(&atom.relation).expect("schema checked above");
+                (rel, atom.vars().map(pos_of).collect())
+            })
+            .collect();
         Ok(BoundOnlyView {
             view: view.clone(),
             checks,
         })
     }
 
-    /// Maintains the structure across `delta` (already applied to `db`):
-    /// the membership snapshots of touched relations are re-taken from the
-    /// post-delta database, untouched ones are kept. Inserts and removes
-    /// are equally trivial here — the structure is a per-atom copy of the
-    /// base relations.
+    /// Maintains the structure across a delta already applied to `db`: the
+    /// handles are re-taken from the post-delta database, where an
+    /// untouched relation is still the same allocation.
     ///
     /// Returns `Ok(None)` when the stored view cannot absorb deltas
     /// (non-natural atoms from the Example 3 rewrite).
     ///
     /// # Errors
     ///
-    /// Fails when a touched relation is missing from `db`.
-    pub fn maintained(&self, db: &Database, delta: &Delta) -> Result<Option<BoundOnlyView>> {
-        let query = self.view.query();
-        if query.atoms.iter().any(|a| !a.is_natural()) {
+    /// Fails when a view relation is missing from `db`.
+    pub fn maintained(&self, db: &Database) -> Result<Option<BoundOnlyView>> {
+        if self.view.query().atoms.iter().any(|a| !a.is_natural()) {
             return Ok(None);
         }
-        let mut checks = Vec::with_capacity(self.checks.len());
-        for ((rel, positions), atom) in self.checks.iter().zip(&query.atoms) {
-            let rel = if delta.touches(&atom.relation) {
-                db.require(&atom.relation)?.clone()
-            } else {
-                rel.clone()
-            };
-            checks.push((rel, positions.clone()));
-        }
-        Ok(Some(BoundOnlyView {
-            view: self.view.clone(),
-            checks,
-        }))
+        BoundOnlyView::build(&self.view, db).map(Some)
     }
 
-    /// `true` iff the fully bound request is in the view.
-    pub fn exists(&self, bound_values: &[Value]) -> Result<bool> {
+    /// `true` iff the fully bound request is in the view. `key` is scratch
+    /// for the per-atom probe keys: a caller that keeps it across requests
+    /// probes without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the bound value count mismatches the pattern.
+    pub fn exists(&self, bound_values: &[Value], key: &mut Vec<Value>) -> Result<bool> {
         self.view.check_access(bound_values)?;
         for (rel, positions) in &self.checks {
-            let tuple: Tuple = positions.iter().map(|&p| bound_values[p]).collect();
-            if !rel.contains(&tuple) {
+            key.clear();
+            key.extend(positions.iter().map(|&p| bound_values[p]));
+            if !rel.contains(key) {
                 return Ok(false);
             }
         }
         Ok(true)
     }
 
-    /// Answers the request: at most one (empty) output tuple, matching the
-    /// enumeration contract of the other structures.
-    pub fn answer(&self, bound_values: &[Value]) -> Result<std::vec::IntoIter<Tuple>> {
-        let out = if self.exists(bound_values)? {
-            metrics::record_tuple_output();
-            vec![Vec::new()]
-        } else {
-            Vec::new()
-        };
-        Ok(out.into_iter())
-    }
-
-    /// Push-style answering: at most one empty tuple is pushed.
+    /// Pushes the request's answer into `sink`: the empty tuple when the
+    /// request is in the view, nothing otherwise — the enumeration
+    /// contract of the other structures at μ = 0. `key` as in
+    /// [`BoundOnlyView::exists`].
     ///
     /// # Errors
     ///
@@ -122,9 +109,10 @@ impl BoundOnlyView {
     pub fn answer_into(
         &self,
         bound_values: &[Value],
+        key: &mut Vec<Value>,
         sink: &mut impl cqc_common::AnswerSink,
     ) -> Result<()> {
-        if self.exists(bound_values)? {
+        if self.exists(bound_values, key)? {
             metrics::record_tuple_output();
             sink.push(&[]);
         }
@@ -137,11 +125,18 @@ impl BoundOnlyView {
     }
 }
 
+/// What a membership check reports for its relation: the content (name and
+/// rows) per holder — what the exact-capacity copy it replaces reported —
+/// although the allocation is the database's.
+pub(crate) fn check_relation_bytes(rel: &Relation) -> usize {
+    rel.name().len() + rel.len() * rel.arity() * std::mem::size_of::<Value>()
+}
+
 impl HeapSize for BoundOnlyView {
     fn heap_bytes(&self) -> usize {
         self.checks
             .iter()
-            .map(|(r, p)| r.heap_bytes() + p.heap_bytes())
+            .map(|(r, p)| check_relation_bytes(r) + p.heap_bytes())
             .sum()
     }
 }
@@ -164,12 +159,15 @@ mod tests {
     fn membership_semantics() {
         let v = parse_adorned("Q(x, y, z) :- R(x, y), S(y, z)", "bbb").unwrap();
         let b = BoundOnlyView::build(&v, &db()).unwrap();
-        assert!(b.exists(&[1, 2, 3]).unwrap());
-        assert!(b.exists(&[2, 3, 4]).unwrap());
-        assert!(!b.exists(&[1, 2, 4]).unwrap());
-        assert!(!b.exists(&[9, 9, 9]).unwrap());
-        assert_eq!(b.answer(&[1, 2, 3]).unwrap().count(), 1);
-        assert_eq!(b.answer(&[1, 2, 4]).unwrap().count(), 0);
+        let key = &mut Vec::new();
+        assert!(b.exists(&[1, 2, 3], key).unwrap());
+        assert!(b.exists(&[2, 3, 4], key).unwrap());
+        assert!(!b.exists(&[1, 2, 4], key).unwrap());
+        assert!(!b.exists(&[9, 9, 9], key).unwrap());
+        let mut block = cqc_common::AnswerBlock::new();
+        b.answer_into(&[1, 2, 3], key, &mut block).unwrap();
+        b.answer_into(&[1, 2, 4], key, &mut block).unwrap();
+        assert_eq!(block.to_tuples(), vec![Vec::<Value>::new()]);
     }
 
     #[test]
@@ -180,8 +178,8 @@ mod tests {
         db.add(Relation::from_pairs("R", vec![(1, 2), (2, 3), (3, 1)]))
             .unwrap();
         let b = BoundOnlyView::build(&v, &db).unwrap();
-        assert!(b.exists(&[1, 2, 3]).unwrap());
-        assert!(!b.exists(&[2, 1, 3]).unwrap());
+        assert!(b.exists(&[1, 2, 3], &mut Vec::new()).unwrap());
+        assert!(!b.exists(&[2, 1, 3], &mut Vec::new()).unwrap());
     }
 
     #[test]
@@ -190,6 +188,6 @@ mod tests {
         assert!(BoundOnlyView::build(&v, &db()).is_err());
         let v = parse_adorned("Q(x, y) :- R(x, y)", "bb").unwrap();
         let b = BoundOnlyView::build(&v, &db()).unwrap();
-        assert!(b.exists(&[1]).is_err());
+        assert!(b.exists(&[1], &mut Vec::new()).is_err());
     }
 }

@@ -5,7 +5,7 @@
 //! extremal baselines of §2.3, Proposition 1's all-bound structure and
 //! the Theorem 1/2 structures (the factorized representation of
 //! Propositions 2/4 is Theorem 2 at δ ≡ 0) — behind one
-//! `answer`/`exists`/space-accounting API, after
+//! `answer_into`/`exists`/space-accounting API, after
 //! applying the Example 3 rewrite so that constants and repeated variables
 //! are always accepted.
 
@@ -14,7 +14,7 @@ use crate::theorem1::Theorem1Structure;
 use crate::theorem2::Theorem2Structure;
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
-use cqc_common::value::{Tuple, Value};
+use cqc_common::value::Value;
 use cqc_decomp::TreeDecomposition;
 use cqc_join::baselines::{DirectView, MaterializedView};
 use cqc_lp::fractional::{min_delay_cover, min_space_cover};
@@ -227,51 +227,27 @@ impl CompressedView {
         }
     }
 
-    /// Answers an access request: an iterator over the free-variable tuples.
-    ///
-    /// This is the legacy pull-style interface (one tuple allocation per
-    /// answer); the serve path uses [`CompressedView::answer_into`] /
-    /// [`CompressedView::enumerator`], which allocate nothing per answer.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the bound value count mismatches the view's pattern.
-    pub fn answer(&self, bound_values: &[Value]) -> Result<AnswerIter<'_>> {
-        Ok(match self {
-            CompressedView::BoundOnly(s) => AnswerIter::Eager(s.answer(bound_values)?),
-            CompressedView::Materialized(s) => AnswerIter::Materialized(s.answer(bound_values)?),
-            CompressedView::Direct(s) => AnswerIter::Direct(s.answer(bound_values)?),
-            CompressedView::Tradeoff(s) => AnswerIter::Tradeoff(Box::new(s.answer(bound_values)?)),
-            CompressedView::Decomposed(s) => {
-                AnswerIter::Decomposed(Box::new(s.answer(bound_values)?))
-            }
-            CompressedView::AlwaysEmpty(v) => {
-                v.check_access(bound_values)?;
-                AnswerIter::Eager(Vec::new().into_iter())
-            }
-        })
-    }
-
-    /// A reusable push-style enumerator for this representation: request
-    /// scratch (traversal stacks, constraint vectors, joins, odometer
-    /// cursors) is created once and reused across
+    /// A reusable enumerator for this representation: request scratch
+    /// (traversal stacks, constraint vectors, joins, odometer cursors,
+    /// probe keys) is created once and reused across
     /// [`ViewEnumerator::answer_into`] calls, so steady-state serving
     /// performs zero heap allocations per answer.
     pub fn enumerator(&self) -> ViewEnumerator<'_> {
         match self {
-            CompressedView::BoundOnly(s) => ViewEnumerator::BoundOnly(s),
+            CompressedView::BoundOnly(s) => ViewEnumerator::BoundOnly { s, key: Vec::new() },
             CompressedView::Materialized(s) => ViewEnumerator::Materialized(s),
             CompressedView::Direct(s) => ViewEnumerator::Direct(s.enumerator()),
-            CompressedView::Tradeoff(s) => ViewEnumerator::Tradeoff { s, iter: None },
-            CompressedView::Decomposed(s) => ViewEnumerator::Decomposed { s, iter: None },
+            CompressedView::Tradeoff(s) => ViewEnumerator::Tradeoff(s.enumerator()),
+            CompressedView::Decomposed(s) => ViewEnumerator::Decomposed(s.enumerator()),
             CompressedView::AlwaysEmpty(v) => ViewEnumerator::AlwaysEmpty(v),
         }
     }
 
-    /// One-shot push-style answering: drives every answer of the request
-    /// into `sink` as a borrowed slice (no per-answer tuple allocation).
-    /// For request streams, hold a [`CompressedView::enumerator`] instead
-    /// so the per-request scratch is reused too.
+    /// Answers one access request: drives every answer into `sink` as a
+    /// borrowed slice of free-variable values — the one way answers leave
+    /// a representation. For request streams, hold a
+    /// [`CompressedView::enumerator`] instead so the per-request scratch is
+    /// reused too.
     ///
     /// # Errors
     ///
@@ -407,34 +383,25 @@ impl HeapSize for CompressedView {
     }
 }
 
-/// Unified reusable push-style enumerator (see
-/// [`CompressedView::enumerator`]).
-///
-/// The delay-tuned variants create their underlying iterator lazily on the
-/// first request and then re-seed it via its `reset`, keeping all scratch;
-/// the baseline variants are stateless (materialized, bound-only) or hold
-/// a reusable join (direct).
+/// Unified reusable enumerator (see [`CompressedView::enumerator`]): each
+/// variant is the structure's own cursor, or a borrow of the structure
+/// where answering needs no scratch.
 pub enum ViewEnumerator<'a> {
     /// Proposition 1 membership probes.
-    BoundOnly(&'a BoundOnlyView),
+    BoundOnly {
+        /// The structure.
+        s: &'a BoundOnlyView,
+        /// Reused per-atom probe key.
+        key: Vec<Value>,
+    },
     /// Materialized range scans (push borrowed row slices).
     Materialized(&'a MaterializedView),
     /// Per-request worst-case-optimal join with a reusable cursor.
     Direct(cqc_join::baselines::DirectEnum<'a>),
     /// Algorithm 2 with reusable enumeration scratch.
-    Tradeoff {
-        /// The structure.
-        s: &'a Theorem1Structure,
-        /// Lazily created, reset-reused iterator.
-        iter: Option<crate::theorem1::Theorem1Iter<'a>>,
-    },
+    Tradeoff(crate::theorem1::Theorem1Iter<'a>),
     /// Algorithm 5 with reusable odometer scratch.
-    Decomposed {
-        /// The structure.
-        s: &'a Theorem2Structure,
-        /// Lazily created, reset-reused iterator.
-        iter: Option<crate::theorem2::Theorem2Iter<'a>>,
-    },
+    Decomposed(crate::theorem2::Theorem2Iter<'a>),
     /// A view proven empty during rewriting (validates access arity only).
     AlwaysEmpty(&'a AdornedView),
 }
@@ -453,63 +420,12 @@ impl ViewEnumerator<'_> {
         sink: &mut impl cqc_common::AnswerSink,
     ) -> Result<()> {
         match self {
-            ViewEnumerator::BoundOnly(s) => s.answer_into(bound_values, sink),
+            ViewEnumerator::BoundOnly { s, key } => s.answer_into(bound_values, key, sink),
             ViewEnumerator::Materialized(s) => s.answer_into(bound_values, sink),
             ViewEnumerator::Direct(e) => e.answer_into(bound_values, sink),
-            ViewEnumerator::Tradeoff { s, iter } => {
-                let it = match iter {
-                    Some(it) => {
-                        it.reset(bound_values)?;
-                        it
-                    }
-                    None => iter.insert(s.answer(bound_values)?),
-                };
-                it.drain_into(sink);
-                Ok(())
-            }
-            ViewEnumerator::Decomposed { s, iter } => {
-                let it = match iter {
-                    Some(it) => {
-                        it.reset(bound_values)?;
-                        it
-                    }
-                    None => iter.insert(s.answer(bound_values)?),
-                };
-                it.drain_into(sink);
-                Ok(())
-            }
-            ViewEnumerator::AlwaysEmpty(v) => {
-                v.check_access(bound_values)?;
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Unified answer iterator.
-pub enum AnswerIter<'a> {
-    /// Pre-collected answers (bound-only and always-empty cases).
-    Eager(std::vec::IntoIter<Tuple>),
-    /// Materialized range scan.
-    Materialized(cqc_join::baselines::MaterializedAnswer<'a>),
-    /// Per-request worst-case-optimal join.
-    Direct(cqc_join::baselines::DirectAnswer<'a>),
-    /// Algorithm 2 (boxed: the iterator carries its reusable scratch).
-    Tradeoff(Box<crate::theorem1::Theorem1Iter<'a>>),
-    /// Algorithm 5 (boxed: the iterator carries its reusable scratch).
-    Decomposed(Box<crate::theorem2::Theorem2Iter<'a>>),
-}
-
-impl Iterator for AnswerIter<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        match self {
-            AnswerIter::Eager(i) => i.next(),
-            AnswerIter::Materialized(i) => i.next(),
-            AnswerIter::Direct(i) => i.next(),
-            AnswerIter::Tradeoff(i) => i.next(),
-            AnswerIter::Decomposed(i) => i.next(),
+            ViewEnumerator::Tradeoff(it) => it.answer_into(bound_values, sink),
+            ViewEnumerator::Decomposed(it) => it.answer_into(bound_values, sink),
+            ViewEnumerator::AlwaysEmpty(v) => v.check_access(bound_values),
         }
     }
 }
@@ -517,7 +433,7 @@ impl Iterator for AnswerIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqc_common::value::lex_cmp;
+    use cqc_common::value::{lex_cmp, Tuple};
     use cqc_join::naive::evaluate_view;
     use cqc_query::parser::parse_adorned;
     use cqc_storage::Relation;
@@ -542,10 +458,11 @@ mod tests {
         db
     }
 
-    fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
-        v.sort_unstable_by(|a, b| lex_cmp(a, b));
-        v.dedup();
-        v
+    /// The request's answers, in the order a fresh enumerator pushes them.
+    fn answers(cv: &CompressedView, req: &[Value]) -> Vec<Tuple> {
+        let mut block = cqc_common::AnswerBlock::new();
+        cv.answer_into(req, &mut block).unwrap();
+        block.to_tuples()
     }
 
     #[test]
@@ -593,9 +510,15 @@ mod tests {
                 }
                 for req in reqs {
                     let expect = evaluate_view(&view, &db, &req).unwrap();
-                    let got: Vec<Tuple> = cv.answer(&req).unwrap().collect();
+                    let mut got = answers(&cv, &req);
+                    // Theorem 2 promises pre-order of its bags, every other
+                    // structure the oracle's head order. Sort only: a
+                    // duplicated answer must survive to the comparison.
+                    if matches!(cv, CompressedView::Decomposed(_)) {
+                        got.sort_unstable_by(|a, b| lex_cmp(a, b));
+                    }
                     assert_eq!(
-                        sorted(got),
+                        got,
                         expect,
                         "strategy {} pattern {pattern} req {req:?}",
                         cv.strategy_name()
@@ -642,9 +565,9 @@ mod tests {
             },
         )
         .unwrap();
-        let got: Vec<Tuple> = cv.answer(&[1]).unwrap().collect();
+        let got = answers(&cv, &[1]);
         assert_eq!(got, vec![vec![2], vec![3]]);
-        let got: Vec<Tuple> = cv.answer(&[2]).unwrap().collect();
+        let got = answers(&cv, &[2]);
         assert!(got.is_empty());
     }
 
@@ -657,7 +580,11 @@ mod tests {
         let cv = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
         assert_eq!(cv.strategy_name(), "always-empty");
         assert!(!cv.exists(&[1]).unwrap());
-        assert!(cv.answer(&[1, 2]).is_err(), "access arity still validated");
+        assert!(
+            cv.answer_into(&[1, 2], &mut cqc_common::CountingSink::default())
+                .is_err(),
+            "access arity still validated"
+        );
     }
 
     #[test]
@@ -697,7 +624,7 @@ mod tests {
             // Correctness at every budget.
             for x in 0..8u64 {
                 let expect = evaluate_view(&view, &db, &[x, (x + 3) % 25]).unwrap();
-                let got: Vec<Tuple> = cv.answer(&[x, (x + 3) % 25]).unwrap().collect();
+                let got = answers(&cv, &[x, (x + 3) % 25]);
                 assert_eq!(got, expect, "budget {budget}");
             }
         }

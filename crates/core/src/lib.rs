@@ -17,11 +17,11 @@
 //!   delay `Õ(|D|^h)` for δ-width `f` and δ-height `h`;
 //! * [`bound_only::BoundOnlyView`] — Proposition 1 for all-bound views;
 //! * [`compressed::CompressedView`] — a unified front door that picks (or
-//!   is told) a strategy and exposes `answer`/`exists`/space accounting;
-//!   its [`compressed::ViewEnumerator`] is the push-style, allocation-free
-//!   serve interface (answers are driven into a
-//!   [`cqc_common::AnswerSink`] as borrowed slices; all enumeration
-//!   scratch is reused across requests);
+//!   is told) a strategy and exposes `answer_into`/`exists`/space
+//!   accounting: answers leave a representation one way, driven into a
+//!   [`cqc_common::AnswerSink`] as borrowed slices. Its
+//!   [`compressed::ViewEnumerator`] is the reusable form of the same
+//!   call (all enumeration scratch is kept across requests);
 //! * the geometric/costing substrate of §4: [`fbox`] (f-intervals, box
 //!   decompositions), [`cost`] (the `T(·)` oracle), [`split`]
 //!   (Lemma 3/Algorithm 1) and [`dbtree`] (the delay-balanced tree);
@@ -40,8 +40,9 @@
 //! // Mutual friends: V^bfb(x, y, z) = R(x,y), R(y,z), R(z,x).
 //! let view = parse_adorned("V(x, y, z) :- R(x, y), R(y, z), R(z, x)", "bfb").unwrap();
 //! let cv = CompressedView::build(&view, &db, Strategy::Tradeoff { tau: 2.0, weights: None }).unwrap();
-//! let ys: Vec<Vec<u64>> = cv.answer(&[1, 3]).unwrap().collect();
-//! assert_eq!(ys, vec![vec![2]]);
+//! let mut ys = cqc_common::AnswerBlock::new();
+//! cv.answer_into(&[1, 3], &mut ys).unwrap();
+//! assert_eq!(ys.to_tuples(), vec![vec![2]]);
 //! ```
 
 #![forbid(unsafe_code)]

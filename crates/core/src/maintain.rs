@@ -264,7 +264,7 @@ impl CompressedView {
                 if needs_rewrite {
                     return rewrite_rebuild();
                 }
-                match s.maintained(db, delta)? {
+                match s.maintained(db)? {
                     Some(v) => Ok(MaintainOutcome::Maintained {
                         view: Box::new(CompressedView::BoundOnly(v)),
                         report: base_report(),
@@ -516,7 +516,9 @@ mod tests {
     }
 
     fn answers(cv: &CompressedView, vb: &[Value]) -> Vec<Tuple> {
-        cv.answer(vb).unwrap().collect()
+        let mut block = cqc_common::AnswerBlock::new();
+        cv.answer_into(vb, &mut block).unwrap();
+        block.to_tuples()
     }
 
     /// How many distinct base-index allocations `cv` holds.

@@ -23,7 +23,7 @@ use crate::fbox::{box_decomposition, box_decomposition_ranks, BoxList, Canonical
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics;
-use cqc_common::value::{Tuple, Value};
+use cqc_common::value::Value;
 use cqc_join::leapfrog::{LeapfrogJoin, LevelConstraint};
 use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
@@ -197,26 +197,31 @@ impl Theorem1Structure {
         self.plan.indexes().iter()
     }
 
-    /// Answers an access request: lexicographic, duplicate-free enumeration
-    /// of the free-variable tuples with delay Õ(τ).
-    ///
-    /// The returned iterator owns all enumeration scratch (constraint
-    /// vectors, box buffers, one reusable leapfrog join); call
-    /// [`Theorem1Iter::reset`] to serve further requests from the same
-    /// scratch with zero steady-state allocations.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the bound value count mismatches the pattern.
-    pub fn answer(&self, bound_values: &[Value]) -> Result<Theorem1Iter<'_>> {
-        let mut it = Theorem1Iter::new(self);
-        it.reset(bound_values)?;
-        Ok(it)
+    /// An un-started cursor over this structure. It owns all enumeration
+    /// scratch (constraint vectors, box buffers, one reusable leapfrog
+    /// join), so serving a request stream through one cursor's
+    /// [`Theorem1Iter::answer_into`] performs zero steady-state
+    /// allocations.
+    pub fn enumerator(&self) -> Theorem1Iter<'_> {
+        Theorem1Iter {
+            s: self,
+            vb: Vec::new(),
+            cand: NO_CANDIDATE,
+            stack: Vec::new(),
+            clip: None,
+            join: None,
+            join_active: false,
+            boxes: BoxList::new(),
+            next_box: 0,
+            boxes_active: false,
+            cons: Vec::new(),
+            point: Vec::new(),
+            probe: Vec::new(),
+            emit_from_join: false,
+        }
     }
 
-    /// Push-style answering: drives every answer of the request into
-    /// `sink` (stopping early if the sink declines). One-shot convenience
-    /// over [`Theorem1Structure::answer`] + [`Theorem1Iter::drain_into`].
+    /// One-shot [`Theorem1Iter::answer_into`] on a fresh cursor.
     ///
     /// # Errors
     ///
@@ -226,53 +231,15 @@ impl Theorem1Structure {
         bound_values: &[Value],
         sink: &mut impl cqc_common::AnswerSink,
     ) -> Result<()> {
-        self.answer(bound_values)?.drain_into(sink);
-        Ok(())
-    }
-
-    /// Range-restricted access: enumerates only the answers whose
-    /// free-variable tuple lies in the inclusive lexicographic range
-    /// `[lo, hi]` (in enumeration order) — an extension the structure
-    /// supports natively because its output is ordered.
-    ///
-    /// Only the O(log) tree nodes straddling the range boundaries lose the
-    /// dictionary's progress guarantee, so the delay stays `Õ(τ)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on access arity mismatches or when `lo`/`hi` do not have one
-    /// value per free variable.
-    pub fn answer_range(
-        &self,
-        bound_values: &[Value],
-        lo: &[Value],
-        hi: &[Value],
-    ) -> Result<Theorem1Iter<'_>> {
-        self.view.check_access(bound_values)?;
-        let mu = self.view.mu();
-        if lo.len() != mu || hi.len() != mu {
-            return Err(CqcError::InvalidAccess(format!(
-                "range endpoints must have {mu} values (one per free variable)"
-            )));
-        }
-        let domains = &self.domains;
-        let clip = grid_ceil(domains, lo)
-            .zip(grid_floor(domains, hi))
-            .and_then(|(lo_r, hi_r)| {
-                use crate::fbox::lex_cmp_ranks;
-                (lex_cmp_ranks(&lo_r, &hi_r) != std::cmp::Ordering::Greater)
-                    .then_some(FInterval { lo: lo_r, hi: hi_r })
-            });
-        let mut it = Theorem1Iter::new(self);
-        let enabled = clip.is_some();
-        it.start(bound_values, clip, enabled);
-        Ok(it)
+        self.enumerator().answer_into(bound_values, sink)
     }
 
     /// First-answer probe (the boolean/k-SetDisjointness access of §3.3).
     /// No answer tuple is materialized.
     pub fn exists(&self, bound_values: &[Value]) -> Result<bool> {
-        Ok(self.answer(bound_values)?.advance())
+        let mut it = self.enumerator();
+        it.reset(bound_values)?;
+        Ok(it.advance())
     }
 
     /// Evaluates `(⋈_F R_F(v_b)) ⋉ I` directly (worst-case-optimal, box by
@@ -548,15 +515,15 @@ enum Frame {
     Point(u32),
 }
 
-/// The Algorithm 2 enumerator (optionally clipped to an output range).
+/// The Algorithm 2 cursor: lexicographic, duplicate-free enumeration of a
+/// request's free-variable tuples with delay Õ(τ), optionally clipped to an
+/// output range.
 ///
-/// The core is the allocation-free pair [`Theorem1Iter::advance`] /
-/// [`Theorem1Iter::current`]: every answer is exposed as a borrowed slice,
-/// all working memory (traversal stack, constraint vector, canonical-box
-/// buffer, one leapfrog join reused across boxes and nodes, split-point
-/// scratch) lives in the iterator and is reused across nodes **and across
-/// requests** via [`Theorem1Iter::reset`]. The `Iterator<Item = Tuple>`
-/// implementation is a thin compatibility shim that copies each slice.
+/// Answers leave through a sink ([`Theorem1Iter::answer_into`],
+/// [`Theorem1Iter::answer_range_into`]) as borrowed slices. All working
+/// memory (traversal stack, constraint vector, canonical-box buffer, one
+/// leapfrog join reused across boxes and nodes, split-point scratch) lives
+/// in the cursor and is reused across nodes **and across requests**.
 pub struct Theorem1Iter<'a> {
     s: &'a Theorem1Structure,
     vb: Vec<Value>,
@@ -586,30 +553,68 @@ pub struct Theorem1Iter<'a> {
     emit_from_join: bool,
 }
 
-impl<'a> Theorem1Iter<'a> {
-    fn new(s: &'a Theorem1Structure) -> Theorem1Iter<'a> {
-        Theorem1Iter {
-            s,
-            vb: Vec::new(),
-            cand: NO_CANDIDATE,
-            stack: Vec::new(),
-            clip: None,
-            join: None,
-            join_active: false,
-            boxes: BoxList::new(),
-            next_box: 0,
-            boxes_active: false,
-            cons: Vec::new(),
-            point: Vec::new(),
-            probe: Vec::new(),
-            emit_from_join: false,
-        }
+impl Theorem1Iter<'_> {
+    /// Answers one request into `sink` — every answer in lexicographic
+    /// order, stopping early if the sink declines — reusing all scratch
+    /// from previous calls.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the bound value count mismatches the pattern.
+    pub fn answer_into(
+        &mut self,
+        bound_values: &[Value],
+        sink: &mut impl cqc_common::AnswerSink,
+    ) -> Result<()> {
+        self.reset(bound_values)?;
+        self.drain_into(sink);
+        Ok(())
     }
 
-    /// (Re)positions the iterator at the start of a request without
-    /// touching buffer capacities. `enabled` gates whether the traversal
-    /// starts at all (an `answer_range` whose clip is empty enumerates
-    /// nothing).
+    /// Range-restricted access: pushes only the answers whose
+    /// free-variable tuple lies in the inclusive lexicographic range
+    /// `[lo, hi]` (in enumeration order) — an extension the structure
+    /// supports natively because its output is ordered.
+    ///
+    /// Only the O(log) tree nodes straddling the range boundaries lose the
+    /// dictionary's progress guarantee, so the delay stays `Õ(τ)`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on access arity mismatches or when `lo`/`hi` do not have one
+    /// value per free variable.
+    pub fn answer_range_into(
+        &mut self,
+        bound_values: &[Value],
+        lo: &[Value],
+        hi: &[Value],
+        sink: &mut impl cqc_common::AnswerSink,
+    ) -> Result<()> {
+        self.s.view.check_access(bound_values)?;
+        let mu = self.s.view.mu();
+        if lo.len() != mu || hi.len() != mu {
+            return Err(CqcError::InvalidAccess(format!(
+                "range endpoints must have {mu} values (one per free variable)"
+            )));
+        }
+        let domains = &self.s.domains;
+        let clip = grid_ceil(domains, lo)
+            .zip(grid_floor(domains, hi))
+            .and_then(|(lo_r, hi_r)| {
+                use crate::fbox::lex_cmp_ranks;
+                (lex_cmp_ranks(&lo_r, &hi_r) != std::cmp::Ordering::Greater)
+                    .then_some(FInterval { lo: lo_r, hi: hi_r })
+            });
+        // An empty clip enumerates nothing.
+        let enabled = clip.is_some();
+        self.start(bound_values, clip, enabled);
+        self.drain_into(sink);
+        Ok(())
+    }
+
+    /// (Re)positions the cursor at the start of a request without touching
+    /// buffer capacities. `enabled` gates whether the traversal starts at
+    /// all.
     fn start(&mut self, bound_values: &[Value], clip: Option<FInterval>, enabled: bool) {
         self.vb.clear();
         self.vb.extend_from_slice(bound_values);
@@ -627,14 +632,14 @@ impl<'a> Theorem1Iter<'a> {
         }
     }
 
-    /// Rewinds the iterator to answer a fresh access request, reusing all
-    /// scratch buffers (the steady-state serve path performs zero heap
-    /// allocations from here on).
+    /// Rewinds the cursor to a fresh access request, keeping all scratch.
+    /// With [`Theorem1Iter::advance`] / [`Theorem1Iter::current`] this is
+    /// the step-wise interface Theorem 2's bags drive.
     ///
     /// # Errors
     ///
     /// Fails when the bound value count mismatches the pattern.
-    pub fn reset(&mut self, bound_values: &[Value]) -> Result<()> {
+    pub(crate) fn reset(&mut self, bound_values: &[Value]) -> Result<()> {
         self.s.view.check_access(bound_values)?;
         self.start(bound_values, None, true);
         Ok(())
@@ -642,7 +647,7 @@ impl<'a> Theorem1Iter<'a> {
 
     /// Steps to the next answer; `true` when one is available via
     /// [`Theorem1Iter::current`].
-    pub fn advance(&mut self) -> bool {
+    pub(crate) fn advance(&mut self) -> bool {
         use crate::fbox::lex_cmp_ranks;
         use std::cmp::Ordering;
         let s = self.s;
@@ -775,8 +780,8 @@ impl<'a> Theorem1Iter<'a> {
 
     /// The answer produced by the last successful [`Theorem1Iter::advance`]
     /// (free-variable values, enumeration order), borrowed from the
-    /// iterator's scratch.
-    pub fn current(&self) -> &[Value] {
+    /// cursor's scratch.
+    pub(crate) fn current(&self) -> &[Value] {
         if self.emit_from_join {
             let nb = self.s.plan.num_bound;
             &self.join.as_ref().expect("join emitted last").current()[nb..]
@@ -790,7 +795,7 @@ impl<'a> Theorem1Iter<'a> {
     /// The `⊥`-branch hot loop is specialized: while a box's join is
     /// draining, answers flow `join → sink` directly instead of
     /// re-entering the traversal state machine per answer.
-    pub fn drain_into(&mut self, sink: &mut impl cqc_common::AnswerSink) {
+    fn drain_into(&mut self, sink: &mut impl cqc_common::AnswerSink) {
         let nb = self.s.plan.num_bound;
         loop {
             if self.join_active {
@@ -809,18 +814,6 @@ impl<'a> Theorem1Iter<'a> {
             if !sink.push(self.current()) {
                 return;
             }
-        }
-    }
-}
-
-impl Iterator for Theorem1Iter<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        if self.advance() {
-            Some(self.current().to_vec())
-        } else {
-            None
         }
     }
 }
@@ -910,10 +903,30 @@ fn bump_down(prefix: &mut Vec<usize>, _domains: &[Domain]) -> bool {
 mod tests {
     use super::*;
     use crate::cost::tests::running_example;
-    use cqc_common::value::lex_cmp;
+    use cqc_common::value::{lex_cmp, Tuple};
+    use cqc_common::AnswerBlock;
     use cqc_join::naive::evaluate_view;
     use cqc_query::parser::parse_adorned;
     use cqc_storage::Relation;
+
+    /// The request's answers, in the order a fresh cursor pushes them.
+    fn answers(s: &Theorem1Structure, vb: &[Value]) -> Vec<Tuple> {
+        let mut block = AnswerBlock::new();
+        s.answer_into(vb, &mut block).unwrap();
+        block.to_tuples()
+    }
+
+    /// The answers of a range-restricted request, in the order pushed.
+    fn range_answers(
+        s: &Theorem1Structure,
+        vb: &[Value],
+        lo: &[Value],
+        hi: &[Value],
+    ) -> Result<Vec<Tuple>> {
+        let mut block = AnswerBlock::new();
+        s.enumerator().answer_range_into(vb, lo, hi, &mut block)?;
+        Ok(block.to_tuples())
+    }
 
     #[test]
     fn running_example_access_matches_oracle_for_all_taus() {
@@ -926,7 +939,7 @@ mod tests {
                     for w3 in 0..3u64 {
                         let vb = [w1, w2, w3];
                         let expect = evaluate_view(&view, &db, &vb).unwrap();
-                        let got: Vec<Tuple> = s.answer(&vb).unwrap().collect();
+                        let got = answers(&s, &vb);
                         assert_eq!(got, expect, "τ={tau}, v_b={vb:?}");
                     }
                 }
@@ -940,7 +953,7 @@ mod tests {
         // instance — just verify the structure builds and answers.
         let (view, db) = running_example();
         let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], 5.0f64.sqrt()).unwrap();
-        let got: Vec<Tuple> = s.answer(&[1, 1, 1]).unwrap().collect();
+        let got = answers(&s, &[1, 1, 1]);
         assert_eq!(got, vec![vec![1, 1, 2], vec![1, 2, 1], vec![1, 2, 2]]);
     }
 
@@ -948,7 +961,7 @@ mod tests {
     fn output_is_lexicographic_and_duplicate_free() {
         let (view, db) = running_example();
         let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], 2.0).unwrap();
-        let got: Vec<Tuple> = s.answer(&[1, 1, 1]).unwrap().collect();
+        let got = answers(&s, &[1, 1, 1]);
         for w in got.windows(2) {
             assert!(
                 lex_cmp(&w[0], &w[1]) == std::cmp::Ordering::Less,
@@ -997,7 +1010,7 @@ mod tests {
                 }
                 for req in reqs {
                     let expect = evaluate_view(&view, &db, &req).unwrap();
-                    let got: Vec<Tuple> = s.answer(&req).unwrap().collect();
+                    let got = answers(&s, &req);
                     assert_eq!(got, expect, "pattern={pattern} τ={tau} req={req:?}");
                     assert_eq!(
                         s.exists(&req).unwrap(),
@@ -1018,7 +1031,7 @@ mod tests {
         let view = parse_adorned("Q(x, y) :- R(x, y)", "bf").unwrap();
         let s = Theorem1Structure::build(&view, &db, &[1.0], 2.0).unwrap();
         assert!(s.tree().is_none());
-        let got: Vec<Tuple> = s.answer(&[1]).unwrap().collect();
+        let got = answers(&s, &[1]);
         assert!(got.is_empty());
         assert!(!s.exists(&[7]).unwrap());
     }
@@ -1033,7 +1046,7 @@ mod tests {
         let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", "bff").unwrap();
         let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0], 2.0).unwrap();
         for x in 0..3u64 {
-            let got: Vec<Tuple> = s.answer(&[x]).unwrap().collect();
+            let got = answers(&s, &[x]);
             assert!(got.is_empty());
         }
     }
@@ -1073,9 +1086,9 @@ mod tests {
                 ([1, 1, 1], [1, 1, 1]),
             ];
             for vb in &vbs {
-                let full: Vec<Tuple> = s.answer(vb).unwrap().collect();
+                let full = answers(&s, vb);
                 for (lo, hi) in &ranges {
-                    let got: Vec<Tuple> = s.answer_range(vb, lo, hi).unwrap().collect();
+                    let got = range_answers(&s, vb, lo, hi).unwrap();
                     let expect: Vec<Tuple> = full
                         .iter()
                         .filter(|t| t.as_slice() >= &lo[..] && t.as_slice() <= &hi[..])
@@ -1119,10 +1132,10 @@ mod tests {
             for x in 0..2u64 {
                 let expect = evaluate_view(&view, &db, &[x]).unwrap();
                 assert!(expect.len() > 1, "x={x}");
-                let got: Vec<Tuple> = s.answer(&[x]).unwrap().collect();
+                let got = answers(&s, &[x]);
                 assert_eq!(got, expect, "τ={tau} x={x}");
                 let (lo, hi) = (&expect[1], &expect[expect.len() / 2]);
-                let got: Vec<Tuple> = s.answer_range(&[x], lo, hi).unwrap().collect();
+                let got = range_answers(&s, &[x], lo, hi).unwrap();
                 assert_eq!(got, expect[1..=expect.len() / 2], "τ={tau} x={x} clipped");
             }
         }
@@ -1132,8 +1145,8 @@ mod tests {
     fn answer_range_validates_arity() {
         let (view, db) = running_example();
         let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], 2.0).unwrap();
-        assert!(s.answer_range(&[1, 1, 1], &[1, 1], &[2, 2, 2]).is_err());
-        assert!(s.answer_range(&[1, 1], &[1, 1, 1], &[2, 2, 2]).is_err());
+        assert!(range_answers(&s, &[1, 1, 1], &[1, 1], &[2, 2, 2]).is_err());
+        assert!(range_answers(&s, &[1, 1], &[1, 1, 1], &[2, 2, 2]).is_err());
     }
 
     #[test]

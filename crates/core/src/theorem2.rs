@@ -27,7 +27,7 @@ use crate::theorem1::{Theorem1Iter, Theorem1Structure};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics;
-use cqc_common::value::{Tuple, Value};
+use cqc_common::value::Value;
 use cqc_decomp::{search_connex, Objective, TreeDecomposition};
 use cqc_lp::covers::rho_plus;
 use cqc_query::{AdornedView, ConjunctiveQuery, Hypergraph, Var, VarSet};
@@ -431,25 +431,31 @@ impl Theorem2Structure {
         Ok(Some((s, rebuilt)))
     }
 
-    /// Answers an access request (Algorithm 5). Output order is
-    /// decomposition-dependent (§3.2); tuples are duplicate-free.
-    ///
-    /// The returned iterator owns all odometer scratch (valuation, per-bag
-    /// cursors with cached bag-level Theorem 1 enumerators, key and emit
-    /// buffers); [`Theorem2Iter::reset`] serves further requests from the
-    /// same scratch.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the bound value count mismatches the pattern.
-    pub fn answer(&self, bound_values: &[Value]) -> Result<Theorem2Iter<'_>> {
-        let mut it = Theorem2Iter::new(self);
-        it.reset(bound_values)?;
-        Ok(it)
+    /// An un-started cursor over this structure. It owns all odometer
+    /// scratch (valuation, per-bag cursors with cached bag-level Theorem 1
+    /// cursors, key and emit buffers), reused across
+    /// [`Theorem2Iter::answer_into`] calls.
+    pub fn enumerator(&self) -> Theorem2Iter<'_> {
+        Theorem2Iter {
+            s: self,
+            valuation: Vec::new(),
+            cursors: self
+                .bags
+                .iter()
+                .map(|_| BagCursor {
+                    live: false,
+                    mat: (0, 0),
+                    trade: None,
+                })
+                .collect(),
+            key: Vec::new(),
+            emit: Vec::new(),
+            started: false,
+            done: true,
+        }
     }
 
-    /// Push-style answering into `sink` (stopping early if the sink
-    /// declines).
+    /// One-shot [`Theorem2Iter::answer_into`] on a fresh cursor.
     ///
     /// # Errors
     ///
@@ -459,13 +465,14 @@ impl Theorem2Structure {
         bound_values: &[Value],
         sink: &mut impl cqc_common::AnswerSink,
     ) -> Result<()> {
-        self.answer(bound_values)?.drain_into(sink);
-        Ok(())
+        self.enumerator().answer_into(bound_values, sink)
     }
 
     /// First-answer probe. No answer tuple is materialized.
     pub fn exists(&self, bound_values: &[Value]) -> Result<bool> {
-        Ok(self.answer(bound_values)?.advance())
+        let mut it = self.enumerator();
+        it.reset(bound_values)?;
+        Ok(it.advance())
     }
 
     /// The view definition.
@@ -575,15 +582,8 @@ impl<'a> SubtreeProbe<'a> {
         // every answer: enumerate and look below each, with this bag's
         // scratch lifted out across the recursion.
         let mut sc = std::mem::take(&mut self.scratch[ci]);
-        let answers = match &mut sc.answers {
-            Some(it) => {
-                it.reset(&sc.key).expect("bag key arity is internal");
-                it
-            }
-            None => sc
-                .answers
-                .insert(t1.answer(&sc.key).expect("bag key arity is internal")),
-        };
+        let answers = sc.answers.get_or_insert_with(|| t1.enumerator());
+        answers.reset(&sc.key).expect("bag key arity is internal");
         let mut found = false;
         while !found && answers.advance() {
             sc.row.clear();
@@ -642,37 +642,32 @@ impl HeapSize for Theorem2Structure {
             + self
                 .root_checks
                 .iter()
-                .map(|(r, v)| {
-                    r.name().len()
-                        + r.len() * r.arity() * std::mem::size_of::<Value>()
-                        + v.heap_bytes()
-                })
+                .map(|(r, v)| crate::bound_only::check_relation_bytes(r) + v.heap_bytes())
                 .sum::<usize>()
     }
 }
 
 /// Per-bag cursor inside the odometer.
 ///
-/// Delay-tuned bags cache their bag-level [`Theorem1Iter`] across opens
-/// (re-seeded via [`Theorem1Iter::reset`]), so re-opening a bag for a new
-/// ancestor valuation reuses the bag enumerator's scratch instead of
-/// rebuilding it.
+/// A delay-tuned bag keeps its bag-level [`Theorem1Iter`], created at its
+/// first open, across opens: re-opening the bag for a new ancestor
+/// valuation reuses the bag cursor's scratch instead of rebuilding it.
 struct BagCursor<'a> {
     /// Whether the bag currently holds a bound row.
     live: bool,
     /// `(current row, end row)` for materialized bags.
     mat: (usize, usize),
-    /// Cached enumerator for Theorem 1 bags.
+    /// The bag's cursor, for Theorem 1 bags that have been opened.
     trade: Option<Box<Theorem1Iter<'a>>>,
 }
 
-/// The Algorithm 5 enumerator.
+/// The Algorithm 5 cursor. Output order is decomposition-dependent (§3.2);
+/// tuples are duplicate-free.
 ///
-/// Like [`Theorem1Iter`], the core is the
-/// pair [`Theorem2Iter::advance`] / [`Theorem2Iter::current`]: answers are
-/// borrowed from an internal emit buffer and every per-bag binding copies
+/// Answers leave through a sink ([`Theorem2Iter::answer_into`]) as slices
+/// borrowed from an internal emit buffer, and every per-bag binding copies
 /// directly from the bag's storage into the valuation — no per-row tuple
-/// is allocated. The `Iterator` implementation is a compatibility shim.
+/// is allocated.
 pub struct Theorem2Iter<'a> {
     s: &'a Theorem2Structure,
     valuation: Vec<Option<Value>>,
@@ -686,33 +681,29 @@ pub struct Theorem2Iter<'a> {
 }
 
 impl<'a> Theorem2Iter<'a> {
-    fn new(s: &'a Theorem2Structure) -> Theorem2Iter<'a> {
-        Theorem2Iter {
-            s,
-            valuation: Vec::new(),
-            cursors: s
-                .bags
-                .iter()
-                .map(|_| BagCursor {
-                    live: false,
-                    mat: (0, 0),
-                    trade: None,
-                })
-                .collect(),
-            key: Vec::new(),
-            emit: Vec::new(),
-            started: false,
-            done: false,
-        }
-    }
-
-    /// Rewinds the iterator to answer a fresh access request, keeping the
-    /// per-bag enumerator caches and every scratch buffer.
+    /// Answers one request into `sink`, stopping early if the sink
+    /// declines, reusing all scratch from previous calls.
     ///
     /// # Errors
     ///
     /// Fails when the bound value count mismatches the pattern.
-    pub fn reset(&mut self, bound_values: &[Value]) -> Result<()> {
+    pub fn answer_into(
+        &mut self,
+        bound_values: &[Value],
+        sink: &mut impl cqc_common::AnswerSink,
+    ) -> Result<()> {
+        self.reset(bound_values)?;
+        while self.advance() {
+            if !sink.push(&self.emit) {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Rewinds the cursor to a fresh access request, keeping the per-bag
+    /// cursors and every scratch buffer.
+    fn reset(&mut self, bound_values: &[Value]) -> Result<()> {
         self.s.view.check_access(bound_values)?;
         self.valuation.clear();
         self.valuation.resize(self.s.num_vars, None);
@@ -774,16 +765,8 @@ impl<'a> Theorem2Iter<'a> {
                 true
             }
             BagKind::Tradeoff(t1) => {
-                let it = match &mut cur.trade {
-                    Some(it) => {
-                        it.reset(key).expect("bag key arity is internal");
-                        it
-                    }
-                    None => {
-                        let fresh = t1.answer(key).expect("bag key arity is internal");
-                        cur.trade.insert(Box::new(fresh))
-                    }
-                };
+                let it = cur.trade.get_or_insert_with(|| Box::new(t1.enumerator()));
+                it.reset(key).expect("bag key arity is internal");
                 if it.advance() {
                     cur.live = true;
                     for (v, val) in bag.free_vars.iter().zip(it.current()) {
@@ -851,9 +834,8 @@ impl<'a> Theorem2Iter<'a> {
         );
     }
 
-    /// Steps to the next answer; `true` when one is available via
-    /// [`Theorem2Iter::current`].
-    pub fn advance(&mut self) -> bool {
+    /// Steps to the next answer — `true` when one is in `emit`.
+    fn advance(&mut self) -> bool {
         if self.done {
             return false;
         }
@@ -915,39 +897,12 @@ impl<'a> Theorem2Iter<'a> {
             }
         }
     }
-
-    /// The answer produced by the last successful
-    /// [`Theorem2Iter::advance`], borrowed from the iterator's scratch.
-    pub fn current(&self) -> &[Value] {
-        &self.emit
-    }
-
-    /// Pushes every remaining answer into `sink`, honoring early stops.
-    pub fn drain_into(&mut self, sink: &mut impl cqc_common::AnswerSink) {
-        while self.advance() {
-            if !sink.push(self.current()) {
-                return;
-            }
-        }
-    }
-}
-
-impl Iterator for Theorem2Iter<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        if self.advance() {
-            Some(self.current().to_vec())
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqc_common::value::lex_cmp;
+    use cqc_common::value::{lex_cmp, Tuple};
     use cqc_join::naive::evaluate_view;
     use cqc_query::parser::parse_adorned;
     use cqc_query::VarSet;
@@ -958,9 +913,18 @@ mod tests {
         vars.iter().map(|&v| Var(v)).collect()
     }
 
+    /// The request's answers, in the order a fresh cursor pushes them.
+    fn answers(s: &Theorem2Structure, vb: &[Value]) -> Vec<Tuple> {
+        let mut block = cqc_common::AnswerBlock::new();
+        s.answer_into(vb, &mut block).unwrap();
+        block.to_tuples()
+    }
+
+    /// Algorithm 5 promises pre-order of the bags, not head order: sort —
+    /// and only sort, so a duplicated answer survives — before comparing
+    /// with the naive join.
     fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
         v.sort_unstable_by(|a, b| lex_cmp(a, b));
-        v.dedup();
         v
     }
 
@@ -1007,9 +971,8 @@ mod tests {
         for a in 0..7u64 {
             for b in 0..7u64 {
                 let expect = evaluate_view(&view, &db, &[a, b]).unwrap();
-                let got: Vec<Tuple> = s.answer(&[a, b]).unwrap().collect();
-                assert_eq!(sorted(got.clone()), expect, "a={a} b={b}");
-                assert_eq!(got.len(), expect.len(), "duplicates for a={a} b={b}");
+                let got = answers(&s, &[a, b]);
+                assert_eq!(sorted(got), expect, "a={a} b={b}");
             }
         }
     }
@@ -1028,9 +991,8 @@ mod tests {
             for a in 0..7u64 {
                 for b in 0..7u64 {
                     let expect = evaluate_view(&view, &db, &[a, b]).unwrap();
-                    let got: Vec<Tuple> = s.answer(&[a, b]).unwrap().collect();
-                    assert_eq!(sorted(got.clone()), expect, "δ={delta:?} a={a} b={b}");
-                    assert_eq!(got.len(), expect.len(), "duplicates, δ={delta:?}");
+                    let got = answers(&s, &[a, b]);
+                    assert_eq!(sorted(got), expect, "δ={delta:?} a={a} b={b}");
                     assert_eq!(s.exists(&[a, b]).unwrap(), !expect.is_empty());
                 }
             }
@@ -1045,8 +1007,8 @@ mod tests {
             for a in 0..6u64 {
                 for b in 0..6u64 {
                     let expect = evaluate_view(&view, &db, &[a, b]).unwrap();
-                    let got: Vec<Tuple> = s.answer(&[a, b]).unwrap().collect();
-                    assert_eq!(sorted(got.clone()), expect, "budget={budget} a={a} b={b}");
+                    let got = answers(&s, &[a, b]);
+                    assert_eq!(sorted(got), expect, "budget={budget} a={a} b={b}");
                 }
             }
         }
@@ -1090,9 +1052,8 @@ mod tests {
             for b in 0..5u64 {
                 for c in 0..5u64 {
                     let expect = evaluate_view(&view, &db, &[a, b, c]).unwrap();
-                    let got: Vec<Tuple> = s.answer(&[a, b, c]).unwrap().collect();
-                    assert_eq!(sorted(got.clone()), expect, "v1={a} v5={b} v6={c}");
-                    assert_eq!(got.len(), expect.len(), "duplicates");
+                    let got = answers(&s, &[a, b, c]);
+                    assert_eq!(sorted(got), expect, "v1={a} v5={b} v6={c}");
                 }
             }
         }
@@ -1115,7 +1076,7 @@ mod tests {
         assert_eq!(s.stats().tradeoff_bags, 0);
         for key in keys {
             let expect = evaluate_view(view, db, &key).unwrap();
-            let got: Vec<Tuple> = s.answer(&key).unwrap().collect();
+            let got = answers(s, &key);
             assert_eq!(got, expect, "key {key:?}");
             assert_eq!(s.exists(&key).unwrap(), !expect.is_empty(), "key {key:?}");
         }
@@ -1191,7 +1152,7 @@ mod tests {
         let td = TreeDecomposition::new(vec![vs(&[0, 1])], vec![None]).unwrap();
         let s = Theorem2Structure::build(&v, &db, &td, &[0.0]).unwrap();
         assert_streams_naive(&s, &v, &db, [vec![1, 2], vec![2, 1]]);
-        let got: Vec<Tuple> = s.answer(&[1, 2]).unwrap().collect();
+        let got = answers(&s, &[1, 2]);
         assert_eq!(got, vec![Vec::<Value>::new()]);
         // The check shares the database's relation; it is not a copy.
         assert!(Arc::ptr_eq(&s.root_checks[0].0, &db.get_arc("R").unwrap()));
@@ -1228,7 +1189,7 @@ mod tests {
         )
         .unwrap();
         let s = Theorem2Structure::build(&v, &db, &td, &[0.0; 3]).unwrap();
-        let got: Vec<Tuple> = s.answer(&[1]).unwrap().collect();
+        let got = answers(&s, &[1]);
         assert_eq!(
             got,
             vec![vec![10, 77], vec![10, 78], vec![11, 77], vec![11, 78]]
@@ -1267,7 +1228,8 @@ mod tests {
             .map(|r| r.tuples_or_entries)
             .collect();
         assert_eq!(kept, [51, 1, 1]);
-        let mut it = s.answer(&[1]).unwrap();
+        let mut it = s.enumerator();
+        it.reset(&[1]).unwrap();
         assert!(!it.advance());
         assert_eq!(it.cursors[0].mat, (0, 50), "the first branch opened once");
         assert!(it.done && !it.cursors[1].live);
@@ -1344,10 +1306,9 @@ mod tests {
         let assert_answers_the_naive_join = |s: &Theorem2Structure, db: &Database, what: &str| {
             for a in 0..10u64 {
                 for b in 0..10u64 {
-                    let got: Vec<Tuple> = s.answer(&[a, b]).unwrap().collect();
+                    let got = answers(s, &[a, b]);
                     let expect = evaluate_view(&view, db, &[a, b]).unwrap();
-                    assert_eq!(sorted(got.clone()), expect, "{what}: ({a}, {b})");
-                    assert_eq!(got.len(), expect.len(), "{what}: duplicates at ({a}, {b})");
+                    assert_eq!(sorted(got), expect, "{what}: ({a}, {b})");
                 }
             }
         };

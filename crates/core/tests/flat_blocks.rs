@@ -1,13 +1,22 @@
-//! Flat-block enumeration must be tuple-for-tuple identical — same
-//! answers, same lexicographic/enumeration order — to the legacy pull
-//! iterator, for every strategy, across randomized databases, patterns and
-//! requests. The push pipeline and the iterators share their cores, but
-//! these tests pin the equivalence from the outside, including the
-//! scratch-reuse path (`ViewEnumerator` reset across requests).
+//! Every way of driving a representation's sink — one-shot `answer_into`,
+//! a reused `enumerator()`, counting and first-answer probes — serves the
+//! naive join's answers (`cqc_join::naive::evaluate_view`, an independent
+//! nested-loop oracle): the same tuples, each once, and in its
+//! lexicographic order wherever the structure promises head order (every
+//! structure but Theorem 2, which promises pre-order of its bags). For
+//! every strategy, across randomized databases, patterns and requests.
+//!
+//! Served streams are never deduplicated before the comparison. Sabotage
+//! check: `let sink = &mut cqc_common::FnSink(|t: &[Value]| sink.push(t) &&
+//! sink.push(t));` (each answer pushed twice) as the first line of
+//! `ViewEnumerator::answer_into` turns every test of this file red but
+//! `theorem1_cursor_reuse_matches_fresh_cursors`, which drives Theorem 1's
+//! own cursor.
 
 use cqc_common::value::{Tuple, Value};
-use cqc_common::{AnswerBlock, CountingSink, ExistsSink};
-use cqc_core::{CompressedView, Strategy};
+use cqc_common::{AnswerBlock, CountingSink, ExistsSink, FnSink};
+use cqc_core::{CompressedView, Strategy, ViewEnumerator};
+use cqc_join::naive::evaluate_view;
 use cqc_query::parser::parse_adorned;
 use cqc_query::AdornedView;
 use cqc_storage::Database;
@@ -77,40 +86,58 @@ fn requests(nb: usize, grid: u64) -> Vec<Vec<Value>> {
     reqs
 }
 
-/// Checks one compressed view: for every request, the flat block produced
-/// by the push path equals the legacy iterator's output exactly (content
-/// *and* order), both through one-shot `answer_into` and through a single
-/// reused enumerator; `exists` agrees with non-emptiness.
-fn check_equivalence(cv: &CompressedView, reqs: &[Vec<Value>], label: &str) {
+/// A served stream in the form the oracle is compared with: as served
+/// when the structure promises head order, sorted — never deduplicated —
+/// for Theorem 2.
+fn comparable(cv: &CompressedView, block: &AnswerBlock) -> Vec<Tuple> {
+    let mut got = block.to_tuples();
+    if matches!(cv, CompressedView::Decomposed(_)) {
+        got.sort();
+    }
+    got
+}
+
+/// Checks one compressed view against the naive join: for every request,
+/// one-shot `answer_into` and a single reused enumerator serve the oracle's
+/// answers (and the same stream as each other), a counting sink sees as
+/// many, and both first-answer probes agree with non-emptiness.
+fn check_against_naive(
+    cv: &CompressedView,
+    view: &AdornedView,
+    db: &Database,
+    reqs: &[Vec<Value>],
+    label: &str,
+) {
     let mut reused = cv.enumerator();
     let mut reused_block = AnswerBlock::new();
     for req in reqs {
-        let legacy: Vec<Tuple> = cv.answer(req).unwrap().collect();
+        let expect = evaluate_view(view, db, req).unwrap();
 
         let mut block = AnswerBlock::new();
         cv.answer_into(req, &mut block).unwrap();
         assert_eq!(
-            block.to_tuples(),
-            legacy,
-            "{label}: one-shot flat block diverges for {req:?}"
+            comparable(cv, &block),
+            expect,
+            "{label}: one-shot answer_into diverges for {req:?}"
         );
 
         reused_block.clear();
         reused.answer_into(req, &mut reused_block).unwrap();
         assert_eq!(
-            reused_block.to_tuples(),
-            legacy,
+            reused_block.values(),
+            block.values(),
             "{label}: reused enumerator diverges for {req:?}"
         );
+        assert_eq!(reused_block.len(), expect.len());
 
         let mut count = CountingSink::default();
         cv.answer_into(req, &mut count).unwrap();
-        assert_eq!(count.count, legacy.len(), "{label}: count sink {req:?}");
+        assert_eq!(count.count, expect.len(), "{label}: count sink {req:?}");
 
         let mut probe = ExistsSink::default();
         cv.answer_into(req, &mut probe).unwrap();
-        assert_eq!(probe.found, !legacy.is_empty(), "{label}: exists {req:?}");
-        assert_eq!(cv.exists(req).unwrap(), !legacy.is_empty());
+        assert_eq!(probe.found, !expect.is_empty(), "{label}: exists {req:?}");
+        assert_eq!(cv.exists(req).unwrap(), !expect.is_empty());
     }
 }
 
@@ -127,7 +154,7 @@ fn random_db(seed: u64, names: &[&str], rows: usize, domain: u64) -> Database {
 }
 
 #[test]
-fn triangle_views_flat_equals_legacy_across_seeds() {
+fn triangle_views_match_naive_across_seeds() {
     for seed in [3u64, 17, 29] {
         let db = random_db(seed, &["R", "S", "T"], 80, 12);
         for pattern in ["bfb", "bbf", "fff", "fbf"] {
@@ -136,18 +163,15 @@ fn triangle_views_flat_equals_legacy_across_seeds() {
             let reqs = requests(nb, 6);
             for strat in strategies() {
                 let cv = build(&view, &db, &strat);
-                check_equivalence(
-                    &cv,
-                    &reqs,
-                    &format!("triangle seed={seed} {pattern} {strat:?}"),
-                );
+                let label = format!("triangle seed={seed} {pattern} {strat:?}");
+                check_against_naive(&cv, &view, &db, &reqs, &label);
             }
         }
     }
 }
 
 #[test]
-fn path_views_flat_equals_legacy() {
+fn path_views_match_naive() {
     for seed in [5u64, 23] {
         let db = random_db(seed, &["R1", "R2", "R3"], 60, 8);
         for pattern in ["bffb", "bfff", "ffff"] {
@@ -157,14 +181,15 @@ fn path_views_flat_equals_legacy() {
             let reqs = requests(nb, 5);
             for strat in strategies() {
                 let cv = build(&view, &db, &strat);
-                check_equivalence(&cv, &reqs, &format!("path seed={seed} {pattern} {strat:?}"));
+                let label = format!("path seed={seed} {pattern} {strat:?}");
+                check_against_naive(&cv, &view, &db, &reqs, &label);
             }
         }
     }
 }
 
 #[test]
-fn star_views_flat_equals_legacy() {
+fn star_views_match_naive() {
     let db = random_db(11, &["R1", "R2"], 70, 10);
     for pattern in ["bbf", "fbf", "bff"] {
         let view = parse_adorned("S(x1,x2,z) :- R1(x1,z), R2(x2,z)", pattern).unwrap();
@@ -172,72 +197,160 @@ fn star_views_flat_equals_legacy() {
         let reqs = requests(nb, 6);
         for strat in strategies() {
             let cv = build(&view, &db, &strat);
-            check_equivalence(&cv, &reqs, &format!("star {pattern} {strat:?}"));
+            let label = format!("star {pattern} {strat:?}");
+            check_against_naive(&cv, &view, &db, &reqs, &label);
         }
     }
 }
 
-#[test]
-fn bound_only_and_always_empty_flat_paths() {
+/// An all-bound view (answers are the empty tuple, arity 0, when present)
+/// and a view proven empty by a failing ground atom.
+fn bound_only_and_always_empty() -> [(CompressedView, AdornedView, Database); 2] {
     let db = random_db(41, &["R", "S"], 40, 6);
-    // All-bound: answers are the empty tuple (arity 0) when present.
     let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", "bbb").unwrap();
-    let cv = CompressedView::build(
-        &view,
-        &db,
-        Strategy::Auto {
-            space_budget_exp: None,
-        },
-    )
-    .unwrap();
-    check_equivalence(&cv, &requests(3, 5), "bound-only");
+    let auto = Strategy::Auto {
+        space_budget_exp: None,
+    };
+    let bound_only = CompressedView::build(&view, &db, auto).unwrap();
+    assert!(matches!(bound_only, CompressedView::BoundOnly(_)));
 
-    // Always-empty via a failing ground atom.
     let mut db2 = Database::new();
     db2.add(cqc_storage::Relation::from_pairs("R", vec![(1, 2)]))
         .unwrap();
     db2.add(cqc_storage::Relation::from_pairs("G", vec![(5, 5)]))
         .unwrap();
-    let view = parse_adorned("Q(x, y) :- R(x, y), G(7, 7)", "bf").unwrap();
-    let cv = CompressedView::build(&view, &db2, Strategy::Direct).unwrap();
-    assert_eq!(cv.strategy_name(), "always-empty");
-    check_equivalence(&cv, &requests(1, 4), "always-empty");
+    let view2 = parse_adorned("Q(x, y) :- R(x, y), G(7, 7)", "bf").unwrap();
+    let always_empty = CompressedView::build(&view2, &db2, Strategy::Direct).unwrap();
+    assert_eq!(always_empty.strategy_name(), "always-empty");
+    [(bound_only, view, db), (always_empty, view2, db2)]
 }
 
 #[test]
-fn theorem1_iter_reset_matches_fresh_iterators() {
-    // The reset path must behave exactly like a fresh `answer` call — the
-    // enumerator-reuse contract the serve loop depends on.
+fn bound_only_and_always_empty_flat_paths() {
+    let [(bound_only, view, db), (always_empty, view2, db2)] = bound_only_and_always_empty();
+    check_against_naive(&bound_only, &view, &db, &requests(3, 5), "bound-only");
+    check_against_naive(&always_empty, &view2, &db2, &requests(1, 4), "always-empty");
+}
+
+/// An enumerator whose last request was stopped by its sink — at the first
+/// answer, or one answer into the stream — owes the next request that
+/// request's full answer: nothing of the abandoned stream may leak into
+/// it, for any of the six [`ViewEnumerator`] variants.
+///
+/// Sabotage check: deleting `self.join_active = false;` from
+/// `Theorem1Iter::start` (the abandoned request's join keeps draining
+/// into the next one) turns this test red on the `Tradeoff` row.
+#[test]
+fn enumerator_stopped_early_serves_the_next_request_in_full() {
     let db = random_db(59, &["R", "S", "T"], 90, 10);
     let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
-    let s = match CompressedView::build(
-        &view,
-        &db,
-        Strategy::Tradeoff {
-            tau: 3.0,
-            weights: None,
+    let tradeoff = Strategy::Tradeoff {
+        tau: 3.0,
+        weights: None,
+    };
+    let mut rows: Vec<(CompressedView, AdornedView, Database)> = Vec::new();
+    for strat in [
+        Strategy::Materialize,
+        Strategy::Direct,
+        tradeoff,
+        Strategy::Factorized,
+        Strategy::Decomposed {
+            space_budget_exp: 1.05,
         },
-    )
-    .unwrap()
-    {
+    ] {
+        rows.push((build(&view, &db, &strat), view.clone(), db.clone()));
+    }
+    rows.extend(bound_only_and_always_empty());
+    let variant = |e: &ViewEnumerator<'_>| match e {
+        ViewEnumerator::BoundOnly { .. } => "bound-only",
+        ViewEnumerator::Materialized(_) => "materialized",
+        ViewEnumerator::Direct(_) => "direct",
+        ViewEnumerator::Tradeoff(_) => "tradeoff",
+        ViewEnumerator::Decomposed(_) => "decomposed",
+        ViewEnumerator::AlwaysEmpty(_) => "always-empty",
+    };
+    let mut covered: Vec<&str> = Vec::new();
+    for (cv, view, db) in &rows {
+        let mut enumerator = cv.enumerator();
+        let name = variant(&enumerator);
+        covered.push(name);
+        let reqs = requests(view.bound_head().len(), 6);
+        let mut block = AnswerBlock::new();
+        for (i, stopped) in reqs.iter().enumerate() {
+            // Stop at the first answer, then one answer in (a live join or
+            // odometer is abandoned mid-stream), each followed by a fresh
+            // request served in full.
+            for keep in [0usize, 1] {
+                let mut seen = 0usize;
+                let mut stop = FnSink(|_: &[Value]| {
+                    seen += 1;
+                    seen <= keep
+                });
+                enumerator.answer_into(stopped, &mut stop).unwrap();
+                let next = &reqs[(i + 1 + keep) % reqs.len()];
+                block.clear();
+                enumerator.answer_into(next, &mut block).unwrap();
+                assert_eq!(
+                    comparable(cv, &block),
+                    evaluate_view(view, db, next).unwrap(),
+                    "{name}: {next:?} after stopping {stopped:?} at answer {}",
+                    keep + 1
+                );
+            }
+        }
+    }
+    covered.sort_unstable();
+    covered.dedup();
+    assert_eq!(
+        covered,
+        [
+            "always-empty",
+            "bound-only",
+            "decomposed",
+            "direct",
+            "materialized",
+            "tradeoff"
+        ]
+    );
+}
+
+#[test]
+fn theorem1_cursor_reuse_matches_fresh_cursors() {
+    // One cursor reused across requests must behave exactly like a fresh
+    // one per request — the reuse contract Theorem 2's bags and the serve
+    // loop depend on — and both serve the naive join, in its order.
+    let db = random_db(59, &["R", "S", "T"], 90, 10);
+    let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
+    let tradeoff = Strategy::Tradeoff {
+        tau: 3.0,
+        weights: None,
+    };
+    let s = match CompressedView::build(&view, &db, tradeoff).unwrap() {
         CompressedView::Tradeoff(s) => s,
         other => panic!("expected theorem-1, got {}", other.strategy_name()),
     };
-    let mut it = s.answer(&[0]).unwrap();
+    let mut cursor = s.enumerator();
+    let (mut reused, mut fresh) = (AnswerBlock::new(), AnswerBlock::new());
     for x in 0..8u64 {
-        it.reset(&[x]).unwrap();
-        let mut got: Vec<Tuple> = Vec::new();
-        while it.advance() {
-            got.push(it.current().to_vec());
+        reused.clear();
+        cursor.answer_into(&[x], &mut reused).unwrap();
+        fresh.clear();
+        s.answer_into(&[x], &mut fresh).unwrap();
+        assert_eq!(reused.values(), fresh.values(), "reuse diverges at x={x}");
+        let expect = evaluate_view(&view, &db, &[x]).unwrap();
+        assert_eq!(reused.to_tuples(), expect, "x={x}");
+        // A clipped request leaves no clip behind either.
+        if let (Some(lo), Some(hi)) = (expect.first(), expect.last()) {
+            reused.clear();
+            cursor.answer_range_into(&[x], lo, lo, &mut reused).unwrap();
+            assert_eq!(
+                reused.to_tuples(),
+                std::slice::from_ref(lo),
+                "x={x} clipped"
+            );
+            reused.clear();
+            cursor.answer_range_into(&[x], lo, hi, &mut reused).unwrap();
+            assert_eq!(reused.to_tuples(), expect, "x={x} clipped to everything");
         }
-        let fresh: Vec<Tuple> = s.answer(&[x]).unwrap().collect();
-        assert_eq!(got, fresh, "reset diverges from fresh at x={x}");
     }
-    // Interleave partially drained requests: reset mid-enumeration.
-    it.reset(&[1]).unwrap();
-    it.advance();
-    it.reset(&[2]).unwrap();
-    let drained: Vec<Tuple> = (&mut it).collect();
-    let fresh: Vec<Tuple> = s.answer(&[2]).unwrap().collect();
-    assert_eq!(drained, fresh, "reset after partial drain");
 }

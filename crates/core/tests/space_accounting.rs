@@ -4,7 +4,8 @@
 //! number must be what the allocator actually hands out for the Theorem 1
 //! pair `(T, D)` and for Theorem 2's bags — neither a structure that
 //! silently re-fattens nor an accounting that under-reports may pass. Four
-//! gates on one fixed triangle database and a fifth on a path database:
+//! gates on one fixed triangle database, a fifth and a sixth on a path
+//! database:
 //!
 //! * the counting allocator's live-byte growth across building the tree
 //!   and the dictionary is within ±10 % of what they report;
@@ -25,7 +26,10 @@
 //!   bag for a mixed one on the 4-path. A root-check relation is shared
 //!   with the database, so `heap_bytes()` (which counts its name and rows
 //!   per holder) exceeds the allocator's figure by exactly that content:
-//!   the 3-path `bbbf` row, where `R1` and `R2` are inside `V_b`, shows it.
+//!   the 3-path `bbbf` row, where `R1` and `R2` are inside `V_b`, shows it;
+//! * Proposition 1 is the same rule with every relation inside `V_b`:
+//!   building an all-bound view over three relations grows live bytes by
+//!   less than one of them.
 //!
 //! Sabotage, checked once when the third gate was written: a structure
 //! that keeps its `CostEstimator` in a field, or one `Arc` to a
@@ -35,7 +39,8 @@
 //! own copy of the two variable lists beside its bag's (32 B a bag, the
 //! layout before the d-representation became Theorem 2 at δ ≡ 0) fails
 //! the `bff` row; a root check that deep-copies its relation
-//! (`Arc::new((*rel).clone())`) fails the `bbbf` row by 11.6 KB.
+//! (`Arc::new((*rel).clone())`) fails the `bbbf` row by 11.6 KB. For the
+//! sixth: `Arc::new((*rel).clone())` in `BoundOnlyView::build`.
 //!
 //! Everything is in one `#[test]` so no other test thread allocates while
 //! live bytes are being compared.
@@ -47,6 +52,7 @@ use cqc_core::dbtree::DelayBalancedTree;
 use cqc_core::dictionary::HeavyDictionary;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
+use cqc_core::BoundOnlyView;
 use cqc_decomp::TreeDecomposition;
 use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
@@ -191,6 +197,35 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         );
     }
     theorem2_reports_what_it_holds();
+    bound_only_holds_handles_not_copies();
+}
+
+/// The sixth gate (called from the one test: see the header).
+fn bound_only_holds_handles_not_copies() {
+    let mut rng = cqc_workload::rng(21);
+    let mut db = Database::new();
+    for name in ["R1", "R2", "R3"] {
+        db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 400, 40))
+            .unwrap();
+    }
+    let view = cqc_workload::queries::path(3, "bbbb").unwrap();
+    let before = live_bytes();
+    let s = BoundOnlyView::build(&view, &db).unwrap();
+    let live = (live_bytes() - before) as usize;
+    let content = |name: &str| name.len() + 8 * 2 * db.require(name).unwrap().len();
+    let one_relation = content("R1").min(content("R2")).min(content("R3"));
+    assert!(
+        live < one_relation,
+        "an all-bound view over three relations holds {live} live bytes; the smallest \
+         relation alone is {one_relation}"
+    );
+    // It reports each relation's content per holder, plus its position
+    // lists (two positions each, in `Vec`'s smallest allocation of four).
+    let positions = 3 * 4 * std::mem::size_of::<usize>();
+    assert_eq!(
+        s.heap_bytes(),
+        content("R1") + content("R2") + content("R3") + positions
+    );
 }
 
 /// The fifth gate (called from the one test: see the header).

@@ -22,7 +22,7 @@
 use crate::catalog::{Catalog, CatalogKey, CatalogStats};
 use crate::policy::{select_pooled, Policy, Selection};
 use cqc_common::error::{CqcError, Result};
-use cqc_common::value::{Tuple, Value};
+use cqc_common::value::Value;
 use cqc_common::{FastMap, FastSet};
 use cqc_core::maintain::MaintainOutcome;
 use cqc_core::CompressedView;
@@ -758,29 +758,12 @@ impl Engine {
         cv
     }
 
-    /// Answers one request into owned per-tuple `Vec`s, discarding delay
-    /// measurements.
-    ///
-    /// This is the legacy pull-iterator path (one heap allocation per
-    /// answer), kept as the compatibility/oracle interface; the serve
-    /// path proper ([`crate::BlockService::serve_into`]) pushes borrowed
-    /// slices into the caller's sink.
-    ///
-    /// # Errors
-    ///
-    /// Unknown view, bound-arity mismatch, or a tagged rebuild failure.
-    pub fn answer(&self, view: &str, bound: &[Value]) -> Result<Vec<Tuple>> {
-        let rv = self.view(view)?;
-        let cv = self.representation(&rv)?;
-        Ok(cv.answer(bound)?.collect())
-    }
-
     /// `true` iff the request has at least one answer (first-answer probe;
     /// no answer tuple is materialized).
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Engine::answer`].
+    /// Unknown view, bound-arity mismatch, or a tagged rebuild failure.
     pub fn exists(&self, view: &str, bound: &[Value]) -> Result<bool> {
         let rv = self.view(view)?;
         let cv = self.representation(&rv)?;

@@ -492,12 +492,13 @@ mod tests {
         );
         // Whatever was chosen must build and answer correctly.
         let cv = cqc_core::CompressedView::build(&view, &db, sel.strategy.clone()).unwrap();
-        let got: Vec<_> = cv.answer(&[]).unwrap().collect();
+        let mut block = cqc_common::AnswerBlock::new();
+        cv.answer_into(&[], &mut block).unwrap();
         let expect = cqc_join::naive::evaluate_view(&view, &db, &[]).unwrap();
-        let mut sorted = got.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted, expect);
+        // Sorted (Theorem 2 promises pre-order), never deduplicated.
+        let mut got = block.to_tuples();
+        got.sort_unstable();
+        assert_eq!(got, expect);
     }
 
     #[test]

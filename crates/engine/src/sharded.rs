@@ -17,7 +17,7 @@
 //! * **Multicore serve** — [`ShardedEngine::serve_blocks_into`] fans a
 //!   request list out across shards; every shard pushes into its own flat
 //!   [`AnswerBlock`] (the PR 3 sink machinery, still zero allocations per
-//!   answer per shard once warm), and [`BlockService::serve_into`] runs a
+//!   answer per shard once warm), and [`crate::BlockService::serve_into`] runs a
 //!   final `k`-way [`cqc_common::BlockMerger`] over one request's blocks
 //!   to restore the paper's lexicographic enumeration order.
 //! * **Per-shard epochs** — a [`Delta`] splits into per-shard deltas that
@@ -36,9 +36,8 @@
 
 use crate::engine::{Engine, EngineConfig, RecoveryStats, UpdateReport};
 use crate::policy::{select, Policy};
-use crate::service::BlockService;
 use cqc_common::error::{CqcError, Result};
-use cqc_common::value::{Tuple, Value};
+use cqc_common::value::Value;
 use cqc_common::{AnswerBlock, FastMap};
 use cqc_durable::DurableStore;
 use cqc_query::parser::parse_adorned;
@@ -446,7 +445,7 @@ impl ShardedEngine {
     }
 
     /// Shard-major block serving into reusable scratch — the one per-shard
-    /// serve fan-out, under [`BlockService::serve_into`] and the shard
+    /// serve fan-out, under [`crate::BlockService::serve_into`] and the shard
     /// benchmark alike. Every shard thread resolves its representation
     /// once, then drives its reusable enumerator into
     /// `out.blocks[shard][request]`; once the scratch has warmed to its
@@ -491,19 +490,6 @@ impl ShardedEngine {
         });
         outcomes.into_iter().collect::<Result<()>>()?;
         Ok(out.total_answers())
-    }
-
-    /// Answers one request into owned tuples, in lexicographic enumeration
-    /// order (compatibility/oracle interface, mirroring
-    /// [`Engine::answer`]).
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ShardedEngine::serve_blocks_into`].
-    pub fn answer(&self, view: &str, bound: &[Value]) -> Result<Vec<Tuple>> {
-        let mut block = AnswerBlock::new();
-        self.serve_into(view, bound, &mut block)?;
-        Ok(block.to_tuples())
     }
 
     /// `true` iff the request has at least one answer. Probes shards

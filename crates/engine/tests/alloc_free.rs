@@ -10,20 +10,62 @@
 //! measured window.
 //!
 //! Sabotage check: a `to_vec()` of the answer in
-//! `Theorem1Iter::drain_into` turns this test and `sharded_alloc.rs` red.
+//! `Theorem1Iter::drain_into` turns this test and `sharded_alloc.rs` red;
+//! `key: &mut Vec::new()` in `ViewEnumerator::answer_into`'s bound-only arm
+//! (a fresh probe key per request) turns the all-bound row red.
 
 use cqc_common::alloc::{self as cqalloc, CountingAlloc};
 use cqc_common::AnswerBlock;
 use cqc_engine::{Engine, Policy};
+use cqc_join::naive::evaluate_view;
+use cqc_query::parser::parse_adorned;
 use cqc_storage::Database;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Serves `bounds` from one enumerator of `view` three times — a warm pass
+/// that grows every scratch buffer to its high-water mark, a measured pass
+/// and a content pass outside the measured window — and returns the
+/// measured pass's `(answers served, heap allocations)`. Every pass must
+/// serve exactly `expected`, the naive join's answers in its order.
+fn steady_state(
+    engine: &Engine,
+    view: &str,
+    bounds: &[Vec<u64>],
+    expected: &[Vec<Vec<u64>>],
+) -> (usize, u64) {
+    let mut block = AnswerBlock::new();
+    engine
+        .with_view_enumerator(view, |enumerator| {
+            for b in bounds {
+                block.clear();
+                enumerator.answer_into(b, &mut block).unwrap();
+            }
+            let before = cqalloc::snapshot();
+            let mut served = 0usize;
+            for (b, expect) in bounds.iter().zip(expected) {
+                block.clear();
+                enumerator.answer_into(b, &mut block).unwrap();
+                served += block.len();
+                assert_eq!(block.len(), expect.len(), "`{view}`: cardinality for {b:?}");
+            }
+            let allocs = cqalloc::snapshot().allocations_since(&before);
+            for (b, expect) in bounds.iter().zip(expected) {
+                block.clear();
+                enumerator.answer_into(b, &mut block).unwrap();
+                assert_eq!(&block.to_tuples(), expect, "`{view}`: answers for {b:?}");
+            }
+            (served, allocs)
+        })
+        .unwrap()
+}
+
 #[test]
 fn steady_state_serve_is_allocation_free() {
     // A dense 2-path workload with a Theorem 1 representation — the
-    // acceptance path of the flat-block pipeline.
+    // acceptance path of the flat-block pipeline — and the same join
+    // all-bound, which Proposition 1 answers by membership probes.
     let mut rng = cqc_workload::rng(7);
     let mut db = Database::new();
     for name in ["R", "S"] {
@@ -31,10 +73,11 @@ fn steady_state_serve_is_allocation_free() {
             .unwrap();
     }
     let engine = Engine::new(db);
+    let query = "Q(x,y,z) :- R(x,y), S(y,z)";
     engine
         .register_text(
             "p2",
-            "Q(x,y,z) :- R(x,y), S(y,z)",
+            query,
             "bff",
             Policy::Fixed(cqc_core::Strategy::Tradeoff {
                 tau: 8.0,
@@ -42,40 +85,27 @@ fn steady_state_serve_is_allocation_free() {
             }),
         )
         .unwrap();
-    let bounds: Vec<Vec<u64>> = (0..40u64).map(|x| vec![x]).collect();
+    let all_bound = engine
+        .register_text("p2_bbb", query, "bbb", Policy::default())
+        .unwrap();
+    assert_eq!(all_bound.selection.tag, "bound-only");
 
-    // Oracle pass through the legacy pull path (also warms the catalog).
-    let expected: Vec<Vec<Vec<u64>>> = bounds
-        .iter()
-        .map(|b| engine.answer("p2", b).unwrap())
-        .collect();
+    // The oracle is the naive join over the engine's snapshot.
+    let oracle = |pattern: &str, bounds: &[Vec<u64>]| -> Vec<Vec<Vec<u64>>> {
+        let view = parse_adorned(query, pattern).unwrap();
+        let db = engine.db();
+        let answers = bounds.iter().map(|b| evaluate_view(&view, &db, b).unwrap());
+        answers.collect()
+    };
+    let bounds: Vec<Vec<u64>> = (0..40u64).map(|x| vec![x]).collect();
+    let expected = oracle("bff", &bounds);
     let total: usize = expected.iter().map(Vec::len).sum();
     assert!(
         total > 1_000,
         "workload too sparse to be meaningful: {total}"
     );
 
-    let mut block = AnswerBlock::new();
-    let (served, allocs) = engine
-        .with_view_enumerator("p2", |enumerator| {
-            // Warm pass: grows every scratch buffer to its high-water mark.
-            for b in &bounds {
-                block.clear();
-                enumerator.answer_into(b, &mut block).unwrap();
-            }
-            // Measured pass: steady state must not touch the allocator.
-            let before = cqalloc::snapshot();
-            let mut served = 0usize;
-            for (b, expect) in bounds.iter().zip(&expected) {
-                block.clear();
-                enumerator.answer_into(b, &mut block).unwrap();
-                served += block.len();
-                assert_eq!(block.len(), expect.len(), "cardinality for {b:?}");
-            }
-            (served, cqalloc::snapshot().allocations_since(&before))
-        })
-        .unwrap();
-
+    let (served, allocs) = steady_state(&engine, "p2", &bounds, &expected);
     assert_eq!(served, total, "flat path must serve every answer");
     assert_eq!(
         allocs, 0,
@@ -83,15 +113,25 @@ fn steady_state_serve_is_allocation_free() {
          (expected 0; the flat-block pipeline regressed)"
     );
 
-    // Correctness of the measured pass (content, not just counts): replay
-    // once more and compare tuples outside the measured window.
-    engine
-        .with_view_enumerator("p2", |enumerator| {
-            for (b, expect) in bounds.iter().zip(&expected) {
-                block.clear();
-                enumerator.answer_into(b, &mut block).unwrap();
-                assert_eq!(&block.to_tuples(), expect, "answers for {b:?}");
-            }
-        })
-        .unwrap();
+    // All-bound requests: every fifth answer of the 2-path (a hit) and the
+    // same valuation with z pushed out of the domain (a miss).
+    let mut probes: Vec<Vec<u64>> = Vec::new();
+    for (b, answers) in bounds.iter().zip(&expected) {
+        for yz in answers.iter().step_by(5) {
+            probes.push(vec![b[0], yz[0], yz[1]]);
+            probes.push(vec![b[0], yz[0], yz[1] + 1_000]);
+        }
+    }
+    let expected = oracle("bbb", &probes);
+    let hits = expected.iter().filter(|a| !a.is_empty()).count();
+    assert_eq!(hits * 2, probes.len(), "half the probes hit");
+    let (served, allocs) = steady_state(&engine, "p2_bbb", &probes, &expected);
+    assert_eq!(served, hits);
+    assert_eq!(
+        allocs,
+        0,
+        "{} all-bound requests performed {allocs} heap allocations (expected 0: the probe \
+         key is the enumerator's scratch)",
+        probes.len()
+    );
 }

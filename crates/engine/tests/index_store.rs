@@ -21,7 +21,7 @@
 
 use cqc_common::alloc::{live_bytes, CountingAlloc};
 use cqc_common::value::Tuple;
-use cqc_engine::{Engine, EngineConfig, Policy};
+use cqc_engine::{BlockService, Engine, EngineConfig, Policy};
 use cqc_join::naive::evaluate_view;
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Database, Delta, Relation, SortedIndex};
@@ -111,11 +111,14 @@ fn assert_serve_the_naive_join(
 ) {
     let view = parse_adorned(TRIANGLE, pattern).unwrap();
     let db = engine.db();
+    let mut served = cqc_common::AnswerBlock::new();
     for bound in bounds {
         let expect = evaluate_view(&view, &db, bound).unwrap();
         for name in names {
+            served.clear();
+            engine.serve_into(name, bound, &mut served).unwrap();
             assert_eq!(
-                engine.answer(name, bound).unwrap(),
+                served.to_tuples(),
                 expect,
                 "`{name}` at epoch {} bound {bound:?}",
                 db.epoch()

@@ -49,6 +49,17 @@ fn sorted(mut v: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
     v
 }
 
+/// The answers `service` serves for one request, as they reach the sink.
+fn served(
+    service: &dyn BlockService,
+    view: &str,
+    bound: &[u64],
+) -> cqc_common::Result<Vec<Vec<u64>>> {
+    let mut block = AnswerBlock::new();
+    service.serve_into(view, bound, &mut block)?;
+    Ok(block.to_tuples())
+}
+
 /// The acceptance property: sharded serve ≡ unsharded serve tuple for
 /// tuple, for every strategy, shard count, pattern, and bound valuation.
 #[test]
@@ -85,8 +96,8 @@ fn sharded_matches_unsharded_across_strategies_and_shard_counts() {
                 let sharded = ShardedEngine::for_view(db.clone(), &view, config(shards)).unwrap();
                 sharded.register("v", view.clone(), policy.clone()).unwrap();
                 for bound in &requests {
-                    let expect = sorted(engine.answer("v", bound).unwrap());
-                    let got = sorted(sharded.answer("v", bound).unwrap());
+                    let expect = sorted(served(&engine, "v", bound).unwrap());
+                    let got = sorted(served(&sharded, "v", bound).unwrap());
                     assert_eq!(
                         got, expect,
                         "{tag} pattern {pattern} shards {shards} bound {bound:?}"
@@ -137,8 +148,8 @@ fn sharded_matches_unsharded_under_interleaved_updates() {
 
             for x in (0..12u64).step_by(2) {
                 for z in (0..12u64).step_by(3) {
-                    let expect = sorted(engine.answer("v", &[x, z]).unwrap());
-                    let got = sorted(sharded.answer("v", &[x, z]).unwrap());
+                    let expect = sorted(served(&engine, "v", &[x, z]).unwrap());
+                    let got = sorted(served(&sharded, "v", &[x, z]).unwrap());
                     assert_eq!(got, expect, "round {round} shards {shards} vb ({x},{z})");
                 }
             }
@@ -180,7 +191,9 @@ fn per_shard_epochs_advance_independently() {
         }
     }
     // The new tuple is served.
-    assert!(sharded.answer("v", &[9]).unwrap().contains(&vec![4u64, 7]));
+    assert!(served(&sharded, "v", &[9])
+        .unwrap()
+        .contains(&vec![4u64, 7]));
 }
 
 /// The k-way merge must restore the paper's lexicographic enumeration
@@ -257,8 +270,8 @@ fn replicate_only_views_route_to_shard_zero() {
     for x in 0..14u64 {
         for z in 0..14u64 {
             assert_eq!(
-                sorted(sharded.answer("mutual", &[x, z]).unwrap()),
-                sorted(engine.answer("mutual", &[x, z]).unwrap()),
+                sorted(served(&sharded, "mutual", &[x, z]).unwrap()),
+                sorted(served(&engine, "mutual", &[x, z]).unwrap()),
                 "vb ({x},{z})"
             );
         }
@@ -290,7 +303,7 @@ fn incompatible_views_are_rejected_and_rolled_back() {
     sharded
         .register("v", good, Policy::Fixed(Strategy::Direct))
         .unwrap();
-    assert_eq!(sharded.answer("v", &[1]).unwrap(), vec![vec![2u64]]);
+    assert_eq!(served(&sharded, "v", &[1]).unwrap(), vec![vec![2u64]]);
 }
 
 /// Re-registering an existing name must fail cleanly and leave the
@@ -306,13 +319,13 @@ fn duplicate_register_preserves_existing_view() {
     sharded
         .register("v", view.clone(), Policy::Fixed(Strategy::Direct))
         .unwrap();
-    assert_eq!(sharded.answer("v", &[1]).unwrap(), vec![vec![2u64]]);
+    assert_eq!(served(&sharded, "v", &[1]).unwrap(), vec![vec![2u64]]);
 
     let dup = sharded.register("v", view, Policy::Fixed(Strategy::Materialize));
     assert!(dup.is_err(), "duplicate name must be rejected");
     // The original registration still serves on every shard.
-    assert_eq!(sharded.answer("v", &[1]).unwrap(), vec![vec![2u64]]);
-    assert_eq!(sharded.answer("v", &[2]).unwrap(), vec![vec![3u64]]);
+    assert_eq!(served(&sharded, "v", &[1]).unwrap(), vec![vec![2u64]]);
+    assert_eq!(served(&sharded, "v", &[2]).unwrap(), vec![vec![3u64]]);
 }
 
 /// The shard-major block path reuses its scratch: a second pass over the

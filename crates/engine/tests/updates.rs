@@ -3,8 +3,9 @@
 //! versus rebuild, and serving concurrently with writers.
 
 use cqc_common::value::Tuple;
+use cqc_common::AnswerBlock;
 use cqc_core::Strategy;
-use cqc_engine::{Engine, EngineConfig, Policy};
+use cqc_engine::{BlockService, Engine, EngineConfig, Policy};
 use cqc_join::naive::evaluate_view;
 use cqc_query::parser::parse_adorned;
 use cqc_query::AdornedView;
@@ -32,10 +33,14 @@ fn theorem1_policy() -> Policy {
     })
 }
 
+/// The served stream, sorted — Theorem 2 views serve in pre-order of their
+/// bags — and never deduplicated: a repeated answer must reach the
+/// comparison with the naive join.
 fn sorted_answer(engine: &Engine, view: &str, vb: &[u64]) -> Vec<Tuple> {
-    let mut a = engine.answer(view, vb).unwrap();
+    let mut block = AnswerBlock::new();
+    engine.serve_into(view, vb, &mut block).unwrap();
+    let mut a = block.to_tuples();
     a.sort_unstable();
-    a.dedup();
     a
 }
 
@@ -107,7 +112,7 @@ fn add_relation_after_register_invalidates_catalog() {
     assert_eq!(stats.invalidations, 1, "{stats:?}");
     assert_eq!(stats.builds, builds_before + 1, "{stats:?}");
     // Once rebuilt, serving is hits again.
-    engine.answer("tri", &[2, 3]).unwrap();
+    sorted_answer(&engine, "tri", &[2, 3]);
     assert_eq!(engine.catalog_stats().builds, builds_before + 1);
 }
 
@@ -272,7 +277,7 @@ fn untouched_views_are_restamped_not_rebuilt() {
     assert_eq!(report.maintained, 0, "{report:?}");
     assert_eq!(report.rebuilt, 0, "{report:?}");
 
-    engine.answer("tri", &[1, 2]).unwrap();
+    sorted_answer(&engine, "tri", &[1, 2]);
     let stats = engine.catalog_stats();
     assert_eq!(stats.builds, builds_before, "restamp keeps the entry hot");
     assert_eq!(stats.invalidations, 0);

@@ -14,6 +14,7 @@ use crate::plan::ViewPlan;
 use cqc_common::error::Result;
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics;
+use cqc_common::util::prefix_range;
 use cqc_common::value::{lex_cmp, Tuple, Value};
 use cqc_query::AdornedView;
 use cqc_storage::{Database, Delta, IndexPool};
@@ -83,44 +84,10 @@ impl MaterializedView {
         &self.rows[i * self.width..(i + 1) * self.width]
     }
 
-    /// Answers an access request: an iterator over the free-variable tuples,
-    /// in lexicographic order, with O(1) delay after an O(log) prefix
-    /// search.
-    pub fn answer(&self, bound_values: &[Value]) -> Result<MaterializedAnswer<'_>> {
-        self.view.check_access(bound_values)?;
-        // Binary-search the contiguous run with the given bound prefix.
-        let n = self.len();
-        let prefix = bound_values;
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if lex_cmp(&self.row(mid)[..prefix.len()], prefix) == std::cmp::Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let start = lo;
-        let mut hi = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if lex_cmp(&self.row(mid)[..prefix.len()], prefix) != std::cmp::Ordering::Greater {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(MaterializedAnswer {
-            mv: self,
-            pos: start,
-            end: lo,
-        })
-    }
-
-    /// Push-style answering: streams the matching rows' free suffixes into
-    /// `sink` as borrowed slices — zero allocations per answer (or per
-    /// request).
+    /// Streams the rows whose bound prefix is the request's valuation —
+    /// their free suffixes, as borrowed slices in lexicographic order —
+    /// into `sink`: an O(log) prefix search, then O(1) and zero allocations
+    /// per answer.
     ///
     /// # Errors
     ///
@@ -130,20 +97,15 @@ impl MaterializedView {
         bound_values: &[Value],
         sink: &mut impl cqc_common::AnswerSink,
     ) -> Result<()> {
-        let ans = self.answer(bound_values)?;
-        for i in ans.pos..ans.end {
+        self.view.check_access(bound_values)?;
+        let (lo, hi) = prefix_range(&self.rows, self.width, bound_values);
+        for i in lo..hi {
             metrics::record_tuple_output();
             if !sink.push(&self.row(i)[self.num_bound..]) {
                 break;
             }
         }
         Ok(())
-    }
-
-    /// `true` iff the access request has at least one answer.
-    pub fn exists(&self, bound_values: &[Value]) -> Result<bool> {
-        let ans = self.answer(bound_values)?;
-        Ok(ans.pos < ans.end)
     }
 
     /// Incrementally maintains the materialized result under a mixed
@@ -290,33 +252,6 @@ impl HeapSize for MaterializedView {
     }
 }
 
-/// Streaming answer over a [`MaterializedView`].
-#[derive(Debug)]
-pub struct MaterializedAnswer<'a> {
-    mv: &'a MaterializedView,
-    pos: usize,
-    end: usize,
-}
-
-impl Iterator for MaterializedAnswer<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        if self.pos >= self.end {
-            return None;
-        }
-        let row = self.mv.row(self.pos);
-        self.pos += 1;
-        metrics::record_tuple_output();
-        Some(row[self.mv.num_bound..].to_vec())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.end - self.pos;
-        (n, Some(n))
-    }
-}
-
 /// Per-request direct evaluation over linear-size base indexes.
 #[derive(Debug)]
 pub struct DirectView {
@@ -345,16 +280,6 @@ impl DirectView {
         Ok(DirectView {
             view: view.clone(),
             plan: ViewPlan::build_pooled(view, db, pool)?,
-        })
-    }
-
-    /// Answers an access request by running a fresh worst-case-optimal join.
-    pub fn answer(&self, bound_values: &[Value]) -> Result<DirectAnswer<'_>> {
-        self.view.check_access(bound_values)?;
-        let join = self.plan.join(self.plan.bound_constraints(bound_values));
-        Ok(DirectAnswer {
-            join,
-            num_bound: self.plan.num_bound,
         })
     }
 
@@ -469,30 +394,20 @@ impl HeapSize for DirectView {
     }
 }
 
-/// Streaming answer over a [`DirectView`].
-pub struct DirectAnswer<'a> {
-    join: crate::leapfrog::LeapfrogJoin<'a>,
-    num_bound: usize,
-}
-
-impl Iterator for DirectAnswer<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        let nb = self.num_bound;
-        self.join.next().map(|t| {
-            metrics::record_tuple_output();
-            t[nb..].to_vec()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive::evaluate_view;
+    use cqc_common::{AnswerBlock, ExistsSink};
     use cqc_query::parser::parse_adorned;
     use cqc_storage::Relation;
+
+    /// The answers one `answer_into` call pushes, in the order pushed.
+    fn pushed(answer_into: impl FnOnce(&mut AnswerBlock) -> Result<()>) -> Vec<Tuple> {
+        let mut block = AnswerBlock::new();
+        answer_into(&mut block).unwrap();
+        block.to_tuples()
+    }
 
     fn triangle_db() -> Database {
         let mut db = Database::new();
@@ -543,8 +458,8 @@ mod tests {
             let nb = pattern.chars().filter(|c| *c == 'b').count();
             for req in all_requests(&db, nb) {
                 let expect = evaluate_view(&v, &db, &req).unwrap();
-                let got_m: Vec<Tuple> = mat.answer(&req).unwrap().collect();
-                let got_d: Vec<Tuple> = dir.answer(&req).unwrap().collect();
+                let got_m = pushed(|b| mat.answer_into(&req, b));
+                let got_d = pushed(|b| dir.answer_into(&req, b));
                 assert_eq!(
                     got_m, expect,
                     "materialized, pattern {pattern}, req {req:?}"
@@ -570,9 +485,14 @@ mod tests {
         let db = triangle_db();
         let mat = MaterializedView::build(&v, &db).unwrap();
         let dir = DirectView::build(&v, &db).unwrap();
-        assert!(mat.exists(&[1, 2, 3]).unwrap());
+        let mat_exists = |req: &[Value]| {
+            let mut probe = ExistsSink::default();
+            mat.answer_into(req, &mut probe).unwrap();
+            probe.found
+        };
+        assert!(mat_exists(&[1, 2, 3]));
         assert!(dir.exists(&[1, 2, 3]).unwrap());
-        assert!(!mat.exists(&[1, 1, 1]).unwrap());
+        assert!(!mat_exists(&[1, 1, 1]));
         assert!(!dir.exists(&[1, 1, 1]).unwrap());
     }
 
@@ -620,9 +540,9 @@ mod tests {
             let mat_rebuilt = MaterializedView::build(&v, &db).unwrap();
             for x in 0..6u64 {
                 let expect = evaluate_view(&v, &db, &[x]).unwrap();
-                let got_m: Vec<Tuple> = mat.answer(&[x]).unwrap().collect();
-                let got_d: Vec<Tuple> = dir.answer(&[x]).unwrap().collect();
-                let got_r: Vec<Tuple> = mat_rebuilt.answer(&[x]).unwrap().collect();
+                let got_m = pushed(|b| mat.answer_into(&[x], b));
+                let got_d = pushed(|b| dir.answer_into(&[x], b));
+                let got_r = pushed(|b| mat_rebuilt.answer_into(&[x], b));
                 assert_eq!(got_m, expect, "materialized, trial {trial}, x={x}");
                 assert_eq!(got_d, expect, "direct, trial {trial}, x={x}");
                 assert_eq!(got_r, expect, "rebuilt oracle, trial {trial}, x={x}");
@@ -651,7 +571,7 @@ mod tests {
             .unwrap()
             .unwrap();
         let expect = evaluate_view(&v, &db, &[]).unwrap();
-        let got: Vec<Tuple> = mat.answer(&[]).unwrap().collect();
+        let got = pushed(|b| mat.answer_into(&[], b));
         assert_eq!(got, expect);
     }
 

@@ -56,7 +56,7 @@
 use cqc_common::measure::{
     fmt_bytes, fmt_ns, json_string, write_json_summary, BatchStats, DelayProbe,
 };
-use cqc_common::{FnSink, Value};
+use cqc_common::{AnswerBlock, FnSink, Value};
 use cqc_engine::{stripe_requests, BlockService, Engine, Policy, UpdateReport};
 use cqc_join::naive::evaluate_view;
 use cqc_net::{ClientConfig, NetServer, NetServerConfig, Router};
@@ -726,8 +726,10 @@ fn parse_bench_opts(opts: &[String]) -> Result<BenchOpts, String> {
     Ok(parsed)
 }
 
-/// Cross-checks a few served answers against the naive oracle on the
-/// current snapshot; any divergence is a stale-serve violation.
+/// Cross-checks a few served streams against the naive oracle on the
+/// current snapshot; any divergence — a missing, a stale or a repeated
+/// answer — is a stale-serve violation. The stream is sorted, because a
+/// Theorem 2 view serves in pre-order of its bags, and never deduplicated.
 fn stale_serve_violations(
     engine: &Engine,
     rv: &cqc_engine::RegisteredView,
@@ -735,11 +737,15 @@ fn stale_serve_violations(
 ) -> Result<usize, String> {
     let db = engine.db();
     let mut violations = 0;
+    let mut served = AnswerBlock::new();
     for bound in probes {
         let expect = evaluate_view(&rv.view, &db, bound).map_err(|e| e.to_string())?;
-        let mut got = engine.answer(&rv.name, bound).map_err(|e| e.to_string())?;
+        served.clear();
+        engine
+            .serve_into(&rv.name, bound, &mut served)
+            .map_err(|e| e.to_string())?;
+        let mut got = served.to_tuples();
         got.sort_unstable();
-        got.dedup();
         if got != expect {
             violations += 1;
         }

@@ -13,6 +13,7 @@
 //! neighborhood is the client-side projection of the answer stream.
 
 use cqc_common::heap::HeapSize;
+use cqc_common::{AnswerBlock, CountingSink, FnSink};
 use cqc_core::compressed::{CompressedView, Strategy};
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Database, Interner};
@@ -43,11 +44,11 @@ fn main() {
     println!(
         "materialized co-author view: {} tuples-worth, {} B, built in {:.1?}",
         {
-            let mut n = 0usize;
+            let mut n = CountingSink::default();
             for a in 0..authors {
-                n += eager.answer(&[a]).unwrap().count();
+                eager.answer_into(&[a], &mut n).unwrap();
             }
-            n
+            n.count
         },
         eager.heap_bytes(),
         t0.elapsed()
@@ -72,12 +73,15 @@ fn main() {
     // Neighborhood API: co-authors of an author.
     for author in [0u64, 1, 42] {
         let t = Instant::now();
-        let mut coauthors: Vec<u64> = compressed
-            .answer(&[author])
-            .unwrap()
-            .map(|t| t[0])
-            .filter(|&y| y != author)
-            .collect();
+        // Answers are (y, p) pairs: keep each other author y once.
+        let mut coauthors: Vec<u64> = Vec::new();
+        let mut keep_y = FnSink(|t: &[u64]| {
+            if t[0] != author {
+                coauthors.push(t[0]);
+            }
+            true
+        });
+        compressed.answer_into(&[author], &mut keep_y).unwrap();
         coauthors.sort_unstable();
         coauthors.dedup();
         let dt = t.elapsed();
@@ -95,11 +99,11 @@ fn main() {
     }
 
     // Cross-check one neighborhood against the materialized extreme.
-    let a: Vec<Vec<u64>> = compressed.answer(&[7]).unwrap().collect();
-    let mut b: Vec<Vec<u64>> = eager.answer(&[7]).unwrap().collect();
-    b.sort();
-    let mut a2 = a;
-    a2.sort();
-    assert_eq!(a2, b, "representations must agree");
+    // Both enumerate in lexicographic order, so the streams are equal as
+    // they arrive.
+    let (mut a, mut b) = (AnswerBlock::new(), AnswerBlock::new());
+    compressed.answer_into(&[7], &mut a).unwrap();
+    eager.answer_into(&[7], &mut b).unwrap();
+    assert_eq!(a.values(), b.values(), "representations must agree");
     println!("\ncompressed and materialized views agree on author_007");
 }

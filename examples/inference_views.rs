@@ -66,10 +66,12 @@ fn main() {
         let cv = CompressedView::build(&view, &db, strat).unwrap();
         let build = t0.elapsed();
         let t0 = Instant::now();
-        let mut results = 0usize;
+        let mut results = cqc_common::CountingSink::default();
+        let mut enumerator = cv.enumerator();
         for r in &requests {
-            results += cv.answer(r).unwrap().count();
+            enumerator.answer_into(r, &mut results).unwrap();
         }
+        let results = results.count;
         let answer = t0.elapsed();
         println!(
             "{:<26} {:>12} {:>10.1?} {:>12.1?} {:>10}",

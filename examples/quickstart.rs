@@ -67,8 +67,11 @@ fn main() {
         cv.heap_bytes()
     );
     for (x, z) in [(1u64, 2u64), (3, 4), (2, 5)] {
-        let mutuals: Vec<u64> = cv.answer(&[x, z]).unwrap().map(|t| t[0]).collect();
-        println!("mutual friends of ({x}, {z}): {mutuals:?}");
+        // Answers arrive at a sink as borrowed slices; a block keeps them
+        // flat (one free variable here, so its values are the answers).
+        let mut mutuals = cqc_common::AnswerBlock::new();
+        cv.answer_into(&[x, z], &mut mutuals).unwrap();
+        println!("mutual friends of ({x}, {z}): {:?}", mutuals.values());
     }
 
     // Boolean access: is there any triangle through the pair at all?

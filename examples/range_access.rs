@@ -11,6 +11,7 @@
 //! often bought together (bound pair), list the common co-purchases whose
 //! ids fall in a catalogue segment (the range).
 
+use cqc_common::{AnswerBlock, CountingSink, ExistsSink};
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_workload::{graphs, queries};
 use std::time::Instant;
@@ -34,12 +35,15 @@ fn main() {
 
     // Pick a bound pair with a fat answer.
     let rel = db.get("R").unwrap();
+    // One cursor serves every request below from the same scratch.
+    let mut cursor = s.enumerator();
     let mut best = ([0u64, 0u64], 0usize);
     for i in (0..rel.len()).step_by(11) {
         let row = rel.row(i);
-        let n = s.answer(&[row[0], row[1]]).unwrap().count();
-        if n > best.1 {
-            best = ([row[0], row[1]], n);
+        let mut n = CountingSink::default();
+        cursor.answer_into(&[row[0], row[1]], &mut n).unwrap();
+        if n.count > best.1 {
+            best = ([row[0], row[1]], n.count);
         }
     }
     let (pair, total) = best;
@@ -47,7 +51,9 @@ fn main() {
 
     // Full enumeration vs three catalogue segments.
     let t = Instant::now();
-    let all: Vec<u64> = s.answer(&pair).unwrap().map(|t| t[0]).collect();
+    // μ = 1: a block's flat values are the answers themselves.
+    let mut all = AnswerBlock::new();
+    cursor.answer_into(&pair, &mut all).unwrap();
     println!(
         "full enumeration: {} results in {:.1?}",
         all.len(),
@@ -56,19 +62,19 @@ fn main() {
 
     for (lo, hi) in [(0u64, 99u64), (100, 299), (300, 499)] {
         let t = Instant::now();
-        let seg: Vec<u64> = s
-            .answer_range(&pair, &[lo], &[hi])
-            .unwrap()
-            .map(|t| t[0])
-            .collect();
+        let mut seg = AnswerBlock::new();
+        cursor
+            .answer_range_into(&pair, &[lo], &[hi], &mut seg)
+            .unwrap();
         let dt = t.elapsed();
         // Cross-check against the client-side filter.
         let expect: Vec<u64> = all
+            .values()
             .iter()
             .copied()
             .filter(|&y| y >= lo && y <= hi)
             .collect();
-        assert_eq!(seg, expect);
+        assert_eq!(seg.values(), expect);
         println!(
             "segment [{lo:>3}, {hi:>3}]: {:>3} results in {dt:.1?} (verified)",
             seg.len()
@@ -77,10 +83,9 @@ fn main() {
 
     // Ranges also compose with the boolean probe: "is anything in this
     // segment?" without enumerating it.
-    let any_high = s
-        .answer_range(&pair, &[450], &[499])
-        .unwrap()
-        .next()
-        .is_some();
-    println!("\nany co-purchase with id ≥ 450? {any_high}");
+    let mut any_high = ExistsSink::default();
+    cursor
+        .answer_range_into(&pair, &[450], &[499], &mut any_high)
+        .unwrap();
+    println!("\nany co-purchase with id ≥ 450? {}", any_high.found);
 }

@@ -41,10 +41,12 @@ fn main() {
     for tau in [4.0, 16.0, 64.0, 256.0] {
         let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0], tau).unwrap();
         let t = Instant::now();
-        let mut total = 0usize;
+        let mut total = cqc_common::CountingSink::default();
+        let mut cursor = s.enumerator();
         for r in &requests {
-            total += s.answer(r).unwrap().count();
+            cursor.answer_into(r, &mut total).unwrap();
         }
+        let total = total.count;
         let dt = t.elapsed();
         println!(
             "{:<16} {:>12} {:>12.1?} {:>16}",

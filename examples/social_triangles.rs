@@ -10,6 +10,7 @@
 //! `Õ(τ)` delay continuum of the introduction.
 
 use cqc_common::heap::HeapSize;
+use cqc_common::CountingSink;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_join::baselines::{DirectView, MaterializedView};
 use cqc_workload::{graphs, queries};
@@ -48,19 +49,20 @@ fn main() {
 
     let run_mat = || {
         let t = Instant::now();
-        let mut out = 0usize;
+        let mut out = CountingSink::default();
         for r in &requests {
-            out += mat.answer(r).unwrap().count();
+            mat.answer_into(r, &mut out).unwrap();
         }
-        (t.elapsed(), out)
+        (t.elapsed(), out.count)
     };
     let run_dir = || {
         let t = Instant::now();
-        let mut out = 0usize;
+        let mut out = CountingSink::default();
+        let mut join = dir.enumerator();
         for r in &requests {
-            out += dir.answer(r).unwrap().count();
+            join.answer_into(r, &mut out).unwrap();
         }
-        (t.elapsed(), out)
+        (t.elapsed(), out.count)
     };
     let (mat_t, outs) = run_mat();
     let (dir_t, outs2) = run_dir();
@@ -90,12 +92,13 @@ fn main() {
         let s = Theorem1Structure::build(&view, &db, &[0.5, 0.5, 0.5], tau).unwrap();
         let build = t0.elapsed();
         let t = Instant::now();
-        let mut out = 0usize;
+        let mut out = CountingSink::default();
+        let mut cursor = s.enumerator();
         for r in &requests {
-            out += s.answer(r).unwrap().count();
+            cursor.answer_into(r, &mut out).unwrap();
         }
         let answer = t.elapsed();
-        assert_eq!(out, outs);
+        assert_eq!(out.count, outs);
         println!(
             "{:<28} {:>12} {:>10.1?} {:>12.1?}   (tree {} nodes, dict {})",
             format!("theorem 1, τ = {tau}"),

@@ -41,6 +41,13 @@ if [ -e crates/factorized ] || cargo tree --offline -e normal -p cqc-core | grep
     echo "cqc-factorized is back: the factorized recipe builds a Theorem2Structure" >&2
     exit 1
 fi
+# One way out of a representation: the sink. Fails on `impl Iterator for
+# Theorem1Iter<'_> { type Item = Tuple; … }` (any pull shim that copies
+# each answer out) or a `pub fn answer(` on a structure or an engine.
+if grep -rn 'type Item = Tuple' crates/*/src || grep -rnE 'fn answer\(' crates/*/src; then
+    echo "the pull path is back: answers leave a representation through an AnswerSink" >&2
+    exit 1
+fi
 
 step "benchmark package compiles against this tree"
 # benchmark/ is its own workspace and frozen between benchmark PRs: an API

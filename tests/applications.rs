@@ -1,17 +1,25 @@
 //! The paper's §1 application scenarios, end to end.
 
 use cqc_common::heap::HeapSize;
-use cqc_common::value::Tuple;
+use cqc_common::value::{Tuple, Value};
+use cqc_common::AnswerBlock;
 use cqc_core::compressed::{CompressedView, Strategy};
 use cqc_join::naive::evaluate_view;
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Database, Interner, Relation};
 use cqc_workload::queries;
 
-fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
-    v.sort();
-    v.dedup();
-    v
+/// The request's answers as `cv` serves them. Every structure but
+/// Theorem 2 promises the oracle's head order; Theorem 2 promises pre-order
+/// of its bags, so its stream is sorted — never deduplicated — first.
+fn served(cv: &CompressedView, req: &[Value]) -> Vec<Tuple> {
+    let mut block = AnswerBlock::new();
+    cv.answer_into(req, &mut block).unwrap();
+    let mut got = block.to_tuples();
+    if matches!(cv, CompressedView::Decomposed(_)) {
+        got.sort();
+    }
+    got
 }
 
 /// Example 1: mutual friends of pairs of friends in a social network,
@@ -42,8 +50,7 @@ fn social_network_mutual_friends() {
             let row = rel.row(i);
             let req = [row[0], row[1]];
             let expect = evaluate_view(&view, &db, &req).unwrap();
-            let got: Vec<Tuple> = cv.answer(&req).unwrap().collect();
-            assert_eq!(got, expect, "τ={tau} pair {req:?}");
+            assert_eq!(served(&cv, &req), expect, "τ={tau} pair {req:?}");
         }
     }
     assert!(
@@ -83,10 +90,9 @@ fn coauthor_graph_neighborhoods() {
     let baseline = CompressedView::build(&view, &db, Strategy::Materialize).unwrap();
     for author in 0..60u64 {
         let expect = evaluate_view(&view, &db, &[author]).unwrap();
-        let got: Vec<Tuple> = cv.answer(&[author]).unwrap().collect();
+        let got = served(&cv, &[author]);
         assert_eq!(got, expect, "author {author}");
-        let got_b: Vec<Tuple> = baseline.answer(&[author]).unwrap().collect();
-        assert_eq!(sorted(got_b), expect);
+        assert_eq!(served(&baseline, &[author]), expect);
         // Distinct co-authors derived client-side (the projection).
         let mut coauthors: Vec<u64> = got.iter().map(|t| t[0]).collect();
         coauthors.sort_unstable();
@@ -153,8 +159,7 @@ fn felix_style_materialization_continuum() {
             ("partial-small", &partial_small),
             ("partial-large", &partial_large),
         ] {
-            let got: Vec<Tuple> = cv.answer(req).unwrap().collect();
-            assert_eq!(sorted(got), expect, "{name} req {req:?}");
+            assert_eq!(served(cv, req), expect, "{name} req {req:?}");
         }
     }
 }
@@ -191,9 +196,8 @@ fn interned_string_pipeline() {
     .unwrap();
     let alice = interner.get("alice").unwrap();
     let bob = interner.get("bob").unwrap();
-    let mutuals: Vec<String> = cv
-        .answer(&[alice, bob])
-        .unwrap()
+    let mutuals: Vec<String> = served(&cv, &[alice, bob])
+        .iter()
         .map(|t| interner.resolve(t[0]).unwrap().to_string())
         .collect();
     // alice–bob triangle closers: carol (a–b–c–a) and dave (a–d–b… needs

@@ -2,17 +2,31 @@
 //! × seeded random databases must agree with the naive oracle on every
 //! sampled access request (and on full enumeration where applicable).
 
-use cqc_common::value::Tuple;
+use cqc_common::value::{Tuple, Value};
+use cqc_common::AnswerBlock;
 use cqc_core::compressed::{CompressedView, Strategy};
 use cqc_join::naive::evaluate_view;
 use cqc_query::AdornedView;
 use cqc_storage::Database;
 use cqc_workload::{queries, random_requests, witness_requests};
 
-fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
-    v.sort();
-    v.dedup();
-    v
+/// The request's answers as `cv` serves them — comparable with the naive
+/// oracle as they are, except that Theorem 2 promises pre-order of its
+/// bags rather than head order: its stream is sorted first. Nothing is
+/// ever deduplicated, so a repeated answer fails the comparison.
+///
+/// Sabotage check: `let sink = &mut cqc_common::FnSink(|t: &[Value]|
+/// sink.push(t) && sink.push(t));` (each answer pushed twice) as the first
+/// line of `ViewEnumerator::answer_into` turns every test of this file red
+/// but `builds_are_deterministic`, which compares two such streams.
+fn served(cv: &CompressedView, req: &[Value]) -> Vec<Tuple> {
+    let mut block = AnswerBlock::new();
+    cv.answer_into(req, &mut block).unwrap();
+    let mut got = block.to_tuples();
+    if matches!(cv, CompressedView::Decomposed(_)) {
+        got.sort();
+    }
+    got
 }
 
 /// One scenario: a view + database + request batch.
@@ -223,14 +237,12 @@ fn every_strategy_agrees_with_the_oracle_everywhere() {
                 );
             }
             for (req, expect) in requests.iter().zip(&expected) {
-                let got: Vec<Tuple> = cv.answer(req).unwrap().collect();
                 assert_eq!(
-                    &sorted(got.clone()),
+                    &served(&cv, req),
                     expect,
                     "{} / {sname} req {req:?}",
                     sc.name
                 );
-                assert_eq!(got.len(), expect.len(), "{} / {sname}: duplicates", sc.name);
                 assert_eq!(
                     cv.exists(req).unwrap(),
                     !expect.is_empty(),
@@ -258,7 +270,7 @@ fn theorem1_output_is_lexicographic() {
         )
         .unwrap();
         for req in witness_requests(&mut r, &sc.view, &sc.db, 15) {
-            let got: Vec<Tuple> = cv.answer(&req).unwrap().collect();
+            let got = served(&cv, &req);
             for w in got.windows(2) {
                 assert!(w[0] < w[1], "{}: out of order", sc.name);
             }
@@ -303,8 +315,7 @@ fn decomposed_explicit_strategy() {
     assert!(cv.describe().contains("theorem 2"), "{}", cv.describe());
     for req in witness_requests(&mut r, &view, &db, 30) {
         let expect = evaluate_view(&view, &db, &req).unwrap();
-        let got: Vec<Tuple> = cv.answer(&req).unwrap().collect();
-        assert_eq!(sorted(got), expect);
+        assert_eq!(served(&cv, &req), expect);
     }
 }
 
@@ -333,8 +344,6 @@ fn builds_are_deterministic() {
     .unwrap();
     let mut r = cqc_workload::rng(4);
     for req in random_requests(&mut r, &sc.view, &sc.db, 20) {
-        let x: Vec<Tuple> = a.answer(&req).unwrap().collect();
-        let y: Vec<Tuple> = b.answer(&req).unwrap().collect();
-        assert_eq!(x, y);
+        assert_eq!(served(&a, &req), served(&b, &req));
     }
 }

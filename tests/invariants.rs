@@ -4,6 +4,7 @@
 //! equivalent to the oracle.
 
 use cqc_common::value::Tuple;
+use cqc_common::AnswerBlock;
 use cqc_core::cost::CostEstimator;
 use cqc_core::dbtree::{tau_level, Cursor, DelayBalancedTree, Splitter};
 use cqc_core::fbox::{lex_cmp_ranks, FInterval};
@@ -20,10 +21,11 @@ fn vs(vars: &[u32]) -> VarSet {
     vars.iter().map(|&v| Var(v)).collect()
 }
 
-fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
-    v.sort();
-    v.dedup();
-    v
+/// The answers one `answer_into` call pushes, in the order pushed.
+fn pushed(answer_into: impl FnOnce(&mut AnswerBlock) -> cqc_common::Result<()>) -> Vec<Tuple> {
+    let mut block = AnswerBlock::new();
+    answer_into(&mut block).unwrap();
+    block.to_tuples()
 }
 
 /// Every leaf interval plus every internal split point, in in-order
@@ -254,9 +256,11 @@ fn deep_chain_theorem2_equivalence() {
         for a in 0..8u64 {
             for b in 0..8u64 {
                 let expect = evaluate_view(&view, &db, &[a, b]).unwrap();
-                let got: Vec<Tuple> = s.answer(&[a, b]).unwrap().collect();
-                assert_eq!(got.len(), expect.len(), "dups δ={delta:?} ({a},{b})");
-                assert_eq!(sorted(got), expect, "δ={delta:?} ({a},{b})");
+                // Algorithm 5 promises pre-order of the bags: sort, and
+                // only sort — a repeated answer must fail the comparison.
+                let mut got = pushed(|sink| s.answer_into(&[a, b], sink));
+                got.sort();
+                assert_eq!(got, expect, "δ={delta:?} ({a},{b})");
             }
         }
     }
@@ -276,8 +280,7 @@ fn self_join_triangle_invariants() {
     let s = Theorem1Structure::build(&view, &db, &[0.5, 0.5, 0.5], 3.0).unwrap();
     for b in 0..30u64 {
         let expect = evaluate_view(&view, &db, &[b]).unwrap();
-        let got: Vec<Tuple> = s.answer(&[b]).unwrap().collect();
-        assert_eq!(got, expect);
+        assert_eq!(pushed(|sink| s.answer_into(&[b], sink)), expect);
     }
     if let Some(tree) = s.tree() {
         check_tree_partitions(tree);

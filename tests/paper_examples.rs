@@ -7,6 +7,7 @@
 
 use cqc_common::heap::HeapSize;
 use cqc_common::value::{Tuple, Value};
+use cqc_common::AnswerBlock;
 use cqc_core::compressed::{CompressedView, Strategy};
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
@@ -23,9 +24,18 @@ fn vs(vars: &[u32]) -> VarSet {
     vars.iter().map(|&v| Var(v)).collect()
 }
 
+/// The answers one `answer_into` call pushes, in the order pushed.
+fn pushed(answer_into: impl FnOnce(&mut AnswerBlock) -> cqc_common::Result<()>) -> Vec<Tuple> {
+    let mut block = AnswerBlock::new();
+    answer_into(&mut block).unwrap();
+    block.to_tuples()
+}
+
+/// Theorem 2 promises pre-order of its bags, not head order: sort — and
+/// only sort, so a repeated answer survives — before comparing its stream
+/// with the naive join.
 fn sorted(mut v: Vec<Tuple>) -> Vec<Tuple> {
     v.sort();
-    v.dedup();
     v
 }
 
@@ -106,14 +116,14 @@ fn running_example_end_to_end() {
     assert_eq!(s.dictionary().get(rr.node, &[1, 1, 1]), Some(true));
 
     // Query answering: lexicographic output, matching the oracle.
-    let got: Vec<Tuple> = s.answer(&[1, 1, 1]).unwrap().collect();
+    let got = pushed(|sink| s.answer_into(&[1, 1, 1], sink));
     assert_eq!(got, vec![vec![1, 1, 2], vec![1, 2, 1], vec![1, 2, 2]]);
     for w1 in 1..=3u64 {
         for w2 in 1..=2u64 {
             for w3 in 1..=2u64 {
                 let vb = [w1, w2, w3];
                 let expect = evaluate_view(&view, &db, &vb).unwrap();
-                let got: Vec<Tuple> = s.answer(&vb).unwrap().collect();
+                let got = pushed(|sink| s.answer_into(&vb, sink));
                 assert_eq!(got, expect, "v_b = {vb:?}");
             }
         }
@@ -144,7 +154,7 @@ fn example_1_triangle_tradeoff() {
         let reqs = cqc_workload::witness_requests(&mut r, &view, &db, 40);
         for req in reqs {
             let expect = evaluate_view(&view, &db, &req).unwrap();
-            let got: Vec<Tuple> = s.answer(&req).unwrap().collect();
+            let got = pushed(|sink| s.answer_into(&req, sink));
             assert_eq!(got, expect, "τ={tau} req={req:?}");
         }
     }
@@ -179,7 +189,7 @@ fn example_6_loomis_whitney() {
     let s = Theorem1Structure::build(&view, &db, &[0.5, 0.5, 0.5], 3.0).unwrap();
     for req in cqc_workload::random_requests(&mut r, &view, &db, 60) {
         let expect = evaluate_view(&view, &db, &req).unwrap();
-        let got: Vec<Tuple> = s.answer(&req).unwrap().collect();
+        let got = pushed(|sink| s.answer_into(&req, sink));
         assert_eq!(got, expect);
     }
 }
@@ -211,7 +221,7 @@ fn example_7_star_slack() {
         assert!((s.alpha() - n as f64).abs() < 1e-9);
         for req in cqc_workload::witness_requests(&mut r, &view, &db, 40) {
             let expect = evaluate_view(&view, &db, &req).unwrap();
-            let got: Vec<Tuple> = s.answer(&req).unwrap().collect();
+            let got = pushed(|sink| s.answer_into(&req, sink));
             assert_eq!(got, expect, "n={n} req={req:?}");
         }
     }
@@ -234,7 +244,7 @@ fn set_intersection_special_case() {
     for s1 in 0..25u64 {
         for s2 in 0..25u64 {
             let expect = evaluate_view(&view, &db, &[s1, s2]).unwrap();
-            let got: Vec<Tuple> = s.answer(&[s1, s2]).unwrap().collect();
+            let got = pushed(|sink| s.answer_into(&[s1, s2], sink));
             assert_eq!(got, expect);
             assert_eq!(s.exists(&[s1, s2]).unwrap(), !expect.is_empty());
         }
@@ -307,9 +317,9 @@ fn example_10_path_theorem1_vs_theorem2() {
 
     for req in cqc_workload::witness_requests(&mut r, &view, &db, 50) {
         let expect = evaluate_view(&view, &db, &req).unwrap();
-        let a: Vec<Tuple> = t1.answer(&req).unwrap().collect();
-        let b: Vec<Tuple> = t2_zero.answer(&req).unwrap().collect();
-        let c: Vec<Tuple> = t2_delay.answer(&req).unwrap().collect();
+        let a = pushed(|sink| t1.answer_into(&req, sink));
+        let b = pushed(|sink| t2_zero.answer_into(&req, sink));
+        let c = pushed(|sink| t2_delay.answer_into(&req, sink));
         assert_eq!(a, expect, "theorem 1");
         assert_eq!(sorted(b), expect, "theorem 2 δ=0");
         assert_eq!(sorted(c), expect, "theorem 2 mixed δ");
@@ -399,7 +409,7 @@ fn figure_2_left_decomposition() {
         "semijoin-reduced ≤ |D|"
     );
     let expect = evaluate_view(&view, &db, &[]).unwrap();
-    let got: Vec<Tuple> = rep.answer(&[]).unwrap().collect();
+    let got = pushed(|sink| rep.answer_into(&[], sink));
     assert_eq!(sorted(got), expect);
 }
 
@@ -456,7 +466,7 @@ fn propositions_2_and_4_factorized() {
         panic!("expected theorem 2 at δ ≡ 0");
     }
     let expect = evaluate_view(&view, &db, &[]).unwrap();
-    let got: Vec<Tuple> = cv.answer(&[]).unwrap().collect();
+    let got = pushed(|sink| cv.answer_into(&[], sink));
     assert_eq!(sorted(got), expect);
 }
 
