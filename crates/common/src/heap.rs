@@ -23,6 +23,13 @@ impl<T: Copy> HeapSize for Vec<T> {
     }
 }
 
+/// A boxed slice has no spare capacity: its length is its allocation.
+impl<T: Copy> HeapSize for Box<[T]> {
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&**self)
+    }
+}
+
 impl HeapSize for String {
     fn heap_bytes(&self) -> usize {
         self.capacity()
@@ -50,6 +57,13 @@ mod tests {
         let mut v: Vec<u64> = Vec::with_capacity(16);
         v.push(1);
         assert_eq!(v.heap_bytes(), 16 * 8);
+    }
+
+    #[test]
+    fn boxed_slice_counts_its_length() {
+        let mut v: Vec<u32> = Vec::with_capacity(16);
+        v.extend([1, 2, 3]);
+        assert_eq!(v.into_boxed_slice().heap_bytes(), 3 * 4);
     }
 
     #[test]

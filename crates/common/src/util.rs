@@ -96,8 +96,9 @@ pub fn partition_point<P: FnMut(usize) -> bool>(lo: usize, hi: usize, mut pred: 
 /// `key`, in a flat buffer of `width`-value rows sorted lexicographically
 /// (two binary searches: O(log n)).
 ///
-/// This is the one access path into a materialized `[bound | free]` result
-/// — the §2.3 baseline and every materialized Theorem 2 bag.
+/// This is the access path into the §2.3 baseline's materialized
+/// `[bound | free]` result (a Theorem 2 bag stores each key once and
+/// searches its keys instead).
 #[inline]
 pub fn prefix_range(rows: &[u64], width: usize, key: &[u64]) -> (usize, usize) {
     debug_assert!(key.len() <= width);

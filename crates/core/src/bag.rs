@@ -1,9 +1,10 @@
 //! Materialized, semijoin-reducible bag relations.
 
 use cqc_common::error::Result;
+use cqc_common::hash::FastMap;
 use cqc_common::heap::HeapSize;
-use cqc_common::util::prefix_range;
-use cqc_common::value::Value;
+use cqc_common::util::partition_point;
+use cqc_common::value::{lex_cmp, Value};
 use cqc_join::leapfrog::LevelConstraint;
 use cqc_join::plan::ViewPlan;
 use cqc_query::adorned::AdornedView;
@@ -11,21 +12,39 @@ use cqc_query::atom::Atom;
 use cqc_query::cq::ConjunctiveQuery;
 use cqc_query::{Var, VarSet};
 use cqc_storage::Database;
+use std::cmp::Ordering;
 
-/// A materialized bag: the join of the bag-projected relations, stored as
-/// sorted rows `[bound vars | free vars]` and indexed by binary search on
-/// the bound prefix.
+/// A materialized bag: the join of the bag-projected relations, rows
+/// `[bound vars | free vars]` in lexicographic order, stored CSR so that
+/// a value many rows share is stored once (the sharing d-representations
+/// get their compression from):
+///
+/// * `keys` — each distinct bound prefix once, sorted; lookups binary
+///   search keys, not rows;
+/// * `offsets` — key `k`'s rows are `offsets[k]..offsets[k + 1]`;
+/// * `free` — each row's free suffix as `u32` ranks into `domains`;
+/// * `domains` — one sorted domain per free column (the distinct values
+///   the surviving rows hold there), back to back. A rank is a position
+///   in this buffer, so within a column rank order is value order and
+///   rows decode in the order they were stored.
+///
+/// Every buffer is a boxed slice — exact capacity by construction — and
+/// depends only on the rows, so a fresh, a reduced and a cloned bag over
+/// the same rows agree to the byte. The layout is this module's: callers
+/// get row ranges, key membership and [`MaterializedBag::bind`].
 ///
 /// Variable orders inside a bag are canonical: bound variables sorted by
 /// variable index, then free variables sorted by variable index. Key
 /// extraction at enumeration time uses the same canonical order; the
 /// variables themselves belong to the owning structure's bag.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct MaterializedBag {
-    rows: Vec<Value>,
-    /// Columns of the bound prefix — the lookup key.
-    bound_width: usize,
-    width: usize,
+    keys: Box<[Value]>,
+    offsets: Box<[u32]>,
+    free: Box<[u32]>,
+    domains: Box<[Value]>,
+    bound_width: u32,
+    free_width: u32,
 }
 
 /// The bag-local join components of Appendix B: a synthetic natural-join
@@ -90,6 +109,98 @@ pub(crate) fn bag_local_components(
     Ok((view, local_db, origins))
 }
 
+/// Row counts, offsets and ranks are `u32`, as in the tree and the
+/// dictionary: 4 G rows is far beyond any bag that fits in memory.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("bag rows and domains fit in u32")
+}
+
+/// Collects sorted, distinct `[bound | free]` rows into key runs.
+struct RunBuilder {
+    bound_width: usize,
+    free_width: usize,
+    keys: Vec<Value>,
+    /// The first row of each key.
+    offsets: Vec<u32>,
+    /// Free suffixes as values, row after row.
+    suffixes: Vec<Value>,
+    rows: usize,
+}
+
+impl RunBuilder {
+    fn new(bound_width: usize, free_width: usize) -> RunBuilder {
+        RunBuilder {
+            bound_width,
+            free_width,
+            keys: Vec::new(),
+            offsets: Vec::new(),
+            suffixes: Vec::new(),
+            rows: 0,
+        }
+    }
+
+    /// Appends the next row; rows arrive in lexicographic order, so a
+    /// key's rows are one run and the key is written when its run starts.
+    fn push(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.bound_width + self.free_width);
+        let (key, suffix) = row.split_at(self.bound_width);
+        // (`lex_cmp`, not `==`: slice equality calls `memcmp`, which
+        // costs ~100 ns per row on an empty key here.)
+        let same_run = !self.offsets.is_empty()
+            && lex_cmp(&self.keys[self.keys.len() - self.bound_width..], key) == Ordering::Equal;
+        if !same_run {
+            self.keys.extend_from_slice(key);
+            self.offsets.push(narrow(self.rows));
+        }
+        self.suffixes.extend_from_slice(suffix);
+        self.rows += 1;
+    }
+
+    /// Ranks every free column into its domain and seals the buffers.
+    ///
+    /// A column holds far fewer distinct values than rows (that is the
+    /// sharing), so each row takes one hash probe for a first-seen id and
+    /// only the distinct values are sorted, which maps an id to its rank.
+    fn finish(mut self) -> MaterializedBag {
+        let fw = self.free_width;
+        self.offsets.push(narrow(self.rows));
+        let mut free = vec![0u32; self.suffixes.len()];
+        let mut domains: Vec<Value> = Vec::new();
+        let mut ids: FastMap<Value, u32> = FastMap::default();
+        let mut distinct: Vec<(Value, u32)> = Vec::new();
+        let mut rank_of: Vec<u32> = Vec::new();
+        for c in 0..fw {
+            ids.clear();
+            distinct.clear();
+            let column = self.suffixes.iter().skip(c).step_by(fw);
+            for (slot, &v) in free.iter_mut().skip(c).step_by(fw).zip(column) {
+                let fresh = narrow(distinct.len());
+                *slot = *ids.entry(v).or_insert_with(|| {
+                    distinct.push((v, fresh));
+                    fresh
+                });
+            }
+            distinct.sort_unstable();
+            rank_of.resize(distinct.len(), 0);
+            for &(value, id) in &distinct {
+                rank_of[id as usize] = narrow(domains.len());
+                domains.push(value);
+            }
+            for slot in free.iter_mut().skip(c).step_by(fw) {
+                *slot = rank_of[*slot as usize];
+            }
+        }
+        MaterializedBag {
+            keys: self.keys.into_boxed_slice(),
+            offsets: self.offsets.into_boxed_slice(),
+            free: free.into_boxed_slice(),
+            domains: domains.into_boxed_slice(),
+            bound_width: narrow(self.bound_width),
+            free_width: narrow(fw),
+        }
+    }
+}
+
 impl MaterializedBag {
     /// Materializes the bag (split into `bound`/`free` by the
     /// decomposition) by joining the projections of every incident
@@ -108,61 +219,91 @@ impl MaterializedBag {
         let (view, local_db, _) = bag_local_components(node, bound, free, atoms, db)?;
         let plan = ViewPlan::build(&view, &local_db)?;
 
-        let width = bound.len() + free.len();
-        let mut join = plan.join(vec![LevelConstraint::Free; width]);
-        let mut rows = Vec::new();
-        while let Some(t) = join.next() {
-            rows.extend_from_slice(t);
-        }
+        let mut join = plan.join(vec![LevelConstraint::Free; bound.len() + free.len()]);
         // LFTJ emits in lexicographic order of [bound | free] already.
-        Ok(MaterializedBag {
-            rows,
-            bound_width: bound.len(),
-            width,
-        })
+        let mut runs = RunBuilder::new(bound.len(), free.len());
+        while let Some(t) = join.next() {
+            runs.push(t);
+        }
+        Ok(runs.finish())
     }
 
     /// Number of materialized rows.
     pub(crate) fn len(&self) -> usize {
-        self.rows.len().checked_div(self.width).unwrap_or(0)
+        self.offsets.last().map_or(0, |&n| n as usize)
     }
 
-    /// Row `i` (bound prefix then free suffix, canonical orders).
-    pub(crate) fn row(&self, i: usize) -> &[Value] {
-        &self.rows[i * self.width..(i + 1) * self.width]
+    /// Number of distinct bound prefixes.
+    pub(crate) fn num_keys(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
     }
 
-    /// The free suffix of row `i`.
-    pub(crate) fn free_part(&self, i: usize) -> &[Value] {
-        &self.row(i)[self.bound_width..]
+    /// Distinct free values stored, summed over the free columns.
+    pub(crate) fn domain_values(&self) -> usize {
+        self.domains.len()
     }
 
-    /// The contiguous row range whose bound prefix equals `key`
-    /// (binary search: O(log n)).
-    pub(crate) fn range_for(&self, key: &[Value]) -> (usize, usize) {
-        debug_assert_eq!(key.len(), self.bound_width);
-        prefix_range(&self.rows, self.width, key)
+    fn key(&self, k: usize) -> &[Value] {
+        let bw = self.bound_width as usize;
+        &self.keys[k * bw..(k + 1) * bw]
+    }
+
+    fn ranks(&self, row: u32) -> &[u32] {
+        let fw = self.free_width as usize;
+        &self.free[row as usize * fw..][..fw]
+    }
+
+    /// The index of `key` among the keys (binary search: O(log keys)).
+    fn key_index(&self, key: &[Value]) -> Option<usize> {
+        debug_assert_eq!(key.len(), self.bound_width as usize);
+        let n = self.num_keys();
+        let k = partition_point(0, n, |i| lex_cmp(self.key(i), key) != Ordering::Less);
+        (k < n && lex_cmp(self.key(k), key) == Ordering::Equal).then_some(k)
+    }
+
+    /// The row range `[lo, hi)` whose bound prefix equals `key`; empty
+    /// when no row has it.
+    pub(crate) fn range_for(&self, key: &[Value]) -> (u32, u32) {
+        self.key_index(key)
+            .map_or((0, 0), |k| (self.offsets[k], self.offsets[k + 1]))
     }
 
     /// `true` iff some row has the given bound prefix.
     pub(crate) fn contains_key(&self, key: &[Value]) -> bool {
-        let (lo, hi) = self.range_for(key);
-        lo < hi
+        self.key_index(key).is_some()
+    }
+
+    /// Binds row `row`'s free values to `vars` (the bag's free variables,
+    /// canonical order) in `valuation`.
+    pub(crate) fn bind(&self, row: u32, vars: &[Var], valuation: &mut [Option<Value>]) {
+        for (v, &rank) in vars.iter().zip(self.ranks(row)) {
+            valuation[v.index()] = Some(self.domains[rank as usize]);
+        }
     }
 
     /// Retains only the rows for which `keep` returns `true` (the semijoin
-    /// reduction step).
-    pub(crate) fn retain<F: FnMut(&[Value]) -> bool>(&mut self, mut keep: F) {
-        let width = self.width;
-        let n = self.len();
-        let mut out: Vec<Value> = Vec::with_capacity(self.rows.len());
-        for i in 0..n {
-            let row = &self.rows[i * width..(i + 1) * width];
-            if keep(row) {
-                out.extend_from_slice(row);
+    /// reduction step), walking them in order, each decoded as
+    /// `[bound | free]`. When a row goes, the survivors are re-encoded as
+    /// a fresh build over them would be: keys without rows leave, and the
+    /// domains are re-derived.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&[Value]) -> bool) {
+        let (bw, fw) = (self.bound_width as usize, self.free_width as usize);
+        let mut runs = RunBuilder::new(bw, fw);
+        let mut row: Vec<Value> = vec![0; bw + fw];
+        for k in 0..self.num_keys() {
+            row[..bw].copy_from_slice(self.key(k));
+            for r in self.offsets[k]..self.offsets[k + 1] {
+                for (slot, &rank) in row[bw..].iter_mut().zip(self.ranks(r)) {
+                    *slot = self.domains[rank as usize];
+                }
+                if keep(&row) {
+                    runs.push(&row);
+                }
             }
         }
-        self.rows = out;
+        if runs.rows < self.len() {
+            *self = runs.finish();
+        }
     }
 
     /// Creates a bag directly from rows.
@@ -170,22 +311,38 @@ impl MaterializedBag {
     fn from_rows(bound_width: usize, width: usize, mut tuples: Vec<Vec<Value>>) -> MaterializedBag {
         tuples.sort_unstable();
         tuples.dedup();
-        let mut rows = Vec::with_capacity(tuples.len() * width);
+        let mut runs = RunBuilder::new(bound_width, width - bound_width);
         for t in &tuples {
-            assert_eq!(t.len(), width);
-            rows.extend_from_slice(t);
+            runs.push(t);
         }
-        MaterializedBag {
-            rows,
-            bound_width,
-            width,
+        runs.finish()
+    }
+
+    /// Every row `[bound | free]`, in order.
+    #[cfg(test)]
+    fn rows(&self) -> Vec<Vec<Value>> {
+        let fw = self.free_width as usize;
+        let vars: Vec<Var> = (0..fw as u32).map(Var).collect();
+        let mut valuation = vec![None; fw];
+        let mut out = Vec::new();
+        for k in 0..self.num_keys() {
+            for r in self.offsets[k]..self.offsets[k + 1] {
+                self.bind(r, &vars, &mut valuation);
+                let mut row = self.key(k).to_vec();
+                row.extend(valuation.iter().map(|v| v.expect("bound")));
+                out.push(row);
+            }
         }
+        out
     }
 }
 
 impl HeapSize for MaterializedBag {
     fn heap_bytes(&self) -> usize {
-        self.rows.heap_bytes()
+        self.keys.heap_bytes()
+            + self.offsets.heap_bytes()
+            + self.free.heap_bytes()
+            + self.domains.heap_bytes()
     }
 }
 
@@ -193,6 +350,7 @@ impl HeapSize for MaterializedBag {
 mod tests {
     use super::*;
     use cqc_storage::Relation;
+    use rand::Rng;
 
     fn vs(vars: &[u32]) -> VarSet {
         vars.iter().map(|&v| Var(v)).collect()
@@ -207,6 +365,27 @@ mod tests {
         db
     }
 
+    /// The free suffixes of `key`'s rows, decoded in order.
+    fn frees(bag: &MaterializedBag, key: &[Value]) -> Vec<Vec<Value>> {
+        let fw = bag.free_width as usize;
+        let vars: Vec<Var> = (0..fw as u32).map(Var).collect();
+        let mut valuation = vec![None; fw];
+        let (lo, hi) = bag.range_for(key);
+        (lo..hi)
+            .map(|r| {
+                bag.bind(r, &vars, &mut valuation);
+                valuation.iter().map(|v| v.unwrap()).collect()
+            })
+            .collect()
+    }
+
+    /// The layout's bytes, term by term: the bound as the layout pin in
+    /// `space_accounting.rs` states it, met with equality.
+    fn exact_bytes(bag: &MaterializedBag) -> usize {
+        let (bw, fw) = (bag.bound_width as usize, bag.free_width as usize);
+        (8 * bw + 4) * bag.num_keys() + 4 + 4 * fw * bag.len() + 8 * bag.domain_values()
+    }
+
     #[test]
     fn build_joins_projections() {
         // Bag over {x (bound), y (free)} with atoms R(x,y), S(y,z):
@@ -217,12 +396,13 @@ mod tests {
         ];
         let bag = MaterializedBag::build(1, vs(&[0]), vs(&[1]), &atoms, &db()).unwrap();
         assert_eq!(bag.len(), 3);
-        assert_eq!(bag.row(0), &[1, 10]);
-        let (lo, hi) = bag.range_for(&[2]);
-        assert_eq!(hi - lo, 1);
-        assert_eq!(bag.free_part(lo), &[10]);
+        assert_eq!(bag.rows()[0], [1, 10]);
+        assert_eq!(frees(&bag, &[2]), [[10]]);
         assert!(bag.contains_key(&[3]));
         assert!(!bag.contains_key(&[4]));
+        // Two distinct y values for three rows.
+        assert_eq!((bag.num_keys(), bag.domain_values()), (3, 2));
+        assert_eq!(bag.heap_bytes(), exact_bytes(&bag));
     }
 
     #[test]
@@ -232,6 +412,12 @@ mod tests {
         assert_eq!(bag.len(), 2);
         assert!(!bag.contains_key(&[1]));
         assert!(bag.contains_key(&[2]));
+        assert_eq!(frees(&bag, &[3]), [[30]]);
+        // The dropped row's key and value are gone, not just unreachable.
+        let fresh = MaterializedBag::from_rows(1, 2, vec![vec![2, 20], vec![3, 30]]);
+        assert_eq!(bag.rows(), fresh.rows());
+        assert_eq!(bag.heap_bytes(), fresh.heap_bytes());
+        assert_eq!(bag.heap_bytes(), exact_bytes(&bag));
     }
 
     #[test]
@@ -243,8 +429,9 @@ mod tests {
         );
         let (lo, hi) = bag.range_for(&[1]);
         assert_eq!(hi - lo, 3);
-        let frees: Vec<&[Value]> = (lo..hi).map(|i| bag.free_part(i)).collect();
-        assert_eq!(frees, vec![&[10][..], &[11], &[12]]);
+        assert_eq!(frees(&bag, &[1]), [[10], [11], [12]]);
+        // Key 1 is stored once for its three rows.
+        assert_eq!(bag.num_keys(), 2);
     }
 
     #[test]
@@ -253,5 +440,114 @@ mod tests {
         let bag = MaterializedBag::from_rows(0, 2, vec![vec![1, 2], vec![3, 4]]);
         let (lo, hi) = bag.range_for(&[]);
         assert_eq!((lo, hi), (0, 2));
+        assert_eq!(frees(&bag, &[]), [[1, 2], [3, 4]]);
+        assert_eq!(bag.num_keys(), 1);
+        assert_eq!(bag.heap_bytes(), exact_bytes(&bag));
+    }
+
+    #[test]
+    fn all_bound_bag_stores_keys_only() {
+        // `derive` materializes a bag with nothing free: every row is a key.
+        let bag = MaterializedBag::from_rows(2, 2, vec![vec![1, 2], vec![1, 3], vec![4, 1]]);
+        assert_eq!((bag.len(), bag.num_keys(), bag.domain_values()), (3, 3, 0));
+        assert!(bag.contains_key(&[1, 3]));
+        assert!(!bag.contains_key(&[1, 4]));
+        assert_eq!(bag.range_for(&[4, 1]), (2, 3));
+        assert_eq!(frees(&bag, &[1, 2]), [Vec::<Value>::new()]);
+        assert_eq!(bag.heap_bytes(), exact_bytes(&bag));
+    }
+
+    #[test]
+    fn multi_column_keys_and_suffixes() {
+        let rows = vec![
+            vec![1, 1, 7, 9, 3],
+            vec![1, 1, 7, 2, 3],
+            vec![1, 2, 7, 9, 3],
+            vec![2, 1, 5, 9, 4],
+            vec![1, 1, 6, 9, 4],
+        ];
+        let bag = MaterializedBag::from_rows(2, 5, rows);
+        assert_eq!(frees(&bag, &[1, 1]), [[6, 9, 4], [7, 2, 3], [7, 9, 3]]);
+        assert_eq!(frees(&bag, &[1, 2]), [[7, 9, 3]]);
+        assert_eq!(frees(&bag, &[2, 1]), [[5, 9, 4]]);
+        assert!(frees(&bag, &[2, 2]).is_empty());
+        // Three keys; the domains hold {5, 6, 7}, {2, 9} and {3, 4}.
+        assert_eq!((bag.num_keys(), bag.domain_values()), (3, 7));
+        assert_eq!(bag.heap_bytes(), exact_bytes(&bag));
+    }
+
+    #[test]
+    fn values_past_u32_round_trip_through_ranks() {
+        let big = u64::MAX - 3;
+        let rows = vec![
+            vec![1 << 40, big, 1 << 33],
+            vec![1 << 40, u64::MAX, 0],
+            vec![5, 1 << 32, u64::MAX],
+        ];
+        let bag = MaterializedBag::from_rows(1, 3, rows.clone());
+        let mut sorted = rows;
+        sorted.sort_unstable();
+        assert_eq!(bag.rows(), sorted);
+        assert_eq!(frees(&bag, &[1 << 40]), [[big, 1 << 33], [u64::MAX, 0]]);
+    }
+
+    #[test]
+    fn retain_down_to_empty() {
+        let mut bag = MaterializedBag::from_rows(1, 3, vec![vec![1, 2, 3], vec![4, 5, 6]]);
+        bag.retain(|_| false);
+        assert_eq!((bag.len(), bag.num_keys(), bag.domain_values()), (0, 0, 0));
+        assert!(!bag.contains_key(&[1]));
+        assert_eq!(bag.range_for(&[4]), (0, 0));
+        // What a build over no rows holds: the offsets sentinel.
+        let fresh = MaterializedBag::from_rows(1, 3, Vec::new());
+        assert_eq!(bag.heap_bytes(), fresh.heap_bytes());
+        assert_eq!(bag.heap_bytes(), 4);
+    }
+
+    /// Property, over seeded random instances: random rows → bag, and
+    /// every key's range decodes to exactly the sorted rows with that
+    /// prefix, in order; retaining a random subset is a fresh build over
+    /// that subset, byte for byte.
+    #[test]
+    fn every_key_decodes_to_its_sorted_rows() {
+        let mut rng = cqc_workload::rng(25);
+        for case in 0..300 {
+            let (bw, fw) = (rng.gen_range(0..3usize), rng.gen_range(0..3usize));
+            let width = bw + fw;
+            let n = rng.gen_range(0..60usize);
+            let mut rows: Vec<Vec<Value>> = (0..n)
+                .map(|_| (0..width).map(|_| rng.gen_range(0..6u64)).collect())
+                .collect();
+            let bag = MaterializedBag::from_rows(bw, width, rows.clone());
+            rows.sort_unstable();
+            rows.dedup();
+            assert_eq!(bag.rows(), rows, "case {case}");
+            assert_eq!(bag.heap_bytes(), exact_bytes(&bag), "case {case}");
+            let mut keys: Vec<Vec<Value>> = rows.iter().map(|r| r[..bw].to_vec()).collect();
+            keys.dedup();
+            assert_eq!(bag.num_keys(), keys.len(), "case {case}");
+            for key in keys {
+                let expect: Vec<Vec<Value>> = rows
+                    .iter()
+                    .filter(|r| r[..bw] == key[..])
+                    .map(|r| r[bw..].to_vec())
+                    .collect();
+                assert_eq!(frees(&bag, &key), expect, "case {case}, key {key:?}");
+            }
+
+            let keep: Vec<bool> = rows.iter().map(|_| rng.gen_bool(0.6)).collect();
+            let mut reduced = bag.clone();
+            let mut flags = keep.iter();
+            reduced.retain(|_| *flags.next().unwrap());
+            let kept: Vec<Vec<Value>> = rows
+                .iter()
+                .zip(&keep)
+                .filter(|(_, &k)| k)
+                .map(|(r, _)| r.clone())
+                .collect();
+            let fresh = MaterializedBag::from_rows(bw, width, kept.clone());
+            assert_eq!(reduced.rows(), kept, "case {case}");
+            assert_eq!(reduced.heap_bytes(), fresh.heap_bytes(), "case {case}");
+        }
     }
 }

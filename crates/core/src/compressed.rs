@@ -325,11 +325,13 @@ impl CompressedView {
                 let st = s.stats();
                 format!(
                     "theorem 2: {} bags ({} delay-tuned, max δ = {:.3}); {} materialized \
-                     bag tuples, {} dictionary entries, {} heap bytes{}",
+                     bag tuples ({} B = {:.1} B/tuple), {} dictionary entries, {} heap bytes{}",
                     st.bags,
                     st.tradeoff_bags,
                     st.max_delta,
                     st.materialized_tuples,
+                    st.materialized_bytes,
+                    st.materialized_bytes as f64 / st.materialized_tuples.max(1) as f64,
                     st.dict_entries,
                     st.heap_bytes,
                     if st.tradeoff_bags == 0 {

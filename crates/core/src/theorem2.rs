@@ -40,9 +40,9 @@ struct Bag {
     /// Node id in the decomposition.
     node: usize,
     /// Bound variables `V_b^t` (original ids, canonical order).
-    bound_vars: Vec<Var>,
+    bound_vars: Box<[Var]>,
     /// Free variables `V_f^t` (original ids, canonical order).
-    free_vars: Vec<Var>,
+    free_vars: Box<[Var]>,
     kind: BagKind,
 }
 
@@ -134,6 +134,10 @@ fn root_checks(view: &AdornedView, db: &Database) -> Result<Vec<(Arc<Relation>, 
 #[derive(Debug)]
 pub struct Theorem2Structure {
     view: AdornedView,
+    /// The view's bound and free head variables, taken once at build: a
+    /// request binds the first, every answer reads the second.
+    bound_head: Box<[Var]>,
+    free_head: Box<[Var]>,
     /// Bags in pre-order of the decomposition (root excluded).
     bags: Vec<Bag>,
     /// Tree parent in `bags` indexes (`None` = the root bag).
@@ -206,6 +210,8 @@ impl Theorem2Structure {
 
         let mut s = Theorem2Structure {
             view: view.clone(),
+            bound_head: view.bound_head().into_boxed_slice(),
+            free_head: view.free_head().into_boxed_slice(),
             bags,
             parent_of,
             children_of,
@@ -288,15 +294,15 @@ impl Theorem2Structure {
             if !dirty[bi] || self.children_of[bi].is_empty() {
                 continue;
             }
-            // Decide with the structure borrowed, then apply.
-            let mut keep: Vec<bool> = Vec::new();
-            let mut flips: Vec<(u32, Vec<Value>)> = Vec::new();
+            // The bag under reduction is lifted out of the structure while
+            // the probes, which only look below it, borrow the rest.
+            let placeholder = BagKind::Materialized(MaterializedBag::default());
+            let mut kind = std::mem::replace(&mut self.bags[bi].kind, placeholder);
             let mut probe = SubtreeProbe::new(self, &key_pos);
-            match &self.bags[bi].kind {
-                BagKind::Materialized(mb) => {
-                    keep.extend((0..mb.len()).map(|i| probe.extends_below(bi, mb.row(i))));
-                }
+            match &mut kind {
+                BagKind::Materialized(mb) => mb.retain(|row| probe.extends_below(bi, row)),
                 BagKind::Tradeoff(t1) => {
+                    let mut flips: Vec<(u32, Vec<Value>)> = Vec::new();
                     if let Some(tree) = t1.tree() {
                         let mut row: Vec<Value> = Vec::new();
                         // One endpoint pair, re-derived per node by the
@@ -324,20 +330,13 @@ impl Theorem2Structure {
                             }
                         }
                     }
-                }
-            }
-            match &mut self.bags[bi].kind {
-                BagKind::Materialized(mb) => {
-                    let mut flags = keep.into_iter();
-                    mb.retain(|_| flags.next().expect("one flag per row"));
-                }
-                BagKind::Tradeoff(t1) => {
                     for (w, key) in flips {
                         let stored = t1.dictionary_mut().flip(w, &key, false);
                         debug_assert!(stored, "flipped keys come from the dictionary");
                     }
                 }
             }
+            self.bags[bi].kind = kind;
         }
     }
 
@@ -418,6 +417,8 @@ impl Theorem2Structure {
 
         let mut s = Theorem2Structure {
             view: self.view.clone(),
+            bound_head: self.bound_head.clone(),
+            free_head: self.free_head.clone(),
             bags,
             parent_of: self.parent_of.clone(),
             children_of: self.children_of.clone(),
@@ -487,9 +488,11 @@ impl Theorem2Structure {
         self.bags
             .iter()
             .map(|b| {
-                let (kind, tuples_or_entries) = match &b.kind {
-                    BagKind::Materialized(m) => ("materialized", m.len()),
-                    BagKind::Tradeoff(t) => ("theorem-1", t.dictionary().num_entries()),
+                let (kind, tuples_or_entries, keys, domain_values) = match &b.kind {
+                    BagKind::Materialized(m) => {
+                        ("materialized", m.len(), m.num_keys(), m.domain_values())
+                    }
+                    BagKind::Tradeoff(t) => ("theorem-1", t.dictionary().num_entries(), 0, 0),
                 };
                 BagReport {
                     node: b.node,
@@ -498,6 +501,8 @@ impl Theorem2Structure {
                     delta: self.delta[b.node],
                     kind,
                     tuples_or_entries,
+                    keys,
+                    domain_values,
                     heap_bytes: b.heap_bytes(),
                 }
             })
@@ -507,11 +512,15 @@ impl Theorem2Structure {
     /// Per-bag statistics.
     pub fn stats(&self) -> Theorem2Stats {
         let mut materialized_tuples = 0usize;
+        let mut materialized_bytes = 0usize;
         let mut dict_entries = 0usize;
         let mut tradeoff_bags = 0usize;
         for b in &self.bags {
             match &b.kind {
-                BagKind::Materialized(m) => materialized_tuples += m.len(),
+                BagKind::Materialized(m) => {
+                    materialized_tuples += m.len();
+                    materialized_bytes += m.heap_bytes();
+                }
                 BagKind::Tradeoff(t) => {
                     tradeoff_bags += 1;
                     dict_entries += t.dictionary().num_entries();
@@ -522,6 +531,7 @@ impl Theorem2Structure {
             bags: self.bags.len(),
             tradeoff_bags,
             materialized_tuples,
+            materialized_bytes,
             dict_entries,
             heap_bytes: self.heap_bytes(),
             max_delta: self.delta.iter().copied().fold(0.0, f64::max),
@@ -611,6 +621,12 @@ pub struct BagReport {
     pub kind: &'static str,
     /// Materialized tuples, or dictionary entries for delay-tuned bags.
     pub tuples_or_entries: usize,
+    /// Distinct bound prefixes a materialized bag stores (0 for a
+    /// delay-tuned bag).
+    pub keys: usize,
+    /// Distinct free values a materialized bag stores, summed over its
+    /// free columns (0 for a delay-tuned bag).
+    pub domain_values: usize,
     /// Owned heap bytes.
     pub heap_bytes: usize,
 }
@@ -624,6 +640,9 @@ pub struct Theorem2Stats {
     pub tradeoff_bags: usize,
     /// Total materialized bag tuples.
     pub materialized_tuples: usize,
+    /// Heap bytes of the materialized bags' storage (keys, offsets, free
+    /// ranks and domains; not the variable lists).
+    pub materialized_bytes: usize,
     /// Total dictionary entries across Theorem 1 bags.
     pub dict_entries: usize,
     /// Owned heap bytes.
@@ -638,7 +657,9 @@ impl HeapSize for Theorem2Structure {
     /// occupy, not the owner's spare capacity), as shared sorted indexes
     /// are counted once per holder.
     fn heap_bytes(&self) -> usize {
-        self.bags.iter().map(HeapSize::heap_bytes).sum::<usize>()
+        self.bound_head.heap_bytes()
+            + self.free_head.heap_bytes()
+            + self.bags.iter().map(HeapSize::heap_bytes).sum::<usize>()
             + self
                 .root_checks
                 .iter()
@@ -656,7 +677,7 @@ struct BagCursor<'a> {
     /// Whether the bag currently holds a bound row.
     live: bool,
     /// `(current row, end row)` for materialized bags.
-    mat: (usize, usize),
+    mat: (u32, u32),
     /// The bag's cursor, for Theorem 1 bags that have been opened.
     trade: Option<Box<Theorem1Iter<'a>>>,
 }
@@ -665,9 +686,9 @@ struct BagCursor<'a> {
 /// tuples are duplicate-free.
 ///
 /// Answers leave through a sink ([`Theorem2Iter::answer_into`]) as slices
-/// borrowed from an internal emit buffer, and every per-bag binding copies
-/// directly from the bag's storage into the valuation — no per-row tuple
-/// is allocated.
+/// borrowed from an internal emit buffer, and every per-bag binding decodes
+/// directly from the bag's storage into the valuation — neither a row nor
+/// a head list is allocated per answer.
 pub struct Theorem2Iter<'a> {
     s: &'a Theorem2Structure,
     valuation: Vec<Option<Value>>,
@@ -707,7 +728,7 @@ impl<'a> Theorem2Iter<'a> {
         self.s.view.check_access(bound_values)?;
         self.valuation.clear();
         self.valuation.resize(self.s.num_vars, None);
-        for (var, val) in self.s.view.bound_head().iter().zip(bound_values) {
+        for (var, val) in self.s.bound_head.iter().zip(bound_values) {
             self.valuation[var.index()] = Some(*val);
         }
         for c in &mut self.cursors {
@@ -759,9 +780,7 @@ impl<'a> Theorem2Iter<'a> {
                 }
                 cur.live = true;
                 cur.mat = (lo, hi);
-                for (v, val) in bag.free_vars.iter().zip(mb.free_part(lo)) {
-                    valuation[v.index()] = Some(*val);
-                }
+                mb.bind(lo, &bag.free_vars, valuation);
                 true
             }
             BagKind::Tradeoff(t1) => {
@@ -801,9 +820,7 @@ impl<'a> Theorem2Iter<'a> {
                     return false;
                 }
                 cur.mat = (c + 1, end);
-                for (v, val) in bag.free_vars.iter().zip(mb.free_part(c + 1)) {
-                    valuation[v.index()] = Some(*val);
-                }
+                mb.bind(c + 1, &bag.free_vars, valuation);
                 true
             }
             BagKind::Tradeoff(_) => {
@@ -827,8 +844,7 @@ impl<'a> Theorem2Iter<'a> {
         } = self;
         emit.clear();
         emit.extend(
-            s.view
-                .free_head()
+            s.free_head
                 .iter()
                 .map(|v| valuation[v.index()].expect("free var bound by some bag")),
         );
@@ -1241,6 +1257,47 @@ mod tests {
         let mut block = cqc_common::AnswerBlock::new();
         cv.answer_into(&[1], &mut block).unwrap();
         assert!(block.is_empty());
+    }
+
+    /// A materialized bag's bytes depend only on its surviving rows, so a
+    /// maintained d-representation — bags re-derived where a delta
+    /// touched them, cloned where it did not — is a rebuild to the byte,
+    /// bag by bag, across a mixed insert/delete history. (At b7efa13 a
+    /// cloned bag dropped the doubling slack its rebuilt twin keeps.)
+    #[test]
+    fn maintained_constant_delay_bytes_equal_a_rebuild() {
+        let view = cqc_workload::queries::path(3, "bfff").unwrap();
+        let mut rng = cqc_workload::rng(25);
+        let mut db = Database::new();
+        for name in ["R1", "R2", "R3"] {
+            db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 300, 30))
+                .unwrap();
+        }
+        let build = |db: &Database| Theorem2Structure::build_constant_delay(&view, db).unwrap();
+        let layout = |s: &Theorem2Structure| -> Vec<(usize, usize, usize, usize)> {
+            let bag = |r: &BagReport| (r.tuples_or_entries, r.keys, r.domain_values, r.heap_bytes);
+            s.bag_reports().iter().map(bag).collect()
+        };
+        let mut s = build(&db);
+        let bags = s.stats().bags;
+        assert!(bags >= 3, "{:?}", s.bag_reports());
+        let (mut cloned, mut removed) = (0, 0);
+        let histories: [&[&str]; 4] = [&["R1"], &["R1", "R2"], &["R1", "R2", "R3"], &["R3"]];
+        for (step, touched) in histories.iter().cycle().take(8).enumerate() {
+            let delta = cqc_workload::mixed_delta(&mut rng, &db, touched, 4, 3);
+            removed += delta.remove_groups().map(|(_, t)| t.len()).sum::<usize>();
+            db.apply(&delta).unwrap();
+            let (maintained, rebuilt_bags) =
+                s.maintained(&db, &delta).unwrap().expect("natural atoms");
+            cloned += bags - rebuilt_bags;
+            let rebuilt = build(&db);
+            assert_eq!(layout(&maintained), layout(&rebuilt), "step {step}");
+            assert_eq!(maintained.heap_bytes(), rebuilt.heap_bytes(), "step {step}");
+            assert_streams_naive(&maintained, &view, &db, (0..30u64).map(|x| vec![x]));
+            s = maintained;
+        }
+        assert!(cloned > 0, "some delta must leave a bag untouched");
+        assert!(removed > 0, "the history must delete something");
     }
 
     #[test]

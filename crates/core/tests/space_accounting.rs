@@ -26,7 +26,11 @@
 //!   bag for a mixed one on the 4-path. A root-check relation is shared
 //!   with the database, so `heap_bytes()` (which counts its name and rows
 //!   per holder) exceeds the allocator's figure by exactly that content:
-//!   the 3-path `bbbf` row, where `R1` and `R2` are inside `V_b`, shows it;
+//!   the 3-path `bbbf` row, where `R1` and `R2` are inside `V_b`, shows it.
+//!   Beside it a layout pin per materialized bag: `heap_bytes` of its
+//!   storage is at most `(8·bw + 4)·keys + 4 + 4·fw·rows + 8·Σ distinct`
+//!   (CSR keys and `u32` offsets, `u32` free-column ranks, one sorted
+//!   domain per free column, exact capacity);
 //! * Proposition 1 is the same rule with every relation inside `V_b`:
 //!   building an all-bound view over three relations grows live bytes by
 //!   less than one of them.
@@ -39,8 +43,11 @@
 //! own copy of the two variable lists beside its bag's (32 B a bag, the
 //! layout before the d-representation became Theorem 2 at δ ≡ 0) fails
 //! the `bff` row; a root check that deep-copies its relation
-//! (`Arc::new((*rel).clone())`) fails the `bbbf` row by 11.6 KB. For the
-//! sixth: `Arc::new((*rel).clone())` in `BoundOnlyView::build`.
+//! (`Arc::new((*rel).clone())`) fails the `bbbf` row by 11.6 KB. The
+//! layout pin: storing one `u64` per free value of a row instead of a
+//! `u32` rank, or leaving `Vec` doubling slack in place of the boxed
+//! slices, fails the `bff` row. For the sixth: `Arc::new((*rel).clone())`
+//! in `BoundOnlyView::build`.
 //!
 //! Everything is in one `#[test]` so no other test thread allocates while
 //! live bytes are being compared.
@@ -279,7 +286,7 @@ fn theorem2_reports_what_it_holds() {
         // its first growth; a delay per decomposition node; the root-check
         // list at its first growth; the view definition.
         let bags = stats.bags;
-        let unreported = (96 + 16 + 24) * bags
+        let unreported = (112 + 16 + 24) * bags
             + 32 * (bags - 1)
             + 8 * (bags + 1)
             + if inside_vb.is_empty() { 0 } else { 4 * 32 }
@@ -291,5 +298,29 @@ fn theorem2_reports_what_it_holds() {
             "{atoms}-path {pattern}: the allocator says {live} live bytes; heap_bytes() less \
              the {shared} B shared with the database plus {unreported} B of headers is {held}"
         );
+
+        // Layout pin, per materialized bag: each key once (8 B a bound
+        // value) with a 4 B offset, the offsets' sentinel, a 4 B rank per
+        // free value of a row, 8 B per distinct value of a free column —
+        // no slack. The bag's two variable lists (4 B a variable) are the
+        // rest of what it reports.
+        let mut bag_bytes = 0;
+        for r in s.bag_reports().iter().filter(|r| r.kind == "materialized") {
+            let (bw, fw) = (r.bound_vars, r.free_vars);
+            let storage = r.heap_bytes - 4 * (bw + fw);
+            let pin =
+                (8 * bw + 4) * r.keys + 4 + 4 * fw * r.tuples_or_entries + 8 * r.domain_values;
+            assert!(
+                storage <= pin,
+                "{atoms}-path {pattern}, node {}: {storage} B for {} keys, {} rows, {} distinct \
+                 free values (bound width {bw}, free width {fw}); the layout holds {pin}",
+                r.node,
+                r.keys,
+                r.tuples_or_entries,
+                r.domain_values
+            );
+            bag_bytes += storage;
+        }
+        assert_eq!(bag_bytes, stats.materialized_bytes, "{pattern}");
     }
 }

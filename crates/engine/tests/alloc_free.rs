@@ -12,7 +12,10 @@
 //! Sabotage check: a `to_vec()` of the answer in
 //! `Theorem1Iter::drain_into` turns this test and `sharded_alloc.rs` red;
 //! `key: &mut Vec::new()` in `ViewEnumerator::answer_into`'s bound-only arm
-//! (a fresh probe key per request) turns the all-bound row red.
+//! (a fresh probe key per request) turns the all-bound row red; reading
+//! the head from `s.view.free_head()` in `Theorem2Iter::fill_emit` (a
+//! fresh `Vec` per answer, as before PR 25) turns both d-representation
+//! rows — the factorized 2-path and the 3-path at `bbff` — red.
 
 use cqc_common::alloc::{self as cqalloc, CountingAlloc};
 use cqc_common::AnswerBlock;
@@ -68,7 +71,7 @@ fn steady_state_serve_is_allocation_free() {
     // all-bound, which Proposition 1 answers by membership probes.
     let mut rng = cqc_workload::rng(7);
     let mut db = Database::new();
-    for name in ["R", "S"] {
+    for name in ["R", "S", "T"] {
         db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 600, 40))
             .unwrap();
     }
@@ -89,29 +92,41 @@ fn steady_state_serve_is_allocation_free() {
         .register_text("p2_bbb", query, "bbb", Policy::default())
         .unwrap();
     assert_eq!(all_bound.selection.tag, "bound-only");
+    // Two d-representations (Theorem 2 at δ ≡ 0): the same 2-path, and a
+    // 3-path with two bound variables, whose `R(w, x)` is a root check.
+    let factorized = Policy::Fixed(cqc_core::Strategy::Factorized);
+    let query3 = "Q(w,x,y,z) :- R(w,x), S(x,y), T(y,z)";
+    for (name, query, pattern) in [("p2_fac", query, "bff"), ("p3_fac", query3, "bbff")] {
+        let registered = engine
+            .register_text(name, query, pattern, factorized.clone())
+            .unwrap();
+        assert_eq!(registered.selection.tag, "factorized");
+    }
 
     // The oracle is the naive join over the engine's snapshot.
-    let oracle = |pattern: &str, bounds: &[Vec<u64>]| -> Vec<Vec<Vec<u64>>> {
+    let oracle = |query: &str, pattern: &str, bounds: &[Vec<u64>]| -> Vec<Vec<Vec<u64>>> {
         let view = parse_adorned(query, pattern).unwrap();
         let db = engine.db();
         let answers = bounds.iter().map(|b| evaluate_view(&view, &db, b).unwrap());
         answers.collect()
     };
     let bounds: Vec<Vec<u64>> = (0..40u64).map(|x| vec![x]).collect();
-    let expected = oracle("bff", &bounds);
+    let expected = oracle(query, "bff", &bounds);
     let total: usize = expected.iter().map(Vec::len).sum();
     assert!(
         total > 1_000,
         "workload too sparse to be meaningful: {total}"
     );
 
-    let (served, allocs) = steady_state(&engine, "p2", &bounds, &expected);
-    assert_eq!(served, total, "flat path must serve every answer");
-    assert_eq!(
-        allocs, 0,
-        "steady-state serving of {served} answers performed {allocs} heap allocations \
-         (expected 0; the flat-block pipeline regressed)"
-    );
+    for view in ["p2", "p2_fac"] {
+        let (served, allocs) = steady_state(&engine, view, &bounds, &expected);
+        assert_eq!(served, total, "`{view}`: flat path must serve every answer");
+        assert_eq!(
+            allocs, 0,
+            "`{view}`: steady-state serving of {served} answers performed {allocs} heap \
+             allocations (expected 0; the flat-block pipeline regressed)"
+        );
+    }
 
     // All-bound requests: every fifth answer of the 2-path (a hit) and the
     // same valuation with z pushed out of the domain (a miss).
@@ -122,7 +137,7 @@ fn steady_state_serve_is_allocation_free() {
             probes.push(vec![b[0], yz[0], yz[1] + 1_000]);
         }
     }
-    let expected = oracle("bbb", &probes);
+    let expected = oracle(query, "bbb", &probes);
     let hits = expected.iter().filter(|a| !a.is_empty()).count();
     assert_eq!(hits * 2, probes.len(), "half the probes hit");
     let (served, allocs) = steady_state(&engine, "p2_bbb", &probes, &expected);
@@ -133,5 +148,28 @@ fn steady_state_serve_is_allocation_free() {
         "{} all-bound requests performed {allocs} heap allocations (expected 0: the probe \
          key is the enumerator's scratch)",
         probes.len()
+    );
+
+    // The 3-path at `bbff`: every `(w, x)` of `R` with `w` below 40 (a
+    // hit, its answers from two bags) and the same `x` under a `w` outside
+    // the domain (a root-check miss).
+    let pairs: Vec<Vec<u64>> = engine
+        .db()
+        .require("R")
+        .unwrap()
+        .iter()
+        .filter(|wx| wx[0] < 40)
+        .flat_map(|wx| [wx.to_vec(), vec![wx[0] + 1_000, wx[1]]])
+        .collect();
+    let expected = oracle(query3, "bbff", &pairs);
+    let total: usize = expected.iter().map(Vec::len).sum();
+    assert!(total > 1_000, "3-path workload too sparse: {total}");
+    let (served, allocs) = steady_state(&engine, "p3_fac", &pairs, &expected);
+    assert_eq!(served, total);
+    assert_eq!(
+        allocs, 0,
+        "`p3_fac`: steady-state serving of {served} answers performed {allocs} heap \
+         allocations (expected 0: a request binds, and every answer reads, the structure's \
+         own head lists)"
     );
 }

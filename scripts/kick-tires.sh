@@ -102,6 +102,12 @@ cqe \
     tee "$OUT/factorized.out"
 grep -q "strategy: factorized" "$OUT/factorized.out"
 grep -Eq "repr: +theorem 2: [0-9]+ bags \(0 delay-tuned.*constant delay" "$OUT/factorized.out"
+# A materialized bag is CSR (each key once, `u32` ranks into per-column
+# domains, exact capacity): this triangle's one bag measures 9.6 B/tuple
+# (6 732 B for 701 tuples). Full `[bound | free]` rows as `u64` cost
+# 24 B/tuple before any `Vec` slack, so the layout gate is 16.
+bag_bpt="$(grep -Eo '[0-9.]+ B/tuple' "$OUT/factorized.out" | cut -d' ' -f1)"
+awk -v b="$bag_bpt" 'BEGIN { exit !(b != "" && b < 16) }'
 
 step "chaos (replicated fleet under scripted faults)"
 harness chaos
