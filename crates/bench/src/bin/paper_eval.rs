@@ -14,10 +14,10 @@ use cqc_bench::{fit_loglog_slope, markdown_table, measure_delays, Scale};
 use cqc_common::heap::HeapSize;
 use cqc_common::measure::{fmt_bytes, fmt_ns, BatchStats};
 use cqc_core::bound_only::BoundOnlyView;
+use cqc_core::compressed::{CompressedView, Strategy};
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
 use cqc_decomp::TreeDecomposition;
-use cqc_join::baselines::{DirectView, MaterializedView};
 use cqc_lp::fractional::{min_delay_cover, min_space_cover};
 use cqc_query::{Var, VarSet};
 use cqc_storage::{Database, Relation};
@@ -103,9 +103,10 @@ fn exp1_triangle(scale: Scale) {
     let requests = witness_requests(&mut rng, &view, &db, scale.pick(150, 400));
 
     let mut rows = Vec::new();
-    // Baselines.
+    // The §2.3 extremes: Theorem 2 at δ ≡ 0 over {V_b} → {V}, and
+    // Theorem 1 at τ = ∞.
     let t0 = Instant::now();
-    let mat = MaterializedView::build(&view, &db).unwrap();
+    let mat = CompressedView::build(&view, &db, Strategy::Materialize).unwrap();
     let mat_build = t0.elapsed();
     let mut b = BatchStats::default();
     for r in &requests {
@@ -120,7 +121,7 @@ fn exp1_triangle(scale: Scale) {
         fmt_ns(bm.total_ns / bm.requests as u64),
         bm.tuples.to_string(),
     ]);
-    let dir = DirectView::build(&view, &db).unwrap();
+    let dir = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
     let mut b = BatchStats::default();
     for r in &requests {
         b.add(&measure_delays(|probe| dir.answer_into(r, probe)));
@@ -255,7 +256,7 @@ fn exp3_factorized(scale: Scale) {
         d.tuples.to_string(),
     ]);
     let t0 = Instant::now();
-    let m = MaterializedView::build(&view, &db).unwrap();
+    let m = CompressedView::build(&view, &db, Strategy::Materialize).unwrap();
     let m_build = t0.elapsed();
     let dm = measure_delays(|probe| m.answer_into(&[], probe));
     rows.push(vec![
@@ -808,7 +809,7 @@ fn exp12_community_locality(scale: Scale) {
         // τ = N^{1/4}: low enough that heavy pairs exist, high enough that
         // only genuinely hot pairs are memoized.
         let s = Theorem1Structure::build(&view, &db, &[0.5, 0.5, 0.5], n.powf(0.25)).unwrap();
-        let dir = DirectView::build(&view, &db).unwrap();
+        let dir = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
         let requests = witness_requests(&mut rng, &view, &db, scale.pick(150, 300));
         let mut bs = BatchStats::default();
         for r in &requests {

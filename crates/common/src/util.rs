@@ -5,9 +5,6 @@
 //! `cqc-core` binary-searches a monotone real-valued function over a sorted
 //! domain. Everything funnels through the helpers in this module.
 
-use crate::value::lex_cmp;
-use std::cmp::Ordering;
-
 /// Returns the index of the first element in `data[lo..hi]` that is `>= key`,
 /// or `hi` if none is.
 ///
@@ -92,23 +89,6 @@ pub fn partition_point<P: FnMut(usize) -> bool>(lo: usize, hi: usize, mut pred: 
     lo
 }
 
-/// The contiguous run `[lo, hi)` of rows whose first `key.len()` values equal
-/// `key`, in a flat buffer of `width`-value rows sorted lexicographically
-/// (two binary searches: O(log n)).
-///
-/// This is the access path into the §2.3 baseline's materialized
-/// `[bound | free]` result (a Theorem 2 bag stores each key once and
-/// searches its keys instead).
-#[inline]
-pub fn prefix_range(rows: &[u64], width: usize, key: &[u64]) -> (usize, usize) {
-    debug_assert!(key.len() <= width);
-    let n = rows.len().checked_div(width).unwrap_or(0);
-    let cmp = |i: usize| lex_cmp(&rows[i * width..i * width + key.len()], key);
-    let lo = partition_point(0, n, |i| cmp(i) != Ordering::Less);
-    let hi = partition_point(lo, n, |i| cmp(i) == Ordering::Greater);
-    (lo, hi)
-}
-
 /// Approximate comparison for the floating-point `T(·)` estimates.
 ///
 /// Counts are integers but the exponents `û_F = u_F / α` are rationals, so
@@ -188,21 +168,6 @@ mod tests {
         assert_eq!(partition_point(0, 100, |_| true), 0);
         assert_eq!(partition_point(0, 100, |_| false), 100);
         assert_eq!(partition_point(10, 10, |_| true), 10);
-    }
-
-    #[test]
-    fn prefix_range_finds_the_run_of_a_key() {
-        // Rows of width 3 sorted lexicographically; keys are 2-value prefixes.
-        let rows = [1u64, 1, 5, 1, 2, 0, 1, 2, 7, 3, 0, 0];
-        assert_eq!(prefix_range(&rows, 3, &[1, 2]), (1, 3));
-        assert_eq!(prefix_range(&rows, 3, &[1, 1]), (0, 1));
-        assert_eq!(prefix_range(&rows, 3, &[2, 9]), (3, 3));
-        assert_eq!(prefix_range(&rows, 3, &[9, 9]), (4, 4));
-        // The empty key matches every row; a full-width key is membership.
-        assert_eq!(prefix_range(&rows, 3, &[]), (0, 4));
-        assert_eq!(prefix_range(&rows, 3, &[1, 2, 7]), (2, 3));
-        assert_eq!(prefix_range(&[], 3, &[1]), (0, 0));
-        assert_eq!(prefix_range(&[], 0, &[]), (0, 0));
     }
 
     #[test]

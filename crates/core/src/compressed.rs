@@ -1,13 +1,15 @@
 //! The unified front door: strategy selection and a single answer
 //! interface.
 //!
-//! `CompressedView` wraps every representation in the workspace — the two
-//! extremal baselines of §2.3, Proposition 1's all-bound structure and
-//! the Theorem 1/2 structures (the factorized representation of
-//! Propositions 2/4 is Theorem 2 at δ ≡ 0) — behind one
-//! `answer_into`/`exists`/space-accounting API, after
-//! applying the Example 3 rewrite so that constants and repeated variables
-//! are always accepted.
+//! `CompressedView` wraps every representation in the workspace —
+//! Proposition 1's all-bound structure and the Theorem 1/2 structures —
+//! behind one `answer_into`/`exists`/space-accounting API, after applying
+//! the Example 3 rewrite so that constants and repeated variables are
+//! always accepted. Every other recipe is one of those two theorems at a
+//! fixed knob: the factorized representation of Propositions 2/4 and
+//! §2.3's "materialize and index" extreme are Theorem 2 at δ ≡ 0 (over a
+//! width-minimal decomposition and over `{V_b} → {V}`), and §2.3's
+//! "answer directly" extreme is Theorem 1 at τ = ∞.
 
 use crate::bound_only::BoundOnlyView;
 use crate::theorem1::Theorem1Structure;
@@ -16,7 +18,6 @@ use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
 use cqc_common::value::Value;
 use cqc_decomp::TreeDecomposition;
-use cqc_join::baselines::{DirectView, MaterializedView};
 use cqc_lp::fractional::{min_delay_cover, min_space_cover};
 use cqc_query::rewrite::rewrite_view;
 use cqc_query::AdornedView;
@@ -33,9 +34,13 @@ pub enum Strategy {
         /// Optional space budget as an exponent of `|D|`.
         space_budget_exp: Option<f64>,
     },
-    /// The §2.3 baseline: materialize and index.
+    /// The §2.3 extreme "materialize and index": Theorem 2 at δ ≡ 0 over
+    /// the two-bag decomposition `{V_b} → {V_b ∪ V_f}`, whose one
+    /// materialized bag is `Q(D)` keyed by the bound prefix.
     Materialize,
-    /// The §2.3 baseline: evaluate every request on the base relations.
+    /// The §2.3 extreme "answer directly": Theorem 1 at τ = ∞ with weight
+    /// 1 on every atom — a one-leaf tree whose leapfrog join over the whole
+    /// grid answers each request on the base indexes.
     Direct,
     /// Theorem 1 with delay knob `τ`; `weights` defaults to the
     /// MinSpaceCover optimum for delay budget τ (§6).
@@ -75,10 +80,6 @@ pub enum Strategy {
 pub enum CompressedView {
     /// Proposition 1 (all head variables bound).
     BoundOnly(BoundOnlyView),
-    /// Full materialization baseline.
-    Materialized(MaterializedView),
-    /// Per-request evaluation baseline.
-    Direct(DirectView),
     /// Theorem 1 structure.
     Tradeoff(Theorem1Structure),
     /// Theorem 2 structure.
@@ -108,9 +109,9 @@ impl CompressedView {
     /// `Arc`, which is what makes the store recognize them).
     ///
     /// The pool serves the strategies that index the base relations
-    /// directly: Theorem 1 in all its forms and the materialize / direct
-    /// baselines. Theorem 2 stays out of it: its bags are built over
-    /// **bag-local databases** — fresh per-bag projections
+    /// directly: Theorem 1 in all its forms, `direct` included. Theorem 2
+    /// (`factorized` and `materialize` included) stays out of it: its bags
+    /// are built over **bag-local databases** — fresh per-bag projections
     /// with per-node allocations — which an identity-keyed store can
     /// never share across bags or views; each bag's inner Theorem 1 build
     /// still pools its own cost-oracle and trie indexes privately. (A
@@ -135,23 +136,11 @@ impl CompressedView {
         let db = &rewritten.database;
         view.query().require_natural_join()?;
 
-        // All-bound views answer by membership regardless of strategy
-        // (Prop. 1) — except when the caller explicitly requests a
-        // baseline.
+        // All-bound views answer by membership under every strategy
+        // (Prop. 1): Theorem 1 has no free variable to build a tree over,
+        // and Theorem 2 would reduce to its root checks.
         if view.mu() == 0 {
-            match strategy {
-                Strategy::Materialize => {
-                    return Ok(CompressedView::Materialized(
-                        MaterializedView::build_pooled(view, db, pool)?,
-                    ));
-                }
-                Strategy::Direct => {
-                    return Ok(CompressedView::Direct(DirectView::build_pooled(
-                        view, db, pool,
-                    )?));
-                }
-                _ => return Ok(CompressedView::BoundOnly(BoundOnlyView::build(view, db)?)),
-            }
+            return Ok(CompressedView::BoundOnly(BoundOnlyView::build(view, db)?));
         }
 
         match strategy {
@@ -161,14 +150,30 @@ impl CompressedView {
             } => Ok(CompressedView::Decomposed(
                 Theorem2Structure::build_constant_delay(view, db)?,
             )),
-            Strategy::Materialize => Ok(CompressedView::Materialized(
-                MaterializedView::build_pooled(view, db, pool)?,
-            )),
-            Strategy::Direct => Ok(CompressedView::Direct(DirectView::build_pooled(
-                view, db, pool,
+            Strategy::Materialize => {
+                let bound = view.bound_vars();
+                let td = TreeDecomposition::new(
+                    vec![bound, bound.union(view.free_vars())],
+                    vec![None, Some(0)],
+                )?;
+                Ok(CompressedView::Decomposed(Theorem2Structure::build(
+                    view,
+                    db,
+                    &td,
+                    &[0.0, 0.0],
+                )?))
+            }
+            Strategy::Direct => Ok(CompressedView::Tradeoff(Theorem1Structure::build_pooled(
+                view,
+                db,
+                &vec![1.0; view.query().atoms.len()],
+                f64::INFINITY,
+                pool,
             )?)),
             Strategy::Tradeoff { tau, weights } => {
-                if tau < 1.0 {
+                // (NaN compares false with everything: refuse it here,
+                // before it reaches the LP.)
+                if tau.is_nan() || tau < 1.0 {
                     return Err(CqcError::Config(format!("τ = {tau} must be ≥ 1")));
                 }
                 let weights = match weights {
@@ -235,8 +240,6 @@ impl CompressedView {
     pub fn enumerator(&self) -> ViewEnumerator<'_> {
         match self {
             CompressedView::BoundOnly(s) => ViewEnumerator::BoundOnly { s, key: Vec::new() },
-            CompressedView::Materialized(s) => ViewEnumerator::Materialized(s),
-            CompressedView::Direct(s) => ViewEnumerator::Direct(s.enumerator()),
             CompressedView::Tradeoff(s) => ViewEnumerator::Tradeoff(s.enumerator()),
             CompressedView::Decomposed(s) => ViewEnumerator::Decomposed(s.enumerator()),
             CompressedView::AlwaysEmpty(v) => ViewEnumerator::AlwaysEmpty(v),
@@ -276,16 +279,6 @@ impl CompressedView {
             CompressedView::BoundOnly(s) => format!(
                 "bound-only (Prop 1): {} membership relations, {} heap bytes",
                 s.view().query().atoms.len(),
-                s.heap_bytes()
-            ),
-            CompressedView::Materialized(s) => format!(
-                "materialized view: {} result tuples, {} heap bytes",
-                s.len(),
-                s.heap_bytes()
-            ),
-            CompressedView::Direct(s) => format!(
-                "direct evaluation: {} trie indexes, {} heap bytes (linear)",
-                s.plan().num_atoms(),
                 s.heap_bytes()
             ),
             CompressedView::Tradeoff(s) => {
@@ -354,17 +347,14 @@ impl CompressedView {
     pub fn base_indexes(&self) -> Vec<&std::sync::Arc<cqc_storage::SortedIndex>> {
         match self {
             CompressedView::Tradeoff(s) => s.base_indexes().collect(),
-            CompressedView::Direct(s) => s.plan().indexes().iter().collect(),
             _ => Vec::new(),
         }
     }
 
-    /// A short name of the strategy in use (for reports).
+    /// A short name of the structure in use (for reports).
     pub fn strategy_name(&self) -> &'static str {
         match self {
             CompressedView::BoundOnly(_) => "bound-only (Prop 1)",
-            CompressedView::Materialized(_) => "materialized",
-            CompressedView::Direct(_) => "direct",
             CompressedView::Tradeoff(_) => "theorem-1",
             CompressedView::Decomposed(_) => "theorem-2",
             CompressedView::AlwaysEmpty(_) => "always-empty",
@@ -376,8 +366,6 @@ impl HeapSize for CompressedView {
     fn heap_bytes(&self) -> usize {
         match self {
             CompressedView::BoundOnly(s) => s.heap_bytes(),
-            CompressedView::Materialized(s) => s.heap_bytes(),
-            CompressedView::Direct(s) => s.heap_bytes(),
             CompressedView::Tradeoff(s) => s.heap_bytes(),
             CompressedView::Decomposed(s) => s.heap_bytes(),
             CompressedView::AlwaysEmpty(_) => 0,
@@ -388,6 +376,11 @@ impl HeapSize for CompressedView {
 /// Unified reusable enumerator (see [`CompressedView::enumerator`]): each
 /// variant is the structure's own cursor, or a borrow of the structure
 /// where answering needs no scratch.
+///
+/// Theorem 1's cursor is the large variant and stays inline: one
+/// enumerator serves a whole request stream from the caller's stack, and
+/// a box would cost an allocation per enumerator.
+#[allow(clippy::large_enum_variant)]
 pub enum ViewEnumerator<'a> {
     /// Proposition 1 membership probes.
     BoundOnly {
@@ -396,10 +389,6 @@ pub enum ViewEnumerator<'a> {
         /// Reused per-atom probe key.
         key: Vec<Value>,
     },
-    /// Materialized range scans (push borrowed row slices).
-    Materialized(&'a MaterializedView),
-    /// Per-request worst-case-optimal join with a reusable cursor.
-    Direct(cqc_join::baselines::DirectEnum<'a>),
     /// Algorithm 2 with reusable enumeration scratch.
     Tradeoff(crate::theorem1::Theorem1Iter<'a>),
     /// Algorithm 5 with reusable odometer scratch.
@@ -423,8 +412,6 @@ impl ViewEnumerator<'_> {
     ) -> Result<()> {
         match self {
             ViewEnumerator::BoundOnly { s, key } => s.answer_into(bound_values, key, sink),
-            ViewEnumerator::Materialized(s) => s.answer_into(bound_values, sink),
-            ViewEnumerator::Direct(e) => e.answer_into(bound_values, sink),
             ViewEnumerator::Tradeoff(it) => it.answer_into(bound_values, sink),
             ViewEnumerator::Decomposed(it) => it.answer_into(bound_values, sink),
             ViewEnumerator::AlwaysEmpty(v) => v.check_access(bound_values),
@@ -513,10 +500,15 @@ mod tests {
                 for req in reqs {
                     let expect = evaluate_view(&view, &db, &req).unwrap();
                     let mut got = answers(&cv, &req);
-                    // Theorem 2 promises pre-order of its bags, every other
-                    // structure the oracle's head order. Sort only: a
-                    // duplicated answer must survive to the comparison.
-                    if matches!(cv, CompressedView::Decomposed(_)) {
+                    // A searched decomposition promises pre-order of its
+                    // bags; every other recipe — `materialize`'s one bag
+                    // under the bound root included — the oracle's head
+                    // order. Sort only those, keyed by the recipe and not
+                    // by the structure, and never deduplicate.
+                    if matches!(
+                        strat,
+                        Strategy::Factorized | Strategy::Decomposed { .. } | Strategy::Auto { .. }
+                    ) {
                         got.sort_unstable_by(|a, b| lex_cmp(a, b));
                     }
                     assert_eq!(
@@ -655,8 +647,17 @@ mod tests {
         assert!(d.contains("theorem 1"), "{d}");
         assert!(d.contains("τ = 4"), "{d}");
         assert!(d.contains("dictionary"), "{d}");
-        let cv = CompressedView::build(&view, &db, Strategy::Materialize).unwrap();
-        assert!(cv.describe().contains("materialized"), "{}", cv.describe());
+        // The §2.3 extremes are the two theorems at their fixed knobs.
+        let d = CompressedView::build(&view, &db, Strategy::Materialize)
+            .unwrap()
+            .describe();
+        assert!(d.contains("theorem 2: 1 bags (0 delay-tuned"), "{d}");
+        let d = CompressedView::build(&view, &db, Strategy::Direct)
+            .unwrap()
+            .describe();
+        assert!(d.contains("theorem 1: τ = inf"), "{d}");
+        assert!(d.contains("tree 1 nodes"), "{d}");
+        assert!(d.contains("dictionary 0 heavy pairs"), "{d}");
         let cv = CompressedView::build(
             &view,
             &db,
@@ -666,6 +667,20 @@ mod tests {
         )
         .unwrap();
         assert!(cv.describe().contains("theorem 2"), "{}", cv.describe());
+    }
+
+    #[test]
+    fn non_finite_tau_is_a_config_error() {
+        let db = triangle_db();
+        let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bfb").unwrap();
+        for weights in [None, Some(vec![0.5, 0.5, 0.5])] {
+            let tradeoff = Strategy::Tradeoff {
+                tau: f64::NAN,
+                weights,
+            };
+            let err = CompressedView::build(&view, &db, tradeoff).unwrap_err();
+            assert!(matches!(err, CqcError::Config(_)), "{err}");
+        }
     }
 
     #[test]

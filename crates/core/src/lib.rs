@@ -5,7 +5,10 @@
 //! structure that compresses the result of a full conjunctive query for a
 //! given access pattern (adorned view), trading space against enumeration
 //! delay across the full continuum between the two classical extremes —
-//! materialize-everything and evaluate-per-request.
+//! materialize-everything and evaluate-per-request. The extremes are the
+//! continuum's own endpoints here, not separate structures: the first is
+//! Theorem 2 at δ ≡ 0 over `{V_b} → {V}`, the second Theorem 1 at τ = ∞
+//! (`Strategy::Materialize`, `Strategy::Direct`).
 //!
 //! The crate exposes:
 //!

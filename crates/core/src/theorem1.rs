@@ -61,7 +61,8 @@ impl Theorem1Structure {
     /// # Errors
     ///
     /// Fails for non-natural-join views, views without free variables (use
-    /// `BoundOnlyView`), invalid covers, or `τ < 1`.
+    /// `BoundOnlyView`), invalid covers, or `τ < 1` (NaN included). `τ = ∞`
+    /// is valid: a one-leaf tree, the direct-evaluation extreme of §2.3.
     pub fn build(
         view: &AdornedView,
         db: &Database,
@@ -100,7 +101,7 @@ impl Theorem1Structure {
                 "all head variables are bound; use BoundOnlyView (Prop. 1)".into(),
             ));
         }
-        if tau < 1.0 {
+        if tau.is_nan() || tau < 1.0 {
             return Err(CqcError::Config(format!("τ = {tau} must be ≥ 1")));
         }
         let h = query.hypergraph();
@@ -133,8 +134,14 @@ impl Theorem1Structure {
         let sizes = est.sizes();
         let tree = DelayBalancedTree::build(&est, tau).map(Arc::new);
         est.release_tree_side();
+        // A root leaf (τ at or above `T(root)`, e.g. τ = ∞: the §2.3
+        // direct-evaluation extreme) is `⊥` for every valuation, so no
+        // root candidate can ever be used: neither joined nor kept.
         let dict = match &tree {
-            Some(t) => HeavyDictionary::build(&plan, &est, t),
+            Some(t) if t.deepest_internal_level().is_some() => {
+                HeavyDictionary::build(&plan, &est, t)
+            }
+            Some(t) => HeavyDictionary::empty(t.len()),
             None => HeavyDictionary::empty(0),
         };
         Ok(Theorem1Structure {
@@ -1054,8 +1061,9 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         let (view, db) = running_example();
-        // τ < 1.
+        // τ < 1, or no number at all.
         assert!(Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], 0.5).is_err());
+        assert!(Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], f64::NAN).is_err());
         // Not a cover (w1 not covered).
         assert!(Theorem1Structure::build(&view, &db, &[0.0, 1.0, 1.0], 2.0).is_err());
         // Wrong weight count.

@@ -2,9 +2,11 @@
 //! a reused `enumerator()`, counting and first-answer probes — serves the
 //! naive join's answers (`cqc_join::naive::evaluate_view`, an independent
 //! nested-loop oracle): the same tuples, each once, and in its
-//! lexicographic order wherever the structure promises head order (every
-//! structure but Theorem 2, which promises pre-order of its bags). For
-//! every strategy, across randomized databases, patterns and requests.
+//! lexicographic order wherever the recipe promises head order (every
+//! recipe but a searched Theorem 2 decomposition, which promises pre-order
+//! of its bags — `materialize`'s one bag under the bound root is head
+//! order). For every strategy, across randomized databases, patterns and
+//! requests.
 //!
 //! Served streams are never deduplicated before the comparison. Sabotage
 //! check: `let sink = &mut cqc_common::FnSink(|t: &[Value]| sink.push(t) &&
@@ -16,7 +18,7 @@
 use cqc_common::value::{Tuple, Value};
 use cqc_common::{AnswerBlock, CountingSink, ExistsSink, FnSink};
 use cqc_core::{CompressedView, Strategy, ViewEnumerator};
-use cqc_join::naive::evaluate_view;
+use cqc_join::naive::{evaluate_full, evaluate_view};
 use cqc_query::parser::parse_adorned;
 use cqc_query::AdornedView;
 use cqc_storage::Database;
@@ -48,22 +50,43 @@ fn strategies() -> Vec<Strategy> {
     ]
 }
 
-/// Builds `strat`'s representation of a view with a free variable; both
-/// spellings of the factorized recipe must come out as Theorem 2 at δ ≡ 0.
+/// Builds `strat`'s representation of a view with a free variable. Both
+/// spellings of the factorized recipe must come out as Theorem 2 at δ ≡ 0;
+/// `materialize` as Theorem 2 at δ ≡ 0 with one bag holding exactly the
+/// |Q(D)| rows of the full join; `direct` as Theorem 1 at τ = ∞ with one
+/// leaf and an empty dictionary.
 fn build(view: &AdornedView, db: &Database, strat: &Strategy) -> CompressedView {
     let cv = CompressedView::build(view, db, strat.clone()).unwrap();
-    if matches!(
-        strat,
+    match strat {
         Strategy::Factorized
-            | Strategy::Auto {
-                space_budget_exp: None
-            }
-    ) {
-        assert!(
+        | Strategy::Auto {
+            space_budget_exp: None,
+        } => assert!(
             matches!(&cv, CompressedView::Decomposed(s) if s.stats().tradeoff_bags == 0),
             "{strat:?}: {}",
             cv.describe()
-        );
+        ),
+        Strategy::Materialize => {
+            let rows = evaluate_full(view.query(), db).unwrap().len();
+            assert!(
+                matches!(&cv, CompressedView::Decomposed(s)
+                    if s.stats().bags == 1
+                        && s.stats().tradeoff_bags == 0
+                        && s.stats().materialized_tuples == rows),
+                "{strat:?} ({rows} rows): {}",
+                cv.describe()
+            );
+        }
+        Strategy::Direct => assert!(
+            matches!(&cv, CompressedView::Tradeoff(s)
+                if s.tau() == f64::INFINITY
+                    && s.stats().tree_nodes == 1
+                    && s.stats().dict_entries == 0
+                    && s.stats().dict_candidates == 0),
+            "{strat:?}: {}",
+            cv.describe()
+        ),
+        _ => {}
     }
     cv
 }
@@ -87,11 +110,16 @@ fn requests(nb: usize, grid: u64) -> Vec<Vec<Value>> {
 }
 
 /// A served stream in the form the oracle is compared with: as served
-/// when the structure promises head order, sorted — never deduplicated —
-/// for Theorem 2.
-fn comparable(cv: &CompressedView, block: &AnswerBlock) -> Vec<Tuple> {
+/// when the recipe promises head order, sorted — never deduplicated — for
+/// the recipes that search a decomposition (`factorized`, `decomposed`,
+/// `auto`). Keyed by the recipe, not the structure: `materialize` builds a
+/// Theorem 2 structure and is still compared unsorted.
+fn comparable(strat: &Strategy, block: &AnswerBlock) -> Vec<Tuple> {
     let mut got = block.to_tuples();
-    if matches!(cv, CompressedView::Decomposed(_)) {
+    if matches!(
+        strat,
+        Strategy::Factorized | Strategy::Decomposed { .. } | Strategy::Auto { .. }
+    ) {
         got.sort();
     }
     got
@@ -103,6 +131,7 @@ fn comparable(cv: &CompressedView, block: &AnswerBlock) -> Vec<Tuple> {
 /// many, and both first-answer probes agree with non-emptiness.
 fn check_against_naive(
     cv: &CompressedView,
+    strat: &Strategy,
     view: &AdornedView,
     db: &Database,
     reqs: &[Vec<Value>],
@@ -116,7 +145,7 @@ fn check_against_naive(
         let mut block = AnswerBlock::new();
         cv.answer_into(req, &mut block).unwrap();
         assert_eq!(
-            comparable(cv, &block),
+            comparable(strat, &block),
             expect,
             "{label}: one-shot answer_into diverges for {req:?}"
         );
@@ -164,7 +193,7 @@ fn triangle_views_match_naive_across_seeds() {
             for strat in strategies() {
                 let cv = build(&view, &db, &strat);
                 let label = format!("triangle seed={seed} {pattern} {strat:?}");
-                check_against_naive(&cv, &view, &db, &reqs, &label);
+                check_against_naive(&cv, &strat, &view, &db, &reqs, &label);
             }
         }
     }
@@ -182,7 +211,7 @@ fn path_views_match_naive() {
             for strat in strategies() {
                 let cv = build(&view, &db, &strat);
                 let label = format!("path seed={seed} {pattern} {strat:?}");
-                check_against_naive(&cv, &view, &db, &reqs, &label);
+                check_against_naive(&cv, &strat, &view, &db, &reqs, &label);
             }
         }
     }
@@ -198,21 +227,30 @@ fn star_views_match_naive() {
         for strat in strategies() {
             let cv = build(&view, &db, &strat);
             let label = format!("star {pattern} {strat:?}");
-            check_against_naive(&cv, &view, &db, &reqs, &label);
+            check_against_naive(&cv, &strat, &view, &db, &reqs, &label);
         }
     }
 }
 
+/// One row of a table of built representations: the recipe, what it
+/// built, and the view and database it was built from.
+type Row = (Strategy, CompressedView, AdornedView, Database);
+
 /// An all-bound view (answers are the empty tuple, arity 0, when present)
 /// and a view proven empty by a failing ground atom.
-fn bound_only_and_always_empty() -> [(CompressedView, AdornedView, Database); 2] {
+fn bound_only_and_always_empty() -> [Row; 2] {
     let db = random_db(41, &["R", "S"], 40, 6);
     let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", "bbb").unwrap();
     let auto = Strategy::Auto {
         space_budget_exp: None,
     };
-    let bound_only = CompressedView::build(&view, &db, auto).unwrap();
+    let bound_only = CompressedView::build(&view, &db, auto.clone()).unwrap();
     assert!(matches!(bound_only, CompressedView::BoundOnly(_)));
+    // Every recipe resolves an all-bound view to Prop. 1.
+    for strat in strategies() {
+        let cv = CompressedView::build(&view, &db, strat.clone()).unwrap();
+        assert!(matches!(cv, CompressedView::BoundOnly(_)), "{strat:?}");
+    }
 
     let mut db2 = Database::new();
     db2.add(cqc_storage::Relation::from_pairs("R", vec![(1, 2)]))
@@ -222,20 +260,26 @@ fn bound_only_and_always_empty() -> [(CompressedView, AdornedView, Database); 2]
     let view2 = parse_adorned("Q(x, y) :- R(x, y), G(7, 7)", "bf").unwrap();
     let always_empty = CompressedView::build(&view2, &db2, Strategy::Direct).unwrap();
     assert_eq!(always_empty.strategy_name(), "always-empty");
-    [(bound_only, view, db), (always_empty, view2, db2)]
+    [
+        (auto, bound_only, view, db),
+        (Strategy::Direct, always_empty, view2, db2),
+    ]
 }
 
 #[test]
 fn bound_only_and_always_empty_flat_paths() {
-    let [(bound_only, view, db), (always_empty, view2, db2)] = bound_only_and_always_empty();
-    check_against_naive(&bound_only, &view, &db, &requests(3, 5), "bound-only");
-    check_against_naive(&always_empty, &view2, &db2, &requests(1, 4), "always-empty");
+    for (strat, cv, view, db) in bound_only_and_always_empty() {
+        let reqs = requests(view.bound_head().len(), 5);
+        check_against_naive(&cv, &strat, &view, &db, &reqs, cv.strategy_name());
+    }
 }
 
 /// An enumerator whose last request was stopped by its sink — at the first
 /// answer, or one answer into the stream — owes the next request that
 /// request's full answer: nothing of the abandoned stream may leak into
-/// it, for any of the six [`ViewEnumerator`] variants.
+/// it, for any of the four [`ViewEnumerator`] variants and every recipe
+/// that builds one (`materialize` and `factorized` both drive Theorem 2's
+/// odometer, `direct` and `tau:3` both Theorem 1's cursor).
 ///
 /// Sabotage check: deleting `self.join_active = false;` from
 /// `Theorem1Iter::start` (the abandoned request's join keeps draining
@@ -248,7 +292,7 @@ fn enumerator_stopped_early_serves_the_next_request_in_full() {
         tau: 3.0,
         weights: None,
     };
-    let mut rows: Vec<(CompressedView, AdornedView, Database)> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
     for strat in [
         Strategy::Materialize,
         Strategy::Direct,
@@ -258,19 +302,22 @@ fn enumerator_stopped_early_serves_the_next_request_in_full() {
             space_budget_exp: 1.05,
         },
     ] {
-        rows.push((build(&view, &db, &strat), view.clone(), db.clone()));
+        rows.push((
+            strat.clone(),
+            build(&view, &db, &strat),
+            view.clone(),
+            db.clone(),
+        ));
     }
     rows.extend(bound_only_and_always_empty());
     let variant = |e: &ViewEnumerator<'_>| match e {
         ViewEnumerator::BoundOnly { .. } => "bound-only",
-        ViewEnumerator::Materialized(_) => "materialized",
-        ViewEnumerator::Direct(_) => "direct",
         ViewEnumerator::Tradeoff(_) => "tradeoff",
         ViewEnumerator::Decomposed(_) => "decomposed",
         ViewEnumerator::AlwaysEmpty(_) => "always-empty",
     };
     let mut covered: Vec<&str> = Vec::new();
-    for (cv, view, db) in &rows {
+    for (strat, cv, view, db) in &rows {
         let mut enumerator = cv.enumerator();
         let name = variant(&enumerator);
         covered.push(name);
@@ -291,9 +338,9 @@ fn enumerator_stopped_early_serves_the_next_request_in_full() {
                 block.clear();
                 enumerator.answer_into(next, &mut block).unwrap();
                 assert_eq!(
-                    comparable(cv, &block),
+                    comparable(strat, &block),
                     evaluate_view(view, db, next).unwrap(),
-                    "{name}: {next:?} after stopping {stopped:?} at answer {}",
+                    "{name} ({strat:?}): {next:?} after stopping {stopped:?} at answer {}",
                     keep + 1
                 );
             }
@@ -303,14 +350,7 @@ fn enumerator_stopped_early_serves_the_next_request_in_full() {
     covered.dedup();
     assert_eq!(
         covered,
-        [
-            "always-empty",
-            "bound-only",
-            "decomposed",
-            "direct",
-            "materialized",
-            "tradeoff"
-        ]
+        ["always-empty", "bound-only", "decomposed", "tradeoff"]
     );
 }
 

@@ -16,7 +16,11 @@
 //!   that is then dropped, live bytes are the plan's tries (each
 //!   allocation once) + the grid + tree + dictionary, within 2 KiB (the
 //!   view definition, the cover and the grid sizes); `base_indexes()` is
-//!   exactly those tries and `heap_bytes()` is that figure too;
+//!   exactly those tries and `heap_bytes()` is that figure too. The
+//!   `direct` recipe (Theorem 1 at τ = ∞) is a row of this gate with no
+//!   dictionary to speak of: tries + grid + a one-leaf tree, and per-node
+//!   offsets without a single candidate; beside it, on a hub instance, its
+//!   bytes stay below `materialize`'s, whose one bag holds every answer;
 //! * a layout pin: the reported bytes stay under per-node / per-entry /
 //!   per-candidate ceilings derived from the flat layout;
 //! * Theorem 2, the largest resident part once the d-representation is its
@@ -30,7 +34,9 @@
 //!   Beside it a layout pin per materialized bag: `heap_bytes` of its
 //!   storage is at most `(8·bw + 4)·keys + 4 + 4·fw·rows + 8·Σ distinct`
 //!   (CSR keys and `u32` offsets, `u32` free-column ranks, one sorted
-//!   domain per free column, exact capacity);
+//!   domain per free column, exact capacity). The `materialize` recipe's
+//!   one bag (`{V_b} → {V}` at δ ≡ 0, built through `CompressedView`) is
+//!   held to the same two rules on the 2-path and the 3-path `bbbf`;
 //! * Proposition 1 is the same rule with every relation inside `V_b`:
 //!   building an all-bound view over three relations grows live bytes by
 //!   less than one of them.
@@ -39,7 +45,10 @@
 //! that keeps its `CostEstimator` in a field, or one `Arc` to a
 //! `[free | bound]` index leaked out of `build_pooled`, leaves 77 KB or
 //! more live that nothing reports, and the 2 KiB bound turns red on the
-//! first pattern. For the fifth gate: a `MaterializedBag` that keeps its
+//! first pattern; building the candidate dictionary under a root leaf
+//! (dropping the `deepest_internal_level` guard in
+//! `Theorem1Structure::build_pooled`) fails the `direct` row at `bff`: 399
+//! root candidates kept where none can be used. For the fifth gate: a `MaterializedBag` that keeps its
 //! own copy of the two variable lists beside its bag's (32 B a bag, the
 //! layout before the d-representation became Theorem 2 at δ ≡ 0) fails
 //! the `bff` row; a root check that deep-copies its relation
@@ -59,7 +68,7 @@ use cqc_core::dbtree::DelayBalancedTree;
 use cqc_core::dictionary::HeavyDictionary;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
-use cqc_core::BoundOnlyView;
+use cqc_core::{BoundOnlyView, CompressedView, Strategy};
 use cqc_decomp::TreeDecomposition;
 use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
@@ -203,8 +212,65 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
             "{pattern}: dictionary {dict_bytes} B for {entries} entries, {nodes} nodes, {cands} candidates"
         );
     }
+    direct_holds_tries_grid_and_tree(&db);
     theorem2_reports_what_it_holds();
     bound_only_holds_handles_not_copies();
+}
+
+/// The `direct` row of the third gate (called from the one test: see the
+/// header), then the two §2.3 extremes side by side on a hub instance.
+fn direct_holds_tries_grid_and_tree(db: &Database) {
+    for pattern in ["bff", "bfb", "fff"] {
+        let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", pattern).unwrap();
+        let before = live_bytes();
+        let pool = IndexPool::new();
+        let cv = CompressedView::build_pooled(&view, db, Strategy::Direct, &pool).unwrap();
+        drop(pool);
+        let live = (live_bytes() - before) as usize;
+        let CompressedView::Tradeoff(s) = &cv else {
+            panic!("{pattern}: direct is Theorem 1, got {}", cv.describe());
+        };
+        // One leaf and a dictionary of per-node offsets only: no heavy
+        // pair, no root candidate, no build work past the root's cost.
+        let (stats, space) = (s.stats(), s.space_breakdown());
+        assert_eq!((stats.tree_nodes, stats.dict_entries), (1, 0), "{pattern}");
+        assert_eq!(stats.dict_candidates, 0, "{pattern}");
+        assert_eq!(stats.dict_evaluations + stats.dict_probes, 0, "{pattern}");
+        assert_eq!(space.dict_bytes, 4 * (stats.tree_nodes + 1), "{pattern}");
+        let resident = space.base_index_distinct_bytes + space.nonlinear_bytes();
+        assert!(
+            (resident..resident + 2048).contains(&live),
+            "{pattern}: allocator says {live} live bytes, tries + grid + tree is {resident}"
+        );
+        assert_eq!(
+            s.heap_bytes(),
+            resident + 8 * (view.mu() + view.query().atoms.len()),
+            "{pattern}"
+        );
+    }
+
+    // A hub: 30 × 30 answers through the one shared middle value, from 60
+    // input tuples. Materializing stores every answer; answering directly
+    // stores the input.
+    let mut db = Database::new();
+    db.add(Relation::from_pairs("R", (0..30).map(|i| (i, 1000))))
+        .unwrap();
+    db.add(Relation::from_pairs("S", (0..30).map(|j| (1000, j))))
+        .unwrap();
+    let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", "fff").unwrap();
+    let materialize = CompressedView::build(&view, &db, Strategy::Materialize).unwrap();
+    let direct = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
+    let CompressedView::Decomposed(m) = &materialize else {
+        panic!("materialize is Theorem 2, got {}", materialize.describe());
+    };
+    assert_eq!(m.stats().materialized_tuples, 900);
+    assert!(m.stats().materialized_tuples > db.size());
+    assert!(
+        direct.heap_bytes() < materialize.heap_bytes(),
+        "direct {} B, materialize {} B",
+        direct.heap_bytes(),
+        materialize.heap_bytes()
+    );
 }
 
 /// The sixth gate (called from the one test: see the header).
@@ -254,13 +320,21 @@ fn theorem2_reports_what_it_holds() {
     )
     .unwrap();
     let mixed = |v: &AdornedView| Theorem2Structure::build(v, &db, &td, &[0.0, 0.3, 0.0]).unwrap();
+    // The `materialize` recipe: one bag, `Q(D)` keyed by the bound prefix.
+    let materialize =
+        |v: &AdornedView| match CompressedView::build(v, &db, Strategy::Materialize).unwrap() {
+            CompressedView::Decomposed(s) => s,
+            other => panic!("materialize is Theorem 2, got {}", other.describe()),
+        };
     type Build<'a> = &'a dyn Fn(&AdornedView) -> Theorem2Structure;
     // (atoms, pattern, builder, tradeoff bags expected, root-check relations)
-    let cases: [(usize, &str, Build, bool, &[&str]); 4] = [
+    let cases: [(usize, &str, Build, bool, &[&str]); 6] = [
         (2, "bff", &constant_delay, false, &[]),
         (3, "bfff", &constant_delay, false, &[]),
         (4, "bfffb", &mixed, true, &[]),
         (3, "bbbf", &constant_delay, false, &["R1", "R2"]),
+        (2, "bff", &materialize, false, &[]),
+        (3, "bbbf", &materialize, false, &["R1", "R2"]),
     ];
     for (atoms, pattern, build, tradeoff, inside_vb) in cases {
         let view = cqc_workload::queries::path(atoms, pattern).unwrap();

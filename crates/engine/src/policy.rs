@@ -70,7 +70,8 @@ impl Policy {
     /// # Errors
     ///
     /// [`cqc_common::CqcError::Config`] on an unknown token or a bad
-    /// numeric parameter.
+    /// numeric parameter — a non-finite one (`NaN`, `inf`) included:
+    /// `direct` is the spelling of τ = ∞.
     pub fn parse(token: &str) -> Result<Policy> {
         use cqc_common::CqcError;
         let (kind, param) = match token.split_once(':') {
@@ -82,7 +83,13 @@ impl Policy {
                 CqcError::Config(format!("strategy `{kind}` needs a numeric parameter"))
             })?
             .parse::<f64>()
-            .map_err(|_| CqcError::Config(format!("bad numeric parameter in `{token}`")))
+            .ok()
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| {
+                CqcError::Config(format!(
+                    "bad numeric parameter in `{token}` (a finite number; `direct` is τ = ∞)"
+                ))
+            })
         };
         match kind {
             "auto" => Ok(Policy::Auto {
@@ -544,7 +551,17 @@ mod tests {
             Policy::parse("decomposed:1.25").unwrap(),
             Policy::Fixed(Strategy::Decomposed { .. })
         ));
-        for bad in ["tau", "tau:x", "wat", "budget"] {
+        for bad in [
+            "tau",
+            "tau:x",
+            "wat",
+            "budget",
+            "tau:NaN",
+            "tau:inf",
+            "auto:NaN",
+            "budget:NaN",
+            "decomposed:-inf",
+        ] {
             let err = Policy::parse(bad).unwrap_err();
             assert!(
                 matches!(err, cqc_common::CqcError::Config(_)),

@@ -15,7 +15,15 @@
 //! (a fresh probe key per request) turns the all-bound row red; reading
 //! the head from `s.view.free_head()` in `Theorem2Iter::fill_emit` (a
 //! fresh `Vec` per answer, as before PR 25) turns both d-representation
-//! rows — the factorized 2-path and the 3-path at `bbff` — red.
+//! rows — the factorized 2-path and the 3-path at `bbff` — red. The two
+//! §2.3 extremes have rows of their own, each with its sabotage:
+//! `materialize` (`p2_mat`, Theorem 2's odometer over one bag) turns red
+//! when `Theorem2Iter::reset` takes a fresh valuation per request
+//! (`self.valuation = vec![None; self.s.num_vars];` for its `clear` and
+//! `resize`); `direct` (`p2_dir`, Theorem 1's one leaf, so every answer
+//! comes out of the `⊥` branch's join) turns red when
+//! `Theorem1Iter::advance` builds a fresh join per box
+//! (`Some(j) => *j = s.plan.join(cons.clone()),` for its `reset`).
 
 use cqc_common::alloc::{self as cqalloc, CountingAlloc};
 use cqc_common::AnswerBlock;
@@ -102,6 +110,12 @@ fn steady_state_serve_is_allocation_free() {
             .unwrap();
         assert_eq!(registered.selection.tag, "factorized");
     }
+    // The two §2.3 extremes of the same 2-path: one Theorem 2 bag keyed by
+    // `x`, and Theorem 1 at τ = ∞ (one leaf, the join over the whole grid).
+    for (name, token) in [("p2_mat", "materialize"), ("p2_dir", "direct")] {
+        let policy = Policy::parse(token).unwrap();
+        engine.register_text(name, query, "bff", policy).unwrap();
+    }
 
     // The oracle is the naive join over the engine's snapshot.
     let oracle = |query: &str, pattern: &str, bounds: &[Vec<u64>]| -> Vec<Vec<Vec<u64>>> {
@@ -118,7 +132,7 @@ fn steady_state_serve_is_allocation_free() {
         "workload too sparse to be meaningful: {total}"
     );
 
-    for view in ["p2", "p2_fac"] {
+    for view in ["p2", "p2_fac", "p2_mat", "p2_dir"] {
         let (served, allocs) = steady_state(&engine, view, &bounds, &expected);
         assert_eq!(served, total, "`{view}`: flat path must serve every answer");
         assert_eq!(

@@ -4,13 +4,12 @@
 //! bound head variables first (in head order), then free head variables in
 //! the enumeration order of §3.1 — and builds one trie-aligned
 //! [`SortedIndex`] per atom. Every structure that evaluates restricted
-//! sub-instances of the view (the baselines here, the Theorem 1/2 structures
-//! in `cqc-core`) instantiates [`LeapfrogJoin`]s from the same plan.
+//! sub-instances of the view (the Theorem 1/2 structures in `cqc-core`)
+//! instantiates [`LeapfrogJoin`]s from the same plan.
 
 use crate::leapfrog::{trie_order_for_atom, AtomInput, LeapfrogJoin, LevelConstraint};
 use cqc_common::error::Result;
 use cqc_common::heap::HeapSize;
-use cqc_common::value::Value;
 use cqc_query::{AdornedView, Var};
 use cqc_storage::{Database, Delta, IndexPool, SortedIndex};
 use std::sync::Arc;
@@ -177,16 +176,6 @@ impl ViewPlan {
             .collect();
         LeapfrogJoin::new(atoms, self.num_levels(), constraints)
     }
-
-    /// Constraint vector binding the bound levels to `bound_values` and
-    /// leaving free levels unconstrained.
-    pub fn bound_constraints(&self, bound_values: &[Value]) -> Vec<LevelConstraint> {
-        debug_assert_eq!(bound_values.len(), self.num_bound);
-        let mut cons = Vec::with_capacity(self.num_levels());
-        cons.extend(bound_values.iter().map(|&v| LevelConstraint::Fixed(v)));
-        cons.resize(self.num_levels(), LevelConstraint::Free);
-        cons
-    }
 }
 
 impl ViewPlan {
@@ -256,7 +245,12 @@ mod tests {
     fn join_with_bound_values() {
         let v = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bbf").unwrap();
         let plan = ViewPlan::build(&v, &triangle_db()).unwrap();
-        let mut j = plan.join(plan.bound_constraints(&[1, 2]));
+        let cons = vec![
+            LevelConstraint::Fixed(1),
+            LevelConstraint::Fixed(2),
+            LevelConstraint::Free,
+        ];
+        let mut j = plan.join(cons);
         // x=1, y=2: z with S(2,z) ∧ T(z,1) ∧ R(1,2): z=3.
         let mut out = Vec::new();
         while let Some(t) = j.next() {

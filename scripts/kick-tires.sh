@@ -48,6 +48,14 @@ if grep -rn 'type Item = Tuple' crates/*/src || grep -rnE 'fn answer\(' crates/*
     echo "the pull path is back: answers leave a representation through an AnswerSink" >&2
     exit 1
 fi
+# Two structures, not four: §2.3's extremes are Theorem 2 at δ ≡ 0 over
+# {V_b} → {V} and Theorem 1 at τ = ∞ (see the explain greps below). Fails
+# on `touch crates/join/src/baselines.rs`, or on a `pub struct
+# MaterializedView` (or `DirectView`) anywhere under crates/*/src.
+if [ -e crates/join/src/baselines.rs ] || grep -rnwE 'MaterializedView|DirectView' crates/*/src; then
+    echo "a §2.3 baseline structure is back: materialize and direct are recipes of Theorems 2 and 1" >&2
+    exit 1
+fi
 
 step "benchmark package compiles against this tree"
 # benchmark/ is its own workspace and frozen between benchmark PRs: an API
@@ -108,6 +116,22 @@ grep -Eq "repr: +theorem 2: [0-9]+ bags \(0 delay-tuned.*constant delay" "$OUT/f
 # 24 B/tuple before any `Vec` slack, so the layout gate is 16.
 bag_bpt="$(grep -Eo '[0-9.]+ B/tuple' "$OUT/factorized.out" | cut -d' ' -f1)"
 awk -v b="$bag_bpt" 'BEGIN { exit !(b != "" && b < 16) }'
+
+# The two §2.3 extremes are the theorems at fixed knobs. `materialize` is
+# Theorem 2 over {V_b} → {V} with δ ≡ 0: one materialized bag, no delay-
+# tuned one (`&[0.0, 0.3]` for its δ in `CompressedView::build_pooled`
+# prints "1 delay-tuned" and fails the first grep). `direct` is Theorem 1
+# at τ = ∞: one leaf and no heavy pair (`f64::MAX` for its τ prints 309
+# digits and fails the second).
+cqe \
+    -e 'gen triangle 400 7' \
+    -e 'register m bff materialize "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
+    -e 'register d bff direct "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
+    -e 'explain m' \
+    -e 'explain d' |
+    tee "$OUT/extremes.out"
+grep -Eq "repr: +theorem 2: 1 bags \(0 delay-tuned" "$OUT/extremes.out"
+grep -Eq "repr: +theorem 1: τ = inf.*tree 1 nodes.*dictionary 0 heavy pairs" "$OUT/extremes.out"
 
 step "chaos (replicated fleet under scripted faults)"
 harness chaos

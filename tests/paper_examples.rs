@@ -12,7 +12,6 @@ use cqc_core::compressed::{CompressedView, Strategy};
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
 use cqc_decomp::{connex_fhw, decomposition_widths, search_connex, Objective, TreeDecomposition};
-use cqc_join::baselines::{DirectView, MaterializedView};
 use cqc_join::naive::evaluate_view;
 use cqc_lp::covers::{rho_star, slack};
 use cqc_lp::fractional::{min_delay_cover, min_space_cover};
@@ -141,8 +140,8 @@ fn example_1_triangle_tradeoff() {
     let mut db = Database::new();
     db.add(graph).unwrap();
 
-    let mat = MaterializedView::build(&view, &db).unwrap();
-    let direct = DirectView::build(&view, &db).unwrap();
+    let mat = CompressedView::build(&view, &db, Strategy::Materialize).unwrap();
+    let direct = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
 
     let mut last_space = usize::MAX;
     for tau in [1.0, 4.0, 16.0, 64.0] {
@@ -158,8 +157,9 @@ fn example_1_triangle_tradeoff() {
             assert_eq!(got, expect, "τ={tau} req={req:?}");
         }
     }
-    // Baselines bracket the structure conceptually: materialization stores
-    // the whole result, direct stores only base indexes.
+    // The §2.3 extremes bracket the structure: materialization (Theorem 2
+    // at δ ≡ 0) stores the whole result, direct evaluation (Theorem 1 at
+    // τ = ∞) only base indexes and the grid.
     assert!(mat.heap_bytes() > 0 && direct.heap_bytes() > 0);
 }
 
