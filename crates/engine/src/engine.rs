@@ -164,7 +164,7 @@ pub struct Engine {
     /// The attached durability layer, if any: every applied delta is
     /// WAL-logged and fsynced before its epoch is published (see
     /// [`Engine::open`] / [`Engine::attach_durable`]).
-    durable: Option<Arc<DurableStore>>,
+    durable: Option<DurableStore>,
     /// What recovery replayed, when this engine was opened from disk.
     recovery: Option<RecoveryStats>,
     upd_deltas: AtomicU64,
@@ -225,23 +225,14 @@ impl Engine {
     /// [`Engine::attach_durable`] to start a fresh directory) or when the
     /// manifest/snapshot fail their checksums.
     pub fn open(dir: impl AsRef<Path>) -> Result<Engine> {
-        Engine::open_with_config(dir, EngineConfig::default())
-    }
-
-    /// [`Engine::open`] with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Engine::open`].
-    pub fn open_with_config(dir: impl AsRef<Path>, config: EngineConfig) -> Result<Engine> {
         let recovered = DurableStore::open(dir.as_ref())?;
         let stats = RecoveryStats {
             epoch: recovered.db.epoch(),
             replayed: recovered.replayed,
             truncated_bytes: recovered.truncated_bytes,
         };
-        let mut engine = Engine::with_config(recovered.db, config);
-        engine.durable = Some(Arc::new(recovered.store));
+        let mut engine = Engine::new(recovered.db);
+        engine.durable = Some(recovered.store);
         engine.recovery = Some(stats);
         Ok(engine)
     }
@@ -265,13 +256,8 @@ impl Engine {
         }
         let store = DurableStore::create(dir.as_ref())?;
         store.checkpoint(&self.db())?;
-        self.durable = Some(Arc::new(store));
+        self.durable = Some(store);
         Ok(())
-    }
-
-    /// The attached durability layer, if any.
-    pub fn durable_store(&self) -> Option<&Arc<DurableStore>> {
-        self.durable.as_ref()
     }
 
     /// What recovery replayed, when this engine came from [`Engine::open`].
@@ -756,18 +742,6 @@ impl Engine {
             });
         self.indexes.release();
         cv
-    }
-
-    /// `true` iff the request has at least one answer (first-answer probe;
-    /// no answer tuple is materialized).
-    ///
-    /// # Errors
-    ///
-    /// Unknown view, bound-arity mismatch, or a tagged rebuild failure.
-    pub fn exists(&self, view: &str, bound: &[Value]) -> Result<bool> {
-        let rv = self.view(view)?;
-        let cv = self.representation(&rv)?;
-        cv.exists(bound)
     }
 
     /// Folds one measured serve wall time into the view's cost estimate:

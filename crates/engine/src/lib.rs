@@ -29,15 +29,17 @@
 //!   primitive underneath: one reusable enumerator per view, zero heap
 //!   allocations per answer once warm (gated in CI by the counting
 //!   allocator);
-//! * [`ShardedEngine`] — one engine spanning cores: relations are
+//! * [`ShardedEngine`] — partition, fan out, merge: relations are
 //!   hash-partitioned into `S` disjoint sub-databases
-//!   ([`cqc_storage::Partitioning`]), each owned by a full [`Engine`] with
-//!   its own catalog and budget slice; `register` builds the per-shard
-//!   representations in parallel, serve paths fan out and `k`-way-merge
-//!   the per-shard flat blocks back into lexicographic order
-//!   ([`cqc_common::BlockMerger`]), and updates split into per-shard
-//!   deltas so shard epochs (the vector version,
-//!   [`ShardedEngine::version`]) advance independently.
+//!   ([`cqc_storage::Partitioning`]), each owned by a full [`Engine`]
+//!   ([`ShardedEngine::shard`]); `register` plans once and builds the
+//!   per-shard representations in parallel, `serve_blocks_into` fans out
+//!   and [`BlockService::serve_into`] `k`-way-merges the per-shard flat
+//!   blocks back into lexicographic order ([`cqc_common::BlockMerger`]),
+//!   and `update` splits a delta per shard so shard epochs (the vector
+//!   version, [`ShardedEngine::version`]) advance independently.
+//!   Durability and statistics are per shard: a durable sharded
+//!   deployment is one durable [`Engine`] per slice.
 //!
 //! The `cqe` command-line front door lives one crate up, in `cqc-net`.
 //!
@@ -83,5 +85,4 @@ pub use policy::{Policy, Selection};
 pub use service::{stripe_requests, BlockService};
 pub use sharded::{
     spec_for_view, view_fans_out, ShardedBlocks, ShardedEngine, ShardedEngineConfig,
-    ShardedUpdateReport,
 };

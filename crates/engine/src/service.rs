@@ -22,6 +22,7 @@ use crate::policy::Policy;
 use crate::sharded::ShardedEngine;
 use cqc_common::error::Result;
 use cqc_common::{AnswerBlock, AnswerSink, BlockMerger, Value};
+use cqc_query::parser::parse_adorned;
 use cqc_storage::{Delta, Epoch};
 
 /// A view-serving participant: local engine, sharded engine, or a remote
@@ -216,7 +217,7 @@ impl BlockService for ShardedEngine {
         strategy: &str,
     ) -> Result<Vec<Epoch>> {
         let policy = Policy::parse(strategy)?;
-        self.register_text(name, query_text, pattern, policy)?;
+        self.register(name, parse_adorned(query_text, pattern)?, policy)?;
         Ok(ShardedEngine::version(self))
     }
 
@@ -236,7 +237,7 @@ impl BlockService for ShardedEngine {
     }
 
     fn apply_update(&self, delta: &Delta) -> Result<Vec<Epoch>> {
-        Ok(ShardedEngine::update(self, delta)?.epochs)
+        ShardedEngine::update(self, delta)
     }
 
     fn version(&self) -> Vec<Epoch> {
@@ -248,7 +249,6 @@ impl BlockService for ShardedEngine {
 mod tests {
     use super::*;
     use crate::sharded::{spec_for_view, ShardedEngineConfig};
-    use cqc_query::parser::parse_adorned;
     use cqc_storage::{Database, Relation};
 
     fn db() -> Database {

@@ -1,30 +1,37 @@
-//! The [`ShardedEngine`]: one engine spanning cores over hash-partitioned
-//! relations.
+//! The [`ShardedEngine`]: partition, fan out, merge.
 //!
 //! The paper's structures compose over disjoint sub-instances — a
 //! compressed representation built per shard answers its shard's output
 //! with the same delay guarantees, exactly as factorized/cover
-//! representations decompose over disjoint sub-databases. A
-//! [`ShardedEngine`] exploits that: a [`PartitionSpec`] hash-partitions
-//! each relation's rows on the column of one shared **partition variable**
-//! (relations that cannot carry it are replicated), producing `S` disjoint
-//! sub-databases, each owned by a full [`Engine`] with its own
-//! representation catalog and budget slice.
+//! representations decompose over disjoint sub-databases. So a shard is
+//! just an [`Engine`] over its slice, and a [`ShardedEngine`] adds only
+//! what one engine lacks:
 //!
-//! * **Parallel build** — [`ShardedEngine::register`] builds the `S`
-//!   per-shard representations concurrently under `std::thread::scope`;
-//!   each shard's build is over `~|D|/S` rows.
-//! * **Multicore serve** — [`ShardedEngine::serve_blocks_into`] fans a
-//!   request list out across shards; every shard pushes into its own flat
-//!   [`AnswerBlock`] (the PR 3 sink machinery, still zero allocations per
-//!   answer per shard once warm), and [`crate::BlockService::serve_into`] runs a
-//!   final `k`-way [`cqc_common::BlockMerger`] over one request's blocks
-//!   to restore the paper's lexicographic enumeration order.
-//! * **Per-shard epochs** — a [`Delta`] splits into per-shard deltas that
-//!   touch only the shards owning their rows; untouched shards keep their
-//!   epoch, so their catalog entries stay valid independently. The global
-//!   database version is [`ShardedEngine::version`], the vector of shard
-//!   epochs (extending the PR 2 versioning).
+//! * **Partition** — [`ShardedEngine::new`] (or [`ShardedEngine::for_view`],
+//!   spec from [`spec_for_view`]) hash-partitions each relation's rows on
+//!   the column of one shared **partition variable** under a
+//!   [`PartitionSpec`] (relations that cannot carry it are replicated),
+//!   producing `S` disjoint sub-databases, each owned by a full [`Engine`]
+//!   with its own catalog and budget slice ([`ShardedEngine::shard`]).
+//! * **Plan once, build in parallel** — [`ShardedEngine::register`] solves
+//!   strategy selection once against the unsplit planning snapshot
+//!   ([`ShardedEngine::planning_db`]) and builds the `S` per-shard
+//!   representations concurrently under `std::thread::scope`.
+//! * **Fan out and merge** — [`ShardedEngine::serve_blocks_into`] fans a
+//!   request list out across shards, each pushing into its own flat
+//!   [`AnswerBlock`] (zero allocations per answer per shard once warm),
+//!   and [`crate::BlockService::serve_into`] runs a final `k`-way
+//!   [`cqc_common::BlockMerger`] over one request's blocks to restore the
+//!   paper's lexicographic enumeration order.
+//! * **Route deltas** — [`ShardedEngine::update`] splits a [`Delta`] into
+//!   per-shard deltas that touch only the shards owning their rows;
+//!   untouched shards keep their epoch, so the database version is the
+//!   vector of shard epochs ([`ShardedEngine::version`]).
+//!
+//! Everything else — catalog and update statistics, `explain`, durability
+//! — is per shard, through [`ShardedEngine::shard`]. A durable sharded
+//! deployment is one `cqe serve --shard=i/n --data-dir=…` per shard, each
+//! an [`Engine`] with its own data directory (`docs/DURABILITY.md`).
 //!
 //! **Correctness.** Every answer valuation ν assigns the partition variable
 //! one value, and all hash-partitioned relations store their ν-matching
@@ -34,23 +41,14 @@
 //! none of whose relations are hash-partitioned would be answered in full
 //! by *every* shard; such views are routed to shard 0 alone instead.
 
-use crate::engine::{Engine, EngineConfig, RecoveryStats, UpdateReport};
+use crate::engine::{Engine, EngineConfig};
 use crate::policy::{select, Policy};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::value::Value;
 use cqc_common::{AnswerBlock, FastMap};
-use cqc_durable::DurableStore;
-use cqc_query::parser::parse_adorned;
 use cqc_query::{AdornedView, Var};
-use cqc_storage::{Database, Delta, Epoch, PartitionSpec, Partitioning, Relation, ShardAssignment};
-use std::path::Path;
+use cqc_storage::{Database, Delta, Epoch, PartitionSpec, Partitioning, ShardAssignment};
 use std::sync::{Arc, RwLock};
-
-/// The subdirectory of a sharded data directory holding shard `s`'s
-/// durable state (zero-padded so directory listings sort by shard).
-fn shard_dir(dir: &Path, s: usize) -> std::path::PathBuf {
-    dir.join(format!("shard-{s:03}"))
-}
 
 /// Tuning for a [`ShardedEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -107,21 +105,6 @@ impl ShardedBlocks {
             }
         }
     }
-}
-
-/// What one [`ShardedEngine::update`] did, per shard and in aggregate.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedUpdateReport {
-    /// The post-delta epoch vector (the global database version).
-    pub epochs: Vec<Epoch>,
-    /// Shards whose sub-delta was non-empty (the only ones doing work).
-    pub shards_touched: usize,
-    /// Aggregate catalog reconciliation counts across touched shards.
-    pub maintained: usize,
-    /// Entries rebuilt across touched shards.
-    pub rebuilt: usize,
-    /// Entries restamped across touched shards.
-    pub restamped: usize,
 }
 
 /// A register-once / serve-many engine whose database is hash-partitioned
@@ -187,127 +170,13 @@ impl ShardedEngine {
         ShardedEngine::new(db, spec, config)
     }
 
-    /// Warm start: recovers a sharded engine from a durable data directory
-    /// written by [`ShardedEngine::attach_durable`] /
-    /// [`ShardedEngine::checkpoint`]. Each shard lives in its own
-    /// `shard-<s>` subdirectory and recovers independently (snapshot plus
-    /// WAL replay), so the engine rejoins at its exact pre-crash epoch
-    /// *vector* — shards that were ahead stay ahead. The planning snapshot
-    /// is rebuilt by merging the recovered shards (hash-partitioned rows
-    /// union disjointly; replicated copies dedup back to one), and `spec`
-    /// must be the same partition spec the directory was written under —
-    /// the spec itself is not persisted, exactly as view definitions are
-    /// not: the serving script re-supplies both.
-    ///
-    /// # Errors
-    ///
-    /// [`CqcError::Io`] when `dir` holds no shard state, plus every
-    /// per-shard [`Engine::open`] failure mode.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        spec: PartitionSpec,
-        config: ShardedEngineConfig,
-    ) -> Result<ShardedEngine> {
-        let dir = dir.as_ref();
-        let mut shards = 0;
-        while DurableStore::exists(&shard_dir(dir, shards)) {
-            shards += 1;
-        }
-        if shards == 0 {
-            return Err(CqcError::Io(format!(
-                "{}: no shard-* durable state to recover",
-                dir.display()
-            )));
-        }
-        let partitioning = Partitioning::new(spec, shards)?;
-        let mut engine_config = config.engine;
-        engine_config.catalog_budget_bytes = (engine_config.catalog_budget_bytes / shards).max(1);
-        let engines: Vec<Engine> = (0..shards)
-            .map(|s| Engine::open_with_config(shard_dir(dir, s), engine_config))
-            .collect::<Result<Vec<_>>>()?;
-        // Rebuild the planning snapshot from the recovered shards. Every
-        // shard holds every relation (hashed ones hold their partition,
-        // replicated ones a full copy), so concatenating per relation and
-        // letting `from_flat` sort-dedup reconstructs the global database.
-        let dbs: Vec<Arc<Database>> = engines.iter().map(Engine::db).collect();
-        let mut planning = Database::new();
-        if let Some(first) = dbs.first() {
-            for rel in first.relations() {
-                let mut flat = Vec::new();
-                for db in &dbs {
-                    let shard_rel = db.get(rel.name()).ok_or_else(|| {
-                        CqcError::Io(format!(
-                            "{}: relation `{}` missing from a recovered shard",
-                            dir.display(),
-                            rel.name()
-                        ))
-                    })?;
-                    for row in shard_rel.iter() {
-                        flat.extend_from_slice(row);
-                    }
-                }
-                planning.add(Relation::from_flat(
-                    rel.name().to_string(),
-                    rel.arity(),
-                    flat,
-                ))?;
-            }
-        }
-        planning.restore_epoch(engines.iter().map(Engine::epoch).max().unwrap_or(0));
-        Ok(ShardedEngine {
-            partitioning,
-            engines,
-            fanout: RwLock::new(FastMap::default()),
-            planning: RwLock::new(Arc::new(planning)),
-        })
-    }
-
-    /// Attaches a fresh durability layer: each shard gets its own
-    /// `shard-<s>` subdirectory of `dir` (created, checkpointed with the
-    /// shard's current sub-database, and logged to independently from then
-    /// on). Recover with [`ShardedEngine::open`] under the same spec.
-    ///
-    /// # Errors
-    ///
-    /// Per-shard [`Engine::attach_durable`] failure modes; a failure
-    /// partway leaves earlier shards attached (the directory should be
-    /// discarded and the call retried fresh).
-    pub fn attach_durable(&mut self, dir: impl AsRef<Path>) -> Result<()> {
-        let dir = dir.as_ref();
-        for (s, engine) in self.engines.iter_mut().enumerate() {
-            engine.attach_durable(shard_dir(dir, s))?;
-        }
-        Ok(())
-    }
-
-    /// Checkpoints every shard's data directory (snapshot + WAL
-    /// compaction). Shards checkpoint sequentially; each one quiesces only
-    /// its own writers.
-    ///
-    /// # Errors
-    ///
-    /// [`CqcError::Config`] when no durability layer is attached; the
-    /// first per-shard I/O failure (earlier shards keep their new
-    /// checkpoints — every manifest on disk stays individually consistent).
-    pub fn checkpoint(&self) -> Result<()> {
-        for engine in &self.engines {
-            engine.checkpoint()?;
-        }
-        Ok(())
-    }
-
-    /// Per-shard recovery statistics, when this engine came from
-    /// [`ShardedEngine::open`] (`None` for a fresh engine).
-    pub fn recovery_stats(&self) -> Option<Vec<RecoveryStats>> {
-        self.engines.iter().map(Engine::recovery_stats).collect()
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.engines.len()
     }
 
-    /// The engine owning shard `s` (introspection and tests).
+    /// The engine owning shard `s`: its catalog and update statistics,
+    /// `explain` and base indexes are that shard's.
     pub fn shard(&self, s: usize) -> &Engine {
         &self.engines[s]
     }
@@ -417,23 +286,6 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Parses and registers (CLI front door), mirroring
-    /// [`Engine::register_text`].
-    ///
-    /// # Errors
-    ///
-    /// Parse failures plus the [`ShardedEngine::register`] failure modes.
-    pub fn register_text(
-        &self,
-        name: &str,
-        query_text: &str,
-        pattern: &str,
-        policy: Policy,
-    ) -> Result<()> {
-        let view = parse_adorned(query_text, pattern)?;
-        self.register(name, view, policy)
-    }
-
     /// Whether `name` is registered, and if so whether it fans out.
     fn routing(&self, name: &str) -> Result<bool> {
         self.fanout
@@ -492,37 +344,21 @@ impl ShardedEngine {
         Ok(out.total_answers())
     }
 
-    /// `true` iff the request has at least one answer. Probes shards
-    /// sequentially with first-answer short-circuiting — existence needs
-    /// one witness, not a fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`ShardedEngine::serve_blocks_into`].
-    pub fn exists(&self, view: &str, bound: &[Value]) -> Result<bool> {
-        let fans_out = self.routing(view)?;
-        let shards = if fans_out { self.engines.len() } else { 1 };
-        for engine in &self.engines[..shards] {
-            if engine.exists(view, bound)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
     /// Applies a batched delta: the delta splits into per-shard deltas that
     /// touch only the shards owning their rows, and the touched shards
     /// update **in parallel** (each reconciling its own catalog —
     /// maintain/rebuild/restamp — before publishing its shard epoch).
     /// Untouched shards keep epoch and catalog untouched, which is the
-    /// point of per-shard versioning.
+    /// point of per-shard versioning. Returns the post-delta epoch vector
+    /// ([`ShardedEngine::version`]); what each shard's catalog did is that
+    /// shard's [`Engine::update_stats`].
     ///
     /// # Errors
     ///
     /// Routing failures (out-of-range hash column) before anything is
     /// applied; the first shard error afterwards (other shards still
     /// complete their updates).
-    pub fn update(&self, delta: &Delta) -> Result<ShardedUpdateReport> {
+    pub fn update(&self, delta: &Delta) -> Result<Vec<Epoch>> {
         let split = self.partitioning.split_delta(delta)?;
         {
             // Keep the planning snapshot current so later registrations
@@ -535,63 +371,22 @@ impl ShardedEngine {
             next.apply(delta)?;
             *planning = Arc::new(next);
         }
-        let outcomes: Vec<Option<Result<UpdateReport>>> = std::thread::scope(|scope| {
+        let outcomes: Vec<Result<()>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .engines
                 .iter()
                 .zip(&split)
-                .map(|(engine, d)| scope.spawn(move || (!d.is_empty()).then(|| engine.update(d))))
+                .filter(|(_, d)| !d.is_empty())
+                .map(|(engine, d)| scope.spawn(move || engine.update(d).map(|_| ())))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("shard update panicked"))
                 .collect()
         });
-        let mut report = ShardedUpdateReport::default();
-        let mut first_error = None;
-        for outcome in outcomes {
-            let Some(outcome) = outcome else { continue };
-            report.shards_touched += 1;
-            match outcome {
-                Ok(r) => {
-                    report.maintained += r.maintained;
-                    report.rebuilt += r.rebuilt;
-                    report.restamped += r.restamped;
-                }
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        report.epochs = self.version();
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
-    }
-
-    /// Aggregate catalog counters across all shards.
-    pub fn catalog_stats(&self) -> crate::catalog::CatalogStats {
-        let mut total = crate::catalog::CatalogStats::default();
-        for engine in &self.engines {
-            let s = engine.catalog_stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.builds += s.builds;
-            total.maintained += s.maintained;
-            total.evictions += s.evictions;
-            total.invalidations += s.invalidations;
-            total.admission_rejected += s.admission_rejected;
-            total.entries += s.entries;
-            total.resident_bytes += s.resident_bytes;
-            total.budget_bytes += s.budget_bytes;
-            total.index_store_indexes += s.index_store_indexes;
-            total.index_store_bytes += s.index_store_bytes;
-            total.index_store_hits += s.index_store_hits;
-            total.index_store_builds += s.index_store_builds;
-            total.index_store_merges += s.index_store_merges;
-        }
-        total
+        // Every shard has finished before the first error is reported.
+        outcomes.into_iter().collect::<Result<()>>()?;
+        Ok(self.version())
     }
 }
 

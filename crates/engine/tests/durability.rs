@@ -1,11 +1,11 @@
 //! Engine-level durability: attach → log → crash (drop) → `open` recovers
-//! the exact pre-crash epoch and serves byte-identical answers, for both
-//! the single engine and the sharded engine. The byte-format robustness
+//! the exact pre-crash epoch and serves byte-identical answers, for one
+//! engine and for a fleet of per-slice engines. The byte-format robustness
 //! tests live in `cqc-durable`; these cover the wiring above it.
 
-use cqc_common::AnswerBlock;
-use cqc_engine::{BlockService, Engine, Policy, ShardedEngine, ShardedEngineConfig};
-use cqc_storage::{Database, Delta, Epoch, PartitionSpec, Relation};
+use cqc_common::{AnswerBlock, BlockMerger};
+use cqc_engine::{BlockService, Engine, Policy};
+use cqc_storage::{Database, Delta, Epoch, PartitionSpec, Partitioning, Relation};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("cqc-eng-dur-{}-{name}", std::process::id()));
@@ -112,60 +112,93 @@ fn open_on_a_fresh_directory_is_a_typed_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A durable sharded deployment is one durable [`Engine`] per slice — one
+/// `cqe serve --shard=i/n --data-dir=…` each. Every slice logs only its own
+/// sub-deltas, rejoins at its own pre-crash epoch (so the fleet rejoins at
+/// its exact epoch *vector*), and the recovered slices' streams, k-way
+/// merged, equal the unsharded oracle's — order included.
 #[test]
-fn sharded_engine_recovers_its_exact_epoch_vector() {
-    let dir = temp_dir("sharded");
-    let mut db = cqc_storage::Database::new();
+fn durable_slices_recover_their_exact_epoch_vector() {
+    let base = temp_dir("slices");
+    let mut db = Database::new();
     db.add(Relation::from_pairs("R", (0..32u64).map(|i| (i, i + 1))))
         .unwrap();
     db.add(Relation::from_pairs("S", (0..33u64).map(|i| (i, 100 + i))))
         .unwrap();
-    let spec = PartitionSpec::new().hash("R", 1).hash("S", 0);
-    let config = ShardedEngineConfig {
-        shards: 3,
-        ..ShardedEngineConfig::default()
-    };
-    let mut sharded = ShardedEngine::new(db, spec.clone(), config).unwrap();
-    sharded.attach_durable(&dir).unwrap();
+    let partitioning =
+        Partitioning::new(PartitionSpec::new().hash("R", 1).hash("S", 0), 3).unwrap();
+    let dirs: Vec<_> = (0..3).map(|s| base.join(format!("slice-{s}"))).collect();
+    let mut slices: Vec<Engine> = partitioning
+        .split_database(&db)
+        .unwrap()
+        .into_iter()
+        .map(Engine::new)
+        .collect();
+    for (slice, dir) in slices.iter_mut().zip(&dirs) {
+        slice.attach_durable(dir).unwrap();
+    }
+    let oracle = Engine::new(db);
 
-    // Touch only some shards so the epoch vector is uneven.
-    let mut d = Delta::new();
-    d.insert("R", vec![100, 101]);
-    sharded.update(&d).unwrap();
-    let mut d = Delta::new();
-    d.insert("R", vec![100, 102]);
-    d.insert("S", vec![100, 200]);
-    sharded.update(&d).unwrap();
+    // Each delta reaches only the slices owning its rows, so the epoch
+    // vector goes uneven.
+    let mut first = Delta::new();
+    first.insert("R", vec![100, 101]);
+    let mut second = Delta::new();
+    second.insert("R", vec![101, 102]);
+    second.insert("S", vec![101, 201]);
+    second.remove("S", vec![5, 105]);
+    for delta in [first, second] {
+        oracle.update(&delta).unwrap();
+        for (slice, sub) in slices.iter().zip(partitioning.split_delta(&delta).unwrap()) {
+            if !sub.is_empty() {
+                slice.update(&sub).unwrap();
+            }
+        }
+    }
+    let version: Vec<Epoch> = slices.iter().map(Engine::epoch).collect();
+    assert!(
+        version.iter().any(|&e| e != version[0]),
+        "the deltas must leave an uneven vector: {version:?}"
+    );
+    drop(slices); // "crash"
 
-    let version = sharded.version();
-    let planning_rows: usize = sharded.planning_db().relations().map(|r| r.len()).sum();
-    drop(sharded);
-
-    let recovered = ShardedEngine::open(&dir, spec, config).unwrap();
-    assert_eq!(recovered.num_shards(), 3);
+    let recovered: Vec<Engine> = dirs.iter().map(|d| Engine::open(d).unwrap()).collect();
     assert_eq!(
-        recovered.version(),
+        recovered.iter().map(Engine::epoch).collect::<Vec<_>>(),
         version,
-        "each shard must rejoin at its own pre-crash epoch"
+        "each slice must rejoin at its own pre-crash epoch"
     );
-    let merged_rows: usize = recovered.planning_db().relations().map(|r| r.len()).sum();
-    assert_eq!(
-        merged_rows, planning_rows,
-        "the merged planning snapshot must match the pre-crash one"
-    );
-    assert!(recovered.recovery_stats().is_some());
+    for slice in &recovered {
+        assert_eq!(slice.recovery_stats().unwrap().epoch, slice.epoch());
+    }
 
-    // The recovered engine registers and serves like the original.
-    recovered
-        .register_text(
-            "V",
-            "V(x, y, z) :- R(x, y), S(y, z)",
-            "bff",
-            Policy::default(),
-        )
+    let query = "V(x, y, z) :- R(x, y), S(y, z)";
+    oracle
+        .register_text("V", query, "bff", Policy::default())
         .unwrap();
-    let mut served = AnswerBlock::new();
-    recovered.serve_into("V", &[5], &mut served).unwrap();
-    assert_eq!(served.to_tuples(), vec![vec![6, 106]]);
-    std::fs::remove_dir_all(&dir).unwrap();
+    for slice in &recovered {
+        slice
+            .register_text("V", query, "bff", Policy::default())
+            .unwrap();
+    }
+    let mut answers = 0;
+    for x in 0..=101u64 {
+        let mut want = AnswerBlock::new();
+        oracle.serve_into("V", &[x], &mut want).unwrap();
+        let blocks: Vec<AnswerBlock> = recovered
+            .iter()
+            .map(|slice| {
+                let mut block = AnswerBlock::new();
+                slice.serve_into("V", &[x], &mut block).unwrap();
+                block
+            })
+            .collect();
+        let refs: Vec<&AnswerBlock> = blocks.iter().collect();
+        let mut merged = AnswerBlock::new();
+        BlockMerger::new().merge_into(&refs, &mut merged);
+        assert_eq!(merged.to_tuples(), want.to_tuples(), "x = {x}");
+        answers += want.len();
+    }
+    assert_eq!(answers, 32, "31 seed paths + (100, 101, 201) - (4, 5, 105)");
+    std::fs::remove_dir_all(&base).unwrap();
 }

@@ -3,7 +3,7 @@
 //! strategies, shard counts, and interleaved updates — while routing work
 //! and epochs only to the shards owning the touched rows.
 
-use cqc_common::AnswerBlock;
+use cqc_common::{AnswerBlock, ExistsSink};
 use cqc_core::Strategy;
 use cqc_engine::{
     spec_for_view, BlockService, Engine, Policy, ShardedBlocks, ShardedEngine, ShardedEngineConfig,
@@ -102,9 +102,11 @@ fn sharded_matches_unsharded_across_strategies_and_shard_counts() {
                         got, expect,
                         "{tag} pattern {pattern} shards {shards} bound {bound:?}"
                     );
+                    let mut probe = ExistsSink::default();
+                    let pushed = sharded.serve_into("v", bound, &mut probe).unwrap();
                     assert_eq!(
-                        sharded.exists("v", bound).unwrap(),
-                        !expect.is_empty(),
+                        (probe.found, pushed),
+                        (!expect.is_empty(), usize::from(!expect.is_empty())),
                         "{tag} exists {pattern} shards {shards} bound {bound:?}"
                     );
                 }
@@ -134,17 +136,24 @@ fn sharded_matches_unsharded_under_interleaved_updates() {
         for round in 0..4u64 {
             let delta =
                 cqc_workload::recombination_delta(&mut rng, &engine.db(), &["R", "S", "T"], 3);
-            let before = sharded.version();
+            let (before, oracle_before) = (sharded.version(), engine.epoch());
             engine.update(&delta).unwrap();
-            let report = sharded.update(&delta).unwrap();
-            assert_eq!(report.epochs, sharded.version());
-            // Shards whose sub-delta was empty must not move their epoch.
-            let moved = before
-                .iter()
-                .zip(&report.epochs)
-                .filter(|(b, a)| a > b)
-                .count();
-            assert!(moved <= report.shards_touched, "round {round}");
+            let after = sharded.update(&delta).unwrap();
+            assert_eq!(after, sharded.version());
+            // Only a shard with a non-empty sub-delta may move its epoch…
+            let split = sharded.partitioning().split_delta(&delta).unwrap();
+            for (si, ((b, a), sub)) in before.iter().zip(&after).zip(&split).enumerate() {
+                if sub.is_empty() {
+                    assert_eq!(a, b, "round {round}: shard {si} moved without a sub-delta");
+                }
+            }
+            // …and some shard moves exactly when the delta changed the
+            // unsharded database (every changed row lands in its owner).
+            assert_eq!(
+                after != before,
+                engine.epoch() != oracle_before,
+                "round {round}"
+            );
 
             for x in (0..12u64).step_by(2) {
                 for z in (0..12u64).step_by(3) {
@@ -180,10 +189,9 @@ fn per_shard_epochs_advance_independently() {
     let before = sharded.version();
     let mut delta = Delta::new();
     delta.insert("R", vec![9, 4]); // y = 4 → exactly one owner shard
-    let report = sharded.update(&delta).unwrap();
-    assert_eq!(report.shards_touched, 1);
+    assert_eq!(sharded.update(&delta).unwrap(), sharded.version());
     let owner = shard_of_value(4, 4);
-    for (si, (b, a)) in before.iter().zip(&report.epochs).enumerate() {
+    for (si, (b, a)) in before.iter().zip(&sharded.version()).enumerate() {
         if si == owner {
             assert!(a > b, "owner shard {si} must advance");
         } else {

@@ -56,7 +56,7 @@
 use cqc_common::measure::{
     fmt_bytes, fmt_ns, json_string, write_json_summary, BatchStats, DelayProbe,
 };
-use cqc_common::{AnswerBlock, FnSink, Value};
+use cqc_common::{AnswerBlock, ExistsSink, FnSink, Value};
 use cqc_engine::{stripe_requests, BlockService, Engine, Policy, UpdateReport};
 use cqc_join::naive::evaluate_view;
 use cqc_net::{ClientConfig, NetServer, NetServerConfig, Router};
@@ -269,8 +269,11 @@ fn execute(engine: &mut Engine, line: &str) -> Result<bool, String> {
                 .map(|v| engine.resolve_value(v).map_err(|e| e.to_string()))
                 .collect::<Result<_, _>>()?;
             if cmd == "exists" {
-                let yes = engine.exists(name, &bound).map_err(|e| e.to_string())?;
-                println!("{yes}");
+                let mut probe = ExistsSink::default();
+                engine
+                    .serve_into(name, &bound, &mut probe)
+                    .map_err(|e| e.to_string())?;
+                println!("{}", probe.found);
             } else {
                 let mut probe = DelayProbe::start();
                 let mut rows = FnSink(|t: &[Value]| {

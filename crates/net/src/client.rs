@@ -393,6 +393,9 @@ impl ShardClient {
         }
         let mut scratch = AnswerBlock::new();
         let mut pushed = 0u64;
+        // The arity of the stream's first chunk, which every later chunk
+        // must repeat: the caller's sink is one block of one arity.
+        let mut arity = None;
         // Every exit below that is not a fully parsed `ServeDone` or
         // `Error` frame leaves the server mid-stream: poison, or the next
         // request on this connection reads this one's remaining frames as
@@ -404,7 +407,9 @@ impl ShardClient {
             let frame = match self.frames.read_frame(stream) {
                 Ok((FrameKind::Chunk, body)) => {
                     scratch.reset();
-                    cqc_common::frame::decode_chunk_into(body, &mut scratch).map(|_| None)
+                    cqc_common::frame::decode_chunk_into(body, &mut scratch)
+                        .and_then(|_| check_chunk_shape(&mut arity, &scratch, pushed))
+                        .map(|()| None)
                 }
                 Ok((FrameKind::ServeDone, body)) => {
                     protocol::parse_serve_done(body).map(|(_total, epochs)| Some(Ok(epochs)))
@@ -432,6 +437,34 @@ impl ShardClient {
             }
         }
     }
+}
+
+/// Checks a decoded chunk against the stream it arrived in, before any of
+/// its answers reach the caller's sink: its arity must be the stream's
+/// (`arity` adopts the first chunk's), and a zero-arity stream holds at
+/// most one answer — a full CQ whose head is all bound has at most the
+/// empty tuple — so a tiny frame cannot claim billions of them.
+///
+/// # Errors
+///
+/// A typed [`code::BAD_FRAME`] naming the violation.
+fn check_chunk_shape(arity: &mut Option<usize>, chunk: &AnswerBlock, pushed: u64) -> Result<()> {
+    let stream_arity = *arity.get_or_insert(chunk.arity());
+    let claimed = pushed + chunk.len() as u64;
+    let detail = if chunk.arity() != stream_arity {
+        format!(
+            "chunk of arity {} in a stream of arity {stream_arity}",
+            chunk.arity()
+        )
+    } else if stream_arity == 0 && claimed > 1 {
+        format!("zero-arity stream claims {claimed} answers; at most one exists")
+    } else {
+        return Ok(());
+    };
+    Err(CqcError::Protocol {
+        code: code::BAD_FRAME,
+        detail,
+    })
 }
 
 /// A remote shard server as a [`BlockService`]: lock, speak the wire,

@@ -2,9 +2,9 @@
 //! *typed* error in bounded time — never a hang, never a silent partial
 //! answer. Scripted fake shards (raw TCP speaking the frame codec) make
 //! the failures deterministic: death mid-stream, a stalled server, an
-//! overloaded server, a wrong protocol version, a malformed chunk, and a
-//! server-side deadline are each provoked on purpose and asserted on by
-//! error code.
+//! overloaded server, a wrong protocol version, a malformed chunk, a
+//! stream whose chunks disagree on their arity, and a server-side deadline
+//! are each provoked on purpose and asserted on by error code.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -14,7 +14,10 @@ use std::time::{Duration, Instant};
 use cqc_common::frame::{self, code, FrameKind, FrameReader, PayloadWriter};
 use cqc_common::{AnswerBlock, AnswerSink, CqcError};
 use cqc_engine::{BlockService, Engine};
-use cqc_net::{protocol, ClientConfig, NetServer, NetServerConfig, Router, ShardClient};
+use cqc_net::{
+    protocol, BreakerConfig, ClientConfig, NetServer, NetServerConfig, RetryPolicy, Router,
+    ShardClient,
+};
 use cqc_storage::{Database, PartitionSpec, Relation};
 
 /// A scripted fake shard: binds a loopback port, accepts one connection,
@@ -34,6 +37,55 @@ fn fake_shard(behavior: impl FnOnce(TcpStream) + Send + 'static) -> String {
 fn send(stream: &mut TcpStream, kind: FrameKind, payload: &PayloadWriter) {
     frame::write_frame(stream, kind, payload.bytes()).unwrap();
     stream.flush().unwrap();
+}
+
+/// A scripted fake shard that accepts connections one after another: it
+/// answers health and register at epoch vector `[7]`, and each serve with
+/// the raw chunks `script(bound)` lists — `(arity, claimed count, values)`,
+/// unchecked — then `ServeDone`. Writes to a client that already hung up
+/// are ignored, so the next connection is still served.
+fn scripted_chunks(
+    script: impl Fn(&[u64]) -> Vec<(u16, u32, Vec<u64>)> + Send + 'static,
+) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            let mut frames = FrameReader::new();
+            let mut w = PayloadWriter::new();
+            let reply = |stream: &mut TcpStream, kind, w: &PayloadWriter| {
+                let _ = frame::write_frame(stream, kind, w.bytes());
+            };
+            while let Ok((kind, body)) = frames.read_frame(&mut stream) {
+                match kind {
+                    FrameKind::Health => {
+                        protocol::encode_epoch_reply(&mut w, &[7]);
+                        reply(&mut stream, FrameKind::HealthOk, &w);
+                    }
+                    FrameKind::Register => {
+                        protocol::encode_epoch_reply(&mut w, &[7]);
+                        reply(&mut stream, FrameKind::RegisterOk, &w);
+                    }
+                    FrameKind::Serve => {
+                        let chunks = script(&protocol::parse_serve(body).unwrap().bound);
+                        for (arity, count, values) in &chunks {
+                            w.start().put_u16(*arity).put_u32(*count);
+                            for &v in values {
+                                w.put_u64(v);
+                            }
+                            reply(&mut stream, FrameKind::Chunk, &w);
+                        }
+                        let total = chunks.iter().map(|c| u64::from(c.1)).sum();
+                        protocol::encode_serve_done(&mut w, total, &[7]);
+                        reply(&mut stream, FrameKind::ServeDone, &w);
+                    }
+                    _ => break,
+                }
+            }
+        }
+    });
+    addr
 }
 
 /// Client config tuned for tests: fail fast, short backoffs.
@@ -260,39 +312,16 @@ fn overloaded_server_refuses_with_typed_backpressure() {
 /// let the next request read those leftover frames as its answer.
 #[test]
 fn malformed_chunk_does_not_leak_into_the_next_request() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::spawn(move || {
-        let mut serves = 0u32;
-        let chunk = |w: &mut PayloadWriter, tuple: &[u64]| {
-            let mut block = AnswerBlock::new();
-            block.push(tuple);
-            frame::encode_chunk(w, &block, 0, 1);
-        };
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { return };
-            let mut frames = FrameReader::new();
-            let mut w = PayloadWriter::new();
-            while let Ok((FrameKind::Serve, _)) = frames.read_frame(&mut stream) {
-                serves += 1;
-                if serves == 1 {
-                    // Claims one answer of arity 2, carries one value.
-                    w.start().put_u16(2).put_u32(1).put_u64(9);
-                    send(&mut stream, FrameKind::Chunk, &w);
-                    chunk(&mut w, &[111, 222]);
-                } else {
-                    chunk(&mut w, &[5, 6]);
-                }
-                send(&mut stream, FrameKind::Chunk, &w);
-                protocol::encode_serve_done(&mut w, 1, &[7]);
-                send(&mut stream, FrameKind::ServeDone, &w);
-            }
-        }
+    let addr = scripted_chunks(|bound| match bound {
+        // Claims one answer of arity 2, carries one value; then the rest
+        // of the reply.
+        [1] => vec![(2, 1, vec![9]), (2, 1, vec![111, 222])],
+        _ => vec![(2, 1, vec![5, 6])],
     });
 
     let mut client = ShardClient::new(addr, fast_client());
     let err = client
-        .serve_with_sink("v", &[], &mut AnswerBlock::new())
+        .serve_with_sink("v", &[1], &mut AnswerBlock::new())
         .unwrap_err();
     match err {
         CqcError::Protocol { code: c, detail } => {
@@ -301,9 +330,81 @@ fn malformed_chunk_does_not_leak_into_the_next_request() {
         other => panic!("expected BAD_FRAME, got {other}"),
     }
     let mut block = AnswerBlock::new();
-    let (pushed, epochs) = client.serve_with_sink("v", &[], &mut block).unwrap();
+    let (pushed, epochs) = client.serve_with_sink("v", &[2], &mut block).unwrap();
     assert_eq!(block.to_tuples(), vec![vec![5, 6]], "previous reply leaked");
     assert_eq!((pushed, epochs), (1, vec![7]));
+}
+
+/// A serve stream whose chunks change arity mid-stream (here 2, then 1)
+/// is a typed [`code::BAD_FRAME`] before the second chunk reaches the
+/// sink — not a panic in the router's fan-out thread (debug builds) or a
+/// misaligned merge block (release) — and the poisoned connection is
+/// replaced, so the next request is exact.
+#[test]
+fn chunk_arity_change_mid_stream_is_a_typed_error() {
+    let addr = scripted_chunks(|bound| match bound {
+        [1] => vec![(2, 1, vec![1, 2]), (1, 1, vec![3])],
+        _ => vec![(1, 2, vec![5, 6])],
+    });
+    // One attempt per request: the error surfaces as is, and the breaker
+    // stays closed for the follow-up request.
+    let router = Router::connect_replicated(
+        &[vec![addr]],
+        PartitionSpec::new(),
+        fast_client(),
+        BreakerConfig::default(),
+        RetryPolicy {
+            attempts: 1,
+            ..RetryPolicy::default()
+        },
+    )
+    .unwrap();
+    router
+        .register_view("v", "Q(x,y) :- R(x,y)", "bf", "direct")
+        .unwrap();
+    let err = router
+        .serve_into("v", &[1], &mut AnswerBlock::new())
+        .unwrap_err();
+    match err {
+        CqcError::Protocol { code: c, detail } => {
+            assert_eq!(c, code::BAD_FRAME, "wrong code: {detail}");
+            assert!(detail.contains("arity"), "must name the arity: {detail}");
+        }
+        other => panic!("expected BAD_FRAME, got {other}"),
+    }
+    let mut block = AnswerBlock::new();
+    assert_eq!(router.serve_into("v", &[2], &mut block).unwrap(), 2);
+    assert_eq!(block.to_tuples(), vec![vec![5], vec![6]]);
+}
+
+/// A zero-arity stream holds at most one answer (the empty tuple of a
+/// view whose head is all bound), so a 6-byte chunk claiming four billion
+/// of them is refused at once as a typed [`code::BAD_FRAME`] instead of
+/// driving four billion pushes no deadline interrupts.
+#[test]
+fn zero_arity_chunk_claiming_many_answers_is_refused() {
+    let addr = scripted_chunks(|bound| match bound {
+        [1] => vec![(0, 4_000_000_000, vec![])],
+        _ => vec![(0, 1, vec![])],
+    });
+    let mut client = ShardClient::new(addr, fast_client());
+    let t0 = Instant::now();
+    let err = client
+        .serve_with_sink("v", &[1], &mut AnswerBlock::new())
+        .unwrap_err();
+    assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+    match err {
+        CqcError::Protocol { code: c, detail } => {
+            assert_eq!(c, code::BAD_FRAME, "wrong code: {detail}");
+        }
+        other => panic!("expected BAD_FRAME, got {other}"),
+    }
+    let mut block = AnswerBlock::new();
+    assert_eq!(
+        client.serve_with_sink("v", &[2], &mut block).unwrap(),
+        (1, vec![7])
+    );
+    assert_eq!(block.to_tuples(), vec![Vec::<u64>::new()]);
 }
 
 /// A frame with the wrong protocol version is answered with a typed

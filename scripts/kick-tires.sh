@@ -56,6 +56,17 @@ if [ -e crates/join/src/baselines.rs ] || grep -rnwE 'MaterializedView|DirectVie
     echo "a §2.3 baseline structure is back: materialize and direct are recipes of Theorems 2 and 1" >&2
     exit 1
 fi
+# One engine surface, one durability story: cqc-durable is reached only
+# through `Engine` (a durable sharded deployment is one durable engine per
+# slice), and `ShardedEngine::update` returns the epoch vector. Fails on
+# `use cqc_durable::DurableStore;` in crates/engine/src/sharded.rs (any
+# engine module but engine.rs naming the crate or the store), or on a
+# `pub struct ShardedUpdateReport` anywhere under crates/*/src.
+if grep -rnwE --exclude=engine.rs 'cqc_durable|DurableStore' crates/engine/src ||
+    grep -rnw 'ShardedUpdateReport' crates/*/src; then
+    echo "a second write/admin half is back: durability and update reports belong to Engine" >&2
+    exit 1
+fi
 
 step "benchmark package compiles against this tree"
 # benchmark/ is its own workspace and frozen between benchmark PRs: an API
