@@ -20,6 +20,8 @@
 //! * [`block`] — the flat [`AnswerBlock`] answer representation and the
 //!   push-style [`AnswerSink`] trait every enumerator drives, the
 //!   foundation of the allocation-free serve path;
+//! * [`packed`] — the immutable fixed-width bit-packed integer column
+//!   every compressed representation stores its integers in;
 //! * [`alloc`] — a vendored counting allocator that lets binaries and
 //!   tests *prove* the zero-allocations-per-answer discipline;
 //! * [`coverage`] — the per-shard coverage bitmap a degraded (partial)
@@ -44,6 +46,7 @@ pub mod hash;
 pub mod heap;
 pub mod measure;
 pub mod metrics;
+pub mod packed;
 pub mod util;
 pub mod value;
 

@@ -1,8 +1,10 @@
 //! Materialized, semijoin-reducible bag relations.
 
+use crate::theorem2::BagWidths;
 use cqc_common::error::Result;
 use cqc_common::hash::FastMap;
 use cqc_common::heap::HeapSize;
+use cqc_common::packed::Packed;
 use cqc_common::util::partition_point;
 use cqc_common::value::{lex_cmp, Value};
 use cqc_join::leapfrog::LevelConstraint;
@@ -22,16 +24,17 @@ use std::cmp::Ordering;
 /// * `keys` — each distinct bound prefix once, sorted; lookups binary
 ///   search keys, not rows;
 /// * `offsets` — key `k`'s rows are `offsets[k]..offsets[k + 1]`;
-/// * `free` — each row's free suffix as `u32` ranks into `domains`;
+/// * `free` — each row's free suffix as ranks into `domains`;
 /// * `domains` — one sorted domain per free column (the distinct values
 ///   the surviving rows hold there), back to back. A rank is a position
 ///   in this buffer, so within a column rank order is value order and
 ///   rows decode in the order they were stored.
 ///
-/// Every buffer is a boxed slice — exact capacity by construction — and
-/// depends only on the rows, so a fresh, a reduced and a cloned bag over
-/// the same rows agree to the byte. The layout is this module's: callers
-/// get row ranges, key membership and [`MaterializedBag::bind`].
+/// Every column is [`Packed`] at the width its data needs
+/// (docs/ARCHITECTURE.md, "Packed integer columns") and depends only on
+/// the rows, so a fresh, a reduced and a cloned bag over the same rows
+/// agree to the byte. The layout is this module's: callers get row
+/// ranges, key membership and [`MaterializedBag::bind`].
 ///
 /// Variable orders inside a bag are canonical: bound variables sorted by
 /// variable index, then free variables sorted by variable index. Key
@@ -39,12 +42,12 @@ use std::cmp::Ordering;
 /// variables themselves belong to the owning structure's bag.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MaterializedBag {
-    keys: Box<[Value]>,
-    offsets: Box<[u32]>,
-    free: Box<[u32]>,
-    domains: Box<[Value]>,
-    bound_width: u32,
-    free_width: u32,
+    keys: Packed,
+    offsets: Packed,
+    free: Packed,
+    domains: Packed,
+    bound_width: usize,
+    free_width: usize,
 }
 
 /// The bag-local join components of Appendix B: a synthetic natural-join
@@ -109,19 +112,13 @@ pub(crate) fn bag_local_components(
     Ok((view, local_db, origins))
 }
 
-/// Row counts, offsets and ranks are `u32`, as in the tree and the
-/// dictionary: 4 G rows is far beyond any bag that fits in memory.
-fn narrow(n: usize) -> u32 {
-    u32::try_from(n).expect("bag rows and domains fit in u32")
-}
-
 /// Collects sorted, distinct `[bound | free]` rows into key runs.
 struct RunBuilder {
     bound_width: usize,
     free_width: usize,
     keys: Vec<Value>,
     /// The first row of each key.
-    offsets: Vec<u32>,
+    offsets: Vec<u64>,
     /// Free suffixes as values, row after row.
     suffixes: Vec<Value>,
     rows: usize,
@@ -150,31 +147,31 @@ impl RunBuilder {
             && lex_cmp(&self.keys[self.keys.len() - self.bound_width..], key) == Ordering::Equal;
         if !same_run {
             self.keys.extend_from_slice(key);
-            self.offsets.push(narrow(self.rows));
+            self.offsets.push(self.rows as u64);
         }
         self.suffixes.extend_from_slice(suffix);
         self.rows += 1;
     }
 
-    /// Ranks every free column into its domain and seals the buffers.
+    /// Ranks every free column into its domain and packs the columns.
     ///
     /// A column holds far fewer distinct values than rows (that is the
     /// sharing), so each row takes one hash probe for a first-seen id and
     /// only the distinct values are sorted, which maps an id to its rank.
     fn finish(mut self) -> MaterializedBag {
         let fw = self.free_width;
-        self.offsets.push(narrow(self.rows));
-        let mut free = vec![0u32; self.suffixes.len()];
+        self.offsets.push(self.rows as u64);
+        let mut free = vec![0u64; self.suffixes.len()];
         let mut domains: Vec<Value> = Vec::new();
-        let mut ids: FastMap<Value, u32> = FastMap::default();
-        let mut distinct: Vec<(Value, u32)> = Vec::new();
-        let mut rank_of: Vec<u32> = Vec::new();
+        let mut ids: FastMap<Value, u64> = FastMap::default();
+        let mut distinct: Vec<(Value, u64)> = Vec::new();
+        let mut rank_of: Vec<u64> = Vec::new();
         for c in 0..fw {
             ids.clear();
             distinct.clear();
             let column = self.suffixes.iter().skip(c).step_by(fw);
             for (slot, &v) in free.iter_mut().skip(c).step_by(fw).zip(column) {
-                let fresh = narrow(distinct.len());
+                let fresh = distinct.len() as u64;
                 *slot = *ids.entry(v).or_insert_with(|| {
                     distinct.push((v, fresh));
                     fresh
@@ -183,7 +180,7 @@ impl RunBuilder {
             distinct.sort_unstable();
             rank_of.resize(distinct.len(), 0);
             for &(value, id) in &distinct {
-                rank_of[id as usize] = narrow(domains.len());
+                rank_of[id as usize] = domains.len() as u64;
                 domains.push(value);
             }
             for slot in free.iter_mut().skip(c).step_by(fw) {
@@ -191,12 +188,12 @@ impl RunBuilder {
             }
         }
         MaterializedBag {
-            keys: self.keys.into_boxed_slice(),
-            offsets: self.offsets.into_boxed_slice(),
-            free: free.into_boxed_slice(),
-            domains: domains.into_boxed_slice(),
-            bound_width: narrow(self.bound_width),
-            free_width: narrow(fw),
+            keys: Packed::from_slice(&self.keys),
+            offsets: Packed::from_slice(&self.offsets),
+            free: Packed::from_slice(&free),
+            domains: Packed::from_slice(&domains),
+            bound_width: self.bound_width,
+            free_width: fw,
         }
     }
 }
@@ -230,7 +227,10 @@ impl MaterializedBag {
 
     /// Number of materialized rows.
     pub(crate) fn len(&self) -> usize {
-        self.offsets.last().map_or(0, |&n| n as usize)
+        self.offsets
+            .len()
+            .checked_sub(1)
+            .map_or(0, |k| self.offsets.get(k) as usize)
     }
 
     /// Number of distinct bound prefixes.
@@ -243,64 +243,105 @@ impl MaterializedBag {
         self.domains.len()
     }
 
-    fn key(&self, k: usize) -> &[Value] {
-        let bw = self.bound_width as usize;
-        &self.keys[k * bw..(k + 1) * bw]
+    /// Bits per stored key value, offset, free rank and domain value.
+    pub(crate) fn widths(&self) -> BagWidths {
+        BagWidths {
+            keys: self.keys.width(),
+            offsets: self.offsets.width(),
+            ranks: self.free.width(),
+            values: self.domains.width(),
+        }
     }
 
-    fn ranks(&self, row: u32) -> &[u32] {
-        let fw = self.free_width as usize;
-        &self.free[row as usize * fw..][..fw]
+    /// Key `k` against `key`, value by value.
+    #[inline]
+    fn cmp_key(&self, k: usize, key: &[Value]) -> Ordering {
+        let start = k * self.bound_width;
+        for (i, &v) in key.iter().enumerate() {
+            match self.keys.get(start + i).cmp(&v) {
+                Ordering::Equal => {}
+                unequal => return unequal,
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Row `[lo, hi)` bounds of key `k`.
+    #[inline]
+    fn rows_of(&self, k: usize) -> (usize, usize) {
+        (
+            self.offsets.get(k) as usize,
+            self.offsets.get(k + 1) as usize,
+        )
+    }
+
+    /// The value of free column `c` in `row`.
+    #[inline]
+    fn free_value(&self, row: usize, c: usize) -> Value {
+        self.domains
+            .get(self.free.get(row * self.free_width + c) as usize)
     }
 
     /// The index of `key` among the keys (binary search: O(log keys)).
+    #[inline]
     fn key_index(&self, key: &[Value]) -> Option<usize> {
-        debug_assert_eq!(key.len(), self.bound_width as usize);
+        debug_assert_eq!(key.len(), self.bound_width);
         let n = self.num_keys();
-        let k = partition_point(0, n, |i| lex_cmp(self.key(i), key) != Ordering::Less);
-        (k < n && lex_cmp(self.key(k), key) == Ordering::Equal).then_some(k)
+        let k = partition_point(0, n, |i| self.cmp_key(i, key) != Ordering::Less);
+        (k < n && self.cmp_key(k, key) == Ordering::Equal).then_some(k)
     }
 
     /// The row range `[lo, hi)` whose bound prefix equals `key`; empty
     /// when no row has it.
-    pub(crate) fn range_for(&self, key: &[Value]) -> (u32, u32) {
-        self.key_index(key)
-            .map_or((0, 0), |k| (self.offsets[k], self.offsets[k + 1]))
+    #[inline]
+    pub(crate) fn range_for(&self, key: &[Value]) -> (usize, usize) {
+        self.key_index(key).map_or((0, 0), |k| self.rows_of(k))
     }
 
     /// `true` iff some row has the given bound prefix.
+    #[inline]
     pub(crate) fn contains_key(&self, key: &[Value]) -> bool {
         self.key_index(key).is_some()
     }
 
     /// Binds row `row`'s free values to `vars` (the bag's free variables,
     /// canonical order) in `valuation`.
-    pub(crate) fn bind(&self, row: u32, vars: &[Var], valuation: &mut [Option<Value>]) {
-        for (v, &rank) in vars.iter().zip(self.ranks(row)) {
-            valuation[v.index()] = Some(self.domains[rank as usize]);
+    #[inline]
+    pub(crate) fn bind(&self, row: usize, vars: &[Var], valuation: &mut [Option<Value>]) {
+        for (c, v) in vars.iter().enumerate() {
+            valuation[v.index()] = Some(self.free_value(row, c));
+        }
+    }
+
+    /// Calls `f` on every row, decoded as `[bound | free]`, in order.
+    fn for_each_row(&self, mut f: impl FnMut(&[Value])) {
+        let (bw, fw) = (self.bound_width, self.free_width);
+        let mut row: Vec<Value> = vec![0; bw + fw];
+        for k in 0..self.num_keys() {
+            for (i, slot) in row[..bw].iter_mut().enumerate() {
+                *slot = self.keys.get(k * bw + i);
+            }
+            let (lo, hi) = self.rows_of(k);
+            for r in lo..hi {
+                for (c, slot) in row[bw..].iter_mut().enumerate() {
+                    *slot = self.free_value(r, c);
+                }
+                f(&row);
+            }
         }
     }
 
     /// Retains only the rows for which `keep` returns `true` (the semijoin
-    /// reduction step), walking them in order, each decoded as
-    /// `[bound | free]`. When a row goes, the survivors are re-encoded as
-    /// a fresh build over them would be: keys without rows leave, and the
-    /// domains are re-derived.
+    /// reduction step), walking them in order. When a row goes, the
+    /// survivors are re-encoded as a fresh build over them would be: keys
+    /// without rows leave, and the domains are re-derived.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&[Value]) -> bool) {
-        let (bw, fw) = (self.bound_width as usize, self.free_width as usize);
-        let mut runs = RunBuilder::new(bw, fw);
-        let mut row: Vec<Value> = vec![0; bw + fw];
-        for k in 0..self.num_keys() {
-            row[..bw].copy_from_slice(self.key(k));
-            for r in self.offsets[k]..self.offsets[k + 1] {
-                for (slot, &rank) in row[bw..].iter_mut().zip(self.ranks(r)) {
-                    *slot = self.domains[rank as usize];
-                }
-                if keep(&row) {
-                    runs.push(&row);
-                }
+        let mut runs = RunBuilder::new(self.bound_width, self.free_width);
+        self.for_each_row(|row| {
+            if keep(row) {
+                runs.push(row);
             }
-        }
+        });
         if runs.rows < self.len() {
             *self = runs.finish();
         }
@@ -321,18 +362,8 @@ impl MaterializedBag {
     /// Every row `[bound | free]`, in order.
     #[cfg(test)]
     fn rows(&self) -> Vec<Vec<Value>> {
-        let fw = self.free_width as usize;
-        let vars: Vec<Var> = (0..fw as u32).map(Var).collect();
-        let mut valuation = vec![None; fw];
         let mut out = Vec::new();
-        for k in 0..self.num_keys() {
-            for r in self.offsets[k]..self.offsets[k + 1] {
-                self.bind(r, &vars, &mut valuation);
-                let mut row = self.key(k).to_vec();
-                row.extend(valuation.iter().map(|v| v.expect("bound")));
-                out.push(row);
-            }
-        }
+        self.for_each_row(|row| out.push(row.to_vec()));
         out
     }
 }
@@ -349,6 +380,7 @@ impl HeapSize for MaterializedBag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqc_common::packed::width_for;
     use cqc_storage::Relation;
     use rand::Rng;
 
@@ -367,7 +399,7 @@ mod tests {
 
     /// The free suffixes of `key`'s rows, decoded in order.
     fn frees(bag: &MaterializedBag, key: &[Value]) -> Vec<Vec<Value>> {
-        let fw = bag.free_width as usize;
+        let fw = bag.free_width;
         let vars: Vec<Var> = (0..fw as u32).map(Var).collect();
         let mut valuation = vec![None; fw];
         let (lo, hi) = bag.range_for(key);
@@ -379,11 +411,24 @@ mod tests {
             .collect()
     }
 
-    /// The layout's bytes, term by term: the bound as the layout pin in
-    /// `space_accounting.rs` states it, met with equality.
+    /// The layout's bytes, column by column, from the rows alone: each
+    /// column at `⌈log₂(max + 1)⌉` bits a value — the width formula
+    /// `space_accounting.rs` pins, met with equality.
     fn exact_bytes(bag: &MaterializedBag) -> usize {
-        let (bw, fw) = (bag.bound_width as usize, bag.free_width as usize);
-        (8 * bw + 4) * bag.num_keys() + 4 + 4 * fw * bag.len() + 8 * bag.domain_values()
+        let column = |len: usize, max: u64| (len * width_for(max) as usize).div_ceil(64) * 8;
+        let (bw, fw) = (bag.bound_width, bag.free_width);
+        let rows = bag.rows();
+        let max_in = |cols: std::ops::Range<usize>| {
+            rows.iter()
+                .flat_map(|r| r[cols.clone()].iter().copied())
+                .max()
+                .unwrap_or(0)
+        };
+        let (keys, distinct) = (bag.num_keys(), bag.domain_values());
+        column(bw * keys, max_in(0..bw))
+            + column(keys + 1, rows.len() as u64)
+            + column(fw * rows.len(), distinct.saturating_sub(1) as u64)
+            + column(distinct, max_in(bw..bw + fw))
     }
 
     #[test]
@@ -489,6 +534,11 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(bag.rows(), sorted);
         assert_eq!(frees(&bag, &[1 << 40]), [[big, 1 << 33], [u64::MAX, 0]]);
+        // The domain column holds `u64::MAX`: 64 bits a value, read back
+        // across word boundaries.
+        let widths = bag.widths();
+        assert_eq!((widths.keys, widths.values), (41, 64));
+        assert_eq!(bag.heap_bytes(), exact_bytes(&bag));
     }
 
     #[test]
@@ -498,10 +548,10 @@ mod tests {
         assert_eq!((bag.len(), bag.num_keys(), bag.domain_values()), (0, 0, 0));
         assert!(!bag.contains_key(&[1]));
         assert_eq!(bag.range_for(&[4]), (0, 0));
-        // What a build over no rows holds: the offsets sentinel.
+        // What a build over no rows holds: the offsets sentinel, one word.
         let fresh = MaterializedBag::from_rows(1, 3, Vec::new());
         assert_eq!(bag.heap_bytes(), fresh.heap_bytes());
-        assert_eq!(bag.heap_bytes(), 4);
+        assert_eq!(bag.heap_bytes(), 8);
     }
 
     /// Property, over seeded random instances: random rows → bag, and

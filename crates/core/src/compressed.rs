@@ -284,10 +284,12 @@ impl CompressedView {
             CompressedView::Tradeoff(s) => {
                 let st = s.stats();
                 let per = |bytes: usize, n: usize| bytes as f64 / n.max(1) as f64;
+                let ((beta, right), dict) = (st.tree_widths, st.dict_widths);
                 format!(
                     "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
-                     tree {} nodes (depth {}, {} B = {:.1} B/node), \
-                     dictionary {} heavy pairs ({} B = {:.1} B/entry), \
+                     tree {} nodes (β {} b, right {} b; depth {}, {} B = {:.1} B/node), \
+                     dictionary {} heavy pairs (ids {} b, offsets {} b, values {} b; \
+                     {} B = {:.1} B/entry), \
                      base indexes {} B ({} B distinct); {} heap bytes; \
                      build work: {} tree count probes, {} dictionary evaluations \
                      of {} candidates ({} at leaves), {} probe joins",
@@ -298,10 +300,15 @@ impl CompressedView {
                         .collect::<Vec<_>>(),
                     s.alpha(),
                     st.tree_nodes,
+                    beta,
+                    right,
                     st.tree_depth,
                     st.tree_bytes,
                     per(st.tree_bytes, st.tree_nodes),
                     st.dict_entries,
+                    dict.ids,
+                    dict.offsets,
+                    dict.values,
                     st.dict_bytes,
                     per(st.dict_bytes, st.dict_entries),
                     st.base_index_bytes,
@@ -316,15 +323,29 @@ impl CompressedView {
             }
             CompressedView::Decomposed(s) => {
                 let st = s.stats();
+                let widths: String = s
+                    .bag_reports()
+                    .iter()
+                    .filter(|r| r.kind == "materialized")
+                    .map(|r| {
+                        let w = r.widths;
+                        format!(
+                            "; node {}: keys {} b, offsets {} b, ranks {} b, values {} b",
+                            r.node, w.keys, w.offsets, w.ranks, w.values
+                        )
+                    })
+                    .collect();
                 format!(
                     "theorem 2: {} bags ({} delay-tuned, max δ = {:.3}); {} materialized \
-                     bag tuples ({} B = {:.1} B/tuple), {} dictionary entries, {} heap bytes{}",
+                     bag tuples ({} B = {:.1} B/tuple{}), {} dictionary entries, \
+                     {} heap bytes{}",
                     st.bags,
                     st.tradeoff_bags,
                     st.max_delta,
                     st.materialized_tuples,
                     st.materialized_bytes,
                     st.materialized_bytes as f64 / st.materialized_tuples.max(1) as f64,
+                    widths,
                     st.dict_entries,
                     st.heap_bytes,
                     if st.tradeoff_bags == 0 {

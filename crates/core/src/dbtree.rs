@@ -21,6 +21,7 @@ use crate::fbox::{box_decomposition_ranks, BoxList, FInterval};
 use crate::split::{split_interval, split_interval_midpoint};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
+use cqc_common::packed::Packed;
 use cqc_common::util::approx_ge;
 use cqc_storage::domain::{rank_tuple_pred, rank_tuple_succ};
 use std::time::Instant;
@@ -29,11 +30,18 @@ use std::time::Instant;
 /// invariant (Prop. 8), not a legitimate instance.
 const MAX_LEVEL: u16 = 512;
 
-/// "No node": an absent right child in the `right` column, and an endpoint
-/// a [`Cursor`] inherited from the grid rather than from an ancestor.
+/// An endpoint a [`Cursor`] inherited from the grid rather than from an
+/// ancestor (and, during the build, a right child not yet numbered). A
+/// cursor's value only: no column stores it.
 const NO_NODE: u32 = u32::MAX;
-/// Fills a leaf's `β` row (no rank reaches it).
-const NO_BETA: u32 = u32::MAX;
+
+/// The root's cursor.
+const ROOT: Cursor = Cursor {
+    node: 0,
+    level: 0,
+    lo_from: NO_NODE,
+    hi_from: NO_NODE,
+};
 
 /// A position in a top-down walk: the node, and where its interval comes
 /// from. `I(w) = [succ(β(lo_from)), pred(β(hi_from))]`, with the grid
@@ -68,14 +76,17 @@ pub struct Node {
 ///
 /// Node ids follow the left-first pre-order of construction (0 is the
 /// root), so a left child is always `w + 1` and only the right child's id
-/// is stored. Per node: one `β` row of `µ` `u32` ranks (`u32::MAX` in a
-/// leaf's) and one `right` id — `4µ + 4` bytes. Intervals, levels and
+/// is stored. Per node: one `β` row of `µ` ranks and one `right` id, each
+/// column packed at the width its largest value needs
+/// (docs/ARCHITECTURE.md, "Packed integer columns"). Intervals, levels and
 /// left children are derived by the walk; see [`Cursor`].
 #[derive(Debug)]
 pub struct DelayBalancedTree {
-    /// Split points at stride `µ`.
-    beta: Vec<u32>,
-    right: Vec<u32>,
+    /// Split points at stride `µ`, each rank stored plus one: a leaf's row
+    /// is all zeros.
+    beta: Packed,
+    /// Right child ids. The root is never a right child, so 0 is "none".
+    right: Packed,
     /// The grid `D_f` the root spans (`µ` domain sizes).
     sizes: Vec<usize>,
     /// Maximum node level.
@@ -131,17 +142,39 @@ impl Cursor {
     }
 }
 
-/// Narrows a rank for the `β` column.
-fn rank_u32(rank: usize) -> u32 {
-    u32::try_from(rank)
-        .ok()
-        .filter(|&r| r != NO_BETA)
-        .expect("ranks fit below the u32 sentinel")
-}
-
-/// `β ≠ endpoint`, across the column's `u32` and the walk's `usize`.
-fn differs(beta: &[u32], endpoint: &[usize]) -> bool {
-    beta.iter().zip(endpoint).any(|(&b, &e)| b as usize != e)
+/// Writes `I(c)`'s endpoints into the caller's scratch (`µ` ranks each):
+/// `succ` / `pred` of the two ancestors' split points, which `beta_of`
+/// writes, or the grid's own ends.
+#[inline]
+fn endpoints(
+    c: Cursor,
+    sizes: &[usize],
+    lo: &mut [usize],
+    hi: &mut [usize],
+    beta_of: impl Fn(u32, &mut [usize]),
+) {
+    if c.lo_from == NO_NODE {
+        lo.fill(0);
+    } else {
+        beta_of(c.lo_from, lo);
+        let inside = rank_tuple_succ(lo, sizes);
+        debug_assert!(
+            inside,
+            "a right child's parent splits below the grid maximum"
+        );
+    }
+    if c.hi_from == NO_NODE {
+        for (h, &n) in hi.iter_mut().zip(sizes) {
+            *h = n - 1;
+        }
+    } else {
+        beta_of(c.hi_from, hi);
+        let inside = rank_tuple_pred(hi, sizes);
+        debug_assert!(
+            inside,
+            "a left child's parent splits above the grid minimum"
+        );
+    }
 }
 
 impl DelayBalancedTree {
@@ -185,71 +218,70 @@ impl DelayBalancedTree {
         let t_build = Instant::now();
         let probes_before = metrics::snapshot().count_probes;
         let sizes = est.sizes();
+        let mu = sizes.len();
+        let alpha = est.alpha();
         // The one endpoint pair every node's interval is derived into.
         let mut interval = FInterval::full(&sizes)?;
 
-        let mut tree = DelayBalancedTree {
-            beta: Vec::new(),
-            right: Vec::new(),
-            sizes,
-            depth: 0,
-            deepest_internal: None,
-            count_probes: 0,
-            tau,
-            alpha: est.alpha(),
-        };
+        // The two columns as the build writes them (encoded as stored),
+        // packed once every node is numbered.
+        let mut beta_col: Vec<u64> = Vec::new();
+        let mut right_col: Vec<u64> = Vec::new();
+        let (mut depth, mut deepest_internal) = (0, None);
         // Scratch shared by every node: the interval's boxes, their `T`s
         // (summed for the leaf test, then handed to Algorithm 1), the
         // Lemma 3 prefix oracle and the split point.
         let mut boxes = BoxList::new();
         let mut t_of: Vec<f64> = Vec::new();
         let mut prefix_cost = PrefixCost::new(est);
-        let mut beta: Vec<usize> = Vec::with_capacity(tree.sizes.len());
+        let mut beta: Vec<usize> = Vec::with_capacity(mu);
         // Pending nodes. A left child is numbered right after its parent,
         // so its cursor is complete; a right child's id is only known when
         // it is popped (`NO_NODE` until then).
-        let mut stack: Vec<Cursor> = vec![tree.root()];
+        let mut stack: Vec<Cursor> = vec![ROOT];
 
         while let Some(mut c) = stack.pop() {
             assert!(c.level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
-            let idx = u32::try_from(tree.len())
+            let idx = u32::try_from(right_col.len())
                 .ok()
                 .filter(|&i| i != NO_NODE)
                 .expect("node ids fit in u32");
             if c.node == NO_NODE {
                 c.node = idx;
-                tree.right[c.lo_from as usize] = idx;
+                right_col[c.lo_from as usize] = u64::from(idx);
             }
             debug_assert_eq!(c.node, idx, "left children follow their parent");
-            tree.endpoints(c, &mut interval.lo, &mut interval.hi);
-            box_decomposition_ranks(&interval.lo, &interval.hi, &tree.sizes, &mut boxes);
+            endpoints(c, &sizes, &mut interval.lo, &mut interval.hi, |w, out| {
+                let row = &beta_col[w as usize * mu..][..mu];
+                for (o, &b) in out.iter_mut().zip(row) {
+                    *o = b as usize - 1;
+                }
+            });
+            box_decomposition_ranks(&interval.lo, &interval.hi, &sizes, &mut boxes);
             t_of.clear();
             t_of.extend(boxes.as_slice().iter().map(|b| est.t_box(b)));
             let t: f64 = t_of.iter().sum();
             observe(c, &interval, t);
+            right_col.push(0);
+            depth = depth.max(c.level);
             // Leaf when T(I(w)) < τ_ℓ (zero-cost intervals are always
             // leaves; they cannot be split).
-            if t <= 0.0 || !approx_ge(t, tree.threshold_of(c.level)) {
-                tree.push(None, c.level);
+            if t <= 0.0 || !approx_ge(t, tau_level(tau, alpha, c.level)) {
+                beta_col.extend(std::iter::repeat(0).take(mu));
                 continue;
             }
             match splitter {
                 Splitter::Balanced => {
-                    split_interval(
-                        &mut prefix_cost,
-                        &tree.sizes,
-                        boxes.as_slice(),
-                        &t_of,
-                        &mut beta,
-                    );
+                    split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
                 }
-                Splitter::Midpoint => beta = split_interval_midpoint(est, &tree.sizes, &interval),
+                Splitter::Midpoint => beta = split_interval_midpoint(est, &sizes, &interval),
             }
             debug_assert!(
                 interval.contains(&beta),
                 "split point must lie in the interval"
             );
-            tree.push(Some(&beta), c.level);
+            beta_col.extend(beta.iter().map(|&r| r as u64 + 1));
+            deepest_internal = deepest_internal.max(Some(c.level));
             // `[lo, pred(β)]` and `[succ(β), hi]` are non-empty iff β is
             // not that endpoint. Push right first so the left child is
             // processed (and thus numbered) first: node ids follow the
@@ -264,105 +296,80 @@ impl DelayBalancedTree {
             }
         }
 
-        tree.beta.shrink_to_fit();
-        tree.right.shrink_to_fit();
-        tree.count_probes = metrics::snapshot().count_probes - probes_before;
+        let tree = DelayBalancedTree {
+            beta: Packed::from_slice(&beta_col),
+            right: Packed::from_slice(&right_col),
+            sizes,
+            depth,
+            deepest_internal,
+            count_probes: metrics::snapshot().count_probes - probes_before,
+            tau,
+            alpha,
+        };
         metrics::record_build_phase(BuildPhase::Tree, t_build.elapsed().as_nanos() as u64);
         Some(tree)
     }
 
-    /// Appends a node without a right child (build only; the right child
-    /// is linked when it is numbered).
-    fn push(&mut self, beta: Option<&[usize]>, level: u16) {
-        match beta {
-            Some(b) => self.beta.extend(b.iter().map(|&r| rank_u32(r))),
-            None => self
-                .beta
-                .extend(std::iter::repeat(NO_BETA).take(self.sizes.len())),
-        }
-        self.right.push(NO_NODE);
-        self.depth = self.depth.max(level);
-        if beta.is_some() {
-            self.deepest_internal = self.deepest_internal.max(Some(level));
-        }
-    }
-
-    /// The `β` row of node `w`.
-    fn beta_row(&self, w: u32) -> &[u32] {
-        let mu = self.sizes.len();
-        &self.beta[w as usize * mu..][..mu]
-    }
-
-    /// Writes `I(w)`'s endpoints into the caller's scratch (`µ` ranks
-    /// each): `succ` / `pred` of the two ancestors' split points, or the
-    /// grid's own ends.
-    fn endpoints(&self, c: Cursor, lo: &mut [usize], hi: &mut [usize]) {
-        if c.lo_from == NO_NODE {
-            lo.fill(0);
-        } else {
-            self.beta_into(c.lo_from, lo);
-            let inside = rank_tuple_succ(lo, &self.sizes);
-            debug_assert!(
-                inside,
-                "a right child's parent splits below the grid maximum"
-            );
-        }
-        if c.hi_from == NO_NODE {
-            for (h, &n) in hi.iter_mut().zip(&self.sizes) {
-                *h = n - 1;
-            }
-        } else {
-            self.beta_into(c.hi_from, hi);
-            let inside = rank_tuple_pred(hi, &self.sizes);
-            debug_assert!(
-                inside,
-                "a left child's parent splits above the grid minimum"
-            );
-        }
-    }
-
     /// The root's cursor.
     pub fn root(&self) -> Cursor {
-        Cursor {
-            node: 0,
-            level: 0,
-            lo_from: NO_NODE,
-            hi_from: NO_NODE,
-        }
+        ROOT
     }
 
     /// Visits the node under `c`: writes `I(w)`'s inclusive endpoints into
     /// the caller's scratch (`µ` ranks each) and returns the cursors of
     /// its children. No allocation.
+    #[inline]
     pub fn node(&self, c: Cursor, lo: &mut [usize], hi: &mut [usize]) -> Node {
         self.endpoints(c, lo, hi);
-        let leaf = self.is_leaf(c.node);
-        let beta = self.beta_row(c.node);
-        let right = self.right[c.node as usize];
+        let row = c.node as usize * self.sizes.len();
+        let first = self.beta.get(row);
+        let leaf = first == 0;
+        // The left child `[lo, pred(β)]` is empty iff `β = lo`.
+        let left = !leaf
+            && (first as usize - 1 != lo[0]
+                || (1..lo.len()).any(|i| self.beta.get(row + i) as usize - 1 != lo[i]));
+        let right = self.right.get(c.node as usize) as u32;
         Node {
             leaf,
-            left: (!leaf && differs(beta, lo)).then(|| c.left_child()),
-            right: (right != NO_NODE).then(|| c.right_child(right)),
+            left: left.then(|| c.left_child()),
+            right: (right != 0).then(|| c.right_child(right)),
         }
     }
 
     /// `true` when node `w` has no split point.
+    #[inline]
     pub fn is_leaf(&self, w: u32) -> bool {
-        self.beta_row(w)[0] == NO_BETA
+        self.beta.get(w as usize * self.sizes.len()) == 0
     }
 
     /// Writes node `w`'s Algorithm 1 split point into `out` (`µ` ranks);
     /// `false`, leaving `out` alone, for a leaf.
+    #[inline]
     pub fn beta_into(&self, w: u32, out: &mut [usize]) -> bool {
         if self.is_leaf(w) {
             return false;
         }
-        let beta = self.beta_row(w);
-        debug_assert_eq!(out.len(), beta.len());
-        for (o, &b) in out.iter_mut().zip(beta) {
-            *o = b as usize;
-        }
+        self.split_point_into(w, out);
         true
+    }
+
+    /// Decodes internal node `w`'s `β` row into `out` (`µ` ranks).
+    #[inline]
+    fn split_point_into(&self, w: u32, out: &mut [usize]) {
+        debug_assert_eq!(out.len(), self.sizes.len());
+        let row = w as usize * self.sizes.len();
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = self.beta.get(row + i) as usize - 1;
+        }
+    }
+
+    /// `I(c)`'s endpoints, from the stored split points of its two
+    /// ancestors.
+    #[inline]
+    fn endpoints(&self, c: Cursor, lo: &mut [usize], hi: &mut [usize]) {
+        endpoints(c, &self.sizes, lo, hi, |w, out| {
+            self.split_point_into(w, out)
+        });
     }
 
     /// Node `w`'s split point as an owned value; `None` for a leaf (off
@@ -425,6 +432,16 @@ impl DelayBalancedTree {
     /// count (the same instance always reports the same number).
     pub fn build_count_probes(&self) -> u64 {
         self.count_probes
+    }
+
+    /// Bits per stored `β` rank (ranks are stored plus one).
+    pub fn beta_width(&self) -> u32 {
+        self.beta.width()
+    }
+
+    /// Bits per stored right-child id.
+    pub fn right_width(&self) -> u32 {
+        self.right.width()
     }
 }
 

@@ -20,11 +20,13 @@ use crate::dbtree::{Cursor, DelayBalancedTree};
 use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
-use cqc_common::util::approx_gt;
+use cqc_common::packed::Packed;
+use cqc_common::util::{approx_gt, partition_point};
 use cqc_common::value::Value;
 use cqc_join::leapfrog::LevelConstraint;
 use cqc_join::plan::ViewPlan;
 use cqc_storage::Domain;
+use std::cmp::Ordering;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,20 +34,23 @@ use std::time::Instant;
 /// *Which* pairs are heavy: fixed at build time, because maintenance and
 /// the Theorem 2 fixup only ever flip the bits of existing entries. Shared
 /// by `Arc` between a structure and its delta-maintained successors.
+///
+/// Every column is [`Packed`] at the width its data needs
+/// (docs/ARCHITECTURE.md, "Packed integer columns").
 #[derive(Debug)]
 struct DictKeys {
     /// `|V_b|`: values per candidate.
     nb: usize,
     /// Number of candidates (kept explicitly: `nb` may be 0).
     num_cands: usize,
-    /// The root candidate valuations (Prop. 13) in bound-head order,
-    /// sorted and distinct, `nb` values each; a candidate's id is its
-    /// position.
-    cand_values: Vec<Value>,
+    /// The candidate valuations some entry references, in bound-head
+    /// order, sorted and distinct, `nb` values each; a candidate's id is
+    /// its position.
+    cand_values: Packed,
     /// CSR row starts: node `w`'s entries are `ids[offsets[w]..offsets[w + 1]]`.
-    offsets: Vec<u32>,
+    offsets: Packed,
     /// Candidate ids of the heavy pairs, ascending within each node's run.
-    ids: Vec<u32>,
+    ids: Packed,
     /// What the build spent finding them.
     work: DictBuildWork,
 }
@@ -54,6 +59,10 @@ struct DictKeys {
 /// instance always reports the same numbers, on any host.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DictBuildWork {
+    /// Root candidate valuations (Prop. 13) the build started from. Those
+    /// no entry references are not kept (see
+    /// [`HeavyDictionary::num_candidates`]).
+    pub candidates: u64,
     /// `(candidate, node)` pairs whose `T(v_b, I(w))` was evaluated.
     pub evaluations: u64,
     /// Those of them at leaves. A leaf has no heavy pair, so the build
@@ -113,17 +122,41 @@ struct Survivors {
 }
 
 impl DictKeys {
-    fn cand(&self, id: u32) -> &[Value] {
-        &self.cand_values[id as usize * self.nb..][..self.nb]
+    /// Candidate `id`'s valuation against `vb`, value by value.
+    #[inline]
+    fn cmp_cand(&self, id: usize, vb: &[Value]) -> Ordering {
+        let start = id * self.nb;
+        for (i, &v) in vb.iter().enumerate() {
+            match self.cand_values.get(start + i).cmp(&v) {
+                Ordering::Equal => {}
+                unequal => return unequal,
+            }
+        }
+        Ordering::Equal
     }
 
+    /// Decodes candidate `id`'s valuation into `out`.
+    fn cand_into(&self, id: usize, out: &mut Vec<Value>) {
+        let start = id * self.nb;
+        out.clear();
+        out.extend((0..self.nb).map(|i| self.cand_values.get(start + i)));
+    }
+
+    fn cand(&self, id: usize) -> Vec<Value> {
+        let mut out = Vec::with_capacity(self.nb);
+        self.cand_into(id, &mut out);
+        out
+    }
+
+    #[inline]
     fn run(&self, node: u32) -> std::ops::Range<usize> {
-        self.offsets[node as usize] as usize..self.offsets[node as usize + 1] as usize
+        let w = node as usize;
+        self.offsets.get(w) as usize..self.offsets.get(w + 1) as usize
     }
 }
 
-/// The id [`HeavyDictionary::candidate`] gives a valuation that is not a
-/// root candidate. No run stores it, so `D(w, ·) = ⊥` at every node.
+/// The id [`HeavyDictionary::candidate`] gives a valuation no entry
+/// stores. No run holds it, so `D(w, ·) = ⊥` at every node.
 pub const NO_CANDIDATE: u32 = u32::MAX;
 
 /// The dictionary: CSR over tree nodes of candidate ids, one bit per entry.
@@ -225,14 +258,10 @@ impl HeavyDictionary {
             num_cands < NO_CANDIDATE as usize,
             "candidate ids fit below the u32 sentinel"
         );
-        let mut keys = DictKeys {
-            nb,
-            num_cands,
-            cand_values,
-            offsets: Vec::with_capacity(tree.len() + 1),
-            ids: Vec::new(),
-            work: DictBuildWork::default(),
-        };
+        let cand = |c: u32| &cand_values[c as usize * nb..][..nb];
+        // The CSR columns as the walk appends them, packed at the end.
+        let mut offsets: Vec<u64> = Vec::with_capacity(tree.len() + 1);
+        let mut ids: Vec<u32> = Vec::new();
         let mut bits: Vec<u64> = Vec::new();
 
         // The atoms that actually enter `T(v_b, B)` (û_F > 0), in atom
@@ -251,7 +280,7 @@ impl HeavyDictionary {
         for c in 0..num_cands as u32 {
             cand_ranges.extend(weighted.iter().map(|&ai| {
                 if est.has_bound_cols(ai) {
-                    est.bound_range(ai, keys.cand(c))
+                    est.bound_range(ai, cand(c))
                 } else {
                     est.full_range(ai)
                 }
@@ -280,7 +309,10 @@ impl HeavyDictionary {
         //      child derives its own from it: see `Witness::inherit`.
         let tau_min = tree.threshold_of(tree.deepest_internal_level().unwrap_or(0));
         let mu = levels - nb;
-        let mut work = DictBuildWork::default();
+        let mut work = DictBuildWork {
+            candidates: num_cands as u64,
+            ..DictBuildWork::default()
+        };
         let mut probe_join = plan.join(vec![LevelConstraint::Fixed(0); levels]);
         let mut probe_cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
         // Per box (stride `nw`): `Some(count)` for candidate-independent
@@ -303,8 +335,8 @@ impl HeavyDictionary {
         let mut stack: Vec<(Cursor, Side, Rc<Survivors>)> = vec![(tree.root(), Side::Left, all)];
         while let Some((c, side, cands)) = stack.pop() {
             let w = c.node;
-            assert_eq!(w as usize, keys.offsets.len(), "nodes visited in id order");
-            keys.offsets.push(entry_offset(keys.ids.len()));
+            assert_eq!(w as usize, offsets.len(), "nodes visited in id order");
+            offsets.push(ids.len() as u64);
             let node = tree.node(c, &mut lo, &mut hi);
             let children = [(node.right, Side::Right), (node.left, Side::Left)];
             if node.leaf || cands.ids.is_empty() {
@@ -396,8 +428,7 @@ impl HeavyDictionary {
                                 continue; // some atom has no matching row
                             }
                             probe_cons.clear();
-                            probe_cons
-                                .extend(keys.cand(ci).iter().map(|&v| LevelConstraint::Fixed(v)));
+                            probe_cons.extend(cand(ci).iter().map(|&v| LevelConstraint::Fixed(v)));
                             free_constraints_into(doms, b, mu, &mut probe_cons);
                             probe_join.reset(&probe_cons);
                             work.probes += 1;
@@ -409,9 +440,9 @@ impl HeavyDictionary {
                         }
                     }
                     let bit = witness == Witness::First;
-                    stored(w, keys.cand(ci), bit.then_some(&first));
-                    let e = keys.ids.len();
-                    keys.ids.push(ci);
+                    stored(w, cand(ci), bit.then_some(&first));
+                    let e = ids.len();
+                    ids.push(ci);
                     if e % 64 == 0 {
                         bits.push(0);
                     }
@@ -432,10 +463,36 @@ impl HeavyDictionary {
                 stack.extend(child.map(|c| (c, side, Rc::clone(&survivors))));
             }
         }
-        keys.offsets.push(entry_offset(keys.ids.len()));
-        keys.ids.shrink_to_fit();
+        offsets.push(ids.len() as u64);
         bits.shrink_to_fit();
-        keys.work = work;
+
+        // A candidate no entry references is `⊥` at every node, which is
+        // what `NO_CANDIDATE` already says: only referenced ones are kept,
+        // renumbered in order, so every run stays ascending.
+        let mut kept: Vec<Option<u32>> = vec![None; num_cands];
+        for &ci in &ids {
+            kept[ci as usize] = Some(0);
+        }
+        let mut kept_values: Vec<Value> = Vec::new();
+        let mut num_kept = 0;
+        for (ci, slot) in kept.iter_mut().enumerate() {
+            if slot.is_some() {
+                *slot = Some(num_kept);
+                num_kept += 1;
+                kept_values.extend_from_slice(cand(ci as u32));
+            }
+        }
+        let keys = DictKeys {
+            nb,
+            num_cands: num_kept as usize,
+            cand_values: Packed::from_slice(&kept_values),
+            offsets: Packed::from_slice(&offsets),
+            ids: Packed::new(
+                ids.iter()
+                    .map(|&ci| u64::from(kept[ci as usize].expect("referenced"))),
+            ),
+            work,
+        };
 
         metrics::record_build_phase(BuildPhase::Dictionary, t_build.elapsed().as_nanos() as u64);
         HeavyDictionary {
@@ -450,9 +507,9 @@ impl HeavyDictionary {
             keys: Arc::new(DictKeys {
                 nb: 0,
                 num_cands: 0,
-                cand_values: Vec::new(),
-                offsets: vec![0; n + 1],
-                ids: Vec::new(),
+                cand_values: Packed::default(),
+                offsets: Packed::new(std::iter::repeat(0).take(n + 1)),
+                ids: Packed::default(),
                 work: DictBuildWork::default(),
             }),
             bits: Vec::new(),
@@ -460,29 +517,33 @@ impl HeavyDictionary {
     }
 
     /// Resolves a bound valuation to its candidate id ([`NO_CANDIDATE`]
-    /// when `v_b` is not a root candidate); the enumerator calls this once
-    /// per request.
+    /// when no entry stores `v_b`); the enumerator calls this once per
+    /// request.
     pub fn candidate(&self, vb: &[Value]) -> u32 {
         let k = &*self.keys;
         let (mut lo, mut hi) = (0, k.num_cands);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match k.cand(mid as u32).cmp(vb) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return mid as u32,
+            match k.cmp_cand(mid, vb) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return mid as u32,
             }
         }
         NO_CANDIDATE
     }
 
     /// Position of the `(node, candidate)` entry in `ids`/`bits`.
+    #[inline]
     fn entry(&self, node: u32, cand: u32) -> Option<usize> {
         let run = self.keys.run(node);
-        let i = self.keys.ids[run.clone()].binary_search(&cand).ok()?;
-        Some(run.start + i)
+        let ids = &self.keys.ids;
+        let cand = u64::from(cand);
+        let e = partition_point(run.start, run.end, |e| ids.get(e) >= cand);
+        (e < run.end && ids.get(e) == cand).then_some(e)
     }
 
+    #[inline]
     fn bit(&self, e: usize) -> bool {
         self.bits[e / 64] >> (e % 64) & 1 == 1
     }
@@ -490,6 +551,7 @@ impl HeavyDictionary {
     /// Looks up `D(w, v_b)` for a valuation already resolved by
     /// [`HeavyDictionary::candidate`]: `Some(bit)` for heavy pairs, `None`
     /// (⊥) for light ones.
+    #[inline]
     pub fn lookup(&self, node: u32, cand: u32) -> Option<bool> {
         metrics::record_dict_lookup();
         self.entry(node, cand).map(|e| self.bit(e))
@@ -521,17 +583,19 @@ impl HeavyDictionary {
 
     /// Visits `node`'s entries in ascending `v_b` order and stores the bit
     /// `redecide(v_b, bit)` returns for each — delta maintenance's
-    /// re-probe, without materializing the keys it walks.
+    /// re-probe, decoding each key into one reused buffer.
     pub(crate) fn redecide_bits_of(
         &mut self,
         node: u32,
         mut redecide: impl FnMut(&[Value], bool) -> bool,
     ) {
         let HeavyDictionary { keys, bits } = self;
+        let mut vb: Vec<Value> = Vec::with_capacity(keys.nb);
         for e in keys.run(node) {
             let mask = 1u64 << (e % 64);
             let bit = bits[e / 64] & mask != 0;
-            if redecide(keys.cand(keys.ids[e]), bit) != bit {
+            keys.cand_into(keys.ids.get(e) as usize, &mut vb);
+            if redecide(&vb, bit) != bit {
                 bits[e / 64] ^= mask;
             }
         }
@@ -548,10 +612,20 @@ impl HeavyDictionary {
         self.keys.work
     }
 
-    /// Number of root candidate valuations (distinct `v_b` that can be
-    /// heavy anywhere).
+    /// Number of candidate valuations stored: the distinct `v_b` some
+    /// entry references. [`DictBuildWork::candidates`] counts the root
+    /// candidates the build started from.
     pub fn num_candidates(&self) -> usize {
         self.keys.num_cands
+    }
+
+    /// Bits per stored candidate value, CSR offset and candidate id.
+    pub fn widths(&self) -> DictWidths {
+        DictWidths {
+            values: self.keys.cand_values.width(),
+            offsets: self.keys.offsets.width(),
+            ids: self.keys.ids.width(),
+        }
     }
 
     /// `true` when both dictionaries share one key buffer (the bits may
@@ -560,24 +634,31 @@ impl HeavyDictionary {
         Arc::ptr_eq(&self.keys, &other.keys)
     }
 
-    /// Iterates over all entries as `(node, v_b, bit)`, in node order.
-    pub fn entries(&self) -> impl Iterator<Item = (u32, &[Value], bool)> + '_ {
+    /// Iterates over all entries as `(node, v_b, bit)`, in node order (off
+    /// the serve path: each `v_b` is decoded into its own `Vec`).
+    pub fn entries(&self) -> impl Iterator<Item = (u32, Vec<Value>, bool)> + '_ {
         (0..self.keys.offsets.len() as u32 - 1)
             .flat_map(move |w| self.entries_of(w).map(move |(vb, bit)| (w, vb, bit)))
     }
 
     /// The entries of one node, in ascending `v_b` order.
-    pub fn entries_of(&self, node: u32) -> impl Iterator<Item = (&[Value], bool)> + '_ {
+    pub fn entries_of(&self, node: u32) -> impl Iterator<Item = (Vec<Value>, bool)> + '_ {
         self.keys
             .run(node)
-            .map(move |e| (self.keys.cand(self.keys.ids[e]), self.bit(e)))
+            .map(move |e| (self.keys.cand(self.keys.ids.get(e) as usize), self.bit(e)))
     }
 }
 
-/// CSR offsets are `u32`: 4 G entries is far beyond any structure that
-/// fits in memory at one bit plus four id bytes each.
-fn entry_offset(entries: usize) -> u32 {
-    u32::try_from(entries).expect("dictionary entries fit in u32")
+/// Bits per value of a dictionary's packed key columns (see
+/// [`HeavyDictionary::widths`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DictWidths {
+    /// Candidate valuations, `|V_b|` values each.
+    pub values: u32,
+    /// CSR row starts, one per node plus one.
+    pub offsets: u32,
+    /// Candidate ids, one per entry.
+    pub ids: u32,
 }
 
 impl HeapSize for HeavyDictionary {
@@ -689,7 +770,7 @@ mod tests {
                 let interval = tree.interval(cursors[w as usize]);
                 // Naive emptiness: enumerate the full join of the view for
                 // this v_b and check membership in the interval.
-                let res = cqc_join::naive::evaluate_view(&view, &db, vb).unwrap();
+                let res = cqc_join::naive::evaluate_view(&view, &db, &vb).unwrap();
                 let doms = est.domains();
                 let nonempty = res.iter().any(|t| {
                     let ranks: Vec<usize> = t
@@ -740,7 +821,7 @@ mod tests {
             let cursors: Vec<Cursor> = tree.cursors().collect();
             let mut zeros = 0;
             for ((w, vb, first), (ew, evb, bit)) in seen.iter().zip(dict.entries()) {
-                assert_eq!((*w, &vb[..]), (ew, evb), "reported in storage order");
+                assert_eq!((*w, &vb[..]), (ew, &evb[..]), "reported in storage order");
                 let interval = tree.interval(cursors[*w as usize]);
                 // The oracle emits in lexicographic order.
                 let expect = cqc_join::naive::evaluate_view(&view, &db, vb)
@@ -784,7 +865,7 @@ mod tests {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
             let dict = HeavyDictionary::build(&plan, &est, &tree);
             let work = dict.build_work();
-            let (cands, entries) = (dict.num_candidates() as u64, dict.num_entries() as u64);
+            let (cands, entries) = (work.candidates, dict.num_entries() as u64);
             assert!(entries > 500, "τ={tau}: {entries} entries");
             assert_eq!(work.leaf_evaluations, 0, "τ={tau}");
             assert!(
@@ -802,6 +883,33 @@ mod tests {
                 HeavyDictionary::build(&plan, &est, &tree).build_work(),
                 work
             );
+        }
+    }
+
+    /// A root candidate no entry references is not kept: at a τ where
+    /// most candidates are light everywhere, the kept ones are exactly the
+    /// valuations the entries name, each resolving to its own id in order,
+    /// and the build still reports every candidate it started from.
+    #[test]
+    fn only_referenced_candidates_are_kept() {
+        let (view, db) = skewed_triangle(9);
+        let plan = ViewPlan::build(&view, &db).unwrap();
+        let est = CostEstimator::build(&view, &db, &[0.5; 3], 1.0).unwrap();
+        let tree = DelayBalancedTree::build(&est, 64.0).unwrap();
+        let dict = HeavyDictionary::build(&plan, &est, &tree);
+        let mut named: Vec<Vec<Value>> = dict.entries().map(|(_, vb, _)| vb).collect();
+        named.sort_unstable();
+        named.dedup();
+        assert!(!named.is_empty());
+        assert_eq!(dict.num_candidates(), named.len());
+        assert!(
+            dict.build_work().candidates > named.len() as u64,
+            "{} root candidates, {} kept",
+            dict.build_work().candidates,
+            named.len()
+        );
+        for (id, vb) in named.iter().enumerate() {
+            assert_eq!(dict.candidate(vb), id as u32);
         }
     }
 

@@ -18,7 +18,9 @@
 
 use crate::cost::{ranks_to_values_into, CostEstimator};
 use crate::dbtree::{Cursor, DelayBalancedTree};
-use crate::dictionary::{free_constraints, free_constraints_into, HeavyDictionary, NO_CANDIDATE};
+use crate::dictionary::{
+    free_constraints, free_constraints_into, DictWidths, HeavyDictionary, NO_CANDIDATE,
+};
 use crate::fbox::{box_decomposition, box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
@@ -295,8 +297,12 @@ impl Theorem1Structure {
         Theorem1Stats {
             tree_nodes: self.tree().map_or(0, DelayBalancedTree::len),
             tree_depth: self.tree().map_or(0, DelayBalancedTree::depth),
+            tree_widths: self
+                .tree()
+                .map_or((0, 0), |t| (t.beta_width(), t.right_width())),
             dict_entries: self.dict.num_entries(),
-            dict_candidates: self.dict.num_candidates(),
+            dict_widths: self.dict.widths(),
+            dict_candidates: dict_work.candidates as usize,
             tree_count_probes: self.tree().map_or(0, DelayBalancedTree::build_count_probes),
             dict_evaluations: dict_work.evaluations,
             dict_leaf_evaluations: dict_work.leaf_evaluations,
@@ -384,8 +390,13 @@ pub struct Theorem1Stats {
     pub tree_nodes: usize,
     /// Tree depth.
     pub tree_depth: u16,
+    /// Bits per stored `β` rank and per right-child id (`(0, 0)` without
+    /// a tree).
+    pub tree_widths: (u32, u32),
     /// Heavy pairs stored in the dictionary.
     pub dict_entries: usize,
+    /// Bits per stored candidate value, CSR offset and candidate id.
+    pub dict_widths: DictWidths,
     /// Root candidate valuations (Prop. 13) the dictionary build started
     /// from.
     pub dict_candidates: usize,

@@ -316,16 +316,16 @@ impl Theorem2Structure {
                                 if !bit {
                                     continue;
                                 }
-                                let mut answers = t1.enumerate_interval(key, &interval);
+                                let mut answers = t1.enumerate_interval(&key, &interval);
                                 let mut extends = false;
                                 while !extends && answers.advance() {
                                     row.clear();
-                                    row.extend_from_slice(key);
+                                    row.extend_from_slice(&key);
                                     row.extend_from_slice(answers.current());
                                     extends = probe.extends_below(bi, &row);
                                 }
                                 if !extends {
-                                    flips.push((c.node, key.to_vec()));
+                                    flips.push((c.node, key));
                                 }
                             }
                         }
@@ -488,11 +488,21 @@ impl Theorem2Structure {
         self.bags
             .iter()
             .map(|b| {
-                let (kind, tuples_or_entries, keys, domain_values) = match &b.kind {
-                    BagKind::Materialized(m) => {
-                        ("materialized", m.len(), m.num_keys(), m.domain_values())
-                    }
-                    BagKind::Tradeoff(t) => ("theorem-1", t.dictionary().num_entries(), 0, 0),
+                let (kind, tuples_or_entries, keys, domain_values, widths) = match &b.kind {
+                    BagKind::Materialized(m) => (
+                        "materialized",
+                        m.len(),
+                        m.num_keys(),
+                        m.domain_values(),
+                        m.widths(),
+                    ),
+                    BagKind::Tradeoff(t) => (
+                        "theorem-1",
+                        t.dictionary().num_entries(),
+                        0,
+                        0,
+                        BagWidths::default(),
+                    ),
                 };
                 BagReport {
                     node: b.node,
@@ -503,6 +513,7 @@ impl Theorem2Structure {
                     tuples_or_entries,
                     keys,
                     domain_values,
+                    widths,
                     heap_bytes: b.heap_bytes(),
                 }
             })
@@ -627,8 +638,25 @@ pub struct BagReport {
     /// Distinct free values a materialized bag stores, summed over its
     /// free columns (0 for a delay-tuned bag).
     pub domain_values: usize,
+    /// Bits per value of a materialized bag's packed columns (all 0 for a
+    /// delay-tuned bag).
+    pub widths: BagWidths,
     /// Owned heap bytes.
     pub heap_bytes: usize,
+}
+
+/// Bits per value of a materialized bag's packed columns
+/// (docs/ARCHITECTURE.md, "Packed integer columns").
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BagWidths {
+    /// Bound-prefix values, `bound_vars` per key.
+    pub keys: u32,
+    /// Row offsets, one per key plus one.
+    pub offsets: u32,
+    /// Free-column ranks, `free_vars` per row.
+    pub ranks: u32,
+    /// Domain values, one per distinct free value of a column.
+    pub values: u32,
 }
 
 /// Statistics of a Theorem 2 structure.
@@ -677,7 +705,7 @@ struct BagCursor<'a> {
     /// Whether the bag currently holds a bound row.
     live: bool,
     /// `(current row, end row)` for materialized bags.
-    mat: (u32, u32),
+    mat: (usize, usize),
     /// The bag's cursor, for Theorem 1 bags that have been opened.
     trade: Option<Box<Theorem1Iter<'a>>>,
 }
@@ -1385,12 +1413,38 @@ mod tests {
             .flatten()
             .collect();
         let oracle_indexes: usize = tries.iter().map(|ix| 2 * ix.heap_bytes()).sum();
+        // What that commit's fixed-width columns held beyond today's packed
+        // ones, from each bag's counts: a tree node 4µ + 4 B, a dictionary
+        // 8 B per root candidate value and 4 B per entry id and per node
+        // offset, a materialized bag `(8·bw + 4)·keys + 4 + 4·fw·rows +
+        // 8·Σ distinct`.
+        let unpacked: usize = s
+            .bags
+            .iter()
+            .map(|b| match &b.kind {
+                BagKind::Tradeoff(t1) => {
+                    let st = t1.stats();
+                    let (mu, nb) = (t1.view().mu(), t1.view().bound_head().len());
+                    let tree = (4 * mu + 4) * st.tree_nodes + 8 * mu;
+                    let dict = 8 * nb * st.dict_candidates
+                        + 4 * (st.tree_nodes + 1)
+                        + 4 * st.dict_entries
+                        + 8 * st.dict_entries.div_ceil(64);
+                    tree + dict - st.tree_bytes - st.dict_bytes
+                }
+                BagKind::Materialized(m) => {
+                    let (bw, fw) = (b.bound_vars.len(), b.free_vars.len());
+                    (8 * bw + 4) * m.num_keys() + 4 + 4 * fw * m.len() + 8 * m.domain_values()
+                        - m.heap_bytes()
+                }
+            })
+            .sum();
         let now = s.heap_bytes();
         println!(
             "3-path decomposed:1.5 heap_bytes: {PARENT_HEAP_BYTES} at the parent, {now} now \
-             ({oracle_indexes} B of bag-oracle indexes)"
+             ({oracle_indexes} B of bag-oracle indexes, {unpacked} B of unpacked columns)"
         );
-        let saved = PARENT_HEAP_BYTES - now;
+        let saved = PARENT_HEAP_BYTES - now - unpacked;
         assert!(
             (oracle_indexes..=oracle_indexes + 128 * tries.len()).contains(&saved),
             "saved {saved} B, the bag oracles' indexes were {oracle_indexes} B"

@@ -21,8 +21,12 @@
 //!   dictionary to speak of: tries + grid + a one-leaf tree, and per-node
 //!   offsets without a single candidate; beside it, on a hub instance, its
 //!   bytes stay below `materialize`'s, whose one bag holds every answer;
-//! * a layout pin: the reported bytes stay under per-node / per-entry /
-//!   per-candidate ceilings derived from the flat layout;
+//! * a layout pin met with equality: the tree is `µ·nodes` ranks and
+//!   `nodes` right-child ids plus the grid sizes, the dictionary
+//!   `|V_b|·cands` values, `nodes + 1` offsets and `entries` ids plus one
+//!   bit an entry — each column at `⌈log₂(max + 1)⌉` bits a value, the
+//!   maximum taken from the structure's public walk (docs/ARCHITECTURE.md,
+//!   "Packed integer columns");
 //! * Theorem 2, the largest resident part once the d-representation is its
 //!   δ ≡ 0 case: across a whole build, live bytes are `heap_bytes()` plus
 //!   the headers it leaves out, **to the byte** for δ ≡ 0 structures on the
@@ -31,10 +35,12 @@
 //!   with the database, so `heap_bytes()` (which counts its name and rows
 //!   per holder) exceeds the allocator's figure by exactly that content:
 //!   the 3-path `bbbf` row, where `R1` and `R2` are inside `V_b`, shows it.
-//!   Beside it a layout pin per materialized bag: `heap_bytes` of its
-//!   storage is at most `(8·bw + 4)·keys + 4 + 4·fw·rows + 8·Σ distinct`
-//!   (CSR keys and `u32` offsets, `u32` free-column ranks, one sorted
-//!   domain per free column, exact capacity). The `materialize` recipe's
+//!   Beside it a layout pin per materialized bag, met with equality:
+//!   `heap_bytes` of its storage is `bw·keys` key values, `keys + 1`
+//!   offsets, `fw·rows` free-column ranks and `Σ distinct` domain values,
+//!   each column packed at its width — offsets at the row count's, ranks
+//!   at `Σ distinct − 1`'s, keys and values no wider than the database's
+//!   largest value. The `materialize` recipe's
 //!   one bag (`{V_b} → {V}` at δ ≡ 0, built through `CompressedView`) is
 //!   held to the same two rules on the 2-path and the 3-path `bbbf`;
 //! * Proposition 1 is the same rule with every relation inside `V_b`:
@@ -47,25 +53,34 @@
 //! more live that nothing reports, and the 2 KiB bound turns red on the
 //! first pattern; building the candidate dictionary under a root leaf
 //! (dropping the `deepest_internal_level` guard in
-//! `Theorem1Structure::build_pooled`) fails the `direct` row at `bff`: 399
-//! root candidates kept where none can be used. For the fifth gate: a `MaterializedBag` that keeps its
+//! `Theorem1Structure::build_pooled`) fails the `direct` row at `bff` on
+//! its build-work count: 399 root candidates joined where none can be used
+//! (none is kept — a candidate no entry references is dropped — so the
+//! bytes no longer show it). The layout pin: a `u32` column left in place
+//! of a packed one fails its row — `β` as `Vec<u32>` the tree's, the
+//! candidate ids as `Vec<u32>` the dictionary's. (Keeping the candidates
+//! no entry references is the oracle's to catch, in `prop_roundtrip.rs`:
+//! every one is referenced on this instance.) For the fifth gate: a
+//! `MaterializedBag` that keeps its
 //! own copy of the two variable lists beside its bag's (32 B a bag, the
 //! layout before the d-representation became Theorem 2 at δ ≡ 0) fails
 //! the `bff` row; a root check that deep-copies its relation
 //! (`Arc::new((*rel).clone())`) fails the `bbbf` row by 11.6 KB. The
-//! layout pin: storing one `u64` per free value of a row instead of a
-//! `u32` rank, or leaving `Vec` doubling slack in place of the boxed
-//! slices, fails the `bff` row. For the sixth: `Arc::new((*rel).clone())`
-//! in `BoundOnlyView::build`.
+//! layout pin: a `u32` rank column left in place of the packed one
+//! (`Box<[u32]>` for `free`), or keys stored as full `u64` values, fails
+//! the `bff` row. For the sixth: `Arc::new((*rel).clone())` in
+//! `BoundOnlyView::build`.
 //!
 //! Everything is in one `#[test]` so no other test thread allocates while
 //! live bytes are being compared.
 
 use cqc_common::alloc::{live_bytes, CountingAlloc};
 use cqc_common::heap::HeapSize;
+use cqc_common::packed::{width_for, Packed};
 use cqc_core::cost::CostEstimator;
 use cqc_core::dbtree::DelayBalancedTree;
 use cqc_core::dictionary::HeavyDictionary;
+use cqc_core::fbox::FInterval;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
 use cqc_core::{BoundOnlyView, CompressedView, Strategy};
@@ -75,10 +90,22 @@ use cqc_lp::covers::slack;
 use cqc_query::parser::parse_adorned;
 use cqc_query::{AdornedView, Var, VarSet};
 use cqc_storage::{Database, IndexPool, Relation};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Heap bytes of a packed column of `len` values at `width` bits each.
+fn packed(len: usize, width: u32) -> usize {
+    (len * width as usize).div_ceil(64) * 8
+}
+
+/// Heap bytes of a packed column of `len` values whose largest is `max`:
+/// `⌈log₂(max + 1)⌉` bits a value, at least one.
+fn column(len: usize, max: u64) -> usize {
+    packed(len, width_for(max))
+}
 
 /// What a delay-tuned bag adds to a Theorem 2 structure's unreported
 /// bytes: Theorem 1's own (its view, cover and grid sizes — the third
@@ -195,20 +222,42 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         );
         assert_eq!(stats.heap_bytes, s.heap_bytes());
 
-        // Layout pin. Tree: one split point (4 B ranks) and one 4 B right
-        // child id per node, with 4 B/node of headroom — a `left` column
-        // would fill it, a `usize` rank or any interval endpoint cannot
-        // hide in it. Dictionary: a 4 B id and one bit per
-        // entry, a 4 B offset per node, 8 B per candidate value — with
-        // headroom below 2× so a second per-entry word cannot hide.
+        // Layout pin, met with equality: every column at the width of its
+        // largest value, each width read off the structure through its
+        // public walk, not its layout. Tree: `µ` ranks (stored plus one,
+        // a leaf's row zero) and a right-child id per node, plus the grid
+        // sizes. Dictionary: `|V_b|` values per kept candidate, a CSR offset
+        // per node plus one, a candidate id and a bit per entry; every
+        // kept candidate is referenced by some entry.
         let (nodes, entries, cands) = (tree.len(), dict.num_entries(), dict.num_candidates());
         let (mu, nb) = (view.mu(), view.bound_head().len());
-        assert!(
-            tree_bytes <= (4 * mu + 8) * nodes,
+        let (mut max_beta, mut max_right) = (0, 0);
+        let FInterval { mut lo, mut hi } = tree.interval(tree.root());
+        for c in tree.cursors() {
+            let node = tree.node(c, &mut lo, &mut hi);
+            max_right = max_right.max(node.right.map_or(0, |r| r.node as u64));
+            if let Some(beta) = tree.beta(c.node) {
+                max_beta = max_beta.max(beta.into_iter().max().unwrap_or(0) as u64 + 1);
+            }
+        }
+        assert_eq!(
+            tree_bytes,
+            column(mu * nodes, max_beta) + column(nodes, max_right) + 8 * mu,
             "{pattern}: tree {tree_bytes} B for {nodes} nodes"
         );
-        assert!(
-            dict_bytes <= 8 * entries + 8 * nodes + (8 * nb + 8) * cands,
+        let keys: BTreeSet<Vec<u64>> = dict.entries().map(|(_, vb, _)| vb).collect();
+        assert_eq!(
+            keys.len(),
+            cands,
+            "{pattern}: every kept candidate is referenced"
+        );
+        let max_value = keys.iter().flatten().copied().max().unwrap_or(0);
+        assert_eq!(
+            dict_bytes,
+            column(nb * cands, max_value)
+                + column(nodes + 1, entries as u64)
+                + column(entries, cands.saturating_sub(1) as u64)
+                + 8 * entries.div_ceil(64),
             "{pattern}: dictionary {dict_bytes} B for {entries} entries, {nodes} nodes, {cands} candidates"
         );
     }
@@ -236,7 +285,11 @@ fn direct_holds_tries_grid_and_tree(db: &Database) {
         assert_eq!((stats.tree_nodes, stats.dict_entries), (1, 0), "{pattern}");
         assert_eq!(stats.dict_candidates, 0, "{pattern}");
         assert_eq!(stats.dict_evaluations + stats.dict_probes, 0, "{pattern}");
-        assert_eq!(space.dict_bytes, 4 * (stats.tree_nodes + 1), "{pattern}");
+        assert_eq!(
+            space.dict_bytes,
+            column(stats.tree_nodes + 1, 0),
+            "{pattern}"
+        );
         let resident = space.base_index_distinct_bytes + space.nonlinear_bytes();
         assert!(
             (resident..resident + 2048).contains(&live),
@@ -336,6 +389,11 @@ fn theorem2_reports_what_it_holds() {
         (2, "bff", &materialize, false, &[]),
         (3, "bbbf", &materialize, false, &["R1", "R2"]),
     ];
+    let max_value = names
+        .iter()
+        .flat_map(|name| db.require(name).unwrap().iter().flatten().copied())
+        .max()
+        .unwrap();
     for (atoms, pattern, build, tradeoff, inside_vb) in cases {
         let view = cqc_workload::queries::path(atoms, pattern).unwrap();
         let before = live_bytes();
@@ -354,13 +412,48 @@ fn theorem2_reports_what_it_holds() {
             .map(|name| name.len() + 8 * 2 * db.require(name).unwrap().len())
             .sum();
         assert_eq!(shared > 0, !inside_vb.is_empty());
+
+        // Layout pin, per materialized bag, met with equality: each key
+        // once, an offset per key plus one, a rank per free value of a
+        // row, each distinct free value of a column once — every column at
+        // the width of its largest value. Offsets and ranks take theirs
+        // from the counts (the row count; the last rank, `Σ distinct − 1`);
+        // keys and values from the bag, no wider than the database's
+        // largest value. The bag's two variable lists (4 B a variable) are
+        // the rest of what it reports.
+        let mut bag_bytes = 0;
+        for r in s.bag_reports().iter().filter(|r| r.kind == "materialized") {
+            let (bw, fw, w) = (r.bound_vars, r.free_vars, r.widths);
+            let (rows, distinct) = (r.tuples_or_entries, r.domain_values);
+            assert!(
+                w.keys.max(w.values) <= width_for(max_value),
+                "{atoms}-path {pattern}, node {}: {w:?} for values up to {max_value}",
+                r.node
+            );
+            let storage = r.heap_bytes - 4 * (bw + fw);
+            let pin = packed(bw * r.keys, w.keys)
+                + column(r.keys + 1, rows as u64)
+                + column(fw * rows, distinct.saturating_sub(1) as u64)
+                + packed(distinct, w.values);
+            assert_eq!(
+                storage, pin,
+                "{atoms}-path {pattern}, node {}: {storage} B for {} keys, {rows} rows, \
+                 {distinct} distinct free values (bound width {bw}, free width {fw}, {w:?})",
+                r.node, r.keys
+            );
+            bag_bytes += storage;
+        }
+        assert_eq!(bag_bytes, stats.materialized_bytes, "{pattern}");
+
         // What the structure holds and `heap_bytes` leaves out, term by
-        // term (every decomposition here is a chain): per bag its header,
-        // parent slot and child-list header; per inner bag a child list at
-        // its first growth; a delay per decomposition node; the root-check
-        // list at its first growth; the view definition.
+        // term (every decomposition here is a chain): per bag its header
+        // (node id, two variable-list handles, four packed columns and
+        // two widths), parent slot and child-list header; per inner bag a
+        // child list at its first growth; a delay per decomposition node;
+        // the root-check list at its first growth; the view definition.
         let bags = stats.bags;
-        let unreported = (112 + 16 + 24) * bags
+        let bag_header = 8 + 2 * 16 + 4 * std::mem::size_of::<Packed>() + 2 * 8;
+        let unreported = (bag_header + 16 + 24) * bags
             + 32 * (bags - 1)
             + 8 * (bags + 1)
             + if inside_vb.is_empty() { 0 } else { 4 * 32 }
@@ -372,29 +465,5 @@ fn theorem2_reports_what_it_holds() {
             "{atoms}-path {pattern}: the allocator says {live} live bytes; heap_bytes() less \
              the {shared} B shared with the database plus {unreported} B of headers is {held}"
         );
-
-        // Layout pin, per materialized bag: each key once (8 B a bound
-        // value) with a 4 B offset, the offsets' sentinel, a 4 B rank per
-        // free value of a row, 8 B per distinct value of a free column —
-        // no slack. The bag's two variable lists (4 B a variable) are the
-        // rest of what it reports.
-        let mut bag_bytes = 0;
-        for r in s.bag_reports().iter().filter(|r| r.kind == "materialized") {
-            let (bw, fw) = (r.bound_vars, r.free_vars);
-            let storage = r.heap_bytes - 4 * (bw + fw);
-            let pin =
-                (8 * bw + 4) * r.keys + 4 + 4 * fw * r.tuples_or_entries + 8 * r.domain_values;
-            assert!(
-                storage <= pin,
-                "{atoms}-path {pattern}, node {}: {storage} B for {} keys, {} rows, {} distinct \
-                 free values (bound width {bw}, free width {fw}); the layout holds {pin}",
-                r.node,
-                r.keys,
-                r.tuples_or_entries,
-                r.domain_values
-            );
-            bag_bytes += storage;
-        }
-        assert_eq!(bag_bytes, stats.materialized_bytes, "{pattern}");
     }
 }

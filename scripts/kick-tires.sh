@@ -121,12 +121,12 @@ cqe \
     tee "$OUT/factorized.out"
 grep -q "strategy: factorized" "$OUT/factorized.out"
 grep -Eq "repr: +theorem 2: [0-9]+ bags \(0 delay-tuned.*constant delay" "$OUT/factorized.out"
-# A materialized bag is CSR (each key once, `u32` ranks into per-column
-# domains, exact capacity): this triangle's one bag measures 9.6 B/tuple
-# (6 732 B for 701 tuples). Full `[bound | free]` rows as `u64` cost
-# 24 B/tuple before any `Vec` slack, so the layout gate is 16.
+# A materialized bag is CSR (each key once, ranks into per-column
+# domains), every column packed at its data's width: this triangle's one
+# bag measures 2.0 B/tuple (1 384 B for 701 tuples). A `u32` rank column
+# alone costs 8 B/tuple (two free values a row), so the layout gate is 4.
 bag_bpt="$(grep -Eo '[0-9.]+ B/tuple' "$OUT/factorized.out" | cut -d' ' -f1)"
-awk -v b="$bag_bpt" 'BEGIN { exit !(b != "" && b < 16) }'
+awk -v b="$bag_bpt" 'BEGIN { exit !(b != "" && b < 4) }'
 
 # The two §2.3 extremes are the theorems at fixed knobs. `materialize` is
 # Theorem 2 over {V_b} → {V} with δ ≡ 0: one materialized bag, no delay-
