@@ -8,9 +8,9 @@
 //! * [`hash`] — a fast FxHash-style hasher plus [`FastMap`]/[`FastSet`]
 //!   aliases (the default SipHash tables are needlessly slow for the integer
 //!   keys used throughout the join machinery);
-//! * [`util`] — galloping (exponential) search and generic binary searches
-//!   over monotone predicates, the workhorses of the trie cursors and the
-//!   Lemma 3 split-point searches;
+//! * [`util`] — binary search over monotone predicates (the Lemma 3
+//!   split-point searches) and the tolerant float comparisons of the cost
+//!   estimates;
 //! * [`error`] — the workspace-wide error type;
 //! * [`metrics`] — cheap thread-local operation counters used by the
 //!   benchmark harness to report machine-independent work measures;
@@ -21,7 +21,9 @@
 //!   push-style [`AnswerSink`] trait every enumerator drives, the
 //!   foundation of the allocation-free serve path;
 //! * [`packed`] — the immutable fixed-width bit-packed integer column
-//!   every compressed representation stores its integers in;
+//!   every compressed representation and sorted index stores its integers
+//!   in, with the galloping and binary searches the trie cursors run over
+//!   it in place;
 //! * [`alloc`] — a vendored counting allocator that lets binaries and
 //!   tests *prove* the zero-allocations-per-answer discipline;
 //! * [`coverage`] — the per-shard coverage bitmap a degraded (partial)

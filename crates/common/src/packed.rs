@@ -16,8 +16,22 @@
 //! stored at 64 bits, one word a value (see [`width_for`]). The words are a
 //! boxed slice, so [`HeapSize::heap_bytes`] is exactly
 //! `⌈len · width / 64⌉ · 8` — the layout is its own accounting.
+//!
+//! A column that is *searched* — a sorted index's trie column, an active
+//! domain — is built with [`Packed::searchable`] instead: its width is
+//! rounded up to a whole word size, 8, 16, 32 or 64 bits
+//! ([`byte_width_for`]), with the same bytes and the same accounting.
+//! [`Packed::lower_bound`], [`Packed::upper_bound`] and [`Packed::gallop`]
+//! branch on the width once per call and then run one loop instantiated
+//! per word size, each probe a `uN::from_le_bytes` over a fixed-size
+//! subslice; a column at any other width runs the same loop through
+//! [`Packed::get`]. A gallop reads its first two probes inline first — a
+//! leapfrog scan's seek lands there. Searches read the column in place:
+//! nothing is unpacked.
 
 use crate::heap::HeapSize;
+use std::marker::PhantomData;
+use std::ops::Range;
 
 /// An immutable column of unsigned integers, each stored in `width` bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,6 +44,9 @@ pub struct Packed {
     mask: u64,
     /// Bits per value: `1..=57` or `64`.
     width: u32,
+    /// Bytes per value when `width` is a whole word size (8, 16, 32 or
+    /// 64), else 0: what the searches branch on.
+    word: u8,
 }
 
 /// The widest value an 8-byte window at the value's first byte always
@@ -52,6 +69,12 @@ pub fn width_for(max: u64) -> u32 {
     }
 }
 
+/// The width a searched column whose largest value is `max` is stored at:
+/// [`width_for`] rounded up to a whole word size, 8, 16, 32 or 64 bits.
+pub fn byte_width_for(max: u64) -> u32 {
+    width_for(max).next_power_of_two().max(8)
+}
+
 /// Heap bytes of a column of `len` values at `width` bits each.
 fn bytes_for(len: usize, width: u32) -> usize {
     (len * width as usize).div_ceil(64) * 8
@@ -65,25 +88,58 @@ impl Packed {
         I: IntoIterator<Item = u64>,
         I::IntoIter: Clone,
     {
+        Packed::pack(values, width_for)
+    }
+
+    /// Packs `values` for searching: at the whole word size their maximum
+    /// fits ([`byte_width_for`]), so [`Packed::lower_bound`] and its
+    /// siblings read each probe as one `u8`/`u16`/`u32`/`u64`.
+    pub fn searchable<I>(values: I) -> Packed
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
+        Packed::pack(values, byte_width_for)
+    }
+
+    fn pack<I>(values: I, width_of: fn(u64) -> u32) -> Packed
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
         let values = values.into_iter();
         let (len, max) = values
             .clone()
             .fold((0usize, 0u64), |(n, m), v| (n + 1, m.max(v)));
-        let width = width_for(max);
-        let mut words = vec![0u64; bytes_for(len, width) / 8];
-        for (i, v) in values.enumerate() {
-            let bit = i * width as usize;
-            let (k, off) = (bit / 64, bit % 64);
-            words[k] |= v << off;
-            if off + width as usize > 64 {
-                words[k + 1] |= v >> (64 - off);
+        let width = width_of(max);
+        let mut bytes = vec![0u8; bytes_for(len, width)].into_boxed_slice();
+        match width {
+            8 => fill::<u8>(&mut bytes, values),
+            16 => fill::<u16>(&mut bytes, values),
+            32 => fill::<u32>(&mut bytes, values),
+            64 => fill::<u64>(&mut bytes, values),
+            _ => {
+                let mut words = vec![0u64; bytes.len() / 8];
+                for (i, v) in values.enumerate() {
+                    let bit = i * width as usize;
+                    let (k, off) = (bit / 64, bit % 64);
+                    words[k] |= v << off;
+                    if off + width as usize > 64 {
+                        words[k + 1] |= v >> (64 - off);
+                    }
+                }
+                fill::<u64>(&mut bytes, words.into_iter());
             }
         }
         Packed {
-            bytes: words.iter().flat_map(|w| w.to_le_bytes()).collect(),
+            bytes,
             len,
             mask: u64::MAX >> (64 - width),
             width,
+            word: match width {
+                8 | 16 | 32 | 64 => (width / 8) as u8,
+                _ => 0,
+            },
         }
     }
 
@@ -133,6 +189,221 @@ impl Packed {
     pub fn width(&self) -> u32 {
         self.width
     }
+
+    /// The values in order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + Clone + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    /// Appends the values at positions `range` to `out`: one sequential
+    /// pass over the bytes at a whole word size, [`Packed::get`] per value
+    /// otherwise.
+    pub fn decode_into(&self, range: Range<usize>, out: &mut Vec<u64>) {
+        debug_assert!(range.end <= self.len, "{range:?} of {}", self.len);
+        match self.word {
+            1 => decode::<u8>(&self.bytes, range, out),
+            2 => decode::<u16>(&self.bytes, range, out),
+            4 => decode::<u32>(&self.bytes, range, out),
+            8 => decode::<u64>(&self.bytes, range, out),
+            _ => out.extend(range.map(|i| self.get(i))),
+        }
+    }
+
+    /// The first position in `lo..hi` whose value is `>= key`, or `hi` if
+    /// none is; the values in `lo..hi` must be sorted. Plain binary search.
+    #[inline]
+    pub fn lower_bound(&self, lo: usize, hi: usize, key: u64) -> usize {
+        self.seek::<LOWER>(lo, hi, key).0
+    }
+
+    /// The first position in `lo..hi` whose value is `> key`, or `hi` if
+    /// none is; the values in `lo..hi` must be sorted.
+    #[inline]
+    pub fn upper_bound(&self, lo: usize, hi: usize, key: u64) -> usize {
+        self.seek::<UPPER>(lo, hi, key).0
+    }
+
+    /// [`Packed::lower_bound`] by galloping (exponential) search from
+    /// `lo`, with the value found there: `None` when every value in
+    /// `lo..hi` is below `key`. `O(log gap)` when the answer is near `lo`
+    /// — the access pattern of leapfrog trie-join, each seek advancing a
+    /// cursor by a usually small amount, where galloping gives the
+    /// amortized-logarithmic bounds of the worst-case-optimal join
+    /// analysis.
+    ///
+    /// Always inlined: a leapfrog scan's seek lands on the first or second
+    /// probe (the cursor rests on the previous match), so those two are
+    /// read in the caller and only a longer gallop is a call.
+    #[inline(always)]
+    pub fn gallop(&self, lo: usize, hi: usize, key: u64) -> Option<(usize, u64)> {
+        let bytes = &self.bytes[..];
+        match self.word {
+            1 => gallop_near(Words::<u8>(bytes, PhantomData), self, lo, hi, key),
+            2 => gallop_near(Words::<u16>(bytes, PhantomData), self, lo, hi, key),
+            4 => gallop_near(Words::<u32>(bytes, PhantomData), self, lo, hi, key),
+            8 => gallop_near(Words::<u64>(bytes, PhantomData), self, lo, hi, key),
+            _ => gallop_near(self, self, lo, hi, key),
+        }
+    }
+
+    /// The search loop of a gallop its first two probes did not settle.
+    #[inline(never)]
+    fn gallop_on(&self, lo: usize, hi: usize, key: u64) -> (usize, u64) {
+        self.seek::<GALLOP>(lo, hi, key)
+    }
+
+    /// The one branch on the width: a whole word size reads its probes as
+    /// `uN`, any other width through [`Packed::get`].
+    #[inline(always)]
+    fn seek<const HOW: u8>(&self, lo: usize, hi: usize, key: u64) -> (usize, u64) {
+        debug_assert!(lo <= hi && hi <= self.len, "{lo}..{hi} of {}", self.len);
+        let bytes = &self.bytes[..];
+        match self.word {
+            1 => seek::<_, HOW>(Words::<u8>(bytes, PhantomData), lo, hi, key),
+            2 => seek::<_, HOW>(Words::<u16>(bytes, PhantomData), lo, hi, key),
+            4 => seek::<_, HOW>(Words::<u32>(bytes, PhantomData), lo, hi, key),
+            8 => seek::<_, HOW>(Words::<u64>(bytes, PhantomData), lo, hi, key),
+            _ => seek::<_, HOW>(self, lo, hi, key),
+        }
+    }
+}
+
+/// Which search [`Packed::seek`] runs: a const parameter, so each
+/// instance is one loop.
+const LOWER: u8 = 0;
+const UPPER: u8 = 1;
+const GALLOP: u8 = 2;
+
+/// A column read in place, by position.
+trait Column: Copy {
+    fn at(self, i: usize) -> u64;
+}
+
+/// A whole word size a column may be stored at: `u8`, `u16`, `u32` or
+/// `u64`, little-endian.
+trait Word: Copy {
+    const BYTES: usize;
+    /// The value in `bytes`, exactly [`Word::BYTES`] long.
+    fn read(bytes: &[u8]) -> u64;
+    /// Stores `v` (which fits) into `bytes`, exactly [`Word::BYTES`] long.
+    fn write(v: u64, bytes: &mut [u8]);
+}
+
+macro_rules! word {
+    ($($w:ty),*) => {$(
+        impl Word for $w {
+            const BYTES: usize = std::mem::size_of::<$w>();
+            #[inline(always)]
+            fn read(bytes: &[u8]) -> u64 {
+                <$w>::from_le_bytes(bytes.try_into().expect("one word")) as u64
+            }
+            #[inline(always)]
+            fn write(v: u64, bytes: &mut [u8]) {
+                bytes.copy_from_slice(&(v as $w).to_le_bytes());
+            }
+        }
+    )*};
+}
+word!(u8, u16, u32, u64);
+
+/// A column of whole `W` words, back to back.
+#[derive(Clone, Copy)]
+struct Words<'a, W>(&'a [u8], PhantomData<W>);
+
+impl<W: Word> Column for Words<'_, W> {
+    #[inline(always)]
+    fn at(self, i: usize) -> u64 {
+        W::read(&self.0[i * W::BYTES..(i + 1) * W::BYTES])
+    }
+}
+
+/// Stores `values` as whole `W` words from the start of `bytes`.
+fn fill<W: Word>(bytes: &mut [u8], values: impl Iterator<Item = u64>) {
+    for (at, v) in bytes.chunks_exact_mut(W::BYTES).zip(values) {
+        W::write(v, at);
+    }
+}
+
+/// Appends the whole `W` words at positions `range` of `bytes` to `out`.
+fn decode<W: Word>(bytes: &[u8], range: Range<usize>, out: &mut Vec<u64>) {
+    let words = &bytes[range.start * W::BYTES..range.end * W::BYTES];
+    out.extend(words.chunks_exact(W::BYTES).map(W::read));
+}
+
+impl Column for &Packed {
+    #[inline(always)]
+    fn at(self, i: usize) -> u64 {
+        self.get(i)
+    }
+}
+
+/// [`Packed::gallop`] on one [`Column`]: two probes, then the loop.
+#[inline(always)]
+fn gallop_near<C: Column>(
+    col: C,
+    p: &Packed,
+    lo: usize,
+    hi: usize,
+    key: u64,
+) -> Option<(usize, u64)> {
+    for pos in lo..hi.min(lo + 2) {
+        let value = col.at(pos);
+        if value >= key {
+            return Some((pos, value));
+        }
+    }
+    if lo + 2 >= hi {
+        return None;
+    }
+    let (pos, value) = p.gallop_on(lo + 2, hi, key);
+    (pos < hi).then_some((pos, value))
+}
+
+/// The search loops, one instance per [`Column`] and search: the
+/// position found and, for a gallop that lands inside the range, the value
+/// there (0 otherwise).
+#[inline(always)]
+fn seek<C: Column, const HOW: u8>(col: C, lo: usize, hi: usize, key: u64) -> (usize, u64) {
+    match HOW {
+        LOWER => (partition(col, lo, hi, |v| v < key), 0),
+        UPPER => (partition(col, lo, hi, |v| v <= key), 0),
+        _ => {
+            if lo >= hi {
+                return (lo, 0);
+            }
+            let first = col.at(lo);
+            if first >= key {
+                return (lo, first);
+            }
+            // Invariant: the value at lo + step/2 is below key.
+            let mut step = 1usize;
+            while lo + step < hi && col.at(lo + step) < key {
+                step <<= 1;
+            }
+            let pos = partition(col, lo + step / 2 + 1, (lo + step + 1).min(hi), |v| v < key);
+            (pos, if pos < hi { col.at(pos) } else { 0 })
+        }
+    }
+}
+
+/// The first position in `lo..hi` whose value fails `below` (which holds
+/// on a prefix of the range), or `hi`.
+#[inline(always)]
+fn partition<C: Column>(
+    col: C,
+    mut lo: usize,
+    mut hi: usize,
+    below: impl Fn(u64) -> bool,
+) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(col.at(mid)) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 impl HeapSize for Packed {
@@ -265,6 +536,143 @@ mod tests {
             let values: Vec<u64> = (0..len).map(|_| next() >> (64 - w)).collect();
             check(&values);
         }
+    }
+
+    #[test]
+    fn searchable_widths_are_whole_word_sizes() {
+        for (max, width) in [
+            (0, 8),
+            (255, 8),
+            (256, 16),
+            (65_535, 16),
+            (65_536, 32),
+            (u32::MAX as u64, 32),
+            (u32::MAX as u64 + 1, 64),
+            (u64::MAX, 64),
+        ] {
+            assert_eq!(byte_width_for(max), width, "max {max}");
+            let values = [max / 2, max];
+            let p = Packed::searchable(values);
+            assert_eq!(p.width(), width);
+            assert_eq!(p.heap_bytes(), bytes_for(2, width));
+            assert!(p.iter().eq(values));
+        }
+        assert_eq!(Packed::searchable([]).heap_bytes(), 0);
+        // Same values, same bytes whether bit-tight or searchable when the
+        // bit length is already a word size.
+        let values: Vec<u64> = (0..100).map(|i| i * 600).collect();
+        assert_eq!(
+            Packed::searchable(values.iter().copied()),
+            Packed::from_slice(&values)
+        );
+    }
+
+    /// The three searches of `p` over `lo..hi`, against
+    /// `slice::partition_point` over the same values (a gallop also
+    /// returns the value it lands on).
+    fn check_searches(p: &Packed, values: &[u64], lo: usize, hi: usize, key: u64) {
+        let run = &values[lo..hi];
+        let lower = lo + run.partition_point(|&v| v < key);
+        let upper = lo + run.partition_point(|&v| v <= key);
+        let at = format!("width {} {lo}..{hi} key {key}", p.width());
+        assert_eq!(p.lower_bound(lo, hi, key), lower, "lower_bound, {at}");
+        assert_eq!(p.upper_bound(lo, hi, key), upper, "upper_bound, {at}");
+        let landed = (lower < hi).then(|| (lower, values[lower]));
+        assert_eq!(p.gallop(lo, hi, key), landed, "gallop, {at}");
+    }
+
+    /// Sorted columns at every whole-byte width and at bit-tight widths
+    /// (a 9-bit column straddles its words; a 57- and a 64-bit one read
+    /// whole windows), searched over the empty range, single values,
+    /// ranges that start and end inside a word, and the whole column,
+    /// for keys below, on, between and above the values.
+    #[test]
+    fn searches_agree_with_partition_point_at_every_width() {
+        let mut next = stream(29);
+        let widths = [1u32, 3, 8, 9, 13, 16, 17, 32, 33, 57, 64];
+        for (class, width) in widths.into_iter().enumerate() {
+            let max = u64::MAX >> (64 - width);
+            let mut values: Vec<u64> = (0..300).map(|_| next() & max).collect();
+            values.push(max);
+            values.sort_unstable();
+            let columns = [
+                Packed::from_slice(&values),
+                Packed::searchable(values.iter().copied()),
+            ];
+            assert_eq!(columns[1].width(), byte_width_for(max));
+            let n = values.len();
+            let mut ranges = vec![(0, 0), (0, n), (n, n), (0, 1), (n - 1, n), (150, 150)];
+            ranges.extend([(1, 7), (5, 64), (63, 65), (100, 229), (7, n - 3)]);
+            for _ in 0..20 {
+                let a = next() as usize % (n + 1);
+                let b = next() as usize % (n + 1);
+                ranges.push((a.min(b), a.max(b)));
+            }
+            for p in &columns {
+                assert!(p.iter().eq(values.iter().copied()), "class {class}");
+                for &(lo, hi) in &ranges {
+                    let mut keys = vec![0, 1, max, max.saturating_sub(1), u64::MAX];
+                    for i in [lo, (lo + hi) / 2, hi.saturating_sub(1)]
+                        .into_iter()
+                        .filter(|&i| i < n)
+                    {
+                        keys.extend([
+                            values[i],
+                            values[i].saturating_sub(1),
+                            values[i].saturating_add(1),
+                        ]);
+                    }
+                    for key in keys {
+                        check_searches(p, &values, lo, hi, key);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounds_match_std_partition() {
+        let values = [1u64, 3, 3, 3, 7, 9];
+        let data = Packed::searchable(values);
+        assert_eq!(data.lower_bound(0, data.len(), 0), 0);
+        assert_eq!(data.lower_bound(0, data.len(), 3), 1);
+        assert_eq!(data.lower_bound(0, data.len(), 4), 4);
+        assert_eq!(data.lower_bound(0, data.len(), 10), 6);
+        assert_eq!(data.upper_bound(0, data.len(), 3), 4);
+        assert_eq!(data.upper_bound(0, data.len(), 9), 6);
+        assert_eq!(data.upper_bound(0, data.len(), 0), 0);
+    }
+
+    #[test]
+    fn bounds_respect_subranges() {
+        let data = Packed::searchable([1u64, 3, 3, 3, 7, 9]);
+        assert_eq!(data.lower_bound(2, 5, 3), 2);
+        assert_eq!(data.upper_bound(2, 5, 3), 4);
+        assert_eq!(data.lower_bound(4, 4, 3), 4);
+    }
+
+    #[test]
+    fn gallop_agrees_with_lower_bound() {
+        let data = Packed::searchable((0..1000).map(|i| i * 3));
+        for lo in [0usize, 1, 17, 500, 998] {
+            for key in [0u64, 1, 2, 3, 100, 1500, 2997, 2998, 5000] {
+                let lower = data.lower_bound(lo, data.len(), key);
+                assert_eq!(
+                    data.gallop(lo, data.len(), key),
+                    (lower < data.len()).then(|| (lower, data.get(lower))),
+                    "lo={lo} key={key}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_on_empty_and_single() {
+        let data = Packed::searchable([5u64]);
+        assert_eq!(data.gallop(0, 0, 3), None);
+        assert_eq!(data.gallop(0, 1, 3), Some((0, 5)));
+        assert_eq!(data.gallop(0, 1, 5), Some((0, 5)));
+        assert_eq!(data.gallop(0, 1, 6), None);
     }
 
     #[test]

@@ -285,12 +285,13 @@ impl CompressedView {
                 let st = s.stats();
                 let per = |bytes: usize, n: usize| bytes as f64 / n.max(1) as f64;
                 let ((beta, right), dict) = (st.tree_widths, st.dict_widths);
+                let (tries, grid) = st.base_index_widths;
                 format!(
                     "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
                      tree {} nodes (β {} b, right {} b; depth {}, {} B = {:.1} B/node), \
                      dictionary {} heavy pairs (ids {} b, offsets {} b, values {} b; \
                      {} B = {:.1} B/entry), \
-                     base indexes {} B ({} B distinct); {} heap bytes; \
+                     base indexes {} B (tries {} b, grid {} b; {} B distinct); {} heap bytes; \
                      build work: {} tree count probes, {} dictionary evaluations \
                      of {} candidates ({} at leaves), {} probe joins",
                     s.tau(),
@@ -312,6 +313,8 @@ impl CompressedView {
                     st.dict_bytes,
                     per(st.dict_bytes, st.dict_entries),
                     st.base_index_bytes,
+                    tries,
+                    grid,
                     st.base_index_distinct_bytes,
                     st.heap_bytes,
                     st.tree_count_probes,

@@ -312,6 +312,17 @@ impl Theorem1Structure {
             dict_bytes: space.dict_bytes,
             base_index_bytes: space.base_index_bytes,
             base_index_distinct_bytes: space.base_index_distinct_bytes,
+            base_index_widths: (
+                self.base_indexes()
+                    .flat_map(|ix| (0..ix.depth()).map(|d| ix.col(d).width()))
+                    .max()
+                    .unwrap_or(0),
+                self.domains
+                    .iter()
+                    .map(|d| d.values().width())
+                    .max()
+                    .unwrap_or(0),
+            ),
             alpha: self.alpha,
             tau: self.tau,
         }
@@ -422,6 +433,9 @@ pub struct Theorem1Stats {
     pub base_index_bytes: usize,
     /// The same with every shared index allocation counted once.
     pub base_index_distinct_bytes: usize,
+    /// Bits per value of the widest trie column and of the widest grid
+    /// domain (each a whole word size: 8, 16, 32 or 64).
+    pub base_index_widths: (u32, u32),
     /// Slack α.
     pub alpha: f64,
     /// Threshold τ.

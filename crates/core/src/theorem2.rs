@@ -1412,13 +1412,18 @@ mod tests {
             })
             .flatten()
             .collect();
-        let oracle_indexes: usize = tries.iter().map(|ix| 2 * ix.heap_bytes()).sum();
-        // What that commit's fixed-width columns held beyond today's packed
-        // ones, from each bag's counts: a tree node 4µ + 4 B, a dictionary
-        // 8 B per root candidate value and 4 B per entry id and per node
-        // offset, a materialized bag `(8·bw + 4)·keys + 4 + 4·fw·rows +
-        // 8·Σ distinct`.
-        let unpacked: usize = s
+        // That commit stored every index value as a `u64`: an index's heap
+        // was its column order, 8 B per value and a `Vec` header per
+        // column — priced from row counts, not from today's packed bytes.
+        let u64_index = |ix: &SortedIndex| 8 * ix.depth() * (ix.len() + 1) + 24 * ix.depth();
+        let oracle_indexes: usize = tries.iter().map(|ix| 2 * u64_index(ix)).sum();
+        // What that commit's fixed-width columns held, beside what today's
+        // packed ones hold, from each bag's counts: a tree node 4µ + 4 B, a
+        // dictionary 8 B per root candidate value and 4 B per entry id and
+        // per node offset, each trie as above, the grid 8 B per domain
+        // value plus a `Vec` header per domain, a materialized bag
+        // `(8·bw + 4)·keys + 4 + 4·fw·rows + 8·Σ distinct`.
+        let (fixed, packed): (usize, usize) = s
             .bags
             .iter()
             .map(|b| match &b.kind {
@@ -1430,15 +1435,25 @@ mod tests {
                         + 4 * (st.tree_nodes + 1)
                         + 4 * st.dict_entries
                         + 8 * st.dict_entries.div_ceil(64);
-                    tree + dict - st.tree_bytes - st.dict_bytes
+                    let tries = t1.base_indexes().map(|ix| (u64_index(ix), ix.heap_bytes()));
+                    let grid = t1.domains().iter().map(|d| {
+                        let header = std::mem::size_of::<cqc_storage::Domain>();
+                        (8 * d.len() + 24, d.heap_bytes() + header)
+                    });
+                    tries.chain(grid).fold(
+                        (tree + dict, st.tree_bytes + st.dict_bytes),
+                        |(f, p), (fixed, packed)| (f + fixed, p + packed),
+                    )
                 }
                 BagKind::Materialized(m) => {
                     let (bw, fw) = (b.bound_vars.len(), b.free_vars.len());
-                    (8 * bw + 4) * m.num_keys() + 4 + 4 * fw * m.len() + 8 * m.domain_values()
-                        - m.heap_bytes()
+                    let fixed =
+                        (8 * bw + 4) * m.num_keys() + 4 + 4 * fw * m.len() + 8 * m.domain_values();
+                    (fixed, m.heap_bytes())
                 }
             })
-            .sum();
+            .fold((0, 0), |(f, p), (fixed, packed)| (f + fixed, p + packed));
+        let unpacked = fixed - packed;
         let now = s.heap_bytes();
         println!(
             "3-path decomposed:1.5 heap_bytes: {PARENT_HEAP_BYTES} at the parent, {now} now \

@@ -26,7 +26,11 @@
 //!   `|V_b|·cands` values, `nodes + 1` offsets and `entries` ids plus one
 //!   bit an entry — each column at `⌈log₂(max + 1)⌉` bits a value, the
 //!   maximum taken from the structure's public walk (docs/ARCHITECTURE.md,
-//!   "Packed integer columns");
+//!   "Packed integer columns"); each trie is `Σ ⌈rows·w/64⌉·8` over its
+//!   columns plus its column order and a column header per depth, and each
+//!   grid domain `⌈len·w/64⌉·8`, with `w` ∈ {8, 16, 32, 64} the whole word
+//!   size of the column's largest value (read off the database's rows and
+//!   the domain's top) — on every Theorem 1 row, `direct`'s included;
 //! * Theorem 2, the largest resident part once the d-representation is its
 //!   δ ≡ 0 case: across a whole build, live bytes are `heap_bytes()` plus
 //!   the headers it leaves out, **to the byte** for δ ≡ 0 structures on the
@@ -58,7 +62,12 @@
 //! (none is kept — a candidate no entry references is dropped — so the
 //! bytes no longer show it). The layout pin: a `u32` column left in place
 //! of a packed one fails its row — `β` as `Vec<u32>` the tree's, the
-//! candidate ids as `Vec<u32>` the dictionary's. (Keeping the candidates
+//! candidate ids as `Vec<u32>` the dictionary's — and a `u64` column left
+//! in place of a searchable one fails the trie row (depth 0 of every trie
+//! stored at 64 bits: the `bff` `R` trie reports 47 560 B against the
+//! pin's smaller figure), as does every searched column at 64 bits; a grid
+//! domain packed bit-tight (`Packed::new` in `Domain::new`) fails the grid
+//! row (456 B where whole bytes take 800). (Keeping the candidates
 //! no entry references is the oracle's to catch, in `prop_roundtrip.rs`:
 //! every one is referenced on this instance.) For the fifth gate: a
 //! `MaterializedBag` that keeps its
@@ -105,6 +114,16 @@ fn packed(len: usize, width: u32) -> usize {
 /// `⌈log₂(max + 1)⌉` bits a value, at least one.
 fn column(len: usize, max: u64) -> usize {
     packed(len, width_for(max))
+}
+
+/// The whole word size, in bits, that holds `max`: 8, 16, 32 or 64 — the
+/// width a searched column is stored at, stated here rather than read from
+/// the library.
+fn word_bits(max: u64) -> u32 {
+    [8, 16, 32, 64]
+        .into_iter()
+        .find(|&w| w == 64 || max >> w == 0)
+        .unwrap()
 }
 
 /// What a delay-tuned bag adds to a Theorem 2 structure's unreported
@@ -221,6 +240,7 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
             (space.base_index_bytes, space.base_index_distinct_bytes)
         );
         assert_eq!(stats.heap_bytes, s.heap_bytes());
+        tries_and_grid_are_at_their_widths(&s, &db, pattern);
 
         // Layout pin, met with equality: every column at the width of its
         // largest value, each width read off the structure through its
@@ -266,6 +286,44 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
     bound_only_holds_handles_not_copies();
 }
 
+/// The base-index layout pin, met with equality: each trie holds its
+/// column order and, per depth, a packed column header and `rows` values
+/// at the whole word size (8, 16, 32 or 64 bits) of that column's largest
+/// value — read off the database's rows, not the layout; each grid domain
+/// holds its values at the whole word size of its top value.
+fn tries_and_grid_are_at_their_widths(s: &Theorem1Structure, db: &Database, pattern: &str) {
+    let atoms = &s.view().query().atoms;
+    assert_eq!(s.base_indexes().count(), atoms.len(), "{pattern}");
+    for (ix, atom) in s.base_indexes().zip(atoms) {
+        let relation = db.require(&atom.relation).unwrap();
+        let columns: usize = ix
+            .order()
+            .iter()
+            .map(|&c| {
+                let max = relation.iter().map(|row| row[c]).max().unwrap_or(0);
+                packed(ix.len(), word_bits(max))
+            })
+            .sum();
+        let header = std::mem::size_of::<usize>() + std::mem::size_of::<Packed>();
+        assert_eq!(
+            ix.heap_bytes(),
+            header * ix.depth() + columns,
+            "{pattern}: the {} trie over {} rows, order {:?}",
+            atom.relation,
+            ix.len(),
+            ix.order()
+        );
+    }
+    for (p, d) in s.domains().iter().enumerate() {
+        assert_eq!(
+            d.heap_bytes(),
+            packed(d.len(), word_bits(d.top().unwrap_or(0))),
+            "{pattern}: grid domain {p} of {} values",
+            d.len()
+        );
+    }
+}
+
 /// The `direct` row of the third gate (called from the one test: see the
 /// header), then the two §2.3 extremes side by side on a hub instance.
 fn direct_holds_tries_grid_and_tree(db: &Database) {
@@ -295,6 +353,7 @@ fn direct_holds_tries_grid_and_tree(db: &Database) {
             (resident..resident + 2048).contains(&live),
             "{pattern}: allocator says {live} live bytes, tries + grid + tree is {resident}"
         );
+        tries_and_grid_are_at_their_widths(s, db, pattern);
         assert_eq!(
             s.heap_bytes(),
             resident + 8 * (view.mu() + view.query().atoms.len()),

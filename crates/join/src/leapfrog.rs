@@ -22,7 +22,6 @@
 //! sub-instance for emptiness.
 
 use cqc_common::metrics;
-use cqc_common::util::gallop;
 use cqc_common::value::Value;
 use cqc_storage::SortedIndex;
 
@@ -321,12 +320,8 @@ impl<'a> LeapfrogJoin<'a> {
             // Resume from the memoized cursor: candidates only grow while
             // the parent binding is unchanged, so the hit is at or after it.
             let from = self.positions[level][ai].max(lo);
-            let pos = gallop(col, from, hi, cand);
+            let (pos, v) = col.gallop(from, hi, cand)?;
             self.positions[level][ai] = pos;
-            if pos >= hi {
-                return None;
-            }
-            let v = col[pos];
             if v == cand {
                 agree += 1;
             } else {

@@ -6,14 +6,18 @@
 //! (positions in that vector) turns the successor/predecessor arithmetic of
 //! interval splitting into `±1` on integers and makes every open/closed
 //! endpoint case exact.
+//!
+//! The sorted vector is a searchable [`Packed`] column: ranks are found by
+//! searching it in place, at the whole word size its largest value needs.
 
 use cqc_common::heap::HeapSize;
+use cqc_common::packed::Packed;
 use cqc_common::value::Value;
 
 /// A sorted active domain for one variable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Domain {
-    values: Vec<Value>,
+    values: Packed,
 }
 
 impl Domain {
@@ -21,15 +25,14 @@ impl Domain {
     pub fn new(mut values: Vec<Value>) -> Domain {
         values.sort_unstable();
         values.dedup();
-        Domain { values }
+        Domain {
+            values: Packed::searchable(values),
+        }
     }
 
     /// Builds a domain that is the sorted union of several value sets.
     pub fn union_of<'a>(sets: impl IntoIterator<Item = &'a [Value]>) -> Domain {
-        let mut values: Vec<Value> = sets.into_iter().flatten().copied().collect();
-        values.sort_unstable();
-        values.dedup();
-        Domain { values }
+        Domain::new(sets.into_iter().flatten().copied().collect())
     }
 
     /// Number of distinct values.
@@ -42,46 +45,43 @@ impl Domain {
         self.values.is_empty()
     }
 
-    /// The value at `rank`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank >= len()`.
+    /// The value at `rank`, which must be below [`Domain::len`] (debug
+    /// builds check).
     #[inline]
     pub fn value(&self, rank: usize) -> Value {
-        self.values[rank]
+        self.values.get(rank)
     }
 
-    /// All values in sorted order.
-    pub fn values(&self) -> &[Value] {
+    /// All values in sorted order: the packed column itself.
+    pub fn values(&self) -> &Packed {
         &self.values
     }
 
     /// The exact rank of `v`, if present.
     pub fn rank(&self, v: Value) -> Option<usize> {
-        self.values.binary_search(&v).ok()
+        let r = self.rank_ceil(v);
+        (r < self.len() && self.value(r) == v).then_some(r)
     }
 
     /// Rank of the smallest domain value `>= v` (i.e. `len()` if none).
     pub fn rank_ceil(&self, v: Value) -> usize {
-        self.values.partition_point(|&x| x < v)
+        self.values.lower_bound(0, self.len(), v)
     }
 
     /// Rank of the largest domain value `<= v`, or `None` if all values
     /// exceed `v`.
     pub fn rank_floor(&self, v: Value) -> Option<usize> {
-        let p = self.values.partition_point(|&x| x <= v);
-        p.checked_sub(1)
+        self.values.upper_bound(0, self.len(), v).checked_sub(1)
     }
 
     /// The smallest element `⊥` (rank 0), if the domain is non-empty.
     pub fn bottom(&self) -> Option<Value> {
-        self.values.first().copied()
+        (!self.is_empty()).then(|| self.value(0))
     }
 
     /// The largest element `⊤` (rank `len()-1`), if non-empty.
     pub fn top(&self) -> Option<Value> {
-        self.values.last().copied()
+        self.len().checked_sub(1).map(|r| self.value(r))
     }
 }
 
@@ -135,7 +135,9 @@ mod tests {
     fn ranks_and_values() {
         let d = Domain::new(vec![30, 10, 20, 10]);
         assert_eq!(d.len(), 3);
-        assert_eq!(d.values(), &[10, 20, 30]);
+        assert!(d.values().iter().eq([10, 20, 30]));
+        assert_eq!(d.values().width(), 8);
+        assert_eq!(d.heap_bytes(), 8);
         assert_eq!(d.rank(20), Some(1));
         assert_eq!(d.rank(25), None);
         assert_eq!(d.rank_ceil(15), 1);
@@ -152,7 +154,7 @@ mod tests {
     #[test]
     fn union_of_sets() {
         let d = Domain::union_of([&[3u64, 1][..], &[2, 3][..]]);
-        assert_eq!(d.values(), &[1, 2, 3]);
+        assert!(d.values().iter().eq([1, 2, 3]));
     }
 
     #[test]

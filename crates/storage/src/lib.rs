@@ -15,13 +15,16 @@
 //!   relation under an arbitrary attribute order, supporting the
 //!   prefix-plus-range *count* probes that implement the paper's Õ(1) count
 //!   oracle (two binary searches), and the cursor ranges that back the
-//!   leapfrog trie-join in `cqc-join`;
+//!   leapfrog trie-join in `cqc-join`; each column is a packed
+//!   `cqc_common::packed::Packed` at the whole word size its data needs,
+//!   searched in place;
 //! * [`partition::Partitioning`] — hash partitioning of a database into
 //!   disjoint shard sub-databases (and the matching per-shard routing of
 //!   [`delta::Delta`]s), the substrate of the sharded engine;
 //! * [`domain::Domain`] — per-variable sorted active domains with
-//!   rank/value conversions; `cqc-core` works in rank space so that the
-//!   open/closed interval algebra of §4.1 reduces to integer arithmetic;
+//!   rank/value conversions over one packed column; `cqc-core` works in
+//!   rank space so that the open/closed interval algebra of §4.1 reduces
+//!   to integer arithmetic;
 //! * [`interner::Interner`] — string interning so that real datasets (e.g.
 //!   the DBLP-style examples) can be loaded into the `u64` value domain;
 //! * [`wire`] — the canonical [`delta::Delta`] byte layout, shared by the

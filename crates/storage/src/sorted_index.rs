@@ -12,12 +12,16 @@
 //! 2. **Trie cursors** (`cqc-join`): the leapfrog trie-join navigates the
 //!    sorted runs level by level; this index exposes the per-level columns
 //!    and range-narrowing operations the cursors need.
+//!
+//! Each depth's column is a searchable [`Packed`] column, stored at the
+//! whole word size (8, 16, 32 or 64 bits) its largest value needs and
+//! searched in place: node ids of a few thousand take 2 B a value, not 8.
 
 use crate::radix::{columns_sorted, sort_perm};
 use crate::relation::Relation;
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
-use cqc_common::util::{lower_bound, upper_bound};
+use cqc_common::packed::Packed;
 use cqc_common::value::{lex_cmp, Tuple, Value};
 use std::time::Instant;
 
@@ -27,8 +31,9 @@ use std::time::Instant;
 pub struct SortedIndex {
     /// `order[d]` is the schema column stored at sort depth `d`.
     order: Vec<usize>,
-    /// Column-major storage: `cols[d][row]` for rows in sorted order.
-    cols: Vec<Vec<Value>>,
+    /// Column-major storage: `cols[d]` holds depth `d` of every row in
+    /// sorted order, at its own width.
+    cols: Vec<Packed>,
     len: usize,
 }
 
@@ -78,11 +83,17 @@ impl SortedIndex {
             }
             metrics::record_build_phase(BuildPhase::Index, t0.elapsed().as_nanos() as u64);
         }
-        SortedIndex {
+        let t0 = Instant::now();
+        let cols = cols
+            .iter()
+            .map(|col| Packed::searchable(col.iter().copied()));
+        let index = SortedIndex {
             order: order.to_vec(),
-            cols,
+            cols: cols.collect(),
             len: n,
-        }
+        };
+        metrics::record_build_phase(BuildPhase::Index, t0.elapsed().as_nanos() as u64);
+        index
     }
 
     /// Number of rows.
@@ -107,22 +118,25 @@ impl SortedIndex {
 
     /// The sorted column at depth `d`.
     #[inline]
-    pub fn col(&self, d: usize) -> &[Value] {
+    pub fn col(&self, d: usize) -> &Packed {
         &self.cols[d]
     }
 
     /// The value at depth `d` of sorted row `row`.
     #[inline]
     pub fn value(&self, d: usize, row: usize) -> Value {
-        self.cols[d][row]
+        self.cols[d].get(row)
     }
 
     /// Narrows `[lo, hi)` to the rows whose depth-`d` value equals `v`.
     #[inline]
     pub fn narrow_eq(&self, lo: usize, hi: usize, d: usize, v: Value) -> (usize, usize) {
         let col = &self.cols[d];
-        let l = lower_bound(col, lo, hi, v);
-        let h = upper_bound(col, l, hi, v);
+        let l = col.lower_bound(lo, hi, v);
+        let h = match v.checked_add(1) {
+            Some(next) => col.gallop(l, hi, next).map_or(hi, |(end, _)| end),
+            None => hi,
+        };
         (l, h)
     }
 
@@ -141,8 +155,8 @@ impl SortedIndex {
             return (lo, lo);
         }
         let col = &self.cols[d];
-        let l = lower_bound(col, lo, hi, vlo);
-        let h = upper_bound(col, l, hi, vhi);
+        let l = col.lower_bound(lo, hi, vlo);
+        let h = col.upper_bound(l, hi, vhi);
         (l, h)
     }
 
@@ -206,7 +220,9 @@ impl SortedIndex {
     /// runs are located by galloping search — `O(arity · (n + k))` copying,
     /// never an `O(n log n)` re-sort. This is the incremental base-index
     /// maintenance path: a small delta costs a linear splice instead of
-    /// re-sorting every linear index from scratch.
+    /// re-sorting every linear index from scratch. Each column is decoded,
+    /// spliced and re-packed, so the merged index has exactly the widths
+    /// and bytes a rebuild would.
     ///
     /// # Panics
     ///
@@ -233,17 +249,18 @@ impl SortedIndex {
             from = self.gallop_lower_bound(from, row);
             splice.push(from);
         }
-        for d in 0..arity {
-            let old = std::mem::take(&mut self.cols[d]);
-            let mut col = Vec::with_capacity(old.len() + rows.len());
+        let mut col = Vec::with_capacity(self.len + rows.len());
+        for (d, packed) in self.cols.iter_mut().enumerate() {
+            let old = &*packed;
+            col.clear();
             let mut prev = 0usize;
-            for (j, &pos) in splice.iter().enumerate() {
-                col.extend_from_slice(&old[prev..pos]);
-                col.push(rows[j][d]);
+            for (row, &pos) in rows.iter().zip(&splice) {
+                old.decode_into(prev..pos, &mut col);
+                col.push(row[d]);
                 prev = pos;
             }
-            col.extend_from_slice(&old[prev..]);
-            self.cols[d] = col;
+            old.decode_into(prev..self.len, &mut col);
+            *packed = Packed::searchable(col.iter().copied());
         }
         self.len += rows.len();
     }
@@ -306,16 +323,17 @@ impl SortedIndex {
             victims.push(from);
             from += 1;
         }
-        for d in 0..arity {
-            let old = std::mem::take(&mut self.cols[d]);
-            let mut col = Vec::with_capacity(old.len() - victims.len());
+        let mut col = Vec::with_capacity(self.len - victims.len());
+        for packed in &mut self.cols {
+            let old = &*packed;
+            col.clear();
             let mut prev = 0usize;
             for &pos in &victims {
-                col.extend_from_slice(&old[prev..pos]);
+                old.decode_into(prev..pos, &mut col);
                 prev = pos + 1;
             }
-            col.extend_from_slice(&old[prev..]);
-            self.cols[d] = col;
+            old.decode_into(prev..self.len, &mut col);
+            *packed = Packed::searchable(col.iter().copied());
         }
         self.len -= victims.len();
     }
@@ -323,7 +341,7 @@ impl SortedIndex {
     /// Lexicographic comparison of sorted row `r` against a depth-major key.
     fn cmp_row(&self, r: usize, key: &[Value]) -> std::cmp::Ordering {
         for (d, &k) in key.iter().enumerate() {
-            match self.cols[d][r].cmp(&k) {
+            match self.cols[d].get(r).cmp(&k) {
                 std::cmp::Ordering::Equal => continue,
                 other => return other,
             }
@@ -387,7 +405,7 @@ impl HeapSize for SortedIndex {
     fn heap_bytes(&self) -> usize {
         self.order.heap_bytes()
             + self.cols.iter().map(HeapSize::heap_bytes).sum::<usize>()
-            + self.cols.capacity() * std::mem::size_of::<Vec<Value>>()
+            + self.cols.capacity() * std::mem::size_of::<Packed>()
     }
 }
 
@@ -445,7 +463,7 @@ mod tests {
         assert_eq!(ix.count(&[200], None), 1);
         assert_eq!(ix.count(&[100], Some((2, 3))), 2);
         // Columns are sorted lexicographically in the permuted order.
-        let c0 = ix.col(0);
+        let c0: Vec<Value> = ix.col(0).iter().collect();
         assert!(c0.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -625,8 +643,39 @@ mod tests {
         ix.merge_insert(&[vec![5u64, 1], vec![2, 9]]);
         assert_eq!(ix.len(), 2);
         // Depth 0 is schema column 1: sorted as (1,5), (9,2).
-        assert_eq!(ix.col(0), &[1, 9]);
-        assert_eq!(ix.col(1), &[5, 2]);
+        assert!(ix.col(0).iter().eq([1, 9]));
+        assert!(ix.col(1).iter().eq([5, 2]));
         assert_eq!(ix.count(&[9], None), 1);
+    }
+
+    /// A delta that puts a value past 2¹⁶ into one column widens that
+    /// column, and only it, from 16 to 32 bits; its inverse narrows it
+    /// back. Every step equals a fresh build to the byte and the width.
+    #[test]
+    fn merges_take_a_rebuilds_widths() {
+        let rows: Vec<Tuple> = (0..200u64).map(|i| vec![i % 50, 300 + i * 7]).collect();
+        let mut rel = Relation::new("R", 2, rows);
+        let order = [1, 0];
+        let widths = |ix: &SortedIndex| [ix.col(0).width(), ix.col(1).width()];
+        let mut ix = SortedIndex::build(&rel, &order);
+        assert_eq!(widths(&ix), [16, 8]);
+        let before_bytes = ix.heap_bytes();
+
+        let wide = vec![vec![7u64, 70_000], vec![8, 65_536]];
+        let fresh: Vec<Tuple> = ix.fresh_from(&wide).unwrap().into_iter().cloned().collect();
+        ix.merge_insert(&fresh);
+        rel.insert_tuples(&wide);
+        let rebuilt = SortedIndex::build(&rel, &order);
+        assert_eq!(widths(&ix), [32, 8]);
+        assert_eq!((ix.col(0), ix.col(1)), (rebuilt.col(0), rebuilt.col(1)));
+        assert_eq!(ix.heap_bytes(), rebuilt.heap_bytes());
+
+        let stale: Vec<Tuple> = ix.stale_from(&wide).unwrap().into_iter().cloned().collect();
+        ix.merge_remove(&stale);
+        rel.remove_tuples(&wide);
+        let rebuilt = SortedIndex::build(&rel, &order);
+        assert_eq!(widths(&ix), [16, 8]);
+        assert_eq!((ix.col(0), ix.col(1)), (rebuilt.col(0), rebuilt.col(1)));
+        assert_eq!(ix.heap_bytes(), before_bytes);
     }
 }

@@ -8,6 +8,7 @@
 //! already-sorted inputs (the adoption fast path), and value domains from
 //! single-byte to the full `u64` range (1–8 radix passes per column).
 
+use cqc_common::packed::{byte_width_for, Packed};
 use cqc_common::value::{lex_cmp, Value};
 use cqc_storage::{Relation, SortedIndex};
 
@@ -33,6 +34,15 @@ fn reference_index(rel: &Relation, order: &[usize]) -> Vec<Vec<Value>> {
     (0..order.len())
         .map(|d| rows.iter().map(|r| r[d]).collect())
         .collect()
+}
+
+/// A packed index column holds exactly `expect`, at the whole word size
+/// its largest value needs (the `u64::MAX - 1` domain keeps width 64
+/// covered).
+fn assert_column(col: &Packed, expect: &[Value], what: &str) {
+    assert!(col.iter().eq(expect.iter().copied()), "{what}");
+    let max = expect.iter().copied().max().unwrap_or(0);
+    assert_eq!(col.width(), byte_width_for(max), "{what}");
 }
 
 /// All attribute orders exercised per arity (identity, reversed, one
@@ -68,10 +78,10 @@ fn sorted_index_matches_comparison_reference() {
             let expect = reference_index(&rel, &order);
             assert_eq!(ix.len(), rel.len(), "trial {trial} order {order:?}");
             for (d, col) in expect.iter().enumerate() {
-                assert_eq!(
+                assert_column(
                     ix.col(d),
-                    &col[..],
-                    "trial {trial} order {order:?} depth {d}"
+                    col,
+                    &format!("trial {trial} order {order:?} depth {d}"),
                 );
             }
         }
@@ -95,7 +105,7 @@ fn sorted_index_duplicate_heavy_columns() {
         let ix = SortedIndex::build(&rel, &order);
         let expect = reference_index(&rel, &order);
         for (d, col) in expect.iter().enumerate() {
-            assert_eq!(ix.col(d), &col[..], "order {order:?} depth {d}");
+            assert_column(ix.col(d), col, &format!("order {order:?} depth {d}"));
         }
     }
 }

@@ -143,6 +143,15 @@ cqe \
     tee "$OUT/extremes.out"
 grep -Eq "repr: +theorem 2: 1 bags \(0 delay-tuned" "$OUT/extremes.out"
 grep -Eq "repr: +theorem 1: τ = inf.*tree 1 nodes.*dictionary 0 heavy pairs" "$OUT/extremes.out"
+# Theorem 1's |D| term at its data's width: `direct` holds nothing but the
+# tries and the grid, each column at the whole word size of its largest
+# value (node ids below 40: 8 bits). This triangle (|D| = 1 062) prints
+# `base indexes 2920 B` = 2.7 B/tuple; at 8 B a value it printed 18 200 B
+# (17.1 B/tuple), and a single `u64` column left in place — depth 0 of
+# every trie — prints 10 344 B (9.7 B/tuple). The gate is 4.
+d_base="$(grep -E 'τ = inf' "$OUT/extremes.out" | grep -Eo 'base indexes [0-9]+ B' | grep -Eo '[0-9]+')"
+d_size="$(grep -Eo '\|D\| = [0-9]+' "$OUT/extremes.out" | head -n 1 | grep -Eo '[0-9]+')"
+awk -v b="$d_base" -v n="$d_size" 'BEGIN { exit !(b != "" && n > 0 && b / n < 4) }'
 
 step "chaos (replicated fleet under scripted faults)"
 harness chaos
