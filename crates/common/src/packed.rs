@@ -166,10 +166,17 @@ impl Packed {
 
     /// The window of a value in the column's last 7 bytes, where the one
     /// at its first byte would run past the end: the last 8 bytes, shifted
-    /// so the value starts where [`Packed::get`] expects it.
+    /// so the value starts where [`Packed::get`] expects it. A read past the
+    /// buffer ends here and must panic, in release too: the shift below
+    /// would wrap and return another value.
     #[cold]
     #[inline(never)]
     fn last_window(&self, bit: usize) -> u64 {
+        assert!(
+            bit < 8 * self.bytes.len(),
+            "bit {bit} past a column of {} bytes",
+            self.bytes.len()
+        );
         let at = self.bytes.len() - 8;
         let window: [u8; 8] = self.bytes[at..].try_into().expect("8 bytes");
         u64::from_le_bytes(window) >> (bit - 8 * at - bit % 8)
@@ -466,6 +473,9 @@ mod tests {
         assert_eq!(p, Packed::default());
     }
 
+    /// In release as in debug: there only `last_window`'s assert stands
+    /// between a read past the buffer and another value, so
+    /// `kick-tires.sh` runs this module under `--release` too.
     #[test]
     #[should_panic]
     fn reading_past_the_last_word_panics() {

@@ -1,39 +1,33 @@
-//! The unified front door: strategy selection and a single answer
-//! interface.
+//! The unified front door: one answer interface over the concrete
+//! recipes.
 //!
-//! `CompressedView` wraps every representation in the workspace —
-//! Proposition 1's all-bound structure and the Theorem 1/2 structures —
-//! behind one `answer_into`/`exists`/space-accounting API, after applying
-//! the Example 3 rewrite so that constants and repeated variables are
-//! always accepted. Every other recipe is one of those two theorems at a
-//! fixed knob: the factorized representation of Propositions 2/4 and
-//! §2.3's "materialize and index" extreme are Theorem 2 at δ ≡ 0 (over a
-//! width-minimal decomposition and over `{V_b} → {V}`), and §2.3's
-//! "answer directly" extreme is Theorem 1 at τ = ∞.
+//! `CompressedView` wraps the two structures of the paper — Theorem 1 and
+//! Theorem 2 — behind one `answer_into`/`exists`/space-accounting API,
+//! after applying the Example 3 rewrite so that constants and repeated
+//! variables are always accepted. Every recipe is one of those two
+//! theorems at a fixed knob: the factorized representation of
+//! Propositions 2/4 and §2.3's "materialize and index" extreme are
+//! Theorem 2 at δ ≡ 0 (over a width-minimal decomposition and over
+//! `{V_b} → {V}`), §2.3's "answer directly" extreme is Theorem 1 at
+//! τ = ∞, and Proposition 1's all-bound view is Theorem 2 over the one-bag
+//! decomposition `{V_b}`, whose root checks are its membership probes.
+//! Choosing a recipe — budgets, LP covers, decomposition search — is the
+//! planner's job (`cqc_engine::policy::select`), not this module's.
 
-use crate::bound_only::BoundOnlyView;
 use crate::theorem1::Theorem1Structure;
 use crate::theorem2::Theorem2Structure;
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
 use cqc_common::value::Value;
 use cqc_decomp::TreeDecomposition;
-use cqc_lp::fractional::{min_delay_cover, min_space_cover};
+use cqc_lp::fractional::min_space_cover;
 use cqc_query::rewrite::rewrite_view;
 use cqc_query::AdornedView;
 use cqc_storage::Database;
 
-/// How to compress a view.
+/// How to compress a view: a concrete recipe, every knob given.
 #[derive(Debug, Clone)]
 pub enum Strategy {
-    /// Pick automatically: all-bound patterns get Prop. 1; otherwise
-    /// [`Strategy::Factorized`] (constant delay at `fhw(H|V_b)` space)
-    /// when no budget is given, or [`Strategy::Decomposed`] under the
-    /// given space budget exponent.
-    Auto {
-        /// Optional space budget as an exponent of `|D|`.
-        space_budget_exp: Option<f64>,
-    },
     /// The §2.3 extreme "materialize and index": Theorem 2 at δ ≡ 0 over
     /// the two-bag decomposition `{V_b} → {V_b ∪ V_f}`, whose one
     /// materialized bag is `Q(D)` keyed by the bound prefix.
@@ -49,18 +43,6 @@ pub enum Strategy {
         tau: f64,
         /// Optional explicit fractional edge cover (one weight per atom).
         weights: Option<Vec<f64>>,
-    },
-    /// Theorem 1 under a space budget: MinDelayCover (§6, Prop. 11) picks
-    /// the cover and the smallest τ whose structure fits in
-    /// `|D|^{space_budget_exp}`.
-    TradeoffBudget {
-        /// Space budget as an exponent of `|D|`.
-        space_budget_exp: f64,
-    },
-    /// Theorem 2 with a searched decomposition under a space budget.
-    Decomposed {
-        /// Space budget as an exponent of `|D|`.
-        space_budget_exp: f64,
     },
     /// Theorem 2 over an explicit decomposition and delay assignment.
     DecomposedExplicit {
@@ -78,11 +60,9 @@ pub enum Strategy {
 /// requests.
 #[derive(Debug)]
 pub enum CompressedView {
-    /// Proposition 1 (all head variables bound).
-    BoundOnly(BoundOnlyView),
     /// Theorem 1 structure.
     Tradeoff(Theorem1Structure),
-    /// Theorem 2 structure.
+    /// Theorem 2 structure (an all-bound view's included: Prop. 1).
     Decomposed(Theorem2Structure),
     /// A view proven empty during rewriting (a ground atom failed).
     AlwaysEmpty(AdornedView),
@@ -136,18 +116,16 @@ impl CompressedView {
         let db = &rewritten.database;
         view.query().require_natural_join()?;
 
-        // All-bound views answer by membership under every strategy
-        // (Prop. 1): Theorem 1 has no free variable to build a tree over,
-        // and Theorem 2 would reduce to its root checks.
-        if view.mu() == 0 {
-            return Ok(CompressedView::BoundOnly(BoundOnlyView::build(view, db)?));
-        }
-
-        match strategy {
+        // An all-bound view is Prop. 1 under every recipe: the one-bag
+        // decomposition `{V_b}`, whose root checks probe every relation.
+        // Theorem 1 has no free variable to build a tree over.
+        let strategy = if view.mu() == 0 {
             Strategy::Factorized
-            | Strategy::Auto {
-                space_budget_exp: None,
-            } => Ok(CompressedView::Decomposed(
+        } else {
+            strategy
+        };
+        match strategy {
+            Strategy::Factorized => Ok(CompressedView::Decomposed(
                 Theorem2Structure::build_constant_delay(view, db)?,
             )),
             Strategy::Materialize => {
@@ -198,34 +176,6 @@ impl CompressedView {
                     view, db, &weights, tau, pool,
                 )?))
             }
-            Strategy::TradeoffBudget { space_budget_exp } => {
-                let query = view.query();
-                let h = query.hypergraph();
-                let log_sizes: Vec<f64> = query
-                    .atoms
-                    .iter()
-                    .map(|a| {
-                        let n = db.require(&a.relation).map(|r| r.len().max(2));
-                        n.map(|n| (n as f64).ln())
-                    })
-                    .collect::<Result<_>>()?;
-                let log_budget = space_budget_exp * (db.size().max(2) as f64).ln();
-                let choice = min_delay_cover(&h, view.free_vars(), &log_sizes, log_budget)?;
-                let tau = choice.log_tau.exp().max(1.0);
-                Ok(CompressedView::Tradeoff(Theorem1Structure::build_pooled(
-                    view,
-                    db,
-                    &choice.weights,
-                    tau,
-                    pool,
-                )?))
-            }
-            Strategy::Decomposed { space_budget_exp }
-            | Strategy::Auto {
-                space_budget_exp: Some(space_budget_exp),
-            } => Ok(CompressedView::Decomposed(
-                Theorem2Structure::build_with_budget(view, db, space_budget_exp)?,
-            )),
             Strategy::DecomposedExplicit { td, delta } => Ok(CompressedView::Decomposed(
                 Theorem2Structure::build(view, db, &td, &delta)?,
             )),
@@ -239,7 +189,6 @@ impl CompressedView {
     /// performs zero heap allocations per answer.
     pub fn enumerator(&self) -> ViewEnumerator<'_> {
         match self {
-            CompressedView::BoundOnly(s) => ViewEnumerator::BoundOnly { s, key: Vec::new() },
             CompressedView::Tradeoff(s) => ViewEnumerator::Tradeoff(s.enumerator()),
             CompressedView::Decomposed(s) => ViewEnumerator::Decomposed(s.enumerator()),
             CompressedView::AlwaysEmpty(v) => ViewEnumerator::AlwaysEmpty(v),
@@ -276,11 +225,6 @@ impl CompressedView {
     /// view.
     pub fn describe(&self) -> String {
         match self {
-            CompressedView::BoundOnly(s) => format!(
-                "bound-only (Prop 1): {} membership relations, {} heap bytes",
-                s.view().query().atoms.len(),
-                s.heap_bytes()
-            ),
             CompressedView::Tradeoff(s) => {
                 let st = s.stats();
                 let per = |bytes: usize, n: usize| bytes as f64 / n.max(1) as f64;
@@ -378,7 +322,6 @@ impl CompressedView {
     /// A short name of the structure in use (for reports).
     pub fn strategy_name(&self) -> &'static str {
         match self {
-            CompressedView::BoundOnly(_) => "bound-only (Prop 1)",
             CompressedView::Tradeoff(_) => "theorem-1",
             CompressedView::Decomposed(_) => "theorem-2",
             CompressedView::AlwaysEmpty(_) => "always-empty",
@@ -389,7 +332,6 @@ impl CompressedView {
 impl HeapSize for CompressedView {
     fn heap_bytes(&self) -> usize {
         match self {
-            CompressedView::BoundOnly(s) => s.heap_bytes(),
             CompressedView::Tradeoff(s) => s.heap_bytes(),
             CompressedView::Decomposed(s) => s.heap_bytes(),
             CompressedView::AlwaysEmpty(_) => 0,
@@ -398,21 +340,14 @@ impl HeapSize for CompressedView {
 }
 
 /// Unified reusable enumerator (see [`CompressedView::enumerator`]): each
-/// variant is the structure's own cursor, or a borrow of the structure
-/// where answering needs no scratch.
+/// variant is the structure's own cursor, or a borrow of the view where
+/// answering needs no scratch.
 ///
 /// Theorem 1's cursor is the large variant and stays inline: one
 /// enumerator serves a whole request stream from the caller's stack, and
 /// a box would cost an allocation per enumerator.
 #[allow(clippy::large_enum_variant)]
 pub enum ViewEnumerator<'a> {
-    /// Proposition 1 membership probes.
-    BoundOnly {
-        /// The structure.
-        s: &'a BoundOnlyView,
-        /// Reused per-atom probe key.
-        key: Vec<Value>,
-    },
     /// Algorithm 2 with reusable enumeration scratch.
     Tradeoff(crate::theorem1::Theorem1Iter<'a>),
     /// Algorithm 5 with reusable odometer scratch.
@@ -435,7 +370,6 @@ impl ViewEnumerator<'_> {
         sink: &mut impl cqc_common::AnswerSink,
     ) -> Result<()> {
         match self {
-            ViewEnumerator::BoundOnly { s, key } => s.answer_into(bound_values, key, sink),
             ViewEnumerator::Tradeoff(it) => it.answer_into(bound_values, sink),
             ViewEnumerator::Decomposed(it) => it.answer_into(bound_values, sink),
             ViewEnumerator::AlwaysEmpty(v) => v.check_access(bound_values),
@@ -444,7 +378,7 @@ impl ViewEnumerator<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cqc_common::value::{lex_cmp, Tuple};
     use cqc_join::naive::evaluate_view;
@@ -478,34 +412,39 @@ mod tests {
         block.to_tuples()
     }
 
+    /// What the planner resolves a space budget to: Theorem 2 over the
+    /// decomposition minimizing δ-height under `|D|^budget_exp` (§6).
+    pub(crate) fn decomposed(view: &AdornedView, budget_exp: f64) -> Strategy {
+        let objective = cqc_decomp::Objective::MinimizeHeightUnderBudget { budget_exp };
+        let h = view.query().hypergraph();
+        let found = cqc_decomp::search_connex(&h, view.bound_vars(), objective).unwrap();
+        Strategy::DecomposedExplicit {
+            td: found.td,
+            delta: found.delta,
+        }
+    }
+
     #[test]
     fn every_strategy_matches_oracle_on_triangle() {
         let db = triangle_db();
-        let strategies: Vec<Strategy> = vec![
-            Strategy::Materialize,
-            Strategy::Direct,
-            Strategy::Tradeoff {
-                tau: 1.0,
-                weights: None,
-            },
-            Strategy::Tradeoff {
-                tau: 3.0,
-                weights: Some(vec![0.5, 0.5, 0.5]),
-            },
-            Strategy::Factorized,
-            Strategy::Auto {
-                space_budget_exp: None,
-            },
-            Strategy::Auto {
-                space_budget_exp: Some(1.2),
-            },
-            Strategy::Decomposed {
-                space_budget_exp: 1.5,
-            },
-        ];
         for pattern in ["bfb", "fff", "bbf"] {
             let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", pattern).unwrap();
             let nb = pattern.chars().filter(|c| *c == 'b').count();
+            let strategies: Vec<Strategy> = vec![
+                Strategy::Materialize,
+                Strategy::Direct,
+                Strategy::Tradeoff {
+                    tau: 1.0,
+                    weights: None,
+                },
+                Strategy::Tradeoff {
+                    tau: 3.0,
+                    weights: Some(vec![0.5, 0.5, 0.5]),
+                },
+                Strategy::Factorized,
+                decomposed(&view, 1.2),
+                decomposed(&view, 1.5),
+            ];
             for strat in &strategies {
                 let cv = CompressedView::build(&view, &db, strat.clone()).unwrap();
                 let mut reqs: Vec<Vec<Value>> = vec![vec![]];
@@ -531,7 +470,7 @@ mod tests {
                     // by the structure, and never deduplicate.
                     if matches!(
                         strat,
-                        Strategy::Factorized | Strategy::Decomposed { .. } | Strategy::Auto { .. }
+                        Strategy::Factorized | Strategy::DecomposedExplicit { .. }
                     ) {
                         got.sort_unstable_by(|a, b| lex_cmp(a, b));
                     }
@@ -546,21 +485,38 @@ mod tests {
         }
     }
 
+    /// An all-bound view is Prop. 1 under every recipe: Theorem 2 over the
+    /// one-bag decomposition `{V_b}`, no bag below the root, its root
+    /// checks probing every relation. Access arity is still validated.
     #[test]
     fn bound_only_dispatch() {
         let db = triangle_db();
         let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bbb").unwrap();
-        let cv = CompressedView::build(
-            &view,
-            &db,
-            Strategy::Auto {
-                space_budget_exp: None,
-            },
-        )
-        .unwrap();
-        assert_eq!(cv.strategy_name(), "bound-only (Prop 1)");
-        assert!(cv.exists(&[1, 2, 3]).unwrap());
-        assert!(!cv.exists(&[1, 1, 1]).unwrap());
+        let tau = Strategy::Tradeoff {
+            tau: 2.0,
+            weights: None,
+        };
+        let recipes = [
+            Strategy::Materialize,
+            Strategy::Direct,
+            tau,
+            Strategy::Factorized,
+            decomposed(&view, 1.5),
+        ];
+        for strat in recipes {
+            let cv = CompressedView::build(&view, &db, strat.clone()).unwrap();
+            assert!(
+                matches!(&cv, CompressedView::Decomposed(s) if s.stats().bags == 0),
+                "{strat:?}: {}",
+                cv.describe()
+            );
+            assert!(cv.describe().starts_with("theorem 2: 0 bags"), "{strat:?}");
+            assert!(cv.exists(&[1, 2, 3]).unwrap());
+            assert!(!cv.exists(&[1, 1, 1]).unwrap());
+            assert_eq!(answers(&cv, &[1, 2, 3]), vec![Vec::<Value>::new()]);
+            assert!(answers(&cv, &[1, 1, 1]).is_empty());
+            assert!(cv.exists(&[1, 2]).is_err(), "{strat:?}: access arity");
+        }
     }
 
     #[test]
@@ -614,47 +570,6 @@ mod tests {
     }
 
     #[test]
-    fn tradeoff_budget_strategy_picks_lp_optimum() {
-        // A database large enough that Π|R_F|^{u_F} clears the linear
-        // budget (the asymptotic regime the §6 program reasons about).
-        let mut db = Database::new();
-        let mut rng = cqc_workload::rng(71);
-        for name in ["R", "S", "T"] {
-            db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 150, 25))
-                .unwrap();
-        }
-        let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bfb").unwrap();
-        // τ must shrink monotonically as the budget grows, reaching ≈ 1.
-        let mut taus = Vec::new();
-        for budget in [1.0, 1.5, 3.0] {
-            let cv = CompressedView::build(
-                &view,
-                &db,
-                Strategy::TradeoffBudget {
-                    space_budget_exp: budget,
-                },
-            )
-            .unwrap();
-            let CompressedView::Tradeoff(t) = &cv else {
-                panic!("expected theorem 1")
-            };
-            taus.push(t.tau());
-            // Correctness at every budget.
-            for x in 0..8u64 {
-                let expect = evaluate_view(&view, &db, &[x, (x + 3) % 25]).unwrap();
-                let got = answers(&cv, &[x, (x + 3) % 25]);
-                assert_eq!(got, expect, "budget {budget}");
-            }
-        }
-        assert!(
-            taus[0] >= taus[1] - 1e-9 && taus[1] >= taus[2] - 1e-9,
-            "{taus:?}"
-        );
-        assert!(taus[0] > 1.5, "tight budget needs real delay: {taus:?}");
-        assert!(taus[2] <= 1.5, "generous budget ⇒ τ ≈ 1: {taus:?}");
-    }
-
-    #[test]
     fn describe_mentions_the_knobs() {
         let db = triangle_db();
         let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bfb").unwrap();
@@ -682,14 +597,7 @@ mod tests {
         assert!(d.contains("theorem 1: τ = inf"), "{d}");
         assert!(d.contains("tree 1 nodes"), "{d}");
         assert!(d.contains("dictionary 0 heavy pairs"), "{d}");
-        let cv = CompressedView::build(
-            &view,
-            &db,
-            Strategy::Decomposed {
-                space_budget_exp: 1.5,
-            },
-        )
-        .unwrap();
+        let cv = CompressedView::build(&view, &db, decomposed(&view, 1.5)).unwrap();
         assert!(cv.describe().contains("theorem 2"), "{}", cv.describe());
     }
 

@@ -17,10 +17,11 @@
 //!   `Õ(|D| + Π|R_F|^{u_F}/τ^α)`, delay `Õ(τ)`;
 //! * [`theorem2::Theorem2Structure`] — Theorem 1 combined with
 //!   `V_b`-connex tree decompositions (Theorem 2): space `Õ(|D| + |D|^f)`,
-//!   delay `Õ(|D|^h)` for δ-width `f` and δ-height `h`;
-//! * [`bound_only::BoundOnlyView`] — Proposition 1 for all-bound views;
-//! * [`compressed::CompressedView`] — a unified front door that picks (or
-//!   is told) a strategy and exposes `answer_into`/`exists`/space
+//!   delay `Õ(|D|^h)` for δ-width `f` and δ-height `h`; at μ = 0 its
+//!   one-bag decomposition `{V_b}` is Proposition 1, every relation a
+//!   membership probe at the root;
+//! * [`compressed::CompressedView`] — a unified front door that builds a
+//!   concrete recipe and exposes `answer_into`/`exists`/space
 //!   accounting: answers leave a representation one way, driven into a
 //!   [`cqc_common::AnswerSink`] as borrowed slices. Its
 //!   [`compressed::ViewEnumerator`] is the reusable form of the same
@@ -52,7 +53,6 @@
 #![warn(missing_docs)]
 
 mod bag;
-pub mod bound_only;
 pub mod compressed;
 pub mod cost;
 pub mod dbtree;
@@ -63,7 +63,6 @@ pub mod split;
 pub mod theorem1;
 pub mod theorem2;
 
-pub use bound_only::BoundOnlyView;
 pub use compressed::{CompressedView, Strategy, ViewEnumerator};
 pub use maintain::{MaintainOutcome, MaintainReport};
 pub use theorem1::{Theorem1Stats, Theorem1Structure};

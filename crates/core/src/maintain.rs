@@ -49,10 +49,11 @@
 //!
 //! * the Theorem 2 structure (the factorized d-tree and the `materialize`
 //!   recipe's one bag are its δ ≡ 0 cases) re-derives only the bags touched
-//!   by the delta plus their ancestors and re-runs the semijoin fixup
-//!   restricted to that set
-//!   ([`crate::theorem2::Theorem2Structure::maintained`]);
-//! * the Prop. 1 bound-only structure re-snapshots touched relations;
+//!   by the delta plus their ancestors, re-runs the semijoin fixup
+//!   restricted to that set and re-takes its root checks from the
+//!   post-delta database
+//!   ([`crate::theorem2::Theorem2Structure::maintained`]) — for an
+//!   all-bound view (Prop. 1, no bag below the root) that is all it does;
 //! * always-empty views re-derive their ground guards.
 //!
 //! When the preconditions fail — the Theorem 1 grid shifted, or the view
@@ -232,18 +233,6 @@ impl CompressedView {
                             affected_nodes: rebuilt_bags,
                             ..base_report()
                         },
-                    }),
-                    None => irreconcilable(),
-                }
-            }
-            CompressedView::BoundOnly(s) => {
-                if needs_rewrite {
-                    return rewrite_rebuild();
-                }
-                match s.maintained(db)? {
-                    Some(v) => Ok(MaintainOutcome::Maintained {
-                        view: Box::new(CompressedView::BoundOnly(v)),
-                        report: base_report(),
                     }),
                     None => irreconcilable(),
                 }
@@ -745,16 +734,15 @@ mod tests {
     /// included — must ask for a rebuild instead.
     #[test]
     fn maintained_matches_rebuild_on_mixed_deltas_all_strategies() {
-        // The grid, with the row's Theorem 1 cover (`None`: the LP's).
-        let strategies = |weights: Option<Vec<f64>>| {
+        // The grid, with the row's Theorem 1 cover (`None`: the LP's) and
+        // the decomposition the planner resolves `decomposed:1.5` to.
+        let strategies = |view: &AdornedView, weights: Option<Vec<f64>>| {
             vec![
                 Strategy::Materialize,
                 Strategy::Direct,
                 Strategy::Tradeoff { tau: 2.0, weights },
                 Strategy::Factorized,
-                Strategy::Decomposed {
-                    space_budget_exp: 1.5,
-                },
+                crate::compressed::tests::decomposed(view, 1.5),
             ]
         };
         // (label, view, pre-delta database, delta, bound values to request,
@@ -810,9 +798,11 @@ mod tests {
         rows.push(("2-path".into(), path2, db, delta, vec![vec![]], false, None));
 
         for (label, view, db, delta, requests, domain_safe, cover) in &rows {
-            for strat in &strategies(cover.clone()) {
-                let head_order =
-                    !matches!(strat, Strategy::Factorized | Strategy::Decomposed { .. });
+            for strat in &strategies(view, cover.clone()) {
+                let head_order = !matches!(
+                    strat,
+                    Strategy::Factorized | Strategy::DecomposedExplicit { .. }
+                );
                 let comparable = |mut got: Vec<Tuple>| {
                     if !head_order {
                         got.sort_unstable();
@@ -975,31 +965,27 @@ mod tests {
         ));
     }
 
-    /// All-bound views (Prop. 1) maintain by re-snapshotting touched
-    /// relations; membership must track the post-delta database.
+    /// All-bound views (Prop. 1, Theorem 2 with no bag below the root)
+    /// maintain by re-taking their root checks from the post-delta
+    /// database; membership must track it.
     #[test]
     fn bound_only_maintained_tracks_membership() {
         let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bbb").unwrap();
         let mut db = triangle_db(40, 8, 21);
-        let built = CompressedView::build(
-            &view,
-            &db,
-            Strategy::Auto {
-                space_budget_exp: None,
-            },
-        )
-        .unwrap();
-        assert_eq!(built.strategy_name(), "bound-only (Prop 1)");
+        let built = CompressedView::build(&view, &db, Strategy::Factorized).unwrap();
+        assert!(matches!(&built, CompressedView::Decomposed(s) if s.stats().bags == 0));
         let delta =
             cqc_workload::mixed_delta(&mut cqc_workload::rng(77), &db, &["R", "S", "T"], 3, 3);
         db.apply(&delta).unwrap();
         let outcome = built.maintain(&view, &db, &delta).unwrap();
         let MaintainOutcome::Maintained {
-            view: maintained, ..
+            view: maintained,
+            report,
         } = outcome
         else {
             panic!("expected maintenance, got {outcome:?}");
         };
+        assert_eq!(report.affected_nodes, 0, "no bag to re-derive");
         for x in 0..8u64 {
             for y in 0..8u64 {
                 for z in 0..8u64 {

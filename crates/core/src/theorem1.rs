@@ -62,8 +62,8 @@ impl Theorem1Structure {
     ///
     /// # Errors
     ///
-    /// Fails for non-natural-join views, views without free variables (use
-    /// `BoundOnlyView`), invalid covers, or `τ < 1` (NaN included). `τ = ∞`
+    /// Fails for non-natural-join views, views without free variables
+    /// (Prop. 1 is Theorem 2 over the root bag), invalid covers, or `τ < 1` (NaN included). `τ = ∞`
     /// is valid: a one-leaf tree, the direct-evaluation extreme of §2.3.
     pub fn build(
         view: &AdornedView,
@@ -100,7 +100,9 @@ impl Theorem1Structure {
         query.check_schema(db)?;
         if view.mu() == 0 {
             return Err(CqcError::Config(
-                "all head variables are bound; use BoundOnlyView (Prop. 1)".into(),
+                "all head variables are bound; Prop. 1 is Theorem 2 over the root bag \
+                 (Theorem2Structure::build_constant_delay)"
+                    .into(),
             ));
         }
         if tau.is_nan() || tau < 1.0 {

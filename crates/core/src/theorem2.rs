@@ -110,8 +110,9 @@ impl<'a> BagSource<'a> {
 
 /// The relations fully contained in `V_b`, checked per access request
 /// (§5.1: "a hash index that tests membership for every hyperedge of H
-/// contained in V_b"; sorted-relation membership is the same Õ(1)). The
-/// handles share the database's allocations.
+/// contained in V_b"; sorted-relation membership is the same Õ(1)) — for
+/// an all-bound view every relation, which is all of Prop. 1. The handles
+/// share the database's allocations.
 fn root_checks(view: &AdornedView, db: &Database) -> Result<Vec<(Arc<Relation>, Vec<Var>)>> {
     let vb = view.bound_vars();
     let mut checks = Vec::new();
@@ -128,6 +129,13 @@ fn root_checks(view: &AdornedView, db: &Database) -> Result<Vec<(Arc<Relation>, 
         }
     }
     Ok(checks)
+}
+
+/// What a root check reports for its relation: the content (name and
+/// rows) per holder — what a private exact-capacity copy would occupy —
+/// although the allocation is the database's.
+fn check_relation_bytes(rel: &Relation) -> usize {
+    rel.name().len() + rel.len() * rel.arity() * std::mem::size_of::<Value>()
 }
 
 /// The Theorem 2 compressed representation.
@@ -224,37 +232,20 @@ impl Theorem2Structure {
         Ok(s)
     }
 
-    /// End-to-end convenience: searches a decomposition minimizing the
-    /// δ-height under the space budget `|D|^{budget_exp}` and optimizes the
-    /// per-bag delays (§6).
-    pub fn build_with_budget(
-        view: &AdornedView,
-        db: &Database,
-        budget_exp: f64,
-    ) -> Result<Theorem2Structure> {
-        Self::build_searched(
-            view,
-            db,
-            Objective::MinimizeHeightUnderBudget { budget_exp },
-        )
-    }
-
     /// Propositions 2/4 end to end — the factorized (d-representation)
     /// recipe: a width-minimal connex decomposition with `δ ≡ 0`, so every
     /// bag is materialized and semijoin-reduced. Constant delay in
     /// `O(|D|^{fhw(H | V_b)})` space; linear for acyclic full enumeration.
+    /// For an all-bound view the decomposition is the root bag `{V_b}`
+    /// alone: Proposition 1, linear space and a membership probe per atom.
     pub fn build_constant_delay(view: &AdornedView, db: &Database) -> Result<Theorem2Structure> {
-        Self::build_searched(view, db, Objective::MinimizeWidth)
-    }
-
-    fn build_searched(
-        view: &AdornedView,
-        db: &Database,
-        objective: Objective,
-    ) -> Result<Theorem2Structure> {
         let query = view.query();
         query.require_natural_join()?;
-        let found = search_connex(&query.hypergraph(), view.bound_vars(), objective)?;
+        let found = search_connex(
+            &query.hypergraph(),
+            view.bound_vars(),
+            Objective::MinimizeWidth,
+        )?;
         Theorem2Structure::build(view, db, &found.td, &found.delta)
     }
 
@@ -691,7 +682,7 @@ impl HeapSize for Theorem2Structure {
             + self
                 .root_checks
                 .iter()
-                .map(|(r, v)| crate::bound_only::check_relation_bytes(r) + v.heap_bytes())
+                .map(|(r, v)| check_relation_bytes(r) + v.heap_bytes())
                 .sum::<usize>()
     }
 }
@@ -1043,11 +1034,21 @@ mod tests {
         }
     }
 
+    /// Theorem 2 over the decomposition the planner resolves a space
+    /// budget of `|D|^budget_exp` to: minimal δ-height, per-bag delays
+    /// optimized (§6).
+    fn build_budgeted(view: &AdornedView, db: &Database, budget_exp: f64) -> Theorem2Structure {
+        let objective = Objective::MinimizeHeightUnderBudget { budget_exp };
+        let h = view.query().hypergraph();
+        let found = search_connex(&h, view.bound_vars(), objective).unwrap();
+        Theorem2Structure::build(view, db, &found.td, &found.delta).unwrap()
+    }
+
     #[test]
     fn budget_constructor_end_to_end() {
         let (view, db) = path4();
         for budget in [1.0, 1.5, 2.0] {
-            let s = Theorem2Structure::build_with_budget(&view, &db, budget).unwrap();
+            let s = build_budgeted(&view, &db, budget);
             for a in 0..6u64 {
                 for b in 0..6u64 {
                     let expect = evaluate_view(&view, &db, &[a, b]).unwrap();
@@ -1188,6 +1189,11 @@ mod tests {
         assert_streams_naive(&s, &v, &db, (0..4u64).map(|x| vec![x]));
     }
 
+    /// Prop. 1 is the root bag alone: an all-bound request is in the view
+    /// iff every atom's projection of it is in its relation. Rows: one
+    /// atom over an explicit root-only decomposition; a 2-path and a
+    /// triangle over one relation used three times, each through the
+    /// factorized recipe (the search returns the root bag for them).
     #[test]
     fn boolean_view_checks_root_relations() {
         let mut db = Database::new();
@@ -1200,6 +1206,35 @@ mod tests {
         assert_eq!(got, vec![Vec::<Value>::new()]);
         // The check shares the database's relation; it is not a copy.
         assert!(Arc::ptr_eq(&s.root_checks[0].0, &db.get_arc("R").unwrap()));
+        assert!(s.exists(&[1]).is_err(), "access arity is validated");
+
+        // Membership: (x, y, z) is in the 2-path iff R(x, y) and S(y, z).
+        let mut db = Database::new();
+        db.add(Relation::from_pairs("R", vec![(1, 2), (2, 3)]))
+            .unwrap();
+        db.add(Relation::from_pairs("S", vec![(2, 3), (3, 4)]))
+            .unwrap();
+        let v = parse_adorned("Q(x, y, z) :- R(x, y), S(y, z)", "bbb").unwrap();
+        let s = Theorem2Structure::build_constant_delay(&v, &db).unwrap();
+        assert_eq!((s.stats().bags, s.root_checks.len()), (0, 2));
+        let keys = [vec![1, 2, 3], vec![2, 3, 4], vec![1, 2, 4], vec![9, 9, 9]];
+        assert_streams_naive(&s, &v, &db, keys);
+        let mut block = cqc_common::AnswerBlock::new();
+        let mut it = s.enumerator();
+        it.answer_into(&[1, 2, 3], &mut block).unwrap();
+        it.answer_into(&[1, 2, 4], &mut block).unwrap();
+        assert_eq!(block.to_tuples(), vec![Vec::<Value>::new()]);
+
+        // The self-join ∆^bbb: each atom probes `R` at its own positions.
+        let mut db = Database::new();
+        db.add(Relation::from_pairs("R", vec![(1, 2), (2, 3), (3, 1)]))
+            .unwrap();
+        let v = parse_adorned("Q(x, y, z) :- R(x, y), R(y, z), R(z, x)", "bbb").unwrap();
+        let s = Theorem2Structure::build_constant_delay(&v, &db).unwrap();
+        assert_eq!(s.root_checks.len(), 3);
+        assert!(s.exists(&[1, 2, 3]).unwrap());
+        assert!(!s.exists(&[2, 1, 3]).unwrap());
+        assert_streams_naive(&s, &v, &db, [vec![1, 2, 3], vec![2, 3, 1], vec![2, 1, 3]]);
     }
 
     #[test]
@@ -1387,7 +1422,7 @@ mod tests {
             db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 90, 10))
                 .unwrap();
         }
-        let build = |db: &Database| Theorem2Structure::build_with_budget(&view, db, 1.5).unwrap();
+        let build = |db: &Database| build_budgeted(&view, db, 1.5);
         let assert_answers_the_naive_join = |s: &Theorem2Structure, db: &Database, what: &str| {
             for a in 0..10u64 {
                 for b in 0..10u64 {

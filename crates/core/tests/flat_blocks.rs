@@ -18,13 +18,14 @@
 use cqc_common::value::{Tuple, Value};
 use cqc_common::{AnswerBlock, CountingSink, ExistsSink, FnSink};
 use cqc_core::{CompressedView, Strategy, ViewEnumerator};
+use cqc_decomp::{search_connex, Objective};
 use cqc_join::naive::{evaluate_full, evaluate_view};
 use cqc_query::parser::parse_adorned;
 use cqc_query::AdornedView;
 use cqc_storage::Database;
 
-/// The strategy grid exercised against every random instance.
-fn strategies() -> Vec<Strategy> {
+/// The strategy grid exercised against every random instance of `view`.
+fn strategies(view: &AdornedView) -> Vec<Strategy> {
     vec![
         Strategy::Materialize,
         Strategy::Direct,
@@ -41,27 +42,30 @@ fn strategies() -> Vec<Strategy> {
             tau: 1e6,
             weights: None,
         },
-        Strategy::Decomposed {
-            space_budget_exp: 1.5,
-        },
-        Strategy::Auto {
-            space_budget_exp: None,
-        },
+        decomposed(view, 1.5),
     ]
 }
 
-/// Builds `strat`'s representation of a view with a free variable. Both
-/// spellings of the factorized recipe must come out as Theorem 2 at δ ≡ 0;
+/// What the planner resolves `decomposed:<budget_exp>` to: Theorem 2 over
+/// the decomposition minimizing δ-height under `|D|^budget_exp` (§6).
+fn decomposed(view: &AdornedView, budget_exp: f64) -> Strategy {
+    let objective = Objective::MinimizeHeightUnderBudget { budget_exp };
+    let found = search_connex(&view.query().hypergraph(), view.bound_vars(), objective).unwrap();
+    Strategy::DecomposedExplicit {
+        td: found.td,
+        delta: found.delta,
+    }
+}
+
+/// Builds `strat`'s representation of a view with a free variable. The
+/// factorized recipe must come out as Theorem 2 at δ ≡ 0;
 /// `materialize` as Theorem 2 at δ ≡ 0 with one bag holding exactly the
 /// |Q(D)| rows of the full join; `direct` as Theorem 1 at τ = ∞ with one
 /// leaf and an empty dictionary.
 fn build(view: &AdornedView, db: &Database, strat: &Strategy) -> CompressedView {
     let cv = CompressedView::build(view, db, strat.clone()).unwrap();
     match strat {
-        Strategy::Factorized
-        | Strategy::Auto {
-            space_budget_exp: None,
-        } => assert!(
+        Strategy::Factorized => assert!(
             matches!(&cv, CompressedView::Decomposed(s) if s.stats().tradeoff_bags == 0),
             "{strat:?}: {}",
             cv.describe()
@@ -111,14 +115,15 @@ fn requests(nb: usize, grid: u64) -> Vec<Vec<Value>> {
 
 /// A served stream in the form the oracle is compared with: as served
 /// when the recipe promises head order, sorted — never deduplicated — for
-/// the recipes that search a decomposition (`factorized`, `decomposed`,
-/// `auto`). Keyed by the recipe, not the structure: `materialize` builds a
-/// Theorem 2 structure and is still compared unsorted.
+/// the recipes over a searched decomposition (`factorized`, and
+/// `decomposed` as the planner resolves it). Keyed by the recipe, not the
+/// structure: `materialize` builds a Theorem 2 structure and is still
+/// compared unsorted.
 fn comparable(strat: &Strategy, block: &AnswerBlock) -> Vec<Tuple> {
     let mut got = block.to_tuples();
     if matches!(
         strat,
-        Strategy::Factorized | Strategy::Decomposed { .. } | Strategy::Auto { .. }
+        Strategy::Factorized | Strategy::DecomposedExplicit { .. }
     ) {
         got.sort();
     }
@@ -190,7 +195,7 @@ fn triangle_views_match_naive_across_seeds() {
             let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", pattern).unwrap();
             let nb = pattern.matches('b').count();
             let reqs = requests(nb, 6);
-            for strat in strategies() {
+            for strat in strategies(&view) {
                 let cv = build(&view, &db, &strat);
                 let label = format!("triangle seed={seed} {pattern} {strat:?}");
                 check_against_naive(&cv, &strat, &view, &db, &reqs, &label);
@@ -208,7 +213,7 @@ fn path_views_match_naive() {
                 .unwrap();
             let nb = pattern.matches('b').count();
             let reqs = requests(nb, 5);
-            for strat in strategies() {
+            for strat in strategies(&view) {
                 let cv = build(&view, &db, &strat);
                 let label = format!("path seed={seed} {pattern} {strat:?}");
                 check_against_naive(&cv, &strat, &view, &db, &reqs, &label);
@@ -224,7 +229,7 @@ fn star_views_match_naive() {
         let view = parse_adorned("S(x1,x2,z) :- R1(x1,z), R2(x2,z)", pattern).unwrap();
         let nb = pattern.matches('b').count();
         let reqs = requests(nb, 6);
-        for strat in strategies() {
+        for strat in strategies(&view) {
             let cv = build(&view, &db, &strat);
             let label = format!("star {pattern} {strat:?}");
             check_against_naive(&cv, &strat, &view, &db, &reqs, &label);
@@ -241,15 +246,17 @@ type Row = (Strategy, CompressedView, AdornedView, Database);
 fn bound_only_and_always_empty() -> [Row; 2] {
     let db = random_db(41, &["R", "S"], 40, 6);
     let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", "bbb").unwrap();
-    let auto = Strategy::Auto {
-        space_budget_exp: None,
-    };
-    let bound_only = CompressedView::build(&view, &db, auto.clone()).unwrap();
-    assert!(matches!(bound_only, CompressedView::BoundOnly(_)));
-    // Every recipe resolves an all-bound view to Prop. 1.
-    for strat in strategies() {
+    // What the planner stores for an all-bound view.
+    let bound_only = CompressedView::build(&view, &db, Strategy::Factorized).unwrap();
+    // Every recipe resolves an all-bound view to Prop. 1: Theorem 2 over
+    // the root bag alone, every relation a root check.
+    for strat in strategies(&view) {
         let cv = CompressedView::build(&view, &db, strat.clone()).unwrap();
-        assert!(matches!(cv, CompressedView::BoundOnly(_)), "{strat:?}");
+        assert!(
+            matches!(&cv, CompressedView::Decomposed(s) if s.stats().bags == 0),
+            "{strat:?}: {}",
+            cv.describe()
+        );
     }
 
     let mut db2 = Database::new();
@@ -261,7 +268,7 @@ fn bound_only_and_always_empty() -> [Row; 2] {
     let always_empty = CompressedView::build(&view2, &db2, Strategy::Direct).unwrap();
     assert_eq!(always_empty.strategy_name(), "always-empty");
     [
-        (auto, bound_only, view, db),
+        (Strategy::Factorized, bound_only, view, db),
         (Strategy::Direct, always_empty, view2, db2),
     ]
 }
@@ -277,9 +284,10 @@ fn bound_only_and_always_empty_flat_paths() {
 /// An enumerator whose last request was stopped by its sink — at the first
 /// answer, or one answer into the stream — owes the next request that
 /// request's full answer: nothing of the abandoned stream may leak into
-/// it, for any of the four [`ViewEnumerator`] variants and every recipe
-/// that builds one (`materialize` and `factorized` both drive Theorem 2's
-/// odometer, `direct` and `tau:3` both Theorem 1's cursor).
+/// it, for any of the three [`ViewEnumerator`] variants and every recipe
+/// that builds one (`materialize`, `factorized` and an all-bound view all
+/// drive Theorem 2's odometer, `direct` and `tau:3` both Theorem 1's
+/// cursor).
 ///
 /// Sabotage check: deleting `self.join_active = false;` from
 /// `Theorem1Iter::start` (the abandoned request's join keeps draining
@@ -298,9 +306,7 @@ fn enumerator_stopped_early_serves_the_next_request_in_full() {
         Strategy::Direct,
         tradeoff,
         Strategy::Factorized,
-        Strategy::Decomposed {
-            space_budget_exp: 1.05,
-        },
+        decomposed(&view, 1.05),
     ] {
         rows.push((
             strat.clone(),
@@ -311,7 +317,6 @@ fn enumerator_stopped_early_serves_the_next_request_in_full() {
     }
     rows.extend(bound_only_and_always_empty());
     let variant = |e: &ViewEnumerator<'_>| match e {
-        ViewEnumerator::BoundOnly { .. } => "bound-only",
         ViewEnumerator::Tradeoff(_) => "tradeoff",
         ViewEnumerator::Decomposed(_) => "decomposed",
         ViewEnumerator::AlwaysEmpty(_) => "always-empty",
@@ -348,10 +353,7 @@ fn enumerator_stopped_early_serves_the_next_request_in_full() {
     }
     covered.sort_unstable();
     covered.dedup();
-    assert_eq!(
-        covered,
-        ["always-empty", "bound-only", "decomposed", "tradeoff"]
-    );
+    assert_eq!(covered, ["always-empty", "decomposed", "tradeoff"]);
 }
 
 #[test]

@@ -47,9 +47,12 @@
 //!   largest value. The `materialize` recipe's
 //!   one bag (`{V_b} → {V}` at δ ≡ 0, built through `CompressedView`) is
 //!   held to the same two rules on the 2-path and the 3-path `bbbf`;
-//! * Proposition 1 is the same rule with every relation inside `V_b`:
-//!   building an all-bound view over three relations grows live bytes by
-//!   less than one of them.
+//! * Proposition 1 is the same rule with every relation inside `V_b`: an
+//!   all-bound view, built through `CompressedView`, is Theorem 2 over the
+//!   root bag alone, so building it over three relations grows live bytes
+//!   by less than one of them, and `heap_bytes()` is, to the byte, each
+//!   relation's content plus the root checks' variable lists and the
+//!   bound head.
 //!
 //! Sabotage, checked once when the third gate was written: a structure
 //! that keeps its `CostEstimator` in a field, or one `Arc` to a
@@ -77,8 +80,8 @@
 //! (`Arc::new((*rel).clone())`) fails the `bbbf` row by 11.6 KB. The
 //! layout pin: a `u32` rank column left in place of the packed one
 //! (`Box<[u32]>` for `free`), or keys stored as full `u64` values, fails
-//! the `bff` row. For the sixth: `Arc::new((*rel).clone())` in
-//! `BoundOnlyView::build`.
+//! the `bff` row. For the sixth: the same deep copy in `root_checks`
+//! fails it, live bytes then exceeding the smallest relation.
 //!
 //! Everything is in one `#[test]` so no other test thread allocates while
 //! live bytes are being compared.
@@ -92,7 +95,7 @@ use cqc_core::dictionary::HeavyDictionary;
 use cqc_core::fbox::FInterval;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
-use cqc_core::{BoundOnlyView, CompressedView, Strategy};
+use cqc_core::{CompressedView, Strategy};
 use cqc_decomp::TreeDecomposition;
 use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
@@ -395,8 +398,12 @@ fn bound_only_holds_handles_not_copies() {
     }
     let view = cqc_workload::queries::path(3, "bbbb").unwrap();
     let before = live_bytes();
-    let s = BoundOnlyView::build(&view, &db).unwrap();
+    let cv = CompressedView::build(&view, &db, Strategy::Factorized).unwrap();
     let live = (live_bytes() - before) as usize;
+    let CompressedView::Decomposed(s) = &cv else {
+        panic!("an all-bound view is Theorem 2, got {}", cv.describe());
+    };
+    assert_eq!(s.stats().bags, 0, "{}", cv.describe());
     let content = |name: &str| name.len() + 8 * 2 * db.require(name).unwrap().len();
     let one_relation = content("R1").min(content("R2")).min(content("R3"));
     assert!(
@@ -404,12 +411,13 @@ fn bound_only_holds_handles_not_copies() {
         "an all-bound view over three relations holds {live} live bytes; the smallest \
          relation alone is {one_relation}"
     );
-    // It reports each relation's content per holder, plus its position
-    // lists (two positions each, in `Vec`'s smallest allocation of four).
-    let positions = 3 * 4 * std::mem::size_of::<usize>();
+    // It reports each relation's content per holder, plus each root
+    // check's two variables (in `Vec`'s smallest allocation of four) and
+    // the four bound head variables.
+    let vars = 3 * 4 * std::mem::size_of::<Var>() + 4 * std::mem::size_of::<Var>();
     assert_eq!(
-        s.heap_bytes(),
-        content("R1") + content("R2") + content("R3") + positions
+        cv.heap_bytes(),
+        content("R1") + content("R2") + content("R3") + vars
     );
 }
 

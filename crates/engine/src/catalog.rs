@@ -62,10 +62,6 @@ pub struct CatalogStats {
     /// Entries dropped because their epoch stamp was older than the
     /// database they were asked to serve (lazy lookups + explicit sweeps).
     pub invalidations: u64,
-    /// Entries refused at admission because their measured footprint
-    /// exceeded the admission threshold (they could never repay the
-    /// evictions they would force under the current budget).
-    pub admission_rejected: u64,
     /// Entries currently resident.
     pub entries: usize,
     /// Deterministic heap bytes currently resident.
@@ -144,9 +140,6 @@ pub struct Catalog {
     /// share the lock.
     build_locks: Mutex<FastMap<CatalogKey, Arc<Mutex<()>>>>,
     budget_bytes: usize,
-    /// Largest entry footprint admitted into the cache; `usize::MAX`
-    /// disables admission control (the historical behavior).
-    admit_max_bytes: usize,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -154,7 +147,6 @@ pub struct Catalog {
     maintained: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
-    admission_rejected: AtomicU64,
 }
 
 impl Catalog {
@@ -162,22 +154,10 @@ impl Catalog {
     /// (a single oversized entry is still admitted — the budget bounds
     /// *retained* memory, not the largest buildable view).
     pub fn new(budget_bytes: usize) -> Catalog {
-        Catalog::with_admission(budget_bytes, usize::MAX)
-    }
-
-    /// [`Catalog::new`] with **admission control**: an entry whose measured
-    /// footprint exceeds `admit_max_bytes` is refused outright instead of
-    /// cached. Under a tight budget an oversized entry would evict most of
-    /// the working set and itself be evicted on the next insertion, so it
-    /// can never repay its residency — refusing it keeps the rest of the
-    /// catalog warm (the caller still gets its freshly built view; it is
-    /// simply not retained). `usize::MAX` disables the check.
-    pub fn with_admission(budget_bytes: usize, admit_max_bytes: usize) -> Catalog {
         Catalog {
             inner: RwLock::new(Inner::default()),
             build_locks: Mutex::new(FastMap::default()),
             budget_bytes,
-            admit_max_bytes,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -185,7 +165,6 @@ impl Catalog {
             maintained: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
-            admission_rejected: AtomicU64::new(0),
         }
     }
 
@@ -257,17 +236,6 @@ impl Catalog {
     fn insert_at(&self, key: CatalogKey, view: Arc<CompressedView>, epoch: Epoch, build_ns: u64) {
         let bytes = std::mem::size_of::<CompressedView>() + view.heap_bytes();
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        if bytes > self.admit_max_bytes {
-            // Admission control: the entry can never repay the evictions it
-            // would force. Drop any stale resident predecessor (it will not
-            // be served either) and refuse the insertion.
-            self.admission_rejected.fetch_add(1, Ordering::Relaxed);
-            let mut inner = self.inner.write().expect("catalog lock poisoned");
-            if inner.map.get(&key).is_some_and(|s| s.epoch < epoch) {
-                inner.remove(&key);
-            }
-            return;
-        }
         let mut inner = self.inner.write().expect("catalog lock poisoned");
         // Never replace a fresher entry with an older build: a builder
         // racing a concurrent `update` may finish after the maintainer.
@@ -388,7 +356,6 @@ impl Catalog {
             maintained: self.maintained.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            admission_rejected: self.admission_rejected.load(Ordering::Relaxed),
             entries: inner.map.len(),
             resident_bytes: inner.resident_bytes,
             budget_bytes: self.budget_bytes,
@@ -410,7 +377,6 @@ impl std::fmt::Debug for Catalog {
             .field("maintained", &s.maintained)
             .field("evictions", &s.evictions)
             .field("invalidations", &s.invalidations)
-            .field("admission_rejected", &s.admission_rejected)
             .finish()
     }
 }

@@ -43,26 +43,19 @@ pub struct EngineConfig {
     /// Byte budget for the representation catalog (deterministic
     /// [`cqc_common::heap::HeapSize`] accounting).
     pub catalog_budget_bytes: usize,
-    /// Largest delta, as a fraction of `|D|`, that [`Engine::update`] will
-    /// try to absorb by maintenance instead of a rebuild. Above it the
-    /// localized repair no longer beats rebuilding — the cost model behind
-    /// maintenance assumes the delta is small relative to the structure.
-    pub maintain_max_delta_fraction: f64,
     /// Whether to calibrate maintain-versus-rebuild against measured wall
     /// times (pause maintenance for a key whose repair decisively loses to
     /// its own rebuild). On by default; tests that assert the maintain
     /// path deterministically turn it off, since wall clocks on a loaded
     /// machine can otherwise flip the decision.
     pub maintain_calibration: bool,
-    /// Admission threshold as a fraction of the catalog budget: an entry
-    /// whose measured footprint exceeds
-    /// `catalog_admit_fraction × catalog_budget_bytes` is never cached —
-    /// under the budget it would evict the working set and be evicted right
-    /// back, so it can never repay its residency. `INFINITY` (the default)
-    /// disables admission control; `1.0` refuses only entries larger than
-    /// the whole budget.
-    pub catalog_admit_fraction: f64,
 }
+
+/// Largest delta, as a fraction of `|D|`, that [`Engine::update`] will try
+/// to absorb by maintenance instead of a rebuild. Above it the localized
+/// repair no longer beats rebuilding — the cost model behind maintenance
+/// assumes the delta is small relative to the structure.
+const MAINTAIN_MAX_DELTA_FRACTION: f64 = 0.2;
 
 /// How many further deltas a key sits out after its maintenance was
 /// measured decisively slower than its own rebuild, before it is retried.
@@ -74,9 +67,7 @@ impl Default for EngineConfig {
             // Generous enough that eviction only happens under real
             // pressure; tests shrink it to force the eviction path.
             catalog_budget_bytes: 256 * 1024 * 1024,
-            maintain_max_delta_fraction: 0.2,
             maintain_calibration: true,
-            catalog_admit_fraction: f64::INFINITY,
         }
     }
 }
@@ -186,15 +177,10 @@ impl Engine {
 
     /// An engine over `db` with explicit tuning.
     pub fn with_config(db: Database, config: EngineConfig) -> Engine {
-        let admit_max_bytes = if config.catalog_admit_fraction.is_finite() {
-            (config.catalog_admit_fraction.max(0.0) * config.catalog_budget_bytes as f64) as usize
-        } else {
-            usize::MAX
-        };
         Engine {
             db: RwLock::new(Arc::new(db)),
             interner: Interner::new(),
-            catalog: Catalog::with_admission(config.catalog_budget_bytes, admit_max_bytes),
+            catalog: Catalog::new(config.catalog_budget_bytes),
             indexes: IndexPool::default(),
             views: RwLock::new(FastMap::default()),
             config,
@@ -464,8 +450,8 @@ impl Engine {
             .flatten()
             .map(<[_]>::len)
             .sum();
-        let too_large = touched_tuples as f64
-            > self.config.maintain_max_delta_fraction * (db.size().max(1) as f64);
+        let too_large =
+            touched_tuples as f64 > MAINTAIN_MAX_DELTA_FRACTION * (db.size().max(1) as f64);
         let deltas_now = self.upd_deltas.load(Ordering::Relaxed);
         let paused = {
             let mut paused = self

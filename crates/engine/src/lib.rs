@@ -18,8 +18,9 @@
 //!   pressure it evicts cost-aware (bytes ÷ measured rebuild time, LRU as
 //!   tie-break); entries carry epoch stamps and are invalidated — lazily
 //!   on lookup or by an explicit sweep — rather than ever served stale;
-//! * [`Policy`] / [`policy::select`] — auto strategy selection consulting
-//!   the width machinery, the §6 LP optimizers and the `T(·)` cost oracle;
+//! * [`Policy`] / [`policy::select`] — the planner: resolves `auto` and the
+//!   budget forms to a concrete `cqc_core::Strategy`, consulting the width
+//!   machinery, the §6 LP optimizers and the `T(·)` cost oracle;
 //! * [`BlockService::serve_into`] — the one way answers leave an engine:
 //!   one request's answers pushed into the caller's
 //!   [`cqc_common::AnswerSink`] (an [`cqc_common::AnswerBlock`] to keep

@@ -1,12 +1,17 @@
-//! Auto strategy selection.
+//! Strategy selection: the planner.
 //!
 //! Given an adorned view and a database, [`select`] resolves a [`Policy`]
-//! into a concrete [`Strategy`] by consulting the width machinery
+//! into a concrete [`Strategy`] — a recipe with every knob given, which
+//! `cqc_core` only builds — by consulting the width machinery
 //! (`cqc_decomp::width` via the decomposition search), the §6 LP optimizers
 //! (`cqc_lp::fractional`) and the concrete `T(·)` cost oracle
-//! (`cqc_core::cost`):
+//! (`cqc_core::cost`). The two budget forms resolve directly:
+//! [`Policy::TradeoffBudget`] to MinDelayCover's cover and τ,
+//! [`Policy::Decomposed`] to the decomposition of least δ-height. An
+//! [`Policy::Auto`] policy chooses:
 //!
-//! * all head variables bound → Proposition 1 membership structure;
+//! * all head variables bound → Proposition 1: Theorem 2 over the one-bag
+//!   decomposition `{V_b}`, whose root checks are its membership probes;
 //! * the connex fractional hypertree width fits the space budget → the
 //!   factorized representation (Props. 2/4): constant delay, done;
 //! * otherwise the two delay-tuned candidates are compared on their
@@ -28,11 +33,12 @@ use cqc_query::AdornedView;
 use cqc_storage::{Database, IndexPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Process-wide count of full auto-selection solves (LP cover + width
-/// search + cost-oracle veto). Bumped once per [`select`] call that
-/// resolves an [`Policy::Auto`]; `Fixed` passthroughs don't count. The
-/// sharded engine's plan-once registration is gated on this in tests: for
-/// `S` shards one register must add exactly 1, not `S`.
+/// Process-wide count of selection solves (LP cover, width search,
+/// cost-oracle veto — whichever the policy needs). Bumped once per
+/// [`select`] call that resolves an auto or budget policy; `Fixed`
+/// passthroughs don't count. The sharded engine's plan-once registration
+/// is gated on this in tests: for `S` shards one register must add
+/// exactly 1, not `S`.
 static SELECTION_SOLVES: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the cumulative auto-selection solve counter.
@@ -48,6 +54,19 @@ pub enum Policy {
     Auto {
         /// Optional space budget as an exponent of `|D|`.
         space_budget_exp: Option<f64>,
+    },
+    /// Theorem 1 under a space budget: MinDelayCover (§6, Prop. 11) picks
+    /// the cover and the smallest τ whose structure fits in
+    /// `|D|^{space_budget_exp}`.
+    TradeoffBudget {
+        /// Space budget as an exponent of `|D|`.
+        space_budget_exp: f64,
+    },
+    /// Theorem 2 over the decomposition of least δ-height under a space
+    /// budget, its per-bag delays optimized (§6).
+    Decomposed {
+        /// Space budget as an exponent of `|D|`.
+        space_budget_exp: f64,
     },
     /// Use exactly this strategy.
     Fixed(Strategy),
@@ -102,12 +121,12 @@ impl Policy {
                 tau: num(param)?,
                 weights: None,
             })),
-            "budget" => Ok(Policy::Fixed(Strategy::TradeoffBudget {
+            "budget" => Ok(Policy::TradeoffBudget {
                 space_budget_exp: num(param)?,
-            })),
-            "decomposed" => Ok(Policy::Fixed(Strategy::Decomposed {
+            }),
+            "decomposed" => Ok(Policy::Decomposed {
                 space_budget_exp: num(param)?,
-            })),
+            }),
             other => Err(CqcError::Config(format!(
                 "unknown strategy `{other}` (try: auto, auto:<b>, materialize, direct, \
                  factorized, tau:<t>, budget:<b>, decomposed:<b>)"
@@ -134,24 +153,12 @@ pub struct Selection {
 pub fn strategy_tag(strategy: &Strategy) -> String {
     let nums = |xs: &[f64]| xs.iter().map(f64::to_string).collect::<Vec<_>>().join(",");
     match strategy {
-        Strategy::Auto {
-            space_budget_exp: None,
-        } => "auto".into(),
-        Strategy::Auto {
-            space_budget_exp: Some(b),
-        } => format!("auto budget={b}"),
         Strategy::Materialize => "materialize".into(),
         Strategy::Direct => "direct".into(),
         Strategy::Tradeoff { tau, weights } => match weights {
             None => format!("theorem-1 τ={tau}"),
             Some(w) => format!("theorem-1 τ={tau} u=[{}]", nums(w)),
         },
-        Strategy::TradeoffBudget { space_budget_exp } => {
-            format!("theorem-1 budget={space_budget_exp}")
-        }
-        Strategy::Decomposed { space_budget_exp } => {
-            format!("theorem-2 budget={space_budget_exp}")
-        }
         Strategy::DecomposedExplicit { td, delta } => {
             format!("theorem-2 explicit bags={} δ=[{}]", td.len(), nums(delta))
         }
@@ -163,12 +170,12 @@ const EPS: f64 = 1e-6;
 
 /// Resolves `policy` for `view` over `db`.
 ///
-/// Auto policies are resolved **to a concrete plan**: the winning LP cover
-/// (with its τ) or decomposition (with its δ assignment) is embedded in
-/// the returned strategy, so building the representation — on this engine,
-/// or on every shard of a sharded engine — never re-runs the §6 programs.
-/// This is the plan-once contract: one `select` call per registration,
-/// however many shards build from it.
+/// Auto and budget policies are resolved **to a concrete plan**: the
+/// winning LP cover (with its τ) or decomposition (with its δ assignment)
+/// is embedded in the returned strategy, so building the representation —
+/// on this engine, or on every shard of a sharded engine — never re-runs
+/// the §6 programs. This is the plan-once contract: one `select` call per
+/// registration, however many shards build from it.
 ///
 /// # Errors
 ///
@@ -191,7 +198,10 @@ pub fn select_pooled(
     policy: &Policy,
     pool: &IndexPool,
 ) -> Result<Selection> {
-    let budget = match policy {
+    // A budget form keeps its tag whatever it resolves to: tags are
+    // catalog keys, and the budget tag is the one an `auto:<b>` selection
+    // of the same theorem carries, so the two share an entry.
+    let budget_tag = match policy {
         Policy::Fixed(s) => {
             return Ok(Selection {
                 strategy: s.clone(),
@@ -199,22 +209,34 @@ pub fn select_pooled(
                 reason: "fixed by caller".into(),
             });
         }
-        Policy::Auto { space_budget_exp } => *space_budget_exp,
+        Policy::Auto { .. } => None,
+        Policy::TradeoffBudget {
+            space_budget_exp: b,
+        } => Some(format!("theorem-1 budget={b}")),
+        Policy::Decomposed {
+            space_budget_exp: b,
+        } => Some(format!("theorem-2 budget={b}")),
     };
     SELECTION_SOLVES.fetch_add(1, Ordering::Relaxed);
+    // Nothing to choose: every recipe builds the same representation of
+    // an all-bound or always-empty view, so the selection stores the
+    // factorized one.
+    let no_choice = |tag: &str, reason: &str| {
+        Ok(Selection {
+            strategy: Strategy::Factorized,
+            tag: budget_tag.clone().unwrap_or_else(|| tag.into()),
+            reason: reason.into(),
+        })
+    };
 
     if view.mu() == 0 {
-        // Prop. 1: membership probes on linear-space indexes; no knob beats
-        // that for boolean access patterns.
-        return Ok(Selection {
-            strategy: Strategy::Auto {
-                space_budget_exp: None,
-            },
-            tag: "bound-only".into(),
-            reason: "all head variables bound → Prop. 1 membership structure \
-                     (linear space, O(1) per probe)"
-                .into(),
-        });
+        // Prop. 1: membership probes on the relations themselves; no knob
+        // beats that for boolean access patterns.
+        return no_choice(
+            "bound-only",
+            "all head variables bound → Prop. 1: theorem 2 over the root bag {V_b}, \
+             one membership probe per relation (linear space, O(1) per probe)",
+        );
     }
 
     // Analyze the Example 3 rewrite of the view, exactly as
@@ -224,35 +246,74 @@ pub fn select_pooled(
     // (build re-runs the same deterministic rewrite).
     let rewritten = rewrite_view(view, db)?;
     if rewritten.always_empty {
-        return Ok(Selection {
-            strategy: Strategy::Auto {
-                space_budget_exp: None,
-            },
-            tag: "always-empty".into(),
-            reason: "a ground atom fails on this database → the view is empty \
-                     regardless of strategy"
-                .into(),
-        });
+        return no_choice(
+            "always-empty",
+            "a ground atom fails on this database → the view is empty regardless of strategy",
+        );
     }
     let view = &rewritten.view;
     let db = &rewritten.database;
     if view.mu() == 0 {
         // The rewrite can absorb free variables (e.g. one repeated with a
         // bound variable): re-check the Prop. 1 case post-rewrite.
-        return Ok(Selection {
-            strategy: Strategy::Auto {
-                space_budget_exp: None,
-            },
-            tag: "bound-only".into(),
-            reason: "all head variables bound after the Example 3 rewrite → \
-                     Prop. 1 membership structure"
-                .into(),
-        });
+        return no_choice(
+            "bound-only",
+            "all head variables bound after the Example 3 rewrite → Prop. 1: theorem 2 \
+             over the root bag {V_b}",
+        );
     }
     let query = view.query();
     query.require_natural_join()?;
     query.check_schema(db)?;
     let h = query.hypergraph();
+    let n = db.size().max(2) as f64;
+    let log_sizes: Vec<f64> = query
+        .atoms
+        .iter()
+        .map(|a| {
+            db.require(&a.relation)
+                .map(|r| (r.len().max(2) as f64).ln())
+        })
+        .collect::<Result<_>>()?;
+
+    let budget = match *policy {
+        Policy::Auto { space_budget_exp } => space_budget_exp,
+        Policy::TradeoffBudget { space_budget_exp } => {
+            let log_budget = space_budget_exp * n.ln();
+            let choice = min_delay_cover(&h, view.free_vars(), &log_sizes, log_budget)?;
+            let t1_exp = (choice.log_tau / n.ln()).max(0.0);
+            return Ok(Selection {
+                strategy: concrete_tradeoff(&choice),
+                tag: budget_tag.expect("a budget form has its tag"),
+                reason: format!(
+                    "MinDelayCover delay |D|^{t1_exp:.2} under budget \
+                     |D|^{space_budget_exp:.2} → theorem-1 (cover solved once at selection)"
+                ),
+            });
+        }
+        Policy::Decomposed { space_budget_exp } => {
+            let decomp = search_connex(
+                &h,
+                view.bound_vars(),
+                Objective::MinimizeHeightUnderBudget {
+                    budget_exp: space_budget_exp,
+                },
+            )?;
+            return Ok(Selection {
+                strategy: Strategy::DecomposedExplicit {
+                    td: decomp.td,
+                    delta: decomp.delta,
+                },
+                tag: budget_tag.expect("a budget form has its tag"),
+                reason: format!(
+                    "least δ-height {:.2} under budget |D|^{space_budget_exp:.2} → theorem-2 \
+                     (decomposition solved once at selection)",
+                    decomp.score
+                ),
+            });
+        }
+        Policy::Fixed(_) => unreachable!("a fixed strategy is returned before the solve"),
+    };
 
     // Width consultation: the best connex decomposition ignoring delay.
     let width_search = search_connex(&h, view.bound_vars(), Objective::MinimizeWidth)?;
@@ -278,16 +339,6 @@ pub fn select_pooled(
     }
 
     // Delay-tuned candidates under the budget.
-    let n = db.size().max(2) as f64;
-    let log_sizes: Vec<f64> = query
-        .atoms
-        .iter()
-        .map(|a| {
-            db.require(&a.relation)
-                .map(|r| (r.len().max(2) as f64).ln())
-        })
-        .collect::<Result<_>>()?;
-
     // Theorem 1: MinDelayCover picks the cover and the smallest τ that fits.
     let t1 = min_delay_cover(&h, view.free_vars(), &log_sizes, target * n.ln());
     // Theorem 2: best decomposition minimizing δ-height under the budget.
@@ -381,11 +432,10 @@ pub fn select_pooled(
     }
 }
 
-/// The winning MinDelayCover choice as an explicit Theorem 1 strategy —
-/// exactly what `CompressedView::build` would re-derive for
-/// `TradeoffBudget` on the same snapshot, but solved once here and carried
-/// by the selection instead of re-solved per build (and, for a sharded
-/// engine, per shard). The selection keeps the *budget-form* tag: tags are
+/// The winning MinDelayCover choice as an explicit Theorem 1 strategy,
+/// solved once here and carried by the selection instead of re-solved per
+/// build (and, for a sharded engine, per shard). The selection keeps the
+/// *budget-form* tag: tags are
 /// catalog keys, and the concrete weights are ordered by the view's atom
 /// order, which aliased registrations permute — the canonical budget tag
 /// is what lets aliases keep sharing one entry.
@@ -418,12 +468,35 @@ mod tests {
         db
     }
 
+    /// An all-bound view has nothing to choose: every policy but a fixed
+    /// one stores the factorized recipe (Theorem 2 over the root bag), and
+    /// a budget form keeps its tag.
     #[test]
     fn all_bound_selects_membership() {
         let db = triangle_db(60);
         let view = queries::triangle("bbb").unwrap();
+        for (token, tag) in [
+            ("auto", "bound-only"),
+            ("auto:1.5", "bound-only"),
+            ("budget:1.2", "theorem-1 budget=1.2"),
+            ("decomposed:1.5", "theorem-2 budget=1.5"),
+        ] {
+            let sel = select(&view, &db, &Policy::parse(token).unwrap()).unwrap();
+            assert_eq!(sel.tag, tag, "{token}");
+            assert!(matches!(sel.strategy, Strategy::Factorized), "{token}");
+        }
         let sel = select(&view, &db, &Policy::default()).unwrap();
-        assert_eq!(sel.tag, "bound-only");
+        assert!(
+            sel.reason.contains("theorem 2 over the root bag"),
+            "{}",
+            sel.reason
+        );
+        let cv = cqc_core::CompressedView::build(&view, &db, sel.strategy).unwrap();
+        assert!(
+            cv.describe().starts_with("theorem 2: 0 bags"),
+            "{}",
+            cv.describe()
+        );
     }
 
     #[test]
@@ -549,7 +622,11 @@ mod tests {
         ));
         assert!(matches!(
             Policy::parse("decomposed:1.25").unwrap(),
-            Policy::Fixed(Strategy::Decomposed { .. })
+            Policy::Decomposed { space_budget_exp } if (space_budget_exp - 1.25).abs() < 1e-12
+        ));
+        assert!(matches!(
+            Policy::parse("budget:1.5").unwrap(),
+            Policy::TradeoffBudget { space_budget_exp } if (space_budget_exp - 1.5).abs() < 1e-12
         ));
         for bad in [
             "tau",
@@ -572,18 +649,71 @@ mod tests {
 
     #[test]
     fn tags_are_canonical() {
-        assert_eq!(
-            strategy_tag(&Strategy::TradeoffBudget {
-                space_budget_exp: 1.5
-            }),
-            "theorem-1 budget=1.5"
-        );
         assert_eq!(strategy_tag(&Strategy::Factorized), "factorized");
-        assert_eq!(
-            strategy_tag(&Strategy::Auto {
-                space_budget_exp: None
-            }),
-            "auto"
+        let tau = Strategy::Tradeoff {
+            tau: 2.5,
+            weights: Some(vec![0.5, 1.0]),
+        };
+        assert_eq!(strategy_tag(&tau), "theorem-1 τ=2.5 u=[0.5,1]");
+        // A budget form is tagged by its budget, not by what it resolves to.
+        let db = triangle_db(60);
+        let view = queries::triangle("bfb").unwrap();
+        for (token, tag) in [
+            ("budget:1.5", "theorem-1 budget=1.5"),
+            ("decomposed:1.5", "theorem-2 budget=1.5"),
+        ] {
+            let sel = select(&view, &db, &Policy::parse(token).unwrap()).unwrap();
+            assert_eq!(sel.tag, tag, "{token}");
+        }
+    }
+
+    /// `budget:<b>` is MinDelayCover solved at selection: the cover and
+    /// the smallest τ whose structure fits in `|D|^b`.
+    #[test]
+    fn tradeoff_budget_strategy_picks_lp_optimum() {
+        // A database large enough that Π|R_F|^{u_F} clears the linear
+        // budget (the asymptotic regime the §6 program reasons about).
+        let mut db = Database::new();
+        let mut rng = cqc_workload::rng(71);
+        for name in ["R", "S", "T"] {
+            db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 150, 25))
+                .unwrap();
+        }
+        let view = queries::triangle("bfb").unwrap();
+        // τ must shrink monotonically as the budget grows, reaching ≈ 1.
+        let mut taus = Vec::new();
+        for budget in [1.0, 1.5, 3.0] {
+            let policy = Policy::TradeoffBudget {
+                space_budget_exp: budget,
+            };
+            let sel = select(&view, &db, &policy).unwrap();
+            let Strategy::Tradeoff {
+                tau,
+                weights: Some(_),
+            } = sel.strategy
+            else {
+                panic!("expected a concrete theorem-1 plan, got {:?}", sel.strategy)
+            };
+            taus.push(tau);
+            let cv = cqc_core::CompressedView::build(&view, &db, sel.strategy).unwrap();
+            let cqc_core::CompressedView::Tradeoff(t) = &cv else {
+                panic!("expected theorem 1")
+            };
+            assert_eq!(t.tau(), tau, "the build takes the selection's τ");
+            // Correctness at every budget.
+            for x in 0..8u64 {
+                let bound = [x, (x + 3) % 25];
+                let expect = cqc_join::naive::evaluate_view(&view, &db, &bound).unwrap();
+                let mut block = cqc_common::AnswerBlock::new();
+                cv.answer_into(&bound, &mut block).unwrap();
+                assert_eq!(block.to_tuples(), expect, "budget {budget}");
+            }
+        }
+        assert!(
+            taus[0] >= taus[1] - 1e-9 && taus[1] >= taus[2] - 1e-9,
+            "{taus:?}"
         );
+        assert!(taus[0] > 1.5, "tight budget needs real delay: {taus:?}");
+        assert!(taus[2] <= 1.5, "generous budget ⇒ τ ≈ 1: {taus:?}");
     }
 }

@@ -11,8 +11,10 @@
 //!
 //! Sabotage check: a `to_vec()` of the answer in
 //! `Theorem1Iter::drain_into` turns this test and `sharded_alloc.rs` red;
-//! `key: &mut Vec::new()` in `ViewEnumerator::answer_into`'s bound-only arm
-//! (a fresh probe key per request) turns the all-bound row red; reading
+//! a fresh root-check probe key per request in `Theorem2Iter::reset`
+//! (`let (valuation, key) = (&self.valuation, &mut Vec::new());` for the
+//! destructuring in its loop) turns the all-bound row red, 2 allocations a
+//! request; reading
 //! the head from `s.view.free_head()` in `Theorem2Iter::fill_emit` (a
 //! fresh `Vec` per answer, as before PR 25) turns both d-representation
 //! rows — the factorized 2-path and the 3-path at `bbff` — red. The two
@@ -76,7 +78,8 @@ fn steady_state(
 fn steady_state_serve_is_allocation_free() {
     // A dense 2-path workload with a Theorem 1 representation — the
     // acceptance path of the flat-block pipeline — and the same join
-    // all-bound, which Proposition 1 answers by membership probes.
+    // all-bound, which Proposition 1 — Theorem 2 over the root bag —
+    // answers by membership probes.
     let mut rng = cqc_workload::rng(7);
     let mut db = Database::new();
     for name in ["R", "S", "T"] {
@@ -154,7 +157,9 @@ fn steady_state_serve_is_allocation_free() {
     let expected = oracle(query, "bbb", &probes);
     let hits = expected.iter().filter(|a| !a.is_empty()).count();
     assert_eq!(hits * 2, probes.len(), "half the probes hit");
+    let work = cqc_common::metrics::snapshot();
     let (served, allocs) = steady_state(&engine, "p2_bbb", &probes, &expected);
+    let work = cqc_common::metrics::snapshot().delta_since(&work).work();
     assert_eq!(served, hits);
     assert_eq!(
         allocs,
@@ -163,6 +168,9 @@ fn steady_state_serve_is_allocation_free() {
          key is the enumerator's scratch)",
         probes.len()
     );
+    // A root check is one binary search over the relation's rows: no trie
+    // seek, count probe or dictionary lookup.
+    assert_eq!(work, 0, "all-bound requests did {work} units of work");
 
     // The 3-path at `bbff`: every `(w, x)` of `R` with `w` below 40 (a
     // hit, its answers from two bags) and the same `x` under a `w` outside

@@ -4,8 +4,9 @@
 //! (against the planning snapshot) and ships the resolved plan to all
 //! shards. These tests pin
 //!
-//! 1. the **count**: one sharded register with an auto policy performs
-//!    exactly one selection solve, however many shards build from it;
+//! 1. the **count**: one sharded register with an auto or budget policy
+//!    performs exactly one selection solve, however many shards build
+//!    from it, and every shard builds the selection's plan;
 //! 2. the **equivalence**: shared-plan registration answers tuple-for-tuple
 //!    like an unsharded engine (which plans against the same global
 //!    statistics), across shard counts, policies, and access patterns.
@@ -79,6 +80,78 @@ fn sharded_register_solves_selection_exactly_once() {
             1,
             "{shards} shards must share one selection solve"
         );
+    }
+}
+
+/// The budget tokens are planned once too: `budget:<b>` resolves to
+/// MinDelayCover's cover and τ, `decomposed:<b>` to a decomposition and
+/// its δ, both against the planning snapshot — so every shard builds the
+/// selection's plan instead of re-running the §6 program on its own slice,
+/// and the sharded engine still answers what an unsharded one does.
+#[test]
+fn budget_tokens_are_planned_once() {
+    let _guard = counter_lock();
+    let mut rng = cqc_workload::rng(31);
+    let mut db = Database::new();
+    for name in ["R", "S", "T"] {
+        db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 300, 30))
+            .unwrap();
+    }
+    let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
+    let oracle = Engine::new(db.clone());
+    let sharded = ShardedEngine::for_view(db, &view, config(2)).unwrap();
+    for token in ["budget:1.2", "decomposed:1.5"] {
+        let policy = Policy::parse(token).unwrap();
+        let before = policy::selection_solves();
+        sharded
+            .register(token, view.clone(), policy.clone())
+            .unwrap();
+        assert_eq!(
+            policy::selection_solves() - before,
+            1,
+            "{token}: 2 shards must share one selection solve"
+        );
+        oracle.register(token, view.clone(), policy).unwrap();
+        for s in 0..sharded.num_shards() {
+            let shard = sharded.shard(s);
+            let explained = shard.explain(token).unwrap();
+            match &shard.view(token).unwrap().selection.strategy {
+                Strategy::Tradeoff {
+                    tau,
+                    weights: Some(weights),
+                } => {
+                    let built = shard.theorem1_stats(token).unwrap().expect("theorem 1");
+                    assert_eq!(built.tau, *tau, "{token}: shard {s}'s τ");
+                    // `explain` prints the cover at two decimals.
+                    let cover: Vec<f64> = weights
+                        .iter()
+                        .map(|w| (w * 100.0).round() / 100.0)
+                        .collect();
+                    assert!(
+                        explained.contains(&format!("cover = {cover:?}")),
+                        "{token}: shard {s} built another cover than {cover:?}: {explained}"
+                    );
+                }
+                Strategy::DecomposedExplicit { td, delta } => {
+                    let max_delta = delta.iter().copied().fold(0.0, f64::max);
+                    let bags = format!("theorem 2: {} bags", td.len() - 1);
+                    let delay = format!("max δ = {max_delta:.3}");
+                    assert!(
+                        explained.contains(&bags) && explained.contains(&delay),
+                        "{token}: shard {s} built another decomposition ({bags}, {delay}): \
+                         {explained}"
+                    );
+                }
+                other => panic!("{token}: shard {s} holds an unresolved plan {other:?}"),
+            }
+        }
+        for x in 0..30u64 {
+            assert_eq!(
+                sorted(served(&sharded, token, &[x]).unwrap()),
+                sorted(served(&oracle, token, &[x]).unwrap()),
+                "{token}: x = {x}"
+            );
+        }
     }
 }
 

@@ -523,83 +523,3 @@ fn csv_load_and_textual_requests() {
     assert!(engine.resolve_value("mallory").is_err());
     assert_eq!(engine.resolve_value("42").unwrap(), 42);
 }
-
-#[test]
-fn admission_threshold_is_a_sharp_boundary() {
-    use cqc_engine::{Catalog, CatalogKey};
-    use std::sync::Arc;
-
-    let db = triangle_db(120, 5);
-    let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bfb").unwrap();
-    let built =
-        Arc::new(cqc_core::CompressedView::build(&view, &db, Strategy::Materialize).unwrap());
-    let bytes = std::mem::size_of::<cqc_core::CompressedView>()
-        + cqc_common::HeapSize::heap_bytes(built.as_ref());
-    let key = CatalogKey {
-        normalized_query: view.query().normalized_text(),
-        pattern: view.pattern(),
-        strategy_tag: "t".to_string(),
-    };
-
-    // One byte under the footprint: refused (and nothing retained).
-    let catalog = Catalog::with_admission(1 << 20, bytes - 1);
-    catalog.insert(key.clone(), Arc::clone(&built), 1, 1_000);
-    let s = catalog.stats();
-    assert_eq!(s.admission_rejected, 1, "{s:?}");
-    assert_eq!(s.entries, 0, "{s:?}");
-    assert_eq!(s.evictions, 0, "refusal is not eviction: {s:?}");
-    assert!(catalog.get(&key, 1).is_none());
-
-    // Exactly the footprint: admitted.
-    let catalog = Catalog::with_admission(1 << 20, bytes);
-    catalog.insert(key.clone(), built, 1, 1_000);
-    let s = catalog.stats();
-    assert_eq!(s.admission_rejected, 0, "{s:?}");
-    assert_eq!(s.entries, 1, "{s:?}");
-    assert!(catalog.get(&key, 1).is_some());
-}
-
-#[test]
-fn admission_control_refuses_oversized_entries_but_still_serves() {
-    let db = triangle_db(150, 9);
-    // A 1 KiB budget with the threshold at the full budget: every
-    // representation of this workload measures in KiB, so nothing is ever
-    // cached — unlike the default (disabled) admission policy, which
-    // admits a single oversized entry and lets it thrash.
-    let engine = Engine::with_config(
-        db,
-        EngineConfig {
-            catalog_budget_bytes: 1024,
-            catalog_admit_fraction: 1.0,
-            ..EngineConfig::default()
-        },
-    );
-    engine
-        .register_text(
-            "mat",
-            "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)",
-            "bfb",
-            Policy::Fixed(Strategy::Materialize),
-        )
-        .unwrap();
-    let s = engine.catalog_stats();
-    assert!(
-        s.admission_rejected >= 1,
-        "oversized entry must be refused: {s:?}"
-    );
-    assert_eq!(s.entries, 0, "nothing may be retained: {s:?}");
-    assert_eq!(s.evictions, 0, "refusal is not eviction: {s:?}");
-
-    // The view still serves correctly — every request simply rebuilds
-    // instead of thrashing the rest of the catalog.
-    let db = engine.db();
-    let rv = engine.view("mat").unwrap();
-    for x in 0..4u64 {
-        let got = served(&engine, "mat", &[x, (x + 1) % 6]).unwrap();
-        let expect = evaluate_view(&rv.view, &db, &[x, (x + 1) % 6]).unwrap();
-        assert_eq!(got, expect, "x {x}");
-    }
-    let s = engine.catalog_stats();
-    assert!(s.builds > 1, "served via rebuilds: {s:?}");
-    assert_eq!(s.entries, 0, "still nothing retained: {s:?}");
-}

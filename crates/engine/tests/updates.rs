@@ -551,7 +551,4 @@ fn epochs_are_monotone_and_reported() {
         .unwrap();
     assert_eq!(engine.representation_epoch("v").unwrap(), Some(2));
     assert!(engine.representation_epoch("nope").is_err());
-
-    let config = EngineConfig::default();
-    assert!(config.maintain_max_delta_fraction > 0.0);
 }

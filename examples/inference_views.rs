@@ -9,7 +9,8 @@
 //! ```
 
 use cqc_common::heap::HeapSize;
-use cqc_core::compressed::{CompressedView, Strategy};
+use cqc_core::compressed::CompressedView;
+use cqc_engine::policy::{select, Policy};
 use cqc_query::parser::parse_adorned;
 use cqc_storage::Database;
 use std::time::Instant;
@@ -34,36 +35,24 @@ fn main() {
 
     let requests = cqc_workload::witness_requests(&mut rng, &view, &db, 400);
 
-    let strategies: Vec<(String, Strategy)> = vec![
-        ("lazy (direct)".into(), Strategy::Direct),
-        ("eager (materialize)".into(), Strategy::Materialize),
-        (
-            "partial: budget |D|^1.0".into(),
-            Strategy::Auto {
-                space_budget_exp: Some(1.0),
-            },
-        ),
-        (
-            "partial: budget |D|^1.3".into(),
-            Strategy::Auto {
-                space_budget_exp: Some(1.3),
-            },
-        ),
-        (
-            "partial: budget |D|^2.0".into(),
-            Strategy::Auto {
-                space_budget_exp: Some(2.0),
-            },
-        ),
+    // The two extremes are fixed recipes; the middle ground is the
+    // planner's choice under a space budget.
+    let strategies = [
+        ("lazy (direct)", "direct"),
+        ("eager (materialize)", "materialize"),
+        ("partial: budget |D|^1.0", "auto:1.0"),
+        ("partial: budget |D|^1.3", "auto:1.3"),
+        ("partial: budget |D|^2.0", "auto:2.0"),
     ];
 
     println!(
         "{:<26} {:>12} {:>12} {:>14} {:>10}",
         "strategy", "space (B)", "build", "batch answer", "results"
     );
-    for (name, strat) in strategies {
+    for (name, token) in strategies {
         let t0 = Instant::now();
-        let cv = CompressedView::build(&view, &db, strat).unwrap();
+        let selection = select(&view, &db, &Policy::parse(token).unwrap()).unwrap();
+        let cv = CompressedView::build(&view, &db, selection.strategy).unwrap();
         let build = t0.elapsed();
         let t0 = Instant::now();
         let mut results = cqc_common::CountingSink::default();

@@ -56,6 +56,14 @@ if [ -e crates/join/src/baselines.rs ] || grep -rnwE 'MaterializedView|DirectVie
     echo "a §2.3 baseline structure is back: materialize and direct are recipes of Theorems 2 and 1" >&2
     exit 1
 fi
+# Prop. 1 is Theorem 2 over the root bag {V_b} (see the all-bound explain
+# grep below), not a third structure. Fails on `touch
+# crates/core/src/bound_only.rs`, or on a `pub struct BoundOnlyView`
+# anywhere under crates/*/src.
+if [ -e crates/core/src/bound_only.rs ] || grep -rnw 'BoundOnlyView' crates/*/src; then
+    echo "BoundOnlyView is back: an all-bound view is Theorem 2 with no bag below the root" >&2
+    exit 1
+fi
 # One engine surface, one durability story: cqc-durable is reached only
 # through `Engine` (a durable sharded deployment is one durable engine per
 # slice), and `ShardedEngine::update` returns the epoch vector. Fails on
@@ -110,10 +118,12 @@ cqe \
 grep -q "applied remove delta" "$OUT/delete.out"
 
 # The `factorized` tag names a recipe (width-minimal decomposition, δ ≡ 0);
-# what it builds is the Theorem 2 structure with no delay-tuned bag. An
-# `Auto`/`Factorized` arm of `CompressedView::build_pooled` that builds
-# anything else loses the second line: `build_with_budget(view, db, 1.0)`
-# there delay-tunes the triangle's one bag (checked once).
+# what it builds is the Theorem 2 structure with no delay-tuned bag. A
+# `Factorized` arm of `CompressedView::build_pooled` that builds anything
+# else loses the second line: searching under
+# `Objective::MinimizeHeightUnderBudget { budget_exp: 1.0 }` in
+# `Theorem2Structure::build_constant_delay` delay-tunes the triangle's one
+# bag (checked once).
 cqe \
     -e 'gen triangle 400 7' \
     -e 'register fac bff factorized "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
@@ -153,6 +163,18 @@ d_base="$(grep -E 'τ = inf' "$OUT/extremes.out" | grep -Eo 'base indexes [0-9]+
 d_size="$(grep -Eo '\|D\| = [0-9]+' "$OUT/extremes.out" | head -n 1 | grep -Eo '[0-9]+')"
 awk -v b="$d_base" -v n="$d_size" 'BEGIN { exit !(b != "" && n > 0 && b / n < 4) }'
 
+# Prop. 1 is Theorem 2 over the one-bag decomposition {V_b}: an all-bound
+# view builds it under every token, its relations root checks and no bag
+# below the root. `materialize` is the token that shows it: without the
+# μ = 0 redirect in `CompressedView::build_pooled` its {V_b} → {V}
+# decomposition has a bag inside V_b and the register fails (checked once).
+cqe \
+    -e 'gen triangle 400 7' \
+    -e 'register b bbb materialize "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
+    -e 'explain b' |
+    tee "$OUT/bound-only.out"
+grep -Eq "repr: +theorem 2: 0 bags \(0 delay-tuned" "$OUT/bound-only.out"
+
 step "chaos (replicated fleet under scripted faults)"
 harness chaos
 # Every serve exact while each shard keeps one live replica, no request
@@ -186,6 +208,11 @@ grep -q '"torn_tail_truncated": true' BENCH_recovery.json
 
 step "tests with the metrics feature (output-tuple counter compiled in)"
 cargo test -q -p cqc-common --features metrics
+
+step "cqc-common in release (no debug assertion or overflow check to lean on)"
+# A packed read past the buffer must panic here too, not return another
+# value: `packed::tests::reading_past_the_last_word_panics`.
+cargo test --release -q -p cqc-common
 
 step "benchmark package (its own workspace): tests, then the quick suite"
 # It compiled above; a wrong answer under a new representation layout must

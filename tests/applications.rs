@@ -4,6 +4,7 @@ use cqc_common::heap::HeapSize;
 use cqc_common::value::{Tuple, Value};
 use cqc_common::AnswerBlock;
 use cqc_core::compressed::{CompressedView, Strategy};
+use cqc_engine::policy::{select, Policy};
 use cqc_join::naive::evaluate_view;
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Database, Interner, Relation};
@@ -133,22 +134,15 @@ fn felix_style_materialization_continuum() {
 
     let lazy = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
     let eager = CompressedView::build(&view, &db, Strategy::Materialize).unwrap();
-    let partial_small = CompressedView::build(
-        &view,
-        &db,
-        Strategy::Auto {
-            space_budget_exp: Some(1.1),
-        },
-    )
-    .unwrap();
-    let partial_large = CompressedView::build(
-        &view,
-        &db,
-        Strategy::Auto {
-            space_budget_exp: Some(2.0),
-        },
-    )
-    .unwrap();
+    // The middle ground is the planner's choice under a space budget.
+    let partial = |budget: f64| {
+        let policy = Policy::Auto {
+            space_budget_exp: Some(budget),
+        };
+        let strategy = select(&view, &db, &policy).unwrap().strategy;
+        CompressedView::build(&view, &db, strategy).unwrap()
+    };
+    let (partial_small, partial_large) = (partial(1.1), partial(2.0));
 
     let reqs = cqc_workload::witness_requests(&mut r, &view, &db, 60);
     for req in &reqs {

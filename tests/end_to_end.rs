@@ -5,6 +5,7 @@
 use cqc_common::value::{Tuple, Value};
 use cqc_common::AnswerBlock;
 use cqc_core::compressed::{CompressedView, Strategy};
+use cqc_engine::policy::{select, Policy};
 use cqc_join::naive::evaluate_view;
 use cqc_query::AdornedView;
 use cqc_storage::Database;
@@ -173,46 +174,20 @@ fn scenarios() -> Vec<Scenario> {
     out
 }
 
-fn strategies() -> Vec<(&'static str, Strategy)> {
-    vec![
-        ("direct", Strategy::Direct),
-        ("materialize", Strategy::Materialize),
-        (
-            "tradeoff-tau1",
-            Strategy::Tradeoff {
-                tau: 1.0,
-                weights: None,
-            },
-        ),
-        (
-            "tradeoff-tau4",
-            Strategy::Tradeoff {
-                tau: 4.0,
-                weights: None,
-            },
-        ),
-        (
-            "tradeoff-tau32",
-            Strategy::Tradeoff {
-                tau: 32.0,
-                weights: None,
-            },
-        ),
-        ("factorized", Strategy::Factorized),
-        (
-            "auto-budget1.4",
-            Strategy::Auto {
-                space_budget_exp: Some(1.4),
-            },
-        ),
-        (
-            "decomposed-2.0",
-            Strategy::Decomposed {
-                space_budget_exp: 2.0,
-            },
-        ),
-    ]
-}
+/// The recipes swept, as policy tokens: the fixed ones name a recipe, the
+/// budget ones reach the planner (`policy::select`), which resolves them
+/// per scenario.
+const STRATEGIES: [&str; 9] = [
+    "direct",
+    "materialize",
+    "tau:1",
+    "tau:4",
+    "tau:32",
+    "factorized",
+    "auto:1.4",
+    "budget:1.4",
+    "decomposed:2.0",
+];
 
 #[test]
 fn every_strategy_agrees_with_the_oracle_everywhere() {
@@ -225,8 +200,10 @@ fn every_strategy_agrees_with_the_oracle_everywhere() {
             .iter()
             .map(|req| evaluate_view(&sc.view, &sc.db, req).unwrap())
             .collect();
-        for (sname, strat) in strategies() {
-            let cv = CompressedView::build(&sc.view, &sc.db, strat.clone())
+        for sname in STRATEGIES {
+            let policy = Policy::parse(sname).unwrap();
+            let strat = select(&sc.view, &sc.db, &policy).unwrap().strategy;
+            let cv = CompressedView::build(&sc.view, &sc.db, strat)
                 .unwrap_or_else(|e| panic!("{} / {sname}: build failed: {e}", sc.name));
             if sname == "factorized" && sc.view.mu() > 0 {
                 assert!(

@@ -12,6 +12,7 @@ use cqc_core::compressed::{CompressedView, Strategy};
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
 use cqc_decomp::{connex_fhw, decomposition_widths, search_connex, Objective, TreeDecomposition};
+use cqc_engine::policy::{select, Policy};
 use cqc_join::naive::evaluate_view;
 use cqc_lp::covers::{rho_star, slack};
 use cqc_lp::fractional::{min_delay_cover, min_space_cover};
@@ -414,7 +415,8 @@ fn figure_2_left_decomposition() {
 }
 
 /// Proposition 1: all-bound views answer with membership checks in linear
-/// space.
+/// space — Theorem 2 over the one-bag decomposition `{V_b}`, every atom a
+/// root check on the database's own relation.
 #[test]
 fn proposition_1_bound_only() {
     let view = queries::triangle_self("bbb").unwrap();
@@ -422,15 +424,17 @@ fn proposition_1_bound_only() {
     let mut db = Database::new();
     db.add(cqc_workload::graphs::friendship_graph(&mut r, 40, 200, 0.7))
         .unwrap();
-    let cv = CompressedView::build(
-        &view,
-        &db,
-        Strategy::Auto {
-            space_budget_exp: None,
-        },
-    )
-    .unwrap();
-    assert_eq!(cv.strategy_name(), "bound-only (Prop 1)");
+    let sel = select(&view, &db, &Policy::default()).unwrap();
+    assert_eq!(sel.tag, "bound-only");
+    let cv = CompressedView::build(&view, &db, sel.strategy).unwrap();
+    let CompressedView::Decomposed(s) = &cv else {
+        panic!("Prop. 1 is Theorem 2, got {}", cv.describe());
+    };
+    assert_eq!(s.stats().bags, 0, "{}", cv.describe());
+    // Linear space: the three root checks report the relation's content
+    // once per atom, and nothing else but the head.
+    let rows = 8 * 2 * db.size();
+    assert!(cv.heap_bytes() <= 3 * rows + 128, "{}", cv.describe());
     for req in cqc_workload::witness_requests(&mut r, &view, &db, 100) {
         let expect = !evaluate_view(&view, &db, &req).unwrap().is_empty();
         assert_eq!(cv.exists(&req).unwrap(), expect);
