@@ -59,8 +59,8 @@
 //! When the preconditions fail — the Theorem 1 grid shifted, or the view
 //! needs the Example 3 rewrite (the delta would have to be rewritten too)
 //! — the caller is told to rebuild instead. The engine additionally
-//! rebuilds when its cost calibration says the delta is too large for
-//! maintenance to pay off.
+//! rebuilds, without calling in here, when [`touched_tuples`] exceeds a
+//! fixed fraction of `|D|`.
 
 use crate::compressed::CompressedView;
 use crate::dictionary::free_constraints_into;
@@ -258,7 +258,9 @@ impl CompressedView {
     }
 }
 
-fn touched_tuples(query: &cqc_query::ConjunctiveQuery, delta: &Delta) -> usize {
+/// Tuples of `delta`, inserted plus removed, that land in the relations of
+/// `query` (each relation once, however many atoms name it).
+pub fn touched_tuples(query: &cqc_query::ConjunctiveQuery, delta: &Delta) -> usize {
     let mut names: Vec<&str> = query.atoms.iter().map(|a| a.relation.as_str()).collect();
     names.sort_unstable();
     names.dedup();

@@ -8,11 +8,11 @@
 //! repeated requests (and distinct registered names for the same view)
 //! never rebuild. When the deterministic [`HeapSize`] accounting exceeds
 //! the configured byte budget, eviction is **cost-aware**: the victim is
-//! the entry with the highest bytes ÷ measured-rebuild-time ratio — the
-//! one that frees the most memory per nanosecond it would cost to bring
-//! back — with plain LRU recency as the tie-break. Rebuild times are
-//! measured when entries are built, so the policy needs no extra
-//! bookkeeping.
+//! the entry with the highest bytes ÷ build-work ratio — the one that
+//! frees the most memory per unit of work it would cost to bring back —
+//! with plain LRU recency as the tie-break. The builder counts that work
+//! and hands it over with the entry, so the ranking reads no clock and is
+//! the same on every host.
 //!
 //! Since the database became versioned, every entry additionally carries
 //! the [`Epoch`] it was built (or maintained) at. A lookup passes the
@@ -20,9 +20,7 @@
 //! older is **stale** — it was built before some applied delta — and is
 //! invalidated on the spot instead of served wrong. [`Catalog::restamp`]
 //! lets the engine mark entries that a delta provably did not affect, and
-//! [`Catalog::invalidate_stale`] sweeps eagerly. Entries also remember
-//! their measured build time, which calibrates the engine's
-//! maintain-versus-rebuild decision.
+//! [`Catalog::invalidate_stale`] sweeps eagerly.
 
 use cqc_common::heap::HeapSize;
 use cqc_common::FastMap;
@@ -83,29 +81,24 @@ pub struct CatalogStats {
     pub index_store_merges: u64,
 }
 
-/// Floor applied to measured rebuild times when scoring eviction victims:
-/// entries whose build was unmeasured (or sub-microsecond noise) must not
-/// look infinitely cheap to rebuild.
-const EVICT_MIN_REBUILD_NS: u64 = 1_000;
-
 struct Slot {
     view: Arc<CompressedView>,
     bytes: usize,
     /// Database epoch this representation is valid for.
     epoch: Epoch,
-    /// Measured wall time of the build that produced the entry (0 for
-    /// maintained entries, which keep the original build's measurement).
-    build_ns: u64,
+    /// Counted work of the build that produced the entry (a maintained
+    /// entry keeps its build's count).
+    build_work: u64,
     /// Logical-clock tick of the last lookup; atomic so cache hits can
     /// refresh recency under the shared lock.
     last_used: AtomicU64,
 }
 
 impl Slot {
-    /// Bytes reclaimed per nanosecond of rebuild cost — higher means a
-    /// better eviction victim (large footprint, cheap to bring back).
+    /// Bytes reclaimed per unit of rebuild work — higher means a better
+    /// eviction victim (large footprint, cheap to bring back).
     fn evict_score(&self) -> f64 {
-        self.bytes as f64 / self.build_ns.max(EVICT_MIN_REBUILD_NS) as f64
+        self.bytes as f64 / self.build_work.max(1) as f64
     }
 }
 
@@ -210,30 +203,36 @@ impl Catalog {
     }
 
     /// Inserts a freshly built view stamped with the epoch of the database
-    /// it was built from and its measured build time, counting the build
-    /// and evicting least-recently-used entries until the budget holds.
-    pub fn insert(&self, key: CatalogKey, view: Arc<CompressedView>, epoch: Epoch, build_ns: u64) {
+    /// it was built from and the work its build counted, counting the
+    /// build and evicting entries until the budget holds.
+    pub fn insert(
+        &self,
+        key: CatalogKey,
+        view: Arc<CompressedView>,
+        epoch: Epoch,
+        build_work: u64,
+    ) {
         self.builds.fetch_add(1, Ordering::Relaxed);
-        self.insert_at(key, view, epoch, build_ns);
+        self.insert_at(key, view, epoch, build_work);
     }
 
     /// Installs a delta-maintained view — counted as maintenance, not as a
     /// build, so zero-rebuild assertions over serving phases stay
-    /// meaningful. The entry keeps the original build-time measurement if
-    /// it is still resident (maintenance does not re-measure a rebuild).
+    /// meaningful. The entry keeps its build's work count if it is still
+    /// resident (maintenance does not re-price a rebuild).
     pub fn insert_maintained(&self, key: CatalogKey, view: Arc<CompressedView>, epoch: Epoch) {
         self.maintained.fetch_add(1, Ordering::Relaxed);
-        let prior_build_ns = self
+        let prior_build_work = self
             .inner
             .read()
             .expect("catalog lock poisoned")
             .map
             .get(&key)
-            .map_or(0, |s| s.build_ns);
-        self.insert_at(key, view, epoch, prior_build_ns);
+            .map_or(0, |s| s.build_work);
+        self.insert_at(key, view, epoch, prior_build_work);
     }
 
-    fn insert_at(&self, key: CatalogKey, view: Arc<CompressedView>, epoch: Epoch, build_ns: u64) {
+    fn insert_at(&self, key: CatalogKey, view: Arc<CompressedView>, epoch: Epoch, build_work: u64) {
         let bytes = std::mem::size_of::<CompressedView>() + view.heap_bytes();
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut inner = self.inner.write().expect("catalog lock poisoned");
@@ -248,7 +247,7 @@ impl Catalog {
                 view,
                 bytes,
                 epoch,
-                build_ns,
+                build_work,
                 last_used: AtomicU64::new(tick),
             },
         ) {
@@ -256,9 +255,9 @@ impl Catalog {
         }
         inner.resident_bytes += bytes;
         while inner.resident_bytes > self.budget_bytes && inner.map.len() > 1 {
-            // Cost-aware victim selection: maximize bytes freed per
-            // nanosecond of measured rebuild time; among equals, evict the
-            // least recently used.
+            // Cost-aware victim selection: maximize bytes freed per unit
+            // of counted rebuild work; among equals, evict the least
+            // recently used.
             let victim = inner
                 .map
                 .iter()
@@ -316,16 +315,15 @@ impl Catalog {
         dropped
     }
 
-    /// The resident entry for `key`, with its epoch stamp and measured
-    /// build time — no recency update, no counter bumps (the maintenance
-    /// and introspection path).
-    pub fn peek(&self, key: &CatalogKey) -> Option<(Arc<CompressedView>, Epoch, u64)> {
+    /// The resident entry for `key`, with its epoch stamp — no recency
+    /// update, no counter bumps (the maintenance and introspection path).
+    pub fn peek(&self, key: &CatalogKey) -> Option<(Arc<CompressedView>, Epoch)> {
         self.inner
             .read()
             .expect("catalog lock poisoned")
             .map
             .get(key)
-            .map(|slot| (Arc::clone(&slot.view), slot.epoch, slot.build_ns))
+            .map(|slot| (Arc::clone(&slot.view), slot.epoch))
     }
 
     /// The build-serialization mutex for `key` (one per distinct key for

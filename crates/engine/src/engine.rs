@@ -13,18 +13,21 @@
 //! [`Engine::update`] installs the next version. Each update applies a
 //! batched [`Delta`] — insertions and removals — bumps the epoch, and
 //! reconciles the catalog:
-//! entries whose views the delta cannot affect are restamped, Theorem 1
-//! entries absorb the delta through [`cqc_core::maintain`], and everything
-//! else is rebuilt (or left for lazy invalidation on the next lookup).
-//! Requests therefore never observe a representation older than the
-//! database snapshot they serve from.
+//! entries whose views the delta cannot affect are restamped, entries
+//! that can absorb the delta do so through [`cqc_core::maintain`], and
+//! everything else is rebuilt (or left for lazy invalidation on the next
+//! lookup). No decision reads a clock: the same delta history on the same
+//! data reconciles the same way on any host. Requests therefore never
+//! observe a representation older than the database snapshot they serve
+//! from.
 
 use crate::catalog::{Catalog, CatalogKey, CatalogStats};
 use crate::policy::{select_pooled, Policy, Selection};
 use cqc_common::error::{CqcError, Result};
+use cqc_common::metrics;
 use cqc_common::value::Value;
 use cqc_common::{FastMap, FastSet};
-use cqc_core::maintain::MaintainOutcome;
+use cqc_core::maintain::{touched_tuples, MaintainOutcome};
 use cqc_core::CompressedView;
 use cqc_durable::DurableStore;
 use cqc_query::parser::parse_adorned;
@@ -35,7 +38,6 @@ use std::io::BufRead;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -43,12 +45,6 @@ pub struct EngineConfig {
     /// Byte budget for the representation catalog (deterministic
     /// [`cqc_common::heap::HeapSize`] accounting).
     pub catalog_budget_bytes: usize,
-    /// Whether to calibrate maintain-versus-rebuild against measured wall
-    /// times (pause maintenance for a key whose repair decisively loses to
-    /// its own rebuild). On by default; tests that assert the maintain
-    /// path deterministically turn it off, since wall clocks on a loaded
-    /// machine can otherwise flip the decision.
-    pub maintain_calibration: bool,
 }
 
 /// Largest delta, as a fraction of `|D|`, that [`Engine::update`] will try
@@ -57,17 +53,12 @@ pub struct EngineConfig {
 /// assumes the delta is small relative to the structure.
 const MAINTAIN_MAX_DELTA_FRACTION: f64 = 0.2;
 
-/// How many further deltas a key sits out after its maintenance was
-/// measured decisively slower than its own rebuild, before it is retried.
-const MAINTAIN_RETRY_DELTAS: u64 = 16;
-
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             // Generous enough that eviction only happens under real
             // pressure; tests shrink it to force the eviction path.
             catalog_budget_bytes: 256 * 1024 * 1024,
-            maintain_calibration: true,
         }
     }
 }
@@ -135,23 +126,16 @@ pub struct Engine {
     /// (`docs/ARCHITECTURE.md`, "Index store").
     indexes: IndexPool,
     views: RwLock<FastMap<String, Arc<RegisteredView>>>,
-    config: EngineConfig,
     /// Serializes writers: updates see a quiescent catalog-reconciliation
     /// phase while readers keep serving from their snapshots.
     ///
     /// Lock order: `update_lock` → a catalog key's build lock → the leaf
-    /// locks (`db`, `views`, the catalog's map, `maintain_paused`, the
-    /// index store's map). A leaf lock is held for one lookup or insert
-    /// and never while another lock is taken — the index store in
-    /// particular is unlocked during every sort, merge and build — so no
-    /// two of them can be acquired in opposite orders.
+    /// locks (`db`, `views`, the catalog's map, the index store's map). A
+    /// leaf lock is held for one lookup or insert and never while another
+    /// lock is taken — the index store in particular is unlocked during
+    /// every sort, merge and build — so no two of them can be acquired in
+    /// opposite orders.
     update_lock: Mutex<()>,
-    /// Keys whose maintenance was measured decisively slower than their
-    /// own rebuild, mapped to the delta count at which they lost. The
-    /// measured build time calibrates the choice; the pause expires after
-    /// [`MAINTAIN_RETRY_DELTAS`] further deltas so one noisy sample never
-    /// disables maintenance forever.
-    maintain_paused: Mutex<FastMap<CatalogKey, u64>>,
     /// The attached durability layer, if any: every applied delta is
     /// WAL-logged and fsynced before its epoch is published (see
     /// [`Engine::open`] / [`Engine::attach_durable`]).
@@ -183,9 +167,7 @@ impl Engine {
             catalog: Catalog::new(config.catalog_budget_bytes),
             indexes: IndexPool::default(),
             views: RwLock::new(FastMap::default()),
-            config,
             update_lock: Mutex::new(()),
-            maintain_paused: Mutex::new(FastMap::default()),
             durable: None,
             recovery: None,
             upd_deltas: AtomicU64::new(0),
@@ -319,13 +301,13 @@ impl Engine {
     }
 
     /// Applies a batched delta of insertions and removals and reconciles
-    /// the catalog: the epoch is bumped, unaffected entries are restamped,
-    /// maintainable entries absorb the delta via [`cqc_core::maintain`]
-    /// when the delta is small enough (and maintenance has not been
-    /// measured slower than rebuild for that key), and everything else is
-    /// rebuilt eagerly. Concurrent readers keep serving their snapshots
-    /// throughout; once this returns, every resident entry is valid for
-    /// the new epoch.
+    /// the catalog: the epoch is bumped, and every resident entry whose
+    /// view's relations take at most a fixed fraction of `|D|` in touched
+    /// tuples is handed to [`cqc_core::maintain`], which restamps it when
+    /// the delta does not touch the view, absorbs the delta in place, or
+    /// asks for a rebuild. Everything else is rebuilt eagerly. Concurrent
+    /// readers keep serving their snapshots throughout; once this returns,
+    /// every resident entry is valid for the new epoch.
     ///
     /// # Errors
     ///
@@ -412,86 +394,23 @@ impl Engine {
     ) -> Result<()> {
         let lock = self.catalog.build_lock(&rv.key);
         let _guard = lock.lock().expect("build lock poisoned");
-        let Some((cv, entry_epoch, build_ns)) = self.catalog.peek(&rv.key) else {
+        let Some((cv, entry_epoch)) = self.catalog.peek(&rv.key) else {
             return Ok(()); // nothing resident: the next lookup builds fresh
         };
         if entry_epoch >= epoch {
             return Ok(()); // a racing builder already produced a fresh entry
         }
-        let touched = rv
-            .view
-            .query()
-            .atoms
-            .iter()
-            .any(|a| delta.touches(&a.relation));
-        if !touched && entry_epoch == pre_epoch {
-            self.catalog.restamp(&rv.key, epoch);
-            report.restamped += 1;
-            return Ok(());
-        }
-        // Decide maintain versus rebuild. An entry that predates
-        // `pre_epoch` is stale beyond this delta (e.g. a relation was added
-        // since it was built) and cannot absorb just this delta. Only the
-        // tuples landing in *this view's* relations count against the
-        // threshold — a delta that floods an unrelated relation must not
-        // push other views off their maintain path.
-        let mut view_relations: Vec<&str> = rv
-            .view
-            .query()
-            .atoms
-            .iter()
-            .map(|a| a.relation.as_str())
-            .collect();
-        view_relations.sort_unstable();
-        view_relations.dedup();
-        let touched_tuples: usize = view_relations
-            .iter()
-            .flat_map(|r| [delta.tuples_for(r), delta.removes_for(r)])
-            .flatten()
-            .map(<[_]>::len)
-            .sum();
-        let too_large =
-            touched_tuples as f64 > MAINTAIN_MAX_DELTA_FRACTION * (db.size().max(1) as f64);
-        let deltas_now = self.upd_deltas.load(Ordering::Relaxed);
-        let paused = {
-            let mut paused = self
-                .maintain_paused
-                .lock()
-                .expect("maintain-paused lock poisoned");
-            match paused.get(&rv.key) {
-                Some(&at) if deltas_now.saturating_sub(at) < MAINTAIN_RETRY_DELTAS => true,
-                Some(_) => {
-                    // Cool-down expired: give maintenance another shot.
-                    paused.remove(&rv.key);
-                    false
-                }
-                None => false,
-            }
-        };
-        if entry_epoch == pre_epoch && !too_large && !paused {
-            let t0 = Instant::now();
+        // An entry that predates `pre_epoch` is stale beyond this delta
+        // (e.g. a relation was added since it was built) and cannot absorb
+        // just this delta. Only the tuples landing in *this view's*
+        // relations count against the fraction — a delta that floods an
+        // unrelated relation must not push other views off their maintain
+        // path — and `maintain` alone decides whether the view is touched.
+        let small = touched_tuples(rv.view.query(), delta) as f64
+            <= MAINTAIN_MAX_DELTA_FRACTION * (db.size().max(1) as f64);
+        if entry_epoch == pre_epoch && small {
             match cv.maintain_pooled(&rv.view, db, delta, &self.indexes)? {
                 MaintainOutcome::Maintained { view, .. } => {
-                    // Calibrate against the rebuild time measured when the
-                    // entry was built: a key whose maintenance decisively
-                    // loses to its own rebuild pauses maintenance for a
-                    // while (not forever — one noisy sample must not
-                    // disable the feature on a long-running engine). The
-                    // floor keeps sub-millisecond builds — where either
-                    // choice is free and timers are noise — from pausing
-                    // anything.
-                    // `build_ns` from the peek above is still current: the
-                    // held build lock serializes every writer to this key.
-                    let maintain_ns = t0.elapsed().as_nanos() as u64;
-                    if self.config.maintain_calibration
-                        && build_ns > 1_000_000
-                        && maintain_ns > 2 * build_ns
-                    {
-                        self.maintain_paused
-                            .lock()
-                            .expect("maintain-paused lock poisoned")
-                            .insert(rv.key.clone(), deltas_now);
-                    }
                     self.catalog
                         .insert_maintained(rv.key.clone(), Arc::from(view), epoch);
                     report.maintained += 1;
@@ -505,22 +424,48 @@ impl Engine {
                 MaintainOutcome::NeedsRebuild { .. } => {}
             }
         }
-        let t0 = Instant::now();
-        let built = CompressedView::build_pooled(
+        self.build_into_catalog(rv, db)?;
+        report.rebuilt += 1;
+        Ok(())
+    }
+
+    /// Builds `rv`'s representation from `db` through the index store and
+    /// installs it stamped with `db`'s epoch, priced for eviction by its
+    /// counted cost: the work the build did (trie seeks, count probes and
+    /// dictionary lookups — thread-local counters, and a build runs on one
+    /// thread) plus the rows of the view's relations, the `|D|` term of
+    /// the paper's bound, which also prices the index sorts of a build that
+    /// runs no join.
+    fn build_into_catalog(
+        &self,
+        rv: &RegisteredView,
+        db: &Database,
+    ) -> Result<Arc<CompressedView>> {
+        let before = metrics::snapshot();
+        let cv = CompressedView::build_pooled(
             &rv.view,
             db,
             rv.selection.strategy.clone(),
             &self.indexes,
         )
         .map_err(|e| e.for_view(&rv.name, &rv.selection.tag))?;
+        let work = metrics::snapshot().delta_since(&before).work();
+        let rows: usize = rv
+            .view
+            .query()
+            .atoms
+            .iter()
+            .filter_map(|a| db.get(&a.relation))
+            .map(Relation::len)
+            .sum();
+        let cv = Arc::new(cv);
         self.catalog.insert(
             rv.key.clone(),
-            Arc::new(built),
-            epoch,
-            t0.elapsed().as_nanos() as u64,
+            Arc::clone(&cv),
+            db.epoch(),
+            work + rows as u64,
         );
-        report.rebuilt += 1;
-        Ok(())
+        Ok(cv)
     }
 
     /// Eagerly drops every catalog entry stamped older than the current
@@ -549,7 +494,7 @@ impl Engine {
     /// [`CqcError::UnknownView`] when not registered.
     pub fn representation_epoch(&self, view: &str) -> Result<Option<Epoch>> {
         let rv = self.view(view)?;
-        Ok(self.catalog.peek(&rv.key).map(|(_, e, _)| e))
+        Ok(self.catalog.peek(&rv.key).map(|(_, e)| e))
     }
 
     /// Registers an adorned view under `name`, resolving `policy` to a
@@ -707,25 +652,7 @@ impl Engine {
         if let Some(cv) = self.catalog.get(&rv.key, db.epoch()) {
             return Ok(cv);
         }
-        let t0 = Instant::now();
-        let built = CompressedView::build_pooled(
-            &rv.view,
-            &db,
-            rv.selection.strategy.clone(),
-            &self.indexes,
-        );
-        let cv = built
-            .map_err(|e| e.for_view(&rv.name, &rv.selection.tag))
-            .map(|built| {
-                let cv = Arc::new(built);
-                self.catalog.insert(
-                    rv.key.clone(),
-                    Arc::clone(&cv),
-                    db.epoch(),
-                    t0.elapsed().as_nanos() as u64,
-                );
-                cv
-            });
+        let cv = self.build_into_catalog(rv, &db);
         self.indexes.release();
         cv
     }
@@ -848,7 +775,7 @@ impl Engine {
             if other.key == rv.key || !seen.insert(other.key.clone()) {
                 continue;
             }
-            let Some((theirs, _, _)) = self.catalog.peek(&other.key) else {
+            let Some((theirs, _)) = self.catalog.peek(&other.key) else {
                 continue;
             };
             let common: Vec<_> = theirs

@@ -10,12 +10,12 @@
 //!   concurrently (`&self`, `Sync`), and absorb writes:
 //!   [`Engine::update`] applies a batched [`cqc_storage::Delta`] against a
 //!   copy-on-write database snapshot, bumps the epoch, and reconciles the
-//!   catalog (delta maintenance for Theorem 1 entries, eager rebuild or
-//!   epoch restamp for the rest);
+//!   catalog (epoch restamp, delta maintenance or eager rebuild, decided
+//!   by counts and never by a clock);
 //! * [`Catalog`] — a concurrent, memory-budgeted representation cache
 //!   keyed by normalized query text + adornment + strategy, so repeated
 //!   requests (and aliased registrations) never rebuild; under budget
-//!   pressure it evicts cost-aware (bytes ÷ measured rebuild time, LRU as
+//!   pressure it evicts cost-aware (bytes ÷ counted build work, LRU as
 //!   tie-break); entries carry epoch stamps and are invalidated — lazily
 //!   on lookup or by an explicit sweep — rather than ever served stale;
 //! * [`Policy`] / [`policy::select`] — the planner: resolves `auto` and the

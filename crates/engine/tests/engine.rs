@@ -158,7 +158,6 @@ fn tight_budget_evicts_lru_and_rebuilds_on_demand() {
         db,
         EngineConfig {
             catalog_budget_bytes: 1024,
-            ..EngineConfig::default()
         },
     );
     engine
@@ -195,10 +194,10 @@ fn tight_budget_evicts_lru_and_rebuilds_on_demand() {
 }
 
 #[test]
-fn eviction_prefers_high_bytes_per_rebuild_nanosecond() {
+fn eviction_prefers_high_bytes_per_unit_of_build_work() {
     // Two entries with identical byte footprints but very different
-    // (fabricated) rebuild times: under pressure the catalog must evict
-    // the one that is cheap to rebuild, not the least recently used one.
+    // (fabricated) build work: under pressure the catalog must evict the
+    // one that is cheap to rebuild, not the least recently used one.
     use cqc_engine::{Catalog, CatalogKey};
     use std::sync::Arc;
 
@@ -216,8 +215,8 @@ fn eviction_prefers_high_bytes_per_rebuild_nanosecond() {
         + cqc_common::HeapSize::heap_bytes(a.as_ref());
     // Budget fits exactly two entries; the third insertion forces one out.
     let catalog = Catalog::new(2 * bytes + bytes / 2);
-    // `expensive` took 1s to build, `cheap` 10µs — same bytes, so the
-    // bytes-per-rebuild-nanosecond score dooms `cheap`.
+    // `expensive` counted 10⁹ units of build work, `cheap` 10⁴ — same
+    // bytes, so the bytes-per-unit-of-work score dooms `cheap`.
     catalog.insert(key("expensive"), a, 0, 1_000_000_000);
     catalog.insert(key("cheap"), b, 0, 10_000);
     // Make `expensive` the LRU victim candidate: touch `cheap` afterwards,
@@ -238,6 +237,46 @@ fn eviction_prefers_high_bytes_per_rebuild_nanosecond() {
         "the cheap-to-rebuild entry is the cost-aware victim"
     );
     assert!(catalog.contains(&key("third")), "newest always admitted");
+}
+
+/// The same rule on real builds: `direct` (Theorem 1 at τ = ∞, no join at
+/// build time) and `tau:2` (a tree and a dictionary, each decided by count
+/// probes) over the same triangle. `tau:2` holds more bytes and is the
+/// least recently used, so bytes alone and LRU alone would both evict it;
+/// its build counts far more work per byte, so `direct` is the victim —
+/// on every run and every host, since nothing here reads a clock.
+#[test]
+fn eviction_on_real_builds_follows_counted_work() {
+    const QUERY: &str = "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)";
+    let views = [("tau", "tau:2"), ("dir", "direct"), ("mat", "materialize")];
+    let register = |engine: &Engine, (name, token): (&str, &str)| {
+        engine
+            .register_text(name, QUERY, "bfb", Policy::parse(token).unwrap())
+            .unwrap();
+        engine.catalog_stats().resident_bytes
+    };
+    // Each entry's bytes, from an engine that evicts nothing.
+    let probe = Engine::new(triangle_db(150, 9));
+    let tau_bytes = register(&probe, views[0]);
+    let dir_bytes = register(&probe, views[1]) - tau_bytes;
+    let all_bytes = register(&probe, views[2]);
+    assert!(tau_bytes > dir_bytes, "{tau_bytes} vs {dir_bytes}");
+
+    // One byte short of all three: the third registration evicts one.
+    let engine = Engine::with_config(
+        triangle_db(150, 9),
+        EngineConfig {
+            catalog_budget_bytes: all_bytes - 1,
+        },
+    );
+    for view in views {
+        register(&engine, view);
+    }
+    let s = engine.catalog_stats();
+    assert_eq!(s.evictions, 1, "{s:?}");
+    assert_eq!(engine.representation_epoch("dir").unwrap(), None, "{s:?}");
+    assert!(engine.representation_epoch("tau").unwrap().is_some());
+    assert!(engine.representation_epoch("mat").unwrap().is_some());
 }
 
 #[test]

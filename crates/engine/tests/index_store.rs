@@ -21,7 +21,7 @@
 
 use cqc_common::alloc::{live_bytes, CountingAlloc};
 use cqc_common::value::Tuple;
-use cqc_engine::{BlockService, Engine, EngineConfig, Policy};
+use cqc_engine::{BlockService, Engine, Policy};
 use cqc_join::naive::evaluate_view;
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Database, Delta, Relation, SortedIndex};
@@ -55,18 +55,6 @@ fn triangle_db(nodes: u64, edges: usize) -> Database {
         db.add(Relation::new(*name, 2, rows)).unwrap();
     }
     db
-}
-
-fn engine_over(db: Database) -> Engine {
-    // Calibration off: whether a delta is maintained or rebuilt must not
-    // depend on wall clocks here.
-    Engine::with_config(
-        db,
-        EngineConfig {
-            maintain_calibration: false,
-            ..EngineConfig::default()
-        },
-    )
 }
 
 fn allocations<'a>(
@@ -130,7 +118,7 @@ fn assert_serve_the_naive_join(
 #[test]
 fn views_share_every_common_index_and_leave_nothing_behind() {
     let _turn = take_turns();
-    let engine = engine_over(triangle_db(600, 6000));
+    let engine = Engine::new(triangle_db(600, 6000));
     // The teardown below ages the catalog with a delta and its inverse;
     // apply the pair once up front so the baseline already has whatever
     // capacity a relation keeps from being rewritten.
@@ -250,7 +238,7 @@ fn views_share_every_common_index_and_leave_nothing_behind() {
 #[test]
 fn maintenance_shares_like_a_rebuild_and_pins_no_generation() {
     let _turn = take_turns();
-    let engine = engine_over(triangle_db(40, 250));
+    let engine = Engine::new(triangle_db(40, 250));
     for (name, strategy) in [("lo", "tau:2"), ("hi", "tau:64")] {
         engine
             .register_text(name, TRIANGLE, "bfb", Policy::parse(strategy).unwrap())
@@ -325,7 +313,7 @@ fn racing_registrations_and_updates_keep_one_allocation_per_pair() {
     // Two registrations over the same relations start together: both may
     // sort a pair, one allocation survives.
     for round in 0..8u64 {
-        let engine = engine_over(triangle_db(60, 400));
+        let engine = Engine::new(triangle_db(60, 400));
         let start = Barrier::new(2);
         std::thread::scope(|scope| {
             for (name, strategy) in [("lo", "tau:2"), ("hi", "tau:64")] {
@@ -355,7 +343,7 @@ fn racing_registrations_and_updates_keep_one_allocation_per_pair() {
     // join over the published epoch's indexes, held once.
     let mut rng = cqc_workload::rng(5);
     for round in 0..8u64 {
-        let engine = engine_over(triangle_db(60, 400));
+        let engine = Engine::new(triangle_db(60, 400));
         engine
             .register_text("lo", TRIANGLE, "bff", Policy::parse("tau:2").unwrap())
             .unwrap();

@@ -5,12 +5,13 @@
 use cqc_common::value::Tuple;
 use cqc_common::AnswerBlock;
 use cqc_core::Strategy;
-use cqc_engine::{BlockService, Engine, EngineConfig, Policy};
+use cqc_engine::{BlockService, Engine, Policy};
 use cqc_join::naive::evaluate_view;
 use cqc_query::parser::parse_adorned;
 use cqc_query::AdornedView;
 use cqc_storage::{Database, Delta, Relation};
 use cqc_workload::{mixed_delta, recombination_delta};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const TRIANGLE: &str = "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)";
 
@@ -123,16 +124,7 @@ fn add_relation_after_register_invalidates_catalog() {
 #[test]
 fn small_deltas_take_the_maintain_path_and_stay_exact() {
     for seed in 0..6u64 {
-        // Calibration off: the maintain/rebuild choice must be a pure
-        // function of the delta here, not of wall clocks on a loaded
-        // machine.
-        let engine = Engine::with_config(
-            triangle_db(70, 12, seed * 17 + 1),
-            EngineConfig {
-                maintain_calibration: false,
-                ..EngineConfig::default()
-            },
-        );
+        let engine = Engine::new(triangle_db(70, 12, seed * 17 + 1));
         engine
             .register_text("tri", TRIANGLE, "bfb", theorem1_policy())
             .unwrap();
@@ -177,13 +169,7 @@ fn small_deltas_take_the_maintain_path_and_stay_exact() {
 #[test]
 fn mixed_deltas_maintain_and_stay_exact() {
     for seed in [0u64, 3, 8] {
-        let engine = Engine::with_config(
-            triangle_db(70, 12, seed * 11 + 5),
-            EngineConfig {
-                maintain_calibration: false,
-                ..EngineConfig::default()
-            },
-        );
+        let engine = Engine::new(triangle_db(70, 12, seed * 11 + 5));
         engine
             .register_text("tri", TRIANGLE, "bfb", theorem1_policy())
             .unwrap();
@@ -290,13 +276,7 @@ fn untouched_views_are_restamped_not_rebuilt() {
 fn flood_of_unrelated_relation_keeps_maintain_path() {
     let mut db = triangle_db(60, 12, 31);
     db.add(Relation::from_pairs("Other", vec![(1, 2)])).unwrap();
-    let engine = Engine::with_config(
-        db,
-        EngineConfig {
-            maintain_calibration: false,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(db);
     engine
         .register_text("tri", TRIANGLE, "bfb", theorem1_policy())
         .unwrap();
@@ -528,6 +508,91 @@ fn concurrent_serving_during_updates_is_monotone() {
             evaluate_view(&view, &db_final, vb).unwrap()
         );
     }
+}
+
+/// Maintain, rebuild and restamp are decided by counts alone: one seeded
+/// history of mixed deltas — an out-of-domain insert and a delta above
+/// `0.2 · |D|` among them — reconciles identically on a quiet engine and on
+/// one running beside two busy-spinning threads.
+#[test]
+fn update_decisions_do_not_depend_on_the_host() {
+    let mut db = triangle_db(70, 12, 41);
+    db.add(Relation::from_pairs("Other", vec![(1, 2), (2, 3), (3, 1)]))
+        .unwrap();
+    let mut history = Vec::new();
+    let mut evolving = db.clone();
+    let mut rng = cqc_workload::rng(42);
+    for round in 0..12 {
+        let delta = match round {
+            4 => {
+                let mut delta = Delta::new();
+                delta.insert("R", vec![3, 777]);
+                delta
+            }
+            8 => recombination_delta(&mut rng, &evolving, &["R", "S", "T"], 40),
+            _ if round % 3 == 2 => mixed_delta(&mut rng, &evolving, &["Other"], 2, 1),
+            _ => mixed_delta(&mut rng, &evolving, &["R", "S", "T"], 3, 2),
+        };
+        evolving.apply(&delta).unwrap();
+        if round == 8 {
+            let (big, size) = (delta.total_tuples(), evolving.size());
+            assert!(big as f64 > 0.2 * size as f64, "{big} of {size}");
+        }
+        history.push(delta);
+    }
+
+    let replay = || {
+        let engine = Engine::new(db.clone());
+        for (name, token) in [
+            ("tri", "tau:2"),
+            ("mat", "materialize"),
+            ("fac", "factorized"),
+        ] {
+            engine
+                .register_text(name, TRIANGLE, "bfb", Policy::parse(token).unwrap())
+                .unwrap();
+        }
+        engine
+            .register_text("other", "Q(x,y) :- Other(x,y)", "bf", Policy::default())
+            .unwrap();
+        let reports: Vec<_> = history.iter().map(|d| engine.update(d).unwrap()).collect();
+        let stats = engine.catalog_stats();
+        (reports, stats.maintained, stats.builds)
+    };
+    let quiet = replay();
+
+    /// Stops the spinners even when the replay beside them panics.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = AtomicBool::new(false);
+    let loaded = std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::spin_loop();
+                }
+            });
+        }
+        let _stop = Stop(&stop);
+        replay()
+    });
+    assert_eq!(quiet, loaded);
+
+    let (reports, _, _) = &quiet;
+    // Theorem 1's grid shifts under the out-of-domain value; the Theorem 2
+    // views maintain through it.
+    assert_eq!(reports[4].rebuilt, 1, "out of domain: {:?}", reports[4]);
+    assert_eq!(
+        reports[8].rebuilt, 3,
+        "above the fraction: {:?}",
+        reports[8]
+    );
+    assert!(reports.iter().any(|r| r.maintained > 0), "{reports:?}");
+    assert!(reports.iter().any(|r| r.restamped > 0), "{reports:?}");
 }
 
 /// Epoch bookkeeping is visible and monotone through the public API.

@@ -75,6 +75,17 @@ if grep -rnwE --exclude=engine.rs 'cqc_durable|DurableStore' crates/engine/src |
     echo "a second write/admin half is back: durability and update reports belong to Engine" >&2
     exit 1
 fi
+# Update and eviction decisions read no clock: `maintain` and the fixed
+# delta fraction decide maintain versus rebuild, and eviction ranks by
+# bytes ÷ counted build work, so one delta history reconciles the same on
+# any host. Fails on `let _t = std::time::Instant::now();` added to
+# `reconcile_entry` in crates/engine/src/engine.rs, or on a
+# `maintain_calibration` switch anywhere under crates/*/src.
+if grep -nE '\bInstant\b|elapsed\(' crates/engine/src/engine.rs crates/engine/src/catalog.rs ||
+    grep -rnwE 'maintain_calibration|maintain_paused' crates/*/src; then
+    echo "an engine decision reads the clock again: maintain, rebuild and evict on counts" >&2
+    exit 1
+fi
 
 step "benchmark package compiles against this tree"
 # benchmark/ is its own workspace and frozen between benchmark PRs: an API
