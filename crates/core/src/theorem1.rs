@@ -316,7 +316,7 @@ impl Theorem1Structure {
             base_index_distinct_bytes: space.base_index_distinct_bytes,
             base_index_widths: (
                 self.base_indexes()
-                    .flat_map(|ix| (0..ix.depth()).map(|d| ix.col(d).width()))
+                    .flat_map(|ix| (0..ix.arity()).map(|d| ix.col(d).width()))
                     .max()
                     .unwrap_or(0),
                 self.domains

@@ -31,7 +31,7 @@ use cqc_common::value::Value;
 use cqc_decomp::{search_connex, Objective, TreeDecomposition};
 use cqc_lp::covers::rho_plus;
 use cqc_query::{AdornedView, ConjunctiveQuery, Hypergraph, Var, VarSet};
-use cqc_storage::{Database, Delta, Relation};
+use cqc_storage::{Database, Delta, SortedIndex};
 use std::sync::Arc;
 
 /// One bag of the structure.
@@ -108,34 +108,40 @@ impl<'a> BagSource<'a> {
     }
 }
 
-/// The relations fully contained in `V_b`, checked per access request
+/// A relation fully contained in `V_b`, checked per access request
 /// (§5.1: "a hash index that tests membership for every hyperedge of H
-/// contained in V_b"; sorted-relation membership is the same Õ(1)) — for
-/// an all-bound view every relation, which is all of Prop. 1. The handles
-/// share the database's allocations.
-fn root_checks(view: &AdornedView, db: &Database) -> Result<Vec<(Arc<Relation>, Vec<Var>)>> {
+/// contained in V_b"; sorted-relation membership is the same Õ(1)): the
+/// database's stored relation, its packed columns narrowed in place.
+#[derive(Debug)]
+struct RootCheck {
+    /// The atom's position in the view's query (it names the relation).
+    atom: usize,
+    relation: Arc<SortedIndex>,
+    vars: Vec<Var>,
+}
+
+/// The root checks of `view` — for an all-bound view every relation,
+/// which is all of Prop. 1. The handles share the database's allocations.
+fn root_checks(view: &AdornedView, db: &Database) -> Result<Vec<RootCheck>> {
     let vb = view.bound_vars();
     let mut checks = Vec::new();
-    for atom in &view.query().atoms {
+    for (ai, atom) in view.query().atoms.iter().enumerate() {
         let vars: Vec<Var> = atom.vars().collect();
         if vars.iter().all(|v| vb.contains(*v)) {
-            let rel = db.get_arc(&atom.relation).ok_or_else(|| {
+            let relation = db.get_arc(&atom.relation).ok_or_else(|| {
                 CqcError::Schema(format!(
                     "relation `{}` not found in database",
                     atom.relation
                 ))
             })?;
-            checks.push((rel, vars));
+            checks.push(RootCheck {
+                atom: ai,
+                relation,
+                vars,
+            });
         }
     }
     Ok(checks)
-}
-
-/// What a root check reports for its relation: the content (name and
-/// rows) per holder — what a private exact-capacity copy would occupy —
-/// although the allocation is the database's.
-fn check_relation_bytes(rel: &Relation) -> usize {
-    rel.name().len() + rel.len() * rel.arity() * std::mem::size_of::<Value>()
 }
 
 /// The Theorem 2 compressed representation.
@@ -152,7 +158,7 @@ pub struct Theorem2Structure {
     parent_of: Vec<Option<usize>>,
     /// Children in `bags` indexes.
     children_of: Vec<Vec<usize>>,
-    root_checks: Vec<(Arc<Relation>, Vec<Var>)>,
+    root_checks: Vec<RootCheck>,
     num_vars: usize,
     delta: Vec<f64>,
 }
@@ -672,17 +678,19 @@ pub struct Theorem2Stats {
 
 impl HeapSize for Theorem2Structure {
     /// A root-check relation is the database's allocation: each structure
-    /// holding its handle counts its content (what a private copy would
-    /// occupy, not the owner's spare capacity), as shared sorted indexes
-    /// are counted once per holder.
+    /// holding its handle counts its content — the relation's name and its
+    /// packed index — as shared sorted indexes are counted once per holder.
     fn heap_bytes(&self) -> usize {
+        let atoms = &self.view.query().atoms;
         self.bound_head.heap_bytes()
             + self.free_head.heap_bytes()
             + self.bags.iter().map(HeapSize::heap_bytes).sum::<usize>()
             + self
                 .root_checks
                 .iter()
-                .map(|(r, v)| check_relation_bytes(r) + v.heap_bytes())
+                .map(|c| {
+                    atoms[c.atom].relation.len() + c.relation.heap_bytes() + c.vars.heap_bytes()
+                })
                 .sum::<usize>()
     }
 }
@@ -755,14 +763,16 @@ impl<'a> Theorem2Iter<'a> {
         }
         self.started = false;
         let mut root_ok = true;
-        for (rel, vars) in &self.s.root_checks {
+        for check in &self.s.root_checks {
             let Theorem2Iter { valuation, key, .. } = self;
             key.clear();
             key.extend(
-                vars.iter()
+                check
+                    .vars
+                    .iter()
                     .map(|v| valuation[v.index()].expect("bound var valued")),
             );
-            if !rel.contains(key) {
+            if !check.relation.contains(key) {
                 root_ok = false;
                 break;
             }
@@ -941,7 +951,7 @@ mod tests {
     use cqc_join::naive::evaluate_view;
     use cqc_query::parser::parse_adorned;
     use cqc_query::VarSet;
-    use cqc_storage::SortedIndex;
+    use cqc_storage::Relation;
     use std::sync::Arc;
 
     fn vs(vars: &[u32]) -> VarSet {
@@ -1205,7 +1215,10 @@ mod tests {
         let got = answers(&s, &[1, 2]);
         assert_eq!(got, vec![Vec::<Value>::new()]);
         // The check shares the database's relation; it is not a copy.
-        assert!(Arc::ptr_eq(&s.root_checks[0].0, &db.get_arc("R").unwrap()));
+        assert!(Arc::ptr_eq(
+            &s.root_checks[0].relation,
+            &db.get_arc("R").unwrap()
+        ));
         assert!(s.exists(&[1]).is_err(), "access arity is validated");
 
         // Membership: (x, y, z) is in the 2-path iff R(x, y) and S(y, z).
@@ -1450,7 +1463,7 @@ mod tests {
         // That commit stored every index value as a `u64`: an index's heap
         // was its column order, 8 B per value and a `Vec` header per
         // column — priced from row counts, not from today's packed bytes.
-        let u64_index = |ix: &SortedIndex| 8 * ix.depth() * (ix.len() + 1) + 24 * ix.depth();
+        let u64_index = |ix: &SortedIndex| 8 * ix.arity() * (ix.len() + 1) + 24 * ix.arity();
         let oracle_indexes: usize = tries.iter().map(|ix| 2 * u64_index(ix)).sum();
         // What that commit's fixed-width columns held, beside what today's
         // packed ones hold, from each bag's counts: a tree node 4µ + 4 B, a

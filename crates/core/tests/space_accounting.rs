@@ -15,8 +15,10 @@
 //! * across a whole `Theorem1Structure::build_pooled` on a private pool
 //!   that is then dropped, live bytes are the plan's tries (each
 //!   allocation once) + the grid + tree + dictionary, within 2 KiB (the
-//!   view definition, the cover and the grid sizes); `base_indexes()` is
-//!   exactly those tries and `heap_bytes()` is that figure too. The
+//!   view definition, the cover and the grid sizes), less the tries in
+//!   their relation's own order — those are the database's stored
+//!   relations, allocated before the build; `base_indexes()` is exactly
+//!   those tries and `heap_bytes()` is the whole figure. The
 //!   `direct` recipe (Theorem 1 at τ = ∞) is a row of this gate with no
 //!   dictionary to speak of: tries + grid + a one-leaf tree, and per-node
 //!   offsets without a single candidate; beside it, on a hub instance, its
@@ -35,10 +37,11 @@
 //!   δ ≡ 0 case: across a whole build, live bytes are `heap_bytes()` plus
 //!   the headers it leaves out, **to the byte** for δ ≡ 0 structures on the
 //!   2- and 3-path and within Theorem 1's own 2 KiB window per delay-tuned
-//!   bag for a mixed one on the 4-path. A root-check relation is shared
-//!   with the database, so `heap_bytes()` (which counts its name and rows
-//!   per holder) exceeds the allocator's figure by exactly that content:
-//!   the 3-path `bbbf` row, where `R1` and `R2` are inside `V_b`, shows it.
+//!   bag for a mixed one on the 4-path. A root-check relation is the
+//!   database's stored relation, so `heap_bytes()` (which counts its name
+//!   and packed index per holder) exceeds the allocator's figure by exactly
+//!   that content: the 3-path `bbbf` row, where `R1` and `R2` are inside
+//!   `V_b`, shows it.
 //!   Beside it a layout pin per materialized bag, met with equality:
 //!   `heap_bytes` of its storage is `bw·keys` key values, `keys + 1`
 //!   offsets, `fw·rows` free-column ranks and `Σ distinct` domain values,
@@ -52,7 +55,9 @@
 //!   root bag alone, so building it over three relations grows live bytes
 //!   by less than one of them, and `heap_bytes()` is, to the byte, each
 //!   relation's content plus the root checks' variable lists and the
-//!   bound head.
+//!   bound head. A relation's content is a width formula: its name, its
+//!   column order, a column header per attribute and `⌈rows·w/64⌉·8` per
+//!   column, `w` the whole word size of the column's largest value.
 //!
 //! Sabotage, checked once when the third gate was written: a structure
 //! that keeps its `CostEstimator` in a field, or one `Arc` to a
@@ -81,7 +86,11 @@
 //! layout pin: a `u32` rank column left in place of the packed one
 //! (`Box<[u32]>` for `free`), or keys stored as full `u64` values, fails
 //! the `bff` row. For the sixth: the same deep copy in `root_checks`
-//! fails it, live bytes then exceeding the smallest relation.
+//! fails it, live bytes then exceeding the smallest relation; and a stored
+//! relation that keeps its rows as a `Vec<Value>` beside its packed index
+//! (modelled as one more `8 · len · arity` B per root check in
+//! `Theorem2Structure::heap_bytes`) fails its width-formula equality,
+//! 19 542 B against 2 518 — after failing the fifth gate's `bbbf` row.
 //!
 //! Everything is in one `#[test]` so no other test thread allocates while
 //! live bytes are being compared.
@@ -101,7 +110,7 @@ use cqc_join::plan::ViewPlan;
 use cqc_lp::covers::slack;
 use cqc_query::parser::parse_adorned;
 use cqc_query::{AdornedView, Var, VarSet};
-use cqc_storage::{Database, IndexPool, Relation};
+use cqc_storage::{Database, IndexPool, Relation, SortedIndex};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -127,6 +136,40 @@ fn word_bits(max: u64) -> u32 {
         .into_iter()
         .find(|&w| w == 64 || max >> w == 0)
         .unwrap()
+}
+
+/// A stored relation's packed index, met with equality: its column order
+/// and, per attribute, a column header and `⌈rows·w/64⌉·8` bytes, with `w`
+/// the whole word size of that column's largest value — read off the
+/// relation's values, not its layout. A trie in the relation's own order is
+/// this same allocation.
+fn stored_index_bytes(db: &Database, name: &str) -> usize {
+    let relation = db.require(name).unwrap();
+    let header = std::mem::size_of::<usize>() + std::mem::size_of::<Packed>();
+    (0..relation.arity())
+        .map(|c| {
+            let max = relation.column_values(c).last().copied().unwrap_or(0);
+            header + packed(relation.len(), word_bits(max))
+        })
+        .sum()
+}
+
+/// Bytes of the tries of `s` that are the database's own stored relations
+/// (a trie in a relation's own order is the relation): reported per
+/// holder, each allocation once, but allocated by the database, not by the
+/// build.
+fn held_by_database(s: &Theorem1Structure, db: &Database) -> usize {
+    let mut seen = Vec::new();
+    s.base_indexes()
+        .zip(&s.view().query().atoms)
+        .filter(|(ix, atom)| Arc::ptr_eq(ix, &db.get_arc(&atom.relation).unwrap()))
+        .filter(|(ix, _)| {
+            let first = !seen.contains(&Arc::as_ptr(ix));
+            seen.push(Arc::as_ptr(ix));
+            first
+        })
+        .map(|(ix, _)| ix.heap_bytes() + std::mem::size_of::<SortedIndex>())
+        .sum()
 }
 
 /// What a delay-tuned bag adds to a Theorem 2 structure's unreported
@@ -183,7 +226,15 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         let (before, held) = (live_bytes(), pool.stats());
         oracle.release_tree_side();
         let left = pool.stats();
-        assert_eq!(left.indexes, tries.indexes().len(), "{pattern}");
+        // (A trie in its relation's own order is the stored relation, which
+        // the store hands out but does not file.)
+        let own_order = tries
+            .indexes()
+            .iter()
+            .zip(&view.query().atoms)
+            .filter(|(ix, atom)| Arc::ptr_eq(ix, &db.get_arc(&atom.relation).unwrap()))
+            .count();
+        assert_eq!(left.indexes, tries.indexes().len() - own_order, "{pattern}");
         // (With no bound variable the two sides are one order.)
         assert_eq!(
             held.indexes > left.indexes,
@@ -217,9 +268,11 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         let live = (live_bytes() - before) as usize;
         let space = s.space_breakdown();
         let resident = space.base_index_distinct_bytes + space.nonlinear_bytes();
+        let built = resident - held_by_database(&s, &db);
         assert!(
-            (resident..resident + 2048).contains(&live),
-            "{pattern}: allocator says {live} live bytes, tries + grid + tree + dict is {resident}"
+            (built..built + 2048).contains(&live),
+            "{pattern}: allocator says {live} live bytes, tries + grid + tree + dict is \
+             {resident}, {built} of it not the database's"
         );
         // The three relations are three allocations, so no trie is shared
         // and the per-holder figure is the resident one: the grid sizes and
@@ -298,19 +351,11 @@ fn tries_and_grid_are_at_their_widths(s: &Theorem1Structure, db: &Database, patt
     let atoms = &s.view().query().atoms;
     assert_eq!(s.base_indexes().count(), atoms.len(), "{pattern}");
     for (ix, atom) in s.base_indexes().zip(atoms) {
-        let relation = db.require(&atom.relation).unwrap();
-        let columns: usize = ix
-            .order()
-            .iter()
-            .map(|&c| {
-                let max = relation.iter().map(|row| row[c]).max().unwrap_or(0);
-                packed(ix.len(), word_bits(max))
-            })
-            .sum();
-        let header = std::mem::size_of::<usize>() + std::mem::size_of::<Packed>();
+        // Every order of a relation holds the same columns, so the stored
+        // relation's formula is every trie's.
         assert_eq!(
             ix.heap_bytes(),
-            header * ix.depth() + columns,
+            stored_index_bytes(db, &atom.relation),
             "{pattern}: the {} trie over {} rows, order {:?}",
             atom.relation,
             ix.len(),
@@ -352,9 +397,11 @@ fn direct_holds_tries_grid_and_tree(db: &Database) {
             "{pattern}"
         );
         let resident = space.base_index_distinct_bytes + space.nonlinear_bytes();
+        let built = resident - held_by_database(s, db);
         assert!(
-            (resident..resident + 2048).contains(&live),
-            "{pattern}: allocator says {live} live bytes, tries + grid + tree is {resident}"
+            (built..built + 2048).contains(&live),
+            "{pattern}: allocator says {live} live bytes, tries + grid + tree is {resident}, \
+             {built} of it not the database's"
         );
         tries_and_grid_are_at_their_widths(s, db, pattern);
         assert_eq!(
@@ -404,16 +451,17 @@ fn bound_only_holds_handles_not_copies() {
         panic!("an all-bound view is Theorem 2, got {}", cv.describe());
     };
     assert_eq!(s.stats().bags, 0, "{}", cv.describe());
-    let content = |name: &str| name.len() + 8 * 2 * db.require(name).unwrap().len();
+    let content = |name: &str| name.len() + stored_index_bytes(&db, name);
     let one_relation = content("R1").min(content("R2")).min(content("R3"));
     assert!(
         live < one_relation,
         "an all-bound view over three relations holds {live} live bytes; the smallest \
          relation alone is {one_relation}"
     );
-    // It reports each relation's content per holder, plus each root
-    // check's two variables (in `Vec`'s smallest allocation of four) and
-    // the four bound head variables.
+    // It reports each relation's content per holder — its name and its
+    // packed index, to the byte — plus each root check's two variables (in
+    // `Vec`'s smallest allocation of four) and the four bound head
+    // variables.
     let vars = 3 * 4 * std::mem::size_of::<Var>() + 4 * std::mem::size_of::<Var>();
     assert_eq!(
         cv.heap_bytes(),
@@ -458,7 +506,10 @@ fn theorem2_reports_what_it_holds() {
     ];
     let max_value = names
         .iter()
-        .flat_map(|name| db.require(name).unwrap().iter().flatten().copied())
+        .flat_map(|name| {
+            let relation = db.require(name).unwrap();
+            (0..relation.arity()).filter_map(|c| relation.column_values(c).last().copied())
+        })
         .max()
         .unwrap();
     for (atoms, pattern, build, tradeoff, inside_vb) in cases {
@@ -476,7 +527,7 @@ fn theorem2_reports_what_it_holds() {
         assert!(stats.materialized_tuples > 100, "{pattern}: {stats:?}");
         let shared: usize = inside_vb
             .iter()
-            .map(|name| name.len() + 8 * 2 * db.require(name).unwrap().len())
+            .map(|name| name.len() + stored_index_bytes(&db, name))
             .sum();
         assert_eq!(shared > 0, !inside_vb.is_empty());
 
@@ -517,13 +568,14 @@ fn theorem2_reports_what_it_holds() {
         // (node id, two variable-list handles, four packed columns and
         // two widths), parent slot and child-list header; per inner bag a
         // child list at its first growth; a delay per decomposition node;
-        // the root-check list at its first growth; the view definition.
+        // the root-check list (atom, handle, variable list: 40 B a check)
+        // at its first growth; the view definition.
         let bags = stats.bags;
         let bag_header = 8 + 2 * 16 + 4 * std::mem::size_of::<Packed>() + 2 * 8;
         let unreported = (bag_header + 16 + 24) * bags
             + 32 * (bags - 1)
             + 8 * (bags + 1)
-            + if inside_vb.is_empty() { 0 } else { 4 * 32 }
+            + if inside_vb.is_empty() { 0 } else { 4 * 40 }
             + view_bytes;
         let held = s.heap_bytes() - shared + unreported;
         let window = UNREPORTED_PER_TRADEOFF_BAG * stats.tradeoff_bags;

@@ -3,10 +3,12 @@
 //! Layout (`b"CQSN" | u32 version | u64 epoch | u32 relations |
 //! per relation: str name, u16 arity, u64 rows, rows × arity u64 |
 //! u32 crc`), the CRC-32 covering everything before it; all integers
-//! little endian. Rows are written in each relation's sorted storage
-//! order, so [`load`] rebuilds every relation through
+//! little endian. [`write()`] decodes each stored relation's packed
+//! columns back into rows, in sorted order, so the format does not depend
+//! on the in-memory layout; [`load`] rebuilds every relation through
 //! [`Relation::from_flat`]'s already-sorted adoption path — the persisted
-//! run is taken over as-is, no re-sort, no per-tuple allocation.
+//! run is taken over as-is, no re-sort, no per-tuple allocation — and
+//! [`Database::add`] packs it.
 //!
 //! Snapshots are immutable once named: [`write()`] goes to `<name>.tmp`,
 //! fsyncs, renames to `snap-<epoch>.db`, and fsyncs the directory. A
@@ -44,12 +46,15 @@ pub fn write(dir: &Path, db: &Database) -> Result<String> {
     w.put_u32(VERSION)
         .put_u64(db.epoch())
         .put_u32(db.num_relations() as u32);
-    for rel in db.relations() {
-        w.put_str(rel.name())
+    let mut row = Vec::new();
+    for (name, rel) in db.named_relations() {
+        w.put_str(name)
             .put_u16(rel.arity() as u16)
             .put_u64(rel.len() as u64);
-        for row in rel.iter() {
-            w.put_values(row);
+        // Decoded from the packed columns: the file keeps 8 B a value.
+        for i in 0..rel.len() {
+            rel.row_into(i, &mut row);
+            w.put_values(&row);
         }
     }
     let crc = crc32(w.bytes());
@@ -151,10 +156,43 @@ mod tests {
         let back = load(&dir.join(&name)).unwrap();
         assert_eq!(back.epoch(), db.epoch());
         assert_eq!(back.num_relations(), db.num_relations());
-        for rel in db.relations() {
-            let b = back.get(rel.name()).unwrap();
-            assert_eq!(b, rel);
+        for (name, rel) in db.named_relations() {
+            assert_eq!(back.get(name).unwrap(), &**rel);
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The on-disk bytes are a format, not a by-product of the in-memory
+    /// layout: one fixed database — arities 1, 2 and 3, an empty relation,
+    /// and columns whose largest values need 8, 16, 32 and 64 bits — hashes
+    /// (FNV-1a, 64 bits) to the same constant however relations are stored.
+    #[test]
+    fn snapshot_bytes_are_golden() {
+        let dir = temp_dir("golden");
+        let mut db = Database::new();
+        db.add(Relation::from_flat("U", 1, vec![200, 7, 0, 255]))
+            .unwrap();
+        db.add(Relation::from_pairs(
+            "B",
+            vec![(1, 60_000), (70_000, 3), (1, 2), (4_000_000_000, 65_535)],
+        ))
+        .unwrap();
+        db.add(Relation::new(
+            "T",
+            3,
+            vec![vec![u64::MAX, 1, 300], vec![5, 1 << 40, 9], vec![5, 2, 1]],
+        ))
+        .unwrap();
+        db.add(Relation::new("E", 2, vec![])).unwrap();
+        let mut delta = Delta::new();
+        delta.insert("B", vec![2, 2]);
+        delta.remove("U", vec![7]);
+        db.apply(&delta).unwrap();
+        let bytes = std::fs::read(dir.join(write(&dir, &db).unwrap())).unwrap();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (260, 0xbb30_8550_6d32_0375));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -33,7 +33,7 @@ use cqc_durable::DurableStore;
 use cqc_query::parser::parse_adorned;
 use cqc_query::AdornedView;
 use cqc_storage::csv::{relation_from_csv, CsvOptions};
-use cqc_storage::{Database, Delta, Epoch, IndexPool, Interner, Relation, RelationId};
+use cqc_storage::{Database, Delta, Epoch, IndexPool, Interner, Relation, RelationId, SortedIndex};
 use std::io::BufRead;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -456,7 +456,7 @@ impl Engine {
             .atoms
             .iter()
             .filter_map(|a| db.get(&a.relation))
-            .map(Relation::len)
+            .map(SortedIndex::len)
             .sum();
         let cv = Arc::new(cv);
         self.catalog.insert(

@@ -175,14 +175,15 @@ fn steady_state_serve_is_allocation_free() {
     // The 3-path at `bbff`: every `(w, x)` of `R` with `w` below 40 (a
     // hit, its answers from two bags) and the same `x` under a `w` outside
     // the domain (a root-check miss).
-    let pairs: Vec<Vec<u64>> = engine
-        .db()
-        .require("R")
-        .unwrap()
-        .iter()
-        .filter(|wx| wx[0] < 40)
-        .flat_map(|wx| [wx.to_vec(), vec![wx[0] + 1_000, wx[1]]])
-        .collect();
+    let pairs: Vec<Vec<u64>> = {
+        let db = engine.db();
+        let r = db.require("R").unwrap();
+        (0..r.len())
+            .map(|i| [r.value(0, i), r.value(1, i)])
+            .filter(|wx| wx[0] < 40)
+            .flat_map(|wx| [wx.to_vec(), vec![wx[0] + 1_000, wx[1]]])
+            .collect()
+    };
     let expected = oracle(query3, "bbff", &pairs);
     let total: usize = expected.iter().map(Vec::len).sum();
     assert!(total > 1_000, "3-path workload too sparse: {total}");

@@ -58,7 +58,9 @@ pub fn evaluate_view_hash(
             }
         }
         let mut atom_rows: Vec<Tuple> = Vec::new();
-        'rows: for row in rel.iter() {
+        let mut row = Vec::with_capacity(rel.arity());
+        'rows: for i in 0..rel.len() {
+            rel.row_into(i, &mut row);
             let mut vals: Vec<Option<Value>> = vec![None; atom_vars.len()];
             for (pos, term) in atom.terms.iter().enumerate() {
                 match term {

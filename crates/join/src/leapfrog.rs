@@ -74,7 +74,7 @@ impl<'a> AtomInput<'a> {
     /// Panics if `levels` is not strictly increasing or its length differs
     /// from the index depth.
     pub fn new(index: &'a SortedIndex, levels: Vec<usize>) -> AtomInput<'a> {
-        assert_eq!(levels.len(), index.depth(), "levels must match trie depth");
+        assert_eq!(levels.len(), index.arity(), "levels must match trie depth");
         assert!(
             levels.windows(2).all(|w| w[0] < w[1]),
             "levels must be strictly increasing (trie order must follow the global order)"
@@ -373,10 +373,10 @@ mod tests {
         let r = Relation::from_pairs("R", vec![(1, 2), (2, 3), (1, 3), (3, 1)]);
         let s = Relation::from_pairs("S", vec![(2, 3), (3, 1), (3, 2)]);
         let t = Relation::from_pairs("T", vec![(3, 1), (1, 2), (2, 3)]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
-        let si = SortedIndex::build(&s, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
+        let si = SortedIndex::pack(&s);
         // T(z,x): trie order must follow global (x=0 < z=2): columns (1, 0).
-        let ti = SortedIndex::build(&t, &[1, 0]);
+        let ti = SortedIndex::build(&SortedIndex::pack(&t), &[1, 0]);
         let atoms = vec![
             AtomInput::new(&ri, vec![0, 1]),
             AtomInput::new(&si, vec![1, 2]),
@@ -392,7 +392,7 @@ mod tests {
     #[test]
     fn output_is_lexicographic() {
         let r = Relation::from_pairs("R", vec![(2, 1), (1, 2), (1, 1), (2, 2)]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
         let mut j = LeapfrogJoin::new(
             vec![AtomInput::new(&ri, vec![0, 1])],
             2,
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn fixed_constraints_select_submatch() {
         let r = Relation::from_pairs("R", vec![(1, 2), (1, 3), (2, 4)]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
         let mut j = LeapfrogJoin::new(
             vec![AtomInput::new(&ri, vec![0, 1])],
             2,
@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn range_constraints() {
         let r = Relation::from_pairs("R", vec![(1, 5), (2, 6), (3, 7), (4, 8)]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
         let mut j = LeapfrogJoin::new(
             vec![AtomInput::new(&ri, vec![0, 1])],
             2,
@@ -445,8 +445,8 @@ mod tests {
         // R(x,y), S(y,z).
         let r = Relation::from_pairs("R", vec![(1, 10), (2, 10), (3, 20)]);
         let s = Relation::from_pairs("S", vec![(10, 7), (20, 8), (20, 9)]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
-        let si = SortedIndex::build(&s, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
+        let si = SortedIndex::pack(&s);
         let atoms = vec![
             AtomInput::new(&ri, vec![0, 1]),
             AtomInput::new(&si, vec![1, 2]),
@@ -467,7 +467,7 @@ mod tests {
     #[test]
     fn skip_to_level_enumerates_distinct_prefixes() {
         let r = Relation::from_pairs("R", vec![(1, 1), (1, 2), (1, 3), (2, 5), (3, 6), (3, 7)]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
         let mut j = LeapfrogJoin::new(
             vec![AtomInput::new(&ri, vec![0, 1])],
             2,
@@ -484,7 +484,7 @@ mod tests {
     #[test]
     fn empty_relation_produces_empty_join() {
         let r = Relation::new("R", 2, vec![]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
         let mut j = LeapfrogJoin::new(
             vec![AtomInput::new(&ri, vec![0, 1])],
             2,
@@ -497,7 +497,7 @@ mod tests {
     #[test]
     fn next_after_exhaustion_stays_none() {
         let r = Relation::from_pairs("R", vec![(1, 2)]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
         let mut j = LeapfrogJoin::new(
             vec![AtomInput::new(&ri, vec![0, 1])],
             2,
@@ -519,7 +519,7 @@ mod tests {
     #[test]
     fn reset_reruns_with_new_constraints() {
         let r = Relation::from_pairs("R", vec![(1, 2), (1, 3), (2, 4), (3, 5)]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
         let mut j = LeapfrogJoin::new(
             vec![AtomInput::new(&ri, vec![0, 1])],
             2,
@@ -540,7 +540,7 @@ mod tests {
     fn self_join_same_index() {
         // Q(x,y,z) = R(x,y), R(y,z) over the same index.
         let r = Relation::from_pairs("R", vec![(1, 2), (2, 3), (2, 4)]);
-        let ri = SortedIndex::build(&r, &[0, 1]);
+        let ri = SortedIndex::pack(&r);
         let atoms = vec![
             AtomInput::new(&ri, vec![0, 1]),
             AtomInput::new(&ri, vec![1, 2]),

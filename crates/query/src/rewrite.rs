@@ -61,7 +61,7 @@ pub fn rewrite_view(view: &AdornedView, db: &Database) -> Result<Rewritten> {
                 // the rewrite is read-only, and keeping the original `Arc`
                 // lets downstream index pools recognize the relation across
                 // selection and build.
-                out_db.add_arc(shared)?;
+                out_db.add_arc(&atom.relation, shared)?;
             }
             new_atoms.push(atom.clone());
             continue;
@@ -105,24 +105,28 @@ pub fn rewrite_view(view: &AdornedView, db: &Database) -> Result<Rewritten> {
             true
         };
 
+        // One scratch row decoded per stored row; a match keeps the
+        // columns of its distinct variables.
+        let mut row = Vec::with_capacity(rel.arity());
+        let mut flat: Vec<Value> = Vec::new();
+        let mut nonempty = false;
+        for i in 0..rel.len() {
+            rel.row_into(i, &mut row);
+            if matches(&row) {
+                nonempty = true;
+                flat.extend(keep_cols.iter().map(|&c| row[c]));
+            }
+        }
+
         if distinct_vars.is_empty() {
             // Fully ground atom: an existence guard.
-            let nonempty = rel.iter().any(matches);
-            if !nonempty {
-                always_empty = true;
-            }
+            always_empty |= !nonempty;
             continue;
         }
 
-        let tuples: Vec<Vec<Value>> = rel
-            .iter()
-            .filter(|row| matches(row))
-            .map(|row| keep_cols.iter().map(|&c| row[c]).collect())
-            .collect();
-
         derived_counter += 1;
         let name = format!("{}__rw{}", atom.relation, derived_counter);
-        out_db.add(Relation::new(&name, distinct_vars.len(), tuples))?;
+        out_db.add(Relation::from_flat(&name, distinct_vars.len(), flat))?;
         new_atoms.push(Atom::new(name, distinct_vars));
     }
 

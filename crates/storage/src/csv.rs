@@ -115,7 +115,7 @@ mod tests {
         assert_eq!(r.len(), 3);
         let a = interner.get("alice").unwrap();
         let b = interner.get("bob").unwrap();
-        assert!(r.contains(&[a, b]));
+        assert!(r.iter().any(|row| row == [a, b]));
     }
 
     #[test]

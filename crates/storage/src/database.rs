@@ -2,6 +2,7 @@
 
 use crate::delta::Delta;
 use crate::relation::Relation;
+use crate::sorted_index::SortedIndex;
 use cqc_common::error::{CqcError, Result};
 use cqc_common::hash::FastMap;
 use cqc_common::heap::HeapSize;
@@ -19,13 +20,18 @@ pub type Epoch = u64;
 /// A database instance `D`: a named collection of relations, versioned by
 /// an [`Epoch`] counter.
 ///
+/// Each relation is stored once, as its identity-order [`SortedIndex`]:
+/// packed whole-byte columns, searched in place. That index is also the
+/// one every view asks the [`crate::IndexPool`] for in the relation's own
+/// order, so no second copy of the rows exists.
+///
 /// Relations are held behind `Arc`, so cloning a database — the engine
 /// snapshots one per applied delta — copies `O(#relations)` pointers, and
 /// [`Database::apply`] copies only the relations the delta actually
 /// touches (copy-on-write via [`Arc::make_mut`]), never the whole `|D|`.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    relations: Vec<Arc<Relation>>,
+    relations: Vec<(String, Arc<SortedIndex>)>,
     by_name: FastMap<String, RelationId>,
     epoch: Epoch,
 }
@@ -43,44 +49,45 @@ impl Database {
         self.epoch
     }
 
-    /// Adds a relation, returning its id and bumping the epoch.
+    /// Adds a relation, packed into its identity-order index, returning
+    /// its id and bumping the epoch.
     ///
     /// # Errors
     ///
     /// Fails if a relation with the same name already exists.
     pub fn add(&mut self, relation: Relation) -> Result<RelationId> {
-        self.add_arc(Arc::new(relation))
+        let packed = SortedIndex::pack(&relation);
+        self.add_arc(relation.name(), Arc::new(packed))
     }
 
-    /// Adds an already-shared relation, returning its id and bumping the
-    /// epoch. The shard partitioner uses this to replicate one relation
-    /// into every sub-database without deep-copying its rows; copy-on-write
-    /// ([`Database::apply`]) still clones it if a shard-local delta touches
-    /// it later.
+    /// Adds an already-shared stored relation under `name`, returning its
+    /// id and bumping the epoch. The shard partitioner uses this to
+    /// replicate one relation into every sub-database without copying its
+    /// rows; copy-on-write ([`Database::apply`]) still clones it if a
+    /// shard-local delta touches it later.
     ///
     /// # Errors
     ///
     /// Fails if a relation with the same name already exists.
-    pub fn add_arc(&mut self, relation: Arc<Relation>) -> Result<RelationId> {
-        if self.by_name.contains_key(relation.name()) {
+    pub fn add_arc(&mut self, name: &str, relation: Arc<SortedIndex>) -> Result<RelationId> {
+        if self.by_name.contains_key(name) {
             return Err(CqcError::Schema(format!(
-                "relation `{}` already exists",
-                relation.name()
+                "relation `{name}` already exists"
             )));
         }
         let id = self.relations.len();
-        self.by_name.insert(relation.name().to_string(), id);
-        self.relations.push(relation);
+        self.by_name.insert(name.to_string(), id);
+        self.relations.push((name.to_string(), relation));
         self.epoch += 1;
         Ok(id)
     }
 
     /// The shared handle of the relation named `name`, if present — the
     /// cheap way to replicate a relation into another database.
-    pub fn get_arc(&self, name: &str) -> Option<Arc<Relation>> {
+    pub fn get_arc(&self, name: &str) -> Option<Arc<SortedIndex>> {
         self.by_name
             .get(name)
-            .map(|&id| Arc::clone(&self.relations[id]))
+            .map(|&id| Arc::clone(&self.relations[id].1))
     }
 
     /// Applies a batched delta (insertions and removals) atomically: every
@@ -89,9 +96,13 @@ impl Database {
     /// is bumped iff at least one tuple was genuinely inserted or removed;
     /// the (possibly unchanged) epoch is returned.
     ///
-    /// [`Delta`] keeps its per-relation insert and remove sets disjoint
-    /// (last write wins), so the order the two sets are applied in cannot
-    /// be observed.
+    /// Each group splices into the stored index through
+    /// [`SortedIndex::merge_insert`] or [`SortedIndex::merge_remove`]. The
+    /// genuinely new (or present) tuples are probed first, in `O(k log n)`,
+    /// so a group that changes nothing never clones a relation a snapshot
+    /// still shares. [`Delta`] keeps its per-relation insert and remove
+    /// sets disjoint (last write wins), so the order the two sets are
+    /// applied in cannot be observed.
     ///
     /// # Errors
     ///
@@ -113,33 +124,20 @@ impl Database {
         }
         let mut changed = 0usize;
         for (name, tuples) in delta.groups() {
-            let id = self.by_name[name];
-            // When a snapshot still shares this relation, check for
-            // genuinely new tuples (O(k log n)) before `make_mut`: a
-            // duplicate-only group must not deep-clone the relation just
-            // to discover it had nothing to do. Unshared relations skip
-            // the probe — `make_mut` is free there and `insert_tuples`
-            // dedupes anyway.
-            if Arc::strong_count(&self.relations[id]) > 1
-                && tuples.iter().all(|t| self.relations[id].contains(t))
-            {
-                continue;
+            let rel = &mut self.relations[self.by_name[name]].1;
+            let fresh = rel.fresh_from(tuples).expect("arity validated above");
+            if !fresh.is_empty() {
+                changed += fresh.len();
+                Arc::make_mut(rel).merge_insert(&fresh);
             }
-            // Copy-on-write: only relations the delta genuinely changes
-            // are cloned, and only when a snapshot still shares them.
-            changed += Arc::make_mut(&mut self.relations[id]).insert_tuples(tuples);
         }
         for (name, tuples) in delta.remove_groups() {
-            let id = self.by_name[name];
-            // Same pre-probe in the other direction: a remove group whose
-            // tuples are all already absent must not deep-clone a shared
-            // relation.
-            if Arc::strong_count(&self.relations[id]) > 1
-                && tuples.iter().all(|t| !self.relations[id].contains(t))
-            {
-                continue;
+            let rel = &mut self.relations[self.by_name[name]].1;
+            let stale = rel.stale_from(tuples).expect("arity validated above");
+            if !stale.is_empty() {
+                changed += stale.len();
+                Arc::make_mut(rel).merge_remove(&stale);
             }
-            changed += Arc::make_mut(&mut self.relations[id]).remove_tuples(tuples);
         }
         if changed > 0 {
             self.epoch += 1;
@@ -161,10 +159,8 @@ impl Database {
     }
 
     /// Looks a relation up by name.
-    pub fn get(&self, name: &str) -> Option<&Relation> {
-        self.by_name
-            .get(name)
-            .map(|&id| self.relations[id].as_ref())
+    pub fn get(&self, name: &str) -> Option<&SortedIndex> {
+        self.by_name.get(name).map(|&id| self.relation(id))
     }
 
     /// Looks a relation id up by name.
@@ -173,13 +169,19 @@ impl Database {
     }
 
     /// The relation with the given id.
-    pub fn relation(&self, id: RelationId) -> &Relation {
-        self.relations[id].as_ref()
+    pub fn relation(&self, id: RelationId) -> &SortedIndex {
+        self.relations[id].1.as_ref()
     }
 
     /// All relations in insertion order.
-    pub fn relations(&self) -> impl Iterator<Item = &Relation> + '_ {
-        self.relations.iter().map(Arc::as_ref)
+    pub fn relations(&self) -> impl Iterator<Item = &SortedIndex> + '_ {
+        self.relations.iter().map(|(_, r)| r.as_ref())
+    }
+
+    /// All relations in insertion order, with their names and shared
+    /// handles.
+    pub fn named_relations(&self) -> impl Iterator<Item = (&str, &Arc<SortedIndex>)> + '_ {
+        self.relations.iter().map(|(name, r)| (name.as_str(), r))
     }
 
     /// Number of relations.
@@ -190,12 +192,12 @@ impl Database {
     /// The paper's input size measure `|D|`: total number of tuples across
     /// all relations.
     pub fn size(&self) -> usize {
-        self.relations.iter().map(|r| r.len()).sum()
+        self.relations().map(SortedIndex::len).sum()
     }
 
     /// Fetches a relation by name or fails with a schema error mentioning the
     /// querying context.
-    pub fn require(&self, name: &str) -> Result<&Relation> {
+    pub fn require(&self, name: &str) -> Result<&SortedIndex> {
         self.get(name)
             .ok_or_else(|| CqcError::Schema(format!("relation `{name}` not found in database")))
     }
@@ -206,7 +208,9 @@ impl HeapSize for Database {
         let rels: usize = self
             .relations
             .iter()
-            .map(|r| std::mem::size_of::<Relation>() + r.heap_bytes())
+            .map(|(name, r)| {
+                name.heap_bytes() + std::mem::size_of::<SortedIndex>() + r.heap_bytes()
+            })
             .sum();
         let names: usize = self
             .by_name
@@ -231,7 +235,7 @@ mod tests {
         assert_eq!(db.size(), 3);
         assert_eq!(db.num_relations(), 2);
         assert_eq!(db.id_of("R"), Some(rid));
-        assert_eq!(db.relation(sid).name(), "S");
+        assert_eq!(db.relation(sid), db.get("S").unwrap());
         assert!(db.get("T").is_none());
         assert!(db.require("T").is_err());
         assert_eq!(db.require("R").unwrap().len(), 2);

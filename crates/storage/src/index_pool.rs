@@ -12,9 +12,14 @@
 //! lifetime (one per shard); a standalone build or maintenance call opens a
 //! private one.
 //!
+//! **The relation's own order.** A [`Database`] stores each relation as its
+//! identity-order index, so that order is never sorted or filed here: an
+//! ask for it returns the stored relation's own `Arc` and counts as a hit,
+//! and a delta reaches it through [`Database::apply`], not through a merge.
+//!
 //! **Key.** Entries are keyed by the relation's *allocation identity*
-//! (`Arc::as_ptr`) plus the column order. Each entry holds a
-//! `Weak<Relation>`, which pins the address — no other relation can be
+//! (`Arc::as_ptr`) plus the column order. Each entry holds a `Weak` of the
+//! stored relation, which pins the address — no other relation can be
 //! allocated there while the entry exists — without pinning the rows. This
 //! makes sharing sound across database versions (copy-on-write gives a
 //! touched relation a fresh allocation, hence fresh keys; untouched
@@ -46,7 +51,6 @@
 
 use crate::database::Database;
 use crate::delta::Delta;
-use crate::relation::Relation;
 use crate::sorted_index::SortedIndex;
 use cqc_common::error::{CqcError, Result};
 use cqc_common::hash::FastMap;
@@ -58,13 +62,13 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 /// Store key: relation allocation address + column order.
 type PoolKey = (usize, Vec<usize>);
 
-fn key_of(relation: &Arc<Relation>, order: &[usize]) -> PoolKey {
+fn key_of(relation: &Arc<SortedIndex>, order: &[usize]) -> PoolKey {
     (Arc::as_ptr(relation) as usize, order.to_vec())
 }
 
 struct Entry {
     /// Held only to pin the key's address (not the rows).
-    _relation: Weak<Relation>,
+    _relation: Weak<SortedIndex>,
     index: Weak<SortedIndex>,
 }
 
@@ -169,7 +173,7 @@ impl IndexPool {
     fn adopt(
         &self,
         key: PoolKey,
-        relation: &Arc<Relation>,
+        relation: &Arc<SortedIndex>,
         index: Arc<SortedIndex>,
     ) -> Arc<SortedIndex> {
         let mut inner = self.lock();
@@ -189,7 +193,8 @@ impl IndexPool {
     }
 
     /// The shared index of relation `name` of `db` under `order`, sorted
-    /// on first use.
+    /// on first use — or, in the relation's own order, the stored relation
+    /// itself.
     ///
     /// # Errors
     ///
@@ -201,6 +206,10 @@ impl IndexPool {
         order: &[usize],
     ) -> Result<Arc<SortedIndex>> {
         let relation = require_arc(db, name)?;
+        if order == relation.order() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(relation);
+        }
         let key = key_of(&relation, order);
         if let Some(index) = self.hit(&key) {
             return Ok(index);
@@ -212,8 +221,9 @@ impl IndexPool {
 
     /// The index of `name` in the post-delta database `db` that succeeds
     /// `old`, the caller's index of the same order over the pre-delta
-    /// relation. Resident after a [`IndexPool::refresh`] (or another
-    /// holder's call); otherwise `old` itself when the delta leaves the
+    /// relation. In the relation's own order that is the stored relation;
+    /// in any other, resident after a [`IndexPool::refresh`] (or another
+    /// holder's call), or else `old` itself when the delta leaves the
     /// relation alone, or `old` with the delta merged in.
     ///
     /// Returns `Ok(None)` when no successor can be reconciled with the
@@ -231,6 +241,10 @@ impl IndexPool {
         delta: &Delta,
     ) -> Result<Option<Arc<SortedIndex>>> {
         let relation = require_arc(db, name)?;
+        if old.order() == relation.order() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Some(relation));
+        }
         let key = key_of(&relation, old.order());
         if let Some(index) = self.hit(&key) {
             return Ok(Some(index));
@@ -255,7 +269,8 @@ impl IndexPool {
     /// relation the delta genuinely changed (`before` and `after` hold it
     /// under different allocations) is merged once and filed under the
     /// post-delta allocation, where maintained *and* rebuilt views of
-    /// `after` find it. An index that cannot be reconciled is simply not
+    /// `after` find it. The relation's own order is `after`'s stored
+    /// relation already and is not merged again. An index that cannot be reconciled is simply not
     /// carried over; the superseded entries die with the pre-delta views.
     pub fn refresh(&self, before: &Database, after: &Database, delta: &Delta) {
         for name in delta.relation_names() {
@@ -273,7 +288,7 @@ impl IndexPool {
                 .filter(|(key, _)| key.0 == address)
                 .filter_map(|(_, entry)| entry.index.upgrade())
                 .collect();
-            let Some(change) = live.first().and_then(|ix| NetChange::of(ix, delta, name)) else {
+            let Some(change) = NetChange::of(&old, delta, name) else {
                 continue;
             };
             for index in &live {
@@ -326,7 +341,7 @@ impl std::fmt::Debug for IndexPool {
     }
 }
 
-fn require_arc(db: &Database, name: &str) -> Result<Arc<Relation>> {
+fn require_arc(db: &Database, name: &str) -> Result<Arc<SortedIndex>> {
     db.get_arc(name)
         .ok_or_else(|| CqcError::Schema(format!("relation `{name}` not found in database")))
 }
@@ -334,6 +349,7 @@ fn require_arc(db: &Database, name: &str) -> Result<Arc<Relation>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Relation;
 
     fn db_of(relations: &[(&str, Vec<(u64, u64)>)]) -> Database {
         let mut db = Database::new();
@@ -347,15 +363,17 @@ mod tests {
     fn same_relation_and_order_shares() {
         let db = db_of(&[("R", vec![(1, 2), (2, 3)])]);
         let pool = IndexPool::new();
-        let a = pool.get_or_build(&db, "R", &[0, 1]).unwrap();
-        let b = pool.get_or_build(&db, "R", &[0, 1]).unwrap();
+        let a = pool.get_or_build(&db, "R", &[1, 0]).unwrap();
+        let b = pool.get_or_build(&db, "R", &[1, 0]).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((pool.stats().builds, pool.stats().hits), (1, 1));
-        // A different order is a different index.
-        let c = pool.get_or_build(&db, "R", &[1, 0]).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(pool.stats().builds, 2);
-        assert_eq!(pool.stats().indexes, 2);
+        // The relation's own order is the stored relation itself: a hit,
+        // never a build, and never filed a second time.
+        let own = pool.get_or_build(&db, "R", &[0, 1]).unwrap();
+        assert!(Arc::ptr_eq(&own, &db.get_arc("R").unwrap()));
+        assert!(!Arc::ptr_eq(&a, &own));
+        assert_eq!((pool.stats().builds, pool.stats().hits), (1, 2));
+        assert_eq!(pool.stats().indexes, 1);
     }
 
     #[test]
@@ -364,10 +382,10 @@ mod tests {
         // distinct indexes even though name lookups go through one pool.
         let db = db_of(&[("R", vec![(1, 2)]), ("S", vec![(7, 8)])]);
         let pool = IndexPool::new();
-        let r = pool.get_or_build(&db, "R", &[0, 1]).unwrap();
-        let s = pool.get_or_build(&db, "S", &[0, 1]).unwrap();
-        assert_eq!(r.value(0, 0), 1);
-        assert_eq!(s.value(0, 0), 7);
+        let r = pool.get_or_build(&db, "R", &[1, 0]).unwrap();
+        let s = pool.get_or_build(&db, "S", &[1, 0]).unwrap();
+        assert_eq!(r.value(0, 0), 2);
+        assert_eq!(s.value(0, 0), 8);
         assert!(pool.get_or_build(&db, "T", &[0]).is_err());
     }
 
@@ -381,32 +399,32 @@ mod tests {
         let pool = IndexPool::new();
         let first = {
             let db = db_of(&[("R", vec![(5, 6)])]);
-            pool.get_or_build(&db, "R", &[0, 1]).unwrap()
+            pool.get_or_build(&db, "R", &[1, 0]).unwrap()
         };
         for _ in 0..8 {
             let db = db_of(&[("R", vec![(9, 9)])]);
-            let second = pool.get_or_build(&db, "R", &[0, 1]).unwrap();
+            let second = pool.get_or_build(&db, "R", &[1, 0]).unwrap();
             assert_eq!(second.value(0, 0), 9);
         }
-        assert_eq!(first.value(0, 0), 5);
+        assert_eq!(first.value(0, 0), 6);
     }
 
     #[test]
     fn an_index_lives_as_long_as_its_holders_once_released() {
-        let db = db_of(&[("R", vec![(1, 2), (2, 3)])]);
+        let db = db_of(&[("R", vec![(1, 2), (2, 3)]), ("S", vec![(3, 4)])]);
         let pool = IndexPool::new();
-        let held = pool.get_or_build(&db, "R", &[0, 1]).unwrap();
-        drop(pool.get_or_build(&db, "R", &[1, 0]).unwrap());
+        let held = pool.get_or_build(&db, "R", &[1, 0]).unwrap();
+        drop(pool.get_or_build(&db, "S", &[1, 0]).unwrap());
         // Pinned across the phases of one build…
         assert_eq!(pool.stats().indexes, 2);
-        pool.get_or_build(&db, "R", &[1, 0]).unwrap();
+        pool.get_or_build(&db, "S", &[1, 0]).unwrap();
         assert_eq!(pool.stats().builds, 2, "the second ask was a hit");
         // …and not beyond it.
         pool.release();
         assert_eq!(pool.stats().indexes, 1);
         assert!(Arc::ptr_eq(
             &held,
-            &pool.get_or_build(&db, "R", &[0, 1]).unwrap()
+            &pool.get_or_build(&db, "R", &[1, 0]).unwrap()
         ));
         drop(held);
         let stats = pool.stats();
@@ -424,7 +442,7 @@ mod tests {
 
     fn assert_same_rows(a: &SortedIndex, b: &SortedIndex) {
         assert_eq!(a.len(), b.len());
-        for d in 0..a.depth() {
+        for d in 0..a.arity() {
             assert_eq!(a.col(d), b.col(d), "depth {d}");
         }
     }
@@ -435,12 +453,16 @@ mod tests {
         let pool = IndexPool::new();
         let r01 = pool.get_or_build(&before, "R", &[0, 1]).unwrap();
         let r10 = pool.get_or_build(&before, "R", &[1, 0]).unwrap();
-        let s01 = pool.get_or_build(&before, "S", &[0, 1]).unwrap();
+        let s10 = pool.get_or_build(&before, "S", &[1, 0]).unwrap();
         let mut after = before.clone();
         after.apply(&mixed()).unwrap();
 
         pool.refresh(&before, &after, &mixed());
-        assert_eq!(pool.stats().merges, 2, "one merge per live order of R");
+        assert_eq!(
+            pool.stats().merges,
+            1,
+            "one merge per live order of R but its own, which the database spliced"
+        );
         let builds = pool.stats().builds;
         for (order, old) in [([0, 1], &r01), ([1, 0], &r10)] {
             let merged = pool.get_or_build(&after, "R", &order).unwrap();
@@ -453,16 +475,21 @@ mod tests {
             let traded = pool.maintained(&after, "R", old, &mixed()).unwrap();
             assert!(Arc::ptr_eq(&merged, &traded.unwrap()));
         }
+        // R's own order is the post-delta stored relation.
+        assert!(Arc::ptr_eq(
+            &pool.get_or_build(&after, "R", &[0, 1]).unwrap(),
+            &after.get_arc("R").unwrap()
+        ));
         // The untouched relation kept its allocation, key and index.
         assert!(Arc::ptr_eq(
-            &s01,
+            &s10,
             &pool
-                .maintained(&after, "S", &s01, &mixed())
+                .maintained(&after, "S", &s10, &mixed())
                 .unwrap()
                 .unwrap()
         ));
         assert_eq!(pool.stats().builds, builds, "nothing was re-sorted");
-        assert_eq!(pool.stats().merges, 2, "nothing was merged twice");
+        assert_eq!(pool.stats().merges, 1, "nothing was merged twice");
 
         // Superseded indexes die with their holders.
         pool.release();
@@ -483,10 +510,16 @@ mod tests {
         let stats = pool.stats();
         assert_eq!((stats.builds, stats.merges, stats.hits), (0, 1, 1));
 
+        // In the relation's own order the successor is the stored relation.
+        let own = db.get_arc("R").unwrap();
+        let traded = pool.maintained(&db, "R", &own, &mixed()).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&traded, &own));
+        assert_eq!(pool.stats().merges, 1);
+
         // An index that is not the relation's pre-delta state is refused.
         let unrelated = db_of(&[("R", vec![(5, 5), (6, 6), (7, 7)])]);
-        let stranger = Arc::new(SortedIndex::build(unrelated.get("R").unwrap(), &[0, 1]));
-        assert!(pool
+        let stranger = Arc::new(SortedIndex::build(unrelated.get("R").unwrap(), &[1, 0]));
+        assert!(IndexPool::new()
             .maintained(&db, "R", &stranger, &mixed())
             .unwrap()
             .is_none());

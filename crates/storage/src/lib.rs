@@ -5,10 +5,13 @@
 //! provides exactly that substrate:
 //!
 //! * [`relation::Relation`] — a deduplicated, lexicographically sorted set of
-//!   tuples with O(log n) membership tests;
+//!   tuples in one flat buffer: the build form loaders, generators and
+//!   projections produce;
 //! * [`database::Database`] — the catalog mapping relation names to
-//!   relations, with the `|D|` size measure used throughout the paper and a
-//!   monotone [`database::Epoch`] version counter bumped by every mutation;
+//!   relations, each stored once as its identity-order
+//!   [`sorted_index::SortedIndex`] (packed columns, O(log n) membership),
+//!   with the `|D|` size measure used throughout the paper and a monotone
+//!   [`database::Epoch`] version counter bumped by every mutation;
 //! * [`delta::Delta`] — batched tuple insertions applied atomically via
 //!   [`Database::apply`], the write path of the serve-under-change regime;
 //! * [`sorted_index::SortedIndex`] — a column-major sorted projection of a

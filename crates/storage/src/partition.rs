@@ -151,7 +151,7 @@ impl Partitioning {
 
     /// Splits `db` into `shards` disjoint sub-databases: hashed relations
     /// are partitioned row by row (each sub-relation inherits sorted order,
-    /// so no re-sort happens), replicated relations share one allocation
+    /// so no re-sort happens, and is packed once), replicated relations share one allocation
     /// across all shards via [`Database::add_arc`]. Every shard contains
     /// every relation name, so schema checks behave identically per shard.
     ///
@@ -161,30 +161,28 @@ impl Partitioning {
     /// relation.
     pub fn split_database(&self, db: &Database) -> Result<Vec<Database>> {
         let mut out: Vec<Database> = (0..self.shards).map(|_| Database::new()).collect();
-        for rel in db.relations() {
-            match self.spec.assignment(rel.name()) {
+        for (name, rel) in db.named_relations() {
+            match self.spec.assignment(name) {
                 ShardAssignment::Replicate => {
-                    let shared = db
-                        .get_arc(rel.name())
-                        .expect("relation iterated from this database");
                     for shard in &mut out {
-                        shard.add_arc(std::sync::Arc::clone(&shared))?;
+                        shard.add_arc(name, std::sync::Arc::clone(rel))?;
                     }
                 }
                 ShardAssignment::Hash(col) => {
                     if col >= rel.arity() {
                         return Err(CqcError::Schema(format!(
-                            "hash column {col} out of range for relation `{}` (arity {})",
-                            rel.name(),
+                            "hash column {col} out of range for relation `{name}` (arity {})",
                             rel.arity()
                         )));
                     }
                     let mut flats: Vec<Vec<Value>> = (0..self.shards).map(|_| Vec::new()).collect();
-                    for row in rel.iter() {
-                        flats[shard_of_value(row[col], self.shards)].extend_from_slice(row);
+                    let mut row = Vec::with_capacity(rel.arity());
+                    for i in 0..rel.len() {
+                        rel.row_into(i, &mut row);
+                        flats[shard_of_value(row[col], self.shards)].extend_from_slice(&row);
                     }
                     for (shard, flat) in out.iter_mut().zip(flats) {
-                        shard.add(Relation::from_flat(rel.name(), rel.arity(), flat))?;
+                        shard.add(Relation::from_flat(name, rel.arity(), flat))?;
                     }
                 }
             }
@@ -272,10 +270,12 @@ mod tests {
                 let full = db.get(name).unwrap();
                 let total: usize = subs.iter().map(|s| s.get(name).unwrap().len()).sum();
                 assert_eq!(total, full.len(), "{name} at {shards} shards");
-                for row in full.iter() {
+                let mut row = Vec::new();
+                for i in 0..full.len() {
+                    full.row_into(i, &mut row);
                     let holders = subs
                         .iter()
-                        .filter(|s| s.get(name).unwrap().contains(row))
+                        .filter(|s| s.get(name).unwrap().contains(&row))
                         .count();
                     assert_eq!(holders, 1, "{name} row {row:?} at {shards} shards");
                 }
@@ -299,8 +299,8 @@ mod tests {
         for v in 0..11u64 {
             let expect = shard_of_value(v, 4);
             for (si, sub) in subs.iter().enumerate() {
-                let r_here = sub.get("R").unwrap().iter().any(|r| r[1] == v);
-                let s_here = sub.get("S").unwrap().iter().any(|r| r[0] == v);
+                let r_here = sub.get("R").unwrap().column_values(1).contains(&v);
+                let s_here = sub.get("S").unwrap().column_values(0).contains(&v);
                 if si != expect {
                     assert!(!r_here && !s_here, "value {v} leaked into shard {si}");
                 }

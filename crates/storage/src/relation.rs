@@ -1,7 +1,6 @@
-//! Relations: deduplicated sorted tuple sets.
+//! Relations: deduplicated sorted tuple sets, as loaders build them.
 
 use crate::radix::sort_perm;
-use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
 use cqc_common::value::{lex_cmp, Tuple, Value};
 use std::cmp::Ordering;
@@ -9,10 +8,13 @@ use std::time::Instant;
 
 /// A relation instance: a set of `arity`-tuples over the value domain.
 ///
-/// Rows are stored row-major in a single flat buffer, sorted
-/// lexicographically in schema order and deduplicated. Sortedness gives
-/// O(log n) membership without an auxiliary hash table, keeping the base
-/// indexes linear in size as §4.3 requires.
+/// Rows are held row-major in a single flat buffer, sorted
+/// lexicographically in schema order and deduplicated. This is the *build*
+/// form that loaders, generators, Theorem 2 projections and snapshot load
+/// produce; [`crate::Database::add`] packs it into its identity-order
+/// [`crate::SortedIndex`], the only form a database keeps, so sortedness
+/// gives O(log n) membership without an auxiliary hash table and the base
+/// indexes stay linear in size as §4.3 requires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     name: String,
@@ -134,135 +136,12 @@ impl Relation {
     pub fn iter(&self) -> impl Iterator<Item = &[Value]> + '_ {
         self.rows.chunks_exact(self.arity)
     }
-
-    /// O(log n) membership test (binary search over the sorted rows).
-    pub fn contains(&self, tuple: &[Value]) -> bool {
-        debug_assert_eq!(tuple.len(), self.arity);
-        let mut lo = 0usize;
-        let mut hi = self.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match lex_cmp(self.row(mid), tuple) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return true,
-            }
-        }
-        false
-    }
-
-    /// Sorted distinct values of column `col`.
-    pub fn column_values(&self, col: usize) -> Vec<Value> {
-        assert!(col < self.arity, "column out of range");
-        let mut vals: Vec<Value> = self.iter().map(|r| r[col]).collect();
-        vals.sort_unstable();
-        vals.dedup();
-        vals
-    }
-
-    /// Inserts tuples, keeping the rows sorted and deduplicated, and
-    /// returns the number of tuples that were genuinely new. Runs in
-    /// `O(n + k log k)` for `k` insertions via a single sorted merge, so
-    /// applying a small delta never degenerates into a full re-sort.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any tuple's length differs from the relation's arity
-    /// (callers such as [`crate::Database::apply`] validate arities first).
-    pub fn insert_tuples(&mut self, tuples: &[Tuple]) -> usize {
-        let mut fresh: Vec<&Tuple> = tuples
-            .iter()
-            .inspect(|t| assert_eq!(t.len(), self.arity, "tuple arity mismatch in relation"))
-            .filter(|t| !self.contains(t))
-            .collect();
-        fresh.sort_unstable_by(|a, b| lex_cmp(a, b));
-        fresh.dedup();
-        if fresh.is_empty() {
-            return 0;
-        }
-        let inserted = fresh.len();
-        let old_rows = std::mem::take(&mut self.rows);
-        self.rows = Vec::with_capacity(old_rows.len() + inserted * self.arity);
-        let mut fresh = fresh.into_iter().peekable();
-        for row in old_rows.chunks_exact(self.arity) {
-            while let Some(t) = fresh.peek() {
-                if lex_cmp(t, row) == Ordering::Less {
-                    self.rows.extend_from_slice(fresh.next().unwrap());
-                } else {
-                    break;
-                }
-            }
-            self.rows.extend_from_slice(row);
-        }
-        for t in fresh {
-            self.rows.extend_from_slice(t);
-        }
-        inserted
-    }
-
-    /// Removes tuples, keeping the rows sorted, and returns the number of
-    /// tuples that were genuinely present. Removing an absent tuple is an
-    /// idempotent no-op. Runs in `O(n + k log k)` for `k` removals via a
-    /// single compacting pass, the retraction mirror of
-    /// [`Relation::insert_tuples`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any tuple's length differs from the relation's arity
-    /// (callers such as [`crate::Database::apply`] validate arities first).
-    pub fn remove_tuples(&mut self, tuples: &[Tuple]) -> usize {
-        let mut stale: Vec<&Tuple> = tuples
-            .iter()
-            .inspect(|t| assert_eq!(t.len(), self.arity, "tuple arity mismatch in relation"))
-            .filter(|t| self.contains(t))
-            .collect();
-        stale.sort_unstable_by(|a, b| lex_cmp(a, b));
-        stale.dedup();
-        if stale.is_empty() {
-            return 0;
-        }
-        let removed = stale.len();
-        let old_rows = std::mem::take(&mut self.rows);
-        self.rows = Vec::with_capacity(old_rows.len() - removed * self.arity);
-        let mut stale = stale.into_iter().peekable();
-        for row in old_rows.chunks_exact(self.arity) {
-            if stale
-                .peek()
-                .is_some_and(|t| lex_cmp(t, row) == Ordering::Equal)
-            {
-                stale.next();
-                continue;
-            }
-            self.rows.extend_from_slice(row);
-        }
-        removed
-    }
-
-    /// Projects the relation onto the given columns (with deduplication),
-    /// producing a new relation. Used by Theorem 2 to build the per-bag
-    /// databases π_{F∩Bt}(R_F) of Appendix B.
-    pub fn project(&self, name: impl Into<String>, cols: &[usize]) -> Relation {
-        assert!(!cols.is_empty(), "projection needs at least one column");
-        for &c in cols {
-            assert!(c < self.arity, "projection column out of range");
-        }
-        let mut flat = Vec::with_capacity(self.len() * cols.len());
-        for r in self.iter() {
-            flat.extend(cols.iter().map(|&c| r[c]));
-        }
-        Relation::from_flat(name, cols.len(), flat)
-    }
-}
-
-impl HeapSize for Relation {
-    fn heap_bytes(&self) -> usize {
-        self.name.heap_bytes() + self.rows.heap_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Database, Delta, SortedIndex};
 
     fn r() -> Relation {
         Relation::new(
@@ -270,6 +149,40 @@ mod tests {
             2,
             vec![vec![3, 1], vec![1, 2], vec![1, 2], vec![2, 2], vec![1, 1]],
         )
+    }
+
+    /// `rel` as a database stores it.
+    fn stored(rel: Relation) -> Database {
+        let mut db = Database::new();
+        db.add(rel).unwrap();
+        db
+    }
+
+    /// Inserts (`insert = true`) or removes `tuples` of the one relation
+    /// `R` of `db` through the stored relation's splice; returns how many
+    /// tuples genuinely changed.
+    fn splice(db: &mut Database, insert: bool, tuples: &[Tuple]) -> usize {
+        let before = db.size();
+        let mut delta = Delta::new();
+        for t in tuples {
+            match insert {
+                true => delta.insert("R", t.clone()),
+                false => delta.remove("R", t.clone()),
+            }
+        }
+        db.apply(&delta).unwrap();
+        before.abs_diff(db.size())
+    }
+
+    fn rows(db: &Database) -> Vec<Tuple> {
+        let rel = db.get("R").unwrap();
+        let mut row = Vec::new();
+        (0..rel.len())
+            .map(|i| {
+                rel.row_into(i, &mut row);
+                row.clone()
+            })
+            .collect()
     }
 
     #[test]
@@ -280,33 +193,44 @@ mod tests {
         assert_eq!(rows, vec![&[1, 1][..], &[1, 2], &[2, 2], &[3, 1]]);
     }
 
+    /// Membership is the stored relation's, and a tuple of another length
+    /// is never a member — in release builds too, where no `debug_assert`
+    /// stands between a short or long tuple and a prefix match.
     #[test]
     fn membership() {
-        let r = r();
+        let r = SortedIndex::pack(&r());
         assert!(r.contains(&[1, 2]));
         assert!(r.contains(&[3, 1]));
         assert!(!r.contains(&[2, 1]));
         assert!(!r.contains(&[0, 0]));
         assert!(!r.contains(&[4, 4]));
+        let pairs = SortedIndex::pack(&Relation::from_pairs("R", [(1, 2), (3, 4)]));
+        assert!(pairs.contains(&[1, 2]));
+        for wrong_arity in [&[1, 2, 9][..], &[3, 4, 0, 0], &[], &[1], &[3]] {
+            assert!(!pairs.contains(wrong_arity), "{wrong_arity:?}");
+        }
     }
 
     #[test]
     fn column_values_sorted_distinct() {
-        let r = r();
+        let r = SortedIndex::pack(&r());
         assert_eq!(r.column_values(0), vec![1, 2, 3]);
         assert_eq!(r.column_values(1), vec![1, 2]);
+        // A column that does not lead the order is sorted after decoding.
+        let flipped = SortedIndex::build(&r, &[1, 0]);
+        assert_eq!(flipped.column_values(0), vec![1, 2, 3]);
     }
 
     #[test]
     fn projection_dedups() {
-        let r = r();
-        let p = r.project("P", &[1]);
+        let r = SortedIndex::pack(&r());
+        let p = SortedIndex::pack(&r.project("P", &[1]));
         assert_eq!(p.arity(), 1);
         assert_eq!(p.len(), 2);
         assert!(p.contains(&[1]));
         assert!(p.contains(&[2]));
         // Reordering columns.
-        let q = r.project("Q", &[1, 0]);
+        let q = SortedIndex::pack(&r.project("Q", &[1, 0]));
         assert!(q.contains(&[2, 1]));
         assert!(!q.contains(&[1, 2]) || r.contains(&[2, 1]));
     }
@@ -322,7 +246,7 @@ mod tests {
         // Already-sorted input is adopted as-is.
         let sorted = Relation::from_flat("S", 2, vec![1, 1, 1, 2, 2, 2]);
         assert_eq!(sorted.len(), 3);
-        assert!(sorted.contains(&[1, 2]));
+        assert_eq!(sorted.row(1), &[1, 2]);
         // Sorted-with-duplicates still dedups.
         let dup = Relation::from_flat("D", 1, vec![1, 1, 2]);
         assert_eq!(dup.len(), 2);
@@ -345,7 +269,7 @@ mod tests {
 
     #[test]
     fn empty_relation() {
-        let r = Relation::new("E", 3, vec![]);
+        let r = SortedIndex::pack(&Relation::new("E", 3, vec![]));
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
         assert!(!r.contains(&[1, 2, 3]));
@@ -360,87 +284,84 @@ mod tests {
 
     #[test]
     fn insert_tuples_merges_sorted() {
-        let mut rel = r();
+        let mut db = stored(r());
         // One duplicate of an existing row, one internal duplicate, two new.
-        let n = rel.insert_tuples(&[vec![1, 2], vec![0, 9], vec![0, 9], vec![9, 0]]);
-        assert_eq!(n, 2);
-        assert_eq!(rel.len(), 6);
-        let rows: Vec<&[Value]> = rel.iter().collect();
-        assert_eq!(
-            rows,
-            vec![&[0, 9][..], &[1, 1], &[1, 2], &[2, 2], &[3, 1], &[9, 0]]
+        let n = splice(
+            &mut db,
+            true,
+            &[vec![1, 2], vec![0, 9], vec![0, 9], vec![9, 0]],
         );
-        assert!(rel.contains(&[0, 9]));
-        assert!(rel.contains(&[9, 0]));
+        assert_eq!(n, 2);
+        assert_eq!(
+            rows(&db),
+            vec![[0, 9], [1, 1], [1, 2], [2, 2], [3, 1], [9, 0]]
+        );
         // Re-inserting is a no-op.
-        assert_eq!(rel.insert_tuples(&[vec![0, 9]]), 0);
-        assert_eq!(rel.len(), 6);
+        assert_eq!(splice(&mut db, true, &[vec![0, 9]]), 0);
+        assert_eq!(db.size(), 6);
     }
 
     #[test]
     fn remove_tuples_compacts_sorted() {
-        let mut rel = r();
+        let mut db = stored(r());
         // One present row, one absent, one duplicate removal of a present row.
-        let n = rel.remove_tuples(&[vec![1, 2], vec![8, 8], vec![1, 2], vec![3, 1]]);
+        let n = splice(
+            &mut db,
+            false,
+            &[vec![1, 2], vec![8, 8], vec![1, 2], vec![3, 1]],
+        );
         assert_eq!(n, 2);
-        assert_eq!(rel.len(), 2);
-        let rows: Vec<&[Value]> = rel.iter().collect();
-        assert_eq!(rows, vec![&[1, 1][..], &[2, 2]]);
-        assert!(!rel.contains(&[1, 2]));
+        assert_eq!(rows(&db), vec![[1, 1], [2, 2]]);
         // Removing again is an idempotent no-op.
-        assert_eq!(rel.remove_tuples(&[vec![1, 2]]), 0);
-        assert_eq!(rel.len(), 2);
+        assert_eq!(splice(&mut db, false, &[vec![1, 2]]), 0);
         // Draining the relation entirely.
-        assert_eq!(rel.remove_tuples(&[vec![1, 1], vec![2, 2]]), 2);
-        assert!(rel.is_empty());
+        assert_eq!(splice(&mut db, false, &[vec![1, 1], vec![2, 2]]), 2);
+        assert!(db.get("R").unwrap().is_empty());
     }
 
     #[test]
     fn remove_then_insert_round_trips() {
-        let mut rel = r();
-        let before: Vec<Tuple> = rel.iter().map(<[Value]>::to_vec).collect();
-        assert_eq!(rel.remove_tuples(&[vec![2, 2]]), 1);
-        assert_eq!(rel.insert_tuples(&[vec![2, 2]]), 1);
-        let after: Vec<Tuple> = rel.iter().map(<[Value]>::to_vec).collect();
-        assert_eq!(before, after);
+        let mut db = stored(r());
+        let before = db.get("R").unwrap().clone();
+        assert_eq!(splice(&mut db, false, &[vec![2, 2]]), 1);
+        assert_eq!(splice(&mut db, true, &[vec![2, 2]]), 1);
+        assert_eq!(db.get("R").unwrap(), &before);
     }
 
     #[test]
     fn removals_compact_physically_no_tombstones() {
         // Removal is physical compaction, not tombstoning: the dead rows
-        // leave the flat buffer immediately, so heap usage shrinks, the
-        // sorted invariant holds, and iteration never sees a removed row.
-        let mut rel = Relation::from_flat("R", 2, (0..200).collect());
-        assert_eq!(rel.len(), 100);
-        let before_bytes = rel.heap_bytes();
+        // leave the packed columns immediately, so heap usage shrinks, the
+        // stored relation equals one packed from the survivors, and no
+        // read ever sees a removed row.
+        use cqc_common::heap::HeapSize;
+        let mut db = stored(Relation::from_flat("R", 2, (0..200).collect()));
+        let before_bytes = db.get("R").unwrap().heap_bytes();
         let victims: Vec<Tuple> = (0..50).map(|i| vec![4 * i, 4 * i + 1]).collect();
-        assert_eq!(rel.remove_tuples(&victims), 50);
+        assert_eq!(splice(&mut db, false, &victims), 50);
+        let rel = db.get("R").unwrap();
         assert_eq!(rel.len(), 50);
         assert!(rel.heap_bytes() < before_bytes, "no memory reclaimed");
         for v in &victims {
             assert!(!rel.contains(v), "tombstone visible for {v:?}");
         }
-        let rows: Vec<&[Value]> = rel.iter().collect();
-        assert!(
-            rows.windows(2)
-                .all(|w| lex_cmp(w[0], w[1]) == Ordering::Less),
-            "compaction broke the sorted invariant"
-        );
+        let rest = rows(&db);
+        let survivors = Relation::new("R", 2, rest.clone());
+        assert_eq!(db.get("R").unwrap(), &SortedIndex::pack(&survivors));
         // Draining everything leaves a genuinely empty relation, and the
         // empty relation keeps accepting both operations.
-        let rest: Vec<Tuple> = rows.iter().map(|r| r.to_vec()).collect();
-        assert_eq!(rel.remove_tuples(&rest), 50);
-        assert!(rel.is_empty());
-        assert_eq!(rel.remove_tuples(&[vec![0, 1]]), 0);
-        assert_eq!(rel.insert_tuples(&[vec![0, 1]]), 1);
+        assert_eq!(splice(&mut db, false, &rest), 50);
+        assert!(db.get("R").unwrap().is_empty());
+        assert_eq!(splice(&mut db, false, &[vec![0, 1]]), 0);
+        assert_eq!(splice(&mut db, true, &[vec![0, 1]]), 1);
     }
 
     #[test]
     fn interleaved_inserts_and_removes_match_set_model() {
         // Model-based: a stream of interleaved inserts/removes against a
-        // BTreeSet oracle. The relation must agree on cardinality,
-        // membership, and (sorted) iteration order at every step.
-        let mut rel = Relation::new("R", 2, vec![]);
+        // BTreeSet oracle. The stored relation must agree on cardinality,
+        // membership, and (sorted) row order at every step.
+        let mut db = stored(Relation::new("R", 2, vec![]));
         let mut model = std::collections::BTreeSet::<Tuple>::new();
         let mut state = 0x9e3779b97f4a7c15u64; // fixed-seed xorshift
         let mut next = move || {
@@ -452,24 +373,22 @@ mod tests {
         for _ in 0..300 {
             let t = vec![next() % 7, next() % 7];
             if next() % 3 == 0 {
-                let removed = rel.remove_tuples(std::slice::from_ref(&t));
+                let removed = splice(&mut db, false, std::slice::from_ref(&t));
                 assert_eq!(removed == 1, model.remove(&t));
             } else {
-                let inserted = rel.insert_tuples(std::slice::from_ref(&t));
+                let inserted = splice(&mut db, true, std::slice::from_ref(&t));
                 assert_eq!(inserted == 1, model.insert(t.clone()));
             }
-            assert_eq!(rel.len(), model.len());
+            assert_eq!(db.size(), model.len());
         }
-        let rows: Vec<Tuple> = rel.iter().map(<[Value]>::to_vec).collect();
         let expect: Vec<Tuple> = model.into_iter().collect();
-        assert_eq!(rows, expect, "relation diverged from the set model");
+        assert_eq!(rows(&db), expect, "relation diverged from the set model");
     }
 
     #[test]
     fn insert_into_empty_relation() {
-        let mut rel = Relation::new("E", 2, vec![]);
-        assert_eq!(rel.insert_tuples(&[vec![2, 1], vec![1, 2]]), 2);
-        let rows: Vec<&[Value]> = rel.iter().collect();
-        assert_eq!(rows, vec![&[1, 2][..], &[2, 1]]);
+        let mut db = stored(Relation::new("R", 2, vec![]));
+        assert_eq!(splice(&mut db, true, &[vec![2, 1], vec![1, 2]]), 2);
+        assert_eq!(rows(&db), vec![[1, 2], [2, 1]]);
     }
 }

@@ -16,6 +16,11 @@
 //! Each depth's column is a searchable [`Packed`] column, stored at the
 //! whole word size (8, 16, 32 or 64 bits) its largest value needs and
 //! searched in place: node ids of a few thousand take 2 B a value, not 8.
+//!
+//! The identity-order index ([`SortedIndex::pack`]) is also how a
+//! [`crate::Database`] stores a relation: there is no second, unpacked
+//! copy of the rows, and a delta splices into it through
+//! [`SortedIndex::merge_insert`] and [`SortedIndex::merge_remove`].
 
 use crate::radix::{columns_sorted, sort_perm};
 use crate::relation::Relation;
@@ -27,7 +32,7 @@ use std::time::Instant;
 
 /// A lexicographically sorted projection of a relation under a fixed
 /// attribute order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortedIndex {
     /// `order[d]` is the schema column stored at sort depth `d`.
     order: Vec<usize>,
@@ -38,21 +43,34 @@ pub struct SortedIndex {
 }
 
 impl SortedIndex {
-    /// Builds the index for `relation` sorted by the attribute permutation
-    /// `order` (`order[d]` = schema column at depth `d`).
+    /// The identity-order index of `relation`: its schema-sorted rows
+    /// packed column by column, with no sort. This is the form a
+    /// [`crate::Database`] stores every relation in.
+    pub fn pack(relation: &Relation) -> SortedIndex {
+        let (arity, n) = (relation.arity(), relation.len());
+        let cols = (0..arity)
+            .map(|c| Packed::searchable((0..n).map(|i| relation.row(i)[c])))
+            .collect();
+        SortedIndex {
+            order: (0..arity).collect(),
+            cols,
+            len: n,
+        }
+    }
+
+    /// Builds the index of the stored `relation` sorted by the attribute
+    /// permutation `order` (`order[d]` = schema column at depth `d`).
     ///
-    /// Construction is sort-light: the depth-major columns are gathered in
-    /// one sequential pass, an input already sorted under `order` is
-    /// adopted as-is (the identity order over a relation's schema-sorted
-    /// rows — the most common index), and everything else goes through an
-    /// LSD radix permutation sort (comparison fallback for high arities
-    /// and tiny inputs) instead of a comparison sort through the row
-    /// indirection.
+    /// Construction is sort-light: the depth-major columns are decoded in
+    /// one sequential pass each, an input already sorted under `order` is
+    /// adopted as-is, and everything else goes through an LSD radix
+    /// permutation sort (comparison fallback for high arities and tiny
+    /// inputs) instead of a comparison sort through the row indirection.
     ///
     /// # Panics
     ///
     /// Panics unless `order` is a permutation of `0..relation.arity()`.
-    pub fn build(relation: &Relation, order: &[usize]) -> SortedIndex {
+    pub fn build(relation: &SortedIndex, order: &[usize]) -> SortedIndex {
         let arity = relation.arity();
         assert_eq!(order.len(), arity, "order must cover all attributes");
         let mut seen = vec![false; arity];
@@ -63,12 +81,14 @@ impl SortedIndex {
 
         let n = relation.len();
         let t0 = Instant::now();
-        let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(n)).collect();
-        for row in relation.iter() {
-            for (d, &c) in order.iter().enumerate() {
-                cols[d].push(row[c]);
-            }
-        }
+        let mut cols: Vec<Vec<Value>> = order
+            .iter()
+            .map(|&c| {
+                let mut col = Vec::with_capacity(n);
+                relation.schema_col(c).decode_into(0..n, &mut col);
+                col
+            })
+            .collect();
         let already_sorted = columns_sorted(&cols, n);
         metrics::record_build_phase(BuildPhase::Index, t0.elapsed().as_nanos() as u64);
         if !already_sorted {
@@ -106,8 +126,8 @@ impl SortedIndex {
         self.len == 0
     }
 
-    /// Number of sort depths (= relation arity).
-    pub fn depth(&self) -> usize {
+    /// Number of attributes, one sort depth each.
+    pub fn arity(&self) -> usize {
         self.order.len()
     }
 
@@ -116,13 +136,15 @@ impl SortedIndex {
         &self.order
     }
 
-    /// The sorted column at depth `d`.
+    /// The sorted column at depth `d` (schema column `d` of a stored
+    /// relation).
     #[inline]
     pub fn col(&self, d: usize) -> &Packed {
         &self.cols[d]
     }
 
-    /// The value at depth `d` of sorted row `row`.
+    /// The value at depth `d` of sorted row `row` (for a stored relation,
+    /// whose order is the identity, depth `d` is schema column `d`).
     #[inline]
     pub fn value(&self, d: usize, row: usize) -> Value {
         self.cols[d].get(row)
@@ -163,7 +185,7 @@ impl SortedIndex {
     /// The row range matching a prefix of constants at depths
     /// `0..prefix.len()`.
     pub fn range_of_prefix(&self, prefix: &[Value]) -> (usize, usize) {
-        debug_assert!(prefix.len() <= self.depth());
+        debug_assert!(prefix.len() <= self.arity());
         let mut lo = 0usize;
         let mut hi = self.len;
         for (d, &v) in prefix.iter().enumerate() {
@@ -177,10 +199,54 @@ impl SortedIndex {
         (lo, hi)
     }
 
+    /// The packed column holding schema column `c`.
+    fn schema_col(&self, c: usize) -> &Packed {
+        let d = self.order.iter().position(|&o| o == c);
+        &self.cols[d.expect("column out of range")]
+    }
+
+    /// Decodes sorted row `i` into `out` in schema order (`out` is
+    /// overwritten): a row reader's scratch, reused across rows.
+    pub fn row_into(&self, i: usize, out: &mut Vec<Value>) {
+        out.clear();
+        out.resize(self.arity(), 0);
+        for (col, &c) in self.cols.iter().zip(&self.order) {
+            out[c] = col.get(i);
+        }
+    }
+
+    /// Sorted distinct values of schema column `c`. The leading column is
+    /// already sorted; any other is sorted after decoding.
+    pub fn column_values(&self, c: usize) -> Vec<Value> {
+        let mut vals = Vec::with_capacity(self.len);
+        self.schema_col(c).decode_into(0..self.len, &mut vals);
+        if self.order[0] != c {
+            vals.sort_unstable();
+        }
+        vals.dedup();
+        vals
+    }
+
+    /// Projects the rows onto schema columns `cols` (deduplicated) as a new
+    /// relation: Theorem 2's per-bag databases π_{F∩Bt}(R_F) of
+    /// Appendix B.
+    pub fn project(&self, name: impl Into<String>, cols: &[usize]) -> Relation {
+        assert!(!cols.is_empty(), "projection needs at least one column");
+        let cols: Vec<&Packed> = cols.iter().map(|&c| self.schema_col(c)).collect();
+        let mut flat = Vec::with_capacity(self.len * cols.len());
+        for i in 0..self.len {
+            flat.extend(cols.iter().map(|col| col.get(i)));
+        }
+        Relation::from_flat(name, cols.len(), flat)
+    }
+
     /// `O(log n)` membership test for a schema-order tuple (narrows depth
-    /// by depth; no scratch allocation).
-    pub fn contains_tuple(&self, tuple: &[Value]) -> bool {
-        debug_assert_eq!(tuple.len(), self.depth());
+    /// by depth; no scratch allocation). A tuple whose length is not the
+    /// arity is never a member.
+    pub fn contains(&self, tuple: &[Value]) -> bool {
+        if tuple.len() != self.arity() {
+            return false;
+        }
         let mut lo = 0usize;
         let mut hi = self.len;
         for (d, &c) in self.order.iter().enumerate() {
@@ -201,10 +267,10 @@ impl SortedIndex {
     pub fn fresh_from<'a>(&self, tuples: &'a [Tuple]) -> Option<Vec<&'a Tuple>> {
         let mut fresh: Vec<&Tuple> = Vec::new();
         for t in tuples {
-            if t.len() != self.depth() {
+            if t.len() != self.arity() {
                 return None;
             }
-            if !self.contains_tuple(t) {
+            if !self.contains(t) {
                 fresh.push(t);
             }
         }
@@ -272,10 +338,10 @@ impl SortedIndex {
     pub fn stale_from<'a>(&self, tuples: &'a [Tuple]) -> Option<Vec<&'a Tuple>> {
         let mut stale: Vec<&Tuple> = Vec::new();
         for t in tuples {
-            if t.len() != self.depth() {
+            if t.len() != self.arity() {
                 return None;
             }
-            if self.contains_tuple(t) {
+            if self.contains(t) {
                 stale.push(t);
             }
         }
@@ -393,7 +459,7 @@ impl SortedIndex {
             None => hi - lo,
             Some((vlo, vhi)) => {
                 let d = prefix.len();
-                debug_assert!(d < self.depth(), "range depth out of bounds");
+                debug_assert!(d < self.arity(), "range depth out of bounds");
                 let (l, h) = self.narrow_range(lo, hi, d, vlo, vhi);
                 h - l
             }
@@ -413,10 +479,9 @@ impl HeapSize for SortedIndex {
 mod tests {
     use super::*;
 
-    fn sample() -> Relation {
+    fn sample() -> SortedIndex {
         // (a, b, c) triples.
-        Relation::new(
-            "R",
+        stored(
             3,
             vec![
                 vec![1, 10, 100],
@@ -427,6 +492,22 @@ mod tests {
                 vec![3, 10, 100],
             ],
         )
+    }
+
+    /// `rows` as a database stores them.
+    fn stored(arity: usize, rows: Vec<Tuple>) -> SortedIndex {
+        SortedIndex::pack(&Relation::new("R", arity, rows))
+    }
+
+    /// Every row, in sorted order, each in schema order.
+    fn rows_of(ix: &SortedIndex) -> Vec<Tuple> {
+        let mut row = Vec::new();
+        (0..ix.len())
+            .map(|i| {
+                ix.row_into(i, &mut row);
+                row.clone()
+            })
+            .collect()
     }
 
     #[test]
@@ -480,7 +561,7 @@ mod tests {
                         continue;
                     }
                     let hi = lo + 150;
-                    let expect = r
+                    let expect = rows_of(&r)
                         .iter()
                         .filter(|row| {
                             row[order[0]] == p && row[order[1]] >= lo && row[order[1]] <= hi
@@ -494,7 +575,7 @@ mod tests {
 
     #[test]
     fn empty_relation_index() {
-        let r = Relation::new("E", 2, vec![]);
+        let r = stored(2, vec![]);
         let ix = SortedIndex::build(&r, &[1, 0]);
         assert!(ix.is_empty());
         assert_eq!(ix.count(&[], None), 0);
@@ -528,7 +609,7 @@ mod tests {
                     flat.push(next(9));
                 }
             }
-            let mut rel = Relation::from_flat("R", arity, flat);
+            let rel = SortedIndex::pack(&Relation::from_flat("R", arity, flat));
             let mut fresh: Vec<Vec<Value>> = Vec::new();
             while fresh.len() < 7 {
                 let t: Vec<Value> = (0..arity).map(|_| next(12)).collect();
@@ -542,7 +623,7 @@ mod tests {
             };
             let before: Vec<SortedIndex> =
                 orders.iter().map(|o| SortedIndex::build(&rel, o)).collect();
-            rel.insert_tuples(&fresh);
+            let rel = stored(arity, [rows_of(&rel), fresh.clone()].concat());
             for (ix, order) in before.into_iter().zip(&orders) {
                 let mut merged = ix;
                 merged.merge_insert(&fresh);
@@ -575,11 +656,11 @@ mod tests {
                     flat.push(next(9));
                 }
             }
-            let mut rel = Relation::from_flat("R", arity, flat);
+            let rel = SortedIndex::pack(&Relation::from_flat("R", arity, flat));
             let k = 1 + next(rel.len() as u64 / 2) as usize;
             let mut stale: Vec<Vec<Value>> = Vec::new();
             while stale.len() < k {
-                let t = rel.row(next(rel.len() as u64) as usize).to_vec();
+                let t = rows_of(&rel).swap_remove(next(rel.len() as u64) as usize);
                 if !stale.contains(&t) {
                     stale.push(t);
                 }
@@ -590,7 +671,9 @@ mod tests {
             };
             let before: Vec<SortedIndex> =
                 orders.iter().map(|o| SortedIndex::build(&rel, o)).collect();
-            rel.remove_tuples(&stale);
+            let mut rest = rows_of(&rel);
+            rest.retain(|t| !stale.contains(t));
+            let rel = stored(arity, rest);
             for (ix, order) in before.into_iter().zip(&orders) {
                 let mut shrunk = ix;
                 let filtered: Vec<Tuple> = shrunk
@@ -626,7 +709,7 @@ mod tests {
         // Arity mismatch gates the whole merge.
         assert!(ix.stale_from(&[vec![1, 2]]).is_none());
         // Removing everything empties the index.
-        let all: Vec<Tuple> = r.iter().map(<[Value]>::to_vec).collect();
+        let all = rows_of(&r);
         let mut ix = SortedIndex::build(&r, &[1, 2, 0]);
         let stale: Vec<Tuple> = ix.stale_from(&all).unwrap().into_iter().cloned().collect();
         ix.merge_remove(&stale);
@@ -636,7 +719,7 @@ mod tests {
 
     #[test]
     fn merge_insert_into_empty_and_noop() {
-        let empty = Relation::new("E", 2, vec![]);
+        let empty = stored(2, vec![]);
         let mut ix = SortedIndex::build(&empty, &[1, 0]);
         ix.merge_insert(&Vec::<Vec<Value>>::new());
         assert!(ix.is_empty());
@@ -654,7 +737,7 @@ mod tests {
     #[test]
     fn merges_take_a_rebuilds_widths() {
         let rows: Vec<Tuple> = (0..200u64).map(|i| vec![i % 50, 300 + i * 7]).collect();
-        let mut rel = Relation::new("R", 2, rows);
+        let rel = stored(2, rows.clone());
         let order = [1, 0];
         let widths = |ix: &SortedIndex| [ix.col(0).width(), ix.col(1).width()];
         let mut ix = SortedIndex::build(&rel, &order);
@@ -664,7 +747,7 @@ mod tests {
         let wide = vec![vec![7u64, 70_000], vec![8, 65_536]];
         let fresh: Vec<Tuple> = ix.fresh_from(&wide).unwrap().into_iter().cloned().collect();
         ix.merge_insert(&fresh);
-        rel.insert_tuples(&wide);
+        let rel = stored(2, [rows, wide.clone()].concat());
         let rebuilt = SortedIndex::build(&rel, &order);
         assert_eq!(widths(&ix), [32, 8]);
         assert_eq!((ix.col(0), ix.col(1)), (rebuilt.col(0), rebuilt.col(1)));
@@ -672,8 +755,9 @@ mod tests {
 
         let stale: Vec<Tuple> = ix.stale_from(&wide).unwrap().into_iter().cloned().collect();
         ix.merge_remove(&stale);
-        rel.remove_tuples(&wide);
-        let rebuilt = SortedIndex::build(&rel, &order);
+        let mut rest = rows_of(&rel);
+        rest.retain(|t| !wide.contains(t));
+        let rebuilt = SortedIndex::build(&stored(2, rest), &order);
         assert_eq!(widths(&ix), [16, 8]);
         assert_eq!((ix.col(0), ix.col(1)), (rebuilt.col(0), rebuilt.col(1)));
         assert_eq!(ix.heap_bytes(), before_bytes);

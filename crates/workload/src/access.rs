@@ -83,7 +83,7 @@ pub fn witness_requests(
                     if rel.is_empty() {
                         0
                     } else {
-                        rel.row(rng.gen_range(0..rel.len()))[col]
+                        rel.value(col, rng.gen_range(0..rel.len()))
                     }
                 })
                 .collect()

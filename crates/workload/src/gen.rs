@@ -77,7 +77,7 @@ pub fn recombination_delta(
         }
         for _ in 0..per_relation {
             let tuple: Vec<Value> = (0..rel.arity())
-                .map(|c| rel.row(rng.gen_range(0..rel.len()))[c])
+                .map(|c| rel.value(c, rng.gen_range(0..rel.len())))
                 .collect();
             delta.insert(name, tuple);
         }
@@ -112,11 +112,12 @@ pub fn mixed_delta(
         }
         let mut counts: Vec<std::collections::HashMap<Value, usize>> =
             vec![std::collections::HashMap::new(); rel.arity()];
-        for row in rel.iter() {
-            for (c, v) in row.iter().enumerate() {
-                *counts[c].entry(*v).or_insert(0) += 1;
+        for (c, count) in counts.iter_mut().enumerate() {
+            for v in rel.col(c).iter() {
+                *count.entry(v).or_insert(0) += 1;
             }
         }
+        let mut row = Vec::with_capacity(rel.arity());
         let mut chosen: Vec<usize> = Vec::new();
         let mut attempts = 0;
         while chosen.len() < removes_per && attempts < removes_per * 16 {
@@ -125,13 +126,13 @@ pub fn mixed_delta(
             if chosen.contains(&i) {
                 continue;
             }
-            let row = rel.row(i);
+            rel.row_into(i, &mut row);
             if row.iter().enumerate().all(|(c, v)| counts[c][v] >= 2) {
                 for (c, v) in row.iter().enumerate() {
                     *counts[c].get_mut(v).expect("counted above") -= 1;
                 }
                 chosen.push(i);
-                delta.remove(name, row.to_vec());
+                delta.remove(name, row.clone());
             }
         }
     }

@@ -39,11 +39,11 @@ fn main() {
     let mut cursor = s.enumerator();
     let mut best = ([0u64, 0u64], 0usize);
     for i in (0..rel.len()).step_by(11) {
-        let row = rel.row(i);
+        let pair = [rel.value(0, i), rel.value(1, i)];
         let mut n = CountingSink::default();
-        cursor.answer_into(&[row[0], row[1]], &mut n).unwrap();
+        cursor.answer_into(&pair, &mut n).unwrap();
         if n.count > best.1 {
-            best = ([row[0], row[1]], n.count);
+            best = (pair, n.count);
         }
     }
     let (pair, total) = best;

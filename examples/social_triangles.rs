@@ -32,10 +32,7 @@ fn main() {
     let rel = db.get("R").unwrap();
     let requests: Vec<[u64; 2]> = (0..rel.len())
         .step_by(3)
-        .map(|i| {
-            let r = rel.row(i);
-            [r[0], r[1]]
-        })
+        .map(|i| [rel.value(0, i), rel.value(1, i)])
         .collect();
 
     // Extreme 1: materialize all triangles (Theorem 2 at δ ≡ 0, one bag

@@ -86,6 +86,17 @@ if grep -nE '\bInstant\b|elapsed\(' crates/engine/src/engine.rs crates/engine/sr
     echo "an engine decision reads the clock again: maintain, rebuild and evict on counts" >&2
     exit 1
 fi
+# The database stores each relation once, as its identity-order packed
+# `SortedIndex`; `Relation` is only the flat build form loaders produce, and
+# a delta splices through `SortedIndex::merge_insert`/`merge_remove`. Fails
+# on a `pub fn insert_tuples(` (or `remove_tuples(`) added back to
+# crates/storage/src/relation.rs, or on `relations: Vec<(String,
+# Arc<Relation>)>` (or any `Vec<Value>` field) in database.rs.
+if grep -nE 'fn (insert|remove)_tuples\(' crates/storage/src/relation.rs ||
+    grep -nE 'Vec<(Value|u64)>|Arc<Relation>' crates/storage/src/database.rs; then
+    echo "a second copy of the rows is back: the database stores packed indexes and splices once" >&2
+    exit 1
+fi
 
 step "benchmark package compiles against this tree"
 # benchmark/ is its own workspace and frozen between benchmark PRs: an API
@@ -185,6 +196,16 @@ cqe \
     -e 'explain b' |
     tee "$OUT/bound-only.out"
 grep -Eq "repr: +theorem 2: 0 bags \(0 delay-tuned" "$OUT/bound-only.out"
+# Its three root checks are the database's stored relations, packed at
+# whole bytes (node ids below 40: 8 bits), and report their content per
+# holder: 2 495 heap bytes for |D| = 1 062, 2.3 B/tuple. Flat `u64` rows
+# printed 17 055 (16.1 B/tuple); adding `8 · len · arity` to a root
+# check's bytes in `Theorem2Structure::heap_bytes` (one line: a stored
+# relation that keeps its rows beside its index) prints 19 487 (18.3
+# B/tuple) and fails it. The gate is 4.
+b_heap="$(grep -Eo '[0-9]+ heap bytes' "$OUT/bound-only.out" | grep -Eo '[0-9]+')"
+b_size="$(grep -Eo '\|D\| = [0-9]+' "$OUT/bound-only.out" | head -n 1 | grep -Eo '[0-9]+')"
+awk -v b="$b_heap" -v n="$b_size" 'BEGIN { printf "bound-only: %d heap bytes / %d tuples = %.1f B/tuple\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 4) }'
 
 step "chaos (replicated fleet under scripted faults)"
 harness chaos
@@ -220,10 +241,16 @@ grep -q '"torn_tail_truncated": true' BENCH_recovery.json
 step "tests with the metrics feature (output-tuple counter compiled in)"
 cargo test -q -p cqc-common --features metrics
 
-step "cqc-common in release (no debug assertion or overflow check to lean on)"
+step "cqc-common and cqc-storage in release (no debug assertion or overflow check to lean on)"
 # A packed read past the buffer must panic here too, not return another
 # value: `packed::tests::reading_past_the_last_word_panics`.
 cargo test --release -q -p cqc-common
+# A stored relation's `contains` answers `false` for a tuple of another
+# length with no `debug_assert` to lean on: with the length check in
+# `SortedIndex::contains` turned back into a `debug_assert_eq!`,
+# `relation::tests::membership` finds `[1, 2, 9]` in `{(1, 2), (3, 4)}`
+# by prefix here.
+cargo test --release -q -p cqc-storage
 
 step "benchmark package (its own workspace): tests, then the quick suite"
 # It compiled above; a wrong answer under a new representation layout must

@@ -48,8 +48,7 @@ fn social_network_mutual_friends() {
         // Friend pairs from actual edges: the intended access pattern.
         let rel = db.get("R").unwrap();
         for i in (0..rel.len()).step_by(7) {
-            let row = rel.row(i);
-            let req = [row[0], row[1]];
+            let req = [rel.value(0, i), rel.value(1, i)];
             let expect = evaluate_view(&view, &db, &req).unwrap();
             assert_eq!(served(&cv, &req), expect, "τ={tau} pair {req:?}");
         }
