@@ -150,11 +150,14 @@ impl Packed {
 
     /// The `i`-th value.
     ///
-    /// `i` must be below [`Packed::len`] (debug builds check): past the
-    /// last word this panics, before it the zero padding reads as 0.
+    /// # Panics
+    ///
+    /// Panics unless `i` is below [`Packed::len`], in release builds too:
+    /// a position past the last value but inside the last word would
+    /// otherwise read the zero padding as a value.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
-        debug_assert!(i < self.len, "index {i} out of a column of {}", self.len);
+        assert!(i < self.len, "index {i} out of a column of {}", self.len);
         let bit = i * self.width as usize;
         let at = bit / 8;
         let window = match self.bytes.get(at..at + 8) {
@@ -166,17 +169,10 @@ impl Packed {
 
     /// The window of a value in the column's last 7 bytes, where the one
     /// at its first byte would run past the end: the last 8 bytes, shifted
-    /// so the value starts where [`Packed::get`] expects it. A read past the
-    /// buffer ends here and must panic, in release too: the shift below
-    /// would wrap and return another value.
+    /// so the value starts where [`Packed::get`] expects it.
     #[cold]
     #[inline(never)]
     fn last_window(&self, bit: usize) -> u64 {
-        assert!(
-            bit < 8 * self.bytes.len(),
-            "bit {bit} past a column of {} bytes",
-            self.bytes.len()
-        );
         let at = self.bytes.len() - 8;
         let window: [u8; 8] = self.bytes[at..].try_into().expect("8 bytes");
         u64::from_le_bytes(window) >> (bit - 8 * at - bit % 8)
@@ -473,13 +469,29 @@ mod tests {
         assert_eq!(p, Packed::default());
     }
 
-    /// In release as in debug: there only `last_window`'s assert stands
-    /// between a read past the buffer and another value, so
-    /// `kick-tires.sh` runs this module under `--release` too.
+    /// In release as in debug: only `get`'s assert stands between a read
+    /// past the buffer and another value, so `kick-tires.sh` runs this
+    /// module under `--release` too.
     #[test]
     #[should_panic]
     fn reading_past_the_last_word_panics() {
         Packed::from_slice(&[1, 2, 3]).get(64);
+    }
+
+    /// Past the last value but inside its word the bytes are zero padding:
+    /// a read there panics in release too, not returns 0. A trie column
+    /// is shorter than the row count, so a row index taken for a node
+    /// index lands here.
+    #[test]
+    #[should_panic(expected = "out of a column of 3")]
+    fn reading_the_padding_after_the_last_value_panics() {
+        let p = Packed::searchable([1u64, 2, 3]);
+        assert_eq!(
+            p.heap_bytes(),
+            8,
+            "all three values and the padding in one word"
+        );
+        p.get(3);
     }
 
     #[test]

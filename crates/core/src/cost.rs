@@ -12,13 +12,14 @@
 //! `(⋈_F R_F(v)) ⋉ I` (Prop. 6), so it doubles as the heaviness predicate
 //! (Def. 3) and as the per-level stopping rule of the delay-balanced tree.
 //!
-//! Every count is two binary searches on one of two sorted indexes per
-//! relation (docs/ARCHITECTURE.md, "Theorem 1 build"): `[free columns in
+//! Every count narrows one of two sorted indexes per relation
+//! (docs/ARCHITECTURE.md, "Theorem 1 build"): `[free columns in
 //! enumeration order | bound columns]` for `T(B)`, which picks the tree's
 //! split points, and `[bound columns | free columns]` for `T(v_b, B)`,
 //! which decides heaviness. A canonical box constrains a *prefix* of the
 //! free columns plus at most one range, so both layouts make every count a
-//! contiguous row range.
+//! contiguous node range at one trie depth, which
+//! [`SortedIndex::rows`] maps to its row count.
 //!
 //! The oracle is a compression-time tool: Algorithm 2 answers from the
 //! tree, the dictionary and the join's own tries, so nothing resident
@@ -235,39 +236,51 @@ impl CostEstimator {
         metrics::record_count_probe();
         let atom = &self.atoms[ai];
         let ix = self.build_index(ai);
-        let (mut lo, mut hi) = (0usize, ix.len());
+        self.narrow_box(ix, &atom.free_enum, ix.root(), 0, b)
+    }
+
+    /// The rows of `ix` in the depth-`d` `range` whose free columns —
+    /// `free_enum`'s enumeration positions, at the depths from `d` on — lie
+    /// in box `b`.
+    fn narrow_box(
+        &self,
+        ix: &SortedIndex,
+        free_enum: &[usize],
+        range: (usize, usize),
+        mut d: usize,
+        b: &CanonicalBox,
+    ) -> usize {
+        let (mut lo, mut hi) = range;
         let p = b.range_pos();
-        for (d, &ep) in atom.free_enum.iter().enumerate() {
+        for &ep in free_enum {
             if lo >= hi {
                 return 0;
             }
+            let dom = &self.domains[ep];
             if ep < p {
-                (lo, hi) = ix.narrow_eq(lo, hi, d, self.domains[ep].value(b.prefix[ep]));
-            } else if ep == p {
-                (lo, hi) = ix.narrow_range(
-                    lo,
-                    hi,
-                    d,
-                    self.domains[ep].value(b.range.0),
-                    self.domains[ep].value(b.range.1),
-                );
-                break;
+                (lo, hi) = ix.narrow_eq(lo, hi, d, dom.value(b.prefix[ep]));
+                d += 1;
             } else {
+                if ep == p {
+                    let (vlo, vhi) = (dom.value(b.range.0), dom.value(b.range.1));
+                    (lo, hi) = ix.narrow_range(lo, hi, d, vlo, vhi);
+                }
                 break;
             }
         }
-        hi - lo
+        ix.rows(d, lo, hi)
     }
 
-    /// Rows of atom `ai`'s access index matching `vb`'s bound values — the
-    /// box-independent half of `|R_F(v_b, B)|`. The dictionary build caches
-    /// this per candidate valuation and re-narrows only the free columns
-    /// per box ([`CostEstimator::count_box_bound_in`]); atoms with no bound
-    /// variables return the full index.
+    /// The range of atom `ai`'s access index matching `vb`'s bound values,
+    /// at the depth after the bound columns — the box-independent half of
+    /// `|R_F(v_b, B)|`. The dictionary build caches this per candidate
+    /// valuation and re-narrows only the free columns per box
+    /// ([`CostEstimator::count_box_bound_in`]); atoms with no bound
+    /// variables return the root range.
     pub fn bound_range(&self, ai: usize, vb: &[Value]) -> (usize, usize) {
         let atom = &self.atoms[ai];
         let ix = &atom.access_index;
-        let (mut lo, mut hi) = (0usize, ix.len());
+        let (mut lo, mut hi) = ix.root();
         for (d, &p) in atom.bound_pos.iter().enumerate() {
             if lo >= hi {
                 break;
@@ -286,31 +299,8 @@ impl CostEstimator {
         }
         metrics::record_count_probe();
         let atom = &self.atoms[ai];
-        let ix = &atom.access_index;
-        let (mut lo, mut hi) = range;
-        let base = atom.bound_pos.len();
-        let p = b.range_pos();
-        for (k, &ep) in atom.free_enum.iter().enumerate() {
-            if lo >= hi {
-                return 0;
-            }
-            let d = base + k;
-            if ep < p {
-                (lo, hi) = ix.narrow_eq(lo, hi, d, self.domains[ep].value(b.prefix[ep]));
-            } else if ep == p {
-                (lo, hi) = ix.narrow_range(
-                    lo,
-                    hi,
-                    d,
-                    self.domains[ep].value(b.range.0),
-                    self.domains[ep].value(b.range.1),
-                );
-                break;
-            } else {
-                break;
-            }
-        }
-        hi - lo
+        let d = atom.bound_pos.len();
+        self.narrow_box(&atom.access_index, &atom.free_enum, range, d, b)
     }
 
     /// `|R_F(v_b, B)|` for atom `ai` — the query-time count.
@@ -337,10 +327,10 @@ impl CostEstimator {
         !self.atoms[ai].bound_pos.is_empty()
     }
 
-    /// The full row range of atom `ai`'s access index — the
+    /// The root range of atom `ai`'s access index — the
     /// [`CostEstimator::bound_range`] of an atom with no bound variables.
     pub(crate) fn full_range(&self, ai: usize) -> (usize, usize) {
-        (0, self.atoms[ai].access_index.len())
+        self.atoms[ai].access_index.root()
     }
 
     /// `T(B) = Π_F |R_F(B)|^{û_F}` (atoms with `û_F = 0` contribute 1, the
@@ -401,15 +391,16 @@ impl CostEstimator {
     }
 }
 
-/// One weighted atom of a [`PrefixCost`]: its build-index rows matching
+/// One weighted atom of a [`PrefixCost`]: its build-index range matching
 /// the fixed prefix.
 #[derive(Debug, Clone, Copy)]
 struct PrefixAtom {
     ai: usize,
     lo: usize,
     hi: usize,
-    /// Build-index depth of the atom's first free column at or after the
-    /// ranged position (= how many of its columns the prefix fixed).
+    /// Build-index depth of the range, and of the atom's first free column
+    /// at or after the ranged position (= how many of its columns the
+    /// prefix fixed).
     depth: usize,
     /// `|R_F(prefix)|^{û_F}` when the atom does not contain the ranged
     /// position — it is the same for every range.
@@ -451,10 +442,11 @@ impl<'a> PrefixCost<'a> {
         self.atoms.clear();
         for (ai, atom) in self.est.atoms.iter().enumerate() {
             if atom.u_hat > 1e-12 {
+                let (lo, hi) = self.est.build_index(ai).root();
                 self.atoms.push(PrefixAtom {
                     ai,
-                    lo: 0,
-                    hi: self.est.build_index(ai).len(),
+                    lo,
+                    hi,
                     depth: 0,
                     constant: None,
                 });
@@ -487,8 +479,10 @@ impl<'a> PrefixCost<'a> {
     fn fix_constants(&mut self) {
         for a in &mut self.atoms {
             let atom = &self.est.atoms[a.ai];
-            a.constant = (atom.free_enum.get(a.depth) != Some(&self.p))
-                .then(|| ((a.hi - a.lo) as f64).powf(atom.u_hat));
+            a.constant = (atom.free_enum.get(a.depth) != Some(&self.p)).then(|| {
+                let rows = self.est.build_index(a.ai).rows(a.depth, a.lo, a.hi);
+                (rows as f64).powf(atom.u_hat)
+            });
         }
     }
 
@@ -508,7 +502,7 @@ impl<'a> PrefixCost<'a> {
                     let atom = &self.est.atoms[a.ai];
                     let index = self.est.build_index(a.ai);
                     let (l, h) = index.narrow_range(a.lo, a.hi, a.depth, vlo, vhi);
-                    ((h - l) as f64).powf(atom.u_hat)
+                    (index.rows(a.depth, l, h) as f64).powf(atom.u_hat)
                 }
             };
             if factor == 0.0 {

@@ -30,8 +30,8 @@
 //!   (caught by the grid equality check, exactly like domain growth).
 //!
 //! Maintenance therefore (1) trades the linear-size base indexes in at the
-//! [`IndexPool`] for their post-delta successors — merged by two-pointer
-//! splice (`merge_insert`/`merge_remove`), the `Õ(|D|)` term, unavoidable
+//! [`IndexPool`] for their post-delta successors — merged by one linear
+//! splice per index (`SortedIndex::splice`), the `Õ(|D|)` term, unavoidable
 //! because answers are enumerated from them, but paid once per delta by
 //! the engine's store and not once per view — (2) keeps the
 //! delay-balanced tree's shape, and (3) re-probes exactly the dictionary
@@ -299,8 +299,8 @@ fn maintain_theorem1(
 
     // Base-index refresh over the post-delta database: each of the plan's
     // tries is traded in at the pool for its successor — the delta *merged*
-    // into it (two-pointer splice with galloping search, O(|D| + |δ| log
-    // |δ|) copying), once for every holder, instead of re-sorted per
+    // into it (one `SortedIndex::splice`, O(|D| + |δ| log |D|) work), once
+    // for every holder, instead of re-sorted per
     // holder. A trie that cannot be reconciled with the post-delta
     // relations is sorted afresh, through the same pool. No cost oracle is
     // involved: the tree and the set of heavy pairs are kept, and a bit is

@@ -316,7 +316,7 @@ impl Theorem1Structure {
             base_index_distinct_bytes: space.base_index_distinct_bytes,
             base_index_widths: (
                 self.base_indexes()
-                    .flat_map(|ix| (0..ix.arity()).map(|d| ix.col(d).width()))
+                    .flat_map(|ix| (0..ix.arity()).map(|d| ix.keys(d).width()))
                     .max()
                     .unwrap_or(0),
                 self.domains
@@ -435,7 +435,7 @@ pub struct Theorem1Stats {
     pub base_index_bytes: usize,
     /// The same with every shared index allocation counted once.
     pub base_index_distinct_bytes: usize,
-    /// Bits per value of the widest trie column and of the widest grid
+    /// Bits per value of the widest trie key column and of the widest grid
     /// domain (each a whole word size: 8, 16, 32 or 64).
     pub base_index_widths: (u32, u32),
     /// Slack α.

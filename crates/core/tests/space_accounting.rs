@@ -28,10 +28,13 @@
 //!   `|V_b|·cands` values, `nodes + 1` offsets and `entries` ids plus one
 //!   bit an entry — each column at `⌈log₂(max + 1)⌉` bits a value, the
 //!   maximum taken from the structure's public walk (docs/ARCHITECTURE.md,
-//!   "Packed integer columns"); each trie is `Σ ⌈rows·w/64⌉·8` over its
-//!   columns plus its column order and a column header per depth, and each
-//!   grid domain `⌈len·w/64⌉·8`, with `w` ∈ {8, 16, 32, 64} the whole word
-//!   size of the column's largest value (read off the database's rows and
+//!   "Packed integer columns"); each trie is, per depth `d`, `k_d` keys
+//!   (`k_d` the distinct prefixes of length `d + 1` under its order, the
+//!   rows at the last depth) and, above the last depth, `k_d + 1` child
+//!   offsets, each column `⌈len·w/64⌉·8` bytes, plus its column order and a
+//!   column header per column; each grid domain is `⌈len·w/64⌉·8`, with
+//!   `w` ∈ {8, 16, 32, 64} the whole word size of the column's largest
+//!   value (read off the database's rows, the next depth's node count and
 //!   the domain's top) — on every Theorem 1 row, `direct`'s included;
 //! * Theorem 2, the largest resident part once the d-representation is its
 //!   δ ≡ 0 case: across a whole build, live bytes are `heap_bytes()` plus
@@ -55,9 +58,8 @@
 //!   root bag alone, so building it over three relations grows live bytes
 //!   by less than one of them, and `heap_bytes()` is, to the byte, each
 //!   relation's content plus the root checks' variable lists and the
-//!   bound head. A relation's content is a width formula: its name, its
-//!   column order, a column header per attribute and `⌈rows·w/64⌉·8` per
-//!   column, `w` the whole word size of the column's largest value.
+//!   bound head. A relation's content is a width formula: its name and its
+//!   trie in its own order, by the same rule as the third gate's.
 //!
 //! Sabotage, checked once when the third gate was written: a structure
 //! that keeps its `CostEstimator` in a field, or one `Arc` to a
@@ -98,6 +100,7 @@
 use cqc_common::alloc::{live_bytes, CountingAlloc};
 use cqc_common::heap::HeapSize;
 use cqc_common::packed::{width_for, Packed};
+use cqc_common::value::Value;
 use cqc_core::cost::CostEstimator;
 use cqc_core::dbtree::DelayBalancedTree;
 use cqc_core::dictionary::HeavyDictionary;
@@ -138,20 +141,48 @@ fn word_bits(max: u64) -> u32 {
         .unwrap()
 }
 
-/// A stored relation's packed index, met with equality: its column order
-/// and, per attribute, a column header and `⌈rows·w/64⌉·8` bytes, with `w`
-/// the whole word size of that column's largest value — read off the
-/// relation's values, not its layout. A trie in the relation's own order is
-/// this same allocation.
-fn stored_index_bytes(db: &Database, name: &str) -> usize {
+/// The trie of relation `name` under attribute `order`, met with
+/// equality: its column order; per depth `d` a key column header and
+/// `⌈k_d·w/64⌉·8` bytes, `k_d` the distinct prefixes of length `d + 1`
+/// under `order` (the rows, at the last depth) and `w` the whole word size
+/// of that column's largest value; per depth but the last an offsets
+/// column header and `⌈(k_d + 1)·w/64⌉·8` bytes, `w` the whole word size
+/// of `k_{d+1}` — read off the relation's rows, not its layout.
+fn trie_bytes(db: &Database, name: &str, order: &[usize]) -> usize {
     let relation = db.require(name).unwrap();
-    let header = std::mem::size_of::<usize>() + std::mem::size_of::<Packed>();
-    (0..relation.arity())
-        .map(|c| {
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut scan = relation.scan();
+    while let Some(row) = scan.next_row() {
+        rows.push(order.iter().map(|&c| row[c]).collect());
+    }
+    rows.sort_unstable();
+    let prefixes = |d: usize| {
+        let mut p: Vec<&[Value]> = rows.iter().map(|r| &r[..=d]).collect();
+        p.dedup();
+        p.len()
+    };
+    let k: Vec<usize> = (0..order.len()).map(prefixes).collect();
+    let header = std::mem::size_of::<Packed>();
+    let keys: usize = order
+        .iter()
+        .zip(&k)
+        .map(|(&c, &k)| {
             let max = relation.column_values(c).last().copied().unwrap_or(0);
-            header + packed(relation.len(), word_bits(max))
+            header + packed(k, word_bits(max))
         })
-        .sum()
+        .sum();
+    let offsets: usize = k
+        .windows(2)
+        .map(|k| header + packed(k[0] + 1, word_bits(k[1] as u64)))
+        .sum();
+    std::mem::size_of_val(order) + keys + offsets
+}
+
+/// A stored relation's packed trie: [`trie_bytes`] in its own order. A
+/// trie in the relation's own order is this same allocation.
+fn stored_index_bytes(db: &Database, name: &str) -> usize {
+    let arity = db.require(name).unwrap().arity();
+    trie_bytes(db, name, &(0..arity).collect::<Vec<_>>())
 }
 
 /// Bytes of the tries of `s` that are the database's own stored relations
@@ -342,20 +373,18 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
     bound_only_holds_handles_not_copies();
 }
 
-/// The base-index layout pin, met with equality: each trie holds its
-/// column order and, per depth, a packed column header and `rows` values
-/// at the whole word size (8, 16, 32 or 64 bits) of that column's largest
-/// value — read off the database's rows, not the layout; each grid domain
+/// The base-index layout pin, met with equality: each trie holds what
+/// [`trie_bytes`] counts for its relation and order — keys and child
+/// offsets at the whole word size (8, 16, 32 or 64 bits) of their largest
+/// value, read off the database's rows, not the layout; each grid domain
 /// holds its values at the whole word size of its top value.
 fn tries_and_grid_are_at_their_widths(s: &Theorem1Structure, db: &Database, pattern: &str) {
     let atoms = &s.view().query().atoms;
     assert_eq!(s.base_indexes().count(), atoms.len(), "{pattern}");
     for (ix, atom) in s.base_indexes().zip(atoms) {
-        // Every order of a relation holds the same columns, so the stored
-        // relation's formula is every trie's.
         assert_eq!(
             ix.heap_bytes(),
-            stored_index_bytes(db, &atom.relation),
+            trie_bytes(db, &atom.relation, ix.order()),
             "{pattern}: the {} trie over {} rows, order {:?}",
             atom.relation,
             ix.len(),

@@ -46,15 +46,14 @@ pub fn write(dir: &Path, db: &Database) -> Result<String> {
     w.put_u32(VERSION)
         .put_u64(db.epoch())
         .put_u32(db.num_relations() as u32);
-    let mut row = Vec::new();
     for (name, rel) in db.named_relations() {
         w.put_str(name)
             .put_u16(rel.arity() as u16)
             .put_u64(rel.len() as u64);
-        // Decoded from the packed columns: the file keeps 8 B a value.
-        for i in 0..rel.len() {
-            rel.row_into(i, &mut row);
-            w.put_values(&row);
+        // Decoded from the packed trie: the file keeps 8 B a value.
+        let mut scan = rel.scan();
+        while let Some(row) = scan.next_row() {
+            w.put_values(row);
         }
     }
     let crc = crc32(w.bytes());

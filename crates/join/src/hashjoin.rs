@@ -58,9 +58,8 @@ pub fn evaluate_view_hash(
             }
         }
         let mut atom_rows: Vec<Tuple> = Vec::new();
-        let mut row = Vec::with_capacity(rel.arity());
-        'rows: for i in 0..rel.len() {
-            rel.row_into(i, &mut row);
+        let mut scan = rel.scan();
+        'rows: while let Some(row) = scan.next_row() {
             let mut vals: Vec<Option<Value>> = vec![None; atom_vars.len()];
             for (pos, term) in atom.terms.iter().enumerate() {
                 match term {

@@ -103,8 +103,9 @@ pub struct LeapfrogJoin<'a> {
     constraints: Vec<LevelConstraint>,
     /// Per level: participating `(atom_index, trie_depth)` pairs.
     participants: Vec<Vec<(usize, usize)>>,
-    /// `ranges[level][atom]` = the atom's row range after binding all levels
-    /// `< level`. `ranges[0]` is the full range.
+    /// `ranges[level][atom]` = the atom's node range after binding all
+    /// levels `< level`, at the trie depth of its next variable.
+    /// `ranges[0]` is the root range.
     ranges: Vec<Vec<(usize, usize)>>,
     /// `positions[level][atom]` = cursor memo: where the last seek at this
     /// level landed for this atom. Candidates are monotone while the parent
@@ -147,8 +148,8 @@ impl<'a> LeapfrogJoin<'a> {
                 "level {l} has no participating atom and is not fixed"
             );
         }
-        let full: Vec<(usize, usize)> = atoms.iter().map(|a| (0, a.index.len())).collect();
-        let ranges = vec![full; levels + 1];
+        let roots: Vec<(usize, usize)> = atoms.iter().map(|a| a.index.root()).collect();
+        let ranges = vec![roots; levels + 1];
         LeapfrogJoin {
             current: vec![0; levels],
             constraints,
@@ -189,7 +190,7 @@ impl<'a> LeapfrogJoin<'a> {
         }
         self.constraints.clear();
         self.constraints.extend_from_slice(constraints);
-        // `ranges[0]` (the full row ranges) never changes; deeper rows are
+        // `ranges[0]` (the root ranges) never changes; deeper ranges are
         // recomputed by `bind_child_ranges` before they are read.
         self.started = false;
         self.done = false;
@@ -261,7 +262,7 @@ impl<'a> LeapfrogJoin<'a> {
                         self.resume = level;
                         return Some(&self.current);
                     }
-                    self.bind_child_ranges(level, v);
+                    self.bind_child_ranges(level);
                     level += 1;
                     advancing = false;
                 }
@@ -315,12 +316,12 @@ impl<'a> LeapfrogJoin<'a> {
         loop {
             let (ai, d) = parts[i];
             let (lo, hi) = self.ranges[level][ai];
-            let col = self.atoms[ai].index.col(d);
+            let keys = self.atoms[ai].index.keys(d);
             metrics::record_trie_seeks(1);
             // Resume from the memoized cursor: candidates only grow while
             // the parent binding is unchanged, so the hit is at or after it.
             let from = self.positions[level][ai].max(lo);
-            let (pos, v) = col.gallop(from, hi, cand)?;
+            let (pos, v) = keys.gallop(from, hi, cand)?;
             self.positions[level][ai] = pos;
             if v == cand {
                 agree += 1;
@@ -338,17 +339,16 @@ impl<'a> LeapfrogJoin<'a> {
         }
     }
 
-    /// After binding `level := v`, computes every atom's row range for the
-    /// next level.
-    fn bind_child_ranges(&mut self, level: usize, v: Value) {
+    /// After binding `level`, computes every atom's node range for the
+    /// next level: a participant's is the children of the node its last
+    /// seek landed on — the one holding the bound value — so no search.
+    fn bind_child_ranges(&mut self, level: usize) {
         // Split the ranges vector to appease the borrow checker.
         let (head, tail) = self.ranges.split_at_mut(level + 1);
-        let cur = &head[level];
         let child = &mut tail[0];
-        child.copy_from_slice(cur);
+        child.copy_from_slice(&head[level]);
         for &(ai, d) in &self.participants[level] {
-            let (lo, hi) = cur[ai];
-            child[ai] = self.atoms[ai].index.narrow_eq(lo, hi, d, v);
+            child[ai] = self.atoms[ai].index.children(d, self.positions[level][ai]);
         }
     }
 }

@@ -79,10 +79,9 @@ fn join_all_atoms(
     for atom in &query.atoms {
         let rel = db.require(&atom.relation)?;
         let mut next: Vec<Vec<Option<Value>>> = Vec::new();
-        let mut row = Vec::with_capacity(rel.arity());
         for v in &vals {
-            for i in 0..rel.len() {
-                rel.row_into(i, &mut row);
+            let mut scan = rel.scan();
+            while let Some(row) = scan.next_row() {
                 let mut candidate = v.clone();
                 let mut ok = true;
                 for (pos, term) in atom.terms.iter().enumerate() {

@@ -107,12 +107,11 @@ pub fn rewrite_view(view: &AdornedView, db: &Database) -> Result<Rewritten> {
 
         // One scratch row decoded per stored row; a match keeps the
         // columns of its distinct variables.
-        let mut row = Vec::with_capacity(rel.arity());
         let mut flat: Vec<Value> = Vec::new();
         let mut nonempty = false;
-        for i in 0..rel.len() {
-            rel.row_into(i, &mut row);
-            if matches(&row) {
+        let mut scan = rel.scan();
+        while let Some(row) = scan.next_row() {
+            if matches(row) {
                 nonempty = true;
                 flat.extend(keep_cols.iter().map(|&c| row[c]));
             }

@@ -21,14 +21,14 @@ pub type Epoch = u64;
 /// an [`Epoch`] counter.
 ///
 /// Each relation is stored once, as its identity-order [`SortedIndex`]:
-/// packed whole-byte columns, searched in place. That index is also the
+/// a trie of packed whole-byte columns, searched in place. That index is also the
 /// one every view asks the [`crate::IndexPool`] for in the relation's own
 /// order, so no second copy of the rows exists.
 ///
 /// Relations are held behind `Arc`, so cloning a database — the engine
 /// snapshots one per applied delta — copies `O(#relations)` pointers, and
-/// [`Database::apply`] copies only the relations the delta actually
-/// touches (copy-on-write via [`Arc::make_mut`]), never the whole `|D|`.
+/// [`Database::apply`] re-derives only the relations the delta actually
+/// changes, each into a new allocation, never the whole `|D|`.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     relations: Vec<(String, Arc<SortedIndex>)>,
@@ -96,13 +96,12 @@ impl Database {
     /// is bumped iff at least one tuple was genuinely inserted or removed;
     /// the (possibly unchanged) epoch is returned.
     ///
-    /// Each group splices into the stored index through
-    /// [`SortedIndex::merge_insert`] or [`SortedIndex::merge_remove`]. The
-    /// genuinely new (or present) tuples are probed first, in `O(k log n)`,
-    /// so a group that changes nothing never clones a relation a snapshot
-    /// still shares. [`Delta`] keeps its per-relation insert and remove
-    /// sets disjoint (last write wins), so the order the two sets are
-    /// applied in cannot be observed.
+    /// Each touched relation takes one [`SortedIndex::splice`] of its
+    /// inserts and removals together. The genuinely new (and present)
+    /// tuples are probed first, in `O(k log n)`, so a relation the delta
+    /// does not change keeps its allocation, shared with every snapshot.
+    /// [`Delta`] keeps its per-relation insert and remove sets disjoint
+    /// (last write wins), so the two filters do not interact.
     ///
     /// # Errors
     ///
@@ -123,20 +122,19 @@ impl Database {
             }
         }
         let mut changed = 0usize;
-        for (name, tuples) in delta.groups() {
+        for name in delta.relation_names() {
             let rel = &mut self.relations[self.by_name[name]].1;
-            let fresh = rel.fresh_from(tuples).expect("arity validated above");
-            if !fresh.is_empty() {
-                changed += fresh.len();
-                Arc::make_mut(rel).merge_insert(&fresh);
-            }
-        }
-        for (name, tuples) in delta.remove_groups() {
-            let rel = &mut self.relations[self.by_name[name]].1;
-            let stale = rel.stale_from(tuples).expect("arity validated above");
-            if !stale.is_empty() {
-                changed += stale.len();
-                Arc::make_mut(rel).merge_remove(&stale);
+            let (inserts, removes) = (delta.tuples_for(name), delta.removes_for(name));
+            let validated = "arity validated above";
+            let fresh = rel
+                .fresh_from(inserts.unwrap_or_default())
+                .expect(validated);
+            let stale = rel
+                .stale_from(removes.unwrap_or_default())
+                .expect(validated);
+            if fresh.len() + stale.len() > 0 {
+                changed += fresh.len() + stale.len();
+                *rel = Arc::new(rel.splice(&fresh, &stale));
             }
         }
         if changed > 0 {

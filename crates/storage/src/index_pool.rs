@@ -129,15 +129,11 @@ impl<'a> NetChange<'a> {
         })
     }
 
-    /// The post-delta successor of `pre`: a two-pointer splice and a
-    /// compaction ([`SortedIndex::merge_insert`] /
-    /// [`SortedIndex::merge_remove`]), never a re-sort. [`Delta`] keeps
-    /// its insert and remove sets disjoint, so the two commute.
+    /// The post-delta successor of `pre`: one [`SortedIndex::splice`] of
+    /// both sets, never a re-sort. [`Delta`] keeps its insert and remove
+    /// sets disjoint, so one linear merge takes both.
     fn apply(&self, pre: &SortedIndex) -> SortedIndex {
-        let mut index = pre.clone();
-        index.merge_insert(&self.fresh);
-        index.merge_remove(&self.stale);
-        index
+        pre.splice(&self.fresh, &self.stale)
     }
 }
 
@@ -440,13 +436,6 @@ mod tests {
         delta
     }
 
-    fn assert_same_rows(a: &SortedIndex, b: &SortedIndex) {
-        assert_eq!(a.len(), b.len());
-        for d in 0..a.arity() {
-            assert_eq!(a.col(d), b.col(d), "depth {d}");
-        }
-    }
-
     #[test]
     fn refresh_merges_each_live_index_once_under_the_new_allocation() {
         let before = db_of(&[("R", vec![(1, 2), (2, 3), (3, 1)]), ("S", vec![(4, 4)])]);
@@ -467,10 +456,7 @@ mod tests {
         for (order, old) in [([0, 1], &r01), ([1, 0], &r10)] {
             let merged = pool.get_or_build(&after, "R", &order).unwrap();
             assert!(!Arc::ptr_eq(&merged, old));
-            assert_same_rows(
-                &merged,
-                &SortedIndex::build(after.get("R").unwrap(), &order),
-            );
+            assert_eq!(*merged, SortedIndex::build(after.get("R").unwrap(), &order));
             // A view trading its old index in gets the same allocation.
             let traded = pool.maintained(&after, "R", old, &mixed()).unwrap();
             assert!(Arc::ptr_eq(&merged, &traded.unwrap()));
@@ -504,7 +490,7 @@ mod tests {
         db.apply(&mixed()).unwrap();
         let pool = IndexPool::new();
         let merged = pool.maintained(&db, "R", &old, &mixed()).unwrap().unwrap();
-        assert_same_rows(&merged, &SortedIndex::build(db.get("R").unwrap(), &[1, 0]));
+        assert_eq!(*merged, SortedIndex::build(db.get("R").unwrap(), &[1, 0]));
         let again = pool.maintained(&db, "R", &old, &mixed()).unwrap().unwrap();
         assert!(Arc::ptr_eq(&merged, &again), "second holder shares");
         let stats = pool.stats();

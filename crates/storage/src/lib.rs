@@ -9,15 +9,16 @@
 //!   projections produce;
 //! * [`database::Database`] — the catalog mapping relation names to
 //!   relations, each stored once as its identity-order
-//!   [`sorted_index::SortedIndex`] (packed columns, O(log n) membership),
+//!   [`sorted_index::SortedIndex`] (a packed trie, O(log n) membership),
 //!   with the `|D|` size measure used throughout the paper and a monotone
 //!   [`database::Epoch`] version counter bumped by every mutation;
 //! * [`delta::Delta`] — batched tuple insertions applied atomically via
 //!   [`Database::apply`], the write path of the serve-under-change regime;
-//! * [`sorted_index::SortedIndex`] — a column-major sorted projection of a
-//!   relation under an arbitrary attribute order, supporting the
-//!   prefix-plus-range *count* probes that implement the paper's Õ(1) count
-//!   oracle (two binary searches), and the cursor ranges that back the
+//! * [`sorted_index::SortedIndex`] — a relation sorted under an arbitrary
+//!   attribute order and stored as a trie (each leading value once per
+//!   parent, child offsets beside it), supporting the prefix-plus-range
+//!   *count* probes that implement the paper's Õ(1) count oracle (a binary
+//!   search per constrained depth), and the cursor ranges that back the
 //!   leapfrog trie-join in `cqc-join`; each column is a packed
 //!   `cqc_common::packed::Packed` at the whole word size its data needs,
 //!   searched in place;

@@ -176,10 +176,9 @@ impl Partitioning {
                         )));
                     }
                     let mut flats: Vec<Vec<Value>> = (0..self.shards).map(|_| Vec::new()).collect();
-                    let mut row = Vec::with_capacity(rel.arity());
-                    for i in 0..rel.len() {
-                        rel.row_into(i, &mut row);
-                        flats[shard_of_value(row[col], self.shards)].extend_from_slice(&row);
+                    let mut scan = rel.scan();
+                    while let Some(row) = scan.next_row() {
+                        flats[shard_of_value(row[col], self.shards)].extend_from_slice(row);
                     }
                     for (shard, flat) in out.iter_mut().zip(flats) {
                         shard.add(Relation::from_flat(name, rel.arity(), flat))?;
@@ -270,12 +269,11 @@ mod tests {
                 let full = db.get(name).unwrap();
                 let total: usize = subs.iter().map(|s| s.get(name).unwrap().len()).sum();
                 assert_eq!(total, full.len(), "{name} at {shards} shards");
-                let mut row = Vec::new();
-                for i in 0..full.len() {
-                    full.row_into(i, &mut row);
+                let mut scan = full.scan();
+                while let Some(row) = scan.next_row() {
                     let holders = subs
                         .iter()
-                        .filter(|s| s.get(name).unwrap().contains(&row))
+                        .filter(|s| s.get(name).unwrap().contains(row))
                         .count();
                     assert_eq!(holders, 1, "{name} row {row:?} at {shards} shards");
                 }

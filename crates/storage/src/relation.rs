@@ -175,14 +175,12 @@ mod tests {
     }
 
     fn rows(db: &Database) -> Vec<Tuple> {
-        let rel = db.get("R").unwrap();
-        let mut row = Vec::new();
-        (0..rel.len())
-            .map(|i| {
-                rel.row_into(i, &mut row);
-                row.clone()
-            })
-            .collect()
+        let mut scan = db.get("R").unwrap().scan();
+        let mut rows = Vec::new();
+        while let Some(row) = scan.next_row() {
+            rows.push(row.to_vec());
+        }
+        rows
     }
 
     #[test]

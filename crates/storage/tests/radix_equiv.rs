@@ -8,7 +8,7 @@
 //! already-sorted inputs (the adoption fast path), and value domains from
 //! single-byte to the full `u64` range (1–8 radix passes per column).
 
-use cqc_common::packed::{byte_width_for, Packed};
+use cqc_common::packed::byte_width_for;
 use cqc_common::value::{lex_cmp, Value};
 use cqc_storage::{Relation, SortedIndex};
 
@@ -30,19 +30,25 @@ fn reference_index(rel: &Relation, order: &[usize]) -> Vec<Vec<Value>> {
         .map(|r| order.iter().map(|&c| r[c]).collect())
         .collect();
     rows.sort_by(|a, b| lex_cmp(a, b));
-    // Transpose to column-major for comparison against `SortedIndex::col`.
+    // Transpose to column-major, one column per depth.
     (0..order.len())
         .map(|d| rows.iter().map(|r| r[d]).collect())
         .collect()
 }
 
-/// A packed index column holds exactly `expect`, at the whole word size
-/// its largest value needs (the `u64::MAX - 1` domain keeps width 64
-/// covered).
-fn assert_column(col: &Packed, expect: &[Value], what: &str) {
-    assert!(col.iter().eq(expect.iter().copied()), "{what}");
+/// Depth `d` of the index holds exactly the column `expect` row by row,
+/// and its keys are stored at the whole word size the column's largest
+/// value needs (the `u64::MAX - 1` domain keeps width 64 covered).
+fn assert_column(ix: &SortedIndex, d: usize, expect: &[Value], what: &str) {
+    let c = ix.order()[d];
+    let mut column = Vec::with_capacity(ix.len());
+    let mut scan = ix.scan();
+    while let Some(row) = scan.next_row() {
+        column.push(row[c]);
+    }
+    assert_eq!(column, expect, "{what}");
     let max = expect.iter().copied().max().unwrap_or(0);
-    assert_eq!(col.width(), byte_width_for(max), "{what}");
+    assert_eq!(ix.keys(d).width(), byte_width_for(max), "{what}");
 }
 
 /// All attribute orders exercised per arity (identity, reversed, one
@@ -79,7 +85,8 @@ fn sorted_index_matches_comparison_reference() {
             assert_eq!(ix.len(), rel.len(), "trial {trial} order {order:?}");
             for (d, col) in expect.iter().enumerate() {
                 assert_column(
-                    ix.col(d),
+                    &ix,
+                    d,
                     col,
                     &format!("trial {trial} order {order:?} depth {d}"),
                 );
@@ -105,7 +112,7 @@ fn sorted_index_duplicate_heavy_columns() {
         let ix = SortedIndex::build(&SortedIndex::pack(&rel), &order);
         let expect = reference_index(&rel, &order);
         for (d, col) in expect.iter().enumerate() {
-            assert_column(ix.col(d), col, &format!("order {order:?} depth {d}"));
+            assert_column(&ix, d, col, &format!("order {order:?} depth {d}"));
         }
     }
 }

@@ -88,7 +88,7 @@ if grep -nE '\bInstant\b|elapsed\(' crates/engine/src/engine.rs crates/engine/sr
 fi
 # The database stores each relation once, as its identity-order packed
 # `SortedIndex`; `Relation` is only the flat build form loaders produce, and
-# a delta splices through `SortedIndex::merge_insert`/`merge_remove`. Fails
+# a delta splices through `SortedIndex::splice`. Fails
 # on a `pub fn insert_tuples(` (or `remove_tuples(`) added back to
 # crates/storage/src/relation.rs, or on `relations: Vec<(String,
 # Arc<Relation>)>` (or any `Vec<Value>` field) in database.rs.
@@ -176,14 +176,17 @@ cqe \
 grep -Eq "repr: +theorem 2: 1 bags \(0 delay-tuned" "$OUT/extremes.out"
 grep -Eq "repr: +theorem 1: τ = inf.*tree 1 nodes.*dictionary 0 heavy pairs" "$OUT/extremes.out"
 # Theorem 1's |D| term at its data's width: `direct` holds nothing but the
-# tries and the grid, each column at the whole word size of its largest
+# tries and the grid, each trie storing a leading value once per run (child
+# offsets beside it) and each column at the whole word size of its largest
 # value (node ids below 40: 8 bits). This triangle (|D| = 1 062) prints
-# `base indexes 2920 B` = 2.7 B/tuple; at 8 B a value it printed 18 200 B
-# (17.1 B/tuple), and a single `u64` column left in place — depth 0 of
-# every trie — prints 10 344 B (9.7 B/tuple). The gate is 4.
+# `base indexes 2400 B` = 2.3 B/tuple. One value per row at every depth
+# printed 2 920 B (2.7 B/tuple) and fails the gate; so does the one-line
+# sabotage of a flat depth 0 — `_ => 0` for `from` in
+# `SortedIndex::from_rows`, so every row opens a node at every depth —
+# with 5 232 B (4.9 B/tuple: keys and offsets per row). The gate is 2.5.
 d_base="$(grep -E 'τ = inf' "$OUT/extremes.out" | grep -Eo 'base indexes [0-9]+ B' | grep -Eo '[0-9]+')"
 d_size="$(grep -Eo '\|D\| = [0-9]+' "$OUT/extremes.out" | head -n 1 | grep -Eo '[0-9]+')"
-awk -v b="$d_base" -v n="$d_size" 'BEGIN { exit !(b != "" && n > 0 && b / n < 4) }'
+awk -v b="$d_base" -v n="$d_size" 'BEGIN { exit !(b != "" && n > 0 && b / n < 2.5) }'
 
 # Prop. 1 is Theorem 2 over the one-bag decomposition {V_b}: an all-bound
 # view builds it under every token, its relations root checks and no bag
@@ -196,16 +199,15 @@ cqe \
     -e 'explain b' |
     tee "$OUT/bound-only.out"
 grep -Eq "repr: +theorem 2: 0 bags \(0 delay-tuned" "$OUT/bound-only.out"
-# Its three root checks are the database's stored relations, packed at
-# whole bytes (node ids below 40: 8 bits), and report their content per
-# holder: 2 495 heap bytes for |D| = 1 062, 2.3 B/tuple. Flat `u64` rows
-# printed 17 055 (16.1 B/tuple); adding `8 · len · arity` to a root
-# check's bytes in `Theorem2Structure::heap_bytes` (one line: a stored
-# relation that keeps its rows beside its index) prints 19 487 (18.3
-# B/tuple) and fails it. The gate is 4.
+# Its three root checks are the database's stored relations, tries packed
+# at whole bytes (node ids below 40: 8 bits), and report their content per
+# holder: 1 927 heap bytes for |D| = 1 062, 1.8 B/tuple. One value per row
+# at every depth printed 2 495 (2.3 B/tuple), flat `u64` rows 17 055
+# (16.1 B/tuple); both fail the gate, as does the flat depth-0 sabotage of
+# the gate above (4 759, 4.5 B/tuple). The gate is 2.1.
 b_heap="$(grep -Eo '[0-9]+ heap bytes' "$OUT/bound-only.out" | grep -Eo '[0-9]+')"
 b_size="$(grep -Eo '\|D\| = [0-9]+' "$OUT/bound-only.out" | head -n 1 | grep -Eo '[0-9]+')"
-awk -v b="$b_heap" -v n="$b_size" 'BEGIN { printf "bound-only: %d heap bytes / %d tuples = %.1f B/tuple\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 4) }'
+awk -v b="$b_heap" -v n="$b_size" 'BEGIN { printf "bound-only: %d heap bytes / %d tuples = %.1f B/tuple\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 2.1) }'
 
 step "chaos (replicated fleet under scripted faults)"
 harness chaos
