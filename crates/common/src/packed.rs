@@ -28,6 +28,12 @@
 //! [`Packed::get`]. A gallop reads its first two probes inline first — a
 //! leapfrog scan's seek lands there. Searches read the column in place:
 //! nothing is unpacked.
+//!
+//! [`RankedBits`] is the one-bit column beside it: bits in `u64` words and
+//! a directory of the set bits before each word, so the rank of a
+//! position — how many set bits precede it — is one directory read and
+//! one popcount. A column whose rows exist only where a bit is set is
+//! indexed by that rank.
 
 use crate::heap::HeapSize;
 use std::marker::PhantomData;
@@ -201,8 +207,17 @@ impl Packed {
     /// Appends the values at positions `range` to `out`: one sequential
     /// pass over the bytes at a whole word size, [`Packed::get`] per value
     /// otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `range` lies inside the column, in release builds
+    /// too (checked once per call).
     pub fn decode_into(&self, range: Range<usize>, out: &mut Vec<u64>) {
-        debug_assert!(range.end <= self.len, "{range:?} of {}", self.len);
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "{range:?} out of a column of {}",
+            self.len
+        );
         match self.word {
             1 => decode::<u8>(&self.bytes, range, out),
             2 => decode::<u16>(&self.bytes, range, out),
@@ -212,17 +227,40 @@ impl Packed {
         }
     }
 
+    /// Panics unless `lo..hi` lies inside the column: the searches check
+    /// their range once per call, in release builds too, since a probe
+    /// past the last value but inside its word would read the zero
+    /// padding as a value.
+    #[inline(always)]
+    fn check_range(&self, lo: usize, hi: usize) {
+        assert!(
+            lo <= hi && hi <= self.len,
+            "{lo}..{hi} out of a column of {}",
+            self.len
+        );
+    }
+
     /// The first position in `lo..hi` whose value is `>= key`, or `hi` if
     /// none is; the values in `lo..hi` must be sorted. Plain binary search.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lo..hi` lies inside the column.
     #[inline]
     pub fn lower_bound(&self, lo: usize, hi: usize, key: u64) -> usize {
+        self.check_range(lo, hi);
         self.seek::<LOWER>(lo, hi, key).0
     }
 
     /// The first position in `lo..hi` whose value is `> key`, or `hi` if
     /// none is; the values in `lo..hi` must be sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lo..hi` lies inside the column.
     #[inline]
     pub fn upper_bound(&self, lo: usize, hi: usize, key: u64) -> usize {
+        self.check_range(lo, hi);
         self.seek::<UPPER>(lo, hi, key).0
     }
 
@@ -237,8 +275,13 @@ impl Packed {
     /// Always inlined: a leapfrog scan's seek lands on the first or second
     /// probe (the cursor rests on the previous match), so those two are
     /// read in the caller and only a longer gallop is a call.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `lo..hi` lies inside the column.
     #[inline(always)]
     pub fn gallop(&self, lo: usize, hi: usize, key: u64) -> Option<(usize, u64)> {
+        self.check_range(lo, hi);
         let bytes = &self.bytes[..];
         match self.word {
             1 => gallop_near(Words::<u8>(bytes, PhantomData), self, lo, hi, key),
@@ -256,10 +299,10 @@ impl Packed {
     }
 
     /// The one branch on the width: a whole word size reads its probes as
-    /// `uN`, any other width through [`Packed::get`].
+    /// `uN`, any other width through [`Packed::get`]. The caller has
+    /// checked the range.
     #[inline(always)]
     fn seek<const HOW: u8>(&self, lo: usize, hi: usize, key: u64) -> (usize, u64) {
-        debug_assert!(lo <= hi && hi <= self.len, "{lo}..{hi} of {}", self.len);
         let bytes = &self.bytes[..];
         match self.word {
             1 => seek::<_, HOW>(Words::<u8>(bytes, PhantomData), lo, hi, key),
@@ -415,6 +458,116 @@ impl HeapSize for Packed {
     }
 }
 
+/// An immutable column of bits with a rank directory: [`RankedBits::rank`]
+/// counts the set bits before a position in one directory read and one
+/// popcount.
+///
+/// The bits are little-endian `u64` words; the directory holds, per word,
+/// the set bits in the words before it, a [`Packed`] column at the width
+/// of its largest value. A delay-balanced tree keeps one bit per node, set
+/// at internal nodes, and stores its rows — and its dictionary its CSR
+/// offsets — for internal nodes only, indexed by rank.
+#[derive(Debug, Clone)]
+pub struct RankedBits {
+    words: Box<[u64]>,
+    len: usize,
+    /// Set bits before each word.
+    ranks: Packed,
+    /// Set bits in all.
+    ones: usize,
+}
+
+impl RankedBits {
+    /// Stores `bits` in order.
+    pub fn new(bits: impl IntoIterator<Item = bool>) -> RankedBits {
+        let (mut words, mut len) = (Vec::new(), 0usize);
+        for bit in bits {
+            if len % 64 == 0 {
+                words.push(0u64);
+            }
+            words[len / 64] |= u64::from(bit) << (len % 64);
+            len += 1;
+        }
+        let mut ones = 0;
+        let ranks: Vec<u64> = words
+            .iter()
+            .map(|w| {
+                let before = ones;
+                ones += u64::from(w.count_ones());
+                before
+            })
+            .collect();
+        RankedBits {
+            words: words.into_boxed_slice(),
+            len,
+            ranks: Packed::from_slice(&ranks),
+            ones: ones as usize,
+        }
+    }
+
+    /// Number of bits.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the column holds no bit.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> usize {
+        self.ones
+    }
+
+    /// The `i`-th bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `i` is below [`RankedBits::len`], in release builds
+    /// too: the bits past the last one in its word are padding.
+    #[inline]
+    pub fn get(&self, i: usize) -> bool {
+        assert!(i < self.len, "bit {i} out of a column of {}", self.len);
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// The set bits before position `i` (`i` may be [`RankedBits::len`]):
+    /// one directory read and one masked popcount.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is past [`RankedBits::len`].
+    #[inline]
+    pub fn rank(&self, i: usize) -> usize {
+        assert!(i <= self.len, "rank {i} out of a column of {}", self.len);
+        match self.words.get(i / 64) {
+            Some(&word) => {
+                let below = word & ((1u64 << (i % 64)) - 1);
+                self.ranks.get(i / 64) as usize + below.count_ones() as usize
+            }
+            None => self.ones,
+        }
+    }
+
+    /// The rank of position `i` when its bit is set, `None` when it is
+    /// clear.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `i` is below [`RankedBits::len`].
+    #[inline]
+    pub fn rank_of_set(&self, i: usize) -> Option<usize> {
+        self.get(i).then(|| self.rank(i))
+    }
+}
+
+impl HeapSize for RankedBits {
+    fn heap_bytes(&self) -> usize {
+        self.words.heap_bytes() + self.ranks.heap_bytes()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -492,6 +645,89 @@ mod tests {
             "all three values and the padding in one word"
         );
         p.get(3);
+    }
+
+    /// The searches and `decode_into` check their range once per call, in
+    /// release too: on `[1, 2, 3]` — one word, five bytes of padding — an
+    /// unchecked build reads `[1, 2, 3, 0, 0]` for positions `0..5`,
+    /// `Some((3, 0))` for a gallop over `3..8` and `8` for an upper bound
+    /// there.
+    #[test]
+    #[should_panic(expected = "0..5 out of a column of 3")]
+    fn decoding_past_the_last_value_panics() {
+        Packed::searchable([1u64, 2, 3]).decode_into(0..5, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "3..8 out of a column of 3")]
+    fn galloping_past_the_last_value_panics() {
+        Packed::searchable([1u64, 2, 3]).gallop(3, 8, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "3..8 out of a column of 3")]
+    fn an_upper_bound_past_the_last_value_panics() {
+        Packed::searchable([1u64, 2, 3]).upper_bound(3, 8, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "3..8 out of a column of 3")]
+    fn a_lower_bound_past_the_last_value_panics() {
+        Packed::searchable([1u64, 2, 3]).lower_bound(3, 8, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "2..1 out of a column of 3")]
+    fn a_reversed_range_panics() {
+        Packed::searchable([1u64, 2, 3]).lower_bound(2, 1, 0);
+    }
+
+    /// `get` and `rank` at every position (and `rank(len)`) against a
+    /// naive prefix count, at lengths around word edges, for all-zero,
+    /// all-one, alternating and seeded random bits.
+    #[test]
+    fn ranked_bits_agree_with_a_prefix_count() {
+        let mut next = stream(34);
+        for len in [0usize, 1, 63, 64, 65, 127, 128, 129, 4097] {
+            let random: Vec<bool> = (0..len).map(|_| next() & 1 == 1).collect();
+            let patterns = [
+                vec![false; len],
+                vec![true; len],
+                (0..len).map(|i| i % 2 == 0).collect(),
+                random,
+            ];
+            for bits in patterns {
+                let column = RankedBits::new(bits.iter().copied());
+                assert_eq!(column.len(), len);
+                assert_eq!(column.is_empty(), len == 0);
+                let mut before = 0;
+                for (i, &bit) in bits.iter().enumerate() {
+                    assert_eq!(column.get(i), bit, "len {len} bit {i}");
+                    assert_eq!(column.rank(i), before, "len {len} rank {i}");
+                    assert_eq!(column.rank_of_set(i), bit.then_some(before));
+                    before += usize::from(bit);
+                }
+                assert_eq!(column.rank(len), before, "len {len}: rank(len)");
+                assert_eq!(column.count_ones(), before);
+                let words = len.div_ceil(64);
+                let directory = bytes_for(words, width_for(before as u64));
+                assert!(column.heap_bytes() <= 8 * words + directory);
+            }
+        }
+    }
+
+    /// Past the last bit but inside its word the bits are padding: a read
+    /// there panics in release too.
+    #[test]
+    #[should_panic(expected = "bit 3 out of a column of 3")]
+    fn reading_a_bit_past_the_last_panics() {
+        RankedBits::new([true, false, true]).get(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 4 out of a column of 3")]
+    fn ranking_past_the_end_panics() {
+        RankedBits::new([true, false, true]).rank(4);
     }
 
     #[test]

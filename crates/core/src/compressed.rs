@@ -232,7 +232,7 @@ impl CompressedView {
                 let (tries, grid) = st.base_index_widths;
                 format!(
                     "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
-                     tree {} nodes (β {} b, right {} b; depth {}, {} B = {:.1} B/node), \
+                     tree {} nodes, {} leaves (β {} b, right {} b; depth {}, {} B = {:.1} B/node), \
                      dictionary {} heavy pairs (ids {} b, offsets {} b, values {} b; \
                      {} B = {:.1} B/entry), \
                      base indexes {} B (tries {} b, grid {} b; {} B distinct); {} heap bytes; \
@@ -245,6 +245,7 @@ impl CompressedView {
                         .collect::<Vec<_>>(),
                     s.alpha(),
                     st.tree_nodes,
+                    st.tree_leaves,
                     beta,
                     right,
                     st.tree_depth,

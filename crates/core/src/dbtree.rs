@@ -8,20 +8,20 @@
 //! bounds the depth by `O(log T)` because `T` halves at every level while
 //! the threshold decays strictly slower.
 //!
-//! Only the split points are stored. Every reader walks top-down, and a
-//! descent re-derives the rest: a left child keeps its parent's lower
-//! endpoint and ends at `pred(β(parent))`, a right child starts at
-//! `succ(β(parent))` and keeps the upper endpoint, so a [`Cursor`] that
-//! remembers *which ancestors* its two endpoints come from recovers
-//! `I(w)` from two `β` rows (docs/ARCHITECTURE.md, "Theorem 1 memory
-//! layout").
+//! Only the split points are stored, and only internal nodes have rows: a
+//! leaf costs one bit. Every reader walks top-down, and a descent
+//! re-derives the rest: a left child keeps its parent's lower endpoint and
+//! ends at `pred(β(parent))`, a right child starts at `succ(β(parent))`
+//! and keeps the upper endpoint, so a [`Cursor`] that remembers *which
+//! ancestors* its two endpoints come from recovers `I(w)` from two `β`
+//! rows (docs/ARCHITECTURE.md, "Theorem 1 memory layout").
 
 use crate::cost::{CostEstimator, PrefixCost};
 use crate::fbox::{box_decomposition_ranks, BoxList, FInterval};
 use crate::split::{split_interval, split_interval_midpoint};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
-use cqc_common::packed::Packed;
+use cqc_common::packed::{Packed, RankedBits};
 use cqc_common::util::approx_ge;
 use cqc_storage::domain::{rank_tuple_pred, rank_tuple_succ};
 use std::time::Instant;
@@ -45,7 +45,9 @@ const ROOT: Cursor = Cursor {
 
 /// A position in a top-down walk: the node, and where its interval comes
 /// from. `I(w) = [succ(β(lo_from)), pred(β(hi_from))]`, with the grid
-/// minimum / maximum standing in for an endpoint no ancestor cut.
+/// minimum / maximum standing in for an endpoint no ancestor cut. Both
+/// ancestors are internal, so the cursor holds their internal ranks: the
+/// rows their split points are stored at.
 ///
 /// Obtained from [`DelayBalancedTree::root`] and [`DelayBalancedTree::node`]
 /// only, so the two ancestors are always the right ones.
@@ -55,17 +57,21 @@ pub struct Cursor {
     pub node: u32,
     /// Depth (root = 0).
     pub level: u16,
-    /// The nearest ancestor this node lies to the right of.
+    /// The internal rank of the nearest ancestor this node lies to the
+    /// right of.
     lo_from: u32,
-    /// The nearest ancestor this node lies to the left of.
+    /// The internal rank of the nearest ancestor this node lies to the
+    /// left of.
     hi_from: u32,
 }
 
 /// What [`DelayBalancedTree::node`] finds at a cursor besides the interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
-    /// `true` when the node has no split point.
-    pub leaf: bool,
+    /// The node's internal rank — its row in the tree's and the
+    /// dictionary's columns — or `None` for a leaf (no split point, no
+    /// row).
+    pub internal: Option<u32>,
     /// Left child (covers `[lo, pred(β)]`).
     pub left: Option<Cursor>,
     /// Right child (covers `[succ(β), hi]`).
@@ -76,16 +82,20 @@ pub struct Node {
 ///
 /// Node ids follow the left-first pre-order of construction (0 is the
 /// root), so a left child is always `w + 1` and only the right child's id
-/// is stored. Per node: one `β` row of `µ` ranks and one `right` id, each
-/// column packed at the width its largest value needs
-/// (docs/ARCHITECTURE.md, "Packed integer columns"). Intervals, levels and
-/// left children are derived by the walk; see [`Cursor`].
+/// is stored. Per node: one bit, set when the node is internal. Per
+/// internal node, at its rank (the internal nodes before it): one `β` row
+/// of `µ` ranks and one `right` id, each column packed at the width its
+/// largest value needs (docs/ARCHITECTURE.md, "Packed integer columns").
+/// A leaf has no row. Intervals, levels and left children are derived by
+/// the walk; see [`Cursor`].
 #[derive(Debug)]
 pub struct DelayBalancedTree {
-    /// Split points at stride `µ`, each rank stored plus one: a leaf's row
-    /// is all zeros.
+    /// One bit per node, set at internal nodes; its rank is a node's row.
+    internal: RankedBits,
+    /// Split points at stride `µ`, one row per internal node.
     beta: Packed,
-    /// Right child ids. The root is never a right child, so 0 is "none".
+    /// Right child ids, one per internal node. The root is never a right
+    /// child, so 0 is "none".
     right: Packed,
     /// The grid `D_f` the root spans (`µ` domain sizes).
     sizes: Vec<usize>,
@@ -118,25 +128,33 @@ pub enum Splitter {
     Midpoint,
 }
 
+impl Node {
+    /// `true` when the node has no split point.
+    pub fn is_leaf(&self) -> bool {
+        self.internal.is_none()
+    }
+}
+
 impl Cursor {
-    /// The left child's cursor: node `w + 1` by the left-first pre-order,
-    /// same lower endpoint, upper endpoint `pred(β(w))`.
-    fn left_child(self) -> Cursor {
+    /// The left child's cursor, for a node of internal rank `rank`: node
+    /// `w + 1` by the left-first pre-order, same lower endpoint, upper
+    /// endpoint `pred(β(w))`.
+    fn left_child(self, rank: u32) -> Cursor {
         Cursor {
             node: self.node + 1,
             level: self.level + 1,
             lo_from: self.lo_from,
-            hi_from: self.node,
+            hi_from: rank,
         }
     }
 
-    /// The right child's cursor: lower endpoint `succ(β(w))`, same upper
-    /// endpoint.
-    fn right_child(self, node: u32) -> Cursor {
+    /// The right child's cursor, for a node of internal rank `rank`:
+    /// lower endpoint `succ(β(w))`, same upper endpoint.
+    fn right_child(self, rank: u32, node: u32) -> Cursor {
         Cursor {
             node,
             level: self.level + 1,
-            lo_from: self.node,
+            lo_from: rank,
             hi_from: self.hi_from,
         }
     }
@@ -144,7 +162,7 @@ impl Cursor {
 
 /// Writes `I(c)`'s endpoints into the caller's scratch (`µ` ranks each):
 /// `succ` / `pred` of the two ancestors' split points, which `beta_of`
-/// writes, or the grid's own ends.
+/// writes from an internal rank, or the grid's own ends.
 #[inline]
 fn endpoints(
     c: Cursor,
@@ -223,8 +241,10 @@ impl DelayBalancedTree {
         // The one endpoint pair every node's interval is derived into.
         let mut interval = FInterval::full(&sizes)?;
 
-        // The two columns as the build writes them (encoded as stored),
-        // packed once every node is numbered.
+        // The columns as the build writes them, packed once every node is
+        // numbered: a bit per node, a `β` row and a right id per internal
+        // node.
+        let mut internal: Vec<bool> = Vec::new();
         let mut beta_col: Vec<u64> = Vec::new();
         let mut right_col: Vec<u64> = Vec::new();
         let (mut depth, mut deepest_internal) = (0, None);
@@ -237,12 +257,13 @@ impl DelayBalancedTree {
         let mut beta: Vec<usize> = Vec::with_capacity(mu);
         // Pending nodes. A left child is numbered right after its parent,
         // so its cursor is complete; a right child's id is only known when
-        // it is popped (`NO_NODE` until then).
+        // it is popped (`NO_NODE` until then), and is stored at its
+        // parent's rank, the cursor's `lo_from`.
         let mut stack: Vec<Cursor> = vec![ROOT];
 
         while let Some(mut c) = stack.pop() {
             assert!(c.level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
-            let idx = u32::try_from(right_col.len())
+            let idx = u32::try_from(internal.len())
                 .ok()
                 .filter(|&i| i != NO_NODE)
                 .expect("node ids fit in u32");
@@ -254,7 +275,7 @@ impl DelayBalancedTree {
             endpoints(c, &sizes, &mut interval.lo, &mut interval.hi, |w, out| {
                 let row = &beta_col[w as usize * mu..][..mu];
                 for (o, &b) in out.iter_mut().zip(row) {
-                    *o = b as usize - 1;
+                    *o = b as usize;
                 }
             });
             box_decomposition_ranks(&interval.lo, &interval.hi, &sizes, &mut boxes);
@@ -262,14 +283,16 @@ impl DelayBalancedTree {
             t_of.extend(boxes.as_slice().iter().map(|b| est.t_box(b)));
             let t: f64 = t_of.iter().sum();
             observe(c, &interval, t);
-            right_col.push(0);
             depth = depth.max(c.level);
             // Leaf when T(I(w)) < τ_ℓ (zero-cost intervals are always
-            // leaves; they cannot be split).
-            if t <= 0.0 || !approx_ge(t, tau_level(tau, alpha, c.level)) {
-                beta_col.extend(std::iter::repeat(0).take(mu));
+            // leaves; they cannot be split): a clear bit and no row.
+            let leaf = t <= 0.0 || !approx_ge(t, tau_level(tau, alpha, c.level));
+            internal.push(!leaf);
+            if leaf {
                 continue;
             }
+            let rank = right_col.len() as u32;
+            right_col.push(0);
             match splitter {
                 Splitter::Balanced => {
                     split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
@@ -280,7 +303,7 @@ impl DelayBalancedTree {
                 interval.contains(&beta),
                 "split point must lie in the interval"
             );
-            beta_col.extend(beta.iter().map(|&r| r as u64 + 1));
+            beta_col.extend(beta.iter().map(|&r| r as u64));
             deepest_internal = deepest_internal.max(Some(c.level));
             // `[lo, pred(β)]` and `[succ(β), hi]` are non-empty iff β is
             // not that endpoint. Push right first so the left child is
@@ -289,14 +312,15 @@ impl DelayBalancedTree {
             // and the dictionary build to emit its per-node runs in id
             // order.
             if beta != interval.hi {
-                stack.push(c.right_child(NO_NODE));
+                stack.push(c.right_child(rank, NO_NODE));
             }
             if beta != interval.lo {
-                stack.push(c.left_child());
+                stack.push(c.left_child(rank));
             }
         }
 
         let tree = DelayBalancedTree {
+            internal: RankedBits::new(internal),
             beta: Packed::from_slice(&beta_col),
             right: Packed::from_slice(&right_col),
             sizes,
@@ -316,50 +340,49 @@ impl DelayBalancedTree {
     }
 
     /// Visits the node under `c`: writes `I(w)`'s inclusive endpoints into
-    /// the caller's scratch (`µ` ranks each) and returns the cursors of
-    /// its children. No allocation.
+    /// the caller's scratch (`µ` ranks each) and returns its internal rank
+    /// and the cursors of its children. No allocation.
     #[inline]
     pub fn node(&self, c: Cursor, lo: &mut [usize], hi: &mut [usize]) -> Node {
         self.endpoints(c, lo, hi);
-        let row = c.node as usize * self.sizes.len();
-        let first = self.beta.get(row);
-        let leaf = first == 0;
+        let Some(rank) = self.internal.rank_of_set(c.node as usize) else {
+            return Node {
+                internal: None,
+                left: None,
+                right: None,
+            };
+        };
+        let row = rank * self.sizes.len();
         // The left child `[lo, pred(β)]` is empty iff `β = lo`.
-        let left = !leaf
-            && (first as usize - 1 != lo[0]
-                || (1..lo.len()).any(|i| self.beta.get(row + i) as usize - 1 != lo[i]));
-        let right = self.right.get(c.node as usize) as u32;
+        let left = (0..lo.len()).any(|i| self.beta.get(row + i) as usize != lo[i]);
+        let right = self.right.get(rank) as u32;
+        let rank = rank as u32;
         Node {
-            leaf,
-            left: left.then(|| c.left_child()),
-            right: (right != 0).then(|| c.right_child(right)),
+            internal: Some(rank),
+            left: left.then(|| c.left_child(rank)),
+            right: (right != 0).then(|| c.right_child(rank, right)),
         }
     }
 
     /// `true` when node `w` has no split point.
     #[inline]
     pub fn is_leaf(&self, w: u32) -> bool {
-        self.beta.get(w as usize * self.sizes.len()) == 0
+        !self.internal.get(w as usize)
     }
 
-    /// Writes node `w`'s Algorithm 1 split point into `out` (`µ` ranks);
-    /// `false`, leaving `out` alone, for a leaf.
-    #[inline]
-    pub fn beta_into(&self, w: u32, out: &mut [usize]) -> bool {
-        if self.is_leaf(w) {
-            return false;
-        }
-        self.split_point_into(w, out);
-        true
+    /// Node `w`'s internal rank (its row), `None` for a leaf.
+    pub fn internal_rank(&self, w: u32) -> Option<u32> {
+        self.internal.rank_of_set(w as usize).map(|r| r as u32)
     }
 
-    /// Decodes internal node `w`'s `β` row into `out` (`µ` ranks).
+    /// Decodes the `β` row of the internal node of rank `rank` into `out`
+    /// (`µ` ranks).
     #[inline]
-    fn split_point_into(&self, w: u32, out: &mut [usize]) {
+    pub fn split_point_into(&self, rank: u32, out: &mut [usize]) {
         debug_assert_eq!(out.len(), self.sizes.len());
-        let row = w as usize * self.sizes.len();
+        let row = rank as usize * self.sizes.len();
         for (i, o) in out.iter_mut().enumerate() {
-            *o = self.beta.get(row + i) as usize - 1;
+            *o = self.beta.get(row + i) as usize;
         }
     }
 
@@ -375,8 +398,10 @@ impl DelayBalancedTree {
     /// Node `w`'s split point as an owned value; `None` for a leaf (off
     /// the serve path).
     pub fn beta(&self, w: u32) -> Option<Vec<usize>> {
+        let rank = self.internal_rank(w)?;
         let mut beta = vec![0; self.sizes.len()];
-        self.beta_into(w, &mut beta).then_some(beta)
+        self.split_point_into(rank, &mut beta);
+        Some(beta)
     }
 
     /// `I(w)` as an owned value (off the serve path).
@@ -404,12 +429,23 @@ impl DelayBalancedTree {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.right.len()
+        self.internal.len()
     }
 
     /// `true` when the tree has no nodes (never produced by `build`).
     pub fn is_empty(&self) -> bool {
-        self.right.is_empty()
+        self.internal.is_empty()
+    }
+
+    /// Number of internal nodes: the rows of the `β` and right-id columns
+    /// and of the dictionary's CSR.
+    pub fn num_internal(&self) -> usize {
+        self.internal.count_ones()
+    }
+
+    /// Number of leaves.
+    pub fn num_leaves(&self) -> usize {
+        self.len() - self.num_internal()
     }
 
     /// The threshold `τ_ℓ` nodes at `level` are held against.
@@ -434,7 +470,7 @@ impl DelayBalancedTree {
         self.count_probes
     }
 
-    /// Bits per stored `β` rank (ranks are stored plus one).
+    /// Bits per stored `β` rank.
     pub fn beta_width(&self) -> u32 {
         self.beta.width()
     }
@@ -447,7 +483,10 @@ impl DelayBalancedTree {
 
 impl HeapSize for DelayBalancedTree {
     fn heap_bytes(&self) -> usize {
-        self.beta.heap_bytes() + self.right.heap_bytes() + self.sizes.heap_bytes()
+        self.internal.heap_bytes()
+            + self.beta.heap_bytes()
+            + self.right.heap_bytes()
+            + self.sizes.heap_bytes()
     }
 }
 
@@ -490,7 +529,7 @@ mod tests {
         assert_eq!(values(&i.lo), vec![1, 1, 1]);
         assert_eq!(values(&i.hi), vec![1, 1, 1]);
         assert_eq!((rl.node, rl.level, beta(rl)), (1, 1, None));
-        assert!(children(&tree, rl).leaf);
+        assert_eq!(children(&tree, rl).internal, None);
         assert!((t_at(&est, &tree, rl) - 6.0f64.sqrt()).abs() < 1e-9);
 
         // Right child r_r = [⟨1,2,1⟩, ⟨2,2,2⟩] with β = (1,2,2).
@@ -546,7 +585,7 @@ mod tests {
             if tree.is_leaf(c.node) {
                 assert!(t < thr);
                 let n = children(&tree, c);
-                assert!(n.leaf && n.left.is_none() && n.right.is_none());
+                assert!(n.internal.is_none() && n.left.is_none() && n.right.is_none());
             } else {
                 assert!(t >= thr - 1e-9);
             }
@@ -665,7 +704,8 @@ mod tests {
                                 assert_eq!(tree.interval(c), *interval, "{ctx} node {walked}");
                                 assert_eq!(t_at(&est, &tree, c), *t, "{ctx} node {walked}");
                                 let node = children(&tree, c);
-                                assert_eq!(node.leaf, tree.is_leaf(c.node));
+                                assert_eq!(node.internal.is_none(), tree.is_leaf(c.node));
+                                assert_eq!(node.internal, tree.internal_rank(c.node));
                                 if let Some(beta) = tree.beta(c.node) {
                                     assert!(interval.contains(&beta), "{ctx} node {walked}");
                                     assert_eq!(node.left.is_some(), beta != interval.lo);

@@ -47,7 +47,9 @@ struct DictKeys {
     /// order, sorted and distinct, `nb` values each; a candidate's id is
     /// its position.
     cand_values: Packed,
-    /// CSR row starts: node `w`'s entries are `ids[offsets[w]..offsets[w + 1]]`.
+    /// CSR row starts, one per internal node plus one: the entries of the
+    /// internal node of rank `r` are `ids[offsets[r]..offsets[r + 1]]`. A
+    /// leaf has no heavy pair and no row.
     offsets: Packed,
     /// Candidate ids of the heavy pairs, ascending within each node's run.
     ids: Packed,
@@ -65,8 +67,8 @@ pub struct DictBuildWork {
     pub candidates: u64,
     /// `(candidate, node)` pairs whose `T(v_b, I(w))` was evaluated.
     pub evaluations: u64,
-    /// Those of them at leaves. A leaf has no heavy pair, so the build
-    /// skips it: always 0.
+    /// Those of them at leaves. A leaf has no heavy pair and no CSR row,
+    /// so the build skips it: always 0.
     pub leaf_evaluations: u64,
     /// First-answer leapfrog joins run to decide emptiness bits (one per
     /// canonical box probed).
@@ -148,10 +150,11 @@ impl DictKeys {
         out
     }
 
+    /// The entries of the internal node of rank `rank`.
     #[inline]
-    fn run(&self, node: u32) -> std::ops::Range<usize> {
-        let w = node as usize;
-        self.offsets.get(w) as usize..self.offsets.get(w + 1) as usize
+    fn run(&self, rank: u32) -> std::ops::Range<usize> {
+        let r = rank as usize;
+        self.offsets.get(r) as usize..self.offsets.get(r + 1) as usize
     }
 }
 
@@ -159,7 +162,8 @@ impl DictKeys {
 /// stores. No run holds it, so `D(w, ·) = ⊥` at every node.
 pub const NO_CANDIDATE: u32 = u32::MAX;
 
-/// The dictionary: CSR over tree nodes of candidate ids, one bit per entry.
+/// The dictionary: CSR over internal tree nodes (by internal rank, see
+/// [`crate::dbtree::Node::internal`]) of candidate ids, one bit per entry.
 #[derive(Debug, Clone)]
 pub struct HeavyDictionary {
     keys: Arc<DictKeys>,
@@ -178,9 +182,9 @@ impl HeavyDictionary {
     }
 
     /// [`HeavyDictionary::build`], reporting each pair as it is stored:
-    /// `stored(w, v_b, first)`, where `first` is the witness the bit was
-    /// decided from — the first answer of `(⋈ R_F(v_b)) ⋉ I(w)`, `None`
-    /// for a `0` bit.
+    /// `stored(r, v_b, first)`, where `r` is the node's internal rank and
+    /// `first` the witness the bit was decided from — the first answer of
+    /// `(⋈ R_F(v_b)) ⋉ I(w)`, `None` for a `0` bit.
     fn build_observed(
         plan: &ViewPlan,
         est: &CostEstimator,
@@ -260,7 +264,7 @@ impl HeavyDictionary {
         );
         let cand = |c: u32| &cand_values[c as usize * nb..][..nb];
         // The CSR columns as the walk appends them, packed at the end.
-        let mut offsets: Vec<u64> = Vec::with_capacity(tree.len() + 1);
+        let mut offsets: Vec<u64> = Vec::with_capacity(tree.num_internal() + 1);
         let mut ids: Vec<u32> = Vec::new();
         let mut bits: Vec<u64> = Vec::new();
 
@@ -302,7 +306,7 @@ impl HeavyDictionary {
         //      `tau_min` (the threshold of the deepest internal level) is
         //      light here and at every descendant, and is dropped;
         //    * leaves evaluate nothing — `T(v_b, I(w)) ≤ T(I(w)) < τ_ℓ`
-        //      there, so a leaf only gets its CSR offset;
+        //      there, so a leaf has no heavy pair and no CSR row;
         //    * witness inheritance — each survivor carries the
         //      lexicographically first answer of `(⋈ R_F(v_b)) ⋉ I(w)`
         //      once a probe has found it (or that there is none), and a
@@ -334,19 +338,22 @@ impl HeavyDictionary {
         // (The root's side is never read: its witnesses are all unknown.)
         let mut stack: Vec<(Cursor, Side, Rc<Survivors>)> = vec![(tree.root(), Side::Left, all)];
         while let Some((c, side, cands)) = stack.pop() {
-            let w = c.node;
-            assert_eq!(w as usize, offsets.len(), "nodes visited in id order");
-            offsets.push(ids.len() as u64);
             let node = tree.node(c, &mut lo, &mut hi);
+            // Nodes come in id order, so internal ones in rank order: each
+            // appends its row start.
+            if let Some(rank) = node.internal {
+                assert_eq!(rank as usize, offsets.len(), "nodes visited in id order");
+                offsets.push(ids.len() as u64);
+            }
             let children = [(node.right, Side::Right), (node.left, Side::Left)];
-            if node.leaf || cands.ids.is_empty() {
-                // Nothing can be heavy in this subtree; its nodes still
-                // take their offsets, in order.
+            let (Some(rank), false) = (node.internal, cands.ids.is_empty()) else {
+                // A leaf, or nothing can be heavy in this subtree; its
+                // internal nodes still take their offsets, in order.
                 for (child, side) in children {
                     stack.extend(child.map(|c| (c, side, Rc::clone(&none))));
                 }
                 continue;
-            }
+            };
             let threshold = tree.threshold_of(c.level);
             box_decomposition_ranks(&lo, &hi, &sizes, &mut boxes);
             let boxes = boxes.as_slice();
@@ -377,9 +384,6 @@ impl HeavyDictionary {
                 .any(|(c, _)| c.is_some_and(|c| !tree.is_leaf(c.node)));
             let mut survivors = Survivors::default();
             work.evaluations += cands.ids.len() as u64;
-            // A tripwire, not a tally: 0 for as long as the leaf skip above
-            // stands (CI gates it).
-            work.leaf_evaluations += u64::from(node.leaf) * cands.ids.len() as u64;
             for (k, &ci) in cands.ids.iter().enumerate() {
                 let ranges = &cand_ranges[ci as usize * nw..][..nw];
                 // T(v_b, I(w)) = Σ_B T(v_b, B), summed until it provably
@@ -440,7 +444,7 @@ impl HeavyDictionary {
                         }
                     }
                     let bit = witness == Witness::First;
-                    stored(w, cand(ci), bit.then_some(&first));
+                    stored(rank, cand(ci), bit.then_some(&first));
                     let e = ids.len();
                     ids.push(ci);
                     if e % 64 == 0 {
@@ -501,14 +505,15 @@ impl HeavyDictionary {
         }
     }
 
-    /// An empty dictionary sized for `n` nodes (empty-view case).
-    pub fn empty(n: usize) -> HeavyDictionary {
+    /// The dictionary of a tree without internal nodes — a root leaf, or
+    /// no tree at all (the empty view): one CSR offset and no entry.
+    pub fn empty() -> HeavyDictionary {
         HeavyDictionary {
             keys: Arc::new(DictKeys {
                 nb: 0,
                 num_cands: 0,
                 cand_values: Packed::default(),
-                offsets: Packed::new(std::iter::repeat(0).take(n + 1)),
+                offsets: Packed::from_slice(&[0]),
                 ids: Packed::default(),
                 work: DictBuildWork::default(),
             }),
@@ -533,10 +538,11 @@ impl HeavyDictionary {
         NO_CANDIDATE
     }
 
-    /// Position of the `(node, candidate)` entry in `ids`/`bits`.
+    /// Position of the `(node, candidate)` entry in `ids`/`bits`, for the
+    /// internal node of rank `rank`.
     #[inline]
-    fn entry(&self, node: u32, cand: u32) -> Option<usize> {
-        let run = self.keys.run(node);
+    fn entry(&self, rank: u32, cand: u32) -> Option<usize> {
+        let run = self.keys.run(rank);
         let ids = &self.keys.ids;
         let cand = u64::from(cand);
         let e = partition_point(run.start, run.end, |e| ids.get(e) >= cand);
@@ -549,18 +555,20 @@ impl HeavyDictionary {
     }
 
     /// Looks up `D(w, v_b)` for a valuation already resolved by
-    /// [`HeavyDictionary::candidate`]: `Some(bit)` for heavy pairs, `None`
-    /// (⊥) for light ones.
+    /// [`HeavyDictionary::candidate`], at the node whose internal rank is
+    /// `internal` ([`crate::dbtree::Node::internal`]): `Some(bit)` for
+    /// heavy pairs, `None` (⊥) for light ones. A leaf (`None`) is ⊥
+    /// without a read; it still counts as one lookup.
     #[inline]
-    pub fn lookup(&self, node: u32, cand: u32) -> Option<bool> {
+    pub fn lookup(&self, internal: Option<u32>, cand: u32) -> Option<bool> {
         metrics::record_dict_lookup();
-        self.entry(node, cand).map(|e| self.bit(e))
+        self.entry(internal?, cand).map(|e| self.bit(e))
     }
 
-    /// Looks up `D(w, v_b)`: `Some(bit)` for heavy pairs, `None` (⊥) for
-    /// light ones.
-    pub fn get(&self, node: u32, vb: &[Value]) -> Option<bool> {
-        self.lookup(node, self.candidate(vb))
+    /// Looks up `D(w, v_b)` at the internal node of rank `rank`:
+    /// `Some(bit)` for heavy pairs, `None` (⊥) for light ones.
+    pub fn get(&self, rank: u32, vb: &[Value]) -> Option<bool> {
+        self.lookup(Some(rank), self.candidate(vb))
     }
 
     /// Overwrites the bit of an existing entry and reports whether the
@@ -568,8 +576,8 @@ impl HeavyDictionary {
     /// storing it would break the Lemma 5 entry bound. Callers flip only
     /// keys they read from [`HeavyDictionary::entries_of`] and assert the
     /// returned `true`.
-    pub fn flip(&mut self, node: u32, vb: &[Value], bit: bool) -> bool {
-        let Some(e) = self.entry(node, self.candidate(vb)) else {
+    pub fn flip(&mut self, rank: u32, vb: &[Value], bit: bool) -> bool {
+        let Some(e) = self.entry(rank, self.candidate(vb)) else {
             return false;
         };
         let mask = 1u64 << (e % 64);
@@ -581,17 +589,18 @@ impl HeavyDictionary {
         true
     }
 
-    /// Visits `node`'s entries in ascending `v_b` order and stores the bit
-    /// `redecide(v_b, bit)` returns for each — delta maintenance's
-    /// re-probe, decoding each key into one reused buffer.
+    /// Visits the entries of the internal node of rank `rank` in
+    /// ascending `v_b` order and stores the bit `redecide(v_b, bit)`
+    /// returns for each — delta maintenance's re-probe, decoding each key
+    /// into one reused buffer.
     pub(crate) fn redecide_bits_of(
         &mut self,
-        node: u32,
+        rank: u32,
         mut redecide: impl FnMut(&[Value], bool) -> bool,
     ) {
         let HeavyDictionary { keys, bits } = self;
         let mut vb: Vec<Value> = Vec::with_capacity(keys.nb);
-        for e in keys.run(node) {
+        for e in keys.run(rank) {
             let mask = 1u64 << (e % 64);
             let bit = bits[e / 64] & mask != 0;
             keys.cand_into(keys.ids.get(e) as usize, &mut vb);
@@ -634,17 +643,19 @@ impl HeavyDictionary {
         Arc::ptr_eq(&self.keys, &other.keys)
     }
 
-    /// Iterates over all entries as `(node, v_b, bit)`, in node order (off
-    /// the serve path: each `v_b` is decoded into its own `Vec`).
+    /// Iterates over all entries as `(r, v_b, bit)`, `r` the node's
+    /// internal rank, in node order (off the serve path: each `v_b` is
+    /// decoded into its own `Vec`).
     pub fn entries(&self) -> impl Iterator<Item = (u32, Vec<Value>, bool)> + '_ {
         (0..self.keys.offsets.len() as u32 - 1)
-            .flat_map(move |w| self.entries_of(w).map(move |(vb, bit)| (w, vb, bit)))
+            .flat_map(move |r| self.entries_of(r).map(move |(vb, bit)| (r, vb, bit)))
     }
 
-    /// The entries of one node, in ascending `v_b` order.
-    pub fn entries_of(&self, node: u32) -> impl Iterator<Item = (Vec<Value>, bool)> + '_ {
+    /// The entries of the internal node of rank `rank`, in ascending `v_b`
+    /// order.
+    pub fn entries_of(&self, rank: u32) -> impl Iterator<Item = (Vec<Value>, bool)> + '_ {
         self.keys
-            .run(node)
+            .run(rank)
             .map(move |e| (self.keys.cand(self.keys.ids.get(e) as usize), self.bit(e)))
     }
 }
@@ -655,7 +666,7 @@ impl HeavyDictionary {
 pub struct DictWidths {
     /// Candidate valuations, `|V_b|` values each.
     pub values: u32,
-    /// CSR row starts, one per node plus one.
+    /// CSR row starts, one per internal node plus one.
     pub offsets: u32,
     /// Candidate ids, one per entry.
     pub ids: u32,
@@ -706,9 +717,14 @@ mod tests {
     use super::*;
     use crate::cost::tests::{running_estimator, running_example};
 
+    /// The internal nodes' cursors, by rank: what an entry's row names.
+    fn internal_cursors(tree: &DelayBalancedTree) -> Vec<Cursor> {
+        tree.cursors().filter(|c| !tree.is_leaf(c.node)).collect()
+    }
+
     /// Example 15: at τ = 4 the dictionary holds exactly the two entries
     /// D(I(r), (1,1,1)) = 1 and D(I(r_r), (1,1,1)) = 1 for that valuation,
-    /// and leaves carry no entries.
+    /// and leaves have no row.
     #[test]
     fn example_15_dictionary_entries() {
         let (view, db) = running_example();
@@ -717,16 +733,20 @@ mod tests {
         let tree = DelayBalancedTree::build(&est, 4.0).unwrap();
         let dict = HeavyDictionary::build(&plan, &est, &tree);
 
-        // Node ids from the Figure 3 test: 0 = r, 2 = r_r (left child is 1).
+        // Node ids from the Figure 3 test: 0 = r, 2 = r_r (left child 1
+        // is a leaf), so r_r is the second internal node.
+        assert_eq!(tree.internal_rank(2), Some(1));
         assert_eq!(dict.get(0, &[1, 1, 1]), Some(true));
-        assert_eq!(dict.get(2, &[1, 1, 1]), Some(true));
+        assert_eq!(dict.get(1, &[1, 1, 1]), Some(true));
 
-        // Leaves carry no entries at all (they have no heavy pairs).
-        for w in 0..tree.len() as u32 {
-            if tree.is_leaf(w) {
-                assert_eq!(dict.entries_of(w).count(), 0, "leaf {w}");
-            }
-        }
+        // Leaves have no row (they have no heavy pairs): one CSR row per
+        // internal node, and a leaf is ⊥ without one.
+        assert_eq!(tree.num_internal(), 2);
+        assert!(dict.entries().all(|(r, _, _)| r < 2));
+        assert_eq!(
+            dict.lookup(tree.internal_rank(1), dict.candidate(&[1, 1, 1])),
+            None
+        );
 
         // Brute-force cross-check of heaviness over the whole bound grid.
         let sizes = est.sizes();
@@ -738,7 +758,7 @@ mod tests {
                         let w = c.node;
                         let t = est.t_interval_bound(&vb, &tree.interval(c), &sizes);
                         let thr = tree.threshold_of(c.level);
-                        let entry = dict.get(w, &vb);
+                        let entry = tree.internal_rank(w).and_then(|r| dict.get(r, &vb));
                         if t > thr + 1e-9 {
                             assert!(
                                 entry.is_some(),
@@ -765,9 +785,9 @@ mod tests {
         for tau in [1.0, 2.0, 4.0] {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
             let dict = HeavyDictionary::build(&plan, &est, &tree);
-            let cursors: Vec<Cursor> = tree.cursors().collect();
+            let internal = internal_cursors(&tree);
             for (w, vb, bit) in dict.entries() {
-                let interval = tree.interval(cursors[w as usize]);
+                let interval = tree.interval(internal[w as usize]);
                 // Naive emptiness: enumerate the full join of the view for
                 // this v_b and check membership in the interval.
                 let res = cqc_join::naive::evaluate_view(&view, &db, &vb).unwrap();
@@ -818,11 +838,11 @@ mod tests {
                 seen.push((w, vb.to_vec(), first.map(<[Value]>::to_vec)));
             });
             assert_eq!(seen.len(), dict.num_entries());
-            let cursors: Vec<Cursor> = tree.cursors().collect();
+            let internal = internal_cursors(&tree);
             let mut zeros = 0;
             for ((w, vb, first), (ew, evb, bit)) in seen.iter().zip(dict.entries()) {
                 assert_eq!((*w, &vb[..]), (ew, &evb[..]), "reported in storage order");
-                let interval = tree.interval(cursors[*w as usize]);
+                let interval = tree.interval(internal[*w as usize]);
                 // The oracle emits in lexicographic order.
                 let expect = cqc_join::naive::evaluate_view(&view, &db, vb)
                     .unwrap()
@@ -932,17 +952,31 @@ mod tests {
         let before = snapshot(&dict);
         assert!(!before.is_empty());
 
-        // A candidate that is light at the left leaf (node 1 of Figure 3),
-        // and a non-candidate.
-        let leaf = 1;
-        assert!(tree.is_leaf(leaf));
-        assert_eq!(dict.get(leaf, &[1, 1, 1]), None);
-        assert!(!dict.flip(leaf, &[1, 1, 1], true));
+        // A non-candidate.
         assert_eq!(dict.candidate(&[9, 9, 9]), NO_CANDIDATE);
         assert!(!dict.flip(0, &[9, 9, 9], true));
         assert_eq!(dict.num_entries(), before.len());
-        assert_eq!(dict.get(leaf, &[1, 1, 1]), None, "still ⊥");
         assert_eq!(snapshot(&dict), before, "no entry added, no bit disturbed");
+
+        // A candidate that is light at an internal node (every candidate
+        // of the running example is heavy wherever it is a node's: the
+        // skewed triangle has light ones).
+        let (view, db) = skewed_triangle(9);
+        let est = CostEstimator::build(&view, &db, &[0.5; 3], 1.0).unwrap();
+        let tree = DelayBalancedTree::build(&est, 8.0).unwrap();
+        let mut skewed = HeavyDictionary::build(&ViewPlan::build(&view, &db).unwrap(), &est, &tree);
+        let stored = snapshot(&skewed);
+        let (rank, light) = (0..tree.num_internal() as u32)
+            .flat_map(|r| stored.iter().map(move |(_, vb, _)| (r, vb.clone())))
+            .find(|(r, vb)| skewed.get(*r, vb).is_none())
+            .expect("a stored valuation light at another node");
+        assert!(!skewed.flip(rank, &light, true));
+        assert_eq!(skewed.get(rank, &light), None, "still ⊥");
+        assert_eq!(
+            snapshot(&skewed),
+            stored,
+            "no entry added, no bit disturbed"
+        );
 
         // A stored pair flips both ways and nothing else moves.
         assert_eq!(dict.get(0, &[1, 1, 1]), Some(true));

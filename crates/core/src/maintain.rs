@@ -416,7 +416,11 @@ fn maintain_theorem1(
         }
         report.affected_nodes += 1;
         stack.extend([node.right, node.left].into_iter().flatten());
-        dict.redecide_bits_of(c.node, |vb, bit| {
+        // A leaf has no entry to re-probe.
+        let Some(rank) = node.internal else {
+            continue;
+        };
+        dict.redecide_bits_of(rank, |vb, bit| {
             let hits = if bit { &hit_rem } else { &hit_ins };
             if !hits.iter().any(|slab| slab.matches_valuation(vb)) {
                 return bit;

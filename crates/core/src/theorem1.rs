@@ -145,8 +145,7 @@ impl Theorem1Structure {
             Some(t) if t.deepest_internal_level().is_some() => {
                 HeavyDictionary::build(&plan, &est, t)
             }
-            Some(t) => HeavyDictionary::empty(t.len()),
-            None => HeavyDictionary::empty(0),
+            _ => HeavyDictionary::empty(),
         };
         Ok(Theorem1Structure {
             view: view.clone(),
@@ -298,6 +297,7 @@ impl Theorem1Structure {
         let dict_work = self.dict.build_work();
         Theorem1Stats {
             tree_nodes: self.tree().map_or(0, DelayBalancedTree::len),
+            tree_leaves: self.tree().map_or(0, DelayBalancedTree::num_leaves),
             tree_depth: self.tree().map_or(0, DelayBalancedTree::depth),
             tree_widths: self
                 .tree()
@@ -401,6 +401,8 @@ impl SpaceBreakdown {
 pub struct Theorem1Stats {
     /// Nodes in the delay-balanced tree.
     pub tree_nodes: usize,
+    /// Of them leaves: one bit each, no row.
+    pub tree_leaves: usize,
     /// Tree depth.
     pub tree_depth: u16,
     /// Bits per stored `β` rank and per right-child id (`(0, 0)` without
@@ -544,8 +546,8 @@ fn rank_scratch<'a>(
 enum Frame {
     /// Visit a node (dictionary lookup decides how).
     Enter(Cursor),
-    /// Emit the node's split point if it is in the join (after the left
-    /// subtree).
+    /// Emit the split point of the internal node of this rank if it is in
+    /// the join (after the left subtree).
     Point(u32),
 }
 
@@ -767,7 +769,7 @@ impl Theorem1Iter<'_> {
                             (lo, hi)
                         }
                     };
-                    match s.dict.lookup(c.node, self.cand) {
+                    match s.dict.lookup(node.internal, self.cand) {
                         // ⊥: evaluate the (clipped) interval directly; cost
                         // bounded by τ_ℓ since the pair is light and
                         // T(v_b, ·) is monotone under clipping.
@@ -780,22 +782,21 @@ impl Theorem1Iter<'_> {
                         Some(false) => {}
                         // 1: in-order recursion.
                         Some(true) => {
-                            debug_assert!(!node.leaf, "leaves cannot hold heavy pairs");
+                            let rank = node.internal.expect("leaves hold no heavy pair");
                             if let Some(r) = node.right {
                                 self.stack.push(Frame::Enter(r));
                             }
-                            self.stack.push(Frame::Point(c.node));
+                            self.stack.push(Frame::Point(rank));
                             if let Some(l) = node.left {
                                 self.stack.push(Frame::Enter(l));
                             }
                         }
                     }
                 }
-                Some(Frame::Point(w)) => {
+                Some(Frame::Point(rank)) => {
                     let (mut inline, mut spill) = ([0; 2 * INLINE_MU], Vec::new());
                     let beta = rank_scratch(&mut inline, &mut spill, mu);
-                    let internal = tree.beta_into(w, beta);
-                    debug_assert!(internal, "Point frames come from 1-nodes");
+                    tree.split_point_into(rank, beta);
                     if let Some(clip) = &self.clip {
                         if !clip.contains(beta) {
                             continue;
@@ -934,7 +935,7 @@ fn bump_down(prefix: &mut Vec<usize>, _domains: &[Domain]) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cost::tests::running_example;
     use cqc_common::value::{lex_cmp, Tuple};
@@ -1204,5 +1205,89 @@ mod tests {
         let loose = Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], 16.0).unwrap();
         assert!(tight.stats().tree_nodes >= loose.stats().tree_nodes);
         assert!(tight.stats().dict_entries >= loose.stats().dict_entries);
+    }
+
+    /// FNV-1a (64 bits) of `h` extended by each word's little-endian
+    /// bytes.
+    fn fnv(h: u64, words: impl IntoIterator<Item = u64>) -> u64 {
+        words
+            .into_iter()
+            .flat_map(u64::to_le_bytes)
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// FNV-1a of the whole top-down walk of `s`: per node, in id order,
+    /// its id, level, interval, leaf flag and children's ids (`u64::MAX`
+    /// for none), then its dictionary entries, each `v_b` and bit.
+    pub(crate) fn walk_fnv(s: &Theorem1Structure) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let Some(tree) = s.tree() else {
+            return h;
+        };
+        let FInterval { mut lo, mut hi } = tree.interval(tree.root());
+        for c in tree.cursors() {
+            let node = tree.node(c, &mut lo, &mut hi);
+            let child = |c: Option<Cursor>| c.map_or(u64::MAX, |c| u64::from(c.node));
+            h = fnv(h, [u64::from(c.node), u64::from(c.level)]);
+            h = fnv(h, lo.iter().chain(&hi).map(|&r| r as u64));
+            h = fnv(
+                h,
+                [
+                    u64::from(node.is_leaf()),
+                    child(node.left),
+                    child(node.right),
+                ],
+            );
+            if let Some(rank) = node.internal {
+                for (vb, bit) in s.dictionary().entries_of(rank) {
+                    h = fnv(h, vb.into_iter().chain([u64::from(bit)]));
+                }
+            }
+        }
+        h
+    }
+
+    /// The walk — every node's id, level, interval, leaf flag and
+    /// children, every entry and bit — hashed on the triangle at three
+    /// patterns and three τ and on a star, each over uniform data, equals
+    /// what the layout that stored a row per node (leaves too) walked.
+    #[test]
+    fn walk_is_pinned() {
+        let (relations, _) = cqc_workload::triangle_relations(7, 400);
+        let mut db = Database::new();
+        for r in relations {
+            db.add(r).unwrap();
+        }
+        let mut got = Vec::new();
+        for pattern in ["bff", "bfb", "fff"] {
+            let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", pattern).unwrap();
+            for tau in [2.0, 8.0, 64.0] {
+                let s = Theorem1Structure::build(&view, &db, &[0.5; 3], tau).unwrap();
+                got.push((pattern, tau, s.stats().tree_nodes, walk_fnv(&s)));
+            }
+        }
+        let mut rng = cqc_workload::rng(11);
+        let mut star_db = Database::new();
+        for name in ["R1", "R2", "R3"] {
+            star_db
+                .add(cqc_workload::uniform_relation(&mut rng, name, 2, 400, 40))
+                .unwrap();
+        }
+        let star = cqc_workload::queries::star(3, "bbff").unwrap();
+        let s = Theorem1Structure::build(&star, &star_db, &[1.0; 3], 8.0).unwrap();
+        got.push(("star bbff", 8.0, s.stats().tree_nodes, walk_fnv(&s)));
+        let pinned = [
+            ("bff", 2.0, 780, 16_494_343_019_328_724_530),
+            ("bff", 8.0, 777, 81_760_047_456_302_527),
+            ("bff", 64.0, 254, 11_372_551_491_870_987_198),
+            ("bfb", 2.0, 40, 18_378_946_896_736_046_117),
+            ("bfb", 8.0, 40, 13_975_584_505_201_828_016),
+            ("bfb", 64.0, 40, 2_425_636_725_006_017_455),
+            ("fff", 2.0, 3345, 10_888_180_398_971_104_757),
+            ("fff", 8.0, 1185, 9_549_843_484_837_285_700),
+            ("fff", 64.0, 255, 2_163_511_863_188_564_882),
+            ("star bbff", 8.0, 1021, 4_625_279_309_689_809_563),
+        ];
+        assert_eq!(got, pinned);
     }
 }

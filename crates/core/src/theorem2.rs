@@ -309,7 +309,11 @@ impl Theorem2Structure {
                         while let Some(c) = stack.pop() {
                             let node = tree.node(c, &mut interval.lo, &mut interval.hi);
                             stack.extend([node.right, node.left].into_iter().flatten());
-                            for (key, bit) in t1.dictionary().entries_of(c.node) {
+                            // A leaf has no entry.
+                            let Some(rank) = node.internal else {
+                                continue;
+                            };
+                            for (key, bit) in t1.dictionary().entries_of(rank) {
                                 if !bit {
                                     continue;
                                 }
@@ -322,13 +326,13 @@ impl Theorem2Structure {
                                     extends = probe.extends_below(bi, &row);
                                 }
                                 if !extends {
-                                    flips.push((c.node, key));
+                                    flips.push((rank, key));
                                 }
                             }
                         }
                     }
-                    for (w, key) in flips {
-                        let stored = t1.dictionary_mut().flip(w, &key, false);
+                    for (rank, key) in flips {
+                        let stored = t1.dictionary_mut().flip(rank, &key, false);
                         debug_assert!(stored, "flipped keys come from the dictionary");
                     }
                 }
@@ -1530,5 +1534,32 @@ mod tests {
             s = maintained;
         }
         assert!(removed > 0, "the history must delete something");
+    }
+
+    /// The walk of the 4-path's delay-tuned bag after the Algorithm 4
+    /// fixup cleared its bits (616 of its 1 945 entries on this sparse
+    /// instance; see `walk_fnv`), equal to what the layout that stored a
+    /// row per node walked.
+    #[test]
+    fn delay_tuned_bag_walk_is_pinned() {
+        let mut rng = cqc_workload::rng(21);
+        let mut db = Database::new();
+        for name in ["R1", "R2", "R3", "R4"] {
+            db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 100, 40))
+                .unwrap();
+        }
+        let view = cqc_workload::queries::path(4, "bfffb").unwrap();
+        let s = Theorem2Structure::build(&view, &db, &path4_paper_td(), &[0.0, 0.3, 0.0]).unwrap();
+        let walks: Vec<(usize, u64)> = s
+            .bags
+            .iter()
+            .filter_map(|b| match &b.kind {
+                BagKind::Tradeoff(t1) => {
+                    Some((t1.stats().tree_nodes, crate::theorem1::tests::walk_fnv(t1)))
+                }
+                BagKind::Materialized(_) => None,
+            })
+            .collect();
+        assert_eq!(walks, [(1380, 6_555_146_706_828_385_275)]);
     }
 }

@@ -20,14 +20,16 @@
 //!   relations, allocated before the build; `base_indexes()` is exactly
 //!   those tries and `heap_bytes()` is the whole figure. The
 //!   `direct` recipe (Theorem 1 at τ = ∞) is a row of this gate with no
-//!   dictionary to speak of: tries + grid + a one-leaf tree, and per-node
-//!   offsets without a single candidate; beside it, on a hub instance, its
+//!   dictionary to speak of: tries + grid + a one-leaf tree (a bit and a
+//!   directory entry), and one offset without a single candidate; beside it, on a hub instance, its
 //!   bytes stay below `materialize`'s, whose one bag holds every answer;
-//! * a layout pin met with equality: the tree is `µ·nodes` ranks and
-//!   `nodes` right-child ids plus the grid sizes, the dictionary
-//!   `|V_b|·cands` values, `nodes + 1` offsets and `entries` ids plus one
-//!   bit an entry — each column at `⌈log₂(max + 1)⌉` bits a value, the
-//!   maximum taken from the structure's public walk (docs/ARCHITECTURE.md,
+//! * a layout pin met with equality: the tree is `µ·internal` ranks and
+//!   `internal` right-child ids (a leaf has no row), one bit per node in
+//!   `⌈nodes/64⌉` words and a rank directory of one value per word, plus
+//!   the grid sizes; the dictionary `|V_b|·cands` values, `internal + 1`
+//!   offsets and `entries` ids plus one bit an entry — each column at
+//!   `⌈log₂(max + 1)⌉` bits a value, the maximum and the internal count
+//!   taken from the structure's public walk (docs/ARCHITECTURE.md,
 //!   "Packed integer columns"); each trie is, per depth `d`, `k_d` keys
 //!   (`k_d` the distinct prefixes of length `d + 1` under its order, the
 //!   rows at the last depth) and, above the last depth, `k_d + 1` child
@@ -72,7 +74,10 @@
 //! (none is kept — a candidate no entry references is dropped — so the
 //! bytes no longer show it). The layout pin: a `u32` column left in place
 //! of a packed one fails its row — `β` as `Vec<u32>` the tree's, the
-//! candidate ids as `Vec<u32>` the dictionary's — and a `u64` column left
+//! candidate ids as `Vec<u32>` the dictionary's; a zero `β` row and
+//! right id kept per leaf after the internal rows (both columns resized to
+//! the node count before packing) fails the tree's, 48 304 B for `bff`'s
+//! 11 631 nodes against 28 088 — and a `u64` column left
 //! in place of a searchable one fails the trie row (depth 0 of every trie
 //! stored at 64 bits: the `bff` `R` trie reports 47 560 B against the
 //! pin's smaller figure), as does every searched column at 64 bits; a grid
@@ -330,27 +335,40 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         tries_and_grid_are_at_their_widths(&s, &db, pattern);
 
         // Layout pin, met with equality: every column at the width of its
-        // largest value, each width read off the structure through its
-        // public walk, not its layout. Tree: `µ` ranks (stored plus one,
-        // a leaf's row zero) and a right-child id per node, plus the grid
-        // sizes. Dictionary: `|V_b|` values per kept candidate, a CSR offset
-        // per node plus one, a candidate id and a bit per entry; every
-        // kept candidate is referenced by some entry.
+        // largest value, each width and count read off the structure
+        // through its public walk, not its layout. Tree: a bit per node in
+        // 64-bit words and, per word, the internal nodes before it (the
+        // rank directory); per internal node `µ` ranks and a right-child
+        // id; plus the grid sizes. A leaf has no row. Dictionary: `|V_b|`
+        // values per kept candidate, a CSR offset per internal node plus
+        // one, a candidate id and a bit per entry; every kept candidate is
+        // referenced by some entry.
         let (nodes, entries, cands) = (tree.len(), dict.num_entries(), dict.num_candidates());
         let (mu, nb) = (view.mu(), view.bound_head().len());
         let (mut max_beta, mut max_right) = (0, 0);
+        let (mut internal, mut directory_max) = (0usize, 0usize);
         let FInterval { mut lo, mut hi } = tree.interval(tree.root());
-        for c in tree.cursors() {
+        for (w, c) in tree.cursors().enumerate() {
             let node = tree.node(c, &mut lo, &mut hi);
-            max_right = max_right.max(node.right.map_or(0, |r| r.node as u64));
+            if w % 64 == 0 {
+                directory_max = internal;
+            }
             if let Some(beta) = tree.beta(c.node) {
-                max_beta = max_beta.max(beta.into_iter().max().unwrap_or(0) as u64 + 1);
+                internal += 1;
+                max_right = max_right.max(node.right.map_or(0, |r| r.node as u64));
+                max_beta = max_beta.max(beta.into_iter().max().unwrap_or(0) as u64);
             }
         }
+        let words = nodes.div_ceil(64);
+        assert_eq!(tree.num_leaves(), nodes - internal, "{pattern}");
         assert_eq!(
             tree_bytes,
-            column(mu * nodes, max_beta) + column(nodes, max_right) + 8 * mu,
-            "{pattern}: tree {tree_bytes} B for {nodes} nodes"
+            column(mu * internal, max_beta)
+                + column(internal, max_right)
+                + 8 * words
+                + column(words, directory_max as u64)
+                + 8 * mu,
+            "{pattern}: tree {tree_bytes} B for {nodes} nodes, {internal} internal"
         );
         let keys: BTreeSet<Vec<u64>> = dict.entries().map(|(_, vb, _)| vb).collect();
         assert_eq!(
@@ -362,10 +380,10 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         assert_eq!(
             dict_bytes,
             column(nb * cands, max_value)
-                + column(nodes + 1, entries as u64)
+                + column(internal + 1, entries as u64)
                 + column(entries, cands.saturating_sub(1) as u64)
                 + 8 * entries.div_ceil(64),
-            "{pattern}: dictionary {dict_bytes} B for {entries} entries, {nodes} nodes, {cands} candidates"
+            "{pattern}: dictionary {dict_bytes} B for {entries} entries, {internal} internal nodes, {cands} candidates"
         );
     }
     direct_holds_tries_grid_and_tree(&db);
@@ -414,15 +432,21 @@ fn direct_holds_tries_grid_and_tree(db: &Database) {
         let CompressedView::Tradeoff(s) = &cv else {
             panic!("{pattern}: direct is Theorem 1, got {}", cv.describe());
         };
-        // One leaf and a dictionary of per-node offsets only: no heavy
-        // pair, no root candidate, no build work past the root's cost.
+        // One leaf and a dictionary of one offset — one per internal node
+        // plus one — only: no heavy pair, no root candidate, no build work
+        // past the root's cost. The leaf is one bit (a word) and one
+        // directory entry; the tree adds the grid sizes.
         let (stats, space) = (s.stats(), s.space_breakdown());
+        let tree = s.tree().unwrap();
+        let internal = tree.cursors().filter(|c| !tree.is_leaf(c.node)).count();
         assert_eq!((stats.tree_nodes, stats.dict_entries), (1, 0), "{pattern}");
+        assert_eq!((stats.tree_leaves, internal), (1, 0), "{pattern}");
         assert_eq!(stats.dict_candidates, 0, "{pattern}");
         assert_eq!(stats.dict_evaluations + stats.dict_probes, 0, "{pattern}");
+        assert_eq!(space.dict_bytes, column(internal + 1, 0), "{pattern}");
         assert_eq!(
-            space.dict_bytes,
-            column(stats.tree_nodes + 1, 0),
+            space.tree_bytes,
+            8 + column(1, 0) + 8 * view.mu(),
             "{pattern}"
         );
         let resident = space.base_index_distinct_bytes + space.nonlinear_bytes();

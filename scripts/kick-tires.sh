@@ -165,16 +165,32 @@ awk -v b="$bag_bpt" 'BEGIN { exit !(b != "" && b < 4) }'
 # tuned one (`&[0.0, 0.3]` for its δ in `CompressedView::build_pooled`
 # prints "1 delay-tuned" and fails the first grep). `direct` is Theorem 1
 # at τ = ∞: one leaf and no heavy pair (`f64::MAX` for its τ prints 309
-# digits and fails the second).
+# digits and fails the second). `lo` is the tradeoff between them, the
+# tree-layout gate's view.
 cqe \
     -e 'gen triangle 400 7' \
     -e 'register m bff materialize "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
     -e 'register d bff direct "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
+    -e 'register lo bff tau:8 "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)"' \
     -e 'explain m' \
-    -e 'explain d' |
+    -e 'explain d' \
+    -e 'explain lo' |
     tee "$OUT/extremes.out"
 grep -Eq "repr: +theorem 2: 1 bags \(0 delay-tuned" "$OUT/extremes.out"
 grep -Eq "repr: +theorem 1: τ = inf.*tree 1 nodes.*dictionary 0 heavy pairs" "$OUT/extremes.out"
+# A Theorem 1 leaf costs one bit: the tree stores a split point and a
+# right-child id for internal nodes only, at their rank in a bit column
+# with one bit per node. `lo` (τ = 8) has 777 nodes, 333 of them leaves,
+# and prints 1 368 B = 1.76 B/node. A row per node, leaves' all zero,
+# printed 2 160 B (2.78 B/node). The one-line sabotage that keeps a zero
+# row per leaf beside the bit column — `(beta_col.resize(mu *
+# internal.len(), 0), right_col.resize(internal.len(), 0));` just before
+# `DelayBalancedTree::build_observed` packs the columns — prints 2 280 B
+# (2.93 B/node) and fails the gate (checked once). The gate is 2.2.
+lo_tree="$(grep -E 'τ = 8\.00' "$OUT/extremes.out" | grep -Eo 'tree [0-9]+ nodes, [0-9]+ leaves \([^)]*\)')"
+lo_nodes="$(echo "$lo_tree" | grep -Eo '^tree [0-9]+' | grep -Eo '[0-9]+')"
+lo_bytes="$(echo "$lo_tree" | grep -Eo '[0-9]+ B =' | grep -Eo '[0-9]+')"
+awk -v b="$lo_bytes" -v n="$lo_nodes" 'BEGIN { printf "tree layout: %d B / %d nodes = %.2f B/node\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 2.2) }'
 # Theorem 1's |D| term at its data's width: `direct` holds nothing but the
 # tries and the grid, each trie storing a leading value once per run (child
 # offsets beside it) and each column at the whole word size of its largest

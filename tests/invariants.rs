@@ -52,7 +52,7 @@ fn check_tree_partitions(tree: &DelayBalancedTree) {
         match f {
             Frame::Enter(c) => {
                 let n = tree.node(c, &mut scratch.lo, &mut scratch.hi);
-                if n.leaf {
+                if n.is_leaf() {
                     pieces.push(Piece::Leaf(scratch.clone()));
                 } else {
                     if let Some(r) = n.right {
@@ -193,7 +193,7 @@ fn random_instance_tree_invariants() {
             for c in tree.cursors() {
                 let (t, thr) = (t_at(c), tau_level(tree.tau, tree.alpha, c.level));
                 let node = tree.node(c, &mut scratch.lo, &mut scratch.hi);
-                if node.leaf {
+                if node.is_leaf() {
                     assert!(t < thr, "trial {trial}");
                 } else {
                     assert!(t >= thr - 1e-9, "trial {trial}");

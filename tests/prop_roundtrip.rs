@@ -73,7 +73,7 @@ fn check_theorem1(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, 
         for c in tree.cursors() {
             let (t, thr) = (t_at(c), tau_level(tree.tau, tree.alpha, c.level));
             let node = tree.node(c, &mut scratch.lo, &mut scratch.hi);
-            if node.leaf {
+            if node.is_leaf() {
                 assert!(t < thr, "leaf above threshold");
             } else {
                 assert!(t >= thr - 1e-9, "internal below threshold");
@@ -159,13 +159,16 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
                     tau_level(tree.tau, tree.alpha, c.level),
                 );
             let bit = answers.iter().any(|a| interval.contains(a));
+            // A leaf has no row and is ⊥ for every valuation.
+            let rank = tree.internal_rank(w);
             assert_eq!(
-                dict.get(w, &vb),
+                rank.and_then(|r| dict.get(r, &vb)),
                 heavy.then_some(bit),
                 "τ={tau} node {w} v_b={vb:?}"
             );
             if heavy {
-                expect.insert((w, vb.clone(), bit));
+                let rank = rank.expect("heavy pairs lie at internal nodes");
+                expect.insert((rank, vb.clone(), bit));
                 stored = true;
             }
         }
@@ -176,7 +179,7 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
     let got: Vec<(u32, Vec<u64>, bool)> = dict.entries().collect();
     assert!(
         got.windows(2).all(|p| p[0] < p[1]),
-        "entries() runs in (node, v_b) order without repeats"
+        "entries() runs in (internal rank, v_b) order without repeats"
     );
     assert_eq!(got.len(), dict.num_entries());
     assert_eq!(got.into_iter().collect::<BTreeSet<_>>(), expect, "τ={tau}");
@@ -386,7 +389,9 @@ proptest! {
             let sizes = est.sizes();
             for c in tree.cursors() {
                 let thr = tau_level(tree.tau, tree.alpha, c.level);
-                let count = st.dictionary().entries_of(c.node).count() as f64;
+                let count = tree
+                    .internal_rank(c.node)
+                    .map_or(0, |r| st.dictionary().entries_of(r).count()) as f64;
                 let t = est.t_interval(&tree.interval(c), &sizes);
                 let bound = (t / thr).powf(alpha) + 1e-9;
                 prop_assert!(
