@@ -4,8 +4,8 @@
 //! priority queue, 300 ms brownout) has every serve padded to a fixed
 //! 10 ms by [`Fault::Slowdown`], so measured capacity is ≈ 200 req/s on
 //! any host and the open-loop schedule stays generatable by a small
-//! worker pool. Capacity is then measured closed-loop through the
-//! tail-less v1 wire path, and three open-loop phases replay a
+//! worker pool. Capacity is then measured closed-loop with unbounded
+//! Interactive serves, and three open-loop phases replay a
 //! Zipf-skewed (s = 1.1) bound distribution at 0.5×/1×/2× that rate
 //! with a fixed 70/25/5 Interactive/Batch/Internal class mix, each
 //! class carrying its deadline budget (400/1200/800 ms) on the wire.
@@ -280,7 +280,7 @@ fn mix(fixture: &Fixture, json_path: Option<&str>) -> Result<(), String> {
             let mut client = ShardClient::new(addr.as_str(), mix_client_config(9));
             let mut k = 0usize;
             while !stop.load(Ordering::SeqCst) {
-                match client.update(&deltas[k % deltas.len()]) {
+                match client.update(&deltas[k % deltas.len()], None) {
                     Ok(_) => update_rounds.fetch_add(1, Ordering::Relaxed),
                     Err(_) => update_failures.fetch_add(1, Ordering::Relaxed),
                 };
@@ -300,7 +300,7 @@ fn mix(fixture: &Fixture, json_path: Option<&str>) -> Result<(), String> {
         });
 
         let work = (|| -> Result<(f64, Vec<PhaseRow>), String> {
-            // Capacity: closed-loop through the tail-less v1 wire path
+            // Capacity: closed-loop with unbounded Interactive serves
             // (3 workers > 2 slots saturates the server without
             // overflowing its 2-deep queue).
             let completions = AtomicU64::new(0);

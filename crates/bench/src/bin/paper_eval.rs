@@ -1,4 +1,6 @@
-//! Regenerates every experiment table in EXPERIMENTS.md.
+//! Prints the paper-evaluation experiments to standard output, one
+//! markdown table per experiment (`exp1` … `exp12`); the build and delay
+//! columns are timings taken on the current host.
 //!
 //! ```bash
 //! cargo run --release -p cqc-bench --bin paper_eval            # all, small scale

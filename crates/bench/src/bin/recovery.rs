@@ -245,7 +245,7 @@ fn recovery(fixture: &Fixture, json_path: Option<&str>) -> Result<(), String> {
         let mut rng = cqc_workload::rng(31);
         let delta = mixed_delta(&mut rng, &oracle.db(), &view_relations, 4, 2);
         client
-            .update(&delta)
+            .update(&delta, None)
             .map_err(|e| format!("update before kill: {e}"))?;
         (&oracle as &dyn BlockService)
             .apply_update(&delta)
@@ -277,7 +277,7 @@ fn recovery(fixture: &Fixture, json_path: Option<&str>) -> Result<(), String> {
         child = Some(spawn_serve_child(&addr, &data_dir, &fixture.gen, Some(1))?);
         let (mut client, _) = connect_healthy(&addr, health_budget)?;
         let delta = mixed_delta(&mut rng, &oracle.db(), &view_relations, 3, 1);
-        let update_errored = client.update(&delta).is_err();
+        let update_errored = client.update(&delta, None).is_err();
         gate(
             "mid_apply_update_unacknowledged",
             update_errored,

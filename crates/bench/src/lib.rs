@@ -151,12 +151,12 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// The benchmark scale, read from `CQC_SCALE` (`small` default, `full` for
-/// the EXPERIMENTS.md numbers).
+/// `paper_eval`'s paper-scale tables).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Quick smoke-test sizes.
     Small,
-    /// The sizes used for EXPERIMENTS.md.
+    /// Paper-scale sizes.
     Full,
 }
 

@@ -7,7 +7,7 @@
 //! answer chunks that decode straight back into a block with a single
 //! `extend_from_slice` per chunk ([`decode_chunk_into`]).
 //!
-//! # Frame layout (protocol version 1)
+//! # Frame layout (protocol version 2)
 //!
 //! ```text
 //! | len: u32 le | version: u8 | kind: u8 | payload: len-2 bytes |
@@ -36,7 +36,7 @@ use crate::value::Value;
 use std::io::{Read, Write};
 
 /// The protocol version this build speaks (goes into every frame).
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on `len` (version + kind + payload bytes). Frames above
 /// this are refused before any allocation — a corrupted or hostile length
@@ -510,7 +510,7 @@ pub fn decode_epochs(r: &mut PayloadReader<'_>) -> Result<Vec<u64>> {
     Ok(out)
 }
 
-/// The priority class a serve request declares in its optional tail.
+/// The priority class a serve request declares.
 ///
 /// Classes order admission under overload: when the server's wait queue
 /// is full or a sustained brownout is in effect, lower classes are shed
@@ -518,8 +518,7 @@ pub fn decode_epochs(r: &mut PayloadReader<'_>) -> Result<Vec<u64>> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum ServePriority {
-    /// Latency-sensitive foreground traffic. Shed last. The default:
-    /// a tail-less v1 serve means `{Interactive, unbounded}`.
+    /// Latency-sensitive foreground traffic. Shed last. The default.
     #[default]
     Interactive = 0,
     /// Throughput-oriented background traffic. Shed first under
@@ -559,18 +558,16 @@ impl ServePriority {
     }
 }
 
-/// On-the-wire sentinel for "no deadline" in a serve tail's budget
+/// On-the-wire sentinel for "no deadline" in a serve frame's budget
 /// field; any other value is the remaining budget in nanoseconds.
 pub const BUDGET_UNBOUNDED: u64 = u64::MAX;
 
-/// The optional serve tail: a priority class plus the caller's
-/// *remaining* deadline budget at send time, in nanoseconds.
+/// The last two fields of every serve frame: a priority class plus the
+/// caller's *remaining* deadline budget at send time, in nanoseconds.
 ///
-/// Wire layout (9 bytes, appended after the bound values):
+/// Wire layout (9 bytes, after the bound values):
 /// `u8 priority | u64 budget_ns` — with [`BUDGET_UNBOUNDED`] standing
-/// for "priority declared, no deadline". A tail-less serve payload is
-/// byte-identical to protocol v1 and means
-/// `{ Interactive, unbounded }`.
+/// for "no deadline". The default is `{ Interactive, unbounded }`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeTail {
     /// The declared priority class.
@@ -579,7 +576,8 @@ pub struct ServeTail {
     pub budget_ns: Option<u64>,
 }
 
-/// Encodes a serve tail (the inverse of [`decode_serve_tail`]).
+/// Encodes a serve frame's priority and budget (the inverse of
+/// [`decode_serve_tail`]).
 pub fn encode_serve_tail(w: &mut PayloadWriter, tail: &ServeTail) {
     w.put_u8(tail.priority as u8);
     // A real budget of u64::MAX ns (585 years) is indistinguishable
@@ -591,9 +589,9 @@ pub fn encode_serve_tail(w: &mut PayloadWriter, tail: &ServeTail) {
     });
 }
 
-/// Decodes a serve tail written by [`encode_serve_tail`]. Truncated
-/// bytes and unknown priority classes are typed [`code::BAD_FRAME`]
-/// errors, not panics or silent defaults.
+/// Decodes the priority and budget written by [`encode_serve_tail`].
+/// Truncated bytes and unknown priority classes are typed
+/// [`code::BAD_FRAME`] errors, not panics or silent defaults.
 pub fn decode_serve_tail(r: &mut PayloadReader<'_>) -> Result<ServeTail> {
     let priority = ServePriority::from_u8(r.get_u8()?)?;
     let budget = r.get_u64()?;

@@ -42,7 +42,7 @@ const VERSION: u32 = 1;
 pub fn encode_record(epoch: Epoch, delta: &Delta) -> Vec<u8> {
     let mut w = PayloadWriter::new();
     w.start().put_u64(epoch);
-    wire::put_delta(&mut w, delta, false);
+    wire::put_delta(&mut w, delta);
     let payload = w.bytes();
     let mut rec = Vec::with_capacity(RECORD_HEADER as usize + payload.len());
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());

@@ -46,25 +46,23 @@ impl Backoff {
         Backoff { base, cap, seed }
     }
 
-    /// The wait before retry number `attempt` (0-based).
+    /// The wait before retry number `attempt` (0-based): the classic
+    /// `base * 2^attempt` capped at `cap`, then scaled into `[50%, 100%)`
+    /// by a splitmix64-style mix of `(seed, attempt)`. A pure function of
+    /// the schedule and `attempt` — reproducible in tests, de-synchronized
+    /// across a fleet by distinct seeds.
     pub fn delay(&self, attempt: u32) -> Duration {
-        jittered_backoff(self.base, self.cap, self.seed, attempt)
+        let exp = self
+            .base
+            .saturating_mul(1u32 << attempt.min(16))
+            .min(self.cap);
+        let mut z = self.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(attempt) + 1);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        let frac = 512 + (z % 512); // 1024ths: [0.5, 1.0)
+        Duration::from_nanos((exp.as_nanos() as u64).saturating_mul(frac) / 1024)
     }
-}
-
-/// Capped exponential backoff with deterministic jitter: the classic
-/// `base * 2^attempt` capped at `cap`, then scaled into `[50%, 100%)` by
-/// a splitmix64-style mix of `(seed, attempt)`. Pure function of its
-/// inputs — reproducible in tests, de-synchronized across a fleet by
-/// distinct seeds.
-pub fn jittered_backoff(base: Duration, cap: Duration, seed: u64, attempt: u32) -> Duration {
-    let exp = base.saturating_mul(1u32 << attempt.min(16)).min(cap);
-    let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(attempt) + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let frac = 512 + (z % 512); // 1024ths: [0.5, 1.0)
-    Duration::from_nanos((exp.as_nanos() as u64).saturating_mul(frac) / 1024)
 }
 
 #[cfg(test)]
@@ -77,8 +75,8 @@ mod tests {
         let cap = Duration::from_millis(200);
         for seed in [0u64, 1, 7, 1 << 40] {
             for attempt in 0..8u32 {
-                let a = jittered_backoff(base, cap, seed, attempt);
-                let b = jittered_backoff(base, cap, seed, attempt);
+                let a = Backoff::new(base, cap, seed).delay(attempt);
+                let b = Backoff::new(base, cap, seed).delay(attempt);
                 assert_eq!(a, b, "same (seed, attempt) must reproduce");
                 let exp = base.saturating_mul(1u32 << attempt.min(16)).min(cap);
                 assert!(
@@ -91,7 +89,7 @@ mod tests {
         // attempt numbers do not share a backoff sequence.
         let seq = |seed| -> Vec<Duration> {
             (0..6)
-                .map(|a| jittered_backoff(base, cap, seed, a))
+                .map(|a| Backoff::new(base, cap, seed).delay(a))
                 .collect()
         };
         assert_ne!(seq(0), seq(1));
@@ -102,23 +100,7 @@ mod tests {
         let base = Duration::from_millis(50);
         let cap = Duration::from_millis(80);
         for attempt in 0..32u32 {
-            assert!(jittered_backoff(base, cap, 9, attempt) < cap);
-        }
-    }
-
-    #[test]
-    fn the_struct_matches_the_free_function() {
-        let b = Backoff::new(Duration::from_millis(3), Duration::from_millis(40), 11);
-        for attempt in 0..10u32 {
-            assert_eq!(
-                b.delay(attempt),
-                jittered_backoff(
-                    Duration::from_millis(3),
-                    Duration::from_millis(40),
-                    11,
-                    attempt
-                )
-            );
+            assert!(Backoff::new(base, cap, 9).delay(attempt) < cap);
         }
     }
 

@@ -20,11 +20,9 @@
 //!   server is never hammered with free retries;
 //! * **deadline propagation**: [`ShardClient::serve_with_sink_opts`] —
 //!   the one serve call — puts the caller's remaining budget and
-//!   priority class on the wire as the optional serve tail, so the server
-//!   can shed doomed work before enumeration. The tail is omitted
-//!   entirely for the default (Interactive, unbounded) case, which
-//!   [`ShardClient::serve_with_sink`] spells — those requests stay
-//!   byte-identical to the v1 wire format.
+//!   priority class in every serve frame, so the server can shed doomed
+//!   work before enumeration. [`ShardClient::serve_with_sink`] spells
+//!   the default (Interactive, unbounded) case.
 //!
 //! [`RemoteShard`] wraps a client in a mutex to implement
 //! [`BlockService`], which makes a remote server interchangeable with a
@@ -249,42 +247,27 @@ impl ShardClient {
         self.expect_epochs(FrameKind::Register, FrameKind::RegisterOk)
     }
 
-    /// Applies a delta; returns the post-delta epoch vector.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and remote update errors, typed.
-    pub fn update(&mut self, delta: &Delta) -> Result<Vec<Epoch>> {
-        protocol::encode_update(&mut self.payload, delta);
-        self.expect_epochs(FrameKind::Update, FrameKind::UpdateOk)
-    }
-
-    /// [`ShardClient::update`] preconditioned on the last-known epoch
-    /// vector: the server applies the delta only if its version still
-    /// equals `expected`, else replies with a typed
-    /// [`code::EPOCH_MISMATCH`]. This is what makes retrying an update
-    /// after an ambiguous I/O failure safe — a retry of a delta that
-    /// already landed is rejected, never double-applied (probe
-    /// [`ShardClient::health`]: a version exactly one bump past
-    /// `expected` means the first attempt applied).
+    /// Applies a delta; returns the post-delta epoch vector. With a
+    /// `precondition` (the last-known epoch vector) the server applies
+    /// the delta only if its version still equals it, else replies with a
+    /// typed [`code::EPOCH_MISMATCH`]. This is what makes retrying an
+    /// update after an ambiguous I/O failure safe — a retry of a delta
+    /// that already landed is rejected, never double-applied (probe
+    /// [`ShardClient::health`]: a version exactly one bump past the
+    /// precondition means the first attempt applied).
     ///
     /// # Errors
     ///
     /// Transport failures and remote update errors, typed;
     /// [`code::EPOCH_MISMATCH`] when the precondition no longer holds.
-    pub fn update_preconditioned(
-        &mut self,
-        delta: &Delta,
-        expected: &[Epoch],
-    ) -> Result<Vec<Epoch>> {
-        protocol::encode_update_preconditioned(&mut self.payload, delta, Some(expected));
+    pub fn update(&mut self, delta: &Delta, precondition: Option<&[Epoch]>) -> Result<Vec<Epoch>> {
+        protocol::encode_update(&mut self.payload, delta, precondition);
         self.expect_epochs(FrameKind::Update, FrameKind::UpdateOk)
     }
 
     /// Serves one request, streaming every chunk into `sink`:
     /// [`ShardClient::serve_with_sink_opts`] at Interactive priority with
-    /// no deadline — tail-less on the wire, byte-identical to the v1 serve
-    /// frame.
+    /// no deadline.
     ///
     /// # Errors
     ///
@@ -312,13 +295,12 @@ impl ShardClient {
     /// cooperatively mid-block — and returns what was pushed, with an
     /// empty epoch vector.
     ///
-    /// A bounded deadline (or non-Interactive priority) travels as the
-    /// serve frame's optional tail, re-measured at each attempt so the
-    /// server always sees the budget that actually remains. A
-    /// [`code::REFUSED`] backpressure reply is retried with backoff,
-    /// capped by the deadline and gated on the attached [`RetryBudget`]
-    /// (if any); a drained budget surfaces the server's refusal instead
-    /// of retrying.
+    /// The priority and the deadline's remaining budget travel in the
+    /// serve frame, re-measured at each attempt so the server always sees
+    /// the budget that actually remains. A [`code::REFUSED`] backpressure
+    /// reply is retried with backoff, capped by the deadline and gated on
+    /// the attached [`RetryBudget`] (if any); a drained budget surfaces
+    /// the server's refusal instead of retrying.
     ///
     /// # Errors
     ///
@@ -375,18 +357,13 @@ impl ShardClient {
         deadline: Deadline,
     ) -> Result<(u64, Vec<Epoch>)> {
         self.ensure_connected()?;
-        let budget_ns = deadline
-            .remaining()
-            .map(|r| u64::try_from(r.as_nanos()).unwrap_or(u64::MAX - 1));
-        if budget_ns.is_some() || priority != ServePriority::Interactive {
-            let tail = ServeTail {
-                priority,
-                budget_ns,
-            };
-            protocol::encode_serve_tailed(&mut self.payload, view, bound, Some(&tail));
-        } else {
-            protocol::encode_serve(&mut self.payload, view, bound);
-        }
+        let tail = ServeTail {
+            priority,
+            budget_ns: deadline
+                .remaining()
+                .map(|r| u64::try_from(r.as_nanos()).unwrap_or(u64::MAX - 1)),
+        };
+        protocol::encode_serve(&mut self.payload, view, bound, &tail);
         if let Err(e) = self.write_frame(FrameKind::Serve) {
             self.poison();
             return Err(e);
@@ -515,7 +492,7 @@ impl BlockService for RemoteShard {
     }
 
     fn apply_update(&self, delta: &Delta) -> Result<Vec<Epoch>> {
-        self.lock().update(delta)
+        self.lock().update(delta, None)
     }
 
     fn version(&self) -> Vec<Epoch> {

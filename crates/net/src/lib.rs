@@ -57,7 +57,7 @@ pub mod router;
 pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats};
-pub use backoff::{jittered_backoff, lane_seed, Backoff, FAILOVER_LANE};
+pub use backoff::{lane_seed, Backoff, FAILOVER_LANE};
 pub use breaker::{BreakerConfig, BreakerState, BreakerTransitions, CircuitBreaker};
 pub use budget::{RetryBudget, RetryBudgetConfig};
 pub use chaos::{ChaosService, Fault};

@@ -2,14 +2,15 @@
 //!
 //! One function pair per message: `encode_*` fills a reusable
 //! [`PayloadWriter`], `parse_*` reads a received payload back with every
-//! bound check mapped to a typed [`code::BAD_FRAME`] protocol error. The
-//! layouts (protocol version 1):
+//! bound check mapped to a typed [`code::BAD_FRAME`] protocol error. Every
+//! request payload has one fixed layout (protocol version 2), and each
+//! request parser rejects any byte left over once it has read it:
 //!
 //! | frame | payload |
 //! |---|---|
 //! | `Register` | `str name \| str query \| str pattern \| str strategy` |
-//! | `Serve` | `str view \| u16 n \| n×u64 bound values`, then an optional deadline/priority tail (`u8 priority \| u64 budget_ns`; see [`cqc_common::frame::ServeTail`]) |
-//! | `Update` | insert section, then an optional identical removes section (`u32 groups \| per group: str rel, u16 arity, u32 rows, rows×arity u64` each), then an optional epoch-vector precondition (`u32 n \| n×u64`; its presence forces the removes section out, possibly empty) |
+//! | `Serve` | `str view \| u16 n \| n×u64 bound values \| u8 priority \| u64 budget_ns` (see [`cqc_common::frame::ServeTail`]) |
+//! | `Update` | `u32 n \| n×u64` epoch-vector precondition (n = 0: none), then the delta: insert section and removes section (`u32 groups \| per group: str rel, u16 arity, u32 rows, rows×arity u64` each; see [`cqc_storage::wire`]) |
 //! | `Health` | empty |
 //! | `RegisterOk` / `UpdateOk` / `HealthOk` | epoch vector (`u32 n \| n×u64`) |
 //! | `Chunk` | `u16 arity \| u32 count \| count×arity u64` (see [`cqc_common::frame`]) |
@@ -20,8 +21,8 @@
 
 use cqc_common::error::Result;
 use cqc_common::frame::{
-    code, decode_serve_tail, encode_epochs, encode_serve_tail, PayloadReader, PayloadWriter,
-    ServeTail,
+    code, decode_epochs, decode_serve_tail, encode_epochs, encode_serve_tail, PayloadReader,
+    PayloadWriter, ServeTail,
 };
 use cqc_common::{CqcError, Value};
 use cqc_storage::{Delta, Epoch};
@@ -46,9 +47,8 @@ pub struct ServeReq {
     pub view: String,
     /// Bound-variable values, pattern order.
     pub bound: Vec<Value>,
-    /// The optional deadline/priority tail. `None` — a tail-less v1
-    /// frame — means Interactive with no deadline.
-    pub tail: Option<ServeTail>,
+    /// The request's priority class and remaining deadline budget.
+    pub tail: ServeTail,
 }
 
 /// Encodes a [`RegisterReq`] into `w` (cleared first).
@@ -64,140 +64,78 @@ pub fn encode_register(w: &mut PayloadWriter, req: &RegisterReq) {
 ///
 /// # Errors
 ///
-/// [`code::BAD_FRAME`] on truncation or non-UTF-8 strings.
+/// [`code::BAD_FRAME`] on truncation, non-UTF-8 strings, or trailing
+/// bytes.
 pub fn parse_register(payload: &[u8]) -> Result<RegisterReq> {
     let mut r = PayloadReader::new(payload);
-    Ok(RegisterReq {
+    let req = RegisterReq {
         name: r.get_str()?.to_string(),
         query: r.get_str()?.to_string(),
         pattern: r.get_str()?.to_string(),
         strategy: r.get_str()?.to_string(),
-    })
+    };
+    reject_trailing(&r, "register")?;
+    Ok(req)
 }
 
-/// Encodes a tail-less [`ServeReq`] into `w` (cleared first) —
-/// byte-identical to protocol v1.
-pub fn encode_serve(w: &mut PayloadWriter, view: &str, bound: &[Value]) {
-    encode_serve_tailed(w, view, bound, None);
-}
-
-/// [`encode_serve`] with an optional deadline/priority tail
-/// (`u8 priority | u64 budget_ns`, see
-/// [`cqc_common::frame::encode_serve_tail`]) appended after the bound
-/// values. Without a tail the layout is exactly [`encode_serve`]'s, so
-/// callers that never set one keep emitting v1 bytes.
-pub fn encode_serve_tailed(
-    w: &mut PayloadWriter,
-    view: &str,
-    bound: &[Value],
-    tail: Option<&ServeTail>,
-) {
+/// Encodes a serve request into `w` (cleared first): the view, the bound
+/// values, then the priority and budget (see
+/// [`cqc_common::frame::encode_serve_tail`]).
+pub fn encode_serve(w: &mut PayloadWriter, view: &str, bound: &[Value], tail: &ServeTail) {
     w.start().put_str(view).put_u16(bound.len() as u16);
     w.put_values(bound);
-    if let Some(tail) = tail {
-        encode_serve_tail(w, tail);
-    }
+    encode_serve_tail(w, tail);
 }
 
-/// Parses a [`ServeReq`]: the view and bound values always, then the
-/// deadline/priority tail iff the payload has bytes left (older
-/// encoders simply end after the bound values).
+/// Parses a [`ServeReq`].
 ///
 /// # Errors
 ///
 /// [`code::BAD_FRAME`] on truncation, non-UTF-8 strings, an unknown
-/// priority byte, or trailing bytes past the tail.
+/// priority byte, or trailing bytes.
 pub fn parse_serve(payload: &[u8]) -> Result<ServeReq> {
     let mut r = PayloadReader::new(payload);
     let view = r.get_str()?.to_string();
     let n = r.get_u16()? as usize;
     let mut bound = Vec::with_capacity(n);
     r.get_values(n, &mut bound)?;
-    let tail = if r.remaining() > 0 {
-        Some(decode_serve_tail(&mut r)?)
-    } else {
-        None
-    };
-    if r.remaining() > 0 {
-        return Err(CqcError::Protocol {
-            code: code::BAD_FRAME,
-            detail: format!("{} trailing bytes after the serve payload", r.remaining()),
-        });
-    }
+    let tail = decode_serve_tail(&mut r)?;
+    reject_trailing(&r, "serve")?;
     Ok(ServeReq { view, bound, tail })
 }
 
-/// Encodes a [`Delta`] into `w` (cleared first): the insert section, then —
-/// only when the delta carries removals — an identically shaped removes
-/// section. Insert-only deltas therefore encode byte-identically to the
-/// pre-deletion layout, which is what keeps protocol version 1 forward
-/// compatible ([`parse_update`] reads removes iff bytes remain). Empty
-/// groups are dropped (they carry no information and a zero arity would be
-/// ambiguous).
-///
-/// The byte layout itself lives in [`cqc_storage::wire`] — one codec
-/// shared with the durable write-ahead log — so a logged delta and a wire
-/// delta replay through the same parser.
-pub fn encode_update(w: &mut PayloadWriter, delta: &Delta) {
-    encode_update_preconditioned(w, delta, None);
+/// Encodes an update request into `w` (cleared first): the epoch-vector
+/// precondition, empty for `None`, then the [`Delta`] in the
+/// [`cqc_storage::wire`] layout the write-ahead log shares. Every epoch
+/// vector has at least one entry, so an empty one is no precondition.
+pub fn encode_update(w: &mut PayloadWriter, delta: &Delta, precondition: Option<&[Epoch]>) {
+    encode_epochs(w.start(), precondition.unwrap_or_default());
+    cqc_storage::wire::put_delta(w, delta);
 }
 
-/// [`encode_update`] with an optional epoch-vector precondition tail
-/// (`u32 n | n×u64`, the [`cqc_common::frame::encode_epochs`] layout).
-/// The tails are sequential-optional, so a precondition forces the
-/// removes section out — possibly with zero groups — to keep the parse
-/// unambiguous; without a precondition the layout is exactly
-/// [`encode_update`]'s.
-pub fn encode_update_preconditioned(
-    w: &mut PayloadWriter,
-    delta: &Delta,
-    precondition: Option<&[Epoch]>,
-) {
-    w.start();
-    cqc_storage::wire::put_delta(w, delta, precondition.is_some());
-    if let Some(epochs) = precondition {
-        encode_epochs(w, epochs);
-    }
-}
-
-/// Parses a [`Delta`]: the insert section always, then a removes section
-/// iff the payload has bytes left (older insert-only encoders simply end
-/// after the first section). A precondition tail, if present, is
-/// discarded — servers use [`parse_update_preconditioned`].
+/// Parses an update request into its [`Delta`] and its precondition
+/// (`None` when the epoch vector is empty).
 ///
 /// # Errors
 ///
-/// [`code::BAD_FRAME`] on truncation, non-UTF-8 strings, or a tuple whose
-/// arity disagrees with its group header.
-pub fn parse_update(payload: &[u8]) -> Result<Delta> {
-    parse_update_preconditioned(payload).map(|(delta, _)| delta)
-}
-
-/// Parses a [`Delta`] plus its optional epoch-vector precondition: the
-/// insert section always, then a removes section iff bytes remain, then
-/// the precondition iff bytes *still* remain (see
-/// [`encode_update_preconditioned`] for why this nesting is unambiguous).
-///
-/// # Errors
-///
-/// [`code::BAD_FRAME`] on truncation, non-UTF-8 strings, a tuple whose
-/// arity disagrees with its group header, or trailing bytes past the
-/// precondition.
-pub fn parse_update_preconditioned(payload: &[u8]) -> Result<(Delta, Option<Vec<Epoch>>)> {
+/// [`code::BAD_FRAME`] on truncation, non-UTF-8 strings, a tuple that ends
+/// mid-value, or trailing bytes after the removes section.
+pub fn parse_update(payload: &[u8]) -> Result<(Delta, Option<Vec<Epoch>>)> {
     let mut r = PayloadReader::new(payload);
+    let precondition = decode_epochs(&mut r)?;
     let delta = cqc_storage::wire::read_delta(&mut r)?;
-    let precondition = if r.remaining() > 0 {
-        Some(cqc_common::frame::decode_epochs(&mut r)?)
-    } else {
-        None
-    };
-    if r.remaining() > 0 {
-        return Err(CqcError::Protocol {
+    reject_trailing(&r, "update")?;
+    Ok((delta, (!precondition.is_empty()).then_some(precondition)))
+}
+
+fn reject_trailing(r: &PayloadReader<'_>, message: &str) -> Result<()> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(CqcError::Protocol {
             code: code::BAD_FRAME,
-            detail: format!("{} trailing bytes after the update payload", r.remaining()),
-        });
+            detail: format!("{n} trailing bytes after the {message} payload"),
+        }),
     }
-    Ok((delta, precondition))
 }
 
 /// Encodes a `ServeDone` payload (`u64 total | epoch vector`) into `w`
@@ -215,7 +153,7 @@ pub fn encode_serve_done(w: &mut PayloadWriter, total: u64, epochs: &[Epoch]) {
 pub fn parse_serve_done(payload: &[u8]) -> Result<(u64, Vec<Epoch>)> {
     let mut r = PayloadReader::new(payload);
     let total = r.get_u64()?;
-    let epochs = cqc_common::frame::decode_epochs(&mut r)?;
+    let epochs = decode_epochs(&mut r)?;
     Ok((total, epochs))
 }
 
@@ -231,7 +169,7 @@ pub fn encode_epoch_reply(w: &mut PayloadWriter, epochs: &[Epoch]) {
 ///
 /// [`code::BAD_FRAME`] on truncation.
 pub fn parse_epoch_reply(payload: &[u8]) -> Result<Vec<Epoch>> {
-    cqc_common::frame::decode_epochs(&mut PayloadReader::new(payload))
+    decode_epochs(&mut PayloadReader::new(payload))
 }
 
 /// Encodes an error payload (`u16 code | str detail`) into `w` (cleared
@@ -268,6 +206,17 @@ pub fn unexpected_frame(context: &str, kind: cqc_common::frame::FrameKind) -> Cq
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqc_common::frame::ServePriority;
+
+    fn assert_bad_frame(r: Result<impl std::fmt::Debug>, context: &str) {
+        match r {
+            Err(CqcError::Protocol {
+                code: code::BAD_FRAME,
+                ..
+            }) => {}
+            other => panic!("{context}: expected BAD_FRAME, got {other:?}"),
+        }
+    }
 
     #[test]
     fn register_round_trips() {
@@ -280,40 +229,26 @@ mod tests {
         let mut w = PayloadWriter::new();
         encode_register(&mut w, &req);
         assert_eq!(parse_register(w.bytes()).unwrap(), req);
+        let mut longer = w.bytes().to_vec();
+        longer.push(0);
+        assert_bad_frame(parse_register(&longer), "register plus one byte");
     }
 
     #[test]
     fn serve_round_trips() {
         let mut w = PayloadWriter::new();
-        encode_serve(&mut w, "tri", &[7, 11]);
+        encode_serve(&mut w, "tri", &[7, 11], &ServeTail::default());
         let req = parse_serve(w.bytes()).unwrap();
         assert_eq!(req.view, "tri");
         assert_eq!(req.bound, vec![7, 11]);
-        assert_eq!(req.tail, None);
+        assert_eq!(req.tail, ServeTail::default());
         // Empty bound vectors (fff patterns) survive.
-        encode_serve(&mut w, "all", &[]);
+        encode_serve(&mut w, "all", &[], &ServeTail::default());
         assert!(parse_serve(w.bytes()).unwrap().bound.is_empty());
     }
 
     #[test]
-    fn tailless_serve_keeps_v1_wire_layout() {
-        // Forward compatibility: a serve without a deadline/priority
-        // tail must encode exactly as protocol v1 did — view, count,
-        // bound values, nothing after — so older peers keep parsing it.
-        let mut w = PayloadWriter::new();
-        encode_serve(&mut w, "tri", &[7, 11]);
-        let mut expect = PayloadWriter::new();
-        expect.start().put_str("tri").put_u16(2);
-        expect.put_values(&[7, 11]);
-        assert_eq!(w.bytes(), expect.bytes());
-        // The tailed encoder with `None` is the same bytes.
-        encode_serve_tailed(&mut w, "tri", &[7, 11], None);
-        assert_eq!(w.bytes(), expect.bytes());
-    }
-
-    #[test]
     fn tailed_serve_round_trips() {
-        use cqc_common::frame::ServePriority;
         for tail in [
             ServeTail {
                 priority: ServePriority::Interactive,
@@ -329,57 +264,33 @@ mod tests {
             },
         ] {
             let mut w = PayloadWriter::new();
-            encode_serve_tailed(&mut w, "tri", &[5], Some(&tail));
+            encode_serve(&mut w, "tri", &[5], &tail);
             let req = parse_serve(w.bytes()).unwrap();
             assert_eq!(req.view, "tri");
             assert_eq!(req.bound, vec![5]);
-            assert_eq!(req.tail, Some(tail));
+            assert_eq!(req.tail, tail);
         }
-        // A tailed zero-bound serve stays unambiguous: the tail is read
-        // by remaining bytes, not by the bound count.
+        // A zero-bound serve keeps its priority and budget too.
         let tail = ServeTail {
             priority: ServePriority::Batch,
             budget_ns: Some(99),
         };
         let mut w = PayloadWriter::new();
-        encode_serve_tailed(&mut w, "all", &[], Some(&tail));
-        assert_eq!(parse_serve(w.bytes()).unwrap().tail, Some(tail));
+        encode_serve(&mut w, "all", &[], &tail);
+        assert_eq!(parse_serve(w.bytes()).unwrap().tail, tail);
     }
 
     #[test]
     fn garbage_after_serve_tail_is_rejected() {
         let mut w = PayloadWriter::new();
-        let tail = ServeTail::default();
-        encode_serve_tailed(&mut w, "tri", &[1], Some(&tail));
+        encode_serve(&mut w, "tri", &[1], &ServeTail::default());
         let mut bytes = w.bytes().to_vec();
         bytes.push(0xEE);
-        let err = parse_serve(&bytes).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CqcError::Protocol {
-                    code: code::BAD_FRAME,
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        // A truncated tail (a lone priority byte, budget missing) is a
-        // typed BAD_FRAME too, never a silent tail-less parse.
-        encode_serve(&mut w, "tri", &[1]);
-        let mut bytes = w.bytes().to_vec();
-        bytes.push(0); // priority byte with no budget after it
-        let err = parse_serve(&bytes).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CqcError::Protocol {
-                    code: code::BAD_FRAME,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        assert_bad_frame(parse_serve(&bytes), "trailing byte");
+        // A truncated budget (a lone priority byte after the bound
+        // values) is a typed BAD_FRAME too, never a silent default.
+        let bytes = &w.bytes()[..w.bytes().len() - 8];
+        assert_bad_frame(parse_serve(bytes), "priority byte alone");
     }
 
     #[test]
@@ -389,11 +300,12 @@ mod tests {
         delta.insert("R", vec![3, 4]);
         delta.insert("S", vec![5, 6]);
         let mut w = PayloadWriter::new();
-        encode_update(&mut w, &delta);
-        let back = parse_update(w.bytes()).unwrap();
+        encode_update(&mut w, &delta, None);
+        let (back, pre) = parse_update(w.bytes()).unwrap();
         assert_eq!(back.tuples_for("R").unwrap(), &[vec![1, 2], vec![3, 4]]);
         assert_eq!(back.tuples_for("S").unwrap(), &[vec![5, 6]]);
         assert_eq!(back.total_tuples(), 3);
+        assert_eq!(pre, None);
     }
 
     #[test]
@@ -403,72 +315,47 @@ mod tests {
         delta.remove("R", vec![9, 9]);
         delta.remove("T", vec![7]);
         let mut w = PayloadWriter::new();
-        encode_update(&mut w, &delta);
-        let back = parse_update(w.bytes()).unwrap();
-        assert_eq!(back, delta);
+        encode_update(&mut w, &delta, None);
+        assert_eq!(parse_update(w.bytes()).unwrap().0, delta);
         // Remove-only deltas survive too (empty insert section).
         let mut delta = Delta::new();
         delta.remove("S", vec![5, 6]);
-        encode_update(&mut w, &delta);
-        assert_eq!(parse_update(w.bytes()).unwrap(), delta);
-    }
-
-    #[test]
-    fn insert_only_update_keeps_v1_wire_layout() {
-        // Forward compatibility: an insert-only delta must encode exactly
-        // as the pre-deletion layout did — no removes section at all — so
-        // older peers keep parsing it.
-        let mut delta = Delta::new();
-        delta.insert("R", vec![1, 2]);
-        let mut w = PayloadWriter::new();
-        encode_update(&mut w, &delta);
-        let mut expect = PayloadWriter::new();
-        expect.start().put_u32(1).put_str("R").put_u16(2).put_u32(1);
-        expect.put_values(&[1, 2]);
-        assert_eq!(w.bytes(), expect.bytes());
-        // A delta whose removals were all withdrawn (last write wins) is
-        // insert-only on the wire as well.
-        let mut delta = Delta::new();
-        delta.remove("R", vec![1, 2]);
-        delta.insert("R", vec![1, 2]);
-        encode_update(&mut w, &delta);
-        assert_eq!(w.bytes(), expect.bytes());
+        encode_update(&mut w, &delta, None);
+        assert_eq!(parse_update(w.bytes()).unwrap().0, delta);
     }
 
     #[test]
     fn preconditioned_updates_round_trip() {
-        // Insert-only with a precondition: the removes section is forced
-        // out (empty) so the epochs tail cannot be misread as removes.
         let mut delta = Delta::new();
         delta.insert("R", vec![1, 2]);
         let mut w = PayloadWriter::new();
-        encode_update_preconditioned(&mut w, &delta, Some(&[3, 1, 4]));
-        let (back, pre) = parse_update_preconditioned(w.bytes()).unwrap();
+        encode_update(&mut w, &delta, Some(&[3, 1, 4]));
+        let (back, pre) = parse_update(w.bytes()).unwrap();
         assert_eq!(back, delta);
         assert_eq!(pre, Some(vec![3, 1, 4]));
-        // The legacy parser still reads the delta (precondition ignored).
-        assert_eq!(parse_update(w.bytes()).unwrap(), delta);
 
         // Mixed delta + precondition.
         delta.remove("S", vec![9, 9]);
-        encode_update_preconditioned(&mut w, &delta, Some(&[7]));
-        let (back, pre) = parse_update_preconditioned(w.bytes()).unwrap();
+        encode_update(&mut w, &delta, Some(&[7]));
+        let (back, pre) = parse_update(w.bytes()).unwrap();
         assert_eq!(back, delta);
         assert_eq!(pre, Some(vec![7]));
 
-        // No precondition through the new parser: `None`, same delta.
-        encode_update(&mut w, &delta);
-        let (back, pre) = parse_update_preconditioned(w.bytes()).unwrap();
+        // No precondition: `None`, same delta.
+        encode_update(&mut w, &delta, None);
+        let (back, pre) = parse_update(w.bytes()).unwrap();
         assert_eq!(back, delta);
         assert_eq!(pre, None);
 
-        // An empty epoch vector is still a *present* precondition (the
-        // u32 count is on the wire), distinct from no tail at all.
+        // Every epoch vector has an entry, so n = 0 on the wire is the
+        // absent precondition: an empty one encodes as `None`.
         let mut insert_only = Delta::new();
         insert_only.insert("R", vec![5, 6]);
-        encode_update_preconditioned(&mut w, &insert_only, Some(&[]));
-        let (_, pre) = parse_update_preconditioned(w.bytes()).unwrap();
-        assert_eq!(pre, Some(vec![]));
+        encode_update(&mut w, &insert_only, Some(&[]));
+        let empty = w.bytes().to_vec();
+        encode_update(&mut w, &insert_only, None);
+        assert_eq!(empty, w.bytes());
+        assert_eq!(parse_update(&empty).unwrap().1, None);
     }
 
     #[test]
@@ -476,20 +363,58 @@ mod tests {
         let mut delta = Delta::new();
         delta.insert("R", vec![1, 2]);
         let mut w = PayloadWriter::new();
-        encode_update_preconditioned(&mut w, &delta, Some(&[3]));
+        encode_update(&mut w, &delta, Some(&[3]));
         let mut bytes = w.bytes().to_vec();
         bytes.push(0xEE);
-        let err = parse_update_preconditioned(&bytes).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CqcError::Protocol {
-                    code: code::BAD_FRAME,
-                    ..
-                }
-            ),
-            "{err}"
-        );
+        assert_bad_frame(parse_update(&bytes), "trailing byte");
+    }
+
+    #[test]
+    fn hostile_prefixes_of_requests_are_bad_frames() {
+        // Every strict prefix of a valid request, and the request plus one
+        // byte, is a typed BAD_FRAME: never `Ok`, never a panic.
+        let mut w = PayloadWriter::new();
+        let tail = ServeTail {
+            priority: ServePriority::Batch,
+            budget_ns: Some(5_000_000),
+        };
+        encode_serve(&mut w, "tri", &[7, 11], &tail);
+        let serve = w.bytes().to_vec();
+        for cut in 0..serve.len() {
+            assert_bad_frame(parse_serve(&serve[..cut]), &format!("serve cut at {cut}"));
+        }
+        let mut longer = serve.clone();
+        longer.push(0);
+        assert_bad_frame(parse_serve(&longer), "serve plus one byte");
+
+        let mut delta = Delta::new();
+        delta.insert("R", vec![1, 2]);
+        delta.insert("S", vec![3, 4]);
+        delta.remove("R", vec![5, 6]);
+        encode_update(&mut w, &delta, Some(&[2, 9]));
+        let update = w.bytes().to_vec();
+        // The one exception: the removes section is optional in the
+        // layout the write-ahead log shares, so the prefix that ends with
+        // the insert section parses as the insert-only delta.
+        let mut inserts_only = Delta::new();
+        inserts_only.insert("R", vec![1, 2]);
+        inserts_only.insert("S", vec![3, 4]);
+        let mut probe = PayloadWriter::new();
+        encode_update(&mut probe, &inserts_only, Some(&[2, 9]));
+        let insert_end = probe.bytes().len();
+        assert_eq!(&update[..insert_end], probe.bytes());
+        for cut in 0..update.len() {
+            let parsed = parse_update(&update[..cut]);
+            if cut == insert_end {
+                assert_eq!(parsed.unwrap(), (inserts_only.clone(), Some(vec![2, 9])));
+            } else {
+                assert_bad_frame(parsed, &format!("update cut at {cut}"));
+            }
+        }
+        let mut longer = update.clone();
+        longer.push(0);
+        assert_bad_frame(parse_update(&longer), "update plus one byte");
+        assert_eq!(parse_update(&update).unwrap(), (delta, Some(vec![2, 9])));
     }
 
     #[test]

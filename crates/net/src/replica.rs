@@ -735,12 +735,12 @@ impl ReplicaGroup {
     fn update_on(&self, r: &Replica, delta: &Delta, expected: &[Epoch]) -> Result<Vec<Epoch>> {
         let mut client = r.client.lock().expect("replica client poisoned");
         client.set_io_timeout(self.base_io)?;
-        match client.update_preconditioned(delta, expected) {
+        match client.update(delta, Some(expected)) {
             Err(CqcError::Io(_)) => {
                 // Ambiguous: the delta may or may not have applied before
                 // the transport died. The precondition makes the retry
                 // safe either way.
-                match client.update_preconditioned(delta, expected) {
+                match client.update(delta, Some(expected)) {
                     Err(CqcError::Protocol {
                         code: code::EPOCH_MISMATCH,
                         detail,

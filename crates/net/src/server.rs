@@ -8,7 +8,7 @@
 //!
 //! * **deadlines** — a serve request gets `request_deadline` of wall
 //!   time, tightened by the request's own wire-carried deadline budget
-//!   when a [`cqc_common::frame::ServeTail`] is present; the streaming
+//!   when its [`cqc_common::frame::ServeTail`] bounds one; the streaming
 //!   sink checks the clock every `DEADLINE_CHECK_MASK + 1` answers and
 //!   stops the enumeration through the push-sink early-stop hook, so a
 //!   runaway request costs bounded server time and the client gets a
@@ -334,14 +334,16 @@ fn handle_connection(
                 }
                 Err(e) => send_error(&mut writer, &mut payload, &e),
             },
-            FrameKind::Update => match protocol::parse_update_preconditioned(body).and_then(
-                |(delta, precondition)| {
+            FrameKind::Update => {
+                match protocol::parse_update(body).and_then(|(delta, precondition)| {
                     service.apply_update_preconditioned(&delta, precondition.as_deref())
-                },
-            ) {
-                Ok(epochs) => send_epochs(&mut writer, &mut payload, FrameKind::UpdateOk, &epochs),
-                Err(e) => send_error(&mut writer, &mut payload, &e),
-            },
+                }) {
+                    Ok(epochs) => {
+                        send_epochs(&mut writer, &mut payload, FrameKind::UpdateOk, &epochs)
+                    }
+                    Err(e) => send_error(&mut writer, &mut payload, &e),
+                }
+            }
             FrameKind::Serve => {
                 serve_one(service, body, &mut writer, &mut payload, &config, admission)
             }
@@ -360,10 +362,10 @@ fn handle_connection(
     }
 }
 
-/// Dispatches one serve request: decode the optional deadline/priority
-/// tail, shed budget-dead requests before any work, run admission, then
-/// stream chunks under the effective deadline and close with `ServeDone`
-/// or an error frame.
+/// Dispatches one serve request: decode its deadline budget and priority,
+/// shed budget-dead requests before any work, run admission, then stream
+/// chunks under the effective deadline and close with `ServeDone` or an
+/// error frame.
 fn serve_one(
     service: &dyn BlockService,
     body: &[u8],
@@ -376,7 +378,7 @@ fn serve_one(
         Ok(r) => r,
         Err(e) => return send_error(writer, payload, &e),
     };
-    let tail = req.tail.unwrap_or_default();
+    let tail = req.tail;
     let arrived = Instant::now();
     let wire_deadline = tail.budget_ns.map(|ns| arrived + Duration::from_nanos(ns));
     // Cost-based shed: if the view's measured serve cost is known and

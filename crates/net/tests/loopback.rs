@@ -348,10 +348,10 @@ fn remote_deletes_match_local_and_advance_epochs() {
     assert_eq!(streams(&router, &bounds), local);
 }
 
-/// The deadline-tail compatibility pin: a serve carrying a priority
-/// class and a generous deadline budget on the wire must produce the
-/// *identical* merged stream as the tail-less v1 serve and the local
-/// sharded engine — deadline propagation changes when work is shed,
+/// The deadline pin: a serve carrying a priority class and a generous
+/// deadline budget on the wire must produce the *identical* merged
+/// stream as an unbounded Interactive serve and the local sharded
+/// engine — deadline propagation changes when work is shed,
 /// never what an admitted serve answers. An already-expired budget must
 /// come back as a typed [`code::DEADLINE`] shed, not a hang or a silent
 /// partial stream.
@@ -396,8 +396,9 @@ fn deadline_tailed_serves_match_tailless_and_local() {
         );
     }
 
-    // Straight at one shard: the tailed serve answers byte-for-byte what
-    // its tail-less (v1-wire) twin answers, epochs included.
+    // Straight at one shard: the budgeted Batch serve answers
+    // byte-for-byte what its unbounded Interactive twin answers, epochs
+    // included.
     let mut client = ShardClient::new(addrs[0].clone(), client_config());
     let mut plain = AnswerBlock::new();
     let plain_reply = client.serve_with_sink("v", &bounds[0], &mut plain).unwrap();
@@ -454,7 +455,7 @@ fn out_of_band_update_raises_epoch_mismatch_until_resync() {
     let mut sneak = ShardClient::new(addrs[0].clone(), client_config());
     let mut delta = Delta::new();
     delta.insert("R", vec![100, 101]);
-    sneak.update(&delta).unwrap();
+    sneak.update(&delta, None).unwrap();
 
     let mut block = AnswerBlock::new();
     let err = router.serve_into("v", &[0], &mut block).unwrap_err();

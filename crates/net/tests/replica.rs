@@ -252,8 +252,7 @@ fn ambiguous_update_retry_applies_exactly_once() {
                         stream.flush().unwrap();
                     }
                     FrameKind::Update => {
-                        let (_, precondition) =
-                            protocol::parse_update_preconditioned(body).unwrap();
+                        let (_, precondition) = protocol::parse_update(body).unwrap();
                         let want = precondition.expect("the client must precondition retries");
                         if want != [epoch] {
                             protocol::encode_error(

@@ -1,27 +1,25 @@
 //! The canonical [`Delta`] wire codec.
 //!
 //! One byte layout, two consumers: the network `Update` message
-//! (`cqc-net`'s protocol layer delegates here so the frames PR 6 shipped
-//! stay byte-identical) and the durable write-ahead log (`cqc-durable`
-//! stamps each record with an epoch and appends these same bytes). Keeping
-//! the codec next to [`Delta`] itself means a delta that was logged to
-//! disk and a delta that arrived over a socket replay through the exact
-//! same parser — one set of bound checks, one set of corruption tests.
+//! (`cqc-net`'s protocol layer ends its payload with these bytes, after
+//! the epoch-vector precondition) and the durable write-ahead log
+//! (`cqc-durable` stamps each record with an epoch and appends these same
+//! bytes). Keeping the codec next to [`Delta`] itself means a delta that
+//! was logged to disk and a delta that arrived over a socket replay
+//! through the exact same parser — one set of bound checks, one set of
+//! corruption tests.
 //!
 //! Layout (all integers little endian, `str` is `u32 len | UTF-8 bytes`):
 //!
 //! ```text
 //! insert section:  u32 groups | per group: str rel, u16 arity, u32 rows,
 //!                                          rows × arity u64
-//! removes section: same shape; present iff the delta carries removals or
-//!                  the caller forces it out (see `put_delta`)
+//! removes section: same shape; present iff the delta carries removals
 //! ```
 //!
-//! Insert-only deltas encode with no removes section at all — exactly the
-//! pre-deletion protocol-version-1 layout — which is what keeps older
-//! peers parsing newer encoders. [`read_delta`] mirrors the rule: the
-//! insert section always, a removes section iff bytes remain in the
-//! reader.
+//! The removes section is the layout's one optional part, and it is last:
+//! [`read_delta`] reads it iff bytes remain, so a delta must end its
+//! payload or record.
 
 use crate::delta::Delta;
 use cqc_common::error::Result;
@@ -42,15 +40,10 @@ fn put_section(w: &mut PayloadWriter, groups: &[(&str, &[Vec<Value>])]) {
 
 /// Appends `delta` to `w` (which is **not** cleared — callers own the
 /// surrounding payload): the insert section, then — when the delta
-/// carries removals or `force_removes` is set — an identically shaped
-/// removes section. Empty groups are dropped (they carry no information
-/// and a zero arity would be ambiguous).
-///
-/// `force_removes` exists for encodings that append a further tail after
-/// the delta (the preconditioned network update): the removes section
-/// must then be present — possibly with zero groups — so the tail cannot
-/// be misread as removes.
-pub fn put_delta(w: &mut PayloadWriter, delta: &Delta, force_removes: bool) {
+/// carries removals — an identically shaped removes section. Empty groups
+/// are dropped (they carry no information and a zero arity would be
+/// ambiguous).
+pub fn put_delta(w: &mut PayloadWriter, delta: &Delta) {
     let inserts: Vec<(&str, &[Vec<Value>])> =
         delta.groups().filter(|(_, ts)| !ts.is_empty()).collect();
     let removes: Vec<(&str, &[Vec<Value>])> = delta
@@ -58,16 +51,15 @@ pub fn put_delta(w: &mut PayloadWriter, delta: &Delta, force_removes: bool) {
         .filter(|(_, ts)| !ts.is_empty())
         .collect();
     put_section(w, &inserts);
-    if !removes.is_empty() || force_removes {
+    if !removes.is_empty() {
         put_section(w, &removes);
     }
 }
 
 /// Reads a [`Delta`] back out of `r`: the insert section always, then a
-/// removes section iff bytes remain (insert-only encoders simply end
-/// after the first section). Callers with a further tail after the delta
-/// must have encoded with `force_removes` (see [`put_delta`]); bytes
-/// remaining after this call are theirs to consume.
+/// removes section iff bytes remain (insert-only encoders end after the
+/// first section). Bytes remaining after the removes section are the
+/// caller's to reject.
 ///
 /// # Errors
 ///
@@ -105,7 +97,7 @@ mod tests {
     fn round_trip(delta: &Delta) -> Delta {
         let mut w = PayloadWriter::new();
         w.start();
-        put_delta(&mut w, delta, false);
+        put_delta(&mut w, delta);
         let mut r = PayloadReader::new(w.bytes());
         let back = read_delta(&mut r).unwrap();
         assert_eq!(r.remaining(), 0, "codec must consume what it wrote");
@@ -130,26 +122,12 @@ mod tests {
     }
 
     #[test]
-    fn forced_removes_section_keeps_a_tail_parseable() {
-        let mut delta = Delta::new();
-        delta.insert("R", vec![1, 2]);
-        let mut w = PayloadWriter::new();
-        w.start();
-        put_delta(&mut w, &delta, true);
-        w.put_u64(0xDEAD_BEEF); // a caller-owned tail
-        let mut r = PayloadReader::new(w.bytes());
-        assert_eq!(read_delta(&mut r).unwrap(), delta);
-        assert_eq!(r.get_u64().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
     fn truncated_bytes_are_typed_errors() {
         let mut delta = Delta::new();
         delta.insert("R", vec![1, 2]);
         let mut w = PayloadWriter::new();
         w.start();
-        put_delta(&mut w, &delta, false);
+        put_delta(&mut w, &delta);
         let bytes = w.bytes();
         for cut in 1..bytes.len() {
             let mut r = PayloadReader::new(&bytes[..bytes.len() - cut]);

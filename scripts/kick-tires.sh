@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Everything CI runs after build / test / fmt / clippy / doc, in minutes:
-# the dependency guards, a compile check of the benchmark
+# the dependency and deletion guards, a compile check of the benchmark
 # package, the cqe smokes, the three verdict harnesses with their gated
-# booleans, the metrics-feature tests, and the benchmark package's tests
-# and quick suite. Exits nonzero at the first failed check.
+# booleans, the metrics-feature tests, the workspace's tests in release,
+# and the benchmark package's tests and quick suite. Exits nonzero at the
+# first failed check.
 #
 # Leaves BENCH_{ci,chaos,mix,recovery}.json in the repository root (CI
 # uploads them as artifacts; none is committed) and the commands' standard
@@ -95,6 +96,20 @@ fi
 if grep -nE 'fn (insert|remove)_tuples\(' crates/storage/src/relation.rs ||
     grep -nE 'Vec<(Value|u64)>|Arc<Relation>' crates/storage/src/database.rs; then
     echo "a second copy of the rows is back: the database stores packed indexes and splices once" >&2
+    exit 1
+fi
+
+# Wire v2: every request payload has one fixed layout, so each message has
+# one encoder, one parser and one client call, and no parser decides what
+# follows by checking whether bytes remain. Fails on the one-line twin
+# `pub fn parse_update_preconditioned(p: &[u8]) -> Result<(Delta,
+# Option<Vec<Epoch>>)> { parse_update(p) }` added back to
+# crates/net/src/protocol.rs (checked once on a copy), on a `pub fn
+# encode_serve_tailed(` anywhere under crates/*/src, or on a
+# `force_removes` parameter to `put_delta`.
+if grep -rnw 'encode_serve_tailed' crates/*/src || grep -n '_preconditioned(' crates/net/src/protocol.rs ||
+    grep -rnw 'force_removes' crates/*/src; then
+    echo "an optional request tail is back: wire v2 frames have one layout and one codec each" >&2
     exit 1
 fi
 
@@ -259,16 +274,15 @@ grep -q '"torn_tail_truncated": true' BENCH_recovery.json
 step "tests with the metrics feature (output-tuple counter compiled in)"
 cargo test -q -p cqc-common --features metrics
 
-step "cqc-common and cqc-storage in release (no debug assertion or overflow check to lean on)"
-# A packed read past the buffer must panic here too, not return another
-# value: `packed::tests::reading_past_the_last_word_panics`.
-cargo test --release -q -p cqc-common
-# A stored relation's `contains` answers `false` for a tuple of another
-# length with no `debug_assert` to lean on: with the length check in
-# `SortedIndex::contains` turned back into a `debug_assert_eq!`,
-# `relation::tests::membership` finds `[1, 2, 9]` in `{(1, 2), (3, 4)}`
-# by prefix here.
-cargo test --release -q -p cqc-storage
+step "the workspace's tests in release (no debug assertion or overflow check to lean on)"
+# Release is the tested mode. A packed read past the buffer must panic
+# here too, not return another value:
+# `packed::tests::reading_past_the_last_word_panics`. A stored relation's
+# `contains` answers `false` for a tuple of another length: with the
+# length check in `SortedIndex::contains` turned back into a
+# `debug_assert_eq!`, `relation::tests::membership` finds `[1, 2, 9]` in
+# `{(1, 2), (3, 4)}` by prefix here.
+cargo test --release -q --workspace
 
 step "benchmark package (its own workspace): tests, then the quick suite"
 # It compiled above; a wrong answer under a new representation layout must
