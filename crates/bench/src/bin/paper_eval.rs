@@ -656,11 +656,11 @@ fn exp8_running_example() {
     println!(
         "dictionary entries: {} — D(r, (1,1,1)) = {:?}, D(r_r, (1,1,1)) = {:?}",
         s.dictionary().num_entries(),
-        s.dictionary().get(0, &[1, 1, 1]),
+        s.dictionary().get(tree, 0, &[1, 1, 1]),
         // r_r is node 2, the second internal node: the left child r_l is
         // node 1, a leaf.
         s.dictionary()
-            .get(tree.internal_rank(2).unwrap(), &[1, 1, 1]),
+            .get(tree, tree.internal_rank(2).unwrap(), &[1, 1, 1]),
     );
     let mut out = cqc_common::AnswerBlock::new();
     s.answer_into(&[1, 1, 1], &mut out).unwrap();

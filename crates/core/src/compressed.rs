@@ -228,16 +228,16 @@ impl CompressedView {
             CompressedView::Tradeoff(s) => {
                 let st = s.stats();
                 let per = |bytes: usize, n: usize| bytes as f64 / n.max(1) as f64;
-                let ((beta, right), dict) = (st.tree_widths, st.dict_widths);
+                let (beta, right) = st.tree_widths;
                 let (tries, grid) = st.base_index_widths;
                 format!(
                     "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
                      tree {} nodes, {} leaves (β {} b, right {} b; depth {}, {} B = {:.1} B/node), \
-                     dictionary {} heavy pairs (ids {} b, offsets {} b, values {} b; \
+                     dictionary {} heavy pairs (values {} b, {} child bits; \
                      {} B = {:.1} B/entry), \
                      base indexes {} B (tries {} b, grid {} b; {} B distinct); {} heap bytes; \
                      build work: {} tree count probes, {} dictionary evaluations \
-                     of {} candidates ({} at leaves), {} probe joins",
+                     of {} candidates, {} probe joins",
                     s.tau(),
                     s.weights()
                         .iter()
@@ -252,9 +252,8 @@ impl CompressedView {
                     st.tree_bytes,
                     per(st.tree_bytes, st.tree_nodes),
                     st.dict_entries,
-                    dict.ids,
-                    dict.offsets,
-                    dict.values,
+                    st.dict_value_width,
+                    st.dict_child_bits,
                     st.dict_bytes,
                     per(st.dict_bytes, st.dict_entries),
                     st.base_index_bytes,
@@ -265,7 +264,6 @@ impl CompressedView {
                     st.tree_count_probes,
                     st.dict_evaluations,
                     st.dict_candidates,
-                    st.dict_leaf_evaluations,
                     st.dict_probes
                 )
             }

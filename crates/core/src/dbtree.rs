@@ -22,7 +22,7 @@ use crate::split::{split_interval, split_interval_midpoint};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
 use cqc_common::packed::{Packed, RankedBits};
-use cqc_common::util::approx_ge;
+use cqc_common::util::{approx_ge, partition_point};
 use cqc_storage::domain::{rank_tuple_pred, rank_tuple_succ};
 use std::time::Instant;
 
@@ -163,6 +163,13 @@ impl Cursor {
 /// Writes `I(c)`'s endpoints into the caller's scratch (`µ` ranks each):
 /// `succ` / `pred` of the two ancestors' split points, which `beta_of`
 /// writes from an internal rank, or the grid's own ends.
+///
+/// # Panics
+///
+/// Panics, in release builds too, when an ancestor's split point has no
+/// successor (or predecessor) on the grid: its `succ` / `pred` would leave
+/// the endpoint at the grid's end, a wrong interval. A tree whose columns
+/// agree never gets there: a child exists only where that step does.
 #[inline]
 fn endpoints(
     c: Cursor,
@@ -176,7 +183,7 @@ fn endpoints(
     } else {
         beta_of(c.lo_from, lo);
         let inside = rank_tuple_succ(lo, sizes);
-        debug_assert!(
+        assert!(
             inside,
             "a right child's parent splits below the grid maximum"
         );
@@ -188,7 +195,7 @@ fn endpoints(
     } else {
         beta_of(c.hi_from, hi);
         let inside = rank_tuple_pred(hi, sizes);
-        debug_assert!(
+        assert!(
             inside,
             "a left child's parent splits above the grid minimum"
         );
@@ -271,7 +278,7 @@ impl DelayBalancedTree {
                 c.node = idx;
                 right_col[c.lo_from as usize] = u64::from(idx);
             }
-            debug_assert_eq!(c.node, idx, "left children follow their parent");
+            assert_eq!(c.node, idx, "left children follow their parent");
             endpoints(c, &sizes, &mut interval.lo, &mut interval.hi, |w, out| {
                 let row = &beta_col[w as usize * mu..][..mu];
                 for (o, &b) in out.iter_mut().zip(row) {
@@ -299,7 +306,7 @@ impl DelayBalancedTree {
                 }
                 Splitter::Midpoint => beta = split_interval_midpoint(est, &sizes, &interval),
             }
-            debug_assert!(
+            assert!(
                 interval.contains(&beta),
                 "split point must lie in the interval"
             );
@@ -375,11 +382,33 @@ impl DelayBalancedTree {
         self.internal.rank_of_set(w as usize).map(|r| r as u32)
     }
 
+    /// The id of the internal node of rank `rank` (off the serve path: a
+    /// binary search over the rank directory).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rank` is below [`DelayBalancedTree::num_internal`].
+    pub fn internal_node(&self, rank: u32) -> u32 {
+        let rank = rank as usize;
+        assert!(
+            rank < self.num_internal(),
+            "internal rank {rank} of {}",
+            self.num_internal()
+        );
+        // The first node with more than `rank` internal nodes up to it.
+        partition_point(0, self.len(), |w| self.internal.rank(w + 1) > rank) as u32
+    }
+
     /// Decodes the `β` row of the internal node of rank `rank` into `out`
     /// (`µ` ranks).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` holds `µ` ranks, in release builds too: a longer
+    /// one would read into the next row, a shorter one a partial row.
     #[inline]
     pub fn split_point_into(&self, rank: u32, out: &mut [usize]) {
-        debug_assert_eq!(out.len(), self.sizes.len());
+        assert_eq!(out.len(), self.sizes.len(), "a split point has µ ranks");
         let row = rank as usize * self.sizes.len();
         for (i, o) in out.iter_mut().enumerate() {
             *o = self.beta.get(row + i) as usize;
@@ -626,6 +655,76 @@ mod tests {
         for c in tree.cursors() {
             if tree.is_leaf(c.node) {
                 assert!(t_at(&est, &tree, c) < tree.threshold_of(c.level));
+            }
+        }
+    }
+
+    /// The running example's tree at τ = 4 with its root's split point overwritten
+    /// (the root is internal, its left child is node 1, a leaf).
+    fn with_root_split(beta: &[u64]) -> DelayBalancedTree {
+        let mut tree = DelayBalancedTree::build(&running_estimator(), 4.0).unwrap();
+        let mut rows: Vec<u64> = tree.beta.iter().collect();
+        rows[..beta.len()].copy_from_slice(beta);
+        tree.beta = Packed::from_slice(&rows);
+        tree
+    }
+
+    /// A right child whose parent splits at the grid maximum has no lower
+    /// endpoint: deriving its interval panics in release builds too,
+    /// instead of leaving it at the maximum.
+    #[test]
+    #[should_panic(expected = "splits below the grid maximum")]
+    fn a_right_child_of_a_split_at_the_grid_maximum_panics() {
+        let tree = with_root_split(&[1, 1, 1]);
+        let right = Cursor {
+            node: 2,
+            level: 1,
+            lo_from: 0,
+            hi_from: NO_NODE,
+        };
+        tree.interval(right);
+    }
+
+    /// A left child whose parent splits at the grid minimum has no upper
+    /// endpoint: see [`a_right_child_of_a_split_at_the_grid_maximum_panics`].
+    #[test]
+    #[should_panic(expected = "splits above the grid minimum")]
+    fn a_left_child_of_a_split_at_the_grid_minimum_panics() {
+        let tree = with_root_split(&[0, 0, 0]);
+        tree.interval(tree.root().left_child(0));
+    }
+
+    /// `split_point_into` reads exactly `µ` ranks, in release builds too:
+    /// one more would be the next row's first.
+    #[test]
+    #[should_panic(expected = "a split point has µ ranks")]
+    fn a_split_point_into_a_longer_buffer_panics() {
+        let tree = DelayBalancedTree::build(&running_estimator(), 4.0).unwrap();
+        assert!(tree.num_internal() > 1, "a next row to read into");
+        tree.split_point_into(0, &mut [0; 4]);
+    }
+
+    /// See [`a_split_point_into_a_longer_buffer_panics`]: one fewer would
+    /// be a partial row.
+    #[test]
+    #[should_panic(expected = "a split point has µ ranks")]
+    fn a_split_point_into_a_shorter_buffer_panics() {
+        let tree = DelayBalancedTree::build(&running_estimator(), 4.0).unwrap();
+        tree.split_point_into(0, &mut [0; 2]);
+    }
+
+    /// `internal_node` inverts `internal_rank` on every internal node.
+    #[test]
+    fn internal_node_inverts_internal_rank() {
+        let est = running_estimator();
+        for tau in [1.0, 2.0, 4.0] {
+            let tree = DelayBalancedTree::build(&est, tau).unwrap();
+            let internal: Vec<u32> = (0..tree.len() as u32)
+                .filter(|&w| !tree.is_leaf(w))
+                .collect();
+            for (rank, &w) in internal.iter().enumerate() {
+                assert_eq!(tree.internal_node(rank as u32), w, "τ={tau}");
+                assert_eq!(tree.internal_rank(w), Some(rank as u32));
             }
         }
     }

@@ -64,7 +64,7 @@
 
 use crate::compressed::CompressedView;
 use crate::dictionary::free_constraints_into;
-use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
+use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox};
 use crate::theorem1::Theorem1Structure;
 use cqc_common::error::Result;
 use cqc_common::value::Value;
@@ -389,7 +389,6 @@ fn maintain_theorem1(
     // The walk is top-down: intervals nest, so a node no slab hits roots a
     // subtree no slab hits, and only the affected root-to-leaf paths (plus
     // their immediate children) are ever decomposed.
-    let mut dict = s.dict.clone();
     let nb = plan.num_bound;
     let levels = plan.num_levels();
     let mut box_list = BoxList::new();
@@ -397,11 +396,12 @@ fn maintain_theorem1(
     let mut cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
     let mut hit_ins: Vec<&Slab> = Vec::new();
     let mut hit_rem: Vec<&Slab> = Vec::new();
-    let FInterval { mut lo, mut hi } = tree.interval(tree.root());
-    let mut stack = vec![tree.root()];
-    while let Some(c) = stack.pop() {
-        let node = tree.node(c, &mut lo, &mut hi);
-        box_decomposition_ranks(&lo, &hi, &s.sizes, &mut box_list);
+    let mut vb: Vec<Value> = Vec::with_capacity(nb);
+    // Entries whose bit changes, applied to the copy once the walk is done.
+    let mut changed: Vec<u32> = Vec::new();
+    s.dict.walk(tree, |step| {
+        let interval = step.interval;
+        box_decomposition_ranks(&interval.lo, &interval.hi, &s.sizes, &mut box_list);
         let boxes = box_list.as_slice();
         for (slabs, hit) in [(&ins_slabs, &mut hit_ins), (&rem_slabs, &mut hit_rem)] {
             hit.clear();
@@ -412,18 +412,16 @@ fn maintain_theorem1(
             );
         }
         if hit_ins.is_empty() && hit_rem.is_empty() {
-            continue;
+            return false;
         }
         report.affected_nodes += 1;
-        stack.extend([node.right, node.left].into_iter().flatten());
         // A leaf has no entry to re-probe.
-        let Some(rank) = node.internal else {
-            continue;
-        };
-        dict.redecide_bits_of(rank, |vb, bit| {
+        for e in step.entries {
+            let bit = s.dict.bit(e.entry);
             let hits = if bit { &hit_rem } else { &hit_ins };
-            if !hits.iter().any(|slab| slab.matches_valuation(vb)) {
-                return bit;
+            s.dict.candidate_into(e.cand, &mut vb);
+            if !hits.iter().any(|slab| slab.matches_valuation(&vb)) {
+                continue;
             }
             report.reprobed_entries += 1;
             let nonempty = boxes.iter().any(|b| {
@@ -438,8 +436,15 @@ fn maintain_theorem1(
                 (true, false) => report.cleared_bits += 1,
                 _ => {}
             }
-            nonempty
-        });
+            if nonempty != bit {
+                changed.push(e.entry);
+            }
+        }
+        true
+    });
+    let mut dict = s.dict.clone();
+    for entry in changed {
+        dict.flip(entry, !dict.bit(entry));
     }
 
     Ok(MaintainOutcome::Maintained {

@@ -18,9 +18,7 @@
 
 use crate::cost::{ranks_to_values_into, CostEstimator};
 use crate::dbtree::{Cursor, DelayBalancedTree};
-use crate::dictionary::{
-    free_constraints, free_constraints_into, DictWidths, HeavyDictionary, NO_CANDIDATE,
-};
+use crate::dictionary::{free_constraints, free_constraints_into, HeavyDictionary, Side};
 use crate::fbox::{box_decomposition, box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
@@ -216,7 +214,6 @@ impl Theorem1Structure {
         Theorem1Iter {
             s: self,
             vb: Vec::new(),
-            cand: NO_CANDIDATE,
             stack: Vec::new(),
             clip: None,
             join: None,
@@ -303,11 +300,11 @@ impl Theorem1Structure {
                 .tree()
                 .map_or((0, 0), |t| (t.beta_width(), t.right_width())),
             dict_entries: self.dict.num_entries(),
-            dict_widths: self.dict.widths(),
+            dict_value_width: self.dict.value_width(),
+            dict_child_bits: self.dict.child_bits(),
             dict_candidates: dict_work.candidates as usize,
             tree_count_probes: self.tree().map_or(0, DelayBalancedTree::build_count_probes),
             dict_evaluations: dict_work.evaluations,
-            dict_leaf_evaluations: dict_work.leaf_evaluations,
             dict_probes: dict_work.probes,
             heap_bytes: self.heap_bytes(),
             tree_bytes: space.tree_bytes,
@@ -410,8 +407,10 @@ pub struct Theorem1Stats {
     pub tree_widths: (u32, u32),
     /// Heavy pairs stored in the dictionary.
     pub dict_entries: usize,
-    /// Bits per stored candidate value, CSR offset and candidate id.
-    pub dict_widths: DictWidths,
+    /// Bits per stored candidate value.
+    pub dict_value_width: u32,
+    /// The dictionary's child bits: two per entry.
+    pub dict_child_bits: usize,
     /// Root candidate valuations (Prop. 13) the dictionary build started
     /// from.
     pub dict_candidates: usize,
@@ -422,8 +421,6 @@ pub struct Theorem1Stats {
     /// Build work, dictionary: `(candidate, node)` pairs whose
     /// `T(v_b, I(w))` was evaluated.
     pub dict_evaluations: u64,
-    /// Those of them at leaves (the build skips leaves: 0).
-    pub dict_leaf_evaluations: u64,
     /// Build work, dictionary: first-answer probe joins.
     pub dict_probes: u64,
     /// Total owned heap bytes (tree + dictionary + base indexes).
@@ -544,8 +541,9 @@ fn rank_scratch<'a>(
 /// Stack frames of the in-order traversal.
 #[derive(Debug, Clone, Copy)]
 enum Frame {
-    /// Visit a node (dictionary lookup decides how).
-    Enter(Cursor),
+    /// Visit a node (dictionary lookup decides how), with the request's
+    /// entry there (`None`: the node is `⊥` for this valuation).
+    Enter(Cursor, Option<u32>),
     /// Emit the split point of the internal node of this rank if it is in
     /// the join (after the left subtree).
     Point(u32),
@@ -563,9 +561,6 @@ enum Frame {
 pub struct Theorem1Iter<'a> {
     s: &'a Theorem1Structure,
     vb: Vec<Value>,
-    /// `vb`'s dictionary candidate id, resolved once per request
-    /// (`NO_CANDIDATE`: every node is `⊥` for this valuation).
-    cand: u32,
     stack: Vec<Frame>,
     /// Optional lexicographic output clip (rank space).
     clip: Option<FInterval>,
@@ -654,7 +649,6 @@ impl Theorem1Iter<'_> {
     fn start(&mut self, bound_values: &[Value], clip: Option<FInterval>, enabled: bool) {
         self.vb.clear();
         self.vb.extend_from_slice(bound_values);
-        self.cand = self.s.dict.candidate(bound_values);
         self.clip = clip;
         self.stack.clear();
         self.join_active = false;
@@ -663,7 +657,9 @@ impl Theorem1Iter<'_> {
         self.emit_from_join = false;
         if enabled {
             if let Some(t) = &self.s.tree {
-                self.stack.push(Frame::Enter(t.root()));
+                // `v_b`'s root entry, resolved once per request.
+                let entry = self.s.dict.candidate(bound_values);
+                self.stack.push(Frame::Enter(t.root(), entry));
             }
         }
     }
@@ -738,7 +734,7 @@ impl Theorem1Iter<'_> {
             let mu = s.sizes.len();
             match self.stack.pop() {
                 None => return false,
-                Some(Frame::Enter(c)) => {
+                Some(Frame::Enter(c, entry)) => {
                     // The tree stores split points only: the node's
                     // endpoints are re-derived into stack scratch.
                     let (mut inline, mut spill) = ([0; 2 * INLINE_MU], Vec::new());
@@ -769,7 +765,7 @@ impl Theorem1Iter<'_> {
                             (lo, hi)
                         }
                     };
-                    match s.dict.lookup(node.internal, self.cand) {
+                    match s.dict.lookup(entry) {
                         // ⊥: evaluate the (clipped) interval directly; cost
                         // bounded by τ_ℓ since the pair is light and
                         // T(v_b, ·) is monotone under clipping.
@@ -780,15 +776,19 @@ impl Theorem1Iter<'_> {
                         }
                         // 0: provably empty, skip the subtree.
                         Some(false) => {}
-                        // 1: in-order recursion.
+                        // 1: in-order recursion; each child's entry is one
+                        // child bit of this one.
                         Some(true) => {
                             let rank = node.internal.expect("leaves hold no heavy pair");
+                            let e = entry.expect("a stored bit has an entry");
                             if let Some(r) = node.right {
-                                self.stack.push(Frame::Enter(r));
+                                self.stack
+                                    .push(Frame::Enter(r, s.dict.child(e, Side::Right)));
                             }
                             self.stack.push(Frame::Point(rank));
                             if let Some(l) = node.left {
-                                self.stack.push(Frame::Enter(l));
+                                self.stack
+                                    .push(Frame::Enter(l, s.dict.child(e, Side::Left)));
                             }
                         }
                     }
@@ -1218,18 +1218,20 @@ pub(crate) mod tests {
 
     /// FNV-1a of the whole top-down walk of `s`: per node, in id order,
     /// its id, level, interval, leaf flag and children's ids (`u64::MAX`
-    /// for none), then its dictionary entries, each `v_b` and bit.
+    /// for none), then its dictionary entries, each `v_b` and bit
+    /// (ascending `v_b`).
     pub(crate) fn walk_fnv(s: &Theorem1Structure) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325;
         let Some(tree) = s.tree() else {
             return h;
         };
-        let FInterval { mut lo, mut hi } = tree.interval(tree.root());
-        for c in tree.cursors() {
-            let node = tree.node(c, &mut lo, &mut hi);
+        let dict = s.dictionary();
+        let mut vb = Vec::new();
+        dict.walk(tree, |step| {
+            let (c, node, interval) = (step.cursor, step.node, step.interval);
             let child = |c: Option<Cursor>| c.map_or(u64::MAX, |c| u64::from(c.node));
             h = fnv(h, [u64::from(c.node), u64::from(c.level)]);
-            h = fnv(h, lo.iter().chain(&hi).map(|&r| r as u64));
+            h = fnv(h, interval.lo.iter().chain(&interval.hi).map(|&r| r as u64));
             h = fnv(
                 h,
                 [
@@ -1238,12 +1240,12 @@ pub(crate) mod tests {
                     child(node.right),
                 ],
             );
-            if let Some(rank) = node.internal {
-                for (vb, bit) in s.dictionary().entries_of(rank) {
-                    h = fnv(h, vb.into_iter().chain([u64::from(bit)]));
-                }
+            for e in step.entries {
+                dict.candidate_into(e.cand, &mut vb);
+                h = fnv(h, vb.iter().copied().chain([u64::from(dict.bit(e.entry))]));
             }
-        }
+            true
+        });
         h
     }
 

@@ -299,25 +299,17 @@ impl Theorem2Structure {
             match &mut kind {
                 BagKind::Materialized(mb) => mb.retain(|row| probe.extends_below(bi, row)),
                 BagKind::Tradeoff(t1) => {
-                    let mut flips: Vec<(u32, Vec<Value>)> = Vec::new();
+                    let mut flips: Vec<u32> = Vec::new();
                     if let Some(tree) = t1.tree() {
-                        let mut row: Vec<Value> = Vec::new();
-                        // One endpoint pair, re-derived per node by the
-                        // top-down walk.
-                        let mut interval = tree.interval(tree.root());
-                        let mut stack = vec![tree.root()];
-                        while let Some(c) = stack.pop() {
-                            let node = tree.node(c, &mut interval.lo, &mut interval.hi);
-                            stack.extend([node.right, node.left].into_iter().flatten());
-                            // A leaf has no entry.
-                            let Some(rank) = node.internal else {
-                                continue;
-                            };
-                            for (key, bit) in t1.dictionary().entries_of(rank) {
-                                if !bit {
+                        let dict = t1.dictionary();
+                        let (mut key, mut row): (Vec<Value>, Vec<Value>) = (Vec::new(), Vec::new());
+                        dict.walk(tree, |step| {
+                            for e in step.entries {
+                                if !dict.bit(e.entry) {
                                     continue;
                                 }
-                                let mut answers = t1.enumerate_interval(&key, &interval);
+                                dict.candidate_into(e.cand, &mut key);
+                                let mut answers = t1.enumerate_interval(&key, step.interval);
                                 let mut extends = false;
                                 while !extends && answers.advance() {
                                     row.clear();
@@ -326,14 +318,16 @@ impl Theorem2Structure {
                                     extends = probe.extends_below(bi, &row);
                                 }
                                 if !extends {
-                                    flips.push((rank, key));
+                                    flips.push(e.entry);
                                 }
                             }
-                        }
+                            true
+                        });
                     }
-                    for (rank, key) in flips {
-                        let stored = t1.dictionary_mut().flip(rank, &key, false);
-                        debug_assert!(stored, "flipped keys come from the dictionary");
+                    // Each entry a walk yielded is in range: `flip` checks
+                    // it in release builds too.
+                    for entry in flips {
+                        t1.dictionary_mut().flip(entry, false);
                     }
                 }
             }

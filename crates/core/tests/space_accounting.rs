@@ -21,16 +21,18 @@
 //!   those tries and `heap_bytes()` is the whole figure. The
 //!   `direct` recipe (Theorem 1 at τ = ∞) is a row of this gate with no
 //!   dictionary to speak of: tries + grid + a one-leaf tree (a bit and a
-//!   directory entry), and one offset without a single candidate; beside it, on a hub instance, its
+//!   directory entry), and an empty dictionary of no byte; beside it, on a hub instance, its
 //!   bytes stay below `materialize`'s, whose one bag holds every answer;
 //! * a layout pin met with equality: the tree is `µ·internal` ranks and
 //!   `internal` right-child ids (a leaf has no row), one bit per node in
 //!   `⌈nodes/64⌉` words and a rank directory of one value per word, plus
-//!   the grid sizes; the dictionary `|V_b|·cands` values, `internal + 1`
-//!   offsets and `entries` ids plus one bit an entry — each column at
-//!   `⌈log₂(max + 1)⌉` bits a value, the maximum and the internal count
-//!   taken from the structure's public walk (docs/ARCHITECTURE.md,
-//!   "Packed integer columns"); each trie is, per depth `d`, `k_d` keys
+//!   the grid sizes; the dictionary `|V_b|·cands` values (the root's
+//!   entries), two child bits per entry in `⌈2·entries/64⌉` words and a
+//!   rank directory of one value per word, plus one bit an entry — each
+//!   column at `⌈log₂(max + 1)⌉` bits a value, the maximum, the internal
+//!   count and every set child bit (`2e` or `2e + 1`, `e` the parent's
+//!   entry for the child's candidate) taken from the structures' public
+//!   walks (docs/ARCHITECTURE.md, "Packed integer columns"); each trie is, per depth `d`, `k_d` keys
 //!   (`k_d` the distinct prefixes of length `d + 1` under its order, the
 //!   rows at the last depth) and, above the last depth, `k_d + 1` child
 //!   offsets, each column `⌈len·w/64⌉·8` bytes, plus its column order and a
@@ -73,8 +75,10 @@
 //! its build-work count: 399 root candidates joined where none can be used
 //! (none is kept — a candidate no entry references is dropped — so the
 //! bytes no longer show it). The layout pin: a `u32` column left in place
-//! of a packed one fails its row — `β` as `Vec<u32>` the tree's, the
-//! candidate ids as `Vec<u32>` the dictionary's; a zero `β` row and
+//! of a packed one fails its row — `β` as `Vec<u32>` the tree's; a zeroed
+//! `internal + 1` offsets column at the old CSR width kept beside the child
+//! bits (`kick-tires.sh`'s dictionary sabotage) fails the dictionary's at
+//! `bff`, 49 208 B for 78 746 entries; a zero `β` row and
 //! right id kept per leaf after the internal rows (both columns resized to
 //! the node count before packing) fails the tree's, 48 304 B for `bff`'s
 //! 11 631 nodes against 28 088 — and a `u64` column left
@@ -108,7 +112,7 @@ use cqc_common::packed::{width_for, Packed};
 use cqc_common::value::Value;
 use cqc_core::cost::CostEstimator;
 use cqc_core::dbtree::DelayBalancedTree;
-use cqc_core::dictionary::HeavyDictionary;
+use cqc_core::dictionary::{Entry, HeavyDictionary};
 use cqc_core::fbox::FInterval;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
@@ -340,18 +344,28 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         // 64-bit words and, per word, the internal nodes before it (the
         // rank directory); per internal node `µ` ranks and a right-child
         // id; plus the grid sizes. A leaf has no row. Dictionary: `|V_b|`
-        // values per kept candidate, a CSR offset per internal node plus
-        // one, a candidate id and a bit per entry; every kept candidate is
-        // referenced by some entry.
+        // values per kept candidate, which are the root's entries; two
+        // child bits per entry in 64-bit words and, per word, the set bits
+        // before it; and one bit per entry. Entry `e`'s child bits are
+        // `2e` (left) and `2e + 1` (right), set when that child stores
+        // `e`'s candidate: each set one is read off the entry numbers the
+        // walk yields at a node and at its parent.
         let (nodes, entries, cands) = (tree.len(), dict.num_entries(), dict.num_candidates());
         let (mu, nb) = (view.mu(), view.bound_head().len());
         let (mut max_beta, mut max_right) = (0, 0);
         let (mut internal, mut directory_max) = (0usize, 0usize);
+        // Per node: its parent and which child it is (`1`: the right one).
+        let mut parent: Vec<Option<(u32, usize)>> = vec![None; nodes];
         let FInterval { mut lo, mut hi } = tree.interval(tree.root());
         for (w, c) in tree.cursors().enumerate() {
             let node = tree.node(c, &mut lo, &mut hi);
             if w % 64 == 0 {
                 directory_max = internal;
+            }
+            for (side, child) in [node.left, node.right].into_iter().enumerate() {
+                if let Some(child) = child {
+                    parent[child.node as usize] = Some((c.node, side));
+                }
             }
             if let Some(beta) = tree.beta(c.node) {
                 internal += 1;
@@ -370,20 +384,43 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
                 + 8 * mu,
             "{pattern}: tree {tree_bytes} B for {nodes} nodes, {internal} internal"
         );
-        let keys: BTreeSet<Vec<u64>> = dict.entries().map(|(_, vb, _)| vb).collect();
+        let keys: BTreeSet<Vec<u64>> = dict.entries(&tree).map(|(_, vb, _)| vb).collect();
         assert_eq!(
             keys.len(),
             cands,
             "{pattern}: every kept candidate is referenced"
         );
         let max_value = keys.iter().flatten().copied().max().unwrap_or(0);
+        // Each node's entries, ascending by candidate, by node id.
+        let mut held: Vec<Vec<Entry>> = vec![Vec::new(); nodes];
+        dict.walk(&tree, |step| {
+            held[step.cursor.node as usize] = step.entries.to_vec();
+            true
+        });
+        let mut child_bits: Vec<usize> = Vec::new();
+        for (w, entries) in held.iter().enumerate() {
+            let Some((p, side)) = parent[w] else {
+                continue;
+            };
+            let above = &held[p as usize];
+            for e in entries {
+                let i = above.binary_search_by_key(&e.cand, |a| a.cand).unwrap();
+                child_bits.push(2 * above[i].entry as usize + side);
+            }
+        }
+        assert_eq!(child_bits.len(), entries - cands, "{pattern}");
+        let child_words = (2 * entries).div_ceil(64);
+        let before_last = child_bits
+            .iter()
+            .filter(|&&p| p < 64 * child_words.saturating_sub(1))
+            .count();
         assert_eq!(
             dict_bytes,
             column(nb * cands, max_value)
-                + column(internal + 1, entries as u64)
-                + column(entries, cands.saturating_sub(1) as u64)
+                + 8 * child_words
+                + column(child_words, before_last as u64)
                 + 8 * entries.div_ceil(64),
-            "{pattern}: dictionary {dict_bytes} B for {entries} entries, {internal} internal nodes, {cands} candidates"
+            "{pattern}: dictionary {dict_bytes} B for {entries} entries, {cands} candidates"
         );
     }
     direct_holds_tries_grid_and_tree(&db);
@@ -432,10 +469,10 @@ fn direct_holds_tries_grid_and_tree(db: &Database) {
         let CompressedView::Tradeoff(s) = &cv else {
             panic!("{pattern}: direct is Theorem 1, got {}", cv.describe());
         };
-        // One leaf and a dictionary of one offset — one per internal node
-        // plus one — only: no heavy pair, no root candidate, no build work
-        // past the root's cost. The leaf is one bit (a word) and one
-        // directory entry; the tree adds the grid sizes.
+        // One leaf and an empty dictionary only: no heavy pair, no root
+        // candidate, no build work past the root's cost. The leaf is one
+        // bit (a word) and one directory entry; the tree adds the grid
+        // sizes.
         let (stats, space) = (s.stats(), s.space_breakdown());
         let tree = s.tree().unwrap();
         let internal = tree.cursors().filter(|c| !tree.is_leaf(c.node)).count();
@@ -443,7 +480,7 @@ fn direct_holds_tries_grid_and_tree(db: &Database) {
         assert_eq!((stats.tree_leaves, internal), (1, 0), "{pattern}");
         assert_eq!(stats.dict_candidates, 0, "{pattern}");
         assert_eq!(stats.dict_evaluations + stats.dict_probes, 0, "{pattern}");
-        assert_eq!(space.dict_bytes, column(internal + 1, 0), "{pattern}");
+        assert_eq!(space.dict_bytes, 0, "{pattern}");
         assert_eq!(
             space.tree_bytes,
             8 + column(1, 0) + 8 * view.mu(),

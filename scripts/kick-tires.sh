@@ -206,6 +206,21 @@ lo_tree="$(grep -E 'τ = 8\.00' "$OUT/extremes.out" | grep -Eo 'tree [0-9]+ node
 lo_nodes="$(echo "$lo_tree" | grep -Eo '^tree [0-9]+' | grep -Eo '[0-9]+')"
 lo_bytes="$(echo "$lo_tree" | grep -Eo '[0-9]+ B =' | grep -Eo '[0-9]+')"
 awk -v b="$lo_bytes" -v n="$lo_nodes" 'BEGIN { printf "tree layout: %d B / %d nodes = %.2f B/node\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 2.2) }'
+# The dictionary stores each child's list as two bits over each of its
+# parent's entries: candidate values for the root's entries, two child
+# bits and their rank directory per entry, and one bit per entry. `lo`
+# holds 800 heavy pairs in 368 B = 0.46 B/entry. Candidate ids and CSR
+# offsets per internal node printed 1 296 B (1.62 B/entry). The one-line
+# sabotage that keeps a zeroed `internal + 1` offsets column at the old
+# column's width — `bits.extend(vec![0; ((tree.num_internal() + 1) *
+# cqc_common::packed::width_for(total as u64) as usize).div_ceil(64)]);`
+# just before `HeavyDictionary::build_observed` builds its `DictKeys` —
+# prints 928 B (1.16 B/entry) and fails the gate (checked once). The gate
+# is 0.8.
+lo_dict="$(grep -E 'τ = 8\.00' "$OUT/extremes.out" | grep -Eo 'dictionary [0-9]+ heavy pairs \([^)]*\)')"
+lo_entries="$(echo "$lo_dict" | grep -Eo '^dictionary [0-9]+' | grep -Eo '[0-9]+')"
+lo_dict_bytes="$(echo "$lo_dict" | grep -Eo '[0-9]+ B =' | grep -Eo '[0-9]+')"
+awk -v b="$lo_dict_bytes" -v n="$lo_entries" 'BEGIN { printf "dictionary layout: %d B / %d entries = %.2f B/entry\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 0.8) }'
 # Theorem 1's |D| term at its data's width: `direct` holds nothing but the
 # tries and the grid, each trie storing a leading value once per run (child
 # offsets beside it) and each column at the whole word size of its largest

@@ -112,10 +112,10 @@ fn running_example_end_to_end() {
     };
     assert_eq!(values(&lo), vec![1, 2, 1]);
     assert_eq!(values(&hi), vec![2, 2, 2]);
-    assert_eq!(s.dictionary().get(0, &[1, 1, 1]), Some(true));
+    assert_eq!(s.dictionary().get(tree, 0, &[1, 1, 1]), Some(true));
     // r_r is the second internal node (r_l is a leaf): its rank is 1.
     assert_eq!(tree.internal_rank(rr.node), Some(1));
-    assert_eq!(s.dictionary().get(1, &[1, 1, 1]), Some(true));
+    assert_eq!(s.dictionary().get(tree, 1, &[1, 1, 1]), Some(true));
 
     // Query answering: lexicographic output, matching the oracle.
     let got = pushed(|sink| s.answer_into(&[1, 1, 1], sink));

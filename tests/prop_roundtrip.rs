@@ -7,7 +7,7 @@ use cqc_common::value::Tuple;
 use cqc_common::AnswerBlock;
 use cqc_core::cost::CostEstimator;
 use cqc_core::dbtree::{tau_level, Cursor};
-use cqc_core::dictionary::NO_CANDIDATE;
+use cqc_core::fbox::FInterval;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
 use cqc_join::naive::evaluate_view;
@@ -121,10 +121,12 @@ fn bound_touching_view(view: &AdornedView) -> AdornedView {
 
 /// The brute-force heavy-pair oracle of `example_15_dictionary_entries`,
 /// over the whole bound grid: `(w, v_b)` is stored iff `v_b` is a
-/// candidate and `T(v_b, I(w)) > τ_ℓ`; its bit says whether the naive join
-/// has an answer inside `I(w)`. Also pins the point lookups against it,
-/// and that a valuation keeps a candidate id iff some node stores it
-/// (keeping every root candidate in the dictionary build fails here).
+/// candidate, `T(v_b, I(w)) > τ_ℓ` and `w`'s parent stores `v_b` (the
+/// root: iff heavy) — a pair under a parent without it is never read; its
+/// bit says whether the naive join has an answer inside `I(w)`. Also pins
+/// the point lookups against it, and that a valuation keeps a candidate id
+/// iff some node stores it (keeping every root candidate in the
+/// dictionary build fails here).
 fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, dom: u64) {
     use cqc_common::util::approx_gt;
     use std::collections::BTreeSet;
@@ -137,6 +139,14 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
     let est = CostEstimator::build(view, db, s.weights(), s.alpha()).unwrap();
     let sizes = est.sizes();
     let candidates = bound_touching_view(view);
+    let mut parent = vec![None; tree.len()];
+    let FInterval { mut lo, mut hi } = tree.interval(tree.root());
+    for c in tree.cursors() {
+        let node = tree.node(c, &mut lo, &mut hi);
+        for child in [node.left, node.right].into_iter().flatten() {
+            parent[child.node as usize] = Some(c.node);
+        }
+    }
     let mut expect: BTreeSet<(u32, Vec<u64>, bool)> = BTreeSet::new();
     for vb in all_requests(view.bound_head().len(), dom) {
         let is_candidate = !evaluate_view(&candidates, db, &vb).unwrap().is_empty();
@@ -151,18 +161,22 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
                     .expect("answers lie on the grid")
             })
             .collect();
+        // The cursors come in pre-order: a parent's verdict is in first.
+        let mut held = vec![false; tree.len()];
         for c in tree.cursors() {
             let (w, interval) = (c.node, tree.interval(c));
             let heavy = is_candidate
+                && parent[w as usize].map_or(true, |p| held[p as usize])
                 && approx_gt(
                     est.t_interval_bound(&vb, &interval, &sizes),
                     tau_level(tree.tau, tree.alpha, c.level),
                 );
+            held[w as usize] = heavy;
             let bit = answers.iter().any(|a| interval.contains(a));
             // A leaf has no row and is ⊥ for every valuation.
             let rank = tree.internal_rank(w);
             assert_eq!(
-                rank.and_then(|r| dict.get(r, &vb)),
+                rank.and_then(|r| dict.get(tree, r, &vb)),
                 heavy.then_some(bit),
                 "τ={tau} node {w} v_b={vb:?}"
             );
@@ -174,9 +188,9 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
         }
         // A valuation no node stores is `⊥` everywhere: it keeps no
         // candidate id (under a root leaf, none does).
-        assert_eq!(dict.candidate(&vb) != NO_CANDIDATE, stored, "v_b={vb:?}");
+        assert_eq!(dict.candidate(&vb).is_some(), stored, "v_b={vb:?}");
     }
-    let got: Vec<(u32, Vec<u64>, bool)> = dict.entries().collect();
+    let got: Vec<(u32, Vec<u64>, bool)> = dict.entries(tree).collect();
     assert!(
         got.windows(2).all(|p| p[0] < p[1]),
         "entries() runs in (internal rank, v_b) order without repeats"
@@ -215,7 +229,7 @@ fn check_maintained_shares_layout(
     };
     assert!(new.shares_layout_with(old), "tree and keys are Arc-shared");
     let keys = |t: &Theorem1Structure| -> Vec<(u32, Vec<u64>)> {
-        let entries = t.dictionary().entries();
+        let entries = t.dictionary().entries(t.tree().expect("a maintained tree"));
         entries.map(|(w, vb, _)| (w, vb)).collect()
     };
     assert_eq!(keys(new), keys(old), "maintenance only flips bits");
@@ -391,7 +405,7 @@ proptest! {
                 let thr = tau_level(tree.tau, tree.alpha, c.level);
                 let count = tree
                     .internal_rank(c.node)
-                    .map_or(0, |r| st.dictionary().entries_of(r).count()) as f64;
+                    .map_or(0, |r| st.dictionary().entries_of(tree, r).count()) as f64;
                 let t = est.t_interval(&tree.interval(c), &sizes);
                 let bound = (t / thr).powf(alpha) + 1e-9;
                 prop_assert!(
