@@ -1,14 +1,12 @@
-//! Measurement helpers shared by the `paper_eval` table generator and the
-//! verdict harnesses (`chaos`, `mix`, `recovery`).
+//! Helpers shared by the `ledger` binary and the verdict harnesses
+//! (`chaos`, `mix`, `recovery`).
 //!
-//! The paper's claims are about *shapes* — how space, delay and answer time
-//! scale with `|D|` and τ — so `paper_eval` measures:
-//!
-//! * per-tuple **delay percentiles** (max/p99/p50 inter-arrival gaps and
-//!   time-to-first, [`cqc_common::measure`]), not just totals;
-//! * deterministic **space** via `HeapSize`;
-//! * machine-independent **work counters** from `cqc_common::metrics`;
-//! * log-log **slope fits** for scaling exponents.
+//! `ledger` writes `LEDGER.json`: the paper's examples at small scale, one
+//! line of exact counts per (instance, view, recipe, τ/δ) — bytes by part,
+//! tree and dictionary sizes, build and enumeration work, and a checked
+//! answer-stream hash. It reads no clock, so the committed file is
+//! regenerated byte for byte and a change that moves a count shows as a
+//! diff.
 //!
 //! The three harness binaries are tests, not measurements: each stands up
 //! a loopback fleet (or a child `cqe serve` process) over one fixed
@@ -19,24 +17,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use cqc_common::measure::{DelayProbe, DelayStats};
 use cqc_common::value::Value;
 use cqc_query::parser::parse_adorned;
 use cqc_query::AdornedView;
 use cqc_storage::Database;
-
-/// The delay of one access request as the served path delivers it:
-/// `answer_into` drives a representation's answers into the probe — the
-/// sink — which records the gap before each one and before the final
-/// "done". The clock starts at the request, so the first gap includes the
-/// cursor's own set-up.
-pub fn measure_delays(
-    answer_into: impl FnOnce(&mut DelayProbe) -> cqc_common::Result<()>,
-) -> DelayStats {
-    let mut probe = DelayProbe::start();
-    answer_into(&mut probe).expect("a generated request matches its view's pattern");
-    probe.finish()
-}
 
 /// The `q`-th of `scale` quantile of a latency sample (ns), e.g.
 /// `(99, 100)` for p99 or `(999, 1000)` for p99.9: the element of rank
@@ -117,89 +101,9 @@ pub fn harness_main(run: impl FnOnce(Option<&str>) -> Result<(), String>) {
     }
 }
 
-/// Least-squares slope of `log y` against `log x` — the measured scaling
-/// exponent (e.g. a triangle-space series growing as `N^{1.5}` fits ≈ 1.5).
-pub fn fit_loglog_slope(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len());
-    assert!(xs.len() >= 2, "need at least two points for a slope");
-    let lx: Vec<f64> = xs.iter().map(|&x| x.max(1e-12).ln()).collect();
-    let ly: Vec<f64> = ys.iter().map(|&y| y.max(1e-12).ln()).collect();
-    let n = lx.len() as f64;
-    let mx = lx.iter().sum::<f64>() / n;
-    let my = ly.iter().sum::<f64>() / n;
-    let cov: f64 = lx.iter().zip(&ly).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let var: f64 = lx.iter().map(|x| (x - mx) * (x - mx)).sum();
-    cov / var
-}
-
-/// Renders a markdown table.
-pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str("| ");
-    out.push_str(&headers.join(" | "));
-    out.push_str(" |\n|");
-    for _ in headers {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    for row in rows {
-        out.push_str("| ");
-        out.push_str(&row.join(" | "));
-        out.push_str(" |\n");
-    }
-    out
-}
-
-/// The benchmark scale, read from `CQC_SCALE` (`small` default, `full` for
-/// `paper_eval`'s paper-scale tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Quick smoke-test sizes.
-    Small,
-    /// Paper-scale sizes.
-    Full,
-}
-
-impl Scale {
-    /// Reads the scale from the environment.
-    pub fn from_env() -> Scale {
-        match std::env::var("CQC_SCALE").as_deref() {
-            Ok("full") => Scale::Full,
-            _ => Scale::Small,
-        }
-    }
-
-    /// Picks between the two size lists.
-    pub fn pick<T>(self, small: T, full: T) -> T {
-        match self {
-            Scale::Small => small,
-            Scale::Full => full,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn measure_counts_tuples_and_gaps() {
-        use cqc_common::AnswerSink;
-        let d = measure_delays(|probe| {
-            (0..10).for_each(|i| assert!(probe.push(&[i])));
-            Ok(())
-        });
-        assert_eq!(d.tuples, 10);
-        assert!(d.max_ns >= d.p99_ns && d.p99_ns >= d.p50_ns);
-        assert!(d.total_ns > 0);
-    }
-
-    #[test]
-    fn measure_empty_iterator() {
-        let d = measure_delays(|_| Ok(()));
-        assert_eq!(d.tuples, 0);
-        assert!(d.first_ns > 0 || d.max_ns >= d.first_ns);
-    }
 
     #[test]
     fn quantiles_of_empty_single_and_hundred_element_samples() {
@@ -215,29 +119,5 @@ mod tests {
         assert_eq!(quantile_ns(&mut lat, 99, 100), 99); // ⌊99·99/100⌋ = 98
         assert_eq!(quantile_ns(&mut lat, 999, 1000), 99); // ⌊99·999/1000⌋ = 98
         assert_eq!(quantile_ns(&mut lat, 100, 100), 100);
-    }
-
-    #[test]
-    fn slope_recovers_exponent() {
-        let xs = [100.0f64, 200.0, 400.0, 800.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x.powf(1.5)).collect();
-        let s = fit_loglog_slope(&xs, &ys);
-        assert!((s - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn table_renders() {
-        let t = markdown_table(
-            &["a", "b"],
-            &[vec!["1".into(), "2".into()], vec!["3".into(), "4".into()]],
-        );
-        assert!(t.contains("| a | b |"));
-        assert!(t.lines().count() == 4);
-    }
-
-    #[test]
-    fn scale_picks() {
-        assert_eq!(Scale::Small.pick(1, 2), 1);
-        assert_eq!(Scale::Full.pick(1, 2), 2);
     }
 }

@@ -4,21 +4,12 @@
 //! additionally reports *work* counters (trie seeks, count-index probes,
 //! dictionary lookups) so that the scaling shapes claimed by the paper can be
 //! verified independently of the host. Counting uses plain `Cell`s in
-//! thread-local storage and costs a few nanoseconds per increment; those
-//! counters are always compiled in because they sit on the *search* side of
-//! the algorithms, whose per-step cost already includes a binary search.
-//!
-//! The one exception is [`record_tuple_output`]: it sits on the innermost
-//! emit path, which the flat-block pipeline drives at one answer per handful
-//! of nanoseconds — even a thread-local increment is measurable there, and a
-//! shared counter would be a contended atomic. It is therefore compiled out
-//! entirely unless the `metrics` cargo feature is enabled; with the feature
-//! on it is a single process-wide **relaxed** atomic (cheap, monotone, and
-//! meaningful when summed across serving threads).
+//! thread-local storage and costs a few nanoseconds per increment; the
+//! counters sit on the *search* side of the algorithms, whose per-step cost
+//! already includes a binary search. The emit path itself counts nothing:
+//! an answer count is the sink's to keep.
 
 use std::cell::Cell;
-#[cfg(feature = "metrics")]
-use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     static TRIE_SEEKS: Cell<u64> = const { Cell::new(0) };
@@ -31,11 +22,6 @@ thread_local! {
     static BUILD_LP_NS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Process-wide output-tuple counter (only with the `metrics` feature; the
-/// hot loop carries no counter at all without it).
-#[cfg(feature = "metrics")]
-static TUPLES_OUTPUT: AtomicU64 = AtomicU64::new(0);
-
 /// A snapshot of all counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
@@ -45,11 +31,6 @@ pub struct MetricsSnapshot {
     pub count_probes: u64,
     /// Number of heavy-pair dictionary lookups.
     pub dict_lookups: u64,
-    /// Number of output tuples produced by enumerators. Always 0 unless
-    /// the `metrics` cargo feature is enabled (the emit path is otherwise
-    /// counter-free); with the feature on this is a process-wide total,
-    /// not a per-thread one.
-    pub tuples_output: u64,
 }
 
 impl MetricsSnapshot {
@@ -59,11 +40,10 @@ impl MetricsSnapshot {
             trie_seeks: self.trie_seeks.saturating_sub(earlier.trie_seeks),
             count_probes: self.count_probes.saturating_sub(earlier.count_probes),
             dict_lookups: self.dict_lookups.saturating_sub(earlier.dict_lookups),
-            tuples_output: self.tuples_output.saturating_sub(earlier.tuples_output),
         }
     }
 
-    /// Total work units (sum of all counters except output tuples).
+    /// Total work units (the sum of the three counters).
     pub fn work(&self) -> u64 {
         self.trie_seeks + self.count_probes + self.dict_lookups
     }
@@ -85,27 +65,6 @@ pub fn record_count_probe() {
 #[inline]
 pub fn record_dict_lookup() {
     DICT_LOOKUPS.with(|c| c.set(c.get() + 1));
-}
-
-/// Records an output tuple. A no-op (compiled out entirely) unless the
-/// `metrics` cargo feature is enabled; with it, one relaxed atomic
-/// increment on a process-wide counter.
-#[inline]
-pub fn record_tuple_output() {
-    #[cfg(feature = "metrics")]
-    TUPLES_OUTPUT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Reads the output-tuple counter (0 without the `metrics` feature).
-fn tuples_output() -> u64 {
-    #[cfg(feature = "metrics")]
-    {
-        TUPLES_OUTPUT.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "metrics"))]
-    {
-        0
-    }
 }
 
 /// One phase of representation construction, for the build-time breakdown
@@ -199,12 +158,10 @@ pub fn snapshot() -> MetricsSnapshot {
         trie_seeks: TRIE_SEEKS.with(Cell::get),
         count_probes: COUNT_PROBES.with(Cell::get),
         dict_lookups: DICT_LOOKUPS.with(Cell::get),
-        tuples_output: tuples_output(),
     }
 }
 
-/// Resets all counters to zero (per thread; the output-tuple counter,
-/// when the `metrics` feature is on, is process-wide and reset globally).
+/// Resets all counters of this thread to zero.
 pub fn reset() {
     TRIE_SEEKS.with(|c| c.set(0));
     COUNT_PROBES.with(|c| c.set(0));
@@ -214,8 +171,6 @@ pub fn reset() {
     BUILD_TREE_NS.with(|c| c.set(0));
     BUILD_DICT_NS.with(|c| c.set(0));
     BUILD_LP_NS.with(|c| c.set(0));
-    #[cfg(feature = "metrics")]
-    TUPLES_OUTPUT.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -229,15 +184,10 @@ mod tests {
         record_count_probe();
         record_dict_lookup();
         record_dict_lookup();
-        record_tuple_output();
         let s = snapshot();
         assert_eq!(s.trie_seeks, 3);
         assert_eq!(s.count_probes, 1);
         assert_eq!(s.dict_lookups, 2);
-        #[cfg(feature = "metrics")]
-        assert_eq!(s.tuples_output, 1);
-        #[cfg(not(feature = "metrics"))]
-        assert_eq!(s.tuples_output, 0, "emit path is counter-free by default");
         assert_eq!(s.work(), 6);
         reset();
         assert_eq!(snapshot(), MetricsSnapshot::default());

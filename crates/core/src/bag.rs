@@ -139,7 +139,13 @@ impl RunBuilder {
     /// Appends the next row; rows arrive in lexicographic order, so a
     /// key's rows are one run and the key is written when its run starts.
     fn push(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.bound_width + self.free_width);
+        // In release too: a short or long row would shift every later
+        // row's columns.
+        assert_eq!(
+            row.len(),
+            self.bound_width + self.free_width,
+            "a bag row is [bound | free]"
+        );
         let (key, suffix) = row.split_at(self.bound_width);
         // (`lex_cmp`, not `==`: slice equality calls `memcmp`, which
         // costs ~100 ns per row on an empty key here.)
@@ -285,7 +291,9 @@ impl MaterializedBag {
     /// The index of `key` among the keys (binary search: O(log keys)).
     #[inline]
     fn key_index(&self, key: &[Value]) -> Option<usize> {
-        debug_assert_eq!(key.len(), self.bound_width);
+        // In release too: a shorter key would match any key it prefixes,
+        // a longer one compare against the next key's values.
+        assert_eq!(key.len(), self.bound_width, "a bag key has its bound width");
         let n = self.num_keys();
         let k = partition_point(0, n, |i| self.cmp_key(i, key) != Ordering::Less);
         (k < n && self.cmp_key(k, key) == Ordering::Equal).then_some(k)
@@ -448,6 +456,28 @@ mod tests {
         // Two distinct y values for three rows.
         assert_eq!((bag.num_keys(), bag.domain_values()), (3, 2));
         assert_eq!(bag.heap_bytes(), exact_bytes(&bag));
+    }
+
+    // A key of the wrong width used to read in release: `[1]` found key
+    // `(1, 10)` by prefix, and `[1, 10, 2]` read the next key's `2`.
+    #[test]
+    #[should_panic(expected = "a bag key has its bound width")]
+    fn a_short_key_panics() {
+        let bag = MaterializedBag::from_rows(2, 3, vec![vec![1, 10, 5], vec![2, 20, 6]]);
+        let _ = bag.contains_key(&[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a bag key has its bound width")]
+    fn a_long_key_panics() {
+        let bag = MaterializedBag::from_rows(2, 3, vec![vec![1, 10, 5], vec![2, 20, 6]]);
+        let _ = bag.range_for(&[1, 10, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a bag row is [bound | free]")]
+    fn a_row_of_the_wrong_width_panics() {
+        let _ = MaterializedBag::from_rows(1, 2, vec![vec![1, 10], vec![2, 20, 6]]);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::cost::{CostEstimator, PrefixCost};
 use crate::fbox::{box_decomposition_ranks, BoxList, FInterval};
-use crate::split::{split_interval, split_interval_midpoint};
+use crate::split::split_interval;
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
 use cqc_common::packed::{Packed, RankedBits};
@@ -118,16 +118,6 @@ pub fn tau_level(tau: f64, alpha: f64, level: u16) -> f64 {
     tau / 2f64.powf(f64::from(level) * (1.0 - 1.0 / alpha))
 }
 
-/// Which split-point rule the tree uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Splitter {
-    /// Algorithm 1: cost-balanced splits with the Prop. 8 `T/2` guarantee.
-    #[default]
-    Balanced,
-    /// Ablation baseline: grid midpoints (no balance guarantee).
-    Midpoint,
-}
-
 impl Node {
     /// `true` when the node has no split point.
     pub fn is_leaf(&self) -> bool {
@@ -212,31 +202,15 @@ impl DelayBalancedTree {
     ///
     /// Panics if `tau < 1`.
     pub fn build(est: &CostEstimator, tau: f64) -> Option<DelayBalancedTree> {
-        DelayBalancedTree::build_with_splitter(est, tau, Splitter::Balanced)
+        DelayBalancedTree::build_observed(est, tau, |_, _, _| {})
     }
 
-    /// Builds the tree with an explicit split rule (the `Midpoint` variant
-    /// exists for the EXP-11 ablation; production code uses
-    /// [`DelayBalancedTree::build`]).
-    ///
-    /// With the midpoint rule the `T`-halving guarantee is lost, so the
-    /// construction additionally stops when an interval becomes a unit —
-    /// termination then follows from the strict shrinkage of intervals.
-    pub fn build_with_splitter(
-        est: &CostEstimator,
-        tau: f64,
-        splitter: Splitter,
-    ) -> Option<DelayBalancedTree> {
-        DelayBalancedTree::build_observed(est, tau, splitter, |_, _, _| {})
-    }
-
-    /// [`DelayBalancedTree::build_with_splitter`], reporting each node as
-    /// it is numbered: `observe(cursor, I(w), T(I(w)))` — what the build
-    /// knew and the stored tree no longer holds.
+    /// [`DelayBalancedTree::build`], reporting each node as it is
+    /// numbered: `observe(cursor, I(w), T(I(w)))` — what the build knew and
+    /// the stored tree no longer holds.
     fn build_observed(
         est: &CostEstimator,
         tau: f64,
-        splitter: Splitter,
         mut observe: impl FnMut(Cursor, &FInterval, f64),
     ) -> Option<DelayBalancedTree> {
         assert!(tau >= 1.0, "τ must be at least 1");
@@ -300,12 +274,7 @@ impl DelayBalancedTree {
             }
             let rank = right_col.len() as u32;
             right_col.push(0);
-            match splitter {
-                Splitter::Balanced => {
-                    split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
-                }
-                Splitter::Midpoint => beta = split_interval_midpoint(est, &sizes, &interval),
-            }
+            split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
             assert!(
                 interval.contains(&beta),
                 "split point must lie in the interval"
@@ -784,50 +753,46 @@ mod tests {
                     )
                     .max(1.0);
                     let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
-                    for splitter in [Splitter::Balanced, Splitter::Midpoint] {
-                        for tau in [1.0, 8.0, 1024.0] {
-                            let mut seen: Vec<(Cursor, FInterval, f64)> = Vec::new();
-                            let tree = DelayBalancedTree::build_observed(
-                                &est,
-                                tau,
-                                splitter,
-                                |c, interval, t| seen.push((c, interval.clone(), t)),
-                            )
+                    for tau in [1.0, 8.0, 1024.0] {
+                        let mut seen: Vec<(Cursor, FInterval, f64)> = Vec::new();
+                        let tree =
+                            DelayBalancedTree::build_observed(&est, tau, |c, interval, t| {
+                                seen.push((c, interval.clone(), t))
+                            })
                             .unwrap();
-                            let ctx = format!("{query} {pattern} seed {seed} {splitter:?} τ={tau}");
-                            assert_eq!(seen.len(), tree.len(), "{ctx}");
-                            let mut walked = 0;
-                            for (c, (built, interval, t)) in tree.cursors().zip(&seen) {
-                                assert_eq!(c.node as usize, walked, "{ctx}: id order");
-                                assert_eq!(c, *built, "{ctx}");
-                                assert_eq!(tree.interval(c), *interval, "{ctx} node {walked}");
-                                assert_eq!(t_at(&est, &tree, c), *t, "{ctx} node {walked}");
-                                let node = children(&tree, c);
-                                assert_eq!(node.internal.is_none(), tree.is_leaf(c.node));
-                                assert_eq!(node.internal, tree.internal_rank(c.node));
-                                if let Some(beta) = tree.beta(c.node) {
-                                    assert!(interval.contains(&beta), "{ctx} node {walked}");
-                                    assert_eq!(node.left.is_some(), beta != interval.lo);
-                                    assert_eq!(node.right.is_some(), beta != interval.hi);
-                                    let shape = match (node.left, node.right) {
-                                        (Some(_), Some(_)) => 0,
-                                        (Some(_), None) => 1,
-                                        (None, Some(_)) => 2,
-                                        (None, None) => 3,
-                                    };
-                                    shapes[shape] += 1;
-                                } else {
-                                    assert_eq!((node.left, node.right), (None, None));
-                                }
-                                walked += 1;
+                        let ctx = format!("{query} {pattern} seed {seed} τ={tau}");
+                        assert_eq!(seen.len(), tree.len(), "{ctx}");
+                        let mut walked = 0;
+                        for (c, (built, interval, t)) in tree.cursors().zip(&seen) {
+                            assert_eq!(c.node as usize, walked, "{ctx}: id order");
+                            assert_eq!(c, *built, "{ctx}");
+                            assert_eq!(tree.interval(c), *interval, "{ctx} node {walked}");
+                            assert_eq!(t_at(&est, &tree, c), *t, "{ctx} node {walked}");
+                            let node = children(&tree, c);
+                            assert_eq!(node.internal.is_none(), tree.is_leaf(c.node));
+                            assert_eq!(node.internal, tree.internal_rank(c.node));
+                            if let Some(beta) = tree.beta(c.node) {
+                                assert!(interval.contains(&beta), "{ctx} node {walked}");
+                                assert_eq!(node.left.is_some(), beta != interval.lo);
+                                assert_eq!(node.right.is_some(), beta != interval.hi);
+                                let shape = match (node.left, node.right) {
+                                    (Some(_), Some(_)) => 0,
+                                    (Some(_), None) => 1,
+                                    (None, Some(_)) => 2,
+                                    (None, None) => 3,
+                                };
+                                shapes[shape] += 1;
+                            } else {
+                                assert_eq!((node.left, node.right), (None, None));
                             }
-                            assert_eq!(walked, tree.len(), "{ctx}: the walk reaches every node");
-                            shapes[4] += usize::from(tree.len() == 1);
-                            assert_eq!(
-                                tree.depth(),
-                                seen.iter().map(|(c, _, _)| c.level).max().unwrap()
-                            );
+                            walked += 1;
                         }
+                        assert_eq!(walked, tree.len(), "{ctx}: the walk reaches every node");
+                        shapes[4] += usize::from(tree.len() == 1);
+                        assert_eq!(
+                            tree.depth(),
+                            seen.iter().map(|(c, _, _)| c.level).max().unwrap()
+                        );
                     }
                 }
             }

@@ -56,8 +56,14 @@ impl FInterval {
 }
 
 /// Lexicographic comparison of rank tuples.
+///
+/// # Panics
+///
+/// Panics, in release builds too, unless both tuples have the same
+/// length: comparing only the common prefix would call `[1]` equal to
+/// `[1, 0]`.
 pub fn lex_cmp_ranks(a: &[usize], b: &[usize]) -> Ordering {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "rank tuples of different lengths");
     for (x, y) in a.iter().zip(b) {
         match x.cmp(y) {
             Ordering::Equal => continue,
@@ -195,9 +201,12 @@ fn decompose(
         mu >= 1,
         "box decomposition needs at least one free variable"
     );
-    debug_assert_eq!(hi.len(), mu);
-    debug_assert_eq!(sizes.len(), mu);
-    debug_assert!(
+    // In release too: a longer `hi` or `sizes` would be read as far as
+    // `lo` reaches and decompose another interval, and endpoints out of
+    // order would emit an inverted range.
+    assert_eq!(hi.len(), mu, "interval endpoints of different lengths");
+    assert_eq!(sizes.len(), mu, "one domain size per free variable");
+    assert!(
         lex_cmp_ranks(lo, hi) != Ordering::Greater,
         "interval endpoints out of order"
     );
@@ -525,6 +534,33 @@ mod tests {
         assert!(i.contains(&[2, 0]));
         assert!(!i.contains(&[0, 0]));
         assert!(!i.contains(&[2, 1]));
+    }
+
+    // Each of these read past or short of a tuple in release while the
+    // checks were debug-only: `[1]` compared equal to `[1, 0]`, and a
+    // longer `hi` or `sizes` decomposed the interval `lo` spans.
+    #[test]
+    #[should_panic(expected = "rank tuples of different lengths")]
+    fn comparing_rank_tuples_of_different_lengths_panics() {
+        let _ = lex_cmp_ranks(&[1], &[1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "interval endpoints of different lengths")]
+    fn decomposing_endpoints_of_different_lengths_panics() {
+        box_decomposition_ranks(&[0], &[1, 2], &[3, 3], &mut BoxList::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "one domain size per free variable")]
+    fn decomposing_over_a_wider_grid_panics() {
+        box_decomposition_ranks(&[0], &[1], &[3, 3], &mut BoxList::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "interval endpoints out of order")]
+    fn decomposing_an_inverted_interval_panics() {
+        box_decomposition_ranks(&[1, 2], &[1, 0], &[3, 3], &mut BoxList::new());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `B_s`, each step a binary search over the variable's active domain
 //! (Lemma 3) — Õ(1) total, thanks to the count oracle.
 
-use crate::cost::{CostEstimator, PrefixCost};
-use crate::fbox::{CanonicalBox, FInterval};
+use crate::cost::PrefixCost;
+use crate::fbox::CanonicalBox;
 use cqc_common::util::{approx_ge, approx_gt, partition_point};
 
 /// Algorithm 1: a split point `c` of an interval such that
@@ -70,49 +70,19 @@ pub fn split_interval(
         }
         c.push(cj);
     }
+    // `c` is `B_s`'s prefix plus one rank per position after it, so µ
+    // ranks by construction; the caller's `interval.contains(c)` compares
+    // lengths in release too, so a short or long point cannot pass as a
+    // split.
     debug_assert_eq!(c.len(), mu);
-}
-
-/// Ablation baseline: split at the *grid midpoint* of the interval,
-/// ignoring costs entirely.
-///
-/// Used by the EXP-11 ablation to quantify what Algorithm 1's cost-balanced
-/// choice buys: a midpoint split gives no `T/2` guarantee, so skewed
-/// instances produce deeper, larger trees (and, with them, larger
-/// dictionaries) for the same τ.
-pub fn split_interval_midpoint(
-    _est: &CostEstimator,
-    sizes: &[usize],
-    interval: &FInterval,
-) -> Vec<usize> {
-    // Midpoint in mixed-radix coordinates: average the endpoints digit by
-    // digit, handing the odd unit of a sum down to the next digit.
-    let mu = sizes.len();
-    let mut c = Vec::with_capacity(mu);
-    let mut carry = 0usize; // 0 or 1 unit of the current digit.
-    for (i, &size) in sizes.iter().enumerate().take(mu) {
-        let sum = interval.lo[i] + interval.hi[i] + carry * size;
-        c.push(sum / 2);
-        carry = sum % 2;
-    }
-    // A handed-down unit can push a digit past its radix (by less than
-    // one radix); carry those back up. The digits spell ⌊(lo + hi) / 2⌋,
-    // which is at most `hi`, so the top digit stays in range.
-    for i in (1..mu).rev() {
-        if c[i] >= sizes[i] {
-            c[i] -= sizes[i];
-            c[i - 1] += 1;
-        }
-    }
-    debug_assert!(interval.contains(&c), "midpoint stays inside");
-    c
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::tests::running_estimator;
-    use crate::fbox::{box_decomposition, pred, succ};
+    use crate::cost::CostEstimator;
+    use crate::fbox::{box_decomposition, pred, succ, FInterval};
     use rand::Rng;
 
     /// Decomposes and costs `interval`, then runs Algorithm 1 on it.
@@ -218,30 +188,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn midpoint_splitter_stays_inside() {
-        let est = running_estimator();
-        let sizes = est.sizes();
-        let iv = FInterval {
-            lo: vec![0, 0, 0],
-            hi: vec![1, 1, 1],
-        };
-        let c = split_interval_midpoint(&est, &sizes, &iv);
-        assert!(iv.contains(&c));
-        let unit = FInterval {
-            lo: vec![1, 0, 1],
-            hi: vec![1, 0, 1],
-        };
-        assert_eq!(split_interval_midpoint(&est, &sizes, &unit), vec![1, 0, 1]);
-        // An odd leading sum hands half a radix down: ⌊(9 + 14) / 2⌋ = 11
-        // over radices (3, 5) is ⟨2, 1⟩, not the out-of-grid ⟨1, 6⟩.
-        let carried = FInterval {
-            lo: vec![1, 4],
-            hi: vec![2, 4],
-        };
-        assert_eq!(split_interval_midpoint(&est, &[3, 5], &carried), vec![2, 1]);
     }
 
     #[test]

@@ -22,7 +22,6 @@ use crate::dictionary::{free_constraints, free_constraints_into, HeavyDictionary
 use crate::fbox::{box_decomposition, box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
-use cqc_common::metrics;
 use cqc_common::value::Value;
 use cqc_join::leapfrog::{LeapfrogJoin, LevelConstraint};
 use cqc_join::plan::ViewPlan;
@@ -491,7 +490,6 @@ impl IntervalJoinIter<'_> {
         loop {
             if let Some(j) = &mut self.join {
                 if j.next().is_some() {
-                    metrics::record_tuple_output();
                     return true;
                 }
                 self.join = None;
@@ -688,7 +686,6 @@ impl Theorem1Iter<'_> {
             if self.join_active {
                 let j = self.join.as_mut().expect("active join exists");
                 if j.next().is_some() {
-                    metrics::record_tuple_output();
                     self.emit_from_join = true;
                     return true;
                 }
@@ -804,7 +801,6 @@ impl Theorem1Iter<'_> {
                     }
                     ranks_to_values_into(&s.domains, beta, &mut self.point);
                     if s.point_in_join(&self.vb, &self.point, &mut self.probe) {
-                        metrics::record_tuple_output();
                         self.emit_from_join = false;
                         return true;
                     }
@@ -836,7 +832,6 @@ impl Theorem1Iter<'_> {
             if self.join_active {
                 let j = self.join.as_mut().expect("active join exists");
                 while let Some(t) = j.next() {
-                    metrics::record_tuple_output();
                     if !sink.push(&t[nb..]) {
                         return;
                     }

@@ -26,7 +26,6 @@ use crate::bag::{bag_local_components, MaterializedBag};
 use crate::theorem1::{Theorem1Iter, Theorem1Structure};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
-use cqc_common::metrics;
 use cqc_common::value::Value;
 use cqc_decomp::{search_connex, Objective, TreeDecomposition};
 use cqc_lp::covers::rho_plus;
@@ -865,7 +864,6 @@ impl<'a> Theorem2Iter<'a> {
     }
 
     fn fill_emit(&mut self) {
-        metrics::record_tuple_output();
         let Theorem2Iter {
             s, valuation, emit, ..
         } = self;

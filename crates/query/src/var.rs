@@ -25,7 +25,9 @@ impl fmt::Display for Var {
 ///
 /// Conjunctive queries in this workspace are limited to 64 variables; the
 /// paper's data complexity setting treats the query as constant-size, and
-/// every workload here uses at most a dozen variables.
+/// every workload here uses at most a dozen variables. Every method that
+/// takes a [`Var`] panics, in release builds too, when its index is 64 or
+/// more: the shift would wrap (`1 << 64` is `1` there) and name `v0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct VarSet(pub u64);
 
@@ -36,7 +38,7 @@ impl VarSet {
     /// A singleton set.
     #[inline]
     pub fn singleton(v: Var) -> VarSet {
-        debug_assert!(v.0 < 64);
+        assert!(v.0 < 64, "a VarSet holds variables v0..v63, not {v}");
         VarSet(1u64 << v.0)
     }
 
@@ -54,21 +56,21 @@ impl VarSet {
     /// Membership test.
     #[inline]
     pub fn contains(self, v: Var) -> bool {
-        debug_assert!(v.0 < 64);
+        assert!(v.0 < 64, "a VarSet holds variables v0..v63, not {v}");
         self.0 & (1u64 << v.0) != 0
     }
 
     /// Inserts a variable (returns the new set).
     #[inline]
     pub fn with(self, v: Var) -> VarSet {
-        debug_assert!(v.0 < 64);
+        assert!(v.0 < 64, "a VarSet holds variables v0..v63, not {v}");
         VarSet(self.0 | (1u64 << v.0))
     }
 
     /// Removes a variable (returns the new set).
     #[inline]
     pub fn without(self, v: Var) -> VarSet {
-        debug_assert!(v.0 < 64);
+        assert!(v.0 < 64, "a VarSet holds variables v0..v63, not {v}");
         VarSet(self.0 & !(1u64 << v.0))
     }
 
@@ -192,6 +194,32 @@ mod tests {
         let s = VarSet::EMPTY.with(Var(7)).with(Var(9));
         assert_eq!(s.without(Var(7)), VarSet::singleton(Var(9)));
         assert_eq!(s.without(Var(3)), s);
+    }
+
+    // `Var`'s index is public, so a 65th variable can be named. In release
+    // the wrapped shift made `singleton(Var(64))` the set `{v0}`.
+    #[test]
+    #[should_panic(expected = "v0..v63, not v64")]
+    fn a_singleton_past_the_mask_panics() {
+        let _ = VarSet::singleton(Var(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "v0..v63, not v64")]
+    fn membership_past_the_mask_panics() {
+        let _ = VarSet::singleton(Var(0)).contains(Var(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "v0..v63, not v65")]
+    fn inserting_past_the_mask_panics() {
+        let _ = VarSet::EMPTY.with(Var(65));
+    }
+
+    #[test]
+    #[should_panic(expected = "v0..v63, not v64")]
+    fn removing_past_the_mask_panics() {
+        let _ = VarSet::singleton(Var(0)).without(Var(64));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Seeded synthetic workloads for the paper's query classes.
 //!
 //! Everything is deterministic given a seed, so the data behind the
-//! benchmark's workloads and `paper_eval`'s tables is the same on every
-//! run and host:
+//! benchmark's workloads and the rows of `LEDGER.json` is the same on
+//! every run and host:
 //!
 //! * [`gen`] — base samplers: uniform k-ary relations and a Zipf sampler
 //!   (skewed degree distributions are what make the space/delay tradeoff

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Everything CI runs after build / test / fmt / clippy / doc, in minutes:
 # the dependency and deletion guards, a compile check of the benchmark
-# package, the cqe smokes, the three verdict harnesses with their gated
-# booleans, the metrics-feature tests, the workspace's tests in release,
-# and the benchmark package's tests and quick suite. Exits nonzero at the
-# first failed check.
+# package, the ledger regenerated against the committed LEDGER.json, the
+# cqe smokes, the three verdict harnesses with their gated booleans, the
+# workspace's tests in release, and the benchmark package's tests and
+# quick suite. Exits nonzero at the first failed check.
 #
 # Leaves BENCH_{ci,chaos,mix,recovery}.json in the repository root (CI
 # uploads them as artifacts; none is committed) and the commands' standard
@@ -113,11 +113,48 @@ if grep -rnw 'encode_serve_tailed' crates/*/src || grep -n '_preconditioned(' cr
     exit 1
 fi
 
+# One ledger and one split rule: the paper's examples are the rows of the
+# committed LEDGER.json (regenerated below), not tables a binary prints at a
+# scale picked from the environment, Algorithm 1 is the tree's only split
+# rule, and the emit path carries no feature-gated counter. Fails on `touch
+# crates/bench/src/bin/paper_eval.rs`, or on any of `paper_eval`,
+# `split_interval_midpoint`, `Splitter::`, `CQC_SCALE` or `feature =
+# "metrics"` under crates/, tests/ or examples/ (each checked once).
+if [ -e crates/bench/src/bin/paper_eval.rs ] ||
+    grep -rnE 'paper_eval|split_interval_midpoint|Splitter::|CQC_SCALE|feature = "metrics"' crates tests examples; then
+    echo "a table printer, the midpoint split or a metrics feature is back: the paper's examples are LEDGER.json rows" >&2
+    exit 1
+fi
+# The ledger reads no clock, so its file is the same on every host. Fails on
+# `let _t = std::time::Instant::now();` added to `Ledger::structure` in
+# crates/bench/src/bin/ledger.rs (checked once).
+if grep -nE '\bInstant\b|elapsed\(' crates/bench/src/bin/ledger.rs; then
+    echo "the ledger reads the clock: its rows are counts, identical on every host" >&2
+    exit 1
+fi
+
 step "benchmark package compiles against this tree"
 # benchmark/ is its own workspace and frozen between benchmark PRs: an API
 # it calls going missing must fail here, in seconds, not after the
 # harnesses below have run.
 cargo build --release --manifest-path benchmark/Cargo.toml --offline
+
+step "ledger: the paper's examples regenerate LEDGER.json byte for byte"
+# Each row is one (instance, view, recipe, τ/δ) of exp1–exp10 and exp12:
+# |D|, answers, bytes by part, tree and dictionary sizes, build and
+# enumeration work, and the hash of an answer stream the binary checked
+# against the naive oracle (it exits 1 on a mismatch). A change that moves
+# a count regenerates the file with this command and commits the diff. A
+# leaf test one level off — `tau_level(tau, alpha, c.level + 1)` in
+# `DelayBalancedTree::build_observed` — still answers every request right,
+# and fails here: 14 of the 72 rows move and exp8 gains a node row (checked
+# once; at slack α = 1 every level's threshold is τ, so most rows hold).
+cargo run --release -q -p cqc-bench --bin ledger -- "--json=$OUT/LEDGER.json" >/dev/null
+if ! cmp -s LEDGER.json "$OUT/LEDGER.json"; then
+    diff LEDGER.json "$OUT/LEDGER.json" >&2 || true
+    echo "LEDGER.json moved: run \`cargo run --release -p cqc-bench --bin ledger -- --json=LEDGER.json\` and commit the diff" >&2
+    exit 1
+fi
 
 step "cqe smoke (zero-rebuild serving)"
 cqe -e demo | tee "$OUT/demo.out"
@@ -285,9 +322,6 @@ harness recovery
 grep -q '"recovery_ok": true' BENCH_recovery.json
 grep -q '"mid_apply_delta_survives": true' BENCH_recovery.json
 grep -q '"torn_tail_truncated": true' BENCH_recovery.json
-
-step "tests with the metrics feature (output-tuple counter compiled in)"
-cargo test -q -p cqc-common --features metrics
 
 step "the workspace's tests in release (no debug assertion or overflow check to lean on)"
 # Release is the tested mode. A packed read past the buffer must panic

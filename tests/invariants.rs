@@ -6,7 +6,7 @@
 use cqc_common::value::Tuple;
 use cqc_common::AnswerBlock;
 use cqc_core::cost::CostEstimator;
-use cqc_core::dbtree::{tau_level, Cursor, DelayBalancedTree, Splitter};
+use cqc_core::dbtree::{tau_level, Cursor, DelayBalancedTree};
 use cqc_core::fbox::{lex_cmp_ranks, FInterval};
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
@@ -151,18 +151,6 @@ fn balanced_tree_partitions_output_space() {
     let est = CostEstimator::build(&view, &db, &[1.0, 1.0, 1.0], 2.0).unwrap();
     for tau in [1.0, 2.0, 4.0, 16.0] {
         let tree = DelayBalancedTree::build(&est, tau).unwrap();
-        check_tree_partitions(&tree);
-    }
-}
-
-#[test]
-fn midpoint_tree_partitions_too() {
-    // The ablation splitter loses the T/2 guarantee but must still
-    // partition correctly.
-    let (view, db) = running_example();
-    let est = CostEstimator::build(&view, &db, &[1.0, 1.0, 1.0], 2.0).unwrap();
-    for tau in [1.0, 4.0] {
-        let tree = DelayBalancedTree::build_with_splitter(&est, tau, Splitter::Midpoint).unwrap();
         check_tree_partitions(&tree);
     }
 }
