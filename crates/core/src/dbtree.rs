@@ -762,9 +762,10 @@ mod tests {
                             .unwrap();
                         let ctx = format!("{query} {pattern} seed {seed} τ={tau}");
                         assert_eq!(seen.len(), tree.len(), "{ctx}");
-                        let mut walked = 0;
+                        let (mut walked, mut last) = (0, None);
                         for (c, (built, interval, t)) in tree.cursors().zip(&seen) {
-                            assert_eq!(c.node as usize, walked, "{ctx}: id order");
+                            assert!(last < Some(c.node), "{ctx}: ids ascend");
+                            last = Some(c.node);
                             assert_eq!(c, *built, "{ctx}");
                             assert_eq!(tree.interval(c), *interval, "{ctx} node {walked}");
                             assert_eq!(t_at(&est, &tree, c), *t, "{ctx} node {walked}");

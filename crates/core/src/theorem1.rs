@@ -1211,10 +1211,10 @@ pub(crate) mod tests {
             .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
     }
 
-    /// FNV-1a of the whole top-down walk of `s`: per node, in id order,
-    /// its id, level, interval, leaf flag and children's ids (`u64::MAX`
-    /// for none), then its dictionary entries, each `v_b` and bit
-    /// (ascending `v_b`).
+    /// FNV-1a of the whole top-down walk of `s` as a walk sees it, no node
+    /// id in it: per node, in left-first pre-order, its level, interval,
+    /// leaf flag and which children exist, then its dictionary entries,
+    /// each `v_b` and bit (ascending `v_b`).
     pub(crate) fn walk_fnv(s: &Theorem1Structure) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325;
         let Some(tree) = s.tree() else {
@@ -1223,16 +1223,15 @@ pub(crate) mod tests {
         let dict = s.dictionary();
         let mut vb = Vec::new();
         dict.walk(tree, |step| {
-            let (c, node, interval) = (step.cursor, step.node, step.interval);
-            let child = |c: Option<Cursor>| c.map_or(u64::MAX, |c| u64::from(c.node));
-            h = fnv(h, [u64::from(c.node), u64::from(c.level)]);
+            let (node, interval) = (step.node, step.interval);
+            h = fnv(h, [u64::from(step.cursor.level)]);
             h = fnv(h, interval.lo.iter().chain(&interval.hi).map(|&r| r as u64));
             h = fnv(
                 h,
                 [
                     u64::from(node.is_leaf()),
-                    child(node.left),
-                    child(node.right),
+                    u64::from(node.left.is_some()),
+                    u64::from(node.right.is_some()),
                 ],
             );
             for e in step.entries {
@@ -1244,10 +1243,11 @@ pub(crate) mod tests {
         h
     }
 
-    /// The walk — every node's id, level, interval, leaf flag and
-    /// children, every entry and bit — hashed on the triangle at three
-    /// patterns and three τ and on a star, each over uniform data, equals
-    /// what the layout that stored a row per node (leaves too) walked.
+    /// The walk — every node's level, interval, leaf flag and which
+    /// children exist, every entry and bit, in left-first pre-order —
+    /// hashed on the triangle at three patterns and three τ and on a star,
+    /// each over uniform data. No node id enters the hash, so a layout
+    /// that renumbers the nodes must leave it unmoved.
     #[test]
     fn walk_is_pinned() {
         let (relations, _) = cqc_workload::triangle_relations(7, 400);
@@ -1274,16 +1274,16 @@ pub(crate) mod tests {
         let s = Theorem1Structure::build(&star, &star_db, &[1.0; 3], 8.0).unwrap();
         got.push(("star bbff", 8.0, s.stats().tree_nodes, walk_fnv(&s)));
         let pinned = [
-            ("bff", 2.0, 780, 16_494_343_019_328_724_530),
-            ("bff", 8.0, 777, 81_760_047_456_302_527),
-            ("bff", 64.0, 254, 11_372_551_491_870_987_198),
-            ("bfb", 2.0, 40, 18_378_946_896_736_046_117),
-            ("bfb", 8.0, 40, 13_975_584_505_201_828_016),
-            ("bfb", 64.0, 40, 2_425_636_725_006_017_455),
-            ("fff", 2.0, 3345, 10_888_180_398_971_104_757),
-            ("fff", 8.0, 1185, 9_549_843_484_837_285_700),
-            ("fff", 64.0, 255, 2_163_511_863_188_564_882),
-            ("star bbff", 8.0, 1021, 4_625_279_309_689_809_563),
+            ("bff", 2.0, 780, 3_312_443_750_993_430_323),
+            ("bff", 8.0, 777, 16_826_133_469_336_805_575),
+            ("bff", 64.0, 254, 774_960_784_498_801_911),
+            ("bfb", 2.0, 40, 10_993_765_896_171_075_244),
+            ("bfb", 8.0, 40, 8_030_967_521_541_121_497),
+            ("bfb", 64.0, 40, 13_137_459_625_835_942_358),
+            ("fff", 2.0, 3345, 2_645_465_756_377_395_605),
+            ("fff", 8.0, 1185, 14_595_550_792_044_840),
+            ("fff", 64.0, 255, 9_480_722_572_435_108_274),
+            ("star bbff", 8.0, 1021, 13_071_366_079_398_346_787),
         ];
         assert_eq!(got, pinned);
     }

@@ -1530,8 +1530,7 @@ mod tests {
 
     /// The walk of the 4-path's delay-tuned bag after the Algorithm 4
     /// fixup cleared its bits (616 of its 1 945 entries on this sparse
-    /// instance; see `walk_fnv`), equal to what the layout that stored a
-    /// row per node walked.
+    /// instance; see `walk_fnv`): what a walk sees, no node id in it.
     #[test]
     fn delay_tuned_bag_walk_is_pinned() {
         let mut rng = cqc_workload::rng(21);
@@ -1552,6 +1551,6 @@ mod tests {
                 BagKind::Materialized(_) => None,
             })
             .collect();
-        assert_eq!(walks, [(1380, 6_555_146_706_828_385_275)]);
+        assert_eq!(walks, [(1380, 10_274_242_317_345_901_250)]);
     }
 }
