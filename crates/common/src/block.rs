@@ -185,7 +185,9 @@ impl AnswerSink for AnswerBlock {
         if self.len == 0 && self.arity == 0 {
             self.arity = tuple.len();
         }
-        debug_assert_eq!(tuple.len(), self.arity, "answer arity changed mid-block");
+        // Release too: one answer of another arity would shift every later
+        // answer's values by the difference.
+        assert_eq!(tuple.len(), self.arity, "answer arity changed mid-block");
         self.values.extend_from_slice(tuple);
         self.len += 1;
         true
@@ -365,6 +367,16 @@ impl BlockMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An answer of another arity would misalign every later one: `push`
+    /// panics, in release builds too.
+    #[test]
+    #[should_panic(expected = "answer arity changed mid-block")]
+    fn pushing_another_arity_panics() {
+        let mut b = AnswerBlock::new();
+        b.push(&[1, 2]);
+        b.push(&[1, 2, 3]);
+    }
 
     #[test]
     fn block_strides_by_arity() {

@@ -464,9 +464,10 @@ impl HeapSize for Packed {
 ///
 /// The bits are little-endian `u64` words; the directory holds, per word,
 /// the set bits in the words before it, a [`Packed`] column at the width
-/// of its largest value. A delay-balanced tree keeps one bit per node, set
-/// at internal nodes, and stores its rows — and its dictionary its CSR
-/// offsets — for internal nodes only, indexed by rank.
+/// of its largest value. A delay-balanced tree keeps one bit per
+/// level-order slot, set at internal nodes, and stores its rows for
+/// internal nodes only, indexed by rank; the heavy-pair dictionary keeps
+/// two child bits per entry and numbers the entries they name by rank.
 #[derive(Debug, Clone)]
 pub struct RankedBits {
     words: Box<[u64]>,

@@ -30,11 +30,12 @@ pub type Tuple = Vec<Value>;
 /// the build path, where the generic loop's per-element bounds checks and
 /// loop control are measurable.
 ///
-/// # Panics
-///
-/// Debug-asserts that both slices have the same length.
+/// Both slices must have the same length (debug-asserted).
 #[inline]
 pub fn lex_cmp(a: &[Value], b: &[Value]) -> Ordering {
+    // Debug-only: this is every build-path sort's comparator, and a length
+    // mismatch reads nothing outside either slice (`zip` stops at the
+    // shorter one, so it compares the common prefix).
     debug_assert_eq!(a.len(), b.len(), "lex_cmp requires equal arity");
     match (a, b) {
         ([x], [y]) => x.cmp(y),

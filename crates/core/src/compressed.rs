@@ -228,11 +228,10 @@ impl CompressedView {
             CompressedView::Tradeoff(s) => {
                 let st = s.stats();
                 let per = |bytes: usize, n: usize| bytes as f64 / n.max(1) as f64;
-                let (beta, right) = st.tree_widths;
                 let (tries, grid) = st.base_index_widths;
                 format!(
                     "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
-                     tree {} nodes, {} leaves (β {} b, right {} b; depth {}, {} B = {:.1} B/node), \
+                     tree {} nodes, {} leaves (β {} b; depth {}, {} B = {:.1} B/node), \
                      dictionary {} heavy pairs (values {} b, {} child bits; \
                      {} B = {:.1} B/entry), \
                      base indexes {} B (tries {} b, grid {} b; {} B distinct); {} heap bytes; \
@@ -246,8 +245,7 @@ impl CompressedView {
                     s.alpha(),
                     st.tree_nodes,
                     st.tree_leaves,
-                    beta,
-                    right,
+                    st.tree_beta_width,
                     st.tree_depth,
                     st.tree_bytes,
                     per(st.tree_bytes, st.tree_nodes),

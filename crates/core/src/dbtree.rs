@@ -8,13 +8,18 @@
 //! bounds the depth by `O(log T)` because `T` halves at every level while
 //! the threshold decays strictly slower.
 //!
-//! Only the split points are stored, and only internal nodes have rows: a
-//! leaf costs one bit. Every reader walks top-down, and a descent
-//! re-derives the rest: a left child keeps its parent's lower endpoint and
-//! ends at `pred(β(parent))`, a right child starts at `succ(β(parent))`
-//! and keeps the upper endpoint, so a [`Cursor`] that remembers *which
-//! ancestors* its two endpoints come from recovers `I(w)` from two `β`
-//! rows (docs/ARCHITECTURE.md, "Theorem 1 memory layout").
+//! Only the split points are stored, and only internal nodes have rows.
+//! The topology is implicit, in level order (Jacobson's binary-marked
+//! tree): the root is slot 0, the internal node of rank `r` owns slots
+//! `2r + 1` (left child) and `2r + 2` (right child), and one bit per slot
+//! says whether it holds an internal node. Whether a child slot holds a
+//! node at all is not stored: it follows from `β`. Every reader walks
+//! top-down, and a descent re-derives the rest: a left child keeps its
+//! parent's lower endpoint and ends at `pred(β(parent))`, a right child
+//! starts at `succ(β(parent))` and keeps the upper endpoint, so a
+//! [`Cursor`] that remembers *which ancestors* its two endpoints come from
+//! recovers `I(w)` from two `β` rows (docs/ARCHITECTURE.md, "Theorem 1
+//! memory layout").
 
 use crate::cost::{CostEstimator, PrefixCost};
 use crate::fbox::{box_decomposition_ranks, BoxList, FInterval};
@@ -24,6 +29,7 @@ use cqc_common::metrics::{self, BuildPhase};
 use cqc_common::packed::{Packed, RankedBits};
 use cqc_common::util::{approx_ge, partition_point};
 use cqc_storage::domain::{rank_tuple_pred, rank_tuple_succ};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Hard cap on tree depth; reaching it indicates a bug in the halving
@@ -31,8 +37,8 @@ use std::time::Instant;
 const MAX_LEVEL: u16 = 512;
 
 /// An endpoint a [`Cursor`] inherited from the grid rather than from an
-/// ancestor (and, during the build, a right child not yet numbered). A
-/// cursor's value only: no column stores it.
+/// ancestor (and, during the build, the slot of a parent it derives
+/// children from). A cursor's value only: no column stores it.
 const NO_NODE: u32 = u32::MAX;
 
 /// The root's cursor.
@@ -43,8 +49,8 @@ const ROOT: Cursor = Cursor {
     hi_from: NO_NODE,
 };
 
-/// A position in a top-down walk: the node, and where its interval comes
-/// from. `I(w) = [succ(β(lo_from)), pred(β(hi_from))]`, with the grid
+/// A position in a top-down walk: the node's slot, and where its interval
+/// comes from. `I(w) = [succ(β(lo_from)), pred(β(hi_from))]`, with the grid
 /// minimum / maximum standing in for an endpoint no ancestor cut. Both
 /// ancestors are internal, so the cursor holds their internal ranks: the
 /// rows their split points are stored at.
@@ -53,7 +59,8 @@ const ROOT: Cursor = Cursor {
 /// only, so the two ancestors are always the right ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cursor {
-    /// The node id.
+    /// The node's slot, its id: 0 for the root, `2r + 1` and `2r + 2` for
+    /// the left and right child of the internal node of rank `r`.
     pub node: u32,
     /// Depth (root = 0).
     pub level: u16,
@@ -68,9 +75,8 @@ pub struct Cursor {
 /// What [`DelayBalancedTree::node`] finds at a cursor besides the interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
-    /// The node's internal rank — its row in the tree's and the
-    /// dictionary's columns — or `None` for a leaf (no split point, no
-    /// row).
+    /// The node's internal rank — its row in the `β` column — or `None`
+    /// for a leaf (no split point, no row).
     pub internal: Option<u32>,
     /// Left child (covers `[lo, pred(β)]`).
     pub left: Option<Cursor>,
@@ -80,25 +86,27 @@ pub struct Node {
 
 /// The delay-balanced tree, immutable after build.
 ///
-/// Node ids follow the left-first pre-order of construction (0 is the
-/// root), so a left child is always `w + 1` and only the right child's id
-/// is stored. Per node: one bit, set when the node is internal. Per
-/// internal node, at its rank (the internal nodes before it): one `β` row
-/// of `µ` ranks and one `right` id, each column packed at the width its
-/// largest value needs (docs/ARCHITECTURE.md, "Packed integer columns").
-/// A leaf has no row. Intervals, levels and left children are derived by
-/// the walk; see [`Cursor`].
+/// Node ids are level-order slots: the root is slot 0 and the internal
+/// node of rank `r` (the internal nodes in slots before it) owns slots
+/// `2r + 1` and `2r + 2` for its children, so no child id is stored. Per
+/// slot (`2I + 1` of them for `I` internal nodes): one bit, set when the
+/// slot holds an internal node. Per internal node, at its rank: one `β`
+/// row of `µ` ranks, packed at the width its largest value needs
+/// (docs/ARCHITECTURE.md, "Packed integer columns"). A leaf has no row,
+/// and a child slot with no node is told apart from a leaf by `β`: the
+/// left child exists iff `β ≠ lo`, the right one iff `β ≠ hi`. Intervals,
+/// levels and children are derived by the walk; see [`Cursor`].
 #[derive(Debug)]
 pub struct DelayBalancedTree {
-    /// One bit per node, set at internal nodes; its rank is a node's row.
+    /// One bit per slot, set where the slot holds an internal node; its
+    /// rank is that node's row.
     internal: RankedBits,
     /// Split points at stride `µ`, one row per internal node.
     beta: Packed,
-    /// Right child ids, one per internal node. The root is never a right
-    /// child, so 0 is "none".
-    right: Packed,
     /// The grid `D_f` the root spans (`µ` domain sizes).
     sizes: Vec<usize>,
+    /// Nodes (internal and leaves), counted at build.
+    nodes: usize,
     /// Maximum node level.
     depth: u16,
     /// Maximum level of a node with a split point (`None`: the root is a
@@ -111,6 +119,44 @@ pub struct DelayBalancedTree {
     pub tau: f64,
     /// The slack α of the cover.
     pub alpha: f64,
+}
+
+/// An internal node the build has ranked but whose children it has not
+/// built yet: what their cursors inherit, and which of them exist (12
+/// bytes, where its two child cursors would take 32).
+#[derive(Debug, Clone, Copy)]
+struct Unexpanded {
+    lo_from: u32,
+    hi_from: u32,
+    level: u16,
+    left: bool,
+    right: bool,
+}
+
+/// The cursor of the next child slot that holds a node, in slot order:
+/// `pending`'s front is the internal node of rank `expanding`, which is
+/// popped once its children are handed out. `None` when no node is left.
+fn next_child(pending: &mut VecDeque<Unexpanded>, expanding: &mut u32) -> Option<Cursor> {
+    while let Some(p) = pending.front_mut() {
+        let rank = *expanding;
+        // The parent's own slot is not needed for its children's.
+        let parent = Cursor {
+            node: NO_NODE,
+            level: p.level,
+            lo_from: p.lo_from,
+            hi_from: p.hi_from,
+        };
+        if std::mem::take(&mut p.left) {
+            return Some(parent.left_child(rank));
+        }
+        let right = p.right;
+        pending.pop_front();
+        *expanding += 1;
+        if right {
+            return Some(parent.right_child(rank));
+        }
+    }
+    None
 }
 
 /// `τ_ℓ = τ / 2^{ℓ(1−1/α)}`.
@@ -126,23 +172,22 @@ impl Node {
 }
 
 impl Cursor {
-    /// The left child's cursor, for a node of internal rank `rank`: node
-    /// `w + 1` by the left-first pre-order, same lower endpoint, upper
-    /// endpoint `pred(β(w))`.
+    /// The left child's cursor, for a node of internal rank `rank`: slot
+    /// `2·rank + 1`, same lower endpoint, upper endpoint `pred(β(w))`.
     fn left_child(self, rank: u32) -> Cursor {
         Cursor {
-            node: self.node + 1,
+            node: 2 * rank + 1,
             level: self.level + 1,
             lo_from: self.lo_from,
             hi_from: rank,
         }
     }
 
-    /// The right child's cursor, for a node of internal rank `rank`:
-    /// lower endpoint `succ(β(w))`, same upper endpoint.
-    fn right_child(self, rank: u32, node: u32) -> Cursor {
+    /// The right child's cursor, for a node of internal rank `rank`: slot
+    /// `2·rank + 2`, lower endpoint `succ(β(w))`, same upper endpoint.
+    fn right_child(self, rank: u32) -> Cursor {
         Cursor {
-            node,
+            node: 2 * rank + 2,
             level: self.level + 1,
             lo_from: rank,
             hi_from: self.hi_from,
@@ -223,11 +268,11 @@ impl DelayBalancedTree {
         let mut interval = FInterval::full(&sizes)?;
 
         // The columns as the build writes them, packed once every node is
-        // numbered: a bit per node, a `β` row and a right id per internal
+        // numbered: a bit per slot (64 to a word), a `β` row per internal
         // node.
-        let mut internal: Vec<bool> = Vec::new();
+        let mut internal: Vec<u64> = Vec::new();
         let mut beta_col: Vec<u64> = Vec::new();
-        let mut right_col: Vec<u64> = Vec::new();
+        let (mut nodes, mut ranks) = (0usize, 0u32);
         let (mut depth, mut deepest_internal) = (0, None);
         // Scratch shared by every node: the interval's boxes, their `T`s
         // (summed for the leaf test, then handed to Algorithm 1), the
@@ -236,23 +281,18 @@ impl DelayBalancedTree {
         let mut t_of: Vec<f64> = Vec::new();
         let mut prefix_cost = PrefixCost::new(est);
         let mut beta: Vec<usize> = Vec::with_capacity(mu);
-        // Pending nodes. A left child is numbered right after its parent,
-        // so its cursor is complete; a right child's id is only known when
-        // it is popped (`NO_NODE` until then), and is stored at its
-        // parent's rank, the cursor's `lo_from`.
-        let mut stack: Vec<Cursor> = vec![ROOT];
+        // Internal nodes whose children are not built yet, of ranks
+        // `expanding..ranks`. Children are built in slot order — rank `r`'s
+        // left child `2r + 1`, its right child `2r + 2`, then rank
+        // `r + 1`'s — so the internal nodes among them are ranked, and
+        // their rows written, in slot order too.
+        let mut pending: VecDeque<Unexpanded> = VecDeque::new();
+        let mut expanding = 0u32;
+        let mut next = Some(ROOT);
 
-        while let Some(mut c) = stack.pop() {
+        while let Some(c) = next {
             assert!(c.level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
-            let idx = u32::try_from(internal.len())
-                .ok()
-                .filter(|&i| i != NO_NODE)
-                .expect("node ids fit in u32");
-            if c.node == NO_NODE {
-                c.node = idx;
-                right_col[c.lo_from as usize] = u64::from(idx);
-            }
-            assert_eq!(c.node, idx, "left children follow their parent");
+            nodes += 1;
             endpoints(c, &sizes, &mut interval.lo, &mut interval.hi, |w, out| {
                 let row = &beta_col[w as usize * mu..][..mu];
                 for (o, &b) in out.iter_mut().zip(row) {
@@ -268,38 +308,41 @@ impl DelayBalancedTree {
             // Leaf when T(I(w)) < τ_ℓ (zero-cost intervals are always
             // leaves; they cannot be split): a clear bit and no row.
             let leaf = t <= 0.0 || !approx_ge(t, tau_level(tau, alpha, c.level));
-            internal.push(!leaf);
-            if leaf {
-                continue;
+            if !leaf {
+                ranks += 1;
+                assert!(ranks < NO_NODE / 2, "slots fit in u32");
+                let slot = c.node as usize;
+                internal.resize(slot / 64 + 1, 0);
+                internal[slot / 64] |= 1 << (slot % 64);
+                split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
+                assert!(
+                    interval.contains(&beta),
+                    "split point must lie in the interval"
+                );
+                beta_col.extend(beta.iter().map(|&r| r as u64));
+                deepest_internal = deepest_internal.max(Some(c.level));
+                // `[lo, pred(β)]` and `[succ(β), hi]` are non-empty iff β
+                // is not that endpoint; `node` reads presence the same way.
+                pending.push_back(Unexpanded {
+                    lo_from: c.lo_from,
+                    hi_from: c.hi_from,
+                    level: c.level,
+                    left: beta != interval.lo,
+                    right: beta != interval.hi,
+                });
             }
-            let rank = right_col.len() as u32;
-            right_col.push(0);
-            split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
-            assert!(
-                interval.contains(&beta),
-                "split point must lie in the interval"
-            );
-            beta_col.extend(beta.iter().map(|&r| r as u64));
-            deepest_internal = deepest_internal.max(Some(c.level));
-            // `[lo, pred(β)]` and `[succ(β), hi]` are non-empty iff β is
-            // not that endpoint. Push right first so the left child is
-            // processed (and thus numbered) first: node ids follow the
-            // left-first pre-order, which the cursor relies on for `w + 1`
-            // and the dictionary build to emit its per-node runs in id
-            // order.
-            if beta != interval.hi {
-                stack.push(c.right_child(rank, NO_NODE));
-            }
-            if beta != interval.lo {
-                stack.push(c.left_child(rank));
-            }
+            next = next_child(&mut pending, &mut expanding);
         }
+        drop(pending);
+        let slots = 2 * ranks as usize + 1;
 
         let tree = DelayBalancedTree {
-            internal: RankedBits::new(internal),
+            internal: RankedBits::new(
+                (0..slots).map(|s| internal.get(s / 64).is_some_and(|w| w >> (s % 64) & 1 == 1)),
+            ),
             beta: Packed::from_slice(&beta_col),
-            right: Packed::from_slice(&right_col),
             sizes,
+            nodes,
             depth,
             deepest_internal,
             count_probes: metrics::snapshot().count_probes - probes_before,
@@ -329,14 +372,19 @@ impl DelayBalancedTree {
             };
         };
         let row = rank * self.sizes.len();
-        // The left child `[lo, pred(β)]` is empty iff `β = lo`.
-        let left = (0..lo.len()).any(|i| self.beta.get(row + i) as usize != lo[i]);
-        let right = self.right.get(rank) as u32;
+        // The left child `[lo, pred(β)]` is empty iff `β = lo`, the right
+        // child `[succ(β), hi]` iff `β = hi`.
+        let (mut left, mut right) = (false, false);
+        for (i, (&l, &h)) in lo.iter().zip(hi.iter()).enumerate() {
+            let b = self.beta.get(row + i) as usize;
+            left |= b != l;
+            right |= b != h;
+        }
         let rank = rank as u32;
         Node {
             internal: Some(rank),
             left: left.then(|| c.left_child(rank)),
-            right: (right != 0).then(|| c.right_child(rank, right)),
+            right: right.then(|| c.right_child(rank)),
         }
     }
 
@@ -351,7 +399,7 @@ impl DelayBalancedTree {
         self.internal.rank_of_set(w as usize).map(|r| r as u32)
     }
 
-    /// The id of the internal node of rank `rank` (off the serve path: a
+    /// The slot of the internal node of rank `rank` (off the serve path: a
     /// binary search over the rank directory).
     ///
     /// # Panics
@@ -364,8 +412,16 @@ impl DelayBalancedTree {
             "internal rank {rank} of {}",
             self.num_internal()
         );
-        // The first node with more than `rank` internal nodes up to it.
-        partition_point(0, self.len(), |w| self.internal.rank(w + 1) > rank) as u32
+        // The first slot with more than `rank` internal nodes up to it.
+        partition_point(0, self.internal.len(), |w| self.internal.rank(w + 1) > rank) as u32
+    }
+
+    /// Node `w`'s parent's slot and whether `w` is its right child; `None`
+    /// for the root (off the serve path: slot `w` belongs to the internal
+    /// node of rank `(w − 1) / 2`, on side `(w − 1) % 2`).
+    pub fn parent(&self, w: u32) -> Option<(u32, bool)> {
+        let s = w.checked_sub(1)?;
+        Some((self.internal_node(s / 2), s % 2 == 1))
     }
 
     /// Decodes the `β` row of the internal node of rank `rank` into `out`
@@ -412,31 +468,35 @@ impl DelayBalancedTree {
         interval
     }
 
-    /// Every node's cursor in id order (the `w`-th item is node `w`): a
-    /// left-first pre-order walk from the root.
+    /// Every node's cursor in ascending slot order, as the build numbered
+    /// them: a breadth-first walk from the root.
     pub fn cursors(&self) -> impl Iterator<Item = Cursor> + '_ {
-        let mut stack = vec![self.root()];
+        let mut queue = VecDeque::from([self.root()]);
         let FInterval { mut lo, mut hi } = self.interval(self.root());
         std::iter::from_fn(move || {
-            let c = stack.pop()?;
+            let c = queue.pop_front()?;
             let node = self.node(c, &mut lo, &mut hi);
-            stack.extend([node.right, node.left].into_iter().flatten());
+            queue.extend([node.left, node.right].into_iter().flatten());
             Some(c)
         })
     }
 
-    /// Number of nodes.
+    /// Number of nodes, internal and leaves.
     pub fn len(&self) -> usize {
-        self.internal.len()
+        self.nodes
     }
 
     /// `true` when the tree has no nodes (never produced by `build`).
     pub fn is_empty(&self) -> bool {
-        self.internal.is_empty()
+        self.nodes == 0
     }
 
-    /// Number of internal nodes: the rows of the `β` and right-id columns
-    /// and of the dictionary's CSR.
+    /// Number of slots, `2I + 1` for `I` internal nodes: ids are below it.
+    pub fn num_slots(&self) -> usize {
+        self.internal.len()
+    }
+
+    /// Number of internal nodes: the rows of the `β` column.
     pub fn num_internal(&self) -> usize {
         self.internal.count_ones()
     }
@@ -472,19 +532,11 @@ impl DelayBalancedTree {
     pub fn beta_width(&self) -> u32 {
         self.beta.width()
     }
-
-    /// Bits per stored right-child id.
-    pub fn right_width(&self) -> u32 {
-        self.right.width()
-    }
 }
 
 impl HeapSize for DelayBalancedTree {
     fn heap_bytes(&self) -> usize {
-        self.internal.heap_bytes()
-            + self.beta.heap_bytes()
-            + self.right.heap_bytes()
-            + self.sizes.heap_bytes()
+        self.internal.heap_bytes() + self.beta.heap_bytes() + self.sizes.heap_bytes()
     }
 }
 
@@ -682,15 +734,16 @@ mod tests {
         tree.split_point_into(0, &mut [0; 2]);
     }
 
-    /// `internal_node` inverts `internal_rank` on every internal node.
+    /// `internal_node` inverts `internal_rank` on every internal slot.
     #[test]
     fn internal_node_inverts_internal_rank() {
         let est = running_estimator();
         for tau in [1.0, 2.0, 4.0] {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
-            let internal: Vec<u32> = (0..tree.len() as u32)
+            let internal: Vec<u32> = (0..tree.num_slots() as u32)
                 .filter(|&w| !tree.is_leaf(w))
                 .collect();
+            assert_eq!(tree.num_slots(), 2 * internal.len() + 1, "τ={tau}");
             for (rank, &w) in internal.iter().enumerate() {
                 assert_eq!(tree.internal_node(rank as u32), w, "τ={tau}");
                 assert_eq!(tree.internal_rank(w), Some(rank as u32));
@@ -698,11 +751,12 @@ mod tests {
         }
     }
 
-    /// The stored tree is `β` and `right` only; the walk must give back
-    /// everything the build knew. Over random triangle / star / path
-    /// instances (µ = 1, 2, 3), both split rules and three τ, the cursor
-    /// reproduces each node's id, level, interval and `T` exactly as the
-    /// build observed them — through every child shape: both children,
+    /// The stored tree is the slot bits and `β` only; the walk must give
+    /// back everything the build knew. Over random triangle / star / path
+    /// instances (µ = 1, 2, 3) and three τ, the cursor reproduces each
+    /// node's slot, level, interval and `T` exactly as the build observed
+    /// them, in the build's (ascending slot) order — through every child
+    /// shape: both children,
     /// only a left one (`β = hi`), only a right one (`β = lo`), an
     /// internal node with neither, and a tree that is one leaf.
     #[test]

@@ -131,7 +131,7 @@ struct Survivors {
     first: Vec<Value>,
 }
 
-/// A node's run of entries, as the build stores them in node-id order.
+/// A node's run of entries, as the build stores them in left-first pre-order.
 #[derive(Debug, Clone, Copy)]
 struct Run {
     /// The run's first entry, in build order.
@@ -304,8 +304,7 @@ impl HeavyDictionary {
             }));
         }
 
-        // 2. DFS in node-id order (left-first pre-order, exactly how the
-        //    tree numbered the nodes). An internal node evaluates
+        // 2. DFS in left-first pre-order. An internal node evaluates
         //    `T(v_b, I(w))` for the candidates its parent stored, stores
         //    the heavy ones with their emptiness bit and passes them down.
         //    Three exact prunings keep that cheap (docs/ARCHITECTURE.md,
@@ -638,17 +637,17 @@ impl HeavyDictionary {
     }
 
     /// Narrows `entries`, the root's (or some of them), to what node `w`
-    /// stores of their candidates, following the path from the root: the
-    /// left child of `v` is `v + 1` and the right child's id is stored.
+    /// stores of their candidates, following the path from the root. The
+    /// path is climbed from `w` first: each slot names its parent and its
+    /// side ([`DelayBalancedTree::parent`]).
     fn descend_to(&self, tree: &DelayBalancedTree, w: u32, entries: &mut Vec<Entry>) {
-        let FInterval { mut lo, mut hi } = tree.interval(tree.root());
-        let mut c = tree.root();
-        while c.node != w {
-            let node = tree.node(c, &mut lo, &mut hi);
-            let (child, side) = match node.right {
-                Some(right) if w >= right.node => (right, Side::Right),
-                _ => (node.left.expect("w lies below a child"), Side::Left),
-            };
+        let mut sides = Vec::new();
+        let mut at = w;
+        while let Some((parent, right)) = tree.parent(at) {
+            sides.push(if right { Side::Right } else { Side::Left });
+            at = parent;
+        }
+        for &side in sides.iter().rev() {
             entries.retain_mut(|e| match self.child(e.entry, side) {
                 Some(entry) => {
                     e.entry = entry;
@@ -656,7 +655,6 @@ impl HeavyDictionary {
                 }
                 None => false,
             });
-            c = child;
         }
     }
 
@@ -675,11 +673,11 @@ impl HeavyDictionary {
         }
     }
 
-    /// Walks `tree` top-down in node-id order, calling `visit` at every
-    /// node it reaches with the node's entries; `visit` returns whether to
-    /// descend into the node's children. Off the serve path: each visited
-    /// node's children's lists are derived from its own, one child bit per
-    /// entry and side, in a scratch stack of lists.
+    /// Walks `tree` top-down in left-first pre-order, calling `visit` at
+    /// every node it reaches with the node's entries; `visit` returns
+    /// whether to descend into the node's children. Off the serve path:
+    /// each visited node's children's lists are derived from its own, one
+    /// child bit per entry and side, in a scratch stack of lists.
     pub fn walk(&self, tree: &DelayBalancedTree, mut visit: impl FnMut(&WalkStep<'_>) -> bool) {
         let mut interval = tree.interval(tree.root());
         // The pending nodes' lists, end to end in stack order: a node's
@@ -728,9 +726,9 @@ impl HeavyDictionary {
     }
 
     /// Iterates over all entries as `(r, v_b, bit)`, `r` the node's
-    /// internal rank, in node order, each node's in ascending `v_b` order
-    /// (off the serve path: a walk, each `v_b` decoded into its own
-    /// `Vec`).
+    /// internal rank, by ascending rank, each node's in ascending `v_b`
+    /// order (off the serve path: a walk, each `v_b` decoded into its own
+    /// `Vec`, then a stable sort by rank).
     pub fn entries(
         &self,
         tree: &DelayBalancedTree,
@@ -746,6 +744,7 @@ impl HeavyDictionary {
             }
             true
         });
+        out.sort_by_key(|&(rank, _, _)| rank);
         out.into_iter()
     }
 
@@ -873,9 +872,9 @@ mod tests {
         tree.cursors().filter(|c| !tree.is_leaf(c.node)).collect()
     }
 
-    /// Each node's parent, by id (`None` for the root).
+    /// Each node's parent, by id (`None` for the root and empty slots).
     fn parents(tree: &DelayBalancedTree) -> Vec<Option<u32>> {
-        let mut parent = vec![None; tree.len()];
+        let mut parent = vec![None; tree.num_slots()];
         let FInterval { mut lo, mut hi } = tree.interval(tree.root());
         for c in tree.cursors() {
             let node = tree.node(c, &mut lo, &mut hi);
@@ -919,14 +918,14 @@ mod tests {
         assert_eq!(at_leaf, Some(0));
 
         // Brute-force cross-check over the whole bound grid, parents first
-        // (the cursors come in pre-order).
+        // (the cursors come in level order).
         let sizes = est.sizes();
         let parent = parents(&tree);
         for w1 in 1..=3u64 {
             for w2 in 1..=2u64 {
                 for w3 in 1..=2u64 {
                     let vb = [w1, w2, w3];
-                    let mut stored = vec![false; tree.len()];
+                    let mut stored = vec![false; tree.num_slots()];
                     for c in tree.cursors() {
                         let w = c.node;
                         let t = est.t_interval_bound(&vb, &tree.interval(c), &sizes);
@@ -943,6 +942,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The off-serve-path readers climb from a slot to the root instead of
+    /// walking down: at every internal rank of the running example (τ = 1
+    /// and 4) and of the `gen triangle 400 7` `bff` tree at τ = 8,
+    /// `entries_of` and `get` give exactly the list the walk yields at that
+    /// node, `internal_node` inverts `internal_rank`, and `parent` names the
+    /// node the walk came from.
+    #[test]
+    fn off_serve_path_readers_agree_with_the_walk() {
+        let (view, db) = running_example();
+        let mut structures: Vec<Theorem1Structure> = [1.0, 4.0]
+            .map(|tau| Theorem1Structure::build(&view, &db, &[1.0; 3], tau).unwrap())
+            .into();
+        let (relations, _) = cqc_workload::triangle_relations(7, 400);
+        let mut db = cqc_storage::Database::new();
+        for r in relations {
+            db.add(r).unwrap();
+        }
+        let view =
+            cqc_query::parser::parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
+        structures.push(Theorem1Structure::build(&view, &db, &[0.5; 3], 8.0).unwrap());
+        for s in &structures {
+            let (tree, dict) = (s.tree().unwrap(), s.dictionary());
+            let ctx = format!("τ={} ({} nodes)", s.tau(), tree.len());
+            let mut internal = 0;
+            dict.walk(tree, |step| {
+                let w = step.cursor.node;
+                for (side, child) in [step.node.left, step.node.right].into_iter().enumerate() {
+                    if let Some(child) = child {
+                        assert_eq!(tree.parent(child.node), Some((w, side == 1)), "{ctx}");
+                    }
+                }
+                let Some(rank) = step.node.internal else {
+                    return true;
+                };
+                internal += 1;
+                assert_eq!(tree.internal_rank(w), Some(rank), "{ctx}");
+                assert_eq!(tree.internal_node(rank), w, "{ctx}");
+                let walked: Vec<(Vec<Value>, bool)> = step
+                    .entries
+                    .iter()
+                    .map(|e| (dict.cand(e.cand), dict.bit(e.entry)))
+                    .collect();
+                let read: Vec<(Vec<Value>, bool)> = dict.entries_of(tree, rank).collect();
+                assert_eq!(read, walked, "{ctx} slot {w}");
+                for (vb, bit) in &walked {
+                    assert_eq!(dict.get(tree, rank, vb), Some(*bit), "{ctx} slot {w}");
+                }
+                true
+            });
+            assert_eq!(internal, tree.num_internal(), "{ctx}");
+        }
+        assert_eq!(structures[2].stats().tree_nodes, 777);
     }
 
     /// Bits must reflect emptiness of the restricted join.
@@ -1007,10 +1060,16 @@ mod tests {
                 seen.push((w, vb.to_vec(), first.map(<[Value]>::to_vec)));
             });
             assert_eq!(seen.len(), dict.num_entries());
+            // The build reports in walk order; `entries` by rank.
+            seen.sort_by_key(|&(w, _, _)| w);
             let internal = internal_cursors(&tree);
             let mut zeros = 0;
             for ((w, vb, first), (ew, evb, bit)) in seen.iter().zip(dict.entries(&tree)) {
-                assert_eq!((*w, &vb[..]), (ew, &evb[..]), "reported in storage order");
+                assert_eq!(
+                    (*w, &vb[..]),
+                    (ew, &evb[..]),
+                    "the same pairs, node by node"
+                );
                 let interval = tree.interval(internal[*w as usize]);
                 // The oracle emits in lexicographic order.
                 let expect = cqc_join::naive::evaluate_view(&view, &db, vb)

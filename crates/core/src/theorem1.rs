@@ -295,9 +295,7 @@ impl Theorem1Structure {
             tree_nodes: self.tree().map_or(0, DelayBalancedTree::len),
             tree_leaves: self.tree().map_or(0, DelayBalancedTree::num_leaves),
             tree_depth: self.tree().map_or(0, DelayBalancedTree::depth),
-            tree_widths: self
-                .tree()
-                .map_or((0, 0), |t| (t.beta_width(), t.right_width())),
+            tree_beta_width: self.tree().map_or(0, DelayBalancedTree::beta_width),
             dict_entries: self.dict.num_entries(),
             dict_value_width: self.dict.value_width(),
             dict_child_bits: self.dict.child_bits(),
@@ -401,9 +399,8 @@ pub struct Theorem1Stats {
     pub tree_leaves: usize,
     /// Tree depth.
     pub tree_depth: u16,
-    /// Bits per stored `β` rank and per right-child id (`(0, 0)` without
-    /// a tree).
-    pub tree_widths: (u32, u32),
+    /// Bits per stored `β` rank (0 without a tree).
+    pub tree_beta_width: u32,
     /// Heavy pairs stored in the dictionary.
     pub dict_entries: usize,
     /// Bits per stored candidate value.
@@ -1286,5 +1283,24 @@ pub(crate) mod tests {
             ("star bbff", 8.0, 1021, 13_071_366_079_398_346_787),
         ];
         assert_eq!(got, pinned);
+    }
+
+    /// The worst case for slot padding: a tree with no leaf (the ledger's
+    /// `exp1 … theorem 1 tau=1` row) has `2·195 + 1` slots for its 195
+    /// nodes, and still takes less than the 448 B it took with a right-child
+    /// id per internal node.
+    #[test]
+    fn an_all_internal_tree_is_no_larger_than_with_right_ids() {
+        let mut rng = cqc_workload::rng(1);
+        let mut db = Database::new();
+        db.add(cqc_workload::graphs::friendship_graph(
+            &mut rng, 200, 1500, 1.0,
+        ))
+        .unwrap();
+        let view = cqc_workload::queries::triangle_self("bfb").unwrap();
+        let s = Theorem1Structure::build(&view, &db, &[0.5; 3], 1.0).unwrap();
+        let st = s.stats();
+        assert_eq!((st.tree_nodes, st.tree_leaves), (195, 0));
+        assert!(st.tree_bytes <= 448, "{} B", st.tree_bytes);
     }
 }

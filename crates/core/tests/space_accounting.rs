@@ -23,10 +23,11 @@
 //!   dictionary to speak of: tries + grid + a one-leaf tree (a bit and a
 //!   directory entry), and an empty dictionary of no byte; beside it, on a hub instance, its
 //!   bytes stay below `materialize`'s, whose one bag holds every answer;
-//! * a layout pin met with equality: the tree is `µ·internal` ranks and
-//!   `internal` right-child ids (a leaf has no row), one bit per node in
-//!   `⌈nodes/64⌉` words and a rank directory of one value per word, plus
-//!   the grid sizes; the dictionary `|V_b|·cands` values (the root's
+//! * a layout pin met with equality: the tree is `µ·internal` ranks (a
+//!   leaf has no row, and no child id is stored: the internal node of rank
+//!   `r` owns slots `2r + 1` and `2r + 2`), one bit per slot in
+//!   `⌈(2·internal + 1)/64⌉` words and a rank directory of one value per
+//!   word, plus the grid sizes; the dictionary `|V_b|·cands` values (the root's
 //!   entries), two child bits per entry in `⌈2·entries/64⌉` words and a
 //!   rank directory of one value per word, plus one bit an entry — each
 //!   column at `⌈log₂(max + 1)⌉` bits a value, the maximum, the internal
@@ -78,10 +79,11 @@
 //! of a packed one fails its row — `β` as `Vec<u32>` the tree's; a zeroed
 //! `internal + 1` offsets column at the old CSR width kept beside the child
 //! bits (`kick-tires.sh`'s dictionary sabotage) fails the dictionary's at
-//! `bff`, 49 208 B for 78 746 entries; a zero `β` row and
-//! right id kept per leaf after the internal rows (both columns resized to
-//! the node count before packing) fails the tree's, 48 304 B for `bff`'s
-//! 11 631 nodes against 28 088 — and a `u64` column left
+//! `bff`, 49 208 B for 78 746 entries; `internal × width_for(nodes)` zero
+//! bits kept beside the slot bits, the size of the right-id column the
+//! level-order slots replaced (`kick-tires.sh`'s tree sabotage), fails the
+//! tree's, 30 664 B for `bff`'s 11 631 nodes against 16 808 — and a `u64`
+//! column left
 //! in place of a searchable one fails the trie row (depth 0 of every trie
 //! stored at 64 bits: the `bff` `R` trie reports 47 560 B against the
 //! pin's smaller figure), as does every searched column at 64 bits; a grid
@@ -123,7 +125,7 @@ use cqc_lp::covers::slack;
 use cqc_query::parser::parse_adorned;
 use cqc_query::{AdornedView, Var, VarSet};
 use cqc_storage::{Database, IndexPool, Relation, SortedIndex};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 #[global_allocator]
@@ -340,10 +342,11 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
 
         // Layout pin, met with equality: every column at the width of its
         // largest value, each width and count read off the structure
-        // through its public walk, not its layout. Tree: a bit per node in
+        // through its public walk, not its layout. Tree: a bit per slot in
         // 64-bit words and, per word, the internal nodes before it (the
-        // rank directory); per internal node `µ` ranks and a right-child
-        // id; plus the grid sizes. A leaf has no row. Dictionary: `|V_b|`
+        // rank directory); per internal node `µ` ranks; plus the grid
+        // sizes. A leaf has no row, and each child sits at the slot its
+        // parent's rank names, `2r + 1` (left) or `2r + 2` (right). Dictionary: `|V_b|`
         // values per kept candidate, which are the root's entries; two
         // child bits per entry in 64-bit words and, per word, the set bits
         // before it; and one bit per entry. Entry `e`'s child bits are
@@ -352,33 +355,42 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         // walk yields at a node and at its parent.
         let (nodes, entries, cands) = (tree.len(), dict.num_entries(), dict.num_candidates());
         let (mu, nb) = (view.mu(), view.bound_head().len());
-        let (mut max_beta, mut max_right) = (0, 0);
-        let (mut internal, mut directory_max) = (0usize, 0usize);
+        let mut max_beta = 0;
+        // The internal nodes' slots, by rank.
+        let mut internal_slots: Vec<u32> = Vec::new();
         // Per node: its parent and which child it is (`1`: the right one).
-        let mut parent: Vec<Option<(u32, usize)>> = vec![None; nodes];
+        let mut parent: BTreeMap<u32, (u32, usize)> = BTreeMap::new();
+        let mut walked = 0;
         let FInterval { mut lo, mut hi } = tree.interval(tree.root());
-        for (w, c) in tree.cursors().enumerate() {
+        for c in tree.cursors() {
             let node = tree.node(c, &mut lo, &mut hi);
-            if w % 64 == 0 {
-                directory_max = internal;
-            }
+            walked += 1;
             for (side, child) in [node.left, node.right].into_iter().enumerate() {
                 if let Some(child) = child {
-                    parent[child.node as usize] = Some((c.node, side));
+                    assert_eq!(
+                        child.node as usize,
+                        2 * internal_slots.len() + 1 + side,
+                        "{pattern}: a child's slot is its parent's rank's"
+                    );
+                    parent.insert(child.node, (c.node, side));
                 }
             }
             if let Some(beta) = tree.beta(c.node) {
-                internal += 1;
-                max_right = max_right.max(node.right.map_or(0, |r| r.node as u64));
+                internal_slots.push(c.node);
                 max_beta = max_beta.max(beta.into_iter().max().unwrap_or(0) as u64);
             }
         }
-        let words = nodes.div_ceil(64);
+        let internal = internal_slots.len();
+        let words = (2 * internal + 1).div_ceil(64);
+        let directory_max = internal_slots
+            .iter()
+            .filter(|&&w| (w as usize) < 64 * (words - 1))
+            .count();
+        assert_eq!(walked, nodes, "{pattern}");
         assert_eq!(tree.num_leaves(), nodes - internal, "{pattern}");
         assert_eq!(
             tree_bytes,
             column(mu * internal, max_beta)
-                + column(internal, max_right)
                 + 8 * words
                 + column(words, directory_max as u64)
                 + 8 * mu,
@@ -392,17 +404,17 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         );
         let max_value = keys.iter().flatten().copied().max().unwrap_or(0);
         // Each node's entries, ascending by candidate, by node id.
-        let mut held: Vec<Vec<Entry>> = vec![Vec::new(); nodes];
+        let mut held: BTreeMap<u32, Vec<Entry>> = BTreeMap::new();
         dict.walk(&tree, |step| {
-            held[step.cursor.node as usize] = step.entries.to_vec();
+            held.insert(step.cursor.node, step.entries.to_vec());
             true
         });
         let mut child_bits: Vec<usize> = Vec::new();
-        for (w, entries) in held.iter().enumerate() {
-            let Some((p, side)) = parent[w] else {
+        for (w, entries) in &held {
+            let Some(&(p, side)) = parent.get(w) else {
                 continue;
             };
-            let above = &held[p as usize];
+            let above = &held[&p];
             for e in entries {
                 let i = above.binary_search_by_key(&e.cand, |a| a.cand).unwrap();
                 child_bits.push(2 * above[i].entry as usize + side);

@@ -377,8 +377,16 @@ impl TreeDecomposition {
 
     /// Removes a node whose bag is contained in the root bag, reattaching
     /// its children to the root (the root bag is unchanged).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t`'s bag is not inside the root bag, in release builds
+    /// too: dropping it would lose the variables only it covers.
     fn drop_redundant_under_root(&self, t: usize) -> TreeDecomposition {
-        debug_assert!(self.bags[t].is_subset_of(self.bags[0]));
+        assert!(
+            self.bags[t].is_subset_of(self.bags[0]),
+            "bag {t} is not inside the root bag"
+        );
         let bags: Vec<VarSet> = (0..self.len())
             .filter(|&i| i != t)
             .map(|i| self.bags[i])
@@ -424,6 +432,14 @@ mod tests {
             vec![None, Some(0), Some(1), Some(0)],
         )
         .unwrap()
+    }
+
+    /// Bag 1 holds `v2` and `v4`, which the root lacks: dropping it under
+    /// the root panics, in release builds too.
+    #[test]
+    #[should_panic(expected = "bag 1 is not inside the root bag")]
+    fn dropping_a_bag_outside_the_root_panics() {
+        fig2_right().drop_redundant_under_root(1);
     }
 
     #[test]

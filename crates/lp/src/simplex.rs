@@ -285,7 +285,12 @@ impl Lp {
         total: usize,
     ) {
         let piv = t[row][col];
-        debug_assert!(piv.abs() > EPS);
+        // Release too: a pivot this small scales its row by 10⁹ or more
+        // (by ∞ at 0), and the tableau no longer encodes the program.
+        assert!(
+            piv.abs() > EPS,
+            "pivot {piv} at ({row}, {col}) is (near) zero"
+        );
         for j in 0..=total {
             t[row][j] /= piv;
         }
@@ -324,6 +329,15 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
+    }
+
+    /// A zero pivot would divide its row by 0: it panics, in release
+    /// builds too.
+    #[test]
+    #[should_panic(expected = "pivot 0 at (0, 0) is (near) zero")]
+    fn a_zero_pivot_panics() {
+        let mut t = [vec![0.0, 1.0, 2.0]];
+        Lp::pivot_with_cost(&mut t, &mut [0.0; 3], &mut [1], 0, 0, 2);
     }
 
     #[test]

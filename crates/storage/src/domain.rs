@@ -96,8 +96,18 @@ impl HeapSize for Domain {
 ///
 /// Returns `false` (leaving `ranks` unspecified) when `ranks` is the maximal
 /// tuple.
+///
+/// # Panics
+///
+/// Panics unless `ranks` has one rank per domain, in release builds too: a
+/// shorter tuple would be stepped against the wrong domains' sizes, a
+/// wrong endpoint.
 pub fn rank_tuple_succ(ranks: &mut [usize], sizes: &[usize]) -> bool {
-    debug_assert_eq!(ranks.len(), sizes.len());
+    assert_eq!(
+        ranks.len(),
+        sizes.len(),
+        "a rank tuple has one rank per domain"
+    );
     for i in (0..ranks.len()).rev() {
         if ranks[i] + 1 < sizes[i] {
             ranks[i] += 1;
@@ -113,8 +123,17 @@ pub fn rank_tuple_succ(ranks: &mut [usize], sizes: &[usize]) -> bool {
 /// Lexicographic predecessor of a rank tuple: `-1` with borrow.
 ///
 /// Returns `false` when `ranks` is the all-zero tuple.
+///
+/// # Panics
+///
+/// Panics unless `ranks` has one rank per domain, in release builds too
+/// (see [`rank_tuple_succ`]).
 pub fn rank_tuple_pred(ranks: &mut [usize], sizes: &[usize]) -> bool {
-    debug_assert_eq!(ranks.len(), sizes.len());
+    assert_eq!(
+        ranks.len(),
+        sizes.len(),
+        "a rank tuple has one rank per domain"
+    );
     for i in (0..ranks.len()).rev() {
         if ranks[i] > 0 {
             ranks[i] -= 1;
@@ -183,6 +202,21 @@ mod tests {
         for w in seen.windows(2) {
             assert!(w[0] < w[1]);
         }
+    }
+
+    /// A rank tuple shorter than the grid would be stepped against the
+    /// wrong domains' sizes: `succ` panics, in release builds too.
+    #[test]
+    #[should_panic(expected = "one rank per domain")]
+    fn succ_of_a_short_rank_tuple_panics() {
+        rank_tuple_succ(&mut [0, 0], &[2, 3, 2]);
+    }
+
+    /// See [`succ_of_a_short_rank_tuple_panics`].
+    #[test]
+    #[should_panic(expected = "one rank per domain")]
+    fn pred_of_a_short_rank_tuple_panics() {
+        rank_tuple_pred(&mut [1, 1], &[2, 3, 2]);
     }
 
     #[test]

@@ -249,8 +249,18 @@ impl SortedIndex {
 
     /// The range matching a prefix of constants at depths
     /// `0..prefix.len()`: a range at depth `prefix.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the prefix is longer than the arity, in release builds
+    /// too: a longer one that matches no row would count as empty.
     pub fn range_of_prefix(&self, prefix: &[Value]) -> (usize, usize) {
-        debug_assert!(prefix.len() <= self.arity());
+        assert!(
+            prefix.len() <= self.arity(),
+            "a prefix of {} values on an index of arity {}",
+            prefix.len(),
+            self.arity()
+        );
         let (mut lo, mut hi) = self.root();
         for (d, &v) in prefix.iter().enumerate() {
             if lo >= hi {
@@ -509,6 +519,12 @@ impl SortedIndex {
     ///
     /// Cost: a binary search per constrained depth and two offset reads
     /// per depth below, i.e. Õ(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics, in release builds too, when the prefix is longer than the
+    /// arity, or as long as it with a range (no depth is left to range
+    /// over).
     pub fn count(&self, prefix: &[Value], range: Option<(Value, Value)>) -> usize {
         metrics::record_count_probe();
         let (lo, hi) = self.range_of_prefix(prefix);
@@ -516,7 +532,7 @@ impl SortedIndex {
         match range {
             None => self.rows(d, lo, hi),
             Some((vlo, vhi)) => {
-                debug_assert!(d < self.arity(), "range depth out of bounds");
+                assert!(d < self.arity(), "range depth out of bounds");
                 let (l, h) = self.narrow_range(lo, hi, d, vlo, vhi);
                 self.rows(d, l, h)
             }
@@ -642,6 +658,22 @@ mod tests {
         assert_eq!(ix.count(&[2], Some((31, 100))), 0);
         // Inverted range is empty.
         assert_eq!(ix.count(&[], Some((5, 2))), 0);
+    }
+
+    /// A prefix longer than the arity that matches no row would count 0:
+    /// it panics instead, in release builds too.
+    #[test]
+    #[should_panic(expected = "a prefix of 4 values on an index of arity 3")]
+    fn a_prefix_longer_than_the_arity_panics() {
+        sample().count(&[9, 9, 9, 9], None);
+    }
+
+    /// A range needs a depth below the prefix: a full-length prefix with a
+    /// range panics, in release builds too.
+    #[test]
+    #[should_panic(expected = "range depth out of bounds")]
+    fn a_range_below_a_full_prefix_panics() {
+        sample().count(&[9, 9, 9], Some((0, 5)));
     }
 
     #[test]

@@ -133,6 +133,23 @@ if grep -nE '\bInstant\b|elapsed\(' crates/bench/src/bin/ledger.rs; then
     exit 1
 fi
 
+# Release is the tested mode, so a `debug_assert` guards nothing there:
+# one that guards an index or a decode is an `assert`, and each that stays
+# (a per-answer or per-comparison check that cannot read wrong data, e.g.
+# `lex_cmp`'s and `split.rs`'s) says why in a `//` comment within the
+# three lines above it. Fails on a bare `debug_assert!(true);` added to
+# `RankedBits::get` in crates/common/src/packed.rs (checked once).
+unexplained="$(find crates -name '*.rs' -print0 | xargs -0 awk '
+    function comment(line) { return line ~ /^[[:space:]]*\/\/([^\/]|$)/ }
+    FNR == 1 { a = b = c = "" }
+    /debug_assert(_eq|_ne)?!/ && !(comment(a) || comment(b) || comment(c)) { print FILENAME ":" FNR ": " $0 }
+    { c = b; b = a; a = $0 }')"
+if [ -n "$unexplained" ]; then
+    echo "$unexplained" >&2
+    echo "a debug_assert without its reason: make it an assert, or say in a comment why it stays debug-only" >&2
+    exit 1
+fi
+
 step "benchmark package compiles against this tree"
 # benchmark/ is its own workspace and frozen between benchmark PRs: an API
 # it calls going missing must fail here, in seconds, not after the
@@ -230,19 +247,22 @@ cqe \
     tee "$OUT/extremes.out"
 grep -Eq "repr: +theorem 2: 1 bags \(0 delay-tuned" "$OUT/extremes.out"
 grep -Eq "repr: +theorem 1: τ = inf.*tree 1 nodes.*dictionary 0 heavy pairs" "$OUT/extremes.out"
-# A Theorem 1 leaf costs one bit: the tree stores a split point and a
-# right-child id for internal nodes only, at their rank in a bit column
-# with one bit per node. `lo` (τ = 8) has 777 nodes, 333 of them leaves,
-# and prints 1 368 B = 1.76 B/node. A row per node, leaves' all zero,
-# printed 2 160 B (2.78 B/node). The one-line sabotage that keeps a zero
-# row per leaf beside the bit column — `(beta_col.resize(mu *
-# internal.len(), 0), right_col.resize(internal.len(), 0));` just before
-# `DelayBalancedTree::build_observed` packs the columns — prints 2 280 B
-# (2.93 B/node) and fails the gate (checked once). The gate is 2.2.
+# A Theorem 1 leaf costs one bit and a child id none: the tree stores a
+# split point for internal nodes only, at their rank in a bit column with
+# one bit per level-order slot (the internal node of rank r owns slots
+# 2r + 1 and 2r + 2). `lo` (τ = 8) has 777 nodes, 333 of them leaves, and
+# prints 816 B = 1.05 B/node. A right-child id per internal node printed
+# 1 368 B (1.76 B/node), a row per node 2 160 B (2.78 B/node). The
+# one-line sabotage that keeps `internal × width_for(nodes)` zero bits
+# beside the slot bits, the right-id column's size — `let slots = 2 *
+# ranks as usize + 1 + ranks as usize *
+# cqc_common::packed::width_for(nodes as u64) as usize;` in
+# `DelayBalancedTree::build_observed` — prints 1 456 B (1.87 B/node) and
+# fails the gate (checked once). The gate is 1.3.
 lo_tree="$(grep -E 'τ = 8\.00' "$OUT/extremes.out" | grep -Eo 'tree [0-9]+ nodes, [0-9]+ leaves \([^)]*\)')"
 lo_nodes="$(echo "$lo_tree" | grep -Eo '^tree [0-9]+' | grep -Eo '[0-9]+')"
 lo_bytes="$(echo "$lo_tree" | grep -Eo '[0-9]+ B =' | grep -Eo '[0-9]+')"
-awk -v b="$lo_bytes" -v n="$lo_nodes" 'BEGIN { printf "tree layout: %d B / %d nodes = %.2f B/node\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 2.2) }'
+awk -v b="$lo_bytes" -v n="$lo_nodes" 'BEGIN { printf "tree layout: %d B / %d nodes = %.2f B/node\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 1.3) }'
 # The dictionary stores each child's list as two bits over each of its
 # parent's entries: candidate values for the root's entries, two child
 # bits and their rank directory per entry, and one bit per entry. `lo`

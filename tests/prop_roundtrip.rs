@@ -139,7 +139,7 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
     let est = CostEstimator::build(view, db, s.weights(), s.alpha()).unwrap();
     let sizes = est.sizes();
     let candidates = bound_touching_view(view);
-    let mut parent = vec![None; tree.len()];
+    let mut parent = vec![None; tree.num_slots()];
     let FInterval { mut lo, mut hi } = tree.interval(tree.root());
     for c in tree.cursors() {
         let node = tree.node(c, &mut lo, &mut hi);
@@ -161,8 +161,8 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
                     .expect("answers lie on the grid")
             })
             .collect();
-        // The cursors come in pre-order: a parent's verdict is in first.
-        let mut held = vec![false; tree.len()];
+        // The cursors come in level order: a parent's verdict is in first.
+        let mut held = vec![false; tree.num_slots()];
         for c in tree.cursors() {
             let (w, interval) = (c.node, tree.interval(c));
             let heavy = is_candidate
