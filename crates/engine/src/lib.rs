@@ -25,17 +25,21 @@
 //!   one request's answers pushed into the caller's
 //!   [`cqc_common::AnswerSink`] (an [`cqc_common::AnswerBlock`] to keep
 //!   them, a [`cqc_common::measure::DelayProbe`] to time them);
-//!   [`stripe_requests`] spreads a request list over OS threads;
+//!   [`stripe_requests`] spreads a request list over OS threads through
+//!   [`fan_out`], the one per-call fan-out (first target on the calling
+//!   thread, the rest on scoped threads);
 //! * [`Engine::with_view_enumerator`] — the epoch-consistent stream
 //!   primitive underneath: one reusable enumerator per view, zero heap
 //!   allocations per answer once warm (gated in CI by the counting
 //!   allocator);
-//! * [`ShardedEngine`] — partition, fan out, merge: relations are
+//! * [`ShardedEngine`] — partition, route, fan out, merge: relations are
 //!   hash-partitioned into `S` disjoint sub-databases
 //!   ([`cqc_storage::Partitioning`]), each owned by a full [`Engine`]
 //!   ([`ShardedEngine::shard`]); `register` plans once and builds the
-//!   per-shard representations in parallel, `serve_blocks_into` fans out
-//!   and [`BlockService::serve_into`] `k`-way-merges the per-shard flat
+//!   per-shard representations in parallel; a request whose bound values
+//!   fix the partition variable goes to its one owning shard ([`Route`]),
+//!   any other one fans out through `serve_blocks_into` and
+//!   [`BlockService::serve_into`] `k`-way-merges the per-shard flat
 //!   blocks back into lexicographic order ([`cqc_common::BlockMerger`]),
 //!   and `update` splits a delta per shard so shard epochs (the vector
 //!   version, [`ShardedEngine::version`]) advance independently.
@@ -83,7 +87,5 @@ pub mod sharded;
 pub use catalog::{Catalog, CatalogKey, CatalogStats};
 pub use engine::{Engine, EngineConfig, RecoveryStats, RegisteredView, UpdateReport, UpdateStats};
 pub use policy::{Policy, Selection};
-pub use service::{stripe_requests, BlockService};
-pub use sharded::{
-    spec_for_view, view_fans_out, ShardedBlocks, ShardedEngine, ShardedEngineConfig,
-};
+pub use service::{fan_out, stripe_requests, BlockService};
+pub use sharded::{spec_for_view, Route, ShardedBlocks, ShardedEngine, ShardedEngineConfig};

@@ -127,10 +127,47 @@ pub trait BlockService: Send + Sync {
     }
 }
 
+/// Runs `f` once per target and returns the results in target order: the
+/// first target on the calling thread, each other one on its own scoped
+/// thread. One target spawns nothing; zero targets run nothing. This is
+/// the one per-call fan-out of `cqc-engine` and `cqc-net` (shard builds,
+/// serves and updates, replica-group requests, [`stripe_requests`]).
+///
+/// The work counters and build phases of [`cqc_common::metrics`] are
+/// thread-local, so what the first target does accrues to the caller's
+/// counters and what the others do is not seen by the caller.
+///
+/// A panic in any target is re-raised on the calling thread once every
+/// target has finished.
+pub fn fan_out<A: Send, T: Send>(
+    targets: impl IntoIterator<Item = A>,
+    f: impl Fn(A) -> T + Sync,
+) -> Vec<T> {
+    let mut targets = targets.into_iter().peekable();
+    let Some(first) = targets.next() else {
+        return Vec::new();
+    };
+    if targets.peek().is_none() {
+        return vec![f(first)];
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = targets.map(|a| scope.spawn(move || f(a))).collect();
+        let mut out = Vec::with_capacity(rest.len() + 1);
+        out.push(f(first));
+        out.extend(
+            rest.into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+        );
+        out
+    })
+}
+
 /// Runs `f(0)`, …, `f(requests - 1)` striped round-robin across `threads`
-/// OS threads and returns the results in request order — how one shared
-/// service answers a request list from several readers at once (every
-/// worker hits the same catalog, so a view built once serves all threads).
+/// workers ([`fan_out`]: the first on the calling thread) and returns the
+/// results in request order — how one shared service answers a request
+/// list from several readers at once (every worker hits the same catalog,
+/// so a view built once serves all threads).
 ///
 /// # Errors
 ///
@@ -141,28 +178,37 @@ pub fn stripe_requests<T: Send>(
     f: impl Fn(usize) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
     let threads = threads.clamp(1, requests.max(1));
-    if threads == 1 {
-        return (0..requests).map(f).collect();
-    }
-    let f = &f;
-    let mut indexed: Vec<(usize, Result<T>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                scope.spawn(move || {
-                    (worker..requests)
-                        .step_by(threads)
-                        .map(|i| (i, f(i)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("serve worker panicked"))
-            .collect()
+    let mut stripes: Vec<_> = fan_out(0..threads, |worker| {
+        (worker..requests)
+            .step_by(threads)
+            .map(&f)
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .map(Vec::into_iter)
+    .collect();
+    (0..requests)
+        .map(|i| stripes[i % threads].next().expect("stripe holds request"))
+        .collect()
+}
+
+/// Streams one request from `engine` into `sink`; returns how many answers
+/// it pushed.
+fn enumerate_into(
+    engine: &Engine,
+    view: &str,
+    bound: &[Value],
+    sink: &mut dyn AnswerSink,
+) -> Result<usize> {
+    let mut count = 0usize;
+    let mut counted = cqc_common::FnSink(|t: &[Value]| {
+        count += 1;
+        sink.push(t)
     });
-    indexed.sort_by_key(|(i, _)| *i);
-    indexed.into_iter().map(|(_, r)| r).collect()
+    engine.with_view_enumerator(view, |enumerator| {
+        enumerator.answer_into(bound, &mut counted)
+    })??;
+    Ok(count)
 }
 
 impl BlockService for Engine {
@@ -180,14 +226,7 @@ impl BlockService for Engine {
 
     fn serve_into(&self, view: &str, bound: &[Value], sink: &mut dyn AnswerSink) -> Result<usize> {
         let started = std::time::Instant::now();
-        let mut count = 0usize;
-        let mut counted = cqc_common::FnSink(|t: &[Value]| {
-            count += 1;
-            sink.push(t)
-        });
-        self.with_view_enumerator(view, |enumerator| {
-            enumerator.answer_into(bound, &mut counted)
-        })??;
+        let count = enumerate_into(self, view, bound, sink)?;
         // Feed the admission controller's cost estimate from the serves
         // that actually happen (early-stopped streams included — the
         // wall time a caller paid is the wall time the estimate needs).
@@ -227,8 +266,12 @@ impl BlockService for ShardedEngine {
         bound: &[Value],
         mut sink: &mut dyn AnswerSink,
     ) -> Result<usize> {
-        // One-request fan-out: per-shard blocks, then the k-way merge
-        // restores the global order before anything reaches the sink.
+        // A request one shard answers in full streams straight from it.
+        if let Some(s) = self.route(view)?.shard_for(bound, self.num_shards()) {
+            return enumerate_into(self.shard(s), view, bound, sink);
+        }
+        // Otherwise per-shard blocks, then the k-way merge restores the
+        // global order before anything reaches the sink.
         let mut scratch = crate::sharded::ShardedBlocks::new();
         let bounds = [bound.to_vec()];
         self.serve_blocks_into(view, &bounds, &mut scratch)?;
@@ -280,6 +323,20 @@ mod tests {
         let mut block = AnswerBlock::new();
         svc.serve_into(view, bound, &mut block).unwrap();
         block.to_tuples()
+    }
+
+    #[test]
+    fn fan_out_runs_the_first_target_on_the_caller_in_target_order() {
+        let caller = std::thread::current().id();
+        let ran = fan_out(0..4, |i| (i, std::thread::current().id()));
+        let order: Vec<usize> = ran.iter().map(|r| r.0).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(ran[0].1, caller);
+        assert!(ran[1..].iter().all(|r| r.1 != caller));
+        // One target spawns nothing; zero targets run nothing.
+        assert_eq!(fan_out([7], |_| std::thread::current().id()), vec![caller]);
+        let none: Vec<()> = fan_out(0..0, |_| unreachable!("no target"));
+        assert!(none.is_empty());
     }
 
     #[test]

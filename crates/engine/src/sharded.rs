@@ -16,17 +16,29 @@
 //! * **Plan once, build in parallel** — [`ShardedEngine::register`] solves
 //!   strategy selection once against the unsplit planning snapshot
 //!   ([`ShardedEngine::planning_db`]) and builds the `S` per-shard
-//!   representations concurrently under `std::thread::scope`.
-//! * **Fan out and merge** — [`ShardedEngine::serve_blocks_into`] fans a
-//!   request list out across shards, each pushing into its own flat
-//!   [`AnswerBlock`] (zero allocations per answer per shard once warm),
-//!   and [`crate::BlockService::serve_into`] runs a final `k`-way
+//!   representations concurrently through [`crate::service::fan_out`].
+//! * **Route** — each registered view keeps its [`Route`]. A request whose
+//!   bound values fix the partition variable has every answer on the one
+//!   shard that value hashes to, and a view none of whose relations is
+//!   hash-partitioned has every answer on shard 0; such a request goes to
+//!   that shard alone.
+//! * **Fan out and merge** — every other request goes to every shard:
+//!   [`ShardedEngine::serve_blocks_into`] fans a request list out across
+//!   the shards it reaches, each pushing into its own flat [`AnswerBlock`]
+//!   (zero allocations per answer per shard once warm), and
+//!   [`crate::BlockService::serve_into`] runs a final `k`-way
 //!   [`cqc_common::BlockMerger`] over one request's blocks to restore the
-//!   paper's lexicographic enumeration order.
+//!   paper's lexicographic enumeration order. A routed request skips the
+//!   blocks and the merge: its shard streams straight into the sink.
 //! * **Route deltas** — [`ShardedEngine::update`] splits a [`Delta`] into
 //!   per-shard deltas that touch only the shards owning their rows;
 //!   untouched shards keep their epoch, so the database version is the
 //!   vector of shard epochs ([`ShardedEngine::version`]).
+//!
+//! Every fan-out runs its first shard on the calling thread (shard 0 when
+//! it reaches all), and a routed request runs entirely there; see
+//! [`ShardedEngine`] for what that means for the thread-local work
+//! counters of [`cqc_common::metrics`].
 //!
 //! Everything else — catalog and update statistics, `explain`, durability
 //! — is per shard, through [`ShardedEngine::shard`]. A durable sharded
@@ -39,22 +51,28 @@
 //! everywhere), so ν is witnessed in exactly one shard: the per-shard
 //! answer sets are disjoint and their union is the full answer set. A view
 //! none of whose relations are hash-partitioned would be answered in full
-//! by *every* shard; such views are routed to shard 0 alone instead.
+//! by *every* shard; such views are routed to shard 0 alone instead. A
+//! bound value ν(v) of the partition variable is stored only in shard
+//! `hash(ν(v)) % S`, so the other shards hold no answer for that request.
 
 use crate::engine::{Engine, EngineConfig};
 use crate::policy::{select, Policy};
+use crate::service::fan_out;
 use cqc_common::error::{CqcError, Result};
 use cqc_common::value::Value;
 use cqc_common::{AnswerBlock, FastMap};
 use cqc_query::{AdornedView, Var};
-use cqc_storage::{Database, Delta, Epoch, PartitionSpec, Partitioning, ShardAssignment};
+use cqc_storage::{
+    shard_of_value, Database, Delta, Epoch, PartitionSpec, Partitioning, ShardAssignment,
+};
 use std::sync::{Arc, RwLock};
 
 /// Tuning for a [`ShardedEngine`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedEngineConfig {
-    /// Number of shards (≥ 1). Each shard runs on its own OS thread during
-    /// parallel build and fan-out serving.
+    /// Number of shards (≥ 1). A build, update or serve that reaches
+    /// several shards runs the first on the calling thread and each other
+    /// one on its own OS thread.
     pub shards: usize,
     /// Per-engine tuning; the catalog budget is divided evenly across
     /// shards (each shard's catalog gets a `1/S` slice).
@@ -109,13 +127,18 @@ impl ShardedBlocks {
 
 /// A register-once / serve-many engine whose database is hash-partitioned
 /// across `S` single-core [`Engine`]s. See the module docs for the
-/// partitioning invariant and the serve/merge pipeline.
+/// partitioning invariant, the routing rule and the serve/merge pipeline.
+///
+/// The work counters and build phases of [`cqc_common::metrics`] are
+/// thread-local. A call that reaches several shards runs the first of
+/// them (shard 0 when it reaches all) on the calling thread, and a routed
+/// request runs its one shard there, so those shards' counters accrue to
+/// the caller; the others' accrue to threads the caller never sees.
 pub struct ShardedEngine {
     partitioning: Partitioning,
     engines: Vec<Engine>,
-    /// `true` → the view fans out to every shard; `false` → all of its
-    /// relations are replicated and shard 0 alone serves it.
-    fanout: RwLock<FastMap<String, bool>>,
+    /// Which shards hold each registered view's answers.
+    routes: RwLock<FastMap<String, Route>>,
     /// The unsplit database, kept as the **planning snapshot**: strategy
     /// selection runs once against global statistics (exactly what an
     /// unsharded engine would see) and the resolved plan ships to every
@@ -150,7 +173,7 @@ impl ShardedEngine {
         Ok(ShardedEngine {
             partitioning,
             engines,
-            fanout: RwLock::new(FastMap::default()),
+            routes: RwLock::new(FastMap::default()),
             planning: RwLock::new(Arc::new(db)),
         })
     }
@@ -199,8 +222,8 @@ impl ShardedEngine {
     }
 
     /// Registers an adorned view on every shard, building the `S`
-    /// per-shard representations **in parallel** under
-    /// `std::thread::scope`. Views whose relations are all replicated are
+    /// per-shard representations **in parallel** ([`fan_out`]: shard 0 on
+    /// the calling thread). Views whose relations are all replicated are
     /// registered on shard 0 only (every shard would otherwise enumerate
     /// the full answer set — see the module docs).
     ///
@@ -223,9 +246,9 @@ impl ShardedEngine {
         // register slipping past this pre-check is still caught by the
         // name reservation below).
         if self
-            .fanout
+            .routes
             .read()
-            .expect("fanout lock poisoned")
+            .expect("routes lock poisoned")
             .contains_key(name)
         {
             return Err(CqcError::Config(format!(
@@ -237,60 +260,49 @@ impl ShardedEngine {
         // would pin a second full-|D| set of indexes no shard serves from.
         let selection = select(&view, &self.planning_db(), &policy)
             .map_err(|e| e.for_view(name, "auto-selection"))?;
-        let fans_out = routing_for(self.partitioning.spec(), &view)?;
+        let route = Route::for_view(self.partitioning.spec(), &view)?;
         {
             // Reserve the name first: a duplicate must fail *here*, before
             // any shard is touched — otherwise the rollback below would
             // tear an existing, working registration out of every shard.
-            let mut fanout = self.fanout.write().expect("fanout lock poisoned");
-            if fanout.contains_key(name) {
+            let mut routes = self.routes.write().expect("routes lock poisoned");
+            if routes.contains_key(name) {
                 return Err(CqcError::Config(format!(
                     "view `{name}` is already registered"
                 )));
             }
-            fanout.insert(name.to_string(), fans_out);
+            routes.insert(name.to_string(), route);
         }
-        let result: Result<()> = if fans_out {
-            let outcomes: Vec<Result<()>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .engines
-                    .iter()
-                    .map(|engine| {
-                        let (view, selection) = (view.clone(), selection.clone());
-                        scope.spawn(move || {
-                            engine.register_selected(name, view, selection).map(|_| ())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard register panicked"))
-                    .collect()
-            });
-            outcomes.into_iter().collect()
+        let builders = if route.fans_out() {
+            &self.engines[..]
         } else {
-            self.engines[0]
-                .register_selected(name, view, selection)
-                .map(|_| ())
+            &self.engines[..1]
         };
+        let result: Result<()> = fan_out(builders, |engine| {
+            engine
+                .register_selected(name, view.clone(), selection.clone())
+                .map(|_| ())
+        })
+        .into_iter()
+        .collect();
         if let Err(e) = result {
             for engine in &self.engines {
                 engine.unregister(name);
             }
-            self.fanout
+            self.routes
                 .write()
-                .expect("fanout lock poisoned")
+                .expect("routes lock poisoned")
                 .remove(name);
             return Err(e);
         }
         Ok(())
     }
 
-    /// Whether `name` is registered, and if so whether it fans out.
-    fn routing(&self, name: &str) -> Result<bool> {
-        self.fanout
+    /// The route of registered view `name`.
+    pub(crate) fn route(&self, name: &str) -> Result<Route> {
+        self.routes
             .read()
-            .expect("fanout lock poisoned")
+            .expect("routes lock poisoned")
             .get(name)
             .copied()
             .ok_or_else(|| CqcError::UnknownView(name.to_string()))
@@ -298,8 +310,10 @@ impl ShardedEngine {
 
     /// Shard-major block serving into reusable scratch — the one per-shard
     /// serve fan-out, under [`crate::BlockService::serve_into`] and the shard
-    /// benchmark alike. Every shard thread resolves its representation
-    /// once, then drives its reusable enumerator into
+    /// benchmark alike. Each request goes only to the shards its
+    /// [`Route`] reaches (the blocks of the others stay empty), and only
+    /// shards some request reaches run. Every such shard resolves its
+    /// representation once, then drives its reusable enumerator into
     /// `out.blocks[shard][request]`; once the scratch has warmed to its
     /// high-water mark a repeat call performs **zero** heap allocations per
     /// answer on every shard. Returns the total answer count.
@@ -313,40 +327,33 @@ impl ShardedEngine {
         bounds: &[Vec<Value>],
         out: &mut ShardedBlocks,
     ) -> Result<usize> {
-        let fans_out = self.routing(view)?;
-        out.ensure_shape(self.engines.len(), bounds.len());
-        let outcomes: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .engines
-                .iter()
-                .zip(out.blocks.iter_mut())
-                .enumerate()
-                .map(|(si, (engine, blocks))| {
-                    scope.spawn(move || -> Result<()> {
-                        if !fans_out && si != 0 {
-                            return Ok(()); // blocks already reset
-                        }
-                        engine.with_view_enumerator(view, |enumerator| {
-                            for (b, block) in bounds.iter().zip(blocks.iter_mut()) {
-                                enumerator.answer_into(b, block)?;
-                            }
-                            Ok(())
-                        })?
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard serve panicked"))
-                .collect()
-        });
-        outcomes.into_iter().collect::<Result<()>>()?;
+        let route = self.route(view)?;
+        let shards = self.engines.len();
+        out.ensure_shape(shards, bounds.len());
+        let serving = self
+            .engines
+            .iter()
+            .zip(out.blocks.iter_mut())
+            .enumerate()
+            .filter(|(s, _)| bounds.iter().any(|b| route.reaches(b, shards, *s)));
+        fan_out(serving, |(s, (engine, blocks))| -> Result<()> {
+            engine.with_view_enumerator(view, |enumerator| {
+                for (b, block) in bounds.iter().zip(blocks.iter_mut()) {
+                    if route.reaches(b, shards, s) {
+                        enumerator.answer_into(b, block)?;
+                    }
+                }
+                Ok(())
+            })?
+        })
+        .into_iter()
+        .collect::<Result<()>>()?;
         Ok(out.total_answers())
     }
 
     /// Applies a batched delta: the delta splits into per-shard deltas that
     /// touch only the shards owning their rows, and the touched shards
-    /// update **in parallel** (each reconciling its own catalog —
+    /// update **in parallel** ([`fan_out`]; each reconciling its own catalog —
     /// maintain/rebuild/restamp — before publishing its shard epoch).
     /// Untouched shards keep epoch and catalog untouched, which is the
     /// point of per-shard versioning. Returns the post-delta epoch vector
@@ -371,21 +378,15 @@ impl ShardedEngine {
             next.apply(delta)?;
             *planning = Arc::new(next);
         }
-        let outcomes: Vec<Result<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .engines
-                .iter()
-                .zip(&split)
-                .filter(|(_, d)| !d.is_empty())
-                .map(|(engine, d)| scope.spawn(move || engine.update(d).map(|_| ())))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard update panicked"))
-                .collect()
-        });
+        let touched = self
+            .engines
+            .iter()
+            .zip(&split)
+            .filter(|(_, d)| !d.is_empty());
         // Every shard has finished before the first error is reported.
-        outcomes.into_iter().collect::<Result<()>>()?;
+        fan_out(touched, |(engine, d)| engine.update(d).map(|_| ()))
+            .into_iter()
+            .collect::<Result<()>>()?;
         Ok(self.version())
     }
 }
@@ -462,23 +463,81 @@ pub fn spec_for_view(view: &AdornedView, db: &Database) -> PartitionSpec {
     best.map_or_else(PartitionSpec::new, |(_, spec)| spec)
 }
 
-/// Validates `view` against `spec` and decides its routing: `Ok(true)` when
-/// the view fans out across shards (at least one of its relations is
-/// hash-partitioned, with every hash column pinned to one shared variable
-/// by the view — the condition that makes per-shard answers disjoint and
-/// complete), `Ok(false)` when all of its relations are replicated (shard 0
-/// serves it alone).
-///
-/// # Errors
-///
-/// [`CqcError::Config`] when a hash-partitioned relation is used in a way
-/// that breaks the invariant: a non-natural atom over it, a hash column out
-/// of range, or two hashed atoms disagreeing on the partition variable.
-pub fn view_fans_out(spec: &PartitionSpec, view: &AdornedView) -> Result<bool> {
-    routing_for(spec, view)
+/// Which shards hold a registered view's answers to a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// None of the view's relations is hash-partitioned, so every shard
+    /// would answer in full: shard 0 alone registers and serves it.
+    ShardZero,
+    /// The partition variable is free: every shard holds some answers.
+    Every,
+    /// The partition variable is bound value `position` of `arity`: the
+    /// shard that value hashes to holds every answer.
+    Owner {
+        /// Index of the partition variable among the bound values.
+        position: usize,
+        /// The view's number of bound values.
+        arity: usize,
+    },
 }
 
-fn routing_for(spec: &PartitionSpec, view: &AdornedView) -> Result<bool> {
+impl Route {
+    /// Validates `view` against `spec` and decides its route: a view
+    /// fans out when at least one of its relations is hash-partitioned,
+    /// with every hash column pinned to one shared variable by the view —
+    /// the condition that makes per-shard answers disjoint and complete.
+    ///
+    /// # Errors
+    ///
+    /// [`CqcError::Config`] when a hash-partitioned relation is used in a
+    /// way that breaks the invariant: a non-natural atom over it, a hash
+    /// column out of range, or two hashed atoms disagreeing on the
+    /// partition variable.
+    pub fn for_view(spec: &PartitionSpec, view: &AdornedView) -> Result<Route> {
+        let Some(v) = routing_for(spec, view)? else {
+            return Ok(Route::ShardZero);
+        };
+        let bound = view.bound_head();
+        Ok(match bound.iter().position(|&b| b == v) {
+            Some(position) => Route::Owner {
+                position,
+                arity: bound.len(),
+            },
+            None => Route::Every,
+        })
+    }
+
+    /// Whether registration builds the view on every shard (`false`:
+    /// shard 0 alone).
+    pub fn fans_out(&self) -> bool {
+        *self != Route::ShardZero
+    }
+
+    /// The one shard of `shards` that holds every answer to `bound`, or
+    /// `None` when every shard holds some (a single shard holds all). The
+    /// partition value is read only from a bound list of the view's arity;
+    /// any other length goes to every shard, which answer it with the
+    /// typed arity error.
+    pub fn shard_for(&self, bound: &[Value], shards: usize) -> Option<usize> {
+        match *self {
+            _ if shards == 1 => Some(0),
+            Route::ShardZero => Some(0),
+            Route::Every => None,
+            Route::Owner { position, arity } => {
+                (bound.len() == arity).then(|| shard_of_value(bound[position], shards))
+            }
+        }
+    }
+
+    /// Whether a request for `bound` goes to `shard` of `shards`.
+    pub fn reaches(&self, bound: &[Value], shards: usize, shard: usize) -> bool {
+        self.shard_for(bound, shards).map_or(true, |s| s == shard)
+    }
+}
+
+/// The variable every hash-partitioned relation of `view` hashes on, or
+/// `None` when all of its relations are replicated.
+fn routing_for(spec: &PartitionSpec, view: &AdornedView) -> Result<Option<Var>> {
     let mut partition_var: Option<Var> = None;
     for atom in &view.query().atoms {
         let ShardAssignment::Hash(col) = spec.assignment(&atom.relation) else {
@@ -511,5 +570,5 @@ fn routing_for(spec: &PartitionSpec, view: &AdornedView) -> Result<bool> {
             }
         }
     }
-    Ok(partition_var.is_some())
+    Ok(partition_var)
 }

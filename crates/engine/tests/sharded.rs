@@ -384,3 +384,60 @@ fn serve_blocks_into_is_reusable() {
         assert_eq!(&again, expect, "request {i}");
     }
 }
+
+/// A sharded engine over `triangle_db(seed)` hashing `R` on column 1 and
+/// `S` on column 0, with the 3-path `P(a,b,c,d)` registered at `bbff`:
+/// its partition variable `b` is the second bound value, so every request
+/// of the right length goes to one shard.
+fn routed_path(shards: usize) -> ShardedEngine {
+    let spec = PartitionSpec::new()
+        .hash("R", 1)
+        .hash("S", 0)
+        .replicate("T");
+    let view = parse_adorned("P(a,b,c,d) :- R(a,b), S(b,c), T(c,d)", "bbff").unwrap();
+    assert_eq!(
+        cqc_engine::Route::for_view(&spec, &view).unwrap(),
+        cqc_engine::Route::Owner {
+            position: 1,
+            arity: 2
+        }
+    );
+    let sharded = ShardedEngine::new(triangle_db(29), spec, config(shards)).unwrap();
+    sharded.register("p3", view, Policy::default()).unwrap();
+    sharded
+}
+
+fn is_invalid_access(r: cqc_common::Result<usize>) -> bool {
+    matches!(r, Err(cqc_common::CqcError::InvalidAccess(_)))
+}
+
+/// A routed request reads its partition value only from a bound list of
+/// the view's arity: a short list (no value at the partition position)
+/// and a long one stay the typed arity error through `serve_into`.
+#[test]
+fn routed_serve_into_keeps_the_arity_error() {
+    let sharded = routed_path(3);
+    for bound in [&[][..], &[1][..], &[1, 2, 3][..]] {
+        let r = sharded.serve_into("p3", bound, &mut AnswerBlock::new());
+        assert!(is_invalid_access(r), "bound {bound:?}");
+    }
+    assert!(sharded
+        .serve_into("p3", &[1, 2], &mut AnswerBlock::new())
+        .is_ok());
+}
+
+/// The same guard per bound of a `serve_blocks_into` batch: one wrong
+/// length fails the batch with the typed arity error, never a panic.
+#[test]
+fn routed_serve_blocks_into_keeps_the_arity_error() {
+    let sharded = routed_path(3);
+    let mut scratch = ShardedBlocks::new();
+    for bad in [vec![1], vec![1, 2, 3]] {
+        let bounds = vec![vec![0, 1], bad.clone(), vec![2, 3]];
+        let r = sharded.serve_blocks_into("p3", &bounds, &mut scratch);
+        assert!(is_invalid_access(r), "bound {bad:?}");
+    }
+    assert!(sharded
+        .serve_blocks_into("p3", &[vec![0, 1], vec![2, 3]], &mut scratch)
+        .is_ok());
+}

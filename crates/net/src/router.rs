@@ -3,9 +3,11 @@
 //!
 //! The router is the network mirror of [`cqc_engine::ShardedEngine`]: the
 //! same [`cqc_storage::PartitionSpec`] decides which relations are
-//! hash-partitioned and which replicate, the same
-//! [`cqc_engine::view_fans_out`] check decides whether a view fans out
-//! across the fleet or is served by shard 0 alone, and the same
+//! hash-partitioned and which replicate, the same [`cqc_engine::Route`]
+//! decides which replica groups a request reads (the one group owning
+//! its bound partition value, shard 0 alone for a view of replicated
+//! relations, or every group), the same [`cqc_engine::fan_out`] runs the
+//! first of them on the calling thread, and the same
 //! [`cqc_common::BlockMerger`] restores the exact global lexicographic
 //! order from the per-shard streams. What the network adds:
 //!
@@ -47,7 +49,7 @@
 use cqc_common::error::Result;
 use cqc_common::frame::{code, ServePriority};
 use cqc_common::{AnswerBlock, AnswerSink, BlockMerger, Coverage, CqcError, FastMap, Value};
-use cqc_engine::{view_fans_out, BlockService};
+use cqc_engine::{fan_out, BlockService, Route};
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Delta, Epoch, PartitionSpec, Partitioning};
 use std::sync::{Arc, RwLock};
@@ -133,8 +135,8 @@ pub struct Router {
     groups: Vec<Arc<ReplicaGroup>>,
     partitioning: Partitioning,
     policy: RetryPolicy,
-    /// view name → fans out across shards (false: shard 0 serves alone).
-    fanout: RwLock<FastMap<String, bool>>,
+    /// view name → which shards hold its answers.
+    routes: RwLock<FastMap<String, Route>>,
     /// Last known epoch vector per shard — the consistency expectation
     /// every serve reply is checked against.
     expected: RwLock<Vec<Vec<Epoch>>>,
@@ -223,7 +225,7 @@ impl Router {
             groups: built,
             partitioning,
             policy,
-            fanout: RwLock::new(FastMap::default()),
+            routes: RwLock::new(FastMap::default()),
             expected: RwLock::new(expected),
         })
     }
@@ -326,10 +328,10 @@ impl Router {
         totals
     }
 
-    fn routing(&self, view: &str) -> Result<bool> {
-        self.fanout
+    fn route(&self, view: &str) -> Result<Route> {
+        self.routes
             .read()
-            .expect("fanout lock poisoned")
+            .expect("routes lock poisoned")
             .get(view)
             .copied()
             .ok_or_else(|| CqcError::UnknownView(view.to_string()))
@@ -337,14 +339,17 @@ impl Router {
 
     /// Serves one request across the fleet: shard-major fan-out with
     /// per-shard replica failover, epoch check per reply, k-way merge into
-    /// `sink` in exact lexicographic order (early stop respected). The
+    /// `sink` in exact lexicographic order (early stop respected). Only the
+    /// groups the view's [`Route`] reaches for `bound` are asked; the
+    /// others hold no answer and count as covered. The
     /// *remaining* deadline budget and the priority class travel on the
     /// wire with every per-shard attempt, failover, and hedge, so each
     /// shard server can shed doomed or low-priority work before
     /// enumerating.
     ///
-    /// In [`ServeMode::DegradedOk`] a shard whose replica group cannot
-    /// serve is *dropped from the merge* instead of failing the request:
+    /// In [`ServeMode::DegradedOk`] an asked shard whose replica group
+    /// cannot serve is *dropped from the merge* instead of failing the
+    /// request (a routed request degrades only when its owner fails):
     /// the report's coverage bitmap says exactly which shards
     /// contributed, [`ServeReport::degraded_error`] carries the typed
     /// [`code::DEGRADED`] indication, and the merged stream is still in
@@ -365,8 +370,8 @@ impl Router {
         mut sink: &mut dyn AnswerSink,
         opts: &ServeOpts,
     ) -> Result<ServeReport> {
-        let fans_out = self.routing(view)?;
-        let shards = if fans_out { self.groups.len() } else { 1 };
+        let route = self.route(view)?;
+        let shards = self.groups.len();
         let expected = self
             .expected
             .read()
@@ -375,38 +380,28 @@ impl Router {
         let deadline = opts
             .deadline
             .unwrap_or_else(|| Deadline::within(self.policy.request_deadline));
-        // Shard-major fan-out: each thread drives its shard's replica
-        // group (failover and all) into a local block.
-        let results: Vec<Result<AnswerBlock>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|i| {
-                    let expected = &expected;
-                    let group = &self.groups[i];
-                    scope.spawn(move || -> Result<AnswerBlock> {
-                        let mut block = AnswerBlock::new();
-                        group
-                            .serve(
-                                view,
-                                bound,
-                                &expected[i],
-                                opts.priority,
-                                deadline,
-                                &mut block,
-                            )
-                            .map_err(|e| shard_error(i, e))?;
-                        Ok(block)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard serve thread panicked"))
-                .collect()
-        });
         let mut coverage = Coverage::empty(shards);
+        for i in (0..shards).filter(|&i| !route.reaches(bound, shards, i)) {
+            coverage.mark(i);
+        }
+        // Shard-major fan-out: each asked group (failover and all) serves
+        // into a local block.
+        let asked = (0..shards).filter(|&i| route.reaches(bound, shards, i));
+        let results = fan_out(asked, |i| {
+            let mut block = AnswerBlock::new();
+            let served = self.groups[i].serve(
+                view,
+                bound,
+                &expected[i],
+                opts.priority,
+                deadline,
+                &mut block,
+            );
+            (i, served.map(|_| block).map_err(|e| shard_error(i, e)))
+        });
         let mut failures = Vec::new();
-        let mut blocks = Vec::with_capacity(shards);
-        for (i, r) in results.into_iter().enumerate() {
+        let mut blocks = Vec::with_capacity(results.len());
+        for (i, r) in results {
             match r {
                 Ok(block) => {
                     coverage.mark(i);
@@ -474,7 +469,7 @@ impl BlockService for Router {
         // Parse locally first: the fan-out decision needs the adorned
         // view, and a parse error should not reach the fleet.
         let view = parse_adorned(query_text, pattern)?;
-        let fans_out = view_fans_out(self.partitioning.spec(), &view)?;
+        let route = Route::for_view(self.partitioning.spec(), &view)?;
         let req = RegisterReq {
             name: name.into(),
             query: query_text.into(),
@@ -484,20 +479,8 @@ impl BlockService for Router {
         // Register on every replica of every shard (a replica that
         // misses a registration could never serve or fail over) — in
         // parallel across shards, build time dominates.
-        let results: Vec<Result<Vec<Epoch>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .groups
-                .iter()
-                .enumerate()
-                .map(|(i, group)| {
-                    let req = &req;
-                    scope.spawn(move || group.register(req).map_err(|e| shard_error(i, e)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard register thread panicked"))
-                .collect()
+        let results = fan_out(self.groups.iter().enumerate(), |(i, group)| {
+            group.register(&req).map_err(|e| shard_error(i, e))
         });
         let mut expected = self.expected.write().expect("expected lock poisoned");
         let mut flat = Vec::new();
@@ -506,10 +489,10 @@ impl BlockService for Router {
             expected[i] = epochs.clone();
             flat.extend(epochs);
         }
-        self.fanout
+        self.routes
             .write()
-            .expect("fanout lock poisoned")
-            .insert(name.to_string(), fans_out);
+            .expect("routes lock poisoned")
+            .insert(name.to_string(), route);
         Ok(flat)
     }
 
@@ -526,32 +509,14 @@ impl BlockService for Router {
         // per-shard precondition an exact idempotency token.
         let mut expected = self.expected.write().expect("expected lock poisoned");
         let snapshot = expected.clone();
-        let results: Vec<Option<Result<Vec<Epoch>>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = split
-                .iter()
-                .enumerate()
-                .map(|(i, sub)| {
-                    if sub.is_empty() {
-                        return None; // untouched shard: epoch unchanged
-                    }
-                    let group = &self.groups[i];
-                    let want = &snapshot[i];
-                    Some(scope.spawn(move || {
-                        group
-                            .update_preconditioned(sub, want)
-                            .map_err(|e| shard_error(i, e))
-                    }))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.map(|h| h.join().expect("shard update thread panicked")))
-                .collect()
+        // An untouched shard keeps its epoch.
+        let touched = split.iter().enumerate().filter(|(_, sub)| !sub.is_empty());
+        let results = fan_out(touched, |(i, sub)| {
+            let updated = self.groups[i].update_preconditioned(sub, &snapshot[i]);
+            (i, updated.map_err(|e| shard_error(i, e)))
         });
-        for (i, r) in results.into_iter().enumerate() {
-            if let Some(r) = r {
-                expected[i] = r?;
-            }
+        for (i, r) in results {
+            expected[i] = r?;
         }
         Ok(expected.iter().flatten().copied().collect())
     }

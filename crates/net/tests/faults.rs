@@ -16,9 +16,9 @@ use cqc_common::{AnswerBlock, AnswerSink, CqcError};
 use cqc_engine::{BlockService, Engine};
 use cqc_net::{
     protocol, BreakerConfig, ClientConfig, NetServer, NetServerConfig, RetryPolicy, Router,
-    ShardClient,
+    ServeMode, ServeOpts, ServerHandle, ShardClient,
 };
-use cqc_storage::{Database, PartitionSpec, Relation};
+use cqc_storage::{shard_of_value, Database, PartitionSpec, Partitioning, Relation};
 
 /// A scripted fake shard: binds a loopback port, accepts one connection,
 /// and hands it to `behavior`. The thread is detached — it dies with the
@@ -436,5 +436,118 @@ fn wrong_protocol_version_is_rejected() {
             assert_eq!(c, code::VERSION_MISMATCH, "wrong code: {detail}");
         }
         other => panic!("expected VERSION_MISMATCH, got {other}"),
+    }
+}
+
+/// Two real shard servers over `R` hashed on its first column and `T`
+/// replicated, with `owned` (`R` at `bf`: every request goes to the shard
+/// owning its `x`) and `everywhere` (`T` at `bf`: shard 0 serves it)
+/// registered. Returns the servers, the router, an unsharded oracle and
+/// one `x` with answers owned by each shard.
+fn routed_fleet() -> (Vec<ServerHandle>, Router, Engine, [u64; 2]) {
+    let pairs: Vec<(u64, u64)> = (0..8).flat_map(|x| [(x, x + 1), (x, x + 2)]).collect();
+    let mut db = Database::new();
+    db.add(Relation::from_pairs("R", pairs.clone())).unwrap();
+    db.add(Relation::from_pairs("T", pairs)).unwrap();
+    let spec = PartitionSpec::new().hash("R", 0).replicate("T");
+    let slices = Partitioning::new(spec.clone(), 2)
+        .unwrap()
+        .split_database(&db)
+        .unwrap();
+    let servers: Vec<ServerHandle> = slices
+        .into_iter()
+        .map(|slice| {
+            let engine = Arc::new(Engine::new(slice));
+            NetServer::spawn(engine, "127.0.0.1:0", NetServerConfig::default()).unwrap()
+        })
+        .collect();
+    let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
+    let router = Router::connect(&addrs, spec, fast_client()).unwrap();
+    let oracle = Engine::new(db);
+    for svc in [&router as &dyn BlockService, &oracle] {
+        svc.register_view("owned", "Q(x,y) :- R(x,y)", "bf", "direct")
+            .unwrap();
+        svc.register_view("everywhere", "Q(x,y) :- T(x,y)", "bf", "direct")
+            .unwrap();
+    }
+    let owned_by = |s| (0..8).find(|&x| shard_of_value(x, 2) == s).unwrap();
+    (servers, router, oracle, [owned_by(0), owned_by(1)])
+}
+
+fn with_mode(mode: ServeMode) -> ServeOpts {
+    ServeOpts {
+        mode,
+        ..ServeOpts::default()
+    }
+}
+
+/// A routed request reads only its owner's group, so it degrades only
+/// when that group is down: `DegradedOk` reports the owner missing with
+/// a typed `DEGRADED`, and `Strict` fails with the shard's typed error.
+#[test]
+fn routed_request_degrades_when_its_owner_is_down() {
+    let (mut servers, router, _oracle, [_, x1]) = routed_fleet();
+    servers[1].shutdown();
+
+    let mut block = AnswerBlock::new();
+    let report = router
+        .serve(
+            "owned",
+            &[x1],
+            &mut block,
+            &with_mode(ServeMode::DegradedOk),
+        )
+        .unwrap();
+    assert_eq!(report.coverage.shards(), 2);
+    assert_eq!(report.coverage.missing(), vec![1]);
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(report.failures[0].0, 1);
+    assert_eq!(report.answers, 0);
+    assert!(
+        matches!(
+            report.degraded_error(),
+            Some(CqcError::Protocol {
+                code: code::DEGRADED,
+                ..
+            })
+        ),
+        "{:?}",
+        report.degraded_error()
+    );
+
+    let err = router
+        .serve("owned", &[x1], &mut block, &with_mode(ServeMode::Strict))
+        .unwrap_err();
+    match err {
+        CqcError::Protocol { code: c, detail } => {
+            assert_eq!(c, code::SHARD_FAILED, "wrong code: {detail}");
+            assert!(detail.contains("shard 1"), "must name the shard: {detail}");
+        }
+        other => panic!("expected SHARD_FAILED, got {other}"),
+    }
+}
+
+/// With a shard that owns none of a request's answers down, the request
+/// is exact and its coverage full over all S shards — for a routed view
+/// and for one shard 0 serves alone — in both modes.
+#[test]
+fn routed_request_is_exact_when_a_non_owner_is_down() {
+    let (mut servers, router, oracle, [x0, _]) = routed_fleet();
+    servers[1].shutdown();
+
+    for view in ["owned", "everywhere"] {
+        let mut want = AnswerBlock::new();
+        oracle.serve_into(view, &[x0], &mut want).unwrap();
+        assert!(!want.is_empty(), "{view}: no answers to compare");
+        for mode in [ServeMode::Strict, ServeMode::DegradedOk] {
+            let mut got = AnswerBlock::new();
+            let report = router
+                .serve(view, &[x0], &mut got, &with_mode(mode))
+                .unwrap();
+            assert_eq!(got.values(), want.values(), "{view} {mode:?}");
+            assert_eq!(report.coverage.shards(), 2, "{view} {mode:?}");
+            assert!(report.coverage.is_full(), "{view} {mode:?}");
+            assert!(report.failures.is_empty(), "{view} {mode:?}");
+        }
     }
 }

@@ -10,7 +10,9 @@ use std::time::Duration;
 
 use cqc_common::frame::{code, ServePriority};
 use cqc_common::{AnswerBlock, CqcError, ExistsSink};
-use cqc_engine::{spec_for_view, BlockService, Engine, Policy, ShardedEngine, ShardedEngineConfig};
+use cqc_engine::{
+    spec_for_view, BlockService, Engine, Policy, Route, ShardedEngine, ShardedEngineConfig,
+};
 use cqc_join::naive::evaluate_view;
 use cqc_net::server::ServerHandle;
 use cqc_net::{
@@ -457,8 +459,14 @@ fn out_of_band_update_raises_epoch_mismatch_until_resync() {
     delta.insert("R", vec![100, 101]);
     sneak.update(&delta, None).unwrap();
 
+    // The next serve that reads shard 0: one whose bound value shard 0
+    // owns (this spec partitions on the bound `x`, so a request reads
+    // only its owner's group).
+    let route = Route::for_view(&spec, &view).unwrap();
+    let owned = (0..).find(|&x| route.shard_for(&[x], SHARDS) == Some(0));
+    let bound = [owned.unwrap()];
     let mut block = AnswerBlock::new();
-    let err = router.serve_into("v", &[0], &mut block).unwrap_err();
+    let err = router.serve_into("v", &bound, &mut block).unwrap_err();
     match err {
         CqcError::Protocol { code: c, detail } => {
             assert_eq!(c, code::EPOCH_MISMATCH, "wrong code: {detail}");
@@ -473,7 +481,7 @@ fn out_of_band_update_raises_epoch_mismatch_until_resync() {
     // Re-sync, then the fleet serves again.
     router.health_check().unwrap();
     block.reset();
-    router.serve_into("v", &[0], &mut block).unwrap();
+    router.serve_into("v", &bound, &mut block).unwrap();
 }
 
 /// Remote failures keep their types across the wire: an unknown view, a

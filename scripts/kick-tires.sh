@@ -113,6 +113,20 @@ if grep -rnw 'encode_serve_tailed' crates/*/src || grep -n '_preconditioned(' cr
     exit 1
 fi
 
+# One per-call fan-out: `cqc_engine::fan_out` in crates/engine/src/service.rs
+# runs the first target on the calling thread and each other one on a
+# scoped thread. Shard builds, serves and updates, replica-group requests
+# and `stripe_requests` all go through it, so a request that one shard
+# answers spawns nothing. Fails on a `thread::scope` anywhere else under
+# crates/engine/src or crates/net/src, e.g. the one-line sabotage
+# `std::thread::scope(|_| {});` as the first statement of `Router::serve`
+# in crates/net/src/router.rs (checked once on a copy).
+if grep -rn 'thread::scope' crates/engine/src crates/net/src | grep -v '^crates/engine/src/service.rs:' ||
+    [ "$(grep -c 'thread::scope' crates/engine/src/service.rs)" != 1 ]; then
+    echo "a second fan-out is back: per-shard and per-group work goes through cqc_engine::fan_out" >&2
+    exit 1
+fi
+
 # One ledger and one split rule: the paper's examples are the rows of the
 # committed LEDGER.json (regenerated below), not tables a binary prints at a
 # scale picked from the environment, Algorithm 1 is the tree's only split
