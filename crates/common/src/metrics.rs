@@ -17,7 +17,6 @@ thread_local! {
     static DICT_LOOKUPS: Cell<u64> = const { Cell::new(0) };
     static BUILD_SORT_NS: Cell<u64> = const { Cell::new(0) };
     static BUILD_INDEX_NS: Cell<u64> = const { Cell::new(0) };
-    static BUILD_TREE_NS: Cell<u64> = const { Cell::new(0) };
     static BUILD_DICT_NS: Cell<u64> = const { Cell::new(0) };
     static BUILD_LP_NS: Cell<u64> = const { Cell::new(0) };
 }
@@ -79,8 +78,6 @@ pub enum BuildPhase {
     /// Gathering/emitting sorted index columns (everything in an index
     /// build that is not the sort itself).
     Index,
-    /// Delay-balanced tree construction (§4.3 step 1, Algorithm 1).
-    Tree,
     /// Heavy-pair dictionary construction (Appendix A).
     Dictionary,
     /// LP and width-search solves (MinDelayCover/MinSpaceCover/ρ⁺ — the
@@ -100,8 +97,6 @@ pub struct BuildPhaseSnapshot {
     pub sort_ns: u64,
     /// Column gather/emit time of index builds (excluding the sort).
     pub index_ns: u64,
-    /// Delay-balanced tree construction time.
-    pub tree_ns: u64,
     /// Heavy-pair dictionary construction time.
     pub dict_ns: u64,
     /// LP / width-search solve time.
@@ -114,7 +109,6 @@ impl BuildPhaseSnapshot {
         BuildPhaseSnapshot {
             sort_ns: self.sort_ns.saturating_sub(earlier.sort_ns),
             index_ns: self.index_ns.saturating_sub(earlier.index_ns),
-            tree_ns: self.tree_ns.saturating_sub(earlier.tree_ns),
             dict_ns: self.dict_ns.saturating_sub(earlier.dict_ns),
             lp_ns: self.lp_ns.saturating_sub(earlier.lp_ns),
         }
@@ -122,7 +116,7 @@ impl BuildPhaseSnapshot {
 
     /// Total attributed build time.
     pub fn total_ns(&self) -> u64 {
-        self.sort_ns + self.index_ns + self.tree_ns + self.dict_ns + self.lp_ns
+        self.sort_ns + self.index_ns + self.dict_ns + self.lp_ns
     }
 }
 
@@ -134,7 +128,6 @@ pub fn record_build_phase(phase: BuildPhase, ns: u64) {
     let cell = match phase {
         BuildPhase::Sort => &BUILD_SORT_NS,
         BuildPhase::Index => &BUILD_INDEX_NS,
-        BuildPhase::Tree => &BUILD_TREE_NS,
         BuildPhase::Dictionary => &BUILD_DICT_NS,
         BuildPhase::Lp => &BUILD_LP_NS,
     };
@@ -146,7 +139,6 @@ pub fn build_phases() -> BuildPhaseSnapshot {
     BuildPhaseSnapshot {
         sort_ns: BUILD_SORT_NS.with(Cell::get),
         index_ns: BUILD_INDEX_NS.with(Cell::get),
-        tree_ns: BUILD_TREE_NS.with(Cell::get),
         dict_ns: BUILD_DICT_NS.with(Cell::get),
         lp_ns: BUILD_LP_NS.with(Cell::get),
     }
@@ -161,6 +153,14 @@ pub fn snapshot() -> MetricsSnapshot {
     }
 }
 
+/// Adds `work` to this thread's work counters (not its build phases): how
+/// a caller takes in what another thread counted for it.
+pub fn add(work: &MetricsSnapshot) {
+    TRIE_SEEKS.with(|c| c.set(c.get() + work.trie_seeks));
+    COUNT_PROBES.with(|c| c.set(c.get() + work.count_probes));
+    DICT_LOOKUPS.with(|c| c.set(c.get() + work.dict_lookups));
+}
+
 /// Resets all counters of this thread to zero.
 pub fn reset() {
     TRIE_SEEKS.with(|c| c.set(0));
@@ -168,7 +168,6 @@ pub fn reset() {
     DICT_LOOKUPS.with(|c| c.set(0));
     BUILD_SORT_NS.with(|c| c.set(0));
     BUILD_INDEX_NS.with(|c| c.set(0));
-    BUILD_TREE_NS.with(|c| c.set(0));
     BUILD_DICT_NS.with(|c| c.set(0));
     BUILD_LP_NS.with(|c| c.set(0));
 }
@@ -199,16 +198,14 @@ mod tests {
         record_build_phase(BuildPhase::Sort, 5);
         record_build_phase(BuildPhase::Sort, 7);
         record_build_phase(BuildPhase::Index, 3);
-        record_build_phase(BuildPhase::Tree, 4);
         record_build_phase(BuildPhase::Dictionary, 11);
         record_build_phase(BuildPhase::Lp, 2);
         let p = build_phases();
         assert_eq!(p.sort_ns, 12);
         assert_eq!(p.index_ns, 3);
-        assert_eq!(p.tree_ns, 4);
         assert_eq!(p.dict_ns, 11);
         assert_eq!(p.lp_ns, 2);
-        assert_eq!(p.total_ns(), 32);
+        assert_eq!(p.total_ns(), 28);
         let later = {
             record_build_phase(BuildPhase::Sort, 8);
             build_phases()
@@ -217,6 +214,25 @@ mod tests {
         assert_eq!(later.delta_since(&p).dict_ns, 0);
         reset();
         assert_eq!(build_phases(), BuildPhaseSnapshot::default());
+    }
+
+    #[test]
+    fn add_takes_in_work_counted_elsewhere() {
+        reset();
+        record_trie_seeks(2);
+        add(&MetricsSnapshot {
+            trie_seeks: 3,
+            count_probes: 4,
+            dict_lookups: 5,
+        });
+        assert_eq!(
+            snapshot(),
+            MetricsSnapshot {
+                trie_seeks: 5,
+                count_probes: 4,
+                dict_lookups: 5,
+            }
+        );
     }
 
     #[test]

@@ -25,12 +25,11 @@ use crate::cost::{CostEstimator, PrefixCost};
 use crate::fbox::{box_decomposition_ranks, BoxList, FInterval};
 use crate::split::split_interval;
 use cqc_common::heap::HeapSize;
-use cqc_common::metrics::{self, BuildPhase};
+use cqc_common::metrics;
 use cqc_common::packed::{Packed, RankedBits};
 use cqc_common::util::{approx_ge, partition_point};
 use cqc_storage::domain::{rank_tuple_pred, rank_tuple_succ};
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// Hard cap on tree depth; reaching it indicates a bug in the halving
 /// invariant (Prop. 8), not a legitimate instance.
@@ -259,7 +258,6 @@ impl DelayBalancedTree {
         mut observe: impl FnMut(Cursor, &FInterval, f64),
     ) -> Option<DelayBalancedTree> {
         assert!(tau >= 1.0, "τ must be at least 1");
-        let t_build = Instant::now();
         let probes_before = metrics::snapshot().count_probes;
         let sizes = est.sizes();
         let mu = sizes.len();
@@ -336,7 +334,7 @@ impl DelayBalancedTree {
         drop(pending);
         let slots = 2 * ranks as usize + 1;
 
-        let tree = DelayBalancedTree {
+        Some(DelayBalancedTree {
             internal: RankedBits::new(
                 (0..slots).map(|s| internal.get(s / 64).is_some_and(|w| w >> (s % 64) & 1 == 1)),
             ),
@@ -348,9 +346,7 @@ impl DelayBalancedTree {
             count_probes: metrics::snapshot().count_probes - probes_before,
             tau,
             alpha,
-        };
-        metrics::record_build_phase(BuildPhase::Tree, t_build.elapsed().as_nanos() as u64);
-        Some(tree)
+        })
     }
 
     /// The root's cursor.

@@ -830,15 +830,7 @@ impl HeapSize for HeavyDictionary {
 }
 
 /// Per-free-level constraints induced by a canonical box, in enumeration
-/// order (length `mu`).
-pub fn free_constraints(doms: &[Domain], b: &CanonicalBox, mu: usize) -> Vec<LevelConstraint> {
-    let mut cons = Vec::with_capacity(mu);
-    free_constraints_into(doms, b, mu, &mut cons);
-    cons
-}
-
-/// [`free_constraints`] appended to a reused buffer — the allocation-free
-/// form the enumerators drive per canonical box.
+/// order (`mu` of them), appended to a reused buffer.
 pub fn free_constraints_into(
     doms: &[Domain],
     b: &CanonicalBox,

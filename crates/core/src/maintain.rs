@@ -63,17 +63,14 @@
 //! fixed fraction of `|D|`.
 
 use crate::compressed::CompressedView;
-use crate::dictionary::free_constraints_into;
 use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox};
 use crate::theorem1::Theorem1Structure;
 use cqc_common::error::Result;
 use cqc_common::value::Value;
-use cqc_join::leapfrog::LevelConstraint;
 use cqc_join::plan::ViewPlan;
 use cqc_query::rewrite::rewrite_view;
 use cqc_query::AdornedView;
 use cqc_storage::{Database, Delta, IndexPool};
-use std::sync::Arc;
 
 /// What happened during a maintenance attempt.
 #[derive(Debug)]
@@ -314,21 +311,24 @@ fn maintain_theorem1(
         delta_tuples: touched_tuples(query, delta),
         ..MaintainReport::default()
     };
-
+    // The successor: the refreshed plan, the same grid and tree, a copy of
+    // the bits. The set of stored pairs is untouched, so it shares the
+    // tree and the dictionary's key buffers with `s`.
+    let mut succ = Theorem1Structure {
+        view: s.view.clone(),
+        plan,
+        domains: s.domains.clone(),
+        tree: s.tree.clone(),
+        dict: s.dict.clone(),
+        sizes: s.sizes.clone(),
+        weights: s.weights.clone(),
+        alpha: s.alpha,
+        tau: s.tau,
+    };
     let Some(tree) = &s.tree else {
         // Empty grid at build time and the grid is unchanged: still empty.
         return Ok(MaintainOutcome::Maintained {
-            view: Box::new(CompressedView::Tradeoff(Theorem1Structure {
-                view: s.view.clone(),
-                plan,
-                domains: s.domains.clone(),
-                tree: None,
-                dict: s.dict.clone(),
-                sizes: s.sizes.clone(),
-                weights: s.weights.clone(),
-                alpha: s.alpha,
-                tau: s.tau,
-            })),
+            view: Box::new(CompressedView::Tradeoff(succ)),
             report,
         });
     };
@@ -382,21 +382,18 @@ fn maintain_theorem1(
     // slab (the restricted join may have become non-empty — leaving the
     // bit would suppress answers) and `1` bits hit by a remove slab (the
     // join may have drained — leaving the bit erodes the delay bound).
-    // Locality makes this the only repair needed (see module docs). The
-    // set of stored pairs is untouched, so the successor shares the tree
-    // and the dictionary's key buffers and owns only a copy of the bits.
+    // Locality makes this the only repair needed (see module docs). A
+    // re-probe is the successor's own `⊥` branch over the node interval,
+    // stopped at its first answer.
     //
     // The walk is top-down: intervals nest, so a node no slab hits roots a
     // subtree no slab hits, and only the affected root-to-leaf paths (plus
     // their immediate children) are ever decomposed.
-    let nb = plan.num_bound;
-    let levels = plan.num_levels();
     let mut box_list = BoxList::new();
-    let mut probe_join = plan.join(vec![LevelConstraint::Fixed(0); levels]);
-    let mut cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
+    let mut probe = succ.enumerator();
     let mut hit_ins: Vec<&Slab> = Vec::new();
     let mut hit_rem: Vec<&Slab> = Vec::new();
-    let mut vb: Vec<Value> = Vec::with_capacity(nb);
+    let mut vb: Vec<Value> = Vec::new();
     // Entries whose bit changes, applied to the copy once the walk is done.
     let mut changed: Vec<u32> = Vec::new();
     s.dict.walk(tree, |step| {
@@ -424,13 +421,8 @@ fn maintain_theorem1(
                 continue;
             }
             report.reprobed_entries += 1;
-            let nonempty = boxes.iter().any(|b| {
-                cons.clear();
-                cons.extend(vb.iter().map(|&v| LevelConstraint::Fixed(v)));
-                free_constraints_into(&s.domains, b, levels - nb, &mut cons);
-                probe_join.reset(&cons);
-                probe_join.is_non_empty()
-            });
+            probe.reset_interval(&vb, interval);
+            let nonempty = probe.advance();
             match (bit, nonempty) {
                 (false, true) => report.flipped_bits += 1,
                 (true, false) => report.cleared_bits += 1,
@@ -442,23 +434,12 @@ fn maintain_theorem1(
         }
         true
     });
-    let mut dict = s.dict.clone();
     for entry in changed {
-        dict.flip(entry, !dict.bit(entry));
+        succ.dict.flip(entry, !succ.dict.bit(entry));
     }
 
     Ok(MaintainOutcome::Maintained {
-        view: Box::new(CompressedView::Tradeoff(Theorem1Structure {
-            view: s.view.clone(),
-            plan,
-            domains: s.domains.clone(),
-            tree: Some(Arc::clone(tree)),
-            dict,
-            sizes: s.sizes.clone(),
-            weights: s.weights.clone(),
-            alpha: s.alpha,
-            tau: s.tau,
-        })),
+        view: Box::new(CompressedView::Tradeoff(succ)),
         report,
     })
 }
@@ -471,6 +452,7 @@ mod tests {
     use cqc_join::naive::evaluate_view;
     use cqc_query::parser::parse_adorned;
     use cqc_storage::Relation;
+    use std::sync::Arc;
 
     fn triangle_db(rows: usize, domain: u64, seed: u64) -> Database {
         let mut db = Database::new();

@@ -18,8 +18,8 @@
 
 use crate::cost::{ranks_to_values_into, CostEstimator};
 use crate::dbtree::{Cursor, DelayBalancedTree};
-use crate::dictionary::{free_constraints, free_constraints_into, HeavyDictionary, Side};
-use crate::fbox::{box_decomposition, box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
+use crate::dictionary::{free_constraints_into, HeavyDictionary, Side};
+use crate::fbox::{box_decomposition_ranks, BoxList, FInterval};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
 use cqc_common::value::Value;
@@ -248,24 +248,6 @@ impl Theorem1Structure {
         Ok(it.advance())
     }
 
-    /// Evaluates `(⋈_F R_F(v_b)) ⋉ I` directly (worst-case-optimal, box by
-    /// box) — the `⊥` branch of Algorithm 2, also used by the Theorem 2
-    /// fixup to enumerate a node's interval.
-    pub fn enumerate_interval(
-        &self,
-        bound_values: &[Value],
-        interval: &FInterval,
-    ) -> IntervalJoinIter<'_> {
-        IntervalJoinIter {
-            plan: &self.plan,
-            domains: &self.domains,
-            vb: bound_values.to_vec(),
-            boxes: box_decomposition(interval, &self.sizes),
-            next_box: 0,
-            join: None,
-        }
-    }
-
     /// Membership of the fully fixed point: is `(v_b, free_vals)` in the
     /// join? (Algorithm 2 line 11: the split-point check, O(#atoms·log).)
     /// `probe` is a caller-owned scratch buffer for the per-atom prefix
@@ -458,60 +440,6 @@ impl HeapSize for Theorem1Structure {
     }
 }
 
-/// Worst-case-optimal evaluation of a restricted sub-instance, box by box,
-/// in lexicographic order.
-pub struct IntervalJoinIter<'a> {
-    plan: &'a ViewPlan,
-    domains: &'a [Domain],
-    vb: Vec<Value>,
-    boxes: Vec<CanonicalBox>,
-    next_box: usize,
-    join: Option<LeapfrogJoin<'a>>,
-}
-
-impl IntervalJoinIter<'_> {
-    fn constraints_for(&self, b: &CanonicalBox) -> Vec<LevelConstraint> {
-        let mut cons: Vec<LevelConstraint> =
-            self.vb.iter().map(|&v| LevelConstraint::Fixed(v)).collect();
-        cons.extend(free_constraints(
-            self.domains,
-            b,
-            self.plan.num_levels() - self.plan.num_bound,
-        ));
-        cons
-    }
-
-    /// Steps to the next answer; `true` when one is available via
-    /// [`IntervalJoinIter::current`].
-    pub fn advance(&mut self) -> bool {
-        loop {
-            if let Some(j) = &mut self.join {
-                if j.next().is_some() {
-                    return true;
-                }
-                self.join = None;
-            }
-            if self.next_box >= self.boxes.len() {
-                return false;
-            }
-            let b = self.boxes[self.next_box].clone();
-            self.next_box += 1;
-            if b.is_empty() {
-                continue;
-            }
-            let cons = self.constraints_for(&b);
-            self.join = Some(self.plan.join(cons));
-        }
-    }
-
-    /// The free-variable values of the answer produced by the last
-    /// successful [`IntervalJoinIter::advance`], borrowed from the join.
-    pub fn current(&self) -> &[Value] {
-        let join = self.join.as_ref().expect("advance returned true");
-        &join.current()[self.plan.num_bound..]
-    }
-}
-
 /// Free variables whose rank scratch [`Theorem1Iter::advance`] keeps on
 /// the stack. (Zeroing a buffer wide enough for any view — 64 variables —
 /// at every visited node cost 10 % of `core.enum.ns_per_answer`.)
@@ -670,6 +598,17 @@ impl Theorem1Iter<'_> {
         self.s.view.check_access(bound_values)?;
         self.start(bound_values, None, true);
         Ok(())
+    }
+
+    /// Rewinds the cursor to `(⋈_F R_F(v_b)) ⋉ I` for one node interval
+    /// `I`: the `⊥` branch of Algorithm 2 alone, box by box, with no tree
+    /// walk around it. `bound_values` must have one value per bound
+    /// variable (a dictionary candidate does). Theorem 2's semijoin fixup
+    /// and Theorem 1 maintenance re-probe node intervals through it.
+    pub(crate) fn reset_interval(&mut self, bound_values: &[Value], interval: &FInterval) {
+        self.start(bound_values, None, false);
+        box_decomposition_ranks(&interval.lo, &interval.hi, &self.s.sizes, &mut self.boxes);
+        self.boxes_active = true;
     }
 
     /// Steps to the next answer; `true` when one is available via

@@ -301,6 +301,7 @@ impl Theorem2Structure {
                     let mut flips: Vec<u32> = Vec::new();
                     if let Some(tree) = t1.tree() {
                         let dict = t1.dictionary();
+                        let mut answers = t1.enumerator();
                         let (mut key, mut row): (Vec<Value>, Vec<Value>) = (Vec::new(), Vec::new());
                         dict.walk(tree, |step| {
                             for e in step.entries {
@@ -308,7 +309,7 @@ impl Theorem2Structure {
                                     continue;
                                 }
                                 dict.candidate_into(e.cand, &mut key);
-                                let mut answers = t1.enumerate_interval(&key, step.interval);
+                                answers.reset_interval(&key, step.interval);
                                 let mut extends = false;
                                 while !extends && answers.advance() {
                                     row.clear();

@@ -21,6 +21,7 @@ use crate::engine::Engine;
 use crate::policy::Policy;
 use crate::sharded::ShardedEngine;
 use cqc_common::error::Result;
+use cqc_common::metrics;
 use cqc_common::{AnswerBlock, AnswerSink, BlockMerger, Value};
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Delta, Epoch};
@@ -133,9 +134,10 @@ pub trait BlockService: Send + Sync {
 /// the one per-call fan-out of `cqc-engine` and `cqc-net` (shard builds,
 /// serves and updates, replica-group requests, [`stripe_requests`]).
 ///
-/// The work counters and build phases of [`cqc_common::metrics`] are
-/// thread-local, so what the first target does accrues to the caller's
-/// counters and what the others do is not seen by the caller.
+/// The work counters of [`cqc_common::metrics`] are thread-local: each
+/// spawned target counts its own and the caller adds them after the join,
+/// so the caller's counters see every target's work. (Build phases are
+/// timed on the thread that runs the build and do not come home.)
 ///
 /// A panic in any target is re-raised on the calling thread once every
 /// target has finished.
@@ -152,13 +154,22 @@ pub fn fan_out<A: Send, T: Send>(
     }
     let f = &f;
     std::thread::scope(|scope| {
-        let rest: Vec<_> = targets.map(|a| scope.spawn(move || f(a))).collect();
+        let rest: Vec<_> = targets
+            .map(|a| {
+                scope.spawn(move || {
+                    let before = metrics::snapshot();
+                    let out = f(a);
+                    (out, metrics::snapshot().delta_since(&before))
+                })
+            })
+            .collect();
         let mut out = Vec::with_capacity(rest.len() + 1);
         out.push(f(first));
-        out.extend(
-            rest.into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
-        );
+        for h in rest {
+            let (t, work) = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            metrics::add(&work);
+            out.push(t);
+        }
         out
     })
 }

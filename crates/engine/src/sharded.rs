@@ -36,9 +36,7 @@
 //!   vector of shard epochs ([`ShardedEngine::version`]).
 //!
 //! Every fan-out runs its first shard on the calling thread (shard 0 when
-//! it reaches all), and a routed request runs entirely there; see
-//! [`ShardedEngine`] for what that means for the thread-local work
-//! counters of [`cqc_common::metrics`].
+//! it reaches all), and a routed request runs entirely there.
 //!
 //! Everything else — catalog and update statistics, `explain`, durability
 //! — is per shard, through [`ShardedEngine::shard`]. A durable sharded
@@ -129,11 +127,8 @@ impl ShardedBlocks {
 /// across `S` single-core [`Engine`]s. See the module docs for the
 /// partitioning invariant, the routing rule and the serve/merge pipeline.
 ///
-/// The work counters and build phases of [`cqc_common::metrics`] are
-/// thread-local. A call that reaches several shards runs the first of
-/// them (shard 0 when it reaches all) on the calling thread, and a routed
-/// request runs its one shard there, so those shards' counters accrue to
-/// the caller; the others' accrue to threads the caller never sees.
+/// The work counters of [`cqc_common::metrics`] that a call counts on any
+/// shard accrue to the caller ([`crate::fan_out`] brings them home).
 pub struct ShardedEngine {
     partitioning: Partitioning,
     engines: Vec<Engine>,

@@ -3,7 +3,7 @@
 //! strategies, shard counts, and interleaved updates — while routing work
 //! and epochs only to the shards owning the touched rows.
 
-use cqc_common::{AnswerBlock, ExistsSink};
+use cqc_common::{metrics, AnswerBlock, ExistsSink};
 use cqc_core::Strategy;
 use cqc_engine::{
     spec_for_view, BlockService, Engine, Policy, ShardedBlocks, ShardedEngine, ShardedEngineConfig,
@@ -440,4 +440,47 @@ fn routed_serve_blocks_into_keeps_the_arity_error() {
     assert!(sharded
         .serve_blocks_into("p3", &[vec![0, 1], vec![2, 3]], &mut scratch)
         .is_ok());
+}
+
+/// The work counters a call moves on this thread.
+fn work_of(f: impl FnOnce()) -> u64 {
+    let before = metrics::snapshot();
+    f();
+    metrics::snapshot().delta_since(&before).work()
+}
+
+/// Work counted on every shard a request fans out to comes home to the
+/// caller: at each shard count, a request's work is the sum of what each
+/// shard's own engine counts serving it.
+#[test]
+fn fanned_out_work_is_the_sum_of_the_shards_work() {
+    // `y` is the partition variable and is free, so every request reaches
+    // every shard.
+    let spec = PartitionSpec::new()
+        .hash("R", 1)
+        .hash("S", 0)
+        .replicate("T");
+    let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
+    let policy = Policy::Fixed(Strategy::Tradeoff {
+        tau: 2.0,
+        weights: Some(vec![0.5, 0.5, 0.5]),
+    });
+    for shards in 1..=4 {
+        let sharded = ShardedEngine::new(triangle_db(3), spec.clone(), config(shards)).unwrap();
+        sharded.register("v", view.clone(), policy.clone()).unwrap();
+        let serve = |service: &dyn BlockService, x: u64| {
+            work_of(|| {
+                service
+                    .serve_into("v", &[x], &mut AnswerBlock::new())
+                    .unwrap();
+            })
+        };
+        let fanned: u64 = (0..6).map(|x| serve(&sharded, x)).sum();
+        let per_shard: u64 = (0..shards)
+            .flat_map(|s| (0..6).map(move |x| (s, x)))
+            .map(|(s, x)| serve(sharded.shard(s), x))
+            .sum();
+        assert!(fanned > 0, "shards {shards}");
+        assert_eq!(fanned, per_shard, "shards {shards}");
+    }
 }

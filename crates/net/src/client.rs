@@ -56,7 +56,9 @@ pub struct ClientConfig {
     /// `None` waits forever.
     pub io_timeout: Option<Duration>,
     /// How many times a [`code::REFUSED`] backpressure reply is retried
-    /// (with backoff) before surfacing to the caller.
+    /// (with backoff) before surfacing to the caller. A
+    /// [`crate::ReplicaGroup`] ignores it: its budgeted attempts are the
+    /// only retries under a group, so its replica clients retry none.
     pub refused_retries: u32,
     /// Seed for the deterministic backoff jitter. A fleet derives this
     /// per client via [`crate::backoff::lane_seed`] so clients that fail

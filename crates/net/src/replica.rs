@@ -239,8 +239,11 @@ impl ReplicaGroup {
     /// ([`crate::backoff::lane_seed`] over `(shard, replica)`) and the
     /// group's failover loop takes the reserved
     /// [`crate::backoff::FAILOVER_LANE`], so a fleet-wide outage does
-    /// not retry in lockstep. Connections are lazy; see
-    /// `Router::connect_replicated` for the eager health probe.
+    /// not retry in lockstep. The group's budgeted attempts are the one
+    /// retry layer: replica clients retry no [`code::REFUSED`] reply of
+    /// their own (`refused_retries: 0`, whatever `config` says).
+    /// Connections are lazy; see `Router::connect_replicated` for the
+    /// eager health probe.
     pub fn new(
         shard: usize,
         addrs: &[String],
@@ -254,6 +257,7 @@ impl ReplicaGroup {
             .map(|(r, addr)| {
                 let seeded = ClientConfig {
                     jitter_seed: lane_seed(config.jitter_seed, shard, r as u64),
+                    refused_retries: 0,
                     ..config
                 };
                 Replica {

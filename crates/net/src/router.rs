@@ -515,10 +515,22 @@ impl BlockService for Router {
             let updated = self.groups[i].update_preconditioned(sub, &snapshot[i]);
             (i, updated.map_err(|e| shard_error(i, e)))
         });
+        // Every shard that applied its slice is at its new epochs, whether
+        // or not another shard failed: record them all, then report the
+        // first failure.
+        let mut failure = None;
         for (i, r) in results {
-            expected[i] = r?;
+            match r {
+                Ok(epochs) => expected[i] = epochs,
+                Err(e) => {
+                    failure.get_or_insert(e);
+                }
+            }
         }
-        Ok(expected.iter().flatten().copied().collect())
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(expected.iter().flatten().copied().collect()),
+        }
     }
 
     fn version(&self) -> Vec<Epoch> {

@@ -18,7 +18,7 @@ use cqc_net::{
     protocol, BreakerConfig, ClientConfig, NetServer, NetServerConfig, RetryPolicy, Router,
     ServeMode, ServeOpts, ServerHandle, ShardClient,
 };
-use cqc_storage::{shard_of_value, Database, PartitionSpec, Partitioning, Relation};
+use cqc_storage::{shard_of_value, Database, Delta, PartitionSpec, Partitioning, Relation};
 
 /// A scripted fake shard: binds a loopback port, accepts one connection,
 /// and hands it to `behavior`. The thread is detached — it dies with the
@@ -550,4 +550,30 @@ fn routed_request_is_exact_when_a_non_owner_is_down() {
             assert!(report.failures.is_empty(), "{view} {mode:?}");
         }
     }
+}
+
+/// An update that fails on one shard still moves every shard that applied
+/// its slice to its new epochs: with shard 0 down, a delta touching both
+/// shards fails, and a strict read that shard 1 owns afterwards is exact —
+/// not an epoch mismatch against shard 1's pre-delta epochs.
+#[test]
+fn failed_update_records_every_shard_that_applied_it() {
+    let (mut servers, router, oracle, [x0, x1]) = routed_fleet();
+    servers[0].shutdown();
+
+    let mut delta = Delta::new();
+    delta.insert("R", vec![x0, 9]);
+    delta.insert("R", vec![x1, 9]);
+    let err = router.apply_update(&delta).unwrap_err();
+    assert!(err.to_string().contains("shard 0"), "{err}");
+    oracle.apply_update(&delta).unwrap();
+
+    let mut want = AnswerBlock::new();
+    oracle.serve_into("owned", &[x1], &mut want).unwrap();
+    assert_eq!(want.len(), 3);
+    let mut got = AnswerBlock::new();
+    router
+        .serve("owned", &[x1], &mut got, &with_mode(ServeMode::Strict))
+        .unwrap();
+    assert_eq!(got.values(), want.values());
 }

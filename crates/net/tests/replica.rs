@@ -24,7 +24,7 @@ use cqc_net::{
     protocol, BreakerConfig, ClientConfig, NetServer, NetServerConfig, ReplicaGroup, RetryPolicy,
     Router, ServeMode, ServeOpts,
 };
-use cqc_storage::{Database, Delta, Partitioning};
+use cqc_storage::{Database, Delta, PartitionSpec, Partitioning};
 
 const QUERY: &str = "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)";
 const SHARDS: usize = 2;
@@ -300,4 +300,49 @@ fn ambiguous_update_retry_applies_exactly_once() {
         "the delta must apply exactly once despite the transport death"
     );
     assert_eq!(group.stats().update_failures, 0, "the update succeeded");
+}
+
+/// A group's budgeted attempts are the one retry layer under it: with one
+/// attempt per request, a server that refuses every serve sees exactly one
+/// serve, however many `refused_retries` the client config asks for.
+#[test]
+fn a_group_retries_a_refused_serve_only_through_its_attempts() {
+    let server = NetServer::spawn(
+        Arc::new(Engine::new(triangle_db(5))),
+        "127.0.0.1:0",
+        NetServerConfig {
+            max_inflight: 0,
+            ..NetServerConfig::default()
+        },
+    )
+    .unwrap();
+    let router = Router::connect_replicated(
+        &[vec![server.addr().to_string()]],
+        PartitionSpec::new(),
+        ClientConfig {
+            refused_retries: 3,
+            ..fast_client()
+        },
+        BreakerConfig::default(),
+        RetryPolicy {
+            attempts: 1,
+            ..fast_policy()
+        },
+    )
+    .unwrap();
+    router.register_view("v", QUERY, "fff", "direct").unwrap();
+    let err = router
+        .serve_into("v", &[], &mut AnswerBlock::new())
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CqcError::Protocol {
+                code: code::REFUSED,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    assert_eq!(server.admission_stats().attempts(), 1, "{err}");
 }

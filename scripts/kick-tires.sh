@@ -87,6 +87,14 @@ if grep -nE '\bInstant\b|elapsed\(' crates/engine/src/engine.rs crates/engine/sr
     echo "an engine decision reads the clock again: maintain, rebuild and evict on counts" >&2
     exit 1
 fi
+# The delay-balanced tree build is counted (`tree_count_probes`), not
+# timed: the benchmark reads only the sort, index, dictionary and LP
+# phases. Fails on `let _t = std::time::Instant::now();` added to
+# `DelayBalancedTree::build` in crates/core/src/dbtree.rs.
+if grep -nE '\bInstant\b|elapsed\(' crates/core/src/dbtree.rs; then
+    echo "the tree build reads the clock again: nothing reads a tree phase" >&2
+    exit 1
+fi
 # The database stores each relation once, as its identity-order packed
 # `SortedIndex`; `Relation` is only the flat build form loaders produce, and
 # a delta splices through `SortedIndex::splice`. Fails
