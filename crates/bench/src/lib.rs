@@ -47,8 +47,8 @@ pub struct Fixture {
     pub db: Database,
     /// The view every request asks.
     pub view: AdornedView,
-    /// The bound valuations `cqe bench <view> <requests> 1 7 witness`
-    /// would serve.
+    /// Witness bound valuations: `cqc_workload::witness_requests` over the
+    /// dataset, drawn with the fixture's seed.
     pub bounds: Vec<Vec<Value>>,
 }
 

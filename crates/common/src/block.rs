@@ -14,8 +14,9 @@
 //!   keeps its capacity, so a block reused across requests reaches a
 //!   steady state with **zero** heap allocations per answer.
 //! * [`ExistsSink`] / [`CountingSink`] / [`FnSink`] — existence probes,
-//!   cardinality counts, and ad-hoc closures over the same interface;
-//!   [`crate::measure::DelayProbe`] is the sink that measures the delay.
+//!   cardinality counts, and ad-hoc closures over the same interface.
+//!   Delay is counted work between answers ([`crate::metrics`]), so no
+//!   sink reads a clock.
 //!
 //! [`AnswerBlock::to_tuples`] is the one place owned tuples are made, for
 //! comparing a served stream with the naive oracle's `Vec<Tuple>`.

@@ -14,9 +14,8 @@
 //! * [`error`] — the workspace-wide error type;
 //! * [`metrics`] — cheap thread-local operation counters used by the
 //!   benchmark harness to report machine-independent work measures;
-//! * [`measure`] — per-answer delay probes and statistics, batch
-//!   aggregates and the human-readable/JSON reporting helpers the serving
-//!   stack and every binary share;
+//! * [`measure`] — the human-readable and JSON reporting helpers every
+//!   binary shares (no clock: wall time is the reporting caller's);
 //! * [`block`] — the flat [`AnswerBlock`] answer representation and the
 //!   push-style [`AnswerSink`] trait every enumerator drives, the
 //!   foundation of the allocation-free serve path;

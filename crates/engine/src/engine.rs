@@ -146,11 +146,6 @@ pub struct Engine {
     upd_maintained: AtomicU64,
     upd_rebuilt: AtomicU64,
     upd_restamped: AtomicU64,
-    /// Per-view EWMA of measured serve wall time in nanoseconds — the
-    /// cost estimate an admission controller consults to shed requests
-    /// whose deadline budget cannot cover the serve anyway (see
-    /// [`Engine::serve_cost_ns`]).
-    serve_costs: Mutex<FastMap<String, u64>>,
 }
 
 impl Engine {
@@ -174,7 +169,6 @@ impl Engine {
             upd_maintained: AtomicU64::new(0),
             upd_rebuilt: AtomicU64::new(0),
             upd_restamped: AtomicU64::new(0),
-            serve_costs: Mutex::new(FastMap::default()),
         }
     }
 
@@ -655,34 +649,6 @@ impl Engine {
         let cv = self.build_into_catalog(rv, &db);
         self.indexes.release();
         cv
-    }
-
-    /// Folds one measured serve wall time into the view's cost estimate:
-    /// an EWMA with α = 1/4, seeded by the first sample. A quarter-weight
-    /// EWMA tracks catalog churn (a rebuild after a delta shifts the cost)
-    /// within a handful of serves without letting one descheduled outlier
-    /// rewrite the estimate.
-    pub fn record_serve_cost(&self, view: &str, ns: u64) {
-        let mut costs = self.serve_costs.lock().expect("serve cost lock");
-        match costs.get_mut(view) {
-            Some(ewma) => *ewma = *ewma - *ewma / 4 + ns / 4,
-            None => {
-                costs.insert(view.to_string(), ns);
-            }
-        }
-    }
-
-    /// The EWMA of measured serve wall times for `view` in nanoseconds,
-    /// if any serve has been measured — the estimate behind the
-    /// admission-control rule "shed a request whose remaining deadline
-    /// budget cannot cover the serve it is asking for". `None` until the
-    /// first measured serve (an unknown cost never sheds).
-    pub fn serve_cost_ns(&self, view: &str) -> Option<u64> {
-        self.serve_costs
-            .lock()
-            .expect("serve cost lock")
-            .get(view)
-            .copied()
     }
 
     /// Runs `f` with the reusable enumerator for `view` — the stream

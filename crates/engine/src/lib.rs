@@ -24,7 +24,7 @@
 //! * [`BlockService::serve_into`] — the one way answers leave an engine:
 //!   one request's answers pushed into the caller's
 //!   [`cqc_common::AnswerSink`] (an [`cqc_common::AnswerBlock`] to keep
-//!   them, a [`cqc_common::measure::DelayProbe`] to time them);
+//!   them, a [`cqc_common::CountingSink`] to count them);
 //!   [`stripe_requests`] spreads a request list over OS threads through
 //!   [`fan_out`], the one per-call fan-out (first target on the calling
 //!   thread, the rest on scoped threads);

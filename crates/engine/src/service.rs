@@ -115,17 +115,6 @@ pub trait BlockService: Send + Sync {
     /// order is deterministic). A replica whose vector lags its group's
     /// expectation is *stale* — safe to skip, never safe to serve.
     fn version(&self) -> Vec<Epoch>;
-
-    /// The measured serve cost for `view` in nanoseconds (an EWMA of
-    /// recent serve wall times), if this service tracks one. An
-    /// admission controller uses it to shed a request whose remaining
-    /// deadline budget cannot cover the serve it is asking for *before*
-    /// any enumeration work. `None` — the default — means "unknown";
-    /// an unknown cost must never shed.
-    fn serve_cost_ns(&self, view: &str) -> Option<u64> {
-        let _ = view;
-        None
-    }
 }
 
 /// Runs `f` once per target and returns the results in target order: the
@@ -236,13 +225,7 @@ impl BlockService for Engine {
     }
 
     fn serve_into(&self, view: &str, bound: &[Value], sink: &mut dyn AnswerSink) -> Result<usize> {
-        let started = std::time::Instant::now();
-        let count = enumerate_into(self, view, bound, sink)?;
-        // Feed the admission controller's cost estimate from the serves
-        // that actually happen (early-stopped streams included — the
-        // wall time a caller paid is the wall time the estimate needs).
-        self.record_serve_cost(view, started.elapsed().as_nanos() as u64);
-        Ok(count)
+        enumerate_into(self, view, bound, sink)
     }
 
     fn apply_update(&self, delta: &Delta) -> Result<Vec<Epoch>> {
@@ -251,10 +234,6 @@ impl BlockService for Engine {
 
     fn version(&self) -> Vec<Epoch> {
         vec![self.epoch()]
-    }
-
-    fn serve_cost_ns(&self, view: &str) -> Option<u64> {
-        Engine::serve_cost_ns(self, view)
     }
 }
 
@@ -426,44 +405,6 @@ mod tests {
             svc.apply_update_preconditioned(&delta2, None).unwrap(),
             after
         );
-    }
-
-    #[test]
-    fn serve_cost_tracks_measured_serves() {
-        let local = Engine::new(db());
-        let svc: &dyn BlockService = &local;
-        svc.register_view("tri", QUERY, "bff", "tau:2").unwrap();
-        assert_eq!(
-            svc.serve_cost_ns("tri"),
-            None,
-            "unknown before the first measured serve"
-        );
-        let mut block = AnswerBlock::new();
-        svc.serve_into("tri", &[1], &mut block).unwrap();
-        let first = svc.serve_cost_ns("tri").expect("cost after one serve");
-        assert!(first > 0, "a measured serve has nonzero wall time");
-        // Further serves fold in as an EWMA: the estimate stays a
-        // plausible per-serve cost, not a running total.
-        for v in 0..8u64 {
-            block.reset();
-            svc.serve_into("tri", &[v], &mut block).unwrap();
-        }
-        let settled = svc.serve_cost_ns("tri").unwrap();
-        assert!(
-            settled < first.saturating_mul(1000),
-            "EWMA must not accumulate: {first} -> {settled}"
-        );
-        // Direct EWMA arithmetic: constant samples converge to the
-        // sample; the first sample seeds exactly.
-        local.record_serve_cost("x", 1000);
-        assert_eq!(local.serve_cost_ns("x"), Some(1000));
-        for _ in 0..64 {
-            local.record_serve_cost("x", 2000);
-        }
-        let x = local.serve_cost_ns("x").unwrap();
-        assert!((1900..=2000).contains(&x), "converge toward samples: {x}");
-        // Views the service does not track stay unknown.
-        assert_eq!(svc.serve_cost_ns("ghost"), None);
     }
 
     #[test]

@@ -20,9 +20,12 @@
 //! * free slots go to the **highest-priority, newest** waiter
 //!   (the admission-side mirror of the same policy);
 //! * a request whose deadline is already gone — on arrival or while
-//!   queued — is shed with a typed
+//!   queued — or whose remaining budget cannot cover the view's
+//!   estimated serve cost is shed with a typed
 //!   [`DEADLINE`](cqc_common::frame::code::DEADLINE) before any
-//!   enumeration work;
+//!   enumeration work. The estimate is a per-view EWMA of the serves this
+//!   controller's server timed ([`AdmissionController::observe_serve_cost`]),
+//!   so every service behind a server sheds by the same rule;
 //! * when saturation persists for `brownout_after`, the controller
 //!   enters **brownout** and sheds [`ServePriority::Batch`] on arrival
 //!   with a typed [`REFUSED`](cqc_common::frame::code::REFUSED), keeping
@@ -153,6 +156,8 @@ pub struct AdmissionController {
     config: AdmissionConfig,
     state: Mutex<State>,
     wakeup: Condvar,
+    /// Per-view EWMA of measured serve wall time in nanoseconds.
+    serve_costs: Mutex<FastMap<String, u64>>,
 }
 
 /// An admitted serve slot; dropping it releases the slot and hands it
@@ -175,6 +180,7 @@ impl AdmissionController {
             config,
             state: Mutex::new(State::default()),
             wakeup: Condvar::new(),
+            serve_costs: Mutex::new(FastMap::default()),
         }
     }
 
@@ -299,13 +305,61 @@ impl AdmissionController {
         }
     }
 
-    /// Accounts a cost-based shed decided *outside* the controller: the
-    /// server refuses a request whose wire budget cannot cover the
-    /// view's measured serve cost before admission ever runs, but the
-    /// shed still belongs in these stats (reason: deadline).
-    pub fn record_cost_shed(&self, priority: ServePriority) {
-        let mut st = self.state.lock().expect("admission lock");
-        st.shed(priority, ShedReason::Expired);
+    /// Sheds a request whose wire budget cannot cover `view`'s estimated
+    /// serve cost: the serve would only burn server time to produce a
+    /// mid-stream DEADLINE, so it is refused before it occupies queue
+    /// space or a slot (accounted as an expired shed). An unknown cost or
+    /// an unbounded request never sheds.
+    ///
+    /// # Errors
+    ///
+    /// [`CqcError::Protocol`] with [`code::DEADLINE`] when
+    /// `budget_ns` is below the estimate.
+    pub fn shed_on_cost(
+        &self,
+        view: &str,
+        priority: ServePriority,
+        budget_ns: Option<u64>,
+    ) -> Result<()> {
+        let (Some(budget_ns), Some(cost_ns)) = (budget_ns, self.serve_cost_ns(view)) else {
+            return Ok(());
+        };
+        if budget_ns >= cost_ns {
+            return Ok(());
+        }
+        self.state
+            .lock()
+            .expect("admission lock")
+            .shed(priority, ShedReason::Expired);
+        Err(deadline_error(&format!(
+            "deadline budget of {budget_ns} ns cannot cover the view's measured serve cost \
+             of {cost_ns} ns"
+        )))
+    }
+
+    /// Folds one measured serve wall time into `view`'s cost estimate: an
+    /// EWMA with α = 1/4, seeded by the first sample. A quarter-weight
+    /// EWMA tracks catalog churn (a rebuild after a delta shifts the cost)
+    /// within a handful of serves without letting one descheduled outlier
+    /// rewrite the estimate.
+    pub fn observe_serve_cost(&self, view: &str, ns: u64) {
+        let mut costs = self.serve_costs.lock().expect("serve cost lock");
+        match costs.get_mut(view) {
+            Some(ewma) => *ewma = *ewma - *ewma / 4 + ns / 4,
+            None => {
+                costs.insert(view.to_string(), ns);
+            }
+        }
+    }
+
+    /// The EWMA of measured serve wall times for `view` in nanoseconds;
+    /// `None` until the first measured serve.
+    pub fn serve_cost_ns(&self, view: &str) -> Option<u64> {
+        self.serve_costs
+            .lock()
+            .expect("serve cost lock")
+            .get(view)
+            .copied()
     }
 
     /// Releases one serve slot and hands it to the strongest waiter
@@ -580,5 +634,31 @@ mod tests {
         drop(_holder);
         let _p = c.admit(ServePriority::Batch, None).unwrap();
         assert_eq!(c.stats().brownouts, 1);
+    }
+
+    #[test]
+    fn serve_cost_is_an_ewma_seeded_by_the_first_sample() {
+        let c = ctl(1, 0, Duration::from_secs(60));
+        assert_eq!(c.serve_cost_ns("x"), None, "unknown before any serve");
+        c.observe_serve_cost("x", 1000);
+        assert_eq!(c.serve_cost_ns("x"), Some(1000));
+        for _ in 0..64 {
+            c.observe_serve_cost("x", 2000);
+        }
+        let x = c.serve_cost_ns("x").unwrap();
+        assert!((1900..=2000).contains(&x), "converge toward samples: {x}");
+        assert_eq!(c.serve_cost_ns("ghost"), None);
+        // The estimate sheds only a bounded request it cannot fit.
+        assert!(c.shed_on_cost("x", ServePriority::Batch, None).is_ok());
+        assert!(c
+            .shed_on_cost("ghost", ServePriority::Batch, Some(1))
+            .is_ok());
+        assert!(c.shed_on_cost("x", ServePriority::Batch, Some(x)).is_ok());
+        let err = c
+            .shed_on_cost("x", ServePriority::Batch, Some(x - 1))
+            .unwrap_err();
+        assert!(is_deadline(&err), "{err}");
+        let s = c.stats();
+        assert_eq!((s.shed_batch, s.shed_expired, s.admitted), (1, 1, 0));
     }
 }

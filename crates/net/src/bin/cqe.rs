@@ -11,7 +11,9 @@
 //! register <name> <pattern> <strategy> <query>
 //!                                      e.g. register mutual bfb auto
 //!                                           "V(x,y,z) :- R(x,y), R(y,z), R(z,x)"
-//! ask <name> <v1> <v2> ...             answer one access request
+//! ask <name> <v1> <v2> ...             answer one access request (prints
+//!                                      each answer, then the count and
+//!                                      the counted work)
 //! exists <name> <v1> ...               boolean probe
 //! explain <name>                       strategy selection + representation
 //! update [--rm] <rel> <v1> <v2> ...    insert (or with --rm delete) one
@@ -33,13 +35,6 @@
 //!                                      requests out across the shard
 //!                                      fleet and merges the streams back
 //!                                      into exact lexicographic order
-//! bench <name> <requests> <threads> [seed] [witness|random]
-//!       [--with-updates[=<rounds>]] [--json=<path>]
-//!                                      serve a generated request stream;
-//!                                      --with-updates interleaves mixed
-//!                                      insert/delete deltas and cross-checks
-//!                                      answers against a naive oracle,
-//!                                      --json writes a summary file
 //! stats                                catalog + update counters
 //! demo                                 canned end-to-end tour
 //! help | quit
@@ -48,25 +43,21 @@
 //! Strategies: `auto`, `auto:<budget>`, `materialize`, `direct`,
 //! `factorized`, `tau:<τ>`, `budget:<exp>`, `decomposed:<exp>`.
 //!
-//! Measuring lives elsewhere: `benchmark/run.sh` is the repo's one
-//! benchmark, and the fault-tolerance, overload and durability verdict
-//! harnesses are the `chaos`, `mix` and `recovery` binaries of `cqc-bench`
-//! (the last one drives this binary as its `serve --data-dir` child).
+//! Measuring lives elsewhere and this binary reads no clock: `ask` reports
+//! the work a request counted ([`cqc_common::metrics`]), not its wall time.
+//! `benchmark/run.sh` is the repo's one benchmark, and the
+//! fault-tolerance, overload and durability verdict harnesses are the
+//! `chaos`, `mix` and `recovery` binaries of `cqc-bench` (the last one
+//! drives this binary as its `serve --data-dir` child).
 
-use cqc_common::measure::{
-    fmt_bytes, fmt_ns, json_string, write_json_summary, BatchStats, DelayProbe,
-};
-use cqc_common::{AnswerBlock, ExistsSink, FnSink, Value};
-use cqc_engine::{stripe_requests, BlockService, Engine, Policy, UpdateReport};
-use cqc_join::naive::evaluate_view;
+use cqc_common::measure::fmt_bytes;
+use cqc_common::{metrics, ExistsSink, FnSink, Value};
+use cqc_engine::{BlockService, Engine, Policy};
 use cqc_net::{ClientConfig, NetServer, NetServerConfig, Router};
 use cqc_query::parser::parse_adorned;
 use cqc_storage::csv::CsvOptions;
 use cqc_storage::{Delta, Partitioning};
-use cqc_workload::{
-    graphs, mixed_delta, random_requests, triangle_relations, uniform_relation, view_relations,
-    witness_requests,
-};
+use cqc_workload::{graphs, triangle_relations, uniform_relation};
 use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
@@ -161,8 +152,6 @@ fn print_help() {
     println!("        [--max-inflight=<n>] [--queue-depth=<n>] [--deadline-ms=<n>]");
     println!("        [--brownout-ms=<n>]");
     println!("        front-door router: health-checks the fleet, fans out, merges");
-    println!("  bench <name> <requests> <threads> [seed] [witness|random]");
-    println!("        [--with-updates[=<rounds>]] [--json=<path>]");
     println!("  stats   demo   help   quit");
     println!();
     println!("strategies: auto  auto:<budget>  materialize  direct  factorized");
@@ -275,22 +264,23 @@ fn execute(engine: &mut Engine, line: &str) -> Result<bool, String> {
                     .map_err(|e| e.to_string())?;
                 println!("{}", probe.found);
             } else {
-                let mut probe = DelayProbe::start();
+                let before = metrics::snapshot();
                 let mut rows = FnSink(|t: &[Value]| {
                     let row: Vec<String> = t.iter().map(|&v| engine.display_value(v)).collect();
                     println!("{}", row.join(", "));
-                    probe.tick();
                     true
                 });
-                engine
+                let tuples = engine
                     .serve_into(name, &bound, &mut rows)
                     .map_err(|e| e.to_string())?;
-                let delay = probe.finish();
+                let work = metrics::snapshot().delta_since(&before);
                 println!(
-                    "-- {} tuples in {} (max delay {})",
-                    delay.tuples,
-                    fmt_ns(delay.total_ns),
-                    fmt_ns(delay.max_ns)
+                    "-- {tuples} tuples, work {} ({} trie seeks, {} count probes, \
+                     {} dict lookups)",
+                    work.work(),
+                    work.trie_seeks,
+                    work.count_probes,
+                    work.dict_lookups
                 );
             }
         }
@@ -369,13 +359,13 @@ fn execute(engine: &mut Engine, line: &str) -> Result<bool, String> {
         }
         "serve" => serve_cmd(engine, rest)?,
         "route" => route_cmd(engine, rest)?,
-        "bench" => bench(engine, rest)?,
         "demo" => {
             for cmd in [
                 "gen social 400 4000 7",
                 "register mutual bfb auto \"V(x,y,z) :- R(x,y), R(y,z), R(z,x)\"",
                 "explain mutual",
-                "bench mutual 2000 4 7 witness",
+                "ask mutual 9 27",
+                "exists mutual 9 27",
                 "stats",
             ] {
                 println!("cqe> {cmd}");
@@ -666,260 +656,4 @@ fn route_cmd(engine: &mut Engine, rest: &[String]) -> Result<(), String> {
     loop {
         std::thread::park();
     }
-}
-
-/// Options accepted by `bench` after the positional arguments.
-struct BenchOpts {
-    seed: u64,
-    witness: bool,
-    /// `Some(rounds)` to interleave delta application with serving.
-    updates: Option<usize>,
-    json_path: Option<String>,
-}
-
-fn parse_bench_opts(opts: &[String]) -> Result<BenchOpts, String> {
-    let mut parsed = BenchOpts {
-        seed: 7,
-        witness: true,
-        updates: None,
-        json_path: None,
-    };
-    let mut positional = 0usize;
-    for opt in opts {
-        if let Some(flag) = opt.strip_prefix("--") {
-            let (key, val) = match flag.split_once('=') {
-                Some((k, v)) => (k, Some(v)),
-                None => (flag, None),
-            };
-            match key {
-                "with-updates" => {
-                    let rounds = match val {
-                        None => 6,
-                        Some(v) => v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&r| r >= 2)
-                            .ok_or_else(|| format!("bad round count `{v}` (need ≥ 2)"))?,
-                    };
-                    parsed.updates = Some(rounds);
-                }
-                "json" => {
-                    let Some(path) = val else {
-                        return Err("--json needs a path (--json=<path>)".into());
-                    };
-                    parsed.json_path = Some(path.to_string());
-                }
-                other => return Err(format!("unknown bench flag `--{other}`")),
-            }
-            continue;
-        }
-        match positional {
-            0 => parsed.seed = opt.parse().map_err(|_| format!("bad seed `{opt}`"))?,
-            1 => {
-                parsed.witness = match opt.as_str() {
-                    "witness" => true,
-                    "random" => false,
-                    other => return Err(format!("bad sampler `{other}` (witness|random)")),
-                }
-            }
-            _ => return Err(format!("unexpected bench argument `{opt}`")),
-        }
-        positional += 1;
-    }
-    Ok(parsed)
-}
-
-/// Cross-checks a few served streams against the naive oracle on the
-/// current snapshot; any divergence — a missing, a stale or a repeated
-/// answer — is a stale-serve violation. The stream is sorted, because a
-/// Theorem 2 view serves in pre-order of its bags, and never deduplicated.
-fn stale_serve_violations(
-    engine: &Engine,
-    rv: &cqc_engine::RegisteredView,
-    probes: &[Vec<Value>],
-) -> Result<usize, String> {
-    let db = engine.db();
-    let mut violations = 0;
-    let mut served = AnswerBlock::new();
-    for bound in probes {
-        let expect = evaluate_view(&rv.view, &db, bound).map_err(|e| e.to_string())?;
-        served.clear();
-        engine
-            .serve_into(&rv.name, bound, &mut served)
-            .map_err(|e| e.to_string())?;
-        let mut got = served.to_tuples();
-        got.sort_unstable();
-        if got != expect {
-            violations += 1;
-        }
-    }
-    Ok(violations)
-}
-
-fn bench(engine: &mut Engine, rest: &[String]) -> Result<(), String> {
-    let [name, n_req, threads, opts @ ..] = rest else {
-        return Err(
-            "usage: bench <name> <requests> <threads> [seed] [witness|random] \
-                    [--with-updates[=<rounds>]] [--json=<path>]"
-                .into(),
-        );
-    };
-    let n_req: usize = n_req.parse().map_err(|_| "bad request count")?;
-    let threads: usize = threads.parse().map_err(|_| "bad thread count")?;
-    let opts = parse_bench_opts(opts)?;
-
-    let rv = engine.view(name).map_err(|e| e.to_string())?;
-    let mut rng = cqc_workload::rng(opts.seed);
-    let requests = if opts.witness {
-        witness_requests(&mut rng, &rv.view, &engine.db(), n_req)
-    } else {
-        random_requests(&mut rng, &rv.view, &engine.db(), n_req)
-    };
-
-    let view_relations = view_relations(&rv.view);
-
-    let before = engine.catalog_stats();
-    let mut updates = UpdateReport::default();
-    let mut rounds_applied = 0usize;
-    let mut violations = 0usize;
-    // Serving-only wall time: delta application and oracle verification
-    // stay outside it, so the reported (and JSON-archived) req/s tracks
-    // the serve path, not the self-check harness.
-    let mut serve_ns = 0u64;
-    let mut batch = BatchStats::default();
-    let mut served = 0usize;
-    let mut measure = |engine: &Engine, reqs: &[Vec<Value>]| -> Result<(), String> {
-        // A probe at the sink retains no tuples, so the reported gaps are
-        // the §2.3 delay between answers as served, not Vec reallocs.
-        let t0 = std::time::Instant::now();
-        let measured = stripe_requests(reqs.len(), threads, |i| {
-            let mut probe = DelayProbe::start();
-            engine.serve_into(name, &reqs[i], &mut probe)?;
-            Ok(probe.finish())
-        })
-        .map_err(|e| e.to_string())?;
-        serve_ns += t0.elapsed().as_nanos() as u64;
-        served += measured.len();
-        for d in &measured {
-            batch.add(d);
-        }
-        Ok(())
-    };
-    match opts.updates {
-        None => measure(engine, &requests)?,
-        Some(rounds) => {
-            let chunk = requests.len().div_ceil(rounds).max(1);
-            let mut chunks = requests.chunks(chunk).peekable();
-            while let Some(reqs) = chunks.next() {
-                measure(engine, reqs)?;
-                if chunks.peek().is_some() {
-                    let delta = mixed_delta(&mut rng, &engine.db(), &view_relations, 3, 2);
-                    let report = engine.update(&delta).map_err(|e| e.to_string())?;
-                    rounds_applied += 1;
-                    updates.epoch = report.epoch;
-                    updates.delta_tuples += report.delta_tuples;
-                    updates.maintained += report.maintained;
-                    updates.rebuilt += report.rebuilt;
-                    updates.restamped += report.restamped;
-                    let next = chunks.peek().unwrap();
-                    violations += stale_serve_violations(engine, &rv, &next[..next.len().min(3)])?;
-                }
-            }
-        }
-    }
-    let after = engine.catalog_stats();
-
-    let batch = batch.finish();
-    // Serving-phase rebuilds only: update-phase rebuilds are reported (and
-    // judged) separately below.
-    let rebuilds = (after.builds - before.builds) - updates.rebuilt as u64;
-
-    println!(
-        "bench `{name}`: {} requests on {threads} threads in {} \
-         ({:.0} req/s, {} tuples)",
-        served,
-        fmt_ns(serve_ns),
-        served as f64 / (serve_ns.max(1) as f64 / 1e9),
-        batch.tuples
-    );
-    println!(
-        "  delay: max {} | mean p99 {} | trie seeks {}",
-        fmt_ns(batch.max_delay_ns),
-        fmt_ns(batch.mean_p99_ns),
-        batch.trie_seeks
-    );
-    println!(
-        "  catalog: {} representation rebuilds during serving ({}), {} hits",
-        rebuilds,
-        if rebuilds == 0 {
-            "cache-hit request path"
-        } else {
-            "catalog thrashing — raise the budget"
-        },
-        after.hits - before.hits
-    );
-    if opts.updates.is_some() {
-        println!(
-            "  updates: {rounds_applied} rounds, {} tuples queued, \
-             delta-maintained: {}, rebuilt: {}, restamped: {}",
-            updates.delta_tuples, updates.maintained, updates.rebuilt, updates.restamped
-        );
-        println!("  stale-serve violations: {violations}");
-    }
-    if let Some(path) = &opts.json_path {
-        let fields = serve_json_fields(
-            name,
-            served,
-            threads,
-            serve_ns,
-            &batch,
-            rebuilds,
-            opts.updates.map(|_| (rounds_applied, &updates, violations)),
-        );
-        write_json_summary(path, &fields)?;
-    }
-    if violations > 0 {
-        return Err(format!(
-            "{violations} stale-serve violation(s): answers diverged from the naive oracle"
-        ));
-    }
-    Ok(())
-}
-
-/// Hand-rolled JSON fields (the environment has no serde): flat summary
-/// for per-commit perf tracking. `wall_ns` is serving-only wall time.
-fn serve_json_fields(
-    name: &str,
-    requests: usize,
-    threads: usize,
-    wall_ns: u64,
-    batch: &BatchStats,
-    rebuilds: u64,
-    updates: Option<(usize, &UpdateReport, usize)>,
-) -> Vec<String> {
-    let mut fields = vec![
-        format!("\"view\": {}", json_string(name)),
-        format!("\"requests\": {requests}"),
-        format!("\"threads\": {threads}"),
-        format!("\"wall_ns\": {wall_ns}"),
-        format!(
-            "\"req_per_s\": {:.1}",
-            requests as f64 / (wall_ns.max(1) as f64 / 1e9)
-        ),
-        format!("\"tuples\": {}", batch.tuples),
-        format!("\"max_delay_ns\": {}", batch.max_delay_ns),
-        format!("\"mean_p99_ns\": {}", batch.mean_p99_ns),
-        format!("\"trie_seeks\": {}", batch.trie_seeks),
-        format!("\"serve_rebuilds\": {rebuilds}"),
-    ];
-    if let Some((rounds, u, violations)) = updates {
-        fields.push(format!("\"update_rounds\": {rounds}"));
-        fields.push(format!("\"delta_tuples\": {}", u.delta_tuples));
-        fields.push(format!("\"delta_maintained\": {}", u.maintained));
-        fields.push(format!("\"update_rebuilt\": {}", u.rebuilt));
-        fields.push(format!("\"update_restamped\": {}", u.restamped));
-        fields.push(format!("\"stale_serve_violations\": {violations}"));
-        fields.push(format!("\"final_epoch\": {}", u.epoch));
-    }
-    fields
 }

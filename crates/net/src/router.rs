@@ -203,15 +203,11 @@ impl Router {
         let mut expected = Vec::with_capacity(built.len());
         let mut unreachable: Vec<String> = Vec::new();
         for group in &built {
-            let mut vector: Option<Vec<Epoch>> = None;
-            for (addr, outcome) in group.probe() {
-                match outcome {
-                    Ok(epochs) => vector = Some(max_vector(vector.take(), epochs)),
-                    Err(e) => {
-                        unreachable.push(format!("shard {} ({addr}): {e}", group.shard()));
-                    }
-                }
-            }
+            let (vector, dead) = probe_group(group);
+            unreachable.extend(
+                dead.iter()
+                    .map(|d| format!("shard {} ({d})", group.shard())),
+            );
             expected.push(vector.unwrap_or_default());
         }
         if !unreachable.is_empty() {
@@ -290,14 +286,7 @@ impl Router {
     pub fn health_check(&self) -> Result<Vec<Vec<Epoch>>> {
         let mut fresh = Vec::with_capacity(self.groups.len());
         for group in &self.groups {
-            let mut vector: Option<Vec<Epoch>> = None;
-            let mut dead: Vec<String> = Vec::new();
-            for (addr, outcome) in group.probe() {
-                match outcome {
-                    Ok(epochs) => vector = Some(max_vector(vector.take(), epochs)),
-                    Err(e) => dead.push(format!("{addr}: {e}")),
-                }
-            }
+            let (vector, dead) = probe_group(group);
             match vector {
                 Some(v) => fresh.push(v),
                 None => {
@@ -421,6 +410,22 @@ impl Router {
             failures,
         })
     }
+}
+
+/// Probes every replica of `group`: the elementwise max of the reachable
+/// replicas' epoch vectors (`None` when none answered) and one
+/// `"<addr>: <error>"` per unreachable replica. Each caller applies its own
+/// failure rule to the dead list.
+fn probe_group(group: &ReplicaGroup) -> (Option<Vec<Epoch>>, Vec<String>) {
+    let mut vector: Option<Vec<Epoch>> = None;
+    let mut dead = Vec::new();
+    for (addr, outcome) in group.probe() {
+        match outcome {
+            Ok(epochs) => vector = Some(max_vector(vector.take(), epochs)),
+            Err(e) => dead.push(format!("{addr}: {e}")),
+        }
+    }
+    (vector, dead)
 }
 
 /// Elementwise max of two epoch vectors (the freshest state any replica

@@ -13,9 +13,10 @@
 //!   stops the enumeration through the push-sink early-stop hook, so a
 //!   runaway request costs bounded server time and the client gets a
 //!   typed [`code::DEADLINE`] error. A request whose budget is spent on
-//!   arrival — or cannot cover the view's measured serve cost
-//!   ([`BlockService::serve_cost_ns`]) — is shed before any enumeration
-//!   work;
+//!   arrival — or cannot cover the view's measured serve cost, an
+//!   estimate the server keeps per view from the serves it times
+//!   ([`AdmissionController::serve_cost_ns`]) — is shed before any
+//!   enumeration work;
 //! * **backpressure** — serve requests run through an
 //!   [`AdmissionController`]: `max_inflight` concurrent serves, a small
 //!   bounded wait queue with priority-aware adaptive-LIFO shedding, and
@@ -38,7 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::admission::{deadline_error, AdmissionConfig, AdmissionController, AdmissionStats};
+use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats};
 use crate::protocol;
 
 /// The sink checks the deadline every `DEADLINE_CHECK_MASK + 1` pushes
@@ -381,26 +382,12 @@ fn serve_one(
     let tail = req.tail;
     let arrived = Instant::now();
     let wire_deadline = tail.budget_ns.map(|ns| arrived + Duration::from_nanos(ns));
-    // Cost-based shed: if the view's measured serve cost is known and
-    // the remaining budget cannot cover it, the serve would only burn
-    // server time to produce a mid-stream DEADLINE — refuse it now,
-    // before it occupies queue space or a slot.
-    if let (Some(budget_ns), Some(cost_ns)) = (tail.budget_ns, service.serve_cost_ns(&req.view)) {
-        if budget_ns < cost_ns {
-            admission.record_cost_shed(tail.priority);
-            return send_error(
-                writer,
-                payload,
-                &deadline_error(&format!(
-                    "deadline budget of {budget_ns} ns cannot cover the view's measured \
-                     serve cost of {cost_ns} ns"
-                )),
-            );
-        }
-    }
-    // Expired-on-arrival and overload shedding live in the controller;
-    // the wire deadline also bounds queue wait.
-    let permit = match admission.admit(tail.priority, wire_deadline) {
+    // Cost, expired-on-arrival and overload shedding live in the
+    // controller; the wire deadline also bounds queue wait.
+    let permit = match admission
+        .shed_on_cost(&req.view, tail.priority, tail.budget_ns)
+        .and_then(|()| admission.admit(tail.priority, wire_deadline))
+    {
         Ok(p) => p,
         Err(e) => return send_error(writer, payload, &e),
     };
@@ -413,7 +400,14 @@ fn serve_one(
         (a, b) => a.or(b),
     };
     let mut sink = ChunkSink::new(writer, config.chunk_tuples, deadline);
+    let started = Instant::now();
     let served = service.serve_into(&req.view, &req.bound, &mut sink);
+    // The serves that actually happen feed the cost estimate, early-stopped
+    // streams included: the wall time a caller paid is the wall time the
+    // estimate needs.
+    if served.is_ok() {
+        admission.observe_serve_cost(&req.view, started.elapsed().as_nanos() as u64);
+    }
     let failure = sink.failure.take();
     let total = sink.total;
     let tail_flush = match failure {

@@ -3,20 +3,21 @@
 //! answer. Scripted fake shards (raw TCP speaking the frame codec) make
 //! the failures deterministic: death mid-stream, a stalled server, an
 //! overloaded server, a wrong protocol version, a malformed chunk, a
-//! stream whose chunks disagree on their arity, and a server-side deadline
-//! are each provoked on purpose and asserted on by error code.
+//! stream whose chunks disagree on their arity, a server-side deadline and
+//! a budget below a slow service's measured serve cost are each provoked
+//! on purpose and asserted on by error code.
 
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cqc_common::frame::{self, code, FrameKind, FrameReader, PayloadWriter};
+use cqc_common::frame::{self, code, FrameKind, FrameReader, PayloadWriter, ServePriority};
 use cqc_common::{AnswerBlock, AnswerSink, CqcError};
 use cqc_engine::{BlockService, Engine};
 use cqc_net::{
-    protocol, BreakerConfig, ClientConfig, NetServer, NetServerConfig, RetryPolicy, Router,
-    ServeMode, ServeOpts, ServerHandle, ShardClient,
+    protocol, BreakerConfig, ChaosService, ClientConfig, Deadline, Fault, NetServer,
+    NetServerConfig, RetryPolicy, Router, ServeMode, ServeOpts, ServerHandle, ShardClient,
 };
 use cqc_storage::{shard_of_value, Database, Delta, PartitionSpec, Partitioning, Relation};
 
@@ -269,6 +270,54 @@ fn server_deadline_fires_as_a_typed_error() {
     }
     // The connection stays usable after a typed error: health still works.
     client.health().unwrap();
+}
+
+/// The server keeps the serve-cost estimate itself, so it sheds on cost
+/// in front of any service — here a [`ChaosService`] slowed to about
+/// 20 ms a serve. One unbounded serve sets the estimate; a serve whose
+/// 5 ms wire budget cannot cover it is shed before admission: a typed
+/// [`code::DEADLINE`], one more expired shed and no more admitted serves.
+#[test]
+fn slow_service_sheds_a_budget_below_its_measured_cost() {
+    let chaos = Arc::new(ChaosService::new(Arc::new(Engine::new(tiny_db()))));
+    chaos.set_fault(Fault::Slowdown(2));
+    let server = NetServer::spawn(chaos, "127.0.0.1:0", NetServerConfig::default()).unwrap();
+    let mut client = ShardClient::new(server.addr().to_string(), fast_client());
+    client
+        .register(&protocol::RegisterReq {
+            name: "v".into(),
+            query: "Q(x,y) :- R(x,y)".into(),
+            pattern: "bf".into(),
+            strategy: "direct".into(),
+        })
+        .unwrap();
+    let mut block = AnswerBlock::new();
+    client.serve_with_sink("v", &[1], &mut block).unwrap();
+    assert_eq!(block.to_tuples(), vec![vec![2], vec![3]]);
+    let before = server.admission_stats();
+    let err = client
+        .serve_with_sink_opts(
+            "v",
+            &[1],
+            &mut AnswerBlock::new(),
+            ServePriority::Interactive,
+            Deadline::within(Some(Duration::from_millis(5))),
+        )
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CqcError::Protocol {
+                code: code::DEADLINE,
+                ..
+            }
+        ),
+        "expected a typed DEADLINE shed, got {err}"
+    );
+    let after = server.admission_stats();
+    assert_eq!(after.shed_expired, before.shed_expired + 1, "{after:?}");
+    assert_eq!(after.shed_total(), before.shed_total() + 1, "{after:?}");
+    assert_eq!(after.admitted, before.admitted, "{after:?}");
 }
 
 /// With the in-flight gate at zero, every serve is refused; the client

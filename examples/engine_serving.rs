@@ -11,7 +11,8 @@
 //! large batch of access requests served across threads — with the catalog
 //! proving that the request path performs zero rebuilds.
 
-use cqc_common::measure::{fmt_bytes, fmt_ns, BatchStats, DelayProbe};
+use cqc_common::measure::{fmt_bytes, fmt_ns};
+use cqc_common::CountingSink;
 use cqc_engine::{stripe_requests, BlockService, Engine, Policy};
 use cqc_workload::{graphs, queries, witness_requests};
 use std::time::Instant;
@@ -47,25 +48,19 @@ fn main() {
     for threads in [1, 4] {
         let t0 = Instant::now();
         let served = stripe_requests(requests.len(), threads, |i| {
-            let mut probe = DelayProbe::start();
-            engine.serve_into("mutual", &requests[i], &mut probe)?;
-            Ok(probe.finish())
+            let mut counted = CountingSink::default();
+            engine.serve_into("mutual", &requests[i], &mut counted)?;
+            Ok(counted.count)
         })
         .unwrap();
         let wall = t0.elapsed();
-        let mut batch = BatchStats::default();
-        for delay in &served {
-            batch.add(delay);
-        }
-        let batch = batch.finish();
         println!(
             "served {} requests on {threads} thread(s): {} ({:.0} req/s), \
-             {} result tuples, max delay {}",
+             {} result tuples",
             served.len(),
             fmt_ns(wall.as_nanos() as u64),
             served.len() as f64 / wall.as_secs_f64(),
-            batch.tuples,
-            fmt_ns(batch.max_delay_ns)
+            served.iter().sum::<usize>()
         );
     }
 
