@@ -160,7 +160,7 @@ fn mix_phase(
                             &bounds[a.bound_idx],
                             &mut block,
                             a.priority,
-                            Deadline::within(Some(a.budget)),
+                            Deadline::within(Some(a.budget), Instant::now()),
                         ) {
                             Ok(_) => MixOutcome::Accepted(t0.elapsed().as_nanos() as u64),
                             Err(CqcError::Protocol { code: c, .. }) if c == code::REFUSED => {

@@ -29,6 +29,9 @@
 //! leapfrog scan's seek lands there. Searches read the column in place:
 //! nothing is unpacked.
 //!
+//! [`BitColumn`] is the same window over fields of differing widths, for
+//! a column whose reader knows each field's position and width.
+//!
 //! [`RankedBits`] is the one-bit column beside it: bits in `u64` words and
 //! a directory of the set bits before each word, so the rank of a
 //! position — how many set bits precede it — is one directory read and
@@ -164,24 +167,7 @@ impl Packed {
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         assert!(i < self.len, "index {i} out of a column of {}", self.len);
-        let bit = i * self.width as usize;
-        let at = bit / 8;
-        let window = match self.bytes.get(at..at + 8) {
-            Some(window) => u64::from_le_bytes(window.try_into().expect("8 bytes")),
-            None => self.last_window(bit),
-        };
-        (window >> (bit % 8)) & self.mask
-    }
-
-    /// The window of a value in the column's last 7 bytes, where the one
-    /// at its first byte would run past the end: the last 8 bytes, shifted
-    /// so the value starts where [`Packed::get`] expects it.
-    #[cold]
-    #[inline(never)]
-    fn last_window(&self, bit: usize) -> u64 {
-        let at = self.bytes.len() - 8;
-        let window: [u8; 8] = self.bytes[at..].try_into().expect("8 bytes");
-        u64::from_le_bytes(window) >> (bit - 8 * at - bit % 8)
+        window(&self.bytes, i * self.width as usize) & self.mask
     }
 
     /// Number of values.
@@ -452,7 +438,150 @@ fn partition<C: Column>(
     lo
 }
 
+/// The 8 bytes from `bit`'s byte on, little-endian, shifted so that `bit`
+/// is the lowest: a field of up to [`WINDOW_BITS`] bits starting at `bit`
+/// lies in its low bits. `bytes` is whole words, so a field in the last 7
+/// bytes, whose window would run past the end, reads the last 8.
+#[inline]
+fn window(bytes: &[u8], bit: usize) -> u64 {
+    let at = bit / 8;
+    match bytes.get(at..at + 8) {
+        Some(window) => u64::from_le_bytes(window.try_into().expect("8 bytes")) >> (bit % 8),
+        None => last_window(bytes, bit),
+    }
+}
+
+/// [`window`] for a field in the last 7 bytes: the last 8 bytes, shifted
+/// so the field starts at bit 0.
+#[cold]
+#[inline(never)]
+fn last_window(bytes: &[u8], bit: usize) -> u64 {
+    let at = bytes.len() - 8;
+    let window: [u8; 8] = bytes[at..].try_into().expect("8 bytes");
+    u64::from_le_bytes(window) >> (bit - 8 * at)
+}
+
 impl HeapSize for Packed {
+    fn heap_bytes(&self) -> usize {
+        self.bytes.heap_bytes()
+    }
+}
+
+/// An immutable string of bits, built by a [`BitWriter`], read as fields
+/// of any width from 0 to 57, each through the same 8-byte window as
+/// [`Packed::get`]. It is for a column whose values do not share one
+/// width: the reader knows where each field starts and how wide it is (a
+/// delay-balanced tree stores its split points at one width per level and
+/// coordinate, the widths first).
+///
+/// The bits are little-endian `u64` words, so [`HeapSize::heap_bytes`] is
+/// exactly `⌈len / 64⌉ · 8`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BitColumn {
+    bytes: Box<[u8]>,
+    /// Bits stored.
+    len: usize,
+}
+
+impl BitColumn {
+    /// The `width` bits from bit `bit` on, as a number; 0 for width 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in release builds too, unless the field lies inside the
+    /// column and `width` is at most 57: the bits past the last field in
+    /// its word are padding.
+    #[inline]
+    pub fn bits_at(&self, bit: usize, width: u32) -> u64 {
+        assert!(
+            width <= WINDOW_BITS && bit + width as usize <= self.len,
+            "bits {bit}..{} out of a column of {}",
+            bit + width as usize,
+            self.len
+        );
+        if width == 0 {
+            return 0;
+        }
+        window(&self.bytes, bit) & !(u64::MAX << width)
+    }
+
+    /// Number of bits.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the column holds no bit.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// A [`BitColumn`] under construction: fields appended one at a time, or
+/// another writer's bits after its own.
+#[derive(Debug, Clone, Default)]
+pub struct BitWriter {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl BitWriter {
+    /// Appends a `width`-bit field holding `v`; width 0 appends nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `width` exceeds 57 bits or `v` does not fit it.
+    pub fn push(&mut self, v: u64, width: u32) {
+        assert!(
+            width <= WINDOW_BITS,
+            "a {width}-bit field is wider than a window"
+        );
+        assert!(v >> width == 0, "{v} does not fit {width} bits");
+        if width == 0 {
+            return;
+        }
+        let (k, off) = (self.len / 64, self.len % 64);
+        self.words
+            .resize((self.len + width as usize).div_ceil(64), 0);
+        self.words[k] |= v << off;
+        if off + width as usize > 64 {
+            self.words[k + 1] |= v >> (64 - off);
+        }
+        self.len += width as usize;
+    }
+
+    /// Appends `other`'s bits after this writer's.
+    pub fn append(&mut self, other: &BitWriter) {
+        let (whole, rest) = (other.len / 32, other.len % 32);
+        for k in 0..whole {
+            self.push(other.words[k / 2] >> (32 * (k % 2)) & 0xffff_ffff, 32);
+        }
+        if rest > 0 {
+            let k = whole;
+            let tail = other.words[k / 2] >> (32 * (k % 2)) & !(u64::MAX << rest);
+            self.push(tail, rest as u32);
+        }
+    }
+
+    /// Bits written.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when no bit is written.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The column of the bits written.
+    pub fn finish(self) -> BitColumn {
+        BitColumn {
+            bytes: self.words.iter().flat_map(|w| w.to_le_bytes()).collect(),
+            len: self.len,
+        }
+    }
+}
+
+impl HeapSize for BitColumn {
     fn heap_bytes(&self) -> usize {
         self.bytes.heap_bytes()
     }
@@ -783,6 +912,71 @@ mod tests {
                 check(&values);
             }
         }
+    }
+
+    /// The column of `fields`, `(value, width)` pairs, back to back.
+    fn bit_column(fields: &[(u64, u32)]) -> BitColumn {
+        let mut w = BitWriter::default();
+        for &(v, width) in fields {
+            w.push(v, width);
+        }
+        w.finish()
+    }
+
+    /// Fields of every width 0..=57, in a seeded random order, read back
+    /// at their positions — straddling word edges and in the last 7 bytes —
+    /// and the column takes `⌈bits / 64⌉` words; a writer appended to
+    /// another gives the same column.
+    #[test]
+    fn bit_column_fields_round_trip_at_every_width() {
+        let mut next = stream(43);
+        for count in [1usize, 2, 3, 17, 64, 300] {
+            let fields: Vec<(u64, u32)> = (0..count)
+                .map(|_| {
+                    let w = (next() % 58) as u32;
+                    (next() & !(u64::MAX << w), w)
+                })
+                .collect();
+            let column = bit_column(&fields);
+            let bits: usize = fields.iter().map(|&(_, w)| w as usize).sum();
+            assert_eq!(column.len(), bits);
+            assert_eq!(column.heap_bytes(), bits.div_ceil(64) * 8);
+            let mut at = 0;
+            for &(v, w) in &fields {
+                assert_eq!(column.bits_at(at, w), v, "{w} bits at {at}");
+                at += w as usize;
+            }
+            // The same fields split between two writers, the second
+            // appended to the first, read back the same.
+            for split in [0, 1, count / 2, count] {
+                let (mut head, mut tail) = (BitWriter::default(), BitWriter::default());
+                for &(v, w) in &fields[..split] {
+                    head.push(v, w);
+                }
+                for &(v, w) in &fields[split..] {
+                    tail.push(v, w);
+                }
+                head.append(&tail);
+                assert_eq!(head.finish(), column, "{count} fields split at {split}");
+            }
+        }
+        let empty = bit_column(&[(0, 0), (0, 0)]);
+        assert!(empty.is_empty());
+        assert_eq!((empty.bits_at(0, 0), empty.heap_bytes()), (0, 0));
+    }
+
+    /// A field reaching past the last bit reads padding: it panics in
+    /// release too.
+    #[test]
+    #[should_panic(expected = "bits 3..6 out of a column of 5")]
+    fn a_field_past_the_last_bit_panics() {
+        bit_column(&[(5, 3), (1, 2)]).bits_at(3, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit 2 bits")]
+    fn a_value_wider_than_its_field_panics() {
+        bit_column(&[(4, 2)]);
     }
 
     /// Random lengths, random widths, values spread over the whole width.

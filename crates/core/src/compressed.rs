@@ -231,7 +231,8 @@ impl CompressedView {
                 let (tries, grid) = st.base_index_widths;
                 format!(
                     "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
-                     tree {} nodes, {} leaves (β {} b; depth {}, {} B = {:.1} B/node), \
+                     tree {} nodes, {} leaves (β {} B over {} levels; depth {}, \
+                     {} B = {:.1} B/node), \
                      dictionary {} heavy pairs (values {} b, {} child bits; \
                      {} B = {:.1} B/entry), \
                      base indexes {} B (tries {} b, grid {} b; {} B distinct); {} heap bytes; \
@@ -245,7 +246,8 @@ impl CompressedView {
                     s.alpha(),
                     st.tree_nodes,
                     st.tree_leaves,
-                    st.tree_beta_width,
+                    st.tree_beta_bytes,
+                    s.tree().map_or(0, |t| t.beta_levels()),
                     st.tree_depth,
                     st.tree_bytes,
                     per(st.tree_bytes, st.tree_nodes),

@@ -14,48 +14,47 @@
 //! `2r + 1` (left child) and `2r + 2` (right child), and one bit per slot
 //! says whether it holds an internal node. Whether a child slot holds a
 //! node at all is not stored: it follows from `β`. Every reader walks
-//! top-down, and a descent re-derives the rest: a left child keeps its
-//! parent's lower endpoint and ends at `pred(β(parent))`, a right child
-//! starts at `succ(β(parent))` and keeps the upper endpoint, so a
-//! [`Cursor`] that remembers *which ancestors* its two endpoints come from
-//! recovers `I(w)` from two `β` rows (docs/ARCHITECTURE.md, "Theorem 1
-//! memory layout").
+//! top-down and carries each node's interval `[lo, hi]`: a left child
+//! keeps its parent's lower endpoint and ends at `pred(β)`, a right child
+//! starts at `succ(β)` and keeps the upper endpoint. So a split point is
+//! stored as its offset from `lo`, coordinate by coordinate, at one width
+//! per level and coordinate — intervals shrink with depth, and so do the
+//! offsets (docs/ARCHITECTURE.md, "Theorem 1 memory layout").
 
 use crate::cost::{CostEstimator, PrefixCost};
-use crate::fbox::{box_decomposition_ranks, BoxList, FInterval};
+use crate::fbox::{box_decomposition_ranks, lex_cmp_ranks, BoxList, FInterval};
 use crate::split::split_interval;
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics;
-use cqc_common::packed::{Packed, RankedBits};
+use cqc_common::packed::{BitColumn, BitWriter, RankedBits};
 use cqc_common::util::{approx_ge, partition_point};
 use cqc_storage::domain::{rank_tuple_pred, rank_tuple_succ};
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// Hard cap on tree depth; reaching it indicates a bug in the halving
 /// invariant (Prop. 8), not a legitimate instance.
 const MAX_LEVEL: u16 = 512;
 
-/// An endpoint a [`Cursor`] inherited from the grid rather than from an
-/// ancestor (and, during the build, the slot of a parent it derives
-/// children from). A cursor's value only: no column stores it.
-const NO_NODE: u32 = u32::MAX;
+/// Bits per stored width: a width is at most 57.
+const WIDTH_BITS: u32 = 6;
 
 /// The root's cursor.
 const ROOT: Cursor = Cursor {
     node: 0,
     level: 0,
-    lo_from: NO_NODE,
-    hi_from: NO_NODE,
+    first: 0,
+    row_bit: 0,
 };
 
-/// A position in a top-down walk: the node's slot, and where its interval
-/// comes from. `I(w) = [succ(β(lo_from)), pred(β(hi_from))]`, with the grid
-/// minimum / maximum standing in for an endpoint no ancestor cut. Both
-/// ancestors are internal, so the cursor holds their internal ranks: the
-/// rows their split points are stored at.
+/// A position in a top-down walk: the node's slot and level, and where its
+/// level's rows are. The level's internal nodes are the ranks from `first`
+/// on, and their rows, all at the level's widths, start `row_bit` bits
+/// after the width header. The node's interval is the walker's: it carries
+/// `[lo, hi]` down from the root.
 ///
 /// Obtained from [`DelayBalancedTree::root`] and [`DelayBalancedTree::node`]
-/// only, so the two ancestors are always the right ones.
+/// only, so the level's rows are always the right ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cursor {
     /// The node's slot, its id: 0 for the root, `2r + 1` and `2r + 2` for
@@ -63,19 +62,18 @@ pub struct Cursor {
     pub node: u32,
     /// Depth (root = 0).
     pub level: u16,
-    /// The internal rank of the nearest ancestor this node lies to the
-    /// right of.
-    lo_from: u32,
-    /// The internal rank of the nearest ancestor this node lies to the
-    /// left of.
-    hi_from: u32,
+    /// The internal rank of the level's first internal node, `f_ℓ`.
+    first: u32,
+    /// Where the level's rows start, in bits after the width header.
+    row_bit: usize,
 }
 
-/// What [`DelayBalancedTree::node`] finds at a cursor besides the interval.
+/// What [`DelayBalancedTree::node`] finds at a cursor besides the split
+/// point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Node {
-    /// The node's internal rank — its row in the `β` column — or `None`
-    /// for a leaf (no split point, no row).
+    /// The node's internal rank — it has a split point — or `None` for a
+    /// leaf (no split point, no row).
     pub internal: Option<u32>,
     /// Left child (covers `[lo, pred(β)]`).
     pub left: Option<Cursor>,
@@ -89,9 +87,12 @@ pub struct Node {
 /// node of rank `r` (the internal nodes in slots before it) owns slots
 /// `2r + 1` and `2r + 2` for its children, so no child id is stored. Per
 /// slot (`2I + 1` of them for `I` internal nodes): one bit, set when the
-/// slot holds an internal node. Per internal node, at its rank: one `β`
-/// row of `µ` ranks, packed at the width its largest value needs
-/// (docs/ARCHITECTURE.md, "Packed integer columns"). A leaf has no row,
+/// slot holds an internal node. Per internal node: one `β` row of `µ`
+/// offsets `d_i = (β_i − lo_i) mod |D_i|` from its interval's lower
+/// endpoint, each at its level's width for that coordinate — the bit
+/// length of the level's largest, 0 when all are 0. One bit column holds
+/// the widths, 6 bits each, `µ` per level that has an internal node, then
+/// the rows, level by level and by rank within a level. A leaf has no row,
 /// and a child slot with no node is told apart from a leaf by `β`: the
 /// left child exists iff `β ≠ lo`, the right one iff `β ≠ hi`. Intervals,
 /// levels and children are derived by the walk; see [`Cursor`].
@@ -100,8 +101,8 @@ pub struct DelayBalancedTree {
     /// One bit per slot, set where the slot holds an internal node; its
     /// rank is that node's row.
     internal: RankedBits,
-    /// Split points at stride `µ`, one row per internal node.
-    beta: Packed,
+    /// The width header, then the split points' rows.
+    beta: BitColumn,
     /// The grid `D_f` the root spans (`µ` domain sizes).
     sizes: Vec<usize>,
     /// Nodes (internal and leaves), counted at build.
@@ -120,44 +121,6 @@ pub struct DelayBalancedTree {
     pub alpha: f64,
 }
 
-/// An internal node the build has ranked but whose children it has not
-/// built yet: what their cursors inherit, and which of them exist (12
-/// bytes, where its two child cursors would take 32).
-#[derive(Debug, Clone, Copy)]
-struct Unexpanded {
-    lo_from: u32,
-    hi_from: u32,
-    level: u16,
-    left: bool,
-    right: bool,
-}
-
-/// The cursor of the next child slot that holds a node, in slot order:
-/// `pending`'s front is the internal node of rank `expanding`, which is
-/// popped once its children are handed out. `None` when no node is left.
-fn next_child(pending: &mut VecDeque<Unexpanded>, expanding: &mut u32) -> Option<Cursor> {
-    while let Some(p) = pending.front_mut() {
-        let rank = *expanding;
-        // The parent's own slot is not needed for its children's.
-        let parent = Cursor {
-            node: NO_NODE,
-            level: p.level,
-            lo_from: p.lo_from,
-            hi_from: p.hi_from,
-        };
-        if std::mem::take(&mut p.left) {
-            return Some(parent.left_child(rank));
-        }
-        let right = p.right;
-        pending.pop_front();
-        *expanding += 1;
-        if right {
-            return Some(parent.right_child(rank));
-        }
-    }
-    None
-}
-
 /// `τ_ℓ = τ / 2^{ℓ(1−1/α)}`.
 pub fn tau_level(tau: f64, alpha: f64, level: u16) -> f64 {
     tau / 2f64.powf(f64::from(level) * (1.0 - 1.0 / alpha))
@@ -170,70 +133,42 @@ impl Node {
     }
 }
 
-impl Cursor {
-    /// The left child's cursor, for a node of internal rank `rank`: slot
-    /// `2·rank + 1`, same lower endpoint, upper endpoint `pred(β(w))`.
-    fn left_child(self, rank: u32) -> Cursor {
-        Cursor {
-            node: 2 * rank + 1,
-            level: self.level + 1,
-            lo_from: self.lo_from,
-            hi_from: rank,
-        }
-    }
+/// `(β_i − lo_i) mod n_i` per coordinate: what a row stores.
+fn offsets<'a>(
+    beta: &'a [usize],
+    lo: &'a [usize],
+    sizes: &'a [usize],
+) -> impl Iterator<Item = u64> + 'a {
+    let lo = lo.iter().zip(sizes);
+    beta.iter()
+        .zip(lo)
+        .map(|(&b, (&l, &n))| (if b >= l { b - l } else { b + n - l }) as u64)
+}
 
-    /// The right child's cursor, for a node of internal rank `rank`: slot
-    /// `2·rank + 2`, lower endpoint `succ(β(w))`, same upper endpoint.
-    fn right_child(self, rank: u32) -> Cursor {
-        Cursor {
-            node: 2 * rank + 2,
-            level: self.level + 1,
-            lo_from: rank,
-            hi_from: self.hi_from,
+/// Appends one level's rows — `µ` offsets per internal node, by rank — to
+/// `rows`, and the level's widths to `widths`: per coordinate, the bit
+/// length of the level's largest offset.
+fn encode_level(mu: usize, level: &[u64], widths: &mut Vec<u32>, rows: &mut BitWriter) {
+    let at = widths.len();
+    widths.extend((0..mu).map(|i| {
+        let max = level.iter().skip(i).step_by(mu).max();
+        bit_length(max.copied().unwrap_or(0))
+    }));
+    for row in level.chunks(mu) {
+        for (&d, &w) in row.iter().zip(&widths[at..]) {
+            rows.push(d, w);
         }
     }
 }
 
-/// Writes `I(c)`'s endpoints into the caller's scratch (`µ` ranks each):
-/// `succ` / `pred` of the two ancestors' split points, which `beta_of`
-/// writes from an internal rank, or the grid's own ends.
-///
-/// # Panics
-///
-/// Panics, in release builds too, when an ancestor's split point has no
-/// successor (or predecessor) on the grid: its `succ` / `pred` would leave
-/// the endpoint at the grid's end, a wrong interval. A tree whose columns
-/// agree never gets there: a child exists only where that step does.
-#[inline]
-fn endpoints(
-    c: Cursor,
-    sizes: &[usize],
-    lo: &mut [usize],
-    hi: &mut [usize],
-    beta_of: impl Fn(u32, &mut [usize]),
-) {
-    if c.lo_from == NO_NODE {
-        lo.fill(0);
-    } else {
-        beta_of(c.lo_from, lo);
-        let inside = rank_tuple_succ(lo, sizes);
-        assert!(
-            inside,
-            "a right child's parent splits below the grid maximum"
-        );
+/// The `β` column: the widths, 6 bits each, then the rows.
+fn beta_column(widths: &[u32], rows: &BitWriter) -> BitColumn {
+    let mut column = BitWriter::default();
+    for &w in widths {
+        column.push(u64::from(w), WIDTH_BITS);
     }
-    if c.hi_from == NO_NODE {
-        for (h, &n) in hi.iter_mut().zip(sizes) {
-            *h = n - 1;
-        }
-    } else {
-        beta_of(c.hi_from, hi);
-        let inside = rank_tuple_pred(hi, sizes);
-        assert!(
-            inside,
-            "a left child's parent splits above the grid minimum"
-        );
-    }
+    column.append(rows);
+    column.finish()
 }
 
 impl DelayBalancedTree {
@@ -262,14 +197,15 @@ impl DelayBalancedTree {
         let sizes = est.sizes();
         let mu = sizes.len();
         let alpha = est.alpha();
-        // The one endpoint pair every node's interval is derived into.
+        // The node under the build's interval.
         let mut interval = FInterval::full(&sizes)?;
 
-        // The columns as the build writes them, packed once every node is
-        // numbered: a bit per slot (64 to a word), a `β` row per internal
-        // node.
+        // The columns as the build writes them: a bit per slot (64 to a
+        // word), packed once every node is numbered, and the `β` rows, a
+        // level at a time once its widths are known — `µ` offsets per
+        // internal node of the level under the build in `level_rows`.
         let mut internal: Vec<u64> = Vec::new();
-        let mut beta_col: Vec<u64> = Vec::new();
+        let (mut widths, mut rows, mut level_rows) = (Vec::new(), BitWriter::default(), Vec::new());
         let (mut nodes, mut ranks) = (0usize, 0u32);
         let (mut depth, mut deepest_internal) = (0, None);
         // Scratch shared by every node: the interval's boxes, their `T`s
@@ -279,24 +215,43 @@ impl DelayBalancedTree {
         let mut t_of: Vec<f64> = Vec::new();
         let mut prefix_cost = PrefixCost::new(est);
         let mut beta: Vec<usize> = Vec::with_capacity(mu);
-        // Internal nodes whose children are not built yet, of ranks
-        // `expanding..ranks`. Children are built in slot order — rank `r`'s
-        // left child `2r + 1`, its right child `2r + 2`, then rank
+        // The slots of the nodes not visited yet, in slot order — rank
+        // `r`'s left child `2r + 1`, its right child `2r + 2`, then rank
         // `r + 1`'s — so the internal nodes among them are ranked, and
-        // their rows written, in slot order too.
-        let mut pending: VecDeque<Unexpanded> = VecDeque::new();
-        let mut expanding = 0u32;
-        let mut next = Some(ROOT);
+        // their rows written, in slot order too, level by level. Their
+        // intervals, `2µ` ranks each: the level under the build's in
+        // `bounds` from `read` on, the next level's in `next_bounds`.
+        let mut pending: VecDeque<u32> = VecDeque::from([0]);
+        let mut bounds: Vec<usize> = interval.lo.iter().chain(&interval.hi).copied().collect();
+        let mut next_bounds: Vec<usize> = Vec::new();
+        let mut read = 0;
+        // The cursor fields of the level under the build.
+        let mut at = ROOT;
 
-        while let Some(c) = next {
-            assert!(c.level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
+        while let Some(slot) = pending.pop_front() {
+            // Level `ℓ`'s slots end at `2·f_ℓ + 1`: the next level's rows
+            // start where this one's end.
+            if slot > 2 * at.first {
+                encode_level(mu, &level_rows, &mut widths, &mut rows);
+                level_rows.clear();
+                std::mem::swap(&mut bounds, &mut next_bounds);
+                next_bounds.clear();
+                read = 0;
+                at = Cursor {
+                    node: slot,
+                    level: at.level + 1,
+                    first: ranks,
+                    row_bit: rows.len(),
+                };
+                assert!(at.level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
+            }
+            let c = Cursor { node: slot, ..at };
             nodes += 1;
-            endpoints(c, &sizes, &mut interval.lo, &mut interval.hi, |w, out| {
-                let row = &beta_col[w as usize * mu..][..mu];
-                for (o, &b) in out.iter_mut().zip(row) {
-                    *o = b as usize;
-                }
-            });
+            interval.lo.copy_from_slice(&bounds[read..read + mu]);
+            interval
+                .hi
+                .copy_from_slice(&bounds[read + mu..read + 2 * mu]);
+            read += 2 * mu;
             box_decomposition_ranks(&interval.lo, &interval.hi, &sizes, &mut boxes);
             t_of.clear();
             t_of.extend(boxes.as_slice().iter().map(|b| est.t_box(b)));
@@ -305,40 +260,49 @@ impl DelayBalancedTree {
             depth = depth.max(c.level);
             // Leaf when T(I(w)) < τ_ℓ (zero-cost intervals are always
             // leaves; they cannot be split): a clear bit and no row.
-            let leaf = t <= 0.0 || !approx_ge(t, tau_level(tau, alpha, c.level));
-            if !leaf {
-                ranks += 1;
-                assert!(ranks < NO_NODE / 2, "slots fit in u32");
-                let slot = c.node as usize;
-                internal.resize(slot / 64 + 1, 0);
-                internal[slot / 64] |= 1 << (slot % 64);
-                split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
-                assert!(
-                    interval.contains(&beta),
-                    "split point must lie in the interval"
-                );
-                beta_col.extend(beta.iter().map(|&r| r as u64));
-                deepest_internal = deepest_internal.max(Some(c.level));
-                // `[lo, pred(β)]` and `[succ(β), hi]` are non-empty iff β
-                // is not that endpoint; `node` reads presence the same way.
-                pending.push_back(Unexpanded {
-                    lo_from: c.lo_from,
-                    hi_from: c.hi_from,
-                    level: c.level,
-                    left: beta != interval.lo,
-                    right: beta != interval.hi,
-                });
+            if t <= 0.0 || !approx_ge(t, tau_level(tau, alpha, c.level)) {
+                continue;
             }
-            next = next_child(&mut pending, &mut expanding);
+            let rank = ranks;
+            ranks += 1;
+            assert!(ranks < u32::MAX / 2, "slots fit in u32");
+            internal.resize(slot as usize / 64 + 1, 0);
+            internal[slot as usize / 64] |= 1 << (slot % 64);
+            split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
+            assert!(
+                interval.contains(&beta),
+                "split point must lie in the interval"
+            );
+            level_rows.extend(offsets(&beta, &interval.lo, &sizes));
+            deepest_internal = Some(c.level);
+            // `[lo, pred(β)]` and `[succ(β), hi]` are non-empty iff β is
+            // not that endpoint; `node` reads presence the same way.
+            for (right, exists) in [(false, beta != interval.lo), (true, beta != interval.hi)] {
+                if exists {
+                    pending.push_back(2 * rank + 1 + u32::from(right));
+                    child_interval_into(
+                        &sizes,
+                        right,
+                        &interval.lo,
+                        &interval.hi,
+                        &beta,
+                        &mut next_bounds,
+                    );
+                }
+            }
         }
-        drop(pending);
+        drop((pending, bounds, next_bounds));
+        // The last level with an internal node has no level after it.
+        if !level_rows.is_empty() {
+            encode_level(mu, &level_rows, &mut widths, &mut rows);
+        }
         let slots = 2 * ranks as usize + 1;
 
         Some(DelayBalancedTree {
             internal: RankedBits::new(
                 (0..slots).map(|s| internal.get(s / 64).is_some_and(|w| w >> (s % 64) & 1 == 1)),
             ),
-            beta: Packed::from_slice(&beta_col),
+            beta: beta_column(&widths, &rows),
             sizes,
             nodes,
             depth,
@@ -354,12 +318,23 @@ impl DelayBalancedTree {
         ROOT
     }
 
-    /// Visits the node under `c`: writes `I(w)`'s inclusive endpoints into
-    /// the caller's scratch (`µ` ranks each) and returns its internal rank
-    /// and the cursors of its children. No allocation.
+    /// The root's interval: the whole grid.
+    pub fn root_interval(&self) -> FInterval {
+        FInterval::full(&self.sizes).expect("a tree's grid has a point")
+    }
+
+    /// Visits the node under `c`, whose interval `[lo, hi]` the caller
+    /// carries: for an internal node, decodes its split point into `beta`
+    /// (`µ` ranks) and returns its internal rank and the cursors of its
+    /// children; a leaf leaves `beta` as it was. No allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in release builds too, unless `beta` holds `µ` ranks and
+    /// `lo` and `hi` as many, and when the decoded split point lies
+    /// outside `[lo, hi]`: a walker that carried the wrong interval.
     #[inline]
-    pub fn node(&self, c: Cursor, lo: &mut [usize], hi: &mut [usize]) -> Node {
-        self.endpoints(c, lo, hi);
+    pub fn node(&self, c: Cursor, lo: &[usize], hi: &[usize], beta: &mut [usize]) -> Node {
         let Some(rank) = self.internal.rank_of_set(c.node as usize) else {
             return Node {
                 internal: None,
@@ -367,21 +342,75 @@ impl DelayBalancedTree {
                 right: None,
             };
         };
-        let row = rank * self.sizes.len();
-        // The left child `[lo, pred(β)]` is empty iff `β = lo`, the right
-        // child `[succ(β), hi]` iff `β = hi`.
-        let (mut left, mut right) = (false, false);
-        for (i, (&l, &h)) in lo.iter().zip(hi.iter()).enumerate() {
-            let b = self.beta.get(row + i) as usize;
-            left |= b != l;
-            right |= b != h;
+        let mu = self.sizes.len();
+        assert_eq!(beta.len(), mu, "a split point has µ ranks");
+        // The level's widths, parked in `beta` until the row is read.
+        let header = WIDTH_BITS as usize * mu;
+        let widths = header * usize::from(c.level);
+        let mut stride = 0;
+        for (i, w) in beta.iter_mut().enumerate() {
+            *w = self
+                .beta
+                .bits_at(widths + i * WIDTH_BITS as usize, WIDTH_BITS) as usize;
+            stride += *w;
         }
+        let mut bit = header * self.beta_levels() + c.row_bit + (rank - c.first as usize) * stride;
+        for ((b, &l), &n) in beta.iter_mut().zip(lo).zip(&self.sizes) {
+            let width = *b;
+            let v = l + self.beta.bits_at(bit, width as u32) as usize;
+            *b = if v >= n { v - n } else { v };
+            bit += width;
+        }
+        let beta: &[usize] = beta;
+        let (above_lo, below_hi) = (lex_cmp_ranks(beta, lo), lex_cmp_ranks(beta, hi));
+        assert!(
+            above_lo != Ordering::Less && below_hi != Ordering::Greater,
+            "split point {beta:?} outside its node's interval [{lo:?}, {hi:?}]"
+        );
+        // The left child `[lo, pred(β)]` is empty iff `β = lo`, the right
+        // child `[succ(β), hi]` iff `β = hi`. The next level's internal
+        // nodes start after this level's slots, which end at `2·f_ℓ + 1`.
+        let (left, right) = (above_lo == Ordering::Greater, below_hi == Ordering::Less);
         let rank = rank as u32;
+        let next = (left || right).then(|| {
+            let first = self.internal.rank(2 * c.first as usize + 1);
+            Cursor {
+                node: 2 * rank + 1,
+                level: c.level + 1,
+                first: first as u32,
+                row_bit: c.row_bit + (first - c.first as usize) * stride,
+            }
+        });
         Node {
             internal: Some(rank),
-            left: left.then(|| c.left_child(rank)),
-            right: right.then(|| c.right_child(rank)),
+            left: next.filter(|_| left),
+            right: next.filter(|_| right).map(|c| Cursor {
+                node: c.node + 1,
+                ..c
+            }),
         }
+    }
+
+    /// Appends to `out` the interval, `2µ` ranks, of a child [`node`]
+    /// returned for a node with interval `[lo, hi]` and split point `beta`:
+    /// `[lo, pred(β)]` for the left child, `[succ(β), hi]` for the right.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in release builds too, when that child cannot exist: `β` is
+    /// the grid minimum (a left child) or maximum (a right one).
+    ///
+    /// [`node`]: DelayBalancedTree::node
+    #[inline]
+    pub fn child_interval_into(
+        &self,
+        right: bool,
+        lo: &[usize],
+        hi: &[usize],
+        beta: &[usize],
+        out: &mut Vec<usize>,
+    ) {
+        child_interval_into(&self.sizes, right, lo, hi, beta, out);
     }
 
     /// `true` when node `w` has no split point.
@@ -390,7 +419,7 @@ impl DelayBalancedTree {
         !self.internal.get(w as usize)
     }
 
-    /// Node `w`'s internal rank (its row), `None` for a leaf.
+    /// Node `w`'s internal rank, `None` for a leaf.
     pub fn internal_rank(&self, w: u32) -> Option<u32> {
         self.internal.rank_of_set(w as usize).map(|r| r as u32)
     }
@@ -420,59 +449,92 @@ impl DelayBalancedTree {
         Some((self.internal_node(s / 2), s % 2 == 1))
     }
 
-    /// Decodes the `β` row of the internal node of rank `rank` into `out`
-    /// (`µ` ranks).
+    /// Walks from the root down to slot `w` the way its parents lead,
+    /// leaving `I(w)` in `interval` and, at an internal node, its split
+    /// point in `beta` (off the serve path: a climb from `w`, then one
+    /// [`DelayBalancedTree::node`] per level).
+    ///
+    /// # Panics
+    ///
+    /// Panics when slot `w` holds no node.
+    fn descend(&self, w: u32, interval: &mut FInterval, beta: &mut [usize]) {
+        let mut sides = Vec::new();
+        let mut at = w;
+        while let Some((parent, right)) = self.parent(at) {
+            sides.push(right);
+            at = parent;
+        }
+        *interval = self.root_interval();
+        let (mut c, mut child) = (self.root(), Vec::new());
+        for &right in sides.iter().rev() {
+            let node = self.node(c, &interval.lo, &interval.hi, beta);
+            let next = if right { node.right } else { node.left };
+            c = next.unwrap_or_else(|| panic!("slot {w} holds no node"));
+            child.clear();
+            self.child_interval_into(right, &interval.lo, &interval.hi, beta, &mut child);
+            let (lo, hi) = child.split_at(self.sizes.len());
+            interval.lo.copy_from_slice(lo);
+            interval.hi.copy_from_slice(hi);
+        }
+        self.node(c, &interval.lo, &interval.hi, beta);
+    }
+
+    /// Decodes the split point of the internal node of rank `rank` into
+    /// `out` (`µ` ranks; off the serve path, see
+    /// [`DelayBalancedTree::beta`]).
     ///
     /// # Panics
     ///
     /// Panics unless `out` holds `µ` ranks, in release builds too: a longer
     /// one would read into the next row, a shorter one a partial row.
-    #[inline]
     pub fn split_point_into(&self, rank: u32, out: &mut [usize]) {
         assert_eq!(out.len(), self.sizes.len(), "a split point has µ ranks");
-        let row = rank as usize * self.sizes.len();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.beta.get(row + i) as usize;
-        }
-    }
-
-    /// `I(c)`'s endpoints, from the stored split points of its two
-    /// ancestors.
-    #[inline]
-    fn endpoints(&self, c: Cursor, lo: &mut [usize], hi: &mut [usize]) {
-        endpoints(c, &self.sizes, lo, hi, |w, out| {
-            self.split_point_into(w, out)
-        });
+        let mut interval = self.root_interval();
+        self.descend(self.internal_node(rank), &mut interval, out);
     }
 
     /// Node `w`'s split point as an owned value; `None` for a leaf (off
-    /// the serve path).
+    /// the serve path: a descent from the root, which carries the
+    /// intervals a row is decoded against).
     pub fn beta(&self, w: u32) -> Option<Vec<usize>> {
-        let rank = self.internal_rank(w)?;
+        self.internal_rank(w)?;
         let mut beta = vec![0; self.sizes.len()];
-        self.split_point_into(rank, &mut beta);
+        let mut interval = self.root_interval();
+        self.descend(w, &mut interval, &mut beta);
         Some(beta)
     }
 
-    /// `I(w)` as an owned value (off the serve path).
+    /// `I(w)` as an owned value (off the serve path: a descent from the
+    /// root).
     pub fn interval(&self, c: Cursor) -> FInterval {
-        let mut interval = FInterval {
-            lo: vec![0; self.sizes.len()],
-            hi: vec![0; self.sizes.len()],
-        };
-        self.endpoints(c, &mut interval.lo, &mut interval.hi);
+        let mut interval = self.root_interval();
+        let mut beta = vec![0; self.sizes.len()];
+        self.descend(c.node, &mut interval, &mut beta);
         interval
     }
 
     /// Every node's cursor in ascending slot order, as the build numbered
-    /// them: a breadth-first walk from the root.
+    /// them: a breadth-first walk from the root, each pending node's
+    /// interval queued beside its cursor.
     pub fn cursors(&self) -> impl Iterator<Item = Cursor> + '_ {
         let mut queue = VecDeque::from([self.root()]);
-        let FInterval { mut lo, mut hi } = self.interval(self.root());
+        let FInterval { mut lo, mut hi } = self.root_interval();
+        let mut bounds: VecDeque<usize> = lo.iter().chain(&hi).copied().collect();
+        let (mut beta, mut children) = (lo.clone(), Vec::new());
         std::iter::from_fn(move || {
             let c = queue.pop_front()?;
-            let node = self.node(c, &mut lo, &mut hi);
-            queue.extend([node.left, node.right].into_iter().flatten());
+            for x in lo.iter_mut().chain(hi.iter_mut()) {
+                *x = bounds.pop_front().expect("a pending node's interval");
+            }
+            let node = self.node(c, &lo, &hi, &mut beta);
+            children.clear();
+            for (right, child) in [(false, node.left), (true, node.right)] {
+                if let Some(child) = child {
+                    queue.push_back(child);
+                    self.child_interval_into(right, &lo, &hi, &beta, &mut children);
+                }
+            }
+            bounds.extend(&children);
             Some(c)
         })
     }
@@ -518,15 +580,49 @@ impl DelayBalancedTree {
         self.deepest_internal
     }
 
+    /// Levels that hold an internal node, each with its `µ` widths in the
+    /// `β` column's header.
+    pub fn beta_levels(&self) -> usize {
+        self.deepest_internal.map_or(0, |l| usize::from(l) + 1)
+    }
+
+    /// Bytes of the `β` column: the width header and the rows.
+    pub fn beta_bytes(&self) -> usize {
+        self.beta.heap_bytes()
+    }
+
     /// Count-index probes spent building the tree: a deterministic work
     /// count (the same instance always reports the same number).
     pub fn build_count_probes(&self) -> u64 {
         self.count_probes
     }
+}
 
-    /// Bits per stored `β` rank.
-    pub fn beta_width(&self) -> u32 {
-        self.beta.width()
+/// Bits of `max`, 0 for 0: the width a level's offsets take.
+fn bit_length(max: u64) -> u32 {
+    u64::BITS - max.leading_zeros()
+}
+
+/// [`DelayBalancedTree::child_interval_into`] on the grid `sizes`.
+fn child_interval_into(
+    sizes: &[usize],
+    right: bool,
+    lo: &[usize],
+    hi: &[usize],
+    beta: &[usize],
+    out: &mut Vec<usize>,
+) {
+    let at = out.len();
+    if right {
+        out.extend_from_slice(beta);
+        let stepped = rank_tuple_succ(&mut out[at..], sizes);
+        assert!(stepped, "no right child splits off the grid maximum");
+        out.extend_from_slice(hi);
+    } else {
+        out.extend_from_slice(lo);
+        out.extend_from_slice(beta);
+        let stepped = rank_tuple_pred(&mut out[at + lo.len()..], sizes);
+        assert!(stepped, "no left child splits off the grid minimum");
     }
 }
 
@@ -548,8 +644,8 @@ mod tests {
 
     /// The children of the node under `c`.
     fn children(tree: &DelayBalancedTree, c: Cursor) -> Node {
-        let FInterval { mut lo, mut hi } = tree.interval(c);
-        tree.node(c, &mut lo, &mut hi)
+        let FInterval { lo, hi } = tree.interval(c);
+        tree.node(c, &lo, &hi, &mut vec![0; lo.len()])
     }
 
     /// Figure 3: the delay-balanced tree of the running example at τ = 4
@@ -676,39 +772,132 @@ mod tests {
         }
     }
 
-    /// The running example's tree at τ = 4 with its root's split point overwritten
-    /// (the root is internal, its left child is node 1, a leaf).
-    fn with_root_split(beta: &[u64]) -> DelayBalancedTree {
+    /// What the `β` column holds, read back through the walk: each internal
+    /// node's offsets from its interval's lower endpoint, by rank, and the
+    /// first internal rank of each level that has one, then their count.
+    fn stored_rows(tree: &DelayBalancedTree) -> (Vec<u64>, Vec<usize>) {
+        let mu = tree.sizes.len();
+        let mut rows = vec![0; mu * tree.num_internal()];
+        let mut firsts = vec![0];
+        for c in tree.cursors() {
+            let Some(rank) = tree.internal_rank(c.node) else {
+                continue;
+            };
+            let (interval, beta) = (tree.interval(c), tree.beta(c.node).unwrap());
+            let row = offsets(&beta, &interval.lo, &tree.sizes);
+            for (d, o) in rows[rank as usize * mu..].iter_mut().zip(row) {
+                *d = o;
+            }
+            if usize::from(c.level) == firsts.len() {
+                firsts.push(rank as usize);
+            }
+        }
+        firsts.push(tree.num_internal());
+        (rows, firsts)
+    }
+
+    /// The `β` column's bits as the layout prescribes them: 6 per width,
+    /// `µ` widths per level with an internal node, and per internal node
+    /// its level's widths summed, each width the bit length of the level's
+    /// largest offset in that coordinate.
+    fn beta_bits(tree: &DelayBalancedTree) -> usize {
+        let mu = tree.sizes.len();
+        let (rows, firsts) = stored_rows(tree);
+        let header = 6 * mu * (firsts.len() - 1);
+        let rows: usize = firsts
+            .windows(2)
+            .map(|level| {
+                let widths: usize = (0..mu)
+                    .map(|i| {
+                        let max = (level[0]..level[1]).map(|r| rows[r * mu + i]).max();
+                        bit_length(max.unwrap()) as usize
+                    })
+                    .sum();
+                (level[1] - level[0]) * widths
+            })
+            .sum();
+        header + rows
+    }
+
+    /// A width of 0 is legal: a coordinate no split point of a level moves
+    /// off its node's lower endpoint takes no bit. In the running example
+    /// at τ = 4 both internal nodes split at an offset `(0, 0, 1)` from
+    /// their `lo` (the root at `⟨1,1,2⟩` of `[⟨1,1,1⟩, ⟨2,2,2⟩]`, `r_r` at
+    /// `⟨1,2,2⟩` of `[⟨1,2,1⟩, ⟨2,2,2⟩]`): two levels of widths `(0, 0, 1)`,
+    /// 36 header bits and one bit per row.
+    #[test]
+    fn a_coordinate_that_never_moves_takes_no_bit() {
+        let tree = DelayBalancedTree::build(&running_estimator(), 4.0).unwrap();
+        assert_eq!(tree.beta_levels(), 2);
+        let widths: Vec<u64> = (0..6).map(|i| tree.beta.bits_at(6 * i, 6)).collect();
+        assert_eq!(widths, [0, 0, 1, 0, 0, 1]);
+        assert_eq!((tree.beta.len(), beta_bits(&tree)), (38, 38));
+        assert_eq!(tree.beta_bytes(), 8);
+        assert_eq!(tree.beta(0), Some(vec![0, 0, 1]));
+        assert_eq!(tree.beta(2), Some(vec![0, 1, 1]));
+    }
+
+    /// A tree over one free variable (`µ = 1`): one width per level, and
+    /// the column is exactly what the layout prescribes, on the 2-path
+    /// `Q^{bfb}` over skewed data at three τ.
+    #[test]
+    fn a_one_variable_tree_stores_one_width_per_level() {
+        use cqc_query::parser::parse_adorned;
+        let mut rng = cqc_workload::rng(5);
+        let zipf = cqc_workload::Zipf::new(60, 1.1);
+        let mut db = cqc_storage::Database::new();
+        for name in ["R", "S"] {
+            db.add(cqc_workload::gen::zipf_pairs(
+                &mut rng, name, 400, 60, &zipf,
+            ))
+            .unwrap();
+        }
+        let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", "bfb").unwrap();
+        let est = CostEstimator::build(&view, &db, &[1.0, 1.0], 1.0).unwrap();
+        for tau in [1.0, 4.0, 16.0] {
+            let tree = DelayBalancedTree::build(&est, tau).unwrap();
+            assert_eq!(tree.sizes.len(), 1);
+            assert!(
+                tree.beta_levels() > 2,
+                "τ={tau}: {} levels",
+                tree.beta_levels()
+            );
+            assert_eq!(tree.beta.len(), beta_bits(&tree), "τ={tau}");
+            assert_eq!(tree.beta_bytes(), beta_bits(&tree).div_ceil(64) * 8);
+            // No width exceeds the grid's rank width.
+            let grid = bit_length(tree.sizes[0] as u64 - 1);
+            for level in 0..tree.beta_levels() {
+                assert!(
+                    tree.beta.bits_at(6 * level, 6) <= u64::from(grid),
+                    "τ={tau}"
+                );
+            }
+        }
+    }
+
+    /// A walker that carries the wrong interval decodes a split point
+    /// outside it, and `node` refuses it in release builds too. The
+    /// running example's `r_r` spans `[⟨1,2,1⟩, ⟨2,2,2⟩]`; offsets
+    /// `(0, 1, 1)` decode to `⟨1,1,2⟩`, below its lower endpoint.
+    #[test]
+    #[should_panic(expected = "outside its node's interval")]
+    fn a_split_point_outside_its_interval_panics() {
         let mut tree = DelayBalancedTree::build(&running_estimator(), 4.0).unwrap();
-        let mut rows: Vec<u64> = tree.beta.iter().collect();
-        rows[..beta.len()].copy_from_slice(beta);
-        tree.beta = Packed::from_slice(&rows);
-        tree
-    }
-
-    /// A right child whose parent splits at the grid maximum has no lower
-    /// endpoint: deriving its interval panics in release builds too,
-    /// instead of leaving it at the maximum.
-    #[test]
-    #[should_panic(expected = "splits below the grid maximum")]
-    fn a_right_child_of_a_split_at_the_grid_maximum_panics() {
-        let tree = with_root_split(&[1, 1, 1]);
-        let right = Cursor {
-            node: 2,
-            level: 1,
-            lo_from: 0,
-            hi_from: NO_NODE,
-        };
-        tree.interval(right);
-    }
-
-    /// A left child whose parent splits at the grid minimum has no upper
-    /// endpoint: see [`a_right_child_of_a_split_at_the_grid_maximum_panics`].
-    #[test]
-    #[should_panic(expected = "splits above the grid minimum")]
-    fn a_left_child_of_a_split_at_the_grid_minimum_panics() {
-        let tree = with_root_split(&[0, 0, 0]);
-        tree.interval(tree.root().left_child(0));
+        let (mut rows, firsts) = stored_rows(&tree);
+        assert_eq!(&rows[3..], [0, 0, 1], "r_r's row");
+        rows[3..].copy_from_slice(&[0, 1, 1]);
+        let (mut widths, mut column) = (Vec::new(), BitWriter::default());
+        for level in firsts.windows(2) {
+            encode_level(
+                3,
+                &rows[3 * level[0]..3 * level[1]],
+                &mut widths,
+                &mut column,
+            );
+        }
+        tree.beta = beta_column(&widths, &column);
+        assert_eq!(tree.beta(0), Some(vec![0, 0, 1]), "the root still decodes");
+        tree.beta(2);
     }
 
     /// `split_point_into` reads exactly `µ` ranks, in release builds too:

@@ -238,9 +238,10 @@ impl HeavyDictionary {
         //    of Algorithm 3 costs a full worst-case-join per level). One
         //    join is constructed and re-seeded per box via
         //    `LeapfrogJoin::reset`, mirroring the serve-side reuse.
-        // The endpoints of the node under the walk, re-derived per visit
-        // (here: the root's, the full grid).
-        let FInterval { mut lo, mut hi } = tree.interval(tree.root());
+        // The endpoints of the node under the walk, carried down per visit
+        // (here: the root's, the full grid), and its split point.
+        let FInterval { mut lo, mut hi } = tree.root_interval();
+        let mut beta = lo.clone();
         let mut boxes = BoxList::new();
         box_decomposition_ranks(&lo, &hi, &sizes, &mut boxes);
         let (num_cands, cand_values) = if nb == 0 {
@@ -354,10 +355,16 @@ impl HeavyDictionary {
             first: vec![0; num_cands * mu],
         });
         // (The root's side is never read: its witnesses are all unknown and
-        // its entries are nobody's children.)
+        // its entries are nobody's children.) Each pending node's interval
+        // is `2µ` ranks in `bounds`, in stack order.
         let mut stack: Vec<(Cursor, Side, Rc<Survivors>)> = vec![(tree.root(), Side::Left, all)];
+        let mut bounds: Vec<usize> = lo.iter().chain(&hi).copied().collect();
         while let Some((c, side, cands)) = stack.pop() {
-            let node = tree.node(c, &mut lo, &mut hi);
+            let at = bounds.len() - 2 * mu;
+            lo.copy_from_slice(&bounds[at..at + mu]);
+            hi.copy_from_slice(&bounds[at + mu..]);
+            bounds.truncate(at);
+            let node = tree.node(c, &lo, &hi, &mut beta);
             let Some(rank) = node.internal else {
                 continue; // a leaf: no heavy pair
             };
@@ -481,7 +488,10 @@ impl HeavyDictionary {
             if !survivors.ids.is_empty() {
                 let survivors = Rc::new(survivors);
                 for (child, side) in children {
-                    stack.extend(child.map(|c| (c, side, Rc::clone(&survivors))));
+                    if let Some(child) = child {
+                        tree.child_interval_into(side == Side::Right, &lo, &hi, &beta, &mut bounds);
+                        stack.push((child, side, Rc::clone(&survivors)));
+                    }
                 }
             }
         }
@@ -679,16 +689,23 @@ impl HeavyDictionary {
     /// each visited node's children's lists are derived from its own, one
     /// child bit per entry and side, in a scratch stack of lists.
     pub fn walk(&self, tree: &DelayBalancedTree, mut visit: impl FnMut(&WalkStep<'_>) -> bool) {
-        let mut interval = tree.interval(tree.root());
+        let mut interval = tree.root_interval();
+        let mu = interval.mu();
+        let mut beta = interval.lo.clone();
         // The pending nodes' lists, end to end in stack order: a node's
         // list runs from its start to the next one's (the top one's: to
-        // the end).
+        // the end). Their intervals are `2µ` ranks each in `bounds`.
         let mut lists: Vec<Entry> = (0..self.keys.num_cands as u32)
             .map(|c| Entry { entry: c, cand: c })
             .collect();
         let mut stack: Vec<(Cursor, usize)> = vec![(tree.root(), 0)];
+        let mut bounds: Vec<usize> = interval.lo.iter().chain(&interval.hi).copied().collect();
         while let Some((cursor, start)) = stack.pop() {
-            let node = tree.node(cursor, &mut interval.lo, &mut interval.hi);
+            let at = bounds.len() - 2 * mu;
+            interval.lo.copy_from_slice(&bounds[at..at + mu]);
+            interval.hi.copy_from_slice(&bounds[at + mu..]);
+            bounds.truncate(at);
+            let node = tree.node(cursor, &interval.lo, &interval.hi, &mut beta);
             let step = WalkStep {
                 cursor,
                 node,
@@ -719,8 +736,15 @@ impl HeavyDictionary {
             }
             lists.copy_within(end.., start);
             lists.truncate(lists.len() - (end - start));
-            for (child, start) in [node.right, node.left].into_iter().zip(starts) {
-                stack.extend(child.map(|c| (c, start)));
+            for ((child, right), start) in [(node.right, true), (node.left, false)]
+                .into_iter()
+                .zip(starts)
+            {
+                if let Some(child) = child {
+                    let FInterval { lo, hi } = &interval;
+                    tree.child_interval_into(right, lo, hi, &beta, &mut bounds);
+                    stack.push((child, start));
+                }
             }
         }
     }
@@ -867,9 +891,9 @@ mod tests {
     /// Each node's parent, by id (`None` for the root and empty slots).
     fn parents(tree: &DelayBalancedTree) -> Vec<Option<u32>> {
         let mut parent = vec![None; tree.num_slots()];
-        let FInterval { mut lo, mut hi } = tree.interval(tree.root());
         for c in tree.cursors() {
-            let node = tree.node(c, &mut lo, &mut hi);
+            let FInterval { lo, hi } = tree.interval(c);
+            let node = tree.node(c, &lo, &hi, &mut vec![0; lo.len()]);
             for child in [node.left, node.right].into_iter().flatten() {
                 parent[child.node as usize] = Some(c.node);
             }

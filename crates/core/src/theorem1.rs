@@ -214,6 +214,7 @@ impl Theorem1Structure {
             s: self,
             vb: Vec::new(),
             stack: Vec::new(),
+            bounds: Vec::new(),
             clip: None,
             join: None,
             join_active: false,
@@ -277,7 +278,7 @@ impl Theorem1Structure {
             tree_nodes: self.tree().map_or(0, DelayBalancedTree::len),
             tree_leaves: self.tree().map_or(0, DelayBalancedTree::num_leaves),
             tree_depth: self.tree().map_or(0, DelayBalancedTree::depth),
-            tree_beta_width: self.tree().map_or(0, DelayBalancedTree::beta_width),
+            tree_beta_bytes: self.tree().map_or(0, DelayBalancedTree::beta_bytes),
             dict_entries: self.dict.num_entries(),
             dict_value_width: self.dict.value_width(),
             dict_child_bits: self.dict.child_bits(),
@@ -381,8 +382,9 @@ pub struct Theorem1Stats {
     pub tree_leaves: usize,
     /// Tree depth.
     pub tree_depth: u16,
-    /// Bits per stored `β` rank (0 without a tree).
-    pub tree_beta_width: u32,
+    /// Bytes of the tree's `β` column, its width header included (0
+    /// without a tree).
+    pub tree_beta_bytes: usize,
     /// Heavy pairs stored in the dictionary.
     pub dict_entries: usize,
     /// Bits per stored candidate value.
@@ -449,7 +451,7 @@ const INLINE_MU: usize = 8;
 /// else spilled — a view with more than [`INLINE_MU`] free variables pays
 /// one allocation per visited node.
 fn rank_scratch<'a>(
-    inline: &'a mut [usize; 2 * INLINE_MU],
+    inline: &'a mut [usize; 3 * INLINE_MU],
     spill: &'a mut Vec<usize>,
     n: usize,
 ) -> &'a mut [usize] {
@@ -461,15 +463,17 @@ fn rank_scratch<'a>(
     }
 }
 
-/// Stack frames of the in-order traversal.
+/// Stack frames of the in-order traversal. Each carries ranks in the
+/// cursor's `bounds`, pushed and popped with it.
 #[derive(Debug, Clone, Copy)]
 enum Frame {
     /// Visit a node (dictionary lookup decides how), with the request's
-    /// entry there (`None`: the node is `⊥` for this valuation).
+    /// entry there (`None`: the node is `⊥` for this valuation); its
+    /// interval is `2µ` ranks, `lo` then `hi`.
     Enter(Cursor, Option<u32>),
-    /// Emit the split point of the internal node of this rank if it is in
-    /// the join (after the left subtree).
-    Point(u32),
+    /// Emit a split point, `µ` ranks, if it is in the join (after the left
+    /// subtree).
+    Point,
 }
 
 /// The Algorithm 2 cursor: lexicographic, duplicate-free enumeration of a
@@ -485,6 +489,8 @@ pub struct Theorem1Iter<'a> {
     s: &'a Theorem1Structure,
     vb: Vec<Value>,
     stack: Vec<Frame>,
+    /// The ranks the frames on `stack` carry, end to end in stack order.
+    bounds: Vec<usize>,
     /// Optional lexicographic output clip (rank space).
     clip: Option<FInterval>,
     /// The one leapfrog join, re-seeded per canonical box via
@@ -574,6 +580,7 @@ impl Theorem1Iter<'_> {
         self.vb.extend_from_slice(bound_values);
         self.clip = clip;
         self.stack.clear();
+        self.bounds.clear();
         self.join_active = false;
         self.boxes_active = false;
         self.next_box = 0;
@@ -583,6 +590,8 @@ impl Theorem1Iter<'_> {
                 // `v_b`'s root entry, resolved once per request.
                 let entry = self.s.dict.candidate(bound_values);
                 self.stack.push(Frame::Enter(t.root(), entry));
+                self.bounds.resize(self.s.sizes.len(), 0);
+                self.bounds.extend(self.s.sizes.iter().map(|&n| n - 1));
             }
         }
     }
@@ -668,13 +677,16 @@ impl Theorem1Iter<'_> {
             match self.stack.pop() {
                 None => return false,
                 Some(Frame::Enter(c, entry)) => {
-                    // The tree stores split points only: the node's
-                    // endpoints are re-derived into stack scratch.
-                    let (mut inline, mut spill) = ([0; 2 * INLINE_MU], Vec::new());
-                    let ranks = rank_scratch(&mut inline, &mut spill, 2 * mu);
-                    let (node_lo, node_hi) = ranks.split_at_mut(mu);
-                    let node = tree.node(c, node_lo, node_hi);
-                    let (node_lo, node_hi): (&[usize], &[usize]) = (node_lo, node_hi);
+                    // The node's endpoints come off `bounds` into stack
+                    // scratch; a `1` node decodes its split point beside
+                    // them.
+                    let (mut inline, mut spill) = ([0; 3 * INLINE_MU], Vec::new());
+                    let ranks = rank_scratch(&mut inline, &mut spill, 3 * mu);
+                    let (interval, beta) = ranks.split_at_mut(2 * mu);
+                    let at = self.bounds.len() - 2 * mu;
+                    interval.copy_from_slice(&self.bounds[at..]);
+                    self.bounds.truncate(at);
+                    let (node_lo, node_hi) = interval.split_at(mu);
                     // Clip the node's interval to the requested range. The
                     // clipped endpoints are whole-tuple lexicographic
                     // max/min, so they are *borrowed* from either side —
@@ -712,30 +724,37 @@ impl Theorem1Iter<'_> {
                         // 1: in-order recursion; each child's entry is one
                         // child bit of this one.
                         Some(true) => {
-                            let rank = node.internal.expect("leaves hold no heavy pair");
+                            let node = tree.node(c, node_lo, node_hi, beta);
+                            let beta: &[usize] = beta;
+                            assert!(!node.is_leaf(), "leaves hold no heavy pair");
                             let e = entry.expect("a stored bit has an entry");
+                            let bounds = &mut self.bounds;
                             if let Some(r) = node.right {
+                                tree.child_interval_into(true, node_lo, node_hi, beta, bounds);
                                 self.stack
                                     .push(Frame::Enter(r, s.dict.child(e, Side::Right)));
                             }
-                            self.stack.push(Frame::Point(rank));
+                            bounds.extend_from_slice(beta);
+                            self.stack.push(Frame::Point);
                             if let Some(l) = node.left {
+                                tree.child_interval_into(false, node_lo, node_hi, beta, bounds);
                                 self.stack
                                     .push(Frame::Enter(l, s.dict.child(e, Side::Left)));
                             }
                         }
                     }
                 }
-                Some(Frame::Point(rank)) => {
-                    let (mut inline, mut spill) = ([0; 2 * INLINE_MU], Vec::new());
-                    let beta = rank_scratch(&mut inline, &mut spill, mu);
-                    tree.split_point_into(rank, beta);
-                    if let Some(clip) = &self.clip {
-                        if !clip.contains(beta) {
-                            continue;
-                        }
+                Some(Frame::Point) => {
+                    let at = self.bounds.len() - mu;
+                    let beta = &self.bounds[at..];
+                    let clipped = self.clip.as_ref().is_some_and(|clip| !clip.contains(beta));
+                    if !clipped {
+                        ranks_to_values_into(&s.domains, beta, &mut self.point);
                     }
-                    ranks_to_values_into(&s.domains, beta, &mut self.point);
+                    self.bounds.truncate(at);
+                    if clipped {
+                        continue;
+                    }
                     if s.point_in_join(&self.vb, &self.point, &mut self.probe) {
                         self.emit_from_join = false;
                         return true;

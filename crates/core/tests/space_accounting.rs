@@ -23,9 +23,13 @@
 //!   dictionary to speak of: tries + grid + a one-leaf tree (a bit and a
 //!   directory entry), and an empty dictionary of no byte; beside it, on a hub instance, its
 //!   bytes stay below `materialize`'s, whose one bag holds every answer;
-//! * a layout pin met with equality: the tree is `µ·internal` ranks (a
-//!   leaf has no row, and no child id is stored: the internal node of rank
-//!   `r` owns slots `2r + 1` and `2r + 2`), one bit per slot in
+//! * a layout pin met with equality: the tree's split points are one bit
+//!   column of `⌈(6·µ·levels + Σ_ℓ n_ℓ·Σ_i w_{ℓ,i}) / 64⌉ · 8` bytes —
+//!   `µ` 6-bit widths per level with an internal node, then each of the
+//!   `n_ℓ` internal nodes of level `ℓ` as offsets from its interval's lower
+//!   endpoint, `w_{ℓ,i}` the bit length of the level's largest offset in
+//!   coordinate `i` (a leaf has no row, and no child id is stored: the
+//!   internal node of rank `r` owns slots `2r + 1` and `2r + 2`), one bit per slot in
 //!   `⌈(2·internal + 1)/64⌉` words and a rank directory of one value per
 //!   word, plus the grid sizes; the dictionary `|V_b|·cands` values (the root's
 //!   entries), two child bits per entry in `⌈2·entries/64⌉` words and a
@@ -81,8 +85,10 @@
 //! bits (`kick-tires.sh`'s dictionary sabotage) fails the dictionary's at
 //! `bff`, 49 208 B for 78 746 entries; `internal × width_for(nodes)` zero
 //! bits kept beside the slot bits, the size of the right-id column the
-//! level-order slots replaced (`kick-tires.sh`'s tree sabotage), fails the
-//! tree's, 30 664 B for `bff`'s 11 631 nodes against 16 808 — and a `u64`
+//! level-order slots replaced, fails the tree's, 24 416 B for `bff`'s
+//! 11 631 nodes against 10 560; every `β` width raised to at least 6 bits
+//! (`kick-tires.sh`'s tree sabotage) fails its `β` column, 12 352 B
+//! against 8 560 — and a `u64`
 //! column left
 //! in place of a searchable one fails the trie row (depth 0 of every trie
 //! stored at 64 bits: the `bff` `R` trie reports 47 560 B against the
@@ -344,9 +350,13 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         // largest value, each width and count read off the structure
         // through its public walk, not its layout. Tree: a bit per slot in
         // 64-bit words and, per word, the internal nodes before it (the
-        // rank directory); per internal node `µ` ranks; plus the grid
-        // sizes. A leaf has no row, and each child sits at the slot its
-        // parent's rank names, `2r + 1` (left) or `2r + 2` (right). Dictionary: `|V_b|`
+        // rank directory); one bit column of `β` — 6 bits per width, `µ`
+        // widths per level with an internal node, then per internal node
+        // at level `ℓ` its offsets `(β_i − lo_i) mod |D_i|` at the level's
+        // widths `w_{ℓ,i}`, each the bit length of the level's largest
+        // offset in that coordinate; plus the grid sizes. A leaf has no
+        // row, and each child sits at the slot its parent's rank names,
+        // `2r + 1` (left) or `2r + 2` (right). Dictionary: `|V_b|`
         // values per kept candidate, which are the root's entries; two
         // child bits per entry in 64-bit words and, per word, the set bits
         // before it; and one bit per entry. Entry `e`'s child bits are
@@ -355,15 +365,18 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         // walk yields at a node and at its parent.
         let (nodes, entries, cands) = (tree.len(), dict.num_entries(), dict.num_candidates());
         let (mu, nb) = (view.mu(), view.bound_head().len());
-        let mut max_beta = 0;
+        let grid: Vec<usize> = s.domains().iter().map(|d| d.len()).collect();
+        // Per level with an internal node: how many, and the largest
+        // offset in each coordinate.
+        let mut levels: Vec<(usize, Vec<usize>)> = Vec::new();
         // The internal nodes' slots, by rank.
         let mut internal_slots: Vec<u32> = Vec::new();
         // Per node: its parent and which child it is (`1`: the right one).
         let mut parent: BTreeMap<u32, (u32, usize)> = BTreeMap::new();
         let mut walked = 0;
-        let FInterval { mut lo, mut hi } = tree.interval(tree.root());
         for c in tree.cursors() {
-            let node = tree.node(c, &mut lo, &mut hi);
+            let FInterval { lo, hi } = tree.interval(c);
+            let node = tree.node(c, &lo, &hi, &mut vec![0; mu]);
             walked += 1;
             for (side, child) in [node.left, node.right].into_iter().enumerate() {
                 if let Some(child) = child {
@@ -377,9 +390,24 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
             }
             if let Some(beta) = tree.beta(c.node) {
                 internal_slots.push(c.node);
-                max_beta = max_beta.max(beta.into_iter().max().unwrap_or(0) as u64);
+                let level = usize::from(c.level);
+                if levels.len() == level {
+                    levels.push((0, vec![0; mu]));
+                }
+                let (count, max) = &mut levels[level];
+                *count += 1;
+                for (i, m) in max.iter_mut().enumerate() {
+                    *m = (*m).max((beta[i] + grid[i] - lo[i]) % grid[i]);
+                }
             }
         }
+        let bit_length = |m: usize| (usize::BITS - m.leading_zeros()) as usize;
+        let beta_bits: usize = levels
+            .iter()
+            .map(|(count, max)| 6 * mu + count * max.iter().map(|&m| bit_length(m)).sum::<usize>())
+            .sum();
+        assert_eq!(tree.beta_levels(), levels.len(), "{pattern}");
+        assert_eq!(tree.beta_bytes(), beta_bits.div_ceil(64) * 8, "{pattern}");
         let internal = internal_slots.len();
         let words = (2 * internal + 1).div_ceil(64);
         let directory_max = internal_slots
@@ -390,10 +418,7 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         assert_eq!(tree.num_leaves(), nodes - internal, "{pattern}");
         assert_eq!(
             tree_bytes,
-            column(mu * internal, max_beta)
-                + 8 * words
-                + column(words, directory_max as u64)
-                + 8 * mu,
+            beta_bits.div_ceil(64) * 8 + 8 * words + column(words, directory_max as u64) + 8 * mu,
             "{pattern}: tree {tree_bytes} B for {nodes} nodes, {internal} internal"
         );
         let keys: BTreeSet<Vec<u64>> = dict.entries(&tree).map(|(_, vb, _)| vb).collect();

@@ -35,7 +35,7 @@ use cqc_engine::BlockService;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::backoff::Backoff;
 use crate::budget::RetryBudget;
@@ -285,7 +285,7 @@ impl ShardClient {
             bound,
             sink,
             ServePriority::Interactive,
-            Deadline::within(None),
+            Deadline::within(None, Instant::now()),
         )
     }
 
@@ -324,7 +324,7 @@ impl ShardClient {
                 Err(CqcError::Protocol { code: c, detail })
                     if c == code::REFUSED && refusals < self.config.refused_retries =>
                 {
-                    deadline.check("before a refused-serve retry")?;
+                    deadline.check("before a refused-serve retry", Instant::now())?;
                     if let Some(budget) = &self.retry_budget {
                         if !budget.try_spend() {
                             // Backpressure, not failure: surface the
@@ -335,7 +335,7 @@ impl ShardClient {
                             });
                         }
                     }
-                    std::thread::sleep(deadline.cap(self.config.backoff(refusals)));
+                    std::thread::sleep(deadline.cap(self.config.backoff(refusals), Instant::now()));
                     refusals += 1;
                 }
                 other => {
@@ -362,7 +362,7 @@ impl ShardClient {
         let tail = ServeTail {
             priority,
             budget_ns: deadline
-                .remaining()
+                .remaining(Instant::now())
                 .map(|r| u64::try_from(r.as_nanos()).unwrap_or(u64::MAX - 1)),
         };
         protocol::encode_serve(&mut self.payload, view, bound, &tail);

@@ -84,44 +84,46 @@ impl Default for RetryPolicy {
 
 /// A request's absolute deadline: the accounting side of
 /// [`RetryPolicy::request_deadline`]. Copyable so every retry, backoff
-/// sleep, and hedge wait measures against the *same* instant.
+/// sleep, and hedge wait measures against the *same* instant. Every method
+/// takes the caller's `now`, so the accounting is a function of the
+/// instants it is given: call sites pass `Instant::now()`, tests pass
+/// constructed ones.
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline {
     at: Option<Instant>,
 }
 
 impl Deadline {
-    /// A deadline `budget` from now (`None` = unbounded).
-    pub fn within(budget: Option<Duration>) -> Deadline {
+    /// A deadline `budget` after `now` (`None` = unbounded).
+    pub fn within(budget: Option<Duration>, now: Instant) -> Deadline {
         Deadline {
-            at: budget.map(|b| Instant::now() + b),
+            at: budget.map(|b| now + b),
         }
     }
 
-    /// Time left (`None` = unbounded; zero when expired).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at
-            .map(|at| at.saturating_duration_since(Instant::now()))
+    /// Time left at `now` (`None` = unbounded; zero when expired).
+    pub fn remaining(&self, now: Instant) -> Option<Duration> {
+        self.at.map(|at| at.saturating_duration_since(now))
     }
 
-    /// `true` once the budget is exhausted.
-    pub fn expired(&self) -> bool {
-        self.remaining().is_some_and(|r| r.is_zero())
+    /// `true` once the budget is exhausted at `now`.
+    pub fn expired(&self, now: Instant) -> bool {
+        self.remaining(now).is_some_and(|r| r.is_zero())
     }
 
-    /// Caps a wait by the remaining budget.
-    pub fn cap(&self, d: Duration) -> Duration {
-        match self.remaining() {
+    /// Caps a wait starting at `now` by the remaining budget.
+    pub fn cap(&self, d: Duration, now: Instant) -> Duration {
+        match self.remaining(now) {
             Some(r) => d.min(r),
             None => d,
         }
     }
 
-    /// Caps an optional socket timeout by the remaining budget (at least
-    /// 1 ms — zero-length socket timeouts are invalid at the OS level;
-    /// the expiry check catches the budget itself).
-    pub fn cap_io(&self, io: Option<Duration>) -> Option<Duration> {
-        match (io, self.remaining()) {
+    /// Caps an optional socket timeout set at `now` by the remaining
+    /// budget (at least 1 ms — zero-length socket timeouts are invalid at
+    /// the OS level; the expiry check catches the budget itself).
+    pub fn cap_io(&self, io: Option<Duration>, now: Instant) -> Option<Duration> {
+        match (io, self.remaining(now)) {
             (None, None) => None,
             (Some(t), None) => Some(t),
             (None, Some(r)) => Some(r.max(Duration::from_millis(1))),
@@ -129,13 +131,13 @@ impl Deadline {
         }
     }
 
-    /// Typed [`code::DEADLINE`] error once expired.
+    /// Typed [`code::DEADLINE`] error once expired at `now`.
     ///
     /// # Errors
     ///
     /// [`code::DEADLINE`] iff the budget is exhausted.
-    pub fn check(&self, what: &str) -> Result<()> {
-        if self.expired() {
+    pub fn check(&self, what: &str, now: Instant) -> Result<()> {
+        if self.expired(now) {
             return Err(CqcError::Protocol {
                 code: code::DEADLINE,
                 detail: format!("request deadline exhausted {what}"),
@@ -402,7 +404,7 @@ impl ReplicaGroup {
             return Err(AttemptFail::Busy);
         };
         if client
-            .set_io_timeout(deadline.cap_io(self.base_io))
+            .set_io_timeout(deadline.cap_io(self.base_io, Instant::now()))
             .is_err()
         {
             return Err(AttemptFail::Fault(CqcError::Io(
@@ -499,7 +501,7 @@ impl ReplicaGroup {
         let mut last_err: Option<CqcError> = None;
         let attempts = self.policy.attempts.max(1);
         for attempt in 0..attempts {
-            deadline.check("before a serve attempt")?;
+            deadline.check("before a serve attempt", Instant::now())?;
             if attempt > 0 {
                 // A failover is a retry: it must be funded by the
                 // group's budget, or the fleet-wide amplification bound
@@ -509,11 +511,11 @@ impl ReplicaGroup {
                     return Err(budget_exhausted_error(self.shard, last_err.as_ref()));
                 }
                 self.stats.failovers.fetch_add(1, Ordering::Relaxed);
-                let nap = deadline.cap(self.failover_backoff.delay(attempt - 1));
+                let nap = deadline.cap(self.failover_backoff.delay(attempt - 1), Instant::now());
                 if !nap.is_zero() {
                     std::thread::sleep(nap);
                 }
-                deadline.check("after the failover backoff")?;
+                deadline.check("after the failover backoff", Instant::now())?;
             }
             let Some(idx) = self.first_allowed(attempt as usize, None) else {
                 return Err(last_err.unwrap_or_else(|| self.all_down_error()));
@@ -575,7 +577,7 @@ impl ReplicaGroup {
             let outcome = me.attempt(primary, &v, &b, &x, priority, deadline, &mut block, 0);
             let _ = tx.send((outcome, block));
         });
-        match rx.recv_timeout(deadline.cap(hedge_after)) {
+        match rx.recv_timeout(deadline.cap(hedge_after, Instant::now())) {
             Ok((Ok(()), block)) => {
                 self.budget.record_success();
                 adopt(out, &block);
@@ -598,7 +600,7 @@ impl ReplicaGroup {
                 // waiting on the primary (backpressure, not failure).
                 if !self.budget.try_spend() {
                     return match deadline
-                        .remaining()
+                        .remaining(Instant::now())
                         .map_or_else(|| rx.recv().ok(), |r| rx.recv_timeout(r).ok())
                     {
                         Some((Ok(()), block)) => {
@@ -647,7 +649,7 @@ impl ReplicaGroup {
                         // Both racers failed (so far): give the primary
                         // until the deadline, then fall back to the loop.
                         match deadline
-                            .remaining()
+                            .remaining(Instant::now())
                             .map_or_else(|| rx.recv().ok(), |r| rx.recv_timeout(r).ok())
                         {
                             Some((Ok(()), block)) => {
@@ -843,22 +845,32 @@ impl AnswerSink for ResumeSink<'_> {
 mod tests {
     use super::*;
 
+    /// On constructed instants, so the accounting is exact: a 50 ms
+    /// budget has 1 ms left at `start + 49 ms` and none at `start + 50 ms`.
     #[test]
     fn deadline_accounting_caps_every_wait() {
-        let d = Deadline::within(Some(Duration::from_millis(50)));
-        assert!(!d.expired());
-        assert!(d.cap(Duration::from_secs(10)) <= Duration::from_millis(50));
-        assert!(d.cap_io(Some(Duration::from_secs(5))).unwrap() <= Duration::from_millis(50));
-        let unbounded = Deadline::within(None);
-        assert_eq!(unbounded.remaining(), None);
+        let start = Instant::now();
+        let ms = Duration::from_millis;
+        let (before, at) = (start + ms(49), start + ms(50));
+        let d = Deadline::within(Some(ms(50)), start);
+        assert_eq!(d.remaining(start), Some(ms(50)));
+        assert_eq!(d.remaining(before), Some(ms(1)));
+        assert!(!d.expired(before));
+        assert!(d.check("in a test", before).is_ok());
+        assert_eq!(d.cap(Duration::from_secs(10), before), ms(1));
         assert_eq!(
-            unbounded.cap(Duration::from_secs(7)),
-            Duration::from_secs(7)
+            d.cap(Duration::from_micros(300), before),
+            Duration::from_micros(300)
         );
-        assert_eq!(unbounded.cap_io(None), None);
-        let expired = Deadline::within(Some(Duration::ZERO));
-        assert!(expired.expired());
-        let err = expired.check("in a test").unwrap_err();
+        assert_eq!(d.cap_io(Some(Duration::from_secs(5)), before), Some(ms(1)));
+        assert_eq!(d.cap_io(None, before), Some(ms(1)));
+        assert_eq!(d.remaining(at), Some(Duration::ZERO));
+        assert!(d.expired(at));
+        assert_eq!(d.cap(Duration::from_secs(10), at), Duration::ZERO);
+        // Even expired, the socket timeout floor is 1 ms (never zero).
+        assert_eq!(d.cap_io(Some(Duration::from_secs(1)), at), Some(ms(1)));
+        assert_eq!(d.cap_io(None, at), Some(ms(1)));
+        let err = d.check("in a test", at).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -869,8 +881,15 @@ mod tests {
             ),
             "{err}"
         );
-        // Even expired, the socket timeout floor is 1 ms (never zero).
-        assert!(expired.cap_io(Some(Duration::from_secs(1))).unwrap() >= Duration::from_millis(1));
+        let unbounded = Deadline::within(None, start);
+        assert_eq!(unbounded.remaining(at), None);
+        assert!(!unbounded.expired(at));
+        assert_eq!(
+            unbounded.cap(Duration::from_secs(7), at),
+            Duration::from_secs(7)
+        );
+        assert_eq!(unbounded.cap_io(None, at), None);
+        assert_eq!(unbounded.cap_io(Some(ms(3)), at), Some(ms(3)));
     }
 
     #[test]

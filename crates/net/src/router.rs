@@ -53,6 +53,7 @@ use cqc_engine::{fan_out, BlockService, Route};
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Delta, Epoch, PartitionSpec, Partitioning};
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 use crate::breaker::{BreakerConfig, BreakerTransitions};
 use crate::client::ClientConfig;
@@ -368,7 +369,7 @@ impl Router {
             .clone();
         let deadline = opts
             .deadline
-            .unwrap_or_else(|| Deadline::within(self.policy.request_deadline));
+            .unwrap_or_else(|| Deadline::within(self.policy.request_deadline, Instant::now()));
         let mut coverage = Coverage::empty(shards);
         for i in (0..shards).filter(|&i| !route.reaches(bound, shards, i)) {
             coverage.mark(i);

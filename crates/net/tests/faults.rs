@@ -301,7 +301,7 @@ fn slow_service_sheds_a_budget_below_its_measured_cost() {
             &[1],
             &mut AnswerBlock::new(),
             ServePriority::Interactive,
-            Deadline::within(Some(Duration::from_millis(5))),
+            Deadline::within(Some(Duration::from_millis(5)), Instant::now()),
         )
         .unwrap_err();
     assert!(

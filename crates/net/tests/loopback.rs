@@ -6,7 +6,7 @@
 //! vectors, typed remote errors) is exercised against the same fleet.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cqc_common::frame::{code, ServePriority};
 use cqc_common::{AnswerBlock, CqcError, ExistsSink};
@@ -385,7 +385,10 @@ fn deadline_tailed_serves_match_tailless_and_local() {
                 let mut block = AnswerBlock::new();
                 let opts = ServeOpts {
                     priority,
-                    deadline: Some(Deadline::within(Some(Duration::from_secs(30)))),
+                    deadline: Some(Deadline::within(
+                        Some(Duration::from_secs(30)),
+                        Instant::now(),
+                    )),
                     ..ServeOpts::default()
                 };
                 router.serve("v", bound, &mut block, &opts).unwrap();
@@ -411,7 +414,7 @@ fn deadline_tailed_serves_match_tailless_and_local() {
             &bounds[0],
             &mut tailed,
             ServePriority::Batch,
-            Deadline::within(Some(Duration::from_secs(30))),
+            Deadline::within(Some(Duration::from_secs(30)), Instant::now()),
         )
         .unwrap();
     assert_eq!(tailed_reply, plain_reply, "reply metadata diverged");
@@ -424,7 +427,7 @@ fn deadline_tailed_serves_match_tailless_and_local() {
             &bounds[0],
             &mut AnswerBlock::new(),
             ServePriority::Interactive,
-            Deadline::within(Some(Duration::ZERO)),
+            Deadline::within(Some(Duration::ZERO), Instant::now()),
         )
         .unwrap_err();
     assert!(

@@ -22,8 +22,9 @@
 //! payload or record.
 
 use crate::delta::Delta;
-use cqc_common::error::Result;
-use cqc_common::frame::{PayloadReader, PayloadWriter};
+use cqc_common::error::{CqcError, Result};
+use cqc_common::frame::{code, PayloadReader, PayloadWriter};
+use cqc_common::value::Tuple;
 use cqc_common::Value;
 
 fn put_section(w: &mut PayloadWriter, groups: &[(&str, &[Vec<Value>])]) {
@@ -61,33 +62,60 @@ pub fn put_delta(w: &mut PayloadWriter, delta: &Delta) {
 /// first section). Bytes remaining after the removes section are the
 /// caller's to reject.
 ///
+/// Nothing is allocated for a group before its rows are known to be in
+/// the payload, so a hostile row count costs no more than the bytes that
+/// carry it. A tuple in both sections is withdrawn from the inserts, as
+/// [`Delta::remove`] does, once per relation.
+///
 /// # Errors
 ///
 /// [`cqc_common::frame::code::BAD_FRAME`] on truncation, non-UTF-8
-/// relation names, or a tuple row that ends mid-value.
+/// relation names, a group whose rows would run past the payload, or a
+/// group of zero-arity rows (no encoder writes one: it would carry rows
+/// in no bytes).
 pub fn read_delta(r: &mut PayloadReader<'_>) -> Result<Delta> {
-    let mut delta = Delta::new();
-    for removes in [false, true] {
-        if removes && r.remaining() == 0 {
-            break;
+    let inserts = read_section(r)?;
+    let removes = if r.remaining() == 0 {
+        Vec::new()
+    } else {
+        read_section(r)?
+    };
+    Ok(Delta::from_sections(inserts, removes))
+}
+
+/// One section's `(relation, tuples)` groups, in payload order.
+fn read_section(r: &mut PayloadReader<'_>) -> Result<Vec<(String, Vec<Tuple>)>> {
+    let ngroups = r.get_u32()? as usize;
+    let mut groups = Vec::new();
+    for _ in 0..ngroups {
+        let rel = r.get_str()?.to_string();
+        let arity = r.get_u16()? as usize;
+        let rows = r.get_u32()? as usize;
+        if arity == 0 && rows > 0 {
+            return Err(bad_frame(format!("{rows} zero-arity rows for {rel}")));
         }
-        let ngroups = r.get_u32()? as usize;
-        for _ in 0..ngroups {
-            let rel = r.get_str()?.to_string();
-            let arity = r.get_u16()? as usize;
-            let rows = r.get_u32()? as usize;
-            for _ in 0..rows {
-                let mut t = Vec::with_capacity(arity);
-                r.get_values(arity, &mut t)?;
-                if removes {
-                    delta.remove(&rel, t);
-                } else {
-                    delta.insert(&rel, t);
-                }
-            }
+        if rows.saturating_mul(arity).saturating_mul(8) > r.remaining() {
+            return Err(bad_frame(format!(
+                "{rows} rows of arity {arity} for {rel} in {} bytes",
+                r.remaining()
+            )));
         }
+        let mut tuples = Vec::with_capacity(rows);
+        for _ in 0..rows {
+            let mut t = Vec::with_capacity(arity);
+            r.get_values(arity, &mut t)?;
+            tuples.push(t);
+        }
+        groups.push((rel, tuples));
     }
-    Ok(delta)
+    Ok(groups)
+}
+
+fn bad_frame(detail: String) -> CqcError {
+    CqcError::Protocol {
+        code: code::BAD_FRAME,
+        detail,
+    }
 }
 
 #[cfg(test)]

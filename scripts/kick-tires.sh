@@ -273,19 +273,20 @@ grep -Eq "repr: +theorem 1: τ = inf.*tree 1 nodes.*dictionary 0 heavy pairs" "$
 # A Theorem 1 leaf costs one bit and a child id none: the tree stores a
 # split point for internal nodes only, at their rank in a bit column with
 # one bit per level-order slot (the internal node of rank r owns slots
-# 2r + 1 and 2r + 2). `lo` (τ = 8) has 777 nodes, 333 of them leaves, and
-# prints 816 B = 1.05 B/node. A right-child id per internal node printed
-# 1 368 B (1.76 B/node), a row per node 2 160 B (2.78 B/node). The
-# one-line sabotage that keeps `internal × width_for(nodes)` zero bits
-# beside the slot bits, the right-id column's size — `let slots = 2 *
-# ranks as usize + 1 + ranks as usize *
-# cqc_common::packed::width_for(nodes as u64) as usize;` in
-# `DelayBalancedTree::build_observed` — prints 1 456 B (1.87 B/node) and
-# fails the gate (checked once). The gate is 1.3.
+# 2r + 1 and 2r + 2), and each split point as its offset from its node's
+# lower endpoint, at one width per level and coordinate. `lo` (τ = 8) has
+# 777 nodes, 333 of them leaves, and prints 480 B = 0.62 B/node (β 336 B
+# over 10 levels). Every row at one grid-wide width printed 816 B
+# (1.05 B/node), a right-child id per internal node 1 368 B (1.76 B/node),
+# a row per node 2 160 B (2.78 B/node). The one-line sabotage that writes
+# every row at least at the 6-bit grid-wide width this 40-value grid took
+# before — `bit_length(max.copied().unwrap_or(0)).max(6)` in
+# `dbtree::encode_level` — prints 832 B (1.07 B/node) and fails the gate
+# (checked once). The gate is 0.68, the figure plus 10 %.
 lo_tree="$(grep -E 'τ = 8\.00' "$OUT/extremes.out" | grep -Eo 'tree [0-9]+ nodes, [0-9]+ leaves \([^)]*\)')"
 lo_nodes="$(echo "$lo_tree" | grep -Eo '^tree [0-9]+' | grep -Eo '[0-9]+')"
 lo_bytes="$(echo "$lo_tree" | grep -Eo '[0-9]+ B =' | grep -Eo '[0-9]+')"
-awk -v b="$lo_bytes" -v n="$lo_nodes" 'BEGIN { printf "tree layout: %d B / %d nodes = %.2f B/node\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 1.3) }'
+awk -v b="$lo_bytes" -v n="$lo_nodes" 'BEGIN { printf "tree layout: %d B / %d nodes = %.2f B/node\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 0.68) }'
 # The dictionary stores each child's list as two bits over each of its
 # parent's entries: candidate values for the root's entries, two child
 # bits and their rank directory per entry, and one bit per entry. `lo`

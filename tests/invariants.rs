@@ -39,34 +39,38 @@ fn check_tree_partitions(tree: &DelayBalancedTree) {
         Point(Vec<usize>),
     }
     let mut pieces: Vec<Piece> = Vec::new();
-    // In-order traversal with an explicit stack of cursors; the endpoints
-    // of the node under the walk land in one reused scratch interval.
+    // In-order traversal with an explicit stack of cursors, each carrying
+    // its node's interval down from the root.
     enum Frame {
-        Enter(Cursor),
-        Emit(u32),
+        Enter(Cursor, FInterval),
+        Emit(Vec<usize>),
     }
-    let root = tree.interval(tree.root());
-    let mut scratch = root.clone();
-    let mut stack = vec![Frame::Enter(tree.root())];
+    let root = tree.root_interval();
+    let mu = root.mu();
+    let mut stack = vec![Frame::Enter(tree.root(), root.clone())];
     while let Some(f) = stack.pop() {
         match f {
-            Frame::Enter(c) => {
-                let n = tree.node(c, &mut scratch.lo, &mut scratch.hi);
+            Frame::Enter(c, interval) => {
+                let mut beta = vec![0; mu];
+                let n = tree.node(c, &interval.lo, &interval.hi, &mut beta);
+                let child = |right: bool| {
+                    let mut bounds = Vec::new();
+                    tree.child_interval_into(right, &interval.lo, &interval.hi, &beta, &mut bounds);
+                    let hi = bounds.split_off(mu);
+                    FInterval { lo: bounds, hi }
+                };
                 if n.is_leaf() {
-                    pieces.push(Piece::Leaf(scratch.clone()));
-                } else {
-                    if let Some(r) = n.right {
-                        stack.push(Frame::Enter(r));
-                    }
-                    stack.push(Frame::Emit(c.node));
-                    if let Some(l) = n.left {
-                        stack.push(Frame::Enter(l));
-                    }
+                    pieces.push(Piece::Leaf(interval));
+                    continue;
                 }
+                if let Some(r) = n.right {
+                    stack.push(Frame::Enter(r, child(true)));
+                }
+                let left = n.left.map(|l| Frame::Enter(l, child(false)));
+                stack.push(Frame::Emit(beta));
+                stack.extend(left);
             }
-            Frame::Emit(w) => {
-                pieces.push(Piece::Point(tree.beta(w).unwrap()));
-            }
+            Frame::Emit(beta) => pieces.push(Piece::Point(beta)),
         }
     }
     // The pieces must tile the root interval exactly: strictly increasing,
@@ -177,10 +181,10 @@ fn random_instance_tree_invariants() {
             // The tree stores split points only: T(I(w)) is the oracle's.
             let sizes = est.sizes();
             let t_at = |c: Cursor| est.t_interval(&tree.interval(c), &sizes);
-            let mut scratch = tree.interval(tree.root());
             for c in tree.cursors() {
                 let (t, thr) = (t_at(c), tau_level(tree.tau, tree.alpha, c.level));
-                let node = tree.node(c, &mut scratch.lo, &mut scratch.hi);
+                let FInterval { lo, hi } = tree.interval(c);
+                let node = tree.node(c, &lo, &hi, &mut vec![0; lo.len()]);
                 if node.is_leaf() {
                     assert!(t < thr, "trial {trial}");
                 } else {

@@ -99,19 +99,26 @@ fn running_example_end_to_end() {
     assert_eq!(stats.tree_depth, 2);
 
     // Example 15: exactly two dictionary entries for v_b = (1,1,1).
-    // r_r is the root's right child: I(r_r) = [⟨1,2,1⟩, ⟨2,2,2⟩], derived by
-    // the cursor as [succ(β(r)), grid maximum].
+    // r_r is the root's right child: I(r_r) = [⟨1,2,1⟩, ⟨2,2,2⟩], carried
+    // down by the walk as [succ(β(r)), grid maximum].
     let tree = s.tree().unwrap();
-    let (mut lo, mut hi) = (vec![0; 3], vec![0; 3]);
-    let rr = tree.node(tree.root(), &mut lo, &mut hi).right.unwrap();
+    let root = tree.root_interval();
+    let mut beta = vec![0; 3];
+    let rr = tree
+        .node(tree.root(), &root.lo, &root.hi, &mut beta)
+        .right
+        .unwrap();
     assert_eq!((rr.node, rr.level), (2, 1), "Figure 3: r_l is node 1");
-    tree.node(rr, &mut lo, &mut hi);
+    let mut bounds = Vec::new();
+    tree.child_interval_into(true, &root.lo, &root.hi, &beta, &mut bounds);
+    let (lo, hi) = bounds.split_at(3);
+    tree.node(rr, lo, hi, &mut beta);
     let values = |ranks: &[usize]| -> Vec<u64> {
         let grid = ranks.iter().zip(s.domains());
         grid.map(|(&r, d)| d.value(r)).collect()
     };
-    assert_eq!(values(&lo), vec![1, 2, 1]);
-    assert_eq!(values(&hi), vec![2, 2, 2]);
+    assert_eq!(values(lo), vec![1, 2, 1]);
+    assert_eq!(values(hi), vec![2, 2, 2]);
     assert_eq!(s.dictionary().get(tree, 0, &[1, 1, 1]), Some(true));
     // r_r is the second internal node (r_l is a leaf): its rank is 1.
     assert_eq!(tree.internal_rank(rr.node), Some(1));

@@ -69,10 +69,10 @@ fn check_theorem1(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, 
         let est = CostEstimator::build(view, db, s.weights(), s.alpha()).unwrap();
         let sizes = est.sizes();
         let t_at = |c: Cursor| est.t_interval(&tree.interval(c), &sizes);
-        let mut scratch = tree.interval(tree.root());
         for c in tree.cursors() {
             let (t, thr) = (t_at(c), tau_level(tree.tau, tree.alpha, c.level));
-            let node = tree.node(c, &mut scratch.lo, &mut scratch.hi);
+            let FInterval { lo, hi } = tree.interval(c);
+            let node = tree.node(c, &lo, &hi, &mut vec![0; lo.len()]);
             if node.is_leaf() {
                 assert!(t < thr, "leaf above threshold");
             } else {
@@ -140,9 +140,9 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
     let sizes = est.sizes();
     let candidates = bound_touching_view(view);
     let mut parent = vec![None; tree.num_slots()];
-    let FInterval { mut lo, mut hi } = tree.interval(tree.root());
     for c in tree.cursors() {
-        let node = tree.node(c, &mut lo, &mut hi);
+        let FInterval { lo, hi } = tree.interval(c);
+        let node = tree.node(c, &lo, &hi, &mut vec![0; lo.len()]);
         for child in [node.left, node.right].into_iter().flatten() {
             parent[child.node as usize] = Some(c.node);
         }
