@@ -16,11 +16,13 @@
 //! "Theorem 1 build").
 //!
 //! Only pairs Algorithm 2 can reach are stored. It starts at the root and
-//! recurses only on a stored `1`, so a heavy pair whose parent holds no
-//! entry for its candidate is never read and is dropped. Every node's
-//! candidates are then a subset of its parent's, and a child's list is
-//! stored as two bits over each of its parent's entries
-//! (docs/ARCHITECTURE.md, "Theorem 1 memory layout").
+//! recurses only on a stored `1`, so a pair is stored iff it is heavy at
+//! `w` and `w`'s parent stores a `1` for its candidate (at the root: iff
+//! heavy). A heavy pair below a light one or below a `0` is never read and
+//! is dropped; so are the `0`s such a subtree would hold, since an empty
+//! interval has empty halves. Every node's candidates are then a subset of
+//! its parent's, and a child's list is stored as two bits over each of its
+//! parent's entries (docs/ARCHITECTURE.md, "Theorem 1 memory layout").
 
 use crate::cost::CostEstimator;
 use crate::dbtree::{Cursor, DelayBalancedTree, Node};
@@ -102,32 +104,33 @@ pub(crate) enum Side {
 }
 
 impl Witness {
-    /// The child's knowledge, given its parent's (`first` is the parent's
-    /// first answer, `lo`/`hi` the child's endpoints in value space). The
-    /// children split the parent's interval around `β`, so: an empty parent
-    /// has empty children; a first answer inside the child is also the
-    /// child's first; one beyond the left child's upper end leaves the left
-    /// child empty (every answer is at least the first); only a right child
-    /// whose parent's first answer lies at or before `β` knows nothing.
-    fn inherit(self, side: Side, first: &[Value], lo: &[Value], hi: &[Value]) -> Witness {
-        match (self, side) {
-            (Witness::First, Side::Left) if first > hi => Witness::Empty,
-            (Witness::First, Side::Right) if first < lo => Witness::Unknown,
-            (known, _) => known,
+    /// A child's knowledge, given its parent's first answer `first` (a node
+    /// passes down only its `1`s, so every survivor below the root carries
+    /// one) and the child's endpoints `lo`/`hi` in value space. The children
+    /// split the parent's interval around `β`, so: a first answer inside
+    /// the child is also the child's first; one beyond the left child's
+    /// upper end leaves the left child empty (every answer is at least the
+    /// first); only a right child whose parent's first answer lies at or
+    /// before `β` knows nothing.
+    fn inherit(side: Side, first: &[Value], lo: &[Value], hi: &[Value]) -> Witness {
+        match side {
+            Side::Left if first > hi => Witness::Empty,
+            Side::Right if first < lo => Witness::Unknown,
+            _ => Witness::First,
         }
     }
 }
 
-/// The candidates a node passes to its children — the ones it stores —
-/// with their entries there (in build order), ascending ids, and per
-/// candidate what the node knows about its restricted join.
+/// The candidates a node passes to its children — the ones it stores as
+/// `1` — with their entries there (in build order), ascending ids, and
+/// their first answers there.
 #[derive(Debug, Default)]
 struct Survivors {
     ids: Vec<u32>,
     entries: Vec<u32>,
-    witness: Vec<Witness>,
-    /// `µ` values per candidate; meaningful where the witness is
-    /// [`Witness::First`].
+    /// `µ` values per candidate: the lexicographically first answer of
+    /// `(⋈ R_F(v_b)) ⋉ I(w)`. Empty for the root's input list, about which
+    /// nothing is known.
     first: Vec<Value>,
 }
 
@@ -306,21 +309,23 @@ impl HeavyDictionary {
         }
 
         // 2. DFS in left-first pre-order. An internal node evaluates
-        //    `T(v_b, I(w))` for the candidates its parent stored, stores
-        //    the heavy ones with their emptiness bit and passes them down.
+        //    `T(v_b, I(w))` for the candidates its parent stored as `1`,
+        //    stores the heavy ones with their emptiness bit and passes its
+        //    `1`s down.
         //    Three exact prunings keep that cheap (docs/ARCHITECTURE.md,
         //    "Theorem 1 build"):
         //
-        //    * unreachable below a light pair — Algorithm 2 recurses only
-        //      on a stored `1`, so a candidate light at a node is never
-        //      read at its descendants, and is dropped;
+        //    * unreachable below a light pair or a `0` — Algorithm 2
+        //      recurses only on a stored `1`, so a candidate light at a
+        //      node, or stored there as `0`, is never read at its
+        //      descendants, and is dropped;
         //    * leaves evaluate nothing — `T(v_b, I(w)) ≤ T(I(w)) < τ_ℓ`
         //      there, so a leaf has no heavy pair, and a subtree no
         //      candidate reaches is not walked;
-        //    * witness inheritance — each survivor carries the
-        //      lexicographically first answer of `(⋈ R_F(v_b)) ⋉ I(w)`
-        //      once a probe has found it (or that there is none), and a
-        //      child derives its own from it: see `Witness::inherit`.
+        //    * witness inheritance — each survivor below the root carries
+        //      the lexicographically first answer of `(⋈ R_F(v_b)) ⋉ I(w)`
+        //      (its parent stores it as `1`), and a child derives its own
+        //      knowledge from it: see `Witness::inherit`.
         //
         //    Entries are stored in visit order ("build order"): per entry
         //    the build-order position of its parent's entry for the same
@@ -350,13 +355,11 @@ impl HeavyDictionary {
         let mut first: Vec<Value> = Vec::with_capacity(mu);
         let all = Rc::new(Survivors {
             ids: (0..num_cands as u32).collect(),
-            entries: Vec::new(),
-            witness: vec![Witness::Unknown; num_cands],
-            first: vec![0; num_cands * mu],
+            ..Survivors::default()
         });
-        // (The root's side is never read: its witnesses are all unknown and
-        // its entries are nobody's children.) Each pending node's interval
-        // is `2µ` ranks in `bounds`, in stack order.
+        // (The root's side is never read: it knows no first answer and its
+        // entries are nobody's children.) Each pending node's interval is
+        // `2µ` ranks in `bounds`, in stack order.
         let mut stack: Vec<(Cursor, Side, Rc<Survivors>)> = vec![(tree.root(), Side::Left, all)];
         let mut bounds: Vec<usize> = lo.iter().chain(&hi).copied().collect();
         while let Some((c, side, cands)) = stack.pop() {
@@ -434,8 +437,12 @@ impl HeavyDictionary {
                     continue;
                 }
                 first.clear();
-                first.extend_from_slice(&cands.first[k * mu..][..mu]);
-                let mut witness = cands.witness[k].inherit(side, &first, &lo_vals, &hi_vals);
+                let mut witness = if is_root {
+                    Witness::Unknown
+                } else {
+                    first.extend_from_slice(&cands.first[k * mu..][..mu]);
+                    Witness::inherit(side, &first, &lo_vals, &hi_vals)
+                };
                 if witness == Witness::Unknown {
                     // First-answer probe: the boxes are in lexicographic
                     // order and each join emits in lexicographic order, so
@@ -452,7 +459,8 @@ impl HeavyDictionary {
                         probe_join.reset(&probe_cons);
                         work.probes += 1;
                         if let Some(answer) = probe_join.next() {
-                            first.copy_from_slice(&answer[nb..]);
+                            first.clear();
+                            first.extend_from_slice(&answer[nb..]);
                             witness = Witness::First;
                             break;
                         }
@@ -469,10 +477,9 @@ impl HeavyDictionary {
                 if is_root {
                     root_values.extend_from_slice(cand(ci));
                 }
-                if pass_down {
+                if pass_down && bit {
                     survivors.ids.push(ci);
                     survivors.entries.push(e);
-                    survivors.witness.push(witness);
                     survivors.first.extend_from_slice(&first);
                 }
             }
@@ -901,6 +908,18 @@ mod tests {
         parent
     }
 
+    /// `gen triangle 400 7` and its `Q^{bff}` view.
+    fn triangle_400_7_bff() -> (cqc_query::AdornedView, cqc_storage::Database) {
+        let (relations, _) = cqc_workload::triangle_relations(7, 400);
+        let mut db = cqc_storage::Database::new();
+        for r in relations {
+            db.add(r).unwrap();
+        }
+        let view =
+            cqc_query::parser::parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
+        (view, db)
+    }
+
     /// Example 15: at τ = 4 the dictionary holds exactly the two entries
     /// D(I(r), (1,1,1)) = 1 and D(I(r_r), (1,1,1)) = 1 for that valuation,
     /// and leaves have no entry. Over the whole bound grid a pair is stored
@@ -972,13 +991,7 @@ mod tests {
         let mut structures: Vec<Theorem1Structure> = [1.0, 4.0]
             .map(|tau| Theorem1Structure::build(&view, &db, &[1.0; 3], tau).unwrap())
             .into();
-        let (relations, _) = cqc_workload::triangle_relations(7, 400);
-        let mut db = cqc_storage::Database::new();
-        for r in relations {
-            db.add(r).unwrap();
-        }
-        let view =
-            cqc_query::parser::parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
+        let (view, db) = triangle_400_7_bff();
         structures.push(Theorem1Structure::build(&view, &db, &[0.5; 3], 8.0).unwrap());
         for s in &structures {
             let (tree, dict) = (s.tree().unwrap(), s.dictionary());
@@ -1043,14 +1056,15 @@ mod tests {
         }
     }
 
-    /// A skewed triangle `Q^{bff}`: three Zipf relations over 40 values.
-    fn skewed_triangle(seed: u64) -> (cqc_query::AdornedView, cqc_storage::Database) {
+    /// A skewed triangle `Q^{bff}`: three Zipf relations of `rows` pairs
+    /// over 40 values.
+    fn skewed_triangle(seed: u64, rows: usize) -> (cqc_query::AdornedView, cqc_storage::Database) {
         let mut rng = cqc_workload::rng(seed);
         let zipf = cqc_workload::Zipf::new(40, 1.1);
         let mut db = cqc_storage::Database::new();
         for name in ["R", "S", "T"] {
             db.add(cqc_workload::gen::zipf_pairs(
-                &mut rng, name, 500, 40, &zipf,
+                &mut rng, name, rows, 40, &zipf,
             ))
             .unwrap();
         }
@@ -1066,7 +1080,7 @@ mod tests {
     /// instance is skewed enough that empty intervals are common.
     #[test]
     fn bits_and_witnesses_match_the_naive_join_on_a_skewed_graph() {
-        let (view, db) = skewed_triangle(5);
+        let (view, db) = skewed_triangle(5, 500);
         let plan = ViewPlan::build(&view, &db).unwrap();
         for (weights, alpha, tau) in [([0.5; 3], 1.0, 2.0), ([1.0; 3], 2.0, 4.0)] {
             let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
@@ -1116,13 +1130,14 @@ mod tests {
     }
 
     /// Host-independent work bound at α = 1, where every threshold is τ and
-    /// a node passes down exactly its heavy pairs: the root evaluates the
-    /// candidates, every other internal node at most its parent's entries,
-    /// a leaf nothing; and with most bits inherited the probe joins stay
-    /// below the entries.
+    /// a node passes down exactly its heavy pairs that hold `1`: the root
+    /// evaluates the candidates, every other internal node at most its
+    /// parent's `1` entries, a leaf nothing; and with most bits inherited
+    /// the probe joins stay below the entries. At 500 rows τ = 8 stores
+    /// 495 entries, so the instance has 600 (634 entries at τ = 8).
     #[test]
     fn build_work_is_bounded_by_candidates_and_entries() {
-        let (view, db) = skewed_triangle(9);
+        let (view, db) = skewed_triangle(9, 600);
         let plan = ViewPlan::build(&view, &db).unwrap();
         let est = CostEstimator::build(&view, &db, &[0.5; 3], 1.0).unwrap();
         for tau in [1.0, 2.0, 8.0] {
@@ -1130,10 +1145,11 @@ mod tests {
             let dict = HeavyDictionary::build(&plan, &est, &tree);
             let work = dict.build_work();
             let (cands, entries) = (work.candidates, dict.num_entries() as u64);
+            let ones = (0..entries as u32).filter(|&e| dict.bit(e)).count() as u64;
             assert!(entries > 500, "τ={tau}: {entries} entries");
             assert!(
-                work.evaluations <= cands + 2 * entries,
-                "τ={tau}: {} evaluations for {cands} candidates, {entries} entries",
+                work.evaluations <= cands + 2 * ones,
+                "τ={tau}: {} evaluations for {cands} candidates, {ones} entries holding 1",
                 work.evaluations
             );
             assert!(
@@ -1156,7 +1172,7 @@ mod tests {
     /// started from.
     #[test]
     fn only_referenced_candidates_are_kept() {
-        let (view, db) = skewed_triangle(9);
+        let (view, db) = skewed_triangle(9, 500);
         let plan = ViewPlan::build(&view, &db).unwrap();
         let est = CostEstimator::build(&view, &db, &[0.5; 3], 1.0).unwrap();
         let tree = DelayBalancedTree::build(&est, 64.0).unwrap();
@@ -1203,7 +1219,7 @@ mod tests {
         // A candidate that is light at an internal node (every candidate
         // of the running example is heavy wherever it is a node's: the
         // skewed triangle has light ones).
-        let (view, db) = skewed_triangle(9);
+        let (view, db) = skewed_triangle(9, 500);
         let est = CostEstimator::build(&view, &db, &[0.5; 3], 1.0).unwrap();
         let skewed_tree = DelayBalancedTree::build(&est, 8.0).unwrap();
         let skewed =
@@ -1265,15 +1281,51 @@ mod tests {
         dict.flip(dict.num_entries() as u32, true);
     }
 
-    /// At α = 2 the thresholds fall with depth, so a pair can be heavy at
-    /// a node whose parent holds no entry for its candidate. Algorithm 2
-    /// never reads it (it recurses only on a stored `1`), and the build
-    /// does not store it. Over the running example's query on `3 × rows`
-    /// uniform tuples on `dom` values (`cqc_workload::rng(1)`), at each
-    /// `(τ, entries)`: every non-root entry's candidate is stored at its
-    /// parent, the entry count is the pinned one, and sampled requests
-    /// answer the naive join.
-    fn check_alpha_two(rows: usize, dom: u64, pins: [(f64, usize); 2]) {
+    /// Walks `dict` over `tree` straight after its build and asserts that
+    /// every non-root entry's candidate is stored as `1` at its node's
+    /// parent; returns the number of entries walked. The walk meets a node
+    /// right after the last node one level up that is its parent: `held[ℓ]`
+    /// is the candidates the last node met at level `ℓ` stores as `1`,
+    /// ascending.
+    fn assert_stored_below_ones(
+        dict: &HeavyDictionary,
+        tree: &DelayBalancedTree,
+        ctx: &str,
+    ) -> usize {
+        let mut held: Vec<Vec<u32>> = Vec::new();
+        let mut walked = 0;
+        dict.walk(tree, |step| {
+            let level = step.cursor.level as usize;
+            if let Some(above) = level.checked_sub(1) {
+                let parent = &held[above];
+                assert!(
+                    step.entries
+                        .iter()
+                        .all(|e| parent.binary_search(&e.cand).is_ok()),
+                    "{ctx} node {}: a candidate its parent lacks or holds as 0",
+                    step.cursor.node
+                );
+            }
+            held.truncate(level);
+            held.push(
+                step.entries
+                    .iter()
+                    .filter(|e| dict.bit(e.entry))
+                    .map(|e| e.cand)
+                    .collect(),
+            );
+            walked += step.entries.len();
+            true
+        });
+        walked
+    }
+
+    /// The running example's query over `3 × rows` uniform tuples on `dom`
+    /// values (`cqc_workload::rng(1)`), whose weights give α = 2.
+    fn alpha_two_instance(
+        rows: usize,
+        dom: u64,
+    ) -> (cqc_query::AdornedView, cqc_storage::Database) {
         let (view, _) = running_example();
         let mut rng = cqc_workload::rng(1);
         let mut db = cqc_storage::Database::new();
@@ -1281,31 +1333,23 @@ mod tests {
             db.add(cqc_workload::uniform_relation(&mut rng, name, 3, rows, dom))
                 .unwrap();
         }
+        (view, db)
+    }
+
+    /// At α = 2 the thresholds fall with depth, so a pair can be heavy at
+    /// a node whose parent holds no entry for its candidate, or holds it as
+    /// `0`. Algorithm 2 never reads it (it recurses only on a stored `1`),
+    /// and the build does not store it. On [`alpha_two_instance`], at each
+    /// `(τ, entries)`: every non-root entry's candidate is stored as `1` at
+    /// its parent, the entry count is the pinned one, and sampled requests
+    /// answer the naive join.
+    fn check_alpha_two(rows: usize, dom: u64, pins: [(f64, usize); 2]) {
+        let (view, db) = alpha_two_instance(rows, dom);
         for (tau, entries) in pins {
             let s = Theorem1Structure::build(&view, &db, &[1.0; 3], tau).unwrap();
             assert_eq!(s.alpha(), 2.0, "Example 4's slack");
             let (tree, dict) = (s.tree().unwrap(), s.dictionary());
-            // The walk meets a node right after the last node one level up
-            // that is its parent: `held[ℓ]` is the candidates of the last
-            // node met at level `ℓ`, ascending.
-            let mut held: Vec<Vec<u32>> = Vec::new();
-            let mut walked = 0;
-            dict.walk(tree, |step| {
-                let level = step.cursor.level as usize;
-                let cands: Vec<u32> = step.entries.iter().map(|e| e.cand).collect();
-                if let Some(above) = level.checked_sub(1) {
-                    let parent = &held[above];
-                    assert!(
-                        cands.iter().all(|c| parent.binary_search(c).is_ok()),
-                        "τ={tau} node {}: a candidate its parent lacks",
-                        step.cursor.node
-                    );
-                }
-                held.truncate(level);
-                held.push(cands);
-                walked += step.entries.len();
-                true
-            });
+            let walked = assert_stored_below_ones(dict, tree, &format!("τ={tau}"));
             assert_eq!(walked, dict.num_entries(), "τ={tau}");
             assert_eq!(dict.num_entries(), entries, "τ={tau}");
             for i in 0..12u64 {
@@ -1321,23 +1365,52 @@ mod tests {
     /// [`check_alpha_two`] on 3 × 300 tuples over 10 values. The layout
     /// that stored every heavy pair held 108 110 entries at τ = 8 (4 328
     /// of them, in 185 lists, under a parent lacking their candidate) and
-    /// 19 983 at τ = 32 (1 526, in 177 lists); filtering out every entry
-    /// some ancestor lacks leaves the pins.
+    /// 19 983 at τ = 32 (1 526, in 177 lists). The layout that also stored
+    /// pairs below a `0` held 99 275 and 18 184; filtering out every entry
+    /// with an ancestor that lacks its candidate or holds it as `0` leaves
+    /// the pins.
     #[test]
     fn alpha_two_stores_only_pairs_their_parent_holds() {
-        check_alpha_two(300, 10, [(8.0, 99_275), (32.0, 18_184)]);
+        check_alpha_two(300, 10, [(8.0, 77_431), (32.0, 17_960)]);
     }
 
     /// [`check_alpha_two`] on 3 × 3 000 tuples over 30 values, where the
     /// layout that stored every heavy pair held 18 358 951 entries at
     /// τ = 8 (6 198 under a parent lacking their candidate, in 89 of 24 602
-    /// lists) and 16 547 990 at τ = 32 (930 326, in 3 794 lists). It takes
-    /// about 20 s optimised and 270 s without, so the unoptimised tier
-    /// skips it and `scripts/kick-tires.sh` runs it in release.
+    /// lists) and 16 547 990 at τ = 32 (930 326, in 3 794 lists), and the
+    /// one that also stored pairs below a `0` held 18 326 383 and
+    /// 14 194 979. It takes about 15 s optimised and 150 s without, so the
+    /// unoptimised tier skips it and `scripts/kick-tires.sh` runs it in
+    /// release.
     #[test]
-    #[cfg_attr(debug_assertions, ignore = "about 270 s unoptimised; run in release")]
+    #[cfg_attr(debug_assertions, ignore = "about 150 s unoptimised; run in release")]
     fn alpha_two_stores_only_pairs_their_parent_holds_at_scale() {
-        check_alpha_two(3000, 30, [(8.0, 18_326_383), (32.0, 14_194_979)]);
+        check_alpha_two(3000, 30, [(8.0, 8_054_717), (32.0, 7_007_452)]);
+    }
+
+    /// Algorithm 2 recurses only on a stored `1`, so nothing is stored
+    /// below a `0`: on `gen triangle 400 7`'s `bff` view at τ = 2, 8 and 64
+    /// and on the α = 2 instance at τ = 8, every non-root entry's parent
+    /// holds its candidate as `1` at build. Each instance but τ = 64 has
+    /// heavy pairs below a `0` to drop (the layout that stored them held
+    /// 2 170, 800 and 99 275 entries, not 1 925, 785 and 77 431).
+    #[test]
+    fn nothing_is_stored_below_a_zero() {
+        let (view, db) = triangle_400_7_bff();
+        let mut structures: Vec<Theorem1Structure> = [2.0, 8.0, 64.0]
+            .map(|tau| Theorem1Structure::build(&view, &db, &[0.5; 3], tau).unwrap())
+            .into();
+        let (view, db) = alpha_two_instance(300, 10);
+        structures.push(Theorem1Structure::build(&view, &db, &[1.0; 3], 8.0).unwrap());
+        let mut entries = Vec::new();
+        for s in &structures {
+            let (tree, dict) = (s.tree().unwrap(), s.dictionary());
+            let ctx = format!("α={} τ={}", s.alpha(), s.tau());
+            let walked = assert_stored_below_ones(dict, tree, &ctx);
+            assert_eq!(walked, dict.num_entries(), "{ctx}");
+            entries.push(walked);
+        }
+        assert_eq!(entries, [1_925, 785, 103, 77_431]);
     }
 
     /// Lemma 5 sanity: the number of entries stays within the

@@ -16,7 +16,11 @@
 //!   bits stay `1`; a light pair that turns heavy keeps being evaluated
 //!   directly (the `⊥` branch of Algorithm 2 runs on the refreshed base
 //!   indexes and is always correct, only its delay degrades with the
-//!   delta); the single hazard is a stored `0` bit whose restricted join
+//!   delta); so does every pair below a stored `0` that an insert flips to
+//!   `1` — the dictionary stores nothing below a `0`, so its heavy
+//!   descendants read `⊥`, and the delay of each is bounded by its
+//!   interval's build-time weight rather than by τ until the view is
+//!   rebuilt; the single hazard is a stored `0` bit whose restricted join
 //!   became non-empty — a stale "provably empty" certificate would
 //!   *suppress* answers. Affected `0` bits are re-probed and flipped to
 //!   `1` where the insert created answers.
@@ -922,6 +926,101 @@ mod tests {
                     "vb ({x},{z})"
                 );
             }
+        }
+    }
+
+    /// The dictionary stores nothing below a `0`, so a pair heavy at the
+    /// child of a build-time `0` has no entry. An insert that creates the
+    /// first answer inside such a `0` interval, at a point of its heavy
+    /// internal child, flips the `0` to `1`; the child then reads `⊥` and
+    /// Algorithm 2 evaluates it directly on the refreshed indexes. The
+    /// answers are exact; only that child's delay is bounded by its
+    /// build-time weight rather than by τ until the view is rebuilt.
+    #[test]
+    fn an_insert_under_a_pruned_zero_serves_the_naive_join() {
+        use crate::cost::CostEstimator;
+        use cqc_common::util::approx_gt;
+        let (relations, dom) = cqc_workload::triangle_relations(7, 400);
+        let mut db = Database::new();
+        for r in relations {
+            db.add(r).unwrap();
+        }
+        let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bff").unwrap();
+        let strategy = || Strategy::Tradeoff {
+            tau: 2.0,
+            weights: Some(vec![0.5; 3]),
+        };
+        let built = CompressedView::build(&view, &db, strategy()).unwrap();
+        let CompressedView::Tradeoff(s) = &built else {
+            panic!("a Theorem 1 structure");
+        };
+        let (tree, dict) = (s.tree().unwrap(), s.dictionary());
+        let est = CostEstimator::build(&view, &db, s.weights(), s.alpha()).unwrap();
+        let sizes = est.sizes();
+
+        // The first `(w, v_b)` in walk order stored as `0` whose internal
+        // child `c` holds `v_b` heavy: a pair the layout drops.
+        let mut found = None;
+        let mut vb = Vec::new();
+        dict.walk(tree, |step| {
+            for e in step.entries.iter().filter(|e| !dict.bit(e.entry)) {
+                dict.candidate_into(e.cand, &mut vb);
+                for c in [step.node.left, step.node.right].into_iter().flatten() {
+                    let interval = tree.interval(c);
+                    let t = est.t_interval_bound(&vb, &interval, &sizes);
+                    if found.is_none()
+                        && !tree.is_leaf(c.node)
+                        && approx_gt(t, tree.threshold_of(c.level))
+                    {
+                        found = Some((step.node.internal.unwrap(), c, interval, vb.clone()));
+                    }
+                }
+            }
+            found.is_none()
+        });
+        let (w, c, interval, vb) = found.expect("a heavy pair below a 0");
+        let child = tree.internal_rank(c.node).unwrap();
+        assert_eq!(dict.get(tree, w, &vb), Some(false));
+        assert_eq!(dict.get(tree, child, &vb), None, "dropped below the 0");
+
+        // Complete the triangle at `I(c)`'s first point: every value is in
+        // its active domain already, so the grid stays.
+        let doms = est.domains();
+        let (x, y, z) = (
+            vb[0],
+            doms[0].value(interval.lo[0]),
+            doms[1].value(interval.lo[1]),
+        );
+        let mut delta = Delta::new();
+        for (name, t) in [("R", vec![x, y]), ("S", vec![y, z]), ("T", vec![z, x])] {
+            if !db.get(name).unwrap().contains(&t) {
+                delta.insert(name, t);
+            }
+        }
+        assert!(answers(&built, &vb).iter().all(|a| a[..] != [y, z]));
+        db.apply(&delta).unwrap();
+
+        let outcome = built.maintain(&view, &db, &delta).unwrap();
+        let MaintainOutcome::Maintained {
+            view: maintained,
+            report,
+        } = outcome
+        else {
+            panic!("expected maintenance, got {outcome:?}");
+        };
+        assert!(report.flipped_bits >= 1, "{report:?}");
+        let CompressedView::Tradeoff(m) = &*maintained else {
+            panic!("a Theorem 1 structure");
+        };
+        assert_eq!(m.dictionary().get(tree, w, &vb), Some(true));
+        assert_eq!(m.dictionary().get(tree, child, &vb), None, "⊥ at the child");
+        let got = answers(&maintained, &vb);
+        assert!(got.contains(&vec![y, z]), "the inserted answer is served");
+        let rebuilt = CompressedView::build(&view, &db, strategy()).unwrap();
+        for x in 0..dom {
+            let expect = evaluate_view(&view, &db, &[x]).unwrap();
+            assert_eq!(answers(&maintained, &[x]), expect, "v_b ({x})");
+            assert_eq!(answers(&rebuilt, &[x]), expect, "v_b ({x}) rebuilt");
         }
     }
 

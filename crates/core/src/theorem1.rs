@@ -1229,16 +1229,16 @@ pub(crate) mod tests {
         let s = Theorem1Structure::build(&star, &star_db, &[1.0; 3], 8.0).unwrap();
         got.push(("star bbff", 8.0, s.stats().tree_nodes, walk_fnv(&s)));
         let pinned = [
-            ("bff", 2.0, 780, 3_312_443_750_993_430_323),
-            ("bff", 8.0, 777, 16_826_133_469_336_805_575),
+            ("bff", 2.0, 780, 18_102_522_098_271_835_558),
+            ("bff", 8.0, 777, 1_687_195_744_246_375_946),
             ("bff", 64.0, 254, 774_960_784_498_801_911),
-            ("bfb", 2.0, 40, 10_993_765_896_171_075_244),
+            ("bfb", 2.0, 40, 7_946_464_007_979_914_567),
             ("bfb", 8.0, 40, 8_030_967_521_541_121_497),
             ("bfb", 64.0, 40, 13_137_459_625_835_942_358),
-            ("fff", 2.0, 3345, 2_645_465_756_377_395_605),
-            ("fff", 8.0, 1185, 14_595_550_792_044_840),
+            ("fff", 2.0, 3345, 15_274_126_818_050_113_013),
+            ("fff", 8.0, 1185, 969_717_820_645_614_408),
             ("fff", 64.0, 255, 9_480_722_572_435_108_274),
-            ("star bbff", 8.0, 1021, 13_071_366_079_398_346_787),
+            ("star bbff", 8.0, 1021, 3_925_418_872_232_733_424),
         ];
         assert_eq!(got, pinned);
     }

@@ -1552,6 +1552,6 @@ mod tests {
                 BagKind::Materialized(_) => None,
             })
             .collect();
-        assert_eq!(walks, [(1380, 10_274_242_317_345_901_250)]);
+        assert_eq!(walks, [(1380, 6_150_561_235_077_489_772)]);
     }
 }

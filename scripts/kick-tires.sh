@@ -191,6 +191,13 @@ step "ledger: the paper's examples regenerate LEDGER.json byte for byte"
 # `DelayBalancedTree::build_observed` — still answers every request right,
 # and fails here: 14 of the 72 rows move and exp8 gains a node row (checked
 # once; at slack α = 1 every level's threshold is τ, so most rows hold).
+# Passing the `0`s down again — `if pass_down {` for `if pass_down && bit {`
+# in `HeavyDictionary::build_observed` — fails here too, before the
+# comparison: a survivor below the root must carry a first answer, and a
+# `0` has none, so the ledger's first build panics on a slice out of range
+# (checked once). The earlier build that carried a witness per
+# survivor and passed its `0`s down regenerates 16 rows that differ from
+# the committed ones, 375 160 B more in all, and fails the comparison.
 cargo run --release -q -p cqc-bench --bin ledger -- "--json=$OUT/LEDGER.json" >/dev/null
 if ! cmp -s LEDGER.json "$OUT/LEDGER.json"; then
     diff LEDGER.json "$OUT/LEDGER.json" >&2 || true
@@ -289,8 +296,10 @@ lo_bytes="$(echo "$lo_tree" | grep -Eo '[0-9]+ B =' | grep -Eo '[0-9]+')"
 awk -v b="$lo_bytes" -v n="$lo_nodes" 'BEGIN { printf "tree layout: %d B / %d nodes = %.2f B/node\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 0.68) }'
 # The dictionary stores each child's list as two bits over each of its
 # parent's entries: candidate values for the root's entries, two child
-# bits and their rank directory per entry, and one bit per entry. `lo`
-# holds 800 heavy pairs in 368 B = 0.46 B/entry. Candidate ids and CSR
+# bits and their rank directory per entry, and one bit per entry. Only
+# pairs whose parent stores a `1` are stored: `lo` holds 785 heavy pairs in
+# 368 B = 0.47 B/entry (800 in 368 B = 0.46 with the pairs below a `0`,
+# which no walk reads, still stored). Candidate ids and CSR
 # offsets per internal node printed 1 296 B (1.62 B/entry). The one-line
 # sabotage that keeps a zeroed `internal + 1` offsets column at the old
 # column's width — `bits.extend(vec![0; ((tree.num_internal() + 1) *

@@ -121,9 +121,10 @@ fn bound_touching_view(view: &AdornedView) -> AdornedView {
 
 /// The brute-force heavy-pair oracle of `example_15_dictionary_entries`,
 /// over the whole bound grid: `(w, v_b)` is stored iff `v_b` is a
-/// candidate, `T(v_b, I(w)) > τ_ℓ` and `w`'s parent stores `v_b` (the
-/// root: iff heavy) — a pair under a parent without it is never read; its
-/// bit says whether the naive join has an answer inside `I(w)`. Also pins
+/// candidate, `T(v_b, I(w)) > τ_ℓ` and `w`'s parent stores `v_b` as `1`
+/// (the root: iff heavy) — a pair under a parent without it, or under a
+/// `0`, is never read; its bit says whether the naive join has an answer
+/// inside `I(w)`. Also pins
 /// the point lookups against it, and that a valuation keeps a candidate id
 /// iff some node stores it (keeping every root candidate in the
 /// dictionary build fails here).
@@ -162,6 +163,7 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
             })
             .collect();
         // The cursors come in level order: a parent's verdict is in first.
+        // `held[w]`: `w` stores `v_b` as `1`.
         let mut held = vec![false; tree.num_slots()];
         for c in tree.cursors() {
             let (w, interval) = (c.node, tree.interval(c));
@@ -171,8 +173,8 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
                     est.t_interval_bound(&vb, &interval, &sizes),
                     tau_level(tree.tau, tree.alpha, c.level),
                 );
-            held[w as usize] = heavy;
             let bit = answers.iter().any(|a| interval.contains(a));
+            held[w as usize] = heavy && bit;
             // A leaf has no row and is ⊥ for every valuation.
             let rank = tree.internal_rank(w);
             assert_eq!(
