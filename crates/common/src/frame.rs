@@ -93,6 +93,8 @@ pub enum FrameKind {
     Update = 0x03,
     /// Client → server: liveness + version probe (empty payload).
     Health = 0x04,
+    /// Client → server: statistics probe (empty payload).
+    Stats = 0x05,
     /// Server → client: registration succeeded (epoch vector).
     RegisterOk = 0x81,
     /// Server → client: one arity-strided run of answers.
@@ -104,6 +106,8 @@ pub enum FrameKind {
     UpdateOk = 0x84,
     /// Server → client: alive (epoch vector).
     HealthOk = 0x85,
+    /// Server → client: named counters and one row per registered view.
+    StatsOk = 0x86,
     /// Server → client: request failed (`u16 code | str detail`).
     Error = 0xEE,
 }
@@ -116,11 +120,13 @@ impl FrameKind {
             0x02 => FrameKind::Serve,
             0x03 => FrameKind::Update,
             0x04 => FrameKind::Health,
+            0x05 => FrameKind::Stats,
             0x81 => FrameKind::RegisterOk,
             0x82 => FrameKind::Chunk,
             0x83 => FrameKind::ServeDone,
             0x84 => FrameKind::UpdateOk,
             0x85 => FrameKind::HealthOk,
+            0x86 => FrameKind::StatsOk,
             0xEE => FrameKind::Error,
             _ => {
                 return Err(CqcError::Protocol {

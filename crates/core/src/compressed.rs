@@ -318,6 +318,25 @@ impl CompressedView {
         }
     }
 
+    /// Heap bytes by part, `(tree, dictionary, rest)`: the delay-balanced
+    /// trees and heavy-pair dictionaries (a Theorem 2 structure's summed
+    /// over its delay-tuned bags), and everything else — base indexes,
+    /// grids, materialized bags. The three sum to `heap_bytes()`.
+    pub fn bytes_by_part(&self) -> (usize, usize, usize) {
+        let (tree, dict) = match self {
+            CompressedView::Tradeoff(s) => {
+                let b = s.space_breakdown();
+                (b.tree_bytes, b.dict_bytes)
+            }
+            CompressedView::Decomposed(t) => t
+                .tradeoff_structures()
+                .map(Theorem1Structure::space_breakdown)
+                .fold((0, 0), |(t, d), b| (t + b.tree_bytes, d + b.dict_bytes)),
+            CompressedView::AlwaysEmpty(_) => (0, 0),
+        };
+        (tree, dict, self.heap_bytes() - tree - dict)
+    }
+
     /// A short name of the structure in use (for reports).
     pub fn strategy_name(&self) -> &'static str {
         match self {

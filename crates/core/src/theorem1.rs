@@ -133,17 +133,21 @@ impl Theorem1Structure {
         let mut est = CostEstimator::build_pooled(view, db, weights, alpha, pool)?;
         let plan = ViewPlan::build_pooled(view, db, pool)?;
         let sizes = est.sizes();
-        let tree = DelayBalancedTree::build(&est, tau).map(Arc::new);
+        let tree = DelayBalancedTree::build(&est, tau);
         est.release_tree_side();
         // A root leaf (τ at or above `T(root)`, e.g. τ = ∞: the §2.3
         // direct-evaluation extreme) is `⊥` for every valuation, so no
-        // root candidate can ever be used: neither joined nor kept.
-        let dict = match &tree {
+        // root candidate can ever be used: neither joined nor kept. Else
+        // the tree keeps only what Algorithm 2 can reach: the nodes that
+        // hold an entry, and their children.
+        let (tree, dict) = match tree {
             Some(t) if t.deepest_internal_level().is_some() => {
-                HeavyDictionary::build(&plan, &est, t)
+                let (dict, held) = HeavyDictionary::build_held(&plan, &est, &t);
+                (Some(t.prune(&held)), dict)
             }
-            _ => HeavyDictionary::empty(),
+            t => (t, HeavyDictionary::empty()),
         };
+        let tree = tree.map(Arc::new);
         Ok(Theorem1Structure {
             view: view.clone(),
             plan,
@@ -376,11 +380,12 @@ impl SpaceBreakdown {
 /// Structure statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct Theorem1Stats {
-    /// Nodes in the delay-balanced tree.
+    /// Stored nodes of the delay-balanced tree: those Algorithm 2 can
+    /// reach (see [`DelayBalancedTree::prune`]).
     pub tree_nodes: usize,
     /// Of them leaves: one bit each, no row.
     pub tree_leaves: usize,
-    /// Tree depth.
+    /// Depth of the stored tree.
     pub tree_depth: u16,
     /// Bytes of the tree's `β` column, its width header included (0
     /// without a tree).
@@ -394,9 +399,9 @@ pub struct Theorem1Stats {
     /// Root candidate valuations (Prop. 13) the dictionary build started
     /// from.
     pub dict_candidates: usize,
-    /// Build work, tree: count-index probes (deterministic, like the three
-    /// dictionary counts below; a maintained structure reports the build
-    /// its layout came from).
+    /// Build work, tree: count-index probes, the build's, before pruning
+    /// (deterministic, like the three dictionary counts below; a
+    /// maintained structure reports the build its layout came from).
     pub tree_count_probes: u64,
     /// Build work, dictionary: `(candidate, node)` pairs whose
     /// `T(v_b, I(w))` was evaluated.
@@ -421,6 +426,55 @@ pub struct Theorem1Stats {
     pub alpha: f64,
     /// Threshold τ.
     pub tau: f64,
+}
+
+impl Theorem1Stats {
+    /// The counts as `(name, value)` pairs, in field order: what a
+    /// `Stats` reply carries. The knobs α and τ are the view's recipe.
+    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+        let Theorem1Stats {
+            tree_nodes,
+            tree_leaves,
+            tree_depth,
+            tree_beta_bytes,
+            dict_entries,
+            dict_value_width,
+            dict_child_bits,
+            dict_candidates,
+            tree_count_probes,
+            dict_evaluations,
+            dict_probes,
+            heap_bytes,
+            tree_bytes,
+            dict_bytes,
+            base_index_bytes,
+            base_index_distinct_bytes,
+            base_index_widths: (key_width, grid_width),
+            alpha: _,
+            tau: _,
+        } = *self;
+        let n = |v: usize| v as u64;
+        vec![
+            ("tree_nodes", n(tree_nodes)),
+            ("tree_leaves", n(tree_leaves)),
+            ("tree_depth", u64::from(tree_depth)),
+            ("tree_beta_bytes", n(tree_beta_bytes)),
+            ("dict_entries", n(dict_entries)),
+            ("dict_value_width", u64::from(dict_value_width)),
+            ("dict_child_bits", n(dict_child_bits)),
+            ("dict_candidates", n(dict_candidates)),
+            ("tree_count_probes", tree_count_probes),
+            ("dict_evaluations", dict_evaluations),
+            ("dict_probes", dict_probes),
+            ("heap_bytes", n(heap_bytes)),
+            ("tree_bytes", n(tree_bytes)),
+            ("dict_bytes", n(dict_bytes)),
+            ("base_index_bytes", n(base_index_bytes)),
+            ("base_index_distinct_bytes", n(base_index_distinct_bytes)),
+            ("base_key_width", u64::from(key_width)),
+            ("base_grid_width", u64::from(grid_width)),
+        ]
+    }
 }
 
 /// Heap bytes of a grid, `Domain` headers included.
@@ -1202,7 +1256,10 @@ pub(crate) mod tests {
     /// children exist, every entry and bit, in left-first pre-order —
     /// hashed on the triangle at three patterns and three τ and on a star,
     /// each over uniform data. No node id enters the hash, so a layout
-    /// that renumbers the nodes must leave it unmoved.
+    /// that renumbers the nodes must leave it unmoved. The stored tree is
+    /// the build's with every subtree below an internal node that holds no
+    /// entry cut (that node a leaf): each pin is the unpruned tree's walk,
+    /// cut so, and hashed.
     #[test]
     fn walk_is_pinned() {
         let (relations, _) = cqc_workload::triangle_relations(7, 400);
@@ -1229,26 +1286,116 @@ pub(crate) mod tests {
         let s = Theorem1Structure::build(&star, &star_db, &[1.0; 3], 8.0).unwrap();
         got.push(("star bbff", 8.0, s.stats().tree_nodes, walk_fnv(&s)));
         let pinned = [
-            ("bff", 2.0, 780, 18_102_522_098_271_835_558),
-            ("bff", 8.0, 777, 1_687_195_744_246_375_946),
-            ("bff", 64.0, 254, 774_960_784_498_801_911),
-            ("bfb", 2.0, 40, 7_946_464_007_979_914_567),
-            ("bfb", 8.0, 40, 8_030_967_521_541_121_497),
-            ("bfb", 64.0, 40, 13_137_459_625_835_942_358),
-            ("fff", 2.0, 3345, 15_274_126_818_050_113_013),
-            ("fff", 8.0, 1185, 969_717_820_645_614_408),
+            ("bff", 2.0, 461, 13_556_758_105_808_180_375),
+            ("bff", 8.0, 129, 2_998_061_490_381_509_554),
+            ("bff", 64.0, 13, 12_158_676_797_882_767_911),
+            ("bfb", 2.0, 31, 4_883_764_127_998_256_771),
+            ("bfb", 8.0, 5, 7_952_699_184_727_608_348),
+            ("bfb", 64.0, 1, 875_044_188_236_279_715),
+            ("fff", 2.0, 2773, 11_832_023_610_555_935_705),
+            ("fff", 8.0, 1171, 11_169_370_213_065_910_349),
             ("fff", 64.0, 255, 9_480_722_572_435_108_274),
-            ("star bbff", 8.0, 1021, 3_925_418_872_232_733_424),
+            ("star bbff", 8.0, 841, 12_089_133_713_699_844_624),
         ];
         assert_eq!(got, pinned);
     }
 
-    /// The worst case for slot padding: a tree with no leaf (the ledger's
-    /// `exp1 … theorem 1 tau=1` row) has `2·195 + 1` slots for its 195
-    /// nodes, and still takes less than the 448 B it took with a right-child
-    /// id per internal node.
+    /// The stored tree is the build's with every subtree below an internal
+    /// node that holds no entry cut, node for node: the same nodes in the
+    /// same slot order, each at its level and interval, with its split
+    /// point where it holds an entry and none where it holds none. The
+    /// oracle is `DelayBalancedTree::build` with the dictionary built over
+    /// it, cut by a walk; over the triangle at three patterns and three τ
+    /// and a star.
+    #[test]
+    fn the_stored_tree_is_the_built_tree_cut_below_entryless_nodes() {
+        use crate::cost::CostEstimator;
+        use std::collections::BTreeSet;
+        let (relations, _) = cqc_workload::triangle_relations(7, 400);
+        let mut db = Database::new();
+        for r in relations {
+            db.add(r).unwrap();
+        }
+        let mut cases = Vec::new();
+        for pattern in ["bff", "bfb", "fff"] {
+            let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", pattern).unwrap();
+            for tau in [2.0, 8.0, 64.0] {
+                cases.push((view.clone(), &db, vec![0.5; 3], tau));
+            }
+        }
+        let mut rng = cqc_workload::rng(11);
+        let mut star_db = Database::new();
+        for name in ["R1", "R2", "R3"] {
+            star_db
+                .add(cqc_workload::uniform_relation(&mut rng, name, 2, 400, 40))
+                .unwrap();
+        }
+        let star = cqc_workload::queries::star(3, "bbff").unwrap();
+        cases.push((star, &star_db, vec![1.0; 3], 8.0));
+        let mut cut = 0;
+        for (view, db, weights, tau) in cases {
+            let ctx = format!("{} τ={tau}", view.pattern());
+            let s = Theorem1Structure::build(&view, db, &weights, tau).unwrap();
+            let est = CostEstimator::build(&view, db, &weights, s.alpha()).unwrap();
+            let built = DelayBalancedTree::build(&est, tau).unwrap();
+            let dict = HeavyDictionary::build(&ViewPlan::build(&view, db).unwrap(), &est, &built);
+            // The built tree's slots that hold an entry.
+            let mut held = BTreeSet::new();
+            dict.walk(&built, |step| {
+                if !step.entries.is_empty() {
+                    held.insert(step.cursor.node);
+                }
+                true
+            });
+            // Slot order is parents first: a node is kept iff the root, or
+            // its parent is kept and holds an entry.
+            let mut kept = BTreeSet::from([0]);
+            let mut expect = Vec::new();
+            for c in built.cursors() {
+                if !kept.contains(&c.node) {
+                    continue;
+                }
+                let FInterval { lo, hi } = built.interval(c);
+                let node = built.node(c, &lo, &hi, &mut vec![0; lo.len()]);
+                let holds = held.contains(&c.node);
+                if holds {
+                    kept.extend(
+                        [node.left, node.right]
+                            .into_iter()
+                            .flatten()
+                            .map(|c| c.node),
+                    );
+                }
+                let beta = built.beta(c.node).filter(|_| holds);
+                expect.push((c.level, FInterval { lo, hi }, beta));
+            }
+            let stored = s.tree().unwrap();
+            let got: Vec<_> = stored
+                .cursors()
+                .map(|c| (c.level, stored.interval(c), stored.beta(c.node)))
+                .collect();
+            assert_eq!(got, expect, "{ctx}");
+            assert_eq!(stored.len(), expect.len(), "{ctx}");
+            assert_eq!(stored.build_count_probes(), built.build_count_probes());
+            // Every stored internal node holds an entry.
+            s.dictionary().walk(stored, |step| {
+                assert_eq!(step.node.is_leaf(), step.entries.is_empty(), "{ctx}");
+                true
+            });
+            cut += built.len() - stored.len();
+        }
+        assert!(cut > 0, "some subtree must be cut");
+    }
+
+    /// The worst case for slot padding: a tree with no leaf. The ledger's
+    /// `exp1 … theorem 1 tau=1` row builds one, `2·195 + 1` slots for its
+    /// 195 nodes, in less than the 448 B it took with a right-child id per
+    /// internal node. Only 93 of its internal nodes hold an entry, so the
+    /// stored tree is those and their children, 74 of them leaves — and
+    /// smaller still.
     #[test]
     fn an_all_internal_tree_is_no_larger_than_with_right_ids() {
+        use crate::cost::CostEstimator;
         let mut rng = cqc_workload::rng(1);
         let mut db = Database::new();
         db.add(cqc_workload::graphs::friendship_graph(
@@ -1257,8 +1404,12 @@ pub(crate) mod tests {
         .unwrap();
         let view = cqc_workload::queries::triangle_self("bfb").unwrap();
         let s = Theorem1Structure::build(&view, &db, &[0.5; 3], 1.0).unwrap();
+        let est = CostEstimator::build(&view, &db, s.weights(), s.alpha()).unwrap();
+        let built = DelayBalancedTree::build(&est, 1.0).unwrap();
+        assert_eq!((built.len(), built.num_leaves()), (195, 0));
+        assert!(built.heap_bytes() <= 448, "{} B", built.heap_bytes());
         let st = s.stats();
-        assert_eq!((st.tree_nodes, st.tree_leaves), (195, 0));
-        assert!(st.tree_bytes <= 448, "{} B", st.tree_bytes);
+        assert_eq!((st.tree_nodes, st.tree_leaves), (167, 74));
+        assert!(st.tree_bytes < built.heap_bytes(), "{} B", st.tree_bytes);
     }
 }

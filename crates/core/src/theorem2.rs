@@ -515,6 +515,14 @@ impl Theorem2Structure {
             .collect()
     }
 
+    /// The Theorem 1 structures of the delay-tuned bags.
+    pub(crate) fn tradeoff_structures(&self) -> impl Iterator<Item = &Theorem1Structure> + '_ {
+        self.bags.iter().filter_map(|b| match &b.kind {
+            BagKind::Tradeoff(t) => Some(&**t),
+            BagKind::Materialized(_) => None,
+        })
+    }
+
     /// Per-bag statistics.
     pub fn stats(&self) -> Theorem2Stats {
         let mut materialized_tuples = 0usize;
@@ -672,6 +680,32 @@ pub struct Theorem2Stats {
     pub heap_bytes: usize,
     /// `max_t δ(t)`.
     pub max_delta: f64,
+}
+
+impl Theorem2Stats {
+    /// The counts as `(name, value)` pairs, in field order: what a
+    /// `Stats` reply carries. `max_t δ(t)` is the view's recipe.
+    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+        let Theorem2Stats {
+            bags,
+            tradeoff_bags,
+            materialized_tuples,
+            materialized_bytes,
+            dict_entries,
+            heap_bytes,
+            max_delta: _,
+        } = *self;
+        [
+            ("bags", bags),
+            ("tradeoff_bags", tradeoff_bags),
+            ("materialized_tuples", materialized_tuples),
+            ("materialized_bytes", materialized_bytes),
+            ("dict_entries", dict_entries),
+            ("heap_bytes", heap_bytes),
+        ]
+        .map(|(name, v)| (name, v as u64))
+        .into()
+    }
 }
 
 impl HeapSize for Theorem2Structure {
@@ -1423,6 +1457,10 @@ mod tests {
         // bag kept its `CostEstimator` (measured by this test's own build
         // line in a checkout of that commit).
         const PARENT_HEAP_BYTES: usize = 14_484;
+        // The nodes its one tradeoff bag's tree build numbers, all stored
+        // at that commit; the stored tree keeps 17 of them (those Algorithm
+        // 2 can reach), which `heap_bytes()` below counts.
+        const BUILT_TREE_NODES: usize = 100;
 
         let view = cqc_workload::queries::path(3, "bffb").unwrap();
         let names = ["R1", "R2", "R3"];
@@ -1444,18 +1482,13 @@ mod tests {
         };
 
         let mut s = build(&db);
-        assert!(s.stats().tradeoff_bags >= 1, "{:?}", s.bag_reports());
+        assert_eq!(s.stats().tradeoff_bags, 1, "{:?}", s.bag_reports());
         // What the bags' oracles held at the parent: per atom two count
         // indexes over the relation its trie sorts (the same rows under
         // other column orders) and under 128 B of positions and header.
         let tries: Vec<&Arc<SortedIndex>> = s
-            .bags
-            .iter()
-            .filter_map(|b| match &b.kind {
-                BagKind::Tradeoff(t1) => Some(t1.base_indexes()),
-                BagKind::Materialized(_) => None,
-            })
-            .flatten()
+            .tradeoff_structures()
+            .flat_map(Theorem1Structure::base_indexes)
             .collect();
         // That commit stored every index value as a `u64`: an index's heap
         // was its column order, 8 B per value and a `Vec` header per
@@ -1463,9 +1496,10 @@ mod tests {
         let u64_index = |ix: &SortedIndex| 8 * ix.arity() * (ix.len() + 1) + 24 * ix.arity();
         let oracle_indexes: usize = tries.iter().map(|ix| 2 * u64_index(ix)).sum();
         // What that commit's fixed-width columns held, beside what today's
-        // packed ones hold, from each bag's counts: a tree node 4µ + 4 B, a
-        // dictionary 8 B per root candidate value and 4 B per entry id and
-        // per node offset, each trie as above, the grid 8 B per domain
+        // packed ones hold, from each bag's counts: a tree node 4µ + 4 B
+        // (every node the build numbers), a dictionary 8 B per root
+        // candidate value and 4 B per entry id and per node offset (per
+        // built node too), each trie as above, the grid 8 B per domain
         // value plus a `Vec` header per domain, a materialized bag
         // `(8·bw + 4)·keys + 4 + 4·fw·rows + 8·Σ distinct`.
         let (fixed, packed): (usize, usize) = s
@@ -1475,9 +1509,9 @@ mod tests {
                 BagKind::Tradeoff(t1) => {
                     let st = t1.stats();
                     let (mu, nb) = (t1.view().mu(), t1.view().bound_head().len());
-                    let tree = (4 * mu + 4) * st.tree_nodes + 8 * mu;
+                    let tree = (4 * mu + 4) * BUILT_TREE_NODES + 8 * mu;
                     let dict = 8 * nb * st.dict_candidates
-                        + 4 * (st.tree_nodes + 1)
+                        + 4 * (BUILT_TREE_NODES + 1)
                         + 4 * st.dict_entries
                         + 8 * st.dict_entries.div_ceil(64);
                     let tries = t1.base_indexes().map(|ix| (u64_index(ix), ix.heap_bytes()));
@@ -1543,15 +1577,9 @@ mod tests {
         let view = cqc_workload::queries::path(4, "bfffb").unwrap();
         let s = Theorem2Structure::build(&view, &db, &path4_paper_td(), &[0.0, 0.3, 0.0]).unwrap();
         let walks: Vec<(usize, u64)> = s
-            .bags
-            .iter()
-            .filter_map(|b| match &b.kind {
-                BagKind::Tradeoff(t1) => {
-                    Some((t1.stats().tree_nodes, crate::theorem1::tests::walk_fnv(t1)))
-                }
-                BagKind::Materialized(_) => None,
-            })
+            .tradeoff_structures()
+            .map(|t1| (t1.stats().tree_nodes, crate::theorem1::tests::walk_fnv(t1)))
             .collect();
-        assert_eq!(walks, [(1380, 6_150_561_235_077_489_772)]);
+        assert_eq!(walks, [(97, 3_130_679_176_925_749_819)]);
     }
 }

@@ -246,9 +246,13 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
         let plan = ViewPlan::build(&view, &db).unwrap();
 
+        // The tree as the structure stores it: the build's, cut below every
+        // internal node that holds no entry.
         let before = live_bytes();
         let tree = DelayBalancedTree::build(&est, tau).unwrap();
-        let dict = HeavyDictionary::build(&plan, &est, &tree);
+        let (dict, held) = HeavyDictionary::build_held(&plan, &est, &tree);
+        let tree = tree.prune(&held);
+        drop(held);
         let live = (live_bytes() - before) as f64;
 
         let (tree_bytes, dict_bytes) = (tree.heap_bytes(), dict.heap_bytes());

@@ -25,6 +25,14 @@ use std::path::Path;
 const MAGIC: [u8; 4] = *b"CQSN";
 const VERSION: u32 = 1;
 
+/// Columns the empty relations of one snapshot may declare between them.
+/// A relation with rows pays for its columns with its values, 8 B each,
+/// but an empty one declares any number with its 2-byte arity, and every
+/// column costs the loaded relation allocations: without a cap a file of
+/// a few hundred bytes could make [`load`] allocate gigabytes. [`write()`]
+/// refuses a database past it, so every snapshot it writes loads.
+pub const MAX_EMPTY_COLUMNS: usize = 4096;
+
 /// The canonical filename for the snapshot of `epoch` (zero-padded so
 /// lexicographic directory order is epoch order).
 pub fn filename(epoch: Epoch) -> String {
@@ -36,8 +44,20 @@ pub fn filename(epoch: Epoch) -> String {
 ///
 /// # Errors
 ///
-/// I/O failures.
+/// I/O failures, and [`CqcError::Config`] when the database's empty
+/// relations have more than [`MAX_EMPTY_COLUMNS`] columns between them.
 pub fn write(dir: &Path, db: &Database) -> Result<String> {
+    let empty_columns: usize = db
+        .named_relations()
+        .filter(|(_, rel)| rel.is_empty())
+        .map(|(_, rel)| rel.arity())
+        .sum();
+    if empty_columns > MAX_EMPTY_COLUMNS {
+        return Err(CqcError::Config(format!(
+            "the empty relations have {empty_columns} columns; a snapshot holds at most \
+             {MAX_EMPTY_COLUMNS}"
+        )));
+    }
     let mut w = PayloadWriter::new();
     w.start();
     for b in MAGIC {
@@ -96,12 +116,22 @@ pub fn load(path: &Path) -> Result<Database> {
     let epoch = r.get_u64().map_err(map_err)?;
     let nrel = r.get_u32().map_err(map_err)? as usize;
     let mut db = Database::new();
+    let mut empty_columns = 0usize;
     for _ in 0..nrel {
         let name = r.get_str().map_err(map_err)?.to_string();
         let arity = r.get_u16().map_err(map_err)? as usize;
         let rows = r.get_u64().map_err(map_err)? as usize;
         if arity == 0 {
             return Err(corrupt(format!("relation `{name}` claims arity 0")));
+        }
+        if rows == 0 {
+            empty_columns += arity;
+            if empty_columns > MAX_EMPTY_COLUMNS {
+                return Err(corrupt(format!(
+                    "empty relations up to `{name}` declare {empty_columns} columns, \
+                     more than {MAX_EMPTY_COLUMNS}"
+                )));
+            }
         }
         let values = rows.saturating_mul(arity);
         if r.remaining() < values.saturating_mul(8) {
@@ -192,6 +222,23 @@ mod tests {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
         assert_eq!((bytes.len(), fnv), (260, 0xbb30_8550_6d32_0375));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Empty relations may declare [`MAX_EMPTY_COLUMNS`] columns between
+    /// them, and not one more: `write` refuses the database that would
+    /// pass it, so nothing it writes is a file `load` refuses.
+    #[test]
+    fn empty_columns_are_capped_on_write() {
+        let dir = temp_dir("wide");
+        let mut db = Database::new();
+        db.add(Relation::new("W", MAX_EMPTY_COLUMNS - 1, vec![]))
+            .unwrap();
+        db.add(Relation::new("E", 1, vec![])).unwrap();
+        let back = load(&dir.join(write(&dir, &db).unwrap())).unwrap();
+        assert_eq!(back.get("W").unwrap().arity(), MAX_EMPTY_COLUMNS - 1);
+        db.add(Relation::new("F", 1, vec![])).unwrap();
+        assert!(matches!(write(&dir, &db), Err(CqcError::Config(_))));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -119,6 +119,42 @@ impl Inner {
     }
 }
 
+impl CatalogStats {
+    /// The catalog's own counters as `(name, value)` pairs, in field order:
+    /// what a `Stats` reply carries. The five index-store fields are the
+    /// store's [`cqc_storage::IndexPoolStats`], reported beside them.
+    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+        let CatalogStats {
+            hits,
+            misses,
+            builds,
+            maintained,
+            evictions,
+            invalidations,
+            entries,
+            resident_bytes,
+            budget_bytes,
+            index_store_indexes: _,
+            index_store_bytes: _,
+            index_store_hits: _,
+            index_store_builds: _,
+            index_store_merges: _,
+        } = *self;
+        let n = |v: usize| v as u64;
+        vec![
+            ("hits", hits),
+            ("misses", misses),
+            ("builds", builds),
+            ("maintained", maintained),
+            ("evictions", evictions),
+            ("invalidations", invalidations),
+            ("entries", n(entries)),
+            ("resident_bytes", n(resident_bytes)),
+            ("budget_bytes", n(budget_bytes)),
+        ]
+    }
+}
+
 /// The concurrent representation cache.
 ///
 /// Reads take a shared lock (lookups clone an `Arc` out); only insertion,
@@ -318,12 +354,18 @@ impl Catalog {
     /// The resident entry for `key`, with its epoch stamp — no recency
     /// update, no counter bumps (the maintenance and introspection path).
     pub fn peek(&self, key: &CatalogKey) -> Option<(Arc<CompressedView>, Epoch)> {
+        self.peek_work(key).map(|(view, epoch, _)| (view, epoch))
+    }
+
+    /// [`Catalog::peek`], with the counted work of the build the entry came
+    /// from (what eviction weighs its bytes against).
+    pub fn peek_work(&self, key: &CatalogKey) -> Option<(Arc<CompressedView>, Epoch, u64)> {
         self.inner
             .read()
             .expect("catalog lock poisoned")
             .map
             .get(key)
-            .map(|slot| (Arc::clone(&slot.view), slot.epoch))
+            .map(|slot| (Arc::clone(&slot.view), slot.epoch, slot.build_work))
     }
 
     /// The build-serialization mutex for `key` (one per distinct key for

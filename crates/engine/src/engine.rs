@@ -23,6 +23,7 @@
 
 use crate::catalog::{Catalog, CatalogKey, CatalogStats};
 use crate::policy::{select_pooled, Policy, Selection};
+use crate::service::{ServiceStats, ViewRow};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::metrics;
 use cqc_common::value::Value;
@@ -114,6 +115,42 @@ pub struct RecoveryStats {
     pub replayed: usize,
     /// Bytes of torn/corrupt WAL tail truncated away during recovery.
     pub truncated_bytes: u64,
+}
+
+impl UpdateStats {
+    /// The counters as `(name, value)` pairs, in field order: what a
+    /// `Stats` reply carries.
+    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+        let UpdateStats {
+            deltas,
+            maintained,
+            rebuilt,
+            restamped,
+        } = *self;
+        vec![
+            ("deltas", deltas),
+            ("maintained", maintained),
+            ("rebuilt", rebuilt),
+            ("restamped", restamped),
+        ]
+    }
+}
+
+impl RecoveryStats {
+    /// The counters as `(name, value)` pairs, in field order: what a
+    /// `Stats` reply carries.
+    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+        let RecoveryStats {
+            epoch,
+            replayed,
+            truncated_bytes,
+        } = *self;
+        vec![
+            ("epoch", epoch),
+            ("replayed", replayed as u64),
+            ("truncated_bytes", truncated_bytes),
+        ]
+    }
 }
 
 /// The serve-many front door over a database and a representation catalog.
@@ -774,6 +811,47 @@ impl Engine {
             CompressedView::Tradeoff(s) => Some(s.stats()),
             _ => None,
         })
+    }
+
+    /// What this engine reports over `Stats`: its catalog, update, recovery
+    /// and index-store counters and its epoch, each registered view's
+    /// Theorem 1 or Theorem 2 statistics under `theorem1.<view>.` or
+    /// `theorem2.<view>.`, and one catalog row per registered view, by
+    /// name. Reads only what is resident: nothing is built.
+    pub fn service_stats(&self) -> ServiceStats {
+        let mut out = ServiceStats::default();
+        out.extend("catalog", self.catalog.stats().pairs());
+        out.extend("index_pool", self.indexes.stats().pairs());
+        out.extend("update", self.update_stats().pairs());
+        if let Some(r) = self.recovery {
+            out.extend("recovery", r.pairs());
+        }
+        out.extend("engine", [("epoch", self.epoch())]);
+        for rv in self.views() {
+            let resident = self.catalog.peek_work(&rv.key);
+            let mut row = ViewRow {
+                name: rv.name.clone(),
+                recipe: rv.selection.tag.clone(),
+                ..ViewRow::default()
+            };
+            if let Some((cv, epoch, build_work)) = resident {
+                let (tree, dict, rest) = cv.bytes_by_part();
+                (row.tree_bytes, row.dict_bytes, row.base_bytes) =
+                    (tree as u64, dict as u64, rest as u64);
+                (row.build_work, row.epoch) = (build_work, Some(epoch));
+                match &*cv {
+                    CompressedView::Tradeoff(s) => {
+                        out.extend(&format!("theorem1.{}", rv.name), s.stats().pairs());
+                    }
+                    CompressedView::Decomposed(t) => {
+                        out.extend(&format!("theorem2.{}", rv.name), t.stats().pairs());
+                    }
+                    CompressedView::AlwaysEmpty(_) => {}
+                }
+            }
+            out.views.push(row);
+        }
+        out
     }
 
     /// Resolves a textual request value: an interned string if the text was

@@ -87,5 +87,5 @@ pub mod sharded;
 pub use catalog::{Catalog, CatalogKey, CatalogStats};
 pub use engine::{Engine, EngineConfig, RecoveryStats, RegisteredView, UpdateReport, UpdateStats};
 pub use policy::{Policy, Selection};
-pub use service::{fan_out, stripe_requests, BlockService};
+pub use service::{fan_out, stripe_requests, BlockService, ServiceStats, ViewRow};
 pub use sharded::{spec_for_view, Route, ShardedBlocks, ShardedEngine, ShardedEngineConfig};

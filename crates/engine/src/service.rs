@@ -115,6 +115,72 @@ pub trait BlockService: Send + Sync {
     /// order is deterministic). A replica whose vector lags its group's
     /// expectation is *stale* — safe to skip, never safe to serve.
     fn version(&self) -> Vec<Epoch>;
+
+    /// What the participant reports about itself: named counters and one
+    /// catalog row per registered view (see [`ServiceStats`]). The default
+    /// reports nothing.
+    ///
+    /// # Errors
+    ///
+    /// A participant that must ask a remote one fails as the request does.
+    fn stats(&self) -> Result<ServiceStats> {
+        Ok(ServiceStats::default())
+    }
+}
+
+/// What a [`BlockService`] reports about itself — the payload of a `Stats`
+/// reply.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServiceStats {
+    /// `(name, value)` pairs, each name dotted by its source:
+    /// `catalog.hits`, `theorem1.<view>.tree_nodes`, `admission.admitted`.
+    pub counters: Vec<(String, u64)>,
+    /// One row per registered view.
+    pub views: Vec<ViewRow>,
+}
+
+impl ServiceStats {
+    /// Appends `(prefix.name, value)` for each pair.
+    pub fn extend<N: AsRef<str>>(
+        &mut self,
+        prefix: &str,
+        pairs: impl IntoIterator<Item = (N, u64)>,
+    ) {
+        self.counters.extend(
+            pairs
+                .into_iter()
+                .map(|(name, v)| (format!("{prefix}.{}", name.as_ref()), v)),
+        );
+    }
+
+    /// The counter named `name`, when reported.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
+}
+
+/// One registered view's catalog row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ViewRow {
+    /// The name requests address it by.
+    pub name: String,
+    /// The selected recipe: the strategy tag (`theorem-1 τ=8`, …).
+    pub recipe: String,
+    /// Delay-balanced tree bytes (summed over a Theorem 2 structure's
+    /// delay-tuned bags).
+    pub tree_bytes: u64,
+    /// Heavy-pair dictionary bytes, summed the same way.
+    pub dict_bytes: u64,
+    /// Every other byte: base indexes, grids, materialized bags.
+    pub base_bytes: u64,
+    /// Counted work of the build the resident representation came from.
+    pub build_work: u64,
+    /// The resident representation's epoch stamp; `None`, and every count
+    /// 0, when none is resident (evicted, or invalidated by a delta).
+    pub epoch: Option<Epoch>,
 }
 
 /// Runs `f` once per target and returns the results in target order: the
@@ -235,6 +301,10 @@ impl BlockService for Engine {
     fn version(&self) -> Vec<Epoch> {
         vec![self.epoch()]
     }
+
+    fn stats(&self) -> Result<ServiceStats> {
+        Ok(self.service_stats())
+    }
 }
 
 impl BlockService for ShardedEngine {
@@ -275,6 +345,22 @@ impl BlockService for ShardedEngine {
 
     fn version(&self) -> Vec<Epoch> {
         ShardedEngine::version(self)
+    }
+
+    /// Each shard's [`Engine::service_stats`], its counter and row names
+    /// under `shard.<i>.`.
+    fn stats(&self) -> Result<ServiceStats> {
+        let mut out = ServiceStats::default();
+        for i in 0..self.num_shards() {
+            let shard = self.shard(i).service_stats();
+            let prefix = format!("shard.{i}");
+            out.extend(&prefix, shard.counters);
+            out.views.extend(shard.views.into_iter().map(|row| ViewRow {
+                name: format!("{prefix}.{}", row.name),
+                ..row
+            }));
+        }
+        Ok(out)
     }
 }
 

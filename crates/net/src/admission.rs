@@ -105,6 +105,31 @@ pub struct AdmissionStats {
 }
 
 impl AdmissionStats {
+    /// The counters as `(name, value)` pairs, in field order: what a
+    /// `Stats` reply carries.
+    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+        let AdmissionStats {
+            admitted,
+            shed_interactive,
+            shed_batch,
+            shed_internal,
+            shed_expired,
+            shed_queue_full,
+            shed_brownout,
+            brownouts,
+        } = *self;
+        vec![
+            ("admitted", admitted),
+            ("shed_interactive", shed_interactive),
+            ("shed_batch", shed_batch),
+            ("shed_internal", shed_internal),
+            ("shed_expired", shed_expired),
+            ("shed_queue_full", shed_queue_full),
+            ("shed_brownout", shed_brownout),
+            ("brownouts", brownouts),
+        ]
+    }
+
     /// Total sheds across every class.
     pub fn shed_total(&self) -> u64 {
         self.shed_interactive + self.shed_batch + self.shed_internal

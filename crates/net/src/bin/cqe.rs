@@ -36,6 +36,9 @@
 //!                                      fleet and merges the streams back
 //!                                      into exact lexicographic order
 //! stats                                catalog + update counters
+//! stats <addr>                         a running server's counters and
+//!                                      one row per registered view (the
+//!                                      `Stats` frame)
 //! demo                                 canned end-to-end tour
 //! help | quit
 //! ```
@@ -53,7 +56,7 @@
 use cqc_common::measure::fmt_bytes;
 use cqc_common::{metrics, ExistsSink, FnSink, Value};
 use cqc_engine::{BlockService, Engine, Policy};
-use cqc_net::{ClientConfig, NetServer, NetServerConfig, Router};
+use cqc_net::{ClientConfig, NetServer, NetServerConfig, Router, ShardClient};
 use cqc_query::parser::parse_adorned;
 use cqc_storage::csv::CsvOptions;
 use cqc_storage::{Delta, Partitioning};
@@ -152,7 +155,8 @@ fn print_help() {
     println!("        [--max-inflight=<n>] [--queue-depth=<n>] [--deadline-ms=<n>]");
     println!("        [--brownout-ms=<n>]");
     println!("        front-door router: health-checks the fleet, fans out, merges");
-    println!("  stats   demo   help   quit");
+    println!("  stats [<addr>]   a running server's counters and view rows, given its address");
+    println!("  demo   help   quit");
     println!();
     println!("strategies: auto  auto:<budget>  materialize  direct  factorized");
     println!("            tau:<t>  budget:<exp>  decomposed:<exp>");
@@ -323,6 +327,12 @@ fn execute(engine: &mut Engine, line: &str) -> Result<bool, String> {
                 report.restamped
             );
         }
+        "stats" if !rest.is_empty() => {
+            let [addr] = rest else {
+                return Err("usage: stats [<addr>]".into());
+            };
+            remote_stats(addr)?;
+        }
         "stats" => {
             let s = engine.catalog_stats();
             let u = engine.update_stats();
@@ -375,6 +385,32 @@ fn execute(engine: &mut Engine, line: &str) -> Result<bool, String> {
         other => return Err(format!("unknown command `{other}` (try `help`)")),
     }
     Ok(true)
+}
+
+/// Prints what the server at `addr` answers a `Stats` probe with: one
+/// `name value` line per counter, then one line per registered view.
+fn remote_stats(addr: &str) -> Result<(), String> {
+    let stats = ShardClient::new(addr, ClientConfig::default())
+        .stats()
+        .map_err(|e| e.to_string())?;
+    for (name, value) in &stats.counters {
+        println!("{name} {value}");
+    }
+    for row in &stats.views {
+        let epoch = row
+            .epoch
+            .map_or_else(|| "not resident".to_string(), |e| format!("epoch {e}"));
+        println!(
+            "view {} ({}): tree {}, dictionary {}, base {}, build work {}, {epoch}",
+            row.name,
+            row.recipe,
+            fmt_bytes(row.tree_bytes as usize),
+            fmt_bytes(row.dict_bytes as usize),
+            fmt_bytes(row.base_bytes as usize),
+            row.build_work
+        );
+    }
+    Ok(())
 }
 
 fn gen(engine: &mut Engine, rest: &[String]) -> Result<(), String> {

@@ -73,6 +73,23 @@ pub struct BreakerTransitions {
     pub closed: u64,
 }
 
+impl BreakerTransitions {
+    /// The counters as `(name, value)` pairs, in field order: what a
+    /// `Stats` reply carries.
+    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+        let BreakerTransitions {
+            opened,
+            half_opened,
+            closed,
+        } = *self;
+        vec![
+            ("opened", opened),
+            ("half_opened", half_opened),
+            ("closed", closed),
+        ]
+    }
+}
+
 #[derive(Debug)]
 struct BreakerInner {
     state: BreakerState,

@@ -15,7 +15,7 @@
 use cqc_common::error::Result;
 use cqc_common::frame::code;
 use cqc_common::{AnswerSink, CqcError, Value};
-use cqc_engine::BlockService;
+use cqc_engine::{BlockService, ServiceStats};
 use cqc_storage::{Delta, Epoch};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -110,6 +110,10 @@ impl BlockService for ChaosService {
     ) -> Result<Vec<Epoch>> {
         self.inner
             .register_view(name, query_text, pattern, strategy)
+    }
+
+    fn stats(&self) -> Result<ServiceStats> {
+        self.inner.stats()
     }
 
     fn serve_into(&self, view: &str, bound: &[Value], sink: &mut dyn AnswerSink) -> Result<usize> {

@@ -31,7 +31,7 @@
 use cqc_common::error::Result;
 use cqc_common::frame::{code, FrameKind, FrameReader, PayloadWriter, ServePriority, ServeTail};
 use cqc_common::{AnswerBlock, AnswerSink, CqcError, Value};
-use cqc_engine::BlockService;
+use cqc_engine::{BlockService, ServiceStats};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -237,6 +237,23 @@ impl ShardClient {
     pub fn health(&mut self) -> Result<Vec<Epoch>> {
         self.payload.start();
         self.expect_epochs(FrameKind::Health, FrameKind::HealthOk)
+    }
+
+    /// Statistics probe: the server's [`ServiceStats`], its admission
+    /// counters among them. Answered ahead of admission, like a health
+    /// probe.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures and remote errors, typed.
+    pub fn stats(&mut self) -> Result<ServiceStats> {
+        self.payload.start();
+        let (got, body) = self.round_trip(FrameKind::Stats)?;
+        match got {
+            FrameKind::StatsOk => protocol::parse_stats(&body),
+            FrameKind::Error => Err(protocol::parse_error(&body)?),
+            other => Err(protocol::unexpected_frame("in reply", other)),
+        }
     }
 
     /// Registers a view; returns the epoch vector at registration.
@@ -499,6 +516,10 @@ impl BlockService for RemoteShard {
 
     fn version(&self) -> Vec<Epoch> {
         self.lock().health().unwrap_or_default()
+    }
+
+    fn stats(&self) -> Result<ServiceStats> {
+        self.lock().stats()
     }
 }
 

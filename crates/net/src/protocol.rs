@@ -11,8 +11,9 @@
 //! | `Register` | `str name \| str query \| str pattern \| str strategy` |
 //! | `Serve` | `str view \| u16 n \| n×u64 bound values \| u8 priority \| u64 budget_ns` (see [`cqc_common::frame::ServeTail`]) |
 //! | `Update` | `u32 n \| n×u64` epoch-vector precondition (n = 0: none), then the delta: insert section and removes section (`u32 groups \| per group: str rel, u16 arity, u32 rows, rows×arity u64` each; see [`cqc_storage::wire`]) |
-//! | `Health` | empty |
+//! | `Health` / `Stats` | empty |
 //! | `RegisterOk` / `UpdateOk` / `HealthOk` | epoch vector (`u32 n \| n×u64`) |
+//! | `StatsOk` | `u32 n \| n×(str name, u64 value)`, then `u32 v \| v×(str view, str recipe, u64 tree_bytes, u64 dict_bytes, u64 base_bytes, u64 build_work, u64 epoch)`; epoch `u64::MAX`: nothing resident |
 //! | `Chunk` | `u16 arity \| u32 count \| count×arity u64` (see [`cqc_common::frame`]) |
 //! | `ServeDone` | `u64 total \| epoch vector` |
 //! | `Error` | `u16 code \| str detail` |
@@ -25,6 +26,7 @@ use cqc_common::frame::{
     PayloadWriter, ServeTail,
 };
 use cqc_common::{CqcError, Value};
+use cqc_engine::{ServiceStats, ViewRow};
 use cqc_storage::{Delta, Epoch};
 
 /// A parsed register request.
@@ -170,6 +172,59 @@ pub fn encode_epoch_reply(w: &mut PayloadWriter, epochs: &[Epoch]) {
 /// [`code::BAD_FRAME`] on truncation.
 pub fn parse_epoch_reply(payload: &[u8]) -> Result<Vec<Epoch>> {
     decode_epochs(&mut PayloadReader::new(payload))
+}
+
+/// The epoch a `StatsOk` view row carries for "nothing resident".
+const NOT_RESIDENT: u64 = u64::MAX;
+
+/// Encodes a `StatsOk` payload into `w` (cleared first): the counters,
+/// then the view rows.
+pub fn encode_stats(w: &mut PayloadWriter, stats: &ServiceStats) {
+    w.start().put_u32(stats.counters.len() as u32);
+    for (name, v) in &stats.counters {
+        w.put_str(name).put_u64(*v);
+    }
+    w.put_u32(stats.views.len() as u32);
+    for row in &stats.views {
+        w.put_str(&row.name)
+            .put_str(&row.recipe)
+            .put_u64(row.tree_bytes)
+            .put_u64(row.dict_bytes)
+            .put_u64(row.base_bytes)
+            .put_u64(row.build_work)
+            .put_u64(row.epoch.unwrap_or(NOT_RESIDENT));
+    }
+}
+
+/// Parses a `StatsOk` payload.
+///
+/// # Errors
+///
+/// [`code::BAD_FRAME`] on truncation, non-UTF-8 strings, or trailing
+/// bytes. A count is never trusted past the bytes that follow it.
+pub fn parse_stats(payload: &[u8]) -> Result<ServiceStats> {
+    let mut r = PayloadReader::new(payload);
+    // Each counter takes at least 12 bytes, each row at least 48.
+    let n = r.get_u32()? as usize;
+    let mut counters = Vec::with_capacity(n.min(r.remaining() / 12));
+    for _ in 0..n {
+        counters.push((r.get_str()?.to_string(), r.get_u64()?));
+    }
+    let v = r.get_u32()? as usize;
+    let mut views = Vec::with_capacity(v.min(r.remaining() / 48));
+    for _ in 0..v {
+        views.push(ViewRow {
+            name: r.get_str()?.to_string(),
+            recipe: r.get_str()?.to_string(),
+            tree_bytes: r.get_u64()?,
+            dict_bytes: r.get_u64()?,
+            base_bytes: r.get_u64()?,
+            build_work: r.get_u64()?,
+            epoch: Some(r.get_u64()?).filter(|&e| e != NOT_RESIDENT),
+        });
+    }
+    reject_trailing(&r, "stats")?;
+    Ok(ServiceStats { counters, views })
 }
 
 /// Encodes an error payload (`u16 code | str detail`) into `w` (cleared
@@ -424,6 +479,43 @@ mod tests {
         assert_eq!(parse_serve_done(w.bytes()).unwrap(), (42, vec![3, 1, 4]));
         encode_epoch_reply(&mut w, &[9]);
         assert_eq!(parse_epoch_reply(w.bytes()).unwrap(), vec![9]);
+    }
+
+    #[test]
+    fn stats_round_trip_and_prefixes_are_bad_frames() {
+        let stats = ServiceStats {
+            counters: vec![
+                ("catalog.hits".into(), 7),
+                ("admission.admitted".into(), u64::MAX),
+            ],
+            views: vec![
+                ViewRow {
+                    name: "lo".into(),
+                    recipe: "theorem-1 τ=8".into(),
+                    tree_bytes: 120,
+                    dict_bytes: 368,
+                    base_bytes: 2400,
+                    build_work: 3,
+                    epoch: Some(0),
+                },
+                ViewRow {
+                    name: "evicted".into(),
+                    ..ViewRow::default()
+                },
+            ],
+        };
+        let mut w = PayloadWriter::new();
+        encode_stats(&mut w, &stats);
+        let bytes = w.bytes().to_vec();
+        assert_eq!(parse_stats(&bytes).unwrap(), stats);
+        for cut in 0..bytes.len() {
+            assert_bad_frame(parse_stats(&bytes[..cut]), "stats prefix");
+        }
+        let mut longer = bytes;
+        longer.push(0);
+        assert_bad_frame(parse_stats(&longer), "stats and one byte");
+        // A count past the bytes reserves nothing it cannot fill.
+        assert_bad_frame(parse_stats(&u32::MAX.to_le_bytes()), "huge count");
     }
 
     #[test]

@@ -171,6 +171,33 @@ pub struct GroupStats {
     pub budget_denied: u64,
 }
 
+impl GroupStats {
+    /// The counters as `(name, value)` pairs, in field order: what a
+    /// `Stats` reply carries.
+    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+        let GroupStats {
+            failovers,
+            stale_skips,
+            prefix_resumes,
+            hedges,
+            hedge_wins,
+            update_failures,
+            budget_spent,
+            budget_denied,
+        } = *self;
+        vec![
+            ("failovers", failovers),
+            ("stale_skips", stale_skips),
+            ("prefix_resumes", prefix_resumes),
+            ("hedges", hedges),
+            ("hedge_wins", hedge_wins),
+            ("update_failures", update_failures),
+            ("budget_spent", budget_spent),
+            ("budget_denied", budget_denied),
+        ]
+    }
+}
+
 #[derive(Debug, Default)]
 struct StatsInner {
     failovers: AtomicU64,

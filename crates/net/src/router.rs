@@ -49,7 +49,7 @@
 use cqc_common::error::Result;
 use cqc_common::frame::{code, ServePriority};
 use cqc_common::{AnswerBlock, AnswerSink, BlockMerger, Coverage, CqcError, FastMap, Value};
-use cqc_engine::{fan_out, BlockService, Route};
+use cqc_engine::{fan_out, BlockService, Route, ServiceStats};
 use cqc_query::parser::parse_adorned;
 use cqc_storage::{Delta, Epoch, PartitionSpec, Partitioning};
 use std::sync::{Arc, RwLock};
@@ -506,6 +506,25 @@ impl BlockService for Router {
         Ok(self
             .serve(view, bound, sink, &ServeOpts::default())?
             .answers)
+    }
+
+    /// The router's own fault counters: [`Router::fleet_stats`] under
+    /// `fleet.` and `fleet.breaker.`, and each shard's replica group under
+    /// `group.<i>.` and `group.<i>.breaker.`. The shards' own statistics
+    /// are theirs to report.
+    fn stats(&self) -> Result<ServiceStats> {
+        let mut out = ServiceStats::default();
+        let fleet = self.fleet_stats();
+        out.extend("fleet", fleet.groups.pairs());
+        out.extend("fleet.breaker", fleet.breakers.pairs());
+        for (i, g) in self.groups.iter().enumerate() {
+            out.extend(&format!("group.{i}"), g.stats().pairs());
+            out.extend(
+                &format!("group.{i}.breaker"),
+                g.breaker_transitions().pairs(),
+            );
+        }
+        Ok(out)
     }
 
     fn apply_update(&self, delta: &Delta) -> Result<Vec<Epoch>> {

@@ -22,8 +22,8 @@
 //!   bounded wait queue with priority-aware adaptive-LIFO shedding, and
 //!   a brownout mode that sheds Batch before Interactive under
 //!   sustained overload (typed [`code::REFUSED`] / [`code::DEADLINE`]
-//!   frames, never unbounded buffering). Health and update frames are
-//!   dispatched inline on their connection thread and are **never**
+//!   frames, never unbounded buffering). Health, stats and update frames
+//!   are dispatched inline on their connection thread and are **never**
 //!   queued behind serves;
 //! * **cancellation** — a client that hangs up mid-stream turns the next
 //!   chunk flush into a write error, which the sink converts into the
@@ -32,7 +32,7 @@
 use cqc_common::error::Result;
 use cqc_common::frame::{code, FrameKind, FrameReader, PayloadWriter};
 use cqc_common::{AnswerBlock, AnswerSink, CqcError, Value};
-use cqc_engine::BlockService;
+use cqc_engine::{BlockService, ServiceStats};
 use std::io::{BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -290,13 +290,25 @@ fn send_epochs(
     Ok(())
 }
 
+fn send_stats(
+    writer: &mut impl Write,
+    payload: &mut PayloadWriter,
+    stats: &ServiceStats,
+) -> Result<()> {
+    protocol::encode_stats(payload, stats);
+    cqc_common::frame::write_frame(writer, FrameKind::StatsOk, payload.bytes())?;
+    writer.flush()?;
+    Ok(())
+}
+
 /// One connection's read-dispatch-reply loop. Request-level failures are
 /// answered with an error frame and the connection stays up; transport
 /// failures (peer gone, malformed frame) end the loop.
 ///
 /// Only [`FrameKind::Serve`] passes through admission control: health
-/// probes and updates are answered inline right here, so a saturated
-/// serve queue can never starve liveness checks or writes.
+/// and statistics probes and updates are answered inline right here, so
+/// a saturated serve queue can never starve liveness checks, the
+/// operator's view of the server, or writes.
 fn handle_connection(
     service: &dyn BlockService,
     stream: TcpStream,
@@ -327,6 +339,13 @@ fn handle_connection(
                 FrameKind::HealthOk,
                 &service.version(),
             ),
+            FrameKind::Stats => match service.stats() {
+                Ok(mut stats) => {
+                    stats.extend("admission", admission.stats().pairs());
+                    send_stats(&mut writer, &mut payload, &stats)
+                }
+                Err(e) => send_error(&mut writer, &mut payload, &e),
+            },
             FrameKind::Register => match protocol::parse_register(body)
                 .and_then(|r| service.register_view(&r.name, &r.query, &r.pattern, &r.strategy))
             {

@@ -24,6 +24,7 @@ use cqc_common::frame::{
     self, code, FrameKind, FrameLimits, FrameReader, PayloadWriter, ServePriority, ServeTail,
 };
 use cqc_common::{AnswerBlock, CqcError, Result};
+use cqc_engine::{ServiceStats, ViewRow};
 use cqc_net::protocol::{self, RegisterReq};
 use cqc_storage::Delta;
 use rand::{Rng, RngCore};
@@ -83,6 +84,25 @@ fn hostile_requests() -> (Vec<u8>, Vec<u8>) {
     (serve, update)
 }
 
+/// A `StatsOk` payload: two counters, a resident view's row and an
+/// evicted one's.
+fn stats_ok() -> Vec<u8> {
+    let row = |name: &str, epoch| ViewRow {
+        name: name.into(),
+        recipe: "theorem-1 τ=8".into(),
+        tree_bytes: 120,
+        dict_bytes: 368,
+        base_bytes: 2400,
+        build_work: 3,
+        epoch,
+    };
+    let stats = ServiceStats {
+        counters: vec![("catalog.hits".into(), 7), ("admission.admitted".into(), 2)],
+        views: vec![row("lo", Some(0)), row("gone", None)],
+    };
+    payload(|w| protocol::encode_stats(w, &stats))
+}
+
 /// The valid streams every mutation starts from.
 fn seeds() -> Vec<Stream> {
     let register = RegisterReq {
@@ -111,6 +131,8 @@ fn seeds() -> Vec<Stream> {
         (FrameKind::UpdateOk, epochs.clone()),
         (FrameKind::HealthOk, epochs),
         (FrameKind::Error, error),
+        (FrameKind::Stats, Vec::new()),
+        (FrameKind::StatsOk, stats_ok()),
     ]
     .into_iter()
     .map(|f| stream(&[f]))
@@ -201,8 +223,9 @@ fn parse(kind: FrameKind, payload: &[u8]) -> Result<()> {
         FrameKind::Register => protocol::parse_register(payload).map(drop),
         FrameKind::Serve => protocol::parse_serve(payload).map(drop),
         FrameKind::Update => protocol::parse_update(payload).map(drop),
-        // A health probe's payload is never read.
-        FrameKind::Health => Ok(()),
+        // A health or stats probe's payload is never read.
+        FrameKind::Health | FrameKind::Stats => Ok(()),
+        FrameKind::StatsOk => protocol::parse_stats(payload).map(drop),
         FrameKind::RegisterOk | FrameKind::UpdateOk | FrameKind::HealthOk => {
             protocol::parse_epoch_reply(payload).map(drop)
         }
@@ -314,18 +337,18 @@ fn every_seed_reads_frame_by_frame_to_the_end() {
     // The valid frames and the arity-change pair all parse (each chunk
     // is well formed on its own); the desync stream's first chunk does
     // not; of the request prefixes only the insert-only update does.
-    for seed in &seeds[..11] {
+    for seed in &seeds[..13] {
         assert_eq!(check(&seed.bytes).unwrap().parsed, seed.starts.len());
     }
-    assert_eq!(check(&seeds[11].bytes).unwrap().parsed, 2);
+    assert_eq!(check(&seeds[13].bytes).unwrap().parsed, 2);
     assert_eq!(
-        check(&seeds[12].bytes).unwrap().parsed,
+        check(&seeds[14].bytes).unwrap().parsed,
         0,
         "{} serve prefixes",
         serve.len()
     );
     assert_eq!(
-        check(&seeds[13].bytes).unwrap().parsed,
+        check(&seeds[15].bytes).unwrap().parsed,
         1,
         "{} update prefixes",
         update.len()

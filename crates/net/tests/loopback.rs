@@ -560,3 +560,88 @@ fn fully_bound_probes_serve_remotely() {
         "no witnesses in the grid — test is vacuous"
     );
 }
+
+/// A `Stats` probe reads back what the serving process holds: a registered
+/// `tau:8` view's Theorem 1 counts equal the in-process `Theorem1Stats`,
+/// its catalog row carries its recipe, bytes by part and epoch, and the
+/// admission counters count serves but not the probe itself, which is
+/// answered ahead of admission like a health probe.
+#[test]
+fn stats_frame_reports_what_the_serving_process_holds() {
+    let (relations, _) = cqc_workload::triangle_relations(7, 400);
+    let mut db = Database::new();
+    for r in relations {
+        db.add(r).unwrap();
+    }
+    let engine = Arc::new(Engine::new(db));
+    let server = NetServer::spawn(
+        Arc::clone(&engine) as Arc<dyn BlockService>,
+        "127.0.0.1:0",
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = ShardClient::new(server.addr().to_string(), client_config());
+    client
+        .register(&cqc_net::protocol::RegisterReq {
+            name: "lo".into(),
+            query: QUERY.into(),
+            pattern: "bff".into(),
+            strategy: "tau:8".into(),
+        })
+        .unwrap();
+
+    let local = engine
+        .theorem1_stats("lo")
+        .unwrap()
+        .expect("a Theorem 1 view");
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        stats.get("theorem1.lo.tree_nodes"),
+        Some(local.tree_nodes as u64)
+    );
+    assert_eq!(
+        stats.get("theorem1.lo.tree_bytes"),
+        Some(local.tree_bytes as u64)
+    );
+    assert_eq!(
+        stats.get("theorem1.lo.dict_entries"),
+        Some(local.dict_entries as u64)
+    );
+    assert_eq!(stats.get("catalog.builds"), Some(1));
+    assert_eq!(stats.get("engine.epoch"), Some(engine.epoch()));
+    assert_eq!(stats.get("admission.admitted"), Some(0));
+    let [row] = &stats.views[..] else {
+        panic!("one row per registered view: {:?}", stats.views);
+    };
+    assert_eq!(row.name, "lo");
+    assert_eq!(row.recipe, engine.view("lo").unwrap().selection.tag);
+    assert_eq!(
+        (row.tree_bytes, row.dict_bytes, row.epoch),
+        (
+            local.tree_bytes as u64,
+            local.dict_bytes as u64,
+            Some(engine.epoch())
+        )
+    );
+    assert_eq!(
+        row.tree_bytes + row.dict_bytes + row.base_bytes,
+        local.heap_bytes as u64
+    );
+    assert!(row.build_work > 0);
+
+    // A serve is admitted; the probes are not.
+    client
+        .serve_with_sink("lo", &[3], &mut AnswerBlock::new())
+        .unwrap();
+    let again = client.stats().unwrap();
+    assert_eq!(again.get("admission.admitted"), Some(1));
+    assert_eq!(again.views, stats.views);
+    assert_eq!(
+        RemoteShard::new(client)
+            .stats()
+            .unwrap()
+            .get("admission.admitted"),
+        Some(1),
+        "the trait reads the same frame"
+    );
+}

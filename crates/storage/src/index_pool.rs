@@ -106,6 +106,27 @@ pub struct IndexPoolStats {
     pub merges: u64,
 }
 
+impl IndexPoolStats {
+    /// The counters as `(name, value)` pairs, in field order: what a
+    /// `Stats` reply carries.
+    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
+        let IndexPoolStats {
+            indexes,
+            bytes,
+            hits,
+            builds,
+            merges,
+        } = *self;
+        vec![
+            ("indexes", indexes as u64),
+            ("bytes", bytes as u64),
+            ("hits", hits),
+            ("builds", builds),
+            ("merges", merges),
+        ]
+    }
+}
+
 /// A delta's genuine effect on one relation: the rows it adds and the rows
 /// it deletes, filtered against a pre-delta index of that relation (every
 /// order of one relation holds the same rows, so one filter serves all).

@@ -277,23 +277,26 @@ cqe \
     tee "$OUT/extremes.out"
 grep -Eq "repr: +theorem 2: 1 bags \(0 delay-tuned" "$OUT/extremes.out"
 grep -Eq "repr: +theorem 1: τ = inf.*tree 1 nodes.*dictionary 0 heavy pairs" "$OUT/extremes.out"
-# A Theorem 1 leaf costs one bit and a child id none: the tree stores a
-# split point for internal nodes only, at their rank in a bit column with
-# one bit per level-order slot (the internal node of rank r owns slots
-# 2r + 1 and 2r + 2), and each split point as its offset from its node's
-# lower endpoint, at one width per level and coordinate. `lo` (τ = 8) has
-# 777 nodes, 333 of them leaves, and prints 480 B = 0.62 B/node (β 336 B
-# over 10 levels). Every row at one grid-wide width printed 816 B
-# (1.05 B/node), a right-child id per internal node 1 368 B (1.76 B/node),
-# a row per node 2 160 B (2.78 B/node). The one-line sabotage that writes
-# every row at least at the 6-bit grid-wide width this 40-value grid took
-# before — `bit_length(max.copied().unwrap_or(0)).max(6)` in
-# `dbtree::encode_level` — prints 832 B (1.07 B/node) and fails the gate
-# (checked once). The gate is 0.68, the figure plus 10 %.
+# A Theorem 1 tree keeps only what Algorithm 2 can reach: an internal node
+# that holds no heavy pair is stored as a leaf and its subtree is dropped.
+# A leaf costs one bit and a child id none: the tree stores a split point
+# for internal nodes only, at their rank in a bit column with one bit per
+# level-order slot (the internal node of rank r owns slots 2r + 1 and
+# 2r + 2), and each split point as its offset from its node's lower
+# endpoint, at one width per level and coordinate. `lo` (τ = 8) stores 129
+# of the 777 nodes its build numbers, 65 of them leaves, in 120 B (β 72 B
+# over 7 levels). The gate is on total bytes, because pruning raises
+# B/node (0.93) while the bytes fall. The whole build tree printed 480 B
+# (0.62 B/node); before that, every row at one grid-wide width 816 B, a
+# right-child id per internal node 1 368 B, a row per node 2 160 B. The
+# one-line sabotage that keeps every internal node — `if
+# node.internal.is_none() {` for `if !node.internal.is_some_and(|r|
+# held[r as usize]) {` in `DelayBalancedTree::prune` — prints 480 B and
+# fails the gate (checked once). The gate is 132 B, the figure plus 10 %.
 lo_tree="$(grep -E 'τ = 8\.00' "$OUT/extremes.out" | grep -Eo 'tree [0-9]+ nodes, [0-9]+ leaves \([^)]*\)')"
 lo_nodes="$(echo "$lo_tree" | grep -Eo '^tree [0-9]+' | grep -Eo '[0-9]+')"
 lo_bytes="$(echo "$lo_tree" | grep -Eo '[0-9]+ B =' | grep -Eo '[0-9]+')"
-awk -v b="$lo_bytes" -v n="$lo_nodes" 'BEGIN { printf "tree layout: %d B / %d nodes = %.2f B/node\n", b, n, b / n; exit !(b != "" && n > 0 && b / n < 0.68) }'
+awk -v b="$lo_bytes" -v n="$lo_nodes" 'BEGIN { printf "tree layout: %d B for %d nodes\n", b, n; exit !(b != "" && n > 0 && b <= 132) }'
 # The dictionary stores each child's list as two bits over each of its
 # parent's entries: candidate values for the root's entries, two child
 # bits and their rank directory per entry, and one bit per entry. Only

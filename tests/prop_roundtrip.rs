@@ -62,21 +62,29 @@ fn check_theorem1(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, 
         let got = pushed(|sink| s.answer_into(&req, sink));
         assert_eq!(got, expect, "τ={tau} req={req:?}");
     }
-    // Structural invariants (Lemma 4 / threshold rules).
-    // The tree stores split points only and the structure keeps no oracle:
-    // T(I(w)) is recomputed from a fresh one.
+    // Structural invariants (Lemma 4 / threshold rules) on the stored tree,
+    // which keeps only what Algorithm 2 can reach: every internal node is at
+    // or above its threshold and holds an entry, a leaf holds none — one
+    // below its threshold by the build, one at or above it because the
+    // node held no entry and its subtree was cut — and T halves along every
+    // stored edge (Prop. 8). The structure keeps no oracle: T(I(w)) is
+    // recomputed from a fresh one.
     if let Some(tree) = s.tree() {
         let est = CostEstimator::build(view, db, s.weights(), s.alpha()).unwrap();
         let sizes = est.sizes();
         let t_at = |c: Cursor| est.t_interval(&tree.interval(c), &sizes);
-        for c in tree.cursors() {
+        let mut walked = 0;
+        s.dictionary().walk(tree, |step| {
+            let (c, node) = (step.cursor, step.node);
             let (t, thr) = (t_at(c), tau_level(tree.tau, tree.alpha, c.level));
-            let FInterval { lo, hi } = tree.interval(c);
-            let node = tree.node(c, &lo, &hi, &mut vec![0; lo.len()]);
             if node.is_leaf() {
-                assert!(t < thr, "leaf above threshold");
+                assert!(
+                    step.entries.is_empty(),
+                    "a leaf holds an entry (T = {t}, τ_ℓ = {thr})"
+                );
             } else {
                 assert!(t >= thr - 1e-9, "internal below threshold");
+                assert!(!step.entries.is_empty(), "an internal node holds no entry");
             }
             for child in [node.left, node.right].into_iter().flatten() {
                 assert!(
@@ -85,7 +93,10 @@ fn check_theorem1(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, 
                     c.node
                 );
             }
-        }
+            walked += 1;
+            true
+        });
+        assert_eq!(walked, tree.len(), "the walk reaches every stored node");
     }
 }
 
