@@ -21,7 +21,10 @@
 //! counts of a Theorem 2 one, the enumeration work over all requests
 //! (`enum_work`: trie seeks + count probes + dictionary lookups), the most
 //! work between two consecutive answers of one request (`max_gap_work`, the
-//! final "done" included) and the FNV-1a of the answer stream. exp8 adds
+//! final "done" included), the same maximum over the bound valuations that
+//! bind rather than the sampled witnesses (`worst_gap_work`: every
+//! valuation when there are at most 25 000, else every dictionary candidate
+//! and a seeded sample) and the FNV-1a of the answer stream. exp8 adds
 //! Figure 3's nodes and exp9 the §6 covers: the only floats, at fixed
 //! precision.
 
@@ -134,15 +137,21 @@ impl Fnv {
     }
 }
 
-/// Keeps one request's answers and the most work spent between two of
-/// them.
-struct Collect {
-    answers: Vec<Tuple>,
+/// The most work spent between two consecutive answers of one request,
+/// the final "done" included.
+struct Gaps {
     last_work: u64,
     max_gap: u64,
 }
 
-impl Collect {
+impl Gaps {
+    fn start() -> Gaps {
+        Gaps {
+            last_work: metrics::snapshot().work(),
+            max_gap: 0,
+        }
+    }
+
     fn gap(&mut self) {
         let now = metrics::snapshot().work();
         self.max_gap = self.max_gap.max(now - self.last_work);
@@ -150,12 +159,78 @@ impl Collect {
     }
 }
 
+impl AnswerSink for Gaps {
+    fn push(&mut self, _: &[Value]) -> bool {
+        self.gap();
+        true
+    }
+}
+
+/// Keeps one request's answers and its [`Gaps`].
+struct Collect {
+    answers: Vec<Tuple>,
+    gaps: Gaps,
+}
+
 impl AnswerSink for Collect {
     fn push(&mut self, tuple: &[Value]) -> bool {
-        self.gap();
+        self.gaps.gap();
         self.answers.push(tuple.to_vec());
         true
     }
+}
+
+/// `worst_gap_work` is taken over every bound valuation — the product of
+/// the bound variables' active domains — when there are at most this many.
+const ALL_VALUATIONS: usize = 25_000;
+
+/// Otherwise over every root candidate of a Theorem 1 dictionary (the
+/// valuations it stores anything for) and this many seeded uniform draws.
+const SAMPLED_VALUATIONS: usize = 2_000;
+
+/// The requests `worst_gap_work` is taken over (see [`ALL_VALUATIONS`]).
+fn gap_requests(inst: &Instance, rep: &CompressedView) -> Res<Vec<Vec<Value>>> {
+    let domains = inst.view.query().active_domains(&inst.db).map_err(err)?;
+    let bound: Vec<_> = inst
+        .view
+        .bound_head()
+        .iter()
+        .map(|v| &domains[v.index()])
+        .collect();
+    let count = bound
+        .iter()
+        .try_fold(1usize, |n, d| n.checked_mul(d.len()))
+        .filter(|&n| n <= ALL_VALUATIONS);
+    if let Some(count) = count {
+        // Lexicographic order, the last variable fastest.
+        return Ok((0..count)
+            .map(|mut i| {
+                let mut vb = vec![0; bound.len()];
+                for (slot, d) in vb.iter_mut().zip(&bound).rev() {
+                    *slot = d.value(i % d.len());
+                    i /= d.len();
+                }
+                vb
+            })
+            .collect());
+    }
+    let mut requests = Vec::new();
+    if let CompressedView::Tradeoff(s) = rep {
+        let dict = s.dictionary();
+        for c in 0..dict.num_candidates() as u32 {
+            let mut vb = Vec::new();
+            dict.candidate_into(c, &mut vb);
+            requests.push(vb);
+        }
+    }
+    let mut rng = cqc_workload::rng(18);
+    requests.extend(cqc_workload::random_requests(
+        &mut rng,
+        &inst.view,
+        &inst.db,
+        SAMPLED_VALUATIONS,
+    ));
+    Ok(requests)
 }
 
 /// The rows, each one line `"<key>": {…}`.
@@ -191,11 +266,10 @@ impl Ledger {
         for (bound, expected) in inst.requests.iter().zip(&inst.expected) {
             let mut sink = Collect {
                 answers: Vec::new(),
-                last_work: metrics::snapshot().work(),
-                max_gap: 0,
+                gaps: Gaps::start(),
             };
             enumerator.answer_into(bound, &mut sink).map_err(err)?;
-            sink.gap();
+            sink.gaps.gap();
             // A Theorem 2 structure enumerates in its decomposition's order,
             // not always the free head's: the oracle is compared with the
             // sorted answers, the hash taken over the stream as served.
@@ -208,13 +282,20 @@ impl Ledger {
                     expected.len()
                 ));
             }
-            max_gap = max_gap.max(sink.max_gap);
+            max_gap = max_gap.max(sink.gaps.max_gap);
             answers += sink.answers.len();
             nonempty += usize::from(!sink.answers.is_empty());
             sink.answers.iter().flatten().for_each(|&v| fnv.word(v));
             fnv.word(sink.answers.len() as u64);
         }
         let enum_work = metrics::snapshot().delta_since(&before).work();
+        let mut worst_gap = 0u64;
+        for bound in gap_requests(inst, rep)? {
+            let mut sink = Gaps::start();
+            enumerator.answer_into(&bound, &mut sink).map_err(err)?;
+            sink.gap();
+            worst_gap = worst_gap.max(sink.max_gap);
+        }
 
         let mut fields = vec![
             ("D", inst.db.size().to_string()),
@@ -259,6 +340,7 @@ impl Ledger {
         fields.extend([
             ("enum_work", enum_work.to_string()),
             ("max_gap_work", max_gap.to_string()),
+            ("worst_gap_work", worst_gap.to_string()),
             ("fnv", format!("\"{:016x}\"", fnv.0)),
         ]);
         fields.extend(extra.iter().cloned());
