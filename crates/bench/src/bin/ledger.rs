@@ -35,6 +35,7 @@ use cqc_common::metrics;
 use cqc_common::value::{Tuple, Value};
 use cqc_common::AnswerSink;
 use cqc_core::compressed::{CompressedView, Strategy};
+use cqc_core::dbtree::DelayBalancedTree;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
 use cqc_decomp::TreeDecomposition;
@@ -323,6 +324,7 @@ impl Ledger {
                     ("tree_count_probes", st.tree_count_probes.to_string()),
                     ("dict_evaluations", st.dict_evaluations.to_string()),
                     ("dict_probes", st.dict_probes.to_string()),
+                    ("dict_light_by_work", st.dict_light_by_work.to_string()),
                 ]);
             }
             CompressedView::Decomposed(s) => {
@@ -535,13 +537,15 @@ fn exp8_running_example(ledger: &mut Ledger) -> Res<()> {
     let inst = Instance::new(view, db, vec![vec![1, 1, 1]])?;
     let name = "exp8 running example";
     let s = Theorem1Structure::build(&inst.view, &inst.db, &[1.0; 3], 4.0).map_err(err)?;
-    let tree = s.tree().ok_or("the running example has a tree")?;
-    // The structure keeps no cost oracle; T(I) is a fresh one's.
+    // Figure 3 is the built tree: the structure keeps only what its
+    // dictionary can reach, and keeps no cost oracle, so both are a fresh
+    // estimator's.
     let est = cqc_core::cost::CostEstimator::build(&inst.view, &inst.db, s.weights(), s.alpha())
         .map_err(err)?;
-    for c in tree.cursors() {
-        let interval = tree.interval(c);
-        let beta = tree.beta(c.node).map(|b| est.ranks_to_values(&b));
+    let built = DelayBalancedTree::build(&est, s.tau()).ok_or("the running example has a tree")?;
+    for c in built.cursors() {
+        let interval = built.interval(c);
+        let beta = built.beta(c.node).map(|b| est.ranks_to_values(&b));
         ledger.row(
             &format!("{name}/node {}", c.node),
             &[
@@ -553,19 +557,22 @@ fn exp8_running_example(ledger: &mut Ledger) -> Res<()> {
                     "T",
                     format!("{:.3}", est.t_interval(&interval, &est.sizes())),
                 ),
-                ("tau_level", format!("{:.3}", tree.threshold_of(c.level))),
+                ("tau_level", format!("{:.3}", built.threshold_of(c.level))),
             ],
         );
     }
-    let lookup = |rank: Option<u32>| {
-        rank.and_then(|r| s.dictionary().get(tree, r, &[1, 1, 1]))
+    // `D(w, (1,1,1))` at the stored node in slot `w`, `null` for ⊥: r is
+    // slot 0, and r_r is slot 2 (the left child r_l is slot 1, a leaf)
+    // whenever r is stored as internal.
+    let lookup = |w: u32| {
+        s.tree()
+            .filter(|t| t.cursors().any(|c| c.node == w))
+            .and_then(|t| s.dictionary().get(t, t.internal_rank(w)?, &[1, 1, 1]))
             .map_or("null".into(), |b| b.to_string())
     };
-    // r_r is node 2, the second internal node: the left child r_l is
-    // node 1, a leaf.
     let extra = [
-        ("dict_r_111", lookup(tree.internal_rank(0))),
-        ("dict_rr_111", lookup(tree.internal_rank(2))),
+        ("dict_r_111", lookup(0)),
+        ("dict_rr_111", lookup(2)),
         ("answers_111", format!("{:?}", inst.expected[0])),
     ];
     ledger.structure(

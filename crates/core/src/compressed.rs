@@ -237,7 +237,8 @@ impl CompressedView {
                      {} B = {:.1} B/entry), \
                      base indexes {} B (tries {} b, grid {} b; {} B distinct); {} heap bytes; \
                      build work: {} tree count probes, {} dictionary evaluations \
-                     of {} candidates, {} probe joins",
+                     of {} candidates, {} probe joins; {} heavy pairs light by work \
+                     ({} capped-run units)",
                     s.tau(),
                     s.weights()
                         .iter()
@@ -264,7 +265,9 @@ impl CompressedView {
                     st.tree_count_probes,
                     st.dict_evaluations,
                     st.dict_candidates,
-                    st.dict_probes
+                    st.dict_probes,
+                    st.dict_light_by_work,
+                    st.dict_capped_work
                 )
             }
             CompressedView::Decomposed(s) => {

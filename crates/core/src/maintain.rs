@@ -16,10 +16,12 @@
 //!   bits stay `1`; a light pair that turns heavy keeps being evaluated
 //!   directly (the `⊥` branch of Algorithm 2 runs on the refreshed base
 //!   indexes and is always correct, only its delay degrades with the
-//!   delta); so does every pair below a stored `0` that an insert flips to
-//!   `1` — the dictionary stores nothing below a `0`, so its heavy
-//!   descendants read `⊥`, and the delay of each is bounded by its
-//!   interval's build-time weight rather than by τ until the view is
+//!   delta); so does a Def.-3-heavy pair the build left `⊥` because its
+//!   run found an answer within 16 · τ work units, once the insert makes
+//!   that run longer; and so does every pair below a stored `0` that an
+//!   insert flips to `1` — the dictionary stores nothing below a `0`, so
+//!   its heavy descendants read `⊥`, and the delay of each is bounded by
+//!   its interval's build-time weight rather than by τ until the view is
 //!   rebuilt; the single hazard is a stored `0` bit whose restricted join
 //!   became non-empty — a stale "provably empty" certificate would
 //!   *suppress* answers. Affected `0` bits are re-probed and flipped to
@@ -870,21 +872,20 @@ mod tests {
     }
 
     /// Deleting the only witness of an interval must flip its stale `1`
-    /// bit back to `0` — the mirror of `stale_zero_bits_are_flipped`.
+    /// bit back to `0` — the mirror of `stale_zero_bits_are_flipped`. The
+    /// pair must be heavy by work to hold a bit at all: `R(4, ·)` (the even
+    /// values to 40) and `S(·, 1)` (the odd ones to 41, and 2) meet only at
+    /// 2, and their leapfrog passes the cap of 16 units on the way.
     #[test]
     fn stale_one_bits_are_cleared_on_delete() {
         let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bfb").unwrap();
         let mut db = Database::new();
-        db.add(Relation::from_pairs(
-            "R",
-            vec![(1, 2), (2, 3), (1, 3), (3, 1), (2, 1), (4, 2)],
-        ))
-        .unwrap();
-        db.add(Relation::from_pairs(
-            "S",
-            vec![(2, 3), (3, 1), (3, 2), (1, 2), (2, 4), (2, 1)],
-        ))
-        .unwrap();
+        let mut r = vec![(1, 2), (2, 3), (1, 3), (3, 1), (2, 1), (4, 2)];
+        r.extend((2..=20).map(|k| (4, 2 * k)));
+        db.add(Relation::from_pairs("R", r)).unwrap();
+        let mut s = vec![(2, 3), (3, 1), (3, 2), (1, 2), (2, 4), (2, 1)];
+        s.extend((2..=20).map(|k| (2 * k + 1, 1)));
+        db.add(Relation::from_pairs("S", s)).unwrap();
         db.add(Relation::from_pairs(
             "T",
             vec![(3, 1), (1, 2), (2, 3), (2, 1), (4, 4), (1, 4)],

@@ -290,6 +290,8 @@ impl Theorem1Structure {
             tree_count_probes: self.tree().map_or(0, DelayBalancedTree::build_count_probes),
             dict_evaluations: dict_work.evaluations,
             dict_probes: dict_work.probes,
+            dict_light_by_work: dict_work.light_by_work,
+            dict_capped_work: dict_work.capped_work,
             heap_bytes: self.heap_bytes(),
             tree_bytes: space.tree_bytes,
             dict_bytes: space.dict_bytes,
@@ -406,8 +408,16 @@ pub struct Theorem1Stats {
     /// Build work, dictionary: `(candidate, node)` pairs whose
     /// `T(v_b, I(w))` was evaluated.
     pub dict_evaluations: u64,
-    /// Build work, dictionary: first-answer probe joins.
+    /// Build work, dictionary: restricted joins seeded for heavy pairs
+    /// (one per box of each capped run).
     pub dict_probes: u64,
+    /// Def.-3-heavy pairs the build left ⊥ because their capped run
+    /// finished, with an answer, within
+    /// [`LIGHT_WORK_CAP`](crate::dictionary::LIGHT_WORK_CAP)`·τ` units.
+    pub dict_light_by_work: u64,
+    /// Build work, dictionary: the units (trie seeks) the capped runs
+    /// spent.
+    pub dict_capped_work: u64,
     /// Total owned heap bytes (tree + dictionary + base indexes).
     pub heap_bytes: usize,
     /// Delay-balanced tree bytes (see [`SpaceBreakdown`]).
@@ -444,6 +454,8 @@ impl Theorem1Stats {
             tree_count_probes,
             dict_evaluations,
             dict_probes,
+            dict_light_by_work,
+            dict_capped_work,
             heap_bytes,
             tree_bytes,
             dict_bytes,
@@ -466,6 +478,8 @@ impl Theorem1Stats {
             ("tree_count_probes", tree_count_probes),
             ("dict_evaluations", dict_evaluations),
             ("dict_probes", dict_probes),
+            ("dict_light_by_work", dict_light_by_work),
+            ("dict_capped_work", dict_capped_work),
             ("heap_bytes", n(heap_bytes)),
             ("tree_bytes", n(tree_bytes)),
             ("dict_bytes", n(dict_bytes)),
@@ -1259,7 +1273,10 @@ pub(crate) mod tests {
     /// that renumbers the nodes must leave it unmoved. The stored tree is
     /// the build's with every subtree below an internal node that holds no
     /// entry cut (that node a leaf): each pin is the unpruned tree's walk,
-    /// cut so, and hashed.
+    /// cut so, and hashed. Each was taken on the build that stored every
+    /// Def.-3-heavy pair reachable through a `1`, with every pair whose
+    /// `⊥` run finds an answer within 16 · τ units, and what lies below it,
+    /// filtered out; τ = 1 was added when `bfb` at τ = 2 lost its tree.
     #[test]
     fn walk_is_pinned() {
         let (relations, _) = cqc_workload::triangle_relations(7, 400);
@@ -1270,7 +1287,7 @@ pub(crate) mod tests {
         let mut got = Vec::new();
         for pattern in ["bff", "bfb", "fff"] {
             let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", pattern).unwrap();
-            for tau in [2.0, 8.0, 64.0] {
+            for tau in [1.0, 2.0, 8.0, 64.0] {
                 let s = Theorem1Structure::build(&view, &db, &[0.5; 3], tau).unwrap();
                 got.push((pattern, tau, s.stats().tree_nodes, walk_fnv(&s)));
             }
@@ -1286,16 +1303,19 @@ pub(crate) mod tests {
         let s = Theorem1Structure::build(&star, &star_db, &[1.0; 3], 8.0).unwrap();
         got.push(("star bbff", 8.0, s.stats().tree_nodes, walk_fnv(&s)));
         let pinned = [
-            ("bff", 2.0, 461, 13_556_758_105_808_180_375),
-            ("bff", 8.0, 129, 2_998_061_490_381_509_554),
-            ("bff", 64.0, 13, 12_158_676_797_882_767_911),
-            ("bfb", 2.0, 31, 4_883_764_127_998_256_771),
-            ("bfb", 8.0, 5, 7_952_699_184_727_608_348),
+            ("bff", 1.0, 270, 14_461_676_422_025_125_672),
+            ("bff", 2.0, 69, 1_726_886_890_364_142_575),
+            ("bff", 8.0, 7, 2_233_644_789_656_954_215),
+            ("bff", 64.0, 1, 17_269_986_037_842_137_956),
+            ("bfb", 1.0, 7, 825_987_502_169_313_112),
+            ("bfb", 2.0, 1, 875_044_188_236_279_715),
+            ("bfb", 8.0, 1, 875_044_188_236_279_715),
             ("bfb", 64.0, 1, 875_044_188_236_279_715),
-            ("fff", 2.0, 2773, 11_832_023_610_555_935_705),
-            ("fff", 8.0, 1171, 11_169_370_213_065_910_349),
-            ("fff", 64.0, 255, 9_480_722_572_435_108_274),
-            ("star bbff", 8.0, 841, 12_089_133_713_699_844_624),
+            ("fff", 1.0, 2150, 11_980_014_663_352_234_785),
+            ("fff", 2.0, 692, 955_082_881_833_180_547),
+            ("fff", 8.0, 127, 18_280_682_452_238_469_575),
+            ("fff", 64.0, 15, 7_782_372_711_050_534_599),
+            ("star bbff", 8.0, 31, 17_561_311_966_882_295_352),
         ];
         assert_eq!(got, pinned);
     }
@@ -1390,9 +1410,10 @@ pub(crate) mod tests {
     /// The worst case for slot padding: a tree with no leaf. The ledger's
     /// `exp1 … theorem 1 tau=1` row builds one, `2·195 + 1` slots for its
     /// 195 nodes, in less than the 448 B it took with a right-child id per
-    /// internal node. Only 93 of its internal nodes hold an entry, so the
-    /// stored tree is those and their children, 74 of them leaves — and
-    /// smaller still.
+    /// internal node. Only 22 of its internal nodes hold an entry (93 under
+    /// Def. 3 alone, before the pairs light by work went), so the stored
+    /// tree is those and their children, 23 of them leaves — and smaller
+    /// still.
     #[test]
     fn an_all_internal_tree_is_no_larger_than_with_right_ids() {
         use crate::cost::CostEstimator;
@@ -1409,7 +1430,7 @@ pub(crate) mod tests {
         assert_eq!((built.len(), built.num_leaves()), (195, 0));
         assert!(built.heap_bytes() <= 448, "{} B", built.heap_bytes());
         let st = s.stats();
-        assert_eq!((st.tree_nodes, st.tree_leaves), (167, 74));
+        assert_eq!((st.tree_nodes, st.tree_leaves), (45, 23));
         assert!(st.tree_bytes < built.heap_bytes(), "{} B", st.tree_bytes);
     }
 }

@@ -1458,9 +1458,15 @@ mod tests {
         // line in a checkout of that commit).
         const PARENT_HEAP_BYTES: usize = 14_484;
         // The nodes its one tradeoff bag's tree build numbers, all stored
-        // at that commit; the stored tree keeps 17 of them (those Algorithm
-        // 2 can reach), which `heap_bytes()` below counts.
+        // at that commit; the stored tree keeps those Algorithm 2 can
+        // reach (17 while every Def.-3-heavy pair was stored, 1 now), which
+        // `heap_bytes()` below counts.
         const BUILT_TREE_NODES: usize = 100;
+        // The entries that bag's dictionary held while every Def.-3-heavy
+        // pair reachable through a `1` was stored (at 9efacb2). Each one's
+        // `⊥` run now finds its answers within 16 · τ units, so it keeps
+        // none; the fixed-width layout below is priced at those entries.
+        const DEF3_DICT_ENTRIES: usize = 282;
 
         let view = cqc_workload::queries::path(3, "bffb").unwrap();
         let names = ["R1", "R2", "R3"];
@@ -1512,8 +1518,8 @@ mod tests {
                     let tree = (4 * mu + 4) * BUILT_TREE_NODES + 8 * mu;
                     let dict = 8 * nb * st.dict_candidates
                         + 4 * (BUILT_TREE_NODES + 1)
-                        + 4 * st.dict_entries
-                        + 8 * st.dict_entries.div_ceil(64);
+                        + 4 * DEF3_DICT_ENTRIES
+                        + 8 * DEF3_DICT_ENTRIES.div_ceil(64);
                     let tries = t1.base_indexes().map(|ix| (u64_index(ix), ix.heap_bytes()));
                     let grid = t1.domains().iter().map(|d| {
                         let header = std::mem::size_of::<cqc_storage::Domain>();
@@ -1564,8 +1570,11 @@ mod tests {
     }
 
     /// The walk of the 4-path's delay-tuned bag after the Algorithm 4
-    /// fixup cleared its bits (616 of its 1 945 entries on this sparse
-    /// instance; see `walk_fnv`): what a walk sees, no node id in it.
+    /// fixup cleared its bits (see `walk_fnv`): what a walk sees, no node
+    /// id in it. The pin is the walk of the bag that stored every
+    /// Def.-3-heavy pair reachable through a `1` (97 nodes, 1 942 entries)
+    /// with each pair whose `⊥` run finds an answer within 16 · τ units,
+    /// and what lies below it, filtered out: 3 nodes, 11 entries.
     #[test]
     fn delay_tuned_bag_walk_is_pinned() {
         let mut rng = cqc_workload::rng(21);
@@ -1580,6 +1589,6 @@ mod tests {
             .tradeoff_structures()
             .map(|t1| (t1.stats().tree_nodes, crate::theorem1::tests::walk_fnv(t1)))
             .collect();
-        assert_eq!(walks, [(97, 3_130_679_176_925_749_819)]);
+        assert_eq!(walks, [(3, 359_457_421_746_374_014)]);
     }
 }

@@ -225,9 +225,10 @@ fn held_by_database(s: &Theorem1Structure, db: &Database) -> usize {
 /// gate's 2 KiB) and the box it lives in.
 const UNREPORTED_PER_TRADEOFF_BAG: usize = 2048 + 512;
 
-/// A skewed triangle database: one friendship graph under three names.
-fn triangle_db() -> Database {
-    let edges = cqc_workload::graphs::friendship_graph(&mut cqc_workload::rng(7), 400, 3000, 0.8);
+/// A skewed triangle database: one friendship graph of `edges` edges under
+/// three names.
+fn triangle_db(edges: usize) -> Database {
+    let edges = cqc_workload::graphs::friendship_graph(&mut cqc_workload::rng(7), 400, edges, 0.8);
     let rows: Vec<Vec<u64>> = edges.iter().map(<[u64]>::to_vec).collect();
     let mut db = Database::new();
     for name in ["R", "S", "T"] {
@@ -238,9 +239,16 @@ fn triangle_db() -> Database {
 
 #[test]
 fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
-    let db = triangle_db();
     let weights = [0.5, 0.5, 0.5];
-    for (pattern, tau) in [("bff", 2.0), ("bfb", 1.0), ("bbf", 1.0), ("fff", 4.0)] {
+    // `bfb` and `bbf` have one free variable, so only pairs heavy by work
+    // grow their trees: at 3 000 edges they keep 91 nodes, at 6 000 143.
+    for (pattern, tau, edges) in [
+        ("bff", 2.0, 3000),
+        ("bfb", 1.0, 6000),
+        ("bbf", 1.0, 6000),
+        ("fff", 4.0, 3000),
+    ] {
+        let db = triangle_db(edges);
         let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", pattern).unwrap();
         let alpha = slack(&view.query().hypergraph(), &weights, view.free_vars()).max(1.0);
         let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
@@ -464,6 +472,7 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
             "{pattern}: dictionary {dict_bytes} B for {entries} entries, {cands} candidates"
         );
     }
+    let db = triangle_db(3000);
     direct_holds_tries_grid_and_tree(&db);
     theorem2_reports_what_it_holds();
     bound_only_holds_handles_not_copies();

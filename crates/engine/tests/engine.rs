@@ -240,23 +240,34 @@ fn eviction_prefers_high_bytes_per_unit_of_build_work() {
 }
 
 /// The same rule on real builds: `direct` (Theorem 1 at τ = ∞, no join at
-/// build time) and `tau:2` (a tree and a dictionary, each decided by count
-/// probes) over the same triangle. `tau:2` holds more bytes and is the
-/// least recently used, so bytes alone and LRU alone would both evict it;
-/// its build counts far more work per byte, so `direct` is the victim —
-/// on every run and every host, since nothing here reads a clock.
+/// build time) and `tau:2` (a tree and a dictionary, decided by count
+/// probes and capped runs, whose seeks count as build work like any
+/// other) over the same triangle, `gen triangle 400 7`: skewed, so that
+/// `tau:2` stores pairs heavy by work (on a small uniform triangle every
+/// pair's run finishes under the cap and it holds what `direct` holds).
+/// `tau:2` holds more bytes and is the least recently used, so bytes alone
+/// and LRU alone would both evict it; its build counts far more work per
+/// byte, so `direct` is the victim — on every run and every host, since
+/// nothing here reads a clock.
 #[test]
 fn eviction_on_real_builds_follows_counted_work() {
     const QUERY: &str = "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)";
     let views = [("tau", "tau:2"), ("dir", "direct"), ("mat", "materialize")];
     let register = |engine: &Engine, (name, token): (&str, &str)| {
         engine
-            .register_text(name, QUERY, "bfb", Policy::parse(token).unwrap())
+            .register_text(name, QUERY, "bff", Policy::parse(token).unwrap())
             .unwrap();
         engine.catalog_stats().resident_bytes
     };
     // Each entry's bytes, from an engine that evicts nothing.
-    let probe = Engine::new(triangle_db(150, 9));
+    let db = || {
+        let mut db = Database::new();
+        for r in cqc_workload::triangle_relations(7, 400).0 {
+            db.add(r).unwrap();
+        }
+        db
+    };
+    let probe = Engine::new(db());
     let tau_bytes = register(&probe, views[0]);
     let dir_bytes = register(&probe, views[1]) - tau_bytes;
     let all_bytes = register(&probe, views[2]);
@@ -264,7 +275,7 @@ fn eviction_on_real_builds_follows_counted_work() {
 
     // One byte short of all three: the third registration evicts one.
     let engine = Engine::with_config(
-        triangle_db(150, 9),
+        db(),
         EngineConfig {
             catalog_budget_bytes: all_bytes - 1,
         },

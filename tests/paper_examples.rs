@@ -82,10 +82,16 @@ fn running_db() -> Database {
 }
 
 /// Examples 4, 13, 14, 15 and Figure 3, through the public builder: the
-/// running example at u = (1,1,1), τ = 4 has slack 2, the five-node tree of
-/// Figure 3, and answers every access request correctly.
+/// running example at u = (1,1,1), τ = 4 has slack 2 and the five-node tree
+/// of Figure 3 as its built tree, in which `(1,1,1)` is heavy (Def. 3) at
+/// the two nodes of Example 15; and it answers every access request
+/// correctly. The structure stores neither pair: each one's `⊥` run finds
+/// its answers within 16 · τ counted units, so the stored tree is a root
+/// leaf and the dictionary empty.
 #[test]
 fn running_example_end_to_end() {
+    use cqc_core::cost::CostEstimator;
+    use cqc_core::dbtree::DelayBalancedTree;
     let view = queries::running_example().unwrap();
     let db = running_db();
     let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], 4.0).unwrap();
@@ -94,14 +100,14 @@ fn running_example_end_to_end() {
         (s.alpha() - 2.0).abs() < 1e-9,
         "Example 4: slack α(V_f) = 2"
     );
-    let stats = s.stats();
-    assert_eq!(stats.tree_nodes, 5, "Figure 3: five nodes");
-    assert_eq!(stats.tree_depth, 2);
+    let est = CostEstimator::build(&view, &db, s.weights(), s.alpha()).unwrap();
+    let tree = DelayBalancedTree::build(&est, s.tau()).unwrap();
+    assert_eq!(tree.len(), 5, "Figure 3: five nodes");
+    assert_eq!(tree.depth(), 2);
 
-    // Example 15: exactly two dictionary entries for v_b = (1,1,1).
-    // r_r is the root's right child: I(r_r) = [⟨1,2,1⟩, ⟨2,2,2⟩], carried
-    // down by the walk as [succ(β(r)), grid maximum].
-    let tree = s.tree().unwrap();
+    // Example 15: (1,1,1) is heavy at r and r_r. r_r is the root's right
+    // child: I(r_r) = [⟨1,2,1⟩, ⟨2,2,2⟩], carried down by the walk as
+    // [succ(β(r)), grid maximum].
     let root = tree.root_interval();
     let mut beta = vec![0; 3];
     let rr = tree
@@ -112,17 +118,21 @@ fn running_example_end_to_end() {
     let mut bounds = Vec::new();
     tree.child_interval_into(true, &root.lo, &root.hi, &beta, &mut bounds);
     let (lo, hi) = bounds.split_at(3);
-    tree.node(rr, lo, hi, &mut beta);
     let values = |ranks: &[usize]| -> Vec<u64> {
         let grid = ranks.iter().zip(s.domains());
         grid.map(|(&r, d)| d.value(r)).collect()
     };
     assert_eq!(values(lo), vec![1, 2, 1]);
     assert_eq!(values(hi), vec![2, 2, 2]);
-    assert_eq!(s.dictionary().get(tree, 0, &[1, 1, 1]), Some(true));
-    // r_r is the second internal node (r_l is a leaf): its rank is 1.
-    assert_eq!(tree.internal_rank(rr.node), Some(1));
-    assert_eq!(s.dictionary().get(tree, 1, &[1, 1, 1]), Some(true));
+    let sizes = est.sizes();
+    let rr_interval = tree.interval(rr);
+    assert!(est.t_interval_bound(&[1, 1, 1], &root, &sizes) > tree.threshold_of(0));
+    assert!(est.t_interval_bound(&[1, 1, 1], &rr_interval, &sizes) > tree.threshold_of(1));
+    // Both are light by work: nothing is stored.
+    let stats = s.stats();
+    assert_eq!((stats.tree_nodes, stats.dict_entries), (1, 0));
+    assert_eq!(s.dictionary().candidate(&[1, 1, 1]), None);
+    assert!(stats.dict_light_by_work > 0, "{stats:?}");
 
     // Query answering: lexicographic output, matching the oracle.
     let got = pushed(|sink| s.answer_into(&[1, 1, 1], sink));

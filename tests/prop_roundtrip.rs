@@ -130,12 +130,34 @@ fn bound_touching_view(view: &AdornedView) -> AdornedView {
     parse_adorned(&text, &pattern).unwrap()
 }
 
+/// Whether Algorithm 2's `⊥` branch at `I(w)` finds an answer for `vb`
+/// within `LIGHT_WORK_CAP · τ` counted units, re-derived through the public
+/// serve path: `direct` is the instance at τ = ∞ (a root leaf, `⊥` for
+/// every valuation), and asked for the range `I(w)` it runs exactly that
+/// branch, plus its one root lookup.
+fn light_by_work(
+    direct: &Theorem1Structure,
+    est: &CostEstimator,
+    vb: &[u64],
+    interval: &FInterval,
+    tau: f64,
+) -> bool {
+    let (lo, hi) = (
+        est.ranks_to_values(&interval.lo),
+        est.ranks_to_values(&interval.hi),
+    );
+    let before = cqc_common::metrics::snapshot().work();
+    let answers = pushed(|sink| direct.enumerator().answer_range_into(vb, &lo, &hi, sink));
+    let work = cqc_common::metrics::snapshot().work() - before - 1;
+    !answers.is_empty() && work as f64 <= cqc_core::dictionary::LIGHT_WORK_CAP * tau
+}
+
 /// The brute-force heavy-pair oracle of `example_15_dictionary_entries`,
 /// over the whole bound grid: `(w, v_b)` is stored iff `v_b` is a
-/// candidate, `T(v_b, I(w)) > τ_ℓ` and `w`'s parent stores `v_b` as `1`
-/// (the root: iff heavy) — a pair under a parent without it, or under a
-/// `0`, is never read; its bit says whether the naive join has an answer
-/// inside `I(w)`. Also pins
+/// candidate, `T(v_b, I(w)) > τ_ℓ` (Def. 3), `w`'s parent stores `v_b` as
+/// `1` (the root: iff heavy) — a pair under a parent without it, or under
+/// a `0`, is never read — and the pair is not [`light_by_work`]; its bit
+/// says whether the naive join has an answer inside `I(w)`. Also pins
 /// the point lookups against it, and that a valuation keeps a candidate id
 /// iff some node stores it (keeping every root candidate in the
 /// dictionary build fails here).
@@ -149,6 +171,7 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
         return;
     };
     let est = CostEstimator::build(view, db, s.weights(), s.alpha()).unwrap();
+    let direct = Theorem1Structure::build(view, db, weights, f64::INFINITY).unwrap();
     let sizes = est.sizes();
     let candidates = bound_touching_view(view);
     let mut parent = vec![None; tree.num_slots()];
@@ -183,7 +206,8 @@ fn check_dictionary_layout(view: &AdornedView, db: &Database, weights: &[f64], t
                 && approx_gt(
                     est.t_interval_bound(&vb, &interval, &sizes),
                     tau_level(tree.tau, tree.alpha, c.level),
-                );
+                )
+                && !light_by_work(&direct, &est, &vb, &interval, tau);
             let bit = answers.iter().any(|a| interval.contains(a));
             held[w as usize] = heavy && bit;
             // A leaf has no row and is ⊥ for every valuation.
