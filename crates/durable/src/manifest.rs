@@ -2,13 +2,19 @@
 //!
 //! Layout (`b"CQMF" | u32 version | str snapshot_file (empty = none) |
 //! u64 snapshot_epoch | u64 wal_gen | u64 wal_offset | u32 crc`), with
-//! the CRC-32 covering everything before it. The manifest is tiny and
+//! the CRC-32 covering everything before it and nothing after it. A named
+//! snapshot is always [`snapshot::filename`] of `snapshot_epoch`, a plain
+//! name inside the data directory: [`load`] refuses any other, so a
+//! manifest can never make its store read, or a checkpoint delete, a file
+//! outside that directory. It also refuses the last WAL generation, which
+//! no checkpoint could rotate past. The manifest is tiny and
 //! rewritten atomically (temp-then-rename, directory fsynced), so at
 //! every instant exactly one consistent `(snapshot, WAL)` pair is named —
 //! that atomicity is what makes [`crate::DurableStore::checkpoint`]'s
 //! snapshot-plus-log-rotation a single logical step.
 
 use crate::crc32::crc32;
+use crate::snapshot;
 use cqc_common::error::{CqcError, Result};
 use cqc_common::frame::{PayloadReader, PayloadWriter};
 use cqc_storage::Epoch;
@@ -43,6 +49,18 @@ impl Manifest {
     pub fn wal_file(&self) -> String {
         format!("wal-{:06}.log", self.wal_gen)
     }
+
+    /// Why this manifest may not be persisted: a snapshot name other than
+    /// [`snapshot::filename`] of its epoch, or a WAL generation no
+    /// checkpoint can rotate past.
+    fn defect(&self) -> Option<String> {
+        if self.wal_gen == u64::MAX {
+            return Some(format!("WAL generation {} has no successor", self.wal_gen));
+        }
+        let name = self.snapshot_file.as_deref()?;
+        let expected = snapshot::filename(self.snapshot_epoch);
+        (name != expected).then(|| format!("snapshot file {name:?} is not {expected:?}"))
+    }
 }
 
 /// Loads the manifest from `dir`, `Ok(None)` when none exists (a fresh
@@ -51,9 +69,11 @@ impl Manifest {
 /// # Errors
 ///
 /// I/O failures, and [`CqcError::Io`] when the file exists but fails its
-/// magic, version, or checksum — a manifest is written atomically, so a
-/// corrupt one means the storage itself is damaged and recovery must not
-/// guess.
+/// magic, version, checksum or layout — bytes past `wal_offset`, a
+/// snapshot name [`store`] would not write, or `wal_gen` at `u64::MAX`.
+/// A manifest is written
+/// atomically, so a corrupt one means the storage itself is damaged and
+/// recovery must not guess.
 pub fn load(dir: &Path) -> Result<Option<Manifest>> {
     let path = dir.join(MANIFEST_FILE);
     let bytes = match std::fs::read(&path) {
@@ -79,12 +99,19 @@ pub fn load(dir: &Path) -> Result<Option<Manifest>> {
         let s = r.get_str().map_err(map_err)?;
         (!s.is_empty()).then(|| s.to_string())
     };
-    Ok(Some(Manifest {
+    let m = Manifest {
         snapshot_file,
         snapshot_epoch: r.get_u64().map_err(map_err)?,
         wal_gen: r.get_u64().map_err(map_err)?,
         wal_offset: r.get_u64().map_err(map_err)?,
-    }))
+    };
+    if r.remaining() > 0 {
+        return Err(corrupt(&format!("{} trailing bytes", r.remaining())));
+    }
+    if let Some(why) = m.defect() {
+        return Err(corrupt(&why));
+    }
+    Ok(Some(m))
 }
 
 /// Atomically replaces the manifest in `dir`: temp file, fsync, rename,
@@ -92,8 +119,13 @@ pub fn load(dir: &Path) -> Result<Option<Manifest>> {
 ///
 /// # Errors
 ///
-/// I/O failures.
+/// I/O failures, and [`CqcError::Config`] for a manifest [`load`] would
+/// refuse (a snapshot name other than [`snapshot::filename`] of its
+/// epoch, or `wal_gen` at `u64::MAX`), before anything is written.
 pub fn store(dir: &Path, m: &Manifest) -> Result<()> {
+    if let Some(why) = m.defect() {
+        return Err(CqcError::Config(format!("manifest not stored: {why}")));
+    }
     let mut w = PayloadWriter::new();
     w.start();
     for b in MAGIC {
