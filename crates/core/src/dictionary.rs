@@ -105,16 +105,16 @@ pub struct DictBuildWork {
     /// Restricted joins run for heavy pairs (one per canonical box
     /// seeded): each pair's capped run, which also finds its bit.
     pub probes: u64,
-    /// Def.-3-heavy pairs whose capped run finished within
-    /// [`LIGHT_WORK_CAP`]`·τ` work units, left ⊥.
+    /// Def.-3-heavy pairs whose capped run found an answer and finished
+    /// within [`LIGHT_WORK_CAP`]`·τ` work units, left ⊥.
     pub light_by_work: u64,
     /// Work units (trie seeks) the capped runs spent, each up to its cap or,
     /// past it, up to the answer that decides its bit.
     pub capped_work: u64,
 }
 
-/// A Def.-3-heavy pair whose restricted join finishes within
-/// `LIGHT_WORK_CAP · τ` counted work units is left ⊥ (module docs).
+/// A Def.-3-heavy pair whose restricted join finds an answer and finishes
+/// within `LIGHT_WORK_CAP · τ` counted work units is left ⊥ (module docs).
 pub const LIGHT_WORK_CAP: f64 = 16.0;
 
 /// What a node knows about `(⋈ R_F(v_b)) ⋉ I(w)` for one surviving
@@ -360,15 +360,15 @@ impl HeavyDictionary {
 
         // 2. DFS in left-first pre-order. An internal node evaluates
         //    `T(v_b, I(w))` for the candidates its parent stored as `1`,
-        //    stores the heavy ones with their emptiness bit and passes its
-        //    `1`s down.
+        //    runs the heavy ones' capped joins, stores those not light by
+        //    work with their emptiness bit and passes its `1`s down.
         //    Three exact prunings keep that cheap (docs/ARCHITECTURE.md,
         //    "Theorem 1 build"):
         //
         //    * unreachable below a light pair or a `0` — Algorithm 2
         //      recurses only on a stored `1`, so a candidate light at a
-        //      node, or stored there as `0`, is never read at its
-        //      descendants, and is dropped;
+        //      node (by Def. 3 or by work), or stored there as `0`, is
+        //      never read at its descendants, and is dropped;
         //    * leaves evaluate nothing — `T(v_b, I(w)) ≤ T(I(w)) < τ_ℓ`
         //      there, so a leaf has no heavy pair, and a subtree no
         //      candidate reaches is not walked;
@@ -998,7 +998,7 @@ mod tests {
     /// path: Algorithm 2's `⊥` branch over `interval` for `vb` — the
     /// cursor's own interval evaluator, which every `⊥` node runs — finds
     /// an answer within [`LIGHT_WORK_CAP`]` · τ` counted work units.
-    pub(crate) fn light_by_work(s: &Theorem1Structure, vb: &[Value], interval: &FInterval) -> bool {
+    fn light_by_work(s: &Theorem1Structure, vb: &[Value], interval: &FInterval) -> bool {
         let mut it = s.enumerator();
         let before = metrics::snapshot().work();
         it.reset_interval(vb, interval);
