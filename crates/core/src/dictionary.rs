@@ -22,13 +22,21 @@
 //! pair stored), while a stored `0` costs one lookup. The stored set is a
 //! subset of Def. 3's, so space stays within Theorem 1's bound.
 //!
-//! Why c = 16 and the view's τ (docs/MEASUREMENTS.md): over the ledger
-//! rows that had a dictionary, c = 4 keeps 596 824 B of tree and
+//! In a Theorem 2 bag an answer of the bag's join is an answer only when
+//! it extends into every child bag (Algorithm 4): the run probes the
+//! children below each answer, those probes count toward the cap, and a
+//! pair none of whose answers extends keeps its `0` like an empty one. So
+//! a `⊥` node in a bag also answers within the cap, where counting the
+//! bag's own answers let a `⊥` node run through answers its children then
+//! dropped (exp7's Theorem 2 δ = (0.25, 0.25) row read a worst gap of 325
+//! units that way, against 314 with every pair stored; 306 now).
+//!
+//! Why c = 16 and the view's τ (docs/MEASUREMENTS.md): over the ledger's
+//! Theorem 1 rows that had a dictionary, c = 4 keeps 596 824 B of tree and
 //! dictionary, c = 16 keeps 79 528 and c = 32 16 904; a cap of `16 · τ_ℓ`
-//! keeps 197 624. But c = 32 raises the benchmark's worst `tri_lo` delay
-//! from 163 work units to 186, where c = 16 lowers it to 131: 16 is the
-//! largest c tried that raises neither that delay nor any Theorem 1 row's
-//! worst gap.
+//! keeps 197 624. None of them raises a row's worst gap. But c = 32 raises
+//! the benchmark's worst `tri_lo` delay from 163 work units to 186, where
+//! c = 16 lowers it to 131: 16 is the largest c tried that does not.
 //!
 //! Construction follows Appendix A: candidate valuations are the distinct
 //! `V_b`-prefixes of the join of the bound-touching atoms `E_{V_b}`
@@ -65,8 +73,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// *Which* pairs are heavy: fixed at build time, because maintenance and
-/// the Theorem 2 fixup only ever flip the bits of existing entries. Shared
+/// *Which* pairs are heavy: fixed at build time, because maintenance only
+/// ever flips the bits of existing entries. Shared
 /// by `Arc` between a structure and its delta-maintained successors.
 ///
 /// Entries are numbered breadth-first: the root's are `0..num_cands`, one
@@ -105,8 +113,9 @@ pub struct DictBuildWork {
     /// Restricted joins run for heavy pairs (one per canonical box
     /// seeded): each pair's capped run, which also finds its bit.
     pub probes: u64,
-    /// Def.-3-heavy pairs whose capped run found an answer and finished
-    /// within [`LIGHT_WORK_CAP`]`·τ` work units, left ⊥.
+    /// Def.-3-heavy pairs whose capped run found an answer that reaches
+    /// the output and finished within [`LIGHT_WORK_CAP`]`·τ` work units,
+    /// left ⊥.
     pub light_by_work: u64,
     /// Work units (trie seeks) the capped runs spent, each up to its cap or,
     /// past it, up to the answer that decides its bit.
@@ -237,19 +246,28 @@ impl HeavyDictionary {
         est: &CostEstimator,
         tree: &DelayBalancedTree,
     ) -> HeavyDictionary {
-        HeavyDictionary::build_observed(plan, est, tree, |_, _, _| {})
+        HeavyDictionary::build_observed(plan, est, tree, |_| true, |_, _, _| {})
     }
 
     /// [`HeavyDictionary::build`], and which internal nodes hold an entry:
     /// `held[r]` for the node of rank `r` — what
     /// [`DelayBalancedTree::prune`] keeps.
+    ///
+    /// `reaches(row)` says whether an answer (`[bound | free]`, in level
+    /// order) reaches the output. In a view of its own every answer does;
+    /// in a Theorem 2 bag only one that extends into every child subtree
+    /// does (Algorithm 4), and the probe that tells is run, and counted,
+    /// for every answer of a capped run, as Algorithm 5 runs it at a `⊥`
+    /// node. An answer that does not reach the output is no answer: it
+    /// neither makes a pair light by work nor sets its bit.
     pub fn build_held(
         plan: &ViewPlan,
         est: &CostEstimator,
         tree: &DelayBalancedTree,
+        reaches: impl FnMut(&[Value]) -> bool,
     ) -> (HeavyDictionary, Vec<bool>) {
         let mut held = vec![false; tree.num_internal()];
-        let dict = HeavyDictionary::build_observed(plan, est, tree, |r, _, _| {
+        let dict = HeavyDictionary::build_observed(plan, est, tree, reaches, |r, _, _| {
             held[r as usize] = true;
         });
         (dict, held)
@@ -258,11 +276,13 @@ impl HeavyDictionary {
     /// [`HeavyDictionary::build`], reporting each pair as it is stored:
     /// `stored(r, v_b, first)`, where `r` is the node's internal rank and
     /// `first` the witness the bit was decided from — the first answer of
-    /// `(⋈ R_F(v_b)) ⋉ I(w)`, `None` for a `0` bit.
+    /// `(⋈ R_F(v_b)) ⋉ I(w)` that `reaches` the output (as in
+    /// [`HeavyDictionary::build_held`]), `None` for a `0` bit.
     fn build_observed(
         plan: &ViewPlan,
         est: &CostEstimator,
         tree: &DelayBalancedTree,
+        mut reaches: impl FnMut(&[Value]) -> bool,
         mut stored: impl FnMut(u32, &[Value], Option<&[Value]>),
     ) -> HeavyDictionary {
         let t_build = Instant::now();
@@ -499,11 +519,11 @@ impl HeavyDictionary {
                 // restricted join over I(w)'s non-empty boxes, on the same
                 // join the serve path seeds — counted in the serve path's
                 // own units. The boxes are in lexicographic order and each
-                // join emits in lexicographic order, so its first answer is
-                // the minimum of the restricted join in I(w), and the run
-                // doubles as the first-answer probe: past the cap it stops
-                // at that answer. A pair known empty needs no run: it is
-                // stored as `0` whatever its cost.
+                // join emits in lexicographic order, so its first answer
+                // that reaches the output is the minimum of those in I(w),
+                // and the run doubles as the first-answer probe: past the
+                // cap it stops at that answer. A pair known empty needs no
+                // run: it is stored as `0` whatever its cost.
                 let mut capped = false;
                 if witness != Witness::Empty {
                     let start = metrics::snapshot().work();
@@ -518,10 +538,12 @@ impl HeavyDictionary {
                         work.probes += 1;
                         loop {
                             let answer = probe_join.next();
-                            if let (Some(answer), false) = (answer, witness == Witness::First) {
-                                first.clear();
-                                first.extend_from_slice(&answer[nb..]);
-                                witness = Witness::First;
+                            if let Some(answer) = answer {
+                                if reaches(answer) && witness != Witness::First {
+                                    first.clear();
+                                    first.extend_from_slice(&answer[nb..]);
+                                    witness = Witness::First;
+                                }
                             }
                             capped |= (metrics::snapshot().work() - start) as f64 > cap;
                             if capped && witness == Witness::First {
@@ -1222,9 +1244,15 @@ mod tests {
             let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
             let mut seen: Vec<(u32, Vec<Value>, Option<Vec<Value>>)> = Vec::new();
-            let dict = HeavyDictionary::build_observed(&plan, &est, &tree, |w, vb, first| {
-                seen.push((w, vb.to_vec(), first.map(<[Value]>::to_vec)));
-            });
+            let dict = HeavyDictionary::build_observed(
+                &plan,
+                &est,
+                &tree,
+                |_| true,
+                |w, vb, first| {
+                    seen.push((w, vb.to_vec(), first.map(<[Value]>::to_vec)));
+                },
+            );
             assert_eq!(seen.len(), dict.num_entries());
             // The build reports in walk order; `entries` by rank.
             seen.sort_by_key(|&(w, _, _)| w);

@@ -92,6 +92,22 @@ impl Theorem1Structure {
         tau: f64,
         pool: &IndexPool,
     ) -> Result<Theorem1Structure> {
+        Theorem1Structure::build_reaching(view, db, weights, tau, pool, |_| true)
+    }
+
+    /// [`Theorem1Structure::build_pooled`] where an answer counts only when
+    /// `reaches` accepts its `[bound | free]` row: a Theorem 2 bag's answer
+    /// that extends into every child subtree. The dictionary's bits and
+    /// its light-by-work verdicts are then about the answers Algorithm 5
+    /// emits, not the bag's own (`HeavyDictionary::build_held`).
+    pub(crate) fn build_reaching(
+        view: &AdornedView,
+        db: &Database,
+        weights: &[f64],
+        tau: f64,
+        pool: &IndexPool,
+        reaches: impl FnMut(&[Value]) -> bool,
+    ) -> Result<Theorem1Structure> {
         let query = view.query();
         query.require_natural_join()?;
         query.check_schema(db)?;
@@ -142,7 +158,7 @@ impl Theorem1Structure {
         // hold an entry, and their children.
         let (tree, dict) = match tree {
             Some(t) if t.deepest_internal_level().is_some() => {
-                let (dict, held) = HeavyDictionary::build_held(&plan, &est, &t);
+                let (dict, held) = HeavyDictionary::build_held(&plan, &est, &t, reaches);
                 (Some(t.prune(&held)), dict)
             }
             t => (t, HeavyDictionary::empty()),
@@ -189,12 +205,6 @@ impl Theorem1Structure {
     /// The heavy-pair dictionary.
     pub fn dictionary(&self) -> &HeavyDictionary {
         &self.dict
-    }
-
-    /// Mutable dictionary access (Theorem 2's semijoin fixup flips 1 → 0;
-    /// the set of stored pairs cannot change).
-    pub fn dictionary_mut(&mut self) -> &mut HeavyDictionary {
-        &mut self.dict
     }
 
     /// Active domains of the free variables, in enumeration order (the
@@ -680,8 +690,8 @@ impl Theorem1Iter<'_> {
     /// Rewinds the cursor to `(⋈_F R_F(v_b)) ⋉ I` for one node interval
     /// `I`: the `⊥` branch of Algorithm 2 alone, box by box, with no tree
     /// walk around it. `bound_values` must have one value per bound
-    /// variable (a dictionary candidate does). Theorem 2's semijoin fixup
-    /// and Theorem 1 maintenance re-probe node intervals through it.
+    /// variable (a dictionary candidate does). Theorem 1 maintenance
+    /// re-probes node intervals through it.
     pub(crate) fn reset_interval(&mut self, bound_values: &[Value], interval: &FInterval) {
         self.start(bound_values, None, false);
         box_decomposition_ranks(&interval.lo, &interval.hi, &self.s.sizes, &mut self.boxes);

@@ -9,10 +9,13 @@
 //!   `τ_t = |D|^{δ(t)}` and the cover minimizing `ρ⁺_t` (eq. 3), giving
 //!   space `Õ(|D|^{ρ⁺_t})` and per-bag delay `Õ(|D|^{δ(t)})`.
 //!
-//! After construction, the bottom-up semijoin fixup of Algorithm 4 flips a
-//! dictionary 1-entry (or drops a materialized row) whenever no valuation
-//! in its interval extends to an answer in *every* child subtree, so that a
-//! `1` seen during enumeration guarantees progress (Prop. 17).
+//! Bags are derived bottom-up, each reduced by the semijoin pass of
+//! Algorithm 4 against its finished children: a materialized bag drops a
+//! row, and a delay-tuned bag's dictionary build counts no answer, unless
+//! it extends to an answer in *every* child subtree. So a `1` seen during
+//! enumeration guarantees progress (Prop. 17), and a `⊥` node is left `⊥`
+//! only when its run reaches an output answer within the cap
+//! (`crate::dictionary`).
 //!
 //! Answering follows Algorithm 5: the bags are walked in pre-order; a bag
 //! that has never produced a tuple for the current ancestor valuation
@@ -30,7 +33,7 @@ use cqc_common::value::Value;
 use cqc_decomp::{search_connex, Objective, TreeDecomposition};
 use cqc_lp::covers::rho_plus;
 use cqc_query::{AdornedView, ConjunctiveQuery, Hypergraph, Var, VarSet};
-use cqc_storage::{Database, Delta, SortedIndex};
+use cqc_storage::{Database, Delta, IndexPool, SortedIndex};
 use std::sync::Arc;
 
 /// One bag of the structure.
@@ -85,8 +88,16 @@ impl<'a> BagSource<'a> {
     /// Derives bag `node` (split into `bound`/`free` by the decomposition)
     /// from the base relations: materialized when `delta = 0` or nothing is
     /// free, else Theorem 1 over the bag-local projections with
-    /// `τ_t = |D|^δ(t)` and the cover minimizing `ρ⁺_t`.
-    fn derive(&self, node: usize, bound: VarSet, free: VarSet, delta: f64) -> Result<BagKind> {
+    /// `τ_t = |D|^δ(t)` and the cover minimizing `ρ⁺_t`, whose dictionary
+    /// counts only the rows `reaches` accepts.
+    fn derive(
+        &self,
+        node: usize,
+        bound: VarSet,
+        free: VarSet,
+        delta: f64,
+        reaches: impl FnMut(&[Value]) -> bool,
+    ) -> Result<BagKind> {
         if delta <= 1e-9 || free.is_empty() {
             return Ok(BagKind::Materialized(MaterializedBag::build(
                 node,
@@ -101,9 +112,16 @@ impl<'a> BagSource<'a> {
         let rp = rho_plus(&self.h, bound.union(free), free, delta)?;
         let weights: Vec<f64> = origins.iter().map(|&i| rp.weights[i]).collect();
         let tau = (self.db.size() as f64).max(2.0).powf(delta).max(1.0);
-        Ok(BagKind::Tradeoff(Box::new(Theorem1Structure::build(
-            &bag_view, &bag_db, &weights, tau,
-        )?)))
+        Ok(BagKind::Tradeoff(Box::new(
+            Theorem1Structure::build_reaching(
+                &bag_view,
+                &bag_db,
+                &weights,
+                tau,
+                &IndexPool::new(),
+                reaches,
+            )?,
+        )))
     }
 }
 
@@ -189,18 +207,17 @@ impl Theorem2Structure {
             )));
         }
 
-        // Build bags in pre-order.
+        // Bags in pre-order, derived below.
         let pre = td.preorder();
         let mut bags: Vec<Bag> = Vec::with_capacity(pre.len() - 1);
         let mut bag_index_of_node = vec![usize::MAX; td.len()];
         for &t in &pre[1..] {
-            let (bound, free) = (td.bag_bound(t), td.bag_free(t));
             bag_index_of_node[t] = bags.len();
             bags.push(Bag {
                 node: t,
-                bound_vars: bound.iter().collect(),
-                free_vars: free.iter().collect(),
-                kind: source.derive(t, bound, free, delta[t])?,
+                bound_vars: td.bag_bound(t).iter().collect(),
+                free_vars: td.bag_free(t).iter().collect(),
+                kind: BagKind::Materialized(MaterializedBag::default()),
             });
         }
         let parent_of: Vec<Option<usize>> = bags
@@ -233,7 +250,7 @@ impl Theorem2Structure {
             delta: delta.to_vec(),
         };
         let all = vec![true; s.bags.len()];
-        s.semijoin_fixup(&all);
+        s.derive_bags(&source, &all)?;
         Ok(s)
     }
 
@@ -254,12 +271,16 @@ impl Theorem2Structure {
         Theorem2Structure::build(view, db, &found.td, &found.delta)
     }
 
-    /// The Algorithm 4 bottom-up pass over the bags flagged in `dirty`:
-    /// every materialized row / dictionary 1-entry must extend into all
-    /// child subtrees. Sound whenever `dirty` is closed under ancestors of
-    /// changed bags: untouched bags were reduced against children whose
-    /// state has not changed since, so re-reducing them is a no-op.
-    fn semijoin_fixup(&mut self, dirty: &[bool]) {
+    /// Derives the bags flagged in `dirty` from the base relations,
+    /// deepest first, each reduced by Algorithm 4's semijoin pass against
+    /// its children, which are final by then: a materialized bag keeps only
+    /// the rows that extend into every child subtree, and a delay-tuned
+    /// bag's dictionary counts only such answers while it is built, so a
+    /// stored `1` guarantees progress (Prop. 17) with no bit to clear
+    /// afterwards. Sound whenever `dirty` is closed under ancestors of
+    /// changed bags: an untouched bag was reduced against children whose
+    /// state has not changed since.
+    fn derive_bags(&mut self, source: &BagSource<'_>, dirty: &[bool]) -> Result<()> {
         // Per bag: where its bound variables sit inside its tree parent's
         // row (bound prefix then free suffix).
         let key_pos: Vec<Vec<usize>> = (0..self.bags.len())
@@ -283,67 +304,44 @@ impl Theorem2Structure {
             })
             .collect();
 
-        // Process deepest-first so children are already truthful.
         // Pre-order indexes: children always have larger indexes, so
         // reversing the bag order is a valid bottom-up sweep.
         for bi in (0..self.bags.len()).rev() {
-            if !dirty[bi] || self.children_of[bi].is_empty() {
+            if !dirty[bi] {
                 continue;
             }
-            // The bag under reduction is lifted out of the structure while
-            // the probes, which only look below it, borrow the rest.
-            let placeholder = BagKind::Materialized(MaterializedBag::default());
-            let mut kind = std::mem::replace(&mut self.bags[bi].kind, placeholder);
+            // The bag being derived is a placeholder in the structure
+            // (both callers put one there) while the probes, which only
+            // look below it, borrow the rest.
             let mut probe = SubtreeProbe::new(self, &key_pos);
+            let b = &self.bags[bi];
+            let (bound, free) = (
+                b.bound_vars.iter().copied().collect(),
+                b.free_vars.iter().copied().collect(),
+            );
+            let mut kind = source.derive(b.node, bound, free, self.delta[b.node], |row| {
+                probe.extends_below(bi, row)
+            })?;
             match &mut kind {
-                BagKind::Materialized(mb) => mb.retain(|row| probe.extends_below(bi, row)),
-                BagKind::Tradeoff(t1) => {
-                    let mut flips: Vec<u32> = Vec::new();
-                    if let Some(tree) = t1.tree() {
-                        let dict = t1.dictionary();
-                        let mut answers = t1.enumerator();
-                        let (mut key, mut row): (Vec<Value>, Vec<Value>) = (Vec::new(), Vec::new());
-                        dict.walk(tree, |step| {
-                            for e in step.entries {
-                                if !dict.bit(e.entry) {
-                                    continue;
-                                }
-                                dict.candidate_into(e.cand, &mut key);
-                                answers.reset_interval(&key, step.interval);
-                                let mut extends = false;
-                                while !extends && answers.advance() {
-                                    row.clear();
-                                    row.extend_from_slice(&key);
-                                    row.extend_from_slice(answers.current());
-                                    extends = probe.extends_below(bi, &row);
-                                }
-                                if !extends {
-                                    flips.push(e.entry);
-                                }
-                            }
-                            true
-                        });
-                    }
-                    // Each entry a walk yielded is in range: `flip` checks
-                    // it in release builds too.
-                    for entry in flips {
-                        t1.dictionary_mut().flip(entry, false);
-                    }
+                BagKind::Materialized(mb) if !self.children_of[bi].is_empty() => {
+                    mb.retain(|row| probe.extends_below(bi, row));
                 }
+                _ => {}
             }
             self.bags[bi].kind = kind;
         }
+        Ok(())
     }
 
-    /// Rebuilds only the bags whose local database is touched by `delta`
-    /// (already applied to `db`), plus their ancestors, then re-runs the
-    /// Algorithm 4 semijoin fixup restricted to that set.
+    /// Re-derives only the bags whose local database is touched by `delta`
+    /// (already applied to `db`), plus their ancestors, each reduced
+    /// against its children as a build reduces it (Algorithm 4).
     ///
-    /// The fixup is destructive — a dropped materialized row or a cleared
-    /// dictionary bit cannot resurrect locally — so a touched bag must be
-    /// re-derived from the base relations rather than patched, and every
-    /// ancestor of a touched bag must be re-derived too (its reduction was
-    /// computed against the old subtree). Bags whose entire subtree is
+    /// The reduction is destructive — a dropped materialized row or a
+    /// pair stored as `0` cannot resurrect locally — so a touched bag must
+    /// be re-derived from the base relations rather than patched, and
+    /// every ancestor of a touched bag must be re-derived too (its
+    /// reduction was computed against the old subtree). Bags whose entire subtree is
     /// untouched keep their reduced state, which is exactly what a full
     /// rebuild would recompute for them.
     ///
@@ -393,22 +391,22 @@ impl Theorem2Structure {
         }
         let rebuilt = dirty.iter().filter(|&&d| d).count();
 
-        let mut bags = Vec::with_capacity(self.bags.len());
-        for (b, &stale) in self.bags.iter().zip(&dirty) {
-            let kind = if stale {
-                let bound = b.bound_vars.iter().copied().collect();
-                let free = b.free_vars.iter().copied().collect();
-                source.derive(b.node, bound, free, self.delta[b.node])?
-            } else {
-                b.kind.clone()
-            };
-            bags.push(Bag {
+        // A stale bag's kind is replaced by `derive_bags`: not cloned.
+        let bags = self
+            .bags
+            .iter()
+            .zip(&dirty)
+            .map(|(b, &stale)| Bag {
                 node: b.node,
                 bound_vars: b.bound_vars.clone(),
                 free_vars: b.free_vars.clone(),
-                kind,
-            });
-        }
+                kind: if stale {
+                    BagKind::Materialized(MaterializedBag::default())
+                } else {
+                    b.kind.clone()
+                },
+            })
+            .collect();
 
         let mut s = Theorem2Structure {
             view: self.view.clone(),
@@ -423,7 +421,7 @@ impl Theorem2Structure {
             num_vars: self.num_vars,
             delta: self.delta.clone(),
         };
-        s.semijoin_fixup(&dirty);
+        s.derive_bags(&source, &dirty)?;
         Ok(Some((s, rebuilt)))
     }
 
@@ -553,8 +551,8 @@ impl Theorem2Structure {
     }
 }
 
-/// First-answer probes below one bag during the fixup, with the scratch
-/// they reuse across that bag's rows.
+/// First-answer probes below one bag while it is derived, with the
+/// scratch they reuse across that bag's rows.
 struct SubtreeProbe<'a> {
     s: &'a Theorem2Structure,
     /// Per bag: positions of its bound variables in its tree parent's row.
@@ -978,6 +976,7 @@ impl<'a> Theorem2Iter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fbox::FInterval;
     use cqc_common::value::{lex_cmp, Tuple};
     use cqc_join::naive::evaluate_view;
     use cqc_query::parser::parse_adorned;
@@ -1448,9 +1447,12 @@ mod tests {
     /// are freed memory, not dropped handles. On the 3-path with both ends
     /// bound and a `decomposed:1.5` budget the searched decomposition has
     /// a tradeoff bag; the structure is smaller than the parent commit's by
-    /// those bags' oracles, still answers the naive join for every bound
-    /// valuation, and maintains to what a rebuild builds over a mixed
-    /// insert/delete history.
+    /// those bags' oracles and still answers the naive join for every
+    /// bound valuation. That bag keeps no dictionary entry, so the delta
+    /// history runs on the 4-path's delay-tuned bag over a materialized
+    /// child, whose pairs are heavy by work: it keeps entries, its bits
+    /// flip both ways across the history, and the maintained structure
+    /// walks as a rebuild and answers the naive join after every delta.
     #[test]
     fn tradeoff_bags_keep_no_oracle_and_stay_exact_across_deltas() {
         // `heap_bytes()` of this instance at 9234dc4, where every tradeoff
@@ -1476,18 +1478,7 @@ mod tests {
             db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 90, 10))
                 .unwrap();
         }
-        let build = |db: &Database| build_budgeted(&view, db, 1.5);
-        let assert_answers_the_naive_join = |s: &Theorem2Structure, db: &Database, what: &str| {
-            for a in 0..10u64 {
-                for b in 0..10u64 {
-                    let got = answers(s, &[a, b]);
-                    let expect = evaluate_view(&view, db, &[a, b]).unwrap();
-                    assert_eq!(sorted(got), expect, "{what}: ({a}, {b})");
-                }
-            }
-        };
-
-        let mut s = build(&db);
+        let s = build_budgeted(&view, &db, 1.5);
         assert_eq!(s.stats().tradeoff_bags, 1, "{:?}", s.bag_reports());
         // What the bags' oracles held at the parent: per atom two count
         // indexes over the relation its trie sorts (the same rows under
@@ -1549,32 +1540,94 @@ mod tests {
             (oracle_indexes..=oracle_indexes + 128 * tries.len()).contains(&saved),
             "saved {saved} B, the bag oracles' indexes were {oracle_indexes} B"
         );
-        assert_answers_the_naive_join(&s, &db, "built");
+        for a in 0..10u64 {
+            for b in 0..10u64 {
+                let expect = evaluate_view(&view, &db, &[a, b]).unwrap();
+                assert_eq!(sorted(answers(&s, &[a, b])), expect, "({a}, {b})");
+            }
+        }
 
-        let mut removed = 0;
+        let view = cqc_workload::queries::path(4, "bfffb").unwrap();
+        let names = ["R1", "R2", "R3", "R4"];
+        let mut rng = cqc_workload::rng(21);
+        let mut db = Database::new();
+        for name in names {
+            db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 100, 40))
+                .unwrap();
+        }
+        let (td, delays) = (path4_paper_td(), [0.0, 0.3, 0.0]);
+        let build = |db: &Database| Theorem2Structure::build(&view, db, &td, &delays).unwrap();
+        let mut s = build(&db);
+        assert_eq!(s.stats().tradeoff_bags, 1, "{:?}", s.bag_reports());
+        assert!(s.stats().dict_entries > 0, "{:?}", s.bag_reports());
+        let mut before = bits_by_pair(&s);
+        let (mut set, mut cleared, mut removed) = (0, 0, 0);
         for _ in 0..6 {
-            let delta = cqc_workload::mixed_delta(&mut rng, &db, &names, 3, 2);
+            let delta = cqc_workload::mixed_delta(&mut rng, &db, &names, 10, 10);
             removed += delta.remove_groups().map(|(_, t)| t.len()).sum::<usize>();
             db.apply(&delta).unwrap();
             let (maintained, _) = s.maintained(&db, &delta).unwrap().expect("natural atoms");
             let rebuilt = build(&db);
-            assert_eq!(
-                maintained.stats().tradeoff_bags,
-                rebuilt.stats().tradeoff_bags
-            );
-            assert_answers_the_naive_join(&maintained, &db, "maintained");
-            assert_answers_the_naive_join(&rebuilt, &db, "rebuilt");
+            let walk = |s: &Theorem2Structure| -> Vec<u64> {
+                s.tradeoff_structures()
+                    .map(crate::theorem1::tests::walk_fnv)
+                    .collect()
+            };
+            assert_eq!(walk(&maintained), walk(&rebuilt));
+            for a in 0..40u64 {
+                for b in 0..40u64 {
+                    let expect = evaluate_view(&view, &db, &[a, b]).unwrap();
+                    assert_eq!(sorted(answers(&maintained, &[a, b])), expect, "({a}, {b})");
+                }
+            }
+            let after = bits_by_pair(&maintained);
+            for (pair, bit) in &after {
+                match (before.get(pair), bit) {
+                    (Some(false), true) => set += 1,
+                    (Some(true), false) => cleared += 1,
+                    _ => {}
+                }
+            }
+            before = after;
             s = maintained;
         }
         assert!(removed > 0, "the history must delete something");
+        assert!(set > 0 && cleared > 0, "{set} bits set, {cleared} cleared");
     }
 
-    /// The walk of the 4-path's delay-tuned bag after the Algorithm 4
-    /// fixup cleared its bits (see `walk_fnv`): what a walk sees, no node
-    /// id in it. The pin is the walk of the bag that stored every
-    /// Def.-3-heavy pair reachable through a `1` (97 nodes, 1 942 entries)
-    /// with each pair whose `⊥` run finds an answer within 16 · τ units,
-    /// and what lies below it, filtered out: 3 nodes, 11 entries.
+    /// Every stored pair of the structure's delay-tuned bags, keyed by its
+    /// node's interval in values (ranks move with a delta) and its `v_b`,
+    /// with its bit.
+    fn bits_by_pair(s: &Theorem2Structure) -> std::collections::BTreeMap<Vec<Value>, bool> {
+        let mut out = std::collections::BTreeMap::new();
+        for t1 in s.tradeoff_structures() {
+            let (Some(tree), dict, doms) = (t1.tree(), t1.dictionary(), t1.domains()) else {
+                continue;
+            };
+            let mut vb = Vec::new();
+            dict.walk(tree, |step| {
+                let FInterval { lo, hi } = step.interval;
+                let ends = lo.iter().zip(doms).chain(hi.iter().zip(doms));
+                let interval: Vec<Value> = ends.map(|(&r, d)| d.value(r)).collect();
+                for e in step.entries {
+                    dict.candidate_into(e.cand, &mut vb);
+                    let pair = interval.iter().chain(&vb).copied().collect();
+                    out.insert(pair, dict.bit(e.entry));
+                }
+                true
+            });
+        }
+        out
+    }
+
+    /// The walk of the 4-path's delay-tuned bag, reduced against its
+    /// materialized child (see `walk_fnv`): what a walk sees, no node id in
+    /// it. The pin is the walk of the bag that stored every Def.-3-heavy
+    /// pair reachable through a `1` (97 nodes, 1 942 entries), its bits
+    /// cleared where no answer extends into the child, with each pair
+    /// whose `⊥` run finds an answer that extends within 16 · τ units
+    /// (the child probes counted), and what lies below it or below a `0`,
+    /// filtered out: 7 nodes, 180 entries.
     #[test]
     fn delay_tuned_bag_walk_is_pinned() {
         let mut rng = cqc_workload::rng(21);
@@ -1589,6 +1642,6 @@ mod tests {
             .tradeoff_structures()
             .map(|t1| (t1.stats().tree_nodes, crate::theorem1::tests::walk_fnv(t1)))
             .collect();
-        assert_eq!(walks, [(3, 359_457_421_746_374_014)]);
+        assert_eq!(walks, [(7, 1_381_858_699_404_166_946)]);
     }
 }

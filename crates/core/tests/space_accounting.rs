@@ -258,7 +258,7 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         // internal node that holds no entry.
         let before = live_bytes();
         let tree = DelayBalancedTree::build(&est, tau).unwrap();
-        let (dict, held) = HeavyDictionary::build_held(&plan, &est, &tree);
+        let (dict, held) = HeavyDictionary::build_held(&plan, &est, &tree, |_| true);
         let tree = tree.prune(&held);
         drop(held);
         let live = (live_bytes() - before) as f64;
