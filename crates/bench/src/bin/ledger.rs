@@ -260,6 +260,18 @@ impl Ledger {
         rep: &CompressedView,
         extra: &[(&str, String)],
     ) -> Res<()> {
+        self.structure_with(key, inst, rep, |_| extra.to_vec())
+    }
+
+    /// [`Ledger::structure`] with the appended fields a function of the
+    /// row's `worst_gap_work`.
+    fn structure_with<'a>(
+        &mut self,
+        key: &str,
+        inst: &Instance,
+        rep: &CompressedView,
+        extra: impl FnOnce(u64) -> Vec<(&'a str, String)>,
+    ) -> Res<()> {
         let mut fnv = Fnv(0xcbf2_9ce4_8422_2325);
         let (mut answers, mut nonempty, mut max_gap) = (0usize, 0usize, 0u64);
         let mut enumerator = rep.enumerator();
@@ -345,7 +357,7 @@ impl Ledger {
             ("worst_gap_work", worst_gap.to_string()),
             ("fnv", format!("\"{:016x}\"", fnv.0)),
         ]);
-        fields.extend(extra.iter().cloned());
+        fields.extend(extra(worst_gap));
         self.row(key, &fields);
         Ok(())
     }
@@ -375,9 +387,51 @@ fn exp1_triangle(ledger: &mut Ledger) -> Res<()> {
         ("N^0.75", n.powf(0.75)),
     ] {
         let rep = inst.theorem1(&[0.5; 3], tau)?;
-        ledger.structure(&format!("{name}/theorem 1 tau={label}"), &inst, &rep, &[])?;
+        let ratios = |worst_gap| theorem1_ratios(&inst, &rep, worst_gap);
+        ledger.structure_with(
+            &format!("{name}/theorem 1 tau={label}"),
+            &inst,
+            &rep,
+            ratios,
+        )?;
     }
     Ok(())
+}
+
+/// A Theorem 1 row's counts over its bounds, at 3 decimals: `space_ratio`
+/// is `bytes` over `|D| + Π|R_F|^{u_F}/τ^α` (Theorem 1's space),
+/// `gap_ratio` `worst_gap_work` over τ (its delay), and `build_ratio` the
+/// counted build work — tree count probes, dictionary evaluations and
+/// capped-run units — over `|D| + Π|R_F|^{u_F}` (its preprocessing). Each
+/// is the constant its `Õ` hides on this instance: `scripts/kick-tires.sh`
+/// holds each to a stated ceiling.
+fn theorem1_ratios(
+    inst: &Instance,
+    rep: &CompressedView,
+    worst_gap: u64,
+) -> Vec<(&'static str, String)> {
+    let CompressedView::Tradeoff(s) = rep else {
+        unreachable!("theorem1 builds a Theorem 1 structure")
+    };
+    let product: f64 = (inst.view.query().atoms.iter())
+        .zip(s.weights())
+        .map(|(atom, &u)| {
+            let rows = inst.db.get(&atom.relation).map_or(0, |r| r.len());
+            (rows as f64).powf(u)
+        })
+        .product();
+    let (d, st) = (inst.db.size() as f64, s.stats());
+    let build = st.tree_count_probes + st.dict_evaluations + st.dict_capped_work;
+    [
+        (
+            "space_ratio",
+            rep.heap_bytes() as f64 / (d + product / s.tau().powf(s.alpha())),
+        ),
+        ("gap_ratio", worst_gap as f64 / s.tau()),
+        ("build_ratio", build as f64 / (d + product)),
+    ]
+    .map(|(name, ratio)| (name, format!("{ratio:.3}")))
+    .into()
 }
 
 /// EXP-2: Prop. 1, all-bound views: Theorem 2 over the root bag `{V_b}`
@@ -506,7 +560,15 @@ fn exp7_path(ledger: &mut Ledger) -> Res<()> {
     for delta in [[0.0, 0.0, 0.0], [0.0, 0.25, 0.25], [0.0, 0.5, 0.5]] {
         let s = Theorem2Structure::build(&inst.view, &inst.db, &td, &delta).map_err(err)?;
         let key = format!("{name}/theorem 2 delta=({}, {})", delta[1], delta[2]);
-        ledger.structure(&key, &inst, &CompressedView::Decomposed(s), &[])?;
+        // The delay-tuned bags' tree build work, summed.
+        let st = s.stats();
+        let probes = [("tree_count_probes", st.tree_count_probes.to_string())];
+        let extra = if st.tradeoff_bags > 0 {
+            &probes[..]
+        } else {
+            &[]
+        };
+        ledger.structure(&key, &inst, &CompressedView::Decomposed(s), extra)?;
     }
     Ok(())
 }

@@ -8,12 +8,19 @@
 //! bounds the depth by `O(log T)` because `T` halves at every level while
 //! the threshold decays strictly slower.
 //!
-//! The tree a structure stores is smaller: once the heavy-pair dictionary
-//! is built, [`DelayBalancedTree::prune`] keeps only what Algorithm 2 can
-//! reach. It goes below a node only where the dictionary stores a `1`
-//! there, so a node that holds no heavy pair is evaluated as `⊥` over the
-//! interval its parent's `β` gives it, and nothing of its own is read. A
-//! stored node is a leaf when it is below `τ_ℓ` *or* holds no heavy pair.
+//! A structure stores only the part of that tree Algorithm 2 can reach,
+//! and the build splits only that part. Algorithm 2 goes below a node only
+//! where the heavy-pair dictionary stores a `1` there, so a node that holds
+//! no heavy pair is evaluated as `⊥` over the interval its parent's `β`
+//! gives it, and nothing of its own is read. `TreeBuild` runs Algorithm 1
+//! one node at a time: the dictionary's build costs each node its walk
+//! reaches and splits and keeps those that hold an entry, and the tree is
+//! written from those: the root, and both children of every kept node. A
+//! stored node is internal iff it holds an entry; every other one is a
+//! one-bit leaf, which may lie at or above its threshold.
+//! [`DelayBalancedTree::build`] is the same splitter splitting and keeping
+//! every node at or above its threshold: the whole tree of Figure 3 and
+//! Lemma 4.
 //!
 //! Only the split points are stored, and only internal nodes have rows.
 //! The topology is implicit, in level order (Jacobson's binary-marked
@@ -29,7 +36,7 @@
 //! offsets (docs/ARCHITECTURE.md, "Theorem 1 memory layout").
 
 use crate::cost::{CostEstimator, PrefixCost};
-use crate::fbox::{box_decomposition_ranks, lex_cmp_ranks, BoxList, FInterval};
+use crate::fbox::{box_decomposition_ranks, lex_cmp_ranks, BoxList, CanonicalBox, FInterval};
 use crate::split::split_interval;
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics;
@@ -90,8 +97,8 @@ pub struct Node {
 
 /// The delay-balanced tree, immutable after build.
 ///
-/// A node is a leaf when its `T(I(w))` is below `τ_ℓ` or, once
-/// [`DelayBalancedTree::prune`] has run, when it holds no heavy pair.
+/// A node is a leaf when its `T(I(w))` is below `τ_ℓ` or, in a tree a
+/// structure stores, when it holds no heavy pair (module docs).
 ///
 /// Node ids are level-order slots: the root is slot 0 and the internal
 /// node of rank `r` (the internal nodes in slots before it) owns slots
@@ -257,8 +264,232 @@ impl Emitter {
     }
 }
 
+/// Where a node of a tree under construction sits: its level and, below
+/// the root, the number [`TreeBuild::split`] gave its parent, and its side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Place {
+    /// Depth (root = 0).
+    pub(crate) level: u16,
+    parent: u32,
+    right: bool,
+}
+
+impl Place {
+    /// The root's place.
+    pub(crate) const ROOT: Place = Place {
+        level: 0,
+        parent: NO_NODE,
+        right: false,
+    };
+}
+
+/// No kept node: the root's parent, a child slot holding a leaf.
+const NO_NODE: u32 = u32::MAX;
+
+/// A kept node's links: its parent's number and side, and which of its
+/// children exist (left, right).
+#[derive(Debug)]
+struct Kept {
+    parent: u32,
+    right: bool,
+    children: [bool; 2],
+}
+
+/// Algorithm 1 one node at a time, and the tree of the nodes it split.
+///
+/// [`TreeBuild::cost`] takes a node's level and interval: it decomposes
+/// the interval into boxes, costs them and applies the leaf test against
+/// `τ_ℓ`. [`TreeBuild::split`] then finds `β` for a node that passed it,
+/// keeps the node as an internal one of the tree under construction, and
+/// names its children's places. Both count the count-index probes they
+/// spend. [`TreeBuild::finish`] writes that tree in level order: the root
+/// and the children of every kept node, a kept node internal, every other
+/// one a leaf. [`DelayBalancedTree::build`] splits every node that passes
+/// the leaf test; the dictionary's build costs a node only when its walk
+/// reaches it, and splits it only when it holds an entry
+/// (`HeavyDictionary::build`).
+pub(crate) struct TreeBuild<'a> {
+    est: &'a CostEstimator,
+    /// The grid `D_f`.
+    sizes: Vec<usize>,
+    tau: f64,
+    alpha: f64,
+    /// Scratch of the node last costed: the interval's boxes and their
+    /// `T`s (summed for the leaf test, then handed to Algorithm 1), and the
+    /// Lemma 3 prefix oracle.
+    boxes: BoxList,
+    t_of: Vec<f64>,
+    prefix_cost: PrefixCost<'a>,
+    /// `T(I(w))` of the node last costed.
+    t: f64,
+    /// Count-index probes the costs and splits spent.
+    count_probes: u64,
+    /// The kept nodes, numbered in the order they were kept: the root
+    /// first, every other one after its parent.
+    kept: Vec<Kept>,
+    /// `µ` split-point offsets per kept node, by number.
+    rows: Vec<u64>,
+}
+
+impl<'a> TreeBuild<'a> {
+    /// A build over the grid of `est` at threshold `τ ≥ 1`, nothing split
+    /// yet; `None` when some free variable has an empty active domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau < 1`.
+    pub(crate) fn new(est: &'a CostEstimator, tau: f64) -> Option<TreeBuild<'a>> {
+        assert!(tau >= 1.0, "τ must be at least 1");
+        let sizes = est.sizes();
+        FInterval::full(&sizes)?;
+        let before = metrics::snapshot().count_probes;
+        let prefix_cost = PrefixCost::new(est);
+        Some(TreeBuild {
+            est,
+            sizes,
+            tau,
+            alpha: est.alpha(),
+            boxes: BoxList::new(),
+            t_of: Vec::new(),
+            prefix_cost,
+            t: 0.0,
+            count_probes: metrics::snapshot().count_probes - before,
+            kept: Vec::new(),
+            rows: Vec::new(),
+        })
+    }
+
+    /// The root's interval: the whole grid.
+    pub(crate) fn root_interval(&self) -> FInterval {
+        FInterval::full(&self.sizes).expect("a build's grid has a point")
+    }
+
+    /// The grid `D_f`.
+    pub(crate) fn sizes(&self) -> &[usize] {
+        &self.sizes
+    }
+
+    /// The delay knob τ.
+    pub(crate) fn tau(&self) -> f64 {
+        self.tau
+    }
+
+    /// The threshold `τ_ℓ` nodes at `level` are held against.
+    pub(crate) fn threshold_of(&self, level: u16) -> f64 {
+        tau_level(self.tau, self.alpha, level)
+    }
+
+    /// The box decomposition of the interval last costed.
+    pub(crate) fn boxes(&self) -> &[CanonicalBox] {
+        self.boxes.as_slice()
+    }
+
+    /// Costs the node at `level` over `interval`: decomposes the interval
+    /// into boxes and sums their `T`s, then the leaf test — `true` when
+    /// `T(I(w)) ≥ τ_ℓ` (zero-cost intervals are always leaves; they cannot
+    /// be split).
+    pub(crate) fn cost(&mut self, level: u16, interval: &FInterval) -> bool {
+        assert!(level < MAX_LEVEL, "delay-balanced tree too deep (bug)");
+        let before = metrics::snapshot().count_probes;
+        box_decomposition_ranks(&interval.lo, &interval.hi, &self.sizes, &mut self.boxes);
+        self.t_of.clear();
+        self.t_of
+            .extend(self.boxes.as_slice().iter().map(|b| self.est.t_box(b)));
+        self.t = self.t_of.iter().sum();
+        self.count_probes += metrics::snapshot().count_probes - before;
+        self.t > 0.0 && approx_ge(self.t, self.threshold_of(level))
+    }
+
+    /// Algorithm 1 at the node just costed, at `at` over `interval`, which
+    /// [`TreeBuild::cost`] found internal: writes its split point into
+    /// `beta`, keeps the node as an internal one and returns its
+    /// children's places, left and right — `[lo, pred(β)]` exists iff
+    /// `β ≠ lo`, `[succ(β), hi]` iff `β ≠ hi`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the root is kept first and only once.
+    pub(crate) fn split(
+        &mut self,
+        at: Place,
+        interval: &FInterval,
+        beta: &mut Vec<usize>,
+    ) -> [Option<Place>; 2] {
+        assert_eq!(
+            at.level == 0,
+            self.kept.is_empty(),
+            "the root is kept first"
+        );
+        let before = metrics::snapshot().count_probes;
+        let boxes = self.boxes.as_slice();
+        split_interval(&mut self.prefix_cost, &self.sizes, boxes, &self.t_of, beta);
+        self.count_probes += metrics::snapshot().count_probes - before;
+        assert!(
+            interval.contains(beta),
+            "split point must lie in the interval"
+        );
+        let id = u32::try_from(self.kept.len()).expect("kept nodes fit in u32");
+        let children = [*beta != interval.lo, *beta != interval.hi];
+        self.kept.push(Kept {
+            parent: at.parent,
+            right: at.right,
+            children,
+        });
+        self.rows.extend(offsets(beta, &interval.lo, &self.sizes));
+        let child = |right: bool| Place {
+            level: at.level + 1,
+            parent: id,
+            right,
+        };
+        [
+            children[0].then(|| child(false)),
+            children[1].then(|| child(true)),
+        ]
+    }
+
+    /// The tree of the kept nodes, in level order: the root, and the
+    /// children of every kept node; a kept node is internal, with its row,
+    /// every other node a one-bit leaf.
+    pub(crate) fn finish(self) -> DelayBalancedTree {
+        let mu = self.sizes.len();
+        // Each kept node's kept children, by side.
+        let mut kids = vec![[NO_NODE; 2]; self.kept.len()];
+        for (id, k) in self.kept.iter().enumerate().skip(1) {
+            kids[k.parent as usize][usize::from(k.right)] = id as u32;
+        }
+        let mut out = Emitter::default();
+        // The nodes not numbered yet, in slot order: each one's slot, level
+        // and kept number (`NO_NODE` for a leaf).
+        let root = if self.kept.is_empty() { NO_NODE } else { 0 };
+        let mut pending = VecDeque::from([(0u32, 0u16, root)]);
+        let mut level = 0;
+        while let Some((slot, at, id)) = pending.pop_front() {
+            if at > level {
+                out.end_level(mu);
+                level = at;
+            }
+            out.node(at);
+            let Some(k) = self.kept.get(id as usize) else {
+                continue;
+            };
+            let row = &self.rows[id as usize * mu..][..mu];
+            let rank = out.internal(slot, at, row.iter().copied());
+            let sides = k.children.iter().zip(kids[id as usize]).zip([1, 2]);
+            for ((&exists, kid), offset) in sides {
+                if exists {
+                    pending.push_back((2 * rank + offset, at + 1, kid));
+                }
+            }
+        }
+        out.finish(self.sizes, self.count_probes, self.tau, self.alpha)
+    }
+}
+
 impl DelayBalancedTree {
-    /// Builds the tree for the given cost oracle and threshold `τ ≥ 1`.
+    /// Builds the whole tree for the given cost oracle and threshold
+    /// `τ ≥ 1`, every node at or above its threshold split and internal:
+    /// the tree of Figure 3 and Lemma 4. A structure stores, and splits,
+    /// only what Algorithm 2 can reach (module docs).
     ///
     /// Returns `None` when some free variable has an empty active domain
     /// (the view result is empty for every access request).
@@ -270,169 +501,46 @@ impl DelayBalancedTree {
         DelayBalancedTree::build_observed(est, tau, |_, _, _| {})
     }
 
-    /// [`DelayBalancedTree::build`], reporting each node as it is
-    /// numbered: `observe(cursor, I(w), T(I(w)))` — what the build knew and
-    /// the stored tree no longer holds.
+    /// [`DelayBalancedTree::build`], reporting each node as it is costed,
+    /// in slot order: `observe(level, I(w), T(I(w)))` — what the build knew
+    /// and the stored tree no longer holds.
     fn build_observed(
         est: &CostEstimator,
         tau: f64,
-        mut observe: impl FnMut(Cursor, &FInterval, f64),
+        mut observe: impl FnMut(u16, &FInterval, f64),
     ) -> Option<DelayBalancedTree> {
-        assert!(tau >= 1.0, "τ must be at least 1");
-        let probes_before = metrics::snapshot().count_probes;
-        let sizes = est.sizes();
-        let mu = sizes.len();
-        let alpha = est.alpha();
-        // The node under the build's interval.
-        let mut interval = FInterval::full(&sizes)?;
-
-        // The columns, written as the build numbers the nodes.
-        let mut out = Emitter::default();
-        // Scratch shared by every node: the interval's boxes, their `T`s
-        // (summed for the leaf test, then handed to Algorithm 1), the
-        // Lemma 3 prefix oracle and the split point.
-        let mut boxes = BoxList::new();
-        let mut t_of: Vec<f64> = Vec::new();
-        let mut prefix_cost = PrefixCost::new(est);
-        let mut beta: Vec<usize> = Vec::with_capacity(mu);
-        // The slots of the nodes not visited yet, in slot order — rank
-        // `r`'s left child `2r + 1`, its right child `2r + 2`, then rank
-        // `r + 1`'s — so the internal nodes among them are ranked, and
-        // their rows written, in slot order too, level by level. Their
-        // intervals, `2µ` ranks each: the level under the build's in
-        // `bounds` from `read` on, the next level's in `next_bounds`.
-        let mut pending: VecDeque<u32> = VecDeque::from([0]);
-        let mut bounds: Vec<usize> = interval.lo.iter().chain(&interval.hi).copied().collect();
-        let mut next_bounds: Vec<usize> = Vec::new();
-        let mut read = 0;
-        // The cursor fields of the level under the build.
-        let mut at = ROOT;
-
-        while let Some(slot) = pending.pop_front() {
-            // Level `ℓ`'s slots end at `2·f_ℓ + 1`: the next level's rows
-            // start where this one's end.
-            if slot > 2 * at.first {
-                out.end_level(mu);
-                std::mem::swap(&mut bounds, &mut next_bounds);
-                next_bounds.clear();
-                read = 0;
-                at = Cursor {
-                    node: slot,
-                    level: at.level + 1,
-                    first: out.ranks,
-                    row_bit: out.rows.len(),
-                };
-            }
-            let c = Cursor { node: slot, ..at };
-            out.node(c.level);
-            interval.lo.copy_from_slice(&bounds[read..read + mu]);
-            interval
-                .hi
-                .copy_from_slice(&bounds[read + mu..read + 2 * mu]);
-            read += 2 * mu;
-            box_decomposition_ranks(&interval.lo, &interval.hi, &sizes, &mut boxes);
-            t_of.clear();
-            t_of.extend(boxes.as_slice().iter().map(|b| est.t_box(b)));
-            let t: f64 = t_of.iter().sum();
-            observe(c, &interval, t);
-            // Leaf when T(I(w)) < τ_ℓ (zero-cost intervals are always
-            // leaves; they cannot be split): a clear bit and no row.
-            if t <= 0.0 || !approx_ge(t, tau_level(tau, alpha, c.level)) {
-                continue;
-            }
-            split_interval(&mut prefix_cost, &sizes, boxes.as_slice(), &t_of, &mut beta);
-            assert!(
-                interval.contains(&beta),
-                "split point must lie in the interval"
-            );
-            let rank = out.internal(slot, c.level, offsets(&beta, &interval.lo, &sizes));
-            // `[lo, pred(β)]` and `[succ(β), hi]` are non-empty iff β is
-            // not that endpoint; `node` reads presence the same way.
-            for (right, exists) in [(false, beta != interval.lo), (true, beta != interval.hi)] {
-                if exists {
-                    pending.push_back(2 * rank + 1 + u32::from(right));
-                    child_interval_into(
-                        &sizes,
-                        right,
-                        &interval.lo,
-                        &interval.hi,
-                        &beta,
-                        &mut next_bounds,
-                    );
-                }
-            }
-        }
-        drop((pending, bounds, next_bounds));
-        Some(out.finish(
-            sizes,
-            metrics::snapshot().count_probes - probes_before,
-            tau,
-            alpha,
-        ))
-    }
-
-    /// The tree Algorithm 2 can reach, once the dictionary is built:
-    /// `held[r]` says whether the internal node of rank `r` holds a
-    /// dictionary entry. An internal node that holds none becomes a leaf
-    /// and its subtree goes; every other node keeps its level, interval,
-    /// `β` and children, and the kept nodes keep their slot order. Only the
-    /// counts of the build's work carry over as they were.
-    ///
-    /// Sound because a pair is stored only below its parent's `1`: a node
-    /// without an entry is `⊥` for every valuation that reaches it, so
-    /// Algorithm 2 reads its interval, which its parent's `β` gives, and
-    /// nothing of its own `β` or subtree.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `held` has one bit per internal node.
-    pub fn prune(self, held: &[bool]) -> DelayBalancedTree {
-        assert_eq!(
-            held.len(),
-            self.num_internal(),
-            "a held bit per internal node"
-        );
-        let mu = self.sizes.len();
-        let mut out = Emitter::default();
-        // The kept nodes not visited yet, in slot order: each one's cursor
-        // in this tree and its slot in the pruned one, its interval `2µ`
-        // ranks in `bounds`.
-        let mut pending = VecDeque::from([(ROOT, 0u32)]);
-        let FInterval { mut lo, mut hi } = self.root_interval();
-        let mut bounds: VecDeque<usize> = lo.iter().chain(&hi).copied().collect();
-        let (mut beta, mut children) = (lo.clone(), Vec::new());
-        let mut level = 0;
-        while let Some((c, slot)) = pending.pop_front() {
-            for x in lo.iter_mut().chain(hi.iter_mut()) {
+        let mut build = TreeBuild::new(est, tau)?;
+        let mut interval = build.root_interval();
+        let mut beta = Vec::with_capacity(interval.mu());
+        // Breadth-first, children left before right, so the nodes are
+        // costed in slot order: the ones not costed yet, each one's interval
+        // `2µ` ranks in `bounds`.
+        let mut pending = VecDeque::from([Place::ROOT]);
+        let mut bounds: VecDeque<usize> = interval.lo.iter().chain(&interval.hi).copied().collect();
+        let mut children = Vec::new();
+        while let Some(at) = pending.pop_front() {
+            for x in interval.lo.iter_mut().chain(interval.hi.iter_mut()) {
                 *x = bounds.pop_front().expect("a pending node's interval");
             }
-            if c.level > level {
-                out.end_level(mu);
-                level = c.level;
-            }
-            out.node(c.level);
-            let node = self.node(c, &lo, &hi, &mut beta);
-            if !node.internal.is_some_and(|r| held[r as usize]) {
+            let internal = build.cost(at.level, &interval);
+            observe(at.level, &interval, build.t);
+            if !internal {
                 continue;
             }
-            let rank = out.internal(slot, c.level, offsets(&beta, &lo, &self.sizes));
             children.clear();
-            for (right, child) in [(false, node.left), (true, node.right)] {
+            for (right, child) in [false, true]
+                .into_iter()
+                .zip(build.split(at, &interval, &mut beta))
+            {
                 if let Some(child) = child {
-                    pending.push_back((child, 2 * rank + 1 + u32::from(right)));
-                    self.child_interval_into(right, &lo, &hi, &beta, &mut children);
+                    pending.push_back(child);
+                    let FInterval { lo, hi } = &interval;
+                    child_interval_into(build.sizes(), right, lo, hi, &beta, &mut children);
                 }
             }
             bounds.extend(&children);
         }
-        let DelayBalancedTree {
-            sizes,
-            count_probes,
-            tau,
-            alpha,
-            ..
-        } = self;
-        out.finish(sizes, count_probes, tau, alpha)
+        Some(build.finish())
     }
 
     /// The root's cursor.
@@ -726,7 +834,7 @@ fn bit_length(max: u64) -> u32 {
 }
 
 /// [`DelayBalancedTree::child_interval_into`] on the grid `sizes`.
-fn child_interval_into(
+pub(crate) fn child_interval_into(
     sizes: &[usize],
     right: bool,
     lo: &[usize],
@@ -1041,26 +1149,54 @@ mod tests {
         tree.split_point_into(0, &mut [0; 2]);
     }
 
-    /// Pruning with every internal node held keeps the tree bit for bit;
-    /// with none held, the root is a one-bit leaf and no `β` is left. The
-    /// build's work counts carry over either way.
+    /// One splitter serves both builds, and the tree it writes does not
+    /// depend on the order nodes were split in: split depth-first, the
+    /// right child first, every node at or above its threshold gives the
+    /// breadth-first build bit for bit, with the same work count; splitting
+    /// none leaves the root a one-bit leaf with no `β`, its cost counted.
     #[test]
-    fn pruning_keeps_all_or_leaves_the_root() {
+    fn splitting_every_node_or_none_writes_the_whole_tree_or_a_root_leaf() {
         let est = running_estimator();
         for tau in [1.0, 2.0, 4.0] {
-            let build = || DelayBalancedTree::build(&est, tau).unwrap();
-            let (tree, n) = (build(), build().num_internal());
-            let all = build().prune(&vec![true; n]);
+            let tree = DelayBalancedTree::build(&est, tau).unwrap();
+            let mut build = TreeBuild::new(&est, tau).unwrap();
+            let mu = build.sizes().len();
+            let (mut stack, mut beta) = (vec![(Place::ROOT, build.root_interval())], Vec::new());
+            while let Some((at, interval)) = stack.pop() {
+                if !build.cost(at.level, &interval) {
+                    continue;
+                }
+                for (right, child) in [false, true]
+                    .into_iter()
+                    .zip(build.split(at, &interval, &mut beta))
+                {
+                    let mut bounds = Vec::new();
+                    let FInterval { lo, hi } = &interval;
+                    if let Some(child) = child {
+                        child_interval_into(build.sizes(), right, lo, hi, &beta, &mut bounds);
+                        let (lo, hi) = bounds.split_at(mu);
+                        let (lo, hi) = (lo.to_vec(), hi.to_vec());
+                        stack.push((child, FInterval { lo, hi }));
+                    }
+                }
+            }
+            let all = build.finish();
             assert_eq!((all.len(), all.depth()), (tree.len(), tree.depth()));
             assert_eq!(all.deepest_internal, tree.deepest_internal);
             assert_eq!(all.internal.len(), tree.internal.len());
             assert!((0..tree.num_slots()).all(|w| all.internal.get(w) == tree.internal.get(w)));
             assert_eq!(all.beta.len(), tree.beta.len(), "τ={tau}");
             assert!((0..tree.beta.len()).all(|b| all.beta.bits_at(b, 1) == tree.beta.bits_at(b, 1)));
-            let none = build().prune(&vec![false; n]);
+            assert_eq!(all.build_count_probes(), tree.build_count_probes());
+
+            let mut root_only = TreeBuild::new(&est, tau).unwrap();
+            let root = root_only.root_interval();
+            assert!(root_only.cost(0, &root), "τ={tau}: the root is internal");
+            let none = root_only.finish();
             assert_eq!((none.len(), none.num_internal(), none.depth()), (1, 0, 0));
             assert_eq!((none.beta_levels(), none.beta.len()), (0, 0));
-            assert_eq!(none.build_count_probes(), tree.build_count_probes());
+            let probes = none.build_count_probes();
+            assert!(0 < probes && probes < tree.build_count_probes(), "τ={tau}");
         }
     }
 
@@ -1084,8 +1220,8 @@ mod tests {
     /// The stored tree is the slot bits and `β` only; the walk must give
     /// back everything the build knew. Over random triangle / star / path
     /// instances (µ = 1, 2, 3) and three τ, the cursor reproduces each
-    /// node's slot, level, interval and `T` exactly as the build observed
-    /// them, in the build's (ascending slot) order — through every child
+    /// node's level, interval and `T` exactly as the build observed them,
+    /// in the build's order, which is ascending slot order — through every child
     /// shape: both children,
     /// only a left one (`β = hi`), only a right one (`β = lo`), an
     /// internal node with neither, and a tree that is one leaf.
@@ -1138,19 +1274,19 @@ mod tests {
                     .max(1.0);
                     let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
                     for tau in [1.0, 8.0, 1024.0] {
-                        let mut seen: Vec<(Cursor, FInterval, f64)> = Vec::new();
+                        let mut seen: Vec<(u16, FInterval, f64)> = Vec::new();
                         let tree =
-                            DelayBalancedTree::build_observed(&est, tau, |c, interval, t| {
-                                seen.push((c, interval.clone(), t))
+                            DelayBalancedTree::build_observed(&est, tau, |level, interval, t| {
+                                seen.push((level, interval.clone(), t))
                             })
                             .unwrap();
                         let ctx = format!("{query} {pattern} seed {seed} τ={tau}");
                         assert_eq!(seen.len(), tree.len(), "{ctx}");
                         let (mut walked, mut last) = (0, None);
-                        for (c, (built, interval, t)) in tree.cursors().zip(&seen) {
+                        for (c, (level, interval, t)) in tree.cursors().zip(&seen) {
                             assert!(last < Some(c.node), "{ctx}: ids ascend");
                             last = Some(c.node);
-                            assert_eq!(c, *built, "{ctx}");
+                            assert_eq!(c.level, *level, "{ctx}");
                             assert_eq!(tree.interval(c), *interval, "{ctx} node {walked}");
                             assert_eq!(t_at(&est, &tree, c), *t, "{ctx} node {walked}");
                             let node = children(&tree, c);
@@ -1176,7 +1312,7 @@ mod tests {
                         shapes[4] += usize::from(tree.len() == 1);
                         assert_eq!(
                             tree.depth(),
-                            seen.iter().map(|(c, _, _)| c.level).max().unwrap()
+                            seen.iter().map(|&(level, _, _)| level).max().unwrap()
                         );
                     }
                 }

@@ -58,8 +58,8 @@
 //! memory layout").
 
 use crate::cost::CostEstimator;
-use crate::dbtree::{Cursor, DelayBalancedTree, Node};
-use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox, FInterval};
+use crate::dbtree::{child_interval_into, Cursor, DelayBalancedTree, Node, Place, TreeBuild};
+use crate::fbox::{CanonicalBox, FInterval};
 use cqc_common::heap::HeapSize;
 use cqc_common::metrics::{self, BuildPhase};
 use cqc_common::packed::{Packed, RankedBits};
@@ -240,53 +240,81 @@ pub struct HeavyDictionary {
 }
 
 impl HeavyDictionary {
-    /// Builds the dictionary for a delay-balanced tree.
+    /// Builds the delay-balanced tree and its dictionary together: the
+    /// tree as Algorithm 2 can reach it (module docs of `dbtree`), split
+    /// only where the dictionary's walk goes. `None` when some free
+    /// variable has an empty active domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tau < 1`.
     pub fn build(
         plan: &ViewPlan,
         est: &CostEstimator,
-        tree: &DelayBalancedTree,
-    ) -> HeavyDictionary {
-        HeavyDictionary::build_observed(plan, est, tree, |_| true, |_, _, _| {})
+        tau: f64,
+    ) -> Option<(DelayBalancedTree, HeavyDictionary)> {
+        HeavyDictionary::build_reaching(plan, est, tau, |_| true)
     }
 
-    /// [`HeavyDictionary::build`], and which internal nodes hold an entry:
-    /// `held[r]` for the node of rank `r` — what
-    /// [`DelayBalancedTree::prune`] keeps.
-    ///
-    /// `reaches(row)` says whether an answer (`[bound | free]`, in level
-    /// order) reaches the output. In a view of its own every answer does;
-    /// in a Theorem 2 bag only one that extends into every child subtree
-    /// does (Algorithm 4), and the probe that tells is run, and counted,
-    /// for every answer of a capped run, as Algorithm 5 runs it at a `⊥`
-    /// node. An answer that does not reach the output is no answer: it
-    /// neither makes a pair light by work nor sets its bit.
-    pub fn build_held(
+    /// [`HeavyDictionary::build`] where `reaches(row)` says whether an
+    /// answer (`[bound | free]`, in level order) reaches the output. In a
+    /// view of its own every answer does; in a Theorem 2 bag only one that
+    /// extends into every child subtree does (Algorithm 4), and the probe
+    /// that tells is run, and counted, for every answer of a capped run, as
+    /// Algorithm 5 runs it at a `⊥` node. An answer that does not reach the
+    /// output is no answer: it neither makes a pair light by work nor sets
+    /// its bit.
+    pub(crate) fn build_reaching(
         plan: &ViewPlan,
         est: &CostEstimator,
-        tree: &DelayBalancedTree,
+        tau: f64,
         reaches: impl FnMut(&[Value]) -> bool,
-    ) -> (HeavyDictionary, Vec<bool>) {
-        let mut held = vec![false; tree.num_internal()];
-        let dict = HeavyDictionary::build_observed(plan, est, tree, reaches, |r, _, _| {
-            held[r as usize] = true;
-        });
-        (dict, held)
+    ) -> Option<(DelayBalancedTree, HeavyDictionary)> {
+        HeavyDictionary::build_observed(plan, est, tau, reaches, |_, _, _| {})
     }
 
-    /// [`HeavyDictionary::build`], reporting each pair as it is stored:
-    /// `stored(r, v_b, first)`, where `r` is the node's internal rank and
-    /// `first` the witness the bit was decided from — the first answer of
-    /// `(⋈ R_F(v_b)) ⋉ I(w)` that `reaches` the output (as in
-    /// [`HeavyDictionary::build_held`]), `None` for a `0` bit.
+    /// [`HeavyDictionary::build_reaching`], reporting each pair as it is
+    /// stored: `stored(I(w), v_b, first)`, where `first` is the witness the
+    /// bit was decided from — the first answer of `(⋈ R_F(v_b)) ⋉ I(w)`
+    /// that `reaches` the output, `None` for a `0` bit.
     fn build_observed(
         plan: &ViewPlan,
         est: &CostEstimator,
-        tree: &DelayBalancedTree,
-        mut reaches: impl FnMut(&[Value]) -> bool,
-        mut stored: impl FnMut(u32, &[Value], Option<&[Value]>),
-    ) -> HeavyDictionary {
+        tau: f64,
+        reaches: impl FnMut(&[Value]) -> bool,
+        stored: impl FnMut(&FInterval, &[Value], Option<&[Value]>),
+    ) -> Option<(DelayBalancedTree, HeavyDictionary)> {
         let t_build = Instant::now();
-        let sizes = est.sizes();
+        let mut tree = TreeBuild::new(est, tau)?;
+        let root = tree.root_interval();
+        // A root leaf (τ at or above `T(root)`, e.g. τ = ∞: the §2.3
+        // direct-evaluation extreme) is `⊥` for every valuation, so no root
+        // candidate can ever be used: neither joined nor kept.
+        let built = if tree.cost(0, &root) {
+            let dict = HeavyDictionary::walk_splitting(plan, est, &mut tree, root, reaches, stored);
+            (tree.finish(), dict)
+        } else {
+            (tree.finish(), HeavyDictionary::empty())
+        };
+        metrics::record_build_phase(BuildPhase::Dictionary, t_build.elapsed().as_nanos() as u64);
+        Some(built)
+    }
+
+    /// The dictionary's walk over `tree`, whose root, over `root`, is
+    /// costed and internal: it costs every other node it reaches, and
+    /// splits and keeps the ones that hold an entry.
+    fn walk_splitting(
+        plan: &ViewPlan,
+        est: &CostEstimator,
+        tree: &mut TreeBuild<'_>,
+        root: FInterval,
+        mut reaches: impl FnMut(&[Value]) -> bool,
+        mut stored: impl FnMut(&FInterval, &[Value], Option<&[Value]>),
+    ) -> HeavyDictionary {
+        let sizes = tree.sizes().to_vec();
+        // The node under the walk, its interval and split point.
+        let mut interval = root;
+        let mut beta = Vec::with_capacity(sizes.len());
         let doms = est.domains();
         let nb = plan.num_bound;
         let levels = plan.num_levels();
@@ -311,12 +339,7 @@ impl HeavyDictionary {
         //    of Algorithm 3 costs a full worst-case-join per level). One
         //    join is constructed and re-seeded per box via
         //    `LeapfrogJoin::reset`, mirroring the serve-side reuse.
-        // The endpoints of the node under the walk, carried down per visit
-        // (here: the root's, the full grid), and its split point.
-        let FInterval { mut lo, mut hi } = tree.root_interval();
-        let mut beta = lo.clone();
-        let mut boxes = BoxList::new();
-        box_decomposition_ranks(&lo, &hi, &sizes, &mut boxes);
+        //    The root's boxes are the ones its split costed.
         let (num_cands, cand_values) = if nb == 0 {
             (1, Vec::new())
         } else {
@@ -325,7 +348,7 @@ impl HeavyDictionary {
             let mut raw: Vec<Value> = Vec::new();
             let mut join = plan.join_subset(&bound_atoms, vec![LevelConstraint::Fixed(0); levels]);
             let mut cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
-            for b in boxes.as_slice() {
+            for b in tree.boxes() {
                 cons.clear();
                 cons.resize(nb, LevelConstraint::Free);
                 free_constraints_into(doms, b, levels - nb, &mut cons);
@@ -378,20 +401,23 @@ impl HeavyDictionary {
             }));
         }
 
-        // 2. DFS in left-first pre-order. An internal node evaluates
-        //    `T(v_b, I(w))` for the candidates its parent stored as `1`,
-        //    runs the heavy ones' capped joins, stores those not light by
-        //    work with their emptiness bit and passes its `1`s down.
-        //    Three exact prunings keep that cheap (docs/ARCHITECTURE.md,
-        //    "Theorem 1 build"):
+        // 2. DFS in left-first pre-order. A node is costed when the walk
+        //    reaches it. An internal node evaluates `T(v_b, I(w))` for the
+        //    candidates its parent stored as `1`, runs the heavy ones'
+        //    capped joins, stores those not light by work with their
+        //    emptiness bit and passes its `1`s down; it is split
+        //    (Algorithm 1) and kept in the tree iff it stores an entry, and
+        //    the walk goes on to its children iff it stores a `1`. Three
+        //    exact prunings keep that cheap (docs/ARCHITECTURE.md, "Theorem
+        //    1 build"):
         //
         //    * unreachable below a light pair or a `0` — Algorithm 2
         //      recurses only on a stored `1`, so a candidate light at a
         //      node (by Def. 3 or by work), or stored there as `0`, is
-        //      never read at its descendants, and is dropped;
+        //      never read at its descendants, and is dropped; nor is a
+        //      node below one that stores no `1` ever costed;
         //    * leaves evaluate nothing — `T(v_b, I(w)) ≤ T(I(w)) < τ_ℓ`
-        //      there, so a leaf has no heavy pair, and a subtree no
-        //      candidate reaches is not walked;
+        //      there, so a leaf has no heavy pair;
         //    * witness inheritance — each survivor below the root carries
         //      the lexicographically first answer of `(⋈ R_F(v_b)) ⋉ I(w)`
         //      (its parent stores it as `1`), and a child derives its own
@@ -413,7 +439,7 @@ impl HeavyDictionary {
         let mut num_roots = 0;
         let mut probe_join = plan.join(vec![LevelConstraint::Fixed(0); levels]);
         // The view's τ, not τ_ℓ: a ⊥ node serves within it at every level.
-        let cap = LIGHT_WORK_CAP * tree.tau;
+        let cap = LIGHT_WORK_CAP * tree.tau();
         let mut probe_cons: Vec<LevelConstraint> = Vec::with_capacity(levels);
         // Per box (stride `nw`): `Some(count)` for candidate-independent
         // atoms, `None` for the per-candidate ones; `box_dead` marks boxes
@@ -432,21 +458,20 @@ impl HeavyDictionary {
         // (The root's side is never read: it knows no first answer and its
         // entries are nobody's children.) Each pending node's interval is
         // `2µ` ranks in `bounds`, in stack order.
-        let mut stack: Vec<(Cursor, Side, Rc<Survivors>)> = vec![(tree.root(), Side::Left, all)];
-        let mut bounds: Vec<usize> = lo.iter().chain(&hi).copied().collect();
-        while let Some((c, side, cands)) = stack.pop() {
+        let mut stack: Vec<(Place, Side, Rc<Survivors>)> = vec![(Place::ROOT, Side::Left, all)];
+        let mut bounds: Vec<usize> = interval.lo.iter().chain(&interval.hi).copied().collect();
+        while let Some((place, side, cands)) = stack.pop() {
             let at = bounds.len() - 2 * mu;
-            lo.copy_from_slice(&bounds[at..at + mu]);
-            hi.copy_from_slice(&bounds[at + mu..]);
+            interval.lo.copy_from_slice(&bounds[at..at + mu]);
+            interval.hi.copy_from_slice(&bounds[at + mu..]);
             bounds.truncate(at);
-            let node = tree.node(c, &lo, &hi, &mut beta);
-            let Some(rank) = node.internal else {
+            // The root was costed before its candidates were found.
+            let is_root = place.level == 0;
+            if !is_root && !tree.cost(place.level, &interval) {
                 continue; // a leaf: no heavy pair
-            };
-            let is_root = c.level == 0;
-            let threshold = tree.threshold_of(c.level);
-            box_decomposition_ranks(&lo, &hi, &sizes, &mut boxes);
-            let boxes = boxes.as_slice();
+            }
+            let threshold = tree.threshold_of(place.level);
+            let boxes = tree.boxes();
             free_counts.clear();
             box_dead.clear();
             for b in boxes {
@@ -465,14 +490,9 @@ impl HeavyDictionary {
                 box_dead.push(dead);
             }
             lo_vals.clear();
-            lo_vals.extend(lo.iter().zip(doms).map(|(&r, d)| d.value(r)));
+            lo_vals.extend(interval.lo.iter().zip(doms).map(|(&r, d)| d.value(r)));
             hi_vals.clear();
-            hi_vals.extend(hi.iter().zip(doms).map(|(&r, d)| d.value(r)));
-            let children = [(node.right, Side::Right), (node.left, Side::Left)];
-            // Only internal children read the survivor list.
-            let pass_down = children
-                .iter()
-                .any(|(c, _)| c.is_some_and(|c| !tree.is_leaf(c.node)));
+            hi_vals.extend(interval.hi.iter().zip(doms).map(|(&r, d)| d.value(r)));
             let mut survivors = Survivors::default();
             let run_start = parent.len();
             work.evaluations += cands.ids.len() as u64;
@@ -563,7 +583,7 @@ impl HeavyDictionary {
                     continue;
                 }
                 let bit = witness == Witness::First;
-                stored(rank, cand(ci), bit.then_some(&first));
+                stored(&interval, cand(ci), bit.then_some(&first));
                 let e = u32::try_from(parent.len()).expect("entry numbers fit in u32");
                 parent.push(if is_root { e } else { cands.entries[k] });
                 if e % 64 == 0 {
@@ -573,26 +593,32 @@ impl HeavyDictionary {
                 if is_root {
                     root_values.extend_from_slice(cand(ci));
                 }
-                if pass_down && bit {
+                if bit {
                     survivors.ids.push(ci);
                     survivors.entries.push(e);
                     survivors.first.extend_from_slice(&first);
                 }
             }
+            if parent.len() == run_start {
+                continue; // no entry: a leaf of the stored tree
+            }
             if is_root {
                 num_roots = parent.len();
-            } else if parent.len() > run_start {
+            } else {
                 runs.push(Run {
                     start: run_start as u32,
-                    level: c.level,
+                    level: place.level,
                     side,
                 });
             }
+            let [left, right] = tree.split(place, &interval, &mut beta);
             if !survivors.ids.is_empty() {
                 let survivors = Rc::new(survivors);
-                for (child, side) in children {
+                for (child, side) in [(right, Side::Right), (left, Side::Left)] {
                     if let Some(child) = child {
-                        tree.child_interval_into(side == Side::Right, &lo, &hi, &beta, &mut bounds);
+                        let FInterval { lo, hi } = &interval;
+                        let right = side == Side::Right;
+                        child_interval_into(&sizes, right, lo, hi, &beta, &mut bounds);
                         stack.push((child, side, Rc::clone(&survivors)));
                     }
                 }
@@ -617,7 +643,8 @@ impl HeavyDictionary {
         }
         // Entries of the level above, by number.
         let mut above = 0..num_roots;
-        for level in 1..=tree.depth() {
+        let depth = runs.iter().map(|r| r.level).max().unwrap_or(0);
+        for level in 1..=depth {
             let mut count = 0;
             for (i, run) in runs.iter().enumerate().filter(|(_, r)| r.level == level) {
                 for d in run.start as usize..run_end(i) {
@@ -656,7 +683,6 @@ impl HeavyDictionary {
             ),
             work,
         };
-        metrics::record_build_phase(BuildPhase::Dictionary, t_build.elapsed().as_nanos() as u64);
         HeavyDictionary {
             keys: Arc::new(keys),
             bits,
@@ -986,6 +1012,14 @@ mod tests {
     use crate::theorem1::Theorem1Structure;
     use cqc_common::AnswerBlock;
 
+    /// The dictionary of the build at `τ`. The tests read it against the
+    /// whole tree ([`DelayBalancedTree::build`]): an entry is named by the
+    /// sides on its node's path, never by a slot, so any tree that holds
+    /// its nodes reads it as the stored one does.
+    fn dictionary(plan: &ViewPlan, est: &CostEstimator, tau: f64) -> HeavyDictionary {
+        HeavyDictionary::build(plan, est, tau).unwrap().1
+    }
+
     /// The internal nodes' cursors, by rank: what an entry's row names.
     fn internal_cursors(tree: &DelayBalancedTree) -> Vec<Cursor> {
         tree.cursors().filter(|c| !tree.is_leaf(c.node)).collect()
@@ -1089,7 +1123,7 @@ mod tests {
         let mut stored_total = Vec::new();
         for tau in [1.0, 2.0, 4.0] {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
-            let dict = HeavyDictionary::build(&plan, &est, &tree);
+            let dict = dictionary(&plan, &est, tau);
             let s = Theorem1Structure::build(&view, &db, &[1.0; 3], tau).unwrap();
             let parent = parents(&tree);
             let mut stored_here = 0;
@@ -1190,7 +1224,7 @@ mod tests {
         let plan = ViewPlan::build(&view, &db).unwrap();
         for tau in [1.0, 2.0, 4.0] {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
-            let dict = HeavyDictionary::build(&plan, &est, &tree);
+            let dict = dictionary(&plan, &est, tau);
             let internal = internal_cursors(&tree);
             for (w, vb, bit) in dict.entries(&tree) {
                 let interval = tree.interval(internal[w as usize]);
@@ -1242,29 +1276,33 @@ mod tests {
         let plan = ViewPlan::build(&view, &db).unwrap();
         for (weights, alpha, tau) in [([0.5; 3], 1.0, 1.0), ([1.0; 3], 2.0, 1.0)] {
             let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
-            let tree = DelayBalancedTree::build(&est, tau).unwrap();
-            let mut seen: Vec<(u32, Vec<Value>, Option<Vec<Value>>)> = Vec::new();
-            let dict = HeavyDictionary::build_observed(
+            let mut seen: Vec<(FInterval, Vec<Value>, Option<Vec<Value>>)> = Vec::new();
+            let (tree, dict) = HeavyDictionary::build_observed(
                 &plan,
                 &est,
-                &tree,
+                tau,
                 |_| true,
-                |w, vb, first| {
-                    seen.push((w, vb.to_vec(), first.map(<[Value]>::to_vec)));
+                |interval, vb, first| {
+                    seen.push((interval.clone(), vb.to_vec(), first.map(<[Value]>::to_vec)));
                 },
-            );
+            )
+            .unwrap();
             assert_eq!(seen.len(), dict.num_entries());
-            // The build reports in walk order; `entries` by rank.
-            seen.sort_by_key(|&(w, _, _)| w);
-            let internal = internal_cursors(&tree);
+            // The build reports in walk order, which is the stored tree's.
+            let mut walked = Vec::new();
+            dict.walk(&tree, |step| {
+                for e in step.entries {
+                    walked.push((step.interval.clone(), dict.cand(e.cand), dict.bit(e.entry)));
+                }
+                true
+            });
             let mut zeros = 0;
-            for ((w, vb, first), (ew, evb, bit)) in seen.iter().zip(dict.entries(&tree)) {
+            for ((interval, vb, first), (w, evb, bit)) in seen.iter().zip(walked) {
                 assert_eq!(
-                    (*w, &vb[..]),
-                    (ew, &evb[..]),
+                    (interval, &vb[..]),
+                    (&w, &evb[..]),
                     "the same pairs, node by node"
                 );
-                let interval = tree.interval(internal[*w as usize]);
                 // The oracle emits in lexicographic order.
                 let expect = cqc_join::naive::evaluate_view(&view, &db, vb)
                     .unwrap()
@@ -1277,8 +1315,12 @@ mod tests {
                             .collect();
                         interval.contains(&ranks)
                     });
-                assert_eq!(first, &expect, "α={alpha} node {w} v_b={vb:?}");
-                assert_eq!(bit, expect.is_some(), "α={alpha} node {w} v_b={vb:?}");
+                assert_eq!(first, &expect, "α={alpha} I(w)={interval:?} v_b={vb:?}");
+                assert_eq!(
+                    bit,
+                    expect.is_some(),
+                    "α={alpha} I(w)={interval:?} v_b={vb:?}"
+                );
                 zeros += usize::from(!bit);
             }
             assert!(
@@ -1311,8 +1353,7 @@ mod tests {
         let plan = ViewPlan::build(&view, &db).unwrap();
         let est = CostEstimator::build(&view, &db, &[0.5; 3], 1.0).unwrap();
         for tau in [1.0, 2.0, 8.0] {
-            let tree = DelayBalancedTree::build(&est, tau).unwrap();
-            let dict = HeavyDictionary::build(&plan, &est, &tree);
+            let dict = dictionary(&plan, &est, tau);
             let work = dict.build_work();
             let (cands, entries) = (work.candidates, dict.num_entries() as u64);
             let ones = (0..entries as u32).filter(|&e| dict.bit(e)).count() as u64;
@@ -1329,10 +1370,7 @@ mod tests {
                 work.probes
             );
             // The counts are a function of the instance alone.
-            assert_eq!(
-                HeavyDictionary::build(&plan, &est, &tree).build_work(),
-                work
-            );
+            assert_eq!(dictionary(&plan, &est, tau).build_work(), work);
         }
     }
 
@@ -1347,7 +1385,7 @@ mod tests {
         let plan = ViewPlan::build(&view, &db).unwrap();
         let est = CostEstimator::build(&view, &db, &[0.5; 3], 1.0).unwrap();
         let tree = DelayBalancedTree::build(&est, 8.0).unwrap();
-        let dict = HeavyDictionary::build(&plan, &est, &tree);
+        let dict = dictionary(&plan, &est, 8.0);
         let mut named: Vec<Vec<Value>> = dict.entries(&tree).map(|(_, vb, _)| vb).collect();
         named.sort_unstable();
         named.dedup();
@@ -1379,7 +1417,7 @@ mod tests {
         let est = running_estimator();
         let plan = ViewPlan::build(&view, &db).unwrap();
         let tree = DelayBalancedTree::build(&est, 1.0).unwrap();
-        let mut dict = HeavyDictionary::build(&plan, &est, &tree);
+        let mut dict = dictionary(&plan, &est, 1.0);
         let before = snapshot(&dict, &tree);
         assert!(!before.is_empty());
 
@@ -1393,8 +1431,7 @@ mod tests {
         let (view, db) = skewed_triangle(9, 500);
         let est = CostEstimator::build(&view, &db, &[0.5; 3], 1.0).unwrap();
         let skewed_tree = DelayBalancedTree::build(&est, 8.0).unwrap();
-        let skewed =
-            HeavyDictionary::build(&ViewPlan::build(&view, &db).unwrap(), &est, &skewed_tree);
+        let skewed = dictionary(&ViewPlan::build(&view, &db).unwrap(), &est, 8.0);
         let stored = snapshot(&skewed, &skewed_tree);
         let (rank, light) = (0..skewed_tree.num_internal() as u32)
             .flat_map(|r| stored.iter().map(move |(_, vb, _)| (r, vb.clone())))
@@ -1435,8 +1472,7 @@ mod tests {
     fn a_bit_past_the_last_entry_panics() {
         let (view, db) = running_example();
         let est = running_estimator();
-        let tree = DelayBalancedTree::build(&est, 1.0).unwrap();
-        let dict = HeavyDictionary::build(&ViewPlan::build(&view, &db).unwrap(), &est, &tree);
+        let dict = dictionary(&ViewPlan::build(&view, &db).unwrap(), &est, 1.0);
         assert!(dict.num_entries() % 64 != 0, "the last word has padding");
         dict.bit(dict.num_entries() as u32);
     }
@@ -1447,8 +1483,7 @@ mod tests {
     fn flipping_past_the_last_entry_panics() {
         let (view, db) = running_example();
         let est = running_estimator();
-        let tree = DelayBalancedTree::build(&est, 4.0).unwrap();
-        let mut dict = HeavyDictionary::build(&ViewPlan::build(&view, &db).unwrap(), &est, &tree);
+        let mut dict = dictionary(&ViewPlan::build(&view, &db).unwrap(), &est, 4.0);
         dict.flip(dict.num_entries() as u32, true);
     }
 
@@ -1598,7 +1633,7 @@ mod tests {
         let plan = ViewPlan::build(&view, &db).unwrap();
         for tau in [1.0f64, 2.0, 4.0, 8.0] {
             let tree = DelayBalancedTree::build(&est, tau).unwrap();
-            let dict = HeavyDictionary::build(&plan, &est, &tree);
+            let dict = dictionary(&plan, &est, tau);
             let product = 5.0f64 * 5.0 * 5.0; // Π|R_F| with u = (1,1,1)
             let alpha = 2.0;
             let mu = 3.0f64;

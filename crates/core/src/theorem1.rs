@@ -99,7 +99,7 @@ impl Theorem1Structure {
     /// `reaches` accepts its `[bound | free]` row: a Theorem 2 bag's answer
     /// that extends into every child subtree. The dictionary's bits and
     /// its light-by-work verdicts are then about the answers Algorithm 5
-    /// emits, not the bag's own (`HeavyDictionary::build_held`).
+    /// emits, not the bag's own (`HeavyDictionary::build_reaching`).
     pub(crate) fn build_reaching(
         view: &AdornedView,
         db: &Database,
@@ -149,21 +149,14 @@ impl Theorem1Structure {
         let mut est = CostEstimator::build_pooled(view, db, weights, alpha, pool)?;
         let plan = ViewPlan::build_pooled(view, db, pool)?;
         let sizes = est.sizes();
-        let tree = DelayBalancedTree::build(&est, tau);
-        est.release_tree_side();
-        // A root leaf (τ at or above `T(root)`, e.g. τ = ∞: the §2.3
-        // direct-evaluation extreme) is `⊥` for every valuation, so no
-        // root candidate can ever be used: neither joined nor kept. Else
-        // the tree keeps only what Algorithm 2 can reach: the nodes that
-        // hold an entry, and their children.
-        let (tree, dict) = match tree {
-            Some(t) if t.deepest_internal_level().is_some() => {
-                let (dict, held) = HeavyDictionary::build_held(&plan, &est, &t, reaches);
-                (Some(t.prune(&held)), dict)
-            }
-            t => (t, HeavyDictionary::empty()),
+        // The tree is split as the dictionary's walk reaches it, and keeps
+        // only what Algorithm 2 can reach: the nodes that hold an entry,
+        // and their children (`HeavyDictionary::build_reaching`).
+        let (tree, dict) = match HeavyDictionary::build_reaching(&plan, &est, tau, reaches) {
+            Some((tree, dict)) => (Some(Arc::new(tree)), dict),
+            None => (None, HeavyDictionary::empty()),
         };
-        let tree = tree.map(Arc::new);
+        est.release_tree_side();
         Ok(Theorem1Structure {
             view: view.clone(),
             plan,
@@ -393,7 +386,7 @@ impl SpaceBreakdown {
 #[derive(Debug, Clone, Copy)]
 pub struct Theorem1Stats {
     /// Stored nodes of the delay-balanced tree: those Algorithm 2 can
-    /// reach (see [`DelayBalancedTree::prune`]).
+    /// reach (see [`HeavyDictionary::build`]).
     pub tree_nodes: usize,
     /// Of them leaves: one bit each, no row.
     pub tree_leaves: usize,
@@ -411,9 +404,11 @@ pub struct Theorem1Stats {
     /// Root candidate valuations (Prop. 13) the dictionary build started
     /// from.
     pub dict_candidates: usize,
-    /// Build work, tree: count-index probes, the build's, before pruning
-    /// (deterministic, like the three dictionary counts below; a
-    /// maintained structure reports the build its layout came from).
+    /// Build work, tree: count-index probes of the splits the build made —
+    /// the leaf test at each node the dictionary's walk reached and
+    /// Algorithm 1 at each node it kept, not at every node of the whole
+    /// tree (deterministic, like the dictionary counts below; a maintained
+    /// structure reports the build its layout came from).
     pub tree_count_probes: u64,
     /// Build work, dictionary: `(candidate, node)` pairs whose
     /// `T(v_b, I(w))` was evaluated.
@@ -1334,9 +1329,12 @@ pub(crate) mod tests {
     /// node that holds no entry cut, node for node: the same nodes in the
     /// same slot order, each at its level and interval, with its split
     /// point where it holds an entry and none where it holds none. The
-    /// oracle is `DelayBalancedTree::build` with the dictionary built over
-    /// it, cut by a walk; over the triangle at three patterns and three τ
-    /// and a star.
+    /// oracle is `DelayBalancedTree::build`, the whole tree, cut below
+    /// every node that is not a stored node holding an entry (matched by
+    /// level and interval); over the triangle at three patterns and three
+    /// τ and a star. The build splits only the nodes its walk reaches, so
+    /// it spends no more count probes than the whole tree, and at τ = 2 at
+    /// most a third of them.
     #[test]
     fn the_stored_tree_is_the_built_tree_cut_below_entryless_nodes() {
         use crate::cost::CostEstimator;
@@ -1368,15 +1366,30 @@ pub(crate) mod tests {
             let s = Theorem1Structure::build(&view, db, &weights, tau).unwrap();
             let est = CostEstimator::build(&view, db, &weights, s.alpha()).unwrap();
             let built = DelayBalancedTree::build(&est, tau).unwrap();
-            let dict = HeavyDictionary::build(&ViewPlan::build(&view, db).unwrap(), &est, &built);
-            // The built tree's slots that hold an entry.
-            let mut held = BTreeSet::new();
-            dict.walk(&built, |step| {
+            let stored = s.tree().unwrap();
+            // The stored nodes that hold an entry, by level and interval,
+            // and the whole tree's slots that are those nodes.
+            let mut holding = BTreeSet::new();
+            s.dictionary().walk(stored, |step| {
                 if !step.entries.is_empty() {
-                    held.insert(step.cursor.node);
+                    let FInterval { lo, hi } = step.interval.clone();
+                    holding.insert((step.cursor.level, lo, hi));
                 }
                 true
             });
+            let held: BTreeSet<u32> = built
+                .cursors()
+                .filter(|c| {
+                    let FInterval { lo, hi } = built.interval(*c);
+                    holding.contains(&(c.level, lo, hi))
+                })
+                .map(|c| c.node)
+                .collect();
+            assert_eq!(
+                held.len(),
+                holding.len(),
+                "{ctx}: each one is a node of the whole tree"
+            );
             // Slot order is parents first: a node is kept iff the root, or
             // its parent is kept and holds an entry.
             let mut kept = BTreeSet::from([0]);
@@ -1399,14 +1412,25 @@ pub(crate) mod tests {
                 let beta = built.beta(c.node).filter(|_| holds);
                 expect.push((c.level, FInterval { lo, hi }, beta));
             }
-            let stored = s.tree().unwrap();
             let got: Vec<_> = stored
                 .cursors()
                 .map(|c| (c.level, stored.interval(c), stored.beta(c.node)))
                 .collect();
             assert_eq!(got, expect, "{ctx}");
             assert_eq!(stored.len(), expect.len(), "{ctx}");
-            assert_eq!(stored.build_count_probes(), built.build_count_probes());
+            // The build split only what its walk reached: never more than
+            // the whole tree, and at τ = 2 a third of it at most.
+            let (split, whole) = (stored.build_count_probes(), built.build_count_probes());
+            assert!(
+                split <= whole,
+                "{ctx}: {split} count probes, the whole tree's {whole}"
+            );
+            if tau == 2.0 {
+                assert!(
+                    3 * split <= whole,
+                    "{ctx}: {split} count probes, the whole tree's {whole}"
+                );
+            }
             // Every stored internal node holds an entry.
             s.dictionary().walk(stored, |step| {
                 assert_eq!(step.node.is_leaf(), step.entries.is_empty(), "{ctx}");

@@ -527,6 +527,7 @@ impl Theorem2Structure {
         let mut materialized_bytes = 0usize;
         let mut dict_entries = 0usize;
         let mut tradeoff_bags = 0usize;
+        let mut tree_count_probes = 0u64;
         for b in &self.bags {
             match &b.kind {
                 BagKind::Materialized(m) => {
@@ -536,6 +537,7 @@ impl Theorem2Structure {
                 BagKind::Tradeoff(t) => {
                     tradeoff_bags += 1;
                     dict_entries += t.dictionary().num_entries();
+                    tree_count_probes += t.tree().map_or(0, |tree| tree.build_count_probes());
                 }
             }
         }
@@ -545,6 +547,7 @@ impl Theorem2Structure {
             materialized_tuples,
             materialized_bytes,
             dict_entries,
+            tree_count_probes,
             heap_bytes: self.heap_bytes(),
             max_delta: self.delta.iter().copied().fold(0.0, f64::max),
         }
@@ -674,6 +677,9 @@ pub struct Theorem2Stats {
     pub materialized_bytes: usize,
     /// Total dictionary entries across Theorem 1 bags.
     pub dict_entries: usize,
+    /// Count-index probes the Theorem 1 bags' tree builds spent, summed
+    /// (see `Theorem1Stats::tree_count_probes`).
+    pub tree_count_probes: u64,
     /// Owned heap bytes.
     pub heap_bytes: usize,
     /// `max_t δ(t)`.
@@ -690,6 +696,7 @@ impl Theorem2Stats {
             materialized_tuples,
             materialized_bytes,
             dict_entries,
+            tree_count_probes,
             heap_bytes,
             max_delta: _,
         } = *self;
@@ -699,6 +706,7 @@ impl Theorem2Stats {
             ("materialized_tuples", materialized_tuples),
             ("materialized_bytes", materialized_bytes),
             ("dict_entries", dict_entries),
+            ("tree_count_probes", tree_count_probes as usize),
             ("heap_bytes", heap_bytes),
         ]
         .map(|(name, v)| (name, v as u64))

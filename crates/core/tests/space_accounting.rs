@@ -119,7 +119,6 @@ use cqc_common::heap::HeapSize;
 use cqc_common::packed::{width_for, Packed};
 use cqc_common::value::Value;
 use cqc_core::cost::CostEstimator;
-use cqc_core::dbtree::DelayBalancedTree;
 use cqc_core::dictionary::{Entry, HeavyDictionary};
 use cqc_core::fbox::FInterval;
 use cqc_core::theorem1::Theorem1Structure;
@@ -254,13 +253,10 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
         let est = CostEstimator::build(&view, &db, &weights, alpha).unwrap();
         let plan = ViewPlan::build(&view, &db).unwrap();
 
-        // The tree as the structure stores it: the build's, cut below every
-        // internal node that holds no entry.
+        // The tree as the structure stores it: split where the dictionary's
+        // walk goes, cut below every internal node that holds no entry.
         let before = live_bytes();
-        let tree = DelayBalancedTree::build(&est, tau).unwrap();
-        let (dict, held) = HeavyDictionary::build_held(&plan, &est, &tree, |_| true);
-        let tree = tree.prune(&held);
-        drop(held);
+        let (tree, dict) = HeavyDictionary::build(&plan, &est, tau).unwrap();
         let live = (live_bytes() - before) as f64;
 
         let (tree_bytes, dict_bytes) = (tree.heap_bytes(), dict.heap_bytes());
