@@ -26,7 +26,11 @@
 //! valuation when there are at most 25 000, else every dictionary candidate
 //! and a seeded sample) and the FNV-1a of the answer stream. exp8 adds
 //! Figure 3's nodes and exp9 the §6 covers: the only floats, at fixed
-//! precision.
+//! precision. exp1 and exp6 each add a maintenance walk: one Theorem 1
+//! row's structure absorbs 200 seeded mixed deltas through `maintain`, and
+//! every 50 deltas a row sets its bytes, dictionary entries and worst gap
+//! beside a fresh rebuild's, both streams checked equal and against the
+//! oracle.
 
 use cqc_bench::harness_main;
 use cqc_common::heap::HeapSize;
@@ -38,6 +42,7 @@ use cqc_core::compressed::{CompressedView, Strategy};
 use cqc_core::dbtree::DelayBalancedTree;
 use cqc_core::theorem1::Theorem1Structure;
 use cqc_core::theorem2::Theorem2Structure;
+use cqc_core::MaintainOutcome;
 use cqc_decomp::TreeDecomposition;
 use cqc_join::naive::evaluate_view;
 use cqc_lp::fractional::{min_delay_cover, min_space_cover};
@@ -101,7 +106,12 @@ impl Instance {
 
     /// Theorem 1 at cover `weights` and threshold `tau`.
     fn theorem1(&self, weights: &[f64], tau: f64) -> Res<CompressedView> {
-        Theorem1Structure::build(&self.view, &self.db, weights, tau)
+        self.theorem1_over(&self.db, weights, tau)
+    }
+
+    /// [`Instance::theorem1`] over another database of the same schema.
+    fn theorem1_over(&self, db: &Database, weights: &[f64], tau: f64) -> Res<CompressedView> {
+        Theorem1Structure::build(&self.view, db, weights, tau)
             .map(CompressedView::Tradeoff)
             .map_err(err)
     }
@@ -234,6 +244,23 @@ fn gap_requests(inst: &Instance, rep: &CompressedView) -> Res<Vec<Vec<Value>>> {
     Ok(requests)
 }
 
+/// The most work between two consecutive answers of `rep` over the
+/// [`gap_requests`] of `inst`.
+fn worst_gap(
+    inst: &Instance,
+    rep: &CompressedView,
+    enumerator: &mut cqc_core::ViewEnumerator<'_>,
+) -> Res<u64> {
+    let mut worst = 0u64;
+    for bound in gap_requests(inst, rep)? {
+        let mut sink = Gaps::start();
+        enumerator.answer_into(&bound, &mut sink).map_err(err)?;
+        sink.gap();
+        worst = worst.max(sink.max_gap);
+    }
+    Ok(worst)
+}
+
 /// The rows, each one line `"<key>": {…}`.
 #[derive(Default)]
 struct Ledger {
@@ -302,13 +329,7 @@ impl Ledger {
             fnv.word(sink.answers.len() as u64);
         }
         let enum_work = metrics::snapshot().delta_since(&before).work();
-        let mut worst_gap = 0u64;
-        for bound in gap_requests(inst, rep)? {
-            let mut sink = Gaps::start();
-            enumerator.answer_into(&bound, &mut sink).map_err(err)?;
-            sink.gap();
-            worst_gap = worst_gap.max(sink.max_gap);
-        }
+        let worst_gap = worst_gap(inst, rep, &mut enumerator)?;
 
         let mut fields = vec![
             ("D", inst.db.size().to_string()),
@@ -395,7 +416,14 @@ fn exp1_triangle(ledger: &mut Ledger) -> Res<()> {
             ratios,
         )?;
     }
-    Ok(())
+    let tau = n.sqrt();
+    maintenance_walk(
+        ledger,
+        &format!("{name}/theorem 1 tau=N^0.5"),
+        &inst,
+        "R",
+        |db| inst.theorem1_over(db, &[0.5; 3], tau),
+    )
 }
 
 /// A Theorem 1 row's counts over its bounds, at 3 decimals: `space_ratio`
@@ -432,6 +460,93 @@ fn theorem1_ratios(
     ]
     .map(|(name, ratio)| (name, format!("{ratio:.3}")))
     .into()
+}
+
+/// Deltas in a maintenance walk, and every how many a row is written.
+const WALK_DELTAS: usize = 200;
+const WALK_ROW_EVERY: usize = 50;
+
+/// Maintained against rebuilt: a seeded walk of [`WALK_DELTAS`] mixed
+/// deltas over `relation` (two recombined inserts and two domain-safe
+/// removes each) is absorbed delta by delta through `maintain`, starting
+/// from `build` over `inst`'s database. Every [`WALK_ROW_EVERY`] deltas a
+/// row `<key> maintained, delta <n>` holds the maintained structure's
+/// bytes, dictionary entries and worst gap beside those of a fresh
+/// `build` over the same database, after checking that both answer every
+/// request of `inst` with the same stream and that stream sorted is the
+/// naive join's.
+fn maintenance_walk(
+    ledger: &mut Ledger,
+    key: &str,
+    inst: &Instance,
+    relation: &str,
+    build: impl Fn(&Database) -> Res<CompressedView>,
+) -> Res<()> {
+    let mut rng = cqc_workload::rng(19);
+    let mut db = inst.db.clone();
+    let mut maintained = build(&db)?;
+    for step in 1..=WALK_DELTAS {
+        let delta = cqc_workload::mixed_delta(&mut rng, &db, &[relation], 2, 2);
+        db.apply(&delta).map_err(err)?;
+        maintained = match maintained.maintain(&inst.view, &db, &delta).map_err(err)? {
+            MaintainOutcome::Maintained { view, .. } => *view,
+            MaintainOutcome::Unaffected => maintained,
+            MaintainOutcome::NeedsRebuild { reason } => {
+                return Err(format!("{key}: delta {step} refused: {reason}"));
+            }
+        };
+        if step % WALK_ROW_EVERY != 0 {
+            continue;
+        }
+        let rebuilt = build(&db)?;
+        let now = Instance::new(inst.view.clone(), db.clone(), inst.requests.clone())?;
+        let mut fields = vec![("D".to_string(), db.size().to_string())];
+        let mut streams = Vec::new();
+        for (label, rep) in [("", &maintained), ("rebuilt_", &rebuilt)] {
+            let mut enumerator = rep.enumerator();
+            let mut stream = Vec::new();
+            for (bound, expected) in now.requests.iter().zip(&now.expected) {
+                let mut block = cqc_common::AnswerBlock::new();
+                enumerator.answer_into(bound, &mut block).map_err(err)?;
+                let mut answers = block.to_tuples();
+                stream.extend(answers.iter().cloned());
+                answers.sort_unstable();
+                if answers != *expected {
+                    return Err(format!(
+                        "{key}: {label}request {bound:?} after {step} deltas"
+                    ));
+                }
+            }
+            streams.push(stream);
+            let CompressedView::Tradeoff(s) = rep else {
+                unreachable!("a maintenance walk runs on Theorem 1")
+            };
+            let gap = worst_gap(&now, rep, &mut enumerator)?;
+            fields.extend(
+                [
+                    (label, "bytes", rep.heap_bytes().to_string()),
+                    (
+                        label,
+                        "dict_entries",
+                        s.dictionary().num_entries().to_string(),
+                    ),
+                    (label, "worst_gap_work", gap.to_string()),
+                ]
+                .map(|(label, name, v)| (format!("{label}{name}"), v)),
+            );
+        }
+        if streams[0] != streams[1] {
+            return Err(format!(
+                "{key}: maintained and rebuilt streams differ after {step} deltas"
+            ));
+        }
+        let fields: Vec<(&str, String)> = fields
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect();
+        ledger.row(&format!("{key} maintained, delta {step}"), &fields);
+    }
+    Ok(())
 }
 
 /// EXP-2: Prop. 1, all-bound views: Theorem 2 over the root bag `{V_b}`
@@ -533,7 +648,13 @@ fn exp6_set_intersection(ledger: &mut Ledger) -> Res<()> {
         let key = format!("exp6 set intersection, zipf(8, 4000, 150, 300)/theorem 1 tau={tau}");
         ledger.structure(&key, &inst, &rep, &[])?;
     }
-    Ok(())
+    maintenance_walk(
+        ledger,
+        "exp6 set intersection, zipf(8, 4000, 150, 300)/theorem 1 tau=8",
+        &inst,
+        "R",
+        |db| inst.theorem1_over(db, &[1.0, 1.0], 8.0),
+    )
 }
 
 /// EXP-7: Example 10, the path P_4^{bfffb}: Theorem 1 at the chain cover
