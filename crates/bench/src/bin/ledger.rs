@@ -40,8 +40,7 @@ use cqc_common::value::{Tuple, Value};
 use cqc_common::AnswerSink;
 use cqc_core::compressed::{CompressedView, Strategy};
 use cqc_core::dbtree::DelayBalancedTree;
-use cqc_core::theorem1::Theorem1Structure;
-use cqc_core::theorem2::Theorem2Structure;
+use cqc_core::theorem2::{Theorem2Iter, Theorem2Structure};
 use cqc_core::MaintainOutcome;
 use cqc_decomp::TreeDecomposition;
 use cqc_join::naive::evaluate_view;
@@ -111,9 +110,8 @@ impl Instance {
 
     /// [`Instance::theorem1`] over another database of the same schema.
     fn theorem1_over(&self, db: &Database, weights: &[f64], tau: f64) -> Res<CompressedView> {
-        Theorem1Structure::build(&self.view, db, weights, tau)
-            .map(CompressedView::Tradeoff)
-            .map_err(err)
+        let weights = Some(weights.to_vec());
+        CompressedView::build(&self.view, db, Strategy::Tradeoff { tau, weights }).map_err(err)
     }
 
     fn recipe(&self, strategy: Strategy) -> Res<CompressedView> {
@@ -226,7 +224,7 @@ fn gap_requests(inst: &Instance, rep: &CompressedView) -> Res<Vec<Vec<Value>>> {
             .collect());
     }
     let mut requests = Vec::new();
-    if let CompressedView::Tradeoff(s) = rep {
+    if let Some(s) = rep.theorem1() {
         let dict = s.dictionary();
         for c in 0..dict.num_candidates() as u32 {
             let mut vb = Vec::new();
@@ -246,11 +244,7 @@ fn gap_requests(inst: &Instance, rep: &CompressedView) -> Res<Vec<Vec<Value>>> {
 
 /// The most work between two consecutive answers of `rep` over the
 /// [`gap_requests`] of `inst`.
-fn worst_gap(
-    inst: &Instance,
-    rep: &CompressedView,
-    enumerator: &mut cqc_core::ViewEnumerator<'_>,
-) -> Res<u64> {
+fn worst_gap(inst: &Instance, rep: &CompressedView, enumerator: &mut Theorem2Iter<'_>) -> Res<u64> {
     let mut worst = 0u64;
     for bound in gap_requests(inst, rep)? {
         let mut sink = Gaps::start();
@@ -338,8 +332,8 @@ impl Ledger {
             ("nonempty", nonempty.to_string()),
             ("bytes", rep.heap_bytes().to_string()),
         ];
-        match rep {
-            CompressedView::Tradeoff(s) => {
+        match rep.theorem1() {
+            Some(s) => {
                 let st = s.stats();
                 fields.extend([
                     ("base_bytes", st.base_index_bytes.to_string()),
@@ -360,8 +354,8 @@ impl Ledger {
                     ("dict_light_by_work", st.dict_light_by_work.to_string()),
                 ]);
             }
-            CompressedView::Decomposed(s) => {
-                let st = s.stats();
+            None => {
+                let st = rep.stats();
                 fields.extend([
                     ("bag_bytes", st.materialized_bytes.to_string()),
                     ("bags", st.bags.to_string()),
@@ -370,7 +364,6 @@ impl Ledger {
                     ("dict_entries", st.dict_entries.to_string()),
                 ]);
             }
-            CompressedView::AlwaysEmpty(_) => return Err(format!("{key}: no structure built")),
         }
         fields.extend([
             ("enum_work", enum_work.to_string()),
@@ -438,9 +431,7 @@ fn theorem1_ratios(
     rep: &CompressedView,
     worst_gap: u64,
 ) -> Vec<(&'static str, String)> {
-    let CompressedView::Tradeoff(s) = rep else {
-        unreachable!("theorem1 builds a Theorem 1 structure")
-    };
+    let s = rep.theorem1().expect("theorem1 builds a Theorem 1 view");
     let product: f64 = (inst.view.query().atoms.iter())
         .zip(s.weights())
         .map(|(atom, &u)| {
@@ -518,18 +509,11 @@ fn maintenance_walk(
                 }
             }
             streams.push(stream);
-            let CompressedView::Tradeoff(s) = rep else {
-                unreachable!("a maintenance walk runs on Theorem 1")
-            };
             let gap = worst_gap(&now, rep, &mut enumerator)?;
             fields.extend(
                 [
                     (label, "bytes", rep.heap_bytes().to_string()),
-                    (
-                        label,
-                        "dict_entries",
-                        s.dictionary().num_entries().to_string(),
-                    ),
+                    (label, "dict_entries", rep.stats().dict_entries.to_string()),
                     (label, "worst_gap_work", gap.to_string()),
                 ]
                 .map(|(label, name, v)| (format!("{label}{name}"), v)),
@@ -578,7 +562,7 @@ fn exp3_factorized(ledger: &mut Ledger) -> Res<()> {
     let inst = Instance::new(view, db, vec![Vec::new()])?;
     let name = "exp3 star3 ffff, uniform(5, 400, 40)";
     let f = Theorem2Structure::build_constant_delay(&inst.view, &inst.db).map_err(err)?;
-    let f = CompressedView::Decomposed(f);
+    let f = CompressedView::from(f);
     ledger.structure(&format!("{name}/factorized (Prop 2)"), &inst, &f, &[])?;
     let m = inst.recipe(Strategy::Materialize)?;
     ledger.structure(&format!("{name}/materialize"), &inst, &m, &[])
@@ -618,9 +602,7 @@ fn exp5_star_slack(ledger: &mut Ledger) -> Res<()> {
         let inst = Instance::new(view, db, requests)?;
         for tau in [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0] {
             let rep = inst.theorem1(&vec![1.0; n], tau)?;
-            let CompressedView::Tradeoff(s) = &rep else {
-                unreachable!("theorem1 builds a Theorem 1 structure")
-            };
+            let s = rep.theorem1().expect("theorem1 builds a Theorem 1 view");
             let alpha = format!("{:.2}", s.alpha());
             let key = format!("exp5 star{n}, zipf(7, 300, 60, 40)/theorem 1 tau={tau}");
             ledger.structure(&key, &inst, &rep, &[("alpha", alpha)])?;
@@ -689,7 +671,7 @@ fn exp7_path(ledger: &mut Ledger) -> Res<()> {
         } else {
             &[]
         };
-        ledger.structure(&key, &inst, &CompressedView::Decomposed(s), extra)?;
+        ledger.structure(&key, &inst, &s.into(), extra)?;
     }
     Ok(())
 }
@@ -719,7 +701,8 @@ fn exp8_running_example(ledger: &mut Ledger) -> Res<()> {
     let view = queries::running_example().map_err(err)?;
     let inst = Instance::new(view, db, vec![vec![1, 1, 1]])?;
     let name = "exp8 running example";
-    let s = Theorem1Structure::build(&inst.view, &inst.db, &[1.0; 3], 4.0).map_err(err)?;
+    let rep = inst.theorem1(&[1.0; 3], 4.0)?;
+    let s = rep.theorem1().expect("theorem1 builds a Theorem 1 view");
     // Figure 3 is the built tree: the structure keeps only what its
     // dictionary can reach, and keeps no cost oracle, so both are a fresh
     // estimator's.
@@ -758,12 +741,7 @@ fn exp8_running_example(ledger: &mut Ledger) -> Res<()> {
         ("dict_rr_111", lookup(2)),
         ("answers_111", format!("{:?}", inst.expected[0])),
     ];
-    ledger.structure(
-        &format!("{name}/theorem 1 tau=4"),
-        &inst,
-        &CompressedView::Tradeoff(s),
-        &extra,
-    )
+    ledger.structure(&format!("{name}/theorem 1 tau=4"), &inst, &rep, &extra)
 }
 
 /// EXP-9: the §6 programs. MinDelayCover across queries and space budgets

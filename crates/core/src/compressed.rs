@@ -1,24 +1,20 @@
-//! The unified front door: one answer interface over the concrete
-//! recipes.
+//! The front door: one type, [`CompressedView`], over the one
+//! representation, [`Theorem2Structure`].
 //!
-//! `CompressedView` wraps the two structures of the paper — Theorem 1 and
-//! Theorem 2 — behind one `answer_into`/`exists`/space-accounting API,
-//! after applying the Example 3 rewrite so that constants and repeated
-//! variables are always accepted. Every recipe is one of those two
-//! theorems at a fixed knob: the factorized representation of
-//! Propositions 2/4 and §2.3's "materialize and index" extreme are
-//! Theorem 2 at δ ≡ 0 (over a width-minimal decomposition and over
-//! `{V_b} → {V}`), §2.3's "answer directly" extreme is Theorem 1 at
-//! τ = ∞, and Proposition 1's all-bound view is Theorem 2 over the one-bag
-//! decomposition `{V_b}`, whose root checks are its membership probes.
+//! Every recipe builds a Theorem 2 structure, after the Example 3 rewrite
+//! makes constants and repeated variables acceptable: the factorized
+//! representation of Propositions 2/4 and §2.3's "materialize and index"
+//! extreme are Theorem 2 at δ ≡ 0 (over a width-minimal decomposition and
+//! over `{V_b} → {V}`); Theorem 1 at any τ — §2.3's "answer directly" is τ
+//! = ∞ — is Theorem 2 over `{V_b} → {V}` whose one bag is the Theorem 1
+//! structure; Proposition 1's all-bound view is the one-bag decomposition
+//! `{V_b}`, whose root checks are its membership probes; and a view the
+//! rewrite proved empty is that root bag with a check no request passes.
 //! Choosing a recipe — budgets, LP covers, decomposition search — is the
 //! planner's job (`cqc_engine::policy::select`), not this module's.
 
-use crate::theorem1::Theorem1Structure;
-use crate::theorem2::Theorem2Structure;
+use crate::theorem2::{bound_then_all, Theorem2Structure};
 use cqc_common::error::{CqcError, Result};
-use cqc_common::heap::HeapSize;
-use cqc_common::value::Value;
 use cqc_decomp::TreeDecomposition;
 use cqc_lp::fractional::min_space_cover;
 use cqc_query::rewrite::rewrite_view;
@@ -57,15 +53,30 @@ pub enum Strategy {
 }
 
 /// A compressed representation of an adorned view, ready to answer access
-/// requests.
+/// requests: a [`Theorem2Structure`], whose methods it derefs to.
+///
+/// An enum of one variant: the benchmark package, which changes only with
+/// the benchmark, matches `CompressedView::Tradeoff(s)` to read the
+/// Theorem 1 views' counts off `s.stats()`.
 #[derive(Debug)]
 pub enum CompressedView {
-    /// Theorem 1 structure.
-    Tradeoff(Theorem1Structure),
-    /// Theorem 2 structure (an all-bound view's included: Prop. 1).
-    Decomposed(Theorem2Structure),
-    /// A view proven empty during rewriting (a ground atom failed).
-    AlwaysEmpty(AdornedView),
+    /// The one representation.
+    Tradeoff(Theorem2Structure),
+}
+
+impl std::ops::Deref for CompressedView {
+    type Target = Theorem2Structure;
+
+    fn deref(&self) -> &Theorem2Structure {
+        let CompressedView::Tradeoff(s) = self;
+        s
+    }
+}
+
+impl From<Theorem2Structure> for CompressedView {
+    fn from(s: Theorem2Structure) -> CompressedView {
+        CompressedView::Tradeoff(s)
+    }
 }
 
 impl CompressedView {
@@ -88,15 +99,12 @@ impl CompressedView {
     /// re-sorted (the Example 3 rewrite shares untouched relations by
     /// `Arc`, which is what makes the store recognize them).
     ///
-    /// The pool serves the strategies that index the base relations
-    /// directly: Theorem 1 in all its forms, `direct` included. Theorem 2
-    /// (`factorized` and `materialize` included) stays out of it: its bags
-    /// are built over **bag-local databases** — fresh per-bag projections
-    /// with per-node allocations — which an identity-keyed store can
-    /// never share across bags or views; each bag's inner Theorem 1 build
-    /// still pools its own cost-oracle and trie indexes privately. (A
-    /// content-keyed projection cache across bags is a separate, future
-    /// optimization.)
+    /// The pool serves every delay-tuned bag over all of `V`: a Theorem 1
+    /// view's one bag in all its forms, `direct` included, and such a bag
+    /// of an explicit decomposition. Every other bag is built over a
+    /// **bag-local database** — fresh per-bag projections, which an
+    /// identity-keyed store can never share across bags or views — and a
+    /// delay-tuned one pools its cost-oracle and trie indexes privately.
     ///
     /// # Errors
     ///
@@ -109,11 +117,11 @@ impl CompressedView {
     ) -> Result<CompressedView> {
         // Example 3 preprocessing.
         let rewritten = rewrite_view(view, db)?;
-        if rewritten.always_empty {
-            return Ok(CompressedView::AlwaysEmpty(rewritten.view));
-        }
         let view = &rewritten.view;
         let db = &rewritten.database;
+        if rewritten.always_empty {
+            return Ok(Theorem2Structure::always_empty(view).into());
+        }
         view.query().require_natural_join()?;
 
         // An all-bound view is Prop. 1 under every recipe: the one-bag
@@ -124,30 +132,15 @@ impl CompressedView {
         } else {
             strategy
         };
-        match strategy {
-            Strategy::Factorized => Ok(CompressedView::Decomposed(
-                Theorem2Structure::build_constant_delay(view, db)?,
-            )),
+        let s = match strategy {
+            Strategy::Factorized => Theorem2Structure::build_constant_delay(view, db)?,
             Strategy::Materialize => {
-                let bound = view.bound_vars();
-                let td = TreeDecomposition::new(
-                    vec![bound, bound.union(view.free_vars())],
-                    vec![None, Some(0)],
-                )?;
-                Ok(CompressedView::Decomposed(Theorem2Structure::build(
-                    view,
-                    db,
-                    &td,
-                    &[0.0, 0.0],
-                )?))
+                Theorem2Structure::build(view, db, &bound_then_all(view)?, &[0.0, 0.0])?
             }
-            Strategy::Direct => Ok(CompressedView::Tradeoff(Theorem1Structure::build_pooled(
-                view,
-                db,
-                &vec![1.0; view.query().atoms.len()],
-                f64::INFINITY,
-                pool,
-            )?)),
+            Strategy::Direct => {
+                let weights = vec![1.0; view.query().atoms.len()];
+                Theorem2Structure::build_theorem1(view, db, &weights, f64::INFINITY, pool)?
+            }
             Strategy::Tradeoff { tau, weights } => {
                 // (NaN compares false with everything: refuse it here,
                 // before it reaches the LP.)
@@ -172,236 +165,20 @@ impl CompressedView {
                         choice.weights
                     }
                 };
-                Ok(CompressedView::Tradeoff(Theorem1Structure::build_pooled(
-                    view, db, &weights, tau, pool,
-                )?))
+                Theorem2Structure::build_theorem1(view, db, &weights, tau, pool)?
             }
-            Strategy::DecomposedExplicit { td, delta } => Ok(CompressedView::Decomposed(
-                Theorem2Structure::build(view, db, &td, &delta)?,
-            )),
-        }
-    }
-
-    /// A reusable enumerator for this representation: request scratch
-    /// (traversal stacks, constraint vectors, joins, odometer cursors,
-    /// probe keys) is created once and reused across
-    /// [`ViewEnumerator::answer_into`] calls, so steady-state serving
-    /// performs zero heap allocations per answer.
-    pub fn enumerator(&self) -> ViewEnumerator<'_> {
-        match self {
-            CompressedView::Tradeoff(s) => ViewEnumerator::Tradeoff(s.enumerator()),
-            CompressedView::Decomposed(s) => ViewEnumerator::Decomposed(s.enumerator()),
-            CompressedView::AlwaysEmpty(v) => ViewEnumerator::AlwaysEmpty(v),
-        }
-    }
-
-    /// Answers one access request: drives every answer into `sink` as a
-    /// borrowed slice of free-variable values — the one way answers leave
-    /// a representation. For request streams, hold a
-    /// [`CompressedView::enumerator`] instead so the per-request scratch is
-    /// reused too.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the bound value count mismatches the view's pattern.
-    pub fn answer_into(
-        &self,
-        bound_values: &[Value],
-        sink: &mut impl cqc_common::AnswerSink,
-    ) -> Result<()> {
-        self.enumerator().answer_into(bound_values, sink)
-    }
-
-    /// `true` iff the request has at least one answer (first-answer probe;
-    /// no answer tuple is materialized).
-    pub fn exists(&self, bound_values: &[Value]) -> Result<bool> {
-        let mut probe = cqc_common::ExistsSink::default();
-        self.answer_into(bound_values, &mut probe)?;
-        Ok(probe.found)
-    }
-
-    /// A human-readable description of the representation: strategy,
-    /// tuning knobs and size accounting — the "EXPLAIN" of a compressed
-    /// view.
-    pub fn describe(&self) -> String {
-        match self {
-            CompressedView::Tradeoff(s) => {
-                let st = s.stats();
-                let per = |bytes: usize, n: usize| bytes as f64 / n.max(1) as f64;
-                let (tries, grid) = st.base_index_widths;
-                format!(
-                    "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
-                     tree {} nodes, {} leaves (β {} B over {} levels; depth {}, \
-                     {} B = {:.1} B/node), \
-                     dictionary {} heavy pairs (values {} b, {} child bits; \
-                     {} B = {:.1} B/entry), \
-                     base indexes {} B (tries {} b, grid {} b; {} B distinct); {} heap bytes; \
-                     build work: {} tree count probes, {} dictionary evaluations \
-                     of {} candidates, {} probe joins; {} heavy pairs light by work \
-                     ({} capped-run units)",
-                    s.tau(),
-                    s.weights()
-                        .iter()
-                        .map(|w| (w * 100.0).round() / 100.0)
-                        .collect::<Vec<_>>(),
-                    s.alpha(),
-                    st.tree_nodes,
-                    st.tree_leaves,
-                    st.tree_beta_bytes,
-                    s.tree().map_or(0, |t| t.beta_levels()),
-                    st.tree_depth,
-                    st.tree_bytes,
-                    per(st.tree_bytes, st.tree_nodes),
-                    st.dict_entries,
-                    st.dict_value_width,
-                    st.dict_child_bits,
-                    st.dict_bytes,
-                    per(st.dict_bytes, st.dict_entries),
-                    st.base_index_bytes,
-                    tries,
-                    grid,
-                    st.base_index_distinct_bytes,
-                    st.heap_bytes,
-                    st.tree_count_probes,
-                    st.dict_evaluations,
-                    st.dict_candidates,
-                    st.dict_probes,
-                    st.dict_light_by_work,
-                    st.dict_capped_work
-                )
+            Strategy::DecomposedExplicit { td, delta } => {
+                Theorem2Structure::build_pooled(view, db, &td, &delta, pool)?
             }
-            CompressedView::Decomposed(s) => {
-                let st = s.stats();
-                let widths: String = s
-                    .bag_reports()
-                    .iter()
-                    .filter(|r| r.kind == "materialized")
-                    .map(|r| {
-                        let w = r.widths;
-                        format!(
-                            "; node {}: keys {} b, offsets {} b, ranks {} b, values {} b",
-                            r.node, w.keys, w.offsets, w.ranks, w.values
-                        )
-                    })
-                    .collect();
-                format!(
-                    "theorem 2: {} bags ({} delay-tuned, max δ = {:.3}); {} materialized \
-                     bag tuples ({} B = {:.1} B/tuple{}), {} dictionary entries, \
-                     {} heap bytes{}",
-                    st.bags,
-                    st.tradeoff_bags,
-                    st.max_delta,
-                    st.materialized_tuples,
-                    st.materialized_bytes,
-                    st.materialized_bytes as f64 / st.materialized_tuples.max(1) as f64,
-                    widths,
-                    st.dict_entries,
-                    st.heap_bytes,
-                    if st.tradeoff_bags == 0 {
-                        ", constant delay"
-                    } else {
-                        ""
-                    }
-                )
-            }
-            CompressedView::AlwaysEmpty(_) => {
-                "always-empty: a ground atom failed during the Example 3 rewrite".into()
-            }
-        }
-    }
-
-    /// The shared handles of the base-relation indexes this
-    /// representation holds: its join plan's tries, a handle per atom.
-    /// Empty for the strategies that keep none or index bag-local
-    /// projections instead.
-    pub fn base_indexes(&self) -> Vec<&std::sync::Arc<cqc_storage::SortedIndex>> {
-        match self {
-            CompressedView::Tradeoff(s) => s.base_indexes().collect(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Heap bytes by part, `(tree, dictionary, rest)`: the delay-balanced
-    /// trees and heavy-pair dictionaries (a Theorem 2 structure's summed
-    /// over its delay-tuned bags), and everything else — base indexes,
-    /// grids, materialized bags. The three sum to `heap_bytes()`.
-    pub fn bytes_by_part(&self) -> (usize, usize, usize) {
-        let (tree, dict) = match self {
-            CompressedView::Tradeoff(s) => {
-                let b = s.space_breakdown();
-                (b.tree_bytes, b.dict_bytes)
-            }
-            CompressedView::Decomposed(t) => t
-                .tradeoff_structures()
-                .map(Theorem1Structure::space_breakdown)
-                .fold((0, 0), |(t, d), b| (t + b.tree_bytes, d + b.dict_bytes)),
-            CompressedView::AlwaysEmpty(_) => (0, 0),
         };
-        (tree, dict, self.heap_bytes() - tree - dict)
-    }
-
-    /// A short name of the structure in use (for reports).
-    pub fn strategy_name(&self) -> &'static str {
-        match self {
-            CompressedView::Tradeoff(_) => "theorem-1",
-            CompressedView::Decomposed(_) => "theorem-2",
-            CompressedView::AlwaysEmpty(_) => "always-empty",
-        }
-    }
-}
-
-impl HeapSize for CompressedView {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            CompressedView::Tradeoff(s) => s.heap_bytes(),
-            CompressedView::Decomposed(s) => s.heap_bytes(),
-            CompressedView::AlwaysEmpty(_) => 0,
-        }
-    }
-}
-
-/// Unified reusable enumerator (see [`CompressedView::enumerator`]): each
-/// variant is the structure's own cursor, or a borrow of the view where
-/// answering needs no scratch.
-///
-/// Theorem 1's cursor is the large variant and stays inline: one
-/// enumerator serves a whole request stream from the caller's stack, and
-/// a box would cost an allocation per enumerator.
-#[allow(clippy::large_enum_variant)]
-pub enum ViewEnumerator<'a> {
-    /// Algorithm 2 with reusable enumeration scratch.
-    Tradeoff(crate::theorem1::Theorem1Iter<'a>),
-    /// Algorithm 5 with reusable odometer scratch.
-    Decomposed(crate::theorem2::Theorem2Iter<'a>),
-    /// A view proven empty during rewriting (validates access arity only).
-    AlwaysEmpty(&'a AdornedView),
-}
-
-impl ViewEnumerator<'_> {
-    /// Answers one request into `sink`; answers arrive as borrowed slices
-    /// in the representation's enumeration order. Reuses all scratch from
-    /// previous calls.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the bound value count mismatches the view's pattern.
-    pub fn answer_into(
-        &mut self,
-        bound_values: &[Value],
-        sink: &mut impl cqc_common::AnswerSink,
-    ) -> Result<()> {
-        match self {
-            ViewEnumerator::Tradeoff(it) => it.answer_into(bound_values, sink),
-            ViewEnumerator::Decomposed(it) => it.answer_into(bound_values, sink),
-            ViewEnumerator::AlwaysEmpty(v) => v.check_access(bound_values),
-        }
+        Ok(s.into())
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use cqc_common::value::{lex_cmp, Tuple};
+    use cqc_common::value::{lex_cmp, Tuple, Value};
     use cqc_join::naive::evaluate_view;
     use cqc_query::parser::parse_adorned;
     use cqc_storage::Relation;
@@ -526,11 +303,7 @@ pub(crate) mod tests {
         ];
         for strat in recipes {
             let cv = CompressedView::build(&view, &db, strat.clone()).unwrap();
-            assert!(
-                matches!(&cv, CompressedView::Decomposed(s) if s.stats().bags == 0),
-                "{strat:?}: {}",
-                cv.describe()
-            );
+            assert_eq!(cv.stats().bags, 0, "{strat:?}: {}", cv.describe());
             assert!(cv.describe().starts_with("theorem 2: 0 bags"), "{strat:?}");
             assert!(cv.exists(&[1, 2, 3]).unwrap());
             assert!(!cv.exists(&[1, 1, 1]).unwrap());
@@ -566,6 +339,8 @@ pub(crate) mod tests {
         assert!(got.is_empty());
     }
 
+    /// A view the rewrite proved empty is the root bag with one check no
+    /// request passes, whatever the recipe.
     #[test]
     fn always_empty_via_failed_guard() {
         let mut db = Database::new();
@@ -573,8 +348,13 @@ pub(crate) mod tests {
         db.add(Relation::from_pairs("G", vec![(5, 5)])).unwrap();
         let view = parse_adorned("Q(x, y) :- R(x, y), G(7, 7)", "bf").unwrap();
         let cv = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
-        assert_eq!(cv.strategy_name(), "always-empty");
+        assert!(
+            cv.describe().starts_with("theorem 2: 0 bags"),
+            "{}",
+            cv.describe()
+        );
         assert!(!cv.exists(&[1]).unwrap());
+        assert!(answers(&cv, &[1]).is_empty());
         assert!(
             cv.answer_into(&[1, 2], &mut cqc_common::CountingSink::default())
                 .is_err(),
@@ -651,13 +431,9 @@ pub(crate) mod tests {
                 },
             )
             .unwrap();
-            if let CompressedView::Tradeoff(t) = &cv {
-                let s = t.stats();
-                assert!(s.tree_nodes + s.dict_entries <= last);
-                last = s.tree_nodes + s.dict_entries;
-            } else {
-                panic!("expected tradeoff structure");
-            }
+            let s = cv.theorem1().expect("a Theorem 1 view").stats();
+            assert!(s.tree_nodes + s.dict_entries <= last);
+            last = s.tree_nodes + s.dict_entries;
         }
     }
 }

@@ -1561,7 +1561,7 @@ mod tests {
             for i in 0..12u64 {
                 let vb = [(7 * i) % dom, (11 * i + 3) % dom, (13 * i + 5) % dom];
                 let mut block = AnswerBlock::new();
-                s.answer_into(&vb, &mut block).unwrap();
+                s.enumerator().answer_into(&vb, &mut block).unwrap();
                 let expect = cqc_join::naive::evaluate_view(&view, &db, &vb).unwrap();
                 assert_eq!(block.to_tuples(), expect, "τ={tau} v_b={vb:?}");
             }

@@ -17,15 +17,16 @@
 //!   `Õ(|D| + Π|R_F|^{u_F}/τ^α)`, delay `Õ(τ)`;
 //! * [`theorem2::Theorem2Structure`] — Theorem 1 combined with
 //!   `V_b`-connex tree decompositions (Theorem 2): space `Õ(|D| + |D|^f)`,
-//!   delay `Õ(|D|^h)` for δ-width `f` and δ-height `h`; at μ = 0 its
-//!   one-bag decomposition `{V_b}` is Proposition 1, every relation a
-//!   membership probe at the root;
-//! * [`compressed::CompressedView`] — a unified front door that builds a
-//!   concrete recipe and exposes `answer_into`/`exists`/space
-//!   accounting: answers leave a representation one way, driven into a
-//!   [`cqc_common::AnswerSink`] as borrowed slices. Its
-//!   [`compressed::ViewEnumerator`] is the reusable form of the same
-//!   call (all enumeration scratch is kept across requests);
+//!   delay `Õ(|D|^h)` for δ-width `f` and δ-height `h`. It is the one
+//!   representation: a Theorem 1 view is its one bag over `{V_b} → {V}`,
+//!   and at μ = 0 its one-bag decomposition `{V_b}` is Proposition 1,
+//!   every relation a membership probe at the root;
+//! * [`compressed::CompressedView`] — the front door that builds a
+//!   concrete recipe into that structure and exposes
+//!   `answer_into`/`exists`/space accounting: answers leave a
+//!   representation one way, driven into a [`cqc_common::AnswerSink`] as
+//!   borrowed slices. Its [`theorem2::Theorem2Iter`] is the reusable form
+//!   of the same call (all enumeration scratch is kept across requests);
 //! * the geometric/costing substrate of §4: [`fbox`] (f-intervals, box
 //!   decompositions), [`cost`] (the `T(·)` oracle), [`split`]
 //!   (Lemma 3/Algorithm 1) and [`dbtree`] (the delay-balanced tree);
@@ -63,7 +64,7 @@ pub mod split;
 pub mod theorem1;
 pub mod theorem2;
 
-pub use compressed::{CompressedView, Strategy, ViewEnumerator};
+pub use compressed::{CompressedView, Strategy};
 pub use maintain::{MaintainOutcome, MaintainReport};
 pub use theorem1::{Theorem1Stats, Theorem1Structure};
-pub use theorem2::Theorem2Structure;
+pub use theorem2::{Theorem2Iter, Theorem2Structure};

@@ -50,23 +50,20 @@
 //! rule: a one-leaf tree has no bit to re-probe, so a delta costs the index
 //! refresh, and a changed active domain is a rebuild.
 //!
-//! **Every other structure** has a cheaper-than-rebuild maintain path of
-//! its own:
+//! Every representation is a Theorem 2 structure, and a Theorem 1 view is
+//! its one bag over `{V_b} → {V}`: the structure maintains a delay-tuned
+//! bag over all of `V` with no child bag by the rule above, and re-derives
+//! every other bag touched by the delta, plus its ancestors, re-running
+//! the semijoin fixup restricted to that set
+//! ([`crate::theorem2::Theorem2Structure`]'s `maintained`); it re-takes its
+//! root checks from the post-delta database, which for an all-bound view
+//! (Prop. 1, no bag below the root) is all it does.
 //!
-//! * the Theorem 2 structure (the factorized d-tree and the `materialize`
-//!   recipe's one bag are its δ ≡ 0 cases) re-derives only the bags touched
-//!   by the delta plus their ancestors, re-runs the semijoin fixup
-//!   restricted to that set and re-takes its root checks from the
-//!   post-delta database
-//!   ([`crate::theorem2::Theorem2Structure::maintained`]) — for an
-//!   all-bound view (Prop. 1, no bag below the root) that is all it does;
-//! * always-empty views re-derive their ground guards.
-//!
-//! When the preconditions fail — the Theorem 1 grid shifted, or the view
-//! needs the Example 3 rewrite (the delta would have to be rewritten too)
-//! — the caller is told to rebuild instead. The engine additionally
-//! rebuilds, without calling in here, when [`touched_tuples`] exceeds a
-//! fixed fraction of `|D|`.
+//! When the preconditions fail — a Theorem 1 view's grid shifted, or the
+//! view needs the Example 3 rewrite (the delta would have to be rewritten
+//! too; an always-empty view is one) — the caller is told to rebuild
+//! instead. The engine additionally rebuilds, without calling in here, when
+//! [`touched_tuples`] exceeds a fixed fraction of `|D|`.
 
 use crate::compressed::CompressedView;
 use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox};
@@ -74,7 +71,6 @@ use crate::theorem1::Theorem1Structure;
 use cqc_common::error::Result;
 use cqc_common::value::Value;
 use cqc_join::plan::ViewPlan;
-use cqc_query::rewrite::rewrite_view;
 use cqc_query::AdornedView;
 use cqc_storage::{Database, Delta, IndexPool};
 
@@ -98,14 +94,18 @@ pub enum MaintainOutcome {
     },
 }
 
+/// A maintained structure and its report, or why it needs a rebuild.
+pub(crate) type Maintained<T> = std::result::Result<(T, MaintainReport), String>;
+
 /// Work performed by a successful maintenance pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintainReport {
     /// Tuples in the delta (inserts and removes) that touch the view's
     /// relations.
     pub delta_tuples: usize,
-    /// Theorem 1: tree nodes whose interval intersects a delta tuple's
-    /// slab. Theorem 2: bags re-derived from the base relations.
+    /// Tree nodes of a bag maintained in place whose interval intersects a
+    /// delta tuple's slab, plus the bags re-derived from the base
+    /// relations.
     pub affected_nodes: usize,
     /// Dictionary bits re-probed on affected nodes (`0` bits against
     /// inserts, `1` bits against removes).
@@ -155,10 +155,10 @@ impl CompressedView {
     /// `original` is the view as registered (pre-rewrite); `self` must have
     /// been built from the pre-delta database.
     ///
-    /// Every strategy has a maintain path (see the module docs for what
-    /// each one repairs); precondition failures — a shifted Theorem 1
-    /// grid, a view needing the Example 3 rewrite, an index that cannot be
-    /// reconciled — report [`MaintainOutcome::NeedsRebuild`]. A delta that
+    /// Every bag has a maintain path (see the module docs for what each
+    /// one repairs); precondition failures — a shifted Theorem 1 grid, a
+    /// view needing the Example 3 rewrite — report
+    /// [`MaintainOutcome::NeedsRebuild`]. A delta that
     /// does not touch the view's relations is
     /// [`MaintainOutcome::Unaffected`] for *every* strategy.
     ///
@@ -197,67 +197,26 @@ impl CompressedView {
         if !query.atoms.iter().any(|a| delta.touches(&a.relation)) {
             return Ok(MaintainOutcome::Unaffected);
         }
-        // Every non-always-empty path below works on the stored (rewritten)
-        // view, whose relations coincide with the base relations only when
-        // no atom needed the Example 3 rewrite.
-        let needs_rewrite = query.atoms.iter().any(|a| !a.is_natural());
-        let rewrite_rebuild = || {
-            Ok(MaintainOutcome::NeedsRebuild {
+        // The structure is the stored (rewritten) view's, whose relations
+        // coincide with the base relations only when no atom needed the
+        // Example 3 rewrite.
+        if query.atoms.iter().any(|a| !a.is_natural()) {
+            return Ok(MaintainOutcome::NeedsRebuild {
                 reason: "the Example 3 rewrite derives filtered relations; \
                          the delta would need the same rewrite"
                     .into(),
-            })
-        };
-        let base_report = || MaintainReport {
-            delta_tuples: touched_tuples(query, delta),
-            ..MaintainReport::default()
-        };
-        let irreconcilable = || {
-            Ok(MaintainOutcome::NeedsRebuild {
-                reason: "a maintained index could not be reconciled with the post-delta database"
-                    .into(),
-            })
-        };
-        match self {
-            CompressedView::Tradeoff(s) => {
-                if needs_rewrite {
-                    return rewrite_rebuild();
-                }
-                maintain_theorem1(s, db, delta, pool)
-            }
-            CompressedView::Decomposed(s) => {
-                if needs_rewrite {
-                    return rewrite_rebuild();
-                }
-                match s.maintained(db, delta)? {
-                    Some((v, rebuilt_bags)) => Ok(MaintainOutcome::Maintained {
-                        view: Box::new(CompressedView::Decomposed(v)),
-                        report: MaintainReport {
-                            affected_nodes: rebuilt_bags,
-                            ..base_report()
-                        },
-                    }),
-                    None => irreconcilable(),
-                }
-            }
-            CompressedView::AlwaysEmpty(_) => {
-                // Inserts can make a previously failing ground guard pass,
-                // so "always empty" must be re-derived, not trusted.
-                // (Removes keep a failing guard failing, but re-deriving
-                // handles both directions uniformly.)
-                let rewritten = rewrite_view(original, db)?;
-                if rewritten.always_empty {
-                    Ok(MaintainOutcome::Maintained {
-                        view: Box::new(CompressedView::AlwaysEmpty(rewritten.view)),
-                        report: base_report(),
-                    })
-                } else {
-                    Ok(MaintainOutcome::NeedsRebuild {
-                        reason: "the delta satisfied a previously failing ground guard".into(),
-                    })
-                }
-            }
+            });
         }
+        Ok(match self.maintained(db, delta, pool)? {
+            Ok((s, report)) => MaintainOutcome::Maintained {
+                view: Box::new(s.into()),
+                report: MaintainReport {
+                    delta_tuples: touched_tuples(query, delta),
+                    ..report
+                },
+            },
+            Err(reason) => MaintainOutcome::NeedsRebuild { reason },
+        })
     }
 }
 
@@ -276,13 +235,14 @@ pub fn touched_tuples(query: &cqc_query::ConjunctiveQuery, delta: &Delta) -> usi
 }
 
 /// Theorem 1 maintenance proper. `s` was built over the pre-delta database
-/// and is a natural-join view, `db` is the post-delta database.
-fn maintain_theorem1(
+/// and is a natural-join view, `db` is the post-delta database. The report
+/// leaves `delta_tuples` to the caller.
+pub(crate) fn maintain_theorem1(
     s: &Theorem1Structure,
     db: &Database,
     delta: &Delta,
     pool: &IndexPool,
-) -> Result<MaintainOutcome> {
+) -> Result<Maintained<Theorem1Structure>> {
     let query = s.view.query();
     let free_head = s.view.free_head();
     let bound_head = s.view.bound_head();
@@ -295,9 +255,9 @@ fn maintain_theorem1(
         .zip(&s.domains)
         .all(|(v, old)| all_domains[v.index()] == *old);
     if !same_grid {
-        return Ok(MaintainOutcome::NeedsRebuild {
-            reason: "a free variable's active domain changed; the rank-space grid shifted".into(),
-        });
+        return Ok(Err(
+            "a free variable's active domain changed; the rank-space grid shifted".into(),
+        ));
     }
 
     // Base-index refresh over the post-delta database: each of the plan's
@@ -313,10 +273,7 @@ fn maintain_theorem1(
         None => ViewPlan::build_pooled(&s.view, db, pool)?,
     };
 
-    let mut report = MaintainReport {
-        delta_tuples: touched_tuples(query, delta),
-        ..MaintainReport::default()
-    };
+    let mut report = MaintainReport::default();
     // The successor: the refreshed plan, the same grid and tree, a copy of
     // the bits. The set of stored pairs is untouched, so it shares the
     // tree and the dictionary's key buffers with `s`.
@@ -333,10 +290,7 @@ fn maintain_theorem1(
     };
     let Some(tree) = &s.tree else {
         // Empty grid at build time and the grid is unchanged: still empty.
-        return Ok(MaintainOutcome::Maintained {
-            view: Box::new(CompressedView::Tradeoff(succ)),
-            report,
-        });
+        return Ok(Ok((succ, report)));
     };
 
     // One slab per (atom, delta tuple) pair — an atom is touched per
@@ -374,11 +328,7 @@ fn maintain_theorem1(
             for t in tuples.unwrap_or(&[]) {
                 match slab_of(t, atom) {
                     Some(slab) => out.push(slab),
-                    None => {
-                        return Ok(MaintainOutcome::NeedsRebuild {
-                            reason: "a delta value is outside the free grid".into(),
-                        });
-                    }
+                    None => return Ok(Err("a delta value is outside the free grid".into())),
                 }
             }
         }
@@ -444,10 +394,7 @@ fn maintain_theorem1(
         succ.dict.flip(entry, !succ.dict.bit(entry));
     }
 
-    Ok(MaintainOutcome::Maintained {
-        view: Box::new(CompressedView::Tradeoff(succ)),
-        report,
-    })
+    Ok(Ok((succ, report)))
 }
 
 #[cfg(test)]
@@ -687,6 +634,9 @@ mod tests {
         let _ = db.apply(&Delta::new());
     }
 
+    /// An always-empty view is a rewritten one: a delta that touches its
+    /// guard asks for a rebuild, which re-decides the guard — still
+    /// failing, or satisfied and no longer empty.
     #[test]
     fn always_empty_guard_flip_is_detected() {
         let mut db = Database::new();
@@ -694,29 +644,19 @@ mod tests {
         db.add(Relation::from_pairs("G", vec![(5, 5)])).unwrap();
         let view = parse_adorned("Q(x, y) :- R(x, y), G(7, 7)", "bf").unwrap();
         let built = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
-        assert_eq!(built.strategy_name(), "always-empty");
+        assert!(!built.exists(&[1]).unwrap());
 
-        // A delta elsewhere in G keeps the guard failing: maintainable.
-        let mut delta = Delta::new();
-        delta.insert("G", vec![6, 6]);
-        db.apply(&delta).unwrap();
-        match built.maintain(&view, &db, &delta).unwrap() {
-            MaintainOutcome::Maintained { view: v, .. } => {
-                assert_eq!(v.strategy_name(), "always-empty");
-                assert!(!v.exists(&[1]).unwrap());
-            }
-            other => panic!("expected maintained always-empty, got {other:?}"),
+        for (guard, empty) in [([6, 6], true), ([7, 7], false)] {
+            let mut delta = Delta::new();
+            delta.insert("G", guard.to_vec());
+            db.apply(&delta).unwrap();
+            assert!(matches!(
+                built.maintain(&view, &db, &delta).unwrap(),
+                MaintainOutcome::NeedsRebuild { .. }
+            ));
+            let rebuilt = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
+            assert_eq!(rebuilt.exists(&[1]).unwrap(), !empty, "guard {guard:?}");
         }
-
-        // Satisfying the guard must force a rebuild (the view is no longer
-        // empty).
-        let mut delta = Delta::new();
-        delta.insert("G", vec![7, 7]);
-        db.apply(&delta).unwrap();
-        assert!(matches!(
-            built.maintain(&view, &db, &delta).unwrap(),
-            MaintainOutcome::NeedsRebuild { .. }
-        ));
     }
 
     /// The acceptance property: over mixed insert/delete deltas, every
@@ -821,7 +761,7 @@ mod tests {
 
                 let outcome = built.maintain(view, &db, delta).unwrap();
                 // Theorem 1 is pinned to its rank-space grid.
-                if !domain_safe && matches!(built, CompressedView::Tradeoff(_)) {
+                if !domain_safe && built.theorem1().is_some() {
                     let MaintainOutcome::NeedsRebuild { reason } = outcome else {
                         panic!("expected a rebuild for {name}, got {outcome:?} ({label})");
                     };
@@ -837,11 +777,7 @@ mod tests {
                 assert_eq!(maintained.strategy_name(), name);
                 if matches!(strat, Strategy::Factorized | Strategy::Materialize) {
                     for cv in [&built, &*maintained] {
-                        assert!(
-                            matches!(cv, CompressedView::Decomposed(s) if s.stats().tradeoff_bags == 0),
-                            "{label}: {}",
-                            cv.describe()
-                        );
+                        assert_eq!(cv.stats().tradeoff_bags, 0, "{label}: {}", cv.describe());
                     }
                 }
                 // Maintenance must not un-share: the plan holds one merged
@@ -851,9 +787,7 @@ mod tests {
                     distinct_indexes(&rebuilt),
                     "{name} {label}"
                 );
-                if let (CompressedView::Tradeoff(m), CompressedView::Tradeoff(r)) =
-                    (&*maintained, &rebuilt)
-                {
+                if let (Some(m), Some(r)) = (maintained.theorem1(), rebuilt.theorem1()) {
                     // The reported figure adds the grid, whose capacities
                     // may differ by a word between a clone and a collect.
                     let (m, r) = (
@@ -952,9 +886,7 @@ mod tests {
             weights: Some(vec![0.5; 3]),
         };
         let built = CompressedView::build(&view, &db, strategy()).unwrap();
-        let CompressedView::Tradeoff(s) = &built else {
-            panic!("a Theorem 1 structure");
-        };
+        let s = built.theorem1().expect("a Theorem 1 view");
         let (tree, dict) = (s.tree().unwrap(), s.dictionary());
         let est = CostEstimator::build(&view, &db, s.weights(), s.alpha()).unwrap();
         let sizes = est.sizes();
@@ -1010,9 +942,7 @@ mod tests {
             panic!("expected maintenance, got {outcome:?}");
         };
         assert!(report.flipped_bits >= 1, "{report:?}");
-        let CompressedView::Tradeoff(m) = &*maintained else {
-            panic!("a Theorem 1 structure");
-        };
+        let m = maintained.theorem1().expect("a Theorem 1 view");
         assert_eq!(m.dictionary().get(tree, w, &vb), Some(true));
         assert_eq!(m.dictionary().get(tree, child, &vb), None, "⊥ at the child");
         let got = answers(&maintained, &vb);
@@ -1066,7 +996,7 @@ mod tests {
         let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z), T(z,x)", "bbb").unwrap();
         let mut db = triangle_db(40, 8, 21);
         let built = CompressedView::build(&view, &db, Strategy::Factorized).unwrap();
-        assert!(matches!(&built, CompressedView::Decomposed(s) if s.stats().bags == 0));
+        assert_eq!(built.stats().bags, 0);
         let delta =
             cqc_workload::mixed_delta(&mut cqc_workload::rng(77), &db, &["R", "S", "T"], 3, 3);
         db.apply(&delta).unwrap();

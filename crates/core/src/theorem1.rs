@@ -235,27 +235,6 @@ impl Theorem1Structure {
         }
     }
 
-    /// One-shot [`Theorem1Iter::answer_into`] on a fresh cursor.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the bound value count mismatches the pattern.
-    pub fn answer_into(
-        &self,
-        bound_values: &[Value],
-        sink: &mut impl cqc_common::AnswerSink,
-    ) -> Result<()> {
-        self.enumerator().answer_into(bound_values, sink)
-    }
-
-    /// First-answer probe (the boolean/k-SetDisjointness access of §3.3).
-    /// No answer tuple is materialized.
-    pub fn exists(&self, bound_values: &[Value]) -> Result<bool> {
-        let mut it = self.enumerator();
-        it.reset(bound_values)?;
-        Ok(it.advance())
-    }
-
     /// Membership of the fully fixed point: is `(v_b, free_vals)` in the
     /// join? (Algorithm 2 line 11: the split-point check, O(#atoms·log).)
     /// `probe` is a caller-owned scratch buffer for the per-atom prefix
@@ -970,8 +949,15 @@ pub(crate) mod tests {
     /// The request's answers, in the order a fresh cursor pushes them.
     fn answers(s: &Theorem1Structure, vb: &[Value]) -> Vec<Tuple> {
         let mut block = AnswerBlock::new();
-        s.answer_into(vb, &mut block).unwrap();
+        s.enumerator().answer_into(vb, &mut block).unwrap();
         block.to_tuples()
+    }
+
+    /// The first-answer probe a Theorem 2 structure runs on its bag.
+    fn exists(s: &Theorem1Structure, vb: &[Value]) -> bool {
+        let mut it = s.enumerator();
+        it.reset(vb).unwrap();
+        it.advance()
     }
 
     /// The answers of a range-restricted request, in the order pushed.
@@ -1071,7 +1057,7 @@ pub(crate) mod tests {
                     let got = answers(&s, &req);
                     assert_eq!(got, expect, "pattern={pattern} τ={tau} req={req:?}");
                     assert_eq!(
-                        s.exists(&req).unwrap(),
+                        exists(&s, &req),
                         !expect.is_empty(),
                         "exists, pattern={pattern}"
                     );
@@ -1091,7 +1077,7 @@ pub(crate) mod tests {
         assert!(s.tree().is_none());
         let got = answers(&s, &[1]);
         assert!(got.is_empty());
-        assert!(!s.exists(&[7]).unwrap());
+        assert!(!exists(&s, &[7]));
     }
 
     #[test]

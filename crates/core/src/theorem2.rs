@@ -1,13 +1,19 @@
-//! The Theorem 2 structure: Theorem 1 over a `V_b`-connex decomposition.
+//! The Theorem 2 structure: Theorem 1 over a `V_b`-connex decomposition,
+//! and the one representation every recipe builds.
 //!
 //! Given a `V_b`-connex tree decomposition `(T, A)` and a delay assignment
 //! `δ`, every non-root bag `t` carries either
 //!
 //! * a **materialized** bag (when `δ(t) = 0`, the §5.1 regime — exact
 //!   constant delay, space `|D|^{ρ*(B_t)}`), or
-//! * a **Theorem 1** structure over the bag-local projections with knob
-//!   `τ_t = |D|^{δ(t)}` and the cover minimizing `ρ⁺_t` (eq. 3), giving
-//!   space `Õ(|D|^{ρ⁺_t})` and per-bag delay `Õ(|D|^{δ(t)})`.
+//! * a **Theorem 1** structure with knob `τ_t = |D|^{δ(t)}` and the cover
+//!   minimizing `ρ⁺_t` (eq. 3), giving space `Õ(|D|^{ρ⁺_t})` and per-bag
+//!   delay `Õ(|D|^{δ(t)})` — over the view itself and the caller's index
+//!   store for a bag over all of `V`, else over bag-local projections.
+//!
+//! A Theorem 1 view is `{V_b} → {V}` with a Theorem 1 bag at its own τ and
+//! cover; an always-empty view is the root bag with a check no request
+//! passes. An atom over `V_b` is a root check only when no bag holds it.
 //!
 //! Bags are derived bottom-up, each reduced by the semijoin pass of
 //! Algorithm 4 against its finished children: a materialized bag drops a
@@ -26,13 +32,14 @@
 //! predecessor, enumerating the cartesian product across branches.
 
 use crate::bag::{bag_local_components, MaterializedBag};
+use crate::maintain::{maintain_theorem1, MaintainReport, Maintained};
 use crate::theorem1::{Theorem1Iter, Theorem1Structure};
 use cqc_common::error::{CqcError, Result};
 use cqc_common::heap::HeapSize;
 use cqc_common::value::Value;
 use cqc_decomp::{search_connex, Objective, TreeDecomposition};
 use cqc_lp::covers::rho_plus;
-use cqc_query::{AdornedView, ConjunctiveQuery, Hypergraph, Var, VarSet};
+use cqc_query::{AdornedView, Hypergraph, Var, VarSet};
 use cqc_storage::{Database, Delta, IndexPool, SortedIndex};
 use std::sync::Arc;
 
@@ -41,10 +48,14 @@ use std::sync::Arc;
 struct Bag {
     /// Node id in the decomposition.
     node: usize,
-    /// Bound variables `V_b^t` (original ids, canonical order).
+    /// Bound variables `V_b^t` (original ids) in canonical order — in head
+    /// order for a Theorem 1 bag over all of `V`, which enumerates in it.
     bound_vars: Box<[Var]>,
-    /// Free variables `V_f^t` (original ids, canonical order).
+    /// Free variables `V_f^t`, ordered as `bound_vars`.
     free_vars: Box<[Var]>,
+    /// δ(t), which the bag is derived from; `None` for a Theorem 1 view's
+    /// bag, built at the knobs its Theorem 1 structure holds.
+    delay: Option<f64>,
     kind: BagKind,
 }
 
@@ -52,6 +63,22 @@ struct Bag {
 enum BagKind {
     Materialized(MaterializedBag),
     Tradeoff(Box<Theorem1Structure>),
+}
+
+impl Bag {
+    /// Materialized at δ = 0 or with nothing free; Theorem 1 otherwise.
+    fn materialized(&self) -> bool {
+        self.free_vars.is_empty() || self.delay.is_some_and(|d| d <= 1e-9)
+    }
+
+    /// Does the bag hold all `num_vars` variables of the query?
+    fn spans(&self, num_vars: usize) -> bool {
+        self.bound_vars.len() + self.free_vars.len() == num_vars
+    }
+
+    fn holds(&self, v: Var) -> bool {
+        self.bound_vars.contains(&v) || self.free_vars.contains(&v)
+    }
 }
 
 impl HeapSize for Bag {
@@ -65,16 +92,28 @@ impl HeapSize for Bag {
     }
 }
 
-/// What bags are derived from: the query's atoms over one database.
+/// What bags are derived from: the view's atoms over one database, the
+/// index store a bag over all of `V` draws its tries from, and a Theorem 1
+/// view's `(cover, τ)`.
 struct BagSource<'a> {
+    view: &'a AdornedView,
     h: Hypergraph,
     atoms: Vec<(String, Vec<Var>)>,
     db: &'a Database,
+    pool: &'a IndexPool,
+    theorem1: Option<(&'a [f64], f64)>,
 }
 
 impl<'a> BagSource<'a> {
-    fn new(query: &ConjunctiveQuery, db: &'a Database) -> BagSource<'a> {
+    fn new(
+        view: &'a AdornedView,
+        db: &'a Database,
+        pool: &'a IndexPool,
+        theorem1: Option<(&'a [f64], f64)>,
+    ) -> BagSource<'a> {
+        let query = view.query();
         BagSource {
+            view,
             h: query.hypergraph(),
             atoms: query
                 .atoms
@@ -82,69 +121,82 @@ impl<'a> BagSource<'a> {
                 .map(|a| (a.relation.clone(), a.vars().collect()))
                 .collect(),
             db,
+            pool,
+            theorem1,
         }
     }
 
-    /// Derives bag `node` (split into `bound`/`free` by the decomposition)
-    /// from the base relations: materialized when `delta = 0` or nothing is
-    /// free, else Theorem 1 over the bag-local projections with
-    /// `τ_t = |D|^δ(t)` and the cover minimizing `ρ⁺_t`, whose dictionary
-    /// counts only the rows `reaches` accepts.
-    fn derive(
-        &self,
-        node: usize,
-        bound: VarSet,
-        free: VarSet,
-        delta: f64,
-        reaches: impl FnMut(&[Value]) -> bool,
-    ) -> Result<BagKind> {
-        if delta <= 1e-9 || free.is_empty() {
+    /// Derives `bag` from the base relations: materialized, or Theorem 1 —
+    /// at the Theorem 1 view's knobs, or at `τ_t = |D|^δ(t)` and the cover
+    /// minimizing `ρ⁺_t` — whose dictionary counts only the rows `reaches`
+    /// accepts, over the view itself when the bag holds all of `V`.
+    fn derive(&self, bag: &Bag, reaches: impl FnMut(&[Value]) -> bool) -> Result<BagKind> {
+        let bound: VarSet = bag.bound_vars.iter().copied().collect();
+        let free: VarSet = bag.free_vars.iter().copied().collect();
+        if bag.materialized() {
             return Ok(BagKind::Materialized(MaterializedBag::build(
-                node,
+                bag.node,
                 bound,
                 free,
                 &self.atoms,
                 self.db,
             )?));
         }
-        let (bag_view, bag_db, origins) =
-            bag_local_components(node, bound, free, &self.atoms, self.db)?;
-        let rp = rho_plus(&self.h, bound.union(free), free, delta)?;
-        let weights: Vec<f64> = origins.iter().map(|&i| rp.weights[i]).collect();
-        let tau = (self.db.size() as f64).max(2.0).powf(delta).max(1.0);
-        Ok(BagKind::Tradeoff(Box::new(
-            Theorem1Structure::build_reaching(
-                &bag_view,
-                &bag_db,
-                &weights,
-                tau,
-                &IndexPool::new(),
-                reaches,
-            )?,
-        )))
+        let (weights, tau) = match bag.delay {
+            Some(delta) => {
+                let rp = rho_plus(&self.h, bound.union(free), free, delta)?;
+                let tau = (self.db.size() as f64).max(2.0).powf(delta).max(1.0);
+                (rp.weights, tau)
+            }
+            None => {
+                let (weights, tau) = self.theorem1.expect("a Theorem 1 bag is derived at build");
+                (weights.to_vec(), tau)
+            }
+        };
+        if bag.spans(self.view.query().num_vars()) {
+            let t1 = Theorem1Structure::build_reaching(
+                self.view, self.db, &weights, tau, self.pool, reaches,
+            )?;
+            return Ok(BagKind::Tradeoff(Box::new(t1)));
+        }
+        let (view, db, origins) =
+            bag_local_components(bag.node, bound, free, &self.atoms, self.db)?;
+        let weights: Vec<f64> = origins.iter().map(|&i| weights[i]).collect();
+        let t1 = Theorem1Structure::build_reaching(
+            &view,
+            &db,
+            &weights,
+            tau,
+            &IndexPool::new(),
+            reaches,
+        )?;
+        Ok(BagKind::Tradeoff(Box::new(t1)))
     }
 }
 
-/// A relation fully contained in `V_b`, checked per access request
-/// (§5.1: "a hash index that tests membership for every hyperedge of H
-/// contained in V_b"; sorted-relation membership is the same Õ(1)): the
-/// database's stored relation, its packed columns narrowed in place.
+/// A membership probe per access request (§5.1: "a hash index that tests
+/// membership for every hyperedge of H contained in V_b"; sorted-relation
+/// membership is the same Õ(1)): the database's stored relation, its
+/// packed columns narrowed in place.
 #[derive(Debug)]
 struct RootCheck {
-    /// The atom's position in the view's query (it names the relation).
-    atom: usize,
-    relation: Arc<SortedIndex>,
+    /// The atom's position in the view's query (it names the relation) and
+    /// its stored relation; `None` for a ground atom the Example 3 rewrite
+    /// found false, which no request passes.
+    atom: Option<(usize, Arc<SortedIndex>)>,
     vars: Vec<Var>,
 }
 
-/// The root checks of `view` — for an all-bound view every relation,
+/// The root checks of `view` over the decomposition's `bags`: every atom
+/// over `V_b` that no bag holds — for an all-bound view every relation,
 /// which is all of Prop. 1. The handles share the database's allocations.
-fn root_checks(view: &AdornedView, db: &Database) -> Result<Vec<RootCheck>> {
+fn root_checks(view: &AdornedView, db: &Database, bags: &[Bag]) -> Result<Vec<RootCheck>> {
     let vb = view.bound_vars();
     let mut checks = Vec::new();
     for (ai, atom) in view.query().atoms.iter().enumerate() {
         let vars: Vec<Var> = atom.vars().collect();
-        if vars.iter().all(|v| vb.contains(*v)) {
+        let in_a_bag = bags.iter().any(|b| vars.iter().all(|&v| b.holds(v)));
+        if vars.iter().all(|v| vb.contains(*v)) && !in_a_bag {
             let relation = db.get_arc(&atom.relation).ok_or_else(|| {
                 CqcError::Schema(format!(
                     "relation `{}` not found in database",
@@ -152,8 +204,7 @@ fn root_checks(view: &AdornedView, db: &Database) -> Result<Vec<RootCheck>> {
                 ))
             })?;
             checks.push(RootCheck {
-                atom: ai,
-                relation,
+                atom: Some((ai, relation)),
                 vars,
             });
         }
@@ -161,7 +212,18 @@ fn root_checks(view: &AdornedView, db: &Database) -> Result<Vec<RootCheck>> {
     Ok(checks)
 }
 
-/// The Theorem 2 compressed representation.
+/// The two-bag decomposition `{V_b} → {V}`: a Theorem 1 view's, and the
+/// `materialize` recipe's at δ ≡ 0.
+pub(crate) fn bound_then_all(view: &AdornedView) -> Result<TreeDecomposition> {
+    let bound = view.bound_vars();
+    TreeDecomposition::new(
+        vec![bound, bound.union(view.free_vars())],
+        vec![None, Some(0)],
+    )
+}
+
+/// The compressed representation of an adorned view: Theorem 2, of which
+/// Theorem 1 is the one-bag case.
 #[derive(Debug)]
 pub struct Theorem2Structure {
     view: AdornedView,
@@ -177,7 +239,6 @@ pub struct Theorem2Structure {
     children_of: Vec<Vec<usize>>,
     root_checks: Vec<RootCheck>,
     num_vars: usize,
-    delta: Vec<f64>,
 }
 
 impl Theorem2Structure {
@@ -194,11 +255,22 @@ impl Theorem2Structure {
         td: &TreeDecomposition,
         delta: &[f64],
     ) -> Result<Theorem2Structure> {
-        let query = view.query();
-        query.require_natural_join()?;
-        query.check_schema(db)?;
-        let source = BagSource::new(query, db);
-        td.validate_connex(&source.h, view.bound_vars())?;
+        Theorem2Structure::build_pooled(view, db, td, delta, &IndexPool::new())
+    }
+
+    /// [`Theorem2Structure::build`] with a delay-tuned bag over all of `V`
+    /// drawing its tries from `pool` (the engine's index store).
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Theorem2Structure::build`].
+    pub fn build_pooled(
+        view: &AdornedView,
+        db: &Database,
+        td: &TreeDecomposition,
+        delta: &[f64],
+        pool: &IndexPool,
+    ) -> Result<Theorem2Structure> {
         if delta.len() != td.len() {
             return Err(CqcError::Config(format!(
                 "expected {} delay entries, got {}",
@@ -206,19 +278,61 @@ impl Theorem2Structure {
                 delta.len()
             )));
         }
+        Theorem2Structure::build_with(view, db, td, |t| Some(delta[t]), None, pool)
+    }
 
-        // Bags in pre-order, derived below.
+    /// Theorem 1 at cover `weights` and `τ ≥ 1` (`τ = ∞`: §2.3's "answer
+    /// directly"): `{V_b} → {V}`, whose one bag is the Theorem 1 structure
+    /// over the view, its tries from `pool`.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Theorem1Structure::build_pooled`].
+    pub fn build_theorem1(
+        view: &AdornedView,
+        db: &Database,
+        weights: &[f64],
+        tau: f64,
+        pool: &IndexPool,
+    ) -> Result<Theorem2Structure> {
+        let td = bound_then_all(view)?;
+        Theorem2Structure::build_with(view, db, &td, |_| None, Some((weights, tau)), pool)
+    }
+
+    /// The bags of `td` in pre-order, each with the delay `delay_of` gives
+    /// its node, derived bottom-up.
+    fn build_with(
+        view: &AdornedView,
+        db: &Database,
+        td: &TreeDecomposition,
+        delay_of: impl Fn(usize) -> Option<f64>,
+        theorem1: Option<(&[f64], f64)>,
+        pool: &IndexPool,
+    ) -> Result<Theorem2Structure> {
+        let query = view.query();
+        query.require_natural_join()?;
+        query.check_schema(db)?;
+        let source = BagSource::new(view, db, pool, theorem1);
+        td.validate_connex(&source.h, view.bound_vars())?;
+
         let pre = td.preorder();
+        let num_vars = query.num_vars();
         let mut bags: Vec<Bag> = Vec::with_capacity(pre.len() - 1);
         let mut bag_index_of_node = vec![usize::MAX; td.len()];
         for &t in &pre[1..] {
             bag_index_of_node[t] = bags.len();
-            bags.push(Bag {
+            let mut bag = Bag {
                 node: t,
                 bound_vars: td.bag_bound(t).iter().collect(),
                 free_vars: td.bag_free(t).iter().collect(),
+                delay: delay_of(t),
                 kind: BagKind::Materialized(MaterializedBag::default()),
-            });
+            };
+            if !bag.materialized() && bag.spans(num_vars) {
+                bag.bound_vars = view.bound_head().into_boxed_slice();
+                bag.free_vars = view.free_head().into_boxed_slice();
+            }
+            bags.push(bag);
         }
         let parent_of: Vec<Option<usize>> = bags
             .iter()
@@ -242,12 +356,11 @@ impl Theorem2Structure {
             view: view.clone(),
             bound_head: view.bound_head().into_boxed_slice(),
             free_head: view.free_head().into_boxed_slice(),
+            root_checks: root_checks(view, db, &bags)?,
             bags,
             parent_of,
             children_of,
-            root_checks: root_checks(view, db)?,
-            num_vars: query.num_vars(),
-            delta: delta.to_vec(),
+            num_vars,
         };
         let all = vec![true; s.bags.len()];
         s.derive_bags(&source, &all)?;
@@ -269,6 +382,24 @@ impl Theorem2Structure {
             Objective::MinimizeWidth,
         )?;
         Theorem2Structure::build(view, db, &found.td, &found.delta)
+    }
+
+    /// A view the Example 3 rewrite proved empty (`view` is the rewritten
+    /// one): the root bag alone, with one check no request passes.
+    pub(crate) fn always_empty(view: &AdornedView) -> Theorem2Structure {
+        Theorem2Structure {
+            view: view.clone(),
+            bound_head: view.bound_head().into_boxed_slice(),
+            free_head: view.free_head().into_boxed_slice(),
+            bags: Vec::new(),
+            parent_of: Vec::new(),
+            children_of: Vec::new(),
+            root_checks: vec![RootCheck {
+                atom: None,
+                vars: Vec::new(),
+            }],
+            num_vars: view.query().num_vars(),
+        }
     }
 
     /// Derives the bags flagged in `dirty` from the base relations,
@@ -314,14 +445,7 @@ impl Theorem2Structure {
             // (both callers put one there) while the probes, which only
             // look below it, borrow the rest.
             let mut probe = SubtreeProbe::new(self, &key_pos);
-            let b = &self.bags[bi];
-            let (bound, free) = (
-                b.bound_vars.iter().copied().collect(),
-                b.free_vars.iter().copied().collect(),
-            );
-            let mut kind = source.derive(b.node, bound, free, self.delta[b.node], |row| {
-                probe.extends_below(bi, row)
-            })?;
+            let mut kind = source.derive(&self.bags[bi], |row| probe.extends_below(bi, row))?;
             match &mut kind {
                 BagKind::Materialized(mb) if !self.children_of[bi].is_empty() => {
                     mb.retain(|row| probe.extends_below(bi, row));
@@ -333,48 +457,45 @@ impl Theorem2Structure {
         Ok(())
     }
 
-    /// Re-derives only the bags whose local database is touched by `delta`
-    /// (already applied to `db`), plus their ancestors, each reduced
-    /// against its children as a build reduces it (Algorithm 4).
+    /// Maintains the structure across `delta`, already applied to `db`. A
+    /// delay-tuned bag over all of `V` with no child bag is maintained in
+    /// place (`crate::maintain`); no reduction reaches it. Every other bag
+    /// `delta` touches is re-derived, with its ancestors: the reduction is
+    /// destructive — a dropped row or a stored `0` cannot resurrect
+    /// locally — and an ancestor was reduced against the old subtree. An
+    /// untouched subtree keeps what a rebuild would recompute. The root
+    /// checks are re-taken from the post-delta database.
     ///
-    /// The reduction is destructive — a dropped materialized row or a
-    /// pair stored as `0` cannot resurrect locally — so a touched bag must
-    /// be re-derived from the base relations rather than patched, and
-    /// every ancestor of a touched bag must be re-derived too (its
-    /// reduction was computed against the old subtree). Bags whose entire subtree is
-    /// untouched keep their reduced state, which is exactly what a full
-    /// rebuild would recompute for them.
-    ///
-    /// Returns the maintained structure and the number of re-derived bags,
-    /// or `Ok(None)` when the stored view cannot absorb deltas (non-natural
-    /// atoms from the Example 3 rewrite).
+    /// Returns the successor and its report (the in-place bag's counts,
+    /// the re-derived bags added to `affected_nodes`), or why a Theorem 1
+    /// view's grid refused it; a refused bag with a δ is re-derived.
     ///
     /// # Errors
     ///
     /// Propagates schema and LP errors from the per-bag rebuilds.
-    pub fn maintained(
+    pub(crate) fn maintained(
         &self,
         db: &Database,
         delta: &Delta,
-    ) -> Result<Option<(Theorem2Structure, usize)>> {
+        pool: &IndexPool,
+    ) -> Result<Maintained<Theorem2Structure>> {
         let query = self.view.query();
-        if query.atoms.iter().any(|a| !a.is_natural()) {
-            return Ok(None);
-        }
         query.check_schema(db)?;
-        let source = BagSource::new(query, db);
+        let source = BagSource::new(&self.view, db, pool, None);
 
         // A bag is stale iff some atom over a touched relation shares a
         // variable with it: its local database projects every incident
         // relation (Appendix B).
-        let mut dirty = vec![false; self.bags.len()];
-        for (bi, b) in self.bags.iter().enumerate() {
-            let bag_set: VarSet = b.bound_vars.iter().chain(&b.free_vars).copied().collect();
-            dirty[bi] = source
-                .atoms
-                .iter()
-                .any(|(rel, vars)| delta.touches(rel) && vars.iter().any(|v| bag_set.contains(*v)));
-        }
+        let mut dirty: Vec<bool> = self
+            .bags
+            .iter()
+            .map(|b| {
+                source
+                    .atoms
+                    .iter()
+                    .any(|(rel, vars)| delta.touches(rel) && vars.iter().any(|&v| b.holds(v)))
+            })
+            .collect();
         // Close under ancestors (see above). Reverse order: a bag marked
         // through this loop has its own ancestors chained in the same pass.
         for bi in (0..self.bags.len()).rev() {
@@ -389,46 +510,63 @@ impl Theorem2Structure {
                 }
             }
         }
-        let rebuilt = dirty.iter().filter(|&&d| d).count();
 
-        // A stale bag's kind is replaced by `derive_bags`: not cloned.
-        let bags = self
-            .bags
-            .iter()
-            .zip(&dirty)
-            .map(|(b, &stale)| Bag {
+        // A stale bag's kind is maintained in place or replaced by
+        // `derive_bags`: not cloned.
+        let mut report = MaintainReport::default();
+        let mut bags = Vec::with_capacity(self.bags.len());
+        for (bi, b) in self.bags.iter().enumerate() {
+            let mut kind = BagKind::Materialized(MaterializedBag::default());
+            if !dirty[bi] {
+                kind = b.kind.clone();
+            } else if let (BagKind::Tradeoff(t1), true, true) = (
+                &b.kind,
+                b.spans(self.num_vars),
+                self.children_of[bi].is_empty(),
+            ) {
+                match maintain_theorem1(t1, db, delta, pool)? {
+                    Ok((t1, r)) => {
+                        kind = BagKind::Tradeoff(Box::new(t1));
+                        dirty[bi] = false;
+                        report.affected_nodes += r.affected_nodes;
+                        report.reprobed_entries += r.reprobed_entries;
+                        report.flipped_bits += r.flipped_bits;
+                        report.cleared_bits += r.cleared_bits;
+                    }
+                    Err(reason) if b.delay.is_none() => return Ok(Err(reason)),
+                    Err(_) => {}
+                }
+            }
+            bags.push(Bag {
                 node: b.node,
                 bound_vars: b.bound_vars.clone(),
                 free_vars: b.free_vars.clone(),
-                kind: if stale {
-                    BagKind::Materialized(MaterializedBag::default())
-                } else {
-                    b.kind.clone()
-                },
-            })
-            .collect();
+                delay: b.delay,
+                kind,
+            });
+        }
+        report.affected_nodes += dirty.iter().filter(|&&d| d).count();
 
         let mut s = Theorem2Structure {
             view: self.view.clone(),
             bound_head: self.bound_head.clone(),
             free_head: self.free_head.clone(),
+            // Re-taken from the post-delta database: an untouched
+            // relation is still the allocation held before.
+            root_checks: root_checks(&self.view, db, &bags)?,
             bags,
             parent_of: self.parent_of.clone(),
             children_of: self.children_of.clone(),
-            // Re-taken from the post-delta database: an untouched
-            // relation is still the allocation held before.
-            root_checks: root_checks(&self.view, db)?,
             num_vars: self.num_vars,
-            delta: self.delta.clone(),
         };
         s.derive_bags(&source, &dirty)?;
-        Ok(Some((s, rebuilt)))
+        Ok(Ok((s, report)))
     }
 
     /// An un-started cursor over this structure. It owns all odometer
-    /// scratch (valuation, per-bag cursors with cached bag-level Theorem 1
-    /// cursors, key and emit buffers), reused across
-    /// [`Theorem2Iter::answer_into`] calls.
+    /// scratch (valuation, per-bag cursors, key and emit buffers), reused
+    /// across [`Theorem2Iter::answer_into`] calls: steady-state serving
+    /// allocates nothing per answer.
     pub fn enumerator(&self) -> Theorem2Iter<'_> {
         Theorem2Iter {
             s: self,
@@ -449,7 +587,9 @@ impl Theorem2Structure {
         }
     }
 
-    /// One-shot [`Theorem2Iter::answer_into`] on a fresh cursor.
+    /// Answers one access request: drives every answer into `sink` as a
+    /// borrowed slice of free-variable values — the one way answers leave
+    /// a representation — on a fresh [`Theorem2Structure::enumerator`].
     ///
     /// # Errors
     ///
@@ -462,21 +602,161 @@ impl Theorem2Structure {
         self.enumerator().answer_into(bound_values, sink)
     }
 
-    /// First-answer probe. No answer tuple is materialized.
+    /// `true` iff the request has at least one answer (first-answer probe;
+    /// no answer tuple is materialized).
     pub fn exists(&self, bound_values: &[Value]) -> Result<bool> {
         let mut it = self.enumerator();
         it.reset(bound_values)?;
         Ok(it.advance())
     }
 
-    /// The view definition.
+    /// The view definition (after the Example 3 rewrite).
     pub fn view(&self) -> &AdornedView {
         &self.view
     }
 
+    /// A Theorem 1 view's one bag, or `None` for every other recipe.
+    pub fn theorem1(&self) -> Option<&Theorem1Structure> {
+        match self.bags.as_slice() {
+            [Bag {
+                delay: None,
+                kind: BagKind::Tradeoff(t1),
+                ..
+            }] => Some(t1),
+            _ => None,
+        }
+    }
+
+    /// A short name of the theorem in use (for reports).
+    pub fn strategy_name(&self) -> &'static str {
+        if self.theorem1().is_some() {
+            "theorem-1"
+        } else {
+            "theorem-2"
+        }
+    }
+
+    /// A human-readable description of the representation: strategy,
+    /// tuning knobs and size accounting — the "EXPLAIN" of a compressed
+    /// view. A Theorem 1 view is described by its bag.
+    pub fn describe(&self) -> String {
+        if let Some(s) = self.theorem1() {
+            let st = s.stats();
+            let per = |bytes: usize, n: usize| bytes as f64 / n.max(1) as f64;
+            let (tries, grid) = st.base_index_widths;
+            return format!(
+                "theorem 1: τ = {:.2}, cover = {:?}, slack α = {:.2}; \
+                 tree {} nodes, {} leaves (β {} B over {} levels; depth {}, \
+                 {} B = {:.1} B/node), \
+                 dictionary {} heavy pairs (values {} b, {} child bits; \
+                 {} B = {:.1} B/entry), \
+                 base indexes {} B (tries {} b, grid {} b; {} B distinct); {} heap bytes; \
+                 build work: {} tree count probes, {} dictionary evaluations \
+                 of {} candidates, {} probe joins; {} heavy pairs light by work \
+                 ({} capped-run units)",
+                s.tau(),
+                s.weights()
+                    .iter()
+                    .map(|w| (w * 100.0).round() / 100.0)
+                    .collect::<Vec<_>>(),
+                s.alpha(),
+                st.tree_nodes,
+                st.tree_leaves,
+                st.tree_beta_bytes,
+                s.tree().map_or(0, |t| t.beta_levels()),
+                st.tree_depth,
+                st.tree_bytes,
+                per(st.tree_bytes, st.tree_nodes),
+                st.dict_entries,
+                st.dict_value_width,
+                st.dict_child_bits,
+                st.dict_bytes,
+                per(st.dict_bytes, st.dict_entries),
+                st.base_index_bytes,
+                tries,
+                grid,
+                st.base_index_distinct_bytes,
+                st.heap_bytes,
+                st.tree_count_probes,
+                st.dict_evaluations,
+                st.dict_candidates,
+                st.dict_probes,
+                st.dict_light_by_work,
+                st.dict_capped_work
+            );
+        }
+        let st = self.stats();
+        let widths: String = self
+            .bag_reports()
+            .iter()
+            .filter(|r| r.kind == "materialized")
+            .map(|r| {
+                let w = r.widths;
+                format!(
+                    "; node {}: keys {} b, offsets {} b, ranks {} b, values {} b",
+                    r.node, w.keys, w.offsets, w.ranks, w.values
+                )
+            })
+            .collect();
+        format!(
+            "theorem 2: {} bags ({} delay-tuned, max δ = {:.3}); {} materialized \
+             bag tuples ({} B = {:.1} B/tuple{}), {} dictionary entries, \
+             {} heap bytes{}",
+            st.bags,
+            st.tradeoff_bags,
+            st.max_delta,
+            st.materialized_tuples,
+            st.materialized_bytes,
+            st.materialized_bytes as f64 / st.materialized_tuples.max(1) as f64,
+            widths,
+            st.dict_entries,
+            st.heap_bytes,
+            if st.tradeoff_bags == 0 {
+                ", constant delay"
+            } else {
+                ""
+            }
+        )
+    }
+
+    /// What a `Stats` reply carries for this view, named by its family: a
+    /// Theorem 1 view's bag counts as `theorem1`, any other as `theorem2`.
+    pub fn stats_pairs(&self) -> (&'static str, Vec<(&'static str, u64)>) {
+        match self.theorem1() {
+            Some(s) => ("theorem1", s.stats().pairs()),
+            None => ("theorem2", self.stats().pairs()),
+        }
+    }
+
+    /// The shared handles of the base-relation indexes this representation
+    /// holds: the tries of a delay-tuned bag over all of `V`, one per atom.
+    pub fn base_indexes(&self) -> Vec<&Arc<SortedIndex>> {
+        self.bags
+            .iter()
+            .filter(|b| b.spans(self.num_vars))
+            .filter_map(|b| match &b.kind {
+                BagKind::Tradeoff(t1) => Some(t1.base_indexes()),
+                BagKind::Materialized(_) => None,
+            })
+            .flatten()
+            .collect()
+    }
+
+    /// Heap bytes by part, `(tree, dictionary, rest)`: the delay-balanced
+    /// trees and heavy-pair dictionaries of the delay-tuned bags, summed,
+    /// and everything else — base indexes, grids, materialized bags, root
+    /// checks. The three sum to `heap_bytes()`.
+    pub fn bytes_by_part(&self) -> (usize, usize, usize) {
+        let (tree, dict) = self
+            .tradeoff_structures()
+            .map(Theorem1Structure::space_breakdown)
+            .fold((0, 0), |(t, d), b| (t + b.tree_bytes, d + b.dict_bytes));
+        (tree, dict, self.heap_bytes() - tree - dict)
+    }
+
     /// Per-bag reports: which decomposition node each bag serves, its
     /// variable split, structure kind and size — the decomposition-level
-    /// companion to `CompressedView::describe`.
+    /// companion to [`Theorem2Structure::describe`].
     pub fn bag_reports(&self) -> Vec<BagReport> {
         self.bags
             .iter()
@@ -501,7 +781,7 @@ impl Theorem2Structure {
                     node: b.node,
                     bound_vars: b.bound_vars.len(),
                     free_vars: b.free_vars.len(),
-                    delta: self.delta[b.node],
+                    delta: b.delay,
                     kind,
                     tuples_or_entries,
                     keys,
@@ -526,6 +806,7 @@ impl Theorem2Structure {
         let mut materialized_tuples = 0usize;
         let mut materialized_bytes = 0usize;
         let mut dict_entries = 0usize;
+        let mut tree_nodes = 0usize;
         let mut tradeoff_bags = 0usize;
         let mut tree_count_probes = 0u64;
         for b in &self.bags {
@@ -537,6 +818,7 @@ impl Theorem2Structure {
                 BagKind::Tradeoff(t) => {
                     tradeoff_bags += 1;
                     dict_entries += t.dictionary().num_entries();
+                    tree_nodes += t.tree().map_or(0, |tree| tree.len());
                     tree_count_probes += t.tree().map_or(0, |tree| tree.build_count_probes());
                 }
             }
@@ -547,9 +829,10 @@ impl Theorem2Structure {
             materialized_tuples,
             materialized_bytes,
             dict_entries,
+            tree_nodes,
             tree_count_probes,
             heap_bytes: self.heap_bytes(),
-            max_delta: self.delta.iter().copied().fold(0.0, f64::max),
+            max_delta: self.bags.iter().filter_map(|b| b.delay).fold(0.0, f64::max),
         }
     }
 }
@@ -630,8 +913,9 @@ pub struct BagReport {
     pub bound_vars: usize,
     /// Number of free variables `|V_f^t|`.
     pub free_vars: usize,
-    /// The bag's delay exponent δ(t).
-    pub delta: f64,
+    /// The bag's delay exponent δ(t); `None` for a Theorem 1 view's bag,
+    /// built at a given τ and cover.
+    pub delta: Option<f64>,
     /// `"materialized"` or `"theorem-1"`.
     pub kind: &'static str,
     /// Materialized tuples, or dictionary entries for delay-tuned bags.
@@ -677,6 +961,9 @@ pub struct Theorem2Stats {
     pub materialized_bytes: usize,
     /// Total dictionary entries across Theorem 1 bags.
     pub dict_entries: usize,
+    /// Stored tree nodes across Theorem 1 bags (not a `Stats` pair: a
+    /// Theorem 1 view reports its bag's own counts).
+    pub tree_nodes: usize,
     /// Count-index probes the Theorem 1 bags' tree builds spent, summed
     /// (see `Theorem1Stats::tree_count_probes`).
     pub tree_count_probes: u64,
@@ -696,6 +983,7 @@ impl Theorem2Stats {
             materialized_tuples,
             materialized_bytes,
             dict_entries,
+            tree_nodes: _,
             tree_count_probes,
             heap_bytes,
             max_delta: _,
@@ -727,7 +1015,9 @@ impl HeapSize for Theorem2Structure {
                 .root_checks
                 .iter()
                 .map(|c| {
-                    atoms[c.atom].relation.len() + c.relation.heap_bytes() + c.vars.heap_bytes()
+                    c.atom.as_ref().map_or(0, |(ai, relation)| {
+                        atoms[*ai].relation.len() + relation.heap_bytes()
+                    }) + c.vars.heap_bytes()
                 })
                 .sum::<usize>()
     }
@@ -800,21 +1090,21 @@ impl<'a> Theorem2Iter<'a> {
             c.live = false;
         }
         self.started = false;
-        let mut root_ok = true;
-        for check in &self.s.root_checks {
-            let Theorem2Iter { valuation, key, .. } = self;
-            key.clear();
-            key.extend(
-                check
-                    .vars
-                    .iter()
-                    .map(|v| valuation[v.index()].expect("bound var valued")),
-            );
-            if !check.relation.contains(key) {
-                root_ok = false;
-                break;
-            }
-        }
+        let Theorem2Iter {
+            s, valuation, key, ..
+        } = self;
+        let root_ok = s.root_checks.iter().all(|check| {
+            check.atom.as_ref().is_some_and(|(_, relation)| {
+                key.clear();
+                key.extend(
+                    check
+                        .vars
+                        .iter()
+                        .map(|v| valuation[v.index()].expect("bound var valued")),
+                );
+                relation.contains(key)
+            })
+        });
         self.done = !root_ok;
         Ok(())
     }
@@ -1253,10 +1543,8 @@ mod tests {
         let got = answers(&s, &[1, 2]);
         assert_eq!(got, vec![Vec::<Value>::new()]);
         // The check shares the database's relation; it is not a copy.
-        assert!(Arc::ptr_eq(
-            &s.root_checks[0].relation,
-            &db.get_arc("R").unwrap()
-        ));
+        let (_, relation) = s.root_checks[0].atom.as_ref().unwrap();
+        assert!(Arc::ptr_eq(relation, &db.get_arc("R").unwrap()));
         assert!(s.exists(&[1]).is_err(), "access arity is validated");
 
         // Membership: (x, y, z) is in the 2-path iff R(x, y) and S(y, z).
@@ -1366,7 +1654,7 @@ mod tests {
         assert_streams_naive(&s, &v, &db, (0..4u64).map(|x| vec![x]));
 
         let cv = crate::CompressedView::build(&v, &db, crate::Strategy::Factorized).unwrap();
-        assert!(matches!(cv, crate::CompressedView::Decomposed(_)));
+        assert_eq!(cv.stats().tradeoff_bags, 0);
         assert!(!cv.exists(&[1]).unwrap());
         let mut block = cqc_common::AnswerBlock::new();
         cv.answer_into(&[1], &mut block).unwrap();
@@ -1401,9 +1689,11 @@ mod tests {
             let delta = cqc_workload::mixed_delta(&mut rng, &db, touched, 4, 3);
             removed += delta.remove_groups().map(|(_, t)| t.len()).sum::<usize>();
             db.apply(&delta).unwrap();
-            let (maintained, rebuilt_bags) =
-                s.maintained(&db, &delta).unwrap().expect("natural atoms");
-            cloned += bags - rebuilt_bags;
+            let (maintained, report) = s
+                .maintained(&db, &delta, &IndexPool::new())
+                .unwrap()
+                .expect("no bag maintained in place");
+            cloned += bags - report.affected_nodes;
             let rebuilt = build(&db);
             assert_eq!(layout(&maintained), layout(&rebuilt), "step {step}");
             assert_eq!(maintained.heap_bytes(), rebuilt.heap_bytes(), "step {step}");
@@ -1427,7 +1717,7 @@ mod tests {
         assert_eq!(reports[0].kind, "theorem-1");
         assert_eq!(reports[0].bound_vars, 2);
         assert_eq!(reports[0].free_vars, 2);
-        assert!(reports[0].delta > 0.0);
+        assert!(reports[0].delta.is_some_and(|d| d > 0.0));
         assert_eq!(reports[1].node, 2);
         assert_eq!(reports[1].kind, "materialized");
         assert_eq!(reports[1].free_vars, 1);
@@ -1574,7 +1864,10 @@ mod tests {
             let delta = cqc_workload::mixed_delta(&mut rng, &db, &names, 10, 10);
             removed += delta.remove_groups().map(|(_, t)| t.len()).sum::<usize>();
             db.apply(&delta).unwrap();
-            let (maintained, _) = s.maintained(&db, &delta).unwrap().expect("natural atoms");
+            let (maintained, _) = s
+                .maintained(&db, &delta, &IndexPool::new())
+                .unwrap()
+                .expect("no bag maintained in place");
             let rebuilt = build(&db);
             let walk = |s: &Theorem2Structure| -> Vec<u64> {
                 s.tradeoff_structures()

@@ -11,13 +11,13 @@
 //! Served streams are never deduplicated before the comparison. Sabotage
 //! check: `let sink = &mut cqc_common::FnSink(|t: &[Value]| sink.push(t) &&
 //! sink.push(t));` (each answer pushed twice) as the first line of
-//! `ViewEnumerator::answer_into` turns every test of this file red but
+//! `Theorem2Iter::answer_into` turns every test of this file red but
 //! `theorem1_cursor_reuse_matches_fresh_cursors`, which drives Theorem 1's
 //! own cursor.
 
 use cqc_common::value::{Tuple, Value};
 use cqc_common::{AnswerBlock, CountingSink, ExistsSink, FnSink};
-use cqc_core::{CompressedView, Strategy, ViewEnumerator};
+use cqc_core::{CompressedView, Strategy};
 use cqc_decomp::{search_connex, Objective};
 use cqc_join::naive::{evaluate_full, evaluate_view};
 use cqc_query::parser::parse_adorned;
@@ -66,27 +66,27 @@ fn build(view: &AdornedView, db: &Database, strat: &Strategy) -> CompressedView 
     let cv = CompressedView::build(view, db, strat.clone()).unwrap();
     match strat {
         Strategy::Factorized => assert!(
-            matches!(&cv, CompressedView::Decomposed(s) if s.stats().tradeoff_bags == 0),
+            cv.theorem1().is_none() && cv.stats().tradeoff_bags == 0,
             "{strat:?}: {}",
             cv.describe()
         ),
         Strategy::Materialize => {
             let rows = evaluate_full(view.query(), db).unwrap().len();
+            let s = cv.stats();
             assert!(
-                matches!(&cv, CompressedView::Decomposed(s)
-                    if s.stats().bags == 1
-                        && s.stats().tradeoff_bags == 0
-                        && s.stats().materialized_tuples == rows),
+                cv.theorem1().is_none()
+                    && s.bags == 1
+                    && s.tradeoff_bags == 0
+                    && s.materialized_tuples == rows,
                 "{strat:?} ({rows} rows): {}",
                 cv.describe()
             );
         }
         Strategy::Direct => assert!(
-            matches!(&cv, CompressedView::Tradeoff(s)
-                if s.tau() == f64::INFINITY
-                    && s.stats().tree_nodes == 1
-                    && s.stats().dict_entries == 0
-                    && s.stats().dict_candidates == 0),
+            cv.theorem1().is_some_and(|s| s.tau() == f64::INFINITY
+                && s.stats().tree_nodes == 1
+                && s.stats().dict_entries == 0
+                && s.stats().dict_candidates == 0),
             "{strat:?}: {}",
             cv.describe()
         ),
@@ -252,11 +252,7 @@ fn bound_only_and_always_empty() -> [Row; 2] {
     // the root bag alone, every relation a root check.
     for strat in strategies(&view) {
         let cv = CompressedView::build(&view, &db, strat.clone()).unwrap();
-        assert!(
-            matches!(&cv, CompressedView::Decomposed(s) if s.stats().bags == 0),
-            "{strat:?}: {}",
-            cv.describe()
-        );
+        assert_eq!(cv.stats().bags, 0, "{strat:?}: {}", cv.describe());
     }
 
     let mut db2 = Database::new();
@@ -266,7 +262,7 @@ fn bound_only_and_always_empty() -> [Row; 2] {
         .unwrap();
     let view2 = parse_adorned("Q(x, y) :- R(x, y), G(7, 7)", "bf").unwrap();
     let always_empty = CompressedView::build(&view2, &db2, Strategy::Direct).unwrap();
-    assert_eq!(always_empty.strategy_name(), "always-empty");
+    assert!(always_empty.describe().starts_with("theorem 2: 0 bags"));
     [
         (Strategy::Factorized, bound_only, view, db),
         (Strategy::Direct, always_empty, view2, db2),
@@ -284,14 +280,14 @@ fn bound_only_and_always_empty_flat_paths() {
 /// An enumerator whose last request was stopped by its sink — at the first
 /// answer, or one answer into the stream — owes the next request that
 /// request's full answer: nothing of the abandoned stream may leak into
-/// it, for any of the three [`ViewEnumerator`] variants and every recipe
-/// that builds one (`materialize`, `factorized` and an all-bound view all
-/// drive Theorem 2's odometer, `direct` and `tau:3` both Theorem 1's
-/// cursor).
+/// it, for every recipe: the one cursor, Theorem 2's odometer, drives a
+/// Theorem 1 view's one bag (`direct`, `tau:3`), materialized bags
+/// (`materialize`, `factorized`), root checks alone (an all-bound view) and
+/// a check no request passes (an always-empty view).
 ///
 /// Sabotage check: deleting `self.join_active = false;` from
 /// `Theorem1Iter::start` (the abandoned request's join keeps draining
-/// into the next one) turns this test red on the `Tradeoff` row.
+/// into the next one) turns this test red on the `tau:3` row.
 #[test]
 fn enumerator_stopped_early_serves_the_next_request_in_full() {
     let db = random_db(59, &["R", "S", "T"], 90, 10);
@@ -316,15 +312,10 @@ fn enumerator_stopped_early_serves_the_next_request_in_full() {
         ));
     }
     rows.extend(bound_only_and_always_empty());
-    let variant = |e: &ViewEnumerator<'_>| match e {
-        ViewEnumerator::Tradeoff(_) => "tradeoff",
-        ViewEnumerator::Decomposed(_) => "decomposed",
-        ViewEnumerator::AlwaysEmpty(_) => "always-empty",
-    };
     let mut covered: Vec<&str> = Vec::new();
     for (strat, cv, view, db) in &rows {
         let mut enumerator = cv.enumerator();
-        let name = variant(&enumerator);
+        let name = cv.strategy_name();
         covered.push(name);
         let reqs = requests(view.bound_head().len(), 6);
         let mut block = AnswerBlock::new();
@@ -353,7 +344,7 @@ fn enumerator_stopped_early_serves_the_next_request_in_full() {
     }
     covered.sort_unstable();
     covered.dedup();
-    assert_eq!(covered, ["always-empty", "decomposed", "tradeoff"]);
+    assert_eq!(covered, ["theorem-1", "theorem-2"]);
 }
 
 #[test]
@@ -367,17 +358,15 @@ fn theorem1_cursor_reuse_matches_fresh_cursors() {
         tau: 3.0,
         weights: None,
     };
-    let s = match CompressedView::build(&view, &db, tradeoff).unwrap() {
-        CompressedView::Tradeoff(s) => s,
-        other => panic!("expected theorem-1, got {}", other.strategy_name()),
-    };
+    let cv = CompressedView::build(&view, &db, tradeoff).unwrap();
+    let s = cv.theorem1().expect("a Theorem 1 view");
     let mut cursor = s.enumerator();
     let (mut reused, mut fresh) = (AnswerBlock::new(), AnswerBlock::new());
     for x in 0..8u64 {
         reused.clear();
         cursor.answer_into(&[x], &mut reused).unwrap();
         fresh.clear();
-        s.answer_into(&[x], &mut fresh).unwrap();
+        s.enumerator().answer_into(&[x], &mut fresh).unwrap();
         assert_eq!(reused.values(), fresh.values(), "reuse diverges at x={x}");
         let expect = evaluate_view(&view, &db, &[x]).unwrap();
         assert_eq!(reused.to_tuples(), expect, "x={x}");

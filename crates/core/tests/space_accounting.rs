@@ -472,6 +472,48 @@ fn reported_bytes_are_live_bytes_and_layout_is_pinned() {
     direct_holds_tries_grid_and_tree(&db);
     theorem2_reports_what_it_holds();
     bound_only_holds_handles_not_copies();
+    root_checks_only_where_no_bag_holds_the_atom(&db);
+}
+
+/// An atom over `V_b` is a root check only when no bag holds all its
+/// variables: a bag that does joins it already. Each row fails under the
+/// rule before, which made every atom inside `V_b` a root check:
+///
+/// * a Theorem 1 view at `bbf` (the benchmark's `tri_pt` shape) is the
+///   Theorem 1 structure a direct `Theorem1Structure::build` gives, plus
+///   the header of `{V_b} → {V}`: the view's head variables, once for the
+///   structure and once for its bag, 8 B a variable. The old rule also
+///   held `R(x, y)`'s stored relation, once more than the plan's tries;
+/// * `materialize` at `bfb` is its head, its bag's variable lists and the
+///   bag's storage, and nothing else: its bag joins `T(z, x)`, whose check
+///   — `T`'s name, stored index and a variable list — the old rule kept.
+fn root_checks_only_where_no_bag_holds_the_atom(db: &Database) {
+    let query = "Q(x,y,z) :- R(x,y), S(y,z), T(z,x)";
+    let head = 3 * std::mem::size_of::<Var>();
+    let view = parse_adorned(query, "bbf").unwrap();
+    let weights = vec![0.5; 3];
+    let tradeoff = Strategy::Tradeoff {
+        tau: 4.0,
+        weights: Some(weights.clone()),
+    };
+    let cv = CompressedView::build(&view, db, tradeoff).unwrap();
+    let alone = Theorem1Structure::build(&view, db, &weights, 4.0).unwrap();
+    assert_eq!(
+        cv.heap_bytes(),
+        alone.heap_bytes() + 2 * head,
+        "{}",
+        cv.describe()
+    );
+
+    let view = parse_adorned(query, "bfb").unwrap();
+    let cv = CompressedView::build(&view, db, Strategy::Materialize).unwrap();
+    let stats = cv.stats();
+    assert_eq!(
+        cv.heap_bytes(),
+        2 * head + stats.materialized_bytes,
+        "{}",
+        cv.describe()
+    );
 }
 
 /// The base-index layout pin, met with equality: each trie holds what
@@ -512,9 +554,7 @@ fn direct_holds_tries_grid_and_tree(db: &Database) {
         let cv = CompressedView::build_pooled(&view, db, Strategy::Direct, &pool).unwrap();
         drop(pool);
         let live = (live_bytes() - before) as usize;
-        let CompressedView::Tradeoff(s) = &cv else {
-            panic!("{pattern}: direct is Theorem 1, got {}", cv.describe());
-        };
+        let s = cv.theorem1().expect("direct is Theorem 1");
         // One leaf and an empty dictionary only: no heavy pair, no root
         // candidate, no build work past the root's cost. The leaf is one
         // bit (a word) and one directory entry; the tree adds the grid
@@ -558,11 +598,9 @@ fn direct_holds_tries_grid_and_tree(db: &Database) {
     let view = parse_adorned("Q(x,y,z) :- R(x,y), S(y,z)", "fff").unwrap();
     let materialize = CompressedView::build(&view, &db, Strategy::Materialize).unwrap();
     let direct = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
-    let CompressedView::Decomposed(m) = &materialize else {
-        panic!("materialize is Theorem 2, got {}", materialize.describe());
-    };
-    assert_eq!(m.stats().materialized_tuples, 900);
-    assert!(m.stats().materialized_tuples > db.size());
+    let m = materialize.stats();
+    assert_eq!(m.materialized_tuples, 900);
+    assert!(m.materialized_tuples > db.size());
     assert!(
         direct.heap_bytes() < materialize.heap_bytes(),
         "direct {} B, materialize {} B",
@@ -583,10 +621,7 @@ fn bound_only_holds_handles_not_copies() {
     let before = live_bytes();
     let cv = CompressedView::build(&view, &db, Strategy::Factorized).unwrap();
     let live = (live_bytes() - before) as usize;
-    let CompressedView::Decomposed(s) = &cv else {
-        panic!("an all-bound view is Theorem 2, got {}", cv.describe());
-    };
-    assert_eq!(s.stats().bags, 0, "{}", cv.describe());
+    assert_eq!(cv.stats().bags, 0, "{}", cv.describe());
     let content = |name: &str| name.len() + stored_index_bytes(&db, name);
     let one_relation = content("R1").min(content("R2")).min(content("R3"));
     assert!(
@@ -614,7 +649,11 @@ fn theorem2_reports_what_it_holds() {
         db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 400, 40))
             .unwrap();
     }
-    let constant_delay = |v: &AdornedView| Theorem2Structure::build_constant_delay(v, &db).unwrap();
+    let constant_delay = |v: &AdornedView| {
+        Theorem2Structure::build_constant_delay(v, &db)
+            .unwrap()
+            .into()
+    };
     // Example 10's decomposition of the 4-path, its middle bag delay-tuned:
     // root {x1,x5} → {x2,x4 | x1,x5} (δ = 0.3) → {x3 | x2,x4} (δ = 0).
     let bag = |vars: &[u32]| vars.iter().map(|&v| Var(v)).collect::<VarSet>();
@@ -623,14 +662,15 @@ fn theorem2_reports_what_it_holds() {
         vec![None, Some(0), Some(1)],
     )
     .unwrap();
-    let mixed = |v: &AdornedView| Theorem2Structure::build(v, &db, &td, &[0.0, 0.3, 0.0]).unwrap();
+    let mixed = |v: &AdornedView| {
+        Theorem2Structure::build(v, &db, &td, &[0.0, 0.3, 0.0])
+            .unwrap()
+            .into()
+    };
     // The `materialize` recipe: one bag, `Q(D)` keyed by the bound prefix.
     let materialize =
-        |v: &AdornedView| match CompressedView::build(v, &db, Strategy::Materialize).unwrap() {
-            CompressedView::Decomposed(s) => s,
-            other => panic!("materialize is Theorem 2, got {}", other.describe()),
-        };
-    type Build<'a> = &'a dyn Fn(&AdornedView) -> Theorem2Structure;
+        |v: &AdornedView| CompressedView::build(v, &db, Strategy::Materialize).unwrap();
+    type Build<'a> = &'a dyn Fn(&AdornedView) -> CompressedView;
     // (atoms, pattern, builder, tradeoff bags expected, root-check relations)
     let cases: [(usize, &str, Build, bool, &[&str]); 6] = [
         (2, "bff", &constant_delay, false, &[]),
@@ -638,7 +678,7 @@ fn theorem2_reports_what_it_holds() {
         (4, "bfffb", &mixed, true, &[]),
         (3, "bbbf", &constant_delay, false, &["R1", "R2"]),
         (2, "bff", &materialize, false, &[]),
-        (3, "bbbf", &materialize, false, &["R1", "R2"]),
+        (3, "bbbf", &materialize, false, &[]),
     ];
     let max_value = names
         .iter()
@@ -702,15 +742,14 @@ fn theorem2_reports_what_it_holds() {
         // What the structure holds and `heap_bytes` leaves out, term by
         // term (every decomposition here is a chain): per bag its header
         // (node id, two variable-list handles, four packed columns and
-        // two widths), parent slot and child-list header; per inner bag a
-        // child list at its first growth; a delay per decomposition node;
-        // the root-check list (atom, handle, variable list: 40 B a check)
-        // at its first growth; the view definition.
+        // two widths, and its delay), parent slot and child-list header;
+        // per inner bag a child list at its first growth; the root-check
+        // list (atom, handle, variable list: 40 B a check) at its first
+        // growth; the view definition.
         let bags = stats.bags;
-        let bag_header = 8 + 2 * 16 + 4 * std::mem::size_of::<Packed>() + 2 * 8;
+        let bag_header = 8 + 2 * 16 + 4 * std::mem::size_of::<Packed>() + 2 * 8 + 16;
         let unreported = (bag_header + 16 + 24) * bags
             + 32 * (bags - 1)
-            + 8 * (bags + 1)
             + if inside_vb.is_empty() { 0 } else { 4 * 40 }
             + view_bytes;
         let held = s.heap_bytes() - shared + unreported;

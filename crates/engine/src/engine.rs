@@ -710,7 +710,7 @@ impl Engine {
     pub fn with_view_enumerator<R>(
         &self,
         view: &str,
-        f: impl FnOnce(&mut cqc_core::ViewEnumerator<'_>) -> R,
+        f: impl FnOnce(&mut cqc_core::Theorem2Iter<'_>) -> R,
     ) -> Result<R> {
         let rv = self.view(view)?;
         let cv = self.representation(&rv)?;
@@ -755,7 +755,7 @@ impl Engine {
     }
 
     /// The shared handles of the base-relation indexes a registered view's
-    /// representation holds ([`CompressedView::base_indexes`]): two views
+    /// representation holds ([`cqc_core::Theorem2Structure::base_indexes`]): two views
     /// share an index exactly when both lists contain the same allocation.
     ///
     /// # Errors
@@ -807,10 +807,7 @@ impl Engine {
     /// Unknown view, or a tagged rebuild failure.
     pub fn theorem1_stats(&self, view: &str) -> Result<Option<cqc_core::Theorem1Stats>> {
         let rv = self.view(view)?;
-        Ok(match &*self.representation(&rv)? {
-            CompressedView::Tradeoff(s) => Some(s.stats()),
-            _ => None,
-        })
+        Ok(self.representation(&rv)?.theorem1().map(|s| s.stats()))
     }
 
     /// What this engine reports over `Stats`: its catalog, update, recovery
@@ -839,15 +836,8 @@ impl Engine {
                 (row.tree_bytes, row.dict_bytes, row.base_bytes) =
                     (tree as u64, dict as u64, rest as u64);
                 (row.build_work, row.epoch) = (build_work, Some(epoch));
-                match &*cv {
-                    CompressedView::Tradeoff(s) => {
-                        out.extend(&format!("theorem1.{}", rv.name), s.stats().pairs());
-                    }
-                    CompressedView::Decomposed(t) => {
-                        out.extend(&format!("theorem2.{}", rv.name), t.stats().pairs());
-                    }
-                    CompressedView::AlwaysEmpty(_) => {}
-                }
+                let (family, pairs) = cv.stats_pairs();
+                out.extend(&format!("{family}.{}", rv.name), pairs);
             }
             out.views.push(row);
         }

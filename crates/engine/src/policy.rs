@@ -696,9 +696,7 @@ mod tests {
             };
             taus.push(tau);
             let cv = cqc_core::CompressedView::build(&view, &db, sel.strategy).unwrap();
-            let cqc_core::CompressedView::Tradeoff(t) = &cv else {
-                panic!("expected theorem 1")
-            };
+            let t = cv.theorem1().expect("expected theorem 1");
             assert_eq!(t.tau(), tau, "the build takes the selection's τ");
             // Correctness at every budget.
             for x in 0..8u64 {

@@ -211,8 +211,8 @@ fn eviction_prefers_high_bytes_per_unit_of_build_work() {
         strategy_tag: tag.to_string(),
     };
     let (a, b, c) = (build(), build(), build());
-    let bytes = std::mem::size_of::<cqc_core::CompressedView>()
-        + cqc_common::HeapSize::heap_bytes(a.as_ref());
+    let bytes =
+        std::mem::size_of::<cqc_core::CompressedView>() + cqc_common::HeapSize::heap_bytes(&**a);
     // Budget fits exactly two entries; the third insertion forces one out.
     let catalog = Catalog::new(2 * bytes + bytes / 2);
     // `expensive` counted 10⁹ units of build work, `cheap` 10⁴ — same

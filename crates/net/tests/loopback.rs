@@ -623,9 +623,12 @@ fn stats_frame_reports_what_the_serving_process_holds() {
             Some(engine.epoch())
         )
     );
+    // The row is the whole representation: the Theorem 1 structure and
+    // the header of `{V_b} → {V}`, the view's three head variables once for
+    // the structure and once for its bag, 4 B each.
     assert_eq!(
         row.tree_bytes + row.dict_bytes + row.base_bytes,
-        local.heap_bytes as u64
+        local.heap_bytes as u64 + 2 * 3 * 4
     );
     assert!(row.build_work > 0);
 

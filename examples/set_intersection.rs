@@ -8,6 +8,7 @@
 
 use cqc_common::heap::HeapSize;
 use cqc_core::theorem1::Theorem1Structure;
+use cqc_core::{CompressedView, Strategy};
 use cqc_workload::{gen, queries};
 use std::time::Instant;
 
@@ -60,13 +61,14 @@ fn main() {
     // Boolean variant: k-SetDisjointness via first-answer probes (§3.3).
     let k = 3;
     let kview = queries::k_set_disjointness(k).unwrap();
-    let s = Theorem1Structure::build(&kview, &db, &vec![1.0; k], 16.0).unwrap();
+    let weights = Some(vec![1.0; k]);
+    let cv = CompressedView::build(&kview, &db, Strategy::Tradeoff { tau: 16.0, weights }).unwrap();
     println!(
         "\nk-SetDisjointness (k = {k}), α = {} (slack = k):",
-        s.alpha()
+        cv.theorem1().expect("a Theorem 1 view").alpha()
     );
     for _ in 0..5 {
         let q: Vec<u64> = (0..k).map(|_| set_zipf.sample(&mut rng)).collect();
-        println!("  sets {q:?} intersect? {}", s.exists(&q).unwrap());
+        println!("  sets {q:?} intersect? {}", cv.exists(&q).unwrap());
     }
 }

@@ -10,14 +10,14 @@ use cqc_query::parser::parse_adorned;
 use cqc_storage::{Database, Interner, Relation};
 use cqc_workload::queries;
 
-/// The request's answers as `cv` serves them. Every structure but
-/// Theorem 2 promises the oracle's head order; Theorem 2 promises pre-order
-/// of its bags, so its stream is sorted — never deduplicated — first.
+/// The request's answers as `cv` serves them. A Theorem 1 view promises
+/// the oracle's head order; every other promises pre-order of its bags, so
+/// its stream is sorted — never deduplicated — first.
 fn served(cv: &CompressedView, req: &[Value]) -> Vec<Tuple> {
     let mut block = AnswerBlock::new();
     cv.answer_into(req, &mut block).unwrap();
     let mut got = block.to_tuples();
-    if matches!(cv, CompressedView::Decomposed(_)) {
+    if cv.theorem1().is_none() {
         got.sort();
     }
     got

@@ -272,7 +272,10 @@ fn self_join_triangle_invariants() {
     let s = Theorem1Structure::build(&view, &db, &[0.5, 0.5, 0.5], 3.0).unwrap();
     for b in 0..30u64 {
         let expect = evaluate_view(&view, &db, &[b]).unwrap();
-        assert_eq!(pushed(|sink| s.answer_into(&[b], sink)), expect);
+        assert_eq!(
+            pushed(|sink| s.enumerator().answer_into(&[b], sink)),
+            expect
+        );
     }
     if let Some(tree) = s.tree() {
         check_tree_partitions(tree);

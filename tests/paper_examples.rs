@@ -135,14 +135,14 @@ fn running_example_end_to_end() {
     assert!(stats.dict_light_by_work > 0, "{stats:?}");
 
     // Query answering: lexicographic output, matching the oracle.
-    let got = pushed(|sink| s.answer_into(&[1, 1, 1], sink));
+    let got = pushed(|sink| s.enumerator().answer_into(&[1, 1, 1], sink));
     assert_eq!(got, vec![vec![1, 1, 2], vec![1, 2, 1], vec![1, 2, 2]]);
     for w1 in 1..=3u64 {
         for w2 in 1..=2u64 {
             for w3 in 1..=2u64 {
                 let vb = [w1, w2, w3];
                 let expect = evaluate_view(&view, &db, &vb).unwrap();
-                let got = pushed(|sink| s.answer_into(&vb, sink));
+                let got = pushed(|sink| s.enumerator().answer_into(&vb, sink));
                 assert_eq!(got, expect, "v_b = {vb:?}");
             }
         }
@@ -173,7 +173,7 @@ fn example_1_triangle_tradeoff() {
         let reqs = cqc_workload::witness_requests(&mut r, &view, &db, 40);
         for req in reqs {
             let expect = evaluate_view(&view, &db, &req).unwrap();
-            let got = pushed(|sink| s.answer_into(&req, sink));
+            let got = pushed(|sink| s.enumerator().answer_into(&req, sink));
             assert_eq!(got, expect, "τ={tau} req={req:?}");
         }
     }
@@ -209,7 +209,7 @@ fn example_6_loomis_whitney() {
     let s = Theorem1Structure::build(&view, &db, &[0.5, 0.5, 0.5], 3.0).unwrap();
     for req in cqc_workload::random_requests(&mut r, &view, &db, 60) {
         let expect = evaluate_view(&view, &db, &req).unwrap();
-        let got = pushed(|sink| s.answer_into(&req, sink));
+        let got = pushed(|sink| s.enumerator().answer_into(&req, sink));
         assert_eq!(got, expect);
     }
 }
@@ -241,7 +241,7 @@ fn example_7_star_slack() {
         assert!((s.alpha() - n as f64).abs() < 1e-9);
         for req in cqc_workload::witness_requests(&mut r, &view, &db, 40) {
             let expect = evaluate_view(&view, &db, &req).unwrap();
-            let got = pushed(|sink| s.answer_into(&req, sink));
+            let got = pushed(|sink| s.enumerator().answer_into(&req, sink));
             assert_eq!(got, expect, "n={n} req={req:?}");
         }
     }
@@ -259,8 +259,10 @@ fn set_intersection_special_case() {
     let mut db = Database::new();
     db.add(rel).unwrap();
 
-    let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0], 3.0).unwrap();
-    assert!((s.alpha() - 2.0).abs() < 1e-9, "α = k = 2");
+    let weights = Some(vec![1.0, 1.0]);
+    let s = CompressedView::build(&view, &db, Strategy::Tradeoff { tau: 3.0, weights }).unwrap();
+    let alpha = s.theorem1().expect("a Theorem 1 view").alpha();
+    assert!((alpha - 2.0).abs() < 1e-9, "α = k = 2");
     for s1 in 0..25u64 {
         for s2 in 0..25u64 {
             let expect = evaluate_view(&view, &db, &[s1, s2]).unwrap();
@@ -337,7 +339,7 @@ fn example_10_path_theorem1_vs_theorem2() {
 
     for req in cqc_workload::witness_requests(&mut r, &view, &db, 50) {
         let expect = evaluate_view(&view, &db, &req).unwrap();
-        let a = pushed(|sink| t1.answer_into(&req, sink));
+        let a = pushed(|sink| t1.enumerator().answer_into(&req, sink));
         let b = pushed(|sink| t2_zero.answer_into(&req, sink));
         let c = pushed(|sink| t2_delay.answer_into(&req, sink));
         assert_eq!(a, expect, "theorem 1");
@@ -446,10 +448,12 @@ fn proposition_1_bound_only() {
     let sel = select(&view, &db, &Policy::default()).unwrap();
     assert_eq!(sel.tag, "bound-only");
     let cv = CompressedView::build(&view, &db, sel.strategy).unwrap();
-    let CompressedView::Decomposed(s) = &cv else {
-        panic!("Prop. 1 is Theorem 2, got {}", cv.describe());
-    };
-    assert_eq!(s.stats().bags, 0, "{}", cv.describe());
+    assert_eq!(
+        cv.stats().bags,
+        0,
+        "Prop. 1 is Theorem 2: {}",
+        cv.describe()
+    );
     // Linear space: the three root checks report the relation's content
     // once per atom, and nothing else but the head.
     let rows = 8 * 2 * db.size();
@@ -479,15 +483,11 @@ fn propositions_2_and_4_factorized() {
         .unwrap();
     }
     let cv = CompressedView::build(&view, &db, Strategy::Factorized).unwrap();
-    if let CompressedView::Decomposed(f) = &cv {
-        // Linear-ish: bag tuples bounded by Σ|R_F| after semijoins (acyclic
-        // bags are single edges up to subsumption).
-        let stats = f.stats();
-        assert_eq!(stats.tradeoff_bags, 0, "the factorized recipe is δ ≡ 0");
-        assert!(stats.materialized_tuples <= 2 * db.size());
-    } else {
-        panic!("expected theorem 2 at δ ≡ 0");
-    }
+    // Linear-ish: bag tuples bounded by Σ|R_F| after semijoins (acyclic
+    // bags are single edges up to subsumption).
+    let stats = cv.stats();
+    assert_eq!(stats.tradeoff_bags, 0, "the factorized recipe is δ ≡ 0");
+    assert!(stats.materialized_tuples <= 2 * db.size());
     let expect = evaluate_view(&view, &db, &[]).unwrap();
     let got = pushed(|sink| cv.answer_into(&[], sink));
     assert_eq!(sorted(got), expect);
@@ -504,8 +504,9 @@ fn k_set_disjointness_probes() {
     let mut db = Database::new();
     db.add(rel).unwrap();
     for tau in [1.0, 4.0, 16.0] {
-        let s = Theorem1Structure::build(&view, &db, &[1.0, 1.0, 1.0], tau).unwrap();
-        assert!((s.alpha() - 3.0).abs() < 1e-9);
+        let weights = Some(vec![1.0; 3]);
+        let s = CompressedView::build(&view, &db, Strategy::Tradeoff { tau, weights }).unwrap();
+        assert!((s.theorem1().expect("a Theorem 1 view").alpha() - 3.0).abs() < 1e-9);
         for _ in 0..60 {
             let a = r_range(&mut r, 20);
             let b = r_range(&mut r, 20);

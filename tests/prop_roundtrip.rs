@@ -59,7 +59,7 @@ fn check_theorem1(view: &AdornedView, db: &Database, weights: &[f64], tau: f64, 
     let nb = view.bound_head().len();
     for req in all_requests(nb, dom) {
         let expect = evaluate_view(view, db, &req).unwrap();
-        let got = pushed(|sink| s.answer_into(&req, sink));
+        let got = pushed(|sink| s.enumerator().answer_into(&req, sink));
         assert_eq!(got, expect, "τ={tau} req={req:?}");
     }
     // Structural invariants (Lemma 4 / threshold rules) on the stored tree,
@@ -261,8 +261,8 @@ fn check_maintained_shares_layout(
     else {
         return;
     };
-    let (CompressedView::Tradeoff(old), CompressedView::Tradeoff(new)) = (&built, &*kept) else {
-        panic!("tradeoff structures expected");
+    let (Some(old), Some(new)) = (built.theorem1(), kept.theorem1()) else {
+        panic!("Theorem 1 views expected");
     };
     assert!(new.shares_layout_with(old), "tree and keys are Arc-shared");
     let keys = |t: &Theorem1Structure| -> Vec<(u32, Vec<u64>)> {
@@ -396,7 +396,7 @@ proptest! {
                 let expect = evaluate_view(&view, &db, &req).unwrap();
                 // Pre-order of the bags, not head order: sort, and only
                 // sort — a repeated answer must fail the comparison.
-                let mut got = pushed(|sink| s.answer_into(&req, sink));
+                let mut got = pushed(|sink| s.enumerator().answer_into(&req, sink));
                 got.sort();
                 prop_assert_eq!(got, expect, "mismatch at {:?}", &req);
             }
