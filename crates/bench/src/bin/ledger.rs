@@ -612,7 +612,8 @@ fn exp5_star_slack(ledger: &mut Ledger) -> Res<()> {
 }
 
 /// EXP-6: §3.1 set intersection and §3.3 k-SetDisjointness over Zipf
-/// memberships; `nonempty` is the intersecting pairs.
+/// memberships; `nonempty` is the intersecting pairs. Each Theorem 1 row
+/// carries its counts over Theorem 1's bounds, as exp1's do.
 fn exp6_set_intersection(ledger: &mut Ledger) -> Res<()> {
     let view = queries::set_intersection().map_err(err)?;
     let mut rng = cqc_workload::rng(8);
@@ -628,7 +629,8 @@ fn exp6_set_intersection(ledger: &mut Ledger) -> Res<()> {
     for tau in [1.0, 8.0, 64.0, 512.0] {
         let rep = inst.theorem1(&[1.0, 1.0], tau)?;
         let key = format!("exp6 set intersection, zipf(8, 4000, 150, 300)/theorem 1 tau={tau}");
-        ledger.structure(&key, &inst, &rep, &[])?;
+        let ratios = |worst_gap| theorem1_ratios(&inst, &rep, worst_gap);
+        ledger.structure_with(&key, &inst, &rep, ratios)?;
     }
     maintenance_walk(
         ledger,
