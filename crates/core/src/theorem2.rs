@@ -516,27 +516,27 @@ impl Theorem2Structure {
         let mut report = MaintainReport::default();
         let mut bags = Vec::with_capacity(self.bags.len());
         for (bi, b) in self.bags.iter().enumerate() {
-            let mut kind = BagKind::Materialized(MaterializedBag::default());
-            if !dirty[bi] {
-                kind = b.kind.clone();
-            } else if let (BagKind::Tradeoff(t1), true, true) = (
-                &b.kind,
-                b.spans(self.num_vars),
-                self.children_of[bi].is_empty(),
-            ) {
-                match maintain_theorem1(t1, db, delta, pool)? {
-                    Ok((t1, r)) => {
-                        kind = BagKind::Tradeoff(Box::new(t1));
-                        dirty[bi] = false;
-                        report.affected_nodes += r.affected_nodes;
-                        report.reprobed_entries += r.reprobed_entries;
-                        report.flipped_bits += r.flipped_bits;
-                        report.cleared_bits += r.cleared_bits;
+            let stale = || BagKind::Materialized(MaterializedBag::default());
+            let kind = match &b.kind {
+                kind if !dirty[bi] => kind.clone(),
+                BagKind::Tradeoff(t1)
+                    if b.spans(self.num_vars) && self.children_of[bi].is_empty() =>
+                {
+                    match maintain_theorem1(t1, db, delta, pool)? {
+                        Ok((t1, r)) => {
+                            dirty[bi] = false;
+                            report.affected_nodes += r.affected_nodes;
+                            report.reprobed_entries += r.reprobed_entries;
+                            report.flipped_bits += r.flipped_bits;
+                            report.cleared_bits += r.cleared_bits;
+                            BagKind::Tradeoff(Box::new(t1))
+                        }
+                        Err(reason) if b.delay.is_none() => return Ok(Err(reason)),
+                        Err(_) => stale(),
                     }
-                    Err(reason) if b.delay.is_none() => return Ok(Err(reason)),
-                    Err(_) => {}
                 }
-            }
+                _ => stale(),
+            };
             bags.push(Bag {
                 node: b.node,
                 bound_vars: b.bound_vars.clone(),
