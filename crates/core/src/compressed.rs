@@ -55,12 +55,13 @@ pub enum Strategy {
 /// A compressed representation of an adorned view, ready to answer access
 /// requests: a [`Theorem2Structure`], whose methods it derefs to.
 ///
-/// An enum of one variant: the benchmark package, which changes only with
-/// the benchmark, matches `CompressedView::Tradeoff(s)` to read the
-/// Theorem 1 views' counts off `s.stats()`.
+/// An enum of one variant whose name is historical: it holds every
+/// recipe's structure, not only Theorem 1's. The benchmark package, which
+/// changes only with the benchmark, matches `CompressedView::Tradeoff(s)`
+/// to read the views' counts off `s.stats()`.
 #[derive(Debug)]
 pub enum CompressedView {
-    /// The one representation.
+    /// The one representation, whatever the recipe.
     Tradeoff(Theorem2Structure),
 }
 
@@ -99,9 +100,10 @@ impl CompressedView {
     /// re-sorted (the Example 3 rewrite shares untouched relations by
     /// `Arc`, which is what makes the store recognize them).
     ///
-    /// The pool serves every delay-tuned bag over all of `V`: a Theorem 1
-    /// view's one bag in all its forms, `direct` included, and such a bag
-    /// of an explicit decomposition. Every other bag is built over a
+    /// The pool serves every delay-tuned bag of `{V_b} → {V}`'s shape —
+    /// keyed by `V_b`, holding all of `V`: a Theorem 1 view's one bag in
+    /// all its forms, `direct` included, and such a bag of an explicit
+    /// decomposition. Every other bag is built over a
     /// **bag-local database** — fresh per-bag projections, which an
     /// identity-keyed store can never share across bags or views — and a
     /// delay-tuned one pools its cost-oracle and trie indexes privately.

@@ -43,11 +43,6 @@ impl FInterval {
         self.lo.len()
     }
 
-    /// `true` if the interval is the single point `lo == hi`.
-    pub fn is_unit(&self) -> bool {
-        self.lo == self.hi
-    }
-
     /// Lexicographic membership test.
     pub fn contains(&self, point: &[usize]) -> bool {
         lex_cmp_ranks(&self.lo, point) != Ordering::Greater

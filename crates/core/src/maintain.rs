@@ -51,26 +51,28 @@
 //! refresh, and a changed active domain is a rebuild.
 //!
 //! Every representation is a Theorem 2 structure, and a Theorem 1 view is
-//! its one bag over `{V_b} → {V}`: the structure maintains a delay-tuned
-//! bag over all of `V` with no child bag by the rule above, and re-derives
-//! every other bag touched by the delta, plus its ancestors, re-running
-//! the semijoin fixup restricted to that set
-//! ([`crate::theorem2::Theorem2Structure`]'s `maintained`); it re-takes its
-//! root checks from the post-delta database, which for an all-bound view
-//! (Prop. 1, no bag below the root) is all it does.
+//! its one bag over `{V_b} → {V}`: the structure maintains a Theorem 1
+//! view's bag by the rule above, and re-derives every other bag touched by
+//! the delta, plus its ancestors, re-running the semijoin fixup restricted
+//! to that set ([`crate::theorem2::Theorem2Structure`]'s `maintained`); it
+//! re-takes its root checks from the post-delta database, which for an
+//! all-bound view (Prop. 1, no bag below the root) is all it does. A view
+//! the Example 3 rewrite proved empty re-runs the rewrite: still empty, it
+//! is maintained; its ground guard satisfied, it is rebuilt.
 //!
 //! When the preconditions fail — a Theorem 1 view's grid shifted, or the
 //! view needs the Example 3 rewrite (the delta would have to be rewritten
-//! too; an always-empty view is one) — the caller is told to rebuild
-//! instead. The engine additionally rebuilds, without calling in here, when
+//! too) — the caller is told to rebuild instead. The engine additionally rebuilds, without calling in here, when
 //! [`touched_tuples`] exceeds a fixed fraction of `|D|`.
 
 use crate::compressed::CompressedView;
 use crate::fbox::{box_decomposition_ranks, BoxList, CanonicalBox};
 use crate::theorem1::Theorem1Structure;
+use crate::theorem2::Theorem2Structure;
 use cqc_common::error::Result;
 use cqc_common::value::Value;
 use cqc_join::plan::ViewPlan;
+use cqc_query::rewrite::rewrite_view;
 use cqc_query::AdornedView;
 use cqc_storage::{Database, Delta, IndexPool};
 
@@ -197,25 +199,40 @@ impl CompressedView {
         if !query.atoms.iter().any(|a| delta.touches(&a.relation)) {
             return Ok(MaintainOutcome::Unaffected);
         }
+        let maintained = |s: Theorem2Structure, report| MaintainOutcome::Maintained {
+            view: Box::new(s.into()),
+            report: MaintainReport {
+                delta_tuples: touched_tuples(query, delta),
+                ..report
+            },
+        };
+        let rebuild = |reason: &str| MaintainOutcome::NeedsRebuild {
+            reason: reason.into(),
+        };
+        if self.proved_empty() {
+            // An insert can make the failing ground guard pass, so the
+            // rewrite is re-run rather than trusted.
+            let rewritten = rewrite_view(original, db)?;
+            if !rewritten.always_empty {
+                return Ok(rebuild(
+                    "the delta satisfied a previously failing ground guard",
+                ));
+            }
+            let s = Theorem2Structure::always_empty(&rewritten.view);
+            return Ok(maintained(s, MaintainReport::default()));
+        }
         // The structure is the stored (rewritten) view's, whose relations
         // coincide with the base relations only when no atom needed the
         // Example 3 rewrite.
         if query.atoms.iter().any(|a| !a.is_natural()) {
-            return Ok(MaintainOutcome::NeedsRebuild {
-                reason: "the Example 3 rewrite derives filtered relations; \
-                         the delta would need the same rewrite"
-                    .into(),
-            });
+            return Ok(rebuild(
+                "the Example 3 rewrite derives filtered relations; \
+                 the delta would need the same rewrite",
+            ));
         }
         Ok(match self.maintained(db, delta, pool)? {
-            Ok((s, report)) => MaintainOutcome::Maintained {
-                view: Box::new(s.into()),
-                report: MaintainReport {
-                    delta_tuples: touched_tuples(query, delta),
-                    ..report
-                },
-            },
-            Err(reason) => MaintainOutcome::NeedsRebuild { reason },
+            Ok((s, report)) => maintained(s, report),
+            Err(reason) => rebuild(&reason),
         })
     }
 }
@@ -634,9 +651,8 @@ mod tests {
         let _ = db.apply(&Delta::new());
     }
 
-    /// An always-empty view is a rewritten one: a delta that touches its
-    /// guard asks for a rebuild, which re-decides the guard — still
-    /// failing, or satisfied and no longer empty.
+    /// An always-empty view re-decides its ground guard on a delta that
+    /// touches it: still failing, it is maintained; satisfied, rebuilt.
     #[test]
     fn always_empty_guard_flip_is_detected() {
         let mut db = Database::new();
@@ -644,19 +660,32 @@ mod tests {
         db.add(Relation::from_pairs("G", vec![(5, 5)])).unwrap();
         let view = parse_adorned("Q(x, y) :- R(x, y), G(7, 7)", "bf").unwrap();
         let built = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
-        assert!(!built.exists(&[1]).unwrap());
+        assert!(built.proved_empty());
 
-        for (guard, empty) in [([6, 6], true), ([7, 7], false)] {
-            let mut delta = Delta::new();
-            delta.insert("G", guard.to_vec());
-            db.apply(&delta).unwrap();
-            assert!(matches!(
-                built.maintain(&view, &db, &delta).unwrap(),
-                MaintainOutcome::NeedsRebuild { .. }
-            ));
-            let rebuilt = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
-            assert_eq!(rebuilt.exists(&[1]).unwrap(), !empty, "guard {guard:?}");
+        // A delta elsewhere in G keeps the guard failing: maintainable.
+        let mut delta = Delta::new();
+        delta.insert("G", vec![6, 6]);
+        db.apply(&delta).unwrap();
+        match built.maintain(&view, &db, &delta).unwrap() {
+            MaintainOutcome::Maintained { view: v, report } => {
+                assert!(v.proved_empty());
+                assert!(!v.exists(&[1]).unwrap());
+                assert_eq!(report.delta_tuples, 1);
+            }
+            other => panic!("expected maintained always-empty, got {other:?}"),
         }
+
+        // Satisfying the guard must force a rebuild (the view is no longer
+        // empty).
+        let mut delta = Delta::new();
+        delta.insert("G", vec![7, 7]);
+        db.apply(&delta).unwrap();
+        assert!(matches!(
+            built.maintain(&view, &db, &delta).unwrap(),
+            MaintainOutcome::NeedsRebuild { .. }
+        ));
+        let rebuilt = CompressedView::build(&view, &db, Strategy::Direct).unwrap();
+        assert!(!rebuilt.proved_empty() && rebuilt.exists(&[1]).unwrap());
     }
 
     /// The acceptance property: over mixed insert/delete deltas, every

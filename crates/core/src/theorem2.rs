@@ -9,7 +9,8 @@
 //! * a **Theorem 1** structure with knob `τ_t = |D|^{δ(t)}` and the cover
 //!   minimizing `ρ⁺_t` (eq. 3), giving space `Õ(|D|^{ρ⁺_t})` and per-bag
 //!   delay `Õ(|D|^{δ(t)})` — over the view itself and the caller's index
-//!   store for a bag over all of `V`, else over bag-local projections.
+//!   store for a bag keyed by `V_b` that holds all of `V`, else over
+//!   bag-local projections.
 //!
 //! A Theorem 1 view is `{V_b} → {V}` with a Theorem 1 bag at its own τ and
 //! cover; an always-empty view is the root bag with a check no request
@@ -53,10 +54,29 @@ struct Bag {
     bound_vars: Box<[Var]>,
     /// Free variables `V_f^t`, ordered as `bound_vars`.
     free_vars: Box<[Var]>,
-    /// δ(t), which the bag is derived from; `None` for a Theorem 1 view's
-    /// bag, built at the knobs its Theorem 1 structure holds.
-    delay: Option<f64>,
+    recipe: Recipe,
     kind: BagKind,
+}
+
+/// What a bag is built from.
+#[derive(Debug, Clone, Copy)]
+enum Recipe {
+    /// δ(t): materialized at 0, else Theorem 1 at `τ_t = |D|^δ(t)` and the
+    /// cover minimizing `ρ⁺_t`, both taken whenever the bag is derived.
+    Delay(f64),
+    /// A Theorem 1 view's one bag, at the τ and cover its structure holds:
+    /// built by [`Theorem2Structure::build_theorem1`], then maintained in
+    /// place or rebuilt with the view, never re-derived.
+    Theorem1,
+}
+
+impl Recipe {
+    fn delay(self) -> Option<f64> {
+        match self {
+            Recipe::Delay(d) => Some(d),
+            Recipe::Theorem1 => None,
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -68,12 +88,15 @@ enum BagKind {
 impl Bag {
     /// Materialized at δ = 0 or with nothing free; Theorem 1 otherwise.
     fn materialized(&self) -> bool {
-        self.free_vars.is_empty() || self.delay.is_some_and(|d| d <= 1e-9)
+        self.free_vars.is_empty() || self.recipe.delay().is_some_and(|d| d <= 1e-9)
     }
 
-    /// Does the bag hold all `num_vars` variables of the query?
-    fn spans(&self, num_vars: usize) -> bool {
-        self.bound_vars.len() + self.free_vars.len() == num_vars
+    /// Is this `{V_b} → {V}`'s bag: keyed by exactly the view's bound
+    /// variables and holding all of `V`? A Theorem 1 bag of that shape is
+    /// built over the view itself; any other bag answers on its own key.
+    fn over_view(&self, view: &AdornedView) -> bool {
+        self.bound_vars.len() + self.free_vars.len() == view.query().num_vars()
+            && self.bound_vars.iter().copied().collect::<VarSet>() == view.bound_vars()
     }
 
     fn holds(&self, v: Var) -> bool {
@@ -92,25 +115,18 @@ impl HeapSize for Bag {
     }
 }
 
-/// What bags are derived from: the view's atoms over one database, the
-/// index store a bag over all of `V` draws its tries from, and a Theorem 1
-/// view's `(cover, τ)`.
+/// What bags are derived from: the view's atoms over one database, and
+/// the index store a bag over the view draws its tries from.
 struct BagSource<'a> {
     view: &'a AdornedView,
     h: Hypergraph,
     atoms: Vec<(String, Vec<Var>)>,
     db: &'a Database,
     pool: &'a IndexPool,
-    theorem1: Option<(&'a [f64], f64)>,
 }
 
 impl<'a> BagSource<'a> {
-    fn new(
-        view: &'a AdornedView,
-        db: &'a Database,
-        pool: &'a IndexPool,
-        theorem1: Option<(&'a [f64], f64)>,
-    ) -> BagSource<'a> {
+    fn new(view: &'a AdornedView, db: &'a Database, pool: &'a IndexPool) -> BagSource<'a> {
         let query = view.query();
         BagSource {
             view,
@@ -122,14 +138,13 @@ impl<'a> BagSource<'a> {
                 .collect(),
             db,
             pool,
-            theorem1,
         }
     }
 
-    /// Derives `bag` from the base relations: materialized, or Theorem 1 —
-    /// at the Theorem 1 view's knobs, or at `τ_t = |D|^δ(t)` and the cover
-    /// minimizing `ρ⁺_t` — whose dictionary counts only the rows `reaches`
-    /// accepts, over the view itself when the bag holds all of `V`.
+    /// Derives `bag` from the base relations: materialized, or Theorem 1 at
+    /// `τ_t = |D|^δ(t)` and the cover minimizing `ρ⁺_t`, whose dictionary
+    /// counts only the rows `reaches` accepts — over the view itself when
+    /// the bag is `{V_b} → {V}`'s.
     fn derive(&self, bag: &Bag, reaches: impl FnMut(&[Value]) -> bool) -> Result<BagKind> {
         let bound: VarSet = bag.bound_vars.iter().copied().collect();
         let free: VarSet = bag.free_vars.iter().copied().collect();
@@ -142,26 +157,25 @@ impl<'a> BagSource<'a> {
                 self.db,
             )?));
         }
-        let (weights, tau) = match bag.delay {
-            Some(delta) => {
-                let rp = rho_plus(&self.h, bound.union(free), free, delta)?;
-                let tau = (self.db.size() as f64).max(2.0).powf(delta).max(1.0);
-                (rp.weights, tau)
-            }
-            None => {
-                let (weights, tau) = self.theorem1.expect("a Theorem 1 bag is derived at build");
-                (weights.to_vec(), tau)
-            }
+        let Recipe::Delay(delta) = bag.recipe else {
+            unreachable!("a Theorem 1 view's bag is maintained in place or rebuilt with its view");
         };
-        if bag.spans(self.view.query().num_vars()) {
+        let rp = rho_plus(&self.h, bound.union(free), free, delta)?;
+        let tau = (self.db.size() as f64).max(2.0).powf(delta).max(1.0);
+        if bag.over_view(self.view) {
             let t1 = Theorem1Structure::build_reaching(
-                self.view, self.db, &weights, tau, self.pool, reaches,
+                self.view,
+                self.db,
+                &rp.weights,
+                tau,
+                self.pool,
+                reaches,
             )?;
             return Ok(BagKind::Tradeoff(Box::new(t1)));
         }
         let (view, db, origins) =
             bag_local_components(bag.node, bound, free, &self.atoms, self.db)?;
-        let weights: Vec<f64> = origins.iter().map(|&i| weights[i]).collect();
+        let weights: Vec<f64> = origins.iter().map(|&i| rp.weights[i]).collect();
         let t1 = Theorem1Structure::build_reaching(
             &view,
             &db,
@@ -278,7 +292,10 @@ impl Theorem2Structure {
                 delta.len()
             )));
         }
-        Theorem2Structure::build_with(view, db, td, |t| Some(delta[t]), None, pool)
+        let mut s = Theorem2Structure::assemble(view, db, td, |t| Recipe::Delay(delta[t]))?;
+        let all = vec![true; s.bags.len()];
+        s.derive_bags(&BagSource::new(view, db, pool), &all)?;
+        Ok(s)
     }
 
     /// Theorem 1 at cover `weights` and `τ ≥ 1` (`τ = ∞`: §2.3's "answer
@@ -295,25 +312,25 @@ impl Theorem2Structure {
         tau: f64,
         pool: &IndexPool,
     ) -> Result<Theorem2Structure> {
-        let td = bound_then_all(view)?;
-        Theorem2Structure::build_with(view, db, &td, |_| None, Some((weights, tau)), pool)
+        let t1 = Theorem1Structure::build_pooled(view, db, weights, tau, pool)?;
+        let mut s =
+            Theorem2Structure::assemble(view, db, &bound_then_all(view)?, |_| Recipe::Theorem1)?;
+        s.bags[0].kind = BagKind::Tradeoff(Box::new(t1));
+        Ok(s)
     }
 
-    /// The bags of `td` in pre-order, each with the delay `delay_of` gives
-    /// its node, derived bottom-up.
-    fn build_with(
+    /// The bags of `td` in pre-order, each with the recipe `recipe_of`
+    /// gives its node, and the root checks: every bag still to be derived.
+    fn assemble(
         view: &AdornedView,
         db: &Database,
         td: &TreeDecomposition,
-        delay_of: impl Fn(usize) -> Option<f64>,
-        theorem1: Option<(&[f64], f64)>,
-        pool: &IndexPool,
+        recipe_of: impl Fn(usize) -> Recipe,
     ) -> Result<Theorem2Structure> {
         let query = view.query();
         query.require_natural_join()?;
         query.check_schema(db)?;
-        let source = BagSource::new(view, db, pool, theorem1);
-        td.validate_connex(&source.h, view.bound_vars())?;
+        td.validate_connex(&query.hypergraph(), view.bound_vars())?;
 
         let pre = td.preorder();
         let num_vars = query.num_vars();
@@ -325,10 +342,10 @@ impl Theorem2Structure {
                 node: t,
                 bound_vars: td.bag_bound(t).iter().collect(),
                 free_vars: td.bag_free(t).iter().collect(),
-                delay: delay_of(t),
+                recipe: recipe_of(t),
                 kind: BagKind::Materialized(MaterializedBag::default()),
             };
-            if !bag.materialized() && bag.spans(num_vars) {
+            if !bag.materialized() && bag.over_view(view) {
                 bag.bound_vars = view.bound_head().into_boxed_slice();
                 bag.free_vars = view.free_head().into_boxed_slice();
             }
@@ -337,12 +354,8 @@ impl Theorem2Structure {
         let parent_of: Vec<Option<usize>> = bags
             .iter()
             .map(|b| {
-                let p = td.parent(b.node).expect("non-root");
-                if p == td.root() {
-                    None
-                } else {
-                    Some(bag_index_of_node[p])
-                }
+                let p = td.parent(b.node).filter(|&p| p != td.root());
+                p.map(|p| bag_index_of_node[p])
             })
             .collect();
         let mut children_of: Vec<Vec<usize>> = vec![Vec::new(); bags.len()];
@@ -352,7 +365,7 @@ impl Theorem2Structure {
             }
         }
 
-        let mut s = Theorem2Structure {
+        Ok(Theorem2Structure {
             view: view.clone(),
             bound_head: view.bound_head().into_boxed_slice(),
             free_head: view.free_head().into_boxed_slice(),
@@ -361,10 +374,7 @@ impl Theorem2Structure {
             parent_of,
             children_of,
             num_vars,
-        };
-        let all = vec![true; s.bags.len()];
-        s.derive_bags(&source, &all)?;
-        Ok(s)
+        })
     }
 
     /// Propositions 2/4 end to end — the factorized (d-representation)
@@ -385,7 +395,8 @@ impl Theorem2Structure {
     }
 
     /// A view the Example 3 rewrite proved empty (`view` is the rewritten
-    /// one): the root bag alone, with one check no request passes.
+    /// one): the root bag alone, with one check no request passes — see
+    /// [`Theorem2Structure::proved_empty`].
     pub(crate) fn always_empty(view: &AdornedView) -> Theorem2Structure {
         Theorem2Structure {
             view: view.clone(),
@@ -400,6 +411,11 @@ impl Theorem2Structure {
             }],
             num_vars: view.query().num_vars(),
         }
+    }
+
+    /// Was this built by [`Theorem2Structure::always_empty`]?
+    pub(crate) fn proved_empty(&self) -> bool {
+        self.root_checks.iter().any(|c| c.atom.is_none())
     }
 
     /// Derives the bags flagged in `dirty` from the base relations,
@@ -458,17 +474,18 @@ impl Theorem2Structure {
     }
 
     /// Maintains the structure across `delta`, already applied to `db`. A
-    /// delay-tuned bag over all of `V` with no child bag is maintained in
-    /// place (`crate::maintain`); no reduction reaches it. Every other bag
-    /// `delta` touches is re-derived, with its ancestors: the reduction is
-    /// destructive — a dropped row or a stored `0` cannot resurrect
-    /// locally — and an ancestor was reduced against the old subtree. An
-    /// untouched subtree keeps what a rebuild would recompute. The root
-    /// checks are re-taken from the post-delta database.
+    /// Theorem 1 view's bag is maintained in place (`crate::maintain`): its
+    /// τ and cover are the view's, and no reduction reaches it. Every other
+    /// bag `delta` touches is re-derived, with its ancestors: its τ follows
+    /// `|D|`, the reduction is destructive — a dropped row or a stored `0`
+    /// cannot resurrect locally — and an ancestor was reduced against the
+    /// old subtree. So the successor is what a rebuild computes: an
+    /// untouched subtree keeps it already. The root checks are re-taken
+    /// from the post-delta database.
     ///
     /// Returns the successor and its report (the in-place bag's counts,
     /// the re-derived bags added to `affected_nodes`), or why a Theorem 1
-    /// view's grid refused it; a refused bag with a δ is re-derived.
+    /// view's grid refused it.
     ///
     /// # Errors
     ///
@@ -481,7 +498,7 @@ impl Theorem2Structure {
     ) -> Result<Maintained<Theorem2Structure>> {
         let query = self.view.query();
         query.check_schema(db)?;
-        let source = BagSource::new(&self.view, db, pool, None);
+        let source = BagSource::new(&self.view, db, pool);
 
         // A bag is stale iff some atom over a touched relation shares a
         // variable with it: its local database projects every incident
@@ -496,18 +513,11 @@ impl Theorem2Structure {
                     .any(|(rel, vars)| delta.touches(rel) && vars.iter().any(|&v| b.holds(v)))
             })
             .collect();
-        // Close under ancestors (see above). Reverse order: a bag marked
-        // through this loop has its own ancestors chained in the same pass.
+        // Close under ancestors (see above). Reverse pre-order visits every
+        // bag after all of its descendants, so one pass carries a mark up.
         for bi in (0..self.bags.len()).rev() {
-            if dirty[bi] {
-                let mut p = self.parent_of[bi];
-                while let Some(pi) = p {
-                    if dirty[pi] {
-                        break;
-                    }
-                    dirty[pi] = true;
-                    p = self.parent_of[pi];
-                }
+            if let (true, Some(p)) = (dirty[bi], self.parent_of[bi]) {
+                dirty[p] = true;
             }
         }
 
@@ -516,32 +526,25 @@ impl Theorem2Structure {
         let mut report = MaintainReport::default();
         let mut bags = Vec::with_capacity(self.bags.len());
         for (bi, b) in self.bags.iter().enumerate() {
-            let stale = || BagKind::Materialized(MaterializedBag::default());
-            let kind = match &b.kind {
-                kind if !dirty[bi] => kind.clone(),
-                BagKind::Tradeoff(t1)
-                    if b.spans(self.num_vars) && self.children_of[bi].is_empty() =>
-                {
-                    match maintain_theorem1(t1, db, delta, pool)? {
-                        Ok((t1, r)) => {
-                            dirty[bi] = false;
-                            report.affected_nodes += r.affected_nodes;
-                            report.reprobed_entries += r.reprobed_entries;
-                            report.flipped_bits += r.flipped_bits;
-                            report.cleared_bits += r.cleared_bits;
-                            BagKind::Tradeoff(Box::new(t1))
-                        }
-                        Err(reason) if b.delay.is_none() => return Ok(Err(reason)),
-                        Err(_) => stale(),
-                    }
+            let kind = match (&b.kind, b.recipe) {
+                (kind, _) if !dirty[bi] => kind.clone(),
+                // Its structure's only bag: the report is its own.
+                (BagKind::Tradeoff(t1), Recipe::Theorem1) => {
+                    let succ;
+                    (succ, report) = match maintain_theorem1(t1, db, delta, pool)? {
+                        Ok(maintained) => maintained,
+                        Err(reason) => return Ok(Err(reason)),
+                    };
+                    dirty[bi] = false;
+                    BagKind::Tradeoff(Box::new(succ))
                 }
-                _ => stale(),
+                _ => BagKind::Materialized(MaterializedBag::default()),
             };
             bags.push(Bag {
                 node: b.node,
                 bound_vars: b.bound_vars.clone(),
                 free_vars: b.free_vars.clone(),
-                delay: b.delay,
+                recipe: b.recipe,
                 kind,
             });
         }
@@ -571,15 +574,7 @@ impl Theorem2Structure {
         Theorem2Iter {
             s: self,
             valuation: Vec::new(),
-            cursors: self
-                .bags
-                .iter()
-                .map(|_| BagCursor {
-                    live: false,
-                    mat: (0, 0),
-                    trade: None,
-                })
-                .collect(),
+            cursors: self.bags.iter().map(|_| BagCursor::default()).collect(),
             key: Vec::new(),
             emit: Vec::new(),
             started: false,
@@ -619,7 +614,7 @@ impl Theorem2Structure {
     pub fn theorem1(&self) -> Option<&Theorem1Structure> {
         match self.bags.as_slice() {
             [Bag {
-                delay: None,
+                recipe: Recipe::Theorem1,
                 kind: BagKind::Tradeoff(t1),
                 ..
             }] => Some(t1),
@@ -729,11 +724,11 @@ impl Theorem2Structure {
     }
 
     /// The shared handles of the base-relation indexes this representation
-    /// holds: the tries of a delay-tuned bag over all of `V`, one per atom.
+    /// holds: the tries of a delay-tuned bag over the view, one per atom.
     pub fn base_indexes(&self) -> Vec<&Arc<SortedIndex>> {
         self.bags
             .iter()
-            .filter(|b| b.spans(self.num_vars))
+            .filter(|b| b.over_view(&self.view))
             .filter_map(|b| match &b.kind {
                 BagKind::Tradeoff(t1) => Some(t1.base_indexes()),
                 BagKind::Materialized(_) => None,
@@ -781,7 +776,7 @@ impl Theorem2Structure {
                     node: b.node,
                     bound_vars: b.bound_vars.len(),
                     free_vars: b.free_vars.len(),
-                    delta: b.delay,
+                    delta: b.recipe.delay(),
                     kind,
                     tuples_or_entries,
                     keys,
@@ -803,37 +798,27 @@ impl Theorem2Structure {
 
     /// Per-bag statistics.
     pub fn stats(&self) -> Theorem2Stats {
-        let mut materialized_tuples = 0usize;
-        let mut materialized_bytes = 0usize;
-        let mut dict_entries = 0usize;
-        let mut tree_nodes = 0usize;
-        let mut tradeoff_bags = 0usize;
-        let mut tree_count_probes = 0u64;
+        let mut st = Theorem2Stats {
+            bags: self.bags.len(),
+            heap_bytes: self.heap_bytes(),
+            ..Theorem2Stats::default()
+        };
         for b in &self.bags {
+            st.max_delta = st.max_delta.max(b.recipe.delay().unwrap_or(0.0));
             match &b.kind {
                 BagKind::Materialized(m) => {
-                    materialized_tuples += m.len();
-                    materialized_bytes += m.heap_bytes();
+                    st.materialized_tuples += m.len();
+                    st.materialized_bytes += m.heap_bytes();
                 }
                 BagKind::Tradeoff(t) => {
-                    tradeoff_bags += 1;
-                    dict_entries += t.dictionary().num_entries();
-                    tree_nodes += t.tree().map_or(0, |tree| tree.len());
-                    tree_count_probes += t.tree().map_or(0, |tree| tree.build_count_probes());
+                    st.tradeoff_bags += 1;
+                    st.dict_entries += t.dictionary().num_entries();
+                    st.tree_nodes += t.tree().map_or(0, |tree| tree.len());
+                    st.tree_count_probes += t.tree().map_or(0, |tree| tree.build_count_probes());
                 }
             }
         }
-        Theorem2Stats {
-            bags: self.bags.len(),
-            tradeoff_bags,
-            materialized_tuples,
-            materialized_bytes,
-            dict_entries,
-            tree_nodes,
-            tree_count_probes,
-            heap_bytes: self.heap_bytes(),
-            max_delta: self.bags.iter().filter_map(|b| b.delay).fold(0.0, f64::max),
-        }
+        st
     }
 }
 
@@ -904,6 +889,18 @@ impl<'a> SubtreeProbe<'a> {
     }
 }
 
+/// Steps a delay-tuned bag's cursor and binds its free `vars` to the next
+/// row; `false` when the bag is exhausted.
+fn bind_next(it: &mut Theorem1Iter<'_>, vars: &[Var], valuation: &mut [Option<Value>]) -> bool {
+    let more = it.advance();
+    if more {
+        for (v, val) in vars.iter().zip(it.current()) {
+            valuation[v.index()] = Some(*val);
+        }
+    }
+    more
+}
+
 /// One bag's report (see [`Theorem2Structure::bag_reports`]).
 #[derive(Debug, Clone, Copy)]
 pub struct BagReport {
@@ -948,7 +945,7 @@ pub struct BagWidths {
 }
 
 /// Statistics of a Theorem 2 structure.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Theorem2Stats {
     /// Number of non-root bags.
     pub bags: usize,
@@ -1028,6 +1025,7 @@ impl HeapSize for Theorem2Structure {
 /// A delay-tuned bag keeps its bag-level [`Theorem1Iter`], created at its
 /// first open, across opens: re-opening the bag for a new ancestor
 /// valuation reuses the bag cursor's scratch instead of rebuilding it.
+#[derive(Default)]
 struct BagCursor<'a> {
     /// Whether the bag currently holds a bound row.
     live: bool,
@@ -1143,16 +1141,8 @@ impl<'a> Theorem2Iter<'a> {
             BagKind::Tradeoff(t1) => {
                 let it = cur.trade.get_or_insert_with(|| Box::new(t1.enumerator()));
                 it.reset(key).expect("bag key arity is internal");
-                if it.advance() {
-                    cur.live = true;
-                    for (v, val) in bag.free_vars.iter().zip(it.current()) {
-                        valuation[v.index()] = Some(*val);
-                    }
-                    true
-                } else {
-                    cur.live = false;
-                    false
-                }
+                cur.live = bind_next(it, &bag.free_vars, valuation);
+                cur.live
             }
         }
     }
@@ -1182,14 +1172,7 @@ impl<'a> Theorem2Iter<'a> {
             }
             BagKind::Tradeoff(_) => {
                 let it = cur.trade.as_mut().expect("advance on an opened bag");
-                if it.advance() {
-                    for (v, val) in bag.free_vars.iter().zip(it.current()) {
-                        valuation[v.index()] = Some(*val);
-                    }
-                    true
-                } else {
-                    false
-                }
+                bind_next(it, &bag.free_vars, valuation)
             }
         }
     }
@@ -1702,6 +1685,88 @@ mod tests {
         }
         assert!(cloned > 0, "some delta must leave a bag untouched");
         assert!(removed > 0, "the history must delete something");
+    }
+
+    /// A bag over all of `V` below a non-root bag is keyed by more than
+    /// `V_b`: here `{x} → {x, y} → {x, y, z}` binds `y` above the
+    /// delay-tuned bag, which must answer on its own key `{x, y}` — built
+    /// over bag-local projections — and not as the view keyed by `x`,
+    /// which would re-enumerate `y` under every parent row.
+    #[test]
+    fn a_bag_over_all_of_v_below_a_non_root_bag_answers_on_its_own_key() {
+        let mut db = Database::new();
+        let r = (0..6u64).flat_map(|x| (0..4u64).map(move |y| (x, (x + y) % 5)));
+        db.add(Relation::from_pairs("R", r)).unwrap();
+        let s_rows = (0..5u64).flat_map(|y| (0..3u64).map(move |z| (y, (y * 2 + z) % 7)));
+        db.add(Relation::from_pairs("S", s_rows)).unwrap();
+        let view = parse_adorned("Q(x, y, z) :- R(x, y), S(y, z)", "bff").unwrap();
+        let td = TreeDecomposition::new(
+            vec![vs(&[0]), vs(&[0, 1]), vs(&[0, 1, 2])],
+            vec![None, Some(0), Some(1)],
+        )
+        .unwrap();
+        let strategy = crate::Strategy::DecomposedExplicit {
+            td,
+            delta: vec![0.0, 0.0, 0.5],
+        };
+        let cv = crate::CompressedView::build(&view, &db, strategy).unwrap();
+        assert_eq!(cv.stats().tradeoff_bags, 1, "{:?}", cv.bag_reports());
+        assert!(
+            cv.base_indexes().is_empty(),
+            "a bag-local bag shares no trie"
+        );
+        for x in 0..7u64 {
+            let expect = evaluate_view(&view, &db, &[x]).unwrap();
+            assert_eq!(sorted(answers(&cv, &[x])), expect, "x = {x}");
+            assert_eq!(cv.exists(&[x]).unwrap(), !expect.is_empty());
+        }
+    }
+
+    /// `{V_b} → {V}` at δ > 0: the delay-tuned bag is the view's, built on
+    /// the index store's tries, and its τ = |D|^δ follows the database.
+    /// Across a history that moves |D|, the maintained structure is a
+    /// rebuild — walk, bytes and answers.
+    #[test]
+    fn delay_tuned_bag_over_the_view_is_maintained_as_a_rebuild() {
+        let view = parse_adorned("Q(x, y, z) :- R(x, y), S(y, z), T(z, x)", "bff").unwrap();
+        let names = ["R", "S", "T"];
+        let mut rng = cqc_workload::rng(33);
+        let mut db = Database::new();
+        for name in names {
+            db.add(cqc_workload::uniform_relation(&mut rng, name, 2, 120, 15))
+                .unwrap();
+        }
+        let td = bound_then_all(&view).unwrap();
+        let build = |db: &Database| Theorem2Structure::build(&view, db, &td, &[0.0, 0.5]).unwrap();
+        let mut s = build(&db);
+        assert_eq!(s.stats().tradeoff_bags, 1, "{:?}", s.bag_reports());
+        assert_eq!(s.base_indexes().len(), 3, "one trie per atom");
+        let walk = |s: &Theorem2Structure| -> Vec<(f64, u64)> {
+            s.tradeoff_structures()
+                .map(|t1| (t1.tau(), crate::theorem1::tests::walk_fnv(t1)))
+                .collect()
+        };
+        let mut sizes = vec![db.size()];
+        for _ in 0..4 {
+            let delta = cqc_workload::mixed_delta(&mut rng, &db, &names, 6, 3);
+            db.apply(&delta).unwrap();
+            sizes.push(db.size());
+            let (maintained, report) = s
+                .maintained(&db, &delta, &IndexPool::new())
+                .unwrap()
+                .expect("a delay-tuned bag is re-derived");
+            assert_eq!(report.affected_nodes, 1);
+            let rebuilt = build(&db);
+            assert_eq!(walk(&maintained), walk(&rebuilt));
+            assert_eq!(maintained.heap_bytes(), rebuilt.heap_bytes());
+            for x in 0..16u64 {
+                let expect = evaluate_view(&view, &db, &[x]).unwrap();
+                assert_eq!(sorted(answers(&maintained, &[x])), expect, "x = {x}");
+            }
+            s = maintained;
+        }
+        sizes.dedup();
+        assert!(sizes.len() > 1, "the history must move |D|: {sizes:?}");
     }
 
     #[test]
